@@ -12,9 +12,8 @@ instrumentation-cost regression commit over commit.
 """
 
 import os
-import time
 
-from bench_common import report, run_once, scaled
+from bench_common import report, run_once, scaled, time_best_of
 
 from repro import flightrec
 from repro.experiments.scenarios import TABLE3_REMY, run_cubic_fixed
@@ -26,17 +25,6 @@ BENCH_JSON = os.path.join(
 )
 
 PARAMS = CubicParams(window_init=4.0, initial_ssthresh=64.0, beta=0.7)
-
-
-def _time_best_of(n, func):
-    """Best-of-n wall time: robust to scheduler noise on shared CI."""
-    best = float("inf")
-    result = None
-    for _ in range(n):
-        started = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - started)
-    return best, result
 
 
 def test_bench_flightrec_overhead(benchmark, capfd):
@@ -55,8 +43,8 @@ def test_bench_flightrec_overhead(benchmark, capfd):
 
     baseline = run_disabled()  # warm interpreter state before timing
 
-    wall_disabled, _ = _time_best_of(rounds, run_disabled)
-    wall_armed, (recorded, events_captured) = _time_best_of(rounds, run_armed)
+    wall_disabled, _ = time_best_of(rounds, run_disabled)
+    wall_armed, (recorded, events_captured) = time_best_of(rounds, run_armed)
     run_once(benchmark, run_disabled)
 
     # Bit-identical trajectories: recording must not perturb the run.

@@ -18,9 +18,8 @@ noisy); the recorded numbers are the real deliverable.
 """
 
 import os
-import time
 
-from bench_common import report, run_once, scaled
+from bench_common import report, run_once, scaled, time_best_of
 
 from repro.experiments.scenarios import TABLE3_REMY, run_cubic_fixed
 from repro.runner import append_bench_entry, bench_entry
@@ -32,17 +31,6 @@ BENCH_JSON = os.path.join(
 )
 
 PARAMS = CubicParams(window_init=4.0, initial_ssthresh=64.0, beta=0.7)
-
-
-def _time_best_of(n, func):
-    """Best-of-n wall time: robust to scheduler noise on shared CI."""
-    best = float("inf")
-    result = None
-    for _ in range(n):
-        started = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - started)
-    return best, result
 
 
 def test_bench_simcheck_overhead(benchmark, capfd):
@@ -69,8 +57,8 @@ def test_bench_simcheck_overhead(benchmark, capfd):
     # Warm caches/JIT-free interpreter state once before timing anything.
     baseline = run_unchecked()
 
-    wall_unchecked, _ = _time_best_of(rounds, run_unchecked)
-    wall_checked, (checked_result, check_report) = _time_best_of(rounds, run_checked)
+    wall_unchecked, _ = time_best_of(rounds, run_unchecked)
+    wall_checked, (checked_result, check_report) = time_best_of(rounds, run_checked)
     run_once(benchmark, run_unchecked)
 
     # Checking observes without perturbing: bit-identical simulation.

@@ -14,9 +14,8 @@ numbers are the real deliverable.
 """
 
 import os
-import time
 
-from bench_common import report, run_once, scaled
+from bench_common import report, run_once, scaled, time_best_of
 
 from repro import telemetry
 from repro.experiments.scenarios import TABLE3_REMY, run_cubic_fixed
@@ -28,17 +27,6 @@ BENCH_JSON = os.path.join(
 )
 
 PARAMS = CubicParams(window_init=4.0, initial_ssthresh=64.0, beta=0.7)
-
-
-def _time_best_of(n, func):
-    """Best-of-n wall time: robust to scheduler noise on shared CI."""
-    best = float("inf")
-    result = None
-    for _ in range(n):
-        started = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - started)
-    return best, result
 
 
 def test_bench_telemetry_overhead(benchmark, capfd):
@@ -59,8 +47,8 @@ def test_bench_telemetry_overhead(benchmark, capfd):
     # Warm caches/JIT-free interpreter state once before timing anything.
     baseline = run_disabled()
 
-    wall_disabled, _ = _time_best_of(rounds, run_disabled)
-    wall_enabled, (instrumented, snapshot) = _time_best_of(rounds, run_enabled)
+    wall_disabled, _ = time_best_of(rounds, run_disabled)
+    wall_enabled, (instrumented, snapshot) = time_best_of(rounds, run_enabled)
     run_once(benchmark, run_disabled)
 
     # Telemetry observes without perturbing: identical simulation.

@@ -77,27 +77,30 @@ def test_extension_degraded_control_plane(benchmark, capfd):
         print(f"{'down':>5s} {'P_l':>9s} {'vs base':>8s} {'delay(ms)':>10s} "
               f"{'thr(Mbps)':>10s} | {'fresh':>6s} {'stale':>6s} {'fallbk':>6s}")
         for row in rows:
-            counts = row.decision_counts
-            print(f"{row.unavailability:>5.2f} {row.mean_power_l:>9.4f} "
+            counts = row.accounting["decision_counts"]
+            print(f"{row.axes['unavailability']:>5.2f} {row.mean_power_l:>9.4f} "
                   f"{row.mean_power_l / max(baseline, 1e-9):>7.2f}x "
                   f"{row.mean_delay_ms:>10.1f} {row.mean_throughput_mbps:>10.2f} | "
                   f"{counts.get('fresh', 0):>6d} {counts.get('stale', 0):>6d} "
                   f"{counts.get('fallback', 0):>6d}")
 
-    by_fraction = {row.unavailability: row for row in rows}
+    decisions = {
+        row.axes["unavailability"]: row.accounting["decision_counts"] for row in rows
+    }
+    power = {row.axes["unavailability"]: row.mean_power_l for row in rows}
     # Anchor 1: with the server gone for the whole run every connection
     # falls back to stock Cubic, so power matches the uncoordinated
     # baseline (the ISSUE's +/-5% bound; the runs are in fact identical).
-    assert abs(by_fraction[1.0].mean_power_l - baseline) <= 0.05 * baseline
-    assert by_fraction[1.0].decision_counts.get("fresh", 0) == 0
+    assert abs(power[1.0] - baseline) <= 0.05 * baseline
+    assert decisions[1.0].get("fresh", 0) == 0
     # Anchor 2: a healthy channel reproduces practical Phi sharing.
-    assert abs(by_fraction[0.0].mean_power_l - practical) <= 0.05 * practical
-    assert by_fraction[0.0].decision_counts.get("fallback", 0) == 0
+    assert abs(power[0.0] - practical) <= 0.05 * practical
+    assert decisions[0.0].get("fallback", 0) == 0
     # Graceful degradation: no unavailability level drops power
     # meaningfully below the uncoordinated floor.
     for row in rows:
         assert row.mean_power_l >= 0.95 * baseline
     # Partial outages really exercise the degraded paths.
-    assert by_fraction[0.5].decision_counts.get("fresh", 0) > 0
-    assert (by_fraction[0.5].decision_counts.get("stale", 0)
-            + by_fraction[0.5].decision_counts.get("fallback", 0)) > 0
+    assert decisions[0.5].get("fresh", 0) > 0
+    assert (decisions[0.5].get("stale", 0)
+            + decisions[0.5].get("fallback", 0)) > 0

@@ -22,6 +22,7 @@ from bench_common import report, run_once, scaled
 from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
     check_partition_envelope,
+    is_minority_cut,
     run_partition_sweep,
 )
 from repro.phi import REFERENCE_POLICY
@@ -50,51 +51,54 @@ def test_extension_partitioned_control(benchmark, capfd):
     outcome = run_once(benchmark, _run)
 
     with report(capfd, "Extension X7: safety envelope under control-plane partition"):
-        first = outcome.rows[0]
-        print(f"stock baseline:    P_l = {first.stock_power_l:.4f}  "
-              f"thr = {first.stock_throughput_mbps:.2f} Mbps")
-        print(f"degraded baseline: P_l = {first.degraded_power_l:.4f}  "
-              f"thr = {first.degraded_throughput_mbps:.2f} Mbps")
+        first = outcome.rows[0].baselines
+        print(f"stock baseline:    P_l = {first['stock'].power_l:.4f}  "
+              f"thr = {first['stock'].throughput_mbps:.2f} Mbps")
+        print(f"degraded baseline: P_l = {first['degraded'].power_l:.4f}  "
+              f"thr = {first['degraded'].throughput_mbps:.2f} Mbps")
         print()
         print(f"{'N':>3s} {'sev':>5s} {'cut':>4s} {'P_l':>9s} {'x-stock':>8s} "
               f"{'x-degr':>7s} {'thr':>8s} | {'fo':>4s} {'merge':>6s} "
               f"{'maxdiv':>7s}")
         for row in outcome.rows:
-            if row.minority:
+            n, acc = row.axes["n_replicas"], row.accounting
+            if is_minority_cut(row):
                 kind = "min"
-            elif row.n_cut == row.n_replicas:
+            elif acc["n_cut"] == n:
                 kind = "all"
-            elif row.n_cut:
+            elif acc["n_cut"]:
                 kind = "maj"
             else:
                 kind = "-"
-            print(f"{row.n_replicas:>3d} {row.severity:>5.2f} "
-                  f"{row.n_cut:>2d}/{kind:<3s} {row.mean_power_l:>9.4f} "
-                  f"{row.power_vs_stock:>7.2f}x {row.power_vs_degraded:>6.2f}x "
-                  f"{row.mean_throughput_mbps:>8.2f} | {row.failovers:>4d} "
-                  f"{row.anti_entropy_merges:>6d} {row.max_divergence:>7.3f}")
+            print(f"{n:>3d} {row.axes['severity']:>5.2f} "
+                  f"{acc['n_cut']:>2d}/{kind:<3s} {row.mean_power_l:>9.4f} "
+                  f"{row.vs('stock').power_l:>7.2f}x "
+                  f"{row.vs('degraded').power_l:>6.2f}x "
+                  f"{row.mean_throughput_mbps:>8.2f} | {acc['failovers']:>4d} "
+                  f"{acc['anti_entropy_merges']:>6d} {acc['max_divergence']:>7.3f}")
 
     # The full envelope: stock floor everywhere, degraded floor on every
     # minority cut of a multi-replica plane.
     assert check_partition_envelope(outcome, rel_tol=0.05) == []
 
-    minority = [r for r in outcome.rows if r.minority and r.n_replicas >= 2]
+    minority = [r for r in outcome.rows if is_minority_cut(r)]
     assert minority, "sweep produced no minority-cut rows"
     for row in minority:
         # Failover actually fired and masked the cut.
-        assert row.failovers > 0
-        assert row.anti_entropy_merges > 0
-        assert row.decision_counts.get("fallback", 0) == 0
+        assert row.accounting["failovers"] > 0
+        assert row.accounting["anti_entropy_merges"] > 0
+        assert row.accounting["decision_counts"].get("fallback", 0) == 0
         # The partition visibly opened divergence before healing.
-        assert row.max_divergence > 0
+        assert row.accounting["max_divergence"] > 0
 
     # Bounded convergence: every healed multi-replica cell closed its
     # divergence by end of run (heal + anti-entropy did their job).
     healed = [
         r for r in outcome.rows
-        if r.n_replicas >= 2 and 0 < r.n_cut and r.heal_s > 0
+        if r.axes["n_replicas"] >= 2 and 0 < r.accounting["n_cut"]
+        and r.axes["heal_s"] > 0
     ]
     for result in outcome.results:
-        if result.n_replicas >= 2:
-            assert result.final_divergence < 1e-9
+        if result.axes["n_replicas"] >= 2:
+            assert result.accounting["final_divergence"] < 1e-9
     assert healed

@@ -56,22 +56,23 @@ def _print_rows(rows):
     print(f"{'sev':>5s} {'P_l':>9s} {'vs base':>8s} {'thr(Mbps)':>10s} "
           f"{'vs base':>8s} | {'reject':>6s} {'distr':>6s} {'trust':>6s}")
     for row in rows:
-        print(f"{row.severity:>5.2f} {row.mean_power_l:>9.4f} "
-              f"{row.power_vs_baseline:>7.2f}x "
+        acc, vs = row.accounting, row.vs("baseline")
+        print(f"{row.axes['severity']:>5.2f} {row.mean_power_l:>9.4f} "
+              f"{vs.power_l:>7.2f}x "
               f"{row.mean_throughput_mbps:>10.2f} "
-              f"{row.throughput_vs_baseline:>7.2f}x | "
-              f"{sum(row.guard_rejections.values()):>6d} "
-              f"{row.decision_counts.get('distrusted', 0):>6d} "
-              f"{row.mean_trust_score:>6.2f}")
+              f"{vs.throughput_mbps:>7.2f}x | "
+              f"{sum(acc['guard_rejections'].values()):>6d} "
+              f"{acc['decision_counts'].get('distrusted', 0):>6d} "
+              f"{acc['trust_score']:>6.2f}")
 
 
 def test_extension_poisoned_context(benchmark, capfd):
     guarded, unguarded = run_once(benchmark, _run_all)
 
     with report(capfd, "Extension X6: safety envelope under Byzantine context"):
-        base = guarded.rows[0]
-        print(f"uncoordinated baseline: P_l = {base.baseline_power_l:.4f}  "
-              f"thr = {base.baseline_throughput_mbps:.2f} Mbps")
+        base = guarded.rows[0].baselines["baseline"]
+        print(f"uncoordinated baseline: P_l = {base.power_l:.4f}  "
+              f"thr = {base.throughput_mbps:.2f} Mbps")
         print()
         print("guarded (robust aggregation + guard + trust):")
         _print_rows(guarded.rows)
@@ -85,17 +86,18 @@ def test_extension_poisoned_context(benchmark, capfd):
     # At full severity the trust layer has tripped: senders run stock
     # defaults through the DISTRUSTED decision.
     top = guarded.rows[-1]
-    assert top.severity == 1.0
-    assert top.decision_counts.get("distrusted", 0) > 0
-    assert top.mean_trust_score < 0.7
+    assert top.axes["severity"] == 1.0
+    assert top.accounting["decision_counts"].get("distrusted", 0) > 0
+    assert top.accounting["trust_score"] < 0.7
 
     # The ablation proves the harness injects real harm: without the
     # defences the same lies drive throughput well below baseline.
     assert check_harm_demonstrated(unguarded, rel_tol=0.05)
     worst = unguarded.rows[-1]
-    assert worst.throughput_vs_baseline < 0.8
+    assert worst.vs("baseline").throughput_mbps < 0.8
     # And nothing in the unguarded stack ever fought back.
-    assert all(not row.guard_rejections for row in unguarded.rows)
+    assert all(not row.accounting["guard_rejections"] for row in unguarded.rows)
     assert all(
-        row.decision_counts.get("distrusted", 0) == 0 for row in unguarded.rows
+        row.accounting["decision_counts"].get("distrusted", 0) == 0
+        for row in unguarded.rows
     )

@@ -44,6 +44,7 @@ import glob
 import json
 import sys
 from contextlib import ExitStack
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -58,15 +59,15 @@ from .diagnosis import (
 )
 from .experiments import (
     ALL_PRESETS,
-    check_harm_demonstrated,
-    check_partition_envelope,
-    check_safety_envelope,
+    check_envelope,
+    is_minority_cut,
     run_cubic_fixed,
     run_incremental_deployment,
     run_parameter_sweep,
     run_partition_sweep,
     run_phi_cubic,
     run_poison_sweep,
+    serial_mismatches,
 )
 from .flightrec.postmortem import DEFAULT_STALL_THRESHOLD_S, analyze_dump, render_text
 from .ipfix import (
@@ -92,9 +93,8 @@ from .simcheck.fuzz import draw_scenario, run_fuzz_case
 from .simcheck.oracles import ORACLES, run_oracles
 from .simnet.engine import WatchdogConfig
 from .telemetry.manifest import (
+    fault_sweep_manifest,
     load_manifest,
-    partition_manifest,
-    poison_manifest,
     run_manifest,
     summarize_manifest,
     sweep_manifest,
@@ -477,6 +477,109 @@ def _int_list(text: str) -> List[int]:
     return values
 
 
+def _cmd_fault_sweep(
+    args: argparse.Namespace,
+    sweep,
+    *,
+    header: str,
+    format_row,
+    noun: str,
+    holds: str,
+    expect_harm: bool = False,
+    extra_config: Optional[dict] = None,
+) -> int:
+    """The one body behind every fault-sweep verb.
+
+    ``sweep(**shared)`` runs the verb's scenario over its own axes with
+    the shared flags (seeds, duration, workers); everything after that —
+    recording, manifest, table, quarantine report, serial check,
+    envelope verdict — is shared too.
+    """
+    with ExitStack() as stack:
+        rec = None
+        if args.flightrec_out:
+            # Entered before telemetry.use so the metrics scope inherits
+            # the recorder (serial sweeps run in this process).
+            rec = stack.enter_context(
+                flightrec.use(autodump_path=args.flightrec_out)
+            )
+        tele = None
+        if _telemetry_wanted(args):
+            tele = stack.enter_context(telemetry.use())
+        outcome = sweep(
+            seeds=args.seeds, duration_s=args.duration,
+            n_workers=args.workers, parallel=args.workers > 1,
+        )
+        if tele is not None:
+            snapshots = [tele.registry.snapshot()]
+            if outcome.telemetry is not None:
+                snapshots.append(outcome.telemetry)
+            _write_telemetry_outputs(
+                args,
+                tele,
+                fault_sweep_manifest(
+                    outcome,
+                    metrics=telemetry.merge_snapshots(snapshots),
+                    extra_config=extra_config,
+                ),
+            )
+
+    print(header)
+    if not args.quiet:
+        for row in outcome.rows:
+            print(format_row(row))
+    quarantined = outcome.report.quarantined
+    for point in quarantined:
+        print(f"QUARANTINED: {point.describe()}", file=sys.stderr)
+
+    if args.serial_check:
+        mismatched = serial_mismatches(outcome)
+        if mismatched:
+            print(f"DETERMINISM VIOLATION: {mismatched} point(s) differ "
+                  f"between serial and parallel {noun} sweeps", file=sys.stderr)
+            return 1
+        print(f"serial check: all {len(outcome.results)} point(s) bit-identical")
+
+    if quarantined:
+        # A crashed point is a hole in the grid, not a row that held.
+        print(f"SWEEP INCOMPLETE: {len(quarantined)} point(s) quarantined; "
+              f"no envelope verdict", file=sys.stderr)
+        return 1
+    violations = check_envelope(outcome, rel_tol=args.tolerance)
+    if expect_harm:
+        if not violations:
+            print("HARM NOT DEMONSTRATED: no row fell below the baseline "
+                  "floor; the corruption harness is not injecting real harm",
+                  file=sys.stderr)
+            return 1
+        print("harm demonstrated: corruption drove at least one row below "
+              "the uncoordinated baseline")
+        return 0
+    if violations:
+        print("SAFETY ENVELOPE VIOLATED:", file=sys.stderr)
+        for violation in violations:
+            print(f"  {violation}", file=sys.stderr)
+        if rec is not None:
+            tag = f"envelope:{outcome.spec.scenario.name}:{len(violations)}"
+            dumped = rec.maybe_autodump(tag)
+            if dumped:
+                print(f"flight recording: {dumped}", file=sys.stderr)
+        return 1
+    print(f"safety envelope holds: {holds.format(tol=args.tolerance)}")
+    return 0
+
+
+def _poison_row(row) -> str:
+    axes, acc, vs = row.axes, row.accounting, row.vs("baseline")
+    return (f"  sev={axes['severity']:<5g} byz={axes['byzantine_fraction']:<5g} "
+            f"P_l={row.mean_power_l:8.4f} ({vs.power_l:5.2f}x base)  "
+            f"thr={row.mean_throughput_mbps:6.2f} Mbps "
+            f"({vs.throughput_mbps:5.2f}x base)  "
+            f"rejected={sum(acc['guard_rejections'].values())} "
+            f"distrusted={acc['decision_counts'].get('distrusted', 0)} "
+            f"trust={acc['trust_score']:.2f}")
+
+
 def cmd_poison(args: argparse.Namespace) -> int:
     from .phi.corruption import CONTEXT_CORRUPTION_MODES
 
@@ -489,92 +592,38 @@ def cmd_poison(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     guarded = not args.unguarded
-    common = dict(
-        byzantine_fractions=args.byzantine,
-        seeds=args.seeds,
-        modes=modes,
-        guarded=guarded,
-        duration_s=args.duration,
+    return _cmd_fault_sweep(
+        args,
+        partial(
+            run_poison_sweep, REFERENCE_POLICY, preset, args.severities,
+            byzantine_fractions=args.byzantine, modes=modes, guarded=guarded,
+        ),
+        header=(f"poisoned sweep ({'guarded' if guarded else 'UNGUARDED'}): "
+                f"preset={preset.name} modes={','.join(modes)} "
+                f"seeds={','.join(map(str, args.seeds))}"),
+        format_row=_poison_row,
+        noun="poisoned",
+        holds="every row within {tol:.0%} of the uncoordinated baseline on "
+              "power and throughput",
+        expect_harm=args.expect_harm,
+        extra_config={"expect_harm": args.expect_harm},
     )
-    with ExitStack() as stack:
-        rec = None
-        if args.flightrec_out:
-            # Entered before telemetry.use so the metrics scope inherits
-            # the recorder (serial sweeps run in this process).
-            rec = stack.enter_context(
-                flightrec.use(autodump_path=args.flightrec_out)
-            )
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
-        outcome = run_poison_sweep(
-            REFERENCE_POLICY, preset, args.severities,
-            n_workers=args.workers, parallel=args.workers > 1, **common,
-        )
-        if tele is not None:
-            snapshots = [tele.registry.snapshot()]
-            if outcome.telemetry is not None:
-                snapshots.append(outcome.telemetry)
-            _write_telemetry_outputs(
-                args,
-                tele,
-                poison_manifest(
-                    outcome,
-                    metrics=telemetry.merge_snapshots(snapshots),
-                    extra_config={"expect_harm": args.expect_harm},
-                ),
-            )
 
-    label = "guarded" if guarded else "UNGUARDED"
-    print(f"poisoned sweep ({label}): preset={preset.name} "
-          f"modes={','.join(modes)} seeds={','.join(map(str, args.seeds))}")
-    if not args.quiet:
-        for row in outcome.rows:
-            distrusted = row.decision_counts.get("distrusted", 0)
-            print(f"  sev={row.severity:<5g} byz={row.byzantine_fraction:<5g} "
-                  f"P_l={row.mean_power_l:8.4f} ({row.power_vs_baseline:5.2f}x base)  "
-                  f"thr={row.mean_throughput_mbps:6.2f} Mbps "
-                  f"({row.throughput_vs_baseline:5.2f}x base)  "
-                  f"rejected={sum(row.guard_rejections.values())} "
-                  f"distrusted={distrusted} trust={row.mean_trust_score:.2f}")
 
-    if args.serial_check:
-        serial = run_poison_sweep(
-            REFERENCE_POLICY, preset, args.severities,
-            n_workers=1, parallel=False, collect_telemetry=False, **common,
-        )
-        mismatched = sum(
-            1 for mine, theirs in zip(outcome.results, serial.results)
-            if not mine.identical_to(theirs)
-        )
-        if mismatched or len(serial.results) != len(outcome.results):
-            print(f"DETERMINISM VIOLATION: {mismatched} point(s) differ "
-                  f"between serial and parallel poisoned sweeps", file=sys.stderr)
-            return 1
-        print(f"serial check: all {len(outcome.results)} point(s) bit-identical")
-
-    if args.expect_harm:
-        if not check_harm_demonstrated(outcome, rel_tol=args.tolerance):
-            print("HARM NOT DEMONSTRATED: no row fell below the baseline "
-                  "floor; the corruption harness is not injecting real harm",
-                  file=sys.stderr)
-            return 1
-        print("harm demonstrated: corruption drove at least one row below "
-              "the uncoordinated baseline")
-        return 0
-    violations = check_safety_envelope(outcome, rel_tol=args.tolerance)
-    if violations:
-        print("SAFETY ENVELOPE VIOLATED:", file=sys.stderr)
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
-        if rec is not None:
-            dumped = rec.maybe_autodump(f"envelope:poison:{len(violations)}")
-            if dumped:
-                print(f"flight recording: {dumped}", file=sys.stderr)
-        return 1
-    print(f"safety envelope holds: every row within {args.tolerance:.0%} of "
-          f"the uncoordinated baseline on power and throughput")
-    return 0
+def _partition_row(row) -> str:
+    axes, acc = row.axes, row.accounting
+    n, n_cut = axes["n_replicas"], acc["n_cut"]
+    flag = "minority" if is_minority_cut(row) else (
+        "total" if n_cut == n and n_cut else ("majority" if n_cut else "none")
+    )
+    return (f"  n={n} sev={axes['severity']:<5g} "
+            f"heal={axes['heal_s']:<4g} cut={n_cut} ({flag:<8s}) "
+            f"P_l={row.mean_power_l:8.4f} "
+            f"({row.vs('stock').power_l:5.2f}x stock, "
+            f"{row.vs('degraded').power_l:5.2f}x degraded)  "
+            f"thr={row.mean_throughput_mbps:6.2f} Mbps  "
+            f"fo={acc['failovers']} merges={acc['anti_entropy_merges']} "
+            f"maxdiv={acc['max_divergence']:.3f}")
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
@@ -587,90 +636,22 @@ def cmd_partition(args: argparse.Namespace) -> int:
         print(f"unknown read policy {args.read_policy!r}; available: "
               f"{', '.join(p.value for p in ReadPolicy)}", file=sys.stderr)
         return 2
-    common = dict(
-        heal_times=args.heals,
-        seeds=args.seeds,
-        read_policy=read_policy,
-        partition_start_s=args.partition_start,
-        duration_s=args.duration,
+    return _cmd_fault_sweep(
+        args,
+        partial(
+            run_partition_sweep, REFERENCE_POLICY, preset, args.replicas,
+            args.severities, heal_times=args.heals, read_policy=read_policy,
+            partition_start_s=args.partition_start,
+        ),
+        header=(f"partition sweep: preset={preset.name} "
+                f"replicas={','.join(map(str, args.replicas))} "
+                f"read={read_policy.value} "
+                f"seeds={','.join(map(str, args.seeds))}"),
+        format_row=_partition_row,
+        noun="partition",
+        holds="every row within {tol:.0%} of the stock floor; minority "
+              "partitions within {tol:.0%} of the single-server-outage baseline",
     )
-    with ExitStack() as stack:
-        rec = None
-        if args.flightrec_out:
-            # Entered before telemetry.use so the metrics scope inherits
-            # the recorder (serial sweeps run in this process).
-            rec = stack.enter_context(
-                flightrec.use(autodump_path=args.flightrec_out)
-            )
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
-        outcome = run_partition_sweep(
-            REFERENCE_POLICY, preset, args.replicas, args.severities,
-            n_workers=args.workers, parallel=args.workers > 1, **common,
-        )
-        if tele is not None:
-            snapshots = [tele.registry.snapshot()]
-            if outcome.telemetry is not None:
-                snapshots.append(outcome.telemetry)
-            _write_telemetry_outputs(
-                args,
-                tele,
-                partition_manifest(
-                    outcome,
-                    metrics=telemetry.merge_snapshots(snapshots),
-                ),
-            )
-
-    print(f"partition sweep: preset={preset.name} "
-          f"replicas={','.join(map(str, args.replicas))} "
-          f"read={read_policy.value} "
-          f"seeds={','.join(map(str, args.seeds))}")
-    if not args.quiet:
-        for row in outcome.rows:
-            flag = "minority" if row.minority else (
-                "total" if row.n_cut == row.n_replicas and row.n_cut else
-                ("majority" if row.n_cut else "none")
-            )
-            print(f"  n={row.n_replicas} sev={row.severity:<5g} "
-                  f"heal={row.heal_s:<4g} cut={row.n_cut} ({flag:<8s}) "
-                  f"P_l={row.mean_power_l:8.4f} "
-                  f"({row.power_vs_stock:5.2f}x stock, "
-                  f"{row.power_vs_degraded:5.2f}x degraded)  "
-                  f"thr={row.mean_throughput_mbps:6.2f} Mbps  "
-                  f"fo={row.failovers} merges={row.anti_entropy_merges} "
-                  f"maxdiv={row.max_divergence:.3f}")
-
-    if args.serial_check:
-        serial = run_partition_sweep(
-            REFERENCE_POLICY, preset, args.replicas, args.severities,
-            n_workers=1, parallel=False, collect_telemetry=False, **common,
-        )
-        mismatched = sum(
-            1 for mine, theirs in zip(outcome.results, serial.results)
-            if not mine.identical_to(theirs)
-        )
-        if mismatched or len(serial.results) != len(outcome.results):
-            print(f"DETERMINISM VIOLATION: {mismatched} point(s) differ "
-                  f"between serial and parallel partition sweeps",
-                  file=sys.stderr)
-            return 1
-        print(f"serial check: all {len(outcome.results)} point(s) bit-identical")
-
-    violations = check_partition_envelope(outcome, rel_tol=args.tolerance)
-    if violations:
-        print("SAFETY ENVELOPE VIOLATED:", file=sys.stderr)
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
-        if rec is not None:
-            dumped = rec.maybe_autodump(f"envelope:partition:{len(violations)}")
-            if dumped:
-                print(f"flight recording: {dumped}", file=sys.stderr)
-        return 1
-    print(f"safety envelope holds: every row within {args.tolerance:.0%} of "
-          f"the stock floor; minority partitions within {args.tolerance:.0%} "
-          f"of the single-server-outage baseline")
-    return 0
 
 
 def cmd_postmortem(args: argparse.Namespace) -> int:
@@ -923,39 +904,42 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
+    def add_fault_sweep_args(p):
+        p.add_argument("--preset", default="fig2a-low-utilization")
+        p.add_argument("--seeds", type=_int_list, default=[0, 1],
+                       help="comma-separated seeds (one run per seed per cell)")
+        p.add_argument("--duration", type=float, default=None,
+                       help="simulated seconds per run (default: preset duration)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (1 = serial)")
+        p.add_argument("--tolerance", type=float, default=0.05,
+                       help="relative envelope tolerance (default 0.05)")
+        p.add_argument("--serial-check", action="store_true",
+                       help="also run serially; verify bit-identical results")
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress the per-row table")
+        p.add_argument("--flightrec-out", default=None, dest="flightrec_out",
+                       help="record flight data; dump it here if the safety "
+                            "envelope is violated")
+        add_telemetry_args(p)
+
     poison = sub.add_parser(
         "poison", help="X6 Byzantine-context sweep (corruption x lying reporters)"
     )
-    poison.add_argument("--preset", default="fig2a-low-utilization")
     poison.add_argument("--severities", type=_float_list, default=[0.0, 0.5, 1.0],
                         help="comma-separated per-lookup corruption probabilities")
     poison.add_argument("--byzantine", type=_float_list, default=[0.0],
                         help="comma-separated per-report poisoning probabilities")
-    poison.add_argument("--seeds", type=_int_list, default=[0, 1],
-                        help="comma-separated seeds (one run per seed per cell)")
     poison.add_argument("--modes", default="inflate",
                         help="comma-separated corruption modes "
                              "(bitflip,scale,frozen,replay,deflate,inflate,garbage)")
-    poison.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds per run (default: preset duration)")
-    poison.add_argument("--workers", type=int, default=1,
-                        help="worker processes (1 = serial)")
     poison.add_argument("--unguarded", action="store_true",
                         help="strip the guard/trust/robust-aggregation defences "
                              "(the ablation)")
     poison.add_argument("--expect-harm", action="store_true", dest="expect_harm",
                         help="succeed only if some row falls below the baseline "
                              "floor (pair with --unguarded)")
-    poison.add_argument("--tolerance", type=float, default=0.05,
-                        help="relative envelope tolerance (default 0.05)")
-    poison.add_argument("--serial-check", action="store_true",
-                        help="also run serially; verify bit-identical results")
-    poison.add_argument("--quiet", action="store_true",
-                        help="suppress the per-row table")
-    poison.add_argument("--flightrec-out", default=None, dest="flightrec_out",
-                        help="record flight data; dump it here if the safety "
-                             "envelope is violated")
-    add_telemetry_args(poison)
+    add_fault_sweep_args(poison)
     poison.set_defaults(func=cmd_poison)
 
     partition = sub.add_parser(
@@ -963,7 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="X7 replicated-control-plane sweep (replicas x partition "
              "severity x heal time)",
     )
-    partition.add_argument("--preset", default="fig2a-low-utilization")
     partition.add_argument("--replicas", type=_int_list, default=[1, 3],
                            help="comma-separated replica counts")
     partition.add_argument("--severities", type=_float_list,
@@ -976,27 +959,9 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--partition-start", type=float, default=10.0,
                            dest="partition_start",
                            help="simulated second the partition begins")
-    partition.add_argument("--seeds", type=_int_list, default=[0, 1],
-                           help="comma-separated seeds (one run per seed "
-                                "per cell)")
     partition.add_argument("--read-policy", default="any", dest="read_policy",
                            help="replica read policy: any, nearest, quorum")
-    partition.add_argument("--duration", type=float, default=None,
-                           help="simulated seconds per run (default: preset "
-                                "duration)")
-    partition.add_argument("--workers", type=int, default=1,
-                           help="worker processes (1 = serial)")
-    partition.add_argument("--tolerance", type=float, default=0.05,
-                           help="relative envelope tolerance (default 0.05)")
-    partition.add_argument("--serial-check", action="store_true",
-                           help="also run serially; verify bit-identical "
-                                "results")
-    partition.add_argument("--quiet", action="store_true",
-                           help="suppress the per-row table")
-    partition.add_argument("--flightrec-out", default=None, dest="flightrec_out",
-                           help="record flight data; dump it here if the "
-                                "safety envelope is violated")
-    add_telemetry_args(partition)
+    add_fault_sweep_args(partition)
     partition.set_defaults(func=cmd_partition)
 
     postmortem = sub.add_parser(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..metrics.summary import RunMetrics, summarize_runs
+from ..metrics.summary import RunMetrics
 from ..phi.channel import (
     ChannelConfig,
     ChannelStats,
@@ -28,14 +28,14 @@ from ..phi.fallback import ResilientContextClient, resilient_phi_cubic_factory
 from ..phi.policy import PolicyTable
 from ..phi.server import ContextServer
 from ..transport.cubic import CubicParams
-from .dumbbell import (
-    ExperimentEnv,
-    ScenarioResult,
-    run_long_running_scenario,
-    run_onoff_scenario,
-    uniform_slots,
+from .dumbbell import ExperimentEnv, ScenarioResult
+from .faultsweep import (
+    FaultScenario,
+    FaultSweepRow,
+    merged_counts,
+    run_fault_sweep,
 )
-from .scenarios import ScenarioPreset
+from .scenarios import ScenarioPreset, run_with_control_plane
 
 
 def schedule_unavailability(
@@ -115,7 +115,6 @@ def run_degraded_phi_cubic(
     baseline.
     """
     duration = duration_s if duration_s is not None else preset.duration_s
-    holders: dict = {}
 
     def build(env: ExperimentEnv):
         server = ContextServer(
@@ -148,29 +147,14 @@ def run_degraded_phi_cubic(
         client = ResilientContextClient(
             channel, now=lambda: env.sim.now, staleness_ttl_s=staleness_ttl_s
         )
-        holders.update(server=server, channel=channel, client=client)
-        return resilient_phi_cubic_factory(
+        factory = resilient_phi_cubic_factory(
             client, policy, now=lambda: env.sim.now, fallback_params=fallback_params
         )
+        return factory, (client, channel, server)
 
-    if preset.workload is None:
-        result = run_long_running_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-        )
-    else:
-        result = run_onoff_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            workload=preset.workload,
-            duration_s=duration,
-            seed=seed,
-        )
-    client: ResilientContextClient = holders["client"]
-    channel: ControlChannel = holders["channel"]
-    server: ContextServer = holders["server"]
+    result, (client, channel, server) = run_with_control_plane(
+        build, preset, seed=seed, duration_s=duration
+    )
     return DegradedRunResult(
         result=result,
         unavailability=unavailability,
@@ -181,15 +165,16 @@ def run_degraded_phi_cubic(
     )
 
 
-@dataclass
-class DegradedSweepRow:
-    """Aggregated outcome of one unavailability fraction across seeds."""
-
-    unavailability: float
-    mean_power_l: float
-    mean_throughput_mbps: float
-    mean_delay_ms: float
-    decision_counts: Dict[str, int]
+#: X4 as a declaration over the fault-sweep harness: one axis, no
+#: baselines of its own (the bench anchors the curve on Phi-practical and
+#: stock Cubic itself).
+DEGRADED = FaultScenario(
+    name="degraded",
+    axes=("unavailability",),
+    run=run_degraded_phi_cubic,
+    accounting={"decision_counts": merged_counts},
+    cell_format="unavailability={unavailability:g}",
+)
 
 
 def sweep_unavailability(
@@ -200,36 +185,28 @@ def sweep_unavailability(
     seeds: Sequence[int] = (0, 1),
     duration_s: Optional[float] = None,
     **kwargs,
-) -> List[DegradedSweepRow]:
+) -> List[FaultSweepRow]:
     """The graceful-degradation curve: power vs. server unavailability.
 
-    Extra keyword arguments pass through to :func:`run_degraded_phi_cubic`.
+    One row per fraction (``row.axes["unavailability"]``), aggregated
+    across ``seeds``.  Extra keyword arguments pass through to
+    :func:`run_degraded_phi_cubic`.  Runs serially under the caller's own
+    telemetry session; a point that cannot be evaluated raises rather
+    than leaving a hole in the curve.
     """
-    rows: List[DegradedSweepRow] = []
-    for fraction in fractions:
-        runs = [
-            run_degraded_phi_cubic(
-                policy,
-                preset,
-                unavailability=fraction,
-                seed=seed,
-                duration_s=duration_s,
-                **kwargs,
-            )
-            for seed in seeds
-        ]
-        decisions: Dict[str, int] = {}
-        for run in runs:
-            for key, count in run.decision_counts.items():
-                decisions[key] = decisions.get(key, 0) + count
-        aggregate = summarize_runs([run.metrics for run in runs])
-        rows.append(
-            DegradedSweepRow(
-                unavailability=fraction,
-                mean_power_l=aggregate.mean_power_l,
-                mean_throughput_mbps=aggregate.mean_throughput_mbps,
-                mean_delay_ms=aggregate.mean_queueing_delay_ms,
-                decision_counts=decisions,
-            )
+    outcome = run_fault_sweep(
+        DEGRADED,
+        policy,
+        preset,
+        {"unavailability": fractions},
+        seeds=seeds,
+        duration_s=duration_s,
+        fixed=kwargs,
+        parallel=False,
+        collect_telemetry=False,
+    )
+    if outcome.report.quarantined:
+        raise RuntimeError(
+            "; ".join(q.describe() for q in outcome.report.quarantined)
         )
-    return rows
+    return outcome.rows

@@ -45,12 +45,10 @@ this.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import telemetry as _telemetry
-from ..metrics.summary import RunMetrics, summarize_runs
+from ..metrics.summary import RunMetrics
 from ..phi.channel import ChannelConfig, CircuitBreaker, ControlChannel
 from ..phi.deployment import DeploymentMode
 from ..phi.failover import FailoverChannel, FailoverConfig
@@ -61,19 +59,23 @@ from ..phi.replication import (
     ReplicatedContextService,
     ReplicationConfig,
 )
-from ..runner.core import _pool_context
-from ..runner.resilience import ExecutionReport, ResilienceConfig, SweepSupervisor
 from ..simnet.faults import FaultInjector
-from ..telemetry.registry import merge_snapshots
 from ..transport.cubic import CubicParams
-from .dumbbell import (
-    ExperimentEnv,
-    ScenarioResult,
-    run_long_running_scenario,
-    run_onoff_scenario,
-    uniform_slots,
+from .dumbbell import ExperimentEnv, ScenarioResult
+from .faultsweep import (
+    Baseline,
+    FaultScenario,
+    FaultSpec,
+    FaultSweepOutcome,
+    FaultSweepRow,
+    Floor,
+    check_envelope,
+    merged_counts,
+    peak,
+    run_fault_sweep,
+    stock_cubic,
 )
-from .scenarios import ScenarioPreset, run_cubic_fixed
+from .scenarios import ScenarioPreset, run_with_control_plane
 
 
 def partition_indices(n_replicas: int, severity: float) -> Tuple[List[int], List[int]]:
@@ -161,8 +163,6 @@ def run_partitioned_phi_cubic(
             f"partition window must be non-negative: "
             f"start={partition_start_s} heal={heal_s}"
         )
-    duration = duration_s if duration_s is not None else preset.duration_s
-    holders: dict = {}
 
     def build(env: ExperimentEnv):
         service = ReplicatedContextService(
@@ -223,32 +223,14 @@ def run_partitioned_phi_cubic(
         client = ResilientContextClient(
             failover, now=lambda: env.sim.now, staleness_ttl_s=staleness_ttl_s
         )
-        holders.update(
-            service=service, channels=channels, failover=failover,
-            client=client, injector=injector,
-        )
-        return resilient_phi_cubic_factory(
+        factory = resilient_phi_cubic_factory(
             client, policy, now=lambda: env.sim.now, fallback_params=fallback_params
         )
+        return factory, (service, failover, client)
 
-    if preset.workload is None:
-        result = run_long_running_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-        )
-    else:
-        result = run_onoff_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            workload=preset.workload,
-            duration_s=duration,
-            seed=seed,
-        )
-    service: ReplicatedContextService = holders["service"]
-    failover: FailoverChannel = holders["failover"]
-    client: ResilientContextClient = holders["client"]
+    result, (service, failover, client) = run_with_control_plane(
+        build, preset, seed=seed, duration_s=duration_s
+    )
     history = service.divergence_history
     return PartitionRunResult(
         result=result,
@@ -271,192 +253,68 @@ def run_partitioned_phi_cubic(
 
 
 # ----------------------------------------------------------------------
-# The X7 sweep: replica count x severity x heal time, supervised
+# The X7 sweep: replica count x severity x heal time, as a declaration
+# over the fault-sweep harness
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PartitionPoint:
-    """One (replica count, severity, heal time, seed) evaluation."""
-
-    n_replicas: int
-    severity: float
-    heal_s: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Everything a worker needs to evaluate a :class:`PartitionPoint`.
-
-    Must stay picklable (crosses the process boundary).
-    """
-
-    preset: ScenarioPreset
-    policy: PolicyTable
-    read_policy: ReadPolicy = ReadPolicy.ANY
-    partition_start_s: float = 10.0
-    duration_s: Optional[float] = None
-    staleness_ttl_s: float = 10.0
-    anti_entropy_period_s: float = 1.0
-    collect_telemetry: bool = False
-
-
-@dataclass
-class PartitionPointResult:
-    """One partition point's outcome, by-value across the pool boundary."""
-
-    n_replicas: int
-    severity: float
-    heal_s: float
-    seed: int
-    n_cut: int
-    metrics: RunMetrics
-    decision_counts: Dict[str, int]
-    failovers: int
-    fast_failures: int
-    anti_entropy_merges: int
-    reports_replicated: int
-    quorum_rejections: int
-    final_divergence: float
-    max_divergence: float
-    pending_reports: int
-    events_processed: int
-    wall_seconds: float
-    #: Observability sidecar (see PointResult.telemetry): excluded from
-    #: determinism comparisons.
-    telemetry: Optional[Dict[str, Any]] = field(default=None, compare=False)
-
-    def identical_to(self, other: "PartitionPointResult") -> bool:
-        """Bit-identical simulation outcome (wall time excluded)."""
-        return (
-            self.n_replicas == other.n_replicas
-            and self.severity == other.severity
-            and self.heal_s == other.heal_s
-            and self.seed == other.seed
-            and self.n_cut == other.n_cut
-            and self.metrics == other.metrics
-            and self.decision_counts == other.decision_counts
-            and self.failovers == other.failovers
-            and self.fast_failures == other.fast_failures
-            and self.anti_entropy_merges == other.anti_entropy_merges
-            and self.reports_replicated == other.reports_replicated
-            and self.quorum_rejections == other.quorum_rejections
-            and self.final_divergence == other.final_divergence
-            and self.max_divergence == other.max_divergence
-            and self.pending_reports == other.pending_reports
-            and self.events_processed == other.events_processed
-        )
-
-
-def evaluate_partition_point(
-    spec: PartitionSpec, point: PartitionPoint
-) -> PartitionPointResult:
-    """Worker entry point; a pure function of ``(spec, point)``.
-
-    Module-level so pool workers can unpickle it; all randomness comes
-    from the run's seeded streams.
-    """
-    started = time.perf_counter()
-    snapshot: Optional[Dict[str, Any]] = None
-    kwargs = dict(
-        n_replicas=point.n_replicas,
-        severity=point.severity,
-        heal_s=point.heal_s,
-        partition_start_s=spec.partition_start_s,
-        seed=point.seed,
-        read_policy=spec.read_policy,
+def _single_server_outage(
+    spec: FaultSpec, axes: Mapping[str, Any], seed: int
+) -> RunMetrics:
+    """The PR 1-shaped degraded baseline: one replica, fully cut for the
+    row's heal window, through the very machinery under test."""
+    return run_partitioned_phi_cubic(
+        spec.policy,
+        spec.preset,
+        n_replicas=1,
+        severity=1.0,
+        heal_s=axes["heal_s"],
+        seed=seed,
         duration_s=spec.duration_s,
-        staleness_ttl_s=spec.staleness_ttl_s,
-        anti_entropy_period_s=spec.anti_entropy_period_s,
-    )
-    if spec.collect_telemetry:
-        with _telemetry.use() as tele:
-            run = run_partitioned_phi_cubic(spec.policy, spec.preset, **kwargs)
-            snapshot = tele.registry.snapshot()
-    else:
-        run = run_partitioned_phi_cubic(spec.policy, spec.preset, **kwargs)
-    wall = time.perf_counter() - started
-    return PartitionPointResult(
-        n_replicas=point.n_replicas,
-        severity=point.severity,
-        heal_s=point.heal_s,
-        seed=point.seed,
-        n_cut=run.n_cut,
-        metrics=run.metrics,
-        decision_counts=run.decision_counts,
-        failovers=run.failovers,
-        fast_failures=run.fast_failures,
-        anti_entropy_merges=run.anti_entropy_merges,
-        reports_replicated=run.reports_replicated,
-        quorum_rejections=run.quorum_rejections,
-        final_divergence=run.final_divergence,
-        max_divergence=run.max_divergence,
-        pending_reports=run.pending_reports,
-        events_processed=run.result.events_processed,
-        wall_seconds=wall,
-        telemetry=snapshot,
-    )
+        **{**spec.fixed, "read_policy": ReadPolicy.ANY},
+    ).metrics
 
 
-@dataclass
-class PartitionSweepRow:
-    """One (replica count, severity, heal) cell aggregated across seeds."""
-
-    n_replicas: int
-    severity: float
-    heal_s: float
-    n_cut: int
-    minority: bool
-    mean_power_l: float
-    mean_throughput_mbps: float
-    mean_delay_ms: float
-    stock_power_l: float
-    stock_throughput_mbps: float
-    degraded_power_l: float
-    degraded_throughput_mbps: float
-    decision_counts: Dict[str, int]
-    failovers: int
-    anti_entropy_merges: int
-    quorum_rejections: int
-    max_divergence: float
-
-    @property
-    def power_vs_stock(self) -> float:
-        """Mean power relative to uncoordinated Cubic (1.0 = parity)."""
-        return _ratio(self.mean_power_l, self.stock_power_l)
-
-    @property
-    def power_vs_degraded(self) -> float:
-        """Mean power relative to the single-server-outage baseline."""
-        return _ratio(self.mean_power_l, self.degraded_power_l)
-
-    @property
-    def throughput_vs_stock(self) -> float:
-        """Mean throughput relative to uncoordinated Cubic."""
-        return _ratio(self.mean_throughput_mbps, self.stock_throughput_mbps)
-
-    @property
-    def throughput_vs_degraded(self) -> float:
-        """Mean throughput relative to the single-server-outage baseline."""
-        return _ratio(self.mean_throughput_mbps, self.degraded_throughput_mbps)
+def is_minority_cut(row: FaultSweepRow) -> bool:
+    """Whether the row's partition cut a strict minority of its replicas
+    (which takes at least three of them)."""
+    n_cut = row.accounting["n_cut"]
+    return 0 < n_cut and 2 * n_cut < row.axes["n_replicas"]
 
 
-def _ratio(value: float, baseline: float) -> float:
-    if baseline <= 0:
-        return float("inf") if value > 0 else 1.0
-    return value / baseline
-
-
-@dataclass
-class PartitionSweepOutcome:
-    """Everything one X7 sweep produced."""
-
-    spec: PartitionSpec
-    rows: List[PartitionSweepRow]
-    results: List[PartitionPointResult]
-    stock_by_seed: Dict[int, RunMetrics]
-    degraded_by_heal_seed: Dict[Tuple[float, int], RunMetrics]
-    report: ExecutionReport
-    telemetry: Optional[Dict[str, Any]] = None
+PARTITION = FaultScenario(
+    name="partition",
+    axes=("n_replicas", "severity", "heal_s"),
+    run=run_partitioned_phi_cubic,
+    accounting={
+        "n_cut": peak,  # a function of the axes: constant across seeds
+        "decision_counts": merged_counts,
+        "failovers": sum,
+        "fast_failures": sum,
+        "anti_entropy_merges": sum,
+        "reports_replicated": sum,
+        "quorum_rejections": sum,
+        "final_divergence": peak,
+        "max_divergence": peak,
+        "pending_reports": sum,
+    },
+    cell_format="replicas={n_replicas} severity={severity:g} heal={heal_s:g}s",
+    baselines=(
+        Baseline("stock", stock_cubic, tables={"stock_power_by_seed": "power_l"}),
+        Baseline(
+            "degraded",
+            _single_server_outage,
+            per=("heal_s",),
+            tables={"degraded_power_by_heal_seed": "power_l"},
+        ),
+    ),
+    floors=(
+        Floor("stock", "stock floor"),
+        Floor("degraded", "degraded floor", applies=is_minority_cut),
+    ),
+    point_block="replication",
+    params_extra=("n_cut",),
+    block_omit=("pending_reports",),
+    totals_omit=("final_divergence", "pending_reports"),
+)
 
 
 def run_partition_sweep(
@@ -466,17 +324,12 @@ def run_partition_sweep(
     severities: Sequence[float],
     heal_times: Sequence[float] = (10.0,),
     *,
-    seeds: Sequence[int] = (0, 1),
     read_policy: ReadPolicy = ReadPolicy.ANY,
     partition_start_s: float = 10.0,
-    duration_s: Optional[float] = None,
     staleness_ttl_s: float = 10.0,
     anti_entropy_period_s: float = 1.0,
-    n_workers: int = 1,
-    parallel: bool = True,
-    resilience: Optional[ResilienceConfig] = None,
-    collect_telemetry: Optional[bool] = None,
-) -> PartitionSweepOutcome:
+    **sweep,
+) -> FaultSweepOutcome:
     """Sweep replica count x partition severity x heal time across seeds.
 
     Two baselines anchor every row, each run with the row's own seeds:
@@ -487,151 +340,33 @@ def run_partition_sweep(
       single-server outage, so "replication beats one server" is an
       apples-to-apples claim.
 
-    Points run through the :class:`SweepSupervisor` — pooled when
-    ``parallel`` and ``n_workers > 1``, else serially — and merge by
-    index, so both paths produce bit-identical outcomes
-    (``identical_to``).
+    ``sweep`` takes the harness's own keywords — ``seeds``,
+    ``duration_s``, ``n_workers``, ``parallel``, ``resilience``,
+    ``collect_telemetry`` — see
+    :func:`~repro.experiments.faultsweep.run_fault_sweep` for them and
+    for execution, determinism and quarantine semantics.
     """
-    tele = _telemetry.session()
-    collect = tele.enabled if collect_telemetry is None else collect_telemetry
-    spec = PartitionSpec(
-        preset=preset,
-        policy=policy,
-        read_policy=read_policy,
-        partition_start_s=partition_start_s,
-        duration_s=duration_s,
-        staleness_ttl_s=staleness_ttl_s,
-        anti_entropy_period_s=anti_entropy_period_s,
-        collect_telemetry=collect,
-    )
-    points = [
-        PartitionPoint(n, severity, heal, seed)
-        for n in replica_counts
-        for severity in severities
-        for heal in heal_times
-        for seed in seeds
-    ]
-    results: List[Optional[PartitionPointResult]] = [None] * len(points)
-
-    def deliver(index: int, result: PartitionPointResult) -> None:
-        results[index] = result
-
-    supervisor = SweepSupervisor(
-        spec,
-        evaluate_partition_point,
-        config=resilience or ResilienceConfig(),
-        n_workers=max(1, n_workers),
-        mp_context=_pool_context(),
-    )
-    pending = list(enumerate(points))
-    if parallel and n_workers > 1:
-        report = supervisor.execute_pool(pending, deliver)
-    else:
-        report = supervisor.execute_serial(pending, deliver)
-    completed = [result for result in results if result is not None]
-
-    # Baseline 1: uncoordinated stock Cubic, one run per seed.
-    stock_by_seed = {
-        seed: run_cubic_fixed(
-            CubicParams.default(), preset, seed=seed, duration_s=duration_s
-        ).metrics
-        for seed in seeds
-    }
-    # Baseline 2: the PR 1-shaped single-server outage — one replica,
-    # fully cut for the same window — per (heal, seed).  Telemetry off:
-    # baselines anchor the envelope, they are not part of the sweep.
-    baseline_spec = PartitionSpec(
-        preset=preset,
-        policy=policy,
-        read_policy=ReadPolicy.ANY,
-        partition_start_s=partition_start_s,
-        duration_s=duration_s,
-        staleness_ttl_s=staleness_ttl_s,
-        anti_entropy_period_s=anti_entropy_period_s,
-        collect_telemetry=False,
-    )
-    degraded_by_heal_seed = {
-        (heal, seed): evaluate_partition_point(
-            baseline_spec, PartitionPoint(1, 1.0, heal, seed)
-        ).metrics
-        for heal in heal_times
-        for seed in seeds
-    }
-
-    def _mean(values: Sequence[float]) -> float:
-        return sum(values) / max(1, len(values))
-
-    stock_power = _mean([m.power_l for m in stock_by_seed.values()])
-    stock_tput = _mean([m.throughput_mbps for m in stock_by_seed.values()])
-
-    rows: List[PartitionSweepRow] = []
-    for n in replica_counts:
-        for severity in severities:
-            for heal in heal_times:
-                cell = [
-                    r for r in completed
-                    if r.n_replicas == n
-                    and r.severity == severity
-                    and r.heal_s == heal
-                ]
-                if not cell:
-                    continue
-                decisions: Dict[str, int] = {}
-                for run in cell:
-                    for key, count in run.decision_counts.items():
-                        decisions[key] = decisions.get(key, 0) + count
-                aggregate = summarize_runs([run.metrics for run in cell])
-                degraded = [
-                    degraded_by_heal_seed[(heal, seed)] for seed in seeds
-                ]
-                n_cut = cell[0].n_cut
-                rows.append(
-                    PartitionSweepRow(
-                        n_replicas=n,
-                        severity=severity,
-                        heal_s=heal,
-                        n_cut=n_cut,
-                        minority=0 < n_cut and 2 * n_cut < n,
-                        mean_power_l=aggregate.mean_power_l,
-                        mean_throughput_mbps=aggregate.mean_throughput_mbps,
-                        mean_delay_ms=aggregate.mean_queueing_delay_ms,
-                        stock_power_l=stock_power,
-                        stock_throughput_mbps=stock_tput,
-                        degraded_power_l=_mean([m.power_l for m in degraded]),
-                        degraded_throughput_mbps=_mean(
-                            [m.throughput_mbps for m in degraded]
-                        ),
-                        decision_counts=decisions,
-                        failovers=sum(r.failovers for r in cell),
-                        anti_entropy_merges=sum(
-                            r.anti_entropy_merges for r in cell
-                        ),
-                        quorum_rejections=sum(
-                            r.quorum_rejections for r in cell
-                        ),
-                        max_divergence=max(r.max_divergence for r in cell),
-                    )
-                )
-
-    merged_telemetry: Optional[Dict[str, Any]] = None
-    if collect:
-        merged_telemetry = merge_snapshots(
-            result.telemetry for result in completed
-            if result.telemetry is not None
-        )
-    return PartitionSweepOutcome(
-        spec=spec,
-        rows=rows,
-        results=completed,
-        stock_by_seed=stock_by_seed,
-        degraded_by_heal_seed=degraded_by_heal_seed,
-        report=report,
-        telemetry=merged_telemetry,
+    return run_fault_sweep(
+        PARTITION,
+        policy,
+        preset,
+        {
+            "n_replicas": replica_counts,
+            "severity": severities,
+            "heal_s": heal_times,
+        },
+        fixed=dict(
+            read_policy=read_policy,
+            partition_start_s=partition_start_s,
+            staleness_ttl_s=staleness_ttl_s,
+            anti_entropy_period_s=anti_entropy_period_s,
+        ),
+        **sweep,
     )
 
 
 def check_partition_envelope(
-    outcome: PartitionSweepOutcome, *, rel_tol: float = 0.05
+    outcome: FaultSweepOutcome, *, rel_tol: float = 0.05
 ) -> List[str]:
     """Violations of the X7 safety envelope (empty means it holds).
 
@@ -647,40 +382,4 @@ def check_partition_envelope(
       cost no more than PR 1's best effort with one server, and in
       practice costs nothing (failover keeps every sender FRESH).
     """
-    violations: List[str] = []
-    for row in outcome.rows:
-        cell = (
-            f"replicas={row.n_replicas} severity={row.severity:g} "
-            f"heal={row.heal_s:g}s"
-        )
-        stock_power_floor = (1.0 - rel_tol) * row.stock_power_l
-        if row.mean_power_l < stock_power_floor:
-            violations.append(
-                f"{cell}: power {row.mean_power_l:.4f} < stock floor "
-                f"{stock_power_floor:.4f} (stock {row.stock_power_l:.4f})"
-            )
-        stock_tput_floor = (1.0 - rel_tol) * row.stock_throughput_mbps
-        if row.mean_throughput_mbps < stock_tput_floor:
-            violations.append(
-                f"{cell}: throughput {row.mean_throughput_mbps:.3f} Mbps < "
-                f"stock floor {stock_tput_floor:.3f} "
-                f"(stock {row.stock_throughput_mbps:.3f})"
-            )
-        if row.n_replicas >= 2 and row.minority:
-            degraded_power_floor = (1.0 - rel_tol) * row.degraded_power_l
-            if row.mean_power_l < degraded_power_floor:
-                violations.append(
-                    f"{cell}: power {row.mean_power_l:.4f} < degraded floor "
-                    f"{degraded_power_floor:.4f} "
-                    f"(degraded {row.degraded_power_l:.4f})"
-                )
-            degraded_tput_floor = (
-                (1.0 - rel_tol) * row.degraded_throughput_mbps
-            )
-            if row.mean_throughput_mbps < degraded_tput_floor:
-                violations.append(
-                    f"{cell}: throughput {row.mean_throughput_mbps:.3f} Mbps "
-                    f"< degraded floor {degraded_tput_floor:.3f} "
-                    f"(degraded {row.degraded_throughput_mbps:.3f})"
-                )
-    return violations
+    return check_envelope(outcome, rel_tol=rel_tol)

@@ -40,12 +40,10 @@ are bit-identical.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-from .. import telemetry as _telemetry
-from ..metrics.summary import RunMetrics, summarize_runs
+from ..metrics.summary import RunMetrics
 from ..phi.channel import ChannelConfig, ControlChannel
 from ..phi.corruption import (
     DEFAULT_MODES,
@@ -58,18 +56,20 @@ from ..phi.guard import ContextGuard, GuardConfig
 from ..phi.policy import PolicyTable
 from ..phi.server import ContextServer, RobustAggregationConfig
 from ..phi.trust import TrustTracker
-from ..runner.core import _pool_context
-from ..runner.resilience import ExecutionReport, ResilienceConfig, SweepSupervisor
-from ..telemetry.registry import merge_snapshots
-from .dumbbell import (
-    ExperimentEnv,
-    ScenarioResult,
-    run_long_running_scenario,
-    run_onoff_scenario,
-    uniform_slots,
-)
-from .scenarios import ScenarioPreset, run_cubic_fixed
 from ..transport.cubic import CubicParams
+from .dumbbell import ExperimentEnv, ScenarioResult
+from .faultsweep import (
+    Baseline,
+    FaultScenario,
+    FaultSweepOutcome,
+    Floor,
+    check_envelope,
+    mean,
+    merged_counts,
+    run_fault_sweep,
+    stock_cubic,
+)
+from .scenarios import ScenarioPreset, run_with_control_plane
 
 
 @dataclass
@@ -130,8 +130,6 @@ def run_poisoned_phi_cubic(
         raise ValueError(
             f"byzantine_fraction must be in [0, 1]: {byzantine_fraction}"
         )
-    duration = duration_s if duration_s is not None else preset.duration_s
-    holders: dict = {}
 
     def build(env: ExperimentEnv):
         server = ContextServer(
@@ -177,35 +175,15 @@ def run_poisoned_phi_cubic(
             guard=guard,
             trust=trust_tracker,
         )
-        holders.update(
-            server=server, layer=layer, client=client,
-            guard=guard, trust=trust_tracker,
-        )
-        return resilient_phi_cubic_factory(
+        factory = resilient_phi_cubic_factory(
             client, policy, now=lambda: env.sim.now,
             fallback_params=fallback_params,
         )
+        return factory, (client, server, layer, guard, trust_tracker)
 
-    if preset.workload is None:
-        result = run_long_running_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-        )
-    else:
-        result = run_onoff_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            workload=preset.workload,
-            duration_s=duration,
-            seed=seed,
-        )
-    client: ResilientContextClient = holders["client"]
-    server: ContextServer = holders["server"]
-    layer: CorruptionLayer = holders["layer"]
-    guard: Optional[ContextGuard] = holders["guard"]
-    tracker: Optional[TrustTracker] = holders["trust"]
+    result, (client, server, layer, guard, tracker) = run_with_control_plane(
+        build, preset, seed=seed, duration_s=duration_s
+    )
     return PoisonRunResult(
         result=result,
         severity=severity,
@@ -223,165 +201,39 @@ def run_poisoned_phi_cubic(
 
 
 # ----------------------------------------------------------------------
-# The X6 sweep: severity x byzantine fraction, supervised and resumable
+# The X6 sweep: severity x byzantine fraction, as a declaration over the
+# fault-sweep harness
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PoisonPoint:
-    """One (severity, byzantine fraction, seed) evaluation."""
-
-    severity: float
-    byzantine_fraction: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class PoisonSpec:
-    """Everything a worker needs to evaluate a :class:`PoisonPoint`.
-
-    Must stay picklable (crosses the process boundary).
-    """
-
-    preset: ScenarioPreset
-    policy: PolicyTable
-    modes: Tuple[str, ...] = DEFAULT_MODES
-    guarded: bool = True
-    duration_s: Optional[float] = None
-    staleness_ttl_s: float = 10.0
-    collect_telemetry: bool = False
-
-
-@dataclass
-class PoisonPointResult:
-    """One poisoned point's outcome, by-value across the pool boundary."""
-
-    severity: float
-    byzantine_fraction: float
-    seed: int
-    guarded: bool
-    metrics: RunMetrics
-    decision_counts: Dict[str, int]
-    guard_rejections: Dict[str, int]
-    reports_rejected: int
-    contexts_corrupted: int
-    reports_poisoned: int
-    trust_score: float
-    distrust_entries: int
-    events_processed: int
-    wall_seconds: float
-    #: Observability sidecar (see PointResult.telemetry): excluded from
-    #: determinism comparisons.
-    telemetry: Optional[Dict[str, Any]] = field(default=None, compare=False)
-
-    def identical_to(self, other: "PoisonPointResult") -> bool:
-        """Bit-identical simulation outcome (wall time excluded)."""
-        return (
-            self.severity == other.severity
-            and self.byzantine_fraction == other.byzantine_fraction
-            and self.seed == other.seed
-            and self.guarded == other.guarded
-            and self.metrics == other.metrics
-            and self.decision_counts == other.decision_counts
-            and self.guard_rejections == other.guard_rejections
-            and self.reports_rejected == other.reports_rejected
-            and self.contexts_corrupted == other.contexts_corrupted
-            and self.reports_poisoned == other.reports_poisoned
-            and self.trust_score == other.trust_score
-            and self.distrust_entries == other.distrust_entries
-            and self.events_processed == other.events_processed
-        )
-
-
-def evaluate_poison_point(spec: PoisonSpec, point: PoisonPoint) -> PoisonPointResult:
-    """Worker entry point; a pure function of ``(spec, point)``.
-
-    Module-level so pool workers can unpickle it; all randomness comes
-    from the run's seeded streams.
-    """
-    started = time.perf_counter()
-    snapshot: Optional[Dict[str, Any]] = None
-    kwargs = dict(
-        severity=point.severity,
-        byzantine_fraction=point.byzantine_fraction,
-        seed=point.seed,
-        modes=spec.modes,
-        guarded=spec.guarded,
-        duration_s=spec.duration_s,
-        staleness_ttl_s=spec.staleness_ttl_s,
-    )
-    if spec.collect_telemetry:
-        with _telemetry.use() as tele:
-            run = run_poisoned_phi_cubic(spec.policy, spec.preset, **kwargs)
-            snapshot = tele.registry.snapshot()
-    else:
-        run = run_poisoned_phi_cubic(spec.policy, spec.preset, **kwargs)
-    wall = time.perf_counter() - started
-    return PoisonPointResult(
-        severity=point.severity,
-        byzantine_fraction=point.byzantine_fraction,
-        seed=point.seed,
-        guarded=spec.guarded,
-        metrics=run.metrics,
-        decision_counts=run.decision_counts,
-        guard_rejections=run.guard_rejections,
-        reports_rejected=run.reports_rejected,
-        contexts_corrupted=run.contexts_corrupted,
-        reports_poisoned=run.reports_poisoned,
-        trust_score=run.trust_score,
-        distrust_entries=run.distrust_entries,
-        events_processed=run.result.events_processed,
-        wall_seconds=wall,
-        telemetry=snapshot,
-    )
-
-
-@dataclass
-class PoisonSweepRow:
-    """One (severity, byzantine fraction) cell aggregated across seeds."""
-
-    severity: float
-    byzantine_fraction: float
-    mean_power_l: float
-    mean_throughput_mbps: float
-    mean_delay_ms: float
-    baseline_power_l: float
-    baseline_throughput_mbps: float
-    decision_counts: Dict[str, int]
-    guard_rejections: Dict[str, int]
-    reports_rejected: int
-    mean_trust_score: float
-    distrust_entries: int
-
-    @property
-    def power_vs_baseline(self) -> float:
-        """Mean power relative to uncoordinated Cubic (1.0 = parity)."""
-        return _ratio(self.mean_power_l, self.baseline_power_l)
-
-    @property
-    def throughput_vs_baseline(self) -> float:
-        """Mean throughput relative to uncoordinated Cubic."""
-        return _ratio(self.mean_throughput_mbps, self.baseline_throughput_mbps)
-
-
-def _ratio(value: float, baseline: float) -> float:
-    if baseline <= 0:
-        return float("inf") if value > 0 else 1.0
-    return value / baseline
-
-
-@dataclass
-class PoisonSweepOutcome:
-    """Everything one X6 sweep produced."""
-
-    spec: PoisonSpec
-    rows: List[PoisonSweepRow]
-    results: List[PoisonPointResult]
-    baseline_by_seed: Dict[int, RunMetrics]
-    report: ExecutionReport
-    telemetry: Optional[Dict[str, Any]] = None
-
-    @property
-    def baseline_power_by_seed(self) -> Dict[int, float]:
-        return {s: m.power_l for s, m in self.baseline_by_seed.items()}
+POISON = FaultScenario(
+    name="poison",
+    axes=("severity", "byzantine_fraction"),
+    run=run_poisoned_phi_cubic,
+    accounting={
+        "decision_counts": merged_counts,
+        "guard_rejections": merged_counts,
+        "reports_rejected": sum,
+        "contexts_corrupted": sum,
+        "reports_poisoned": sum,
+        "trust_score": mean,
+        "distrust_entries": sum,
+    },
+    cell_format="severity={severity:g} byzantine={byzantine_fraction:g}",
+    # Uncoordinated Cubic, one run per seed (same preset, workload and
+    # duration as every poisoned point).
+    baselines=(
+        Baseline(
+            "baseline",
+            stock_cubic,
+            tables={
+                "baseline_power_by_seed": "power_l",
+                "baseline_throughput_by_seed": "throughput_mbps",
+            },
+        ),
+    ),
+    floors=(Floor("baseline", "floor"),),
+    point_block="defence",
+    totals_omit=("trust_score",),
+)
 
 
 def run_poison_sweep(
@@ -390,126 +242,34 @@ def run_poison_sweep(
     severities: Sequence[float],
     byzantine_fractions: Sequence[float] = (0.0,),
     *,
-    seeds: Sequence[int] = (0, 1),
     modes: Sequence[str] = DEFAULT_MODES,
     guarded: bool = True,
-    duration_s: Optional[float] = None,
     staleness_ttl_s: float = 10.0,
-    n_workers: int = 1,
-    parallel: bool = True,
-    resilience: Optional[ResilienceConfig] = None,
-    collect_telemetry: Optional[bool] = None,
-) -> PoisonSweepOutcome:
+    **sweep,
+) -> FaultSweepOutcome:
     """Sweep corruption severity x Byzantine fraction across seeds.
 
     Baseline runs (stock Cubic, same preset and seeds) anchor every
-    row's ``power_vs_baseline``.  Points are evaluated through the
-    :class:`SweepSupervisor` — in a worker pool when ``parallel`` and
-    ``n_workers > 1``, else serially — and merged by index, so the two
-    paths produce bit-identical outcomes (`identical_to`).
+    row's ``vs("baseline")``.  ``sweep`` takes the harness's own
+    keywords — ``seeds``, ``duration_s``, ``n_workers``, ``parallel``,
+    ``resilience``, ``collect_telemetry`` — see
+    :func:`~repro.experiments.faultsweep.run_fault_sweep` for them and
+    for execution, determinism and quarantine semantics.
     """
-    tele = _telemetry.session()
-    collect = tele.enabled if collect_telemetry is None else collect_telemetry
-    spec = PoisonSpec(
-        preset=preset,
-        policy=policy,
-        modes=tuple(modes),
-        guarded=guarded,
-        duration_s=duration_s,
-        staleness_ttl_s=staleness_ttl_s,
-        collect_telemetry=collect,
-    )
-    points = [
-        PoisonPoint(severity, fraction, seed)
-        for severity in severities
-        for fraction in byzantine_fractions
-        for seed in seeds
-    ]
-    results: List[Optional[PoisonPointResult]] = [None] * len(points)
-
-    def deliver(index: int, result: PoisonPointResult) -> None:
-        results[index] = result
-
-    supervisor = SweepSupervisor(
-        spec,
-        evaluate_poison_point,
-        config=resilience or ResilienceConfig(),
-        n_workers=max(1, n_workers),
-        mp_context=_pool_context(),
-    )
-    pending = list(enumerate(points))
-    if parallel and n_workers > 1:
-        report = supervisor.execute_pool(pending, deliver)
-    else:
-        report = supervisor.execute_serial(pending, deliver)
-    completed = [result for result in results if result is not None]
-
-    # Uncoordinated Cubic baseline, one run per seed (same preset,
-    # workload, and duration as every poisoned point).
-    baseline_by_seed = {
-        seed: run_cubic_fixed(
-            CubicParams.default(), preset, seed=seed, duration_s=duration_s
-        ).metrics
-        for seed in seeds
-    }
-    n_base = max(1, len(baseline_by_seed))
-    baseline_power = sum(m.power_l for m in baseline_by_seed.values()) / n_base
-    baseline_tput = (
-        sum(m.throughput_mbps for m in baseline_by_seed.values()) / n_base
-    )
-
-    rows: List[PoisonSweepRow] = []
-    for severity in severities:
-        for fraction in byzantine_fractions:
-            cell = [
-                r for r in completed
-                if r.severity == severity and r.byzantine_fraction == fraction
-            ]
-            if not cell:
-                continue
-            decisions: Dict[str, int] = {}
-            rejections: Dict[str, int] = {}
-            for run in cell:
-                for key, count in run.decision_counts.items():
-                    decisions[key] = decisions.get(key, 0) + count
-                for key, count in run.guard_rejections.items():
-                    rejections[key] = rejections.get(key, 0) + count
-            aggregate = summarize_runs([run.metrics for run in cell])
-            rows.append(
-                PoisonSweepRow(
-                    severity=severity,
-                    byzantine_fraction=fraction,
-                    mean_power_l=aggregate.mean_power_l,
-                    mean_throughput_mbps=aggregate.mean_throughput_mbps,
-                    mean_delay_ms=aggregate.mean_queueing_delay_ms,
-                    baseline_power_l=baseline_power,
-                    baseline_throughput_mbps=baseline_tput,
-                    decision_counts=decisions,
-                    guard_rejections=rejections,
-                    reports_rejected=sum(r.reports_rejected for r in cell),
-                    mean_trust_score=sum(r.trust_score for r in cell) / len(cell),
-                    distrust_entries=sum(r.distrust_entries for r in cell),
-                )
-            )
-
-    merged_telemetry: Optional[Dict[str, Any]] = None
-    if collect:
-        merged_telemetry = merge_snapshots(
-            result.telemetry for result in completed
-            if result.telemetry is not None
-        )
-    return PoisonSweepOutcome(
-        spec=spec,
-        rows=rows,
-        results=completed,
-        baseline_by_seed=baseline_by_seed,
-        report=report,
-        telemetry=merged_telemetry,
+    return run_fault_sweep(
+        POISON,
+        policy,
+        preset,
+        {"severity": severities, "byzantine_fraction": byzantine_fractions},
+        fixed=dict(
+            modes=tuple(modes), guarded=guarded, staleness_ttl_s=staleness_ttl_s
+        ),
+        **sweep,
     )
 
 
 def check_safety_envelope(
-    outcome: PoisonSweepOutcome, *, rel_tol: float = 0.05
+    outcome: FaultSweepOutcome, *, rel_tol: float = 0.05
 ) -> List[str]:
     """Violations of "never materially worse than uncoordinated Cubic".
 
@@ -522,27 +282,11 @@ def check_safety_envelope(
     meaningful for guarded sweeps — an unguarded sweep is *expected* to
     violate it (see :func:`check_harm_demonstrated`).
     """
-    violations: List[str] = []
-    for row in outcome.rows:
-        cell = f"severity={row.severity:g} byzantine={row.byzantine_fraction:g}"
-        power_floor = (1.0 - rel_tol) * row.baseline_power_l
-        if row.mean_power_l < power_floor:
-            violations.append(
-                f"{cell}: power {row.mean_power_l:.4f} < floor "
-                f"{power_floor:.4f} (baseline {row.baseline_power_l:.4f})"
-            )
-        tput_floor = (1.0 - rel_tol) * row.baseline_throughput_mbps
-        if row.mean_throughput_mbps < tput_floor:
-            violations.append(
-                f"{cell}: throughput {row.mean_throughput_mbps:.3f} Mbps < "
-                f"floor {tput_floor:.3f} "
-                f"(baseline {row.baseline_throughput_mbps:.3f})"
-            )
-    return violations
+    return check_envelope(outcome, rel_tol=rel_tol)
 
 
 def check_harm_demonstrated(
-    outcome: PoisonSweepOutcome, *, rel_tol: float = 0.05
+    outcome: FaultSweepOutcome, *, rel_tol: float = 0.05
 ) -> bool:
     """Whether any row fell materially below a baseline floor.
 
@@ -551,4 +295,4 @@ def check_harm_demonstrated(
     hurts somewhere — in practice on the throughput axis (see the
     module docstring for why power alone cannot show it).
     """
-    return bool(check_safety_envelope(outcome, rel_tol=rel_tol))
+    return bool(check_envelope(outcome, rel_tol=rel_tol))

@@ -9,7 +9,7 @@ practical modes, and partial deployments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..metrics.summary import RunMetrics
 from ..phi.client import (
@@ -25,9 +25,10 @@ from ..metrics.summary import summarize_connections
 from ..simnet.engine import WatchdogConfig
 from ..simnet.topology import DumbbellConfig
 from ..transport.cubic import CubicParams
-from ..workload.onoff import OnOffConfig
+from ..workload.onoff import OnOffConfig, SenderFactory
 from .dumbbell import (
     ExperimentEnv,
+    FactoryForSlot,
     ScenarioResult,
     run_long_running_scenario,
     run_onoff_scenario,
@@ -110,6 +111,67 @@ ALL_PRESETS = (
 )
 
 
+def run_preset(
+    slots: FactoryForSlot,
+    preset: ScenarioPreset,
+    *,
+    seed: int = 0,
+    duration_s: Optional[float] = None,
+    **scenario_kwargs,
+) -> ScenarioResult:
+    """Run ``preset`` with the given sender slots.
+
+    The one place that picks the long-running or the on/off runner from
+    the preset's workload.  ``duration_s=None`` keeps the preset's own
+    duration; ``scenario_kwargs`` pass through to the chosen runner.
+    """
+    duration = duration_s if duration_s is not None else preset.duration_s
+    if preset.workload is None:
+        return run_long_running_scenario(
+            slots,
+            config=preset.config,
+            duration_s=duration,
+            seed=seed,
+            **scenario_kwargs,
+        )
+    return run_onoff_scenario(
+        slots,
+        config=preset.config,
+        workload=preset.workload,
+        duration_s=duration,
+        seed=seed,
+        **scenario_kwargs,
+    )
+
+
+def run_with_control_plane(
+    build: Callable[[ExperimentEnv], Tuple[SenderFactory, Any]],
+    preset: ScenarioPreset,
+    *,
+    seed: int = 0,
+    duration_s: Optional[float] = None,
+) -> Tuple[ScenarioResult, Any]:
+    """Run ``preset`` with every sender behind one control plane.
+
+    ``build(env)`` wires the plane into the run's environment and
+    returns ``(sender_factory, plane)``.  All senders share the factory;
+    the plane — whatever the caller reads its accounting from once the
+    run is over — is handed back beside the result.
+    """
+    built = []
+
+    def factory(env: ExperimentEnv) -> SenderFactory:
+        sender_factory, plane = build(env)
+        built.append(plane)
+        return sender_factory
+
+    result = run_preset(
+        uniform_slots(factory), preset, seed=seed, duration_s=duration_s
+    )
+    (plane,) = built
+    return result, plane
+
+
 # ----------------------------------------------------------------------
 # Fixed-parameter Cubic (the sweep arm of Figures 2 and 3)
 # ----------------------------------------------------------------------
@@ -136,34 +198,22 @@ def run_cubic_fixed(
     invariant layer and oracles (see :mod:`repro.simcheck`).
     """
     slots = uniform_slots(lambda env: plain_cubic_factory(params))
-    duration = duration_s if duration_s is not None else preset.duration_s
-    if preset.workload is None:
-        if slot_order is not None:
-            raise ValueError("slot_order applies to on/off workloads only")
-        return run_long_running_scenario(
-            slots,
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-            watchdog=watchdog,
-            checked=checked,
-            check_report=check_report,
-            profile=profile,
-            fault_hook=fault_hook,
-        )
-    return run_onoff_scenario(
+    onoff_only = {}
+    if preset.workload is not None:
+        onoff_only = dict(slot_order=slot_order, monitor_period_s=monitor_period_s)
+    elif slot_order is not None:
+        raise ValueError("slot_order applies to on/off workloads only")
+    return run_preset(
         slots,
-        config=preset.config,
-        workload=preset.workload,
-        duration_s=duration,
+        preset,
         seed=seed,
+        duration_s=duration_s,
         watchdog=watchdog,
         checked=checked,
         check_report=check_report,
-        slot_order=slot_order,
-        monitor_period_s=monitor_period_s,
         profile=profile,
         fault_hook=fault_hook,
+        **onoff_only,
     )
 
 
@@ -215,21 +265,11 @@ def run_phi_cubic(
             source = ContextServer(env.sim, env.bottleneck_capacity_bps)
         return phi_cubic_factory(source, policy, now=lambda: env.sim.now)
 
-    duration = duration_s if duration_s is not None else preset.duration_s
-    if preset.workload is None:
-        return run_long_running_scenario(
-            uniform_slots(build),
-            config=preset.config,
-            duration_s=duration,
-            seed=seed,
-            profile=profile,
-        )
-    return run_onoff_scenario(
+    return run_preset(
         uniform_slots(build),
-        config=preset.config,
-        workload=preset.workload,
-        duration_s=duration,
+        preset,
         seed=seed,
+        duration_s=duration_s,
         profile=profile,
     )
 

@@ -24,7 +24,6 @@ it died.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from contextlib import ExitStack
@@ -287,13 +286,6 @@ def _default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    # fork avoids re-importing the package per worker; fall back to the
-    # platform default where fork is unavailable.
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
 class SweepRunner:
     """Sweep a parameter grid through the simulator, in parallel.
 
@@ -478,7 +470,6 @@ class SweepRunner:
             evaluate_point,
             config=self.resilience,
             n_workers=self.n_workers,
-            mp_context=_pool_context(),
         )
 
         def deliver(index: int, result: PointResult) -> None:
@@ -515,12 +506,10 @@ class SweepRunner:
                 progress_state.completed += newly_quarantined
             self._report(progress_state)
 
-        use_pool = parallel and self.n_workers > 1 and len(pending) > 1
         try:
-            if use_pool:
-                report = supervisor.execute_pool(pending, deliver, sync_supervision)
-            else:
-                report = supervisor.execute_serial(pending, deliver, sync_supervision)
+            report = supervisor.execute(
+                pending, deliver, sync_supervision, parallel=parallel
+            )
         finally:
             if journal is not None:
                 journal.close()
@@ -569,7 +558,7 @@ class SweepRunner:
             n_runs=n_runs,
             base_seed=base_seed,
             wall_seconds=wall,
-            workers=self.n_workers if use_pool else 1,
+            workers=self.n_workers if report.pooled else 1,
             cache_hits=cache_hits,
             checkpoint_reused=checkpoint_hits,
             retries=report.retries,

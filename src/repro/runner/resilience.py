@@ -35,6 +35,7 @@ to serial ones.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -168,6 +169,8 @@ class ExecutionReport:
     stalled: int = 0
     pool_rebuilds: int = 0
     serial_fallback: bool = False
+    #: Whether :meth:`SweepSupervisor.execute` chose the worker pool.
+    pooled: bool = False
     quarantined: List[QuarantinedPoint] = field(default_factory=list)
     #: Every failed attempt keyed by task index — including points that
     #: later succeeded, which ``quarantined`` alone cannot show.  This is
@@ -224,7 +227,8 @@ class SweepSupervisor:
     n_workers:
         Pool width for :meth:`execute_pool`.
     mp_context:
-        The multiprocessing context used to build pools.
+        The multiprocessing context used to build pools (default: fork
+        where available, else the platform default).
     """
 
     def __init__(
@@ -240,8 +244,27 @@ class SweepSupervisor:
         self.evaluate = evaluate
         self.config = config or ResilienceConfig()
         self.n_workers = n_workers
-        self.mp_context = mp_context
+        self.mp_context = mp_context if mp_context is not None else self._pool_context()
         self.report = ExecutionReport()
+
+    def execute(
+        self,
+        pending: Sequence[Tuple[int, "object"]],
+        deliver: Deliver,
+        on_event: Optional[OnEvent] = None,
+        *,
+        parallel: bool,
+    ) -> ExecutionReport:
+        """Run ``pending`` through the pool when that can help, else serially.
+
+        A pool is only worth its start-up when the caller allows it
+        (``parallel``), there is more than one worker, and more than one
+        point to spread over them; ``report.pooled`` records the choice.
+        """
+        if parallel and self.n_workers > 1 and len(pending) > 1:
+            self.report.pooled = True
+            return self.execute_pool(pending, deliver, on_event)
+        return self.execute_serial(pending, deliver, on_event)
 
     # ------------------------------------------------------------------
     # Failure bookkeeping (shared by pool and serial paths)
@@ -345,6 +368,13 @@ class SweepSupervisor:
     # ------------------------------------------------------------------
     # Pool execution
     # ------------------------------------------------------------------
+    @staticmethod
+    def _pool_context() -> multiprocessing.context.BaseContext:
+        # fork avoids re-importing the package per worker; fall back to the
+        # platform default where fork is unavailable.
+        methods = multiprocessing.get_all_start_methods()
+        return multiprocessing.get_context("fork" if "fork" in methods else None)
+
     def _new_pool(self, width: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=max(1, width), mp_context=self.mp_context

@@ -25,6 +25,7 @@ import json
 import os
 import subprocess
 import time as _time
+from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .registry import histogram_percentile
@@ -33,10 +34,9 @@ MANIFEST_SCHEMA = "repro-telemetry-manifest/1"
 
 __all__ = [
     "MANIFEST_SCHEMA",
+    "fault_sweep_manifest",
     "git_describe",
     "load_manifest",
-    "partition_manifest",
-    "poison_manifest",
     "run_manifest",
     "summarize_manifest",
     "sweep_manifest",
@@ -242,22 +242,26 @@ def run_manifest(
     return manifest
 
 
-def poison_manifest(
+def fault_sweep_manifest(
     outcome,
     *,
     metrics: Optional[Dict[str, Any]] = None,
-    command: str = "poison",
     extra_config: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build a manifest from a poisoned-context sweep outcome.
+    """Build a manifest from a fault-sweep outcome.
 
-    Besides the usual per-point transport metrics, every point carries
-    the defence stack's own accounting — guard rejections by reason,
-    decision counts (including ``distrusted``), the final trust score —
-    so the manifest alone answers "which lies were caught, and by which
-    layer".
+    Works for any :class:`~repro.experiments.faultsweep.FaultScenario`:
+    the scenario's name is the command, the sweep's fixed keyword
+    arguments are the config block, and besides the usual transport
+    metrics every point carries the control plane's own accounting under
+    the scenario's block name (``defence``, ``replication``, ...) — so
+    the manifest alone answers "which faults were survived, by which
+    layer, at what cost".  Totals aggregate that accounting over the
+    sweep and tabulate the baselines the envelope was checked against.
     """
     spec = outcome.spec
+    scenario = spec.scenario
+    results = outcome.results
     config = {
         "preset": spec.preset.name,
         "topology": _plain_config(spec.preset.config),
@@ -267,28 +271,25 @@ def poison_manifest(
             if spec.duration_s is not None
             else spec.preset.duration_s
         ),
-        "modes": list(spec.modes),
-        "guarded": spec.guarded,
-        "staleness_ttl_s": spec.staleness_ttl_s,
-        "n_points": len(outcome.results),
+        **{key: _plain_value(value) for key, value in spec.fixed.items()},
+        "n_points": len(results),
     }
     if extra_config:
         config.update(extra_config)
     manifest = _base_manifest(
-        command,
+        scenario.name,
         config,
-        {"seeds": sorted({r.seed for r in outcome.results})},
+        {"seeds": sorted({r.seed for r in results})},
         metrics if metrics is not None else outcome.telemetry,
     )
-    for point in outcome.results:
+    unlisted = scenario.params_extra + scenario.block_omit
+    for point in results:
         manifest["points"].append(
             {
-                "key": _content_hash(
-                    (point.severity, point.byzantine_fraction, point.seed)
-                ),
+                "key": _content_hash((*point.axes.values(), point.seed)),
                 "params": {
-                    "severity": point.severity,
-                    "byzantine_fraction": point.byzantine_fraction,
+                    **point.axes,
+                    **{name: point.accounting[name] for name in scenario.params_extra},
                 },
                 "seed": point.seed,
                 "run_index": 0,
@@ -303,152 +304,39 @@ def poison_manifest(
                     "loss_rate": point.metrics.loss_rate,
                     "power_l": point.metrics.power_l,
                 },
-                "defence": {
-                    "decision_counts": dict(point.decision_counts),
-                    "guard_rejections": dict(point.guard_rejections),
-                    "reports_rejected": point.reports_rejected,
-                    "contexts_corrupted": point.contexts_corrupted,
-                    "reports_poisoned": point.reports_poisoned,
-                    "trust_score": point.trust_score,
-                    "distrust_entries": point.distrust_entries,
+                scenario.point_block: {
+                    name: value
+                    for name, value in point.accounting.items()
+                    if name not in unlisted
                 },
             }
         )
-    decisions: Dict[str, int] = {}
-    rejections: Dict[str, int] = {}
-    for point in outcome.results:
-        for key, count in point.decision_counts.items():
-            decisions[key] = decisions.get(key, 0) + count
-        for key, count in point.guard_rejections.items():
-            rejections[key] = rejections.get(key, 0) + count
     manifest["totals"] = {
-        "points": len(outcome.results),
-        "total_events": sum(p.events_processed for p in outcome.results),
-        "decision_counts": decisions,
-        "guard_rejections": rejections,
-        "reports_rejected": sum(p.reports_rejected for p in outcome.results),
-        "contexts_corrupted": sum(p.contexts_corrupted for p in outcome.results),
-        "reports_poisoned": sum(p.reports_poisoned for p in outcome.results),
-        "distrust_entries": sum(p.distrust_entries for p in outcome.results),
-        "baseline_power_by_seed": {
-            str(seed): metrics_.power_l
-            for seed, metrics_ in sorted(outcome.baseline_by_seed.items())
-        },
-        "baseline_throughput_by_seed": {
-            str(seed): metrics_.throughput_mbps
-            for seed, metrics_ in sorted(outcome.baseline_by_seed.items())
-        },
-    }
-    return manifest
-
-
-def partition_manifest(
-    outcome,
-    *,
-    metrics: Optional[Dict[str, Any]] = None,
-    command: str = "partition",
-    extra_config: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Build a manifest from a partitioned-control-plane sweep outcome.
-
-    Besides transport metrics, every point carries the replication
-    stack's accounting — failover and anti-entropy counts, divergence
-    extrema, decision counts — so the manifest alone answers "which
-    partitions were survived, and at what replication cost".
-    """
-    spec = outcome.spec
-    config = {
-        "preset": spec.preset.name,
-        "topology": _plain_config(spec.preset.config),
-        "workload": _plain_config(spec.preset.workload),
-        "duration_s": float(
-            spec.duration_s
-            if spec.duration_s is not None
-            else spec.preset.duration_s
+        "points": len(results),
+        "total_events": sum(p.events_processed for p in results),
+        **scenario.aggregate(
+            results, omit=scenario.params_extra + scenario.totals_omit
         ),
-        "read_policy": spec.read_policy.value,
-        "partition_start_s": spec.partition_start_s,
-        "staleness_ttl_s": spec.staleness_ttl_s,
-        "anti_entropy_period_s": spec.anti_entropy_period_s,
-        "n_points": len(outcome.results),
     }
-    if extra_config:
-        config.update(extra_config)
-    manifest = _base_manifest(
-        command,
-        config,
-        {"seeds": sorted({r.seed for r in outcome.results})},
-        metrics if metrics is not None else outcome.telemetry,
-    )
-    for point in outcome.results:
-        manifest["points"].append(
-            {
-                "key": _content_hash(
-                    (point.n_replicas, point.severity, point.heal_s, point.seed)
-                ),
-                "params": {
-                    "n_replicas": point.n_replicas,
-                    "severity": point.severity,
-                    "heal_s": point.heal_s,
-                    "n_cut": point.n_cut,
-                },
-                "seed": point.seed,
-                "run_index": 0,
-                "status": "computed",
-                "wall_seconds": point.wall_seconds,
-                "events_processed": point.events_processed,
-                "retries": 0,
-                "failures": [],
-                "metrics": {
-                    "throughput_mbps": point.metrics.throughput_mbps,
-                    "queueing_delay_ms": point.metrics.queueing_delay_ms,
-                    "loss_rate": point.metrics.loss_rate,
-                    "power_l": point.metrics.power_l,
-                },
-                "replication": {
-                    "decision_counts": dict(point.decision_counts),
-                    "failovers": point.failovers,
-                    "fast_failures": point.fast_failures,
-                    "anti_entropy_merges": point.anti_entropy_merges,
-                    "reports_replicated": point.reports_replicated,
-                    "quorum_rejections": point.quorum_rejections,
-                    "final_divergence": point.final_divergence,
-                    "max_divergence": point.max_divergence,
-                },
+    for baseline in scenario.baselines:
+        runs = sorted(outcome.baselines[baseline.name].items())
+        for table, metric in baseline.tables.items():
+            manifest["totals"][table] = {
+                "/".join([*(f"{v:g}" for v in where), str(seed)]): getattr(
+                    run_metrics, metric
+                )
+                for (*where, seed), run_metrics in runs
             }
-        )
-    decisions: Dict[str, int] = {}
-    for point in outcome.results:
-        for key, count in point.decision_counts.items():
-            decisions[key] = decisions.get(key, 0) + count
-    manifest["totals"] = {
-        "points": len(outcome.results),
-        "total_events": sum(p.events_processed for p in outcome.results),
-        "decision_counts": decisions,
-        "failovers": sum(p.failovers for p in outcome.results),
-        "fast_failures": sum(p.fast_failures for p in outcome.results),
-        "anti_entropy_merges": sum(
-            p.anti_entropy_merges for p in outcome.results
-        ),
-        "reports_replicated": sum(
-            p.reports_replicated for p in outcome.results
-        ),
-        "quorum_rejections": sum(p.quorum_rejections for p in outcome.results),
-        "max_divergence": max(
-            (p.max_divergence for p in outcome.results), default=0.0
-        ),
-        "stock_power_by_seed": {
-            str(seed): metrics_.power_l
-            for seed, metrics_ in sorted(outcome.stock_by_seed.items())
-        },
-        "degraded_power_by_heal_seed": {
-            f"{heal:g}/{seed}": metrics_.power_l
-            for (heal, seed), metrics_ in sorted(
-                outcome.degraded_by_heal_seed.items()
-            )
-        },
-    }
     return manifest
+
+
+def _plain_value(value: Any) -> Any:
+    """A sweep keyword argument as JSON: enums by value, tuples as lists."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 def _plain_config(config) -> Optional[Dict[str, Any]]:

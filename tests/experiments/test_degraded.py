@@ -132,6 +132,6 @@ class TestDegradedRuns:
             fractions=(0.0, 1.0),
             seeds=(3,),
         )
-        assert [row.unavailability for row in rows] == [0.0, 1.0]
+        assert [row.axes["unavailability"] for row in rows] == [0.0, 1.0]
         assert all(row.mean_power_l > 0 for row in rows)
-        assert rows[1].decision_counts["fresh"] == 0
+        assert rows[1].accounting["decision_counts"]["fresh"] == 0

@@ -3,9 +3,11 @@
 import pytest
 
 from repro import telemetry
+from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level
 from repro.experiments.partitioned import (
-    PartitionSweepRow,
+    PARTITION,
     check_partition_envelope,
+    is_minority_cut,
     partition_indices,
     run_partition_sweep,
     run_partitioned_phi_cubic,
@@ -14,7 +16,7 @@ from repro.experiments.scenarios import ScenarioPreset
 from repro.phi.deployment import DeploymentMode
 from repro.phi.policy import REFERENCE_POLICY
 from repro.simnet import DumbbellConfig
-from repro.telemetry.manifest import partition_manifest, validate_manifest
+from repro.telemetry.manifest import fault_sweep_manifest, validate_manifest
 from repro.workload import OnOffConfig
 
 FAST = ScenarioPreset(
@@ -96,22 +98,6 @@ class TestMinorityPartitionRun:
 
 @pytest.mark.partition
 class TestSweepDeterminism:
-    def test_serial_and_parallel_bit_identical(self):
-        kwargs = dict(
-            replica_counts=(1, 3), severities=(0.34,), heal_times=(8.0,),
-            seeds=(0,), partition_start_s=START, duration_s=DURATION,
-            collect_telemetry=False,
-        )
-        serial = run_partition_sweep(
-            REFERENCE_POLICY, FAST, parallel=False, **kwargs
-        )
-        parallel = run_partition_sweep(
-            REFERENCE_POLICY, FAST, n_workers=2, **kwargs
-        )
-        assert len(serial.results) == len(parallel.results) == 2
-        for mine, theirs in zip(serial.results, parallel.results):
-            assert mine.identical_to(theirs)
-
     def test_sweep_telemetry_and_manifest(self):
         with telemetry.use():
             outcome = run_partition_sweep(
@@ -122,7 +108,7 @@ class TestSweepDeterminism:
             )
         counters = outcome.telemetry["counters"]
         assert any("phi.replica_rpc_calls" in key for key in counters)
-        manifest = partition_manifest(outcome)
+        manifest = fault_sweep_manifest(outcome)
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "partition"
         point = manifest["points"][0]
@@ -139,37 +125,31 @@ class TestSweepDeterminism:
         )
         assert check_partition_envelope(outcome, rel_tol=0.05) == []
         (row,) = outcome.rows
-        assert row.minority
-        assert row.power_vs_degraded >= 0.95
-        assert row.throughput_vs_degraded >= 0.95
+        assert is_minority_cut(row)
+        assert row.vs("degraded").power_l >= 0.95
+        assert row.vs("degraded").throughput_mbps >= 0.95
 
 
 def row(
     power=1.0, tput=1.0, *, stock_power=1.0, stock_tput=1.0,
-    degraded_power=0.8, degraded_tput=0.9, n_replicas=3, minority=True,
+    degraded_power=0.8, degraded_tput=0.9, n_replicas=3, n_cut=1,
 ):
-    return PartitionSweepRow(
-        n_replicas=n_replicas,
-        severity=0.34,
-        heal_s=8.0,
-        n_cut=1 if minority else n_replicas,
-        minority=minority,
+    return FaultSweepRow(
+        axes={"n_replicas": n_replicas, "severity": 0.34, "heal_s": 8.0},
         mean_power_l=power,
         mean_throughput_mbps=tput,
         mean_delay_ms=1.0,
-        stock_power_l=stock_power,
-        stock_throughput_mbps=stock_tput,
-        degraded_power_l=degraded_power,
-        degraded_throughput_mbps=degraded_tput,
-        decision_counts={},
-        failovers=0,
-        anti_entropy_merges=0,
-        quorum_rejections=0,
-        max_divergence=0.0,
+        accounting={"n_cut": n_cut},
+        baselines={
+            "stock": Level(stock_power, stock_tput),
+            "degraded": Level(degraded_power, degraded_tput),
+        },
     )
 
 
 class FakeOutcome:
+    spec = FaultSpec(scenario=PARTITION, preset=FAST, policy=REFERENCE_POLICY)
+
     def __init__(self, rows):
         self.rows = rows
 
@@ -180,39 +160,29 @@ class TestEnvelopeChecker:
         assert check_partition_envelope(outcome, rel_tol=0.05) == []
 
     def test_stock_power_floor(self):
-        outcome = FakeOutcome([row(0.90, 1.0, minority=False)])
+        outcome = FakeOutcome([row(0.90, 1.0, n_cut=3)])
         violations = check_partition_envelope(outcome, rel_tol=0.05)
         assert len(violations) == 1
         assert "stock floor" in violations[0] and "power" in violations[0]
 
     def test_stock_throughput_floor(self):
-        outcome = FakeOutcome([row(1.0, 0.90, minority=False)])
+        outcome = FakeOutcome([row(1.0, 0.90, n_cut=3)])
         violations = check_partition_envelope(outcome, rel_tol=0.05)
         assert len(violations) == 1
         assert "throughput" in violations[0]
 
     def test_degraded_floor_only_for_minority_multireplica(self):
         # Above stock but below degraded: flagged only when the cut is a
-        # minority of a multi-replica plane.
+        # strict minority of the plane's replicas (so never with < 3).
         weak = dict(power=0.97, tput=0.97, degraded_power=1.1, degraded_tput=1.1)
         flagged = check_partition_envelope(
-            FakeOutcome([row(**weak, minority=True)]), rel_tol=0.05
+            FakeOutcome([row(**weak, n_replicas=3, n_cut=1)]), rel_tol=0.05
         )
         assert len(flagged) == 2
         assert all("degraded floor" in v for v in flagged)
-        spared = check_partition_envelope(
-            FakeOutcome([row(**weak, minority=False)]), rel_tol=0.05
-        )
-        assert spared == []
-        single = check_partition_envelope(
-            FakeOutcome([row(**weak, n_replicas=1, minority=True)]),
-            rel_tol=0.05,
-        )
-        assert single == []
-
-    def test_ratio_properties(self):
-        r = row(2.0, 1.2, stock_power=1.0, degraded_power=0.8)
-        assert r.power_vs_stock == pytest.approx(2.0)
-        assert r.power_vs_degraded == pytest.approx(2.5)
-        degenerate = row(1.0, 1.0, stock_power=0.0)
-        assert degenerate.power_vs_stock == float("inf")
+        for n_replicas, n_cut in ((3, 3), (3, 2), (3, 0), (2, 1), (1, 1)):
+            spared = check_partition_envelope(
+                FakeOutcome([row(**weak, n_replicas=n_replicas, n_cut=n_cut)]),
+                rel_tol=0.05,
+            )
+            assert spared == [], (n_replicas, n_cut)

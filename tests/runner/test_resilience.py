@@ -12,7 +12,7 @@ import pytest
 from repro.runner.cache import NullCache
 from repro.runner.core import SweepRunner
 from repro.runner.faultinject import ENV_VAR, FaultSpec, fault_spec_from_env
-from repro.runner.resilience import ResilienceConfig, RetryPolicy
+from repro.runner.resilience import ResilienceConfig, RetryPolicy, SweepSupervisor
 from repro.simnet.engine import WatchdogConfig
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_max_s=0.05)
@@ -72,6 +72,33 @@ class TestRetryPolicy:
     def test_rejects_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
             ResilienceConfig(**kwargs)
+
+
+def _double(spec, point):
+    return spec * point
+
+
+class TestExecuteChoosesPoolOrSerial:
+    """The supervisor, not its callers, decides when a pool can help."""
+
+    @pytest.mark.parametrize(
+        "n_workers, parallel, n_points, pooled",
+        [
+            (2, True, 2, True),
+            (2, False, 2, False),  # caller said no
+            (1, True, 2, False),  # nobody to share with
+            (2, True, 1, False),  # nothing to share out
+        ],
+    )
+    def test_choice(self, n_workers, parallel, n_points, pooled):
+        supervisor = SweepSupervisor(2, _double, n_workers=n_workers)
+        assert supervisor.mp_context is not None  # owns its pool context
+        results = {}
+        report = supervisor.execute(
+            list(enumerate(range(n_points))), results.__setitem__, parallel=parallel
+        )
+        assert report.pooled is pooled
+        assert results == {index: 2 * index for index in range(n_points)}
 
 
 class TestFaultSpec:

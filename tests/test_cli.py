@@ -290,6 +290,68 @@ class TestPartitionCommand:
         assert manifest["totals"]["failovers"] >= 1
 
 
+def crash_first(monkeypatch, module, name, when, times=3):
+    """Make ``module.name`` raise the first ``times`` calls ``when`` selects."""
+    real = getattr(module, name)
+    left = [times]
+
+    def flaky(*args, **kwargs):
+        if left[0] and when(*args, **kwargs):
+            left[0] -= 1
+            raise RuntimeError("injected crash")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, flaky)
+
+
+class TestFaultSweepQuarantine:
+    """A crashed point is a hole in the grid, not a row that held."""
+
+    #: (argv, how to crash the middle point for exactly one pass)
+    VERBS = {
+        "poison": (
+            ["poison", "--preset", "table3-remy", "--modes", "garbage",
+             "--severities", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
+             "--quiet"],
+            ("poisoned", "make_context_corruptor",
+             lambda modes, rng, severity: severity == 0.5),
+        ),
+        "partition": (
+            ["partition", "--preset", "table3-remy", "--replicas", "3",
+             "--severities", "0,0.34,1.0", "--heals", "2", "--partition-start",
+             "2", "--seeds", "0", "--duration", "6", "--quiet"],
+            ("partitioned", "partition_indices",
+             lambda n_replicas, severity: severity == 0.34),
+        ),
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_sweep_whose_every_point_raises_exits_1(self, verb, capsys):
+        argv, _ = self.VERBS[verb]
+        assert main(argv + ["--severities", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert "QUARANTINED: point #0" in captured.err
+        assert "severity must be in [0, 1]" in captured.err
+        assert "safety envelope holds" not in captured.out
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_serial_check_skips_and_realigns_around_a_quarantined_point(
+        self, verb, capsys, monkeypatch
+    ):
+        import importlib
+
+        argv, (module, name, when) = self.VERBS[verb]
+        crash_first(
+            monkeypatch, importlib.import_module(f"repro.experiments.{module}"),
+            name, when,
+        )
+        assert main(argv + ["--serial-check"]) == 1
+        captured = capsys.readouterr()
+        assert "QUARANTINED: point #1" in captured.err
+        assert "DETERMINISM VIOLATION" not in captured.err
+        assert "serial check: all 2 point(s) bit-identical" in captured.out
+
+
 class TestCheck:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["check"])
