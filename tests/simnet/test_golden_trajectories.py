@@ -1,0 +1,74 @@
+"""Golden trajectories: the data plane's results, pinned by hash.
+
+Each constant is the sha256 of ``canonical_json(RunMetrics + flow
+records)`` for one short run, captured on the commit *before* the
+entry-as-handle calendar / deadline RTO / O(1) in-order sink change and
+committed ahead of it.  A data-plane optimisation that claims
+"bit-identical trajectories" keeps these green; one that means to move
+trajectories bumps ``ENGINE_SIGNATURE`` and re-captures them in the same
+change.
+
+CI runs this file under two ``PYTHONHASHSEED`` values: nothing on the
+data plane may depend on set or dict iteration order of hashed strings.
+"""
+
+import hashlib
+from dataclasses import asdict
+
+import pytest
+
+from repro.experiments import (
+    FIG2C_LONG_RUNNING,
+    TABLE3_REMY,
+    run_cubic_fixed,
+    run_partitioned_phi_cubic,
+)
+from repro.phi import REFERENCE_POLICY
+from repro.runner import canonical_json, flow_records
+from repro.transport import CubicParams
+
+PARAMS = CubicParams(4, 64, 0.7)
+
+
+def trajectory_digest(result) -> str:
+    """sha256 over everything a run reports about its flows."""
+    payload = {
+        "metrics": asdict(result.metrics),
+        "flows": [flow.to_dict() for flow in flow_records(result.per_sender_stats)],
+    }
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+GOLDEN_CUBIC = {
+    ("table3", 1): "6845e4efdfa21e232ccb6f2be9f66f5b11d9bf9448fdfb9bb9ae1e00e34ea64b",
+    ("table3", 2): "e4cb9732934cf052e4dad74f424b9ca3c1d1001af8827572856ecd4c3556c62d",
+    ("fig2c", 1): "acd62913b0cbe4278cee7f369d93cd7bf7c4e4de90aea38ac8446f5f80912a78",
+    ("fig2c", 2): "173eec57fd8fe598f6cbe3e63360d88dcf669b7a0fb5d41e08f8bf69a7aee94e",
+}
+
+GOLDEN_PARTITIONED = "5835403ad1a8a2b0ebc4e879115c5e8ad24d6319ffdfebee4bf5c21fe3d8fa89"
+
+_PRESETS = {"table3": (TABLE3_REMY, 10.0), "fig2c": (FIG2C_LONG_RUNNING, 4.0)}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_CUBIC))
+def test_cubic_fixed_trajectory_is_pinned(name, seed):
+    preset, duration_s = _PRESETS[name]
+    result = run_cubic_fixed(PARAMS, preset, seed=seed, duration_s=duration_s)
+    assert result.connections > 0
+    assert trajectory_digest(result) == GOLDEN_CUBIC[(name, seed)]
+
+
+def test_partitioned_phi_trajectory_is_pinned():
+    run = run_partitioned_phi_cubic(
+        REFERENCE_POLICY,
+        TABLE3_REMY,
+        n_replicas=3,
+        severity=0.34,
+        partition_start_s=2.0,
+        heal_s=3.0,
+        seed=1,
+        duration_s=8.0,
+    )
+    assert run.failovers > 0
+    assert trajectory_digest(run.result) == GOLDEN_PARTITIONED
