@@ -7,10 +7,10 @@ and telemetry accounting — and adds three families of checks:
 - **clock monotonicity**: every executed event fires at a time ``>=`` the
   current clock, and no callback rewinds the clock behind the engine's
   back;
-- **heap integrity**: the calendar's heap property holds and the side
-  entry table is consistent with it (every live entry has exactly one
-  heap item), verified every ``heap_check_interval`` events and at the
-  end of each ``run()``;
+- **heap integrity**: the calendar's heap property holds, no record
+  appears twice, and the engine's count of cancelled-but-unpopped
+  records matches the blanked records actually in the heap, verified
+  every ``heap_check_interval`` events and at the end of each ``run()``;
 - **schedule sanity**: inherited from the base engine (NaN and
   past-scheduling already raise there).
 
@@ -42,8 +42,8 @@ class CheckedSimulator(Simulator):
     Parameters
     ----------
     heap_check_interval:
-        Events between full heap/entry-table consistency scans (the
-        cheap per-event clock checks always run).
+        Events between full calendar consistency scans (the cheap
+        per-event clock checks always run).
     report:
         Optional :class:`ViolationReport`; when given, violations are
         collected there instead of raised.
@@ -67,17 +67,18 @@ class CheckedSimulator(Simulator):
     # Invariant checks
     # ------------------------------------------------------------------
     def verify_heap(self) -> None:
-        """Verify the calendar: heap property + entry-table consistency."""
+        """Verify the calendar: heap property + live-record accounting."""
         heap = self._heap
         for index in range(1, len(heap)):
             parent = (index - 1) >> 1
-            if heap[parent] > heap[index]:
+            if heap[parent][:2] > heap[index][:2]:
                 self._violation(
                     "engine.heap_order",
-                    f"heap[{parent}]={heap[parent]} > heap[{index}]={heap[index]}",
+                    f"heap[{parent}]={heap[parent][:2]} > "
+                    f"heap[{index}]={heap[index][:2]}",
                 )
                 return
-        seq_counts = _Counter(seq for _, seq in heap)
+        seq_counts = _Counter(handle[1] for handle in heap)
         for seq, count in seq_counts.items():
             if count > 1:
                 self._violation(
@@ -85,21 +86,21 @@ class CheckedSimulator(Simulator):
                     f"event seq {seq} appears {count} times in the calendar",
                 )
                 return
-        missing = [seq for seq in self._entries if seq not in seq_counts]
-        if missing:
+        live = sum(1 for handle in heap if handle[2] is not None)
+        if live != self.pending_events:
             self._violation(
                 "engine.heap_entry_orphan",
-                f"{len(missing)} live entries have no heap item "
-                f"(first: seq {missing[0]})",
+                f"pending_events={self.pending_events} but the calendar "
+                f"holds {live} live records",
             )
             return
-        for _, seq in heap:
-            entry = self._entries.get(seq)
-            if entry is not None and not callable(entry[0]):
+        for handle in heap:
+            callback = handle[2]
+            if callback is not None and not callable(callback):
                 self._violation(
                     "engine.entry_not_callable",
-                    f"entry for seq {seq} holds non-callable "
-                    f"{type(entry[0]).__name__}",
+                    f"record for seq {handle[1]} holds non-callable "
+                    f"{type(callback).__name__}",
                 )
                 return
         self.checks_performed += 1
@@ -127,7 +128,6 @@ class CheckedSimulator(Simulator):
         started = _time.perf_counter() if profile is not None else 0.0
         events_before = self._events_processed
         heap = self._heap
-        entries = self._entries
         pop = heapq.heappop
         executed = 0
         watchdog = self._watchdog
@@ -142,26 +142,27 @@ class CheckedSimulator(Simulator):
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                item = pop(heap)
-                entry = entries.pop(item[1], None)
-                if entry is None:
-                    continue  # cancelled; discard lazily
-                time = item[0]
+                handle = heap[0]
+                callback = handle[2]
+                if callback is None:
+                    pop(heap)  # cancelled; discard lazily
+                    self._cancelled_pending -= 1
+                    continue
+                time = handle[0]
                 if until is not None and time > until:
-                    # Not due yet: restore the event and stop.
-                    entries[item[1]] = entry
-                    heapq.heappush(heap, item)
-                    break
+                    break  # not due yet: it stays in the calendar
+                pop(heap)
+                handle[4] = None
                 if time < self._now:
                     self._violation(
                         "engine.clock_monotonic",
-                        f"event seq {item[1]} fires at {time} < now {self._now}",
+                        f"event seq {handle[1]} fires at {time} < now {self._now}",
                         event_time=time,
                     )
                 self._now = time
                 self._events_processed += 1
                 executed += 1
-                entry[0](*entry[1])
+                callback(*handle[3])
                 self.checks_performed += 1
                 if self._now != time:
                     self._violation(
@@ -188,7 +189,7 @@ class CheckedSimulator(Simulator):
                     self._events_processed - events_before
                 )
                 registry.counter("sim.run_calls").inc()
-                registry.gauge("sim.pending_events").set(len(entries))
+                registry.gauge("sim.pending_events").set(self.pending_events)
                 registry.gauge("sim.clock_s").set(self._now)
         if until is not None and self._now < until:
             next_time = self.peek_time()

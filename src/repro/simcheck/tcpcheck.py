@@ -10,7 +10,9 @@ fires — when the window bookkeeping must be consistent:
 - ``pipe_segments >= 0`` and the SACK scoreboard never covers more than
   the outstanding byte range;
 - RTO timer discipline: a finished sender has no armed RTO, and a sender
-  with data outstanding always has one.
+  with data outstanding always has one.  "Armed" is the sender's
+  deadline field backed by a pending timer event due no later than it
+  (the timer is lazy: see :meth:`~repro.transport.base.TcpSender._arm_rto`).
 
 Installation is per-instance monkeypatching (``install_sender_checks``
 wraps ``handle_packet``/``_on_rto`` as instance attributes), so senders
@@ -73,9 +75,11 @@ def check_sender_invariants(
             outstanding=outstanding,
         )
 
-    rto_armed = sender._rto_handle is not None and not sender._rto_handle.cancelled
-    if sender.finished and rto_armed:
+    deadline, timer = sender._rto_deadline, sender._rto_timer
+    timer_pending = timer is not None and not timer.cancelled
+    if sender.finished and (deadline is not None or timer_pending):
         fail("tcp.rto_after_finish", "RTO armed on a finished sender")
+    rto_armed = deadline is not None and timer_pending and timer.time <= deadline
     if not sender.finished and outstanding > 0 and not rto_armed:
         fail(
             "tcp.rto_disarmed",

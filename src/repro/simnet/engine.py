@@ -8,12 +8,13 @@ workload sources) schedules callbacks on a :class:`Simulator`.
 Events fire in non-decreasing time order; ties are broken by insertion
 order so the simulation is fully deterministic for a fixed seed.
 
-The calendar stores plain ``(time, seq)`` tuples; callbacks and their
-arguments live in a side table keyed by ``seq``.  Tuple comparison never
-reaches past ``seq`` (sequence numbers are unique), so heap operations
-avoid the dataclass ``__lt__`` dispatch entirely, cancellation is an
-O(1) dictionary delete, and :attr:`Simulator.pending_events` is the live
-size of the side table rather than an O(n) scan.
+The calendar holds one mutable ``[time, seq, callback, args, sim]``
+record per event, and that record *is* the :class:`EventHandle` handed
+back to the caller.  List comparison never reaches past ``seq``
+(sequence numbers are unique), so heap operations stay in C;
+cancellation blanks the callback slot in place and the loop discards the
+blank record when it surfaces; :attr:`Simulator.pending_events` is the
+heap size minus a live count of blanked records rather than an O(n) scan.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..telemetry import session as _telemetry_session
 
@@ -176,36 +177,38 @@ class SimWatchdog:
         tele.flightrec.maybe_autodump(f"watchdog:{reason}", sim_time=sim.now)
 
 
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; supports cancellation."""
+class EventHandle(list):
+    """Handle returned by :meth:`Simulator.schedule`; supports cancellation.
 
-    __slots__ = ("_sim", "_time", "_seq", "_cancelled")
+    The handle is the calendar record itself: ``[time, seq, callback,
+    args, sim]``.  The ``sim`` slot is the "still pending" mark — the
+    engine clears it when the event fires or the calendar is cleared.
+    """
 
-    def __init__(self, sim: "Simulator", time: float, seq: int) -> None:
-        self._sim = sim
-        self._time = time
-        self._seq = seq
-        self._cancelled = False
+    __slots__ = ()
 
     @property
     def time(self) -> float:
-        """Scheduled firing time of the event."""
-        return self._time
+        """Scheduled firing time of the event (readable after it fired)."""
+        return self[0]
 
     @property
     def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
+        """Whether :meth:`cancel` prevented this event from firing."""
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing.
 
-        Cancelling an already-fired or already-cancelled event is a no-op;
-        the engine lazily discards the dead ``(time, seq)`` heap entries
-        when they surface at the top of the calendar.
+        Cancelling an event that already fired, was already cancelled, or
+        was dropped by :meth:`Simulator.clear` is a no-op.  The engine
+        lazily discards the blanked record when it surfaces at the top
+        of the calendar.
         """
-        self._cancelled = True
-        self._sim._entries.pop(self._seq, None)
+        sim = self[4]
+        if sim is not None:
+            self[2] = self[3] = self[4] = None
+            sim._cancelled_pending += 1
 
 
 class PhaseTimer:
@@ -319,8 +322,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int]] = []
-        self._entries: Dict[int, Tuple[Callable[..., None], Tuple[Any, ...]]] = {}
+        self._heap: List[EventHandle] = []
+        #: Cancelled records still sitting in the heap.
+        self._cancelled_pending = 0
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -340,7 +344,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued live (non-cancelled) events."""
-        return len(self._entries)
+        return len(self._heap) - self._cancelled_pending
 
     @property
     def profile(self) -> Optional[SimProfile]:
@@ -381,9 +385,14 @@ class Simulator:
         *args: Any,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        # ``not >=`` rather than ``<`` so a NaN delay is rejected here too.
+        if not delay >= 0:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            raise SimulationError("cannot schedule at NaN time")
+        handle = EventHandle((self._now + delay, next(self._seq), callback, args, self))
+        heapq.heappush(self._heap, handle)
+        return handle
 
     def schedule_at(
         self,
@@ -392,45 +401,43 @@ class Simulator:
         *args: Any,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if math.isnan(time):
-            raise SimulationError("cannot schedule at NaN time")
-        if time < self._now:
+        if not time >= self._now:
+            if math.isnan(time):
+                raise SimulationError("cannot schedule at NaN time")
             raise SimulationError(
                 f"cannot schedule at {time} which is before now={self._now}"
             )
-        seq = next(self._seq)
-        self._entries[seq] = (callback, args)
-        heapq.heappush(self._heap, (time, seq))
-        return EventHandle(self, time, seq)
+        handle = EventHandle((time, next(self._seq), callback, args, self))
+        heapq.heappush(self._heap, handle)
+        return handle
+
+    def _next_live(self) -> Optional[EventHandle]:
+        """The earliest pending record, discarding cancelled ones above it."""
+        heap = self._heap
+        while heap:
+            handle = heap[0]
+            if handle[2] is not None:
+                return handle
+            heapq.heappop(heap)
+            self._cancelled_pending -= 1
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or None if the calendar is empty."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def _discard_cancelled(self) -> None:
-        heap = self._heap
-        entries = self._entries
-        while heap and heap[0][1] not in entries:
-            heapq.heappop(heap)
+        handle = self._next_live()
+        return None if handle is None else handle[0]
 
     def step(self) -> bool:
         """Run the single next event. Returns False if nothing was pending."""
-        heap = self._heap
-        entries = self._entries
-        pop = heapq.heappop
-        while heap:
-            time, seq = pop(heap)
-            entry = entries.pop(seq, None)
-            if entry is None:
-                continue  # cancelled; discard lazily
-            self._now = time
-            self._events_processed += 1
-            entry[0](*entry[1])
-            return True
-        return False
+        handle = self._next_live()
+        if handle is None:
+            return False
+        heapq.heappop(self._heap)
+        handle[4] = None
+        self._now = handle[0]
+        self._events_processed += 1
+        handle[2](*handle[3])
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the calendar drains, ``until`` passes, or
@@ -450,7 +457,6 @@ class Simulator:
         profile_callbacks = profile is not None and profile.callbacks
         events_before = self._events_processed
         heap = self._heap
-        entries = self._entries
         pop = heapq.heappop
         executed = 0
         watchdog = self._watchdog
@@ -464,29 +470,29 @@ class Simulator:
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                item = pop(heap)
-                entry = entries.pop(item[1], None)
-                if entry is None:
-                    continue  # cancelled; discard lazily
-                time = item[0]
+                handle = heap[0]
+                callback = handle[2]
+                if callback is None:
+                    pop(heap)  # cancelled; discard lazily
+                    self._cancelled_pending -= 1
+                    continue
+                time = handle[0]
                 if until is not None and time > until:
-                    # Not due yet: restore the event and stop.
-                    entries[item[1]] = entry
-                    heapq.heappush(heap, item)
-                    break
+                    break  # not due yet: it stays in the calendar
+                pop(heap)
+                handle[4] = None
                 self._now = time
                 self._events_processed += 1
                 executed += 1
                 if profile_callbacks:
-                    callback = entry[0]
                     cb_started = _time.perf_counter()
-                    callback(*entry[1])
+                    callback(*handle[3])
                     profile.record_callback(
                         getattr(callback, "__qualname__", repr(callback)),
                         _time.perf_counter() - cb_started,
                     )
                 else:
-                    entry[0](*entry[1])
+                    callback(*handle[3])
         finally:
             self._running = False
             if profile is not None:
@@ -502,7 +508,7 @@ class Simulator:
                     self._events_processed - events_before
                 )
                 registry.counter("sim.run_calls").inc()
-                registry.gauge("sim.pending_events").set(len(entries))
+                registry.gauge("sim.pending_events").set(self.pending_events)
                 registry.gauge("sim.clock_s").set(self._now)
         if until is not None and self._now < until:
             next_time = self.peek_time()
@@ -510,6 +516,9 @@ class Simulator:
                 self._now = until
 
     def clear(self) -> None:
-        """Drop all pending events (the clock is left untouched)."""
+        """Drop all pending events and invalidate their handles (the
+        clock is left untouched)."""
+        for handle in self._heap:
+            handle[4] = None
         self._heap.clear()
-        self._entries.clear()
+        self._cancelled_pending = 0

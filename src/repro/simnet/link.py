@@ -116,14 +116,15 @@ class Link:
 
     def _transmit(self, packet: Packet) -> None:
         self._busy = True
-        self._tx_started_at = self.sim.now
+        # The clock field, not the ``now`` property: twice per packet per hop.
+        self._tx_started_at = self.sim._now
         tx_time = packet.size_bytes * self._seconds_per_byte
         self._schedule(tx_time, self._transmit_done, packet)
 
     def _transmit_done(self, packet: Packet) -> None:
         self.bytes_transmitted += packet.size_bytes
         self.packets_transmitted += 1
-        self._busy_seconds += self.sim.now - self._tx_started_at
+        self._busy_seconds += self.sim._now - self._tx_started_at
         self._schedule(self.delay_s, self._deliver, packet)
         next_packet = self.queue.dequeue()
         rec = _telemetry_session().flightrec

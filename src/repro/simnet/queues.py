@@ -181,9 +181,11 @@ class DropTailQueue:
 
     def dequeue(self) -> Optional[Packet]:
         """Pop the head packet, or return None when empty."""
-        self._integrate_occupancy()
         if not self._count():
+            # Nothing to integrate: an empty queue adds exactly 0.0 to
+            # both occupancy integrals however long it stays empty.
             return None
+        self._integrate_occupancy()
         packet = self._popleft()
         self._bytes -= packet.size_bytes
         self.stats.dequeued_packets += 1

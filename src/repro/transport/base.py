@@ -223,7 +223,10 @@ class TcpSender:
 
         self.rtt = RttEstimator()
         self.stats = ConnectionStats(flow_id=spec.flow_id)
-        self._rto_handle: Optional[EventHandle] = None
+        # Lazy RTO: the deadline is the truth; the one pending timer event
+        # only has to fire no later than it (see _arm_rto).
+        self._rto_deadline: Optional[float] = None
+        self._rto_timer: Optional[EventHandle] = None
         self._started = False
         self._finished = False
         # Last integer cwnd sampled into the flight recorder; growth is
@@ -306,11 +309,10 @@ class TcpSender:
         minus what the receiver has selectively acknowledged, plus hole
         retransmissions that are still unconfirmed."""
         in_flight = self.snd_nxt - self.snd_una - self._sacked.total_bytes
-        retransmitted = sum(
-            1
-            for seq in self._recovery_retransmitted
-            if seq >= self.snd_una and not self._sacked.covers(seq)
-        )
+        retransmitted = 0
+        for seq in self._recovery_retransmitted:
+            if seq >= self.snd_una and not self._sacked.covers(seq):
+                retransmitted += 1
         return max(0.0, in_flight / self.mss) + retransmitted
 
     def _can_send(self) -> bool:
@@ -347,13 +349,35 @@ class TcpSender:
     # RTO handling
     # ------------------------------------------------------------------
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        self._rto_handle = self.sim.schedule(self.rtt.rto, self._on_rto)
+        """(Re)start the retransmission timer: it expires ``rto`` from now.
+
+        Re-arming only moves the deadline; the pending timer event is
+        replaced only when the deadline moves *earlier* than it (the RTO
+        estimate shrank).  A timer that fires early re-schedules itself at
+        the deadline, so the RTO is taken exactly when an eagerly
+        re-armed timer would have fired.
+        """
+        deadline = self.sim.now + self.rtt.rto
+        self._rto_deadline = deadline
+        timer = self._rto_timer
+        if timer is not None:
+            if timer.time <= deadline:
+                return
+            timer.cancel()
+        self._rto_timer = self.sim.schedule_at(deadline, self._rto_timer_fired)
 
     def _cancel_rto(self) -> None:
-        if self._rto_handle is not None:
-            self._rto_handle.cancel()
-            self._rto_handle = None
+        if self._rto_timer is not None:
+            self._rto_timer.cancel()
+        self._rto_timer = self._rto_deadline = None
+
+    def _rto_timer_fired(self) -> None:
+        deadline = self._rto_deadline
+        if self.sim.now < deadline:
+            self._rto_timer = self.sim.schedule_at(deadline, self._rto_timer_fired)
+        else:
+            self._rto_timer = self._rto_deadline = None
+            self._on_rto()
 
     def _on_rto(self) -> None:
         if self._finished or self.snd_una >= self.flow_size:

@@ -20,31 +20,38 @@ class ByteIntervalSet:
 
     Intervals are half-open ``[start, end)`` and kept sorted and disjoint.
     The sink uses it to compute the cumulative ACK in the presence of
-    holes left by drops.
+    holes left by drops.  Ranges arrive at or near the top, so insertion
+    searches from the tail and edits in place: extending the last interval
+    is O(1).
     """
 
     def __init__(self) -> None:
         self._intervals: List[Tuple[int, int]] = []
+        self.total_bytes = 0  #: running total of covered bytes
 
-    def add(self, start: int, end: int) -> None:
-        """Insert ``[start, end)`` and merge with any overlapping ranges."""
+    def add(self, start: int, end: int) -> int:
+        """Insert ``[start, end)``, merging with any ranges it overlaps or
+        abuts; returns the number of bytes newly covered."""
         if end <= start:
-            return
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for lo, hi in self._intervals:
-            if hi < start or lo > end:
-                if not placed and lo > end:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((lo, hi))
-            else:
-                start = min(start, lo)
-                end = max(end, hi)
-        if not placed:
-            merged.append((start, end))
-            merged.sort()
-        self._intervals = merged
+            return 0
+        intervals = self._intervals
+        # intervals[first:last] are the ranges the new one touches.
+        last = len(intervals)
+        while last and intervals[last - 1][0] > end:
+            last -= 1
+        first = last
+        covered = 0
+        while first and intervals[first - 1][1] >= start:
+            first -= 1
+            lo, hi = intervals[first]
+            covered += hi - lo
+        if first < last:
+            start = min(start, intervals[first][0])
+            end = max(end, intervals[last - 1][1])
+        intervals[first:last] = [(start, end)]
+        gained = end - start - covered
+        self.total_bytes += gained
+        return gained
 
     def contiguous_from(self, origin: int = 0) -> int:
         """Highest byte such that ``[origin, result)`` is fully covered."""
@@ -66,21 +73,19 @@ class ByteIntervalSet:
 
     def prune_below(self, origin: int) -> None:
         """Drop coverage below ``origin`` (bytes cumulatively ACKed)."""
-        pruned = []
-        for lo, hi in self._intervals:
+        intervals = self._intervals
+        while intervals and intervals[0][0] < origin:
+            lo, hi = intervals[0]
             if hi <= origin:
-                continue
-            pruned.append((max(lo, origin), hi))
-        self._intervals = pruned
+                del intervals[0]
+                self.total_bytes -= hi - lo
+            else:
+                intervals[0] = (origin, hi)
+                self.total_bytes -= origin - lo
 
     def intervals(self) -> List[Tuple[int, int]]:
         """The covered ranges, sorted and disjoint."""
         return list(self._intervals)
-
-    @property
-    def total_bytes(self) -> int:
-        """Total covered bytes."""
-        return sum(hi - lo for lo, hi in self._intervals)
 
     @property
     def fragment_count(self) -> int:
@@ -114,11 +119,7 @@ class TcpSink:
         if packet.kind is not PacketKind.DATA:
             return
         self.packets_received += 1
-        seg_start = packet.seq
-        seg_end = packet.seq + packet.payload_bytes
-        before = self.received.total_bytes
-        self.received.add(seg_start, seg_end)
-        delivered = self.received.total_bytes - before
+        delivered = self.received.add(packet.seq, packet.seq + packet.payload_bytes)
         self.bytes_received += delivered
         if delivered == 0:
             self.duplicate_packets += 1
@@ -141,6 +142,8 @@ class TcpSink:
 
     def _sack_blocks(self, max_blocks: int = 4) -> tuple:
         """Received ranges above the cumulative ACK (RFC 2018 style)."""
+        if self.received.total_bytes == self.rcv_nxt:
+            return ()  # everything held is in order: nothing to report
         blocks = [
             (lo, hi)
             for lo, hi in self.received._intervals

@@ -10,7 +10,7 @@ from repro.simcheck import (
     InvariantViolation,
     ViolationReport,
 )
-from repro.simnet.engine import SimulationError, Simulator
+from repro.simnet.engine import EventHandle, SimulationError, Simulator
 
 
 class TestDropInBehaviour:
@@ -73,8 +73,7 @@ class TestDropInBehaviour:
 
 def _inject_raw_event(sim, time, seq, callback=lambda: None):
     """Plant a calendar item behind the engine's back (corruption tool)."""
-    heapq.heappush(sim._heap, (time, seq))
-    sim._entries[seq] = (callback, ())
+    heapq.heappush(sim._heap, EventHandle((time, seq, callback, (), sim)))
 
 
 class TestClockInvariants:
@@ -122,25 +121,44 @@ class TestHeapIntegrity:
     def test_duplicate_seq_detected(self):
         sim = CheckedSimulator()
         sim.schedule(1.0, lambda: None)
-        time, seq = sim._heap[0]
-        heapq.heappush(sim._heap, (time + 1.0, seq))
+        time, seq = sim._heap[0][:2]
+        _inject_raw_event(sim, time + 1.0, seq)
         with pytest.raises(InvariantViolation) as excinfo:
             sim.verify_heap()
         assert excinfo.value.invariant == "engine.heap_duplicate"
 
     def test_orphaned_entry_detected(self):
+        # A record blanked without going through cancel(): the live
+        # counter still counts it, the calendar no longer holds it.
         sim = CheckedSimulator()
         sim.schedule(1.0, lambda: None)
-        sim._entries[10**9] = (lambda: None, ())
+        sim.schedule(2.0, lambda: None)
+        sim._heap[1][2] = None
         with pytest.raises(InvariantViolation) as excinfo:
             sim.verify_heap()
         assert excinfo.value.invariant == "engine.heap_entry_orphan"
 
+    def test_counter_drift_detected(self):
+        sim = CheckedSimulator()
+        sim.schedule(1.0, lambda: None)
+        sim._cancelled_pending += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.verify_heap()
+        assert excinfo.value.invariant == "engine.heap_entry_orphan"
+
+    def test_cancelled_records_are_accounted_not_flagged(self):
+        sim = CheckedSimulator()
+        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(6)]
+        for handle in handles[::2]:
+            handle.cancel()
+        sim.verify_heap()
+        sim.run(until=3.5)
+        sim.verify_heap()
+
     def test_non_callable_entry_detected(self):
         sim = CheckedSimulator()
         sim.schedule(1.0, lambda: None)
-        _, seq = sim._heap[0]
-        sim._entries[seq] = ("not-callable", ())
+        sim._heap[0][2] = "not-callable"
         with pytest.raises(InvariantViolation) as excinfo:
             sim.verify_heap()
         assert excinfo.value.invariant == "engine.entry_not_callable"
@@ -160,8 +178,8 @@ class TestReportingModes:
         report = ViolationReport()
         sim = CheckedSimulator(report=report)
         sim.schedule(1.0, lambda: None)
-        sim._heap.append((0.0, 10**9))  # violates the heap property
-        sim._entries[10**9] = (lambda: None, ())
+        # appended, not pushed: violates the heap property
+        sim._heap.append(EventHandle((0.0, 10**9, lambda: None, (), sim)))
         sim.verify_heap()
         assert not report.ok
         assert report.violations[0].invariant == "engine.heap_order"

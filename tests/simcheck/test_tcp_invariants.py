@@ -38,11 +38,20 @@ def fake_sender(**overrides):
         cwnd=2.0,
         pipe_segments=0.0,
         _sacked=SimpleNamespace(total_bytes=0),
-        _rto_handle=None,
+        _rto_deadline=None,
+        _rto_timer=None,
         finished=False,
     )
     fields.update(overrides)
     return SimpleNamespace(**fields)
+
+
+def armed(deadline=2.0, timer_time=1.5, cancelled=False):
+    """The deadline field plus a pending timer event due by it."""
+    return dict(
+        _rto_deadline=deadline,
+        _rto_timer=SimpleNamespace(cancelled=cancelled, time=timer_time),
+    )
 
 
 def violations_for(sender):
@@ -60,7 +69,7 @@ class TestCheckerLogic:
         assert "tcp.sequence_order" in flagged
 
     def test_snd_nxt_beyond_flow_size_flagged(self):
-        sender = fake_sender(snd_una=0, snd_nxt=20_000, _rto_handle=SimpleNamespace(cancelled=False))
+        sender = fake_sender(snd_una=0, snd_nxt=20_000, **armed())
         assert "tcp.sequence_order" in violations_for(sender)
 
     def test_cwnd_below_one_segment_flagged(self):
@@ -78,23 +87,45 @@ class TestCheckerLogic:
             snd_una=0,
             snd_nxt=1000,
             _sacked=SimpleNamespace(total_bytes=2000),
-            _rto_handle=SimpleNamespace(cancelled=False),
+            **armed(),
         )
         assert "tcp.sack_overrun" in violations_for(sender)
 
     def test_rto_armed_after_finish_flagged(self):
-        sender = fake_sender(
-            finished=True, _rto_handle=SimpleNamespace(cancelled=False)
+        assert violations_for(fake_sender(finished=True, **armed())) == [
+            "tcp.rto_after_finish"
+        ]
+
+    def test_deadline_or_timer_left_behind_after_finish_flagged(self):
+        stale_deadline = fake_sender(finished=True, _rto_deadline=2.0)
+        assert violations_for(stale_deadline) == ["tcp.rto_after_finish"]
+        stale_timer = fake_sender(
+            finished=True, _rto_timer=SimpleNamespace(cancelled=False, time=2.0)
         )
-        assert violations_for(sender) == ["tcp.rto_after_finish"]
+        assert violations_for(stale_timer) == ["tcp.rto_after_finish"]
+
+    def test_armed_sender_with_data_outstanding_passes(self):
+        assert violations_for(fake_sender(snd_nxt=3000, **armed())) == []
+        on_time = fake_sender(snd_nxt=3000, **armed(deadline=2.0, timer_time=2.0))
+        assert violations_for(on_time) == []
 
     def test_outstanding_without_rto_flagged(self):
         sender = fake_sender(snd_una=0, snd_nxt=3000)
         assert violations_for(sender) == ["tcp.rto_disarmed"]
 
     def test_cancelled_rto_handle_counts_as_disarmed(self):
+        sender = fake_sender(snd_una=0, snd_nxt=3000, **armed(cancelled=True))
+        assert violations_for(sender) == ["tcp.rto_disarmed"]
+
+    def test_deadline_without_a_timer_counts_as_disarmed(self):
+        sender = fake_sender(snd_una=0, snd_nxt=3000, _rto_deadline=2.0)
+        assert violations_for(sender) == ["tcp.rto_disarmed"]
+
+    def test_timer_due_after_the_deadline_counts_as_disarmed(self):
+        # The lazy timer may fire early, never late: a timer beyond the
+        # deadline would take the RTO later than the eager one did.
         sender = fake_sender(
-            snd_una=0, snd_nxt=3000, _rto_handle=SimpleNamespace(cancelled=True)
+            snd_una=0, snd_nxt=3000, **armed(deadline=2.0, timer_time=2.5)
         )
         assert violations_for(sender) == ["tcp.rto_disarmed"]
 

@@ -1,10 +1,10 @@
-"""Regression and behaviour tests for the tuple-heap event core.
+"""Regression and behaviour tests for the event core's hot path.
 
 Covers the ``run(until=..., max_events=...)`` clock bug (the loop used
 to fast-forward ``now`` to ``until`` even when it stopped early on
 ``max_events``, stranding still-pending events in the past), tie-break
-ordering after the tuple rewrite, O(1) pending-event accounting, and
-the opt-in profiling hook.
+ordering, O(1) pending-event accounting, what a handle means after its
+event fired or the calendar was cleared, and the opt-in profiling hook.
 """
 
 import pytest
@@ -180,6 +180,68 @@ class TestPendingAccounting:
         assert sim.now == 2.0
 
 
+class TestHandleSemantics:
+    """``cancelled`` means "cancel() prevented a fire", nothing else."""
+
+    def test_cancel_after_fire_changes_nothing(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.5, fired.append, "x")
+        sim.schedule(3.0, fired.append, "y")
+        sim.run(until=2.0)
+        handle.cancel()
+        assert not handle.cancelled
+        assert handle.time == 1.5
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["x", "y"]
+        assert sim.pending_events == 0
+
+    def test_cancelled_only_when_cancel_prevented_the_fire(self):
+        sim = Simulator()
+        kept = sim.schedule(1.0, lambda: None)
+        dropped = sim.schedule(1.0, lambda: None)
+        assert not kept.cancelled and not dropped.cancelled
+        dropped.cancel()
+        sim.run()
+        assert dropped.cancelled
+        assert not kept.cancelled
+        assert dropped.time == 1.0
+
+    def test_cancelling_itself_from_its_own_callback_is_a_noop(self):
+        sim = Simulator()
+        handles = []
+        handles.append(sim.schedule(1.0, lambda: handles[0].cancel()))
+        sim.schedule(2.0, lambda: None)
+        sim.run(max_events=1)
+        assert not handles[0].cancelled
+        assert sim.pending_events == 1
+
+    def test_cancel_after_clear_is_a_noop(self):
+        sim = Simulator()
+        stale = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
+        stale[0].cancel()
+        sim.clear()
+        assert sim.pending_events == 0
+        for handle in stale:
+            handle.cancel()
+        assert sim.pending_events == 0  # never negative
+        assert [h.cancelled for h in stale] == [True, False, False]
+        fresh = sim.schedule(1.0, lambda: None)
+        assert sim.pending_events == 1
+        fresh.cancel()
+        assert sim.pending_events == 0
+
+    def test_step_fired_handle_ignores_cancel(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.step()
+        handle.cancel()
+        assert not handle.cancelled
+        assert sim.pending_events == 1
+
+
 class TestProfilingHook:
     def test_profiling_off_by_default(self):
         assert Simulator().profile is None
@@ -241,8 +303,8 @@ class TestProfilingHook:
 
 class TestRunSemanticsPreserved:
     def test_until_restores_not_yet_due_event(self):
-        # The tight loop pops the head before checking until; it must be
-        # restored intact, including for a later cancel.
+        # An event beyond until stays in the calendar untouched,
+        # including for a later cancel.
         sim = Simulator()
         fired = []
         handle = sim.schedule_at(5.0, fired.append, "late")

@@ -118,6 +118,45 @@ class TestMidSimulationCreation:
         assert q.stats.last_change_time == 12.5
 
 
+class TestEmptyDequeue:
+    """Polling an empty queue is free and changes no integral."""
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("ed"), st.floats(min_value=0.0, max_value=3.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=80)
+    def test_integrals_equal_an_eager_reference_bit_for_bit(self, ops):
+        # The reference integrates on every call, empty or not, the way
+        # dequeue() used to; skipping the empty case must not move a bit.
+        clock = FakeClock()
+        q = DropTailQueue(None, clock)
+        ref_bytes = ref_packets = 0.0
+        ref_last, held = 0.0, []
+        for op, gap in ops:
+            clock.t += gap
+            elapsed = clock.t - ref_last
+            if elapsed > 0:
+                ref_bytes += sum(held) * elapsed
+                ref_packets += len(held) * elapsed
+            ref_last = clock.t
+            if op == "e":
+                packet = data()
+                q.enqueue(packet)
+                held.append(packet.size_bytes)
+            elif held:
+                assert q.dequeue() is not None
+                held.pop(0)
+            else:
+                assert q.dequeue() is None
+            assert q.stats.occupancy_byte_seconds == ref_bytes
+            assert q.stats.occupancy_packet_seconds == ref_packets
+        q.assert_conservation()
+
+
 class TestHeapPriorityQueue:
     def test_strict_priority_order(self):
         q = PriorityQueue(None, FakeClock())

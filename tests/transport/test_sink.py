@@ -93,6 +93,40 @@ class TestByteIntervalSet:
         for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
             assert hi1 < lo2, "intervals must stay disjoint and sorted"
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=0, max_value=60),
+                st.integers(min_value=0, max_value=20),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    @settings(max_examples=120)
+    def test_running_total_and_in_place_edits_match_a_reference_set(self, ops):
+        # add() reports the newly covered bytes and prune_below() trims
+        # in place; total_bytes is a running counter, never a re-sum.
+        s = ByteIntervalSet()
+        reference = set()
+        for is_add, start, length in ops:
+            if is_add:
+                fresh = set(range(start, start + length)) - reference
+                assert s.add(start, start + length) == len(fresh)
+                reference |= fresh
+            else:
+                s.prune_below(start)
+                reference = {byte for byte in reference if byte >= start}
+            assert s.total_bytes == len(reference)
+            intervals = s.intervals()
+            assert sum(hi - lo for lo, hi in intervals) == len(reference)
+            assert all(lo < hi for lo, hi in intervals)
+            for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
+                assert hi1 < lo2
+            for byte in range(0, 85):
+                assert s.covers(byte) == (byte in reference)
+
 
 class TestTcpSink:
     def _make(self):
@@ -109,6 +143,28 @@ class TestTcpSink:
         for i in range(3):
             sink.handle_packet(make_data_packet(1, "client", spec.dst, i * 100, 100))
         assert [a.seq for a in acks] == [100, 200, 300]
+
+    def test_in_order_stream_keeps_one_interval_and_reports_no_sack(self):
+        sim, top, spec, sink = self._make()
+        acks = []
+        top.receivers[0].send = lambda p: acks.append(p)
+        for i in range(50):
+            sink.handle_packet(make_data_packet(1, "client", spec.dst, i * 100, 100))
+        assert sink.received.intervals() == [(0, 5000)]
+        assert sink.received.total_bytes == sink.rcv_nxt == sink.bytes_received == 5000
+        assert all(a.sack_blocks == () for a in acks)
+
+    def test_first_segment_lost_is_still_reported_as_a_sack_block(self):
+        # One interval, but not in order: total_bytes != rcv_nxt.
+        sim, top, spec, sink = self._make()
+        acks = []
+        top.receivers[0].send = lambda p: acks.append(p)
+        sink.handle_packet(make_data_packet(1, "client", spec.dst, 100, 100))
+        assert acks[-1].seq == 0
+        assert acks[-1].sack_blocks == ((100, 200),)
+        sink.handle_packet(make_data_packet(1, "client", spec.dst, 0, 100))
+        assert acks[-1].seq == 200
+        assert acks[-1].sack_blocks == ()
 
     def test_out_of_order_generates_dup_acks(self):
         sim, top, spec, sink = self._make()
