@@ -1,28 +1,18 @@
 #!/usr/bin/env python3
-"""Visualize a Cubic congestion-window trajectory with the tracer.
+"""Visualize a Cubic congestion-window trajectory from the flight recorder.
 
 Runs one long Cubic flow through a shallow-buffered bottleneck so losses
-occur, records every window change with the structured tracer, and
-renders the classic Cubic sawtooth — concave recovery toward W_max, then
+occur, arms the flight recorder around the run, reads the flow's window
+off the recorder's transport ring (the same records ``repro postmortem``
+reads), and renders the classic Cubic sawtooth — concave recovery toward W_max, then
 convex probing beyond it — as ASCII art.
 
 Run:  python examples/cwnd_trajectory.py
 """
 
-from repro.simnet import (
-    DumbbellConfig,
-    DumbbellTopology,
-    FlowSpec,
-    Simulator,
-    TraceEventType,
-    TracedSenderMixin,
-    Tracer,
-)
+from repro import flightrec
+from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
 from repro.transport import CubicSender, TcpSink
-
-
-class TracedCubic(TracedSenderMixin, CubicSender):
-    """Cubic sender that logs every cwnd change."""
 
 
 def render(trajectory, width=64, rows=20):
@@ -56,15 +46,19 @@ def main():
     topology = DumbbellTopology(sim, config)
     spec = FlowSpec(1, topology.senders[0].name, 1, topology.receivers[0].name, 443)
     TcpSink(sim, topology.receivers[0], spec)
-    tracer = Tracer(lambda: sim.now, max_events=200_000)
-    sender = TracedCubic(
-        sim, topology.senders[0], spec, 10**9, tracer=tracer
-    )
-    sender.start()
-    sim.run(until=30.0)
-    sender.abort()
+    sender = CubicSender(sim, topology.senders[0], spec, 10**9)
+    with flightrec.use() as rec:
+        sender.start()
+        sim.run(until=30.0)
+        sender.abort()
 
-    trajectory = tracer.series(TraceEventType.CWND, f"flow-{spec.flow_id}")
+    # Every transport record carries the window: one per whole-segment
+    # change, plus the recovery, RTO and flow edges.
+    trajectory = [
+        (record["t"], record["cwnd"])
+        for record in flightrec.iter_layer(rec.records(), "transport")
+        if record["flow_id"] == spec.flow_id
+    ]
     print(f"cwnd samples: {len(trajectory)}, "
           f"loss events: {sender.stats.fast_retransmits}, "
           f"timeouts: {sender.stats.timeouts}\n")

@@ -5,13 +5,13 @@ Usage:
     python scripts/validate_manifest.py MANIFEST.json [TRACE.jsonl]
 
 Checks the manifest against the repro-telemetry-manifest/1 schema,
-optionally sanity-checks a JSONL trace (header line plus well-formed
-records), prints a short summary, and exits nonzero on any problem —
+optionally sanity-checks a flight-recorder dump such as ``cubic
+--trace-out`` writes (header present, per-layer retained counts match
+the records found), prints a short summary, and exits nonzero on any problem —
 the CI telemetry-smoke job gates on this.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,6 +19,11 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
+from repro.flightrec.recorder import (  # noqa: E402
+    HEADER_NAME,
+    iter_layer,
+    load_dump,
+)
 from repro.telemetry.manifest import (  # noqa: E402
     load_manifest,
     summarize_manifest,
@@ -27,36 +32,26 @@ from repro.telemetry.manifest import (  # noqa: E402
 
 
 def check_trace(path: str) -> list:
-    """Structural checks on a JSONL trace file; returns error strings."""
-    errors = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        return [f"{path}: empty trace file"]
+    """Structural checks on a flight-recorder dump; returns error strings."""
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"{path}: header is not JSON: {exc}"]
-    if header.get("kind") != "header":
-        errors.append(f"{path}: first line is not a trace header")
-    for key in ("emitted", "evicted", "capacity"):
-        if not isinstance(header.get(key), int):
-            errors.append(f"{path}: header missing integer '{key}'")
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"{path}:{number}: not JSON: {exc}")
-            continue
-        if "name" not in record or "kind" not in record:
-            errors.append(f"{path}:{number}: record lacks name/kind")
-        if "wall_time" not in record:
-            errors.append(f"{path}:{number}: record lacks wall_time")
-    expected = min(header.get("emitted", 0), header.get("capacity", 0))
-    if isinstance(expected, int) and len(lines) - 1 != expected:
-        errors.append(
-            f"{path}: header promises {expected} record(s), found {len(lines) - 1}"
-        )
+        header, records = load_dump(path)
+    except (OSError, ValueError) as exc:
+        return [f"{path}: not a readable recorder dump: {exc}"]
+    layers = header.get("layers")
+    if header.get("name") != HEADER_NAME or not isinstance(layers, dict):
+        return [f"{path}: no {HEADER_NAME} line with a layers block"]
+    errors = []
+    for layer, block in layers.items():
+        promised = block["emitted"] - block["evicted"]
+        found = sum(1 for record in iter_layer(records, layer))
+        if promised != found:
+            errors.append(
+                f"{path}: header promises {promised} {layer} record(s), "
+                f"found {found}"
+            )
+    stray = [r for r in records if r.get("layer") not in layers]
+    if stray:
+        errors.append(f"{path}: {len(stray)} record(s) of no declared layer")
     return errors
 
 

@@ -27,9 +27,10 @@ hottest event callbacks); ``poison`` and ``partition`` accept
 ``--flightrec-out dump.jsonl`` (flight-record the sweep and dump it on
 a safety-envelope violation).
 
-``cubic``, ``phi``, and ``sweep`` accept ``--metrics-out manifest.json``
-(telemetry run manifest: merged metrics, per-point provenance) and
-``--trace-out trace.jsonl`` (sim/wall-time trace).
+``cubic``, ``phi``, ``sweep``, ``poison`` and ``partition`` accept
+``--metrics-out manifest.json`` (telemetry run manifest: merged metrics,
+per-point provenance); ``cubic`` and ``phi`` accept ``--trace-out
+trace.jsonl`` (flight-record the run; ``postmortem`` reads the dump).
 
 Examples::
 
@@ -106,23 +107,46 @@ from .transport.cubic import cubic_sweep_grid
 PRESETS = {preset.name: preset for preset in ALL_PRESETS}
 
 
-def _telemetry_wanted(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "metrics_out", None) or getattr(args, "trace_out", None)
-    )
+def _write_manifest(args: argparse.Namespace, manifest: dict) -> None:
+    write_manifest(manifest, args.metrics_out)
+    print(f"telemetry manifest: {args.metrics_out}")
 
 
-def _write_telemetry_outputs(
-    args: argparse.Namespace,
-    tele: "telemetry.TelemetrySession",
-    manifest: dict,
-) -> None:
-    if args.metrics_out:
-        write_manifest(manifest, args.metrics_out)
-        print(f"telemetry manifest: {args.metrics_out}")
-    if args.trace_out:
-        retained = tele.tracer.dump_jsonl(args.trace_out)
-        print(f"telemetry trace: {args.trace_out} ({retained} record(s))")
+def _observed_run(
+    args: argparse.Namespace, command: str, preset, run, extra_config: dict
+):
+    """One scenario run under whatever ``--metrics-out`` / ``--trace-out`` ask.
+
+    ``--trace-out`` arms the flight recorder for the run and writes its
+    dump, so ``repro postmortem`` reads the file like any anomaly dump.
+    """
+    duration_s = args.duration or preset.duration_s
+    with ExitStack() as stack:
+        rec = tele = None
+        if args.trace_out:
+            rec = stack.enter_context(flightrec.use())
+        if args.metrics_out:
+            tele = stack.enter_context(telemetry.use())
+        result = run()
+        if tele is not None:
+            _write_manifest(
+                args,
+                run_manifest(
+                    command=command,
+                    preset_name=preset.name,
+                    seed=args.seed,
+                    duration_s=duration_s,
+                    metrics=tele.registry.snapshot(),
+                    result=result,
+                    extra_config=extra_config,
+                ),
+            )
+        if rec is not None:
+            retained = rec.dump(
+                args.trace_out, reason=f"trace-out:{command}", sim_time=duration_s
+            )
+            print(f"flight recording: {args.trace_out} ({retained} record(s))")
+    return result
 
 
 def _print_profile(profile: Optional[dict], k: int = 10) -> None:
@@ -185,28 +209,14 @@ def _cubic_params(args: argparse.Namespace) -> CubicParams:
 def cmd_cubic(args: argparse.Namespace) -> int:
     preset = _preset_or_exit(args.preset)
     params = _cubic_params(args)
-    with ExitStack() as stack:
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
-        result = run_cubic_fixed(
-            params, preset, seed=args.seed, duration_s=args.duration,
-            profile=args.profile,
-        )
-        if tele is not None:
-            _write_telemetry_outputs(
-                args,
-                tele,
-                run_manifest(
-                    command="cubic",
-                    preset_name=preset.name,
-                    seed=args.seed,
-                    duration_s=args.duration or preset.duration_s,
-                    metrics=tele.registry.snapshot(),
-                    result=result,
-                    extra_config={"params": params.as_dict()},
-                ),
-            )
+    result = _observed_run(
+        args, "cubic", preset,
+        partial(
+            run_cubic_fixed, params, preset, seed=args.seed,
+            duration_s=args.duration, profile=args.profile,
+        ),
+        {"params": params.as_dict()},
+    )
     _print_metrics(f"cubic wI={params.window_init:.0f} "
                    f"ssthr={params.initial_ssthresh:.0f} beta={params.beta}", result)
     if args.profile:
@@ -217,28 +227,14 @@ def cmd_cubic(args: argparse.Namespace) -> int:
 def cmd_phi(args: argparse.Namespace) -> int:
     preset = _preset_or_exit(args.preset)
     mode = SharingMode(args.mode)
-    with ExitStack() as stack:
-        tele = None
-        if _telemetry_wanted(args):
-            tele = stack.enter_context(telemetry.use())
-        result = run_phi_cubic(
-            REFERENCE_POLICY, preset, mode, seed=args.seed,
+    result = _observed_run(
+        args, "phi", preset,
+        partial(
+            run_phi_cubic, REFERENCE_POLICY, preset, mode, seed=args.seed,
             duration_s=args.duration, profile=args.profile,
-        )
-        if tele is not None:
-            _write_telemetry_outputs(
-                args,
-                tele,
-                run_manifest(
-                    command="phi",
-                    preset_name=preset.name,
-                    seed=args.seed,
-                    duration_s=args.duration or preset.duration_s,
-                    metrics=tele.registry.snapshot(),
-                    result=result,
-                    extra_config={"mode": mode.value},
-                ),
-            )
+        ),
+        {"mode": mode.value},
+    )
     _print_metrics(f"cubic-phi ({mode.value})", result)
     if args.profile:
         _print_profile(result.profile)
@@ -349,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     with ExitStack() as stack:
         tele = None
-        if _telemetry_wanted(args):
+        if args.metrics_out:
             tele = stack.enter_context(telemetry.use())
         parallel_outcome = run_parameter_sweep(
             preset,
@@ -369,9 +365,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             snapshots = [tele.registry.snapshot()]
             if parallel_outcome.telemetry is not None:
                 snapshots.append(parallel_outcome.telemetry)
-            _write_telemetry_outputs(
+            _write_manifest(
                 args,
-                tele,
                 sweep_manifest(
                     parallel_outcome,
                     metrics=telemetry.merge_snapshots(snapshots),
@@ -504,7 +499,7 @@ def _cmd_fault_sweep(
                 flightrec.use(autodump_path=args.flightrec_out)
             )
         tele = None
-        if _telemetry_wanted(args):
+        if args.metrics_out:
             tele = stack.enter_context(telemetry.use())
         outcome = sweep(
             seeds=args.seeds, duration_s=args.duration,
@@ -514,9 +509,8 @@ def _cmd_fault_sweep(
             snapshots = [tele.registry.snapshot()]
             if outcome.telemetry is not None:
                 snapshots.append(outcome.telemetry)
-            _write_telemetry_outputs(
+            _write_manifest(
                 args,
-                tele,
                 fault_sweep_manifest(
                     outcome,
                     metrics=telemetry.merge_snapshots(snapshots),
@@ -818,18 +812,21 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_presets
     )
 
-    def add_telemetry_args(p):
+    def add_metrics_arg(p):
         p.add_argument("--metrics-out", default=None, dest="metrics_out",
                        help="write a telemetry run manifest (JSON) here")
+
+    def add_observed_run_args(p):
+        add_metrics_arg(p)
         p.add_argument("--trace-out", default=None, dest="trace_out",
-                       help="write the sim/wall-time trace (JSONL) here")
+                       help="flight-record the run and write the dump (JSONL, "
+                            "readable by `postmortem`) here")
 
     def add_run_args(p, with_params=True):
         p.add_argument("--preset", default="table3-remy")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--duration", type=float, default=None,
                        help="simulated seconds (default: preset duration)")
-        add_telemetry_args(p)
         if with_params:
             p.add_argument("--window-init", type=float, default=2.0,
                            dest="window_init")
@@ -842,11 +839,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cubic = sub.add_parser("cubic", help="fixed-parameter Cubic run")
     add_run_args(cubic)
+    add_observed_run_args(cubic)
     add_profile_arg(cubic)
     cubic.set_defaults(func=cmd_cubic)
 
     phi = sub.add_parser("phi", help="Phi-coordinated Cubic run")
     add_run_args(phi, with_params=False)
+    add_observed_run_args(phi)
     add_profile_arg(phi)
     phi.add_argument("--mode", choices=["practical", "ideal"], default="practical")
     phi.set_defaults(func=cmd_phi)
@@ -901,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the per-point flight recorder; anomaly dumps "
                             "land here (default: the checkpoint dir, when set)")
     add_profile_arg(sweep)
-    add_telemetry_args(sweep)
+    add_metrics_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     def add_fault_sweep_args(p):
@@ -921,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--flightrec-out", default=None, dest="flightrec_out",
                        help="record flight data; dump it here if the safety "
                             "envelope is violated")
-        add_telemetry_args(p)
+        add_metrics_arg(p)
 
     poison = sub.add_parser(
         "poison", help="X6 Byzantine-context sweep (corruption x lying reporters)"

@@ -19,9 +19,8 @@ telemetry::
         run_cubic_experiment(...)
         rec.dump("flightrec-run.jsonl", reason="manual")
 
-The ``repro postmortem <dump>`` CLI renders the analysis; ``repro bench
-gate`` guards the benchmark trajectories this PR's overhead contract is
-recorded in.
+``cubic`` / ``phi --trace-out PATH`` do exactly this around one run, and
+the ``repro postmortem <dump>`` CLI renders the analysis of any dump.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ from typing import Iterator, Optional
 
 from .. import telemetry as _telemetry
 from .recorder import (
-    DEFAULT_FAULT_CAPACITY,
-    DEFAULT_PHI_CAPACITY,
-    DEFAULT_SIMNET_CAPACITY,
-    DEFAULT_TRANSPORT_CAPACITY,
     NULL_RECORDER,
     FlightRecorder,
     NullFlightRecorder,
@@ -71,31 +66,21 @@ def use(
     recorder: Optional[FlightRecorder] = None,
     *,
     autodump_path: Optional[str] = None,
-    simnet_capacity: int = DEFAULT_SIMNET_CAPACITY,
-    transport_capacity: int = DEFAULT_TRANSPORT_CAPACITY,
-    phi_capacity: int = DEFAULT_PHI_CAPACITY,
-    fault_capacity: int = DEFAULT_FAULT_CAPACITY,
 ) -> Iterator[FlightRecorder]:
     """Scoped recording: activate a (new or given) recorder, restore after.
 
-    The ambient metrics registry and tracer are preserved — recording
-    composes with :func:`repro.telemetry.use` in either nesting order.
+    The ambient metrics registry is preserved — recording composes with
+    :func:`repro.telemetry.use` in either nesting order.
     """
     base = _telemetry.session()
-    chosen = recorder or FlightRecorder(
-        simnet_capacity=simnet_capacity,
-        transport_capacity=transport_capacity,
-        phi_capacity=phi_capacity,
-        fault_capacity=fault_capacity,
-        autodump_path=autodump_path,
-    )
-    combined = _telemetry.TelemetrySession(base.registry, base.tracer, chosen)
+    chosen = recorder or FlightRecorder(autodump_path=autodump_path)
+    combined = _telemetry.TelemetrySession(base.registry, chosen)
     with _telemetry.use(combined):
         yield chosen
 
 
 @contextmanager
-def capture(autodump_path: str, **capacities) -> Iterator[FlightRecorder]:
+def capture(autodump_path: str) -> Iterator[FlightRecorder]:
     """Record, and guarantee a dump at ``autodump_path`` on any failure.
 
     The anomaly funnels (watchdog, simcheck, envelope checks) dump at
@@ -103,7 +88,7 @@ def capture(autodump_path: str, **capacities) -> Iterator[FlightRecorder]:
     exception unwinding the scope, so a crashing worker still leaves a
     post-mortem artifact behind.
     """
-    with use(autodump_path=autodump_path, **capacities) as rec:
+    with use(autodump_path=autodump_path) as rec:
         try:
             yield rec
         except BaseException as exc:

@@ -4,14 +4,12 @@ The recorder is the causal complement to the metrics registry: where a
 counter says *how many* RTOs fired, the recorder says *which flow*, *at
 what sim time*, and *what else was happening* — the enqueue that never
 dequeued, the fault window that swallowed the retransmit, the breaker
-that opened two RPCs earlier.  One bounded ring per layer:
-
-- ``simnet``: enqueue/dequeue/transmit/drop and fault absorptions,
-  carrying packet ids and the owning flow id;
-- ``transport``: flow start/end, cwnd/ssthresh changes, RTO fires,
-  recovery enter/exit, keyed by flow id;
-- ``phi``: RPC outcomes, failovers, breaker transitions, and
-  FRESH→STALE→FALLBACK/DISTRUSTED mode edges.
+that opened two RPCs earlier.  It is the repo's only event ring, its
+dump the only on-disk event format and :func:`load_dump` the only
+loader.  There is one ring per layer; :data:`SCHEMA` is the single
+definition of the layers, their budgets and their fields, and every
+per-layer name on :class:`FlightRecorder` (``rec.<layer>(...)``,
+``rec.<layer>_emitted``, ``rec.<layer>_evicted``) is derived from it.
 
 Cost contract (mirrors :mod:`repro.telemetry`): a disabled recorder is
 the shared :data:`NULL_RECORDER` singleton, and every instrumentation
@@ -30,11 +28,6 @@ effect on the simulation trajectory — the budget is asserted in
 Serialization is strict JSON (``allow_nan=False``), one record per
 line, with a header line carrying the per-layer eviction accounting and
 the anomaly that triggered the dump.
-
-Fault-injection events get a fourth, dedicated ring: they are rare but
-attribution-critical (the post-mortem analyzer matches stalls against
-fault windows), and a busy data plane would otherwise evict a fault
-edge from the simnet ring long before the dump fires.
 """
 
 from __future__ import annotations
@@ -43,74 +36,125 @@ import json
 import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-#: Default ring budgets, per layer.  The simnet ring is the largest
-#: (several events per packet); phi the smallest (a handful of events
-#: per connection).  At these sizes a fully warm recorder holds a few
-#: MB and a dump is a few thousand lines.
-DEFAULT_SIMNET_CAPACITY = 32768
-DEFAULT_TRANSPORT_CAPACITY = 16384
-DEFAULT_PHI_CAPACITY = 8192
-DEFAULT_FAULT_CAPACITY = 4096
+#: A field is ``(name,)`` when the emitter requires it and ``(name,
+#: default)`` otherwise.  Every slot is ``t, kind, *fields, detail``.
+_Fields = Tuple[Tuple[Any, ...], ...]
 
-LAYERS = ("simnet", "transport", "phi", "fault")
+#: Link/queue events are keyed by packet id and carry the owning flow.
+_PACKET_FIELDS: _Fields = (("component",), ("flow_id", -1), ("packet_id", -1))
 
-#: Scalars per slot: simnet/transport/fault rings store six fields, phi
-#: stores four (see the emitters for the positional schema).
-_WIDE = 6
-_PHI_WIDTH = 4
+#: layer -> (default ring capacity, fields).  Dict order is the order
+#: layers interleave in at equal sim times.
+SCHEMA: Dict[str, Tuple[int, _Fields]] = {
+    # enqueue/dequeue/transmit/drop; the largest ring (several events
+    # per packet).  At these sizes a fully warm recorder holds a few MB.
+    "simnet": (32768, _PACKET_FIELDS),
+    # flow start/end, cwnd/ssthresh changes, RTO fires, recovery edges.
+    "transport": (16384, (("flow_id",), ("cwnd", -1.0), ("ssthresh", -1.0))),
+    # RPC outcomes, failovers, breaker transitions, context-mode edges;
+    # a handful of events per connection.
+    "phi": (8192, (("subject", ""),)),
+    # Injection window edges, absorbs, delays, and run anomalies.  Rare
+    # but attribution-critical (the post-mortem matches stalls against
+    # fault windows), so they get a ring of their own: a busy data plane
+    # would evict a fault edge from the first ring long before a dump.
+    "fault": (4096, _PACKET_FIELDS),
+}
+
+LAYERS = tuple(SCHEMA)
 
 HEADER_NAME = "flightrec.header"
 
 
+class _Ring:
+    """One layer's ring: a flat preallocated slot buffer and its count."""
+
+    __slots__ = ("fields", "width", "capacity", "buf", "emitted")
+
+    def __init__(self, fields: _Fields, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("ring capacities must be >= 1")
+        self.fields = tuple(field[0] for field in fields)
+        self.width = len(fields) + 3
+        self.capacity = capacity
+        self.clear()
+
+    def clear(self) -> None:
+        self.buf: List[Any] = [None] * (self.capacity * self.width)
+        self.emitted = 0
+
+    @property
+    def evicted(self) -> int:
+        return max(0, self.emitted - self.capacity)
+
+    def __len__(self) -> int:
+        return min(self.emitted, self.capacity)
+
+    def records(self, layer: str) -> Iterator[Dict[str, Any]]:
+        """Retained slots as dicts, oldest emission first."""
+        buf, width, fields = self.buf, self.width, self.fields
+        for n in range(self.emitted - len(self), self.emitted):
+            base = (n % self.capacity) * width
+            t, kind, *values, detail = buf[base:base + width]
+            record = {"layer": layer, "kind": kind, "t": t}
+            record.update(zip(fields, values))
+            if detail is not None:
+                record["detail"] = detail
+            yield record
+
+
+def _emitter(layer: str, fields: _Fields):
+    """Compile ``rec.<layer>(kind, t, *fields, detail=None)``.
+
+    Generated (the :func:`collections.namedtuple` idiom) so each layer
+    gets its own named parameters and defaults while the body stays a
+    fixed run of scalar stores: no ``*args`` tuple, no loop, nothing
+    the collector tracks.
+    """
+    names = ["t", "kind"] + [field[0] for field in fields] + ["detail"]
+    params = [name if not default else f"{name}={default[0]!r}"
+              for name, *default in fields]
+    stores = "".join(
+        f"    buf[base + {offset}] = {name}\n" for offset, name in enumerate(names)
+    )
+    source = (
+        f"def {layer}(self, kind, t, {', '.join(params)}, detail=None):\n"
+        f"    ring = self.rings[{layer!r}]\n"
+        f"    i = ring.emitted\n"
+        f"    ring.emitted = i + 1\n"
+        f"    base = (i % ring.capacity) * {len(names)}\n"
+        f"    buf = ring.buf\n"
+        f"{stores}"
+    )
+    namespace: Dict[str, Any] = {}
+    # Compiled under this file's name so profilers charge the emitters
+    # to the recorder; the source is built from SCHEMA alone.
+    exec(compile(source, __file__, "exec"), namespace)
+    function = namespace[layer]
+    function.__qualname__ = f"FlightRecorder.{layer}"
+    function.__doc__ = f"Record one {layer}-layer event (see SCHEMA)."
+    return function
+
+
 class FlightRecorder:
-    """Bounded, layered ring buffers of causally linked lifecycle events."""
+    """Bounded, layered ring buffers of causally linked lifecycle events.
+
+    ``<layer>_capacity`` keywords override the :data:`SCHEMA` budgets.
+    """
 
     enabled = True
 
-    __slots__ = (
-        "_simnet",
-        "_transport",
-        "_phi",
-        "_fault",
-        "_simnet_cap",
-        "_transport_cap",
-        "_phi_cap",
-        "_fault_cap",
-        "simnet_emitted",
-        "transport_emitted",
-        "phi_emitted",
-        "fault_emitted",
-        "autodump_path",
-        "autodumps",
-        "last_dump_reason",
-    )
+    __slots__ = ("rings", "autodump_path", "autodumps", "last_dump_reason")
 
     def __init__(
-        self,
-        *,
-        simnet_capacity: int = DEFAULT_SIMNET_CAPACITY,
-        transport_capacity: int = DEFAULT_TRANSPORT_CAPACITY,
-        phi_capacity: int = DEFAULT_PHI_CAPACITY,
-        fault_capacity: int = DEFAULT_FAULT_CAPACITY,
-        autodump_path: Optional[str] = None,
+        self, *, autodump_path: Optional[str] = None, **capacities: int
     ) -> None:
-        if min(simnet_capacity, transport_capacity, phi_capacity,
-               fault_capacity) < 1:
-            raise ValueError("ring capacities must be >= 1")
-        self._simnet_cap = simnet_capacity
-        self._transport_cap = transport_capacity
-        self._phi_cap = phi_capacity
-        self._fault_cap = fault_capacity
-        # Flat preallocated slot buffers (see module docstring for why
-        # these are not deques of tuples).
-        self._simnet: List[Any] = [None] * (simnet_capacity * _WIDE)
-        self._transport: List[Any] = [None] * (transport_capacity * _WIDE)
-        self._phi: List[Any] = [None] * (phi_capacity * _PHI_WIDTH)
-        self._fault: List[Any] = [None] * (fault_capacity * _WIDE)
-        self.simnet_emitted = 0
-        self.transport_emitted = 0
-        self.phi_emitted = 0
-        self.fault_emitted = 0
+        self.rings: Dict[str, _Ring] = {
+            layer: _Ring(fields, capacities.pop(f"{layer}_capacity", default))
+            for layer, (default, fields) in SCHEMA.items()
+        }
+        if capacities:
+            raise TypeError(f"unexpected arguments: {sorted(capacities)}")
         #: When set, :meth:`maybe_autodump` snapshots the rings here —
         #: the dump-on-anomaly hooks (watchdog trips, invariant
         #: violations, quarantined sweep points, envelope failures) all
@@ -119,192 +163,21 @@ class FlightRecorder:
         self.autodumps = 0
         self.last_dump_reason: Optional[str] = None
 
-    # ------------------------------------------------------------------
-    # Hot-path emitters: scalar stores into a preallocated slot, fixed
-    # positional schema, zero per-event container allocation.
-    # ------------------------------------------------------------------
-    def simnet(
-        self,
-        kind: str,
-        t: float,
-        component: str,
-        flow_id: int = -1,
-        packet_id: int = -1,
-        detail: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """A simnet-layer event (link/queue/fault), keyed by packet id."""
-        i = self.simnet_emitted
-        self.simnet_emitted = i + 1
-        base = (i % self._simnet_cap) * _WIDE
-        buf = self._simnet
-        buf[base] = t
-        buf[base + 1] = kind
-        buf[base + 2] = component
-        buf[base + 3] = flow_id
-        buf[base + 4] = packet_id
-        buf[base + 5] = detail
-
-    def transport(
-        self,
-        kind: str,
-        t: float,
-        flow_id: int,
-        cwnd: float = -1.0,
-        ssthresh: float = -1.0,
-        detail: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """A transport-layer event (cwnd/RTO/recovery), keyed by flow id."""
-        i = self.transport_emitted
-        self.transport_emitted = i + 1
-        base = (i % self._transport_cap) * _WIDE
-        buf = self._transport
-        buf[base] = t
-        buf[base + 1] = kind
-        buf[base + 2] = flow_id
-        buf[base + 3] = cwnd
-        buf[base + 4] = ssthresh
-        buf[base + 5] = detail
-
-    def phi(
-        self,
-        kind: str,
-        t: float,
-        subject: str = "",
-        detail: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """A control-plane event (RPC/failover/breaker/mode edge)."""
-        i = self.phi_emitted
-        self.phi_emitted = i + 1
-        base = (i % self._phi_cap) * _PHI_WIDTH
-        buf = self._phi
-        buf[base] = t
-        buf[base + 1] = kind
-        buf[base + 2] = subject
-        buf[base + 3] = detail
-
-    def fault(
-        self,
-        kind: str,
-        t: float,
-        component: str,
-        flow_id: int = -1,
-        packet_id: int = -1,
-        detail: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """A fault-injection event (window edge, absorb, delay).
-
-        Same shape as :meth:`simnet` but in its own small ring: fault
-        edges must survive any volume of data-plane traffic because the
-        post-mortem analyzer attributes stalls against their windows.
-        """
-        i = self.fault_emitted
-        self.fault_emitted = i + 1
-        base = (i % self._fault_cap) * _WIDE
-        buf = self._fault
-        buf[base] = t
-        buf[base + 1] = kind
-        buf[base + 2] = component
-        buf[base + 3] = flow_id
-        buf[base + 4] = packet_id
-        buf[base + 5] = detail
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    @property
-    def simnet_evicted(self) -> int:
-        return max(0, self.simnet_emitted - self._simnet_cap)
-
-    @property
-    def transport_evicted(self) -> int:
-        return max(0, self.transport_emitted - self._transport_cap)
-
-    @property
-    def phi_evicted(self) -> int:
-        return max(0, self.phi_emitted - self._phi_cap)
-
-    @property
-    def fault_evicted(self) -> int:
-        return max(0, self.fault_emitted - self._fault_cap)
-
     def __len__(self) -> int:
-        return (
-            min(self.simnet_emitted, self._simnet_cap)
-            + min(self.transport_emitted, self._transport_cap)
-            + min(self.phi_emitted, self._phi_cap)
-            + min(self.fault_emitted, self._fault_cap)
-        )
-
-    # ------------------------------------------------------------------
-    # Snapshots and serialization
-    # ------------------------------------------------------------------
-    def _iter_slots(
-        self, buf: List[Any], emitted: int, capacity: int, width: int
-    ) -> Iterator[List[Any]]:
-        """Retained slots of one ring, oldest emission first."""
-        count = min(emitted, capacity)
-        start = emitted - count  # emission number of the oldest survivor
-        for k in range(count):
-            base = ((start + k) % capacity) * width
-            yield buf[base:base + width]
+        return sum(len(ring) for ring in self.rings.values())
 
     def records(self) -> List[Dict[str, Any]]:
         """All retained records as dicts, time-sorted across layers.
 
         The sort is stable, so within a layer the emission order is
         preserved and the interleaving of layers at equal sim times is
-        deterministic (simnet, then transport, then phi, then fault).
+        deterministic (:data:`SCHEMA` order).
         """
-        merged: List[Dict[str, Any]] = []
-        for t, kind, component, flow_id, packet_id, detail in self._iter_slots(
-            self._simnet, self.simnet_emitted, self._simnet_cap, _WIDE
-        ):
-            record = {
-                "layer": "simnet",
-                "kind": kind,
-                "t": t,
-                "component": component,
-                "flow_id": flow_id,
-                "packet_id": packet_id,
-            }
-            if detail is not None:
-                record["detail"] = detail
-            merged.append(record)
-        for t, kind, flow_id, cwnd, ssthresh, detail in self._iter_slots(
-            self._transport, self.transport_emitted, self._transport_cap, _WIDE
-        ):
-            record = {
-                "layer": "transport",
-                "kind": kind,
-                "t": t,
-                "flow_id": flow_id,
-                "cwnd": cwnd,
-                "ssthresh": ssthresh,
-            }
-            if detail is not None:
-                record["detail"] = detail
-            merged.append(record)
-        for t, kind, subject, detail in self._iter_slots(
-            self._phi, self.phi_emitted, self._phi_cap, _PHI_WIDTH
-        ):
-            record = {"layer": "phi", "kind": kind, "t": t, "subject": subject}
-            if detail is not None:
-                record["detail"] = detail
-            merged.append(record)
-        for t, kind, component, flow_id, packet_id, detail in self._iter_slots(
-            self._fault, self.fault_emitted, self._fault_cap, _WIDE
-        ):
-            record = {
-                "layer": "fault",
-                "kind": kind,
-                "t": t,
-                "component": component,
-                "flow_id": flow_id,
-                "packet_id": packet_id,
-            }
-            if detail is not None:
-                record["detail"] = detail
-            merged.append(record)
+        merged = [
+            record
+            for layer, ring in self.rings.items()
+            for record in ring.records(layer)
+        ]
         merged.sort(key=lambda record: record["t"])
         return merged
 
@@ -318,26 +191,12 @@ class FlightRecorder:
             "reason": reason,
             "sim_time": sim_time,
             "layers": {
-                "simnet": {
-                    "emitted": self.simnet_emitted,
-                    "evicted": self.simnet_evicted,
-                    "capacity": self._simnet_cap,
-                },
-                "transport": {
-                    "emitted": self.transport_emitted,
-                    "evicted": self.transport_evicted,
-                    "capacity": self._transport_cap,
-                },
-                "phi": {
-                    "emitted": self.phi_emitted,
-                    "evicted": self.phi_evicted,
-                    "capacity": self._phi_cap,
-                },
-                "fault": {
-                    "emitted": self.fault_emitted,
-                    "evicted": self.fault_evicted,
-                    "capacity": self._fault_cap,
-                },
+                layer: {
+                    "emitted": ring.emitted,
+                    "evicted": ring.evicted,
+                    "capacity": ring.capacity,
+                }
+                for layer, ring in self.rings.items()
             },
         }
 
@@ -391,20 +250,14 @@ class FlightRecorder:
         return self.autodump_path
 
     def clear(self) -> None:
-        self._simnet = [None] * (self._simnet_cap * _WIDE)
-        self._transport = [None] * (self._transport_cap * _WIDE)
-        self._phi = [None] * (self._phi_cap * _PHI_WIDTH)
-        self._fault = [None] * (self._fault_cap * _WIDE)
-        self.simnet_emitted = 0
-        self.transport_emitted = 0
-        self.phi_emitted = 0
-        self.fault_emitted = 0
+        for ring in self.rings.values():
+            ring.clear()
         self.autodumps = 0
         self.last_dump_reason = None
 
 
 class NullFlightRecorder(FlightRecorder):
-    """The shared disabled recorder: every emitter is an empty method.
+    """The shared disabled recorder: every emitter is an empty function.
 
     Instrumentation sites check ``enabled`` before building any event
     payload, so the per-site cost when disabled is one attribute load
@@ -413,21 +266,10 @@ class NullFlightRecorder(FlightRecorder):
 
     enabled = False
 
+    __slots__ = ()
+
     def __init__(self) -> None:
-        super().__init__(simnet_capacity=1, transport_capacity=1,
-                         phi_capacity=1, fault_capacity=1)
-
-    def simnet(self, *args, **kwargs) -> None:  # noqa: D102 - no-op
-        pass
-
-    def transport(self, *args, **kwargs) -> None:  # noqa: D102 - no-op
-        pass
-
-    def phi(self, *args, **kwargs) -> None:  # noqa: D102 - no-op
-        pass
-
-    def fault(self, *args, **kwargs) -> None:  # noqa: D102 - no-op
-        pass
+        super().__init__(**{f"{layer}_capacity": 1 for layer in SCHEMA})
 
     def dump(self, path: str, **kwargs) -> int:
         return 0
@@ -435,6 +277,20 @@ class NullFlightRecorder(FlightRecorder):
     def maybe_autodump(self, reason: str, **kwargs) -> Optional[str]:
         return None
 
+
+def _ignore(self, *args, **kwargs) -> None:
+    """A :class:`NullFlightRecorder` emitter."""
+
+
+def _ring_count(layer: str, attribute: str) -> property:
+    return property(lambda self: getattr(self.rings[layer], attribute))
+
+
+for _layer, (_, _fields) in SCHEMA.items():
+    setattr(FlightRecorder, _layer, _emitter(_layer, _fields))
+    setattr(FlightRecorder, f"{_layer}_emitted", _ring_count(_layer, "emitted"))
+    setattr(FlightRecorder, f"{_layer}_evicted", _ring_count(_layer, "evicted"))
+    setattr(NullFlightRecorder, _layer, _ignore)
 
 #: The process-wide disabled recorder (see :class:`NullFlightRecorder`).
 NULL_RECORDER = NullFlightRecorder()
@@ -469,15 +325,12 @@ def iter_layer(
 
 
 __all__ = [
-    "DEFAULT_FAULT_CAPACITY",
-    "DEFAULT_PHI_CAPACITY",
-    "DEFAULT_SIMNET_CAPACITY",
-    "DEFAULT_TRANSPORT_CAPACITY",
     "FlightRecorder",
     "HEADER_NAME",
     "LAYERS",
     "NULL_RECORDER",
     "NullFlightRecorder",
+    "SCHEMA",
     "iter_layer",
     "load_dump",
 ]

@@ -392,14 +392,6 @@ class ControlChannel:
             registry.histogram("phi.rpc_latency_s", LATENCY_BUCKETS_S, op=op).observe(
                 result.elapsed_s
             )
-            if not result.ok:
-                tele.tracer.event(
-                    "phi.rpc_failure",
-                    sim_time=self.sim.now,
-                    op=op,
-                    status=result.status.value,
-                    attempts=result.attempts,
-                )
         rec = tele.flightrec
         if rec.enabled:
             rec.phi(

@@ -485,14 +485,6 @@ class SweepRunner:
                 journal.append(result)
             results[index] = result
             provenance[result.key] = "computed"
-            if tele.enabled:
-                tele.tracer.event(
-                    "runner.point_done",
-                    sim_time=result.duration_s,
-                    index=index,
-                    seed=result.seed,
-                    wall_s=result.wall_seconds,
-                )
             progress_state.completed += 1
             progress_state.recomputed += 1
             sync_supervision()
@@ -544,13 +536,6 @@ class SweepRunner:
             )
             for result in merged:
                 wall_histogram.observe(result.wall_seconds)
-            tele.tracer.event(
-                "runner.sweep_complete",
-                points=len(merged),
-                wall_s=wall,
-                retries=report.retries,
-                quarantined=report.quarantined_count,
-            )
 
         return SweepOutcome(
             spec=self.spec,

@@ -417,29 +417,41 @@ class SweepSupervisor:
                     pool_width = min(self.n_workers, max(1, len(queue)))
                     pool = self._new_pool(pool_width)
                 now = time.monotonic()
+                broken = False
                 not_yet_eligible: deque = deque()
                 while queue:
                     slot = queue.popleft()
-                    if slot.eligible_at <= now:
-                        slot.submit_seq = submit_seq
-                        submit_seq += 1
-                        future = pool.submit(self.evaluate, self.spec, slot.point)
-                        inflight[future] = slot
-                    else:
+                    if slot.eligible_at > now:
                         not_yet_eligible.append(slot)
-                queue = not_yet_eligible
-                if not inflight:
+                        continue
+                    try:
+                        future = pool.submit(self.evaluate, self.spec, slot.point)
+                    except BrokenProcessPool:
+                        # A worker died while this loop was still
+                        # submitting.  The slot never reached the pool,
+                        # so it goes back uncharged; what is in flight
+                        # takes the break path below.
+                        queue.appendleft(slot)
+                        broken = True
+                        break
+                    slot.submit_seq = submit_seq
+                    submit_seq += 1
+                    inflight[future] = slot
+                queue.extend(not_yet_eligible)
+                if not inflight and not broken:
                     # Everything pending is backing off; sleep to the
                     # earliest eligibility instead of busy-waiting.
                     wake = min(slot.eligible_at for slot in queue)
                     time.sleep(max(0.0, min(wake - now, cfg.poll_interval_s)))
                     continue
 
-                done, _ = wait(
-                    set(inflight),
-                    timeout=cfg.poll_interval_s,
-                    return_when=FIRST_COMPLETED,
-                )
+                done: set = set()
+                if inflight:
+                    done, _ = wait(
+                        set(inflight),
+                        timeout=cfg.poll_interval_s,
+                        return_when=FIRST_COMPLETED,
+                    )
                 now = time.monotonic()
                 # Stamp futures first observed running: the timeout clock
                 # and crash-blame both key off this.
@@ -447,7 +459,6 @@ class SweepSupervisor:
                     if slot.started_at is None and future.running():
                         slot.started_at = now
 
-                broken = False
                 casualties: List[_Slot] = []
                 for future in done:
                     slot = inflight.pop(future)

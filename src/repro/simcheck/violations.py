@@ -104,15 +104,16 @@ def record_violation(
         tele.registry.counter(
             "simcheck.violations", invariant=violation.invariant
         ).inc()
-        tele.tracer.event(
-            "simcheck.violation",
-            sim_time=violation.sim_time,
-            invariant=violation.invariant,
-            subject=violation.subject,
+    # Record the violation, then dump the flight-recorder window before
+    # it unwinds the stack (the dump is a no-op unless the recorder has
+    # an autodump path).
+    rec = tele.flightrec
+    if rec.enabled:
+        rec.fault(
+            "invariant_violation", violation.sim_time, violation.invariant,
+            detail={"subject": violation.subject},
         )
-    # Dump the flight-recorder window before the violation unwinds the
-    # stack (no-op unless a recorder with an autodump path is active).
-    tele.flightrec.maybe_autodump(
+    rec.maybe_autodump(
         f"invariant:{violation.invariant}", sim_time=violation.sim_time
     )
     if report is not None:

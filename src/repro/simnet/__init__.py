@@ -40,13 +40,6 @@ from .packet import (
 )
 from .queues import DropTailQueue, PriorityQueue, QueueStats
 from .random import RngStreams, exponential
-from .trace import (
-    TraceEvent,
-    TraceEventType,
-    TracedSenderMixin,
-    Tracer,
-    attach_queue_tracing,
-)
 from .topology import (
     DEFAULT_ACCESS_BANDWIDTH_BPS,
     PAPER_BUFFER_BDP_MULTIPLE,
@@ -93,11 +86,6 @@ __all__ = [
     "SenderReceiverPair",
     "SimulationError",
     "Simulator",
-    "TraceEvent",
-    "TraceEventType",
-    "TracedSenderMixin",
-    "Tracer",
-    "attach_queue_tracing",
     "bdp_bytes",
     "exponential",
     "make_ack_packet",

@@ -166,15 +166,16 @@ class SimWatchdog:
         tele = _telemetry_session()
         if tele.enabled:
             tele.registry.counter("sim.watchdog_trips", reason=reason).inc()
-            tele.tracer.event(
-                "sim.watchdog_trip",
-                sim_time=sim.now,
-                reason=reason,
-                events_processed=sim.events_processed,
-            )
-        # A tripped watchdog is an anomaly: snapshot the flight-recorder
+        # A tripped watchdog is an anomaly: record it (so a recorder
+        # without an autodump path still holds it) and snapshot the
         # rings before SimulationStalled unwinds the stack.
-        tele.flightrec.maybe_autodump(f"watchdog:{reason}", sim_time=sim.now)
+        rec = tele.flightrec
+        if rec.enabled:
+            rec.fault(
+                "watchdog_trip", sim.now, reason,
+                detail={"events_processed": sim.events_processed},
+            )
+        rec.maybe_autodump(f"watchdog:{reason}", sim_time=sim.now)
 
 
 class EventHandle(list):

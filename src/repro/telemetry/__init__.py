@@ -1,20 +1,22 @@
-"""Unified telemetry: metrics registry, sim-time tracing, run manifests.
+"""Unified telemetry: metrics registry, flight recorder, run manifests.
 
 The paper's operator runs the network by *observing* it (§2.1 IPFIX
 aggregation, Fig. 5 diagnosis); this package gives the reproduction the
 same property about itself.  One process-wide :class:`TelemetrySession`
-holds the active :class:`~repro.telemetry.registry.MetricsRegistry` and
-:class:`~repro.telemetry.trace.Tracer`; instrumentation sites throughout
+holds the active :class:`~repro.telemetry.registry.MetricsRegistry`
+(how many) and :class:`~repro.flightrec.recorder.FlightRecorder` (which
+flow, when, what else was happening); instrumentation sites throughout
 the engine, Phi control plane, and sweep runner fetch it via
 :func:`session` and check ``.enabled``.
 
 Telemetry is **off by default**.  Disabled, the session holds a
-:class:`~repro.telemetry.registry.NullRegistry` and
-:class:`~repro.telemetry.trace.NullTracer` whose operations are empty
-method calls on shared singletons — the hot path pays essentially
-nothing (see ``benchmarks/test_bench_telemetry.py``).  Enable it
-process-wide with :func:`enable` (the CLI does this when given
-``--metrics-out``/``--trace-out``) or scoped with :func:`use`::
+:class:`~repro.telemetry.registry.NullRegistry` and the shared
+:data:`~repro.flightrec.recorder.NULL_RECORDER`, whose operations are
+empty method calls on shared singletons — the hot path pays essentially
+nothing (see ``benchmarks/test_bench_telemetry.py``).  Enable metrics
+process-wide with :func:`enable` or scoped with :func:`use` (the CLI
+does this when given ``--metrics-out``); recording is scoped with
+:func:`repro.flightrec.use` (``--trace-out``)::
 
     from repro import telemetry
 
@@ -48,7 +50,6 @@ from .registry import (
     mean,
     merge_snapshots,
 )
-from .trace import NullTracer, Tracer
 
 __all__ = [
     "Counter",
@@ -58,9 +59,7 @@ __all__ = [
     "LATENCY_BUCKETS_S",
     "MetricsRegistry",
     "NullRegistry",
-    "NullTracer",
     "TelemetrySession",
-    "Tracer",
     "UTILIZATION_BUCKETS",
     "disable",
     "enable",
@@ -76,22 +75,20 @@ __all__ = [
 class TelemetrySession:
     """The collectors instrumentation writes to.
 
-    ``flightrec`` is the session-scoped flight recorder (PR 10); it
-    stays the shared disabled :data:`~repro.flightrec.recorder.NULL_RECORDER`
+    ``flightrec`` is the session-scoped flight recorder; it stays the
+    shared disabled :data:`~repro.flightrec.recorder.NULL_RECORDER`
     unless a recording scope (:func:`repro.flightrec.use`) installs a
-    live one, so plain metrics/trace sessions pay nothing for it.
+    live one, so plain metrics sessions pay nothing for it.
     """
 
-    __slots__ = ("registry", "tracer", "flightrec")
+    __slots__ = ("registry", "flightrec")
 
     def __init__(
         self,
         registry: MetricsRegistry,
-        tracer: Tracer,
         flightrec: Optional[FlightRecorder] = None,
     ) -> None:
         self.registry = registry
-        self.tracer = tracer
         self.flightrec = NULL_RECORDER if flightrec is None else flightrec
 
     @property
@@ -100,12 +97,11 @@ class TelemetrySession:
 
     def clear(self) -> None:
         self.registry.clear()
-        self.tracer.clear()
         self.flightrec.clear()
 
 
 #: The shared disabled session — module-level so `session()` never allocates.
-_DISABLED = TelemetrySession(NullRegistry(), NullTracer())
+_DISABLED = TelemetrySession(NullRegistry())
 _active: TelemetrySession = _DISABLED
 
 
@@ -114,11 +110,7 @@ def session() -> TelemetrySession:
     return _active
 
 
-def enable(
-    *,
-    trace_capacity: int = 65536,
-    fresh: Optional[TelemetrySession] = None,
-) -> TelemetrySession:
+def enable(*, fresh: Optional[TelemetrySession] = None) -> TelemetrySession:
     """Switch the process to a live session and return it.
 
     Idempotent in spirit: enabling while already enabled keeps the
@@ -129,9 +121,7 @@ def enable(
     if fresh is not None:
         _active = fresh
     elif not _active.enabled:
-        _active = TelemetrySession(
-            MetricsRegistry(), Tracer(trace_capacity), _active.flightrec
-        )
+        _active = TelemetrySession(MetricsRegistry(), _active.flightrec)
     return _active
 
 
@@ -144,8 +134,6 @@ def disable() -> None:
 @contextmanager
 def use(
     session_to_use: Optional[TelemetrySession] = None,
-    *,
-    trace_capacity: int = 65536,
 ) -> Iterator[TelemetrySession]:
     """Scoped telemetry: activate a (new or given) session, restore after.
 
@@ -157,7 +145,7 @@ def use(
     global _active
     previous = _active
     chosen = session_to_use or TelemetrySession(
-        MetricsRegistry(), Tracer(trace_capacity), previous.flightrec
+        MetricsRegistry(), previous.flightrec
     )
     _active = chosen
     try:

@@ -260,6 +260,10 @@ class TcpSender:
         self.stats.end_time = self.sim.now
         self.stats.completed = True
         self.stats.bytes_goodput = self.flow_size
+        # The finishing cumulative ACK can overtake a snd_nxt that an
+        # RTO rewound; nothing is sent after this point, so pulling it
+        # up only restores snd_una <= snd_nxt <= flow_size.
+        self.snd_nxt = max(self.snd_nxt, self.snd_una)
         self._cancel_rto()
         self.host.unregister_agent(self.spec.flow_id)
         rec = _telemetry_session().flightrec

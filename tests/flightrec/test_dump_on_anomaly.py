@@ -12,13 +12,18 @@ import os
 import pytest
 
 from repro import flightrec, telemetry
-from repro.flightrec.postmortem import analyze_dump
+from repro.flightrec.postmortem import analyze_dump, fault_windows
 from repro.flightrec.recorder import load_dump
 from repro.runner.cache import NullCache
 from repro.runner.core import SweepPoint, SweepRunner, SweepSpec, evaluate_point
 from repro.runner.resilience import ResilienceConfig, RetryPolicy
 from repro.simcheck.violations import InvariantViolation, record_violation
-from repro.simnet.engine import WatchdogConfig
+from repro.simnet.engine import (
+    SimulationStalled,
+    Simulator,
+    SimWatchdog,
+    WatchdogConfig,
+)
 
 from tests.runner.conftest import MINI_GRID, MINI_PRESET
 
@@ -138,9 +143,48 @@ class TestInvariantViolationFunnel:
         assert header["sim_time"] == 1.5
         assert records[0]["kind"] == "enqueue"
 
+    def test_violation_is_held_by_a_recorder_with_no_autodump_path(self):
+        with flightrec.use() as rec:
+            with pytest.raises(InvariantViolation):
+                record_violation(
+                    InvariantViolation(
+                        "wire_conservation", "bottleneck", "lost", sim_time=1.5
+                    )
+                )
+        assert rec.autodumps == 0
+        assert rec.records() == [{
+            "layer": "fault", "kind": "invariant_violation", "t": 1.5,
+            "component": "wire_conservation", "flow_id": -1, "packet_id": -1,
+            "detail": {"subject": "bottleneck"},
+        }]
+        # Not a fault window: the post-mortem must not charge stalls to it.
+        assert fault_windows(rec.records()) == []
+
     def test_violation_without_recorder_still_raises(self):
         assert not telemetry.session().flightrec.enabled
         with pytest.raises(InvariantViolation):
             record_violation(
                 InvariantViolation("wire_conservation", "link", "lost", 0.1)
             )
+
+
+class TestWatchdogFunnel:
+    def test_trip_is_held_by_a_recorder_with_no_autodump_path(self):
+        sim = Simulator()
+        sim.install_watchdog(SimWatchdog(WatchdogConfig(max_events=3)))
+
+        def tick():
+            sim.schedule(0.5, tick)
+
+        sim.schedule(0.5, tick)
+        with flightrec.use() as rec:
+            with pytest.raises(SimulationStalled):
+                sim.run(until=100.0)
+        assert rec.autodumps == 0
+        (record,) = rec.records()
+        assert record == {
+            "layer": "fault", "kind": "watchdog_trip", "t": sim.now,
+            "component": "max_events", "flow_id": -1, "packet_id": -1,
+            "detail": {"events_processed": sim.events_processed},
+        }
+        assert fault_windows([record]) == []

@@ -9,11 +9,88 @@ from repro import flightrec, telemetry
 from repro.flightrec.recorder import (
     LAYERS,
     NULL_RECORDER,
+    SCHEMA,
     FlightRecorder,
     NullFlightRecorder,
     iter_layer,
     load_dump,
 )
+
+#: A value for every field any layer declares.
+SAMPLE = {
+    "component": "bottleneck", "flow_id": 7, "packet_id": 99,
+    "cwnd": 2.5, "ssthresh": 8.0, "subject": "lookup",
+}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+class TestEveryLayer:
+    """The ring contract, once, for each row of the schema table."""
+
+    def test_ring_contract(self, layer, tmp_path):
+        default_capacity, fields = SCHEMA[layer]
+        names = [field[0] for field in fields]
+        assert FlightRecorder().header()["layers"][layer]["capacity"] == (
+            default_capacity
+        )
+        rec = FlightRecorder(**{f"{layer}_capacity": 3})
+        emit = getattr(rec, layer)
+        values = {name: SAMPLE[name] for name in names}
+        for i in range(5):
+            emit(f"k{i}", float(i), **values, detail={"i": i} if i == 4 else None)
+
+        # Eviction accounting, on the recorder and in the header block.
+        assert getattr(rec, f"{layer}_emitted") == 5
+        assert getattr(rec, f"{layer}_evicted") == 2
+        assert len(rec) == 3
+        assert rec.header()["layers"][layer] == {
+            "emitted": 5, "evicted": 2, "capacity": 3,
+        }
+        assert all(
+            block["emitted"] == 0
+            for other, block in rec.header()["layers"].items() if other != layer
+        )
+
+        # Emission order; key order is the on-disk format.
+        records = rec.records()
+        assert [r["kind"] for r in records] == ["k2", "k3", "k4"]
+        assert list(records[0]) == ["layer", "kind", "t", *names]
+        assert records[0] == {"layer": layer, "kind": "k2", "t": 2.0, **values}
+        assert records[2]["detail"] == {"i": 4} and "detail" not in records[1]
+
+        # Strict-JSON dump / load round trip.
+        path = tmp_path / "dump.jsonl"
+        assert rec.dump(str(path), reason="unit", sim_time=4.0) == 3
+        header, loaded = load_dump(str(path))
+        assert header == rec.header(reason="unit", sim_time=4.0)
+        assert loaded == records
+        assert list(iter_layer(loaded, layer)) == records
+        emit("bad", math.nan, **values)
+        with pytest.raises(ValueError):
+            rec.dump(str(path), reason="unit")
+        assert load_dump(str(path))[1] == records  # the old dump survives
+
+        rec.clear()
+        assert len(rec) == 0 and rec.records() == []
+        assert getattr(rec, f"{layer}_emitted") == 0
+        assert getattr(rec, f"{layer}_evicted") == 0
+
+    def test_defaults_and_required_fields(self, layer):
+        _, fields = SCHEMA[layer]
+        required = {name: SAMPLE[name] for name, *default in fields if not default}
+        rec = FlightRecorder()
+        getattr(rec, layer)("k", 0.0, **required)
+        (record,) = rec.records()
+        for name, *default in fields:
+            assert record[name] == (default[0] if default else SAMPLE[name])
+        if required:
+            with pytest.raises(TypeError):
+                getattr(rec, layer)("k", 0.0)
+
+    def test_null_emitter_records_nothing(self, layer):
+        getattr(NULL_RECORDER, layer)("k", 0.0, "x", detail={"a": 1})
+        assert len(NULL_RECORDER) == 0
+        assert getattr(NULL_RECORDER, f"{layer}_emitted") == 0
 
 
 class TestRings:
@@ -38,6 +115,10 @@ class TestRings:
             FlightRecorder(simnet_capacity=0)
         with pytest.raises(ValueError):
             FlightRecorder(fault_capacity=0)
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            FlightRecorder(spans_capacity=8)
 
     def test_records_time_sorted_across_layers(self):
         rec = FlightRecorder()

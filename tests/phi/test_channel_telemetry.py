@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import telemetry
+from repro import flightrec, telemetry
+from repro.flightrec import iter_layer
 from repro.phi.channel import (
     BreakerState,
     ChannelConfig,
@@ -163,7 +164,7 @@ class TestChannelTelemetry:
         return sim, channel
 
     def test_rpc_metrics_for_mixed_outcomes(self):
-        with telemetry.use() as tele:
+        with telemetry.use() as tele, flightrec.use() as rec:
             sim, channel = self._channel(max_retries=1, timeout_s=0.1)
             channel.call_lookup()  # ok
             channel.mark_down()
@@ -175,13 +176,14 @@ class TestChannelTelemetry:
         assert counters["phi.rpc_retries{op=lookup}"] == 1.0
         histogram = snapshot["histograms"]["phi.rpc_latency_s{op=lookup}"]
         assert histogram["count"] == 2
-        # Failure events land in the trace with both clocks.
-        failures = [
-            r for r in tele.tracer.records() if r["name"] == "phi.rpc_failure"
-        ]
-        assert len(failures) == 1
-        assert failures[0]["fields"]["status"] == "server_down"
-        assert failures[0]["sim_time"] == sim.now
+        # Every terminal outcome is on the recorder's phi ring; the
+        # failed one carries its status, attempts and sim time.
+        ok, failed = iter_layer(rec.records(), "phi")
+        assert (ok["kind"], ok["subject"]) == ("rpc", "lookup")
+        assert ok["detail"]["status"] == "ok"
+        assert failed["detail"]["status"] == "server_down"
+        assert failed["detail"]["attempts"] == 2
+        assert failed["t"] == sim.now
 
     def test_channel_works_with_telemetry_disabled(self):
         assert not telemetry.session().enabled

@@ -7,6 +7,9 @@ exist across a genuine process boundary.  They are marked ``fault``
 (``pytest -m "not fault"`` skips them).
 """
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.runner.cache import NullCache
@@ -99,6 +102,58 @@ class TestExecuteChoosesPoolOrSerial:
         )
         assert report.pooled is pooled
         assert results == {index: 2 * index for index in range(n_points)}
+
+
+class _DoomedPool:
+    """A pool whose ``break_at``-th submit finds the pool already broken.
+
+    What was submitted before stays pending until then and fails the way
+    a real broken pool fails it; ``break_at=None`` is a healthy pool that
+    evaluates at submit time.
+    """
+
+    def __init__(self, break_at=None):
+        self.break_at = break_at
+        self.pending = []
+
+    def submit(self, fn, *args):
+        future = Future()
+        if self.break_at is None:
+            future.set_result(fn(*args))
+            return future
+        if len(self.pending) + 1 == self.break_at:
+            for earlier in self.pending:
+                earlier.set_exception(BrokenProcessPool("worker died"))
+            raise BrokenProcessPool("worker died")
+        self.pending.append(future)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestSubmitIntoBrokenPool:
+    """ROADMAP 5.i: a worker dying mid-submit-loop is a pool break."""
+
+    def test_raising_submit_requeues_uncharged_and_rebuilds(self):
+        supervisor = SweepSupervisor(
+            2, _double, n_workers=2,
+            config=ResilienceConfig(retry=FAST_RETRY, poll_interval_s=0.01),
+        )
+        pools = [_DoomedPool(break_at=3), _DoomedPool()]
+        supervisor._new_pool = lambda width: pools.pop(0)
+        results = {}
+        report = supervisor.execute_pool(
+            list(enumerate(range(4))), results.__setitem__
+        )
+        assert results == {index: 2 * index for index in range(4)}
+        assert report.pool_rebuilds == 1 and not report.serial_fallback
+        # The two in flight take the blame (nobody was seen running, so
+        # the pool-width oldest); the slot whose submit raised, and the
+        # one never reached, cost nothing.
+        assert sorted(report.failure_history) == [0, 1]
+        assert report.crashes == 2 and report.retries == 2
+        assert not report.quarantined
 
 
 class TestFaultSpec:

@@ -3,12 +3,13 @@
 Hypothesis feeds seeds into the shared generator in
 :mod:`repro.simcheck.fuzz`; every drawn topology/workload/flavour
 combination must complete on a checked simulator with zero invariant
-violations.  Marked ``simcheck`` (each example is a full, if small,
-simulation run).
+violations.  Both suites are derandomized, so tier-1 runs the same cases
+every time; new ground is the fuzzer's job (``repro check --fuzz N``).
+Marked ``simcheck`` (each example is a full, if small, simulation run).
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.simcheck import ViolationReport
@@ -21,7 +22,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 class TestScenarioGenerator:
     @given(seed=seeds)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_draw_is_deterministic_and_bounded(self, seed):
         a, b = draw_scenario(seed), draw_scenario(seed)
         assert a == b
@@ -37,9 +38,13 @@ class TestScenarioGenerator:
 
 class TestRandomScenariosHoldInvariants:
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    # Seed 26: the finishing ACK overtook an RTO-rewound snd_nxt
+    # (tcp.sequence_order) until the sender pulled it up in _finish.
+    @example(seed=26)
     @settings(
         max_examples=8,
         deadline=None,
+        derandomize=True,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_checked_run_completes_without_violations(self, seed):

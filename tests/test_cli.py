@@ -122,18 +122,10 @@ class TestSweepCommand:
 class TestTelemetryOutputs:
     MINI = TestSweepCommand.MINI
 
-    def test_sweep_writes_manifest_and_trace(self, tmp_path, capsys):
-        import json
-
+    def test_sweep_writes_manifest(self, tmp_path, capsys):
         manifest_path = str(tmp_path / "manifest.json")
-        trace_path = str(tmp_path / "trace.jsonl")
-        assert main(
-            self.MINI
-            + ["--metrics-out", manifest_path, "--trace-out", trace_path]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "telemetry manifest:" in out
-        assert "telemetry trace:" in out
+        assert main(self.MINI + ["--metrics-out", manifest_path]) == 0
+        assert "telemetry manifest:" in capsys.readouterr().out
 
         from repro.telemetry.manifest import load_manifest, validate_manifest
 
@@ -144,14 +136,59 @@ class TestTelemetryOutputs:
         assert all(p["status"] == "computed" for p in manifest["points"])
         assert manifest["metrics"]["counters"]["sim.events"] > 0
         assert "runner.point_wall_s" in manifest["metrics"]["histograms"]
+        # Per-point provenance and totals hold what a sweep trace would.
+        assert all(
+            p["wall_seconds"] > 0 and "seed" in p for p in manifest["points"]
+        )
+        totals = manifest["totals"]
+        assert (totals["points"], totals["retries"], totals["quarantined"]) == (
+            2, 0, 0,
+        )
+        assert totals["wall_seconds"] > 0
 
-        lines = [
-            json.loads(line)
-            for line in open(trace_path, encoding="utf-8")
-        ]
-        assert lines[0]["kind"] == "header"
-        names = {line.get("name") for line in lines[1:]}
-        assert "runner.sweep_complete" in names
+    def test_cubic_trace_out_is_a_recorder_dump_postmortem_reads(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro import telemetry
+        from repro.flightrec import load_dump
+
+        trace_path = str(tmp_path / "t.jsonl")
+        assert main(
+            ["cubic", "--duration", "3", "--seed", "1", "--trace-out", trace_path]
+        ) == 0
+        assert "flight recording:" in capsys.readouterr().out
+        assert not telemetry.session().flightrec.enabled  # scoped to the run
+        header, records = load_dump(trace_path)
+        assert header["name"] == "flightrec.header"
+        assert header["reason"] == "trace-out:cubic" and header["sim_time"] == 3.0
+        for layer, block in header["layers"].items():
+            found = sum(1 for r in records if r["layer"] == layer)
+            assert block["emitted"] - block["evicted"] == found
+        assert {r["layer"] for r in records} == {"simnet", "transport"}
+
+        assert main(["postmortem", trace_path, "--json"]) == 0
+        analysis = json.loads(capsys.readouterr().out)
+        assert analysis["anomaly"]["reason"] == "trace-out:cubic"
+        assert analysis["flows"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--trace-out", "t.jsonl"],
+            ["poison", "--trace-out", "t.jsonl"],
+            ["partition", "--trace-out", "t.jsonl"],
+            # `incremental` never wrote either; it no longer offers them.
+            ["incremental", "--trace-out", "t.jsonl"],
+            ["incremental", "--metrics-out", "m.json"],
+        ],
+    )
+    def test_flags_with_no_writer_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cubic_writes_manifest(self, tmp_path, capsys):
         from repro.telemetry.manifest import load_manifest, validate_manifest

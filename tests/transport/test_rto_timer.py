@@ -216,6 +216,17 @@ class TestDeadlineTimer:
         sim.run(until=10.0)
         assert fired == []
 
+    def test_finishing_ack_overtaking_a_rewound_snd_nxt_keeps_sequence_order(self):
+        # Fuzz seed 26: the RTO's go-back-N rewinds snd_nxt, then the
+        # ACK for everything sent before the rewind completes the flow.
+        sim, sender, _, fired = make_sender(flow_bytes=2500)
+        assert sender.snd_nxt == 2500  # the initial window covers the flow
+        sim.run(until=INITIAL_RTO_S + 0.1)
+        assert fired and sender.snd_una == 0 and sender.snd_nxt < 2500
+        sender.handle_packet(ack(2500, echo=0.0))
+        assert sender.finished
+        assert sender.snd_una == sender.snd_nxt == sender.flow_size == 2500
+
     def test_abort_disarms(self):
         sim, sender, _, fired = make_sender()
         sim.run(until=0.5)
