@@ -10,7 +10,6 @@ the paper's durations and sweep sizes.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import contextmanager
 
 FULL_SCALE = os.environ.get("PHI_BENCH_FULL", "") == "1"
@@ -41,13 +40,3 @@ def run_once(benchmark, func):
     """Run a heavy scenario exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
 
-
-def time_best_of(n, func):
-    """Best-of-n wall time: robust to scheduler noise on shared CI."""
-    best = float("inf")
-    result = None
-    for _ in range(n):
-        started = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - started)
-    return best, result

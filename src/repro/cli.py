@@ -18,9 +18,7 @@ without writing Python:
 - ``repro-phi check`` — differential/metamorphic correctness oracles and
   randomized invariant fuzzing (see :mod:`repro.simcheck`);
 - ``repro-phi postmortem`` — per-flow timelines and stall attribution
-  from a flight-recorder dump (see :mod:`repro.flightrec`);
-- ``repro-phi bench gate`` — regression gate over ``BENCH_*.json``
-  benchmark trajectories.
+  from a flight-recorder dump (see :mod:`repro.flightrec`).
 
 ``cubic``, ``phi``, and ``sweep`` accept ``--profile`` (print the
 hottest event callbacks); ``poison`` and ``partition`` accept
@@ -35,13 +33,12 @@ trace.jsonl`` (flight-record the run; ``postmortem`` reads the dump).
 Examples::
 
     python -m repro.cli phi --preset table3-remy --mode practical --seed 3
-    python -m repro.cli sweep --runs 2 --workers 4 --bench-json BENCH_sweep.json
+    python -m repro.cli sweep --runs 2 --workers 4 --serial-check
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import sys
 from contextlib import ExitStack
@@ -80,15 +77,7 @@ from .ipfix import (
 )
 from .phi import REFERENCE_POLICY, SharingMode
 from .phi.optimizer import select_optimal
-from .runner import (
-    ConsoleProgress,
-    ResilienceConfig,
-    RetryPolicy,
-    append_bench_entry,
-    bench_entry,
-    check_gate,
-    load_trajectory,
-)
+from .runner import ConsoleProgress, ResilienceConfig, RetryPolicy
 from .simcheck import ViolationReport
 from .simcheck.fuzz import draw_scenario, run_fuzz_case
 from .simcheck.oracles import ORACLES, run_oracles
@@ -429,36 +418,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"beta={p.beta}  P_l={best.mean_power_l:.4f}")
     else:
         print("no surviving points; every point was quarantined", file=sys.stderr)
-
-    if args.bench_json:
-        # Gate on the machine-independent ratio when the serial check
-        # ran; otherwise on raw parallel throughput (matches the legacy
-        # fallback metric name so old trajectories stay comparable).
-        if serial_outcome is not None and parallel_outcome.wall_seconds > 0:
-            gate = (
-                "speedup",
-                serial_outcome.wall_seconds / parallel_outcome.wall_seconds,
-                True,
-            )
-        else:
-            gate = (
-                "parallel.events_per_second",
-                parallel_outcome.events_per_second,
-                True,
-            )
-        entry = bench_entry(
-            f"cli-sweep-{preset.name}",
-            serial=serial_outcome,
-            parallel=parallel_outcome,
-            gate=gate,
-            extra={
-                "grid_points": len(grid),
-                "n_runs": args.runs,
-                "duration_s": args.duration,
-            },
-        )
-        append_bench_entry(args.bench_json, entry)
-        print(f"recorded trajectory entry in {args.bench_json}")
     return 0
 
 
@@ -676,25 +635,6 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_gate(args: argparse.Namespace) -> int:
-    paths = args.paths or sorted(glob.glob("BENCH_*.json"))
-    if not paths:
-        print("no trajectory files (no paths given, no BENCH_*.json here)",
-              file=sys.stderr)
-        return 2
-    failed = 0
-    for path in paths:
-        trajectory = load_trajectory(path)
-        result = check_gate(path, trajectory, args.budget)
-        status = "PASS" if result.ok else "FAIL"
-        print(f"{status}  {path}: {result.reason}")
-        if not result.ok:
-            failed += 1
-    print(f"bench gate: {len(paths) - failed}/{len(paths)} trajectories "
-          f"within budget ({args.budget:g}%)")
-    return 1 if failed else 0
-
-
 def cmd_telemetry_summarize(args: argparse.Namespace) -> int:
     try:
         manifest = load_manifest(args.manifest)
@@ -892,8 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="watchdog: abort a simulation after this much wall time")
     sweep.add_argument("--serial-check", action="store_true",
                        help="also run serially; verify bit-identical results")
-    sweep.add_argument("--bench-json", default=None,
-                       help="append timings to this BENCH trajectory file")
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress the progress line")
     sweep.add_argument("--flightrec-dir", default=None, dest="flightrec_dir",
@@ -979,20 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="inter-activity gap (sim seconds) that "
                                  "counts as a stall (default %(default)s)")
     postmortem.set_defaults(func=cmd_postmortem)
-
-    bench = sub.add_parser("bench", help="benchmark trajectory tools")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    gate = bench_sub.add_parser(
-        "gate",
-        help="fail if the newest entry of any trajectory regresses past "
-             "the budget",
-    )
-    gate.add_argument("paths", nargs="*",
-                      help="trajectory files (default: ./BENCH_*.json)")
-    gate.add_argument("--budget", type=float, default=10.0,
-                      help="allowed regression vs the trajectory median, in "
-                           "percent (default %(default)s)")
-    gate.set_defaults(func=cmd_bench_gate)
 
     telemetry_parser = sub.add_parser(
         "telemetry", help="inspect telemetry artifacts"

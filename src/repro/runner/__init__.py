@@ -9,14 +9,6 @@ retries or quarantines failing points, and a checkpoint journal
 See DESIGN.md ("Sweep runner", "Failure modes") for the architecture.
 """
 
-from .bench import (
-    GateResult,
-    append_bench_entry,
-    bench_entry,
-    check_gate,
-    load_trajectory,
-    machine_fingerprint,
-)
 from .cache import CacheStats, DiskCache, MemoryCache, NullCache
 from .checkpoint import CheckpointError, SweepJournal, sweep_key
 from .core import (
@@ -25,6 +17,7 @@ from .core import (
     SweepRunner,
     SweepSpec,
     evaluate_point,
+    machine_fingerprint,
 )
 from .hashing import ENGINE_SIGNATURE, canonical_json, content_hash, point_key
 from .progress import ConsoleProgress, ProgressReporter, SweepProgress
@@ -46,7 +39,6 @@ __all__ = [
     "DiskCache",
     "ExecutionReport",
     "FlowRecord",
-    "GateResult",
     "MemoryCache",
     "NullCache",
     "PointFailure",
@@ -62,14 +54,10 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "SweepSupervisor",
-    "append_bench_entry",
-    "bench_entry",
     "canonical_json",
-    "check_gate",
     "content_hash",
     "evaluate_point",
     "flow_records",
-    "load_trajectory",
     "machine_fingerprint",
     "point_key",
     "sweep_key",

@@ -22,10 +22,10 @@ Robustness model:
 - **Healing**: loading rewrites the journal *atomically* (temp file +
   ``os.replace``) whenever corrupt lines were found, so damage never
   accumulates and the post-load file is exactly the trusted records.
-- **Durability**: appends flush per record and ``fsync`` by default, so
-  a completed point survives even an immediate hard kill.  Pass
-  ``fsync=False`` to trade power-loss durability for speed on sweeps of
-  very cheap points (ordinary-crash durability is kept either way).
+- **Durability**: appends flush and ``fsync`` per record, so a completed
+  point survives even an immediate hard kill; the sweep runner always
+  journals this way.  ``SweepJournal(path, fsync=False)`` keeps only
+  ordinary-crash durability.
 """
 
 from __future__ import annotations
@@ -106,13 +106,11 @@ class SweepJournal:
         grid: Sequence["CubicParams"],
         n_runs: int,
         base_seed: int,
-        *,
-        fsync: bool = True,
     ) -> "SweepJournal":
         """The journal for this exact sweep under ``directory``."""
         os.makedirs(directory, exist_ok=True)
         key = sweep_key(spec, grid, n_runs, base_seed)
-        return cls(os.path.join(directory, f"{key}.jsonl"), fsync=fsync)
+        return cls(os.path.join(directory, f"{key}.jsonl"))
 
     # ------------------------------------------------------------------
     # Reading

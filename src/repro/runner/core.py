@@ -25,6 +25,7 @@ it died.
 from __future__ import annotations
 
 import os
+import platform
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -249,9 +250,16 @@ class SweepOutcome:
 
     @property
     def events_per_second(self) -> float:
+        """Simulation throughput of *this* run: cached and resumed points
+        cost no simulation here, so their events are not counted."""
         if self.wall_seconds <= 0:
             return 0.0
-        return self.total_events / self.wall_seconds
+        computed = sum(
+            point.events_processed
+            for point in self.points
+            if self.provenance.get(point.key) == "computed"
+        )
+        return computed / self.wall_seconds
 
     @property
     def complete(self) -> bool:
@@ -284,6 +292,16 @@ def _default_workers() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return max(1, os.cpu_count() or 1)
+
+
+def machine_fingerprint() -> Dict[str, Any]:
+    """The hardware/runtime facts a timing is meaningless without."""
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "usable_cpus": _default_workers(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 class SweepRunner:
@@ -319,9 +337,6 @@ class SweepRunner:
         Replay an existing journal before scheduling work, so only
         unfinished points are recomputed.  Without ``resume`` an
         existing journal for the same sweep is truncated.
-    journal_fsync:
-        fsync the journal per record (durable against power loss); turn
-        off to speed up sweeps of very cheap points.
     flightrec_dir:
         Arm the flight recorder in every worker, dumping on failure to
         ``flightrec-<point_key>.jsonl`` under this directory.  Defaults
@@ -349,7 +364,6 @@ class SweepRunner:
         watchdog: Optional[WatchdogConfig] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
-        journal_fsync: bool = True,
         flightrec_dir: Optional[str] = None,
         profile: bool = False,
         fault: Optional[Tuple[str, float, float]] = None,
@@ -372,7 +386,6 @@ class SweepRunner:
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        self.journal_fsync = journal_fsync
 
     def tasks(
         self,
@@ -416,12 +429,7 @@ class SweepRunner:
         restored: Dict[str, PointResult] = {}
         if self.checkpoint_dir is not None:
             journal = SweepJournal.for_sweep(
-                self.checkpoint_dir,
-                self.spec,
-                grid,
-                n_runs,
-                base_seed,
-                fsync=self.journal_fsync,
+                self.checkpoint_dir, self.spec, grid, n_runs, base_seed
             )
             if self.resume:
                 restored = journal.load()
@@ -576,4 +584,5 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "evaluate_point",
+    "machine_fingerprint",
 ]

@@ -295,7 +295,7 @@ class SimProfile:
         return PhaseTimer(self, name)
 
     def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for JSON reports (BENCH trajectory files)."""
+        """Plain-dict form: the ``profile`` sidecar on scenario and point results."""
         out = {
             "events": self.events,
             "wall_seconds": self.wall_seconds,

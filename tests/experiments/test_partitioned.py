@@ -85,6 +85,12 @@ class TestMinorityPartitionRun:
         assert run.decision_counts.get("fallback", 0) == 0
         assert run.decision_counts["fresh"] > 0
 
+    def test_healthy_replicas_merge_but_never_fail_over(self):
+        run = partitioned(severity=0.0, duration_s=8.0)
+        assert run.n_cut == 0
+        assert run.failovers == 0
+        assert run.anti_entropy_merges > 0
+
     def test_divergence_opens_then_closes(self):
         run = partitioned()
         assert run.max_divergence > 0

@@ -156,6 +156,18 @@ class TestRunnerResume:
         for point in second.points:
             assert point.identical_to(by_key[point.key])
 
+    def test_checkpointing_does_not_perturb_points(
+        self, mini_preset, mini_grid, tmp_path
+    ):
+        journaled = self.run_sweep(mini_preset, mini_grid, tmp_path, resume=False)
+        bare = SweepRunner(mini_preset, n_workers=1, cache=NullCache()).run(
+            mini_grid, n_runs=1, base_seed=0, parallel=False
+        )
+        assert journaled.complete and bare.complete
+        assert len(journaled.points) == len(bare.points) == len(mini_grid)
+        for a, b in zip(bare.points, journaled.points):
+            assert a.identical_to(b)
+
     def test_partial_resume_recomputes_only_missing(
         self, mini_preset, mini_grid, tmp_path
     ):

@@ -11,6 +11,7 @@ from repro.experiments.scenarios import TABLE3_REMY, ScenarioPreset, run_cubic_f
 from repro.experiments.sweep import run_parameter_sweep, run_table2_sweep
 from repro.phi.optimizer import leave_one_out, select_optimal
 from repro.runner.cache import DiskCache, MemoryCache, NullCache
+from repro.runner import machine_fingerprint
 from repro.runner.core import SweepRunner
 from repro.runner.progress import SweepProgress
 from repro.runner.records import flow_records
@@ -90,6 +91,24 @@ class TestCachingBehaviour:
         outcome = runner.run(MINI_GRID, n_runs=1)
         assert outcome.cache_hits == 2
 
+    def test_events_per_second_counts_only_points_this_run_computed(self):
+        # A cached point's events cost no wall time here; dividing them
+        # by this run's wall reported 12 M events/s on a warm cache.
+        runner = SweepRunner(MINI_PRESET, n_workers=1, cache=MemoryCache())
+        runner.run(MINI_GRID[:2], n_runs=1)
+        half_warm = runner.run(MINI_GRID, n_runs=1)
+        computed = sum(
+            point.events_processed
+            for point in half_warm.points
+            if half_warm.provenance[point.key] == "computed"
+        )
+        assert 0 < computed < half_warm.total_events
+        assert half_warm.events_per_second == computed / half_warm.wall_seconds
+
+        warm = runner.run(MINI_GRID, n_runs=1)
+        assert warm.events_per_second == 0.0
+        assert warm.total_events == half_warm.total_events > 0
+
     def test_different_seed_misses_cache(self):
         cache = MemoryCache()
         runner = SweepRunner(MINI_PRESET, n_workers=1, cache=cache)
@@ -139,6 +158,13 @@ class TestValidationAndProgress:
     def test_rejects_bad_run_count(self):
         with pytest.raises(ValueError):
             SweepRunner(MINI_PRESET).tasks(MINI_GRID, n_runs=0, base_seed=0)
+
+    def test_machine_fingerprint_agrees_with_default_workers(self):
+        # perf/worker.py stamps every benchmark result with this.
+        fingerprint = machine_fingerprint()
+        assert set(fingerprint) == {"cpu_count", "usable_cpus", "python", "platform"}
+        assert fingerprint["usable_cpus"] == SweepRunner(MINI_PRESET).n_workers
+        assert fingerprint["cpu_count"] >= 1 and fingerprint["python"]
 
     def test_progress_reports_monotonic_to_completion(self):
         snapshots = []

@@ -97,20 +97,6 @@ class TestSweepCommand:
         assert "bit-identical" in out
         assert "speedup=" in out
 
-    def test_bench_json_written(self, tmp_path, capsys):
-        bench = str(tmp_path / "BENCH_sweep.json")
-        assert main(self.MINI + ["--bench-json", bench]) == 0
-        import json
-
-        with open(bench) as handle:
-            trajectory = json.load(handle)
-        assert len(trajectory) == 1
-        entry = trajectory[0]
-        assert entry["label"] == "cli-sweep-table3-remy"
-        assert entry["grid_points"] == 2
-        assert entry["parallel"]["points"] == 2
-        assert "machine" in entry
-
     def test_cache_dir_round_trip(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(self.MINI + ["--cache-dir", cache_dir]) == 0
@@ -182,13 +168,17 @@ class TestTelemetryOutputs:
             # `incremental` never wrote either; it no longer offers them.
             ["incremental", "--trace-out", "t.jsonl"],
             ["incremental", "--metrics-out", "m.json"],
+            # perf/run.py is the only benchmark; the legacy verb and flag are gone.
+            ["sweep", "--bench-json", "x"],
+            ["bench", "gate"],
         ],
     )
     def test_flags_with_no_writer_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice: 'bench'" in err
 
     def test_cubic_writes_manifest(self, tmp_path, capsys):
         from repro.telemetry.manifest import load_manifest, validate_manifest
