@@ -8,6 +8,11 @@ committed ahead of it.  A data-plane optimisation that claims
 trajectories bumps ``ENGINE_SIGNATURE`` and re-captures them in the same
 change.
 
+``GOLDEN_WINDOW_FULL`` was captured the same way ahead of the cached
+window contributions in ``ContextServer``: a 13 sim-s short-flow run is
+the only pinned one in which reports age out of, and straddle the left
+edge of, the server's 10 s window.
+
 CI runs this file under two ``PYTHONHASHSEED`` values: nothing on the
 data plane may depend on set or dict iteration order of hashed strings.
 """
@@ -20,12 +25,15 @@ import pytest
 from repro.experiments import (
     FIG2C_LONG_RUNNING,
     TABLE3_REMY,
+    ScenarioPreset,
     run_cubic_fixed,
     run_partitioned_phi_cubic,
 )
 from repro.phi import REFERENCE_POLICY
 from repro.runner import canonical_json, flow_records
+from repro.simnet import DumbbellConfig
 from repro.transport import CubicParams
+from repro.workload import OnOffConfig
 
 PARAMS = CubicParams(4, 64, 0.7)
 
@@ -47,6 +55,8 @@ GOLDEN_CUBIC = {
 }
 
 GOLDEN_PARTITIONED = "5835403ad1a8a2b0ebc4e879115c5e8ad24d6319ffdfebee4bf5c21fe3d8fa89"
+
+GOLDEN_WINDOW_FULL = "549854321dd84ba7e2a35049ad7ef278224ecd771e665d8278a5b90522a6f039"
 
 _PRESETS = {"table3": (TABLE3_REMY, 10.0), "fig2c": (FIG2C_LONG_RUNNING, 4.0)}
 
@@ -72,3 +82,31 @@ def test_partitioned_phi_trajectory_is_pinned():
     )
     assert run.failovers > 0
     assert trajectory_digest(run.result) == GOLDEN_PARTITIONED
+
+
+def test_window_full_phi_trajectory_is_pinned():
+    """~190 flows/s for 13 sim-s: the 10 s window fills, expires and
+    straddles, and the cut at 10.5 s lands on full windows.  Integers and
+    the digest only — the raw utilization floats differ between 3.10 and
+    3.12 (``sum`` is compensated from 3.12)."""
+    preset = ScenarioPreset(
+        name="golden-phi-shortflows",
+        config=DumbbellConfig(n_senders=8, rtt_s=0.020),
+        workload=OnOffConfig(mean_on_bytes=3000, mean_off_s=0.02, start_jitter_s=0.1),
+        duration_s=13.0,
+        description="perf's phi_shortflows preset, run past one full window",
+    )
+    run = run_partitioned_phi_cubic(
+        REFERENCE_POLICY,
+        preset,
+        n_replicas=3,
+        severity=0.34,
+        partition_start_s=10.5,
+        heal_s=1.5,
+        seed=1,
+        duration_s=13.0,
+    )
+    assert run.failovers == 1
+    assert run.reports_replicated == 4888
+    assert run.decision_counts["fresh"] == sum(run.decision_counts.values()) == 2448
+    assert trajectory_digest(run.result) == GOLDEN_WINDOW_FULL
