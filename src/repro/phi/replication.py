@@ -44,7 +44,9 @@ replica at a time) collisions are rare, and ``n`` is an estimate anyway
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -155,6 +157,11 @@ class ReplicaHandle:
         self.lease_log: Dict[LeaseId, float] = {}
         #: Leases this replica knows were released by a report.
         self.released: Dict[LeaseId, float] = {}
+        #: ``(issued_at, lease_id)`` heap of the leases still to release,
+        #: rebuilt at each merge; may hold TTL-expired ones (skipped).
+        self._unreleased: List[Tuple[float, LeaseId]] = []
+        #: No entry of ``lease_log`` was issued before this.
+        self._oldest_issue_s = math.inf
         #: Reports folded into this replica's server (window-pruned).
         self.seen: Set[ConnectionReport] = set()
         self.last_merge_s = service.sim.now
@@ -171,7 +178,10 @@ class ReplicaHandle:
         self.service._check_read_policy(self.index)
         context = self.server.lookup()
         self._expire_lease_log()
-        self.lease_log[(self.index, next(self._lease_seq))] = self.sim.now
+        lease, now = (self.index, next(self._lease_seq)), self.sim.now
+        self.lease_log[lease] = now
+        heapq.heappush(self._unreleased, (now, lease))
+        self._oldest_issue_s = min(self._oldest_issue_s, now)
         return context
 
     def report(self, report: ConnectionReport) -> None:
@@ -183,12 +193,13 @@ class ReplicaHandle:
             # and nothing entered the window, so nothing to replicate.
             return
         self._expire_lease_log()
-        outstanding = self.outstanding_leases()
-        if outstanding:
+        while self._unreleased and self._unreleased[0][1] not in self.lease_log:
+            heapq.heappop(self._unreleased)  # TTL-expired since it was pushed
+        if self._unreleased:
             # Mirror the server's FIFO release: oldest outstanding lease,
             # with the lease id as a deterministic tie-break.
-            oldest = min(outstanding, key=lambda lid: (outstanding[lid], lid))
-            self.released[oldest] = outstanding[oldest]
+            issued_at, oldest = heapq.heappop(self._unreleased)
+            self.released[oldest] = issued_at
         self.seen.add(report)
 
     def report_stats(self, stats: ConnectionStats) -> None:
@@ -213,13 +224,14 @@ class ReplicaHandle:
     def _expire_lease_log(self) -> None:
         """Drop TTL-expired entries, mirroring the server's expiry."""
         ttl = self.server.lease_ttl_s
-        if ttl is None:
+        if ttl is None or self._oldest_issue_s > self.sim.now - ttl:
             return
         horizon = self.sim.now - ttl
         expired = [lid for lid, ts in self.lease_log.items() if ts <= horizon]
         for lid in expired:
             del self.lease_log[lid]
             self.released.pop(lid, None)
+        self._oldest_issue_s = min(self.lease_log.values(), default=math.inf)
 
 
 class ReplicatedContextService:
@@ -403,12 +415,15 @@ class ReplicatedContextService:
             union_log.update(handle.lease_log)
             union_released.update(handle.released)
         outstanding = sorted(
-            ts for lid, ts in union_log.items() if lid not in union_released
+            (ts, lid) for lid, ts in union_log.items() if lid not in union_released
         )
+        oldest_issue_s = min(union_log.values(), default=math.inf)
         for handle in handles:
             handle.lease_log = dict(union_log)
             handle.released = dict(union_released)
-            handle.server.reset_leases(outstanding)
+            handle._unreleased = list(outstanding)  # sorted, so already a heap
+            handle._oldest_issue_s = oldest_issue_s
+            handle.server.reset_leases([ts for ts, _ in outstanding])
             handle.last_merge_s = now
 
         self.anti_entropy_merges += 1

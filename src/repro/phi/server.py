@@ -20,10 +20,11 @@ Two operating modes are provided:
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, Iterable, List, Optional, Sequence, Set
 
 from ..simnet.engine import Simulator
 from ..simnet.monitor import ActiveFlowTracker, LinkMonitor
@@ -214,6 +215,17 @@ class ContextServer:
         self.robust = robust
 
         self._reports: Deque[ConnectionReport] = deque()
+        #: Each resident report's goodput bits, parallel to ``_reports``
+        #: (0.0 where none): utilization is the builtin ``sum`` over it.
+        self._bits: Deque[float] = deque()
+        #: Heap of the connection starts of the reports wholly inside the
+        #: window, whose bits therefore do not depend on the clock ...
+        self._settled: List[float] = []
+        #: ... and the few whose bits do (straddling the left edge, or
+        #: future-dated), as positions: deque index + reports popped so
+        #: far, which neither ``append`` nor ``popleft`` moves.
+        self._clocked: Set[int] = set()
+        self._popped = 0
         #: Lookup timestamps whose connections have not reported back yet;
         #: each is a lease on one slot of ``n``.
         self._leases: Deque[float] = deque()
@@ -240,7 +252,6 @@ class ContextServer:
         expires after ``lease_ttl_s`` if the sender never reports back.
         """
         self.lookups += 1
-        self._expire_leases()
         self._leases.append(self.sim.now)
         return self.current_context()
 
@@ -272,8 +283,22 @@ class ContextServer:
             # lookup id in the paper's minimal protocol, so FIFO pairing
             # is the best-effort match).
             self._leases.popleft()
-        self._reports.append(report)
+        self._admit(len(self._reports), report)
         self._expire_old_reports()
+
+    def _admit(self, index: int, report: ConnectionReport) -> None:
+        """Insert ``report`` at deque ``index`` with its cached contribution."""
+        window_start = max(0.0, self.sim.now - self.window_s)
+        position = index + self._popped
+        if index < len(self._reports):  # mid-deque: the reports after it move up
+            self._clocked = {p + (p >= position) for p in self._clocked}
+        self._reports.insert(index, report)
+        self._bits.insert(index, self._bits_of(report, window_start) or 0.0)
+        conn_start = report.reported_at - report.duration_s
+        if report.reported_at <= self.sim.now and conn_start >= window_start:
+            heapq.heappush(self._settled, conn_start)
+        else:
+            self._clocked.add(position)
         self._fold_estimates(report)
 
     def _fold_estimates(self, report: ConnectionReport) -> None:
@@ -319,8 +344,7 @@ class ContextServer:
         index = len(self._reports)
         while index > 0 and self._reports[index - 1].reported_at > report.reported_at:
             index -= 1
-        self._reports.insert(index, report)
-        self._fold_estimates(report)
+        self._admit(index, report)
         self.reports_absorbed += 1
 
     def reset_leases(self, timestamps: Sequence[float]) -> None:
@@ -337,9 +361,29 @@ class ContextServer:
     # Estimation
     # ------------------------------------------------------------------
     def _expire_old_reports(self) -> None:
+        """Move the window's left edge up to the clock."""
         horizon = self.sim.now - self.window_s
+        window_start = max(0.0, horizon)
+        passed = 0
+        while self._settled and self._settled[0] < window_start:
+            heapq.heappop(self._settled)
+            passed += 1
+        if passed:
+            # The edge passed that many settled connection starts; their
+            # reports, near the deque's old end, now straddle it.  Found before
+            # the expiry below, so none is popped unfound (bar a negative duration).
+            clocked = self._clocked
+            for p, report in enumerate(self._reports, self._popped):
+                if report.reported_at - report.duration_s < window_start and p not in clocked:
+                    clocked.add(p)
+                    passed -= 1
+                    if not passed:
+                        break
         while self._reports and self._reports[0].reported_at < horizon:
+            self._clocked.discard(self._popped)
             self._reports.popleft()
+            self._bits.popleft()
+            self._popped += 1
 
     def _expire_leases(self) -> None:
         if self.lease_ttl_s is None:
@@ -358,18 +402,21 @@ class ContextServer:
         self._expire_old_reports()
         window_start = max(0.0, self.sim.now - self.window_s)
         window_len = max(1e-9, self.sim.now - window_start)
-        contributions: List[float] = []
-        for report in self._reports:
-            conn_start = report.reported_at - report.duration_s
-            overlap = min(report.reported_at, self.sim.now) - max(
-                conn_start, window_start
-            )
-            if overlap <= 0 or report.duration_s <= 0:
-                continue
-            fraction = min(1.0, overlap / report.duration_s)
-            contributions.append(report.bytes_transferred * 8.0 * fraction)
-        bits = sum(self._bound_influence(contributions))
-        return min(1.0, bits / (self.capacity_bps * window_len))
+        for index in (p - self._popped for p in self._clocked):
+            self._bits[index] = self._bits_of(self._reports[index], window_start) or 0.0
+        contributions: Iterable[float] = self._bits
+        if self.robust is not None:  # the cap is a median over overlapping reports only
+            every = (self._bits_of(report, window_start) for report in self._reports)
+            contributions = self._bound_influence([b for b in every if b is not None])
+        return min(1.0, sum(contributions) / (self.capacity_bps * window_len))
+
+    def _bits_of(self, report: ConnectionReport, window_start: float) -> Optional[float]:
+        """Bits of ``report`` that fall inside the window (``None``: none)."""
+        conn_start = report.reported_at - report.duration_s
+        overlap = min(report.reported_at, self.sim.now) - max(conn_start, window_start)
+        if overlap <= 0 or report.duration_s <= 0:
+            return None
+        return report.bytes_transferred * 8.0 * min(1.0, overlap / report.duration_s)
 
     def _bound_influence(self, contributions: List[float]) -> List[float]:
         """Cap per-report goodput contributions under robust aggregation.
@@ -387,10 +434,11 @@ class ContextServer:
         cap = robust.influence_bound * _median(positive)
         return [min(c, cap) for c in contributions]
 
-    def _windowed_trim(self, values: List[float], fallback: float) -> float:
+    def _windowed_trim(self, field: str, fallback: float) -> float:
         robust = self.robust
-        if robust is None or len(values) < robust.min_reports_for_trim:
+        if robust is None or len(self._reports) < robust.min_reports_for_trim:
             return fallback
+        values = [getattr(report, field) for report in self._reports]
         return _trimmed_mean(values, robust.trim_fraction)
 
     def estimated_queue_delay(self) -> float:
@@ -402,9 +450,7 @@ class ContextServer:
         tails instead of being smoothed *into* the estimate.
         """
         self._expire_old_reports()
-        return self._windowed_trim(
-            [r.queue_delay_s for r in self._reports], self._queue_delay_ewma
-        )
+        return self._windowed_trim("queue_delay_s", self._queue_delay_ewma)
 
     def estimated_loss(self) -> float:
         """EWMA of reported loss indicators (informs conservative policies).
@@ -413,9 +459,7 @@ class ContextServer:
         :meth:`estimated_queue_delay`.
         """
         self._expire_old_reports()
-        return self._windowed_trim(
-            [r.loss_indicator for r in self._reports], self._loss_ewma
-        )
+        return self._windowed_trim("loss_indicator", self._loss_ewma)
 
     @property
     def active_connections(self) -> int:
@@ -433,8 +477,8 @@ class ContextServer:
         n = self.active_connections
         fair_share = self.capacity_bps / max(1, n) / 1e6
         return CongestionContext(
-            utilization=self.estimated_utilization(),
-            queue_delay_s=self.estimated_queue_delay(),
+            utilization=self.estimated_utilization(),  # advances the window for both
+            queue_delay_s=self._windowed_trim("queue_delay_s", self._queue_delay_ewma),
             competing_senders=float(n),
             timestamp=self.sim.now,
             fair_share_mbps=fair_share,
