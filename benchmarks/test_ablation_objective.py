@@ -10,8 +10,7 @@ import math
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import FIG2B_HIGH_UTILIZATION, cubic_evaluator
-from repro.phi.optimizer import sweep
+from repro.experiments import FIG2B_HIGH_UTILIZATION, run_table2_sweep
 from repro.transport import CubicParams
 
 GRID = [
@@ -36,10 +35,13 @@ def _objectives(result):
 
 
 def _run():
-    evaluator = cubic_evaluator(
-        FIG2B_HIGH_UTILIZATION, base_seed=400, duration_s=scaled(20.0, 60.0)
-    )
-    return sweep(evaluator, GRID, n_runs=scaled(2, 6))
+    return run_table2_sweep(
+        FIG2B_HIGH_UTILIZATION,
+        GRID,
+        n_runs=scaled(2, 6),
+        base_seed=400,
+        duration_s=scaled(20.0, 60.0),
+    )[0]
 
 
 def test_ablation_objective_choice(benchmark, capfd):

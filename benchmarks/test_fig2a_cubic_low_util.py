@@ -10,8 +10,8 @@ slow-start threshold than the default, and wins on P_l.
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import FIG2A_LOW_UTILIZATION, cubic_evaluator
-from repro.phi.optimizer import select_optimal, sweep
+from repro.experiments import FIG2A_LOW_UTILIZATION, run_table2_sweep
+from repro.phi.optimizer import select_optimal
 from repro.transport import CubicParams, cubic_sweep_grid
 
 REDUCED_GRID = [
@@ -28,12 +28,13 @@ REDUCED_GRID = [
 
 def _run_sweep():
     grid = REDUCED_GRID if not scaled(False, True) else list(cubic_sweep_grid())
-    evaluator = cubic_evaluator(
+    return run_table2_sweep(
         FIG2A_LOW_UTILIZATION,
+        grid,
+        n_runs=scaled(2, 8),
         base_seed=100,
         duration_s=scaled(25.0, 60.0),
-    )
-    return sweep(evaluator, grid, n_runs=scaled(2, 8))
+    )[0]
 
 
 def test_fig2a_low_utilization_sweep(benchmark, capfd):

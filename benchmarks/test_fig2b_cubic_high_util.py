@@ -12,9 +12,9 @@ from bench_common import report, run_once, scaled
 from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
     FIG2B_HIGH_UTILIZATION,
-    cubic_evaluator,
+    run_table2_sweep,
 )
-from repro.phi.optimizer import select_optimal, sweep
+from repro.phi.optimizer import select_optimal
 from repro.transport import CubicParams
 
 REDUCED_GRID = [
@@ -29,20 +29,20 @@ REDUCED_GRID = [
 
 
 def _run_sweeps():
-    high = sweep(
-        cubic_evaluator(
-            FIG2B_HIGH_UTILIZATION, base_seed=200, duration_s=scaled(25.0, 60.0)
-        ),
+    high = run_table2_sweep(
+        FIG2B_HIGH_UTILIZATION,
         REDUCED_GRID,
         n_runs=scaled(2, 8),
-    )
-    low = sweep(
-        cubic_evaluator(
-            FIG2A_LOW_UTILIZATION, base_seed=100, duration_s=scaled(25.0, 60.0)
-        ),
+        base_seed=200,
+        duration_s=scaled(25.0, 60.0),
+    )[0]
+    low = run_table2_sweep(
+        FIG2A_LOW_UTILIZATION,
         REDUCED_GRID,
         n_runs=scaled(2, 8),
-    )
+        base_seed=100,
+        duration_s=scaled(25.0, 60.0),
+    )[0]
     return high, low
 
 

@@ -11,8 +11,8 @@ from statistics import mean
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import FIG2B_HIGH_UTILIZATION, cubic_evaluator
-from repro.phi.optimizer import leave_one_out, sweep
+from repro.experiments import FIG2B_HIGH_UTILIZATION, run_table2_sweep
+from repro.phi.optimizer import leave_one_out
 from repro.transport import CubicParams
 
 GRID = [
@@ -25,10 +25,13 @@ GRID = [
 
 
 def _run():
-    evaluator = cubic_evaluator(
-        FIG2B_HIGH_UTILIZATION, base_seed=300, duration_s=scaled(20.0, 60.0)
-    )
-    results = sweep(evaluator, GRID, n_runs=scaled(4, 8))
+    results = run_table2_sweep(
+        FIG2B_HIGH_UTILIZATION,
+        GRID,
+        n_runs=scaled(4, 8),
+        base_seed=300,
+        duration_s=scaled(20.0, 60.0),
+    )[0]
     return results, leave_one_out(results)
 
 

@@ -20,10 +20,8 @@ without writing Python:
 - ``repro-phi postmortem`` — per-flow timelines and stall attribution
   from a flight-recorder dump (see :mod:`repro.flightrec`).
 
-``cubic``, ``phi``, and ``sweep`` accept ``--profile`` (print the
-hottest event callbacks); ``poison`` and ``partition`` accept
-``--flightrec-out dump.jsonl`` (flight-record the sweep and dump it on
-a safety-envelope violation).
+``poison`` and ``partition`` accept ``--flightrec-out dump.jsonl``
+(flight-record the sweep and dump it on a safety-envelope violation).
 
 ``cubic``, ``phi``, ``sweep``, ``poison`` and ``partition`` accept
 ``--metrics-out manifest.json`` (telemetry run manifest: merged metrics,
@@ -138,23 +136,6 @@ def _observed_run(
     return result
 
 
-def _print_profile(profile: Optional[dict], k: int = 10) -> None:
-    """Render the top-``k`` hottest event callbacks of a profiled run."""
-    if not profile:
-        print("no profile collected", file=sys.stderr)
-        return
-    callbacks = profile.get("callbacks") or []
-    print(f"profile: {profile['events']:,} events in "
-          f"{profile['wall_seconds']:.2f}s wall "
-          f"({profile['events_per_second']:,.0f} events/s)")
-    print(f"{'callback':<58s} {'count':>10s} {'total s':>9s} {'avg us':>8s}")
-    for row in callbacks[:k]:
-        count = row["count"]
-        avg_us = (row["total_s"] / count * 1e6) if count else 0.0
-        print(f"{row['callback']:<58s} {count:>10,d} "
-              f"{row['total_s']:>9.3f} {avg_us:>8.1f}")
-
-
 def _preset_or_exit(name: str):
     preset = PRESETS.get(name)
     if preset is None:
@@ -202,14 +183,12 @@ def cmd_cubic(args: argparse.Namespace) -> int:
         args, "cubic", preset,
         partial(
             run_cubic_fixed, params, preset, seed=args.seed,
-            duration_s=args.duration, profile=args.profile,
+            duration_s=args.duration,
         ),
         {"params": params.as_dict()},
     )
     _print_metrics(f"cubic wI={params.window_init:.0f} "
                    f"ssthr={params.initial_ssthresh:.0f} beta={params.beta}", result)
-    if args.profile:
-        _print_profile(result.profile)
     return 0
 
 
@@ -220,13 +199,11 @@ def cmd_phi(args: argparse.Namespace) -> int:
         args, "phi", preset,
         partial(
             run_phi_cubic, REFERENCE_POLICY, preset, mode, seed=args.seed,
-            duration_s=args.duration, profile=args.profile,
+            duration_s=args.duration,
         ),
         {"mode": mode.value},
     )
     _print_metrics(f"cubic-phi ({mode.value})", result)
-    if args.profile:
-        _print_profile(result.profile)
     return 0
 
 
@@ -255,41 +232,6 @@ def _float_list(text: str) -> List[float]:
     if not values:
         raise argparse.ArgumentTypeError("need at least one value")
     return values
-
-
-def _merge_point_profiles(points) -> Optional[dict]:
-    """Aggregate per-point run-loop profiles into one sweep-wide view.
-
-    Cached/resumed points carry no profile sidecar; they simply do not
-    contribute (the header line reports what was actually measured).
-    """
-    events = 0
-    wall = 0.0
-    merged: dict = {}
-    seen = False
-    for point in points:
-        profile = point.profile
-        if not profile:
-            continue
-        seen = True
-        events += profile.get("events", 0)
-        wall += profile.get("wall_seconds", 0.0)
-        for row in profile.get("callbacks") or []:
-            stat = merged.setdefault(row["callback"], [0, 0.0])
-            stat[0] += row["count"]
-            stat[1] += row["total_s"]
-    if not seen:
-        return None
-    ranked = sorted(merged.items(), key=lambda item: -item[1][1])
-    return {
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_second": events / wall if wall > 0 else 0.0,
-        "callbacks": [
-            {"callback": name, "count": stat[0], "total_s": stat[1]}
-            for name, stat in ranked
-        ],
-    }
 
 
 def _sweep_resilience(args: argparse.Namespace) -> ResilienceConfig:
@@ -344,7 +286,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             flightrec_dir=args.flightrec_dir,
-            profile=args.profile,
             **common,
         )
         if tele is not None:
@@ -406,9 +347,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           f"retries={parallel_outcome.retries} "
           f"quarantined={len(parallel_outcome.quarantined)}"
           + (" [serial fallback]" if parallel_outcome.serial_fallback else ""))
-
-    if args.profile:
-        _print_profile(_merge_point_profiles(parallel_outcome.points))
 
     results = parallel_outcome.to_sweep_results()
     if results:
@@ -773,20 +711,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ssthresh", type=float, default=65536.0)
             p.add_argument("--beta", type=float, default=0.2)
 
-    def add_profile_arg(p):
-        p.add_argument("--profile", action="store_true",
-                       help="time every event callback; print the hottest ones")
-
     cubic = sub.add_parser("cubic", help="fixed-parameter Cubic run")
     add_run_args(cubic)
     add_observed_run_args(cubic)
-    add_profile_arg(cubic)
     cubic.set_defaults(func=cmd_cubic)
 
     phi = sub.add_parser("phi", help="Phi-coordinated Cubic run")
     add_run_args(phi, with_params=False)
     add_observed_run_args(phi)
-    add_profile_arg(phi)
     phi.add_argument("--mode", choices=["practical", "ideal"], default="practical")
     phi.set_defaults(func=cmd_phi)
 
@@ -837,7 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--flightrec-dir", default=None, dest="flightrec_dir",
                        help="arm the per-point flight recorder; anomaly dumps "
                             "land here (default: the checkpoint dir, when set)")
-    add_profile_arg(sweep)
     add_metrics_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

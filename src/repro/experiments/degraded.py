@@ -27,7 +27,6 @@ from ..phi.channel import (
 from ..phi.fallback import ResilientContextClient, resilient_phi_cubic_factory
 from ..phi.policy import PolicyTable
 from ..phi.server import ContextServer
-from ..transport.cubic import CubicParams
 from .dumbbell import ExperimentEnv, ScenarioResult
 from .faultsweep import (
     FaultScenario,
@@ -36,6 +35,16 @@ from .faultsweep import (
     run_fault_sweep,
 )
 from .scenarios import ScenarioPreset, run_with_control_plane
+
+
+def experiment_breaker(env: ExperimentEnv) -> CircuitBreaker:
+    """The circuit breaker every fault experiment puts on a channel.
+
+    A breaker whose cool-down dwarfs the outage cadence would stay open
+    through entire recovery windows; keep the reset short relative to
+    the injected outage period.
+    """
+    return CircuitBreaker(lambda: env.sim.now, failure_threshold=5, reset_timeout_s=1.0)
 
 
 def schedule_unavailability(
@@ -99,9 +108,6 @@ def run_degraded_phi_cubic(
     channel_config: Optional[ChannelConfig] = None,
     outage_period_s: float = 5.0,
     lease_ttl_s: Optional[float] = 60.0,
-    fallback_params: Optional[CubicParams] = None,
-    breaker_failure_threshold: int = 5,
-    breaker_reset_s: float = 1.0,
 ) -> DegradedRunResult:
     """Phi-coordinated Cubic behind a failing control plane.
 
@@ -111,8 +117,7 @@ def run_degraded_phi_cubic(
     :class:`ResilientContextClient`.  With ``unavailability=0`` and a
     loss-free channel this is exactly ``run_phi_cubic`` (practical
     mode); with ``unavailability=1`` every connection falls back to
-    ``fallback_params`` (stock Cubic by default), i.e. the uncoordinated
-    baseline.
+    stock Cubic, i.e. the uncoordinated baseline.
     """
     duration = duration_s if duration_s is not None else preset.duration_s
 
@@ -129,14 +134,7 @@ def run_degraded_phi_cubic(
             server,
             config=cfg,
             rng=env.rngs.stream("control-channel") if needs_rng else None,
-            # A breaker whose cool-down dwarfs the outage cadence would
-            # stay open through entire recovery windows; keep the reset
-            # short relative to the injected outage period.
-            breaker=CircuitBreaker(
-                lambda: env.sim.now,
-                failure_threshold=breaker_failure_threshold,
-                reset_timeout_s=breaker_reset_s,
-            ),
+            breaker=experiment_breaker(env),
         )
         schedule_unavailability(
             channel,
@@ -147,9 +145,7 @@ def run_degraded_phi_cubic(
         client = ResilientContextClient(
             channel, now=lambda: env.sim.now, staleness_ttl_s=staleness_ttl_s
         )
-        factory = resilient_phi_cubic_factory(
-            client, policy, now=lambda: env.sim.now, fallback_params=fallback_params
-        )
+        factory = resilient_phi_cubic_factory(client, policy, now=lambda: env.sim.now)
         return factory, (client, channel, server)
 
     result, (client, channel, server) = run_with_control_plane(

@@ -9,7 +9,7 @@ outcome.  Benches, tests, and examples all go through these entry points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .. import simcheck
 from ..metrics.summary import RunMetrics, summarize_connections
@@ -48,7 +48,6 @@ class ExperimentEnv:
         watchdog: Optional[WatchdogConfig] = None,
         checked: Optional[bool] = None,
         check_report: Optional[ViolationReport] = None,
-        profile: bool = False,
     ) -> "ExperimentEnv":
         """Build the topology and start the bottleneck monitor.
 
@@ -73,10 +72,6 @@ class ExperimentEnv:
             sim = Simulator()
         if watchdog is not None:
             sim.install_watchdog(SimWatchdog(watchdog))
-        if profile:
-            # Per-callback timing for ``--profile`` runs; observes wall
-            # time only, never the simulated trajectory.
-            sim.enable_profiling(callbacks=True)
         topology = DumbbellTopology(sim, config or DumbbellConfig())
         monitor = LinkMonitor(sim, topology.bottleneck, period_s=monitor_period_s)
         monitor.start()
@@ -125,8 +120,6 @@ class ScenarioResult:
     duration_s: float
     connections: int
     events_processed: int = 0
-    #: Run-loop profile (``SimProfile.as_dict()``) when profiling was on.
-    profile: Optional[Dict[str, Any]] = None
 
     def sender_metrics(self, indices: Sequence[int]) -> RunMetrics:
         """Metrics restricted to a subset of sender slots (Figure 4)."""
@@ -142,6 +135,10 @@ class ScenarioResult:
 
 FactoryForSlot = Callable[[int, ExperimentEnv], SenderFactory]
 
+#: Long-running scenarios report utilization from here on, so slow-start
+#: transients do not dilute the steady-state picture.
+LONG_RUNNING_WARMUP_S = 5.0
+
 
 def run_onoff_scenario(
     factory_for_slot: FactoryForSlot,
@@ -150,13 +147,11 @@ def run_onoff_scenario(
     workload: Optional[OnOffConfig] = None,
     duration_s: float = 60.0,
     seed: int = 0,
-    include_unfinished: bool = False,
     watchdog: Optional[WatchdogConfig] = None,
     checked: Optional[bool] = None,
     check_report: Optional[ViolationReport] = None,
     slot_order: Optional[Sequence[int]] = None,
     monitor_period_s: float = 0.1,
-    profile: bool = False,
     fault_hook: Optional[Callable[["ExperimentEnv"], Iterable[object]]] = None,
 ) -> ScenarioResult:
     """Run the paper's on/off workload over a fresh dumbbell.
@@ -183,7 +178,6 @@ def run_onoff_scenario(
         watchdog=watchdog,
         checked=checked,
         check_report=check_report,
-        profile=profile,
     )
     faults: List[object] = list(fault_hook(env)) if fault_hook is not None else []
     workload = workload or OnOffConfig()
@@ -214,7 +208,7 @@ def run_onoff_scenario(
     if env.checked:
         env.audit(faults)
 
-    per_sender = [src.all_stats(include_active=include_unfinished) for src in sources]
+    per_sender = [src.all_stats() for src in sources]
     return _summarize(env, per_sender, duration_s)
 
 
@@ -224,19 +218,16 @@ def run_long_running_scenario(
     config: Optional[DumbbellConfig] = None,
     duration_s: float = 60.0,
     seed: int = 0,
-    warmup_s: float = 5.0,
     watchdog: Optional[WatchdogConfig] = None,
     checked: Optional[bool] = None,
     check_report: Optional[ViolationReport] = None,
-    profile: bool = False,
     fault_hook: Optional[Callable[["ExperimentEnv"], Iterable[object]]] = None,
 ) -> ScenarioResult:
     """Run persistent bulk flows (the Figure 2c setting).
 
     Flows start within the first second; statistics cover the whole run
-    but utilization is reported post-warmup so slow-start transients do
-    not dilute the steady-state picture.  ``fault_hook`` behaves as in
-    :func:`run_onoff_scenario`.
+    but utilization is reported past :data:`LONG_RUNNING_WARMUP_S`.
+    ``fault_hook`` behaves as in :func:`run_onoff_scenario`.
     """
     env = ExperimentEnv.create(
         config,
@@ -244,7 +235,6 @@ def run_long_running_scenario(
         watchdog=watchdog,
         checked=checked,
         check_report=check_report,
-        profile=profile,
     )
     faults: List[object] = list(fault_hook(env)) if fault_hook is not None else []
     n = env.topology.config.n_senders
@@ -267,7 +257,7 @@ def run_long_running_scenario(
     per_sender = [[flow.finish()] for flow in flows]
     result = _summarize(env, per_sender, duration_s)
     # Recompute utilization excluding warm-up.
-    post_warmup = env.monitor.mean_utilization(since=warmup_s)
+    post_warmup = env.monitor.mean_utilization(since=LONG_RUNNING_WARMUP_S)
     result.mean_utilization = post_warmup
     result.metrics = RunMetrics(
         throughput_mbps=result.metrics.throughput_mbps,
@@ -302,7 +292,6 @@ def _summarize(
         duration_s=duration_s,
         connections=len(all_stats),
         events_processed=env.sim.events_processed,
-        profile=env.sim.profile.as_dict() if env.sim.profile is not None else None,
     )
 
 

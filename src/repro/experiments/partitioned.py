@@ -49,9 +49,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.summary import RunMetrics
-from ..phi.channel import ChannelConfig, CircuitBreaker, ControlChannel
+from ..phi.channel import ChannelConfig, ControlChannel
 from ..phi.deployment import DeploymentMode
-from ..phi.failover import FailoverChannel, FailoverConfig
+from ..phi.failover import FailoverChannel
 from ..phi.fallback import ResilientContextClient, resilient_phi_cubic_factory
 from ..phi.policy import PolicyTable
 from ..phi.replication import (
@@ -60,7 +60,7 @@ from ..phi.replication import (
     ReplicationConfig,
 )
 from ..simnet.faults import FaultInjector
-from ..transport.cubic import CubicParams
+from .degraded import experiment_breaker
 from .dumbbell import ExperimentEnv, ScenarioResult
 from .faultsweep import (
     Baseline,
@@ -135,11 +135,7 @@ def run_partitioned_phi_cubic(
     anti_entropy_period_s: float = 1.0,
     quorum_staleness_s: float = 5.0,
     channel_config: Optional[ChannelConfig] = None,
-    failover_config: Optional[FailoverConfig] = None,
     lease_ttl_s: Optional[float] = 60.0,
-    fallback_params: Optional[CubicParams] = None,
-    breaker_failure_threshold: int = 5,
-    breaker_reset_s: float = 1.0,
 ) -> PartitionRunResult:
     """Phi-coordinated Cubic on a replicated, partitionable control plane.
 
@@ -190,25 +186,11 @@ def run_partitioned_phi_cubic(
                     if needs_rng
                     else None
                 ),
-                breaker=CircuitBreaker(
-                    lambda: env.sim.now,
-                    failure_threshold=breaker_failure_threshold,
-                    reset_timeout_s=breaker_reset_s,
-                ),
+                breaker=experiment_breaker(env),
             )
             for index in range(n_replicas)
         ]
-        fo_cfg = failover_config or FailoverConfig()
-        failover = FailoverChannel(
-            env.sim,
-            channels,
-            rng=(
-                env.rngs.stream("failover-suspend")
-                if fo_cfg.suspend_jitter > 0
-                else None
-            ),
-            config=fo_cfg,
-        )
+        failover = FailoverChannel(env.sim, channels, rng=env.rngs.stream("failover-suspend"))
         injector = FaultInjector(env.sim)
         if cut and heal_s > 0:
             kept = [i for i in range(n_replicas) if i not in cut]
@@ -223,9 +205,7 @@ def run_partitioned_phi_cubic(
         client = ResilientContextClient(
             failover, now=lambda: env.sim.now, staleness_ttl_s=staleness_ttl_s
         )
-        factory = resilient_phi_cubic_factory(
-            client, policy, now=lambda: env.sim.now, fallback_params=fallback_params
-        )
+        factory = resilient_phi_cubic_factory(client, policy, now=lambda: env.sim.now)
         return factory, (service, failover, client)
 
     result, (service, failover, client) = run_with_control_plane(

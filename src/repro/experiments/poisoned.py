@@ -56,7 +56,6 @@ from ..phi.guard import ContextGuard, GuardConfig
 from ..phi.policy import PolicyTable
 from ..phi.server import ContextServer, RobustAggregationConfig
 from ..phi.trust import TrustTracker
-from ..transport.cubic import CubicParams
 from .dumbbell import ExperimentEnv, ScenarioResult
 from .faultsweep import (
     Baseline,
@@ -108,9 +107,7 @@ def run_poisoned_phi_cubic(
     staleness_ttl_s: float = 10.0,
     channel_config: Optional[ChannelConfig] = None,
     robust: Optional[RobustAggregationConfig] = None,
-    guard_config: Optional[GuardConfig] = None,
     trust: Optional[TrustTracker] = None,
-    fallback_params: Optional[CubicParams] = None,
 ) -> PoisonRunResult:
     """Phi-coordinated Cubic behind a lying control plane.
 
@@ -120,9 +117,8 @@ def run_poisoned_phi_cubic(
     robust server aggregation, a capacity-aware :class:`ContextGuard`,
     and a :class:`TrustTracker` gating the DISTRUSTED decision.  With
     ``guarded=False`` the stack trusts everything it hears — the
-    ablation showing why the defences exist.  ``robust``,
-    ``guard_config``, and ``trust`` override individual layers of the
-    guarded stack.
+    ablation showing why the defences exist.  ``robust`` and ``trust``
+    override individual layers of the guarded stack.
     """
     if not 0.0 <= severity <= 1.0:
         raise ValueError(f"severity must be in [0, 1]: {severity}")
@@ -163,8 +159,7 @@ def run_poisoned_phi_cubic(
         guard = trust_tracker = None
         if guarded:
             guard = ContextGuard(
-                guard_config
-                or GuardConfig(capacity_mbps=env.bottleneck_capacity_bps / 1e6),
+                GuardConfig(capacity_mbps=env.bottleneck_capacity_bps / 1e6),
                 now=lambda: env.sim.now,
             )
             trust_tracker = trust or TrustTracker()
@@ -175,10 +170,7 @@ def run_poisoned_phi_cubic(
             guard=guard,
             trust=trust_tracker,
         )
-        factory = resilient_phi_cubic_factory(
-            client, policy, now=lambda: env.sim.now,
-            fallback_params=fallback_params,
-        )
+        factory = resilient_phi_cubic_factory(client, policy, now=lambda: env.sim.now)
         return factory, (client, server, layer, guard, trust_tracker)
 
     result, (client, server, layer, guard, tracker) = run_with_control_plane(

@@ -2,8 +2,8 @@
 
 Encodes the paper's workload settings (Sections 2.2.1-2.2.4) as presets
 and provides one-call runners for each arm of the evaluation: fixed-
-parameter Cubic (sweep evaluator), Phi-coordinated Cubic in ideal and
-practical modes, and partial deployments.
+parameter Cubic (the Table-2 sweep's unit of work), Phi-coordinated
+Cubic in ideal and practical modes, and partial deployments.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from ..phi.client import (
     plain_cubic_factory,
 )
 from ..phi.deployment import deployment_factories, split_stats
-from ..phi.optimizer import Evaluator
 from ..phi.policy import PolicyTable
 from ..phi.server import ContextServer, IdealContextOracle
 from ..metrics.summary import summarize_connections
@@ -185,7 +184,6 @@ def run_cubic_fixed(
     check_report=None,
     slot_order: Optional[Sequence[int]] = None,
     monitor_period_s: float = 0.1,
-    profile: bool = False,
     fault_hook=None,
 ) -> ScenarioResult:
     """All senders run Cubic with one fixed parameter setting.
@@ -211,30 +209,9 @@ def run_cubic_fixed(
         watchdog=watchdog,
         checked=checked,
         check_report=check_report,
-        profile=profile,
         fault_hook=fault_hook,
         **onoff_only,
     )
-
-
-def cubic_evaluator(
-    preset: ScenarioPreset,
-    base_seed: int = 0,
-    duration_s: Optional[float] = None,
-) -> Evaluator:
-    """An :data:`~repro.phi.optimizer.Evaluator` for the Table-2 sweep.
-
-    Run ``i`` of every parameter setting shares seed ``base_seed + i`` so
-    the leave-one-out comparison sees identical workloads across settings.
-    """
-
-    def evaluate(params: CubicParams, run_index: int) -> RunMetrics:
-        result = run_cubic_fixed(
-            params, preset, seed=base_seed + run_index, duration_s=duration_s
-        )
-        return result.metrics
-
-    return evaluate
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +223,6 @@ def run_phi_cubic(
     mode: SharingMode = SharingMode.PRACTICAL,
     seed: int = 0,
     duration_s: Optional[float] = None,
-    profile: bool = False,
 ) -> ScenarioResult:
     """All senders use Phi: context lookup at start, report at end.
 
@@ -265,13 +241,7 @@ def run_phi_cubic(
             source = ContextServer(env.sim, env.bottleneck_capacity_bps)
         return phi_cubic_factory(source, policy, now=lambda: env.sim.now)
 
-    return run_preset(
-        uniform_slots(build),
-        preset,
-        seed=seed,
-        duration_s=duration_s,
-        profile=profile,
-    )
+    return run_preset(uniform_slots(build), preset, seed=seed, duration_s=duration_s)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Table-2 sweep drivers on top of :mod:`repro.runner`.
 
-This is the ported version of the old serial ``cubic_evaluator`` +
-``repro.phi.optimizer.sweep`` pipeline: the same (preset, grid, seeds)
-inputs and the same :class:`~repro.phi.optimizer.SweepResult` outputs,
-but evaluated by the multiprocess :class:`~repro.runner.SweepRunner`
-with per-point caching.  ``run_parameter_sweep(..., parallel=False)``
-is the drop-in serial baseline used for determinism checks and speedup
-measurements.
+The only Table-2 sweep path: (preset, grid, seeds) in,
+:class:`~repro.phi.optimizer.SweepResult` lists out, every point one
+:func:`~repro.experiments.scenarios.run_cubic_fixed` evaluated by the
+multiprocess :class:`~repro.runner.SweepRunner` with per-point caching.
+``run_parameter_sweep(..., parallel=False)`` is the in-process serial
+pass used for determinism checks.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ def run_parameter_sweep(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     flightrec_dir: Optional[str] = None,
-    profile: bool = False,
 ) -> SweepOutcome:
     """Sweep a Cubic parameter grid over ``preset`` via the runner.
 
@@ -54,8 +52,7 @@ def run_parameter_sweep(
     :class:`~repro.simnet.engine.SimWatchdog`).
 
     ``flightrec_dir`` arms the per-point flight recorder (dumps land
-    there on anomalies; defaults to ``checkpoint_dir``); ``profile``
-    collects per-callback run-loop timings on every point.
+    there on anomalies; defaults to ``checkpoint_dir``).
     """
     points = list(grid) if grid is not None else list(cubic_sweep_grid())
     cache = DiskCache(cache_dir) if cache_dir is not None else None
@@ -70,7 +67,6 @@ def run_parameter_sweep(
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         flightrec_dir=flightrec_dir,
-        profile=profile,
     )
     return runner.run(points, n_runs=n_runs, base_seed=base_seed, parallel=parallel)
 

@@ -191,7 +191,6 @@ def run_table3(
     preset: ScenarioPreset = TABLE3_REMY,
     n_runs: int = 4,
     duration_s: Optional[float] = None,
-    cubic_params: Optional[CubicParams] = None,
 ) -> Table3Result:
     """Evaluate all four Table-3 algorithms over ``n_runs`` seeds."""
     arms = [
@@ -204,7 +203,7 @@ def run_table3(
         ("Remy", lambda seed: run_remy_scenario(
             remy_table, SharingMode.NONE, preset, seed, duration_s
         )),
-        ("Cubic", lambda seed: _run_cubic(preset, seed, duration_s, cubic_params)),
+        ("Cubic", lambda seed: _run_cubic(preset, seed, duration_s)),
     ]
     rows = []
     for name, runner in arms:
@@ -220,10 +219,8 @@ def run_table3(
     return Table3Result(rows=rows)
 
 
-def _run_cubic(preset, seed, duration_s, params):
-    slots = uniform_slots(
-        lambda env: plain_cubic_factory(params or CubicParams.default())
-    )
+def _run_cubic(preset, seed, duration_s):
+    slots = uniform_slots(lambda env: plain_cubic_factory(CubicParams.default()))
     return run_onoff_scenario(
         slots,
         config=preset.config,

@@ -92,7 +92,6 @@ from .optimizer import (
     build_policy,
     leave_one_out,
     select_optimal,
-    sweep,
 )
 from .policy import REFERENCE_POLICY, PolicyDecision, PolicyTable
 from .server import (
@@ -174,5 +173,4 @@ __all__ = [
     "resilient_phi_cubic_factory",
     "select_optimal",
     "split_stats",
-    "sweep",
 ]

@@ -67,6 +67,35 @@ class RpcResult:
         return self.status is RpcStatus.OK
 
 
+def check_backoff(
+    what: str, base_s: float, multiplier: float, max_s: float, jitter: float = 0.0
+) -> None:
+    """Reject parameters :func:`exponential_backoff_s` cannot use."""
+    if base_s < 0 or max_s < 0:
+        raise ValueError(f"{what} bounds must be >= 0: {base_s}, {max_s}")
+    if multiplier < 1:
+        raise ValueError(f"{what} multiplier must be >= 1: {multiplier}")
+    if jitter < 0:
+        raise ValueError(f"{what} jitter must be >= 0: {jitter}")
+
+
+def exponential_backoff_s(
+    base_s: float, multiplier: float, max_s: float, k: int, jitter: float = 0.0, rng=None
+) -> float:
+    """The wait after the ``k``-th consecutive failure (0-based).
+
+    ``min(max_s, base_s * multiplier**k)``, scaled by ``1 + U[0, jitter)``
+    drawn from ``rng`` when ``jitter > 0``.  The one backoff formula:
+    channel retries, replica suspensions (:mod:`repro.phi.failover`) and
+    the sweep supervisor's point retries
+    (:mod:`repro.runner.resilience`) all wait this long.
+    """
+    wait = min(max_s, base_s * multiplier ** k)
+    if jitter > 0:
+        wait *= 1.0 + float(rng.uniform(0.0, jitter))
+    return wait
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Timing and reliability knobs for the control channel.
@@ -124,24 +153,17 @@ class ChannelConfig:
             raise ValueError(f"timeout must be positive: {self.timeout_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff bounds must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ValueError(
-                f"backoff multiplier must be >= 1: {self.backoff_multiplier}"
-            )
-        if self.backoff_jitter < 0:
-            raise ValueError(
-                f"backoff_jitter must be >= 0: {self.backoff_jitter}"
-            )
+        check_backoff(
+            "backoff", self.backoff_base_s, self.backoff_multiplier,
+            self.backoff_max_s, self.backoff_jitter,
+        )
         if self.deadline_s <= 0:
             raise ValueError(f"deadline must be positive: {self.deadline_s}")
 
     def backoff_s(self, attempt_index: int) -> float:
-        """Backoff before retry number ``attempt_index`` (0-based)."""
-        return min(
-            self.backoff_max_s,
-            self.backoff_base_s * self.backoff_multiplier ** attempt_index,
+        """Unjittered backoff before retry number ``attempt_index`` (0-based)."""
+        return exponential_backoff_s(
+            self.backoff_base_s, self.backoff_multiplier, self.backoff_max_s, attempt_index
         )
 
 
@@ -326,15 +348,30 @@ class ControlChannel:
         """Schedule an unavailability window on the simulator calendar."""
         if duration_s <= 0:
             raise ValueError(f"duration must be positive: {duration_s}")
+        end_s = start_s + duration_s
+        begin = ("fault_begin", self.mark_down, start_s, end_s)
+        end = ("fault_end", self.mark_up, start_s, end_s)
         if start_s <= self.sim.now:
             # Already inside (or at) the window start: take effect now.
-            self.mark_down()
-            self.sim.schedule_at(
-                max(self.sim.now, start_s + duration_s), self.mark_up
-            )
+            self._outage_edge(*begin)
+            self.sim.schedule_at(max(self.sim.now, end_s), self._outage_edge, *end)
             return
-        self.sim.schedule_at(start_s, self.mark_down)
-        self.sim.schedule_at(start_s + duration_s, self.mark_up)
+        self.sim.schedule_at(start_s, self._outage_edge, *begin)
+        self.sim.schedule_at(end_s, self._outage_edge, *end)
+
+    def _outage_edge(
+        self, kind: str, mark: Callable[[], None], start_s: float, end_s: float
+    ) -> None:
+        """One edge of a scheduled window: move the down-mark, and tell
+        the flight recorder, as the faults that drive ``mark_down`` /
+        ``mark_up`` themselves do."""
+        mark()
+        rec = _telemetry_session().flightrec
+        if rec.enabled:
+            rec.fault(
+                kind, self.sim.now, type(self).__name__,
+                detail={"fault": "ScheduledOutage", "start_s": start_s, "end_s": end_s},
+            )
 
     # ------------------------------------------------------------------
     # RPC surface
@@ -441,11 +478,12 @@ class ControlChannel:
             # worst-case (backoff + full timeout) follow-up attempt.
             if attempts > cfg.max_retries:
                 break
-            backoff = cfg.backoff_s(attempts - 1)
-            if cfg.backoff_jitter > 0:
-                # Jitter scales the wait *before* the deadline check so a
-                # jittered retry can never overrun the per-call budget.
-                backoff *= 1.0 + float(self.rng.uniform(0.0, cfg.backoff_jitter))
+            # Jitter scales the wait *before* the deadline check so a
+            # jittered retry can never overrun the per-call budget.
+            backoff = exponential_backoff_s(
+                cfg.backoff_base_s, cfg.backoff_multiplier, cfg.backoff_max_s,
+                attempts - 1, cfg.backoff_jitter, self.rng,
+            )
             if elapsed + backoff + cfg.timeout_s > cfg.deadline_s:
                 last_status = RpcStatus.DEADLINE_EXCEEDED
                 break

@@ -40,7 +40,14 @@ from typing import Dict, List, Optional, Sequence
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
 from ..transport.base import ConnectionStats
-from .channel import ControlChannel, RpcError, RpcResult, RpcStatus
+from .channel import (
+    ControlChannel,
+    RpcError,
+    RpcResult,
+    RpcStatus,
+    check_backoff,
+    exponential_backoff_s,
+)
 from .context import CongestionContext
 from .server import ConnectionReport
 
@@ -87,16 +94,10 @@ class FailoverConfig:
     def __post_init__(self) -> None:
         if not 0 < self.health_alpha <= 1:
             raise ValueError(f"health_alpha must be in (0, 1]: {self.health_alpha}")
-        if self.suspend_base_s < 0 or self.suspend_max_s < 0:
-            raise ValueError("suspension bounds must be >= 0")
-        if self.suspend_multiplier < 1:
-            raise ValueError(
-                f"suspend_multiplier must be >= 1: {self.suspend_multiplier}"
-            )
-        if self.suspend_jitter < 0:
-            raise ValueError(
-                f"suspend_jitter must be >= 0: {self.suspend_jitter}"
-            )
+        check_backoff(
+            "suspension", self.suspend_base_s, self.suspend_multiplier,
+            self.suspend_max_s, self.suspend_jitter,
+        )
         if self.probation_successes < 0:
             raise ValueError(
                 f"probation_successes must be >= 0: {self.probation_successes}"
@@ -240,14 +241,10 @@ class FailoverChannel:
         health.score = (1 - cfg.health_alpha) * health.score
         health.consecutive_failures += 1
         health.failures += 1
-        window = min(
-            cfg.suspend_max_s,
-            cfg.suspend_base_s
-            * cfg.suspend_multiplier ** (health.consecutive_failures - 1),
+        health.suspended_until = self.sim.now + exponential_backoff_s(
+            cfg.suspend_base_s, cfg.suspend_multiplier, cfg.suspend_max_s,
+            health.consecutive_failures - 1, cfg.suspend_jitter, self.rng,
         )
-        if cfg.suspend_jitter > 0:
-            window *= 1.0 + float(self.rng.uniform(0.0, cfg.suspend_jitter))
-        health.suspended_until = self.sim.now + window
         health.probation_left = cfg.probation_successes
         self.stats.suspensions += 1
 

@@ -324,18 +324,17 @@ def resilient_phi_cubic_factory(
     policy: PolicyTable,
     *,
     now: Callable[[], float],
-    fallback_params: Optional[CubicParams] = None,
 ):
     """A SenderFactory with fail-safe Phi coordination.
 
     FRESH/STALE contexts key the policy table exactly like
     :func:`~repro.phi.client.phi_cubic_factory`; FALLBACK and DISTRUSTED
-    connections use ``fallback_params`` (default: stock Cubic), making a
-    fully-partitioned — or fully-distrusting — deployment bit-identical
-    to the uncoordinated baseline.  Each finished connection feeds the
-    client's trust tracker (when one is attached) before reporting.
+    connections use stock Cubic, making a fully-partitioned — or
+    fully-distrusting — deployment bit-identical to the uncoordinated
+    baseline.  Each finished connection feeds the client's trust tracker
+    (when one is attached) before reporting.
     """
-    defaults = fallback_params if fallback_params is not None else CubicParams.default()
+    defaults = CubicParams.default()
 
     def factory(
         sim: Simulator,

@@ -1,13 +1,10 @@
-"""Offline parameter optimization: the Table-2 sweep and its analyses.
+"""Offline parameter optimization: analyses over a Table-2 sweep.
 
-The optimizer is decoupled from the simulator through an *evaluator*
-callable — ``evaluator(params, run_index) -> RunMetrics`` — so the same
-machinery drives full packet simulations (benches), reduced test
-fixtures, and analytic toy models.
+The optimizer never runs the simulator: it reads :class:`SweepResult`
+lists — one per grid point, its runs in run-index order — which
+:func:`repro.experiments.sweep.run_table2_sweep` produces (Figures
+2a-2c) and tests build by hand.
 
-Provides the paper's three analyses:
-
-- :func:`sweep` — evaluate a parameter grid, n runs each (Figures 2a-2c);
 - :func:`select_optimal` — the P_l-optimal setting;
 - :func:`leave_one_out` — Figure 3's stability validation ("for each
   workload, we take the 'optimal' parameter settings from one run and
@@ -17,14 +14,12 @@ Provides the paper's three analyses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..metrics.summary import RunMetrics
 from ..transport.cubic import CubicParams, cubic_sweep_grid
 from .context import CongestionLevel
 from .policy import PolicyTable
-
-Evaluator = Callable[[CubicParams, int], RunMetrics]
 
 #: The paper's Table 2 grid, materialized.
 CUBIC_SWEEP_GRID: List[CubicParams] = list(cubic_sweep_grid())
@@ -64,24 +59,6 @@ class SweepResult:
         if not self.runs:
             return 0.0
         return sum(run.loss_rate for run in self.runs) / len(self.runs)
-
-
-def sweep(
-    evaluator: Evaluator,
-    grid: Optional[Iterable[CubicParams]] = None,
-    n_runs: int = 8,
-) -> List[SweepResult]:
-    """Evaluate every grid point ``n_runs`` times (the paper uses n=8)."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    points = list(grid) if grid is not None else list(CUBIC_SWEEP_GRID)
-    results = []
-    for params in points:
-        result = SweepResult(params=params)
-        for run_index in range(n_runs):
-            result.runs.append(evaluator(params, run_index))
-        results.append(result)
-    return results
 
 
 def select_optimal(results: Sequence[SweepResult]) -> SweepResult:

@@ -80,9 +80,7 @@ class SweepSpec:
     rings to ``<flightrec_dir>/flightrec-<point_key>.jsonl`` before the
     exception propagates — the dump exists even when the supervisor
     later quarantines the point and the worker's memory is gone.
-    ``profile`` runs every point with per-callback run-loop profiling
-    and ships the profile back as a result sidecar.  All three are
-    observability knobs, excluded from cache keys.
+    All three are observability knobs, excluded from cache keys.
 
     ``fault`` injects a data-plane fault into every point:
     ``("outage", start_s, duration_s)`` takes the bottleneck link down
@@ -96,7 +94,6 @@ class SweepSpec:
     watchdog: Optional[WatchdogConfig] = None
     collect_telemetry: bool = False
     flightrec_dir: Optional[str] = None
-    profile: bool = False
     fault: Optional[Tuple[str, float, float]] = None
 
     @property
@@ -190,7 +187,6 @@ def evaluate_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
             seed=point.seed,
             duration_s=spec.duration_s,
             watchdog=spec.watchdog,
-            profile=spec.profile,
             fault_hook=_fault_hook(spec.fault),
         )
         if tele is not None:
@@ -209,7 +205,6 @@ def evaluate_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
         events_processed=result.events_processed,
         wall_seconds=wall,
         telemetry=snapshot,
-        profile=result.profile,
     )
 
 
@@ -342,9 +337,6 @@ class SweepRunner:
         ``flightrec-<point_key>.jsonl`` under this directory.  Defaults
         to ``checkpoint_dir`` (dumps land next to the sweep journal);
         pass ``""`` to disable recording for a checkpointed sweep.
-    profile:
-        Run every point with per-callback run-loop profiling; profiles
-        ride back on each computed :class:`PointResult`.
     fault:
         Inject a data-plane fault into every point, e.g.
         ``("outage", 5.0, 2.0)`` (bottleneck down for 2 s starting at
@@ -365,7 +357,6 @@ class SweepRunner:
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         flightrec_dir: Optional[str] = None,
-        profile: bool = False,
         fault: Optional[Tuple[str, float, float]] = None,
     ) -> None:
         if flightrec_dir is None:
@@ -375,7 +366,6 @@ class SweepRunner:
             duration_s=duration_s,
             watchdog=watchdog,
             flightrec_dir=flightrec_dir or None,
-            profile=profile,
             fault=fault,
         )
         self.n_workers = n_workers if n_workers is not None else _default_workers()
@@ -395,9 +385,9 @@ class SweepRunner:
     ) -> List[SweepPoint]:
         """The work list in deterministic (grid × run) order.
 
-        Seeds follow the serial evaluator's convention: run ``i`` of every
-        grid point shares ``base_seed + i`` so leave-one-out comparisons
-        see identical workloads across parameter settings.
+        Run ``i`` of every grid point shares seed ``base_seed + i`` so
+        leave-one-out comparisons see identical workloads across
+        parameter settings.
         """
         if n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -485,10 +475,10 @@ class SweepRunner:
             # drops them on serialization (to_dict excludes the field),
             # so strip them for MemoryCache too — cached points behave
             # identically whichever backend served them.
-            if result.telemetry is None and result.profile is None:
+            if result.telemetry is None:
                 self.cache.put(result)
             else:
-                self.cache.put(replace(result, telemetry=None, profile=None))
+                self.cache.put(replace(result, telemetry=None))
             if journal is not None:
                 journal.append(result)
             results[index] = result

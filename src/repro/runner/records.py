@@ -121,9 +121,6 @@ class PointResult:
     #: ``identical_to``, so telemetry can never perturb determinism
     #: checks or cached results.
     telemetry: Optional[Dict[str, Any]] = field(default=None, compare=False)
-    #: Worker-side run-loop profile (``SimProfile.as_dict()``) when the
-    #: sweep runs with profiling.  Same sidecar rules as ``telemetry``.
-    profile: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
     def identical_to(self, other: "PointResult") -> bool:
         """Bit-identical simulation outcome (wall time excluded).

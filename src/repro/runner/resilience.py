@@ -17,8 +17,8 @@ with it.  This module puts a supervisor between the runner and the pool:
   workers killed (a hung worker cannot be cancelled), are charged a
   timeout, and everything else is requeued for free.
 - **Budgeted retries** — failed points retry with exponential backoff
-  (the same policy shape as :class:`repro.phi.channel.ChannelConfig`:
-  ``min(base * multiplier**k, max)``, capped by a total backoff budget).
+  (:func:`repro.phi.channel.exponential_backoff_s`, the formula the
+  control channel retries by, capped by a total backoff budget).
 - **Quarantine** — a point that exhausts its attempts or budget lands in
   a reported "poisoned" list with its full failure history; the sweep
   completes with the surviving points instead of aborting.
@@ -43,6 +43,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..phi.channel import check_backoff, exponential_backoff_s
 from ..simnet.engine import SimulationStalled
 from ..telemetry import session as _telemetry_session
 from .records import PointResult
@@ -52,12 +53,12 @@ from .records import PointResult
 class RetryPolicy:
     """Budgeted exponential backoff for failed points.
 
-    Mirrors the backoff shape of
-    :class:`repro.phi.channel.ChannelConfig`: retry ``k`` (0-based)
-    waits ``min(backoff_base_s * backoff_multiplier**k, backoff_max_s)``,
-    and a point whose cumulative backoff would exceed
-    ``backoff_budget_s`` is quarantined instead of retried — the sweep's
-    analogue of the channel's hard deadline.
+    Retry ``k`` (0-based) waits
+    ``min(backoff_base_s * backoff_multiplier**k, backoff_max_s)``
+    (:func:`repro.phi.channel.exponential_backoff_s`), and a point whose
+    cumulative backoff would exceed ``backoff_budget_s`` is quarantined
+    instead of retried — the sweep's analogue of the channel's hard
+    deadline.
     """
 
     max_attempts: int = 3
@@ -69,12 +70,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff bounds must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ValueError(
-                f"backoff multiplier must be >= 1: {self.backoff_multiplier}"
-            )
+        check_backoff(
+            "backoff", self.backoff_base_s, self.backoff_multiplier, self.backoff_max_s
+        )
         if self.backoff_budget_s < 0:
             raise ValueError(
                 f"backoff budget must be >= 0: {self.backoff_budget_s}"
@@ -82,9 +80,8 @@ class RetryPolicy:
 
     def backoff_s(self, retry_index: int) -> float:
         """Backoff before retry number ``retry_index`` (0-based)."""
-        return min(
-            self.backoff_max_s,
-            self.backoff_base_s * self.backoff_multiplier ** retry_index,
+        return exponential_backoff_s(
+            self.backoff_base_s, self.backoff_multiplier, self.backoff_max_s, retry_index
         )
 
 

@@ -24,7 +24,7 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..telemetry import session as _telemetry_session
 
@@ -212,102 +212,6 @@ class EventHandle(list):
             sim._cancelled_pending += 1
 
 
-class PhaseTimer:
-    """Context manager that charges wall time to one named profile phase."""
-
-    __slots__ = ("_profile", "_name", "_started")
-
-    def __init__(self, profile: "SimProfile", name: str) -> None:
-        self._profile = profile
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "PhaseTimer":
-        self._started = _time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        elapsed = _time.perf_counter() - self._started
-        phases = self._profile.phase_seconds
-        phases[self._name] = phases.get(self._name, 0.0) + elapsed
-
-
-class SimProfile:
-    """Opt-in lightweight metrics for the event loop.
-
-    Tracks events executed and wall-clock seconds spent inside
-    :meth:`Simulator.run` / :meth:`Simulator.step`, plus arbitrary named
-    phases timed via :meth:`phase`.  Enabled through
-    :meth:`Simulator.enable_profiling`; when disabled the engine pays
-    nothing for it beyond a single ``is None`` check per ``run`` call.
-    """
-
-    __slots__ = (
-        "events",
-        "wall_seconds",
-        "run_calls",
-        "phase_seconds",
-        "callbacks",
-        "callback_stats",
-    )
-
-    def __init__(self, callbacks: bool = False) -> None:
-        self.events = 0
-        self.wall_seconds = 0.0
-        self.run_calls = 0
-        self.phase_seconds: Dict[str, float] = {}
-        #: When True, the run loop times each event callback individually
-        #: (slower; for ``--profile`` runs only).
-        self.callbacks = callbacks
-        #: ``qualname -> [count, total_seconds]``.  Event callbacks never
-        #: dispatch nested events synchronously, so total time is self
-        #: time at this granularity.
-        self.callback_stats: Dict[str, List[float]] = {}
-
-    def record_callback(self, name: str, elapsed: float) -> None:
-        """Charge one dispatched event to ``name``."""
-        stat = self.callback_stats.get(name)
-        if stat is None:
-            self.callback_stats[name] = [1, elapsed]
-        else:
-            stat[0] += 1
-            stat[1] += elapsed
-
-    def hottest(self, k: int = 10) -> List[Dict[str, Any]]:
-        """Top-``k`` event callbacks by total wall time, hottest first."""
-        ranked = sorted(
-            self.callback_stats.items(), key=lambda item: -item[1][1]
-        )
-        return [
-            {"callback": name, "count": int(stat[0]), "total_s": stat[1]}
-            for name, stat in ranked[:k]
-        ]
-
-    @property
-    def events_per_second(self) -> float:
-        """Executed events per wall-clock second (0 before any run)."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.events / self.wall_seconds
-
-    def phase(self, name: str) -> PhaseTimer:
-        """Time a named phase: ``with profile.phase("sweep"): ...``."""
-        return PhaseTimer(self, name)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict form: the ``profile`` sidecar on scenario and point results."""
-        out = {
-            "events": self.events,
-            "wall_seconds": self.wall_seconds,
-            "events_per_second": self.events_per_second,
-            "run_calls": self.run_calls,
-            "phase_seconds": dict(self.phase_seconds),
-        }
-        if self.callback_stats:
-            out["callbacks"] = self.hottest(k=len(self.callback_stats))
-        return out
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -329,7 +233,6 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
-        self._profile: Optional[SimProfile] = None
         self._watchdog: Optional[SimWatchdog] = None
 
     @property
@@ -346,24 +249,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of queued live (non-cancelled) events."""
         return len(self._heap) - self._cancelled_pending
-
-    @property
-    def profile(self) -> Optional[SimProfile]:
-        """The active :class:`SimProfile`, or None when profiling is off."""
-        return self._profile
-
-    def enable_profiling(self, callbacks: bool = False) -> SimProfile:
-        """Turn on run-loop metrics; returns the (idempotent) profile.
-
-        ``callbacks=True`` additionally times each event callback by
-        qualified name (``--profile`` in the CLI); upgrading an existing
-        profile to callback mode is allowed, downgrading is not.
-        """
-        if self._profile is None:
-            self._profile = SimProfile(callbacks=callbacks)
-        elif callbacks:
-            self._profile.callbacks = True
-        return self._profile
 
     @property
     def watchdog(self) -> Optional[SimWatchdog]:
@@ -453,9 +338,6 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        profile = self._profile
-        started = _time.perf_counter() if profile is not None else 0.0
-        profile_callbacks = profile is not None and profile.callbacks
         events_before = self._events_processed
         heap = self._heap
         pop = heapq.heappop
@@ -485,21 +367,9 @@ class Simulator:
                 self._now = time
                 self._events_processed += 1
                 executed += 1
-                if profile_callbacks:
-                    cb_started = _time.perf_counter()
-                    callback(*handle[3])
-                    profile.record_callback(
-                        getattr(callback, "__qualname__", repr(callback)),
-                        _time.perf_counter() - cb_started,
-                    )
-                else:
-                    callback(*handle[3])
+                callback(*handle[3])
         finally:
             self._running = False
-            if profile is not None:
-                profile.run_calls += 1
-                profile.wall_seconds += _time.perf_counter() - started
-                profile.events += self._events_processed - events_before
             # Telemetry is charged once per run() call, not per event, so
             # the hot loop above stays untouched (the <=2% overhead budget).
             tele = _telemetry_session()

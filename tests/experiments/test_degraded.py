@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import flightrec
 from repro.experiments import (
+    TABLE3_REMY,
     run_cubic_fixed,
     run_degraded_phi_cubic,
     run_phi_cubic,
@@ -10,6 +12,7 @@ from repro.experiments import (
     sweep_unavailability,
 )
 from repro.experiments.scenarios import ScenarioPreset
+from repro.flightrec.postmortem import fault_windows
 from repro.phi import REFERENCE_POLICY, ChannelConfig, ControlChannel, SharingMode
 from repro.phi.server import ContextServer
 from repro.simnet import DumbbellConfig, Simulator
@@ -124,6 +127,33 @@ class TestDegradedRuns:
         # returned; nothing is stranded at end of run unless the run
         # ended inside an outage window.
         assert degraded.pending_reports <= degraded.decision_counts["fallback"]
+
+    def test_scheduled_outages_reach_the_flight_recorder(self):
+        # X4 injects through ControlChannel.add_outage only, which used to
+        # emit nothing: stale/fallback decisions with no window to blame.
+        def run():
+            return run_degraded_phi_cubic(
+                REFERENCE_POLICY,
+                TABLE3_REMY,
+                unavailability=0.5,
+                seed=1,
+                duration_s=6.0,
+                outage_period_s=2.0,
+            )
+
+        unarmed = run()
+        with flightrec.use() as rec:
+            armed = run()
+        windows = fault_windows(rec.records())
+        assert [(w["start"], w["end"]) for w in windows] == [
+            (0.0, 1.0), (2.0, 3.0), (4.0, 5.0)
+        ]
+        edges = [r["kind"] for r in rec.records() if r["layer"] == "fault"]
+        assert edges == ["fault_begin", "fault_end"] * 3
+        assert armed.decision_counts["stale"] + armed.decision_counts["fallback"] > 0
+        assert armed.metrics == unarmed.metrics
+        assert armed.decision_counts == unarmed.decision_counts
+        assert armed.result.events_processed == unarmed.result.events_processed
 
     def test_sweep_rows_cover_fractions(self):
         rows = sweep_unavailability(

@@ -6,12 +6,12 @@ from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
     FIG2C_LONG_RUNNING,
     TABLE3_REMY,
-    cubic_evaluator,
     run_cubic_fixed,
     run_incremental_deployment,
     run_long_running_scenario,
     run_onoff_scenario,
     run_phi_cubic,
+    run_table2_sweep,
     uniform_slots,
 )
 from repro.experiments.dumbbell import ExperimentEnv
@@ -127,14 +127,22 @@ class TestPhiRunner:
             run_phi_cubic(REFERENCE_POLICY, QUICK, SharingMode.NONE)
 
 
-class TestEvaluator:
-    def test_evaluator_seeds_runs_consistently(self):
-        evaluator = cubic_evaluator(QUICK, base_seed=0)
-        a = evaluator(CubicParams.default(), 0)
-        b = evaluator(CubicParams.default(), 0)
-        assert a.throughput_mbps == b.throughput_mbps
-        c = evaluator(CubicParams.default(), 1)
-        assert c.throughput_mbps != a.throughput_mbps
+class TestTable2Sweep:
+    def test_runs_equal_per_seed_run_cubic_fixed(self):
+        grid = [
+            CubicParams.default(),
+            CubicParams(window_init=8, initial_ssthresh=32, beta=0.3),
+        ]
+        results, _ = run_table2_sweep(
+            QUICK, grid, n_runs=2, base_seed=5, duration_s=4.0, n_workers=1
+        )
+        assert [result.params for result in results] == grid
+        for result in results:
+            assert result.runs == [
+                run_cubic_fixed(result.params, QUICK, seed=5 + run, duration_s=4.0).metrics
+                for run in range(2)
+            ]
+            assert result.runs[0] != result.runs[1]
 
 
 class TestIncrementalRunner:

@@ -8,9 +8,9 @@ policy beats the defaults it was derived against.
 
 import pytest
 
-from repro.experiments import cubic_evaluator, run_cubic_fixed, run_phi_cubic
+from repro.experiments import run_cubic_fixed, run_phi_cubic, run_table2_sweep
 from repro.experiments.scenarios import ScenarioPreset
-from repro.phi import CongestionLevel, SharingMode, build_policy, sweep
+from repro.phi import CongestionLevel, SharingMode, build_policy
 from repro.simnet import DumbbellConfig
 from repro.transport import CubicParams
 from repro.workload import OnOffConfig
@@ -40,8 +40,8 @@ GRID = [
 
 @pytest.fixture(scope="module")
 def trained_policy():
-    light_results = sweep(cubic_evaluator(LIGHT, base_seed=50), GRID, n_runs=2)
-    heavy_results = sweep(cubic_evaluator(HEAVY, base_seed=60), GRID, n_runs=2)
+    light_results = run_table2_sweep(LIGHT, GRID, n_runs=2, base_seed=50)[0]
+    heavy_results = run_table2_sweep(HEAVY, GRID, n_runs=2, base_seed=60)[0]
     return build_policy(
         {
             CongestionLevel.LOW: light_results,

@@ -10,7 +10,6 @@ from repro.phi.optimizer import (
     build_policy,
     leave_one_out,
     select_optimal,
-    sweep,
 )
 from repro.phi.policy import REFERENCE_POLICY, PolicyTable
 from repro.transport.cubic import CubicParams
@@ -63,23 +62,6 @@ class TestPolicyTable:
 class TestSweep:
     def test_grid_matches_table2(self):
         assert len(CUBIC_SWEEP_GRID) == 576
-
-    def test_sweep_runs_evaluator(self):
-        calls = []
-
-        def evaluator(params, run_index):
-            calls.append((params, run_index))
-            return metrics()
-
-        grid = [CubicParams.default(), CubicParams(window_init=4)]
-        results = sweep(evaluator, grid, n_runs=3)
-        assert len(results) == 2
-        assert all(len(r.runs) == 3 for r in results)
-        assert len(calls) == 6
-
-    def test_sweep_rejects_zero_runs(self):
-        with pytest.raises(ValueError):
-            sweep(lambda p, i: metrics(), [CubicParams.default()], n_runs=0)
 
     def test_select_optimal_by_power_l(self):
         good = SweepResult(CubicParams(window_init=8), [metrics(throughput=5)])

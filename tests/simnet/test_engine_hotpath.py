@@ -3,8 +3,8 @@
 Covers the ``run(until=..., max_events=...)`` clock bug (the loop used
 to fast-forward ``now`` to ``until`` even when it stopped early on
 ``max_events``, stranding still-pending events in the past), tie-break
-ordering, O(1) pending-event accounting, what a handle means after its
-event fired or the calendar was cleared, and the opt-in profiling hook.
+ordering, O(1) pending-event accounting, and what a handle means after
+its event fired or the calendar was cleared.
 """
 
 import pytest
@@ -240,65 +240,6 @@ class TestHandleSemantics:
         handle.cancel()
         assert not handle.cancelled
         assert sim.pending_events == 1
-
-
-class TestProfilingHook:
-    def test_profiling_off_by_default(self):
-        assert Simulator().profile is None
-
-    def test_enable_is_idempotent(self):
-        sim = Simulator()
-        profile = sim.enable_profiling()
-        assert sim.enable_profiling() is profile
-
-    def test_counts_events_and_wall_time(self):
-        sim = Simulator()
-        profile = sim.enable_profiling()
-        for i in range(100):
-            sim.schedule(float(i + 1), lambda: None)
-        sim.run()
-        assert profile.events == 100
-        assert profile.run_calls == 1
-        assert profile.wall_seconds > 0.0
-        assert profile.events_per_second > 0.0
-
-    def test_counts_accumulate_across_runs(self):
-        sim = Simulator()
-        profile = sim.enable_profiling()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert profile.events == 2
-        assert profile.run_calls == 2
-
-    def test_phase_timers_accumulate(self):
-        sim = Simulator()
-        profile = sim.enable_profiling()
-        with profile.phase("setup"):
-            pass
-        with profile.phase("setup"):
-            pass
-        with profile.phase("teardown"):
-            pass
-        assert set(profile.phase_seconds) == {"setup", "teardown"}
-        assert profile.phase_seconds["setup"] >= 0.0
-
-    def test_as_dict_shape(self):
-        sim = Simulator()
-        profile = sim.enable_profiling()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        payload = profile.as_dict()
-        assert payload["events"] == 1
-        assert payload["run_calls"] == 1
-        assert "events_per_second" in payload
-        assert payload["phase_seconds"] == {}
-
-    def test_events_per_second_zero_before_any_run(self):
-        sim = Simulator()
-        profile = sim.enable_profiling()
-        assert profile.events_per_second == 0.0
 
 
 class TestRunSemanticsPreserved:

@@ -171,6 +171,11 @@ class TestTelemetryOutputs:
             # perf/run.py is the only benchmark; the legacy verb and flag are gone.
             ["sweep", "--bench-json", "x"],
             ["bench", "gate"],
+            # The event core carries no profiler: cProfile and
+            # `perf/run.py --trace 1` answer what --profile did.
+            ["cubic", "--profile"],
+            ["phi", "--profile"],
+            ["sweep", "--profile"],
         ],
     )
     def test_flags_with_no_writer_are_rejected(self, argv, capsys):
