@@ -7,6 +7,10 @@ Every packet offered to a link must be accounted for at all times:
 - **link transmitter law** (exact): ``offered == transmitted + queued +
   dropped + flushed + serializing`` where ``serializing`` is 1 packet
   when the transmitter is busy and 0 otherwise;
+- **dequeue-armed law** (exact): a link's dequeue event is pending iff
+  its queue is non-empty — a queued packet nobody will pull is a silent
+  stall that no ledger shows (after a ``flush()`` the event may outlive
+  the packets it was armed for; it fires as a no-op);
 - **wire law** (inequality): ``transmitted - delivered - absorbed >= 0``
   — the residual is packets still propagating (in flight on the wire)
   or parked by a :class:`~repro.simnet.faults.DelaySpike`; ``absorbed``
@@ -106,7 +110,8 @@ def audit_link(
     faults: Iterable[object] = (),
     report: Optional[ViolationReport] = None,
 ) -> None:
-    """Check the link transmitter (exact) and wire (inequality) laws."""
+    """Check the link transmitter and dequeue-armed (exact) and wire
+    (inequality) laws."""
     audit_queue(link.queue, f"{link.name}.queue", sim_time, report)
 
     queued_packets = len(link.queue)
@@ -159,6 +164,19 @@ def audit_link(
             report,
         )
 
+    armed = link._dequeue_armed
+    if armed != (queued_packets > 0) and not (armed and stats.flushed_packets):
+        record_violation(
+            InvariantViolation(
+                "conservation.link_dequeue_armed",
+                link.name,
+                f"dequeue event pending={armed} with {queued_packets} packets queued",
+                sim_time=sim_time,
+                details={"queued_packets": queued_packets},
+            ),
+            report,
+        )
+
     absorbed = fault_absorbed_packets(link, faults)
     wire_residual = link.packets_transmitted - link.packets_delivered - absorbed
     if wire_residual < 0:
@@ -174,7 +192,7 @@ def audit_link(
             report,
         )
     if report is not None:
-        report.counted(3)
+        report.counted(4)
 
 
 def audit_router(

@@ -7,6 +7,13 @@ chain, so overlapping faults compose and can be removed in any order —
 each removal restores exactly the chain without that fault, and removing
 the last fault restores the link's pristine ``_deliver`` hook.
 
+A link looks ``_deliver`` up when a packet's serialization *starts* (that
+is when it schedules the delivery), so the first fault installed on a
+link catches neither the packets propagating at that moment nor the one
+being serialized.  Once a chain is installed it is evaluated against the
+live fault list when a delivery fires, so later installs and removals
+apply to every packet that started serializing under the chain.
+
 Available faults:
 
 - :class:`LinkOutage` — black-holes a link for a window (the

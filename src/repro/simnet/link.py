@@ -5,6 +5,11 @@ bandwidth, holds excess arrivals in an attached queue, and delivers each
 packet to the destination node after a propagation delay.  Bidirectional
 connectivity is modelled as two independent links (as in ns-2's duplex
 links).
+
+A hop costs one event: the end of serialization is a time
+(``_busy_until``), not an event, so an idle link schedules only the
+delivery.  One ``_dequeue_next`` event, at ``_busy_until``, exists exactly
+while the queue is non-empty.
 """
 
 from __future__ import annotations
@@ -59,9 +64,15 @@ class Link:
         self.delay_s = delay_s
         self.queue = queue if queue is not None else DropTailQueue(None, lambda: sim.now)
         self.dst_node: Optional["Node"] = None
-        self._busy = False
-        self.bytes_transmitted = 0
-        self.packets_transmitted = 0
+        # The transmitter is serializing a ``_tx_bytes`` packet until
+        # ``_busy_until``.  Its ledger is committed when serialization
+        # starts and settled on read (the ``*_transmitted`` properties).
+        self._busy_until = 0.0
+        self._tx_bytes = 0
+        self._dequeue_armed = False
+        self._bytes_committed = 0
+        self._packets_committed = 0
+        self._busy_seconds = 0.0
         # Conservation ledger (see repro.simcheck.conservation): every
         # packet offered to the link is eventually transmitted, queued,
         # dropped/flushed by the queue, or in serialization; every
@@ -71,14 +82,12 @@ class Link:
         self.packets_offered = 0
         self.bytes_delivered = 0
         self.packets_delivered = 0
-        self._busy_seconds = 0.0
-        self._tx_started_at = 0.0
         self.created_at = sim.now
         # Hot-path bindings: serialization happens once per packet per
         # link, so precompute the per-byte wire time and skip the method
         # lookup for the scheduler.
         self._seconds_per_byte = 8.0 / bandwidth_bps
-        self._schedule = sim.schedule
+        self._schedule_at = sim.schedule_at
 
     def attach(self, dst_node: "Node") -> None:
         """Set the node that receives packets at the far end."""
@@ -92,13 +101,19 @@ class Link:
         """Offer ``packet`` to the link.
 
         If the transmitter is idle the packet goes straight to the wire;
-        otherwise it joins the queue (and may be dropped there).
+        otherwise it joins the queue (and may be dropped there).  A packet
+        arriving at the instant the wire clears, with nothing queued,
+        meets an idle transmitter.
         """
         self.packets_offered += 1
         self.bytes_offered += packet.size_bytes
-        if self._busy:
-            accepted = self.queue.enqueue(packet)
-            if accepted:
+        # The clock field, not the ``now`` property: once per packet per hop.
+        now = self.sim._now
+        if self._dequeue_armed or self._busy_until > now:
+            if self.queue.enqueue(packet):
+                if not self._dequeue_armed:
+                    self._dequeue_armed = True
+                    self._schedule_at(self._busy_until, self._dequeue_next)
                 # Flight recorder: one session lookup + bool when off
                 # (the drop branch is recorded by the queue itself).
                 # Armed, it records the DATA lifecycle only (ACK feedback is
@@ -107,42 +122,40 @@ class Link:
                 # path; the drop funnel snapshots occupancy instead.
                 rec = _telemetry_session().flightrec
                 if rec.enabled and packet.kind is _DATA:
-                    rec.simnet(
-                        "enqueue", self.sim.now, self.name,
-                        packet.flow_id, packet.packet_id,
-                    )
+                    rec.simnet("enqueue", now, self.name, packet.flow_id, packet.packet_id)
             return
-        self._transmit(packet)
+        self._transmit(packet, now)
 
-    def _transmit(self, packet: Packet) -> None:
-        self._busy = True
-        # The clock field, not the ``now`` property: twice per packet per hop.
-        self._tx_started_at = self.sim._now
-        tx_time = packet.size_bytes * self._seconds_per_byte
-        self._schedule(tx_time, self._transmit_done, packet)
-
-    def _transmit_done(self, packet: Packet) -> None:
-        self.bytes_transmitted += packet.size_bytes
-        self.packets_transmitted += 1
-        self._busy_seconds += self.sim._now - self._tx_started_at
-        self._schedule(self.delay_s, self._deliver, packet)
-        next_packet = self.queue.dequeue()
+    def _transmit(self, packet: Packet, now: float) -> None:
+        """Start serializing ``packet``: commit the ledger, schedule delivery."""
+        size = packet.size_bytes
+        self._busy_until = done = now + size * self._seconds_per_byte
+        self._tx_bytes = size
+        self._bytes_committed += size
+        self._packets_committed += 1
+        self._busy_seconds += done - now
         rec = _telemetry_session().flightrec
-        if rec.enabled:
-            now = self.sim.now
-            if packet.kind is _DATA:
-                rec.simnet(
-                    "transmit", now, self.name, packet.flow_id, packet.packet_id
-                )
-            if next_packet is not None and next_packet.kind is _DATA:
-                rec.simnet(
-                    "dequeue", now, self.name,
-                    next_packet.flow_id, next_packet.packet_id,
-                )
-        if next_packet is not None:
-            self._transmit(next_packet)
+        if rec.enabled and packet.kind is _DATA:
+            # Stamped with the time serialization ends; dumps sort on write.
+            rec.simnet("transmit", done, self.name, packet.flow_id, packet.packet_id)
+        # ``_deliver`` is bound here, when serialization starts.
+        self._schedule_at(done + self.delay_s, self._deliver, packet)
+
+    def _dequeue_next(self) -> None:
+        """The wire cleared with packets waiting: pull the head onto it."""
+        packet = self.queue.dequeue()
+        if packet is None:  # flushed since this event was armed
+            self._dequeue_armed = False
+            return
+        now = self.sim._now
+        rec = _telemetry_session().flightrec
+        if rec.enabled and packet.kind is _DATA:
+            rec.simnet("dequeue", now, self.name, packet.flow_id, packet.packet_id)
+        self._transmit(packet, now)
+        if len(self.queue):
+            self._schedule_at(self._busy_until, self._dequeue_next)
         else:
-            self._busy = False
+            self._dequeue_armed = False
 
     def _deliver(self, packet: Packet) -> None:
         if self.dst_node is None:
@@ -167,14 +180,24 @@ class Link:
         if elapsed <= 0:
             return 0.0
         busy = self._busy_seconds
-        if self._busy:
-            busy += self.sim.now - self._tx_started_at
+        if self._busy_until > self.sim.now:
+            busy -= self._busy_until - self.sim.now
         return min(1.0, busy / elapsed)
 
     @property
     def is_busy(self) -> bool:
         """Whether a packet is currently being serialized."""
-        return self._busy
+        return self._busy_until > self.sim._now
+
+    @property
+    def bytes_transmitted(self) -> int:
+        """Bytes whose serialization has completed."""
+        return self._bytes_committed - (self._tx_bytes if self.is_busy else 0)
+
+    @property
+    def packets_transmitted(self) -> int:
+        """Packets whose serialization has completed."""
+        return self._packets_committed - self.is_busy
 
 
 def bdp_bytes(bandwidth_bps: float, rtt_s: float) -> int:

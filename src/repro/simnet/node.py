@@ -110,13 +110,9 @@ class Router(Node):
         """Forward packets with no explicit route via ``link``."""
         self._default = link
 
-    def route_for(self, dst: str) -> Optional[Link]:
-        """The link used for ``dst``, or None if unroutable."""
-        return self._table.get(dst, self._default)
-
     def receive(self, packet: Packet, link: Link) -> None:
         self.packets_received += 1
-        out = self.route_for(packet.dst)
+        out = self._table.get(packet.dst, self._default)
         if out is None:
             self.packets_unroutable += 1
             return

@@ -85,6 +85,40 @@ class TestLinkLaws:
         assert link.is_busy
         audit_link(link, sim.now)
 
+    def test_queued_packets_nobody_will_pull_detected(self):
+        sim = Simulator()
+        link = Link(sim, "L", bandwidth_bps=1e4, delay_s=0.001)
+        link.attach(Collector(sim))
+        for i in range(5):
+            link.send(make_data_packet(1, "a", "b", i, 1000))
+        sim.run(until=0.1)
+        assert len(link.queue) > 0
+        link._dequeue_armed = False  # the stall: no ledger is off by a packet
+        report = ViolationReport()
+        audit_link(link, sim.now, report=report)
+        assert [v.invariant for v in report.violations] == [
+            "conservation.link_dequeue_armed"
+        ]
+
+    def test_dequeue_event_armed_on_empty_queue_detected(self):
+        sim = Simulator()
+        link = loaded_link(sim)
+        link._dequeue_armed = True
+        with pytest.raises(InvariantViolation) as excinfo:
+            audit_link(link, sim.now)
+        assert excinfo.value.invariant == "conservation.link_dequeue_armed"
+
+    def test_dequeue_event_may_outlive_a_flushed_queue(self):
+        sim = Simulator()
+        link = Link(sim, "L", bandwidth_bps=1e4, delay_s=0.001)
+        link.attach(Collector(sim))
+        for i in range(3):
+            link.send(make_data_packet(1, "a", "b", i, 1000))
+        link.queue.flush()
+        audit_link(link, sim.now)  # armed for packets that are gone
+        sim.run()
+        audit_link(link, sim.now)  # fired as a no-op
+
     def test_lost_offered_packet_detected(self):
         sim = Simulator()
         link = loaded_link(sim)
