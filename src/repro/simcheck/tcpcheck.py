@@ -4,7 +4,10 @@ Checks run at the sender's *stable points* — after a fully processed ACK
 (:meth:`~repro.transport.base.TcpSender.handle_packet`) and after an RTO
 fires — when the window bookkeeping must be consistent:
 
-- ``0 <= snd_una <= snd_nxt <= flow_size``;
+- ``0 <= snd_una <= snd_nxt <= flow_size`` — this one also right before
+  each burst of new data (``_send_available``): a ``snd_nxt`` left behind
+  ``snd_una`` is sent from, re-sending ACKed bytes, and the send loop has
+  carried it back past ``snd_una`` by the next stable point;
 - ``cwnd >= 1`` (every flavour, including the whisker table, clamps at
   one segment);
 - ``pipe_segments >= 0`` and the SACK scoreboard never covers more than
@@ -15,7 +18,8 @@ fires — when the window bookkeeping must be consistent:
   (the timer is lazy: see :meth:`~repro.transport.base.TcpSender._arm_rto`).
 
 Installation is per-instance monkeypatching (``install_sender_checks``
-wraps ``handle_packet``/``_on_rto`` as instance attributes), so senders
+wraps ``handle_packet``/``_on_rto``/``_send_available`` as instance
+attributes), so senders
 in an unchecked run carry no wrapper and pay exactly nothing — the same
 strict no-op contract as telemetry.
 """
@@ -31,6 +35,27 @@ from .violations import InvariantViolation, ViolationReport, record_violation
 
 #: Slack for float window comparisons (cwnd is a float of segments).
 _CWND_EPSILON = 1e-9
+
+
+def _check_sequence_order(
+    sender: TcpSender,
+    report: Optional[ViolationReport] = None,
+) -> None:
+    """Verify ``0 <= snd_una <= snd_nxt <= flow_size`` for one sender."""
+    if not 0 <= sender.snd_una <= sender.snd_nxt <= sender.flow_size:
+        record_violation(
+            InvariantViolation(
+                "tcp.sequence_order",
+                f"flow-{sender.spec.flow_id}",
+                f"snd_una={sender.snd_una} snd_nxt={sender.snd_nxt} "
+                f"flow_size={sender.flow_size} out of order",
+                sim_time=sender.sim.now,
+                details={"snd_una": sender.snd_una, "snd_nxt": sender.snd_nxt},
+            ),
+            report,
+        )
+    if report is not None:
+        report.counted(1)
 
 
 def check_sender_invariants(
@@ -49,14 +74,7 @@ def check_sender_invariants(
             report,
         )
 
-    if not 0 <= sender.snd_una <= sender.snd_nxt <= sender.flow_size:
-        fail(
-            "tcp.sequence_order",
-            f"snd_una={sender.snd_una} snd_nxt={sender.snd_nxt} "
-            f"flow_size={sender.flow_size} out of order",
-            snd_una=sender.snd_una,
-            snd_nxt=sender.snd_nxt,
-        )
+    _check_sequence_order(sender, report)
     if not math.isfinite(sender.cwnd) or sender.cwnd < 1.0 - _CWND_EPSILON:
         fail("tcp.cwnd_floor", f"cwnd={sender.cwnd} below one segment", cwnd=sender.cwnd)
     if sender.pipe_segments < 0:
@@ -87,7 +105,7 @@ def check_sender_invariants(
             outstanding=outstanding,
         )
     if report is not None:
-        report.counted(6)
+        report.counted(5)
 
 
 def install_sender_checks(
@@ -96,12 +114,14 @@ def install_sender_checks(
 ) -> TcpSender:
     """Wrap ``sender`` so invariants are verified at every stable point.
 
-    Wraps ``handle_packet`` and ``_on_rto`` as instance attributes; call
-    before :meth:`~repro.transport.base.TcpSender.start` so the first
+    Wraps ``handle_packet``, ``_on_rto`` and ``_send_available`` (sequence
+    order only: mid-ACK is not a stable point) as instance attributes;
+    call before :meth:`~repro.transport.base.TcpSender.start` so the first
     armed timer resolves the wrapped method.  Returns the sender.
     """
     original_handle = sender.handle_packet
     original_on_rto = sender._on_rto
+    original_send_available = sender._send_available
 
     def checked_handle(packet) -> None:
         original_handle(packet)
@@ -111,7 +131,12 @@ def install_sender_checks(
         original_on_rto()
         check_sender_invariants(sender, report)
 
+    def checked_send_available() -> None:
+        _check_sequence_order(sender, report)
+        original_send_available()
+
     sender.handle_packet = checked_handle  # type: ignore[method-assign]
+    sender._send_available = checked_send_available  # type: ignore[method-assign]
     sender._on_rto = checked_on_rto  # type: ignore[method-assign]
     return sender
 

@@ -260,10 +260,6 @@ class TcpSender:
         self.stats.end_time = self.sim.now
         self.stats.completed = True
         self.stats.bytes_goodput = self.flow_size
-        # The finishing cumulative ACK can overtake a snd_nxt that an
-        # RTO rewound; nothing is sent after this point, so pulling it
-        # up only restores snd_una <= snd_nxt <= flow_size.
-        self.snd_nxt = max(self.snd_nxt, self.snd_una)
         self._cancel_rto()
         self.host.unregister_agent(self.spec.flow_id)
         rec = _telemetry_session().flightrec
@@ -449,6 +445,11 @@ class TcpSender:
         newly_acked = ack.seq - self.snd_una
         acked_segments = newly_acked / self.mss
         self.snd_una = ack.seq
+        # A straggler ACK can overtake a snd_nxt that an RTO rewound
+        # (go-back-N).  Sending resumes at the ACK point: left behind it,
+        # _send_available would re-send ACKed bytes as new data.
+        if self.snd_nxt < ack.seq:
+            self.snd_nxt = ack.seq
         self._sacked.prune_below(self.snd_una)
         if self._recovery_retransmitted:
             self._recovery_retransmitted = {

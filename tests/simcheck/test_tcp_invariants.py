@@ -147,6 +147,24 @@ class TestInstallation:
         assert report.ok
         assert report.checks_performed > 0
 
+    def test_snd_nxt_behind_snd_una_is_caught_before_the_send_loop_hides_it(self):
+        sim, sender, _ = make_sender(200_000)
+        report = ViolationReport()
+        install_sender_checks(sender, report)
+        sender.start()
+        sim.run(until=1.0)
+        assert sender.snd_una > 0 and report.ok
+        # What an RTO rewind plus a straggler ACK left before _on_new_ack
+        # clamped snd_nxt: new data would start below the ACK point.
+        sender.snd_nxt = sender.snd_una - sender.mss
+        sender._send_available()
+        assert [v.invariant for v in report.violations] == ["tcp.sequence_order"]
+        # The loop re-sent the ACKed segment and moved on: by the next
+        # stable point there is nothing left to see.
+        assert sender.snd_nxt > sender.snd_una
+        check_sender_invariants(sender, report)
+        assert len(report.violations) == 1
+
     def test_real_violation_raises_out_of_the_run(self):
         sim, sender, _ = make_sender(5_000_000)  # still in flight at t=1
         install_sender_checks(sender, report=None)

@@ -227,6 +227,22 @@ class TestDeadlineTimer:
         assert sender.finished
         assert sender.snd_una == sender.snd_nxt == sender.flow_size == 2500
 
+    def test_straggler_ack_overtaking_a_rewound_snd_nxt_resumes_from_snd_una(self):
+        # RTO -> go-back-N rewind -> the cumulative ACK for what was sent
+        # before the rewind lands beyond snd_nxt, and the flow goes on:
+        # the next segment sent is new data, not bytes just ACKed.
+        sim, sender, host, fired = make_sender()
+        mss = sender.mss
+        sim.run(until=INITIAL_RTO_S + 0.1)
+        assert fired and sender.snd_una == 0 and sender.snd_nxt == mss
+        sent_before = len(host.sent)
+        sender.handle_packet(ack(2 * mss, echo=0.0))
+        assert not sender.finished and sender.snd_una == 2 * mss
+        resumed = host.sent[sent_before:]
+        assert [p.seq for p in resumed] == [2 * mss, 3 * mss]
+        assert not any(p.is_retransmit for p in resumed)
+        assert sender.snd_nxt == 4 * mss
+
     def test_abort_disarms(self):
         sim, sender, _, fired = make_sender()
         sim.run(until=0.5)
