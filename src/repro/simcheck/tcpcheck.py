@@ -19,9 +19,8 @@ fires — when the window bookkeeping must be consistent:
 
 Installation is per-instance monkeypatching (``install_sender_checks``
 wraps ``handle_packet``/``_on_rto``/``_send_available`` as instance
-attributes), so senders
-in an unchecked run carry no wrapper and pay exactly nothing — the same
-strict no-op contract as telemetry.
+attributes), so senders in an unchecked run carry no wrapper and pay
+exactly nothing — the same strict no-op contract as telemetry.
 """
 
 from __future__ import annotations

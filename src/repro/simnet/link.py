@@ -180,7 +180,7 @@ class Link:
         if elapsed <= 0:
             return 0.0
         busy = self._busy_seconds
-        if self._busy_until > self.sim.now:
+        if self.is_busy:
             busy -= self._busy_until - self.sim.now
         return min(1.0, busy / elapsed)
 

@@ -226,9 +226,9 @@ class Collector:
         self.arrivals.append((self.sim.now, packet.seq))
 
 
-def make(link_class, sim, queue=None, bandwidth_bps=8e6, delay_s=0.01):
-    """A 1 ms-per-1000-byte link into a collector."""
-    link = link_class(sim, "L", bandwidth_bps, delay_s, queue)
+def make(link_class, sim, queue=None):
+    """A 1 ms-per-1000-byte, 10 ms link into a collector."""
+    link = link_class(sim, "L", 8e6, 0.01, queue)
     link.attach(Collector(sim))
     return link
 
