@@ -25,7 +25,13 @@ from ..workload.onoff import OnOffConfig
 #: v4: Cubic's TCP-friendly window follows the Ha et al. law (epoch
 #: window origin, t = elapsed + rtt) and ACKs echoing a legitimate 0.0
 #: send time are now RTT-sampled; both change trajectories.
-ENGINE_SIGNATURE = "phi-simnet-v4-cubic-wlaw"
+#: v5: a link keeps the end of serialization as a time, not an event, so
+#: a packet arriving at the exact instant the wire clears with nothing
+#: queued bypasses the queue (``enqueued_packets``, hence ``loss_rate``,
+#: moves on lossy runs); and ``snd_nxt`` is clamped up to ``snd_una`` on
+#: every new ACK, so a sender rewound by an RTO no longer re-sends ACKed
+#: bytes as new data.
+ENGINE_SIGNATURE = "phi-simnet-v5-fused-link"
 
 
 def canonical_json(payload: Any) -> str:

@@ -8,6 +8,11 @@ committed ahead of it.  A data-plane optimisation that claims
 trajectories bumps ``ENGINE_SIGNATURE`` and re-captures them in the same
 change.
 
+The two fig-2c constants were re-captured with the
+``phi-simnet-v5-fused-link`` bump (ties at the instant the wire clears
+bypass the queue, which moves ``loss_rate``; ``snd_nxt`` is clamped up to
+``snd_una``); table-3, partitioned-Phi and window-full passed unedited.
+
 ``GOLDEN_WINDOW_FULL`` was captured the same way ahead of the cached
 window contributions in ``ContextServer``: a 13 sim-s short-flow run is
 the only pinned one in which reports age out of, and straddle the left
@@ -50,8 +55,8 @@ def trajectory_digest(result) -> str:
 GOLDEN_CUBIC = {
     ("table3", 1): "6845e4efdfa21e232ccb6f2be9f66f5b11d9bf9448fdfb9bb9ae1e00e34ea64b",
     ("table3", 2): "e4cb9732934cf052e4dad74f424b9ca3c1d1001af8827572856ecd4c3556c62d",
-    ("fig2c", 1): "acd62913b0cbe4278cee7f369d93cd7bf7c4e4de90aea38ac8446f5f80912a78",
-    ("fig2c", 2): "173eec57fd8fe598f6cbe3e63360d88dcf669b7a0fb5d41e08f8bf69a7aee94e",
+    ("fig2c", 1): "c7a9833502823f191534c7ad72e61fdc11e6990f51671fefab55b2b3bd8bf343",
+    ("fig2c", 2): "7f1af4a6a0525cc03a5f8d1625d6eb9226a5f08fb49199f36332fd3039028bf9",
 }
 
 GOLDEN_PARTITIONED = "5835403ad1a8a2b0ebc4e879115c5e8ad24d6319ffdfebee4bf5c21fe3d8fa89"
