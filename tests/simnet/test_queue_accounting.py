@@ -1,12 +1,14 @@
 """Accounting regressions: flush conservation, mid-simulation queue
 creation, and the heap-based priority queue."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.packet import make_data_packet
-from repro.simnet.queues import DropTailQueue, PriorityQueue
+from repro.simnet.packet import make_ack_packet, make_data_packet
+from repro.simnet.queues import DropTailQueue, PriorityQueue, QueueStats
+from repro.simnet.red import RedQueue
 
 
 class FakeClock:
@@ -118,43 +120,200 @@ class TestMidSimulationCreation:
         assert q.stats.last_change_time == 12.5
 
 
-class TestEmptyDequeue:
-    """Polling an empty queue is free and changes no integral."""
+QUEUE_STATS_FIELDS = QueueStats.__slots__
 
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from("ed"), st.floats(min_value=0.0, max_value=3.0)),
-            min_size=1,
-            max_size=40,
-        )
+#: Bytes the oracle's queues hold: three full segments and change, so a
+#: run of DATA packets overflows while ACKs still squeeze in.
+ORACLE_CAPACITY = 5000
+
+
+class EagerQueue:
+    """What a queue must report, recomputed the slow way.
+
+    Holds the packets in a plain list, integrates occupancy on *every*
+    call (the empty ones too, the way ``dequeue`` once did), sums sizes
+    instead of keeping a running total and picks the next packet by a
+    stable sort.  ``last_change_time`` alone follows the queue's rule
+    rather than the eager one: polling an empty queue does not move it.
+    """
+
+    def __init__(self, capacity_bytes, created_at, by_priority):
+        self.capacity_bytes = capacity_bytes
+        self.by_priority = by_priority
+        self.held = []
+        self.dropped = []
+        self.integrated_to = created_at
+        self.stats = dict.fromkeys(QUEUE_STATS_FIELDS, 0)
+        self.stats["occupancy_byte_seconds"] = 0.0
+        self.stats["occupancy_packet_seconds"] = 0.0
+        self.stats["last_change_time"] = created_at
+
+    def bytes_held(self):
+        return sum(packet.size_bytes for packet in self.held)
+
+    def _integrate(self, now):
+        elapsed = now - self.integrated_to
+        if elapsed > 0:
+            self.stats["occupancy_byte_seconds"] += self.bytes_held() * elapsed
+            self.stats["occupancy_packet_seconds"] += len(self.held) * elapsed
+        self.integrated_to = now
+
+    def enqueue(self, packet, now):
+        """The ``enqueued_at`` stamp the packet must carry afterwards."""
+        self._integrate(now)
+        stats = self.stats
+        stats["last_change_time"] = now
+        if (
+            self.capacity_bytes is not None
+            and self.bytes_held() + packet.size_bytes > self.capacity_bytes
+        ):
+            stats["dropped_packets"] += 1
+            stats["dropped_bytes"] += packet.size_bytes
+            self.dropped.append(packet)
+            return packet.enqueued_at
+        self.held.append(packet)
+        stats["enqueued_packets"] += 1
+        stats["enqueued_bytes"] += packet.size_bytes
+        stats["peak_packets"] = max(stats["peak_packets"], len(self.held))
+        stats["peak_bytes"] = max(stats["peak_bytes"], self.bytes_held())
+        return now
+
+    def dequeue(self, now):
+        self._integrate(now)
+        if not self.held:
+            return None
+        self.stats["last_change_time"] = now
+        if self.by_priority:
+            packet = min(self.held, key=lambda p: p.priority)  # first of the lowest
+        else:
+            packet = self.held[0]
+        self.held.remove(packet)
+        self.stats["dequeued_packets"] += 1
+        self.stats["dequeued_bytes"] += packet.size_bytes
+        return packet
+
+    def flush(self, now):
+        self._integrate(now)
+        self.stats["last_change_time"] = now
+        if self.by_priority:
+            drained = sorted(self.held, key=lambda p: p.priority)  # stable
+        else:
+            drained = list(self.held)
+        self.held.clear()
+        self.stats["flushed_packets"] += len(drained)
+        self.stats["flushed_bytes"] += sum(p.size_bytes for p in drained)
+        return drained
+
+
+def _never_red(capacity_bytes, clock, on_drop):
+    # Thresholds far above the capacity: the average never reaches them,
+    # so no early decision is taken and no random number is drawn.
+    return RedQueue(
+        capacity_bytes, clock, np.random.default_rng(0),
+        min_thresh_bytes=1e9, max_thresh_bytes=2e9, on_drop=on_drop,
     )
+
+
+def _drop_tail(capacity_bytes, clock, on_drop):
+    return DropTailQueue(capacity_bytes, clock, on_drop)
+
+
+def _priority(capacity_bytes, clock, on_drop):
+    return PriorityQueue(capacity_bytes, clock, on_drop)
+
+
+#: (label, factory, dequeues by priority)
+DISCIPLINES = [
+    ("drop-tail", _drop_tail, False),
+    ("priority", _priority, True),
+    ("red-never-triggered", _never_red, False),
+]
+
+#: Who reads the clock: the queue itself, or its caller.
+CLOCK_MODES = ["own"]
+
+QUEUE_OPS = st.lists(
+    st.tuples(
+        # DATA, ACK, dequeue, flush
+        st.sampled_from("eeeaaddf"),
+        # Equal timestamps are the common case on a busy link.
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+        st.integers(min_value=1, max_value=1460),  # DATA payload
+        st.integers(min_value=0, max_value=2),  # priority
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
+    clock = FakeClock(t=7.25)  # created mid-simulation
+    dropped = []
+    q = factory(ORACLE_CAPACITY, clock, dropped.append)
+    ref = EagerQueue(ORACLE_CAPACITY, clock.t, by_priority)
+    for seq, (op, gap, payload, priority) in enumerate(ops):
+        clock.t += gap
+        where = f"{label}/{clock_mode} op {seq} {op!r} at {clock.t}"
+        if op in "ea":
+            if op == "e":
+                packet = make_data_packet(1, "a", "b", seq, payload, priority=priority)
+            else:
+                packet = make_ack_packet(1, "b", "a", seq)
+                packet.priority = priority
+            want_stamp = ref.enqueue(packet, clock.t)
+            accepted = q.enqueue(packet)
+            assert accepted == (packet in ref.held), where
+            assert packet.enqueued_at == want_stamp, where
+        elif op == "d":
+            assert q.dequeue() is ref.dequeue(clock.t), where
+        else:
+            got, want = q.flush(), ref.flush(clock.t)
+            assert len(got) == len(want) and all(
+                a is b for a, b in zip(got, want)
+            ), where
+        for field in QUEUE_STATS_FIELDS:
+            # ``==`` on the floats too: same operations, same order.
+            assert getattr(q.stats, field) == ref.stats[field], f"{where}: {field}"
+        assert len(q) == q.packets_queued == len(ref.held), where
+        assert q.bytes_queued == ref.bytes_held(), where
+        assert dropped == ref.dropped, where
+        q.assert_conservation()
+    return ref
+
+
+class TestEmptyDequeue:
+    """Every discipline against :class:`EagerQueue`, every field, every
+    op; among them: polling an empty queue changes no integral."""
+
+    @given(QUEUE_OPS)
     @settings(max_examples=80)
     def test_integrals_equal_an_eager_reference_bit_for_bit(self, ops):
-        # The reference integrates on every call, empty or not, the way
-        # dequeue() used to; skipping the empty case must not move a bit.
-        clock = FakeClock()
-        q = DropTailQueue(None, clock)
-        ref_bytes = ref_packets = 0.0
-        ref_last, held = 0.0, []
-        for op, gap in ops:
-            clock.t += gap
-            elapsed = clock.t - ref_last
-            if elapsed > 0:
-                ref_bytes += sum(held) * elapsed
-                ref_packets += len(held) * elapsed
-            ref_last = clock.t
-            if op == "e":
-                packet = data()
-                q.enqueue(packet)
-                held.append(packet.size_bytes)
-            elif held:
-                assert q.dequeue() is not None
-                held.pop(0)
-            else:
-                assert q.dequeue() is None
-            assert q.stats.occupancy_byte_seconds == ref_bytes
-            assert q.stats.occupancy_packet_seconds == ref_packets
-        q.assert_conservation()
+        for label, factory, by_priority in DISCIPLINES:
+            for clock_mode in CLOCK_MODES:
+                _run_against_eager_reference(
+                    label, factory, by_priority, clock_mode, ops
+                )
+
+    def test_reference_exercises_every_door(self):
+        # The op mix above is only a judge if it reaches drops, flushes,
+        # equal timestamps and both packet sizes; one fixed sequence that
+        # provably does, checked for that rather than trusted.
+        ops = (
+            [("e", 0.0, 1460, 1)] * 4  # fourth DATA overflows
+            + [("a", 0.0, 1, 0), ("d", 0.5, 1, 0), ("d", 0.0, 1, 0)]
+            + [("f", 0.25, 1, 0), ("d", 1.0, 1, 0), ("e", 0.0, 100, 2)]
+        )
+        for label, factory, by_priority in DISCIPLINES:
+            for clock_mode in CLOCK_MODES:
+                stats = _run_against_eager_reference(
+                    label, factory, by_priority, clock_mode, ops
+                ).stats
+                assert stats["dropped_packets"] == 1
+                assert stats["flushed_packets"] == 2
+                assert stats["dequeued_packets"] == 2
+                assert stats["enqueued_bytes"] == 3 * 1500 + 40 + 140
+                assert stats["peak_bytes"] == 3 * 1500 + 40
+                assert stats["occupancy_packet_seconds"] == 4 * 0.5 + 2 * 0.25
 
 
 class TestHeapPriorityQueue:
