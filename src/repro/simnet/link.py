@@ -168,20 +168,20 @@ class Link:
         # keeps the armed recorder inside its 1.10x hot-path budget.
         self.dst_node.receive(packet, self)
 
-    def utilization(self, since: float = 0.0, until: Optional[float] = None) -> float:
-        """Fraction of ``[since, until]`` the transmitter was busy.
+    def utilization(self) -> float:
+        """Fraction of ``[created_at, now]`` the transmitter was busy.
 
-        Uses the bytes-transmitted counter, which is exact for completed
-        transmissions; an in-flight transmission contributes its elapsed
-        portion.
+        A serialization in progress counts up to ``now``.  The link keeps
+        one accumulator, so this is the lifetime figure only; the reader
+        for a window is :class:`~repro.simnet.monitor.LinkMonitor`.
         """
-        end = self.sim.now if until is None else until
-        elapsed = end - since
+        now = self.sim._now
+        elapsed = now - self.created_at
         if elapsed <= 0:
             return 0.0
         busy = self._busy_seconds
-        if self.is_busy:
-            busy -= self._busy_until - self.sim.now
+        if self._busy_until > now:
+            busy -= self._busy_until - now
         return min(1.0, busy / elapsed)
 
     @property

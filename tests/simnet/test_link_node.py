@@ -82,7 +82,22 @@ class TestLinkTiming:
         for i in range(10):
             link.send(make_data_packet(1, "a", "dst", i, 960))
         sim.run()
-        assert link.utilization(0.0, 0.010) == pytest.approx(1.0, abs=1e-6)
+        assert sim.now == pytest.approx(0.010)
+        assert link.utilization() == pytest.approx(1.0, abs=1e-6)
+
+    def test_utilization_is_measured_from_creation(self):
+        # A link that joins at t = 5 s and is busy 10 of its first 20 ms is
+        # half utilized; measured from t = 0 it read 0.002.
+        sim = Simulator()
+        sim.run(until=5.0)
+        link = make_link(sim, bw=1_200_000.0, delay=0.0)  # 1500 B take 10 ms
+        link.attach(Collector("dst", sim))
+        link.send(make_data_packet(1, "a", "dst", 0, 1460))
+        sim.run(until=5.005)
+        assert link.is_busy
+        assert link.utilization() == pytest.approx(1.0)
+        sim.run(until=5.020)
+        assert link.utilization() == pytest.approx(0.5)
 
     def test_utilization_idle(self):
         sim = Simulator()
