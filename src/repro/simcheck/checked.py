@@ -77,7 +77,7 @@ class CheckedSimulator(Simulator):
                     f"heap[{index}]={heap[index][:2]}",
                 )
                 return
-        seq_counts = _Counter(handle[1] for handle in heap)
+        seq_counts = _Counter(record[1] for record in heap)
         for seq, count in seq_counts.items():
             if count > 1:
                 self._violation(
@@ -85,7 +85,13 @@ class CheckedSimulator(Simulator):
                     f"event seq {seq} appears {count} times in the calendar",
                 )
                 return
-        live = sum(1 for handle in heap if handle[2] is not None)
+        # A record's callback is its third slot, or its handle's when that
+        # slot is None (a timer); a cancelled timer has none.
+        callbacks = [
+            (record[1], record[2] if record[2] is not None else record[3]._callback)
+            for record in heap
+        ]
+        live = sum(1 for _, callback in callbacks if callback is not None)
         if live != self.pending_events:
             self._violation(
                 "engine.heap_entry_orphan",
@@ -93,12 +99,11 @@ class CheckedSimulator(Simulator):
                 f"holds {live} live records",
             )
             return
-        for handle in heap:
-            callback = handle[2]
+        for seq, callback in callbacks:
             if callback is not None and not callable(callback):
                 self._violation(
                     "engine.entry_not_callable",
-                    f"record for seq {handle[1]} holds non-callable "
+                    f"record for seq {seq} holds non-callable "
                     f"{type(callback).__name__}",
                 )
                 return
@@ -139,27 +144,32 @@ class CheckedSimulator(Simulator):
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                handle = heap[0]
-                callback = handle[2]
+                time, seq, callback, args = heap[0]
                 if callback is None:
-                    pop(heap)  # cancelled; discard lazily
-                    self._cancelled_pending -= 1
-                    continue
-                time = handle[0]
-                if until is not None and time > until:
-                    break  # not due yet: it stays in the calendar
+                    # A timer: the record's last slot is its handle.
+                    handle = args
+                    callback = handle._callback
+                    if callback is None:
+                        pop(heap)  # cancelled; discard lazily
+                        self._cancelled_pending -= 1
+                        continue
+                    if until is not None and time > until:
+                        break  # not due yet: it stays in the calendar
+                    handle._sim = None
+                    args = handle._args
+                elif until is not None and time > until:
+                    break
                 pop(heap)
-                handle[4] = None
                 if time < self._now:
                     self._violation(
                         "engine.clock_monotonic",
-                        f"event seq {handle[1]} fires at {time} < now {self._now}",
+                        f"event seq {seq} fires at {time} < now {self._now}",
                         event_time=time,
                     )
                 self._now = time
                 self._events_processed += 1
                 executed += 1
-                callback(*handle[3])
+                callback(*args)
                 self.checks_performed += 1
                 if self._now != time:
                     self._violation(

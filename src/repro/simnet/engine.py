@@ -8,13 +8,23 @@ workload sources) schedules callbacks on a :class:`Simulator`.
 Events fire in non-decreasing time order; ties are broken by insertion
 order so the simulation is fully deterministic for a fixed seed.
 
-The calendar holds one mutable ``[time, seq, callback, args, sim]``
-record per event, and that record *is* the :class:`EventHandle` handed
-back to the caller.  List comparison never reaches past ``seq``
-(sequence numbers are unique), so heap operations stay in C;
-cancellation blanks the callback slot in place and the loop discards the
-blank record when it surfaces; :attr:`Simulator.pending_events` is the
-heap size minus a live count of blanked records rather than an O(n) scan.
+The calendar holds one tuple per event, in one of two shapes that share
+the ``(time, seq)`` prefix the heap orders on (sequence numbers are
+unique, so tuple comparison never reaches the third slot and heap
+operations stay in C):
+
+- ``(time, seq, callback, args)`` — posted with :meth:`Simulator.post_at`.
+  Nothing refers to the record, so it cannot be cancelled and costs no
+  allocation beyond the tuple.  For per-packet events, which are never
+  cancelled; :class:`~repro.simnet.link.Link` is the only caller.
+- ``(time, seq, None, handle)`` — scheduled with :meth:`Simulator.schedule`
+  / :meth:`Simulator.schedule_at`, which return the
+  :class:`EventHandle`.  The handle holds the callback; cancelling blanks
+  it there, and the loop discards the record when it surfaces.  For
+  timers (RTO, RPC timeouts, fault windows, sources).
+
+:attr:`Simulator.pending_events` is the heap size minus a live count of
+cancelled records rather than an O(n) scan.
 """
 
 from __future__ import annotations
@@ -178,37 +188,42 @@ class SimWatchdog:
         rec.maybe_autodump(f"watchdog:{reason}", sim_time=sim.now)
 
 
-class EventHandle(list):
+class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; supports cancellation.
 
-    The handle is the calendar record itself: ``[time, seq, callback,
-    args, sim]``.  The ``sim`` slot is the "still pending" mark — the
-    engine clears it when the event fires or the calendar is cleared.
+    The calendar record ``(time, seq, None, handle)`` points here for its
+    callback.  ``_sim`` is the "still pending" mark — the engine clears it
+    when the event fires or the calendar is cleared; :meth:`cancel` clears
+    the callback with it.
     """
 
-    __slots__ = ()
+    __slots__ = ("time", "_callback", "_args", "_sim")
 
-    @property
-    def time(self) -> float:
-        """Scheduled firing time of the event (readable after it fired)."""
-        return self[0]
+    def __init__(
+        self, time: float, callback: Callable[..., None], args: tuple, sim: "Simulator"
+    ) -> None:
+        #: Scheduled firing time of the event (readable after it fired).
+        self.time = time
+        self._callback: Optional[Callable[..., None]] = callback
+        self._args: Optional[tuple] = args
+        self._sim: Optional["Simulator"] = sim
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` prevented this event from firing."""
-        return self[2] is None
+        return self._callback is None
 
     def cancel(self) -> None:
         """Prevent the event from firing.
 
         Cancelling an event that already fired, was already cancelled, or
         was dropped by :meth:`Simulator.clear` is a no-op.  The engine
-        lazily discards the blanked record when it surfaces at the top
-        of the calendar.
+        lazily discards the record when it surfaces at the top of the
+        calendar.
         """
-        sim = self[4]
+        sim = self._sim
         if sim is not None:
-            self[2] = self[3] = self[4] = None
+            self._callback = self._args = self._sim = None
             sim._cancelled_pending += 1
 
 
@@ -227,7 +242,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[EventHandle] = []
+        self._heap: List[tuple] = []
         #: Cancelled records still sitting in the heap.
         self._cancelled_pending = 0
         self._seq = itertools.count()
@@ -276,8 +291,9 @@ class Simulator:
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
             raise SimulationError("cannot schedule at NaN time")
-        handle = EventHandle((self._now + delay, next(self._seq), callback, args, self))
-        heapq.heappush(self._heap, handle)
+        time = self._now + delay
+        handle = EventHandle(time, callback, args, self)
+        heapq.heappush(self._heap, (time, next(self._seq), None, handle))
         return handle
 
     def schedule_at(
@@ -288,41 +304,56 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if not time >= self._now:
-            if math.isnan(time):
-                raise SimulationError("cannot schedule at NaN time")
-            raise SimulationError(
-                f"cannot schedule at {time} which is before now={self._now}"
-            )
-        handle = EventHandle((time, next(self._seq), callback, args, self))
-        heapq.heappush(self._heap, handle)
+            raise self._not_schedulable(time)
+        handle = EventHandle(time, callback, args, self)
+        heapq.heappush(self._heap, (time, next(self._seq), None, handle))
         return handle
 
-    def _next_live(self) -> Optional[EventHandle]:
+    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule_at` for an event nothing will cancel: no handle
+        is made or returned.  Ordered with scheduled events by insertion."""
+        if not time >= self._now:
+            raise self._not_schedulable(time)
+        heapq.heappush(self._heap, (time, next(self._seq), callback, args))
+
+    def _not_schedulable(self, time: float) -> SimulationError:
+        # ``not >=`` at the call sites rather than ``<`` so NaN lands here too.
+        if math.isnan(time):
+            return SimulationError("cannot schedule at NaN time")
+        return SimulationError(
+            f"cannot schedule at {time} which is before now={self._now}"
+        )
+
+    def _next_live(self) -> Optional[tuple]:
         """The earliest pending record, discarding cancelled ones above it."""
         heap = self._heap
         while heap:
-            handle = heap[0]
-            if handle[2] is not None:
-                return handle
+            record = heap[0]
+            if record[2] is not None or record[3]._callback is not None:
+                return record
             heapq.heappop(heap)
             self._cancelled_pending -= 1
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or None if the calendar is empty."""
-        handle = self._next_live()
-        return None if handle is None else handle[0]
+        record = self._next_live()
+        return None if record is None else record[0]
 
     def step(self) -> bool:
         """Run the single next event. Returns False if nothing was pending."""
-        handle = self._next_live()
-        if handle is None:
+        record = self._next_live()
+        if record is None:
             return False
         heapq.heappop(self._heap)
-        handle[4] = None
-        self._now = handle[0]
+        time, seq, callback, args = record
+        if callback is None:
+            handle = args
+            handle._sim = None
+            callback, args = handle._callback, handle._args
+        self._now = time
         self._events_processed += 1
-        handle[2](*handle[3])
+        callback(*args)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -353,21 +384,26 @@ class Simulator:
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                handle = heap[0]
-                callback = handle[2]
+                time, seq, callback, args = heap[0]
                 if callback is None:
-                    pop(heap)  # cancelled; discard lazily
-                    self._cancelled_pending -= 1
-                    continue
-                time = handle[0]
-                if until is not None and time > until:
-                    break  # not due yet: it stays in the calendar
+                    # A timer: the record's last slot is its handle.
+                    handle = args
+                    callback = handle._callback
+                    if callback is None:
+                        pop(heap)  # cancelled; discard lazily
+                        self._cancelled_pending -= 1
+                        continue
+                    if until is not None and time > until:
+                        break  # not due yet: it stays in the calendar
+                    handle._sim = None
+                    args = handle._args
+                elif until is not None and time > until:
+                    break
                 pop(heap)
-                handle[4] = None
                 self._now = time
                 self._events_processed += 1
                 executed += 1
-                callback(*handle[3])
+                callback(*args)
         finally:
             self._running = False
             # Telemetry is charged once per run() call, not per event, so
@@ -389,7 +425,8 @@ class Simulator:
     def clear(self) -> None:
         """Drop all pending events and invalidate their handles (the
         clock is left untouched)."""
-        for handle in self._heap:
-            handle[4] = None
+        for record in self._heap:
+            if record[2] is None:
+                record[3]._sim = None
         self._heap.clear()
         self._cancelled_pending = 0

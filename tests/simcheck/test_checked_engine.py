@@ -13,7 +13,7 @@ from repro.simcheck import (
     InvariantViolation,
     ViolationReport,
 )
-from repro.simnet.engine import EventHandle, SimulationError, Simulator
+from repro.simnet.engine import SimulationError, Simulator
 
 
 class TestDropInBehaviour:
@@ -89,7 +89,7 @@ class TestDropInBehaviour:
 
 def _inject_raw_event(sim, time, seq, callback=lambda: None):
     """Plant a calendar item behind the engine's back (corruption tool)."""
-    heapq.heappush(sim._heap, EventHandle((time, seq, callback, (), sim)))
+    heapq.heappush(sim._heap, (time, seq, callback, ()))
 
 
 class TestClockInvariants:
@@ -149,7 +149,7 @@ class TestHeapIntegrity:
         sim = CheckedSimulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim._heap[1][2] = None
+        sim._heap[1][3]._callback = None
         with pytest.raises(InvariantViolation) as excinfo:
             sim.verify_heap()
         assert excinfo.value.invariant == "engine.heap_entry_orphan"
@@ -174,7 +174,7 @@ class TestHeapIntegrity:
     def test_non_callable_entry_detected(self):
         sim = CheckedSimulator()
         sim.schedule(1.0, lambda: None)
-        sim._heap[0][2] = "not-callable"
+        sim._heap[0][3]._callback = "not-callable"
         with pytest.raises(InvariantViolation) as excinfo:
             sim.verify_heap()
         assert excinfo.value.invariant == "engine.entry_not_callable"
@@ -195,7 +195,7 @@ class TestReportingModes:
         sim = CheckedSimulator(report=report)
         sim.schedule(1.0, lambda: None)
         # appended, not pushed: violates the heap property
-        sim._heap.append(EventHandle((0.0, 10**9, lambda: None, (), sim)))
+        sim._heap.append((0.0, 10**9, lambda: None, ()))
         sim.verify_heap()
         assert not report.ok
         assert report.violations[0].invariant == "engine.heap_order"

@@ -1,18 +1,19 @@
 """Model test: the engine against a sorted-list reference calendar.
 
-A seeded random program of ``schedule`` / ``schedule_at`` / ``cancel`` /
-``run(until=…, max_events=…)`` / ``step`` / ``peek_time`` / ``clear``
-runs on the real :class:`Simulator` and on :class:`ReferenceCalendar`
-side by side; firing order, ``now``, ``events_processed`` and
+A seeded random program of ``schedule`` / ``schedule_at`` / ``post_at`` /
+``cancel`` / ``run(until=…, max_events=…)`` / ``step`` / ``peek_time`` /
+``clear`` runs on the real :class:`Simulator` (and its checked mirror) and
+on :class:`ReferenceCalendar` side by side; firing order, ``now``, ``events_processed`` and
 ``pending_events`` must agree after every operation.  The reference is
 deliberately naive — one list, sorted on every pop — so it shares no
-mechanism (heap, lazy deletion, blanked records) with the engine.
+mechanism (heap, lazy deletion, two record shapes) with the engine.
 """
 
 import random
 
 import pytest
 
+from repro.simcheck import CheckedSimulator
 from repro.simnet.engine import Simulator
 
 
@@ -67,20 +68,29 @@ def _agree(sim, ref, fired):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_program_matches_reference(seed):
-    rng = random.Random(seed)
-    sim, ref = Simulator(), ReferenceCalendar()
+    for engine in (Simulator, CheckedSimulator):
+        _run_program(engine(), random.Random(seed))
+
+
+def _run_program(sim, rng):
+    ref = ReferenceCalendar()
     fired, handles = [], {}
     for tag in range(400):
         op = rng.random()
         if op < 0.45:
-            # Coarse times on purpose: ties exercise insertion order.
-            if rng.random() < 0.5:
+            # Coarse times on purpose: ties exercise insertion order,
+            # across timers and posted records alike.
+            how = rng.randrange(3)
+            if how == 0:
                 delay = rng.randrange(0, 8) * 0.5
                 handles[tag] = sim.schedule(delay, fired.append, tag)
                 ref.schedule_at(ref.now + delay, tag)
             else:
                 time = sim.now + rng.randrange(0, 8) * 0.5
-                handles[tag] = sim.schedule_at(time, fired.append, tag)
+                if how == 1:
+                    handles[tag] = sim.schedule_at(time, fired.append, tag)
+                else:
+                    sim.post_at(time, fired.append, tag)  # no handle to keep
                 ref.schedule_at(time, tag)
         elif op < 0.60 and handles:
             # Any handle ever issued: pending, fired, cancelled or cleared.
