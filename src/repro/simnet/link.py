@@ -7,16 +7,17 @@ connectivity is modelled as two independent links (as in ns-2's duplex
 links).
 
 A hop costs one event: the end of serialization is a time
-(``_busy_until``), not an event, so an idle link schedules only the
+(``_busy_until``), not an event, so an idle link posts only the
 delivery.  One ``_dequeue_next`` event, at ``_busy_until``, exists exactly
-while the queue is non-empty.
+while the queue is non-empty.  Neither is ever cancelled, so both are
+posted without a handle (:meth:`~repro.simnet.engine.Simulator.post_at`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..telemetry import session as _telemetry_session
+from .. import telemetry as _telemetry
 from .engine import Simulator
 from .packet import Packet, PacketKind
 from .queues import DropTailQueue
@@ -87,7 +88,7 @@ class Link:
         # link, so precompute the per-byte wire time and skip the method
         # lookup for the scheduler.
         self._seconds_per_byte = 8.0 / bandwidth_bps
-        self._schedule_at = sim.schedule_at
+        self._post_at = sim.post_at
 
     def attach(self, dst_node: "Node") -> None:
         """Set the node that receives packets at the far end."""
@@ -105,55 +106,67 @@ class Link:
         arriving at the instant the wire clears, with nothing queued,
         meets an idle transmitter.
         """
+        size = packet.size_bytes
         self.packets_offered += 1
-        self.bytes_offered += packet.size_bytes
-        # The clock field, not the ``now`` property: once per packet per hop.
+        self.bytes_offered += size
+        # The clock field, not the ``now`` property: once per packet per
+        # hop, and the queue is handed the same reading.
         now = self.sim._now
         if self._dequeue_armed or self._busy_until > now:
-            if self.queue.enqueue(packet):
+            if self.queue.enqueue(packet, now):
                 if not self._dequeue_armed:
                     self._dequeue_armed = True
-                    self._schedule_at(self._busy_until, self._dequeue_next)
-                # Flight recorder: one session lookup + bool when off
+                    self._post_at(self._busy_until, self._dequeue_next)
+                # Flight recorder: one attribute chain + bool when off
                 # (the drop branch is recorded by the queue itself).
                 # Armed, it records the DATA lifecycle only (ACK feedback is
                 # visible as transport cwnd events), and no occupancy
                 # detail — a dict per enqueue costs real time on the hot
                 # path; the drop funnel snapshots occupancy instead.
-                rec = _telemetry_session().flightrec
+                rec = _telemetry._active.flightrec
                 if rec.enabled and packet.kind is _DATA:
                     rec.simnet("enqueue", now, self.name, packet.flow_id, packet.packet_id)
             return
-        self._transmit(packet, now)
+        # Idle: start serializing.  These are the lines of ``_transmit``,
+        # here so that the common hop is one frame.
+        self._busy_until = done = now + size * self._seconds_per_byte
+        self._tx_bytes = size
+        self._bytes_committed += size
+        self._packets_committed += 1
+        self._busy_seconds += done - now
+        rec = _telemetry._active.flightrec
+        if rec.enabled and packet.kind is _DATA:
+            rec.simnet("transmit", done, self.name, packet.flow_id, packet.packet_id)
+        self._post_at(done + self.delay_s, self._deliver, packet)
 
     def _transmit(self, packet: Packet, now: float) -> None:
-        """Start serializing ``packet``: commit the ledger, schedule delivery."""
+        """Start serializing ``packet``: commit the ledger, post the delivery."""
         size = packet.size_bytes
         self._busy_until = done = now + size * self._seconds_per_byte
         self._tx_bytes = size
         self._bytes_committed += size
         self._packets_committed += 1
         self._busy_seconds += done - now
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled and packet.kind is _DATA:
             # Stamped with the time serialization ends; dumps sort on write.
             rec.simnet("transmit", done, self.name, packet.flow_id, packet.packet_id)
         # ``_deliver`` is bound here, when serialization starts.
-        self._schedule_at(done + self.delay_s, self._deliver, packet)
+        self._post_at(done + self.delay_s, self._deliver, packet)
 
     def _dequeue_next(self) -> None:
         """The wire cleared with packets waiting: pull the head onto it."""
-        packet = self.queue.dequeue()
+        now = self.sim._now
+        packet = self.queue.dequeue(now)
         if packet is None:  # flushed since this event was armed
             self._dequeue_armed = False
             return
-        now = self.sim._now
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled and packet.kind is _DATA:
             rec.simnet("dequeue", now, self.name, packet.flow_id, packet.packet_id)
         self._transmit(packet, now)
         if len(self.queue):
-            self._schedule_at(self._busy_until, self._dequeue_next)
+            self._post_at(self._busy_until, self._dequeue_next)
         else:
             self._dequeue_armed = False
 

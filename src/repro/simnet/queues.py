@@ -23,7 +23,7 @@ from collections import deque
 from itertools import count
 from typing import Callable, Deque, List, Optional, Tuple
 
-from ..telemetry import session as _telemetry_session
+from .. import telemetry as _telemetry
 from .packet import Packet
 
 
@@ -114,13 +114,18 @@ class DropTailQueue:
         self.capacity_bytes = capacity_bytes
         self._clock = clock
         self._on_drop = on_drop
+        # Storage: anything with a length, and the two operations on it
+        # bound once (for a deque, its C methods).  A subclass with another
+        # container rebinds all three and overrides ``_drain``.
         self._queue: Deque[Packet] = deque()
+        self._append: Callable[[Packet], None] = self._queue.append
+        self._popleft: Callable[[], Packet] = self._queue.popleft
         self._bytes = 0
         self.created_at = clock()
         self.stats = QueueStats(created_at=self.created_at)
 
     def __len__(self) -> int:
-        return self._count()
+        return len(self._queue)
 
     @property
     def bytes_queued(self) -> int:
@@ -130,46 +135,63 @@ class DropTailQueue:
     @property
     def packets_queued(self) -> int:
         """Current occupancy in packets."""
-        return self._count()
+        return len(self._queue)
 
-    def _integrate_occupancy(self) -> None:
-        now = self._clock()
-        elapsed = now - self.stats.last_change_time
+    def _integrate_occupancy(self, now: Optional[float] = None) -> float:
+        """Bring both occupancy integrals up to ``now`` (the clock's reading
+        when not given) and return it.  :meth:`enqueue` and :meth:`dequeue`
+        carry the same lines inline; the order of the float operations is
+        part of every pinned trajectory."""
+        if now is None:
+            now = self._clock()
+        stats = self.stats
+        elapsed = now - stats.last_change_time
         if elapsed > 0:
-            self.stats.occupancy_byte_seconds += self._bytes * elapsed
-            self.stats.occupancy_packet_seconds += self._count() * elapsed
-        self.stats.last_change_time = now
+            stats.occupancy_byte_seconds += self._bytes * elapsed
+            stats.occupancy_packet_seconds += len(self._queue) * elapsed
+        stats.last_change_time = now
+        return now
 
-    def _fits(self, packet: Packet) -> bool:
-        if self.capacity_bytes is None:
-            return True
-        return self._bytes + packet.size_bytes <= self.capacity_bytes
+    def enqueue(self, packet: Packet, now: Optional[float] = None) -> bool:
+        """Append ``packet``; returns False (and drops it) when full.
 
-    def enqueue(self, packet: Packet) -> bool:
-        """Append ``packet``; returns False (and drops it) when full."""
-        self._integrate_occupancy()
-        if not self._fits(packet):
-            self._drop(packet)
+        ``now`` is the caller's reading of the queue's clock, for a caller
+        that has one in hand (a link does); the queue reads it otherwise.
+        """
+        if now is None:
+            now = self._clock()
+        stats = self.stats
+        elapsed = now - stats.last_change_time
+        if elapsed > 0:
+            stats.occupancy_byte_seconds += self._bytes * elapsed
+            stats.occupancy_packet_seconds += len(self._queue) * elapsed
+        stats.last_change_time = now
+        size = packet.size_bytes
+        queued_bytes = self._bytes + size
+        if self.capacity_bytes is not None and queued_bytes > self.capacity_bytes:
+            self._drop(packet, now)
             return False
-        packet.enqueued_at = self._clock()
+        packet.enqueued_at = now
         self._append(packet)
-        self._bytes += packet.size_bytes
-        self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += packet.size_bytes
-        self.stats.peak_packets = max(self.stats.peak_packets, self._count())
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self._bytes)
+        self._bytes = queued_bytes
+        stats.enqueued_packets += 1
+        stats.enqueued_bytes += size
+        if len(self._queue) > stats.peak_packets:
+            stats.peak_packets = len(self._queue)
+        if queued_bytes > stats.peak_bytes:
+            stats.peak_bytes = queued_bytes
         return True
 
-    def _drop(self, packet: Packet) -> None:
+    def _drop(self, packet: Packet, now: float) -> None:
         self.stats.dropped_packets += 1
         self.stats.dropped_bytes += packet.size_bytes
         # Flight recorder: the single drop funnel for every queue
         # discipline; the occupancy snapshot is what lets the post-mortem
         # attribute a stall to queue buildup rather than to a fault.
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.simnet(
-                "drop", self._clock(), "queue",
+                "drop", now, "queue",
                 packet.flow_id, packet.packet_id,
                 detail={
                     "queued_bytes": self._bytes,
@@ -179,17 +201,26 @@ class DropTailQueue:
         if self._on_drop is not None:
             self._on_drop(packet)
 
-    def dequeue(self) -> Optional[Packet]:
-        """Pop the head packet, or return None when empty."""
-        if not self._count():
+    def dequeue(self, now: Optional[float] = None) -> Optional[Packet]:
+        """Pop the head packet, or return None when empty (``now`` as for
+        :meth:`enqueue`)."""
+        queued = len(self._queue)
+        if not queued:
             # Nothing to integrate: an empty queue adds exactly 0.0 to
             # both occupancy integrals however long it stays empty.
             return None
-        self._integrate_occupancy()
+        if now is None:
+            now = self._clock()
+        stats = self.stats
+        elapsed = now - stats.last_change_time
+        if elapsed > 0:
+            stats.occupancy_byte_seconds += self._bytes * elapsed
+            stats.occupancy_packet_seconds += queued * elapsed
+        stats.last_change_time = now
         packet = self._popleft()
         self._bytes -= packet.size_bytes
-        self.stats.dequeued_packets += 1
-        self.stats.dequeued_bytes += packet.size_bytes
+        stats.dequeued_packets += 1
+        stats.dequeued_bytes += packet.size_bytes
         return packet
 
     def flush(self) -> List[Packet]:
@@ -214,12 +245,12 @@ class DropTailQueue:
         """
         stats = self.stats
         accounted_packets = (
-            stats.dequeued_packets + stats.flushed_packets + self._count()
+            stats.dequeued_packets + stats.flushed_packets + len(self._queue)
         )
         assert stats.enqueued_packets == accounted_packets, (
             f"packet conservation violated: enqueued={stats.enqueued_packets} "
             f"!= dequeued={stats.dequeued_packets} + "
-            f"flushed={stats.flushed_packets} + queued={self._count()}"
+            f"flushed={stats.flushed_packets} + queued={len(self._queue)}"
         )
         accounted_bytes = stats.dequeued_bytes + stats.flushed_bytes + self._bytes
         assert stats.enqueued_bytes == accounted_bytes, (
@@ -227,16 +258,6 @@ class DropTailQueue:
             f"!= dequeued={stats.dequeued_bytes} + "
             f"flushed={stats.flushed_bytes} + queued={self._bytes}"
         )
-
-    # -- storage hooks (overridden by PriorityQueue) -------------------
-    def _count(self) -> int:
-        return len(self._queue)
-
-    def _append(self, packet: Packet) -> None:
-        self._queue.append(packet)
-
-    def _popleft(self) -> Packet:
-        return self._queue.popleft()
 
     def _drain(self) -> List[Packet]:
         drained = list(self._queue)
@@ -264,20 +285,19 @@ class PriorityQueue(DropTailQueue):
         on_drop: Optional[Callable[[Packet], None]] = None,
     ) -> None:
         super().__init__(capacity_bytes, clock, on_drop)
-        self._pq: List[Tuple[int, int, Packet]] = []
+        self._queue: List[Tuple[int, int, Packet]] = []
+        self._append = self._push
+        self._popleft = self._pop
         self._arrival = count()
 
-    def _count(self) -> int:
-        return len(self._pq)
+    def _push(self, packet: Packet) -> None:
+        heapq.heappush(self._queue, (packet.priority, next(self._arrival), packet))
 
-    def _append(self, packet: Packet) -> None:
-        heapq.heappush(self._pq, (packet.priority, next(self._arrival), packet))
-
-    def _popleft(self) -> Packet:
-        return heapq.heappop(self._pq)[2]
+    def _pop(self) -> Packet:
+        return heapq.heappop(self._queue)[2]
 
     def _drain(self) -> List[Packet]:
         # Drain in dequeue (priority, then FIFO) order.
-        drained = [entry[2] for entry in sorted(self._pq)]
-        self._pq.clear()
+        drained = [entry[2] for entry in sorted(self._queue)]
+        self._queue.clear()
         return drained

@@ -75,13 +75,13 @@ class RedQueue(DropTailQueue):
         )
         return fraction * self.max_probability
 
-    def enqueue(self, packet: Packet) -> bool:
+    def enqueue(self, packet: Packet, now: Optional[float] = None) -> bool:
         self._update_average()
         probability = self._early_probability()
         if probability >= 1.0:
             self._count_since_drop = 0
             self.early_drops += 1
-            self._drop_with_stats(packet)
+            self._drop_with_stats(packet, now)
             return False
         if probability > 0.0:
             self._count_since_drop += 1
@@ -96,15 +96,14 @@ class RedQueue(DropTailQueue):
                     packet.priority |= 0  # packets keep flowing when marked
                     # ECN marking is modelled as a drop-free congestion
                     # signal: the packet is enqueued, the mark counted.
-                    return super().enqueue(packet)
+                    return super().enqueue(packet, now)
                 self.early_drops += 1
-                self._drop_with_stats(packet)
+                self._drop_with_stats(packet, now)
                 return False
         else:
             self._count_since_drop = -1
-        return super().enqueue(packet)
+        return super().enqueue(packet, now)
 
-    def _drop_with_stats(self, packet: Packet) -> None:
+    def _drop_with_stats(self, packet: Packet, now: Optional[float]) -> None:
         # Route through the base class's drop accounting.
-        self._integrate_occupancy()
-        self._drop(packet)
+        self._drop(packet, self._integrate_occupancy(now))

@@ -14,8 +14,10 @@ from repro.simnet.red import RedQueue
 class FakeClock:
     def __init__(self, t=0.0):
         self.t = t
+        self.reads = 0
 
     def __call__(self):
+        self.reads += 1
         return self.t
 
 
@@ -229,8 +231,9 @@ DISCIPLINES = [
     ("red-never-triggered", _never_red, False),
 ]
 
-#: Who reads the clock: the queue itself, or its caller.
-CLOCK_MODES = ["own"]
+#: Who reads the clock: the queue itself, or its caller (a link hands
+#: ``enqueue`` / ``dequeue`` the reading it already took).
+CLOCK_MODES = ["own", "supplied"]
 
 QUEUE_OPS = st.lists(
     st.tuples(
@@ -251,9 +254,14 @@ def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
     dropped = []
     q = factory(ORACLE_CAPACITY, clock, dropped.append)
     ref = EagerQueue(ORACLE_CAPACITY, clock.t, by_priority)
+    # The caller's reading, when it supplies one; the queue must then
+    # not take its own.
+    supplied = clock_mode == "supplied"
     for seq, (op, gap, payload, priority) in enumerate(ops):
         clock.t += gap
         where = f"{label}/{clock_mode} op {seq} {op!r} at {clock.t}"
+        now = (clock.t,) if supplied else ()
+        reads_before = clock.reads
         if op in "ea":
             if op == "e":
                 packet = make_data_packet(1, "a", "b", seq, payload, priority=priority)
@@ -261,16 +269,19 @@ def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
                 packet = make_ack_packet(1, "b", "a", seq)
                 packet.priority = priority
             want_stamp = ref.enqueue(packet, clock.t)
-            accepted = q.enqueue(packet)
+            accepted = q.enqueue(packet, *now)
             assert accepted == (packet in ref.held), where
             assert packet.enqueued_at == want_stamp, where
         elif op == "d":
-            assert q.dequeue() is ref.dequeue(clock.t), where
+            assert q.dequeue(*now) is ref.dequeue(clock.t), where
         else:
             got, want = q.flush(), ref.flush(clock.t)
             assert len(got) == len(want) and all(
                 a is b for a, b in zip(got, want)
             ), where
+            reads_before = clock.reads  # flush always reads its own clock
+        if supplied:
+            assert clock.reads == reads_before, where
         for field in QUEUE_STATS_FIELDS:
             # ``==`` on the floats too: same operations, same order.
             assert getattr(q.stats, field) == ref.stats[field], f"{where}: {field}"
