@@ -20,17 +20,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from .. import telemetry as _telemetry
 from ..simnet.engine import EventHandle, Simulator
-from ..telemetry import session as _telemetry_session
 from ..simnet.node import Host
-from ..simnet.packet import (
-    MSS_BYTES,
-    FlowSpec,
-    Packet,
-    PacketKind,
-    make_data_packet,
-)
+from ..simnet.packet import MSS_BYTES, FlowSpec, Packet, PacketKind
 from .sink import ByteIntervalSet
+
+#: Module constants so the per-packet kind checks are identity compares.
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
 
 #: Lower bound on the retransmission timer, as in ns-2 (``minrto_``).
 MIN_RTO_S = 0.2
@@ -126,19 +124,31 @@ class RttEstimator:
         if rtt <= 0:
             return
         self.last_rtt = rtt
-        self.min_rtt = min(self.min_rtt, rtt)
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
+        if rtt < self.min_rtt:
+            self.min_rtt = rtt
+        srtt = self.srtt
+        if srtt is None:
+            srtt = rtt
+            rttvar = rtt / 2.0
         else:
             assert self.rttvar is not None
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
+            rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - rtt)
+            srtt = 0.875 * srtt + 0.125 * rtt
+        self.srtt = srtt
+        self.rttvar = rttvar
         # As in Linux, the variance term is floored at tcp_rto_min so a
         # steady RTT (rttvar -> 0) cannot produce an RTO that fires on the
-        # slightest delay jitter.
-        self._rto = self.srtt + max(4.0 * self.rttvar, self.min_rto)
-        self._rto = min(self.max_rto, max(self.min_rto, self._rto))
+        # slightest delay jitter.  Comparisons, not min()/max(): this runs
+        # once per ACK and no NaN reaches it.
+        spread = 4.0 * rttvar
+        if spread < self.min_rto:
+            spread = self.min_rto
+        rto = srtt + spread
+        if rto < self.min_rto:
+            rto = self.min_rto
+        if rto > self.max_rto:
+            rto = self.max_rto
+        self._rto = rto
 
     @property
     def rto(self) -> float:
@@ -244,7 +254,7 @@ class TcpSender:
         self._started = True
         self.stats.start_time = self.sim.now
         self.host.register_agent(self.spec.flow_id, self)
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.transport(
                 "flow_start", self.sim.now, self.spec.flow_id,
@@ -262,7 +272,7 @@ class TcpSender:
         self.stats.bytes_goodput = self.flow_size
         self._cancel_rto()
         self.host.unregister_agent(self.spec.flow_id)
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.transport(
                 "flow_end", self.sim.now, self.spec.flow_id,
@@ -282,7 +292,7 @@ class TcpSender:
         self.stats.bytes_goodput = self.snd_una
         self._cancel_rto()
         self.host.unregister_agent(self.spec.flow_id)
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.transport(
                 "flow_abort", self.sim.now, self.spec.flow_id,
@@ -309,39 +319,46 @@ class TcpSender:
         minus what the receiver has selectively acknowledged, plus hole
         retransmissions that are still unconfirmed."""
         in_flight = self.snd_nxt - self.snd_una - self._sacked.total_bytes
+        pipe = max(0.0, in_flight / self.mss)
+        if not self._recovery_retransmitted:
+            return pipe
         retransmitted = 0
         for seq in self._recovery_retransmitted:
             if seq >= self.snd_una and not self._sacked.covers(seq):
                 retransmitted += 1
-        return max(0.0, in_flight / self.mss) + retransmitted
+        return pipe + retransmitted
 
     def _can_send(self) -> bool:
-        return (
-            not self._finished
-            and self.snd_nxt < self.flow_size
-            and self.pipe_segments + 1.0 <= self.cwnd + 1e-9
-        )
+        if self._finished or self.snd_nxt >= self.flow_size:
+            return False
+        if self._recovery_retransmitted:
+            return self.pipe_segments + 1.0 <= self.cwnd + 1e-9
+        # ``pipe_segments`` outside loss repair, without the property call.
+        pipe = (self.snd_nxt - self.snd_una - self._sacked.total_bytes) / self.mss
+        if pipe < 0.0:
+            pipe = 0.0
+        return pipe + 1.0 <= self.cwnd + 1e-9
 
     def _send_available(self) -> None:
         while self._can_send():
             self._send_segment(self.snd_nxt, is_retransmit=False)
-            self.snd_nxt = min(self.flow_size, self.snd_nxt + self.mss)
+            snd_nxt = self.snd_nxt + self.mss
+            self.snd_nxt = snd_nxt if snd_nxt < self.flow_size else self.flow_size
 
     def _send_segment(self, seq: int, is_retransmit: bool) -> None:
-        payload = min(self.mss, self.flow_size - seq)
-        packet = make_data_packet(
-            self.spec.flow_id,
-            self.spec.src,
-            self.spec.dst,
-            seq,
-            payload,
-            sent_at=self.sim.now,
-            is_retransmit=is_retransmit,
+        payload = self.flow_size - seq
+        if payload > self.mss:
+            payload = self.mss
+        spec = self.spec
+        packet = Packet(
+            _DATA, spec.flow_id, spec.src, spec.dst, seq, payload,
+            sent_at=self.sim._now, is_retransmit=is_retransmit,
         )
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += payload
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += payload
         if is_retransmit:
-            self.stats.retransmits += 1
+            stats.retransmits += 1
         self.host.send(packet)
         self._arm_rto()
 
@@ -357,7 +374,7 @@ class TcpSender:
         the deadline, so the RTO is taken exactly when an eagerly
         re-armed timer would have fired.
         """
-        deadline = self.sim.now + self.rtt.rto
+        deadline = self.sim._now + self.rtt._rto
         self._rto_deadline = deadline
         timer = self._rto_timer
         if timer is not None:
@@ -389,7 +406,7 @@ class TcpSender:
         self._sacked = ByteIntervalSet()
         self._recovery_retransmitted.clear()
         self._on_timeout_event()
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.transport(
                 "rto", self.sim.now, self.spec.flow_id,
@@ -406,7 +423,7 @@ class TcpSender:
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
         """Entry point for packets delivered by the host (ACKs only)."""
-        if packet.kind is not PacketKind.ACK or self._finished:
+        if packet.kind is not _ACK or self._finished:
             return
         self._process_ack(packet)
 
@@ -416,7 +433,14 @@ class TcpSender:
         # still be RTT-sampled; only a missing echo is skipped.  Karn's
         # rule (no samples from retransmitted segments) is unchanged.
         if ack.echo_timestamp is not None and not ack.is_retransmit:
-            self._sample_rtt(ack)
+            rtt = self.sim._now - ack.echo_timestamp
+            if rtt > 0:
+                self.rtt.observe(rtt)
+                stats = self.stats
+                stats.rtt_samples.append(rtt)
+                if rtt < stats.min_rtt:
+                    stats.min_rtt = rtt
+        sacked = self._sacked
         for lo, hi in ack.sack_blocks:
             # Clamp to the current send horizon: after an RTO rewinds
             # snd_nxt (go-back-N) and clears the scoreboard, straggler
@@ -426,20 +450,13 @@ class TcpSender:
             # retransmits that range regardless).
             hi = min(hi, self.snd_nxt)
             if lo < hi:
-                self._sacked.add(lo, hi)
-        self._sacked.prune_below(self.snd_una)
+                sacked.add(lo, hi)
+        if sacked.total_bytes:
+            sacked.prune_below(self.snd_una)
         if ack.seq > self.snd_una:
             self._on_new_ack(ack)
         elif ack.seq == self.snd_una and self.snd_nxt > self.snd_una:
             self._on_duplicate_ack()
-
-    def _sample_rtt(self, ack: Packet) -> None:
-        rtt = self.sim.now - ack.echo_timestamp
-        if rtt <= 0:
-            return
-        self.rtt.observe(rtt)
-        self.stats.rtt_samples.append(rtt)
-        self.stats.min_rtt = min(self.stats.min_rtt, rtt)
 
     def _on_new_ack(self, ack: Packet) -> None:
         newly_acked = ack.seq - self.snd_una
@@ -450,7 +467,8 @@ class TcpSender:
         # _send_available would re-send ACKed bytes as new data.
         if self.snd_nxt < ack.seq:
             self.snd_nxt = ack.seq
-        self._sacked.prune_below(self.snd_una)
+        if self._sacked.total_bytes:
+            self._sacked.prune_below(self.snd_una)
         if self._recovery_retransmitted:
             self._recovery_retransmitted = {
                 seq for seq in self._recovery_retransmitted if seq >= self.snd_una
@@ -475,13 +493,14 @@ class TcpSender:
     def _grow_window(self, acked_segments: float) -> None:
         if self.cwnd < self.ssthresh:
             # Slow start: one segment per ACKed segment, capped at ssthresh.
-            self.cwnd = min(self.ssthresh, self.cwnd + acked_segments)
+            cwnd = self.cwnd + acked_segments
+            self.cwnd = cwnd if cwnd < self.ssthresh else self.ssthresh
         else:
             self._on_ack_congestion_avoidance(acked_segments)
         sampled = int(self.cwnd)
         if sampled != self._flightrec_cwnd:
             self._flightrec_cwnd = sampled
-            rec = _telemetry_session().flightrec
+            rec = _telemetry._active.flightrec
             if rec.enabled:
                 rec.transport(
                     "cwnd", self.sim.now, self.spec.flow_id,
@@ -505,7 +524,7 @@ class TcpSender:
         self._recovery_retransmitted.clear()
         self.stats.fast_retransmits += 1
         self._on_loss_event()
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.transport(
                 "recovery_enter", self.sim.now, self.spec.flow_id,
@@ -525,7 +544,7 @@ class TcpSender:
         self._recovery_retransmitted.clear()
         self.cwnd = max(1.0, self.ssthresh)
         self._flightrec_cwnd = int(self.cwnd)
-        rec = _telemetry_session().flightrec
+        rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.transport(
                 "recovery_exit", self.sim.now, self.spec.flow_id,

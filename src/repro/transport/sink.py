@@ -12,7 +12,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
-from ..simnet.packet import FlowSpec, Packet, PacketKind, make_ack_packet
+from ..simnet.packet import FlowSpec, Packet, PacketKind
 
 
 class ByteIntervalSet:
@@ -119,31 +119,24 @@ class TcpSink:
         if packet.kind is not PacketKind.DATA:
             return
         self.packets_received += 1
-        delivered = self.received.add(packet.seq, packet.seq + packet.payload_bytes)
+        received = self.received
+        delivered = received.add(packet.seq, packet.seq + packet.payload_bytes)
         self.bytes_received += delivered
         if delivered == 0:
             self.duplicate_packets += 1
-        self.rcv_nxt = self.received.contiguous_from(0)
+        self.rcv_nxt = rcv_nxt = received.contiguous_from(0)
         if self.on_data is not None:
             self.on_data(packet)
-        self._send_ack(packet)
-
-    def _send_ack(self, data_packet: Packet) -> None:
-        ack = make_ack_packet(
-            self.spec.flow_id,
-            self.spec.dst,
-            self.spec.src,
-            self.rcv_nxt,
-            echo_timestamp=data_packet.sent_at,
-        )
-        ack.is_retransmit = data_packet.is_retransmit
-        ack.sack_blocks = self._sack_blocks()
+        spec = self.spec
+        ack = Packet(PacketKind.ACK, spec.flow_id, spec.dst, spec.src, rcv_nxt, 0)
+        ack.echo_timestamp = packet.sent_at
+        ack.is_retransmit = packet.is_retransmit
+        if received.total_bytes != rcv_nxt:  # something is held out of order
+            ack.sack_blocks = self._sack_blocks()
         self.host.send(ack)
 
     def _sack_blocks(self, max_blocks: int = 4) -> tuple:
         """Received ranges above the cumulative ACK (RFC 2018 style)."""
-        if self.received.total_bytes == self.rcv_nxt:
-            return ()  # everything held is in order: nothing to report
         blocks = [
             (lo, hi)
             for lo, hi in self.received._intervals
