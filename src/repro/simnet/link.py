@@ -109,26 +109,24 @@ class Link:
         size = packet.size_bytes
         self.packets_offered += 1
         self.bytes_offered += size
-        # The clock field, not the ``now`` property: once per packet per
-        # hop, and the queue is handed the same reading.
+        # The clock field, not the ``now`` property; read once per hop (a
+        # queue attached to a link is on the link's clock and is handed it).
         now = self.sim._now
         if self._dequeue_armed or self._busy_until > now:
             if self.queue.enqueue(packet, now):
                 if not self._dequeue_armed:
                     self._dequeue_armed = True
                     self._post_at(self._busy_until, self._dequeue_next)
-                # Flight recorder: one attribute chain + bool when off
-                # (the drop branch is recorded by the queue itself).
-                # Armed, it records the DATA lifecycle only (ACK feedback is
-                # visible as transport cwnd events), and no occupancy
-                # detail — a dict per enqueue costs real time on the hot
-                # path; the drop funnel snapshots occupancy instead.
+                # Flight recorder: an attribute chain + bool when off (the
+                # queue records the drop branch itself).  Armed, the DATA
+                # lifecycle only (ACKs show as transport cwnd events) and no
+                # occupancy detail: a dict per enqueue costs real time here;
+                # the drop funnel snapshots occupancy instead.
                 rec = _telemetry._active.flightrec
                 if rec.enabled and packet.kind is _DATA:
                     rec.simnet("enqueue", now, self.name, packet.flow_id, packet.packet_id)
             return
-        # Idle: start serializing.  These are the lines of ``_transmit``,
-        # here so that the common hop is one frame.
+        # Idle: the lines of ``_transmit``, here so the common hop is one frame.
         self._busy_until = done = now + size * self._seconds_per_byte
         self._tx_bytes = size
         self._bytes_committed += size
