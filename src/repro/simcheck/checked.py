@@ -9,7 +9,7 @@ telemetry accounting — and adds three families of checks:
   back;
 - **heap integrity**: the calendar's heap property holds, no record
   appears twice, and the engine's count of cancelled-but-unpopped
-  records matches the blanked records actually in the heap, verified
+  records matches the cancelled timers actually in the heap, verified
   every ``heap_check_interval`` events and at the end of each ``run()``;
 - **schedule sanity**: inherited from the base engine (NaN and
   past-scheduling already raise there).

@@ -8,7 +8,8 @@ each removal restores exactly the chain without that fault, and removing
 the last fault restores the link's pristine ``_deliver`` hook.
 
 A link looks ``_deliver`` up when a packet's serialization *starts* (that
-is when it schedules the delivery), so the first fault installed on a
+is when it posts the delivery event, a bare calendar record bound to the
+hook of that moment), so the first fault installed on a
 link catches neither the packets propagating at that moment nor the one
 being serialized.  Once a chain is installed it is evaluated against the
 live fault list when a delivery fires, so later installs and removals

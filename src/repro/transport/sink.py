@@ -14,6 +14,10 @@ from ..simnet.engine import Simulator
 from ..simnet.node import Host
 from ..simnet.packet import FlowSpec, Packet, PacketKind
 
+#: Module constants so the per-packet kind checks are identity compares.
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 
 class ByteIntervalSet:
     """A set of received byte ranges with O(holes) merging.
@@ -116,7 +120,7 @@ class TcpSink:
 
     def handle_packet(self, packet: Packet) -> None:
         """Process an arriving DATA packet and emit a cumulative ACK."""
-        if packet.kind is not PacketKind.DATA:
+        if packet.kind is not _DATA:
             return
         self.packets_received += 1
         received = self.received
@@ -128,7 +132,7 @@ class TcpSink:
         if self.on_data is not None:
             self.on_data(packet)
         spec = self.spec
-        ack = Packet(PacketKind.ACK, spec.flow_id, spec.dst, spec.src, rcv_nxt, 0)
+        ack = Packet(_ACK, spec.flow_id, spec.dst, spec.src, rcv_nxt, 0)
         ack.echo_timestamp = packet.sent_at
         ack.is_retransmit = packet.is_retransmit
         if received.total_bytes != rcv_nxt:  # something is held out of order

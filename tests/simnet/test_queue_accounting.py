@@ -216,18 +216,10 @@ def _never_red(capacity_bytes, clock, on_drop):
     )
 
 
-def _drop_tail(capacity_bytes, clock, on_drop):
-    return DropTailQueue(capacity_bytes, clock, on_drop)
-
-
-def _priority(capacity_bytes, clock, on_drop):
-    return PriorityQueue(capacity_bytes, clock, on_drop)
-
-
 #: (label, factory, dequeues by priority)
 DISCIPLINES = [
-    ("drop-tail", _drop_tail, False),
-    ("priority", _priority, True),
+    ("drop-tail", DropTailQueue, False),
+    ("priority", PriorityQueue, True),
     ("red-never-triggered", _never_red, False),
 ]
 
@@ -247,6 +239,16 @@ QUEUE_OPS = st.lists(
     min_size=1,
     max_size=60,
 )
+
+
+def _references_after(ops):
+    """Run ``ops`` through every discipline under both clock modes, each
+    checked against its :class:`EagerQueue`; returns the references."""
+    return [
+        _run_against_eager_reference(label, factory, by_priority, clock_mode, ops)
+        for label, factory, by_priority in DISCIPLINES
+        for clock_mode in CLOCK_MODES
+    ]
 
 
 def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
@@ -299,11 +301,7 @@ class TestEmptyDequeue:
     @given(QUEUE_OPS)
     @settings(max_examples=80)
     def test_integrals_equal_an_eager_reference_bit_for_bit(self, ops):
-        for label, factory, by_priority in DISCIPLINES:
-            for clock_mode in CLOCK_MODES:
-                _run_against_eager_reference(
-                    label, factory, by_priority, clock_mode, ops
-                )
+        _references_after(ops)
 
     def test_reference_exercises_every_door(self):
         # The op mix above is only a judge if it reaches drops, flushes,
@@ -314,17 +312,14 @@ class TestEmptyDequeue:
             + [("a", 0.0, 1, 0), ("d", 0.5, 1, 0), ("d", 0.0, 1, 0)]
             + [("f", 0.25, 1, 0), ("d", 1.0, 1, 0), ("e", 0.0, 100, 2)]
         )
-        for label, factory, by_priority in DISCIPLINES:
-            for clock_mode in CLOCK_MODES:
-                stats = _run_against_eager_reference(
-                    label, factory, by_priority, clock_mode, ops
-                ).stats
-                assert stats["dropped_packets"] == 1
-                assert stats["flushed_packets"] == 2
-                assert stats["dequeued_packets"] == 2
-                assert stats["enqueued_bytes"] == 3 * 1500 + 40 + 140
-                assert stats["peak_bytes"] == 3 * 1500 + 40
-                assert stats["occupancy_packet_seconds"] == 4 * 0.5 + 2 * 0.25
+        for reference in _references_after(ops):
+            stats = reference.stats
+            assert stats["dropped_packets"] == 1
+            assert stats["flushed_packets"] == 2
+            assert stats["dequeued_packets"] == 2
+            assert stats["enqueued_bytes"] == 3 * 1500 + 40 + 140
+            assert stats["peak_bytes"] == 3 * 1500 + 40
+            assert stats["occupancy_packet_seconds"] == 4 * 0.5 + 2 * 0.25
 
 
 class TestHeapPriorityQueue:
