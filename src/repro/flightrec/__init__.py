@@ -73,7 +73,11 @@ def use(
     :func:`repro.telemetry.use` in either nesting order.
     """
     base = _telemetry.session()
-    chosen = recorder or FlightRecorder(autodump_path=autodump_path)
+    # ``is None``, not ``or``: a recorder holding no records is falsy.
+    chosen = (
+        recorder if recorder is not None
+        else FlightRecorder(autodump_path=autodump_path)
+    )
     combined = _telemetry.TelemetrySession(base.registry, chosen)
     with _telemetry.use(combined):
         yield chosen

@@ -259,6 +259,16 @@ class TestScoping:
             assert rec.enabled
         assert flightrec.session() is NULL_RECORDER
 
+    def test_use_keeps_a_passed_empty_recorder(self):
+        # A fresh recorder is empty, so falsy (``__len__`` is 0): it must
+        # still be the one activated, not silently replaced by a default.
+        mine = FlightRecorder(simnet_capacity=64)
+        with flightrec.use(mine) as rec:
+            assert rec is mine and flightrec.session() is mine
+            flightrec.session().simnet("enqueue", 0.0, "link")
+        assert mine.simnet_emitted == 1
+        assert mine.header()["layers"]["simnet"]["capacity"] == 64
+
     def test_use_composes_with_telemetry_in_either_order(self):
         with flightrec.use() as rec:
             with telemetry.use() as tele:
