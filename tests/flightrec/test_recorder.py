@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import deque
 
 import pytest
 
@@ -91,6 +92,86 @@ class TestEveryLayer:
         getattr(NULL_RECORDER, layer)("k", 0.0, "x", detail={"a": 1})
         assert len(NULL_RECORDER) == 0
         assert getattr(NULL_RECORDER, f"{layer}_emitted") == 0
+
+
+def _counts_around(capacity):
+    """Emission counts at every edge a ring's storage can have: empty, one
+    under / at / over capacity, a quarter over (+-1) and several times."""
+    quarter = capacity + capacity // 4
+    return sorted({
+        0, 1, capacity - 1, capacity, capacity + 1,
+        quarter - 1, quarter, quarter + 1, 3 * capacity,
+    })
+
+
+class _ReferenceRing:
+    """The ring contract in its plainest form: a ``deque(maxlen=capacity)``
+    of the record dicts, and a count of everything emitted."""
+
+    def __init__(self, layer, capacity):
+        self.layer = layer
+        self.capacity = capacity
+        self.clear()
+
+    def clear(self):
+        self.kept = deque(maxlen=self.capacity)
+        self.emitted = 0
+
+    def emit(self, kind, t, values, detail):
+        record = {"layer": self.layer, "kind": kind, "t": t, **values}
+        if detail is not None:
+            record["detail"] = detail
+        self.kept.append(record)
+        self.emitted += 1
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+@pytest.mark.parametrize("capacity", [1, 7, 8])
+@pytest.mark.parametrize("cleared_after", [None, 0, 1, "capacity+1"])
+def test_ring_matches_a_bounded_deque(layer, capacity, cleared_after, tmp_path):
+    """Every observable of one layer's ring, after every emission count
+    around its edges, equals the reference deque's — also across clear()."""
+    _, fields = SCHEMA[layer]
+    names = [field[0] for field in fields]
+    samples = {
+        "component": lambda i: f"link{i}", "flow_id": lambda i: i,
+        "packet_id": lambda i: 1000 + i, "cwnd": lambda i: i + 0.5,
+        "ssthresh": lambda i: 2.0 * i, "subject": lambda i: f"rpc{i}",
+    }
+    if cleared_after == "capacity+1":
+        cleared_after = capacity + 1
+    path = str(tmp_path / "dump.jsonl")
+    for count in _counts_around(capacity):
+        rec = FlightRecorder(**{f"{layer}_capacity": capacity})
+        reference = _ReferenceRing(layer, capacity)
+        emit = getattr(rec, layer)
+        emissions = list(range(count))
+        if cleared_after is not None:
+            # The same count again after a clear() mid-stream.
+            emissions = list(range(cleared_after)) + [None] + emissions
+        for i in emissions:
+            if i is None:
+                rec.clear()
+                reference.clear()
+                continue
+            values = {name: samples[name](i) for name in names}
+            detail = {"i": i} if i % 3 == 0 else None
+            emit(f"k{i}", float(i), **values, detail=detail)
+            reference.emit(f"k{i}", float(i), values, detail)
+
+        expected = list(reference.kept)
+        evicted = reference.emitted - len(expected)
+        assert getattr(rec, f"{layer}_emitted") == reference.emitted
+        assert getattr(rec, f"{layer}_evicted") == evicted
+        assert len(rec) == len(expected)
+        assert rec.records() == expected
+        assert rec.header()["layers"][layer] == {
+            "emitted": reference.emitted, "evicted": evicted, "capacity": capacity,
+        }
+        assert rec.dump(path, reason="unit", sim_time=1.0) == len(expected)
+        header, loaded = load_dump(path)
+        assert header == rec.header(reason="unit", sim_time=1.0)
+        assert loaded == expected
 
 
 class TestRings:
