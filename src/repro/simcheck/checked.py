@@ -22,6 +22,7 @@ checked-vs-unchecked differential oracle in
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter as _Counter
 from typing import Optional
 
@@ -130,12 +131,14 @@ class CheckedSimulator(Simulator):
         self._running = True
         events_before = self._events_processed
         heap = self._heap
-        pop = heapq.heappop
+        pop, push = heapq.heappop, heapq.heappush
+        horizon = math.inf if until is None else until
         executed = 0
         watchdog = self._watchdog
         if watchdog is not None:
             watchdog.arm()
-        check_countdown = self.heap_check_interval
+        interval = self.heap_check_interval
+        next_scan = interval
         try:
             while heap:
                 if max_events is not None and executed >= max_events:
@@ -144,22 +147,23 @@ class CheckedSimulator(Simulator):
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                time, seq, callback, args = heap[0]
+                record = pop(heap)
+                time, seq, callback, args = record
                 if callback is None:
                     # A timer: the record's last slot is its handle.
                     handle = args
                     callback = handle._callback
                     if callback is None:
-                        pop(heap)  # cancelled; discard lazily
-                        self._cancelled_pending -= 1
+                        self._cancelled_pending -= 1  # cancelled; discard lazily
                         continue
-                    if until is not None and time > until:
-                        break  # not due yet: it stays in the calendar
+                    if time > horizon:
+                        push(heap, record)  # not due yet: back, unchanged
+                        break
                     handle._sim = None
                     args = handle._args
-                elif until is not None and time > until:
+                elif time > horizon:
+                    push(heap, record)
                     break
-                pop(heap)
                 if time < self._now:
                     self._violation(
                         "engine.clock_monotonic",
@@ -170,7 +174,6 @@ class CheckedSimulator(Simulator):
                 self._events_processed += 1
                 executed += 1
                 callback(*args)
-                self.checks_performed += 1
                 if self._now != time:
                     self._violation(
                         "engine.clock_tampered",
@@ -178,13 +181,14 @@ class CheckedSimulator(Simulator):
                         event_time=time,
                     )
                     self._now = time  # restore so later checks aren't cascaded noise
-                check_countdown -= 1
-                if check_countdown <= 0:
-                    check_countdown = self.heap_check_interval
+                if executed == next_scan:
+                    next_scan += interval
                     self.verify_heap()
             self.verify_heap()
         finally:
             self._running = False
+            # The clock checks of every executed event, credited once.
+            self.checks_performed += executed
             # Telemetry is charged once per run() call, not per event, so
             # the hot loop above stays untouched (the <=2% overhead budget).
             tele = _telemetry_session()

@@ -35,6 +35,8 @@ from .violations import InvariantViolation, ViolationReport, record_violation
 #: Slack for float window comparisons (cwnd is a float of segments).
 _CWND_EPSILON = 1e-9
 
+_INF = math.inf
+
 
 def _check_sequence_order(
     sender: TcpSender,
@@ -62,6 +64,36 @@ def check_sender_invariants(
     report: Optional[ViolationReport] = None,
 ) -> None:
     """Verify one sender's window/timer invariants at a stable point."""
+    # Every invariant below as one predicate over plain fields (no property,
+    # closure or string): a passing sender costs this frame alone.  The pipe
+    # is read only in loss repair; outside it the property is a max(0, ...).
+    snd_una, snd_nxt = sender.snd_una, sender.snd_nxt
+    outstanding = snd_nxt - snd_una
+    deadline, timer = sender._rto_deadline, sender._rto_timer
+    if (
+        0 <= snd_una <= snd_nxt <= sender.flow_size
+        and 1.0 - _CWND_EPSILON <= sender.cwnd < _INF
+        and sender._sacked.total_bytes <= outstanding
+        and (
+            deadline is None and (timer is None or timer._callback is None)
+            if sender._finished
+            else outstanding <= 0 or (
+                deadline is not None and timer is not None
+                and timer._callback is not None and timer.time <= deadline
+            )
+        )
+        and (not sender._recovery_retransmitted or sender.pipe_segments >= 0)
+    ):
+        if report is not None:
+            report.checks_performed += 6
+        return
+    _report_sender_violations(sender, report)
+
+
+def _report_sender_violations(
+    sender: TcpSender, report: Optional[ViolationReport]
+) -> None:
+    """Run every stable-point check, naming and detailing each failure."""
     subject = f"flow-{sender.spec.flow_id}"
     now = sender.sim.now
 
@@ -131,7 +163,11 @@ def install_sender_checks(
         check_sender_invariants(sender, report)
 
     def checked_send_available() -> None:
-        _check_sequence_order(sender, report)
+        if 0 <= sender.snd_una <= sender.snd_nxt <= sender.flow_size:
+            if report is not None:
+                report.checks_performed += 1
+        else:
+            _check_sequence_order(sender, report)
         original_send_available()
 
     sender.handle_packet = checked_handle  # type: ignore[method-assign]

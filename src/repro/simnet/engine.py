@@ -371,7 +371,8 @@ class Simulator:
         self._running = True
         events_before = self._events_processed
         heap = self._heap
-        pop = heapq.heappop
+        pop, push = heapq.heappop, heapq.heappush
+        horizon = math.inf if until is None else until
         executed = 0
         watchdog = self._watchdog
         if watchdog is not None:
@@ -384,22 +385,23 @@ class Simulator:
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                time, seq, callback, args = heap[0]
+                record = pop(heap)
+                time, seq, callback, args = record
                 if callback is None:
                     # A timer: the record's last slot is its handle.
                     handle = args
                     callback = handle._callback
                     if callback is None:
-                        pop(heap)  # cancelled; discard lazily
-                        self._cancelled_pending -= 1
+                        self._cancelled_pending -= 1  # cancelled; discard lazily
                         continue
-                    if until is not None and time > until:
-                        break  # not due yet: it stays in the calendar
+                    if time > horizon:
+                        push(heap, record)  # not due yet: back, unchanged
+                        break
                     handle._sim = None
                     args = handle._args
-                elif until is not None and time > until:
+                elif time > horizon:
+                    push(heap, record)
                     break
-                pop(heap)
                 self._now = time
                 self._events_processed += 1
                 executed += 1

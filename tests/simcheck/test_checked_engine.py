@@ -13,7 +13,13 @@ from repro.simcheck import (
     InvariantViolation,
     ViolationReport,
 )
-from repro.simnet.engine import SimulationError, Simulator
+from repro.simnet.engine import (
+    SimulationError,
+    SimulationStalled,
+    Simulator,
+    SimWatchdog,
+    WatchdogConfig,
+)
 
 
 class TestDropInBehaviour:
@@ -81,6 +87,47 @@ class TestDropInBehaviour:
             sim.schedule(float(i + 1), lambda: None)
         sim.run()
         assert sim.checks_performed >= 10
+
+    @pytest.mark.parametrize(
+        "ending", ["drain", "until", "max_events", "raising_callback", "watchdog"]
+    )
+    def test_checks_are_executed_events_plus_heap_scans(self, ending):
+        sim = CheckedSimulator(heap_check_interval=3)
+        scans = []
+        scan = sim.verify_heap
+
+        def counted_scan():
+            scans.append(sim.events_processed)
+            scan()
+
+        sim.verify_heap = counted_scan
+        for i in range(10):
+            sim.schedule(float(i + 1), lambda: None)
+        sim.schedule(4.5, lambda: None).cancel()  # discarded, never executed
+        kwargs, raised = {}, None
+        if ending == "until":
+            kwargs = {"until": 8.5}
+        elif ending == "max_events":
+            kwargs = {"max_events": 7}
+        elif ending == "raising_callback":
+            sim.schedule(7.5, lambda: 1 / 0)
+            raised = ZeroDivisionError
+        elif ending == "watchdog":
+            sim.install_watchdog(SimWatchdog(WatchdogConfig(max_events=7)))
+            raised = SimulationStalled
+        if raised is None:
+            sim.run(**kwargs)
+        else:
+            with pytest.raises(raised):
+                sim.run(**kwargs)
+        assert sim.checks_performed == sim.events_processed + len(scans)
+        assert scans[:2] == [3, 6]  # one scan per heap_check_interval events
+        executed = sim.events_processed
+        sim.remove_watchdog()
+        sim.run()  # a second run() keeps counting from the first
+        assert sim.checks_performed == sim.events_processed + len(scans)
+        assert sim.events_processed == 10 + (ending == "raising_callback")
+        assert executed < 10 or ending == "drain"
 
     def test_interval_below_one_rejected(self):
         with pytest.raises(ValueError):

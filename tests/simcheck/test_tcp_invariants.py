@@ -4,6 +4,8 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simcheck import (
     InvariantViolation,
@@ -12,6 +14,7 @@ from repro.simcheck import (
     checked_factory,
     install_sender_checks,
 )
+from repro.simcheck.violations import record_violation
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
 from repro.transport.base import TcpSender
 from repro.transport.sink import TcpSink
@@ -38,19 +41,29 @@ def fake_sender(**overrides):
         cwnd=2.0,
         pipe_segments=0.0,
         _sacked=SimpleNamespace(total_bytes=0),
+        _recovery_retransmitted=set(),
         _rto_deadline=None,
         _rto_timer=None,
         finished=False,
     )
     fields.update(overrides)
+    fields.setdefault("_finished", fields["finished"])
     return SimpleNamespace(**fields)
+
+
+def fake_timer(time, cancelled=False):
+    """A timer event as the checker reads it: cancelling blanks its callback."""
+    return SimpleNamespace(
+        time=time,
+        cancelled=cancelled,
+        _callback=None if cancelled else (lambda: None),
+    )
 
 
 def armed(deadline=2.0, timer_time=1.5, cancelled=False):
     """The deadline field plus a pending timer event due by it."""
     return dict(
-        _rto_deadline=deadline,
-        _rto_timer=SimpleNamespace(cancelled=cancelled, time=timer_time),
+        _rto_deadline=deadline, _rto_timer=fake_timer(timer_time, cancelled)
     )
 
 
@@ -80,7 +93,10 @@ class TestCheckerLogic:
         assert violations_for(fake_sender(cwnd=math.inf)) == ["tcp.cwnd_floor"]
 
     def test_negative_pipe_flagged(self):
-        assert violations_for(fake_sender(pipe_segments=-1.0)) == ["tcp.pipe_negative"]
+        # Only loss repair adds to the pipe estimate; outside it the sender
+        # floors it at zero, so a negative one has segments in repair.
+        sender = fake_sender(pipe_segments=-1.0, _recovery_retransmitted={0})
+        assert violations_for(sender) == ["tcp.pipe_negative"]
 
     def test_sack_overrun_flagged(self):
         sender = fake_sender(
@@ -99,9 +115,7 @@ class TestCheckerLogic:
     def test_deadline_or_timer_left_behind_after_finish_flagged(self):
         stale_deadline = fake_sender(finished=True, _rto_deadline=2.0)
         assert violations_for(stale_deadline) == ["tcp.rto_after_finish"]
-        stale_timer = fake_sender(
-            finished=True, _rto_timer=SimpleNamespace(cancelled=False, time=2.0)
-        )
+        stale_timer = fake_sender(finished=True, _rto_timer=fake_timer(2.0))
         assert violations_for(stale_timer) == ["tcp.rto_after_finish"]
 
     def test_armed_sender_with_data_outstanding_passes(self):
@@ -136,6 +150,152 @@ class TestCheckerLogic:
         assert excinfo.value.subject == "flow-7"
 
 
+def _reference_sequence_order(sender, report=None):
+    """The sequence-order check as it was written before the fast path."""
+    if not 0 <= sender.snd_una <= sender.snd_nxt <= sender.flow_size:
+        record_violation(
+            InvariantViolation(
+                "tcp.sequence_order",
+                f"flow-{sender.spec.flow_id}",
+                f"snd_una={sender.snd_una} snd_nxt={sender.snd_nxt} "
+                f"flow_size={sender.flow_size} out of order",
+                sim_time=sender.sim.now,
+                details={"snd_una": sender.snd_una, "snd_nxt": sender.snd_nxt},
+            ),
+            report,
+        )
+    if report is not None:
+        report.counted(1)
+
+
+def _reference_sender_invariants(sender, report=None):
+    """Every stable-point check run unconditionally: the reference the
+    one-predicate pass path must agree with."""
+    subject = f"flow-{sender.spec.flow_id}"
+    now = sender.sim.now
+
+    def fail(invariant, message, **details):
+        record_violation(
+            InvariantViolation(
+                invariant, subject, message, sim_time=now, details=dict(details)
+            ),
+            report,
+        )
+
+    _reference_sequence_order(sender, report)
+    if not math.isfinite(sender.cwnd) or sender.cwnd < 1.0 - 1e-9:
+        fail("tcp.cwnd_floor", f"cwnd={sender.cwnd} below one segment", cwnd=sender.cwnd)
+    if sender.pipe_segments < 0:
+        fail(
+            "tcp.pipe_negative",
+            f"pipe_segments={sender.pipe_segments}",
+            pipe=sender.pipe_segments,
+        )
+    sacked = sender._sacked.total_bytes
+    outstanding = sender.snd_nxt - sender.snd_una
+    if sacked > outstanding:
+        fail(
+            "tcp.sack_overrun",
+            f"SACK scoreboard covers {sacked}B of {outstanding}B outstanding",
+            sacked=sacked,
+            outstanding=outstanding,
+        )
+    deadline, timer = sender._rto_deadline, sender._rto_timer
+    timer_pending = timer is not None and not timer.cancelled
+    if sender.finished and (deadline is not None or timer_pending):
+        fail("tcp.rto_after_finish", "RTO armed on a finished sender")
+    rto_armed = deadline is not None and timer_pending and timer.time <= deadline
+    if not sender.finished and outstanding > 0 and not rto_armed:
+        fail(
+            "tcp.rto_disarmed",
+            f"{outstanding}B outstanding but no RTO armed",
+            outstanding=outstanding,
+        )
+    if report is not None:
+        report.counted(5)
+
+
+MSS = 1460
+
+
+@st.composite
+def sender_states(draw):
+    """Sender fields as the checker reads them, every invariant breakable:
+    sequence disorder, NaN / inf / sub-one cwnd, SACK overrun, negative
+    pipe in recovery, finished with a pending timer, a timer due after
+    the deadline.  ``pipe_segments`` is free only in recovery; outside it
+    it is the sender's own ``max(0.0, ...)``."""
+    flow_size = draw(st.integers(1, 12)) * MSS
+    sequence = st.integers(-MSS, flow_size + 2 * MSS)
+    snd_una, snd_nxt = draw(sequence), draw(sequence)
+    cwnd = draw(st.one_of(
+        st.sampled_from([1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5, 0.0, -1.0,
+                         math.nan, math.inf, -math.inf]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ))
+    sacked = draw(st.integers(0, flow_size + MSS))
+    recovery = draw(st.sets(st.integers(0, 12).map(lambda n: n * MSS), max_size=3))
+    if recovery:
+        pipe = draw(st.floats(-4.0, 40.0))
+    else:
+        pipe = max(0.0, (snd_nxt - snd_una - sacked) / MSS)
+    finished = draw(st.booleans())
+    deadline = draw(st.one_of(st.none(), st.floats(0.0, 4.0)))
+    timer = None
+    if draw(st.booleans()):
+        timer = Simulator().schedule_at(draw(st.floats(0.0, 4.0)), lambda: None)
+        if draw(st.booleans()):
+            timer.cancel()
+    return fake_sender(
+        snd_una=snd_una, snd_nxt=snd_nxt, flow_size=flow_size, cwnd=cwnd,
+        pipe_segments=pipe, _sacked=SimpleNamespace(total_bytes=sacked),
+        _recovery_retransmitted=recovery, _rto_deadline=deadline,
+        _rto_timer=timer, finished=finished,
+    )
+
+
+def _outcome(check, sender):
+    """(violations, checks) with a report; the raised violation without."""
+    report = ViolationReport()
+    check(sender, report)
+    collected = [v.as_dict() for v in report.violations]
+    try:
+        check(sender)
+        raised = None
+    except InvariantViolation as violation:
+        raised = violation.as_dict()
+    return collected, report.checks_performed, raised
+
+
+class TestCheckerMatchesReference:
+    @given(sender=sender_states())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_same_violations_and_check_count(self, sender):
+        assert _outcome(check_sender_invariants, sender) == _outcome(
+            _reference_sender_invariants, sender
+        )
+
+    def test_states_reach_every_invariant(self):
+        # The strategy is only a proof if it breaks each invariant, alone
+        # or together, somewhere in the examples the property runs.
+        seen = set()
+
+        @given(sender=sender_states())
+        @settings(max_examples=600, deadline=None, derandomize=True)
+        def collect(sender):
+            report = ViolationReport()
+            _reference_sender_invariants(sender, report)
+            seen.update(v.invariant for v in report.violations)
+            seen.add("ok" if report.ok else "violated")
+
+        collect()
+        assert seen == {
+            "ok", "violated", "tcp.sequence_order", "tcp.cwnd_floor",
+            "tcp.pipe_negative", "tcp.sack_overrun", "tcp.rto_after_finish",
+            "tcp.rto_disarmed",
+        }
+
+
 class TestInstallation:
     def test_checked_flow_completes_clean(self):
         sim, sender, done = make_sender(200_000)
@@ -146,6 +306,25 @@ class TestInstallation:
         assert done and sender.stats.completed
         assert report.ok
         assert report.checks_performed > 0
+
+    def test_six_checks_per_stable_point_and_one_per_send_loop(self):
+        sim, sender, _ = make_sender(200_000)
+        calls = dict.fromkeys(("handle_packet", "_on_rto", "_send_available"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(sender, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            setattr(sender, name, counting)
+        report = ViolationReport()
+        install_sender_checks(sender, report)
+        sender.start()
+        sim.schedule(0.5, sender._on_rto)  # one stable point of each kind
+        sim.run(until=120.0)
+        assert calls["handle_packet"] > 0 and calls["_on_rto"] == 1
+        assert report.ok and report.checks_performed == (
+            6 * (calls["handle_packet"] + calls["_on_rto"]) + calls["_send_available"]
+        )
 
     def test_snd_nxt_behind_snd_una_is_caught_before_the_send_loop_hides_it(self):
         sim, sender, _ = make_sender(200_000)
