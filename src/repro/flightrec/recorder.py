@@ -13,17 +13,15 @@ per-layer name on :class:`FlightRecorder` (``rec.<layer>(...)``,
 
 Cost contract (mirrors :mod:`repro.telemetry`): a disabled recorder is
 the shared :data:`NULL_RECORDER` singleton, and every instrumentation
-site pays one session lookup plus one ``enabled`` bool.  Enabled, each
-event is a handful of scalar stores into a preallocated flat slot
-buffer — no container allocation per event.  The flat rings are what
-keep the armed recorder inside its 1.10x hot-path budget: appending a
-tuple per event looks cheap but grows the garbage collector's tracked
+site pays one attribute chain plus one ``enabled`` bool.  Enabled, an
+event is one list extend of its scalar slots, and one ``del`` of the
+oldest slots per quarter-capacity of events keeps each ring bounded.
+Slots are scalars in one flat list per layer, never a container per
+event: appending a tuple per event grows the garbage collector's tracked
 set by tens of thousands of objects, and the resulting extra collection
 passes over the whole simulation heap cost more than the appends
-themselves (measured ~1.4x on the table-3 hot path; scalar stores into
-preallocated slots allocate nothing the collector tracks).  No I/O, no
-effect on the simulation trajectory — the budget is asserted in
-``benchmarks/test_bench_flightrec.py``.
+themselves (measured ~1.4x on the table-3 hot path).  No I/O, no effect
+on the simulation trajectory.
 
 Serialization is strict JSON (``allow_nan=False``), one record per
 line, with a header line carrying the per-layer eviction accounting and
@@ -67,9 +65,15 @@ HEADER_NAME = "flightrec.header"
 
 
 class _Ring:
-    """One layer's ring: a flat preallocated slot buffer and its count."""
+    """One layer's ring: its records' slots in one flat list.
 
-    __slots__ = ("fields", "width", "capacity", "buf", "emitted")
+    Emitters extend ``buf``; once it holds a quarter more than
+    ``capacity`` records, :meth:`trim` drops the oldest back to
+    ``capacity``, so the ring holds between ``capacity`` and 1.25x of it
+    and :meth:`records` shows the newest ``capacity``.
+    """
+
+    __slots__ = ("fields", "width", "capacity", "limit", "buf", "trimmed")
 
     def __init__(self, fields: _Fields, capacity: int) -> None:
         if capacity < 1:
@@ -77,24 +81,35 @@ class _Ring:
         self.fields = tuple(field[0] for field in fields)
         self.width = len(fields) + 3
         self.capacity = capacity
+        #: Slot count past which the emitters call :meth:`trim`.
+        self.limit = (capacity + capacity // 4) * self.width
         self.clear()
 
     def clear(self) -> None:
-        self.buf: List[Any] = [None] * (self.capacity * self.width)
-        self.emitted = 0
+        self.buf: List[Any] = []
+        self.trimmed = 0
+
+    def trim(self) -> None:
+        """Drop all but the newest ``capacity`` records."""
+        excess = len(self.buf) - self.capacity * self.width
+        del self.buf[:excess]
+        self.trimmed += excess // self.width
+
+    @property
+    def emitted(self) -> int:
+        return self.trimmed + len(self.buf) // self.width
 
     @property
     def evicted(self) -> int:
-        return max(0, self.emitted - self.capacity)
+        return self.emitted - len(self)
 
     def __len__(self) -> int:
-        return min(self.emitted, self.capacity)
+        return min(len(self.buf) // self.width, self.capacity)
 
     def records(self, layer: str) -> Iterator[Dict[str, Any]]:
         """Retained slots as dicts, oldest emission first."""
         buf, width, fields = self.buf, self.width, self.fields
-        for n in range(self.emitted - len(self), self.emitted):
-            base = (n % self.capacity) * width
+        for base in range(len(buf) - len(self) * width, len(buf), width):
             t, kind, *values, detail = buf[base:base + width]
             record = {"layer": layer, "kind": kind, "t": t}
             record.update(zip(fields, values))
@@ -107,24 +122,21 @@ def _emitter(layer: str, fields: _Fields):
     """Compile ``rec.<layer>(kind, t, *fields, detail=None)``.
 
     Generated (the :func:`collections.namedtuple` idiom) so each layer
-    gets its own named parameters and defaults while the body stays a
-    fixed run of scalar stores: no ``*args`` tuple, no loop, nothing
-    the collector tracks.
+    gets its own named parameters and defaults while the body stays one
+    extend of the ring by the record's slots: no ``*args``, no loop, and
+    the slots' tuple is freed at once, so the collector tracks nothing
+    new.
     """
     names = ["t", "kind"] + [field[0] for field in fields] + ["detail"]
     params = [name if not default else f"{name}={default[0]!r}"
               for name, *default in fields]
-    stores = "".join(
-        f"    buf[base + {offset}] = {name}\n" for offset, name in enumerate(names)
-    )
     source = (
         f"def {layer}(self, kind, t, {', '.join(params)}, detail=None):\n"
         f"    ring = self.rings[{layer!r}]\n"
-        f"    i = ring.emitted\n"
-        f"    ring.emitted = i + 1\n"
-        f"    base = (i % ring.capacity) * {len(names)}\n"
         f"    buf = ring.buf\n"
-        f"{stores}"
+        f"    buf += ({', '.join(names)})\n"
+        f"    if len(buf) > ring.limit:\n"
+        f"        ring.trim()\n"
     )
     namespace: Dict[str, Any] = {}
     # Compiled under this file's name so profilers charge the emitters

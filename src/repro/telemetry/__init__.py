@@ -13,7 +13,7 @@ Telemetry is **off by default**.  Disabled, the session holds a
 :class:`~repro.telemetry.registry.NullRegistry` and the shared
 :data:`~repro.flightrec.recorder.NULL_RECORDER`, whose operations are
 empty method calls on shared singletons — the hot path pays essentially
-nothing (see ``benchmarks/test_bench_telemetry.py``).  Enable metrics
+nothing.  Enable metrics
 process-wide with :func:`enable` or scoped with :func:`use` (the CLI
 does this when given ``--metrics-out``); recording is scoped with
 :func:`repro.flightrec.use` (``--trace-out``)::
