@@ -9,12 +9,15 @@ links).
 A hop costs one event: the end of serialization is a time
 (``_busy_until``), not an event, so an idle link posts only the
 delivery.  One ``_dequeue_next`` event, at ``_busy_until``, exists exactly
-while the queue is non-empty.  Neither is ever cancelled, so both are
-posted without a handle (:meth:`~repro.simnet.engine.Simulator.post_at`).
+while the queue is non-empty.  Neither is ever cancelled, so the link
+pushes both as the handle-free ``(time, seq, callback, args)`` records of
+:meth:`~repro.simnet.engine.Simulator.post_at`, without its time check:
+a link's times are now plus a non-negative delay.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from .. import telemetry as _telemetry
@@ -26,7 +29,7 @@ from .queues import DropTailQueue
 _DATA = PacketKind.DATA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .node import Node
+    from .node import Host, Node, Router
 
 
 class Link:
@@ -65,6 +68,9 @@ class Link:
         self.delay_s = delay_s
         self.queue = queue if queue is not None else DropTailQueue(None, lambda: sim.now)
         self.dst_node: Optional["Node"] = None
+        # The far end when ``_deliver`` carries its receive inline (attach).
+        self._dst_router: Optional["Router"] = None
+        self._dst_host: Optional["Host"] = None
         # The transmitter is serializing a ``_tx_bytes`` packet until
         # ``_busy_until``.  Its ledger is committed when serialization
         # starts and settled on read (the ``*_transmitted`` properties).
@@ -85,14 +91,22 @@ class Link:
         self.packets_delivered = 0
         self.created_at = sim.now
         # Hot-path bindings: serialization happens once per packet per
-        # link, so precompute the per-byte wire time and skip the method
-        # lookup for the scheduler.
+        # link, so precompute the per-byte wire time, and bind the
+        # calendar and its sequence counter the records are pushed with.
         self._seconds_per_byte = 8.0 / bandwidth_bps
-        self._post_at = sim.post_at
+        self._calendar = sim._heap
+        self._seq = sim._seq
 
     def attach(self, dst_node: "Node") -> None:
         """Set the node that receives packets at the far end."""
+        from .node import Host, Router  # node.py imports this module
+
         self.dst_node = dst_node
+        # Decided once, by the class's method, so a node class overriding
+        # ``receive`` is still delivered to through it.
+        receive = type(dst_node).receive
+        self._dst_router = dst_node if receive is Router.receive else None
+        self._dst_host = dst_node if receive is Host.receive else None
 
     def serialization_delay(self, packet: Packet) -> float:
         """Time to clock ``packet`` onto the wire at this link's bandwidth."""
@@ -116,7 +130,8 @@ class Link:
             if self.queue.enqueue(packet, now):
                 if not self._dequeue_armed:
                     self._dequeue_armed = True
-                    self._post_at(self._busy_until, self._dequeue_next)
+                    record = (self._busy_until, next(self._seq), self._dequeue_next, ())
+                    heappush(self._calendar, record)
                 # Flight recorder: an attribute chain + bool when off (the
                 # queue records the drop branch itself).  Armed, the DATA
                 # lifecycle only (ACKs show as transport cwnd events) and no
@@ -126,20 +141,7 @@ class Link:
                 if rec.enabled and packet.kind is _DATA:
                     rec.simnet("enqueue", now, self.name, packet.flow_id, packet.packet_id)
             return
-        # Idle: the lines of ``_transmit``, here so the common hop is one frame.
-        self._busy_until = done = now + size * self._seconds_per_byte
-        self._tx_bytes = size
-        self._bytes_committed += size
-        self._packets_committed += 1
-        self._busy_seconds += done - now
-        rec = _telemetry._active.flightrec
-        if rec.enabled and packet.kind is _DATA:
-            rec.simnet("transmit", done, self.name, packet.flow_id, packet.packet_id)
-        self._post_at(done + self.delay_s, self._deliver, packet)
-
-    def _transmit(self, packet: Packet, now: float) -> None:
-        """Start serializing ``packet``: commit the ledger, post the delivery."""
-        size = packet.size_bytes
+        # Idle: serialize now (``_dequeue_next`` repeats these lines: a frame a hop).
         self._busy_until = done = now + size * self._seconds_per_byte
         self._tx_bytes = size
         self._bytes_committed += size
@@ -149,34 +151,63 @@ class Link:
         if rec.enabled and packet.kind is _DATA:
             # Stamped with the time serialization ends; dumps sort on write.
             rec.simnet("transmit", done, self.name, packet.flow_id, packet.packet_id)
-        # ``_deliver`` is bound here, when serialization starts.
-        self._post_at(done + self.delay_s, self._deliver, packet)
+        record = (done + self.delay_s, next(self._seq), self._deliver, (packet,))
+        heappush(self._calendar, record)
 
     def _dequeue_next(self) -> None:
-        """The wire cleared with packets waiting: pull the head onto it."""
+        """The wire cleared with packets waiting: serialize the head."""
         now = self.sim._now
         packet = self.queue.dequeue(now)
         if packet is None:  # flushed since this event was armed
             self._dequeue_armed = False
             return
+        size = packet.size_bytes
+        self._busy_until = done = now + size * self._seconds_per_byte
+        self._tx_bytes = size
+        self._bytes_committed += size
+        self._packets_committed += 1
+        self._busy_seconds += done - now
         rec = _telemetry._active.flightrec
         if rec.enabled and packet.kind is _DATA:
             rec.simnet("dequeue", now, self.name, packet.flow_id, packet.packet_id)
-        self._transmit(packet, now)
-        if len(self.queue):
-            self._post_at(self._busy_until, self._dequeue_next)
+            rec.simnet("transmit", done, self.name, packet.flow_id, packet.packet_id)
+        calendar, seq = self._calendar, self._seq
+        heappush(calendar, (done + self.delay_s, next(seq), self._deliver, (packet,)))
+        if self.queue._queue:
+            heappush(calendar, (done, next(seq), self._dequeue_next, ()))
         else:
             self._dequeue_armed = False
 
     def _deliver(self, packet: Packet) -> None:
-        if self.dst_node is None:
-            raise RuntimeError(f"link {self.name} has no destination node attached")
         packet.hops += 1
         self.packets_delivered += 1
         self.bytes_delivered += packet.size_bytes
         # No flight-recorder emit here: delivery is implied by the
-        # transmit record plus the link's fixed delay, and skipping it
-        # keeps the armed recorder inside its 1.10x hot-path budget.
+        # transmit record plus the link's fixed delay.  Then the lines of
+        # Router.receive / Host.receive, so a hop is one frame.
+        node = self._dst_router
+        if node is not None:
+            node.packets_received += 1
+            out = node._table.get(packet.dst, node._default)
+            if out is None:
+                node.packets_unroutable += 1
+            else:
+                node.packets_forwarded += 1
+                out.send(packet)
+            return
+        node = self._dst_host
+        if node is not None:
+            node.packets_received += 1
+            agent = node._agents.get(packet.flow_id)
+            if agent is not None:
+                agent.handle_packet(packet)
+            elif node._default_handler is not None:
+                node._default_handler(packet)
+            else:
+                node.packets_discarded += 1
+            return
+        if self.dst_node is None:
+            raise RuntimeError(f"link {self.name} has no destination node attached")
         self.dst_node.receive(packet, self)
 
     def utilization(self) -> float:

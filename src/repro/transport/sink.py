@@ -39,6 +39,11 @@ class ByteIntervalSet:
         if end <= start:
             return 0
         intervals = self._intervals
+        if intervals and intervals[-1][1] == start:
+            # The in-order case: the range extends the top one.
+            intervals[-1] = (intervals[-1][0], end)
+            self.total_bytes += end - start
+            return end - start
         # intervals[first:last] are the ranges the new one touches.
         last = len(intervals)
         while last and intervals[last - 1][0] > end:
@@ -58,13 +63,15 @@ class ByteIntervalSet:
         return gained
 
     def contiguous_from(self, origin: int = 0) -> int:
-        """Highest byte such that ``[origin, result)`` is fully covered."""
-        result = origin
+        """Highest byte such that ``[origin, result)`` is fully covered.
+
+        Ranges are disjoint and non-adjacent, so that is the end of the one
+        holding ``origin``; from 0 the first range answers.
+        """
         for lo, hi in self._intervals:
-            if lo > result:
-                break
-            result = max(result, hi)
-        return result
+            if hi > origin:
+                return hi if lo <= origin else origin
+        return origin
 
     def covers(self, offset: int) -> bool:
         """Whether byte ``offset`` lies inside a covered range."""

@@ -65,14 +65,25 @@ class TestByteIntervalSet:
     def test_matches_reference_set_semantics(self, chunks):
         s = ByteIntervalSet()
         reference = set()
-        for start, length in chunks:
-            s.add(start, start + length)
+        for i, (start, length) in enumerate(chunks):
+            if i % 3 == 2 and s.fragment_count:
+                start = s.intervals()[-1][1]  # in order: extends the top range
+            gained = s.add(start, start + length)
+            assert gained == len(set(range(start, start + length)) - reference)
             reference.update(range(start, start + length))
         assert s.total_bytes == len(reference)
-        expected_contig = 0
-        while expected_contig in reference:
-            expected_contig += 1
-        assert s.contiguous_from(0) == expected_contig
+        runs = []
+        for byte in sorted(reference):
+            if runs and runs[-1][1] == byte:
+                runs[-1][1] = byte + 1
+            else:
+                runs.append([byte, byte + 1])
+        assert s.intervals() == [tuple(run) for run in runs]
+        for origin in range(0, max(reference) + 3):
+            expected_contig = origin
+            while expected_contig in reference:
+                expected_contig += 1
+            assert s.contiguous_from(origin) == expected_contig
 
     @given(
         st.lists(
