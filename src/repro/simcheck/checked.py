@@ -22,7 +22,6 @@ checked-vs-unchecked differential oracle in
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter as _Counter
 from typing import Optional
 
@@ -131,8 +130,7 @@ class CheckedSimulator(Simulator):
         self._running = True
         events_before = self._events_processed
         heap = self._heap
-        pop, push = heapq.heappop, heapq.heappush
-        horizon = math.inf if until is None else until
+        pop = heapq.heappop
         executed = 0
         watchdog = self._watchdog
         if watchdog is not None:
@@ -147,23 +145,22 @@ class CheckedSimulator(Simulator):
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                record = pop(heap)
-                time, seq, callback, args = record
+                time, seq, callback, args = heap[0]
                 if callback is None:
                     # A timer: the record's last slot is its handle.
                     handle = args
                     callback = handle._callback
                     if callback is None:
-                        self._cancelled_pending -= 1  # cancelled; discard lazily
+                        pop(heap)  # cancelled; discard lazily
+                        self._cancelled_pending -= 1
                         continue
-                    if time > horizon:
-                        push(heap, record)  # not due yet: back, unchanged
-                        break
+                    if until is not None and time > until:
+                        break  # not due yet: it stays in the calendar
                     handle._sim = None
                     args = handle._args
-                elif time > horizon:
-                    push(heap, record)
+                elif until is not None and time > until:
                     break
+                pop(heap)
                 if time < self._now:
                     self._violation(
                         "engine.clock_monotonic",

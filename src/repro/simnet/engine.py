@@ -371,8 +371,7 @@ class Simulator:
         self._running = True
         events_before = self._events_processed
         heap = self._heap
-        pop, push = heapq.heappop, heapq.heappush
-        horizon = math.inf if until is None else until
+        pop = heapq.heappop
         executed = 0
         watchdog = self._watchdog
         if watchdog is not None:
@@ -385,23 +384,22 @@ class Simulator:
                     # Checked before the pop so a raised SimulationStalled
                     # never discards the event it interrupted.
                     watchdog.check(self)
-                record = pop(heap)
-                time, seq, callback, args = record
+                time, seq, callback, args = heap[0]
                 if callback is None:
                     # A timer: the record's last slot is its handle.
                     handle = args
                     callback = handle._callback
                     if callback is None:
-                        self._cancelled_pending -= 1  # cancelled; discard lazily
+                        pop(heap)  # cancelled; discard lazily
+                        self._cancelled_pending -= 1
                         continue
-                    if time > horizon:
-                        push(heap, record)  # not due yet: back, unchanged
-                        break
+                    if until is not None and time > until:
+                        break  # not due yet: it stays in the calendar
                     handle._sim = None
                     args = handle._args
-                elif time > horizon:
-                    push(heap, record)
+                elif until is not None and time > until:
                     break
+                pop(heap)
                 self._now = time
                 self._events_processed += 1
                 executed += 1

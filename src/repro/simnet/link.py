@@ -29,7 +29,7 @@ from .queues import DropTailQueue
 _DATA = PacketKind.DATA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .node import Host, Node, Router
+    from .node import Node
 
 
 class Link:
@@ -68,9 +68,6 @@ class Link:
         self.delay_s = delay_s
         self.queue = queue if queue is not None else DropTailQueue(None, lambda: sim.now)
         self.dst_node: Optional["Node"] = None
-        # The far end when ``_deliver`` carries its receive inline (attach).
-        self._dst_router: Optional["Router"] = None
-        self._dst_host: Optional["Host"] = None
         # The transmitter is serializing a ``_tx_bytes`` packet until
         # ``_busy_until``.  Its ledger is committed when serialization
         # starts and settled on read (the ``*_transmitted`` properties).
@@ -99,14 +96,7 @@ class Link:
 
     def attach(self, dst_node: "Node") -> None:
         """Set the node that receives packets at the far end."""
-        from .node import Host, Router  # node.py imports this module
-
         self.dst_node = dst_node
-        # Decided once, by the class's method, so a node class overriding
-        # ``receive`` is still delivered to through it.
-        receive = type(dst_node).receive
-        self._dst_router = dst_node if receive is Router.receive else None
-        self._dst_host = dst_node if receive is Host.receive else None
 
     def serialization_delay(self, packet: Packet) -> float:
         """Time to clock ``packet`` onto the wire at this link's bandwidth."""
@@ -141,7 +131,8 @@ class Link:
                 if rec.enabled and packet.kind is _DATA:
                     rec.simnet("enqueue", now, self.name, packet.flow_id, packet.packet_id)
             return
-        # Idle: serialize now (``_dequeue_next`` repeats these lines: a frame a hop).
+        # Idle: start serializing, committing the ledger.  ``_dequeue_next``
+        # repeats these lines, so a queued hop is one frame as well.
         self._busy_until = done = now + size * self._seconds_per_byte
         self._tx_bytes = size
         self._bytes_committed += size
@@ -179,35 +170,13 @@ class Link:
             self._dequeue_armed = False
 
     def _deliver(self, packet: Packet) -> None:
+        if self.dst_node is None:
+            raise RuntimeError(f"link {self.name} has no destination node attached")
         packet.hops += 1
         self.packets_delivered += 1
         self.bytes_delivered += packet.size_bytes
         # No flight-recorder emit here: delivery is implied by the
-        # transmit record plus the link's fixed delay.  Then the lines of
-        # Router.receive / Host.receive, so a hop is one frame.
-        node = self._dst_router
-        if node is not None:
-            node.packets_received += 1
-            out = node._table.get(packet.dst, node._default)
-            if out is None:
-                node.packets_unroutable += 1
-            else:
-                node.packets_forwarded += 1
-                out.send(packet)
-            return
-        node = self._dst_host
-        if node is not None:
-            node.packets_received += 1
-            agent = node._agents.get(packet.flow_id)
-            if agent is not None:
-                agent.handle_packet(packet)
-            elif node._default_handler is not None:
-                node._default_handler(packet)
-            else:
-                node.packets_discarded += 1
-            return
-        if self.dst_node is None:
-            raise RuntimeError(f"link {self.name} has no destination node attached")
+        # transmit record plus the link's fixed delay.
         self.dst_node.receive(packet, self)
 
     def utilization(self) -> float:
