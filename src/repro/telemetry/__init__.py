@@ -13,10 +13,9 @@ Telemetry is **off by default**.  Disabled, the session holds a
 :class:`~repro.telemetry.registry.NullRegistry` and the shared
 :data:`~repro.flightrec.recorder.NULL_RECORDER`, whose operations are
 empty method calls on shared singletons — the hot path pays essentially
-nothing.  Enable metrics
-process-wide with :func:`enable` or scoped with :func:`use` (the CLI
-does this when given ``--metrics-out``); recording is scoped with
-:func:`repro.flightrec.use` (``--trace-out``)::
+nothing.  Enable metrics process-wide with :func:`enable` or scoped with
+:func:`use` (the CLI does this when given ``--metrics-out``); recording
+is scoped with :func:`repro.flightrec.use` (``--trace-out``)::
 
     from repro import telemetry
 
