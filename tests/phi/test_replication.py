@@ -179,6 +179,16 @@ class TestLeaseReconciliation:
         # The handle logs expired too: nothing left to resurrect.
         assert service.handle(0).outstanding_leases() == {}
 
+    def test_outstanding_leases_excludes_expired_on_an_idle_handle(self):
+        """No merge and no later call on the handle: the lease expired
+        only by the clock, and the handle must say so, as its server does."""
+        sim = Simulator()
+        service = make_service(sim, n=1, lease_ttl_s=2.0)
+        service.handle(0).lookup()
+        sim.run(until=3.0)
+        assert service.servers[0].active_connections == 0
+        assert service.handle(0).outstanding_leases() == {}
+
 
 class TestQuorumPolicy:
     def test_minority_replica_refuses(self):
