@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from ..simnet.engine import Simulator
 from ..telemetry import LATENCY_BUCKETS_S
@@ -53,9 +53,8 @@ class RpcError(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class RpcResult:
-    """What one call cost and how it ended."""
+class RpcResult(NamedTuple):
+    """What one call cost and how it ended (a tuple: one frame to build)."""
 
     status: RpcStatus
     attempts: int
@@ -267,17 +266,18 @@ class ChannelStats:
     by_status: dict = field(default_factory=dict)
 
     def record(self, result: RpcResult) -> None:
+        status = result.status
         self.calls += 1
         self.attempts += result.attempts
         self.retries += max(0, result.attempts - 1)
         self.rpc_time_s += result.elapsed_s
-        if result.ok:
+        if status is RpcStatus.OK:
             self.successes += 1
         else:
             self.failures += 1
-            if result.status is RpcStatus.CIRCUIT_OPEN:
+            if status is RpcStatus.CIRCUIT_OPEN:
                 self.fast_failures += 1
-        key = result.status.value
+        key = status._value_  # ``.value`` is a property: a Python frame
         self.by_status[key] = self.by_status.get(key, 0) + 1
 
 
@@ -379,29 +379,28 @@ class ControlChannel:
     def call_lookup(self) -> RpcResult:
         """Connection-start lookup as a fallible RPC."""
         if self.corruption is None:
-            return self._call(self.backend.lookup, op="lookup")
+            return self._call(self.backend.lookup, "lookup")
         return self._call(
-            lambda: self.corruption.corrupt_context(self.backend.lookup()),
-            op="lookup",
+            lambda: self.corruption.corrupt_context(self.backend.lookup()), "lookup"
         )
 
     def call_report(self, report: ConnectionReport) -> RpcResult:
         """Connection-end report as a fallible RPC."""
         if self.corruption is not None:
             report = self.corruption.corrupt_report(report)
-        return self._call(lambda: self.backend.report(report), op="report")
+        return self._call(self.backend.report, "report", report)
 
     def lookup(self) -> CongestionContext:
         """ContextSource-compatible lookup; raises :class:`RpcError`."""
         result = self.call_lookup()
-        if not result.ok:
+        if result.status is not RpcStatus.OK:
             raise RpcError(result)
         return result.value
 
     def report(self, report: ConnectionReport) -> None:
         """ContextSource-compatible report; raises :class:`RpcError`."""
         result = self.call_report(report)
-        if not result.ok:
+        if result.status is not RpcStatus.OK:
             raise RpcError(result)
 
     def report_stats(self, stats) -> None:
@@ -411,69 +410,45 @@ class ControlChannel:
     # ------------------------------------------------------------------
     # Attempt/retry machinery
     # ------------------------------------------------------------------
-    def _attempt_latency(self) -> float:
-        latency = self.config.latency_s
-        if self.config.jitter_s > 0:
-            latency += float(self.rng.uniform(0.0, self.config.jitter_s))
-        return latency
-
-    def _finish(self, result: RpcResult, op: str) -> RpcResult:
-        """Account one terminal RPC outcome (stats and telemetry)."""
-        self.stats.record(result)
-        tele = _telemetry_session()
-        if tele.enabled:
-            registry = tele.registry
-            registry.counter("phi.rpc_calls", op=op, status=result.status.value).inc()
-            if result.attempts > 1:
-                registry.counter("phi.rpc_retries", op=op).inc(result.attempts - 1)
-            registry.histogram("phi.rpc_latency_s", LATENCY_BUCKETS_S, op=op).observe(
-                result.elapsed_s
-            )
-        rec = tele.flightrec
-        if rec.enabled:
-            rec.phi(
-                "rpc", self.sim.now, op,
-                detail={
-                    "status": result.status.value,
-                    "attempts": result.attempts,
-                    "elapsed_s": result.elapsed_s,
-                },
-            )
-        return result
-
-    def _call(self, fn: Callable[[], Any], op: str = "call") -> RpcResult:
+    def _call(self, fn: Callable[..., Any], op: str = "call", *args: Any) -> RpcResult:
+        """``fn(*args)`` behind retries, outages and the breaker; the one
+        terminal outcome is accounted (stats and telemetry) on the way out."""
         cfg = self.config
+        breaker = self.breaker
         elapsed = 0.0
         attempts = 0
-        last_status = RpcStatus.TIMEOUT
+        status = RpcStatus.TIMEOUT
+        value = None
         while True:
-            if not self.breaker.allow():
-                return self._finish(
-                    RpcResult(RpcStatus.CIRCUIT_OPEN, attempts, elapsed), op
-                )
+            # A CLOSED breaker always allows: it is asked only when it is not.
+            if breaker._state is not BreakerState.CLOSED and not breaker.allow():
+                status = RpcStatus.CIRCUIT_OPEN
+                break
             attempts += 1
-            if not self.server_up:
+            if self._down_marks:
                 # Request goes unanswered: the attempt burns a timeout.
                 elapsed += cfg.timeout_s
-                last_status = RpcStatus.SERVER_DOWN
-                self.breaker.record_failure()
+                status = RpcStatus.SERVER_DOWN
+                breaker.record_failure()
             elif cfg.loss_probability > 0 and self.rng.random() < cfg.loss_probability:
                 elapsed += cfg.timeout_s
-                last_status = RpcStatus.TIMEOUT
-                self.breaker.record_failure()
+                status = RpcStatus.TIMEOUT
+                breaker.record_failure()
             else:
-                latency = self._attempt_latency()
+                latency = cfg.latency_s
+                if cfg.jitter_s > 0:
+                    latency += float(self.rng.uniform(0.0, cfg.jitter_s))
                 if latency > cfg.timeout_s:
                     elapsed += cfg.timeout_s
-                    last_status = RpcStatus.TIMEOUT
-                    self.breaker.record_failure()
+                    status = RpcStatus.TIMEOUT
+                    breaker.record_failure()
                 else:
                     elapsed += latency
-                    self.breaker.record_success()
-                    value = fn()
-                    return self._finish(
-                        RpcResult(RpcStatus.OK, attempts, elapsed, value), op
-                    )
+                    if breaker._consecutive_failures or breaker._state is not BreakerState.CLOSED:
+                        breaker.record_success()  # a no-op on a clean CLOSED breaker
+                    value = fn(*args)
+                    status = RpcStatus.OK
+                    break
             # Retry, if both the attempt count and the deadline allow a
             # worst-case (backoff + full timeout) follow-up attempt.
             if attempts > cfg.max_retries:
@@ -485,7 +460,24 @@ class ControlChannel:
                 attempts - 1, cfg.backoff_jitter, self.rng,
             )
             if elapsed + backoff + cfg.timeout_s > cfg.deadline_s:
-                last_status = RpcStatus.DEADLINE_EXCEEDED
+                status = RpcStatus.DEADLINE_EXCEEDED
                 break
             elapsed += backoff
-        return self._finish(RpcResult(last_status, attempts, elapsed), op)
+        result = RpcResult(status, attempts, elapsed, value)
+        self.stats.record(result)
+        tele = _telemetry_session()
+        if tele.enabled:
+            registry = tele.registry
+            registry.counter("phi.rpc_calls", op=op, status=status.value).inc()
+            if attempts > 1:
+                registry.counter("phi.rpc_retries", op=op).inc(attempts - 1)
+            registry.histogram("phi.rpc_latency_s", LATENCY_BUCKETS_S, op=op).observe(
+                elapsed
+            )
+        rec = tele.flightrec
+        if rec.enabled:
+            rec.phi(
+                "rpc", self.sim.now, op,
+                detail={"status": status.value, "attempts": attempts, "elapsed_s": elapsed},
+            )
+        return result

@@ -8,6 +8,7 @@ Section 2.2.2: "the congestion context can be characterized in terms of
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -51,6 +52,7 @@ QUEUE_DELAY_THRESHOLDS = (0.010, 0.050, 0.200)
 #: server in real time (every lookup registers a connection), so this
 #: bucket reacts instantly to sender bursts.
 FAIR_SHARE_THRESHOLDS_MBPS = (8.0, 2.0, 0.5)
+_FAIR_SHARE_ASCENDING = FAIR_SHARE_THRESHOLDS_MBPS[::-1]
 
 
 @dataclass(frozen=True)
@@ -108,15 +110,15 @@ class CongestionContext:
         congestion".  The ``n`` bucket uses the per-connection fair share
         when the context carries one.
         """
-        by_util = _bucket(self.utilization, UTILIZATION_THRESHOLDS)
-        by_queue = _bucket(self.queue_delay_s, QUEUE_DELAY_THRESHOLDS)
-        level = max(by_util, by_queue, key=lambda lvl: lvl.rank)
+        rank = max(
+            bisect_right(UTILIZATION_THRESHOLDS, self.utilization),
+            bisect_right(QUEUE_DELAY_THRESHOLDS, self.queue_delay_s),
+        )
         if self.fair_share_mbps is not None:
-            by_share = _bucket_descending(
-                self.fair_share_mbps, FAIR_SHARE_THRESHOLDS_MBPS
-            )
-            level = max(level, by_share, key=lambda lvl: lvl.rank)
-        return level
+            # A fair share ranks by the thresholds it does not exceed.
+            exceeded = bisect_left(_FAIR_SHARE_ASCENDING, self.fair_share_mbps)
+            rank = max(rank, len(_FAIR_SHARE_ASCENDING) - exceeded)
+        return _LEVELS_ASCENDING[rank]
 
     def is_stale(self, now: float, max_age_s: float) -> bool:
         """Whether this snapshot is older than ``max_age_s``."""
@@ -142,16 +144,6 @@ _LEVELS_ASCENDING = (
 
 
 def _bucket(value: float, thresholds) -> CongestionLevel:
-    """Bucket where *larger* values mean more congestion."""
-    for level, threshold in zip(_LEVELS_ASCENDING, thresholds):
-        if value < threshold:
-            return level
-    return CongestionLevel.SEVERE
-
-
-def _bucket_descending(value: float, thresholds) -> CongestionLevel:
-    """Bucket where *smaller* values mean more congestion (fair share)."""
-    for level, threshold in zip(_LEVELS_ASCENDING, thresholds):
-        if value > threshold:
-            return level
-    return CongestionLevel.SEVERE
+    """Bucket where *larger* values mean more congestion: a value at a
+    threshold belongs to the level above it."""
+    return _LEVELS_ASCENDING[bisect_right(thresholds, value)]

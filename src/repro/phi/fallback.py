@@ -146,52 +146,47 @@ class ResilientContextClient:
         self._cached: Optional[CongestionContext] = None
         self._cached_at = 0.0
         self._pending: Deque[ConnectionReport] = deque()
-        self.decisions: Dict[ContextDecision, int] = {d: 0 for d in ContextDecision}
+        #: Decisions made, by value: a str key hashes in C, a member does not.
+        self._decided: Dict[str, int] = {d.value: 0 for d in ContextDecision}
         self.reports_sent = 0
         self.reports_queued = 0
         self.reports_dropped = 0
         self.reports_flushed = 0
         #: Masked transport failures, counted by exception type name.
         self.transport_errors: Dict[str, int] = {}
-        self._mode: Optional[ContextDecision] = None
+        #: The current decision mode's value (``None`` before the first).
+        self._mode: Optional[str] = None
         self._mode_since = now()
         self.mode_time_s: Dict[str, float] = {d.value: 0.0 for d in ContextDecision}
+
+    @property
+    def decisions(self) -> Dict[ContextDecision, int]:
+        """How many connections started under each decision."""
+        return {d: self._decided[d.value] for d in ContextDecision}
 
     def _count_transport_error(self, exc: BaseException) -> None:
         name = type(exc).__name__
         self.transport_errors[name] = self.transport_errors.get(name, 0) + 1
 
-    def _decide(self, decision: ContextDecision) -> None:
+    def _decide(self, decision: ContextDecision, now: float) -> None:
         """Count a decision and charge sim time to the mode it ends."""
-        self.decisions[decision] += 1
-        now = self.now()
-        if self._mode is not None:
-            elapsed = now - self._mode_since
-            self.mode_time_s[self._mode.value] += elapsed
-            if elapsed > 0:
-                tele = _telemetry_session()
-                if tele.enabled:
-                    tele.registry.counter(
-                        "phi.mode_time_s", mode=self._mode.value
-                    ).inc(elapsed)
+        mode = decision._value_  # ``.value`` is a property: a Python frame
+        self._decided[mode] += 1
         previous = self._mode
-        self._mode = decision
-        self._mode_since = now
         tele = _telemetry_session()
+        if previous is not None:
+            elapsed = now - self._mode_since
+            self.mode_time_s[previous] += elapsed
+            if elapsed > 0 and tele.enabled:
+                tele.registry.counter("phi.mode_time_s", mode=previous).inc(elapsed)
+        self._mode = mode
+        self._mode_since = now
         if tele.enabled:
-            tele.registry.counter(
-                "phi.context_decisions", decision=decision.value
-            ).inc()
-        if previous is not decision:
+            tele.registry.counter("phi.context_decisions", decision=mode).inc()
+        if previous != mode:
             rec = tele.flightrec
             if rec.enabled:
-                rec.phi(
-                    "mode", now, "context",
-                    detail={
-                        "from": previous.value if previous is not None else None,
-                        "to": decision.value,
-                    },
-                )
+                rec.phi("mode", now, "context", detail={"from": previous, "to": mode})
 
     def mode_times(self) -> Dict[str, float]:
         """Sim seconds spent in each decision mode, including the current one.
@@ -201,7 +196,7 @@ class ResilientContextClient:
         """
         times = dict(self.mode_time_s)
         if self._mode is not None:
-            times[self._mode.value] += self.now() - self._mode_since
+            times[self._mode] += self.now() - self._mode_since
         return times
 
     # ------------------------------------------------------------------
@@ -222,18 +217,21 @@ class ResilientContextClient:
             return self._degraded()
         if self.guard is not None and not self.guard.validate(context):
             return self._degraded()
+        now = self.now()
         if self.trust is not None and self.trust.distrusted:
             # The channel works, so let queued history through even
             # though this sender will not act on the answer.
-            self._flush_pending()
-            self._decide(ContextDecision.DISTRUSTED)
+            if self._pending:
+                self._flush_pending()
+            self._decide(ContextDecision.DISTRUSTED, now)
             return ResolvedContext(
                 ContextDecision.DISTRUSTED, None, shadow=context
             )
         self._cached = context
-        self._cached_at = self.now()
-        self._decide(ContextDecision.FRESH)
-        self._flush_pending()
+        self._cached_at = now
+        self._decide(ContextDecision.FRESH, now)
+        if self._pending:
+            self._flush_pending()
         return ResolvedContext(ContextDecision.FRESH, context)
 
     def observe_outcome(self, resolved: ResolvedContext, stats: ConnectionStats) -> None:
@@ -253,12 +251,13 @@ class ResilientContextClient:
         self.trust.record_outcome(predicted.level(), stats)
 
     def _degraded(self) -> ResolvedContext:
+        now = self.now()
         if self._cached is not None:
-            age = self.now() - self._cached_at
+            age = now - self._cached_at
             if age <= self.staleness_ttl_s:
-                self._decide(ContextDecision.STALE)
+                self._decide(ContextDecision.STALE, now)
                 return ResolvedContext(ContextDecision.STALE, self._cached, age)
-        self._decide(ContextDecision.FALLBACK)
+        self._decide(ContextDecision.FALLBACK, now)
         return ResolvedContext(ContextDecision.FALLBACK, None)
 
     def lookup(self) -> CongestionContext:
@@ -273,11 +272,12 @@ class ResilientContextClient:
     # ------------------------------------------------------------------
     def report(self, report: ConnectionReport) -> None:
         """Send a report, queueing it for later if the channel is down."""
-        self._flush_pending()
         if self._pending:
-            # Still partitioned: preserve order behind the queued backlog.
-            self._enqueue(report)
-            return
+            self._flush_pending()
+            if self._pending:
+                # Still partitioned: preserve order behind the queued backlog.
+                self._enqueue(report)
+                return
         try:
             self.source.report(report)
         except TRANSPORT_ERRORS as exc:
@@ -316,7 +316,7 @@ class ResilientContextClient:
 
     def decision_counts(self) -> Dict[str, int]:
         """Plain-dict decision mix (keys are decision names)."""
-        return {d.value: n for d, n in self.decisions.items()}
+        return dict(self._decided)
 
 
 def resilient_phi_cubic_factory(

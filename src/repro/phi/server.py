@@ -252,7 +252,7 @@ class ContextServer:
         expires after ``lease_ttl_s`` if the sender never reports back.
         """
         self.lookups += 1
-        self._leases.append(self.sim.now)
+        self._leases.append(self.sim._now)
         return self.current_context()
 
     def report(self, report: ConnectionReport) -> None:
@@ -283,38 +283,36 @@ class ContextServer:
             # lookup id in the paper's minimal protocol, so FIFO pairing
             # is the best-effort match).
             self._leases.popleft()
-        self._admit(len(self._reports), report)
+        self._admit(report, max(0.0, self.sim._now - self.window_s))
         self._expire_old_reports()
 
-    def _admit(self, index: int, report: ConnectionReport) -> None:
-        """Insert ``report`` at deque ``index`` with its cached contribution."""
-        window_start = max(0.0, self.sim.now - self.window_s)
-        position = index + self._popped
-        if index < len(self._reports):  # mid-deque: the reports after it move up
-            self._clocked = {p + (p >= position) for p in self._clocked}
-        self._reports.insert(index, report)
-        self._bits.insert(index, self._bits_of(report, window_start) or 0.0)
-        conn_start = report.reported_at - report.duration_s
-        if report.reported_at <= self.sim.now and conn_start >= window_start:
+    def _admit(self, report: ConnectionReport, window_start: float) -> None:
+        """Append ``report`` to the window with its cached contribution and
+        fold it into the queue-delay and loss EWMAs."""
+        now = self.sim._now
+        reported_at, duration_s = report.reported_at, report.duration_s
+        conn_start = reported_at - duration_s
+        # _bits_of and ConnectionReport.queue_delay_s, inline.
+        overlap = min(reported_at, now) - max(conn_start, window_start)
+        bits = 0.0
+        if not (overlap <= 0 or duration_s <= 0):  # NaN counts, as in _bits_of
+            bits = report.bytes_transferred * 8.0 * min(1.0, overlap / duration_s) or 0.0
+        self._bits.append(bits)
+        if reported_at <= now and conn_start >= window_start:
             heapq.heappush(self._settled, conn_start)
         else:
-            self._clocked.add(position)
-        self._fold_estimates(report)
-
-    def _fold_estimates(self, report: ConnectionReport) -> None:
-        """Fold one report into the queue-delay and loss EWMAs."""
-        alpha = self.ewma_alpha
+            self._clocked.add(len(self._reports) + self._popped)
+        self._reports.append(report)
+        min_rtt_s = report.min_rtt_s
+        queue_delay_s = 0.0 if min_rtt_s <= 0 else max(0.0, report.mean_rtt_s - min_rtt_s)
         if not self._have_estimate:
-            self._queue_delay_ewma = report.queue_delay_s
+            self._queue_delay_ewma = queue_delay_s
             self._loss_ewma = report.loss_indicator
             self._have_estimate = True
         else:
-            self._queue_delay_ewma = (
-                (1 - alpha) * self._queue_delay_ewma + alpha * report.queue_delay_s
-            )
-            self._loss_ewma = (
-                (1 - alpha) * self._loss_ewma + alpha * report.loss_indicator
-            )
+            alpha = self.ewma_alpha
+            self._queue_delay_ewma = (1 - alpha) * self._queue_delay_ewma + alpha * queue_delay_s
+            self._loss_ewma = (1 - alpha) * self._loss_ewma + alpha * report.loss_indicator
 
     def report_stats(self, stats: ConnectionStats) -> None:
         """Convenience: build and submit a report from final stats."""
@@ -323,29 +321,49 @@ class ContextServer:
     # ------------------------------------------------------------------
     # Replication hooks (anti-entropy; see repro.phi.replication)
     # ------------------------------------------------------------------
-    def absorb(self, report: ConnectionReport) -> None:
-        """Fold a report learned from a peer replica into the estimators.
+    def absorb(self, reports: Sequence[ConnectionReport]) -> None:
+        """Fold a batch of reports learned from peer replicas into the estimators.
 
         Anti-entropy replay: the replica that served the original lookup
         already handled the lease lifecycle, so — unlike :meth:`report` —
-        no lease is released here.  The report is inserted in
-        ``reported_at`` order (it may predate locally received reports)
-        so the sliding-window expiry logic stays valid.  Robust-mode
-        validation still applies; a report that has already aged out of
-        the window teaches nothing and is skipped.
+        no lease is released here.  ``reports`` come in ``reported_at``
+        order; one backward merge puts each where inserting them one by
+        one, walking back from the deque's end, would (it may predate
+        locally received reports), so the sliding-window expiry logic
+        stays valid.  EWMAs fold in batch order.  Robust-mode validation
+        still applies; a report that has already aged out of the window
+        teaches nothing and is skipped.
         """
-        if self.robust is not None and report_invalid_reason(report) is not None:
+        if self.robust is not None:
             # A peer should never replicate garbage (it validates on
             # receipt), but a robust server stays robust regardless.
-            return
+            reports = [r for r in reports if report_invalid_reason(r) is None]
         self._expire_old_reports()
-        if report.reported_at < self.sim.now - self.window_s:
-            return
-        index = len(self._reports)
-        while index > 0 and self._reports[index - 1].reported_at > report.reported_at:
-            index -= 1
-        self._admit(index, report)
-        self.reports_absorbed += 1
+        horizon = self.sim._now - self.window_s
+        resident, bits, clocked = self._reports, self._bits, self._clocked
+        # Newest first: the batch, and the residents later than a batch
+        # report, which come off the right end to go back behind it.
+        tail: List[tuple] = []
+        for report in reversed(reports):
+            reported_at = report.reported_at
+            if reported_at < horizon:
+                break  # the rest of the batch is older still
+            while resident and resident[-1].reported_at > reported_at:
+                position = len(resident) - 1 + self._popped
+                moved = position in clocked
+                clocked.discard(position)
+                tail.append((resident.pop(), bits.pop(), moved))
+            tail.append((report, None, False))
+        window_start = max(0.0, horizon)
+        for report, cached, moved in reversed(tail):
+            if cached is None:
+                self._admit(report, window_start)
+                self.reports_absorbed += 1
+                continue
+            if moved:
+                clocked.add(len(resident) + self._popped)
+            resident.append(report)
+            bits.append(cached)
 
     def reset_leases(self, timestamps: Sequence[float]) -> None:
         """Replace the outstanding-lease table wholesale.
@@ -362,7 +380,7 @@ class ContextServer:
     # ------------------------------------------------------------------
     def _expire_old_reports(self) -> None:
         """Move the window's left edge up to the clock."""
-        horizon = self.sim.now - self.window_s
+        horizon = self.sim._now - self.window_s
         window_start = max(0.0, horizon)
         passed = 0
         while self._settled and self._settled[0] < window_start:
@@ -388,7 +406,7 @@ class ContextServer:
     def _expire_leases(self) -> None:
         if self.lease_ttl_s is None:
             return
-        horizon = self.sim.now - self.lease_ttl_s
+        horizon = self.sim._now - self.lease_ttl_s
         while self._leases and self._leases[0] <= horizon:
             self._leases.popleft()
             self.leases_expired += 1
@@ -400,9 +418,12 @@ class ContextServer:
         the sliding window, so long connections are not over-counted.
         """
         self._expire_old_reports()
-        window_start = max(0.0, self.sim.now - self.window_s)
-        window_len = max(1e-9, self.sim.now - window_start)
-        for index in (p - self._popped for p in self._clocked):
+        now = self.sim._now
+        window_start = max(0.0, now - self.window_s)
+        window_len = max(1e-9, now - window_start)
+        popped = self._popped
+        for position in self._clocked:
+            index = position - popped
             self._bits[index] = self._bits_of(self._reports[index], window_start) or 0.0
         contributions: Iterable[float] = self._bits
         if self.robust is not None:  # the cap is a median over overlapping reports only
@@ -413,7 +434,7 @@ class ContextServer:
     def _bits_of(self, report: ConnectionReport, window_start: float) -> Optional[float]:
         """Bits of ``report`` that fall inside the window (``None``: none)."""
         conn_start = report.reported_at - report.duration_s
-        overlap = min(report.reported_at, self.sim.now) - max(conn_start, window_start)
+        overlap = min(report.reported_at, self.sim._now) - max(conn_start, window_start)
         if overlap <= 0 or report.duration_s <= 0:
             return None
         return report.bytes_transferred * 8.0 * min(1.0, overlap / report.duration_s)
@@ -474,14 +495,18 @@ class ContextServer:
         the server counts leases — lookups that have neither reported
         back nor expired.
         """
-        n = self.active_connections
-        fair_share = self.capacity_bps / max(1, n) / 1e6
+        self._expire_leases()
+        n = len(self._leases)
+        utilization = self.estimated_utilization()  # advances the window for both
+        queue_delay_s = self._queue_delay_ewma
+        if self.robust is not None:
+            queue_delay_s = self._windowed_trim("queue_delay_s", queue_delay_s)
         return CongestionContext(
-            utilization=self.estimated_utilization(),  # advances the window for both
-            queue_delay_s=self._windowed_trim("queue_delay_s", self._queue_delay_ewma),
+            utilization=utilization,
+            queue_delay_s=queue_delay_s,
             competing_senders=float(n),
-            timestamp=self.sim.now,
-            fair_share_mbps=fair_share,
+            timestamp=self.sim._now,
+            fair_share_mbps=self.capacity_bps / max(1, n) / 1e6,
         )
 
 

@@ -80,19 +80,16 @@ class TelemetrySession:
     live one, so plain metrics sessions pay nothing for it.
     """
 
-    __slots__ = ("registry", "flightrec")
+    __slots__ = ("registry", "flightrec", "enabled")
 
     def __init__(
         self,
         registry: MetricsRegistry,
         flightrec: Optional[FlightRecorder] = None,
     ) -> None:
-        self.registry = registry
+        self.registry = registry  # never reassigned: ``enabled`` is read once
         self.flightrec = NULL_RECORDER if flightrec is None else flightrec
-
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled
+        self.enabled: bool = registry.enabled
 
     def clear(self) -> None:
         self.registry.clear()

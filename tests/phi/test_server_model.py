@@ -6,14 +6,21 @@ verbatim as the reference.  Seeded random programs of report / absorb /
 lookup / clock advance run against both; after every operation every
 field of the context served (and the loss estimate) must be ``==``, not
 approximately equal: the cached server's claim is bit-identity.
+
+``ContextServer.absorb`` takes anti-entropy's whole batch, in the merge's
+canonical order, and places it with one backward merge; the reference
+absorbs the same reports one at a time, each found its place by walking
+back from the deque's end.
 """
 
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
 from repro.phi.context import CongestionContext
+from repro.phi.replication import _report_key
 from repro.phi.server import (
     ConnectionReport,
     ContextServer,
@@ -189,6 +196,8 @@ class RescanServer:
 _ADVANCES = ((800, 1e-6, 1e-3), (185, 0.005, 0.06), (12, 0.5, 4.0), (3, 8.0, 35.0))
 _ADVANCE_WEIGHTS = [weight for weight, _, _ in _ADVANCES]
 _OPS = ("report",) * 9 + ("absorb",) * 4 + ("lookup",) * 5 + ("utilization",) * 2
+#: The same mix with anti-entropy batches in it.
+_BATCH_OPS = _OPS + ("batch",) * 3
 
 
 def _advance_clock(rng, sim):
@@ -232,6 +241,20 @@ def _draw_report(rng, flow_id, now, *, malformed):
     )
 
 
+def _draw_batch(rng, first_id, now, *, malformed):
+    """A merge's batch: one report up to the size of a post-heal catch-up,
+    some sharing an instant with another, in canonical replay order."""
+    reports = [
+        _draw_report(rng, first_id + i, now, malformed=malformed)
+        for i in range(rng.choice((1, 2, 5, 20, 80)))
+    ]
+    for i in range(1, len(reports)):
+        if rng.random() < 0.25:
+            tied = reports[rng.randrange(i)].reported_at
+            reports[i] = replace(reports[i], reported_at=tied)
+    return sorted(reports, key=_report_key)
+
+
 def _pair(robust):
     sim = Simulator()
     knobs = dict(
@@ -258,14 +281,15 @@ def _assert_same_answers(server, reference, where):
     assert server.reports_absorbed == reference.reports_absorbed, where
 
 
-def _run_program(seed, robust, n_ops, check_probability):
+def _run_program(seed, robust, n_ops, check_probability, ops=_OPS):
     rng = random.Random(seed)
     sim, server, reference = _pair(robust)
     compared = 0
     for step in range(n_ops):
         _advance_clock(rng, sim)
-        op = rng.choice(_OPS)
+        op = rng.choice(ops)
         where = (seed, step, op, sim.now)
+        malformed = robust is not None
         if op == "lookup":
             assert server.lookup() == reference.lookup(), where
         elif op == "utilization":
@@ -273,10 +297,19 @@ def _run_program(seed, robust, n_ops, check_probability):
             assert (
                 server.estimated_utilization() == reference.estimated_utilization()
             ), where
+        elif op == "batch":
+            batch = _draw_batch(rng, 1000 * step, sim.now, malformed=malformed)
+            server.absorb(batch)
+            for report in batch:
+                reference.absorb(report)
+        elif op == "absorb":  # a batch of one
+            report = _draw_report(rng, step, sim.now, malformed=malformed)
+            server.absorb([report])
+            reference.absorb(report)
         else:
-            report = _draw_report(rng, step, sim.now, malformed=robust is not None)
-            getattr(server, op)(report)
-            getattr(reference, op)(report)
+            report = _draw_report(rng, step, sim.now, malformed=malformed)
+            server.report(report)
+            reference.report(report)
         if rng.random() < check_probability:
             _assert_same_answers(server, reference, where)
             compared += 1
@@ -298,6 +331,41 @@ def test_sparse_estimates_equal_the_rescan(seed, robust):
     # Estimates taken rarely: many inserts, expiries and clock jumps pile
     # up between two refreshes of the clock-dependent contributions.
     _run_program(seed, robust, n_ops=700, check_probability=0.05)
+
+
+@pytest.mark.parametrize("robust", [None, RobustAggregationConfig()], ids=["ewma", "robust"])
+@pytest.mark.parametrize("seed", range(200, 206))
+def test_batched_absorb_equals_one_at_a_time(seed, robust):
+    # Batches land behind late local reports (an unsorted deque), before
+    # future-dated ones, and mix expired, zero-duration, longer-than-
+    # window and (robust) invalid reports with same-instant ties.
+    assert _run_program(seed, robust, n_ops=300, check_probability=1.0, ops=_BATCH_OPS) == 300
+
+
+def test_batches_move_residents_and_their_clock_dependence():
+    """The generator does what the test above relies on: batches land
+    behind resident reports, clock-dependent ones among them, in a deque
+    that late local reports left out of order."""
+    rng = random.Random(200)
+    sim, server, _ = _pair(None)
+    moved = clocked_moved = unsorted = 0
+    for step in range(400):
+        _advance_clock(rng, sim)
+        if rng.random() < 0.7:
+            server.report(_draw_report(rng, step, sim.now, malformed=False))
+            continue
+        batch = _draw_batch(rng, 1000 * step, sim.now, malformed=False)
+        admitted = [r for r in batch if r.reported_at >= sim.now - WINDOW_S]
+        server._expire_old_reports()
+        resident = list(server._reports)
+        unsorted += any(a.reported_at > b.reported_at for a, b in zip(resident, resident[1:]))
+        index = len(resident)
+        while admitted and index and resident[index - 1].reported_at > admitted[0].reported_at:
+            index -= 1
+            moved += 1
+            clocked_moved += index + server._popped in server._clocked
+        server.absorb(batch)
+    assert moved > 1000 and clocked_moved > 200 and unsorted > 50, (moved, clocked_moved, unsorted)
 
 
 def test_programs_reach_a_full_expiring_straddling_window():
