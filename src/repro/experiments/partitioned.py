@@ -1,16 +1,22 @@
 """Partitioned-control-plane experiments: Phi on a replicated plane.
 
-PR 1 asked "what if the one context server fails?" (X4) and PR 7 asked
-"what if it lies?" (X6).  This module asks the remaining question — the
-X7 sweep: **what if the control plane is replicated and the network
-partitions it?**  Senders run the full stack:
+X4 asks "what if the one context server fails?" and X6 "what if it
+lies?".  This module asks the remaining question — the X7 sweep: **what
+if the control plane is replicated and the network partitions it?**
+Senders run the full stack:
 
     sender → ResilientContextClient → FailoverChannel
            → per-replica ControlChannel → ReplicaHandle → ContextServer
 
-with a :class:`~repro.simnet.faults.Partition` fault severing, for a
-window, both the sender↔replica channels of a *cut* replica subset and
-the replica↔replica anti-entropy edges across the cut.  The cut always
+Every call's outcome travels up as an :class:`~repro.phi.channel.RpcResult`:
+a replica that cannot serve (down, cut off, or refusing a QUORUM read)
+is a non-OK status the failover channel moves past and, once every
+replica has failed, the client degrades on.  Nothing is raised between
+the layers.
+
+A :class:`~repro.simnet.faults.Partition` fault severs, for a window,
+both the sender↔replica channels of a *cut* replica subset and the
+replica↔replica anti-entropy edges across the cut.  The cut always
 contains the clients' initially-sticky replica (replica 0), so minority
 partitions genuinely exercise failover rather than hitting replicas
 nobody talks to.
@@ -19,15 +25,15 @@ The claim under test mirrors X6's safety envelope, on both axes:
 
 - with ≥ 2 replicas, any single-replica crash or **minority** partition
   keeps mean power and throughput at or above the single-server-outage
-  degraded baseline (the PR 1 stack losing its only server for the same
-  window) — replication turns an outage into a non-event;
+  degraded baseline (one server lost for the same window) —
+  replication turns an outage into a non-event;
 - **no** partition severity, up to losing every replica, drops a run
   below the uncoordinated stock-Cubic floor — the same "coordination is
   pure upside" anchor X4 established.
 
 The degraded baseline is produced by this very machinery at
 ``n_replicas=1, severity=1`` (one replica, fully cut for the same
-window): structurally the PR 1 single-server outage, through an
+window): structurally X4's single-server outage, through an
 identical code path, so the comparison isolates exactly the value of
 replication.  The replication oracle
 (:mod:`repro.simcheck.oracles`) separately pins that the N=1 stack is
@@ -239,7 +245,7 @@ def run_partitioned_phi_cubic(
 def _single_server_outage(
     spec: FaultSpec, axes: Mapping[str, Any], seed: int
 ) -> RunMetrics:
-    """The PR 1-shaped degraded baseline: one replica, fully cut for the
+    """The degraded baseline: one replica, fully cut for the
     row's heal window, through the very machinery under test."""
     return run_partitioned_phi_cubic(
         spec.policy,
@@ -316,7 +322,7 @@ def run_partition_sweep(
 
     - **stock**: uncoordinated default Cubic (the X4/X6 floor);
     - **degraded**: the same replicated machinery at ``n_replicas=1,
-      severity=1`` with the row's heal window — structurally the PR 1
+      severity=1`` with the row's heal window — structurally X4's
       single-server outage, so "replication beats one server" is an
       apples-to-apples claim.
 
@@ -359,7 +365,7 @@ def check_partition_envelope(
     - every **minority-cut** row with ≥ 2 replicas must additionally
       stay within ``rel_tol`` of the **degraded** single-server-outage
       baseline — with a quorum of replicas standing, the partition must
-      cost no more than PR 1's best effort with one server, and in
+      cost no more than the best effort of one server, and in
       practice costs nothing (failover keeps every sender FRESH).
     """
     return check_envelope(outcome, rel_tol=rel_tol)

@@ -25,7 +25,6 @@ from .channel import (
     ChannelStats,
     CircuitBreaker,
     ControlChannel,
-    RpcError,
     RpcResult,
     RpcStatus,
 )
@@ -41,19 +40,16 @@ from .corruption import (
     ByzantineReporter,
     CompositeCorruptor,
     ContextCorruptor,
-    CorruptingSource,
     CorruptionLayer,
     make_context_corruptor,
 )
 from .failover import (
-    REPLICA_ERRORS,
     FailoverChannel,
     FailoverConfig,
     FailoverStats,
     ReplicaHealth,
 )
 from .fallback import (
-    TRANSPORT_ERRORS,
     ContextDecision,
     ResilientContextClient,
     ResolvedContext,
@@ -116,7 +112,6 @@ __all__ = [
     "ContextDecision",
     "ContextGuard",
     "ControlChannel",
-    "CorruptingSource",
     "CorruptionLayer",
     "FailoverChannel",
     "FailoverConfig",
@@ -125,7 +120,6 @@ __all__ = [
     "GuardConfig",
     "GuardVerdict",
     "QuorumUnavailable",
-    "REPLICA_ERRORS",
     "ReadPolicy",
     "ReplicaHandle",
     "ReplicaHealth",
@@ -133,14 +127,12 @@ __all__ = [
     "ReplicationConfig",
     "LOSS_RATE_THRESHOLDS",
     "RobustAggregationConfig",
-    "TRANSPORT_ERRORS",
     "TrustConfig",
     "TrustTracker",
     "FAIR_SHARE_THRESHOLDS_MBPS",
     "QUEUE_DELAY_THRESHOLDS",
     "ResilientContextClient",
     "ResolvedContext",
-    "RpcError",
     "RpcResult",
     "RpcStatus",
     "SecureCongestionAggregation",

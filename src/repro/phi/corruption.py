@@ -474,22 +474,3 @@ class CorruptionLayer:
     def reports_poisoned(self) -> int:
         reporter = self.report_corruptor
         return 0 if reporter is None else reporter.poisoned
-
-
-class CorruptingSource:
-    """Wrap a bare ``ContextSource`` so its protocol surface lies.
-
-    For setups that talk to a :class:`~repro.phi.server.ContextServer`
-    directly (no :class:`~repro.phi.channel.ControlChannel` in between):
-    lookups come back corrupted, reports arrive poisoned.
-    """
-
-    def __init__(self, backend, layer: CorruptionLayer) -> None:
-        self.backend = backend
-        self.layer = layer
-
-    def lookup(self) -> CongestionContext:
-        return self.layer.corrupt_context(self.backend.lookup())
-
-    def report(self, report: ConnectionReport) -> None:
-        self.backend.report(self.layer.corrupt_report(report))

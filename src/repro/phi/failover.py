@@ -8,11 +8,11 @@ on top and decides *which* replica to ask:
 - **health scoring**: every observed RPC outcome folds into a per-replica
   EWMA score, so replica choice is driven by what the client actually
   experienced, not by any global view;
-- **failover**: when an attempt fails (timeout, server down, breaker
-  open, or a backend refusal such as
-  :class:`~repro.phi.replication.QuorumUnavailable`), the call moves on
-  to the next-best replica within the same simulated instant — RPC time
-  is accounted, never simulated, exactly like the underlying channel;
+- **failover**: when an attempt's result is not OK (timeout, server
+  down, breaker open, or ``REFUSED`` by a backend such as a replica
+  without quorum), the call moves on to the next-best replica within
+  the same simulated instant — RPC time is accounted, never simulated,
+  exactly like the underlying channel;
 - **suspension with jittered backoff**: a failed replica is benched for
   an exponentially growing window scaled by ``1 + U[0, jitter)`` drawn
   from the sim RNG, so a thousand clients whose replica died together do
@@ -24,12 +24,9 @@ on top and decides *which* replica to ask:
   choice again, so one lucky probe does not yank the whole client back
   to a flapping replica.
 
-The channel exposes the same surfaces as :class:`ControlChannel`
-(``call_lookup``/``call_report`` returning :class:`RpcResult`, raising
-``lookup``/``report``/``report_stats``), so a
-:class:`~repro.phi.fallback.ResilientContextClient` wraps it unchanged
-— replication slots into the PR 1 degradation stack instead of beside
-it.
+The channel exposes the same ``call_lookup``/``call_report`` surface as
+:class:`ControlChannel`, returning :class:`RpcResult`, so a
+:class:`~repro.phi.fallback.ResilientContextClient` wraps either one.
 """
 
 from __future__ import annotations
@@ -39,30 +36,14 @@ from typing import Dict, List, Optional, Sequence
 
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
-from ..transport.base import ConnectionStats
 from .channel import (
     ControlChannel,
-    RpcError,
     RpcResult,
     RpcStatus,
     check_backoff,
     exponential_backoff_s,
 )
-from .context import CongestionContext
 from .server import ConnectionReport
-
-#: Failures that mark one *replica attempt* as failed rather than
-#: crashing the whole call: transport-shaped exceptions raised by the
-#: backend through the channel (e.g. QuorumUnavailable, which subclasses
-#: ConnectionError).  Mirrors ``fallback.TRANSPORT_ERRORS``.
-REPLICA_ERRORS = (RpcError, ConnectionError, TimeoutError, OSError)
-
-#: Telemetry status label for attempts failed by a backend exception
-#: (the channel-level statuses come from RpcStatus values).
-BACKEND_ERROR_STATUS = "backend_error"
-
-#: What such an attempt counts as: one attempt, no simulated time.
-_BACKEND_REFUSAL = RpcResult(RpcStatus.SERVER_DOWN, 1, 0.0)
 
 
 @dataclass(frozen=True)
@@ -286,25 +267,16 @@ class FailoverChannel:
             index = order[tried]
             tried += 1
             channel = self.channels[index]
-            try:
-                if op == "lookup":
-                    result = channel.call_lookup()
-                else:
-                    result = channel.call_report(report)
-            except REPLICA_ERRORS:
-                # The RPC reached a live server whose backend refused to
-                # serve (e.g. quorum loss): a replica failure, not a
-                # call crash.  Costs no simulated time.
-                result = _BACKEND_REFUSAL
+            if op == "lookup":
+                result = channel.call_lookup()
+            else:
+                result = channel.call_report(report)
             attempts += result.attempts
             elapsed += result.elapsed_s
             stats.attempts += 1
             if tele.enabled:
-                refused = result is _BACKEND_REFUSAL
                 tele.registry.counter(
-                    "phi.replica_rpc_calls",
-                    replica=str(index),
-                    status=BACKEND_ERROR_STATUS if refused else result.status.value,
+                    "phi.replica_rpc_calls", replica=str(index), status=result.status.value
                 ).inc()
             if result.status is RpcStatus.OK:
                 health = self._health[index]
@@ -338,7 +310,7 @@ class FailoverChannel:
         return RpcResult(last.status, attempts, elapsed)
 
     # ------------------------------------------------------------------
-    # ControlChannel-compatible surfaces
+    # ControlChannel-compatible surface
     # ------------------------------------------------------------------
     def call_lookup(self) -> RpcResult:
         """Connection-start lookup, failing over across replicas."""
@@ -347,20 +319,3 @@ class FailoverChannel:
     def call_report(self, report: ConnectionReport) -> RpcResult:
         """Connection-end report, failing over across replicas."""
         return self._call("report", report)
-
-    def lookup(self) -> CongestionContext:
-        """ContextSource-compatible lookup; raises :class:`RpcError`."""
-        result = self._call("lookup")
-        if result.status is not RpcStatus.OK:
-            raise RpcError(result)
-        return result.value
-
-    def report(self, report: ConnectionReport) -> None:
-        """ContextSource-compatible report; raises :class:`RpcError`."""
-        result = self._call("report", report)
-        if result.status is not RpcStatus.OK:
-            raise RpcError(result)
-
-    def report_stats(self, stats: ConnectionStats) -> None:
-        """Convenience parity with :class:`ContextServer`."""
-        self.report(ConnectionReport.from_stats(stats, self.sim.now))

@@ -4,9 +4,11 @@ TCPTuner-style evidence says acting on garbage tuning parameters is
 worse than the defaults, so a sender that cannot reach (or cannot
 trust) the context server must fail *safe*: fall back to exactly the
 uncoordinated behaviour the status quo ships.  The
-:class:`ResilientContextClient` wraps any ``ContextSource`` — in
-practice a :class:`~repro.phi.channel.ControlChannel` — and implements
-that discipline:
+:class:`ResilientContextClient` wraps a
+:class:`~repro.phi.channel.ControlChannel` or a
+:class:`~repro.phi.failover.FailoverChannel`, reads each call's
+:class:`~repro.phi.channel.RpcResult` status, and implements that
+discipline:
 
 - **FRESH**: the lookup succeeded; use the live context.
 - **STALE**: the lookup failed but a cached context is younger than the
@@ -42,20 +44,12 @@ from ..simnet.packet import FlowSpec
 from ..telemetry import session as _telemetry_session
 from ..transport.base import ConnectionStats, TcpSender
 from ..transport.cubic import CubicParams, CubicSender
-from .channel import RpcError
+from .channel import RpcStatus
 from .context import CongestionContext
 from .guard import ContextGuard
 from .policy import PolicyTable
 from .server import ConnectionReport
 from .trust import TrustTracker
-
-#: Exception types that mean "the control plane is unreachable" — the
-#: only failures the resilient client is licensed to mask.  Anything
-#: else (a TypeError in a policy callback, a KeyError in a backend) is a
-#: programming bug and must propagate, not be silently converted into a
-#: fallback decision.  :class:`RpcError` subclasses RuntimeError, so it
-#: is listed explicitly rather than catching RuntimeError wholesale.
-TRANSPORT_ERRORS = (RpcError, ConnectionError, TimeoutError, OSError)
 
 
 class ContextDecision(Enum):
@@ -91,16 +85,15 @@ class ResolvedContext:
 
 
 class ResilientContextClient:
-    """Failure-masking wrapper around any ``ContextSource``.
+    """Failure-masking wrapper around a control channel.
 
     Parameters
     ----------
     source:
-        The (possibly failing) context source.  Lookup/report failures
-        must surface as exceptions — e.g.
-        :class:`~repro.phi.channel.RpcError` from a ControlChannel.  A
-        plain :class:`~repro.phi.server.ContextServer` also works; it
-        simply never fails.
+        Anything with ``call_lookup()`` / ``call_report(report)``
+        returning an :class:`~repro.phi.channel.RpcResult`.  Every status
+        but OK is a failure to mask; an exception is a programming bug
+        (the channel lets only those through) and propagates.
     now:
         Clock callable (simulation time).
     staleness_ttl_s:
@@ -152,8 +145,6 @@ class ResilientContextClient:
         self.reports_queued = 0
         self.reports_dropped = 0
         self.reports_flushed = 0
-        #: Masked transport failures, counted by exception type name.
-        self.transport_errors: Dict[str, int] = {}
         #: The current decision mode's value (``None`` before the first).
         self._mode: Optional[str] = None
         self._mode_since = now()
@@ -163,10 +154,6 @@ class ResilientContextClient:
     def decisions(self) -> Dict[ContextDecision, int]:
         """How many connections started under each decision."""
         return {d: self._decided[d.value] for d in ContextDecision}
-
-    def _count_transport_error(self, exc: BaseException) -> None:
-        name = type(exc).__name__
-        self.transport_errors[name] = self.transport_errors.get(name, 0) + 1
 
     def _decide(self, decision: ContextDecision, now: float) -> None:
         """Count a decision and charge sim time to the mode it ends."""
@@ -205,16 +192,15 @@ class ResilientContextClient:
     def resolve(self) -> ResolvedContext:
         """Obtain a starting context, degrading gracefully on failure.
 
-        Order of scrutiny: transport failure → guard rejection → trust
-        gate.  Only a lookup that survives all three is cached and acted
-        on; a guard-rejected snapshot is treated like a failed RPC, and
-        a distrusted one is shadow-carried but not obeyed.
+        Order of scrutiny: RPC status → guard rejection → trust gate.
+        Only a lookup that survives all three is cached and acted on; a
+        guard-rejected snapshot is treated like a failed RPC, and a
+        distrusted one is shadow-carried but not obeyed.
         """
-        try:
-            context = self.source.lookup()
-        except TRANSPORT_ERRORS as exc:
-            self._count_transport_error(exc)
+        result = self.source.call_lookup()
+        if result.status is not RpcStatus.OK:
             return self._degraded()
+        context = result.value
         if self.guard is not None and not self.guard.validate(context):
             return self._degraded()
         now = self.now()
@@ -260,13 +246,6 @@ class ResilientContextClient:
         self._decide(ContextDecision.FALLBACK, now)
         return ResolvedContext(ContextDecision.FALLBACK, None)
 
-    def lookup(self) -> CongestionContext:
-        """ContextSource parity: FALLBACK surfaces as an idle context."""
-        resolved = self.resolve()
-        if resolved.context is not None:
-            return resolved.context
-        return CongestionContext.idle(self.now())
-
     # ------------------------------------------------------------------
     # Reports with recovery queue
     # ------------------------------------------------------------------
@@ -278,17 +257,10 @@ class ResilientContextClient:
                 # Still partitioned: preserve order behind the queued backlog.
                 self._enqueue(report)
                 return
-        try:
-            self.source.report(report)
-        except TRANSPORT_ERRORS as exc:
-            self._count_transport_error(exc)
-            self._enqueue(report)
-        else:
+        if self.source.call_report(report).status is RpcStatus.OK:
             self.reports_sent += 1
-
-    def report_stats(self, stats) -> None:
-        """Convenience parity with :class:`ContextServer`."""
-        self.report(ConnectionReport.from_stats(stats, self.now()))
+        else:
+            self._enqueue(report)
 
     def _enqueue(self, report: ConnectionReport) -> None:
         if len(self._pending) >= self.max_pending_reports:
@@ -299,11 +271,7 @@ class ResilientContextClient:
 
     def _flush_pending(self) -> None:
         while self._pending:
-            head = self._pending[0]
-            try:
-                self.source.report(head)
-            except TRANSPORT_ERRORS as exc:
-                self._count_transport_error(exc)
+            if self.source.call_report(self._pending[0]).status is not RpcStatus.OK:
                 return
             self._pending.popleft()
             self.reports_sent += 1

@@ -1,8 +1,7 @@
 """A replicated Phi control plane: N context servers with anti-entropy.
 
 The paper's context server is "a repository of shared state ... within a
-domain"; PR 1 made the single server's *channel* fail realistically, and
-this module makes the server itself a small distributed system.  A
+domain"; this module makes that server a small distributed system.  A
 :class:`ReplicatedContextService` runs ``n_replicas`` independent
 :class:`~repro.phi.server.ContextServer` instances, each with its own
 report window and lease table, and reconciles them with a periodic,
@@ -31,8 +30,10 @@ lookup:
   its replica preference (see :class:`repro.phi.failover.FailoverChannel`);
 - ``QUORUM``: answer only when the serving replica can currently see a
   majority of the mesh *and* merged recently; otherwise the lookup
-  raises :class:`QuorumUnavailable`, which the resilient client treats
-  like any transport failure (STALE cache, then stock fallback).
+  raises :class:`QuorumUnavailable`, which the replica's control channel
+  ends as a ``REFUSED`` result: the failover channel tries the next
+  replica, and the resilient client degrades as on any failed call
+  (STALE cache, then stock fallback).
 
 Known approximation, by design: between merges two replicas can each
 FIFO-release the *same* oldest lease for different reports, so ``n`` can
@@ -54,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
-from ..transport.base import ConnectionStats
 from .context import CongestionContext
 from .server import ConnectionReport, ContextServer, RobustAggregationConfig
 
@@ -71,9 +71,9 @@ class QuorumUnavailable(ConnectionError):
     """A QUORUM-policy lookup hit a replica that cannot see a majority
     (or whose merge state is too stale to answer for the majority).
 
-    Subclasses :class:`ConnectionError` so the resilient client's
-    ``TRANSPORT_ERRORS`` masking and the failover channel's per-replica
-    error handling both treat it as "this replica cannot serve you now".
+    An ``OSError`` (through :class:`ConnectionError`), so the control
+    channel ends the call as ``REFUSED``: "this replica cannot serve you
+    now", not a bug.
     """
 
 
@@ -204,14 +204,6 @@ class ReplicaHandle:
             issued_at, oldest = heapq.heappop(self._unreleased)
             self.released[oldest] = issued_at
         self.seen.add(report)
-
-    def report_stats(self, stats: ConnectionStats) -> None:
-        """Convenience parity with :class:`ContextServer`."""
-        self.report(ConnectionReport.from_stats(stats, self.sim.now))
-
-    def current_context(self) -> CongestionContext:
-        """This replica's local (u, q, n) snapshot (no lease taken)."""
-        return self.server.current_context()
 
     # ------------------------------------------------------------------
     # Lease bookkeeping

@@ -314,10 +314,6 @@ class ContextServer:
             self._queue_delay_ewma = (1 - alpha) * self._queue_delay_ewma + alpha * queue_delay_s
             self._loss_ewma = (1 - alpha) * self._loss_ewma + alpha * report.loss_indicator
 
-    def report_stats(self, stats: ConnectionStats) -> None:
-        """Convenience: build and submit a report from final stats."""
-        self.report(ConnectionReport.from_stats(stats, self.sim.now))
-
     # ------------------------------------------------------------------
     # Replication hooks (anti-entropy; see repro.phi.replication)
     # ------------------------------------------------------------------
@@ -539,9 +535,6 @@ class IdealContextOracle:
 
     def report(self, report: ConnectionReport) -> None:
         """Reports are accepted for interface parity but unnecessary."""
-
-    def report_stats(self, stats: ConnectionStats) -> None:
-        """Interface parity with :class:`ContextServer`."""
 
     def current_context(self) -> CongestionContext:
         """Snapshot straight from the link instrumentation."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.phi.channel import ControlChannel
 from repro.phi.context import CongestionContext
 from repro.phi.corruption import (
     CONTEXT_CORRUPTION_MODES,
@@ -12,7 +13,6 @@ from repro.phi.corruption import (
     BitFlipCorruptor,
     ByzantineReporter,
     CompositeCorruptor,
-    CorruptingSource,
     CorruptionLayer,
     FrozenContextCorruptor,
     GarbageCorruptor,
@@ -23,6 +23,7 @@ from repro.phi.corruption import (
     raw_context,
 )
 from repro.phi.server import ConnectionReport
+from repro.simnet import Simulator
 
 
 def rng(seed=7):
@@ -295,6 +296,8 @@ class TestCorruptionLayer:
         assert layer.reports_poisoned == 1
 
     def test_corrupting_source_wraps_backend(self):
+        """A channel hosting a layer lies on both paths of its backend."""
+
         class Backend:
             def __init__(self):
                 self.reports = []
@@ -310,7 +313,8 @@ class TestCorruptionLayer:
             context_corruptor=AdversarialCorruptor(rng(1), 1.0),
             report_corruptor=ByzantineReporter(rng(2), 1.0),
         )
-        source = CorruptingSource(backend, layer)
-        assert source.lookup().utilization == 0.0
-        source.report(make_report())
+        source = ControlChannel(Simulator(), backend, corruption=layer)
+        assert source.call_lookup().value.utilization == 0.0
+        assert source.call_report(make_report()).ok
         assert backend.reports[0] != make_report()
+        assert (layer.contexts_corrupted, layer.reports_poisoned) == (1, 1)

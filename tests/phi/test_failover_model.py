@@ -4,9 +4,10 @@
 replica was tried ahead of ranking: every call sorts every non-benched
 replica, counts each attempt into ``by_replica`` as it goes and re-wraps
 the answer.  Seeded programs of lookups and reports over fake backends
-that answer, are marked down, refuse with ``ConnectionError``, lose
-messages or are all benched run against two identical stacks; after every
-operation the result tuple, ``current_replica``, every ``ReplicaHealth``
+that answer, are marked down, refuse with ``ConnectionError`` (a
+``REFUSED`` result from their channel), lose messages or are all
+benched run against two identical stacks; after every operation the
+result tuple, ``current_replica``, every ``ReplicaHealth``
 field, every ``stats`` counter, ``by_replica`` and the jitter RNGs' states
 must be ``==``.  Half the programs run with metrics on, and the two
 stacks' registries must then hold the same counters.
@@ -29,8 +30,6 @@ from repro.phi.channel import (
 )
 from repro.phi.context import CongestionContext
 from repro.phi.failover import (
-    BACKEND_ERROR_STATUS,
-    REPLICA_ERRORS,
     FailoverChannel,
     FailoverConfig,
     FailoverStats,
@@ -96,15 +95,10 @@ class ReferenceFailover(FailoverChannel):
         last: Optional[RpcResult] = None
         for index in order:
             channel = self.channels[index]
-            try:
-                if op == "lookup":
-                    result = channel.call_lookup()
-                else:
-                    result = channel.call_report(report)
-                status_label = result.status.value
-            except REPLICA_ERRORS:
-                result = RpcResult(RpcStatus.SERVER_DOWN, 1, 0.0)
-                status_label = BACKEND_ERROR_STATUS
+            if op == "lookup":
+                result = channel.call_lookup()
+            else:
+                result = channel.call_report(report)
             attempts += result.attempts
             elapsed += result.elapsed_s
             replica_stats = self._replica(index)
@@ -112,7 +106,7 @@ class ReferenceFailover(FailoverChannel):
             self.stats.attempts += 1
             if tele.enabled:
                 tele.registry.counter(
-                    "phi.replica_rpc_calls", replica=str(index), status=status_label
+                    "phi.replica_rpc_calls", replica=str(index), status=result.status.value
                 ).inc()
             if result.ok:
                 replica_stats["successes"] += 1

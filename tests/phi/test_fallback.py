@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.phi.channel import ChannelConfig, ControlChannel
+from repro.phi.channel import ChannelConfig, ControlChannel, RpcResult, RpcStatus
 from repro.phi.context import CongestionContext, CongestionLevel
 from repro.phi.fallback import (
     ContextDecision,
@@ -18,8 +18,12 @@ from repro.transport.cubic import CubicParams
 from repro.transport.sink import TcpSink
 
 
+#: What a call to an unreachable server returns.
+DOWN = RpcResult(RpcStatus.SERVER_DOWN, 1, 0.25)
+
+
 class FlakySource:
-    """A ContextSource whose availability is script-controlled."""
+    """A control channel whose availability is script-controlled."""
 
     def __init__(self, context=None):
         self.up = True
@@ -29,16 +33,17 @@ class FlakySource:
         self.lookups = 0
         self.reports = []
 
-    def lookup(self):
+    def call_lookup(self):
         if not self.up:
-            raise ConnectionError("source down")
+            return DOWN
         self.lookups += 1
-        return self.context
+        return RpcResult(RpcStatus.OK, 1, 0.005, self.context)
 
-    def report(self, report):
+    def call_report(self, report):
         if not self.up:
-            raise ConnectionError("source down")
+            return DOWN
         self.reports.append(report)
+        return RpcResult(RpcStatus.OK, 1, 0.005)
 
 
 def make_report(flow_id=1):
@@ -120,16 +125,6 @@ class TestDecisions:
             "fresh": 1, "stale": 1, "fallback": 1, "distrusted": 0,
         }
 
-    def test_lookup_parity_returns_idle_on_fallback(self):
-        clock = Clock()
-        clock.t = 7.0
-        source = FlakySource()
-        source.up = False
-        client = ResilientContextClient(source, now=clock)
-        ctx = client.lookup()
-        assert ctx.utilization == 0.0
-        assert ctx.timestamp == pytest.approx(7.0)
-
     def test_validation(self):
         source = FlakySource()
         with pytest.raises(ValueError):
@@ -178,20 +173,6 @@ class TestReportRecovery:
         source.up = True
         client.resolve()
         assert [r.flow_id for r in source.reports] == [2, 3]
-
-    def test_report_stats_parity(self):
-        sim = Simulator()
-        server = ContextServer(sim, 15e6)
-        client = ResilientContextClient(server, now=lambda: sim.now)
-        from repro.transport.base import ConnectionStats
-
-        stats = ConnectionStats(flow_id=4)
-        stats.start_time = 0.0
-        stats.end_time = 1.0
-        stats.bytes_goodput = 100
-        stats.packets_sent = 1
-        client.report_stats(stats)
-        assert server.reports_received == 1
 
 
 class TestResilientFactory:
@@ -285,51 +266,65 @@ class TestModeTimeAccounting:
 
 
 class TestNarrowedExceptions:
-    """Satellite: only transport failures are masked, and they are counted."""
+    """Only failed results are masked; a backend bug propagates through
+    the channel and the client both."""
 
-    def test_transport_errors_counted_by_type(self):
-        clock = Clock()
-        source = FlakySource()
-        client = ResilientContextClient(source, now=clock)
-        source.up = False
-        client.resolve()
-        client.report(make_report(1))
-        assert client.transport_errors == {"ConnectionError": 2}
+    @staticmethod
+    def _client_over(backend):
+        sim = Simulator()
+        channel = ControlChannel(sim, backend, config=ChannelConfig(max_retries=0))
+        return ResilientContextClient(channel, now=lambda: sim.now), channel
 
     def test_programming_bug_propagates_from_resolve(self):
-        class BuggySource:
+        class BuggyBackend:
             def lookup(self):
                 raise KeyError("not a transport problem")
 
-        client = ResilientContextClient(BuggySource(), now=Clock())
+        client, _ = self._client_over(BuggyBackend())
         with pytest.raises(KeyError):
             client.resolve()
 
     def test_programming_bug_propagates_from_report(self):
-        class BuggySource:
+        class BuggyBackend:
             def lookup(self):
                 return CongestionContext.idle()
 
             def report(self, report):
                 raise TypeError("bad callback wiring")
 
-        client = ResilientContextClient(BuggySource(), now=Clock())
+        client, _ = self._client_over(BuggyBackend())
         with pytest.raises(TypeError):
             client.report(make_report(1))
 
-    def test_rpc_error_still_masked(self):
-        from types import SimpleNamespace
+    def test_failed_result_degrades(self):
+        failed = [status for status in RpcStatus if status is not RpcStatus.OK]
+        assert RpcStatus.REFUSED in failed
+        for status in failed:
+            class Failing:
+                def call_lookup(self):
+                    return RpcResult(status, 1, 0.0)
 
-        from repro.phi.channel import RpcError, RpcStatus
+                def call_report(self, report):
+                    return RpcResult(status, 1, 0.0)
 
-        class RpcFailingSource:
+            client = ResilientContextClient(Failing(), now=Clock())
+            assert client.resolve().decision is ContextDecision.FALLBACK, status
+            client.report(make_report(1))
+            assert (client.pending_reports, client.reports_sent) == (1, 0), status
+
+    def test_backend_refusal_degrades(self):
+        class RefusingBackend:
             def lookup(self):
-                raise RpcError(SimpleNamespace(status=RpcStatus.TIMEOUT))
+                raise ConnectionError("no quorum")
 
-        client = ResilientContextClient(RpcFailingSource(), now=Clock())
-        resolved = client.resolve()
-        assert resolved.decision is ContextDecision.FALLBACK
-        assert client.transport_errors == {"RpcError": 1}
+            def report(self, report):
+                raise ConnectionError("no quorum")
+
+        client, channel = self._client_over(RefusingBackend())
+        assert client.resolve().decision is ContextDecision.FALLBACK
+        client.report(make_report(1))
+        assert client.pending_reports == 1
+        assert channel.stats.by_status == {"backend_error": 2}
 
 
 class TestGuardIntegration:
@@ -346,7 +341,7 @@ class TestGuardIntegration:
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.FALLBACK
         assert guard.rejected_count == 1
-        assert client.transport_errors == {}
+        assert source.lookups == 1  # the call itself succeeded
 
     def test_guard_rejection_serves_stale_cache(self):
         clock = Clock()

@@ -116,7 +116,7 @@ class TestContextServerProtocol:
         stats.rtt_samples = [0.15, 0.17]
         stats.min_rtt = 0.15
         stats.packets_sent = 10
-        server.report_stats(stats)
+        server.report(ConnectionReport.from_stats(stats, sim.now))
         assert server.reports_received == 1
 
 
@@ -250,7 +250,7 @@ class TestIdealOracle:
     def test_report_is_noop(self):
         sim, top, monitor, tracker, oracle = self._oracle()
         oracle.report(make_report(0.0))
-        oracle.report_stats(ConnectionStats(flow_id=1))
+        oracle.report(ConnectionReport.from_stats(ConnectionStats(flow_id=1), sim.now))
 
 
 class TestRobustAggregation:
