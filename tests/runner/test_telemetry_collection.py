@@ -80,6 +80,16 @@ class TestRunnerMerge:
         assert outcome.telemetry is None
         assert all(r.telemetry is None for r in outcome.points)
 
+    def test_collection_ends_with_the_session(self):
+        """A run under a live session must not leave the runner collecting:
+        its next run, with no session, evaluates points without one."""
+        runner = SweepRunner(MINI_PRESET, n_workers=1, cache=NullCache())
+        with telemetry.use():
+            assert runner.run(MINI_GRID[:1], n_runs=1).telemetry is not None
+        outcome = runner.run(MINI_GRID[:1], n_runs=1)
+        assert outcome.telemetry is None
+        assert all(r.telemetry is None for r in outcome.points)
+
     def test_serial_and_parallel_merge_bit_identically(self):
         serial, _ = _run(n_workers=1, grid=MINI_GRID[:2])
         parallel, _ = _run(n_workers=2, grid=MINI_GRID[:2])
