@@ -339,12 +339,14 @@ def crash_first(monkeypatch, module, name, when, times=3):
 class TestFaultSweepQuarantine:
     """A crashed point is a hole in the grid, not a row that held."""
 
-    #: (argv, how to crash the middle point for exactly one pass)
+    #: (argv; how to make every point raise: extra argv, environment and
+    #: the error it reports; how to crash the middle point for one pass)
     VERBS = {
         "poison": (
             ["poison", "--preset", "table3-remy", "--modes", "garbage",
              "--severities", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
              "--quiet"],
+            (["--severities", "1.5"], {}, "severity must be in [0, 1]"),
             ("poisoned", "make_context_corruptor",
              lambda modes, rng, severity: severity == 0.5),
         ),
@@ -352,19 +354,31 @@ class TestFaultSweepQuarantine:
             ["partition", "--preset", "table3-remy", "--replicas", "3",
              "--severities", "0,0.34,1.0", "--heals", "2", "--partition-start",
              "2", "--seeds", "0", "--duration", "6", "--quiet"],
+            (["--severities", "1.5"], {}, "severity must be in [0, 1]"),
             ("partitioned", "partition_indices",
              lambda n_replicas, severity: severity == 0.34),
+        ),
+        "sweep": (
+            ["sweep", "--ssthresh-range", "2,16,64", "--window-range", "4",
+             "--beta-range", "0.2", "--runs", "1", "--duration", "2",
+             "--workers", "1", "--quiet"],
+            ([], {"REPRO_SWEEP_FAULT": '{"mode": "raise"}'}, "injected fault"),
+            ("scenarios", "run_cubic_fixed",
+             lambda params, preset, **kwargs: params.initial_ssthresh == 16),
         ),
     }
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
-    def test_sweep_whose_every_point_raises_exits_1(self, verb, capsys):
-        argv, _ = self.VERBS[verb]
-        assert main(argv + ["--severities", "1.5"]) == 1
+    def test_sweep_whose_every_point_raises_exits_1(self, verb, capsys, monkeypatch):
+        argv, (extra, env, error), _ = self.VERBS[verb]
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv + extra) == 1
         captured = capsys.readouterr()
         assert "QUARANTINED: point #0" in captured.err
-        assert "severity must be in [0, 1]" in captured.err
+        assert error in captured.err
         assert "safety envelope holds" not in captured.out
+        assert "best point:" not in captured.out
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
     def test_serial_check_skips_and_realigns_around_a_quarantined_point(
@@ -372,7 +386,7 @@ class TestFaultSweepQuarantine:
     ):
         import importlib
 
-        argv, (module, name, when) = self.VERBS[verb]
+        argv, _, (module, name, when) = self.VERBS[verb]
         crash_first(
             monkeypatch, importlib.import_module(f"repro.experiments.{module}"),
             name, when,
