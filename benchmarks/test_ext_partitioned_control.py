@@ -21,7 +21,7 @@ from bench_common import report, run_once, scaled
 
 from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
-    check_partition_envelope,
+    check_envelope,
     is_minority_cut,
     run_partition_sweep,
 )
@@ -79,7 +79,7 @@ def test_extension_partitioned_control(benchmark, capfd):
 
     # The full envelope: stock floor everywhere, degraded floor on every
     # minority cut of a multi-replica plane.
-    assert check_partition_envelope(outcome, rel_tol=0.05) == []
+    assert check_envelope(outcome, rel_tol=0.05) == []
 
     minority = [r for r in outcome.rows if is_minority_cut(r)]
     assert minority, "sweep produced no minority-cut rows"
@@ -98,7 +98,7 @@ def test_extension_partitioned_control(benchmark, capfd):
         if r.axes["n_replicas"] >= 2 and 0 < r.accounting["n_cut"]
         and r.axes["heal_s"] > 0
     ]
-    for result in outcome.results:
-        if result.axes["n_replicas"] >= 2:
+    for result in outcome.points:
+        if result.params["n_replicas"] >= 2:
             assert result.accounting["final_divergence"] < 1e-9
     assert healed

@@ -19,15 +19,14 @@ A calibration note: stock Cubic's ssthresh floods the queue, so *power*
 (throughput over queueing delay) cannot show inflation harm — crawling
 senders have tiny queues and great power.  The harm axis is
 throughput; the envelope is asserted on both axes (see
-``check_safety_envelope``).
+``check_envelope``).
 """
 
 from bench_common import report, run_once, scaled
 
 from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
-    check_harm_demonstrated,
-    check_safety_envelope,
+    check_envelope,
     run_poison_sweep,
 )
 from repro.phi import REFERENCE_POLICY
@@ -82,7 +81,7 @@ def test_extension_poisoned_context(benchmark, capfd):
 
     # The safety envelope: at every severity the guarded stack stays
     # within 5% of the uncoordinated baseline on power and throughput.
-    assert check_safety_envelope(guarded, rel_tol=0.05) == []
+    assert check_envelope(guarded, rel_tol=0.05) == []
     # At full severity the trust layer has tripped: senders run stock
     # defaults through the DISTRUSTED decision.
     top = guarded.rows[-1]
@@ -92,7 +91,7 @@ def test_extension_poisoned_context(benchmark, capfd):
 
     # The ablation proves the harness injects real harm: without the
     # defences the same lies drive throughput well below baseline.
-    assert check_harm_demonstrated(unguarded, rel_tol=0.05)
+    assert check_envelope(unguarded, rel_tol=0.05)
     worst = unguarded.rows[-1]
     assert worst.vs("baseline").throughput_mbps < 0.8
     # And nothing in the unguarded stack ever fought back.

@@ -20,11 +20,9 @@ from .faultsweep import (
     FaultSweepRow,
     check_envelope,
     run_fault_sweep,
-    serial_mismatches,
 )
 from .partitioned import (
     PartitionRunResult,
-    check_partition_envelope,
     is_minority_cut,
     partition_indices,
     run_partition_sweep,
@@ -32,8 +30,6 @@ from .partitioned import (
 )
 from .poisoned import (
     PoisonRunResult,
-    check_harm_demonstrated,
-    check_safety_envelope,
     run_poison_sweep,
     run_poisoned_phi_cubic,
 )
@@ -50,7 +46,7 @@ from .scenarios import (
     run_incremental_deployment,
     run_phi_cubic,
 )
-from .sweep import run_parameter_sweep, run_table2_sweep
+from .sweep import run_table2_sweep
 from .table3 import (
     Table3Result,
     Table3Row,
@@ -81,9 +77,6 @@ __all__ = [
     "Table3Result",
     "Table3Row",
     "check_envelope",
-    "check_harm_demonstrated",
-    "check_partition_envelope",
-    "check_safety_envelope",
     "is_minority_cut",
     "partition_indices",
     "make_table_evaluator",
@@ -95,7 +88,6 @@ __all__ = [
     "run_incremental_deployment",
     "run_long_running_scenario",
     "run_onoff_scenario",
-    "run_parameter_sweep",
     "run_partition_sweep",
     "run_partitioned_phi_cubic",
     "run_phi_cubic",
@@ -104,7 +96,6 @@ __all__ = [
     "run_remy_scenario",
     "run_table2_sweep",
     "run_table3",
-    "serial_mismatches",
     "train_tables",
     "uniform_slots",
 ]

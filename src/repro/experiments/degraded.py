@@ -201,8 +201,6 @@ def sweep_unavailability(
         parallel=False,
         collect_telemetry=False,
     )
-    if outcome.report.quarantined:
-        raise RuntimeError(
-            "; ".join(q.describe() for q in outcome.report.quarantined)
-        )
+    if outcome.quarantined:
+        raise RuntimeError("; ".join(q.describe() for q in outcome.quarantined))
     return outcome.rows

@@ -75,7 +75,6 @@ from .faultsweep import (
     FaultSweepOutcome,
     FaultSweepRow,
     Floor,
-    check_envelope,
     merged_counts,
     peak,
     run_fault_sweep,
@@ -349,23 +348,3 @@ def run_partition_sweep(
         ),
         **sweep,
     )
-
-
-def check_partition_envelope(
-    outcome: FaultSweepOutcome, *, rel_tol: float = 0.05
-) -> List[str]:
-    """Violations of the X7 safety envelope (empty means it holds).
-
-    Two floors, both on power *and* throughput (a partition can hurt on
-    either axis, exactly as X6 found for lies):
-
-    - every row must stay within ``rel_tol`` of the **stock** Cubic
-      floor — losing the whole control plane degrades to uncoordinated,
-      never below it;
-    - every **minority-cut** row with ≥ 2 replicas must additionally
-      stay within ``rel_tol`` of the **degraded** single-server-outage
-      baseline — with a quorum of replicas standing, the partition must
-      cost no more than the best effort of one server, and in
-      practice costs nothing (failover keeps every sender FRESH).
-    """
-    return check_envelope(outcome, rel_tol=rel_tol)

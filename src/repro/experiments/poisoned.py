@@ -41,7 +41,7 @@ are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..metrics.summary import RunMetrics
 from ..phi.channel import ChannelConfig, ControlChannel
@@ -62,7 +62,6 @@ from .faultsweep import (
     FaultScenario,
     FaultSweepOutcome,
     Floor,
-    check_envelope,
     mean,
     merged_counts,
     run_fault_sweep,
@@ -258,33 +257,3 @@ def run_poison_sweep(
         ),
         **sweep,
     )
-
-
-def check_safety_envelope(
-    outcome: FaultSweepOutcome, *, rel_tol: float = 0.05
-) -> List[str]:
-    """Violations of "never materially worse than uncoordinated Cubic".
-
-    Every row must stay within ``rel_tol`` of the baseline floor on
-    *both* axes a lie can attack: ``mean_power_l >= (1 - rel_tol) *
-    baseline_power`` (deflation lies overload the queue) and
-    ``mean_throughput_mbps >= (1 - rel_tol) * baseline_throughput``
-    (inflation lies starve the senders).  Returns a human-readable
-    violation per failing row (empty means the envelope holds).  Only
-    meaningful for guarded sweeps — an unguarded sweep is *expected* to
-    violate it (see :func:`check_harm_demonstrated`).
-    """
-    return check_envelope(outcome, rel_tol=rel_tol)
-
-
-def check_harm_demonstrated(
-    outcome: FaultSweepOutcome, *, rel_tol: float = 0.05
-) -> bool:
-    """Whether any row fell materially below a baseline floor.
-
-    The complement of :func:`check_safety_envelope`: an unguarded sweep
-    proves the defences are load-bearing only if corruption actually
-    hurts somewhere — in practice on the throughput axis (see the
-    module docstring for why power alone cannot show it).
-    """
-    return bool(check_envelope(outcome, rel_tol=rel_tol))

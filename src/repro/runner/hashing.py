@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, is_dataclass
+from enum import Enum
 from typing import Any, Optional
 
 from ..simnet.topology import DumbbellConfig
@@ -39,22 +40,24 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _plain(value: Any) -> Any:
+def plain(value: Any) -> Any:
     """Reduce configs/dataclasses to canonical JSON-friendly structures."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if is_dataclass(value) and not isinstance(value, type):
-        return {k: _plain(v) for k, v in sorted(asdict(value).items())}
+        return {k: plain(v) for k, v in sorted(asdict(value).items())}
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in sorted(value.items())}
+        return {str(k): plain(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [plain(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
     raise TypeError(f"cannot canonicalize {type(value).__name__} for hashing")
 
 
 def content_hash(payload: Any) -> str:
     """Hex SHA-256 of the canonical JSON encoding of ``payload``."""
-    encoded = canonical_json(_plain(payload)).encode("utf-8")
+    encoded = canonical_json(plain(payload)).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
 
 

@@ -36,11 +36,6 @@ class SweepProgress:
     quarantined: int = 0
 
     @property
-    def cache_hits(self) -> int:
-        """Alias for ``cached`` matching the CLI/outcome vocabulary."""
-        return self.cached
-
-    @property
     def fraction(self) -> float:
         if self.total <= 0:
             return 1.0

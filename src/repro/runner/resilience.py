@@ -160,10 +160,6 @@ class ExecutionReport:
     """What the supervisor did beyond plain successes."""
 
     retries: int = 0
-    failures: int = 0
-    crashes: int = 0
-    timeouts: int = 0
-    stalled: int = 0
     pool_rebuilds: int = 0
     serial_fallback: bool = False
     #: Whether :meth:`SweepSupervisor.execute` chose the worker pool.
@@ -261,7 +257,10 @@ class SweepSupervisor:
         if parallel and self.n_workers > 1 and len(pending) > 1:
             self.report.pooled = True
             return self.execute_pool(pending, deliver, on_event)
-        return self.execute_serial(pending, deliver, on_event)
+        self._drain_serial(
+            deque(_Slot(index, point) for index, point in pending), deliver, on_event
+        )
+        return self.report
 
     # ------------------------------------------------------------------
     # Failure bookkeeping (shared by pool and serial paths)
@@ -281,17 +280,10 @@ class SweepSupervisor:
         failure = PointFailure(kind, message, slot.attempts)
         slot.failures.append(failure)
         report = self.report
-        report.failures += 1
         report.failure_history.setdefault(slot.index, []).append(failure)
         tele = _telemetry_session()
         if tele.enabled:
             tele.registry.counter("runner.point_failures", kind=kind).inc()
-        if kind == "crash":
-            report.crashes += 1
-        elif kind == "timeout":
-            report.timeouts += 1
-        elif kind == "stalled":
-            report.stalled += 1
         backoff = retry.backoff_s(slot.attempts - 1)
         exhausted = slot.attempts >= retry.max_attempts
         over_budget = slot.backoff_spent + backoff > retry.backoff_budget_s
@@ -326,27 +318,17 @@ class SweepSupervisor:
     # ------------------------------------------------------------------
     # Serial execution (the fallback, and the parallel=False path)
     # ------------------------------------------------------------------
-    def execute_serial(
-        self,
-        pending: Sequence[Tuple[int, "object"]],
-        deliver: Deliver,
-        on_event: Optional[OnEvent] = None,
-    ) -> ExecutionReport:
-        """Evaluate in-process with the same retry/quarantine rules.
-
-        No preemptive timeout is possible in-process; the simulation
-        watchdog (``spec.watchdog``) is the hang defence here.
-        """
-        queue = deque(_Slot(index, point) for index, point in pending)
-        self._drain_serial(queue, deliver, on_event)
-        return self.report
-
     def _drain_serial(
         self,
         queue: deque,
         deliver: Deliver,
         on_event: Optional[OnEvent],
     ) -> None:
+        """Evaluate in-process with the same retry/quarantine rules.
+
+        No preemptive timeout is possible in-process; the simulation
+        watchdog (``spec.watchdog``) is the hang defence here.
+        """
         while queue:
             slot = queue.popleft()
             now = time.monotonic()

@@ -54,6 +54,7 @@ from ..phi.policy import REFERENCE_POLICY
 from ..phi.replication import ReplicatedContextService, ReplicationConfig
 from ..phi.server import ConnectionReport
 from ..runner import NullCache, SweepRunner
+from ..runner.core import result_mismatches
 from ..simnet.engine import Simulator
 from ..transport.cubic import CubicParams
 from ..workload.onoff import OnOffConfig
@@ -202,9 +203,7 @@ def _sweep(
     runner = SweepRunner(
         preset, duration_s=duration_s, n_workers=workers, cache=NullCache()
     )
-    if parallel:
-        return runner.run(grid, n_runs=2, base_seed=seed)
-    return runner.run_serial(grid, n_runs=2, base_seed=seed)
+    return runner.run(grid, n_runs=2, base_seed=seed, parallel=parallel)
 
 
 def oracle_serial_vs_parallel(
@@ -216,15 +215,7 @@ def oracle_serial_vs_parallel(
     """The worker pool must be bit-identical to the serial baseline."""
     serial = _sweep(preset, duration_s, seed, _ORACLE_GRID, 1, parallel=False)
     parallel = _sweep(preset, duration_s, seed, _ORACLE_GRID, workers, parallel=True)
-    failures: List[str] = []
-    if len(serial.points) != len(parallel.points):
-        failures.append(
-            f"result count differs: {len(serial.points)} vs {len(parallel.points)}"
-        )
-    else:
-        for index, (a, b) in enumerate(zip(serial.points, parallel.points)):
-            if not a.identical_to(b):
-                failures.append(f"point {index} (key {a.key[:12]}…) differs")
+    failures = result_mismatches(serial.points, parallel.points)
     return OracleOutcome(
         name="serial-vs-parallel",
         passed=not failures,
@@ -242,14 +233,7 @@ def oracle_grid_permutation(
     forward = _sweep(preset, duration_s, seed, _ORACLE_GRID, 1, parallel=False)
     reversed_grid = tuple(reversed(_ORACLE_GRID))
     backward = _sweep(preset, duration_s, seed, reversed_grid, 1, parallel=False)
-    failures: List[str] = []
-    by_key = {result.key: result for result in backward.points}
-    for result in forward.points:
-        other = by_key.get(result.key)
-        if other is None:
-            failures.append(f"key {result.key[:12]}… missing from permuted sweep")
-        elif not result.identical_to(other):
-            failures.append(f"key {result.key[:12]}… differs across grid orders")
+    failures = result_mismatches(forward.points, backward.points)
     return OracleOutcome(
         name="grid-permutation",
         passed=not failures,

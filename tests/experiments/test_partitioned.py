@@ -3,10 +3,9 @@
 import pytest
 
 from repro import telemetry
-from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level
+from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level, check_envelope
 from repro.experiments.partitioned import (
     PARTITION,
-    check_partition_envelope,
     is_minority_cut,
     partition_indices,
     run_partition_sweep,
@@ -129,7 +128,7 @@ class TestSweepDeterminism:
             seeds=(0,), partition_start_s=START, duration_s=DURATION,
             parallel=False,
         )
-        assert check_partition_envelope(outcome, rel_tol=0.05) == []
+        assert check_envelope(outcome, rel_tol=0.05) == []
         (row,) = outcome.rows
         assert is_minority_cut(row)
         assert row.vs("degraded").power_l >= 0.95
@@ -163,17 +162,17 @@ class FakeOutcome:
 class TestEnvelopeChecker:
     def test_holds_within_tolerance(self):
         outcome = FakeOutcome([row(0.97, 0.96)])
-        assert check_partition_envelope(outcome, rel_tol=0.05) == []
+        assert check_envelope(outcome, rel_tol=0.05) == []
 
     def test_stock_power_floor(self):
         outcome = FakeOutcome([row(0.90, 1.0, n_cut=3)])
-        violations = check_partition_envelope(outcome, rel_tol=0.05)
+        violations = check_envelope(outcome, rel_tol=0.05)
         assert len(violations) == 1
         assert "stock floor" in violations[0] and "power" in violations[0]
 
     def test_stock_throughput_floor(self):
         outcome = FakeOutcome([row(1.0, 0.90, n_cut=3)])
-        violations = check_partition_envelope(outcome, rel_tol=0.05)
+        violations = check_envelope(outcome, rel_tol=0.05)
         assert len(violations) == 1
         assert "throughput" in violations[0]
 
@@ -181,13 +180,13 @@ class TestEnvelopeChecker:
         # Above stock but below degraded: flagged only when the cut is a
         # strict minority of the plane's replicas (so never with < 3).
         weak = dict(power=0.97, tput=0.97, degraded_power=1.1, degraded_tput=1.1)
-        flagged = check_partition_envelope(
+        flagged = check_envelope(
             FakeOutcome([row(**weak, n_replicas=3, n_cut=1)]), rel_tol=0.05
         )
         assert len(flagged) == 2
         assert all("degraded floor" in v for v in flagged)
         for n_replicas, n_cut in ((3, 3), (3, 2), (3, 0), (2, 1), (1, 1)):
-            spared = check_partition_envelope(
+            spared = check_envelope(
                 FakeOutcome([row(**weak, n_replicas=n_replicas, n_cut=n_cut)]),
                 rel_tol=0.05,
             )

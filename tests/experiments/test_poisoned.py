@@ -3,11 +3,9 @@
 import pytest
 
 from repro import telemetry
-from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level
+from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level, check_envelope
 from repro.experiments.poisoned import (
     POISON,
-    check_harm_demonstrated,
-    check_safety_envelope,
     run_poison_sweep,
     run_poisoned_phi_cubic,
 )
@@ -120,12 +118,11 @@ class FakeOutcome:
 class TestEnvelopeChecker:
     def test_holds_within_tolerance(self):
         outcome = FakeOutcome([row(0.97, 0.96)])
-        assert check_safety_envelope(outcome, rel_tol=0.05) == []
-        assert not check_harm_demonstrated(outcome, rel_tol=0.05)
+        assert check_envelope(outcome, rel_tol=0.05) == []
 
     def test_power_violation_reported(self):
         outcome = FakeOutcome([row(0.90, 1.0)])
-        violations = check_safety_envelope(outcome, rel_tol=0.05)
+        violations = check_envelope(outcome, rel_tol=0.05)
         assert len(violations) == 1
         assert "power" in violations[0]
 
@@ -134,11 +131,10 @@ class TestEnvelopeChecker:
         conservative parameters look great); the checker must watch the
         throughput axis too."""
         outcome = FakeOutcome([row(5.0, 0.6)])
-        violations = check_safety_envelope(outcome, rel_tol=0.05)
+        violations = check_envelope(outcome, rel_tol=0.05)
         assert len(violations) == 1
         assert "throughput" in violations[0]
-        assert check_harm_demonstrated(outcome, rel_tol=0.05)
 
     def test_both_axes_can_fail_one_row(self):
         outcome = FakeOutcome([row(0.5, 0.5)])
-        assert len(check_safety_envelope(outcome, rel_tol=0.05)) == 2
+        assert len(check_envelope(outcome, rel_tol=0.05)) == 2

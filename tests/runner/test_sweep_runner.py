@@ -5,14 +5,16 @@ through the new parallel runner and the old serial path must yield
 bit-identical ``FlowRecord`` s.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.scenarios import TABLE3_REMY, ScenarioPreset, run_cubic_fixed
-from repro.experiments.sweep import run_parameter_sweep, run_table2_sweep
+from repro.experiments.sweep import run_table2_sweep
 from repro.phi.optimizer import leave_one_out, select_optimal
 from repro.runner.cache import DiskCache, MemoryCache, NullCache
 from repro.runner import machine_fingerprint
-from repro.runner.core import SweepRunner
+from repro.runner.core import SweepRunner, result_mismatches
 from repro.runner.progress import SweepProgress
 from repro.runner.records import flow_records
 from repro.simnet.topology import DumbbellConfig
@@ -55,8 +57,8 @@ class TestDeterminism:
                 assert point.metrics == legacy.metrics
 
     def test_serial_and_parallel_outcomes_identical(self):
-        serial = SweepRunner(MINI_PRESET, n_workers=2, cache=NullCache()).run_serial(
-            MINI_GRID, n_runs=2
+        serial = SweepRunner(MINI_PRESET, n_workers=2, cache=NullCache()).run(
+            MINI_GRID, n_runs=2, parallel=False
         )
         parallel = SweepRunner(MINI_PRESET, n_workers=2, cache=NullCache()).run(
             MINI_GRID, n_runs=2
@@ -64,6 +66,20 @@ class TestDeterminism:
         assert len(serial.points) == len(parallel.points) == len(MINI_GRID) * 2
         for a, b in zip(serial.points, parallel.points):
             assert a.identical_to(b)
+
+    def test_result_mismatches_matches_by_key_and_names_each_point(self):
+        outcome = SweepRunner(MINI_PRESET, n_workers=1, cache=NullCache()).run(
+            MINI_GRID[:3], n_runs=1
+        )
+        a, b, c = outcome.points
+        assert result_mismatches([a, b], [b, a]) == []
+        assert result_mismatches([a, b, c], [replace(b, events_processed=0), c]) == [
+            f"point {a.key[:12]} missing from the second set",
+            f"point {b.key[:12]} differs",
+        ]
+        assert result_mismatches([a], [a, c]) == [
+            f"point {c.key[:12]} missing from the first set"
+        ]
 
     def test_merge_order_is_grid_times_run_order(self):
         outcome = SweepRunner(MINI_PRESET, n_workers=2).run(MINI_GRID, n_runs=2)
@@ -141,7 +157,7 @@ class TestOptimizerCompat:
         records = leave_one_out(results)
         assert len(records) == 2
 
-    def test_run_parameter_sweep_defaults_to_full_grid(self):
+    def test_default_grid_is_the_full_table2_grid(self):
         # Tasks only (not executed): the default grid is the 576-point
         # Table-2 grid with the paper's seed convention.
         runner = SweepRunner(TABLE3_REMY)
@@ -190,13 +206,13 @@ class TestValidationAndProgress:
         assert snapshots[0].cached == len(MINI_GRID)
         assert snapshots[0].completed == len(MINI_GRID)
 
-    def test_run_parameter_sweep_cache_dir(self, tmp_path):
+    def test_table2_sweep_disk_cache(self, tmp_path):
         directory = str(tmp_path / "cache")
-        first = run_parameter_sweep(
-            MINI_PRESET, MINI_GRID[:2], n_runs=1, n_workers=1, cache_dir=directory
+        _, first = run_table2_sweep(
+            MINI_PRESET, MINI_GRID[:2], n_runs=1, n_workers=1, cache=DiskCache(directory)
         )
-        second = run_parameter_sweep(
-            MINI_PRESET, MINI_GRID[:2], n_runs=1, n_workers=1, cache_dir=directory
+        _, second = run_table2_sweep(
+            MINI_PRESET, MINI_GRID[:2], n_runs=1, n_workers=1, cache=DiskCache(directory)
         )
         assert first.cache_hits == 0
         assert second.cache_hits == 2
