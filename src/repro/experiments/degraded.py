@@ -27,6 +27,7 @@ from ..phi.channel import (
 from ..phi.fallback import ResilientContextClient, resilient_phi_cubic_factory
 from ..phi.policy import PolicyTable
 from ..phi.server import ContextServer
+from ..simnet.faults import Outage
 from .dumbbell import ExperimentEnv, ScenarioResult
 from .faultsweep import (
     FaultScenario,
@@ -69,14 +70,14 @@ def schedule_unavailability(
     if fraction == 0.0:
         return
     if fraction >= 1.0:
-        channel.add_outage(0.0, duration_s)
+        Outage(channel.sim, 0.0, duration_s, targets=[channel])
         return
     start = 0.0
     while start < duration_s:
         window = min(period_s, duration_s - start)
         down = fraction * window
         if down > 0:
-            channel.add_outage(start, down)
+            Outage(channel.sim, start, down, targets=[channel])
         start += period_s
 
 

@@ -14,7 +14,7 @@ is a non-OK status the failover channel moves past and, once every
 replica has failed, the client degrades on.  Nothing is raised between
 the layers.
 
-A :class:`~repro.simnet.faults.Partition` fault severs, for a window,
+An :class:`~repro.simnet.faults.Outage` severs, for a window,
 both the sender↔replica channels of a *cut* replica subset and the
 replica↔replica anti-entropy edges across the cut.  The cut always
 contains the clients' initially-sticky replica (replica 0), so minority
@@ -65,7 +65,7 @@ from ..phi.replication import (
     ReplicatedContextService,
     ReplicationConfig,
 )
-from ..simnet.faults import FaultInjector
+from ..simnet.faults import Outage
 from .degraded import experiment_breaker
 from .dumbbell import ExperimentEnv, ScenarioResult
 from .faultsweep import (
@@ -144,7 +144,7 @@ def run_partitioned_phi_cubic(
 ) -> PartitionRunResult:
     """Phi-coordinated Cubic on a replicated, partitionable control plane.
 
-    A :class:`~repro.simnet.faults.Partition` severs the first
+    An :class:`~repro.simnet.faults.Outage` severs the first
     ``round(severity * n_replicas)`` replicas — their sender↔replica
     channels are marked down and their anti-entropy edges to the kept
     replicas are cut — during ``[partition_start_s, partition_start_s +
@@ -196,11 +196,11 @@ def run_partitioned_phi_cubic(
             for index in range(n_replicas)
         ]
         failover = FailoverChannel(env.sim, channels, rng=env.rngs.stream("failover-suspend"))
-        injector = FaultInjector(env.sim)
         if cut and heal_s > 0:
             kept = [i for i in range(n_replicas) if i not in cut]
             edges = [(i, j) for i in cut for j in kept]
-            injector.partition(
+            Outage(
+                env.sim,
                 partition_start_s,
                 heal_s,
                 targets=[channels[i] for i in cut],

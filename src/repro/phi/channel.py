@@ -6,8 +6,8 @@ The reproduction originally modelled those as infallible function calls;
 this module makes the channel a first-class, failure-aware component:
 
 - per-attempt **latency** (with optional jitter) and **message loss**;
-- **server outage windows**, either scheduled up front or driven live by
-  a :class:`repro.simnet.faults.ServerOutage` via ``mark_down``/``mark_up``;
+- **server outage windows**, driven by an
+  :class:`repro.simnet.faults.Outage` via ``mark_down``/``mark_up``;
 - per-call **timeout** plus bounded **exponential-backoff retry**,
   budgeted by a hard **deadline** so retries can never stall a
   connection start indefinitely;
@@ -283,7 +283,7 @@ class ControlChannel:
     :class:`RpcResult` and raise only on a programming bug.
 
     Availability is a down-mark *counter* so overlapping
-    :class:`~repro.simnet.faults.ServerOutage` windows nest correctly.
+    :class:`~repro.simnet.faults.Outage` windows nest correctly.
     """
 
     def __init__(
@@ -318,7 +318,7 @@ class ControlChannel:
         self._down_marks = 0
 
     # ------------------------------------------------------------------
-    # Availability (driven by ServerOutage faults or scheduled windows)
+    # Availability (driven by Outage faults)
     # ------------------------------------------------------------------
     @property
     def server_up(self) -> bool:
@@ -333,35 +333,6 @@ class ControlChannel:
         """One outage ended; the server recovers when all have."""
         if self._down_marks > 0:
             self._down_marks -= 1
-
-    def add_outage(self, start_s: float, duration_s: float) -> None:
-        """Schedule an unavailability window on the simulator calendar."""
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive: {duration_s}")
-        end_s = start_s + duration_s
-        begin = ("fault_begin", self.mark_down, start_s, end_s)
-        end = ("fault_end", self.mark_up, start_s, end_s)
-        if start_s <= self.sim.now:
-            # Already inside (or at) the window start: take effect now.
-            self._outage_edge(*begin)
-            self.sim.schedule_at(max(self.sim.now, end_s), self._outage_edge, *end)
-            return
-        self.sim.schedule_at(start_s, self._outage_edge, *begin)
-        self.sim.schedule_at(end_s, self._outage_edge, *end)
-
-    def _outage_edge(
-        self, kind: str, mark: Callable[[], None], start_s: float, end_s: float
-    ) -> None:
-        """One edge of a scheduled window: move the down-mark, and tell
-        the flight recorder, as the faults that drive ``mark_down`` /
-        ``mark_up`` themselves do."""
-        mark()
-        rec = _telemetry_session().flightrec
-        if rec.enabled:
-            rec.fault(
-                kind, self.sim.now, type(self).__name__,
-                detail={"fault": "ScheduledOutage", "start_s": start_s, "end_s": end_s},
-            )
 
     # ------------------------------------------------------------------
     # RPC surface

@@ -17,7 +17,7 @@ deterministic, sim-time-scheduled **anti-entropy merge**:
   merged outstanding set.
 
 Replica↔replica connectivity is an explicit mesh (:meth:`sever` /
-:meth:`heal`, driven by :class:`repro.simnet.faults.Partition`); merges
+:meth:`heal`, driven by :class:`repro.simnet.faults.Outage`); merges
 happen independently inside each connected component, so a partitioned
 minority diverges and then converges after heal — the convergence the
 X7 oracle asserts.
@@ -292,7 +292,7 @@ class ReplicatedContextService:
         return self.handles[index]
 
     # ------------------------------------------------------------------
-    # Mesh connectivity (driven by Partition faults)
+    # Mesh connectivity (driven by Outage faults)
     # ------------------------------------------------------------------
     def _check_edge(self, i: int, j: int) -> None:
         n = self.n_replicas

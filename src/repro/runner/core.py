@@ -137,12 +137,12 @@ def _fault_hook(fault: Optional[Tuple[str, float, float]]):
         raise ValueError(f"unknown sweep fault kind: {kind!r}")
 
     def hook(env):
-        from ..simnet.faults import LinkOutage
+        from ..simnet.faults import Outage
 
         return [
-            LinkOutage(
-                env.sim, env.topology.bottleneck,
-                start_s=float(start_s), duration_s=float(duration_s),
+            Outage(
+                env.sim, float(start_s), float(duration_s),
+                links=[env.topology.bottleneck],
             )
         ]
 

@@ -13,16 +13,7 @@ Public surface:
 """
 
 from .engine import EventHandle, SimulationError, Simulator
-from .faults import (
-    DelaySpike,
-    FaultInjector,
-    LinkFault,
-    LinkFlap,
-    LinkOutage,
-    Partition,
-    RandomLoss,
-    ServerOutage,
-)
+from .faults import DelaySpike, LinkFault, Outage, RandomLoss
 from .link import Link, bdp_bytes
 from .red import RedQueue
 from .monitor import ActiveFlowTracker, LinkMonitor, LinkSample
@@ -61,21 +52,17 @@ __all__ = [
     "DumbbellConfig",
     "DumbbellTopology",
     "EventHandle",
-    "FaultInjector",
     "FlowIdAllocator",
     "FlowSpec",
     "Host",
     "Link",
     "LinkFault",
-    "LinkFlap",
     "LinkMonitor",
-    "LinkOutage",
     "LinkSample",
     "RandomLoss",
     "RedQueue",
     "Node",
-    "Partition",
-    "ServerOutage",
+    "Outage",
     "Packet",
     "PacketKind",
     "ParkingLotTopology",

@@ -129,8 +129,8 @@ class TestDegradedRuns:
         assert degraded.pending_reports <= degraded.decision_counts["fallback"]
 
     def test_scheduled_outages_reach_the_flight_recorder(self):
-        # X4 injects through ControlChannel.add_outage only, which used to
-        # emit nothing: stale/fallback decisions with no window to blame.
+        # X4's outage windows must reach the recorder, or stale/fallback
+        # decisions have no window to blame.
         def run():
             return run_degraded_phi_cubic(
                 REFERENCE_POLICY,

@@ -65,7 +65,7 @@ def _dump_path(runner, tmp_path):
 
 def _assert_fault_attributed(analysis):
     (window,) = analysis["fault_windows"]
-    assert window["fault"] == "LinkOutage"
+    assert (window["fault"], window["component"]) == ("Outage", "bottleneck")
     assert (window["start"], window["end"]) == (0.5, 1.0)
     attributed = [
         stall

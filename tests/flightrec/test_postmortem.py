@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import flightrec
+from repro.experiments.degraded import schedule_unavailability
 from repro.flightrec.postmortem import (
     CAUSES,
     analyze,
@@ -10,6 +12,10 @@ from repro.flightrec.postmortem import (
     render_text,
 )
 from repro.flightrec.recorder import FlightRecorder
+from repro.phi.channel import ControlChannel
+from repro.phi.server import ContextServer
+from repro.simnet import Outage, Simulator, make_data_packet
+from repro.simnet.link import Link
 
 
 def _transport(kind, t, flow_id, detail=None):
@@ -57,26 +63,94 @@ def _flow(flow_id, *activity_times, start=None, end=None):
 class TestFaultWindows:
     def test_window_from_detail(self):
         records = [_fault("fault_absorb", 1.2, "bottleneck",
-                          {"fault": "LinkOutage", "start_s": 1.0, "end_s": 2.0})]
+                          {"fault": "Outage", "start_s": 1.0, "end_s": 2.0})]
         (window,) = fault_windows(records)
-        assert window == {"fault": "LinkOutage", "component": "bottleneck",
+        assert window == {"fault": "Outage", "component": "bottleneck",
                           "start": 1.0, "end": 2.0}
 
     def test_window_deduplicated_across_events(self):
-        detail = {"fault": "LinkOutage", "start_s": 1.0, "end_s": 2.0}
+        detail = {"fault": "Outage", "start_s": 1.0, "end_s": 2.0}
         records = [_fault("fault_begin", 1.0, "bottleneck", dict(detail)),
                    _fault("fault_absorb", 1.5, "bottleneck", dict(detail)),
                    _fault("fault_end", 2.0, "bottleneck", dict(detail))]
         assert len(fault_windows(records)) == 1
 
     def test_windowless_fault_paired_from_edges(self):
-        records = [_fault("fault_begin", 3.0, "r1", {"fault": "LinkFlap"}),
-                   _fault("fault_end", 4.5, "r1", {"fault": "LinkFlap"})]
+        records = [_fault("fault_begin", 3.0, "r1", {"fault": "Outage"}),
+                   _fault("fault_end", 4.5, "r1", {"fault": "Outage"})]
         (window,) = fault_windows(records)
         assert window["start"] == 3.0 and window["end"] == 4.5
 
     def test_non_fault_records_ignored(self):
         assert fault_windows([_simnet("drop", 0.0, "queue")]) == []
+
+
+class Mesh:
+    def sever(self, i, j):
+        pass
+
+    def heal(self, i, j):
+        pass
+
+
+class Sink:
+    def receive(self, packet, link):
+        pass
+
+
+#: Each way to take something down for a while, with the windows its
+#: dump must show: one per cut component, labelled by the public fault
+#: class, a link by its name and anything else by its type.
+MECHANISMS = {
+    "link": (
+        lambda sim, link, channel: Outage(sim, 0.25, 0.5, links=[link]),
+        [("Outage", "bottleneck", 0.25, 0.75)],
+    ),
+    "link_and_target": (
+        lambda sim, link, channel: Outage(
+            sim, 0.25, 0.5, links=[link], targets=[channel]
+        ),
+        [("Outage", "ControlChannel", 0.25, 0.75), ("Outage", "bottleneck", 0.25, 0.75)],
+    ),
+    "target": (
+        lambda sim, link, channel: Outage(sim, 0.25, 0.5, targets=[channel]),
+        [("Outage", "ControlChannel", 0.25, 0.75)],
+    ),
+    "mesh": (
+        lambda sim, link, channel: Outage(
+            sim, 0.25, 0.5, targets=[channel], mesh=Mesh(), edges=[(0, 1)]
+        ),
+        [("Outage", "ControlChannel", 0.25, 0.75), ("Outage", "Mesh", 0.25, 0.75)],
+    ),
+    "scheduled_unavailability": (
+        lambda sim, link, channel: schedule_unavailability(
+            channel, fraction=0.5, duration_s=1.0, period_s=1.0
+        ),
+        [("Outage", "ControlChannel", 0.0, 0.5)],
+    ),
+}
+
+
+class TestSimulatedFaultWindows:
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+    def test_one_window_per_cut_component(self, mechanism):
+        build, expected = MECHANISMS[mechanism]
+        sim = Simulator()
+        link = Link(sim, "bottleneck", 8e6, 0.001)
+        link.attach(Sink())
+        channel = ControlChannel(sim, ContextServer(sim, 10e6))
+        with flightrec.use() as rec:
+            build(sim, link, channel)
+            for i in range(20):
+                sim.schedule_at(
+                    0.05 * i,
+                    lambda i=i: link.send(make_data_packet(1, "a", "b", i, 100)),
+                )
+            sim.run()
+        windows = fault_windows(rec.records())
+        assert sorted(
+            (w["fault"], w["component"], w["start"], w["end"]) for w in windows
+        ) == expected
 
 
 class TestStallDetection:
@@ -130,7 +204,7 @@ class TestAttribution:
         # existing checkpoint to keep the gap structure unchanged.
         records = self._stall_records() + [
             _fault("fault_begin", 1.2, "bottleneck",
-                   {"fault": "LinkOutage", "start_s": 1.2, "end_s": 2.0}),
+                   {"fault": "Outage", "start_s": 1.2, "end_s": 2.0}),
             _transport("rto", 1.0, 1, {"rto_s": 0.4}),
         ]
         (stall,) = analyze({}, records)["flows"][0]["stalls"]
@@ -203,7 +277,7 @@ class TestAttribution:
         assert CAUSES[-1] == "unknown"
         records = self._stall_records() + [
             _fault("fault_begin", 1.2, "bottleneck",
-                   {"fault": "LinkOutage", "start_s": 1.2, "end_s": 2.0}),
+                   {"fault": "Outage", "start_s": 1.2, "end_s": 2.0}),
             _phi("breaker", 1.1, "breaker", {"from": "closed", "to": "open"}),
             _simnet("drop", 1.2, "queue", 1, 3,
                     {"queued_bytes": 1, "capacity_bytes": 2}),
@@ -221,7 +295,7 @@ class TestEndToEnd:
         rec.transport("flow_start", 0.0, 1)
         rec.simnet("transmit", 0.1, "link", 1, 1)
         rec.fault("fault_begin", 0.2, "bottleneck",
-                  detail={"fault": "LinkOutage", "start_s": 0.2, "end_s": 1.5})
+                  detail={"fault": "Outage", "start_s": 0.2, "end_s": 1.5})
         rec.simnet("transmit", 1.6, "link", 1, 2)
         rec.transport("flow_end", 1.7, 1)
         path = tmp_path / "dump.jsonl"
@@ -238,13 +312,13 @@ class TestEndToEnd:
     def test_render_text_mentions_dump_cause_and_evidence(self):
         records = _flow(1, 0.5, 1.0, 2.5, end=2.6) + [
             _fault("fault_begin", 1.2, "bottleneck",
-                   {"fault": "LinkOutage", "start_s": 1.2, "end_s": 2.0}),
+                   {"fault": "Outage", "start_s": 1.2, "end_s": 2.0}),
         ]
         analysis = analyze({"reason": "quarantine:crash:point3"}, records)
         text = render_text(analysis)
         assert "quarantine:crash:point3" in text
         assert "injected-fault" in text
-        assert "LinkOutage on bottleneck" in text
+        assert "Outage on bottleneck" in text
 
     def test_render_text_flow_filter(self):
         records = _flow(1, 0.0, 1.0, end=1.1) + _flow(2, 0.0, 2.0, end=2.1)

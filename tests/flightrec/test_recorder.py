@@ -236,7 +236,7 @@ class TestDump:
                       detail={"flavour": "cubic"})
         rec.phi("mode", 0.75, "context", detail={"from": "fresh", "to": "stale"})
         rec.fault("fault_begin", 0.6, "bottleneck",
-                  detail={"fault": "LinkOutage", "start_s": 0.6, "end_s": 1.0})
+                  detail={"fault": "Outage", "start_s": 0.6, "end_s": 1.0})
         path = tmp_path / "dump.jsonl"
         retained = rec.dump(str(path), reason="unit", sim_time=1.0)
         assert retained == 4

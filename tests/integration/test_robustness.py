@@ -12,7 +12,7 @@ from repro.simnet import (
     DumbbellConfig,
     DumbbellTopology,
     FlowSpec,
-    LinkOutage,
+    Outage,
     RandomLoss,
     Simulator,
 )
@@ -80,8 +80,8 @@ class TestOutageRobustness:
         sink = TcpSink(sim, top.receivers[0], spec)
         done = []
         sender = CubicSender(sim, top.senders[0], spec, 2_000_000, done.append)
-        LinkOutage(sim, top.bottleneck, start_s=0.5, duration_s=1.0)
-        LinkOutage(sim, top.bottleneck, start_s=3.0, duration_s=2.0)
+        Outage(sim, 0.5, 1.0, links=[top.bottleneck])
+        Outage(sim, 3.0, 2.0, links=[top.bottleneck])
         sender.start()
         sim.run(until=300.0)
         assert done
@@ -96,7 +96,7 @@ class TestOutageRobustness:
         sink = TcpSink(sim, top.receivers[0], spec)
         done = []
         sender = CubicSender(sim, top.senders[0], spec, 1_000_000, done.append)
-        LinkOutage(sim, top.reverse, start_s=0.4, duration_s=1.2)
+        Outage(sim, 0.4, 1.2, links=[top.reverse])
         sender.start()
         sim.run(until=300.0)
         assert done
@@ -110,7 +110,7 @@ class TestOutageRobustness:
         spec = FlowSpec(1, top.senders[0].name, 1, top.receivers[0].name, 443)
         TcpSink(sim, top.receivers[0], spec)
         sender = CubicSender(sim, top.senders[0], spec, 1_000_000)
-        LinkOutage(sim, top.bottleneck, start_s=0.3, duration_s=20.0)
+        Outage(sim, 0.3, 20.0, links=[top.bottleneck])
         sender.start()
         sim.run(until=15.0)
         # ~15 s into a dead link: without backoff there would be ~70

@@ -16,7 +16,7 @@ from repro.phi.context import CongestionContext
 from repro.phi.failover import FailoverChannel, FailoverConfig
 from repro.phi.replication import ReadPolicy, ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ContextServer
-from repro.simnet import ServerOutage, Simulator
+from repro.simnet import Outage, Simulator
 
 
 class FakeBackend:
@@ -256,7 +256,7 @@ class TestOutages:
         backend = FakeBackend()
         cfg = ChannelConfig(max_retries=0)
         channel = ControlChannel(sim, backend, config=cfg)
-        channel.add_outage(1.0, 2.0)
+        Outage(sim, 1.0, 2.0, targets=[channel])
         outcomes = {}
         sim.schedule_at(0.5, lambda: outcomes.update(before=channel.call_lookup().ok))
         sim.schedule_at(2.0, lambda: outcomes.update(during=channel.call_lookup().ok))
@@ -267,7 +267,7 @@ class TestOutages:
     def test_outage_starting_now_takes_effect_immediately(self):
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend(), config=ChannelConfig(max_retries=0))
-        channel.add_outage(0.0, 1.0)
+        Outage(sim, 0.0, 1.0, targets=[channel])
         assert not channel.server_up
         sim.run(until=1.5)
         assert channel.server_up
@@ -275,7 +275,7 @@ class TestOutages:
     def test_server_outage_fault_drives_channel(self):
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend(), config=ChannelConfig(max_retries=0))
-        ServerOutage(sim, channel, start_s=1.0, duration_s=1.0)
+        Outage(sim, 1.0, 1.0, targets=[channel])
         sim.run(until=1.5)
         assert not channel.server_up
         sim.run(until=2.5)
@@ -359,7 +359,7 @@ class TestCircuitBreaker:
                 lambda: sim.now, failure_threshold=1, reset_timeout_s=2.0
             ),
         )
-        channel.add_outage(0.0, 1.0)
+        Outage(sim, 0.0, 1.0, targets=[channel])
         outcomes = []
         sim.schedule_at(0.5, lambda: outcomes.append(channel.call_lookup().status))
         sim.schedule_at(1.5, lambda: outcomes.append(channel.call_lookup().status))

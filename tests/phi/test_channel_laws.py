@@ -21,7 +21,7 @@ from repro.flightrec import iter_layer
 from repro.phi.channel import ChannelConfig, CircuitBreaker, ControlChannel, RpcStatus
 from repro.phi.context import CongestionContext
 from repro.phi.server import ConnectionReport
-from repro.simnet import Simulator
+from repro.simnet import Outage, Simulator
 
 #: Every edge the breaker may record.
 BREAKER_EDGES = {
@@ -124,7 +124,10 @@ def _run_program(config, threshold, reset_s, seed, n_ops):
             elif op == "up":
                 channel.mark_up()
             elif op == "outage":
-                channel.add_outage(sim.now + rng.choice((0.0, 0.2)), rng.choice((0.1, 1.0)))
+                Outage(
+                    sim, sim.now + rng.choice((0.0, 0.2)), rng.choice((0.1, 1.0)),
+                    targets=[channel],
+                )
             elif op == "refuse":
                 backend.refusing = True
             elif op == "serve":

@@ -21,7 +21,7 @@ from repro.transport import CubicParams
 from repro.phi import REFERENCE_POLICY
 from repro.phi.client import plain_cubic_factory
 from repro.simcheck import ViolationReport
-from repro.simnet import DelaySpike, DumbbellConfig, LinkFlap
+from repro.simnet import DelaySpike, DumbbellConfig, Outage
 from repro.simnet.engine import SimulationStalled, SimWatchdog, WatchdogConfig
 from repro.workload.onoff import OnOffConfig, OnOffSource
 
@@ -86,16 +86,17 @@ class TestFaultsUnderConservation:
     def test_link_flap_accounted(self):
         report = ViolationReport()
         env, sources = checked_env(report=report)
-        flap = LinkFlap(
-            env.sim, env.topology.bottleneck,
-            start_s=0.5, down_s=0.3, up_s=0.4, cycles=3,
-        )
+        # Three cycles of 0.3 s down, 0.4 s up from 0.5 s.
+        flap = [
+            Outage(env.sim, 0.5 + 0.7 * k, 0.3, links=[env.topology.bottleneck])
+            for k in range(3)
+        ]
         env.sim.run(until=4.0)
         for source in sources:
             source.stop()
-        env.audit(faults=[flap])
+        env.audit(faults=flap)
         assert report.ok, [str(v) for v in report.violations]
-        assert flap.packets_blackholed > 0  # the flap actually bit
+        assert sum(o.packets_blackholed for o in flap) > 0  # the flap actually bit
 
     def test_delay_spike_leaves_wire_residual_only(self):
         report = ViolationReport()

@@ -1,13 +1,19 @@
 """Tests for the composable fault layer: stacking, ordering, teardown."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import flightrec
+from repro.phi.channel import ControlChannel
+from repro.phi.server import ContextServer
+from repro.simcheck import fault_absorbed_packets
 from repro.simnet import (
     DelaySpike,
-    FaultInjector,
-    LinkFlap,
-    LinkOutage,
+    Outage,
     RandomLoss,
     Simulator,
     make_data_packet,
@@ -44,7 +50,7 @@ class TestOverlappingFaults:
         sim = Simulator()
         link, dst = simple_link(sim)
         loss = RandomLoss(sim, link, 0.5, np.random.default_rng(0))
-        outage = LinkOutage(sim, link, start_s=1.0, duration_s=1.0)
+        outage = Outage(sim, 1.0, 1.0, links=[link])
         mid: dict = {}
         sim.schedule_at(
             2.5,
@@ -73,7 +79,7 @@ class TestOverlappingFaults:
         sim = Simulator()
         link, dst = simple_link(sim)
         loss = RandomLoss(sim, link, 0.0, np.random.default_rng(0))
-        outage = LinkOutage(sim, link, start_s=1.0, duration_s=1.0)
+        outage = Outage(sim, 1.0, 1.0, links=[link])
         sim.schedule_at(1.1, loss.remove)
         send_at(sim, link, 1.5, 0)   # outage must still blackhole this
         send_at(sim, link, 2.5, 1)   # delivered after the outage
@@ -133,8 +139,8 @@ class TestBackToBackOutages:
         sim = Simulator()
         link, dst = simple_link(sim)
         pristine = link._deliver
-        first = LinkOutage(sim, link, start_s=1.0, duration_s=1.0)
-        second = LinkOutage(sim, link, start_s=2.0, duration_s=1.0)
+        first = Outage(sim, 1.0, 1.0, links=[link])
+        second = Outage(sim, 2.0, 1.0, links=[link])
         send_at(sim, link, 0.5, 0)
         send_at(sim, link, 1.5, 1)
         send_at(sim, link, 2.5, 2)
@@ -149,8 +155,8 @@ class TestBackToBackOutages:
         sim = Simulator()
         link, dst = simple_link(sim)
         pristine = link._deliver
-        first = LinkOutage(sim, link, start_s=1.0, duration_s=2.0)
-        second = LinkOutage(sim, link, start_s=2.0, duration_s=2.0)
+        first = Outage(sim, 1.0, 2.0, links=[link])
+        second = Outage(sim, 2.0, 2.0, links=[link])
         send_at(sim, link, 2.5, 0)   # both active: first (older) counts it
         send_at(sim, link, 3.5, 1)   # only the second remains
         send_at(sim, link, 4.5, 2)   # both ended
@@ -161,31 +167,34 @@ class TestBackToBackOutages:
         assert link._deliver == pristine
 
 
-class TestLinkFlap:
+class TestFlap:
+    """A bouncing link is consecutive outage windows."""
+
     def test_down_windows_blackhole_up_windows_deliver(self):
         sim = Simulator()
         link, dst = simple_link(sim)
-        flap = LinkFlap(sim, link, start_s=1.0, down_s=0.5, up_s=0.5, cycles=2)
+        pristine = link._deliver
         # Windows: down [1.0,1.5), up [1.5,2.0), down [2.0,2.5), up after.
+        flap = [Outage(sim, start, 0.5, links=[link]) for start in (1.0, 2.0)]
         send_at(sim, link, 1.2, 0)
         send_at(sim, link, 1.7, 1)
         send_at(sim, link, 2.2, 2)
         send_at(sim, link, 2.7, 3)
         sim.run()
-        assert flap.packets_blackholed == 2
-        assert flap.transitions == 4
-        assert not flap.down
+        assert [outage.packets_blackholed for outage in flap] == [1, 1]
+        assert not any(outage.active for outage in flap)
         assert [p.seq for _t, p in dst.packets] == [1, 3]
+        assert link._deliver == pristine
 
     def test_end_time_and_validation(self):
         sim = Simulator()
         link, _ = simple_link(sim)
-        flap = LinkFlap(sim, link, start_s=1.0, down_s=0.5, up_s=0.25, cycles=4)
-        assert flap.end_s == pytest.approx(4.0)
+        flap = [Outage(sim, 1.0 + 0.75 * k, 0.5, links=[link]) for k in range(4)]
+        assert flap[-1].end_s == pytest.approx(3.75)
         with pytest.raises(ValueError):
-            LinkFlap(sim, link, start_s=1.0, down_s=0.0, up_s=0.5)
+            Outage(sim, 1.0, 0.0, links=[link])
         with pytest.raises(ValueError):
-            LinkFlap(sim, link, start_s=1.0, down_s=0.5, up_s=0.5, cycles=0)
+            Outage(sim, 1.0, 0.5)  # cuts nothing
 
 
 class TestDelaySpike:
@@ -210,7 +219,7 @@ class TestDelaySpike:
         sim = Simulator()
         link, dst = simple_link(sim, bw=8e8, delay=0.001)
         DelaySpike(sim, link, start_s=1.0, duration_s=0.5, extra_delay_s=0.5)
-        outage = LinkOutage(sim, link, start_s=1.3, duration_s=1.0)
+        outage = Outage(sim, 1.3, 1.0, links=[link])
         send_at(sim, link, 1.1, 0)  # resumes ~1.6, inside the outage
         sim.run()
         assert outage.packets_blackholed == 1
@@ -225,38 +234,74 @@ class TestDelaySpike:
             DelaySpike(sim, link, start_s=0.5, duration_s=1.0, extra_delay_s=0.0)
 
 
-class TestFaultInjector:
-    def test_builds_and_tracks_faults(self):
+#: One fault window on a 0.1 s grid: (kind, start tick, length in ticks,
+#: parameter).  Ticks from 0 include windows that start at construction.
+WINDOWS = st.tuples(
+    st.sampled_from(("outage", "spike", "loss", "channel", "both")),
+    st.integers(0, 25),
+    st.integers(1, 10),
+    st.integers(1, 5),
+)
+
+
+class TestCompositionProperty:
+    """Any overlap of windows on one link and a control channel heals
+    completely once the calendar drains, with every lost packet
+    accounted to exactly one fault."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(program=st.lists(WINDOWS, min_size=1, max_size=6))
+    def test_overlapping_windows_heal_and_account(self, program):
         sim = Simulator()
         link, dst = simple_link(sim)
-        injector = FaultInjector(sim)
-        outage = injector.link_outage(link, 1.0, 1.0)
-        loss = injector.random_loss(link, 0.1, np.random.default_rng(0))
-        flap = injector.link_flap(link, 3.0, 0.5, 0.5, cycles=1)
-        spike = injector.delay_spike(link, 5.0, 1.0, 0.05)
-        assert injector.faults == [outage, loss, flap, spike]
-        assert injector.active_faults() == [loss]
-        sim.run(until=1.5)
-        assert set(injector.active_faults()) == {outage, loss}
-        sim.run(until=10.0)
-        assert injector.active_faults() == [loss]
+        pristine = link._deliver
+        channel = ControlChannel(sim, ContextServer(sim, 10e6))
+        faults, channel_windows = [], []
 
-    def test_server_outage_registration(self):
-        class Target:
-            def __init__(self):
-                self.down = 0
+        def add_loss(end_s, p, seed):
+            loss = RandomLoss(sim, link, p, np.random.default_rng(seed))
+            faults.append(loss)
+            sim.schedule_at(end_s, loss.remove)
 
-            def mark_down(self):
-                self.down += 1
+        with flightrec.use() as rec:
+            for seed, (kind, start, length, param) in enumerate(program):
+                start_s, duration_s = start / 10, length / 10
+                if kind == "outage":
+                    faults.append(Outage(sim, start_s, duration_s, links=[link]))
+                elif kind == "spike":
+                    faults.append(DelaySpike(sim, link, start_s, duration_s, param / 20))
+                elif kind == "loss":
+                    sim.schedule_at(
+                        start_s, add_loss, start_s + duration_s, param / 10, seed
+                    )
+                else:
+                    links = [link] if kind == "both" else []
+                    faults.append(
+                        Outage(sim, start_s, duration_s, links=links, targets=[channel])
+                    )
+                    channel_windows.append((start_s, start_s + duration_s))
+            for i in range(300):
+                send_at(sim, link, 0.01 * i, i)
+            # Off the 0.1 s grid, so no probe ties a window edge.
+            probes = [(k + 0.5) / 10 for k in range(40)]
+            seen = []
+            for t in probes:
+                sim.schedule_at(t, lambda: seen.append(channel.server_up))
+            sim.run()
 
-            def mark_up(self):
-                self.down -= 1
-
-        sim = Simulator()
-        target = Target()
-        injector = FaultInjector(sim)
-        fault = injector.server_outage(target, 1.0, 2.0)
-        sim.run(until=1.5)
-        assert target.down == 1 and fault.active
-        sim.run(until=4.0)
-        assert target.down == 0 and not fault.active
+        assert link._deliver == pristine and "_fault_chain" not in link.__dict__
+        absorbed = fault_absorbed_packets(link, faults)
+        assert link.packets_transmitted - link.packets_delivered == absorbed
+        absorbs = [
+            r["packet_id"] for r in rec.records()
+            if r["layer"] == "fault" and r["kind"] == "fault_absorb"
+        ]
+        assert len(absorbs) == absorbed
+        assert set(Counter(absorbs).values()) <= {1}
+        delivered = {packet.packet_id for _t, packet in dst.packets}
+        assert delivered.isdisjoint(absorbs)
+        assert channel._down_marks == 0
+        assert seen == [
+            not any(start <= t < end for start, end in channel_windows)
+            for t in probes
+        ]

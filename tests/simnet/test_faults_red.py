@@ -7,7 +7,7 @@ from repro.simnet import (
     DumbbellConfig,
     DumbbellTopology,
     FlowSpec,
-    LinkOutage,
+    Outage,
     RandomLoss,
     RedQueue,
     Simulator,
@@ -33,11 +33,11 @@ def simple_link(sim, bw=8e6, delay=0.001):
     return link, dst
 
 
-class TestLinkOutage:
+class TestOutage:
     def test_packets_blackholed_during_window(self):
         sim = Simulator()
         link, dst = simple_link(sim)
-        outage = LinkOutage(sim, link, start_s=1.0, duration_s=2.0)
+        outage = Outage(sim, 1.0, 2.0, links=[link])
         for t, seq in [(0.5, 0), (1.5, 1), (2.5, 2), (3.5, 3)]:
             sim.schedule_at(
                 t, lambda s=seq: link.send(make_data_packet(1, "a", "b", s, 100))
@@ -51,11 +51,11 @@ class TestLinkOutage:
         sim = Simulator()
         link, _ = simple_link(sim)
         with pytest.raises(ValueError):
-            LinkOutage(sim, link, start_s=0.0, duration_s=0.0)
+            Outage(sim, 0.0, 0.0, links=[link])
         sim.schedule(1.0, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
-            LinkOutage(sim, link, start_s=0.5, duration_s=1.0)
+            Outage(sim, 0.5, 1.0, links=[link])
 
     def test_tcp_survives_outage(self):
         """A connection stalls through a short outage and then completes
@@ -66,7 +66,7 @@ class TestLinkOutage:
         TcpSink(sim, top.receivers[0], spec)
         done = []
         sender = CubicSender(sim, top.senders[0], spec, 2_000_000, done.append)
-        LinkOutage(sim, top.bottleneck, start_s=0.5, duration_s=1.5)
+        Outage(sim, 0.5, 1.5, links=[top.bottleneck])
         sender.start()
         sim.run(until=120.0)
         assert done, "flow must finish after the outage clears"

@@ -1,19 +1,12 @@
-"""Tests for the Partition fault, multi-target ServerOutage, and the
-lease-expiry-vs-outage race on the control plane."""
+"""Tests for the Outage fault cutting targets, mesh edges and links
+together, and the lease-expiry-vs-outage race on the control plane."""
 
 import pytest
 
 from repro.phi.channel import ChannelConfig, ControlChannel
 from repro.phi.replication import ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ConnectionReport, ContextServer
-from repro.simnet import (
-    FaultInjector,
-    LinkFlap,
-    Partition,
-    ServerOutage,
-    Simulator,
-    make_data_packet,
-)
+from repro.simnet import Outage, Simulator, make_data_packet
 from repro.simnet.link import Link
 
 
@@ -60,50 +53,40 @@ def send_at(sim, link, t, seq):
     sim.schedule_at(t, lambda: link.send(make_data_packet(1, "a", "b", seq, 100)))
 
 
-class TestMultiTargetServerOutage:
-    def test_single_target_api_preserved(self):
-        sim = Simulator()
-        target = FakeTarget()
-        outage = ServerOutage(sim, target, start_s=1.0, duration_s=1.0)
-        assert outage.target is target
-        assert outage.targets == (target,)
-        sim.run()
-        assert target.downs == 1 and target.ups == 1
-
+class TestMultiTargetOutage:
     def test_multi_target_fails_and_heals_as_one(self):
         sim = Simulator()
         targets = [FakeTarget() for _ in range(3)]
-        outage = ServerOutage(sim, targets, start_s=1.0, duration_s=2.0)
-        assert outage.target is targets[0]
-        sim.schedule_at(
-            2.0, lambda: [t.downs for t in targets] == [1, 1, 1]
-        )
+        Outage(sim, 1.0, 2.0, targets=targets)
+        mid = []
+        sim.schedule_at(2.0, lambda: mid.extend(t.downs for t in targets))
         sim.run()
+        assert mid == [1, 1, 1]
         assert all(t.downs == 1 and t.ups == 1 for t in targets)
 
     def test_empty_target_list_rejected(self):
         with pytest.raises(ValueError):
-            ServerOutage(Simulator(), [], start_s=1.0, duration_s=1.0)
+            Outage(Simulator(), 1.0, 1.0, targets=[])
 
 
 class TestPartitionValidation:
     def test_needs_a_path(self):
         with pytest.raises(ValueError):
-            Partition(Simulator(), 1.0, 1.0)
+            Outage(Simulator(), 1.0, 1.0)
 
     def test_edges_need_mesh(self):
         with pytest.raises(ValueError):
-            Partition(Simulator(), 1.0, 1.0, edges=[(0, 1)])
+            Outage(Simulator(), 1.0, 1.0, edges=[(0, 1)])
 
     def test_rejects_bad_window(self):
         sim = Simulator()
         target = FakeTarget()
         with pytest.raises(ValueError):
-            Partition(sim, 1.0, 0.0, targets=[target])
+            Outage(sim, 1.0, 0.0, targets=[target])
         sim.schedule_at(5.0, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
-            Partition(sim, 1.0, 1.0, targets=[target])
+            Outage(sim, 1.0, 1.0, targets=[target])
 
 
 class TestPartitionSeversEverything:
@@ -112,7 +95,7 @@ class TestPartitionSeversEverything:
         link, dst = simple_link(sim)
         target = FakeTarget()
         mesh = FakeMesh()
-        partition = Partition(
+        partition = Outage(
             sim, 1.0, 2.0,
             links=[link], targets=[target], mesh=mesh, edges=[(0, 2), (1, 2)],
         )
@@ -131,7 +114,7 @@ class TestPartitionSeversEverything:
         sim.run()
         assert state["active"] and state["severed"] == {(0, 2), (1, 2)}
         assert state["downs"] == 1 and state["ups"] == 0
-        assert partition.heals == 1 and not partition.active
+        assert not partition.active
         assert partition.packets_blackholed == 1
         assert len(dst.packets) == 1
         assert mesh.severed == set()
@@ -139,14 +122,14 @@ class TestPartitionSeversEverything:
         assert partition.end_s == 3.0
 
     def test_composes_with_link_flap(self):
-        """A flap stacked on a partitioned link: during the partition the
-        blackhole eats what the flap lets through; after the partition
-        heals, the flap keeps acting (no hook-restoration bug)."""
+        """A flap stacked on a partitioned link: once the flap is up again
+        the partition's blackhole eats what the flap lets through; once
+        both have ended the link delivers (no hook-restoration bug)."""
         sim = Simulator()
         link, dst = simple_link(sim)
-        # Flap: down [0.5, 1.5), up [1.5, 2.0). Partition: [1.0, 2.0).
-        LinkFlap(sim, link, start_s=0.5, down_s=1.0, up_s=0.5)
-        partition = Partition(sim, 1.0, 2.0, links=[link])
+        # Flap: down [0.5, 1.5), up after. Partition: [1.0, 3.0).
+        Outage(sim, 0.5, 1.0, links=[link])
+        partition = Outage(sim, 1.0, 2.0, links=[link])
         send_at(sim, link, 1.6, 1)     # flap up again, partition active
         send_at(sim, link, 3.5, 2)     # both over: delivered
         sim.run()
@@ -154,29 +137,21 @@ class TestPartitionSeversEverything:
         assert any(packet.seq == 2 for _, packet in dst.packets)
 
     def test_nests_with_server_outage_downmarks(self):
-        """An overlapping ServerOutage and Partition on the same channel:
-        the channel stays down until BOTH have ended."""
+        """Two overlapping outages on the same channel: the channel stays
+        down until BOTH have ended."""
         sim = Simulator()
         channel = ControlChannel(sim, ContextServer(sim, 10e6))
-        ServerOutage(sim, channel, start_s=1.0, duration_s=3.0)
-        Partition(sim, 2.0, 3.0, targets=[channel])
+        Outage(sim, 1.0, 3.0, targets=[channel])
+        Outage(sim, 2.0, 3.0, targets=[channel])
         probes = {}
         for t in (0.5, 1.5, 3.5, 4.5, 5.5):
             sim.schedule_at(t, lambda t=t: probes.update({t: channel.server_up}))
         sim.run()
         assert probes == {0.5: True, 1.5: False, 3.5: False, 4.5: False, 5.5: True}
 
-    def test_injector_tracks_partitions(self):
-        sim = Simulator()
-        injector = FaultInjector(sim)
-        target = FakeTarget()
-        fault = injector.partition(1.0, 1.0, targets=[target])
-        assert isinstance(fault, Partition)
-        assert fault in injector.faults
-
 
 class TestLeaseExpiryOutageRace:
-    """Satellite: a lease TTL expiring *inside* a ServerOutage window must
+    """Satellite: a lease TTL expiring *inside* an outage window must
     not corrupt the lease table — clean re-acquire after heal, and
     ``active_connections`` never goes negative."""
 
@@ -197,7 +172,7 @@ class TestLeaseExpiryOutageRace:
         lookup_at = self._drive(sim, server, channel, observed)
 
         lookup_at(0.5)                 # lease issued at 0.5, expires 2.5
-        ServerOutage(sim, channel, start_s=1.0, duration_s=3.0)
+        Outage(sim, 1.0, 3.0, targets=[channel])
         lookup_at(2.0)                 # inside outage: no lease issued
         # Report for the (by now expired) lease lands after heal: the
         # FIFO release must not drive the count negative.
@@ -240,7 +215,7 @@ class TestLeaseExpiryOutageRace:
             ControlChannel(sim, service.handle(i)) for i in range(2)
         ]
         sim.schedule_at(0.4, channels[0].call_lookup)
-        Partition(sim, 1.0, 3.0, targets=[channels[0]], mesh=service,
+        Outage(sim, 1.0, 3.0, targets=[channels[0]], mesh=service,
                   edges=[(0, 1)])
         counts = []
         for t in (0.9, 2.0, 4.5, 5.5):
