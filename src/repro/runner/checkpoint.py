@@ -14,9 +14,10 @@ Robustness model:
   duration, seed convention, or engine version.  Individual records are
   additionally matched by their own point key, which covers the same
   inputs per point.
-- **Torn writes**: each record is one line ``{"checksum", "result"}``
-  with a SHA-256 over the canonical JSON of the result.  A record is
-  only trusted if it parses, checksums, and round-trips; a torn tail
+- **Torn writes**: each record is one line of
+  :func:`~repro.runner.records.encode_record`, ``{"checksum", "result"}``
+  with a SHA-256 over the stored canonical JSON of the result.  A record
+  is only trusted if it checksums, parses, and round-trips; a torn tail
   line (the one being written when the process died) or any corrupted
   line is skipped, counted, and healed away.
 - **Healing**: loading rewrites the journal *atomically* (temp file +
@@ -30,13 +31,12 @@ Robustness model:
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from .hashing import ENGINE_SIGNATURE, content_hash
-from .records import PointResult
+from .records import PointResult, decode_record, encode_record
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from ..transport.cubic import CubicParams
@@ -66,26 +66,6 @@ def sweep_key(
             "base_seed": int(base_seed),
         }
     )
-
-
-def _record_line(result: PointResult) -> str:
-    payload = result.to_dict()
-    checksum = content_hash(payload)
-    # allow_nan=False: the journal must stay strict JSON (non-standard
-    # Infinity/NaN tokens would break interoperable parsers).
-    return json.dumps({"checksum": checksum, "result": payload}, allow_nan=False) + "\n"
-
-
-def _parse_record(line: str) -> Optional[PointResult]:
-    """One trusted PointResult, or None for any kind of damage."""
-    try:
-        envelope = json.loads(line)
-        payload = envelope["result"]
-        if envelope["checksum"] != content_hash(payload):
-            return None
-        return PointResult.from_dict(payload)
-    except (ValueError, KeyError, TypeError):
-        return None
 
 
 class SweepJournal:
@@ -128,11 +108,13 @@ class SweepJournal:
         ordered: List[PointResult] = []
         corrupt = 0
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
+            # A byte that is not UTF-8 is damage to its line, not an error.
+            with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
                 for line in handle:
-                    if not line.strip():
+                    line = line.rstrip()
+                    if not line:
                         continue
-                    record = _parse_record(line)
+                    record = decode_record(line)
                     if record is None:
                         corrupt += 1
                     elif record.key not in restored:
@@ -154,7 +136,7 @@ class SweepJournal:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 for record in records:
-                    handle.write(_record_line(record))
+                    handle.write(encode_record(record) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.path)
@@ -184,7 +166,7 @@ class SweepJournal:
         """Durably journal one completed point."""
         if self._handle is None:
             self.open()
-        self._handle.write(_record_line(result))
+        self._handle.write(encode_record(result) + "\n")
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())

@@ -5,10 +5,16 @@ cache, so everything here is a plain frozen dataclass with exact
 JSON round-trips: floats serialize via ``repr`` (Python's ``json`` does
 this natively) and deserialize to bit-identical values, which is what
 lets the determinism tests compare serial and parallel runs with ``==``.
+
+:func:`encode_record` / :func:`decode_record` are the one stored form of a
+result, shared by the disk cache (one record per file) and the checkpoint
+journal (one record per line).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -16,6 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..metrics.summary import RunMetrics
 from ..transport.base import ConnectionStats
 from ..transport.cubic import CubicParams
+from .hashing import content_hash
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ class FlowRecord:
             retransmits=int(data["retransmits"]),
             timeouts=int(data["timeouts"]),
             fast_retransmits=int(data["fast_retransmits"]),
-            rtt_samples=tuple(float(x) for x in data["rtt_samples"]),
+            rtt_samples=tuple(map(float, data["rtt_samples"])),
             min_rtt=math.inf if data["min_rtt"] is None else float(data["min_rtt"]),
             completed=bool(data["completed"]),
         )
@@ -180,7 +187,7 @@ class PointResult:
                 mean_rtt_ms=float(metrics["mean_rtt_ms"]),
                 mean_utilization=float(metrics["mean_utilization"]),
             ),
-            flows=tuple(FlowRecord.from_dict(f) for f in data["flows"]),
+            flows=tuple(map(FlowRecord.from_dict, data["flows"])),
             bottleneck_drop_rate=float(data["bottleneck_drop_rate"]),
             mean_utilization=float(data["mean_utilization"]),
             duration_s=float(data["duration_s"]),
@@ -196,3 +203,60 @@ def flow_records(per_sender_stats: List[List[ConnectionStats]]) -> Tuple[FlowRec
         for sender in per_sender_stats
         for stats in sender
     )
+
+
+# ----------------------------------------------------------------------
+# Stored records
+# ----------------------------------------------------------------------
+#: The canonical JSON of :func:`repro.runner.hashing.canonical_json`, made
+#: strict: a non-finite float fails at write time instead of persisting an
+#: ``Infinity``/``NaN`` token other parsers reject.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_HEAD = '{"checksum":"'
+_SEP = '","result":'
+_DIGEST_END = len(_HEAD) + 64
+_BODY_START = _DIGEST_END + len(_SEP)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def encode_record(result: PointResult) -> str:
+    """The stored text of ``result``: ``{"checksum":"<hex>","result":<body>}``.
+
+    ``body`` is the canonical JSON of ``result.to_dict()``, encoded once,
+    and the checksum is the SHA-256 of exactly those characters — the
+    value :func:`~repro.runner.hashing.content_hash` gives the payload.
+    """
+    body = _CANONICAL.encode(result.to_dict())
+    return _HEAD + _sha256(body) + _SEP + body + "}"
+
+
+def decode_record(text: str) -> Optional[PointResult]:
+    """The result stored in ``text``, or None for any kind of damage.
+
+    A record in :func:`encode_record`'s layout is checked by hashing the
+    stored body as it stands; only a body that matches is parsed.  Any
+    other layout — records written by ``json.dumps`` with its default
+    separators, before this codec existed — is parsed first and checked
+    against the canonical JSON of the parsed payload.
+    """
+    try:
+        if (
+            text.startswith(_HEAD)
+            and text.startswith(_SEP, _DIGEST_END)
+            and text.endswith("}")
+        ):
+            body = text[_BODY_START:-1]
+            if _sha256(body) != text[len(_HEAD):_DIGEST_END]:
+                return None
+            payload = json.loads(body)
+        else:
+            envelope = json.loads(text)
+            payload = envelope["result"]
+            if envelope["checksum"] != content_hash(payload):
+                return None
+        return PointResult.from_dict(payload)
+    except (ValueError, KeyError, TypeError):
+        return None
