@@ -4,9 +4,19 @@ import json
 import math
 import os
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.metrics.summary import RunMetrics
 from repro.runner.cache import DiskCache, MemoryCache, NullCache
-from repro.runner.records import FlowRecord, PointResult, flow_records
+from repro.runner.hashing import canonical_json, content_hash
+from repro.runner.records import (
+    FlowRecord,
+    PointResult,
+    decode_record,
+    encode_record,
+    flow_records,
+)
 from repro.transport.base import ConnectionStats
 from repro.transport.cubic import CubicParams
 
@@ -99,6 +109,54 @@ class TestPointResult:
         assert not point.identical_to(other)
 
 
+def parent_layout(point):
+    """A record as stored before the one codec: ``json.dumps`` defaults."""
+    payload = point.to_dict()
+    return json.dumps({"checksum": content_hash(payload), "result": payload})
+
+
+class TestStoredRecord:
+    def test_checksum_is_content_hash_of_stored_body(self):
+        point = make_point()
+        payload = point.to_dict()
+        assert encode_record(point) == (
+            '{"checksum":"' + content_hash(payload) + '","result":'
+            + canonical_json(payload) + "}"
+        )
+
+    def test_round_trip_both_layouts(self):
+        point = make_point()
+        assert decode_record(encode_record(point)) == point
+        assert decode_record(parent_layout(point)) == point
+
+    def test_stored_body_tamper_is_damage(self):
+        text = encode_record(make_point())
+        assert decode_record(text.replace('"seed":5', '"seed":6')) is None
+
+    def test_every_truncation_is_damage(self):
+        point = make_point()
+        for text in (encode_record(point), parent_layout(point)):
+            for end in range(len(text)):
+                assert decode_record(text[:end]) is None, end
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        parent=st.booleans(),
+        char=st.one_of(
+            st.sampled_from('0123456789.eE+-" ,:{}[]\n\tnulltruefalse'),
+            st.characters(max_codepoint=255),
+        ),
+    )
+    def test_one_substituted_character_is_damage_or_harmless(self, data, parent, char):
+        point = make_point()
+        text = parent_layout(point) if parent else encode_record(point)
+        at = data.draw(st.integers(0, len(text) - 1))
+        assume(text[at] != char)
+        decoded = decode_record(text[:at] + char + text[at + 1:])
+        assert decoded is None or decoded == point
+
+
 class TestMemoryCache:
     def test_roundtrip_and_stats(self):
         cache = MemoryCache()
@@ -134,6 +192,15 @@ class TestDiskCache:
         with open(os.path.join(str(tmp_path), f"{point.key}.json"), "w") as handle:
             handle.write("{not json")
         assert cache.get(point.key) is None
+
+    def test_parent_layout_entry_is_served(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
+        point = make_point()
+        with open(os.path.join(str(tmp_path), f"{point.key}.json"), "w") as handle:
+            handle.write(parent_layout(point))
+        assert cache.get(point.key) == point
+        assert cache.stats.hits == 1
+        assert cache.stats.corrupt_evictions == 0
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = DiskCache(str(tmp_path))

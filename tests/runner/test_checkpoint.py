@@ -5,13 +5,10 @@ import json
 import pytest
 
 from repro.runner.cache import DiskCache, NullCache
-from repro.runner.checkpoint import (
-    CheckpointError,
-    SweepJournal,
-    _record_line,
-    sweep_key,
-)
+from repro.runner.checkpoint import CheckpointError, SweepJournal, sweep_key
 from repro.runner.core import SweepRunner, SweepSpec
+from repro.runner.hashing import content_hash
+from repro.runner.records import encode_record
 
 
 def journal_at(tmp_path, name="journal.jsonl", **kwargs):
@@ -67,7 +64,7 @@ class TestJournalCorruption:
         return path
 
     def good_line(self, make_result, key="b" * 64):
-        return _record_line(make_result(key=key))
+        return encode_record(make_result(key=key)) + "\n"
 
     def test_torn_tail_line_is_dropped(self, tmp_path, make_result):
         good = self.good_line(make_result)
@@ -95,6 +92,15 @@ class TestJournalCorruption:
         assert len(restored) == 1
         assert journal.corrupt_dropped == 1
 
+    def test_non_utf8_byte_damages_only_its_line(self, tmp_path, make_result):
+        good = self.good_line(make_result).encode("utf-8")
+        other = self.good_line(make_result, key="c" * 64).encode("utf-8")
+        damaged = other[:40] + b"\xff" + other[41:]
+        (tmp_path / "journal.jsonl").write_bytes(good + damaged)
+        journal = journal_at(tmp_path)
+        assert list(journal.load()) == ["b" * 64]
+        assert journal.corrupt_dropped == 1
+
     def test_load_heals_file_atomically(self, tmp_path, make_result):
         good = self.good_line(make_result)
         path = self.write_lines(tmp_path, [good, "garbage\n"])
@@ -111,6 +117,35 @@ class TestJournalCorruption:
         path = self.write_lines(tmp_path, [good, "garbage\n"])
         journal_at(tmp_path).load(heal=False)
         assert "garbage" in path.read_text(encoding="utf-8")
+
+
+def parent_layout_line(result):
+    """A journal line as written before the one codec: ``json.dumps`` defaults."""
+    payload = result.to_dict()
+    return json.dumps({"checksum": content_hash(payload), "result": payload}) + "\n"
+
+
+class TestParentLayout:
+    def test_parent_layout_records_load(self, tmp_path, make_result):
+        records = [make_result(key=f"{i:064d}", seed=i) for i in range(3)]
+        path = tmp_path / "journal.jsonl"
+        path.write_text("".join(map(parent_layout_line, records)), encoding="utf-8")
+        journal = journal_at(tmp_path)
+        assert journal.load() == {record.key: record for record in records}
+        assert journal.corrupt_dropped == 0
+
+    def test_resume_across_layouts_loads_every_record(self, tmp_path, make_result):
+        # A sweep journaled in the old layout, then resumed and appended
+        # to in the new one.
+        records = [make_result(key=f"{i:064d}", seed=i) for i in range(4)]
+        path = tmp_path / "journal.jsonl"
+        path.write_text("".join(map(parent_layout_line, records[:2])), encoding="utf-8")
+        with journal_at(tmp_path).open() as journal:
+            for record in records[2:]:
+                journal.append(record)
+        reader = journal_at(tmp_path)
+        assert reader.load() == {record.key: record for record in records}
+        assert reader.corrupt_dropped == 0
 
 
 class TestSweepKey:
