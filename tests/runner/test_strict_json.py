@@ -4,8 +4,9 @@ A zero-sample flow carries ``min_rtt = math.inf``.  Python's ``json``
 happily emits the non-standard token ``Infinity`` for it, which poisons
 cache envelopes and checkpoints for every strict parser (and any other
 language).  ``FlowRecord.to_dict`` now maps non-finite ``min_rtt`` to
-``null`` and the cache/checkpoint writers pass ``allow_nan=False`` so a
-regression fails loudly at dump time instead of corrupting artifacts.
+``null`` and the record codec the cache and checkpoint share encodes with
+``allow_nan=False``, so a regression fails loudly at dump time instead of
+corrupting artifacts.
 """
 
 import json
