@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from ..telemetry import session as _telemetry_session
+from . import packet as _packet
 
 
 class SimulationError(Exception):
@@ -249,6 +250,9 @@ class Simulator:
         self._running = False
         self._events_processed = 0
         self._watchdog: Optional[SimWatchdog] = None
+        # Flight-recorder records carry packet ids, so a run numbers its
+        # packets from 1 whatever the process simulated before.
+        _packet._packet_ids = itertools.count(1)
 
     @property
     def now(self) -> float:

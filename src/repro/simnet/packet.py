@@ -35,6 +35,8 @@ FlowKey = Tuple[str, int, str, int]
 """The classic 4-tuple <src ip, src port, dst ip, dst port>."""
 
 
+#: Packet ids, restarted at 1 by every :class:`~repro.simnet.engine.Simulator`
+#: so an id names the same packet of a run in any process.
 _packet_ids = itertools.count(1)
 
 
@@ -192,9 +194,3 @@ class FlowIdAllocator:
     def next_id(self) -> int:
         """Return a fresh flow id."""
         return next(self._counter)
-
-
-def reset_packet_ids() -> None:
-    """Reset the global packet-id counter (used by tests for determinism)."""
-    global _packet_ids
-    _packet_ids = itertools.count(1)

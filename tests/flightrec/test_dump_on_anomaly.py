@@ -7,7 +7,9 @@ post-mortem over that dump must attribute the stall to the injected
 fault window rather than ``unknown``.
 """
 
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -188,3 +190,38 @@ class TestWatchdogFunnel:
             "detail": {"events_processed": sim.events_processed},
         }
         assert fault_windows([record]) == []
+
+
+def _tripped_dump(directory):
+    """The dump a watchdog trip leaves for MINI_GRID[0] under OUTAGE."""
+    spec = SweepSpec(
+        preset=MINI_PRESET,
+        fault=OUTAGE,
+        watchdog=WatchdogConfig(max_events=400),
+        flightrec_dir=directory,
+    )
+    point = SweepPoint(params=MINI_GRID[0], run_index=0, seed=0)
+    try:
+        evaluate_point(spec, point)
+    except SimulationStalled:
+        pass
+    return load_dump(os.path.join(directory, f"flightrec-{point.key(spec)}.jsonl"))
+
+
+class TestDumpIsAFunctionOfThePoint:
+    def test_fresh_process_and_after_another_run_dump_alike(self, tmp_path):
+        # Packet ids start over with every Simulator: a dump must not
+        # depend on what the process simulated before (a pool worker, a
+        # retry attempt and a serial re-check all see different pasts).
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            fresh = pool.submit(_tripped_dump, str(tmp_path / "fresh")).result()
+        evaluate_point(
+            SweepSpec(preset=MINI_PRESET),
+            SweepPoint(params=MINI_GRID[1], run_index=0, seed=3),
+        )
+        again = _tripped_dump(str(tmp_path / "again"))
+        header, records = fresh
+        assert header["reason"] == "watchdog:max_events"
+        assert min(r["packet_id"] for r in records if r["layer"] == "simnet") == 1
+        assert again == fresh
