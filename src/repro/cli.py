@@ -228,6 +228,24 @@ def cmd_incremental(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(kind: type, text: str):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not {kind.__name__}: {text!r}")
+    if not value > 0:  # ``not >`` so a NaN is rejected too
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _positive(int, text)
+
+
+def _positive_float(text: str) -> float:
+    return _positive(float, text)
+
+
 def _float_list(text: str) -> List[float]:
     try:
         values = [float(item) for item in text.split(",") if item.strip()]
@@ -690,11 +708,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="Table-2 grid sweep via repro.runner")
     sweep.add_argument("--preset", default="table3-remy")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--runs", type=int, default=8,
+    sweep.add_argument("--runs", type=_positive_int, default=8,
                        help="runs per grid point (paper uses 8)")
     sweep.add_argument("--duration", type=float, default=None,
                        help="simulated seconds per run (default: preset duration)")
-    sweep.add_argument("--workers", type=int, default=None,
+    sweep.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes (default: usable CPU count)")
     sweep.add_argument("--cache-dir", default=None,
                        help="persist per-point results under this directory")
@@ -710,14 +728,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume", action="store_true",
                        help="replay an existing checkpoint journal; only "
                             "unfinished points are recomputed")
-    sweep.add_argument("--retries", type=int, default=3,
+    sweep.add_argument("--retries", type=_positive_int, default=3,
                        help="attempts per point before quarantine (default 3)")
-    sweep.add_argument("--point-timeout", type=float, default=None,
+    sweep.add_argument("--point-timeout", type=_positive_float, default=None,
                        help="wall seconds per running point before the "
                             "supervisor kills and retries it")
-    sweep.add_argument("--max-sim-events", type=int, default=None,
+    sweep.add_argument("--max-sim-events", type=_positive_int, default=None,
                        help="watchdog: abort a simulation after this many events")
-    sweep.add_argument("--max-sim-seconds", type=float, default=None,
+    sweep.add_argument("--max-sim-seconds", type=_positive_float, default=None,
                        help="watchdog: abort a simulation after this much wall time")
     sweep.add_argument("--serial-check", action="store_true",
                        help="also run serially; verify bit-identical results")

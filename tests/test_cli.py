@@ -85,6 +85,29 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--beta-range", "nope"])
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--runs", "0"),
+            ("--runs", "-1"),
+            ("--workers", "0"),
+            ("--retries", "0"),
+            ("--point-timeout", "0"),
+            ("--point-timeout", "nan"),
+            ("--max-sim-events", "0"),
+            ("--max-sim-seconds", "0"),
+            ("--runs", "two"),
+        ],
+    )
+    def test_non_positive_count_is_a_usage_error(self, option, value, capsys):
+        # Exit 2 with a usage line, not a traceback: exit 1 means a
+        # quarantined or mismatched sweep.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.MINI + [option, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err and "Traceback" not in err
+
     def test_mini_sweep_runs(self, capsys):
         assert main(self.MINI) == 0
         out = capsys.readouterr().out
