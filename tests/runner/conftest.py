@@ -26,6 +26,16 @@ MINI_GRID = list(
 )
 
 
+def flow_dict_with_samples(stats):
+    """A flow as stored before records held a digest: every RTT sample."""
+    from repro.runner.records import FlowRecord
+
+    data = FlowRecord.from_stats(stats).to_dict()
+    del data["rtt_count"], data["rtt_digest"]
+    data["rtt_samples"] = list(stats.rtt_samples)
+    return data
+
+
 @pytest.fixture
 def mini_preset():
     return MINI_PRESET
@@ -40,7 +50,7 @@ def mini_grid():
 def make_result():
     """Factory for synthetic :class:`PointResult` records."""
     from repro.metrics.summary import RunMetrics
-    from repro.runner.records import FlowRecord, PointResult
+    from repro.runner.records import FlowRecord, PointResult, rtt_digest
     from repro.transport.cubic import CubicParams
 
     def _make(key="k" * 64, seed=5, run_index=2, wall=1.0):
@@ -54,7 +64,8 @@ def make_result():
             retransmits=3,
             timeouts=1,
             fast_retransmits=2,
-            rtt_samples=(0.1501, 0.1502000000000003, 0.163),
+            rtt_count=3,
+            rtt_digest=rtt_digest((0.1501, 0.1502000000000003, 0.163)),
             min_rtt=0.1501,
             completed=True,
         )

@@ -1,5 +1,6 @@
 """Result records and cache backends: exact round-trips, hit/miss stats."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from repro.runner.records import (
     decode_record,
     encode_record,
     flow_records,
+    rtt_digest,
 )
 from repro.transport.base import ConnectionStats
 from repro.transport.cubic import CubicParams
@@ -32,7 +34,8 @@ def make_flow(flow_id=7):
         retransmits=3,
         timeouts=1,
         fast_retransmits=2,
-        rtt_samples=(0.1501, 0.1502000000000003, 0.163),
+        rtt_count=3,
+        rtt_digest=rtt_digest((0.1501, 0.1502000000000003, 0.163)),
         min_rtt=0.1501,
         completed=True,
     )
@@ -69,7 +72,24 @@ class TestFlowRecord:
         stats.bytes_goodput = 100
         record = FlowRecord.from_stats(stats)
         stats.rtt_samples.append(0.3)  # later mutation must not leak in
-        assert record.rtt_samples == (0.1, 0.2)
+        assert (record.rtt_count, record.rtt_digest) == (2, rtt_digest([0.1, 0.2]))
+
+    def test_digest_is_sha256_of_little_endian_doubles(self):
+        assert rtt_digest([]) == hashlib.sha256(b"").hexdigest()
+        one_then_half = bytes.fromhex("000000000000f03f" "000000000000e03f")
+        assert rtt_digest([1.0, 0.5]) == hashlib.sha256(one_then_half).hexdigest()
+
+    def test_samples_differing_in_one_bit_or_in_order_differ(self):
+        def record(samples):
+            stats = ConnectionStats(flow_id=1)
+            stats.rtt_samples.extend(samples)
+            return FlowRecord.from_stats(stats)
+
+        base = record([0.1, 0.2, 0.3])
+        assert record([0.1, 0.2, 0.3]) == base
+        assert record([0.1, 0.3, 0.2]) != base
+        assert record([0.1, math.nextafter(0.2, 1.0), 0.3]) != base
+        assert record([0.1, 0.2]) != base
 
     def test_json_round_trip_bit_identical(self):
         record = make_flow()

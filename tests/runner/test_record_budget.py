@@ -20,15 +20,22 @@ its ceiling has put a walk over the samples back on the path: find it
 with ``python -m cProfile -s ncalls``.
 
 Every ``call`` event is counted, in any module, over all 12 records.
+
+A record's size is held too: a flow's RTT samples, one per ACK, are
+stored as their count and digest, so a point's stored bytes per flow do
+not grow with its duration.  When every sample was stored, a 60-s Fig 2b
+point was a 1,409 KB record.
 """
 
 import sys
 
 import pytest
 
-from repro.experiments import TABLE3_REMY
+from repro.experiments import FIG2C_LONG_RUNNING, TABLE3_REMY
 from repro.runner import DiskCache, NullCache, SweepJournal, SweepRunner
-from repro.transport.cubic import cubic_sweep_grid
+from repro.runner.core import SweepPoint, SweepSpec, evaluate_point
+from repro.runner.records import encode_record
+from repro.transport.cubic import CubicParams, cubic_sweep_grid
 
 #: perf's ``sweep_cold`` grid: ssthresh 2/16/128 x windowInit 2/64 x beta 0.2/0.8.
 GRID = list(cubic_sweep_grid([2.0, 16.0, 128.0], [2.0, 64.0], [0.2, 0.8]))
@@ -56,7 +63,7 @@ def counts(tmp_path_factory):
     runner = SweepRunner(TABLE3_REMY, duration_s=4.0, n_workers=1, cache=NullCache())
     points = runner.run(GRID, base_seed=1, parallel=False).points
     assert len(points) == len(GRID)
-    assert sum(len(f.rtt_samples) for p in points for f in p.flows) > 10_000
+    assert sum(f.rtt_count for p in points for f in p.flows) > 10_000
 
     directory = tmp_path_factory.mktemp("records")
     cache = DiskCache(str(directory / "cache"))
@@ -105,3 +112,18 @@ def test_python_calls_per_record(counts, operation, ceiling):
         f"{counts[operation]:.1f} Python calls per record in {operation}, "
         f"ceiling {ceiling}"
     )
+
+
+def test_stored_bytes_per_flow_do_not_grow_with_acks():
+    # 40 persistent flows: each takes over 4x the ACKs in 8 sim-s as in
+    # 2.  The one codec measures 329 and 335 bytes per flow.
+    point = SweepPoint(params=CubicParams(2, 16, 0.2), run_index=0, seed=1)
+    per_flow, samples = {}, {}
+    for duration_s in (2.0, 8.0):
+        spec = SweepSpec(preset=FIG2C_LONG_RUNNING, duration_s=duration_s)
+        result = evaluate_point(spec, point)
+        per_flow[duration_s] = len(encode_record(result).encode()) / len(result.flows)
+        samples[duration_s] = sum(flow.rtt_count for flow in result.flows)
+    assert samples[8.0] > 4 * samples[2.0]
+    assert abs(per_flow[8.0] / per_flow[2.0] - 1.0) < 0.10, per_flow
+    assert max(per_flow.values()) < 400, per_flow

@@ -14,7 +14,7 @@ import math
 
 from repro.runner.cache import DiskCache
 from repro.runner.checkpoint import SweepJournal
-from repro.runner.records import FlowRecord, PointResult
+from repro.runner.records import FlowRecord, PointResult, rtt_digest
 from repro.transport.base import ConnectionStats
 
 from .test_cache_records import make_flow, make_point
@@ -47,6 +47,7 @@ class TestStrictMinRtt:
         )
         assert clone == record
         assert math.isinf(clone.min_rtt)
+        assert (clone.rtt_count, clone.rtt_digest) == (0, rtt_digest([]))
 
     def test_finite_min_rtt_unaffected(self):
         record = make_flow()

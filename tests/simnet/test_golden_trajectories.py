@@ -3,7 +3,9 @@
 Each constant is the sha256 of ``canonical_json(RunMetrics + flow
 records)`` for one short run, captured on the commit *before* the
 entry-as-handle calendar / deadline RTO / O(1) in-order sink change and
-committed ahead of it.  A data-plane optimisation that claims
+committed ahead of it.  The flow records carry every RTT sample, so they
+are built from the live ``ConnectionStats`` (a ``FlowRecord`` holds only
+the samples' count and digest).  A data-plane optimisation that claims
 "bit-identical trajectories" keeps these green; one that means to move
 trajectories bumps ``ENGINE_SIGNATURE`` and re-captures them in the same
 change.
@@ -35,10 +37,12 @@ from repro.experiments import (
     run_partitioned_phi_cubic,
 )
 from repro.phi import REFERENCE_POLICY
-from repro.runner import canonical_json, flow_records
+from repro.runner import canonical_json
 from repro.simnet import DumbbellConfig
 from repro.transport import CubicParams
 from repro.workload import OnOffConfig
+
+from tests.runner.conftest import flow_dict_with_samples
 
 PARAMS = CubicParams(4, 64, 0.7)
 
@@ -47,7 +51,11 @@ def trajectory_digest(result) -> str:
     """sha256 over everything a run reports about its flows."""
     payload = {
         "metrics": asdict(result.metrics),
-        "flows": [flow.to_dict() for flow in flow_records(result.per_sender_stats)],
+        "flows": [
+            flow_dict_with_samples(stats)
+            for sender in result.per_sender_stats
+            for stats in sender
+        ],
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
