@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import ExitStack
 from functools import partial
@@ -233,8 +234,8 @@ def _positive(kind: type, text: str):
         value = kind(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not {kind.__name__}: {text!r}")
-    if not value > 0:  # ``not >`` so a NaN is rejected too
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0 < value < math.inf:  # a NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 
@@ -678,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_args(p, with_params=True):
         p.add_argument("--preset", default="table3-remy")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration", type=float, default=None,
+        p.add_argument("--duration", type=_positive_float, default=None,
                        help="simulated seconds (default: preset duration)")
         if with_params:
             p.add_argument("--window-init", type=float, default=2.0,
@@ -710,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--runs", type=_positive_int, default=8,
                        help="runs per grid point (paper uses 8)")
-    sweep.add_argument("--duration", type=float, default=None,
+    sweep.add_argument("--duration", type=_positive_float, default=None,
                        help="simulated seconds per run (default: preset duration)")
     sweep.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes (default: usable CPU count)")
@@ -751,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", default="fig2a-low-utilization")
         p.add_argument("--seeds", type=_int_list, default=[0, 1],
                        help="comma-separated seeds (one run per seed per cell)")
-        p.add_argument("--duration", type=float, default=None,
+        p.add_argument("--duration", type=_positive_float, default=None,
                        help="simulated seconds per run (default: preset duration)")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (1 = serial)")
@@ -852,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ORACLES),
         help="run only this oracle (repeatable; default: all)",
     )
-    check.add_argument("--duration", type=float, default=10.0,
+    check.add_argument("--duration", type=_positive_float, default=10.0,
                        help="simulated seconds per oracle scenario")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--fuzz", type=int, default=0, metavar="N",

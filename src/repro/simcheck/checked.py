@@ -22,6 +22,7 @@ checked-vs-unchecked differential oracle in
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter as _Counter
 from typing import Optional
 
@@ -127,6 +128,9 @@ class CheckedSimulator(Simulator):
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and math.isnan(until):
+            # ``time > nan`` is always false: the loop would never stop.
+            raise SimulationError("cannot run until NaN time")
         self._running = True
         events_before = self._events_processed
         heap = self._heap

@@ -372,6 +372,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and math.isnan(until):
+            # ``time > nan`` is always false: the loop would never stop.
+            raise SimulationError("cannot run until NaN time")
         self._running = True
         events_before = self._events_processed
         heap = self._heap

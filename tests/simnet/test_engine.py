@@ -58,6 +58,18 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule_at(float("nan"), lambda: None)
 
+    def test_nan_until_rejected(self):
+        # ``time > nan`` is never true, so run(until=nan) would execute
+        # the whole calendar -- forever, under a periodic timer.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0
+        sim.run(until=2.0)  # the rejected call left the engine usable
+        assert fired == ["a"]
+
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
         fired = []

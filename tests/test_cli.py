@@ -81,6 +81,18 @@ class TestSweepCommand:
         assert args.workers is None
         assert not args.serial_check
 
+    @pytest.mark.parametrize(
+        "command",
+        ["cubic", "phi", "incremental", "sweep", "poison", "partition", "check"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_duration_must_be_positive_and_finite(self, command, value, capsys):
+        # A NaN duration never ends a run; a negative one prints zeros.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--duration", value])
+        assert excinfo.value.code == 2
+        assert "argument --duration" in capsys.readouterr().err
+
     def test_float_list_validation(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--beta-range", "nope"])
