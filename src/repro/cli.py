@@ -254,6 +254,8 @@ def _float_list(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("need at least one value")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"values must be finite: {text!r}")
     return values
 
 

@@ -203,11 +203,11 @@ class TcpSender:
     ) -> None:
         if flow_size_bytes <= 0:
             raise ValueError(f"flow_size_bytes must be positive, got {flow_size_bytes}")
-        if window_init < 1:
-            raise ValueError(f"window_init must be >= 1 segment, got {window_init}")
-        if initial_ssthresh < 2:
+        if not 1 <= window_init < math.inf:  # a NaN fails both comparisons
+            raise ValueError(f"window_init must be finite and >= 1 segment, got {window_init}")
+        if not 2 <= initial_ssthresh < math.inf:
             raise ValueError(
-                f"initial_ssthresh must be >= 2 segments, got {initial_ssthresh}"
+                f"initial_ssthresh must be finite and >= 2 segments, got {initial_ssthresh}"
             )
         self.sim = sim
         self.host = host

@@ -15,6 +15,7 @@ window ``W_max``, the window follows ``W(t) = C (t - K)^3 + W_max`` with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional
 
@@ -49,11 +50,13 @@ class CubicParams:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
-        if self.window_init < 1:
-            raise ValueError(f"window_init must be >= 1, got {self.window_init}")
-        if self.initial_ssthresh < 2:
+        # Negated so a NaN fails too: a non-finite window would otherwise
+        # only fail mid-run, when a sender turns it into segments.
+        if not 1 <= self.window_init < math.inf:
+            raise ValueError(f"window_init must be finite and >= 1, got {self.window_init}")
+        if not 2 <= self.initial_ssthresh < math.inf:
             raise ValueError(
-                f"initial_ssthresh must be >= 2, got {self.initial_ssthresh}"
+                f"initial_ssthresh must be finite and >= 2, got {self.initial_ssthresh}"
             )
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")

@@ -98,6 +98,17 @@ class TestSweepCommand:
             build_parser().parse_args(["sweep", "--beta-range", "nope"])
 
     @pytest.mark.parametrize(
+        "option", ["--ssthresh-range", "--window-range", "--beta-range"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "2,inf", "4,nan"])
+    def test_non_finite_grid_value_is_a_usage_error(self, option, value, capsys):
+        # Not a sweep that retries and quarantines every point.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["sweep", option, value])
+        assert excinfo.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "option, value",
         [
             ("--runs", "0"),

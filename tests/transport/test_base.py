@@ -95,6 +95,11 @@ class TestBasicTransfer:
             TcpSender(sim, top.senders[0], spec, 1000, window_init=0.5)
         with pytest.raises(ValueError):
             TcpSender(sim, top.senders[0], spec, 1000, initial_ssthresh=1)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="window_init"):
+                TcpSender(sim, top.senders[0], spec, 1000, window_init=value)
+            with pytest.raises(ValueError, match="initial_ssthresh"):
+                TcpSender(sim, top.senders[0], spec, 1000, initial_ssthresh=value)
 
 
 class TestSlowStartAndWindow:

@@ -39,6 +39,13 @@ class TestCubicParams:
         with pytest.raises(ValueError):
             CubicParams(beta=1.0)
 
+    @pytest.mark.parametrize("field", ["window_init", "initial_ssthresh"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, field, value):
+        # Refused here, not mid-run in the sender's int() conversion.
+        with pytest.raises(ValueError, match=field):
+            CubicParams(**{field: value})
+
     def test_hashable_for_policy_caches(self):
         a = CubicParams(window_init=4, initial_ssthresh=64, beta=0.3)
         b = CubicParams(window_init=4, initial_ssthresh=64, beta=0.3)
