@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 import os
+import pickle
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.summary import RunMetrics
 from repro.runner.cache import DiskCache, MemoryCache, NullCache
+from repro.runner.core import SweepPoint, SweepSpec, evaluate_point
 from repro.runner.hashing import canonical_json, content_hash
 from repro.runner.records import (
     FlowRecord,
@@ -21,6 +23,8 @@ from repro.runner.records import (
 )
 from repro.transport.base import ConnectionStats
 from repro.transport.cubic import CubicParams
+
+from .conftest import MINI_GRID, MINI_PRESET
 
 
 def make_flow(flow_id=7):
@@ -101,6 +105,27 @@ class TestFlowRecord:
         records = flow_records([[a], [b, c]])
         assert [r.flow_id for r in records] == [1, 2, 3]
 
+    def test_from_stats_dict_round_trip(self):
+        stats = ConnectionStats(flow_id=3, start_time=0.5)
+        stats.rtt_samples.extend([0.15, 0.1500000000000001, 0.2])
+        stats.min_rtt = 0.15
+        stats.bytes_goodput = stats.bytes_sent = 4380
+        stats.packets_sent = 3
+        stats.completed = True
+        record = FlowRecord.from_stats(stats)
+        assert FlowRecord.from_dict(record.to_dict()) == record
+        assert list(record.to_dict()) == [
+            "flow_id", "start_time", "end_time", "bytes_goodput", "bytes_sent",
+            "packets_sent", "retransmits", "timeouts", "fast_retransmits",
+            "rtt_count", "rtt_digest", "min_rtt", "completed",
+        ]
+
+    def test_pickle_round_trip(self):
+        # How a worker hands its flows to the supervisor.
+        for value in (make_flow(), make_point()):
+            clone = pickle.loads(pickle.dumps(value))
+            assert clone == value and type(clone) is type(value)
+
     def test_infinite_min_rtt_survives_round_trip(self):
         stats = ConnectionStats(flow_id=1)
         record = FlowRecord.from_stats(stats)
@@ -175,6 +200,39 @@ class TestStoredRecord:
         assume(text[at] != char)
         decoded = decode_record(text[:at] + char + text[at + 1:])
         assert decoded is None or decoded == point
+
+
+#: A 1-s point (``MINI_PRESET``, ``MINI_GRID[0]``, seed 0) as
+#: ``encode_record`` wrote it when ``FlowRecord`` was a frozen dataclass.
+PARENT_RECORD = (
+    '{"checksum":"4aaeeb83ecb366dc9583bf14c9a0fecd39269947caba731efff7df66faea296e",'
+    '"result":{"bottleneck_drop_rate":0.0,"duration_s":1.0,"events_processed":356,'
+    '"flows":[{"bytes_goodput":29107,"bytes_sent":29107,"completed":true,'
+    '"end_time":0.7683025337471178,"fast_retransmits":0,"flow_id":1,'
+    '"min_rtt":0.15079562933333346,"packets_sent":20,"retransmits":0,"rtt_count":20,'
+    '"rtt_digest":"1ef3b1052e8e3c634c55b6a690514b88e47483001aab06298bfe846351e19834",'
+    '"start_time":0.012523011080450841,"timeouts":0},{"bytes_goodput":13101,'
+    '"bytes_sent":13101,"completed":true,"end_time":0.5668194040034495,'
+    '"fast_retransmits":0,"flow_id":2,"min_rtt":0.15082454933333334,'
+    '"packets_sent":9,"retransmits":0,"rtt_count":9,'
+    '"rtt_digest":"f13105c1cb1ac134d0b2fa574b96acfa1722d6ad8f647db3459d223bd10d3d46",'
+    '"start_time":0.11430290800344944,"timeouts":0}],'
+    '"key":"5c700241d656626bce9e76a8d0648d68eddde7a3ff212e5026b65ac3bd85cdeb",'
+    '"mean_utilization":0.0439296,"metrics":{"connections":2,"loss_rate":0.0,'
+    '"mean_rtt_ms":151.25729167816093,"mean_utilization":0.0439296,'
+    '"queueing_delay_ms":0.45268717241373607,"throughput_mbps":0.279454698834981,'
+    '"total_bytes":42208},"params":{"beta":0.2,"initial_ssthresh":2.0,'
+    '"window_init":4.0},"run_index":0,"seed":0,"wall_seconds":0.012267154001165181}}'
+)
+
+
+class TestParentWrittenRecord:
+    def test_decodes_identical_to_a_fresh_run_and_re_encodes_to_its_bytes(self):
+        spec = SweepSpec(preset=MINI_PRESET, duration_s=1.0)
+        fresh = evaluate_point(spec, SweepPoint(MINI_GRID[0], run_index=0, seed=0))
+        decoded = decode_record(PARENT_RECORD)
+        assert decoded is not None and decoded.identical_to(fresh)
+        assert encode_record(decoded) == PARENT_RECORD
 
 
 class TestMemoryCache:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.runner.checkpoint import sweep_key
+from repro.runner.core import SweepPoint, SweepSpec
 from repro.runner.hashing import (
     ENGINE_SIGNATURE,
     canonical_json,
@@ -11,6 +13,8 @@ from repro.runner.hashing import (
 from repro.simnet.topology import DumbbellConfig
 from repro.transport.cubic import CubicParams
 from repro.workload.onoff import OnOffConfig
+
+from tests.runner.conftest import MINI_GRID, MINI_PRESET
 
 
 def default_key(**overrides):
@@ -63,6 +67,32 @@ class TestPointKey:
             60.0,
             0,
             engine_signature=ENGINE_SIGNATURE + "-next",
+        )
+
+
+class TestPinnedKeys:
+    """Literal key values, computed once and never recomputed here.
+
+    The tests above only compare keys with each other, so a change to
+    the canonical encoding could move every key -- and silently orphan
+    every cache and journal on disk -- while they all still pass.
+    """
+
+    def test_default_point_key(self):
+        assert default_key() == (
+            "fc9d59010679b70cfaad912a1136f3761a0d983a78d640aecb06e7e4a5a1adeb"
+        )
+
+    def test_fault_point_key(self):
+        spec = SweepSpec(preset=MINI_PRESET, fault=("outage", 0.5, 0.5))
+        point = SweepPoint(params=MINI_GRID[0], run_index=0, seed=0)
+        assert point.key(spec) == (
+            "b80fb20a4b3e0d8219da5f3246ca81bd2b03e15dfad561581775aee617cd9a81"
+        )
+
+    def test_sweep_key(self):
+        assert sweep_key(SweepSpec(preset=MINI_PRESET), MINI_GRID, 2, 0) == (
+            "9d95767800796758d57581bc3ac526fb3393c0e90e47826c353493636c15a2a7"
         )
 
 
