@@ -745,8 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress the progress line")
     sweep.add_argument("--flightrec-dir", default=None, dest="flightrec_dir",
-                       help="arm the per-point flight recorder; anomaly dumps "
-                            "land here (default: the checkpoint dir, when set)")
+                       help="replay a failing point armed; its flight-recorder "
+                            "dump lands here (default: the checkpoint dir, when set)")
     add_metrics_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

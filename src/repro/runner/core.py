@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import platform
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -46,6 +46,7 @@ from typing import (
     Tuple,
 )
 
+from .. import flightrec as _flightrec
 from .. import telemetry as _telemetry
 from ..phi.optimizer import SweepResult
 from ..simnet.engine import WatchdogConfig
@@ -81,12 +82,14 @@ class SweepSpec:
     snapshot back on the result, which observes the simulation without
     perturbing it.
 
-    ``flightrec_dir`` arms the flight recorder in every worker: a point
-    that fails (crash, watchdog trip, invariant violation) dumps its
-    rings to ``<flightrec_dir>/flightrec-<point_key>.jsonl`` before the
-    exception propagates — the dump exists even when the supervisor
-    later quarantines the point and the worker's memory is gone.
-    All three are observability knobs, excluded from cache keys.
+    ``flightrec_dir`` replays a failing point armed: a point runs with
+    no recorder, and one that raises (watchdog trip, invariant
+    violation, crash) runs once more in the same worker under the flight
+    recorder, which dumps to ``<flightrec_dir>/flightrec-<point_key>.jsonl``
+    before the first exception propagates — the dump exists even when
+    the supervisor later quarantines the point and the worker's memory
+    is gone.  All three are observability knobs, excluded from cache
+    keys.
 
     ``fault`` injects a data-plane fault into every point:
     ``("outage", start_s, duration_s)`` takes the bottleneck link down
@@ -154,39 +157,41 @@ def evaluate_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
 
     Must stay a module-level function so worker processes can unpickle
     it.  All randomness comes from the simulation's own seeded streams,
-    so the result is a pure function of ``(spec, point)``.
+    so the result is a pure function of ``(spec, point)``, and a failing
+    point replayed under the flight recorder leaves the dump an armed
+    first run would have left.
     """
-    # Imported here, not at module top: repro.experiments imports this
-    # module (experiments.sweep drives the runner), so the scenario
-    # machinery has to bind lazily to keep the import graph acyclic.
-    from .. import flightrec as _flightrec
-    from ..experiments.scenarios import run_cubic_fixed
-
     if _FAULT_ENV_VAR in os.environ:  # test-only fault injection hook
         from .faultinject import maybe_inject_fault
 
         maybe_inject_fault(point)
 
     key = point.key(spec)
+    try:
+        return _run_point(spec, point, key)
+    except Exception:
+        if spec.flightrec_dir is not None:
+            # The replay dumps as it unwinds (watchdog trip, invariant
+            # violation, crash); the first failure is the one reported.
+            path = os.path.join(spec.flightrec_dir, f"flightrec-{key}.jsonl")
+            with suppress(Exception), _flightrec.capture(path):
+                _run_point(spec, point, key)
+        raise
+
+
+def _run_point(spec: SweepSpec, point: SweepPoint, key: str) -> PointResult:
+    # Imported here, not at module top: repro.experiments imports this
+    # module (experiments.sweep drives the runner), so the scenario
+    # machinery has to bind lazily to keep the import graph acyclic.
+    from ..experiments.scenarios import run_cubic_fixed
+
     started = time.perf_counter()
     snapshot: Optional[Dict[str, Any]] = None
-    with ExitStack() as stack:
-        if spec.flightrec_dir is not None:
-            # Armed recorder: any exception unwinding this scope —
-            # watchdog trip, invariant violation, injected crash —
-            # leaves a post-mortem dump next to the sweep journal.
-            stack.enter_context(
-                _flightrec.capture(
-                    os.path.join(spec.flightrec_dir, f"flightrec-{key}.jsonl")
-                )
-            )
-        tele = None
-        if spec.collect_telemetry:
-            # A private session per point: worker processes don't share
-            # memory with the parent, so metrics travel by value on the
-            # result and are merged deterministically at the by-index
-            # merge.  (The ambient flight recorder is inherited.)
-            tele = stack.enter_context(_telemetry.use())
+    # A private telemetry session per point: worker processes don't
+    # share memory with the parent, so metrics travel by value on the
+    # result and are merged deterministically at the by-index merge.
+    # (The ambient flight recorder is inherited.)
+    with _telemetry.use() if spec.collect_telemetry else nullcontext() as tele:
         result = run_cubic_fixed(
             point.params,
             spec.preset,
@@ -437,7 +442,7 @@ class SweepRunner:
         unfinished points are recomputed.  Without ``resume`` an
         existing journal for the same sweep is truncated.
     flightrec_dir:
-        Arm the flight recorder in every worker, dumping on failure to
+        Replay a failing point armed, in its worker, dumping to
         ``flightrec-<point_key>.jsonl`` under this directory.  Defaults
         to ``checkpoint_dir`` (dumps land next to the sweep journal);
         pass ``""`` to disable recording for a checkpointed sweep.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from enum import Enum
 from typing import Any, Optional
 
@@ -45,7 +45,10 @@ def plain(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if is_dataclass(value) and not isinstance(value, type):
-        return {k: plain(v) for k, v in sorted(asdict(value).items())}
+        # Field by field, not ``asdict``: that deep-copies every nested
+        # value only for this function to walk it again.
+        names = sorted(f.name for f in fields(value))
+        return {name: plain(getattr(value, name)) for name in names}
     if isinstance(value, dict):
         return {str(k): plain(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):

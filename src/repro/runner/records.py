@@ -1,10 +1,11 @@
 """Serializable result records for the sweep runner.
 
 Workers hand results back across process boundaries and into the on-disk
-cache, so everything here is a plain frozen dataclass with exact
-JSON round-trips: floats serialize via ``repr`` (Python's ``json`` does
-this natively) and deserialize to bit-identical values, which is what
-lets the determinism tests compare serial and parallel runs with ``==``.
+cache, so everything here is a frozen dataclass or a named tuple with
+exact JSON round-trips: floats serialize via ``repr`` (Python's ``json``
+does this natively) and deserialize to bit-identical values, which is
+what lets the determinism tests compare serial and parallel runs with
+``==``.
 A flow's RTT samples, one per ACK, are held as their count and digest,
 so a result's size grows with its flows, not with its ACKs.
 
@@ -20,7 +21,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..metrics.summary import RunMetrics
 from ..transport.base import ConnectionStats
@@ -33,16 +34,17 @@ def rtt_digest(samples: Sequence[float]) -> str:
     return hashlib.sha256(struct.pack(f"<{len(samples)}d", *samples)).hexdigest()
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """A per-connection outcome, frozen for hashing and comparison.
+class FlowRecord(NamedTuple):
+    """A per-connection outcome, immutable for hashing and comparison.
 
     This is :class:`~repro.transport.base.ConnectionStats` with the
     mutable list of RTT samples pinned down by its length and
     :func:`rtt_digest`, so two runs compare field-for-field — samples
     bit-identical in value and order — at a fixed size per flow.  No
     reader needs the samples of a stored point; a point is a pure
-    function of its spec, so an analysis that does re-runs it.
+    function of its spec, so an analysis that does re-runs it.  A tuple,
+    not a frozen dataclass: a stored point rebuilds one per flow, and a
+    tuple is built in one call instead of one ``__setattr__`` per field.
     """
 
     flow_id: int
@@ -63,19 +65,19 @@ class FlowRecord:
     def from_stats(cls, stats: ConnectionStats) -> "FlowRecord":
         """Freeze one connection's stats."""
         return cls(
-            flow_id=stats.flow_id,
-            start_time=stats.start_time,
-            end_time=stats.end_time,
-            bytes_goodput=stats.bytes_goodput,
-            bytes_sent=stats.bytes_sent,
-            packets_sent=stats.packets_sent,
-            retransmits=stats.retransmits,
-            timeouts=stats.timeouts,
-            fast_retransmits=stats.fast_retransmits,
-            rtt_count=len(stats.rtt_samples),
-            rtt_digest=rtt_digest(stats.rtt_samples),
-            min_rtt=stats.min_rtt,
-            completed=stats.completed,
+            stats.flow_id,
+            stats.start_time,
+            stats.end_time,
+            stats.bytes_goodput,
+            stats.bytes_sent,
+            stats.packets_sent,
+            stats.retransmits,
+            stats.timeouts,
+            stats.fast_retransmits,
+            len(stats.rtt_samples),
+            rtt_digest(stats.rtt_samples),
+            stats.min_rtt,
+            stats.completed,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -110,19 +112,19 @@ class FlowRecord:
         else:
             count, digest = int(data["rtt_count"]), str(data["rtt_digest"])
         return cls(
-            flow_id=int(data["flow_id"]),
-            start_time=float(data["start_time"]),
-            end_time=float(data["end_time"]),
-            bytes_goodput=int(data["bytes_goodput"]),
-            bytes_sent=int(data["bytes_sent"]),
-            packets_sent=int(data["packets_sent"]),
-            retransmits=int(data["retransmits"]),
-            timeouts=int(data["timeouts"]),
-            fast_retransmits=int(data["fast_retransmits"]),
-            rtt_count=count,
-            rtt_digest=digest,
-            min_rtt=math.inf if data["min_rtt"] is None else float(data["min_rtt"]),
-            completed=bool(data["completed"]),
+            int(data["flow_id"]),
+            float(data["start_time"]),
+            float(data["end_time"]),
+            int(data["bytes_goodput"]),
+            int(data["bytes_sent"]),
+            int(data["packets_sent"]),
+            int(data["retransmits"]),
+            int(data["timeouts"]),
+            int(data["fast_retransmits"]),
+            count,
+            digest,
+            math.inf if data["min_rtt"] is None else float(data["min_rtt"]),
+            bool(data["completed"]),
         )
 
 
