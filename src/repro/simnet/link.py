@@ -17,6 +17,7 @@ a link's times are now plus a non-negative delay.
 
 from __future__ import annotations
 
+import math
 from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
@@ -58,10 +59,11 @@ class Link:
         delay_s: float,
         queue: Optional[DropTailQueue] = None,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if delay_s < 0:
-            raise ValueError(f"propagation delay must be >= 0, got {delay_s}")
+        # Negated so a NaN fails too.
+        if not 0 < bandwidth_bps < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_bps}")
+        if not 0 <= delay_s < math.inf:
+            raise ValueError(f"propagation delay must be finite and >= 0, got {delay_s}")
         self.sim = sim
         self.name = name
         self.bandwidth_bps = bandwidth_bps

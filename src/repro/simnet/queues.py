@@ -19,6 +19,7 @@ holds at all times (see :meth:`DropTailQueue.assert_conservation`).
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from itertools import count
 from typing import Callable, Deque, List, Optional, Tuple
@@ -109,8 +110,11 @@ class DropTailQueue:
         clock: Callable[[], float],
         on_drop: Optional[Callable[[Packet], None]] = None,
     ) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
+        # Negated so a NaN fails too; None is the one unbounded capacity.
+        if capacity_bytes is not None and not 0 < capacity_bytes < math.inf:
+            raise ValueError(
+                f"capacity_bytes must be positive and finite, got {capacity_bytes}"
+            )
         self.capacity_bytes = capacity_bytes
         self._clock = clock
         self._on_drop = on_drop

@@ -9,6 +9,7 @@ experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -45,8 +46,15 @@ class DumbbellConfig:
     def __post_init__(self) -> None:
         if self.n_senders <= 0:
             raise ValueError(f"n_senders must be positive, got {self.n_senders}")
-        if self.rtt_s <= 0:
-            raise ValueError(f"rtt_s must be positive, got {self.rtt_s}")
+        for name in (
+            "bottleneck_bandwidth_bps", "rtt_s", "buffer_bdp_multiple",
+            "access_bandwidth_bps",
+        ):
+            value = getattr(self, name)
+            # Negated so a NaN fails too: each would otherwise fail mid-run,
+            # or run on as a one-byte buffer.
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0 <= self.access_delay_fraction < 0.5:
             raise ValueError(
                 "access_delay_fraction must be in [0, 0.5), got "

@@ -115,6 +115,23 @@ class TestLinkTiming:
         with pytest.raises(ValueError):
             Link(sim, "bad", 1e6, -1.0)
 
+    @pytest.mark.parametrize(
+        "bandwidth, delay",
+        [
+            (float("nan"), 0.01),
+            (float("inf"), 0.01),
+            (-1e6, 0.01),
+            (1e6, float("nan")),
+            (1e6, float("inf")),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, bandwidth, delay):
+        with pytest.raises(ValueError):
+            Link(Simulator(), "bad", bandwidth, delay)
+
+    def test_zero_delay_is_allowed(self):
+        assert Link(Simulator(), "wire", 1e6, 0.0).delay_s == 0.0
+
     def test_unattached_link_raises_on_delivery(self):
         sim = Simulator()
         link = make_link(sim)

@@ -45,6 +45,13 @@ class TestDropTailBasics:
         with pytest.raises(ValueError):
             DropTailQueue(0, FakeClock())
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
+    def test_capacity_must_be_finite(self, capacity):
+        # None is the one way to ask for an unbounded queue.
+        for queue_class in (DropTailQueue, PriorityQueue):
+            with pytest.raises(ValueError):
+                queue_class(capacity, FakeClock())
+
     def test_drop_when_full(self):
         q = DropTailQueue(1500, FakeClock())
         assert q.enqueue(data(payload=1000))  # 1040 bytes
