@@ -1,33 +1,29 @@
 """A :class:`Simulator` subclass that verifies engine invariants as it runs.
 
-The checked run loop mirrors :meth:`repro.simnet.engine.Simulator.run`
-exactly — same watchdog placement, same ``until`` restore, same
-telemetry accounting — and adds three families of checks:
+It has no run loop of its own: :meth:`repro.simnet.engine.Simulator.run`
+is the one loop, and this class answers its three check sites, where the
+plain engine raises on the clock and never audits:
 
-- **clock monotonicity**: every executed event fires at a time ``>=`` the
-  current clock, and no callback rewinds the clock behind the engine's
+- **clock monotonicity** (before the clock moves): an event due before
+  the current clock is recorded as ``engine.clock_monotonic``;
+- **clock tampering** (after the callback returns): a callback that moved
+  the clock is recorded as ``engine.clock_tampered`` and the clock put
   back;
-- **heap integrity**: the calendar's heap property holds, no record
-  appears twice, and the engine's count of cancelled-but-unpopped
-  records matches the cancelled timers actually in the heap, verified
-  every ``heap_check_interval`` events and at the end of each ``run()``;
-- **schedule sanity**: inherited from the base engine (NaN and
-  past-scheduling already raise there).
+- **heap integrity** (every ``heap_check_interval`` executed events and
+  when ``run()`` exits normally): heap order, no duplicate record, the
+  cancelled count equal to the cancelled timers in the heap, live
+  callbacks callable.
 
-Semantic equivalence with the unchecked engine is itself enforced by the
-checked-vs-unchecked differential oracle in
-:mod:`repro.simcheck.oracles`, which requires bit-identical results.
+Equivalence with the unchecked engine is checked by the
+checked-vs-unchecked oracle in :mod:`repro.simcheck.oracles`.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections import Counter as _Counter
 from typing import Optional
 
-from ..simnet.engine import SimulationError, Simulator
-from ..telemetry import session as _telemetry_session
+from ..simnet.engine import Simulator
 from .violations import InvariantViolation, ViolationReport, record_violation
 
 #: Default events between full calendar-consistency scans.  The scan is
@@ -123,85 +119,30 @@ class CheckedSimulator(Simulator):
         )
 
     # ------------------------------------------------------------------
-    # Checked run loop (mirror of Simulator.run + checks)
+    # Answers to Simulator.run's check sites
     # ------------------------------------------------------------------
+    def _clock_regressed(self, seq: int, time: float) -> None:
+        self._violation(
+            "engine.clock_monotonic",
+            f"event seq {seq} fires at {time} < now {self._now}",
+            event_time=time,
+        )
+
+    def _clock_tampered(self, time: float) -> None:
+        self._violation(
+            "engine.clock_tampered",
+            f"callback moved the clock from {time} to {self._now}",
+            event_time=time,
+        )
+        self._now = time  # restore so later checks aren't cascaded noise
+
+    def _audit_heap(self) -> None:
+        self.verify_heap()
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        if until is not None and math.isnan(until):
-            # ``time > nan`` is always false: the loop would never stop.
-            raise SimulationError("cannot run until NaN time")
-        self._running = True
         events_before = self._events_processed
-        heap = self._heap
-        pop = heapq.heappop
-        executed = 0
-        watchdog = self._watchdog
-        if watchdog is not None:
-            watchdog.arm()
-        interval = self.heap_check_interval
-        next_scan = interval
         try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                if watchdog is not None:
-                    # Checked before the pop so a raised SimulationStalled
-                    # never discards the event it interrupted.
-                    watchdog.check(self)
-                time, seq, callback, args = heap[0]
-                if callback is None:
-                    # A timer: the record's last slot is its handle.
-                    handle = args
-                    callback = handle._callback
-                    if callback is None:
-                        pop(heap)  # cancelled; discard lazily
-                        self._cancelled_pending -= 1
-                        continue
-                    if until is not None and time > until:
-                        break  # not due yet: it stays in the calendar
-                    handle._sim = None
-                    args = handle._args
-                elif until is not None and time > until:
-                    break
-                pop(heap)
-                if time < self._now:
-                    self._violation(
-                        "engine.clock_monotonic",
-                        f"event seq {seq} fires at {time} < now {self._now}",
-                        event_time=time,
-                    )
-                self._now = time
-                self._events_processed += 1
-                executed += 1
-                callback(*args)
-                if self._now != time:
-                    self._violation(
-                        "engine.clock_tampered",
-                        f"callback moved the clock from {time} to {self._now}",
-                        event_time=time,
-                    )
-                    self._now = time  # restore so later checks aren't cascaded noise
-                if executed == next_scan:
-                    next_scan += interval
-                    self.verify_heap()
-            self.verify_heap()
+            super().run(until, max_events)
         finally:
-            self._running = False
             # The clock checks of every executed event, credited once.
-            self.checks_performed += executed
-            # Telemetry is charged once per run() call, not per event, so
-            # the hot loop above stays untouched (the <=2% overhead budget).
-            tele = _telemetry_session()
-            if tele.enabled:
-                registry = tele.registry
-                registry.counter("sim.events").inc(
-                    self._events_processed - events_before
-                )
-                registry.counter("sim.run_calls").inc()
-                registry.gauge("sim.pending_events").set(self.pending_events)
-                registry.gauge("sim.clock_s").set(self._now)
-        if until is not None and self._now < until:
-            next_time = self.peek_time()
-            if next_time is None or next_time > until:
-                self._now = until
+            self.checks_performed += self._events_processed - events_before

@@ -1,10 +1,19 @@
 """Tests for the discrete-event engine."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.engine import SimulationError, Simulator
+from repro.simcheck import CheckedSimulator
+from repro.simnet.engine import (
+    SimulationError,
+    SimulationStalled,
+    Simulator,
+    SimWatchdog,
+    WatchdogConfig,
+)
 
 
 class TestScheduling:
@@ -136,6 +145,74 @@ class TestRunControl:
         sim.schedule(1.0, nested)
         sim.run()
         assert len(errors) == 1
+
+
+class TestClockChecks:
+    """The plain engine raises where the checked one reports."""
+
+    def test_callback_moving_the_clock_raises(self):
+        sim = Simulator()
+
+        def tamper():
+            sim._now = 99.0
+
+        sim.schedule(1.0, tamper)
+        sim.schedule(2.0, lambda: None)
+        with pytest.raises(SimulationError, match="moved the clock from 1.0 to 99.0"):
+            sim.run()
+
+    def test_record_planted_in_the_past_raises(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        heapq.heappush(sim._heap, (1.0, 10**9, fired.append, ("planted",)))
+        with pytest.raises(SimulationError, match="fires at 1.0 < now 2.0"):
+            sim.run()
+        # The record was consumed, not executed, and the clock did not move.
+        assert fired == [] and sim.pending_events == 0
+        assert sim.now == 2.0 and sim.events_processed == 1
+
+
+@pytest.mark.parametrize("engine", [Simulator, CheckedSimulator])
+class TestStepIsRunOfOne:
+    @staticmethod
+    def _drive(sim, advance):
+        fired = []
+        timers = [sim.schedule(t, fired.append, t) for t in (1.0, 2.0, 2.0, 3.0)]
+        sim.post_at(2.0, fired.append, "posted")
+        timers[0].cancel()  # a cancelled head
+        timers[2].cancel()
+        advanced = [advance(sim) for _ in range(5)]
+        return (advanced, fired, sim.now, sim.events_processed, sim.pending_events,
+                getattr(sim, "checks_performed", None))
+
+    def test_step_matches_run_with_max_events_one(self, engine):
+        def run_one(sim):
+            before = sim.events_processed
+            sim.run(max_events=1)
+            return sim.events_processed > before
+
+        stepped = self._drive(engine(), engine.step)
+        assert stepped == self._drive(engine(), run_one)
+        assert stepped[0] == [True, True, True, False, False]
+
+    def test_step_honours_the_watchdog(self, engine):
+        sim = engine()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.install_watchdog(SimWatchdog(WatchdogConfig(max_events=1)))
+        assert sim.step()
+        with pytest.raises(SimulationStalled):
+            sim.step()
+        assert sim.pending_events == 1  # the interrupted event stays queued
+
+    def test_step_is_not_reentrant(self, engine):
+        sim = engine()
+        sim.schedule(1.0, sim.step)
+        sim.schedule(2.0, lambda: None)
+        with pytest.raises(SimulationError, match="not reentrant"):
+            sim.run()
 
 
 class TestCancellation:
