@@ -1,9 +1,12 @@
 """Additional scenario-harness behaviours."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
     ALL_PRESETS,
+    FIG2C_LONG_RUNNING,
     FIG4_INCREMENTAL,
     run_cubic_fixed,
     run_incremental_deployment,
@@ -49,6 +52,31 @@ class TestDurationOverride:
     def test_default_duration_from_preset(self):
         result = run_cubic_fixed(CubicParams.default(), TINY, seed=1)
         assert result.duration_s == TINY.duration_s
+
+
+class TestMonitorPeriod:
+    @pytest.mark.parametrize(
+        "preset",
+        [TINY, replace(FIG2C_LONG_RUNNING, config=DumbbellConfig(n_senders=2))],
+        ids=["onoff", "long-running"],
+    )
+    def test_monitor_period_reaches_the_link_monitor(self, preset):
+        envs = []
+
+        def capture(env):
+            envs.append(env)
+            return []
+
+        run_cubic_fixed(
+            CubicParams.default(),
+            preset,
+            seed=0,
+            duration_s=2.0,
+            monitor_period_s=0.5,
+            fault_hook=capture,
+        )
+        (env,) = envs
+        assert env.monitor.period_s == 0.5
 
 
 class TestIncrementalFractions:
