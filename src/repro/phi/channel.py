@@ -154,6 +154,11 @@ class ChannelConfig:
         if self.deadline_s <= 0:
             raise ValueError(f"deadline must be positive: {self.deadline_s}")
 
+    @property
+    def needs_rng(self) -> bool:
+        """Whether a channel with this config draws random numbers."""
+        return self.loss_probability > 0 or self.jitter_s > 0 or self.backoff_jitter > 0
+
     def backoff_s(self, attempt_index: int) -> float:
         """Unjittered backoff before retry number ``attempt_index`` (0-based)."""
         return exponential_backoff_s(
@@ -299,11 +304,7 @@ class ControlChannel:
         self.sim = sim
         self.backend = backend
         self.config = config or ChannelConfig()
-        if rng is None and (
-            self.config.loss_probability > 0
-            or self.config.jitter_s > 0
-            or self.config.backoff_jitter > 0
-        ):
+        if rng is None and self.config.needs_rng:
             raise ValueError("loss/jitter simulation requires an rng")
         self.rng = rng
         self.breaker = breaker or CircuitBreaker(lambda: sim.now)
