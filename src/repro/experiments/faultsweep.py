@@ -46,12 +46,9 @@ from .scenarios import ScenarioPreset, run_cubic_fixed
 
 # ----------------------------------------------------------------------
 # Aggregators: how one accounting field combines across a cell's seeds
-# (and across a whole sweep, for manifest totals).  ``sum`` is the builtin.
+# (and across a whole sweep, for manifest totals).  ``sum`` is the
+# builtin and the mean is ``telemetry.mean``.
 # ----------------------------------------------------------------------
-def mean(values: Sequence[float]) -> float:
-    return sum(values) / max(1, len(values))
-
-
 def peak(values: Iterable[float]) -> float:
     return max(values, default=0.0)
 
@@ -376,8 +373,8 @@ def run_fault_sweep(
             where = tuple(cell[axis] for axis in baseline.per)
             anchors = [baselines[baseline.name][(*where, seed)] for seed in seeds]
             levels[baseline.name] = Level(
-                mean([m.power_l for m in anchors]),
-                mean([m.throughput_mbps for m in anchors]),
+                _telemetry.mean([m.power_l for m in anchors]),
+                _telemetry.mean([m.throughput_mbps for m in anchors]),
             )
         rows.append(
             FaultSweepRow(
