@@ -13,14 +13,14 @@ and shows both remedies cut the standing queue the baseline builds —
 Phi needing no router support, which is its deployment argument.
 """
 
+from functools import partial
+
 import numpy as np
 from bench_common import report, run_once, scaled
 
-from repro.experiments.dumbbell import ExperimentEnv, run_long_running_scenario
-from repro.phi import plain_cubic_factory
+from repro.experiments.dumbbell import ExperimentEnv
 from repro.simnet import DumbbellConfig, RedQueue
-from repro.simnet.monitor import LinkMonitor
-from repro.transport import CubicParams
+from repro.transport import CubicParams, CubicSender
 from repro.workload import launch_long_running_flows
 from repro.metrics import summarize_connections
 
@@ -44,7 +44,7 @@ def _run_arm(queue_kind, params, seed):
         # Swap before any traffic: the monitor reads link.queue lazily.
         env.topology.bottleneck.queue = red
 
-    factory = plain_cubic_factory(params)
+    factory = partial(CubicSender, params=params)
     pairs = [
         (env.topology.senders[i], env.topology.receivers[i])
         for i in range(N_SENDERS)

@@ -9,10 +9,9 @@ provides significant gains."
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import run_cubic_fixed, run_onoff_scenario, uniform_slots
+from repro.experiments import run_cubic_fixed, run_phi_cubic, run_preset
 from repro.experiments.scenarios import ScenarioPreset
 from repro.phi import REFERENCE_POLICY, ContextServer, SharingMode, phi_cubic_factory
-from repro.phi.server import IdealContextOracle
 from repro.simnet import DumbbellConfig
 from repro.transport import CubicParams
 from repro.workload import OnOffConfig
@@ -29,24 +28,16 @@ PRESET = ScenarioPreset(
 def _run_arm(mode, seed, duration, stale_window=None):
     if mode == "none":
         return run_cubic_fixed(CubicParams.default(), PRESET, seed, duration)
+    if stale_window is None:
+        return run_phi_cubic(REFERENCE_POLICY, PRESET, mode, seed, duration)
 
-    def build(env):
-        if mode == "ideal":
-            source = IdealContextOracle(env.sim, env.monitor, env.flow_tracker)
-        else:
-            window = stale_window if stale_window is not None else 10.0
-            source = ContextServer(
-                env.sim, env.bottleneck_capacity_bps, window_s=window
-            )
+    def senders(env):
+        source = ContextServer(
+            env.sim, env.bottleneck_capacity_bps, window_s=stale_window
+        )
         return phi_cubic_factory(source, REFERENCE_POLICY, now=lambda: env.sim.now)
 
-    return run_onoff_scenario(
-        uniform_slots(build),
-        config=PRESET.config,
-        workload=PRESET.workload,
-        duration_s=duration,
-        seed=seed,
-    )
+    return run_preset(senders, PRESET, seed=seed, duration_s=duration)
 
 
 def _run_all():
@@ -55,9 +46,9 @@ def _run_all():
     arms = {}
     for name, kwargs in [
         ("no sharing (default)", dict(mode="none")),
-        ("phi practical", dict(mode="practical")),
-        ("phi practical, stale", dict(mode="practical", stale_window=300.0)),
-        ("phi ideal", dict(mode="ideal")),
+        ("phi practical", dict(mode=SharingMode.PRACTICAL)),
+        ("phi practical, stale", dict(mode=SharingMode.PRACTICAL, stale_window=300.0)),
+        ("phi ideal", dict(mode=SharingMode.IDEAL)),
     ]:
         runs = [_run_arm(seed=s, duration=duration, **kwargs) for s in seeds]
         arms[name] = (

@@ -10,20 +10,10 @@ router or protocol changes.
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import TABLE3_REMY, run_onoff_scenario, uniform_slots
+from repro.experiments import TABLE3_REMY, run_cubic_fixed, run_preset
 from repro.experiments.scenarios import run_phi_cubic
-from repro.phi import REFERENCE_POLICY, SharingMode, plain_cubic_factory
-from repro.transport import NewRenoSender, VegasSender
-
-
-def _factory(sender_cls):
-    def build(env):
-        def factory(sim, host, spec, size, done):
-            return sender_cls(sim, host, spec, size, done)
-
-        return factory
-
-    return build
+from repro.phi import REFERENCE_POLICY, SharingMode
+from repro.transport import CubicParams, NewRenoSender, VegasSender
 
 
 def _run_all():
@@ -41,23 +31,15 @@ def _run_all():
 
     collect(
         "Cubic (default)",
-        lambda seed: run_onoff_scenario(
-            uniform_slots(lambda env: plain_cubic_factory()),
-            config=TABLE3_REMY.config,
-            workload=TABLE3_REMY.workload,
-            duration_s=duration,
-            seed=seed,
+        lambda seed: run_cubic_fixed(
+            CubicParams.default(), TABLE3_REMY, seed=seed, duration_s=duration
         ),
     )
     for label, sender_cls in [("NewReno", NewRenoSender), ("Vegas", VegasSender)]:
         collect(
             label,
-            lambda seed, cls=sender_cls: run_onoff_scenario(
-                uniform_slots(_factory(cls)),
-                config=TABLE3_REMY.config,
-                workload=TABLE3_REMY.workload,
-                duration_s=duration,
-                seed=seed,
+            lambda seed, cls=sender_cls: run_preset(
+                lambda env: cls, TABLE3_REMY, seed=seed, duration_s=duration
             ),
         )
     collect(

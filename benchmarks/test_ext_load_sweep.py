@@ -8,13 +8,14 @@ range and reports the P_l gap between default and tuned Cubic at each
 level — the x-axis the paper's Figure 2 panels sit on.
 """
 
+from functools import partial
+
 from bench_common import report, run_once, scaled
 
 from repro.experiments.dumbbell import ExperimentEnv
 from repro.metrics import summarize_connections
-from repro.phi import plain_cubic_factory
 from repro.simnet import DumbbellConfig
-from repro.transport import CubicParams
+from repro.transport import CubicParams, CubicSender
 from repro.workload import PoissonConfig, PoissonFlowGenerator
 
 TUNED = CubicParams(window_init=8, initial_ssthresh=32, beta=0.3)
@@ -28,7 +29,7 @@ def _run_arm(load, params, seed):
     generator = PoissonFlowGenerator(
         env.sim,
         pairs,
-        plain_cubic_factory(params),
+        partial(CubicSender, params=params),
         env.flow_ids,
         env.rngs.stream("poisson"),
         PoissonConfig.for_load(load, config.bottleneck_bandwidth_bps,

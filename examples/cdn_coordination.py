@@ -13,14 +13,8 @@ servers reach many clients behind a shared WAN bottleneck:
 Run:  python examples/cdn_coordination.py
 """
 
-from repro.experiments import run_onoff_scenario, uniform_slots
-from repro.experiments.scenarios import ScenarioPreset
-from repro.phi import (
-    REFERENCE_POLICY,
-    ContextServer,
-    phi_cubic_factory,
-    plain_cubic_factory,
-)
+from repro.experiments import ScenarioPreset, run_cubic_fixed, run_phi_cubic
+from repro.phi import REFERENCE_POLICY, SharingMode
 from repro.prioritization import EnsembleAllocator, FlowClass, PriorityController
 from repro.simnet import (
     DumbbellConfig,
@@ -28,6 +22,7 @@ from repro.simnet import (
     FlowIdAllocator,
     Simulator,
 )
+from repro.transport import CubicParams
 from repro.workload import OnOffConfig
 
 CDN = ScenarioPreset(
@@ -43,25 +38,8 @@ def streaming_comparison():
     print("== Part 1: uncoordinated vs Phi-coordinated streaming ==")
     print(CDN.description, "\n")
 
-    uncoordinated = run_onoff_scenario(
-        uniform_slots(lambda env: plain_cubic_factory()),
-        config=CDN.config,
-        workload=CDN.workload,
-        duration_s=CDN.duration_s,
-        seed=11,
-    )
-
-    def build_phi(env):
-        server = ContextServer(env.sim, env.bottleneck_capacity_bps)
-        return phi_cubic_factory(server, REFERENCE_POLICY, now=lambda: env.sim.now)
-
-    coordinated = run_onoff_scenario(
-        uniform_slots(build_phi),
-        config=CDN.config,
-        workload=CDN.workload,
-        duration_s=CDN.duration_s,
-        seed=11,
-    )
+    uncoordinated = run_cubic_fixed(CubicParams.default(), CDN, seed=11)
+    coordinated = run_phi_cubic(REFERENCE_POLICY, CDN, SharingMode.PRACTICAL, seed=11)
 
     for label, result in [
         ("uncoordinated (default Cubic)", uncoordinated),

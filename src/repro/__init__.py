@@ -33,8 +33,8 @@ Quickstart::
 from .experiments import (
     run_cubic_fixed,
     run_incremental_deployment,
-    run_onoff_scenario,
     run_phi_cubic,
+    run_preset,
     run_table3,
 )
 from .metrics import RunMetrics, log_power, power, power_with_loss
@@ -78,8 +78,8 @@ __all__ = [
     "power_with_loss",
     "run_cubic_fixed",
     "run_incremental_deployment",
-    "run_onoff_scenario",
     "run_phi_cubic",
+    "run_preset",
     "run_table3",
     "__version__",
 ]

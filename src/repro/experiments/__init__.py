@@ -8,11 +8,9 @@ from .degraded import (
 )
 from .dumbbell import (
     ExperimentEnv,
-    FactoryForSlot,
+    ScenarioPreset,
     ScenarioResult,
-    run_long_running_scenario,
-    run_onoff_scenario,
-    uniform_slots,
+    run_preset,
 )
 from .faultsweep import (
     FaultScenario,
@@ -41,7 +39,6 @@ from .scenarios import (
     FIG4_INCREMENTAL,
     TABLE3_REMY,
     IncrementalResult,
-    ScenarioPreset,
     run_cubic_fixed,
     run_incremental_deployment,
     run_phi_cubic,
@@ -65,7 +62,6 @@ __all__ = [
     "TABLE3_REMY",
     "DegradedRunResult",
     "ExperimentEnv",
-    "FactoryForSlot",
     "FaultScenario",
     "FaultSweepOutcome",
     "FaultSweepRow",
@@ -86,16 +82,14 @@ __all__ = [
     "schedule_unavailability",
     "sweep_unavailability",
     "run_incremental_deployment",
-    "run_long_running_scenario",
-    "run_onoff_scenario",
     "run_partition_sweep",
     "run_partitioned_phi_cubic",
     "run_phi_cubic",
     "run_poison_sweep",
     "run_poisoned_phi_cubic",
+    "run_preset",
     "run_remy_scenario",
     "run_table2_sweep",
     "run_table3",
     "train_tables",
-    "uniform_slots",
 ]

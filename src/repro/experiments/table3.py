@@ -16,22 +16,18 @@ utilization".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 from typing import List, Optional
 
 from ..metrics.summary import RunMetrics
-from ..phi.client import (
-    SharingMode,
-    phi_remy_factory,
-    plain_cubic_factory,
-    plain_remy_factory,
-)
-from ..phi.server import ContextServer, IdealContextOracle
+from ..phi.client import SharingMode, phi_remy_factory
 from ..remy.trainer import RemyTrainer, TrainingResult
 from ..remy.whisker import WhiskerTable
 from ..transport.cubic import CubicParams
-from .dumbbell import ExperimentEnv, ScenarioResult, run_onoff_scenario, uniform_slots
-from .scenarios import TABLE3_REMY, ScenarioPreset
+from ..transport.remycc import RemySender
+from .dumbbell import ExperimentEnv, ScenarioResult, run_preset
+from .scenarios import TABLE3_REMY, ScenarioPreset, context_source, run_cubic_fixed
 
 
 def run_remy_scenario(
@@ -43,30 +39,21 @@ def run_remy_scenario(
 ) -> ScenarioResult:
     """Run the Table-3 workload with Remy senders in the given mode."""
 
-    def build(env: ExperimentEnv):
+    def senders(env: ExperimentEnv):
         if mode is SharingMode.NONE:
-            return plain_remy_factory(table)
-        if mode is SharingMode.IDEAL:
-            oracle = IdealContextOracle(env.sim, env.monitor, env.flow_tracker)
-            return phi_remy_factory(
-                table,
-                oracle,
-                SharingMode.IDEAL,
-                now=lambda: env.sim.now,
-                live_utilization=oracle.utilization_provider(),
-            )
-        server = ContextServer(env.sim, env.bottleneck_capacity_bps)
+            return partial(RemySender, table=table)
+        source = context_source(env, mode)
         return phi_remy_factory(
-            table, server, SharingMode.PRACTICAL, now=lambda: env.sim.now
+            table,
+            source,
+            mode,
+            now=lambda: env.sim.now,
+            live_utilization=(
+                source.utilization_provider() if mode is SharingMode.IDEAL else None
+            ),
         )
 
-    return run_onoff_scenario(
-        uniform_slots(build),
-        config=preset.config,
-        workload=preset.workload,
-        duration_s=duration_s if duration_s is not None else preset.duration_s,
-        seed=seed,
-    )
+    return run_preset(senders, preset, seed=seed, duration_s=duration_s)
 
 
 def make_table_evaluator(
@@ -203,7 +190,9 @@ def run_table3(
         ("Remy", lambda seed: run_remy_scenario(
             remy_table, SharingMode.NONE, preset, seed, duration_s
         )),
-        ("Cubic", lambda seed: _run_cubic(preset, seed, duration_s)),
+        ("Cubic", lambda seed: run_cubic_fixed(
+            CubicParams.default(), preset, seed, duration_s
+        )),
     ]
     rows = []
     for name, runner in arms:
@@ -218,13 +207,3 @@ def run_table3(
         )
     return Table3Result(rows=rows)
 
-
-def _run_cubic(preset, seed, duration_s):
-    slots = uniform_slots(lambda env: plain_cubic_factory(CubicParams.default()))
-    return run_onoff_scenario(
-        slots,
-        config=preset.config,
-        workload=preset.workload,
-        duration_s=duration_s if duration_s is not None else preset.duration_s,
-        seed=seed,
-    )

@@ -32,8 +32,6 @@ from .client import (
     SharingMode,
     phi_cubic_factory,
     phi_remy_factory,
-    plain_cubic_factory,
-    plain_remy_factory,
 )
 from .corruption import (
     CONTEXT_CORRUPTION_MODES,
@@ -160,8 +158,6 @@ __all__ = [
     "report_invalid_reason",
     "phi_cubic_factory",
     "phi_remy_factory",
-    "plain_cubic_factory",
-    "plain_remy_factory",
     "resilient_phi_cubic_factory",
     "select_optimal",
     "split_stats",

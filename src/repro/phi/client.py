@@ -9,7 +9,9 @@ updated based on the experience of that connection)."
 :func:`phi_cubic_factory` and :func:`phi_remy_factory` wrap the plain
 transport constructors with exactly that protocol; they return factories
 compatible with :class:`repro.workload.SenderFactory` so any workload can
-be made Phi-aware by swapping the factory.
+be made Phi-aware by swapping the factory.  A sender class is itself a
+factory: unmodified senders are ``CubicSender``, ``partial(CubicSender,
+params=p)`` or ``partial(RemySender, table=t)``.
 """
 
 from __future__ import annotations
@@ -93,15 +95,18 @@ def phi_remy_factory(
     now: Callable[[], float],
     live_utilization: Optional[Callable[[], float]] = None,
 ):
-    """A SenderFactory producing Remy / Remy-Phi senders.
+    """A SenderFactory producing Remy-Phi senders.
 
-    - ``SharingMode.NONE``: plain Remy (no ``u`` in the memory).
     - ``SharingMode.PRACTICAL``: ``u`` frozen at connection start from the
       context server (Remy-Phi-practical).
     - ``SharingMode.IDEAL``: ``u`` read live on every ACK via
       ``live_utilization`` (Remy-Phi-ideal); ``live_utilization`` is
       required in this mode.
+
+    Plain Remy shares nothing: it is ``partial(RemySender, table=table)``.
     """
+    if mode is SharingMode.NONE:
+        raise ValueError("plain Remy is partial(RemySender, table=table)")
     if mode is SharingMode.IDEAL and live_utilization is None:
         raise ValueError("SharingMode.IDEAL requires a live_utilization callable")
 
@@ -112,19 +117,14 @@ def phi_remy_factory(
         flow_size_bytes: int,
         on_complete: Callable[[TcpSender], None],
     ) -> TcpSender:
-        if mode is SharingMode.NONE:
-            util_provider = None
-        elif mode is SharingMode.IDEAL:
+        if mode is SharingMode.IDEAL:
             util_provider = live_utilization
         else:
             frozen = context_source.lookup().utilization
             util_provider = lambda: frozen  # noqa: E731 - tiny closure
 
         def report_and_complete(sender: TcpSender) -> None:
-            if mode is not SharingMode.NONE:
-                context_source.report(
-                    ConnectionReport.from_stats(sender.stats, now())
-                )
+            context_source.report(ConnectionReport.from_stats(sender.stats, now()))
             on_complete(sender)
 
         return RemySender(
@@ -139,37 +139,3 @@ def phi_remy_factory(
 
     return factory
 
-
-def plain_cubic_factory(params=None):
-    """A SenderFactory for unmodified Cubic (the paper's baseline)."""
-    from ..transport.cubic import CubicParams
-
-    fixed = params if params is not None else CubicParams.default()
-
-    def factory(
-        sim: Simulator,
-        host: Host,
-        spec: FlowSpec,
-        flow_size_bytes: int,
-        on_complete: Callable[[TcpSender], None],
-    ) -> TcpSender:
-        return CubicSender(sim, host, spec, flow_size_bytes, on_complete, params=fixed)
-
-    return factory
-
-
-def plain_remy_factory(table: WhiskerTable):
-    """A SenderFactory for unmodified Remy (no shared utilization)."""
-
-    def factory(
-        sim: Simulator,
-        host: Host,
-        spec: FlowSpec,
-        flow_size_bytes: int,
-        on_complete: Callable[[TcpSender], None],
-    ) -> TcpSender:
-        return RemySender(
-            sim, host, spec, flow_size_bytes, on_complete, table=table
-        )
-
-    return factory

@@ -3,7 +3,7 @@ whose ensemble stays TCP-friendly in aggregate."""
 
 from .controller import PrioritizedFlow, PriorityController
 from .ensemble import EnsembleAllocator, FlowClass, WeightAssignment
-from .weighted import WeightedRenoSender, weighted_factory
+from .weighted import WeightedRenoSender
 
 __all__ = [
     "EnsembleAllocator",
@@ -12,5 +12,4 @@ __all__ = [
     "PriorityController",
     "WeightAssignment",
     "WeightedRenoSender",
-    "weighted_factory",
 ]

@@ -66,19 +66,3 @@ class WeightedRenoSender(TcpSender):
         self.ssthresh = max(2.0, self.flight_segments * (1.0 - decrease))
         self.cwnd = 1.0
 
-
-def weighted_factory(weight: float):
-    """A SenderFactory producing :class:`WeightedRenoSender` with ``weight``."""
-
-    def factory(
-        sim: Simulator,
-        host: Host,
-        spec: FlowSpec,
-        flow_size_bytes: int,
-        on_complete: Callable[[TcpSender], None],
-    ) -> TcpSender:
-        return WeightedRenoSender(
-            sim, host, spec, flow_size_bytes, on_complete, weight=weight
-        )
-
-    return factory

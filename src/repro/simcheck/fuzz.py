@@ -12,13 +12,14 @@ scenario construction stays here so the CLI works without hypothesis).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..simnet.engine import WatchdogConfig
 from ..simnet.topology import DumbbellConfig
-from ..transport.cubic import CubicParams
+from ..transport.cubic import CubicParams, CubicSender, NewRenoSender
 from ..workload.onoff import OnOffConfig
 from .violations import ViolationReport
 
@@ -96,29 +97,26 @@ def run_fuzz_case(
     """
     # Imported lazily: the experiment stack imports simcheck, so pulling
     # it in at module load would be a cycle.
-    from ..experiments.dumbbell import run_onoff_scenario, uniform_slots
-    from ..phi.client import plain_cubic_factory
-    from ..transport.cubic import NewRenoSender
+    from ..experiments.dumbbell import ScenarioPreset, run_preset
 
     if scenario.flavour == "cubic":
-        factory = plain_cubic_factory(scenario.params)
+        factory = partial(CubicSender, params=scenario.params)
     else:
-
-        def factory(sim, host, spec, flow_size_bytes, on_complete):
-            return NewRenoSender(
-                sim,
-                host,
-                spec,
-                flow_size_bytes,
-                on_complete,
-                window_init=scenario.params.window_init,
-                initial_ssthresh=scenario.params.initial_ssthresh,
-            )
-    return run_onoff_scenario(
-        uniform_slots(lambda env: factory),
+        factory = partial(
+            NewRenoSender,
+            window_init=scenario.params.window_init,
+            initial_ssthresh=scenario.params.initial_ssthresh,
+        )
+    preset = ScenarioPreset(
+        name=f"fuzz-{scenario.seed}",
         config=scenario.config,
         workload=scenario.workload,
         duration_s=scenario.duration_s,
+        description="random checked-simulator scenario",
+    )
+    return run_preset(
+        lambda env: factory,
+        preset,
         seed=scenario.seed,
         watchdog=WatchdogConfig(max_events=FUZZ_MAX_EVENTS),
         checked=True,

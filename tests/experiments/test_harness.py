@@ -8,17 +8,15 @@ from repro.experiments import (
     TABLE3_REMY,
     run_cubic_fixed,
     run_incremental_deployment,
-    run_long_running_scenario,
-    run_onoff_scenario,
     run_phi_cubic,
+    run_preset,
     run_table2_sweep,
-    uniform_slots,
 )
 from repro.experiments.dumbbell import ExperimentEnv
 from repro.experiments.scenarios import ScenarioPreset
-from repro.phi import REFERENCE_POLICY, SharingMode, plain_cubic_factory
+from repro.phi import REFERENCE_POLICY, SharingMode
 from repro.simnet import DumbbellConfig
-from repro.transport import CubicParams
+from repro.transport import CubicParams, CubicSender
 from repro.workload import OnOffConfig
 
 #: A small, fast preset used throughout this module.
@@ -165,16 +163,40 @@ class TestIncrementalRunner:
             )
 
 
-class TestUniformSlots:
-    def test_factory_shared_within_env(self):
-        built = []
+class TestSenders:
+    @pytest.mark.parametrize("preset", [QUICK, QUICK_LONG], ids=["onoff", "long-running"])
+    def test_senders_run_once_before_the_first_flow(self, preset):
+        log = []
 
-        def builder(env):
-            built.append(env)
-            return plain_cubic_factory()
+        def senders(env):
+            log.append(("senders", env.sim.events_processed))
 
-        slots = uniform_slots(builder)
-        env = ExperimentEnv.create(DumbbellConfig(n_senders=3))
-        for i in range(3):
-            slots(i, env)
-        assert len(built) == 1
+            def factory(*args):
+                log.append("flow")
+                return CubicSender(*args)
+
+            return factory
+
+        run_preset(senders, preset, seed=0, duration_s=3.0)
+        assert log[0] == ("senders", 0)
+        assert log.count("flow") >= preset.config.n_senders
+        assert log[1:] == ["flow"] * (len(log) - 1)
+
+    def test_one_factory_per_slot(self):
+        result = run_preset(
+            lambda env: [CubicSender] * QUICK.config.n_senders,
+            QUICK,
+            seed=3,
+            duration_s=4.0,
+        )
+        assert result == run_preset(lambda env: CubicSender, QUICK, seed=3, duration_s=4.0)
+
+    def test_factory_count_must_match_slots(self):
+        with pytest.raises(ValueError, match="3 sender factories for 4 slots"):
+            run_preset(lambda env: [CubicSender] * 3, QUICK, seed=0, duration_s=1.0)
+
+    def test_slot_order_refused_on_long_running(self):
+        with pytest.raises(ValueError, match="on/off workloads only"):
+            run_preset(
+                lambda env: CubicSender, QUICK_LONG, slot_order=range(6), duration_s=1.0
+            )

@@ -1,5 +1,7 @@
 """Tests for Phi client factories and deployment mixes."""
 
+from functools import partial
+
 import pytest
 
 from repro.phi import (
@@ -9,8 +11,6 @@ from repro.phi import (
     deployment_factories,
     phi_cubic_factory,
     phi_remy_factory,
-    plain_cubic_factory,
-    plain_remy_factory,
     split_stats,
 )
 from repro.remy import WhiskerTable
@@ -54,14 +54,11 @@ class TestPhiCubicFactory:
 
 
 class TestPhiRemyFactory:
-    def test_none_mode_has_no_util(self):
+    def test_none_mode_rejected(self):
         sim, top, spec, sink = setup_env()
         server = ContextServer(sim, 15e6)
-        table = WhiskerTable()
-        factory = phi_remy_factory(table, server, SharingMode.NONE, now=lambda: sim.now)
-        sender = factory(sim, top.senders[0], spec, 10_000, lambda s: None)
-        assert isinstance(sender, RemySender)
-        assert sender.tracker._util_provider is None
+        with pytest.raises(ValueError, match="partial"):
+            phi_remy_factory(WhiskerTable(), server, SharingMode.NONE, now=lambda: sim.now)
 
     def test_practical_mode_freezes_util(self):
         sim, top, spec, sink = setup_env()
@@ -101,25 +98,28 @@ class TestPhiRemyFactory:
 
 
 class TestPlainFactories:
+    """Unmodified senders need no wrapper: the sender class is the factory."""
+
     def test_plain_cubic_uses_given_params(self):
         sim, top, spec, sink = setup_env()
         params = CubicParams(window_init=8)
-        factory = plain_cubic_factory(params)
+        factory = partial(CubicSender, params=params)
         sender = factory(sim, top.senders[0], spec, 10_000, lambda s: None)
         assert sender.params == params
 
     def test_plain_cubic_defaults(self):
         sim, top, spec, sink = setup_env()
-        sender = plain_cubic_factory()(sim, top.senders[0], spec, 10_000, lambda s: None)
+        sender = CubicSender(sim, top.senders[0], spec, 10_000, lambda s: None)
         assert sender.params == CubicParams.default()
 
     def test_plain_remy(self):
         sim, top, spec, sink = setup_env()
         table = WhiskerTable()
-        sender = plain_remy_factory(table)(
+        sender = partial(RemySender, table=table)(
             sim, top.senders[0], spec, 10_000, lambda s: None
         )
         assert sender.table is table
+        assert sender.tracker._util_provider is None
 
 
 class TestDeployment:

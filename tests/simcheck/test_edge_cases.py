@@ -11,15 +11,14 @@ import pytest
 
 from repro import simcheck
 from repro.experiments.degraded import run_degraded_phi_cubic
-from repro.experiments.dumbbell import ExperimentEnv, run_onoff_scenario, uniform_slots
+from repro.experiments.dumbbell import ExperimentEnv, run_preset
 from repro.experiments.scenarios import (
     TABLE3_REMY,
     ScenarioPreset,
     run_cubic_fixed,
 )
-from repro.transport import CubicParams
+from repro.transport import CubicParams, CubicSender
 from repro.phi import REFERENCE_POLICY
-from repro.phi.client import plain_cubic_factory
 from repro.simcheck import ViolationReport
 from repro.simnet import DelaySpike, DumbbellConfig, Outage
 from repro.simnet.engine import SimulationStalled, SimWatchdog, WatchdogConfig
@@ -43,7 +42,7 @@ def checked_env(n_senders=4, seed=1, report=None):
             env.sim,
             env.topology.senders[index],
             env.topology.receivers[index],
-            env.wrap_factory(plain_cubic_factory()),
+            env.wrap_factory(CubicSender),
             env.flow_ids,
             env.rngs.stream(f"onoff-{index}"),
             BUSY_WORKLOAD,
@@ -157,11 +156,15 @@ class TestGlobalEnablement:
         previous = simcheck.enabled()
         with simcheck.use():
             assert simcheck.enabled()
-            result = run_onoff_scenario(
-                uniform_slots(lambda env: plain_cubic_factory()),
-                config=DumbbellConfig(n_senders=2),
-                workload=BUSY_WORKLOAD,
-                duration_s=1.0,
+            result = run_preset(
+                lambda env: CubicSender,
+                ScenarioPreset(
+                    name="busy-pair",
+                    config=DumbbellConfig(n_senders=2),
+                    workload=BUSY_WORKLOAD,
+                    duration_s=1.0,
+                    description="",
+                ),
                 seed=3,
             )
         assert simcheck.enabled() == previous

@@ -16,7 +16,7 @@ every RTO at the instant the classic cancel-and-reschedule timer did:
 import pytest
 
 from repro.experiments import FIG2C_LONG_RUNNING
-from repro.experiments.dumbbell import run_long_running_scenario, uniform_slots
+from repro.experiments import run_preset
 from repro.simnet import FlowSpec, Simulator
 from repro.simnet.packet import make_ack_packet
 from repro.transport import CubicParams
@@ -68,9 +68,9 @@ def _lossy_run(sender_cls, seed):
         sender.rto_log = log
         return sender
 
-    result = run_long_running_scenario(
-        uniform_slots(lambda env: factory),
-        config=FIG2C_LONG_RUNNING.config,
+    result = run_preset(
+        lambda env: factory,
+        FIG2C_LONG_RUNNING,
         duration_s=4.0,
         seed=seed,
         # The eager reference keeps no deadline field, so tcpcheck's
