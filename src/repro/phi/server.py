@@ -205,7 +205,7 @@ class ContextServer:
             raise ValueError(f"window_s must be positive: {window_s}")
         if not 0 < ewma_alpha <= 1:
             raise ValueError(f"ewma_alpha must be in (0, 1]: {ewma_alpha}")
-        if lease_ttl_s is not None and lease_ttl_s <= 0:
+        if lease_ttl_s is not None and not lease_ttl_s > 0:  # NaN never expires
             raise ValueError(f"lease_ttl_s must be positive: {lease_ttl_s}")
         self.sim = sim
         self.capacity_bps = bottleneck_capacity_bps
