@@ -64,12 +64,13 @@ class RpcResult(NamedTuple):
 def check_backoff(
     what: str, base_s: float, multiplier: float, max_s: float, jitter: float = 0.0
 ) -> None:
-    """Reject parameters :func:`exponential_backoff_s` cannot use."""
-    if base_s < 0 or max_s < 0:
+    """Reject parameters :func:`exponential_backoff_s` cannot use (NaN too:
+    every check is one a NaN fails)."""
+    if not (base_s >= 0 and max_s >= 0):
         raise ValueError(f"{what} bounds must be >= 0: {base_s}, {max_s}")
-    if multiplier < 1:
+    if not multiplier >= 1:
         raise ValueError(f"{what} multiplier must be >= 1: {multiplier}")
-    if jitter < 0:
+    if not jitter >= 0:
         raise ValueError(f"{what} jitter must be >= 0: {jitter}")
 
 
@@ -135,7 +136,8 @@ class ChannelConfig:
     deadline_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0 or self.jitter_s < 0:
+        # Every check is one a NaN fails.
+        if not (self.latency_s >= 0 and self.jitter_s >= 0):
             raise ValueError(
                 f"latency/jitter must be >= 0: {self.latency_s}, {self.jitter_s}"
             )
@@ -143,7 +145,7 @@ class ChannelConfig:
             raise ValueError(
                 f"loss probability must be in [0, 1): {self.loss_probability}"
             )
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:
             raise ValueError(f"timeout must be positive: {self.timeout_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
@@ -151,7 +153,7 @@ class ChannelConfig:
             "backoff", self.backoff_base_s, self.backoff_multiplier,
             self.backoff_max_s, self.backoff_jitter,
         )
-        if self.deadline_s <= 0:
+        if not self.deadline_s > 0:
             raise ValueError(f"deadline must be positive: {self.deadline_s}")
 
     @property

@@ -107,12 +107,12 @@ class ReplicationConfig:
     def __post_init__(self) -> None:
         if self.n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1: {self.n_replicas}")
-        if self.anti_entropy_period_s <= 0:
+        if not self.anti_entropy_period_s > 0:  # NaN too
             raise ValueError(
                 f"anti_entropy_period_s must be positive: "
                 f"{self.anti_entropy_period_s}"
             )
-        if self.quorum_staleness_s <= 0:
+        if not self.quorum_staleness_s > 0:
             raise ValueError(
                 f"quorum_staleness_s must be positive: {self.quorum_staleness_s}"
             )
