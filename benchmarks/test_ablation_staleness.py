@@ -9,9 +9,9 @@ provides significant gains."
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import run_cubic_fixed, run_phi_cubic, run_preset
+from repro.experiments import run_cubic_fixed, run_phi_cubic, run_plane
 from repro.experiments.scenarios import ScenarioPreset
-from repro.phi import REFERENCE_POLICY, ContextServer, SharingMode, phi_cubic_factory
+from repro.phi import REFERENCE_POLICY, PlaneSpec, SharingMode
 from repro.simnet import DumbbellConfig
 from repro.transport import CubicParams
 from repro.workload import OnOffConfig
@@ -30,14 +30,8 @@ def _run_arm(mode, seed, duration, stale_window=None):
         return run_cubic_fixed(CubicParams.default(), PRESET, seed, duration)
     if stale_window is None:
         return run_phi_cubic(REFERENCE_POLICY, PRESET, mode, seed, duration)
-
-    def senders(env):
-        source = ContextServer(
-            env.sim, env.bottleneck_capacity_bps, window_s=stale_window
-        )
-        return phi_cubic_factory(source, REFERENCE_POLICY, now=lambda: env.sim.now)
-
-    return run_preset(senders, PRESET, seed=seed, duration_s=duration)
+    spec = PlaneSpec(policy=REFERENCE_POLICY, window_s=stale_window)
+    return run_plane(spec, PRESET, seed=seed, duration_s=duration).result
 
 
 def _run_all():

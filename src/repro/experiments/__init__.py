@@ -1,11 +1,7 @@
 """Experiment harness shared by tests, benchmarks, and examples."""
 
-from .degraded import (
-    DegradedRunResult,
-    run_degraded_phi_cubic,
-    schedule_unavailability,
-    sweep_unavailability,
-)
+from ..phi.plane import partition_indices, schedule_unavailability
+from .degraded import run_degraded_phi_cubic, sweep_unavailability
 from .dumbbell import (
     ExperimentEnv,
     ScenarioPreset,
@@ -20,17 +16,11 @@ from .faultsweep import (
     run_fault_sweep,
 )
 from .partitioned import (
-    PartitionRunResult,
     is_minority_cut,
-    partition_indices,
     run_partition_sweep,
     run_partitioned_phi_cubic,
 )
-from .poisoned import (
-    PoisonRunResult,
-    run_poison_sweep,
-    run_poisoned_phi_cubic,
-)
+from .poisoned import run_poison_sweep, run_poisoned_phi_cubic
 from .scenarios import (
     ALL_PRESETS,
     FIG2A_LOW_UTILIZATION,
@@ -42,6 +32,7 @@ from .scenarios import (
     run_cubic_fixed,
     run_incremental_deployment,
     run_phi_cubic,
+    run_plane,
 )
 from .sweep import run_table2_sweep
 from .table3 import (
@@ -60,14 +51,11 @@ __all__ = [
     "FIG2C_LONG_RUNNING",
     "FIG4_INCREMENTAL",
     "TABLE3_REMY",
-    "DegradedRunResult",
     "ExperimentEnv",
     "FaultScenario",
     "FaultSweepOutcome",
     "FaultSweepRow",
     "IncrementalResult",
-    "PartitionRunResult",
-    "PoisonRunResult",
     "ScenarioPreset",
     "ScenarioResult",
     "Table3Result",
@@ -85,6 +73,7 @@ __all__ = [
     "run_partition_sweep",
     "run_partitioned_phi_cubic",
     "run_phi_cubic",
+    "run_plane",
     "run_poison_sweep",
     "run_poisoned_phi_cubic",
     "run_preset",

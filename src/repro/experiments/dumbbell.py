@@ -104,6 +104,10 @@ class ExperimentEnv:
             self.topology, self.sim.now, faults, self.check_report
         )
 
+    def now(self) -> float:
+        """The run's simulation clock, for the components that take one."""
+        return self.sim.now
+
     @property
     def bottleneck_capacity_bps(self) -> float:
         """Capacity of the shared bottleneck."""

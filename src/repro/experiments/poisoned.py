@@ -1,6 +1,6 @@
 """Byzantine-context experiments: Phi when the control plane *lies*.
 
-PR 2/4 degraded the control plane's *availability*; this experiment
+X4 degrades the control plane's *availability*; this experiment
 degrades its *truthfulness* — the X6 sweep.  Two orthogonal axes:
 
 - **severity**: the probability each context lookup is corrupted
@@ -9,7 +9,8 @@ degrades its *truthfulness* — the X6 sweep.  Two orthogonal axes:
 - **byzantine fraction**: the probability each end-of-connection report
   is poisoned by a lying sender.
 
-Each (severity, fraction) point runs the full resilient stack.  In the
+Each (severity, fraction) point runs the one Phi plane
+(:mod:`repro.phi.plane`) with a corruption layer on its channel.  In the
 **guarded** configuration the stack fights back on three layers — a
 server-side :class:`~repro.phi.server.RobustAggregationConfig`, a
 client-side :class:`~repro.phi.guard.ContextGuard`, and outcome-driven
@@ -40,25 +41,16 @@ are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from .. import telemetry
-from ..metrics.summary import RunMetrics
 from ..phi.channel import ChannelConfig
-from ..phi.corruption import (
-    DEFAULT_MODES,
-    ByzantineReporter,
-    CorruptionLayer,
-    make_context_corruptor,
-)
-from ..phi.fallback import ResilientContextClient, resilient_phi_cubic_factory
-from ..phi.guard import ContextGuard, GuardConfig
+from ..phi.corruption import DEFAULT_MODES
+from ..phi.plane import PlaneRunResult, PlaneSpec
 from ..phi.policy import PolicyTable
-from ..phi.server import ContextServer, RobustAggregationConfig
+from ..phi.server import RobustAggregationConfig
 from ..phi.trust import TrustTracker
-from .degraded import experiment_channel
-from .dumbbell import ExperimentEnv, ScenarioPreset, ScenarioResult, run_preset
+from .dumbbell import ScenarioPreset
 from .faultsweep import (
     Baseline,
     FaultScenario,
@@ -68,29 +60,7 @@ from .faultsweep import (
     run_fault_sweep,
     stock_cubic,
 )
-
-
-@dataclass
-class PoisonRunResult:
-    """One poisoned run plus every defence layer's own accounting."""
-
-    result: ScenarioResult
-    severity: float
-    byzantine_fraction: float
-    guarded: bool
-    decision_counts: Dict[str, int]
-    guard_rejections: Dict[str, int]
-    reports_rejected: int
-    contexts_corrupted: int
-    reports_poisoned: int
-    trust_score: float
-    distrust_entries: int
-    trust_restorations: int
-
-    @property
-    def metrics(self) -> RunMetrics:
-        """The run's aggregate transport metrics."""
-        return self.result.metrics
+from .scenarios import run_plane
 
 
 def run_poisoned_phi_cubic(
@@ -107,10 +77,10 @@ def run_poisoned_phi_cubic(
     channel_config: Optional[ChannelConfig] = None,
     robust: Optional[RobustAggregationConfig] = None,
     trust: Optional[TrustTracker] = None,
-) -> PoisonRunResult:
+) -> PlaneRunResult:
     """Phi-coordinated Cubic behind a lying control plane.
 
-    ``severity`` is the per-lookup corruption probability,
+    ``severity`` is the per-lookup corruption probability over ``modes``,
     ``byzantine_fraction`` the per-report poisoning probability.  With
     ``guarded=True`` (the default) the full defence stack is armed:
     robust server aggregation, a capacity-aware :class:`ContextGuard`,
@@ -119,74 +89,18 @@ def run_poisoned_phi_cubic(
     ablation showing why the defences exist.  ``robust`` and ``trust``
     override individual layers of the guarded stack.
     """
-    if not 0.0 <= severity <= 1.0:
-        raise ValueError(f"severity must be in [0, 1]: {severity}")
-    if not 0.0 <= byzantine_fraction <= 1.0:
-        raise ValueError(
-            f"byzantine_fraction must be in [0, 1]: {byzantine_fraction}"
-        )
-
-    planes = []
-
-    def senders(env: ExperimentEnv):
-        server = ContextServer(
-            env.sim,
-            env.bottleneck_capacity_bps,
-            robust=(robust or RobustAggregationConfig()) if guarded else robust,
-        )
-        corruptor = (
-            make_context_corruptor(
-                modes, env.rngs.stream("context-corruption"), severity
-            )
-            if severity > 0
-            else None
-        )
-        reporter = (
-            ByzantineReporter(
-                env.rngs.stream("byzantine-reports"), byzantine_fraction
-            )
-            if byzantine_fraction > 0
-            else None
-        )
-        layer = CorruptionLayer(
-            context_corruptor=corruptor, report_corruptor=reporter
-        )
-        channel = experiment_channel(
-            env, server, channel_config or ChannelConfig(), corruption=layer
-        )
-        guard = trust_tracker = None
-        if guarded:
-            guard = ContextGuard(
-                GuardConfig(capacity_mbps=env.bottleneck_capacity_bps / 1e6),
-                now=lambda: env.sim.now,
-            )
-            trust_tracker = trust or TrustTracker()
-        client = ResilientContextClient(
-            channel,
-            now=lambda: env.sim.now,
-            staleness_ttl_s=staleness_ttl_s,
-            guard=guard,
-            trust=trust_tracker,
-        )
-        planes.append((client, server, layer, guard, trust_tracker))
-        return resilient_phi_cubic_factory(client, policy, now=lambda: env.sim.now)
-
-    result = run_preset(senders, preset, seed=seed, duration_s=duration_s)
-    ((client, server, layer, guard, tracker),) = planes
-    return PoisonRunResult(
-        result=result,
+    spec = PlaneSpec(
+        policy=policy,
+        staleness_ttl_s=staleness_ttl_s,
+        channel_config=channel_config,
         severity=severity,
+        modes=tuple(modes),
         byzantine_fraction=byzantine_fraction,
         guarded=guarded,
-        decision_counts=client.decision_counts(),
-        guard_rejections=guard.rejection_counts() if guard else {},
-        reports_rejected=server.reports_rejected,
-        contexts_corrupted=layer.contexts_corrupted,
-        reports_poisoned=layer.reports_poisoned,
-        trust_score=tracker.score if tracker else 1.0,
-        distrust_entries=tracker.distrust_entries if tracker else 0,
-        trust_restorations=tracker.restorations if tracker else 0,
+        robust=robust,
+        trust=trust,
     )
+    return run_plane(spec, preset, seed=seed, duration_s=duration_s)
 
 
 # ----------------------------------------------------------------------

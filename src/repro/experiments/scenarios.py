@@ -4,20 +4,21 @@ Encodes the paper's workload settings (Sections 2.2.1-2.2.4) as presets
 and provides one-call runners for each arm of the evaluation: fixed-
 parameter Cubic (the Table-2 sweep's unit of work), Phi-coordinated
 Cubic in ideal and practical modes, and partial deployments.  Each is
-:func:`~repro.experiments.dumbbell.run_preset` with its own senders.
+:func:`~repro.experiments.dumbbell.run_preset` with its own senders;
+every Phi arm's senders are a :class:`~repro.phi.plane.Plane`, through
+:func:`run_plane`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..metrics.summary import RunMetrics, summarize_connections
-from ..phi.client import SharingMode, phi_cubic_factory
 from ..phi.deployment import deployment_factories, split_stats
+from ..phi.plane import Plane, PlaneRunResult, PlaneSpec, SharingMode
 from ..phi.policy import PolicyTable
-from ..phi.server import ContextServer, IdealContextOracle
 from ..simnet.engine import WatchdogConfig
 from ..simnet.topology import DumbbellConfig
 from ..transport.cubic import CubicParams, CubicSender
@@ -89,22 +90,6 @@ ALL_PRESETS = (
 )
 
 
-def context_source(
-    env: ExperimentEnv, mode: SharingMode
-) -> Union[ContextServer, IdealContextOracle]:
-    """Where Phi senders in ``mode`` read the shared context from.
-
-    ``SharingMode.PRACTICAL`` is a :class:`ContextServer` fed only by the
-    minimal protocol; ``SharingMode.IDEAL`` gives senders ground truth
-    from the link instrumentation.  ``SharingMode.NONE`` shares nothing.
-    """
-    if mode is SharingMode.IDEAL:
-        return IdealContextOracle(env.sim, env.monitor, env.flow_tracker)
-    if mode is SharingMode.PRACTICAL:
-        return ContextServer(env.sim, env.bottleneck_capacity_bps)
-    raise ValueError(f"{mode} shares no context: run plain senders instead")
-
-
 # ----------------------------------------------------------------------
 # Fixed-parameter Cubic (the sweep arm of Figures 2 and 3)
 # ----------------------------------------------------------------------
@@ -142,8 +127,31 @@ def run_cubic_fixed(
 
 
 # ----------------------------------------------------------------------
-# Phi-coordinated Cubic
+# Phi: every coordinated run is senders on one plane
 # ----------------------------------------------------------------------
+def run_plane(
+    spec: PlaneSpec,
+    preset: ScenarioPreset,
+    *,
+    seed: int = 0,
+    duration_s: Optional[float] = None,
+) -> PlaneRunResult:
+    """Every sender of ``preset`` on the Phi plane ``spec`` describes.
+
+    The plane is built on the run's fresh environment before any flow
+    starts, so all senders share it; the result carries its accounting.
+    """
+    duration = preset.duration_s if duration_s is None else duration_s
+    planes: List[Plane] = []
+
+    def senders(env: ExperimentEnv):
+        planes.append(Plane(spec, env, duration))
+        return planes[-1].factory
+
+    result = run_preset(senders, preset, seed=seed, duration_s=duration)
+    return planes[0].outcome(result)
+
+
 def run_phi_cubic(
     policy: PolicyTable,
     preset: ScenarioPreset,
@@ -153,15 +161,12 @@ def run_phi_cubic(
 ) -> ScenarioResult:
     """All senders use Phi: context lookup at start, report at end.
 
-    ``mode`` picks the :func:`context_source`; the no-sharing baseline
-    is :func:`run_cubic_fixed`.
+    A healthy :func:`run_plane`: ``mode`` picks the context server
+    (PRACTICAL) or the ground-truth oracle (IDEAL); the no-sharing
+    baseline is :func:`run_cubic_fixed`.
     """
-
-    def senders(env: ExperimentEnv):
-        source = context_source(env, mode)
-        return phi_cubic_factory(source, policy, now=lambda: env.sim.now)
-
-    return run_preset(senders, preset, seed=seed, duration_s=duration_s)
+    spec = PlaneSpec(policy=policy, mode=mode)
+    return run_plane(spec, preset, seed=seed, duration_s=duration_s).result
 
 
 # ----------------------------------------------------------------------

@@ -21,13 +21,13 @@ from statistics import median
 from typing import List, Optional
 
 from ..metrics.summary import RunMetrics
-from ..phi.client import SharingMode, phi_remy_factory
+from ..phi.plane import PlaneSpec, SharingMode
 from ..remy.trainer import RemyTrainer, TrainingResult
 from ..remy.whisker import WhiskerTable
 from ..transport.cubic import CubicParams
 from ..transport.remycc import RemySender
-from .dumbbell import ExperimentEnv, ScenarioResult, run_preset
-from .scenarios import TABLE3_REMY, ScenarioPreset, context_source, run_cubic_fixed
+from .dumbbell import ScenarioResult, run_preset
+from .scenarios import TABLE3_REMY, ScenarioPreset, run_cubic_fixed, run_plane
 
 
 def run_remy_scenario(
@@ -37,23 +37,15 @@ def run_remy_scenario(
     seed: int = 0,
     duration_s: Optional[float] = None,
 ) -> ScenarioResult:
-    """Run the Table-3 workload with Remy senders in the given mode."""
-
-    def senders(env: ExperimentEnv):
-        if mode is SharingMode.NONE:
-            return partial(RemySender, table=table)
-        source = context_source(env, mode)
-        return phi_remy_factory(
-            table,
-            source,
-            mode,
-            now=lambda: env.sim.now,
-            live_utilization=(
-                source.utilization_provider() if mode is SharingMode.IDEAL else None
-            ),
+    """Run the Table-3 workload with Remy senders in the given mode:
+    plain Remy shares nothing, Remy-Phi runs on a healthy plane."""
+    if mode is SharingMode.NONE:
+        return run_preset(
+            lambda env: partial(RemySender, table=table),
+            preset, seed=seed, duration_s=duration_s,
         )
-
-    return run_preset(senders, preset, seed=seed, duration_s=duration_s)
+    spec = PlaneSpec(table=table, mode=mode)
+    return run_plane(spec, preset, seed=seed, duration_s=duration_s).result
 
 
 def make_table_evaluator(

@@ -13,20 +13,7 @@ the adoption-incentive ablation (fraction swept 0 -> 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, List, Sequence
-
-
-class DeploymentMode(Enum):
-    """Named deployment scenarios from the paper (and beyond it)."""
-
-    NONE = "none"          # All senders unmodified (status quo).
-    PARTIAL = "partial"    # Figure 4: a fraction of senders modified.
-    FULL = "full"          # Section 2.2.1/2.2.2: everyone coordinates.
-    #: Everyone coordinates through a replicated control plane
-    #: (:class:`repro.phi.replication.ReplicatedContextService` behind
-    #: per-sender failover) — the partition-tolerant X7 deployment.
-    REPLICATED = "replicated"
 
 
 @dataclass(frozen=True)

@@ -40,16 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..experiments.degraded import run_degraded_phi_cubic
 from ..experiments.dumbbell import ScenarioResult
-from ..experiments.partitioned import run_partitioned_phi_cubic
 from ..experiments.scenarios import (
     FIG2A_LOW_UTILIZATION,
     TABLE3_REMY,
     ScenarioPreset,
     run_cubic_fixed,
+    run_plane,
 )
 from ..metrics.power import power_with_loss
+from ..phi.plane import PlaneSpec
 from ..phi.policy import REFERENCE_POLICY
 from ..phi.replication import ReplicatedContextService, ReplicationConfig
 from ..phi.server import ConnectionReport
@@ -57,7 +57,6 @@ from ..runner import NullCache, SweepRunner
 from ..runner.core import result_mismatches
 from ..simnet.engine import Simulator
 from ..transport.cubic import CubicParams
-from ..workload.onoff import OnOffConfig
 from .violations import ViolationReport
 
 #: Declared tolerances for the time-dilation oracle.  The simulation
@@ -406,22 +405,22 @@ def oracle_replication_identity(
 ) -> OracleOutcome:
     """An N=1 replicated control plane is the single-server plane, exactly.
 
-    The full PR 1 degradation stack with one :class:`ContextServer`
-    behind one :class:`ControlChannel` (``run_degraded_phi_cubic`` at
-    zero unavailability) and the replicated stack collapsed to one
-    replica (``run_partitioned_phi_cubic`` at ``n_replicas=1``, severity
-    0 — replica handle, failover channel, anti-entropy machinery all
-    present but with nothing to do) must agree bit-for-bit, *including
-    the event count*: the replication layer schedules no anti-entropy
-    ticks for a single replica, and jitters draw only on failure paths.
+    Two specs of the one plane builder
+    (:class:`~repro.phi.plane.PlaneSpec`): one :class:`ContextServer`
+    behind one control channel, and ``ReplicationConfig(n_replicas=1)``
+    — a replica handle and a failover channel over its one channel, the
+    anti-entropy machinery present with nothing to do.  They must agree
+    bit-for-bit, *including the event count*: the replication layer
+    schedules no anti-entropy ticks for a single replica, and jitters
+    draw only on failure paths.
     """
-    single = run_degraded_phi_cubic(
-        REFERENCE_POLICY, preset, unavailability=0.0,
+    single = run_plane(
+        PlaneSpec(policy=REFERENCE_POLICY), preset,
         seed=seed, duration_s=duration_s,
     )
-    replicated = run_partitioned_phi_cubic(
-        REFERENCE_POLICY, preset, n_replicas=1, severity=0.0,
-        seed=seed, duration_s=duration_s,
+    replicated = run_plane(
+        PlaneSpec(policy=REFERENCE_POLICY, replication=ReplicationConfig(n_replicas=1)),
+        preset, seed=seed, duration_s=duration_s,
     )
     failures = _compare_scenarios(single.result, replicated.result)
     if single.result.events_processed != replicated.result.events_processed:

@@ -7,12 +7,11 @@ from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level, check_
 from repro.experiments.partitioned import (
     PARTITION,
     is_minority_cut,
-    partition_indices,
     run_partition_sweep,
     run_partitioned_phi_cubic,
 )
 from repro.experiments.scenarios import ScenarioPreset
-from repro.phi.deployment import DeploymentMode
+from repro.phi.plane import partition_indices
 from repro.phi.policy import REFERENCE_POLICY
 from repro.simnet import DumbbellConfig
 from repro.telemetry.manifest import fault_sweep_manifest, validate_manifest
@@ -77,7 +76,6 @@ class TestMinorityPartitionRun:
         """Cutting replica 0 of 3 must trigger failover and keep every
         decision FRESH — the client never falls back to defaults."""
         run = partitioned()
-        assert run.mode is DeploymentMode.REPLICATED
         assert run.n_cut == 1
         assert run.failovers >= 1
         assert run.anti_entropy_merges > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import flightrec
-from repro.experiments.degraded import schedule_unavailability
+from repro.phi.plane import schedule_unavailability
 from repro.flightrec.postmortem import (
     CAUSES,
     analyze,

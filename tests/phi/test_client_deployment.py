@@ -4,13 +4,16 @@ from functools import partial
 
 import pytest
 
+from repro.experiments import ExperimentEnv
 from repro.phi import (
     REFERENCE_POLICY,
     ContextServer,
+    ControlChannel,
+    Plane,
+    PlaneSpec,
+    ResilientContextClient,
     SharingMode,
     deployment_factories,
-    phi_cubic_factory,
-    phi_remy_factory,
     split_stats,
 )
 from repro.remy import WhiskerTable
@@ -27,11 +30,16 @@ def setup_env():
     return sim, top, spec, sink
 
 
+def client_of(sim, server):
+    """The resilient client every Phi sender looks its context up through."""
+    return ResilientContextClient(ControlChannel(sim, server), now=lambda: sim.now)
+
+
 class TestPhiCubicFactory:
     def test_lookup_and_report_cycle(self):
         sim, top, spec, sink = setup_env()
         server = ContextServer(sim, 15e6)
-        factory = phi_cubic_factory(server, REFERENCE_POLICY, now=lambda: sim.now)
+        factory = client_of(sim, server).sender_factory(REFERENCE_POLICY)
         done = []
         sender = factory(sim, top.senders[0], spec, 50_000, done.append)
         assert isinstance(sender, CubicSender)
@@ -46,7 +54,7 @@ class TestPhiCubicFactory:
     def test_params_follow_policy(self):
         sim, top, spec, sink = setup_env()
         server = ContextServer(sim, 15e6)  # idle -> LOW
-        factory = phi_cubic_factory(server, REFERENCE_POLICY, now=lambda: sim.now)
+        factory = client_of(sim, server).sender_factory(REFERENCE_POLICY)
         sender = factory(sim, top.senders[0], spec, 10_000, lambda s: None)
         from repro.phi.context import CongestionLevel
 
@@ -55,46 +63,55 @@ class TestPhiCubicFactory:
 
 class TestPhiRemyFactory:
     def test_none_mode_rejected(self):
-        sim, top, spec, sink = setup_env()
-        server = ContextServer(sim, 15e6)
-        with pytest.raises(ValueError, match="partial"):
-            phi_remy_factory(WhiskerTable(), server, SharingMode.NONE, now=lambda: sim.now)
+        with pytest.raises(ValueError, match="shares no context"):
+            PlaneSpec(table=WhiskerTable(), mode=SharingMode.NONE)
 
     def test_practical_mode_freezes_util(self):
         sim, top, spec, sink = setup_env()
         server = ContextServer(sim, 15e6)
         table = WhiskerTable(WhiskerTable.PHI_DIMENSIONS)
-        factory = phi_remy_factory(
-            table, server, SharingMode.PRACTICAL, now=lambda: sim.now
-        )
+        factory = client_of(sim, server).sender_factory(table=table)
         sender = factory(sim, top.senders[0], spec, 10_000, lambda s: None)
         assert sender.tracker._util_provider is not None
         assert sender.tracker._util_provider() == 0.0  # idle at start
         assert server.lookups == 1
 
-    def test_ideal_mode_requires_live_provider(self):
-        sim, top, spec, sink = setup_env()
-        server = ContextServer(sim, 15e6)
-        with pytest.raises(ValueError):
-            phi_remy_factory(
-                WhiskerTable(), server, SharingMode.IDEAL, now=lambda: sim.now
-            )
+    def test_ideal_plane_reads_the_oracle_live_util(self):
+        env = ExperimentEnv.create(DumbbellConfig(n_senders=1))
+        table = WhiskerTable(WhiskerTable.PHI_DIMENSIONS)
+        plane = Plane(PlaneSpec(table=table, mode=SharingMode.IDEAL), env, 10.0)
+        top = env.topology
+        spec = FlowSpec(1, top.senders[0].name, 10_000, top.receivers[0].name, 443)
+        TcpSink(env.sim, top.receivers[0], spec)
+        sender = plane.factory(env.sim, top.senders[0], spec, 500_000, lambda s: None)
+        sender.start()
+        env.sim.run(until=2.0)
+        live = env.monitor.current_utilization(10)
+        assert live > 0
+        assert sender.tracker._util_provider() == live
 
     def test_ideal_mode_uses_live_provider(self):
         sim, top, spec, sink = setup_env()
         server = ContextServer(sim, 15e6)
         live = {"u": 0.7}
-        factory = phi_remy_factory(
-            WhiskerTable(WhiskerTable.PHI_DIMENSIONS),
-            server,
-            SharingMode.IDEAL,
-            now=lambda: sim.now,
+        factory = client_of(sim, server).sender_factory(
+            table=WhiskerTable(WhiskerTable.PHI_DIMENSIONS),
             live_utilization=lambda: live["u"],
         )
         sender = factory(sim, top.senders[0], spec, 10_000, lambda s: None)
         assert sender.tracker._util_provider() == 0.7
         live["u"] = 0.2
         assert sender.tracker._util_provider() == 0.2
+
+    def test_unusable_context_runs_plain_remy(self):
+        sim, top, spec, sink = setup_env()
+        channel = ControlChannel(sim, ContextServer(sim, 15e6))
+        channel.mark_down()
+        client = ResilientContextClient(channel, now=lambda: sim.now)
+        factory = client.sender_factory(table=WhiskerTable(WhiskerTable.PHI_DIMENSIONS))
+        sender = factory(sim, top.senders[0], spec, 10_000, lambda s: None)
+        assert client.decision_counts()["fallback"] == 1
+        assert sender.tracker._util_provider is None
 
 
 class TestPlainFactories:

@@ -4,11 +4,7 @@ import pytest
 
 from repro.phi.channel import ChannelConfig, ControlChannel, RpcResult, RpcStatus
 from repro.phi.context import CongestionContext, CongestionLevel
-from repro.phi.fallback import (
-    ContextDecision,
-    ResilientContextClient,
-    resilient_phi_cubic_factory,
-)
+from repro.phi.fallback import ContextDecision, ResilientContextClient
 from repro.phi.guard import ContextGuard, GuardConfig
 from repro.phi.trust import TrustConfig, TrustTracker
 from repro.phi.policy import REFERENCE_POLICY
@@ -188,9 +184,7 @@ class TestResilientFactory:
         source = FlakySource()
         source.up = False
         client = ResilientContextClient(source, now=lambda: sim.now)
-        factory = resilient_phi_cubic_factory(
-            client, REFERENCE_POLICY, now=lambda: sim.now
-        )
+        factory = client.sender_factory(REFERENCE_POLICY)
         sender = factory(sim, top.senders[0], spec, 50_000, lambda s: None)
         assert sender.params == CubicParams.default()
         assert client.decisions[ContextDecision.FALLBACK] == 1
@@ -199,9 +193,7 @@ class TestResilientFactory:
         sim, top, spec = self._env()
         source = FlakySource()  # utilization 0.5 -> MODERATE
         client = ResilientContextClient(source, now=lambda: sim.now)
-        factory = resilient_phi_cubic_factory(
-            client, REFERENCE_POLICY, now=lambda: sim.now
-        )
+        factory = client.sender_factory(REFERENCE_POLICY)
         sender = factory(sim, top.senders[0], spec, 50_000, lambda s: None)
         expected = REFERENCE_POLICY.params_for(source.context)
         assert sender.params == expected
@@ -211,9 +203,7 @@ class TestResilientFactory:
         server = ContextServer(sim, top.config.bottleneck_bandwidth_bps)
         channel = ControlChannel(sim, server, config=ChannelConfig(max_retries=0))
         client = ResilientContextClient(channel, now=lambda: sim.now)
-        factory = resilient_phi_cubic_factory(
-            client, REFERENCE_POLICY, now=lambda: sim.now
-        )
+        factory = client.sender_factory(REFERENCE_POLICY)
         done = []
         sender = factory(sim, top.senders[0], spec, 30_000, done.append)
         sender.start()

@@ -442,7 +442,7 @@ class TestFaultSweepQuarantine:
              "--severities", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
              "--quiet"],
             (["--severities", "1.5"], {}, "severity must be in [0, 1]"),
-            ("poisoned", "make_context_corruptor",
+            ("repro.phi.plane", "make_context_corruptor",
              lambda modes, rng, severity: severity == 0.5),
         ),
         "partition": (
@@ -450,7 +450,7 @@ class TestFaultSweepQuarantine:
              "--severities", "0,0.34,1.0", "--heals", "2", "--partition-start",
              "2", "--seeds", "0", "--duration", "6", "--quiet"],
             (["--severities", "1.5"], {}, "severity must be in [0, 1]"),
-            ("partitioned", "partition_indices",
+            ("repro.phi.plane", "partition_indices",
              lambda n_replicas, severity: severity == 0.34),
         ),
         "sweep": (
@@ -458,7 +458,7 @@ class TestFaultSweepQuarantine:
              "--beta-range", "0.2", "--runs", "1", "--duration", "2",
              "--workers", "1", "--quiet"],
             ([], {"REPRO_SWEEP_FAULT": '{"mode": "raise"}'}, "injected fault"),
-            ("scenarios", "run_cubic_fixed",
+            ("repro.experiments.scenarios", "run_cubic_fixed",
              lambda params, preset, **kwargs: params.initial_ssthresh == 16),
         ),
     }
@@ -482,10 +482,7 @@ class TestFaultSweepQuarantine:
         import importlib
 
         argv, _, (module, name, when) = self.VERBS[verb]
-        crash_first(
-            monkeypatch, importlib.import_module(f"repro.experiments.{module}"),
-            name, when,
-        )
+        crash_first(monkeypatch, importlib.import_module(module), name, when)
         assert main(argv + ["--serial-check"]) == 1
         captured = capsys.readouterr()
         assert "QUARANTINED: point #1" in captured.err
