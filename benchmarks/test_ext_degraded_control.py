@@ -15,15 +15,25 @@ anchors:
 The robustness claim: availability loss degrades Phi *gracefully* —
 power never falls below the uncoordinated baseline, so the control
 plane is a pure upside even when unreliable.
+
+That upside holds on power only.  Partial outages cost *throughput*.
+Measured at seeds 0,1 and 25 s: on this preset (2 s outage period and
+TTL, as below) the 25% and 50% rows run at 0.905x and 0.898x stock
+throughput (75%: 0.997x); on ``fig2a-low-utilization`` with the run's
+default 5 s period and 10 s TTL (what ``repro fault degraded`` runs) the
+partial rows run at 0.876-0.987x.  Power stays at or above 1.0x stock on
+every row of both.  The throughput dips are below the 0.95 two-axis
+floor that X6 and X7 hold, so ``DEGRADED`` declares its stock baseline
+but no floor, and this bench asserts the power claim alone.
 """
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import run_cubic_fixed, run_phi_cubic, sweep_unavailability
+from repro.experiments import run_fault_sweep, run_phi_cubic
+from repro.experiments.degraded import DEGRADED
 from repro.experiments.scenarios import ScenarioPreset
 from repro.phi import REFERENCE_POLICY, SharingMode
 from repro.simnet import DumbbellConfig
-from repro.transport import CubicParams
 from repro.workload import OnOffConfig
 
 PRESET = ScenarioPreset(
@@ -41,10 +51,6 @@ def _run_all():
     duration = scaled(25.0, 60.0)
     seeds = tuple(range(scaled(2, 6)))
 
-    baseline_runs = [
-        run_cubic_fixed(CubicParams.default(), PRESET, seed, duration)
-        for seed in seeds
-    ]
     practical_runs = [
         run_phi_cubic(
             REFERENCE_POLICY, PRESET, mode=SharingMode.PRACTICAL,
@@ -52,23 +58,27 @@ def _run_all():
         )
         for seed in seeds
     ]
-    baseline = sum(r.metrics.power_l for r in baseline_runs) / len(baseline_runs)
     practical = sum(r.metrics.power_l for r in practical_runs) / len(practical_runs)
 
-    rows = sweep_unavailability(
+    outcome = run_fault_sweep(
+        DEGRADED,
         REFERENCE_POLICY,
         PRESET,
-        fractions=FRACTIONS,
+        {"unavailability": FRACTIONS},
         seeds=seeds,
         duration_s=duration,
-        outage_period_s=2.0,
-        staleness_ttl_s=2.0,
+        fixed=dict(outage_period_s=2.0, staleness_ttl_s=2.0),
+        parallel=False,
+        collect_telemetry=False,
     )
-    return baseline, practical, rows
+    assert not outcome.quarantined, outcome.quarantined
+    return practical, outcome.rows
 
 
 def test_extension_degraded_control_plane(benchmark, capfd):
-    baseline, practical, rows = run_once(benchmark, _run_all)
+    practical, rows = run_once(benchmark, _run_all)
+    # Default Cubic, one run per seed: the uncoordinated anchor.
+    baseline = rows[0].baselines["stock"].power_l
 
     with report(capfd, "Extension: Phi power vs. context-server unavailability"):
         print(f"uncoordinated baseline P_l = {baseline:.4f}   "
@@ -79,7 +89,7 @@ def test_extension_degraded_control_plane(benchmark, capfd):
         for row in rows:
             counts = row.accounting["decision_counts"]
             print(f"{row.axes['unavailability']:>5.2f} {row.mean_power_l:>9.4f} "
-                  f"{row.mean_power_l / max(baseline, 1e-9):>7.2f}x "
+                  f"{row.vs('stock').power_l:>7.2f}x "
                   f"{row.mean_delay_ms:>10.1f} {row.mean_throughput_mbps:>10.2f} | "
                   f"{counts.get('fresh', 0):>6d} {counts.get('stale', 0):>6d} "
                   f"{counts.get('fallback', 0):>6d}")

@@ -23,8 +23,9 @@ from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
     check_envelope,
     is_minority_cut,
-    run_partition_sweep,
+    run_fault_sweep,
 )
+from repro.experiments.partitioned import PARTITION
 from repro.phi import REFERENCE_POLICY
 
 REPLICAS = (1, 2, 3)
@@ -34,13 +35,15 @@ SEVERITIES = (0.0, 0.34, 1.0)
 def _run():
     duration = scaled(30.0, 60.0)
     seeds = tuple(range(scaled(2, 4)))
-    return run_partition_sweep(
-        REFERENCE_POLICY, FIG2A_LOW_UTILIZATION,
-        replica_counts=REPLICAS,
-        severities=SEVERITIES,
-        heal_times=(scaled(8.0, 15.0),),
+    return run_fault_sweep(
+        PARTITION, REFERENCE_POLICY, FIG2A_LOW_UTILIZATION,
+        {
+            "n_replicas": REPLICAS,
+            "severity": SEVERITIES,
+            "heal_s": (scaled(8.0, 15.0),),
+        },
         seeds=seeds,
-        partition_start_s=10.0,
+        fixed={"partition_start_s": 10.0},
         duration_s=duration,
         parallel=False,
         collect_telemetry=False,

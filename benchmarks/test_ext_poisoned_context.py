@@ -24,11 +24,8 @@ throughput; the envelope is asserted on both axes (see
 
 from bench_common import report, run_once, scaled
 
-from repro.experiments import (
-    FIG2A_LOW_UTILIZATION,
-    check_envelope,
-    run_poison_sweep,
-)
+from repro.experiments import FIG2A_LOW_UTILIZATION, check_envelope, run_fault_sweep
+from repro.experiments.poisoned import POISON
 from repro.phi import REFERENCE_POLICY
 
 SEVERITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -38,17 +35,17 @@ MODES = ("inflate",)
 def _run_all():
     duration = scaled(30.0, 60.0)
     seeds = tuple(range(scaled(2, 4)))
-    common = dict(
-        severities=SEVERITIES, seeds=seeds, modes=MODES,
-        duration_s=duration, parallel=False, collect_telemetry=False,
-    )
-    guarded = run_poison_sweep(
-        REFERENCE_POLICY, FIG2A_LOW_UTILIZATION, guarded=True, **common
-    )
-    unguarded = run_poison_sweep(
-        REFERENCE_POLICY, FIG2A_LOW_UTILIZATION, guarded=False, **common
-    )
-    return guarded, unguarded
+    grid = {"severity": SEVERITIES, "byzantine_fraction": (0.0,)}
+
+    def sweep(guarded):
+        return run_fault_sweep(
+            POISON, REFERENCE_POLICY, FIG2A_LOW_UTILIZATION, grid,
+            seeds=seeds, duration_s=duration,
+            fixed=dict(modes=MODES, guarded=guarded),
+            parallel=False, collect_telemetry=False,
+        )
+
+    return sweep(guarded=True), sweep(guarded=False)
 
 
 def _print_rows(rows):

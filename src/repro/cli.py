@@ -8,10 +8,10 @@ without writing Python:
 - ``repro-phi phi`` — run Phi-coordinated Cubic (practical or ideal);
 - ``repro-phi incremental`` — the Figure-4 partial deployment;
 - ``repro-phi sweep`` — the Table-2 grid sweep via the parallel runner;
-- ``repro-phi poison`` — the X6 Byzantine-context sweep (corruption
-  severity x Byzantine report fraction, guarded or unguarded);
-- ``repro-phi partition`` — the X7 replicated-control-plane sweep
-  (replica count x partition severity x heal time, with failover);
+- ``repro-phi fault {degraded,poison,partition}`` — the X4/X6/X7
+  control-plane fault sweeps (server absent, lying, or replicated and
+  partitioned), one verb per :data:`~repro.experiments.FAULT_SCENARIOS`
+  entry with one ``--<axis>`` flag per swept axis;
 - ``repro-phi ipfix`` — the Section-2.1 sharing analysis;
 - ``repro-phi diagnose`` — the Figure-5 outage detection pipeline;
 - ``repro-phi telemetry summarize`` — render a run manifest as a table;
@@ -20,10 +20,10 @@ without writing Python:
 - ``repro-phi postmortem`` — per-flow timelines and stall attribution
   from a flight-recorder dump (see :mod:`repro.flightrec`).
 
-``poison`` and ``partition`` accept ``--flightrec-out dump.jsonl``
-(flight-record the sweep and dump it on a safety-envelope violation).
+``fault`` verbs accept ``--flightrec-out dump.jsonl`` (flight-record the
+sweep and dump it on a safety-envelope violation).
 
-``cubic``, ``phi``, ``sweep``, ``poison`` and ``partition`` accept
+``cubic``, ``phi``, ``sweep`` and ``fault`` verbs accept
 ``--metrics-out manifest.json`` (telemetry run manifest: merged metrics,
 per-point provenance); ``cubic`` and ``phi`` accept ``--trace-out
 trace.jsonl`` (flight-record the run; ``postmortem`` reads the dump).
@@ -32,6 +32,7 @@ Examples::
 
     python -m repro.cli phi --preset table3-remy --mode practical --seed 3
     python -m repro.cli sweep --runs 2 --workers 4 --serial-check
+    python -m repro.cli fault partition --n-replicas 1,3 --severity 0,0.34
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 import sys
 from contextlib import ExitStack
 from functools import partial
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,13 +57,12 @@ from .diagnosis import (
 )
 from .experiments import (
     ALL_PRESETS,
+    FAULT_SCENARIOS,
     check_envelope,
-    is_minority_cut,
     run_cubic_fixed,
+    run_fault_sweep,
     run_incremental_deployment,
-    run_partition_sweep,
     run_phi_cubic,
-    run_poison_sweep,
 )
 from .flightrec.postmortem import DEFAULT_STALL_THRESHOLD_S, analyze_dump, render_text
 from .ipfix import (
@@ -73,7 +73,9 @@ from .ipfix import (
     sharing_stats,
 )
 from .phi import REFERENCE_POLICY, SharingMode
+from .phi.corruption import CONTEXT_CORRUPTION_MODES
 from .phi.optimizer import select_optimal
+from .phi.replication import ReadPolicy
 from .runner import (
     ConsoleProgress,
     DiskCache,
@@ -255,18 +257,36 @@ _window_init = _ranged(float, lambda v: 1 <= v < math.inf, "finite and >= 1")
 _ssthresh = _ranged(float, lambda v: 2 <= v < math.inf, "finite and >= 2")
 _beta = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
 _fraction = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+# Negative tolerances stay: one forces an envelope violation on purpose.
+_finite_float = _ranged(float, lambda v: -math.inf < v < math.inf, "finite")
+# OutageSpec's own bounds: a severity in (0, 1] and at least one bin.
+_outage_severity = _ranged(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_outage_minutes = _ranged(
+    int, lambda v: TelemetryConfig.bin_minutes <= v,
+    f"at least one {TelemetryConfig.bin_minutes}-minute bin",
+)
 
 
-def _float_list(text: str) -> List[float]:
+def _value_list(kind: type, text: str) -> list:
+    """A comma-separated list of ``kind``: non-empty, finite and without
+    repeats (a repeated value would be two sweep points with one key)."""
     try:
-        values = [float(item) for item in text.split(",") if item.strip()]
+        values = [kind(item) for item in text.split(",") if item.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated {kind.__name__} list: {text!r}"
+        )
     if not values:
         raise argparse.ArgumentTypeError("need at least one value")
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"values must be finite: {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"values must not repeat: {text!r}")
     return values
+
+
+_float_list = partial(_value_list, float)
+_int_list = partial(_value_list, int)
 
 
 def _sweep_watchdog(args: argparse.Namespace) -> Optional[WatchdogConfig]:
@@ -278,8 +298,8 @@ def _sweep_watchdog(args: argparse.Namespace) -> Optional[WatchdogConfig]:
 
 
 def _sweep_verb(args: argparse.Namespace, sweep, *, manifest, table, verdict) -> int:
-    """The one body behind ``sweep``, ``poison`` and ``partition``; each
-    verb brings its ``sweep()``, ``manifest``, ``table`` and ``verdict``.
+    """The one body behind ``sweep`` and the ``fault`` verbs; each brings
+    its ``sweep()``, ``manifest``, ``table`` and ``verdict``.
     Any quarantined point exits 1 with no verdict: a hole in the grid is
     not a result that held."""
     with ExitStack() as stack:
@@ -385,34 +405,57 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
 
-def _int_list(text: str) -> List[int]:
-    try:
-        values = [int(item) for item in text.split(",") if item.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one value")
-    return values
+def _fmt(value) -> str:
+    """One accounting, axis or fixed value as a compact table cell."""
+    if isinstance(value, dict):
+        return ",".join(f"{key}:{_fmt(item)}" for key, item in value.items()) or "-"
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_fmt, value))
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return str(getattr(value, "value", value))
 
 
-def _fault_sweep_verb(
-    args: argparse.Namespace,
-    sweep,
-    *,
-    header: str,
-    format_row,
-    holds: str,
-    expect_harm: bool = False,
-    extra_config: Optional[dict] = None,
-) -> int:
-    """``poison`` and ``partition``: ``sweep(**shared flags)``, a row
-    table and the envelope verdict."""
+def _fault_row(row) -> str:
+    """Axes, P_l and throughput beside every baseline, then accounting."""
+
+    def beside(level: str) -> str:
+        return ", ".join(
+            f"{getattr(row.vs(name), level):5.2f}x {name}" for name in row.baselines
+        )
+
+    cells = [" ".join(f"{axis}={_fmt(value)}" for axis, value in row.axes.items()),
+             f"P_l={row.mean_power_l:8.4f} ({beside('power_l')})",
+             f"thr={row.mean_throughput_mbps:6.2f} Mbps ({beside('throughput_mbps')})",
+             " ".join(f"{name}={_fmt(value)}" for name, value in row.accounting.items())]
+    return "  " + "  ".join(cells)
+
+
+def _modes(text: str) -> Tuple[str, ...]:
+    modes = tuple(mode.strip() for mode in text.split(",") if mode.strip())
+    unknown = [mode for mode in modes if mode not in CONTEXT_CORRUPTION_MODES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown corruption mode(s): {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(CONTEXT_CORRUPTION_MODES))}"
+        )
+    return modes
+
+
+def cmd_fault(args: argparse.Namespace) -> int:
+    scenario = FAULT_SCENARIOS[args.scenario]
+    preset = _preset_or_exit(args.preset)
+    fixed = {name: getattr(args, name) for name in args.fixed}
+    # Only poison has --expect-harm; its manifest records the flag.
+    expect_harm = getattr(args, "expect_harm", None)
 
     def table(outcome) -> None:
-        print(header)
+        print(f"{scenario.name} sweep: preset={preset.name} "
+              + "".join(f"{key}={_fmt(value)} " for key, value in fixed.items())
+              + f"seeds={_fmt(args.seeds)}")
         if not args.quiet:
             for row in outcome.rows:
-                print(format_row(row))
+                print(_fault_row(row))
 
     def verdict(outcome, rec) -> int:
         violations = check_envelope(outcome, rel_tol=args.tolerance)
@@ -430,106 +473,34 @@ def _fault_sweep_verb(
             for violation in violations:
                 print(f"  {violation}", file=sys.stderr)
             if rec is not None:
-                tag = f"envelope:{outcome.spec.scenario.name}:{len(violations)}"
+                tag = f"envelope:{scenario.name}:{len(violations)}"
                 dumped = rec.maybe_autodump(tag)
                 if dumped:
                     print(f"flight recording: {dumped}", file=sys.stderr)
             return 1
-        print(f"safety envelope holds: {holds.format(tol=args.tolerance)}")
+        if not scenario.floors:
+            print(f"no safety envelope declared for {scenario.name}")
+            return 0
+        print(f"safety envelope holds: every row within {args.tolerance:.0%} of "
+              f"each floor that applies to it "
+              f"({', '.join(floor.baseline for floor in scenario.floors)}) on "
+              f"power and throughput")
         return 0
 
     return _sweep_verb(
         args,
         partial(
-            sweep, seeds=args.seeds, duration_s=args.duration,
+            run_fault_sweep, scenario, REFERENCE_POLICY, preset,
+            {axis: getattr(args, axis) for axis in scenario.axes},
+            seeds=args.seeds, duration_s=args.duration, fixed=fixed,
             n_workers=args.workers, parallel=args.workers > 1,
         ),
-        manifest=partial(fault_sweep_manifest, extra_config=extra_config),
+        manifest=partial(
+            fault_sweep_manifest,
+            extra_config=None if expect_harm is None else {"expect_harm": expect_harm},
+        ),
         table=table,
         verdict=verdict,
-    )
-
-
-def _poison_row(row) -> str:
-    axes, acc, vs = row.axes, row.accounting, row.vs("baseline")
-    return (f"  sev={axes['severity']:<5g} byz={axes['byzantine_fraction']:<5g} "
-            f"P_l={row.mean_power_l:8.4f} ({vs.power_l:5.2f}x base)  "
-            f"thr={row.mean_throughput_mbps:6.2f} Mbps "
-            f"({vs.throughput_mbps:5.2f}x base)  "
-            f"rejected={sum(acc['guard_rejections'].values())} "
-            f"distrusted={acc['decision_counts'].get('distrusted', 0)} "
-            f"trust={acc['trust_score']:.2f}")
-
-
-def cmd_poison(args: argparse.Namespace) -> int:
-    from .phi.corruption import CONTEXT_CORRUPTION_MODES
-
-    preset = _preset_or_exit(args.preset)
-    modes = [mode.strip() for mode in args.modes.split(",") if mode.strip()]
-    unknown = [mode for mode in modes if mode not in CONTEXT_CORRUPTION_MODES]
-    if unknown:
-        print(f"unknown corruption mode(s): {', '.join(unknown)}; "
-              f"available: {', '.join(sorted(CONTEXT_CORRUPTION_MODES))}",
-              file=sys.stderr)
-        return 2
-    guarded = not args.unguarded
-    return _fault_sweep_verb(
-        args,
-        partial(
-            run_poison_sweep, REFERENCE_POLICY, preset, args.severities,
-            byzantine_fractions=args.byzantine, modes=modes, guarded=guarded,
-        ),
-        header=(f"poisoned sweep ({'guarded' if guarded else 'UNGUARDED'}): "
-                f"preset={preset.name} modes={','.join(modes)} "
-                f"seeds={','.join(map(str, args.seeds))}"),
-        format_row=_poison_row,
-        holds="every row within {tol:.0%} of the uncoordinated baseline on "
-              "power and throughput",
-        expect_harm=args.expect_harm,
-        extra_config={"expect_harm": args.expect_harm},
-    )
-
-
-def _partition_row(row) -> str:
-    axes, acc = row.axes, row.accounting
-    n, n_cut = axes["n_replicas"], acc["n_cut"]
-    flag = "minority" if is_minority_cut(row) else (
-        "total" if n_cut == n and n_cut else ("majority" if n_cut else "none")
-    )
-    return (f"  n={n} sev={axes['severity']:<5g} "
-            f"heal={axes['heal_s']:<4g} cut={n_cut} ({flag:<8s}) "
-            f"P_l={row.mean_power_l:8.4f} "
-            f"({row.vs('stock').power_l:5.2f}x stock, "
-            f"{row.vs('degraded').power_l:5.2f}x degraded)  "
-            f"thr={row.mean_throughput_mbps:6.2f} Mbps  "
-            f"fo={acc['failovers']} merges={acc['anti_entropy_merges']} "
-            f"maxdiv={acc['max_divergence']:.3f}")
-
-
-def cmd_partition(args: argparse.Namespace) -> int:
-    from .phi.replication import ReadPolicy
-
-    preset = _preset_or_exit(args.preset)
-    try:
-        read_policy = ReadPolicy(args.read_policy)
-    except ValueError:
-        print(f"unknown read policy {args.read_policy!r}; available: "
-              f"{', '.join(p.value for p in ReadPolicy)}", file=sys.stderr)
-        return 2
-    return _fault_sweep_verb(
-        args,
-        partial(
-            run_partition_sweep, REFERENCE_POLICY, preset, args.replicas,
-            args.severities, heal_times=args.heals, read_policy=read_policy,
-            partition_start_s=args.partition_start,
-        ),
-        header=(f"partition sweep: preset={preset.name} "
-                f"replicas={','.join(map(str, args.replicas))} "
-                f"read={read_policy.value} "
-                f"seeds={','.join(map(str, args.seeds))}"),
-        format_row=_partition_row,
-        holds="every row within {tol:.0%} of the stock floor; minority "
-              "partitions within {tol:.0%} of the single-server-outage baseline",
     )
 
 
@@ -760,7 +731,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_metrics_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
-    def add_fault_sweep_args(p):
+    fault = sub.add_parser(
+        "fault", help="control-plane fault sweeps (X4 degraded, X6 poison, "
+                      "X7 partition) judged against a safety envelope"
+    )
+    fault_sub = fault.add_subparsers(dest="scenario", required=True)
+    verbs = {}
+    for scenario in FAULT_SCENARIOS.values():
+        p = verbs[scenario.name] = fault_sub.add_parser(
+            scenario.name, help=f"sweep {' x '.join(scenario.axes)}"
+        )
+        for axis, values in scenario.grid.items():
+            p.add_argument(f"--{axis.replace('_', '-')}", dest=axis,
+                           type=_int_list if isinstance(values[0], int) else _float_list,
+                           default=list(values),
+                           help=f"comma-separated {axis} values (default: "
+                                f"{_fmt(values)})")
         p.add_argument("--preset", default="fig2a-low-utilization")
         p.add_argument("--seeds", type=_int_list, default=[0, 1],
                        help="comma-separated seeds (one run per seed per cell)")
@@ -768,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated seconds per run (default: preset duration)")
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="worker processes (1 = serial)")
-        p.add_argument("--tolerance", type=float, default=0.05,
+        p.add_argument("--tolerance", type=_finite_float, default=0.05,
                        help="relative envelope tolerance (default 0.05)")
         p.add_argument("--serial-check", action="store_true",
                        help="also run serially; verify bit-identical results")
@@ -778,47 +764,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record flight data; dump it here if the safety "
                             "envelope is violated")
         add_metrics_arg(p)
-
-    poison = sub.add_parser(
-        "poison", help="X6 Byzantine-context sweep (corruption x lying reporters)"
-    )
-    poison.add_argument("--severities", type=_float_list, default=[0.0, 0.5, 1.0],
-                        help="comma-separated per-lookup corruption probabilities")
-    poison.add_argument("--byzantine", type=_float_list, default=[0.0],
-                        help="comma-separated per-report poisoning probabilities")
-    poison.add_argument("--modes", default="inflate",
+        p.set_defaults(func=cmd_fault, fixed=())
+    # Each scenario's own flags set ``run`` keyword arguments of that name,
+    # fixed for the whole sweep; ``fixed`` lists them.
+    poison, partition = verbs["poison"], verbs["partition"]
+    poison.add_argument("--modes", type=_modes, default=("inflate",),
                         help="comma-separated corruption modes "
                              "(bitflip,scale,frozen,replay,deflate,inflate,garbage)")
-    poison.add_argument("--unguarded", action="store_true",
+    poison.add_argument("--unguarded", action="store_false", dest="guarded",
                         help="strip the guard/trust/robust-aggregation defences "
                              "(the ablation)")
     poison.add_argument("--expect-harm", action="store_true", dest="expect_harm",
                         help="succeed only if some row falls below the baseline "
                              "floor (pair with --unguarded)")
-    add_fault_sweep_args(poison)
-    poison.set_defaults(func=cmd_poison)
-
-    partition = sub.add_parser(
-        "partition",
-        help="X7 replicated-control-plane sweep (replicas x partition "
-             "severity x heal time)",
-    )
-    partition.add_argument("--replicas", type=_int_list, default=[1, 3],
-                           help="comma-separated replica counts")
-    partition.add_argument("--severities", type=_float_list,
-                           default=[0.0, 0.34, 1.0],
-                           help="comma-separated cut fractions in [0, 1] "
-                                "(round(severity * n) replicas are severed)")
-    partition.add_argument("--heals", type=_float_list, default=[10.0],
-                           help="comma-separated partition durations in "
-                                "simulated seconds")
+    poison.set_defaults(fixed=("modes", "guarded"))
     partition.add_argument("--partition-start", type=float, default=10.0,
-                           dest="partition_start",
+                           dest="partition_start_s",
                            help="simulated second the partition begins")
-    partition.add_argument("--read-policy", default="any", dest="read_policy",
-                           help="replica read policy: any, nearest, quorum")
-    add_fault_sweep_args(partition)
-    partition.set_defaults(func=cmd_partition)
+    partition.add_argument("--read-policy", type=ReadPolicy, default=ReadPolicy.ANY,
+                           metavar="{any,nearest,quorum}",
+                           help="replica read policy (default: any)")
+    partition.set_defaults(fixed=("read_policy", "partition_start_s"))
 
     postmortem = sub.add_parser(
         "postmortem",
@@ -852,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.set_defaults(func=cmd_telemetry_summarize)
 
     ipfix = sub.add_parser("ipfix", help="Section-2.1 sharing analysis")
-    ipfix.add_argument("--minutes", type=int, default=3)
+    ipfix.add_argument("--minutes", type=_positive_int, default=3)
     ipfix.add_argument("--seed", type=int, default=21)
     ipfix.set_defaults(func=cmd_ipfix)
 
@@ -877,8 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose = sub.add_parser("diagnose", help="Figure-5 outage pipeline")
     diagnose.add_argument("--asn", default="isp-a")
     diagnose.add_argument("--metro", default="nyc")
-    diagnose.add_argument("--outage-minutes", type=int, default=120)
-    diagnose.add_argument("--severity", type=float, default=0.9)
+    diagnose.add_argument("--outage-minutes", type=_outage_minutes, default=120)
+    diagnose.add_argument("--severity", type=_outage_severity, default=0.9)
     diagnose.add_argument("--seed", type=int, default=7)
     diagnose.set_defaults(func=cmd_diagnose)
 

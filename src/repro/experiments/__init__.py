@@ -1,7 +1,7 @@
 """Experiment harness shared by tests, benchmarks, and examples."""
 
 from ..phi.plane import partition_indices, schedule_unavailability
-from .degraded import run_degraded_phi_cubic, sweep_unavailability
+from .degraded import DEGRADED, run_degraded_phi_cubic
 from .dumbbell import (
     ExperimentEnv,
     ScenarioPreset,
@@ -15,12 +15,8 @@ from .faultsweep import (
     check_envelope,
     run_fault_sweep,
 )
-from .partitioned import (
-    is_minority_cut,
-    run_partition_sweep,
-    run_partitioned_phi_cubic,
-)
-from .poisoned import run_poison_sweep, run_poisoned_phi_cubic
+from .partitioned import PARTITION, is_minority_cut, run_partitioned_phi_cubic
+from .poisoned import POISON, run_poisoned_phi_cubic
 from .scenarios import (
     ALL_PRESETS,
     FIG2A_LOW_UTILIZATION,
@@ -44,8 +40,13 @@ from .table3 import (
     train_tables,
 )
 
+#: Every fault scenario by name; ``repro fault <name>`` is built from it,
+#: one flag per axis.
+FAULT_SCENARIOS = {scenario.name: scenario for scenario in (DEGRADED, POISON, PARTITION)}
+
 __all__ = [
     "ALL_PRESETS",
+    "FAULT_SCENARIOS",
     "FIG2A_LOW_UTILIZATION",
     "FIG2B_HIGH_UTILIZATION",
     "FIG2C_LONG_RUNNING",
@@ -68,13 +69,10 @@ __all__ = [
     "run_degraded_phi_cubic",
     "run_fault_sweep",
     "schedule_unavailability",
-    "sweep_unavailability",
     "run_incremental_deployment",
-    "run_partition_sweep",
     "run_partitioned_phi_cubic",
     "run_phi_cubic",
     "run_plane",
-    "run_poison_sweep",
     "run_poisoned_phi_cubic",
     "run_preset",
     "run_remy_scenario",

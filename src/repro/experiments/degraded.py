@@ -16,18 +16,13 @@ uncoordinated baseline (100% down).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..phi.channel import ChannelConfig
 from ..phi.plane import PlaneRunResult, PlaneSpec
 from ..phi.policy import PolicyTable
 from .dumbbell import ScenarioPreset
-from .faultsweep import (
-    FaultScenario,
-    FaultSweepRow,
-    merged_counts,
-    run_fault_sweep,
-)
+from .faultsweep import Baseline, FaultScenario, merged_counts, stock_cubic
 from .scenarios import run_plane
 
 
@@ -63,46 +58,14 @@ def run_degraded_phi_cubic(
     return run_plane(spec, preset, seed=seed, duration_s=duration_s)
 
 
-#: X4 as a declaration over the fault-sweep harness: one axis, no
-#: baselines of its own (the bench anchors the curve on Phi-practical and
-#: stock Cubic itself).
+#: X4 as a declaration over the fault-sweep harness: one axis, anchored
+#: on stock Cubic.  No floor: partial outages keep power at or above
+#: stock but cost throughput (``benchmarks/test_ext_degraded_control.py``).
 DEGRADED = FaultScenario(
     name="degraded",
-    axes=("unavailability",),
+    grid={"unavailability": (0.0, 0.25, 0.5, 0.75, 1.0)},
     run=run_degraded_phi_cubic,
     accounting={"decision_counts": merged_counts},
     cell_format="unavailability={unavailability:g}",
+    baselines=(Baseline("stock", stock_cubic),),
 )
-
-
-def sweep_unavailability(
-    policy: PolicyTable,
-    preset: ScenarioPreset,
-    fractions: Sequence[float],
-    *,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: Optional[float] = None,
-    **kwargs,
-) -> List[FaultSweepRow]:
-    """The graceful-degradation curve: power vs. server unavailability.
-
-    One row per fraction (``row.axes["unavailability"]``), aggregated
-    across ``seeds``.  Extra keyword arguments pass through to
-    :func:`run_degraded_phi_cubic`.  Runs serially under the caller's own
-    telemetry session; a point that cannot be evaluated raises rather
-    than leaving a hole in the curve.
-    """
-    outcome = run_fault_sweep(
-        DEGRADED,
-        policy,
-        preset,
-        {"unavailability": fractions},
-        seeds=seeds,
-        duration_s=duration_s,
-        fixed=kwargs,
-        parallel=False,
-        collect_telemetry=False,
-    )
-    if outcome.quarantined:
-        raise RuntimeError("; ".join(q.describe() for q in outcome.quarantined))
-    return outcome.rows

@@ -6,11 +6,11 @@ control plane on purpose: the server goes absent (X4,
 :mod:`~repro.experiments.degraded`), lies (X6,
 :mod:`~repro.experiments.poisoned`), or is replicated and partitioned
 (X7, :mod:`~repro.experiments.partitioned`).  Each of those modules is a
-*declaration* — a :class:`FaultScenario` naming the swept axes, the
-``run_*_phi_cubic`` function, the accounting fields carried per point
-and how each aggregates across seeds, the baselines that anchor every
-row, and the floors of the safety envelope.  Everything else lives here
-once:
+*declaration* — a :class:`FaultScenario` naming the swept axes and
+their default values, the ``run_*_phi_cubic`` function, the accounting
+fields carried per point and how each aggregates across seeds, the
+baselines that anchor every row, and the floors of the safety envelope.
+Everything else lives here once:
 
 - ``(params, seed)`` points evaluated by
   :func:`~repro.runner.core.run_supervised`, the path Table-2 sweeps
@@ -21,13 +21,16 @@ once:
 - per-cell aggregation driven by the declared aggregators;
 - one ratio and one two-axis floor test (:func:`check_envelope`).
 
-Adding a fault scenario is one file: write its ``run_*`` function and
-declare a :class:`FaultScenario` over it.
+Adding a fault scenario is one file: write its ``run_*`` function,
+declare a :class:`FaultScenario` over it and list it in
+:data:`repro.experiments.FAULT_SCENARIOS`, which gives it its
+``repro fault <name>`` verb with one flag per axis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -111,39 +114,35 @@ class FaultScenario:
     are module-level functions.
     """
 
-    #: The sweep's verb: manifest ``command`` and flight-recorder dump tag.
+    #: The sweep's verb: ``repro fault <name>``, manifest ``command`` and
+    #: flight-recorder dump tag.
     name: str
-    #: Keyword arguments of ``run`` the sweep varies, outermost loop first.
-    axes: Tuple[str, ...]
+    #: Axis (a keyword argument of ``run`` the sweep varies, outermost
+    #: loop first) -> its default values, the CLI's ``--<axis>`` default.
+    grid: Mapping[str, Tuple[Any, ...]]
     #: ``run(policy, preset, *, seed, duration_s, **axes, **fixed)``; its
     #: result has ``metrics``, ``result.events_processed`` and one
     #: attribute per accounting field.
     run: Callable[..., Any]
     #: Result field -> aggregator.  Every field is carried per point,
-    #: compared by ``identical_to``, aggregated per row and — unless
-    #: omitted below — listed in the manifest.
+    #: compared by ``identical_to``, aggregated per row and over the
+    #: sweep, and listed in the manifest's ``accounting`` blocks.
     accounting: Mapping[str, Callable[[list], Any]]
     #: ``str.format`` template over the axes, naming a cell in violations.
     cell_format: str
     baselines: Tuple[Baseline, ...] = ()
     floors: Tuple[Floor, ...] = ()
-    #: Manifest name of the per-point accounting block.
-    point_block: str = "accounting"
-    #: Accounting fields the manifest reports beside the axes under
-    #: ``params`` (and nowhere else).
-    params_extra: Tuple[str, ...] = ()
-    #: Accounting fields left out of the per-point block / sweep totals.
-    block_omit: Tuple[str, ...] = ()
-    totals_omit: Tuple[str, ...] = ()
 
-    def aggregate(
-        self, results: Sequence["FaultPointResult"], omit: Sequence[str] = ()
-    ) -> Dict[str, Any]:
-        """Each accounting field (bar ``omit``) aggregated over ``results``."""
+    @property
+    def axes(self) -> Tuple[str, ...]:
+        """The swept keyword arguments of ``run``, outermost loop first."""
+        return tuple(self.grid)
+
+    def aggregate(self, results: Sequence["FaultPointResult"]) -> Dict[str, Any]:
+        """Each accounting field aggregated over ``results``."""
         return {
             name: aggregator([result.accounting[name] for result in results])
             for name, aggregator in self.accounting.items()
-            if name not in omit
         }
 
 
@@ -163,6 +162,11 @@ class FaultPoint:
 
     params: Mapping[str, Any]
     seed: int
+
+    @property
+    def key(self) -> str:
+        """Content hash of the axis values and seed."""
+        return content_hash((*self.params.values(), self.seed))
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ def evaluate_fault_point(spec: FaultSpec, point: FaultPoint) -> FaultPointResult
         )
         snapshot = tele.registry.snapshot() if tele is not None else None
     return FaultPointResult(
-        key=content_hash((*point.params.values(), point.seed)),
+        key=point.key,
         params=point.params,
         seed=point.seed,
         metrics=run.metrics,
@@ -324,7 +328,8 @@ def run_fault_sweep(
     The scenario's baselines then run once each, in this process, and
     every cell with a surviving point becomes a row.  A point that keeps
     raising is listed in ``outcome.quarantined``, not raised; callers must
-    check it before trusting the rows.
+    check it before trusting the rows.  A grid or seed list that repeats
+    a value raises ``ValueError``: two points would share one key.
     """
     tele = _telemetry.session()
     collect = tele.enabled if collect_telemetry is None else collect_telemetry
@@ -341,6 +346,11 @@ def run_fault_sweep(
         for values in itertools.product(*(grid[axis] for axis in scenario.axes))
         for seed in seeds
     ]
+    keys = [point.key for point in points]
+    if len(set(keys)) != len(keys):
+        raise ValueError(
+            "fault sweep points must be unique; the grid or seeds repeat a value"
+        )
     started = time.perf_counter()
     supervised = run_supervised(
         spec,
@@ -411,8 +421,12 @@ def check_envelope(outcome, *, rel_tol: float = 0.05) -> List[str]:
     ``mean_throughput_mbps`` (too-timid ones starve the senders).
     Returns one human-readable line per failing (row, floor, axis).  An
     unguarded X6 sweep is expected to violate it: its violations are the
-    harm the defences exist to prevent.
+    harm the defences exist to prevent.  A non-finite ``rel_tol`` raises
+    ``ValueError``: every comparison with a NaN floor is false, so the
+    envelope would hold vacuously.
     """
+    if not math.isfinite(rel_tol):
+        raise ValueError(f"rel_tol must be finite, got {rel_tol!r}")
     scenario = outcome.spec.scenario
     violations: List[str] = []
     for row in outcome.rows:

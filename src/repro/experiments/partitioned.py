@@ -29,8 +29,8 @@ The claim under test mirrors X6's safety envelope, on both axes:
   degraded baseline (one server lost for the same window) —
   replication turns an outage into a non-event;
 - **no** partition severity, up to losing every replica, drops a run
-  below the uncoordinated stock-Cubic floor — the same "coordination is
-  pure upside" anchor X4 established.
+  below the uncoordinated stock-Cubic floor — the anchor X4 establishes
+  on power, held here on both axes.
 
 The degraded baseline is produced by this very machinery at
 ``n_replicas=1, severity=1`` (one replica, fully cut for the same
@@ -52,7 +52,7 @@ this.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from ..metrics.summary import RunMetrics
 from ..phi.channel import ChannelConfig
@@ -64,12 +64,10 @@ from .faultsweep import (
     Baseline,
     FaultScenario,
     FaultSpec,
-    FaultSweepOutcome,
     FaultSweepRow,
     Floor,
     merged_counts,
     peak,
-    run_fault_sweep,
     stock_cubic,
 )
 from .scenarios import run_plane
@@ -157,7 +155,7 @@ def is_minority_cut(row: FaultSweepRow) -> bool:
 
 PARTITION = FaultScenario(
     name="partition",
-    axes=("n_replicas", "severity", "heal_s"),
+    grid={"n_replicas": (1, 3), "severity": (0.0, 0.34, 1.0), "heal_s": (10.0,)},
     run=run_partitioned_phi_cubic,
     accounting={
         "n_cut": peak,  # a function of the axes: constant across seeds
@@ -185,56 +183,5 @@ PARTITION = FaultScenario(
         Floor("stock", "stock floor"),
         Floor("degraded", "degraded floor", applies=is_minority_cut),
     ),
-    point_block="replication",
-    params_extra=("n_cut",),
-    block_omit=("pending_reports",),
-    totals_omit=("final_divergence", "pending_reports"),
 )
 
-
-def run_partition_sweep(
-    policy: PolicyTable,
-    preset: ScenarioPreset,
-    replica_counts: Sequence[int],
-    severities: Sequence[float],
-    heal_times: Sequence[float] = (10.0,),
-    *,
-    read_policy: ReadPolicy = ReadPolicy.ANY,
-    partition_start_s: float = 10.0,
-    staleness_ttl_s: float = 10.0,
-    anti_entropy_period_s: float = 1.0,
-    **sweep,
-) -> FaultSweepOutcome:
-    """Sweep replica count x partition severity x heal time across seeds.
-
-    Two baselines anchor every row, each run with the row's own seeds:
-
-    - **stock**: uncoordinated default Cubic (the X4/X6 floor);
-    - **degraded**: the same replicated machinery at ``n_replicas=1,
-      severity=1`` with the row's heal window — structurally X4's
-      single-server outage, so "replication beats one server" is an
-      apples-to-apples claim.
-
-    ``sweep`` takes the harness's own keywords — ``seeds``,
-    ``duration_s``, ``n_workers``, ``parallel``, ``resilience``,
-    ``collect_telemetry`` — see
-    :func:`~repro.experiments.faultsweep.run_fault_sweep` for them and
-    for execution, determinism and quarantine semantics.
-    """
-    return run_fault_sweep(
-        PARTITION,
-        policy,
-        preset,
-        {
-            "n_replicas": replica_counts,
-            "severity": severities,
-            "heal_s": heal_times,
-        },
-        fixed=dict(
-            read_policy=read_policy,
-            partition_start_s=partition_start_s,
-            staleness_ttl_s=staleness_ttl_s,
-            anti_entropy_period_s=anti_entropy_period_s,
-        ),
-        **sweep,
-    )

@@ -51,15 +51,7 @@ from ..phi.policy import PolicyTable
 from ..phi.server import RobustAggregationConfig
 from ..phi.trust import TrustTracker
 from .dumbbell import ScenarioPreset
-from .faultsweep import (
-    Baseline,
-    FaultScenario,
-    FaultSweepOutcome,
-    Floor,
-    merged_counts,
-    run_fault_sweep,
-    stock_cubic,
-)
+from .faultsweep import Baseline, FaultScenario, Floor, merged_counts, stock_cubic
 from .scenarios import run_plane
 
 
@@ -109,7 +101,7 @@ def run_poisoned_phi_cubic(
 # ----------------------------------------------------------------------
 POISON = FaultScenario(
     name="poison",
-    axes=("severity", "byzantine_fraction"),
+    grid={"severity": (0.0, 0.5, 1.0), "byzantine_fraction": (0.0,)},
     run=run_poisoned_phi_cubic,
     accounting={
         "decision_counts": merged_counts,
@@ -134,38 +126,5 @@ POISON = FaultScenario(
         ),
     ),
     floors=(Floor("baseline", "floor"),),
-    point_block="defence",
-    totals_omit=("trust_score",),
 )
 
-
-def run_poison_sweep(
-    policy: PolicyTable,
-    preset: ScenarioPreset,
-    severities: Sequence[float],
-    byzantine_fractions: Sequence[float] = (0.0,),
-    *,
-    modes: Sequence[str] = DEFAULT_MODES,
-    guarded: bool = True,
-    staleness_ttl_s: float = 10.0,
-    **sweep,
-) -> FaultSweepOutcome:
-    """Sweep corruption severity x Byzantine fraction across seeds.
-
-    Baseline runs (stock Cubic, same preset and seeds) anchor every
-    row's ``vs("baseline")``.  ``sweep`` takes the harness's own
-    keywords — ``seeds``, ``duration_s``, ``n_workers``, ``parallel``,
-    ``resilience``, ``collect_telemetry`` — see
-    :func:`~repro.experiments.faultsweep.run_fault_sweep` for them and
-    for execution, determinism and quarantine semantics.
-    """
-    return run_fault_sweep(
-        POISON,
-        policy,
-        preset,
-        {"severity": severities, "byzantine_fraction": byzantine_fractions},
-        fixed=dict(
-            modes=tuple(modes), guarded=guarded, staleness_ttl_s=staleness_ttl_s
-        ),
-        **sweep,
-    )

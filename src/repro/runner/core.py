@@ -496,10 +496,15 @@ class SweepRunner:
 
         Run ``i`` of every grid point shares seed ``base_seed + i`` so
         leave-one-out comparisons see identical workloads across
-        parameter settings.
+        parameter settings.  A grid that repeats a parameter set raises
+        ``ValueError``: its runs would share keys.
         """
         if n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+        # Runs of one grid point get distinct seeds, so only a repeated
+        # grid point can repeat a key.
+        if len(set(grid)) != len(grid):
+            raise ValueError("sweep points must be unique; the grid repeats a point")
         return [
             SweepPoint(params=params, run_index=run, seed=base_seed + run)
             for params in grid

@@ -273,12 +273,13 @@ def fault_sweep_manifest(
 
     Works for any :class:`~repro.experiments.faultsweep.FaultScenario`:
     the scenario's name is the command, the sweep's fixed keyword
-    arguments are the config block, and besides the usual transport
-    metrics every point carries the control plane's own accounting under
-    the scenario's block name (``defence``, ``replication``, ...) — so
+    arguments are the config block, ``params`` holds the point's axis
+    values, and besides the usual transport metrics every point carries
+    the control plane's own accounting in one ``accounting`` block — so
     the manifest alone answers "which faults were survived, by which
-    layer, at what cost".  Totals aggregate that accounting over the
-    sweep and tabulate the baselines the envelope was checked against.
+    layer, at what cost".  Totals aggregate every accounting field over
+    the sweep and tabulate the baselines the envelope was checked
+    against.
     """
     spec = outcome.spec
     scenario = spec.scenario
@@ -296,24 +297,16 @@ def fault_sweep_manifest(
         {"seeds": sorted(seeds)},
         metrics if metrics is not None else outcome.telemetry,
     )
-    unlisted = scenario.params_extra + scenario.block_omit
     for point in results:
         entry = _point_entry(
             point,
             key=point.key,
-            params={
-                **point.params,
-                **{name: point.accounting[name] for name in scenario.params_extra},
-            },
+            params=dict(point.params),
             seed=point.seed,
             wall_seconds=point.wall_seconds,
             failures=outcome.failure_history.get(point.key, ()),
         )
-        entry[scenario.point_block] = {
-            name: value
-            for name, value in point.accounting.items()
-            if name not in unlisted
-        }
+        entry["accounting"] = dict(point.accounting)
         manifest["points"].append(entry)
     for quarantined in outcome.quarantined:
         manifest["quarantined"].append(
@@ -322,9 +315,7 @@ def fault_sweep_manifest(
     manifest["totals"] = {
         "points": len(results),
         "total_events": sum(p.events_processed for p in results),
-        **scenario.aggregate(
-            results, omit=scenario.params_extra + scenario.totals_omit
-        ),
+        **scenario.aggregate(results),
     }
     for baseline in scenario.baselines:
         runs = sorted(outcome.baselines[baseline.name].items())

@@ -7,9 +7,10 @@ from repro.experiments import (
     TABLE3_REMY,
     run_cubic_fixed,
     run_degraded_phi_cubic,
+    run_fault_sweep,
     schedule_unavailability,
-    sweep_unavailability,
 )
+from repro.experiments.degraded import DEGRADED
 from repro.experiments.scenarios import ScenarioPreset
 from repro.flightrec.postmortem import fault_windows
 from repro.phi import REFERENCE_POLICY, ChannelConfig, ControlChannel
@@ -162,12 +163,10 @@ class TestDegradedRuns:
         assert armed.result.events_processed == unarmed.result.events_processed
 
     def test_sweep_rows_cover_fractions(self):
-        rows = sweep_unavailability(
-            REFERENCE_POLICY,
-            PRESET,
-            fractions=(0.0, 1.0),
+        rows = run_fault_sweep(
+            DEGRADED, REFERENCE_POLICY, PRESET, {"unavailability": (0.0, 1.0)},
             seeds=(3,),
-        )
+        ).rows
         assert [row.axes["unavailability"] for row in rows] == [0.0, 1.0]
         assert all(row.mean_power_l > 0 for row in rows)
         assert rows[1].accounting["decision_counts"]["fresh"] == 0

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.degraded import DEGRADED, sweep_unavailability
+from repro.experiments.degraded import DEGRADED
 from repro.experiments.faultsweep import (
     FaultSpec,
     FaultSweepRow,
@@ -19,10 +19,11 @@ from repro.experiments.faultsweep import (
     check_envelope,
     run_fault_sweep,
 )
-from repro.experiments.partitioned import PARTITION, run_partition_sweep
-from repro.experiments.poisoned import POISON, run_poison_sweep
+from repro.experiments.partitioned import PARTITION
+from repro.experiments.poisoned import POISON
 from repro.experiments.scenarios import ScenarioPreset
 from repro.phi.policy import REFERENCE_POLICY
+from repro.phi.replication import ReadPolicy
 from repro.runner.resilience import PointFailure
 from repro.simnet import DumbbellConfig
 from repro.telemetry.manifest import fault_sweep_manifest, validate_manifest
@@ -187,62 +188,62 @@ class TestFloors:
         row = row_for(DEGRADED, 0.0, 0.0, levels={})
         assert check_envelope(FakeOutcome(DEGRADED, [row])) == []
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_raises(self, rel_tol):
+        """A NaN floor fails every comparison, so a row far below the
+        baseline would pass: the envelope must not hold vacuously."""
+        levels = {"baseline": Level(1.0, 1.0)}
+        row = row_for(POISON, 0.1, 0.1, levels=levels)
+        with pytest.raises(ValueError, match="rel_tol must be finite"):
+            check_envelope(FakeOutcome(POISON, [row]), rel_tol=rel_tol)
 
-#: Literal key sets copied from the pre-harness ``poison_manifest`` /
-#: ``partition_manifest`` output: the manifest is an interface.
+
+#: Literal key sets: the manifest is an interface.  Every scenario writes
+#: its axes under ``params`` and every accounting field in one
+#: ``accounting`` block, and totals aggregate every accounting field.
 COMMON_CONFIG = {"preset", "topology", "workload", "duration_s", "n_points"}
 POINT_KEYS = {
     "key", "params", "seed", "run_index", "status", "wall_seconds",
-    "events_processed", "retries", "failures", "metrics",
+    "events_processed", "retries", "failures", "metrics", "accounting",
 }
 MANIFEST_KEYS = {
     "poison": dict(
-        config=COMMON_CONFIG | {"modes", "guarded", "staleness_ttl_s"},
-        block="defence",
+        config=COMMON_CONFIG | {"modes", "guarded"},
         params={"severity", "byzantine_fraction"},
         accounting={
             "decision_counts", "guard_rejections", "reports_rejected",
             "contexts_corrupted", "reports_poisoned", "trust_score",
             "distrust_entries",
         },
-        totals={
-            "points", "total_events", "decision_counts", "guard_rejections",
-            "reports_rejected", "contexts_corrupted", "reports_poisoned",
-            "distrust_entries", "baseline_power_by_seed",
-            "baseline_throughput_by_seed",
-        },
+        tables={"baseline_power_by_seed", "baseline_throughput_by_seed"},
     ),
     "partition": dict(
-        config=COMMON_CONFIG | {
-            "read_policy", "partition_start_s", "staleness_ttl_s",
-            "anti_entropy_period_s",
-        },
-        block="replication",
-        params={"n_replicas", "severity", "heal_s", "n_cut"},
+        config=COMMON_CONFIG | {"read_policy", "partition_start_s"},
+        params={"n_replicas", "severity", "heal_s"},
         accounting={
-            "decision_counts", "failovers", "fast_failures",
+            "n_cut", "decision_counts", "failovers", "fast_failures",
             "anti_entropy_merges", "reports_replicated", "quorum_rejections",
-            "final_divergence", "max_divergence",
+            "final_divergence", "max_divergence", "pending_reports",
         },
-        totals={
-            "points", "total_events", "decision_counts", "failovers",
-            "fast_failures", "anti_entropy_merges", "reports_replicated",
-            "quorum_rejections", "max_divergence", "stock_power_by_seed",
-            "degraded_power_by_heal_seed",
-        },
+        tables={"stock_power_by_seed", "degraded_power_by_heal_seed"},
     ),
 }
 
 
 def public_sweep(name):
-    """The one-point sweep ``repro poison`` / ``repro partition`` would run."""
+    """The one-point sweep ``repro fault poison`` / ``repro fault
+    partition`` would run."""
     common = dict(seeds=(0,), parallel=False, collect_telemetry=False)
     if name == "poison":
-        return run_poison_sweep(
-            REFERENCE_POLICY, MINI, (1.0,), modes=("garbage",), **common
+        return run_fault_sweep(
+            POISON, REFERENCE_POLICY, MINI,
+            {"severity": (1.0,), "byzantine_fraction": (0.0,)},
+            fixed=dict(modes=("garbage",), guarded=True), **common,
         )
-    return run_partition_sweep(
-        REFERENCE_POLICY, MINI, (3,), (0.34,), (3.0,), partition_start_s=2.0, **common
+    return run_fault_sweep(
+        PARTITION, REFERENCE_POLICY, MINI,
+        {"n_replicas": (3,), "severity": (0.34,), "heal_s": (3.0,)},
+        fixed=dict(read_policy=ReadPolicy.ANY, partition_start_s=2.0), **common,
     )
 
 
@@ -254,12 +255,14 @@ class TestManifest:
         assert validate_manifest(manifest) == []
         assert manifest["command"] == name
         assert set(manifest["config"]) == want["config"]
-        assert set(manifest["totals"]) == want["totals"]
+        assert set(manifest["totals"]) == {
+            "points", "total_events", *want["accounting"], *want["tables"]
+        }
         assert manifest["seeds"] == {"seeds": [0]}
         for point in manifest["points"]:
-            assert set(point) == POINT_KEYS | {want["block"]}
+            assert set(point) == POINT_KEYS
             assert set(point["params"]) == want["params"]
-            assert set(point[want["block"]]) == want["accounting"]
+            assert set(point["accounting"]) == want["accounting"]
             assert set(point["metrics"]) == {
                 "throughput_mbps", "queueing_delay_ms", "loss_rate",
                 "mean_utilization", "power_l",
@@ -293,6 +296,21 @@ def flaky(scenario, times, **at):
         return scenario.run(*args, **kwargs)
 
     return replace(scenario, run=run)
+
+
+class TestPointKeys:
+    @pytest.mark.parametrize(
+        "grid, seeds",
+        [
+            ({"unavailability": (0.5, 0.5)}, (0,)),
+            ({"unavailability": (0.5,)}, (0, 0)),
+        ],
+    )
+    def test_repeated_point_raises(self, grid, seeds):
+        """Two points with one key would share a row and a serial-check
+        slot; the sweep refuses them before running anything."""
+        with pytest.raises(ValueError, match="points must be unique"):
+            run_fault_sweep(DEGRADED, REFERENCE_POLICY, MINI, grid, seeds=seeds)
 
 
 class TestQuarantine:
@@ -361,9 +379,3 @@ class TestQuarantine:
             {**crash, "attempt": attempt} for attempt in (1, 2, 3)
         ]
         assert holed["config"]["n_points"] == 2
-
-    def test_x4_sweep_raises_instead_of_returning_a_holed_curve(self):
-        with pytest.raises(RuntimeError, match="quarantined after 3 attempt"):
-            sweep_unavailability(
-                REFERENCE_POLICY, MINI, fractions=(0.0, 1.5), seeds=(0,),
-            )

@@ -3,11 +3,16 @@
 import pytest
 
 from repro import telemetry
-from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level, check_envelope
+from repro.experiments.faultsweep import (
+    FaultSpec,
+    FaultSweepRow,
+    Level,
+    check_envelope,
+    run_fault_sweep,
+)
 from repro.experiments.partitioned import (
     PARTITION,
     is_minority_cut,
-    run_partition_sweep,
     run_partitioned_phi_cubic,
 )
 from repro.experiments.scenarios import ScenarioPreset
@@ -103,10 +108,10 @@ class TestMinorityPartitionRun:
 class TestSweepDeterminism:
     def test_sweep_telemetry_and_manifest(self):
         with telemetry.use():
-            outcome = run_partition_sweep(
-                REFERENCE_POLICY, FAST,
-                replica_counts=(3,), severities=(0.34,), heal_times=(8.0,),
-                seeds=(0,), partition_start_s=START, duration_s=DURATION,
+            outcome = run_fault_sweep(
+                PARTITION, REFERENCE_POLICY, FAST,
+                {"n_replicas": (3,), "severity": (0.34,), "heal_s": (8.0,)},
+                seeds=(0,), fixed={"partition_start_s": START}, duration_s=DURATION,
                 parallel=False, collect_telemetry=True,
             )
         counters = outcome.telemetry["counters"]
@@ -115,15 +120,15 @@ class TestSweepDeterminism:
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "partition"
         point = manifest["points"][0]
-        assert point["replication"]["failovers"] >= 1
+        assert point["accounting"]["failovers"] >= 1
         assert "stock_power_by_seed" in manifest["totals"]
         assert "degraded_power_by_heal_seed" in manifest["totals"]
 
     def test_minority_row_meets_both_floors(self):
-        outcome = run_partition_sweep(
-            REFERENCE_POLICY, FAST,
-            replica_counts=(3,), severities=(0.34,), heal_times=(8.0,),
-            seeds=(0,), partition_start_s=START, duration_s=DURATION,
+        outcome = run_fault_sweep(
+            PARTITION, REFERENCE_POLICY, FAST,
+            {"n_replicas": (3,), "severity": (0.34,), "heal_s": (8.0,)},
+            seeds=(0,), fixed={"partition_start_s": START}, duration_s=DURATION,
             parallel=False,
         )
         assert check_envelope(outcome, rel_tol=0.05) == []

@@ -3,12 +3,14 @@
 import pytest
 
 from repro import telemetry
-from repro.experiments.faultsweep import FaultSpec, FaultSweepRow, Level, check_envelope
-from repro.experiments.poisoned import (
-    POISON,
-    run_poison_sweep,
-    run_poisoned_phi_cubic,
+from repro.experiments.faultsweep import (
+    FaultSpec,
+    FaultSweepRow,
+    Level,
+    check_envelope,
+    run_fault_sweep,
 )
+from repro.experiments.poisoned import POISON, run_poisoned_phi_cubic
 from repro.experiments.scenarios import TABLE3_REMY, run_cubic_fixed
 from repro.phi.channel import ChannelConfig
 from repro.phi.policy import REFERENCE_POLICY
@@ -94,9 +96,10 @@ class TestUnguardedRun:
 class TestSweepDeterminism:
     def test_sweep_telemetry_and_manifest(self):
         with telemetry.use():
-            outcome = run_poison_sweep(
-                REFERENCE_POLICY, TABLE3_REMY,
-                severities=(1.0,), seeds=(0,), modes=("garbage",),
+            outcome = run_fault_sweep(
+                POISON, REFERENCE_POLICY, TABLE3_REMY,
+                {"severity": (1.0,), "byzantine_fraction": (0.0,)},
+                seeds=(0,), fixed={"modes": ("garbage",)},
                 duration_s=DURATION, parallel=False, collect_telemetry=True,
             )
         counters = outcome.telemetry["counters"]
@@ -105,7 +108,7 @@ class TestSweepDeterminism:
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "poison"
         point = manifest["points"][0]
-        assert point["defence"]["guard_rejections"]
+        assert point["accounting"]["guard_rejections"]
         assert "decision_counts" in manifest["totals"]
         assert "baseline_power_by_seed" in manifest["totals"]
 

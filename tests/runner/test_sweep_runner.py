@@ -175,6 +175,13 @@ class TestValidationAndProgress:
         with pytest.raises(ValueError):
             SweepRunner(MINI_PRESET).tasks(MINI_GRID, n_runs=0, base_seed=0)
 
+    def test_rejects_a_grid_that_repeats_a_point(self):
+        # Two tasks with one key: the serial check would report a point
+        # "missing from the second set" although both runs agree.
+        grid = [MINI_GRID[0], replace(MINI_GRID[0])]
+        with pytest.raises(ValueError, match="points must be unique"):
+            SweepRunner(MINI_PRESET).tasks(grid, n_runs=1, base_seed=0)
+
     def test_machine_fingerprint_agrees_with_default_workers(self):
         # perf/worker.py stamps every benchmark result with this.
         fingerprint = machine_fingerprint()

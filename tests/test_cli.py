@@ -1,9 +1,18 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import PRESETS, build_parser, main
+from repro.experiments import FAULT_SCENARIOS
+from repro.phi.replication import ReadPolicy
 from repro.transport import CubicParams
+
+
+def verb(command):
+    """The argv prefix of a command: fault scenarios run as ``fault <name>``."""
+    return ["fault", command] if command in FAULT_SCENARIOS else [command]
 
 
 class TestParser:
@@ -98,6 +107,24 @@ class TestCommands:
         CubicParams(args.window_init, args.ssthresh, args.beta)
         assert getattr(args, option[2:].replace("-", "_")) == float(value)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--severity", "nan"],
+            ["diagnose", "--severity", "0"],
+            ["diagnose", "--outage-minutes", "-60"],
+            ["diagnose", "--outage-minutes", "4"],
+            ["ipfix", "--minutes", "0"],
+        ],
+    )
+    def test_out_of_range_model_input_is_a_usage_error(self, argv, capsys):
+        # Exit 2 with a usage line, not the model's ValueError traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}" in err and "Traceback" not in err
+
     def test_ipfix_run(self, capsys):
         assert main(["ipfix", "--minutes", "1"]) == 0
         assert "sharing with >=" in capsys.readouterr().out
@@ -130,7 +157,7 @@ class TestSweepCommand:
     def test_duration_must_be_positive_and_finite(self, command, value, capsys):
         # A NaN duration never ends a run; a negative one prints zeros.
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args([command, "--duration", value])
+            build_parser().parse_args(verb(command) + ["--duration", value])
         assert excinfo.value.code == 2
         assert "argument --duration" in capsys.readouterr().err
 
@@ -171,6 +198,24 @@ class TestSweepCommand:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {option}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--ssthresh-range", "16,16"],
+            ["sweep", "--beta-range", "0.2,0.3,0.2"],
+            ["fault", "poison", "--severity", "1.0,1.0"],
+            ["fault", "poison", "--seeds", "0,0"],
+            ["fault", "partition", "--n-replicas", "3,3"],
+        ],
+    )
+    def test_repeated_list_value_is_a_usage_error(self, argv, capsys):
+        # Two points with one key: one row would average both runs and the
+        # serial check would report a false determinism violation.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "values must not repeat" in capsys.readouterr().err
 
     def test_mini_sweep_runs(self, capsys):
         assert main(self.MINI) == 0
@@ -250,8 +295,8 @@ class TestTelemetryOutputs:
         "argv",
         [
             ["sweep", "--trace-out", "t.jsonl"],
-            ["poison", "--trace-out", "t.jsonl"],
-            ["partition", "--trace-out", "t.jsonl"],
+            ["fault", "poison", "--trace-out", "t.jsonl"],
+            ["fault", "partition", "--trace-out", "t.jsonl"],
             # `incremental` never wrote either; it no longer offers them.
             ["incremental", "--trace-out", "t.jsonl"],
             ["incremental", "--metrics-out", "m.json"],
@@ -308,27 +353,85 @@ class TestTelemetryOutputs:
         assert "cannot read manifest" in capsys.readouterr().err
 
 
+def subparser(parser, *names):
+    """The parser of the (sub)command path ``names``."""
+    for name in names:
+        (action,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        parser = action.choices[name]
+    return parser
+
+
+class TestFaultParser:
+    @pytest.mark.parametrize("name", sorted(FAULT_SCENARIOS))
+    def test_one_flag_per_axis_defaulting_to_the_grid(self, name):
+        scenario = FAULT_SCENARIOS[name]
+        actions = subparser(build_parser(), "fault", name)._actions
+        for axis, values in scenario.grid.items():
+            (action,) = [action for action in actions if action.dest == axis]
+            assert action.option_strings == [f"--{axis.replace('_', '-')}"]
+            assert action.default == list(values)
+
+    def test_tolerance_must_be_finite(self, capsys):
+        # A NaN floor fails every comparison: the envelope held vacuously.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fault", "poison", "--tolerance", "nan"])
+        assert excinfo.value.code == 2
+        assert "argument --tolerance" in capsys.readouterr().err
+        # A negative one forces a violation on purpose and stays accepted.
+        args = build_parser().parse_args(
+            ["fault", "partition", "--tolerance", "-1000"]
+        )
+        assert args.tolerance == -1000.0
+
+
+class TestDegradedCommand:
+    def test_writes_a_valid_manifest(self, tmp_path, capsys):
+        from repro.telemetry.manifest import load_manifest, validate_manifest
+
+        manifest_path = str(tmp_path / "degraded.json")
+        assert main([
+            "fault", "degraded", "--preset", "table3-remy",
+            "--unavailability", "0,0.5", "--seeds", "0", "--duration", "4",
+            "--metrics-out", manifest_path,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "x stock" in out and "no safety envelope declared" in out
+        manifest = load_manifest(manifest_path)
+        assert validate_manifest(manifest) == []
+        assert manifest["command"] == "degraded"
+        assert [p["params"] for p in manifest["points"]] == [
+            {"unavailability": 0.0}, {"unavailability": 0.5}
+        ]
+        assert manifest["points"][1]["accounting"]["decision_counts"]["fallback"] > 0
+
+
 class TestPoisonCommand:
     MINI = [
-        "poison", "--preset", "table3-remy", "--severities", "1.0",
+        "fault", "poison", "--preset", "table3-remy", "--severity", "1.0",
         "--seeds", "0", "--modes", "garbage", "--duration", "8", "--quiet",
     ]
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["poison"])
+        args = build_parser().parse_args(["fault", "poison"])
         assert args.preset == "fig2a-low-utilization"
-        assert args.severities == [0.0, 0.5, 1.0]
+        assert args.severity == [0.0, 0.5, 1.0]
+        assert args.byzantine_fraction == [0.0]
         assert args.seeds == [0, 1]
-        assert args.modes == "inflate"
-        assert not args.unguarded
+        assert args.modes == ("inflate",)
+        assert args.guarded
         assert not args.expect_harm
 
     def test_int_list_validation(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["poison", "--seeds", "x,y"])
+            build_parser().parse_args(["fault", "poison", "--seeds", "x,y"])
 
     def test_unknown_mode_exits_2(self, capsys):
-        assert main(["poison", "--modes", "gremlins"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fault", "poison", "--modes", "gremlins"])
+        assert excinfo.value.code == 2
         assert "unknown corruption mode" in capsys.readouterr().err
 
     def test_guarded_garbage_holds_envelope(self, capsys):
@@ -356,41 +459,44 @@ class TestPoisonCommand:
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "poison"
         assert manifest["config"]["modes"] == ["garbage"]
+        assert manifest["config"]["expect_harm"] is False
         counters = manifest["metrics"]["counters"]
         assert any("phi.guard_rejections" in key for key in counters)
         assert any("phi.context_decisions" in key for key in counters)
         assert manifest["totals"]["guard_rejections"]
-        assert manifest["points"][0]["defence"]["decision_counts"]
+        assert manifest["points"][0]["accounting"]["decision_counts"]
 
 
 class TestPartitionCommand:
     MINI = [
-        "partition", "--preset", "fig2a-low-utilization",
-        "--replicas", "3", "--severities", "0.34", "--heals", "8",
+        "fault", "partition", "--preset", "fig2a-low-utilization",
+        "--n-replicas", "3", "--severity", "0.34", "--heal-s", "8",
         "--seeds", "0", "--duration", "25", "--quiet",
     ]
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["partition"])
+        args = build_parser().parse_args(["fault", "partition"])
         assert args.preset == "fig2a-low-utilization"
-        assert args.replicas == [1, 3]
-        assert args.severities == [0.0, 0.34, 1.0]
-        assert args.heals == [10.0]
-        assert args.partition_start == 10.0
+        assert args.n_replicas == [1, 3]
+        assert args.severity == [0.0, 0.34, 1.0]
+        assert args.heal_s == [10.0]
+        assert args.partition_start_s == 10.0
         assert args.seeds == [0, 1]
-        assert args.read_policy == "any"
+        assert args.read_policy is ReadPolicy.ANY
 
     @pytest.mark.parametrize("verb", ["poison", "partition"])
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_non_positive_workers_is_a_usage_error(self, verb, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([verb, "--duration", "1", "--workers", value])
+            main(["fault", verb, "--duration", "1", "--workers", value])
         assert excinfo.value.code == 2
         assert "argument --workers" in capsys.readouterr().err
 
     def test_unknown_read_policy_exits_2(self, capsys):
-        assert main(["partition", "--read-policy", "psychic"]) == 2
-        assert "unknown read policy" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fault", "partition", "--read-policy", "psychic"])
+        assert excinfo.value.code == 2
+        assert "argument --read-policy" in capsys.readouterr().err
 
     def test_minority_partition_holds_envelope(self, capsys):
         assert main(self.MINI) == 0
@@ -412,8 +518,10 @@ class TestPartitionCommand:
         counters = manifest["metrics"]["counters"]
         assert any("phi.replica_rpc_calls" in key for key in counters)
         point = manifest["points"][0]
-        assert point["replication"]["failovers"] >= 1
-        assert point["replication"]["anti_entropy_merges"] > 0
+        assert point["params"] == {"n_replicas": 3, "severity": 0.34, "heal_s": 8.0}
+        assert point["accounting"]["n_cut"] == 1
+        assert point["accounting"]["failovers"] >= 1
+        assert point["accounting"]["anti_entropy_merges"] > 0
         assert manifest["totals"]["failovers"] >= 1
 
 
@@ -437,19 +545,27 @@ class TestFaultSweepQuarantine:
     #: (argv; how to make every point raise: extra argv, environment and
     #: the error it reports; how to crash the middle point for one pass)
     VERBS = {
-        "poison": (
-            ["poison", "--preset", "table3-remy", "--modes", "garbage",
-             "--severities", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
+        "degraded": (
+            ["fault", "degraded", "--preset", "table3-remy",
+             "--unavailability", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
              "--quiet"],
-            (["--severities", "1.5"], {}, "severity must be in [0, 1]"),
+            (["--unavailability", "1.5"], {}, "unavailability must be in [0, 1]"),
+            ("repro.phi.plane", "schedule_unavailability",
+             lambda channel, *, fraction, **kwargs: fraction == 0.5),
+        ),
+        "poison": (
+            ["fault", "poison", "--preset", "table3-remy", "--modes", "garbage",
+             "--severity", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
+             "--quiet"],
+            (["--severity", "1.5"], {}, "severity must be in [0, 1]"),
             ("repro.phi.plane", "make_context_corruptor",
              lambda modes, rng, severity: severity == 0.5),
         ),
         "partition": (
-            ["partition", "--preset", "table3-remy", "--replicas", "3",
-             "--severities", "0,0.34,1.0", "--heals", "2", "--partition-start",
+            ["fault", "partition", "--preset", "table3-remy", "--n-replicas", "3",
+             "--severity", "0,0.34,1.0", "--heal-s", "2", "--partition-start",
              "2", "--seeds", "0", "--duration", "6", "--quiet"],
-            (["--severities", "1.5"], {}, "severity must be in [0, 1]"),
+            (["--severity", "1.5"], {}, "severity must be in [0, 1]"),
             ("repro.phi.plane", "partition_indices",
              lambda n_replicas, severity: severity == 0.34),
         ),
