@@ -80,7 +80,6 @@ from .runner import (
     ConsoleProgress,
     DiskCache,
     ResilienceConfig,
-    RetryPolicy,
     SweepRunner,
 )
 from .simcheck import ViolationReport
@@ -388,7 +387,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cache=DiskCache(args.cache_dir) if args.cache_dir is not None else None,
         progress=None if args.quiet else ConsoleProgress(),
         resilience=ResilienceConfig(
-            retry=RetryPolicy(max_attempts=args.retries),
+            max_attempts=args.retries,
             point_timeout_s=args.point_timeout,
         ),
         watchdog=_sweep_watchdog(args),

@@ -2,11 +2,10 @@
 
 The robustness analogue of the Figure 4 staleness ablation: instead of
 asking "how much does coordination help?", these runners ask "how much
-of the help survives when the coordination channel itself is slow,
-lossy, or partitioned?".  Senders run on the one Phi plane
-(:mod:`repro.phi.plane`) — a
-:class:`~repro.phi.channel.ControlChannel` (latency/loss/outages,
-timeouts, retries, circuit breaker) wrapped by a
+of the help survives when the coordination channel itself is cut
+off?".  Senders run on the one Phi plane (:mod:`repro.phi.plane`) — a
+:class:`~repro.phi.channel.ControlChannel` (latency, outages, timeouts,
+retries, circuit breaker) wrapped by a
 :class:`~repro.phi.fallback.ResilientContextClient` (staleness TTL,
 default-parameter fallback, report recovery queue) — with scheduled
 outage windows, so a sweep over server unavailability traces the
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..phi.channel import ChannelConfig
 from ..phi.plane import PlaneRunResult, PlaneSpec
 from ..phi.policy import PolicyTable
 from .dumbbell import ScenarioPreset
@@ -34,7 +32,6 @@ def run_degraded_phi_cubic(
     seed: int = 0,
     duration_s: Optional[float] = None,
     staleness_ttl_s: float = 10.0,
-    channel_config: Optional[ChannelConfig] = None,
     outage_period_s: float = 5.0,
     lease_ttl_s: Optional[float] = 60.0,
 ) -> PlaneRunResult:
@@ -42,7 +39,7 @@ def run_degraded_phi_cubic(
 
     The single-server plane with ``unavailability`` of the run's
     duration spent in outage windows of ``outage_period_s`` periods.
-    With ``unavailability=0`` and a loss-free channel this is exactly
+    With ``unavailability=0`` this is exactly
     ``run_phi_cubic`` (practical mode); with ``unavailability=1`` every
     connection falls back to stock Cubic, i.e. the uncoordinated
     baseline.
@@ -51,7 +48,6 @@ def run_degraded_phi_cubic(
         policy=policy,
         lease_ttl_s=lease_ttl_s,
         staleness_ttl_s=staleness_ttl_s,
-        channel_config=channel_config,
         unavailability=unavailability,
         outage_period_s=outage_period_s,
     )

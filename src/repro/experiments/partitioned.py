@@ -55,7 +55,6 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional
 
 from ..metrics.summary import RunMetrics
-from ..phi.channel import ChannelConfig
 from ..phi.plane import PlaneRunResult, PlaneSpec
 from ..phi.policy import PolicyTable
 from ..phi.replication import ReadPolicy, ReplicationConfig
@@ -87,7 +86,6 @@ def run_partitioned_phi_cubic(
     staleness_ttl_s: float = 10.0,
     anti_entropy_period_s: float = 1.0,
     quorum_staleness_s: float = 5.0,
-    channel_config: Optional[ChannelConfig] = None,
     lease_ttl_s: Optional[float] = 60.0,
 ) -> PlaneRunResult:
     """Phi-coordinated Cubic on a replicated, partitionable control plane.
@@ -101,7 +99,7 @@ def run_partitioned_phi_cubic(
     clients on the stale-then-fallback path exactly as a total
     control-plane outage would.
 
-    Defaults arm the reproducibility-preserving jitters (channel retry
+    The plane arms the reproducibility-preserving jitters (channel retry
     backoff and failover suspension) from per-run seeded streams; both
     draw only on failure paths, so a no-fault run's trajectory is
     unchanged by them.
@@ -116,7 +114,6 @@ def run_partitioned_phi_cubic(
         policy=policy,
         lease_ttl_s=lease_ttl_s,
         staleness_ttl_s=staleness_ttl_s,
-        channel_config=channel_config or ChannelConfig(backoff_jitter=0.25),
         severity=severity,
         replication=replication,
         partition_start_s=partition_start_s,

@@ -12,7 +12,8 @@ degrades its *truthfulness* — the X6 sweep.  Two orthogonal axes:
 Each (severity, fraction) point runs the one Phi plane
 (:mod:`repro.phi.plane`) with a corruption layer on its channel.  In the
 **guarded** configuration the stack fights back on three layers — a
-server-side :class:`~repro.phi.server.RobustAggregationConfig`, a
+server-side robust aggregation (:class:`~repro.phi.server.ContextServer`
+``robust=True``), a
 client-side :class:`~repro.phi.guard.ContextGuard`, and outcome-driven
 :class:`~repro.phi.trust.TrustTracker` distrust — and the claim under
 test is the *safety envelope*: mean power and mean throughput never
@@ -44,12 +45,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .. import telemetry
-from ..phi.channel import ChannelConfig
 from ..phi.corruption import DEFAULT_MODES
 from ..phi.plane import PlaneRunResult, PlaneSpec
 from ..phi.policy import PolicyTable
-from ..phi.server import RobustAggregationConfig
-from ..phi.trust import TrustTracker
 from .dumbbell import ScenarioPreset
 from .faultsweep import Baseline, FaultScenario, Floor, merged_counts, stock_cubic
 from .scenarios import run_plane
@@ -66,9 +64,6 @@ def run_poisoned_phi_cubic(
     guarded: bool = True,
     duration_s: Optional[float] = None,
     staleness_ttl_s: float = 10.0,
-    channel_config: Optional[ChannelConfig] = None,
-    robust: Optional[RobustAggregationConfig] = None,
-    trust: Optional[TrustTracker] = None,
 ) -> PlaneRunResult:
     """Phi-coordinated Cubic behind a lying control plane.
 
@@ -78,19 +73,15 @@ def run_poisoned_phi_cubic(
     robust server aggregation, a capacity-aware :class:`ContextGuard`,
     and a :class:`TrustTracker` gating the DISTRUSTED decision.  With
     ``guarded=False`` the stack trusts everything it hears — the
-    ablation showing why the defences exist.  ``robust`` and ``trust``
-    override individual layers of the guarded stack.
+    ablation showing why the defences exist.
     """
     spec = PlaneSpec(
         policy=policy,
         staleness_ttl_s=staleness_ttl_s,
-        channel_config=channel_config,
         severity=severity,
         modes=tuple(modes),
         byzantine_fraction=byzantine_fraction,
         guarded=guarded,
-        robust=robust,
-        trust=trust,
     )
     return run_plane(spec, preset, seed=seed, duration_s=duration_s)
 

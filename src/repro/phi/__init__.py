@@ -60,12 +60,10 @@ from .replication import (
 from .guard import (
     GUARD_REASONS,
     ContextGuard,
-    GuardConfig,
     GuardVerdict,
 )
 from .trust import (
     LOSS_RATE_THRESHOLDS,
-    TrustConfig,
     TrustTracker,
     observed_level,
     observed_level_from_stats,
@@ -88,7 +86,6 @@ from .server import (
     ConnectionReport,
     ContextServer,
     IdealContextOracle,
-    RobustAggregationConfig,
     report_invalid_reason,
 )
 
@@ -111,7 +108,6 @@ __all__ = [
     "FailoverConfig",
     "FailoverStats",
     "GUARD_REASONS",
-    "GuardConfig",
     "GuardVerdict",
     "QuorumUnavailable",
     "ReadPolicy",
@@ -120,8 +116,6 @@ __all__ = [
     "ReplicatedContextService",
     "ReplicationConfig",
     "LOSS_RATE_THRESHOLDS",
-    "RobustAggregationConfig",
-    "TrustConfig",
     "TrustTracker",
     "FAIR_SHARE_THRESHOLDS_MBPS",
     "QUEUE_DELAY_THRESHOLDS",

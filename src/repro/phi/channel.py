@@ -5,7 +5,7 @@ start through a lookup RPC and every connection end through a report RPC.
 The reproduction originally modelled those as infallible function calls;
 this module makes the channel a first-class, failure-aware component:
 
-- per-attempt **latency** (with optional jitter) and **message loss**;
+- a fixed per-attempt **latency** (:data:`RPC_LATENCY_S`);
 - **server outage windows**, driven by an
   :class:`repro.simnet.faults.Outage` via ``mark_down``/``mark_up``;
 - per-call **timeout** plus bounded **exponential-backoff retry**,
@@ -15,8 +15,8 @@ this module makes the channel a first-class, failure-aware component:
   consecutive failures and probes it again after a cool-down.
 
 RPC timing is *simulated*: each call happens atomically at the current
-simulation instant, but the channel draws the latencies the attempts
-would have taken and accounts them (attempts, elapsed time, outcome) in
+simulation instant, but the channel adds up the latencies, timeouts and
+backoffs the attempts would have taken and accounts them (attempts, elapsed time, outcome) in
 the returned :class:`RpcResult`.
 
 The result's status is the one way a call reports failure, to the
@@ -41,7 +41,6 @@ class RpcStatus(Enum):
     """Terminal outcome of one control-channel call (after retries)."""
 
     OK = "ok"
-    TIMEOUT = "timeout"            # every attempt lost or over-latency
     SERVER_DOWN = "server_down"    # server unavailable for every attempt
     DEADLINE_EXCEEDED = "deadline" # retry budget exhausted before success
     CIRCUIT_OPEN = "circuit_open"  # failed fast; breaker is open
@@ -61,19 +60,6 @@ class RpcResult(NamedTuple):
         return self.status is RpcStatus.OK
 
 
-def check_backoff(
-    what: str, base_s: float, multiplier: float, max_s: float, jitter: float = 0.0
-) -> None:
-    """Reject parameters :func:`exponential_backoff_s` cannot use (NaN too:
-    every check is one a NaN fails)."""
-    if not (base_s >= 0 and max_s >= 0):
-        raise ValueError(f"{what} bounds must be >= 0: {base_s}, {max_s}")
-    if not multiplier >= 1:
-        raise ValueError(f"{what} multiplier must be >= 1: {multiplier}")
-    if not jitter >= 0:
-        raise ValueError(f"{what} jitter must be >= 0: {jitter}")
-
-
 def exponential_backoff_s(
     base_s: float, multiplier: float, max_s: float, k: int, jitter: float = 0.0, rng=None
 ) -> float:
@@ -91,81 +77,51 @@ def exponential_backoff_s(
     return wait
 
 
+#: Round trip of one RPC attempt: a server inside the sender's own domain.
+RPC_LATENCY_S = 0.005
+#: How long a client waits for an attempt before declaring it dead.
+RPC_TIMEOUT_S = 0.25
+#: Extra attempts after the first.
+RPC_MAX_RETRIES = 3
+#: Exponential backoff between attempts: attempt ``k`` (0-based) waits
+#: ``min(base * multiplier**k, max)`` before retrying.
+RPC_BACKOFF_BASE_S = 0.05
+RPC_BACKOFF_MULTIPLIER = 2.0
+RPC_BACKOFF_MAX_S = 1.0
+#: Hard per-call budget.  A retry is only launched if, even in the worst
+#: case (full backoff plus a full timeout), the call would still finish
+#: inside it, so a connection start is never delayed past it.
+RPC_DEADLINE_S = 2.0
+#: Consecutive failures that trip a closed breaker: one more than a
+#: call's attempts, so one failed call alone never does.
+BREAKER_FAILURE_THRESHOLD = 5
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Timing and reliability knobs for the control channel.
+    """The control channel's one per-deployment knob.
 
     Attributes
     ----------
-    latency_s:
-        Baseline round-trip time of one RPC attempt.
-    jitter_s:
-        Uniform extra latency in [0, jitter_s) per attempt (needs an rng).
-    loss_probability:
-        Chance an attempt's request or response is lost (needs an rng).
-    timeout_s:
-        How long the client waits for an attempt before declaring it dead.
-    max_retries:
-        Extra attempts after the first (0 = single shot).
-    backoff_base_s / backoff_multiplier / backoff_max_s:
-        Exponential backoff between attempts: attempt ``k`` (0-based)
-        waits ``min(base * multiplier**k, max)`` before retrying.
     backoff_jitter:
-        Uniform multiplicative jitter on each backoff: the wait is
+        Uniform multiplicative jitter on each retry backoff: the wait is
         scaled by ``1 + U[0, backoff_jitter)`` (needs an rng).  Without
         it, every sender that hit the same outage retries on the same
         deterministic schedule and stampedes the server the instant it
         recovers; with it the retry wave decorrelates while staying a
         pure function of the run's seed.
-    deadline_s:
-        Hard per-call budget.  A retry is only launched if, even in the
-        worst case (full backoff plus a full timeout), the call would
-        still finish inside the deadline — so a connection start is
-        never delayed past it.
     """
 
-    latency_s: float = 0.005
-    jitter_s: float = 0.0
-    loss_probability: float = 0.0
-    timeout_s: float = 0.25
-    max_retries: int = 3
-    backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_max_s: float = 1.0
     backoff_jitter: float = 0.0
-    deadline_s: float = 2.0
 
     def __post_init__(self) -> None:
-        # Every check is one a NaN fails.
-        if not (self.latency_s >= 0 and self.jitter_s >= 0):
-            raise ValueError(
-                f"latency/jitter must be >= 0: {self.latency_s}, {self.jitter_s}"
-            )
-        if not 0 <= self.loss_probability < 1:
-            raise ValueError(
-                f"loss probability must be in [0, 1): {self.loss_probability}"
-            )
-        if not self.timeout_s > 0:
-            raise ValueError(f"timeout must be positive: {self.timeout_s}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
-        check_backoff(
-            "backoff", self.backoff_base_s, self.backoff_multiplier,
-            self.backoff_max_s, self.backoff_jitter,
-        )
-        if not self.deadline_s > 0:
-            raise ValueError(f"deadline must be positive: {self.deadline_s}")
+        if not self.backoff_jitter >= 0:  # NaN too
+            raise ValueError(f"backoff jitter must be >= 0: {self.backoff_jitter}")
 
     @property
     def needs_rng(self) -> bool:
         """Whether a channel with this config draws random numbers."""
-        return self.loss_probability > 0 or self.jitter_s > 0 or self.backoff_jitter > 0
-
-    def backoff_s(self, attempt_index: int) -> float:
-        """Unjittered backoff before retry number ``attempt_index`` (0-based)."""
-        return exponential_backoff_s(
-            self.backoff_base_s, self.backoff_multiplier, self.backoff_max_s, attempt_index
-        )
+        return self.backoff_jitter > 0
 
 
 class BreakerState(Enum):
@@ -177,7 +133,7 @@ class BreakerState(Enum):
 
 
 class CircuitBreaker:
-    """Trips after ``failure_threshold`` consecutive failures.
+    """Trips after :data:`BREAKER_FAILURE_THRESHOLD` consecutive failures.
 
     While OPEN, calls fail immediately (no attempts, no time spent).
     After ``reset_timeout_s`` the breaker half-opens: one probe call is
@@ -189,15 +145,11 @@ class CircuitBreaker:
         self,
         now: Callable[[], float],
         *,
-        failure_threshold: int = 5,
         reset_timeout_s: float = 10.0,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1: {failure_threshold}")
-        if reset_timeout_s <= 0:
+        if not reset_timeout_s > 0:  # NaN would never half-open
             raise ValueError(f"reset_timeout_s must be positive: {reset_timeout_s}")
         self._now = now
-        self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
@@ -245,7 +197,7 @@ class CircuitBreaker:
         self._consecutive_failures += 1
         if (
             self._state is BreakerState.HALF_OPEN
-            or self._consecutive_failures >= self.failure_threshold
+            or self._consecutive_failures >= BREAKER_FAILURE_THRESHOLD
         ):
             if self._state is not BreakerState.OPEN:
                 self.trips += 1
@@ -307,14 +259,14 @@ class ControlChannel:
         self.backend = backend
         self.config = config or ChannelConfig()
         if rng is None and self.config.needs_rng:
-            raise ValueError("loss/jitter simulation requires an rng")
+            raise ValueError("backoff jitter requires an rng")
         self.rng = rng
         self.breaker = breaker or CircuitBreaker(lambda: sim.now)
         #: Optional :class:`~repro.phi.corruption.CorruptionLayer`: the
-        #: channel's *semantic* fault axis, alongside the loss/outage
-        #: ones.  Applied to payloads of calls that succeed at the RPC
-        #: level — a lookup answer corrupted in flight, a report poisoned
-        #: by its sender — so transport health and payload truth fail
+        #: channel's *semantic* fault axis, alongside the outage one.
+        #: Applied to payloads of calls that succeed at the RPC level — a
+        #: lookup answer corrupted in flight, a report poisoned by its
+        #: sender — so transport health and payload truth fail
         #: independently, as they do in practice.
         self.corruption = corruption
         self.stats = ChannelStats()
@@ -360,11 +312,10 @@ class ControlChannel:
     def _call(self, fn: Callable[..., Any], op: str = "call", *args: Any) -> RpcResult:
         """``fn(*args)`` behind retries, outages and the breaker; the one
         terminal outcome is accounted (stats and telemetry) on the way out."""
-        cfg = self.config
+        jitter = self.config.backoff_jitter
         breaker = self.breaker
         elapsed = 0.0
         attempts = 0
-        status = RpcStatus.TIMEOUT
         value = None
         while True:
             # A CLOSED breaker always allows: it is asked only when it is not.
@@ -372,48 +323,35 @@ class ControlChannel:
                 status = RpcStatus.CIRCUIT_OPEN
                 break
             attempts += 1
-            if self._down_marks:
-                # Request goes unanswered: the attempt burns a timeout.
-                elapsed += cfg.timeout_s
-                status = RpcStatus.SERVER_DOWN
-                breaker.record_failure()
-            elif cfg.loss_probability > 0 and self.rng.random() < cfg.loss_probability:
-                elapsed += cfg.timeout_s
-                status = RpcStatus.TIMEOUT
-                breaker.record_failure()
-            else:
-                latency = cfg.latency_s
-                if cfg.jitter_s > 0:
-                    latency += float(self.rng.uniform(0.0, cfg.jitter_s))
-                if latency > cfg.timeout_s:
-                    elapsed += cfg.timeout_s
-                    status = RpcStatus.TIMEOUT
-                    breaker.record_failure()
-                else:
-                    elapsed += latency
-                    if breaker._consecutive_failures or breaker._state is not BreakerState.CLOSED:
-                        breaker.record_success()  # a no-op on a clean CLOSED breaker
-                    try:
-                        value = fn(*args)
-                        status = RpcStatus.OK
-                    except OSError:
-                        # A live server whose backend would not serve (e.g.
-                        # QuorumUnavailable): final, since a retry in the
-                        # same instant meets the same refusal.  Any other
-                        # exception is a bug and propagates.
-                        status = RpcStatus.REFUSED
-                    break
+            if not self._down_marks:
+                elapsed += RPC_LATENCY_S
+                if breaker._consecutive_failures or breaker._state is not BreakerState.CLOSED:
+                    breaker.record_success()  # a no-op on a clean CLOSED breaker
+                try:
+                    value = fn(*args)
+                    status = RpcStatus.OK
+                except OSError:
+                    # A live server whose backend would not serve (e.g.
+                    # QuorumUnavailable): final, since a retry in the same
+                    # instant meets the same refusal.  Any other exception
+                    # is a bug and propagates.
+                    status = RpcStatus.REFUSED
+                break
+            # Request goes unanswered: the attempt burns a timeout.
+            elapsed += RPC_TIMEOUT_S
+            status = RpcStatus.SERVER_DOWN
+            breaker.record_failure()
             # Retry, if both the attempt count and the deadline allow a
             # worst-case (backoff + full timeout) follow-up attempt.
-            if attempts > cfg.max_retries:
+            if attempts > RPC_MAX_RETRIES:
                 break
             # Jitter scales the wait *before* the deadline check so a
             # jittered retry can never overrun the per-call budget.
             backoff = exponential_backoff_s(
-                cfg.backoff_base_s, cfg.backoff_multiplier, cfg.backoff_max_s,
-                attempts - 1, cfg.backoff_jitter, self.rng,
+                RPC_BACKOFF_BASE_S, RPC_BACKOFF_MULTIPLIER, RPC_BACKOFF_MAX_S,
+                attempts - 1, jitter, self.rng,
             )
-            if elapsed + backoff + cfg.timeout_s > cfg.deadline_s:
+            if elapsed + backoff + RPC_TIMEOUT_S > RPC_DEADLINE_S:
                 status = RpcStatus.DEADLINE_EXCEEDED
                 break
             elapsed += backoff

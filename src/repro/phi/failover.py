@@ -1,8 +1,8 @@
 """Client-side failover across a replicated control plane.
 
 A sender reaches each replica through its own
-:class:`~repro.phi.channel.ControlChannel` (latency, loss, outages,
-retries, breaker — all per replica).  The :class:`FailoverChannel` sits
+:class:`~repro.phi.channel.ControlChannel` (latency, outages, retries,
+breaker — all per replica).  The :class:`FailoverChannel` sits
 on top and decides *which* replica to ask:
 
 - **health scoring**: every observed RPC outcome folds into a per-replica
@@ -20,7 +20,7 @@ on top and decides *which* replica to ask:
   function of its seed;
 - **sticky-with-probation reselection**: the client sticks to its
   current replica while it works; a replica coming off suspension must
-  answer ``probation_successes`` calls before it can become the sticky
+  answer :data:`PROBATION_SUCCESSES` calls before it can become the sticky
   choice again, so one lucky probe does not yank the whole client back
   to a flapping replica.
 
@@ -36,56 +36,43 @@ from typing import Dict, List, Optional, Sequence
 
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
-from .channel import (
-    ControlChannel,
-    RpcResult,
-    RpcStatus,
-    check_backoff,
-    exponential_backoff_s,
-)
+from .channel import ControlChannel, RpcResult, RpcStatus, exponential_backoff_s
 from .server import ConnectionReport
+
+#: EWMA weight of the latest outcome in a replica's health score (1 =
+#: healthy, 0 = hopeless): two failures in a row halve it.
+HEALTH_ALPHA = 0.3
+#: A replica's ``k``-th consecutive failure benches it for
+#: ``min(base * multiplier**(k-1), max)`` seconds (before jitter): the
+#: first bench is two channel timeouts, and a long-dead replica is still
+#: probed every 10 s.
+SUSPEND_BASE_S = 0.5
+SUSPEND_MULTIPLIER = 2.0
+SUSPEND_MAX_S = 10.0
+#: Successful calls a replica coming off suspension must serve before it
+#: can be reselected as the sticky current replica: one lucky probe is
+#: not enough.
+PROBATION_SUCCESSES = 2
 
 
 @dataclass(frozen=True)
 class FailoverConfig:
-    """Health, suspension, and stickiness knobs.
+    """The failover channel's one per-deployment knob.
 
     Attributes
     ----------
-    health_alpha:
-        EWMA weight of the latest outcome in a replica's health score
-        (1 = healthy, 0 = hopeless).
-    suspend_base_s / suspend_multiplier / suspend_max_s:
-        A replica's ``k``-th consecutive failure benches it for
-        ``min(base * multiplier**(k-1), max)`` seconds (before jitter).
     suspend_jitter:
         Uniform multiplicative jitter on the suspension window:
         scaled by ``1 + U[0, suspend_jitter)``, drawn from the sim RNG
         (required when > 0) so recovery probes decorrelate across
         clients while staying reproducible.
-    probation_successes:
-        Successful calls a replica coming off suspension must serve
-        before it can be reselected as the sticky current replica.
     """
 
-    health_alpha: float = 0.3
-    suspend_base_s: float = 0.5
-    suspend_multiplier: float = 2.0
-    suspend_max_s: float = 10.0
     suspend_jitter: float = 0.5
-    probation_successes: int = 2
 
     def __post_init__(self) -> None:
-        if not 0 < self.health_alpha <= 1:
-            raise ValueError(f"health_alpha must be in (0, 1]: {self.health_alpha}")
-        check_backoff(
-            "suspension", self.suspend_base_s, self.suspend_multiplier,
-            self.suspend_max_s, self.suspend_jitter,
-        )
-        if self.probation_successes < 0:
-            raise ValueError(
-                f"probation_successes must be >= 0: {self.probation_successes}"
-            )
+        if not self.suspend_jitter >= 0:  # NaN too
+            raise ValueError(f"suspension jitter must be >= 0: {self.suspend_jitter}")
 
 
 @dataclass
@@ -221,16 +208,15 @@ class FailoverChannel:
     # Outcome accounting
     # ------------------------------------------------------------------
     def _record_failure(self, index: int) -> None:
-        cfg = self.config
         health = self._health[index]
-        health.score = (1 - cfg.health_alpha) * health.score
+        health.score = (1 - HEALTH_ALPHA) * health.score
         health.consecutive_failures += 1
         health.failures += 1
         health.suspended_until = self.sim._now + exponential_backoff_s(
-            cfg.suspend_base_s, cfg.suspend_multiplier, cfg.suspend_max_s,
-            health.consecutive_failures - 1, cfg.suspend_jitter, self.rng,
+            SUSPEND_BASE_S, SUSPEND_MULTIPLIER, SUSPEND_MAX_S,
+            health.consecutive_failures - 1, self.config.suspend_jitter, self.rng,
         )
-        health.probation_left = cfg.probation_successes
+        health.probation_left = PROBATION_SUCCESSES
         self.stats.suspensions += 1
 
     # ------------------------------------------------------------------
@@ -280,8 +266,7 @@ class FailoverChannel:
                 ).inc()
             if result.status is RpcStatus.OK:
                 health = self._health[index]
-                alpha = self.config.health_alpha
-                health.score = (1 - alpha) * health.score + alpha
+                health.score = (1 - HEALTH_ALPHA) * health.score + HEALTH_ALPHA
                 health.consecutive_failures = 0
                 health.successes += 1
                 if health.probation_left > 0:

@@ -58,6 +58,12 @@ from .policy import PolicyTable
 from .server import ConnectionReport
 from .trust import TrustTracker
 
+#: Bound on the recovery queue of unsent end-of-connection reports;
+#: beyond it the oldest queued report is dropped (and counted), so a long
+#: partition costs bounded memory and loses first the reports the
+#: server's window would soonest age out anyway.
+MAX_PENDING_REPORTS = 1024
+
 
 class ContextDecision(Enum):
     """How a connection's starting context was obtained."""
@@ -106,9 +112,6 @@ class ResilientContextClient:
     staleness_ttl_s:
         Maximum age of a cached context before it stops being usable as
         a STALE answer and the client falls back to defaults.
-    max_pending_reports:
-        Bound on the recovery queue of unsent end-of-connection reports;
-        beyond it the oldest queued report is dropped (and counted).
     guard:
         Optional :class:`~repro.phi.guard.ContextGuard`.  Every
         successful lookup is validated before being cached or served; a
@@ -127,20 +130,14 @@ class ResilientContextClient:
         *,
         now: Callable[[], float],
         staleness_ttl_s: float = 10.0,
-        max_pending_reports: int = 1024,
         guard: Optional[ContextGuard] = None,
         trust: Optional[TrustTracker] = None,
     ) -> None:
         if not staleness_ttl_s >= 0:  # NaN: no cache would ever be STALE
             raise ValueError(f"staleness_ttl_s must be >= 0: {staleness_ttl_s}")
-        if max_pending_reports < 1:
-            raise ValueError(
-                f"max_pending_reports must be >= 1: {max_pending_reports}"
-            )
         self.source = source
         self.now = now
         self.staleness_ttl_s = staleness_ttl_s
-        self.max_pending_reports = max_pending_reports
         self.guard = guard
         self.trust = trust
         self._cached: Optional[CongestionContext] = None
@@ -270,7 +267,7 @@ class ResilientContextClient:
             self._enqueue(report)
 
     def _enqueue(self, report: ConnectionReport) -> None:
-        if len(self._pending) >= self.max_pending_reports:
+        if len(self._pending) >= MAX_PENDING_REPORTS:
             self._pending.popleft()
             self.reports_dropped += 1
         self._pending.append(report)

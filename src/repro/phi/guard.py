@@ -17,13 +17,13 @@ Checks are layered cheapest-first:
    :func:`~repro.phi.corruption.raw_context`), so NaN/inf must be caught
    here, not assumed away.
 2. **range** — utilization in [0, 1], non-negative delays and counts,
-   bounded by configured ceilings.
+   bounded by fixed ceilings.
 3. **future timestamp** — a snapshot from the future is a clock lie.
 4. **rate of change** — ``u`` and ``q`` may move only as fast as the
-   configured slew allows relative to the *last accepted* snapshot; a
+   fixed slew allows relative to the *last accepted* snapshot; a
    teleporting estimate is rejected even when each endpoint is in range.
-5. **cross-field consistency** — ``fair_share ~= capacity / n`` when the
-   guard knows the capacity; a snapshot whose fields contradict each
+5. **cross-field consistency** — ``fair_share ~= capacity / n`` for the
+   capacity the deployment knows; a snapshot whose fields contradict each
    other is rejected whole.
 
 Every rejection is counted by reason (``phi.guard_rejections{reason}``
@@ -55,72 +55,27 @@ GUARD_REASONS = (
 )
 
 
-@dataclass(frozen=True)
-class GuardConfig:
-    """Envelope the guard holds contexts to.
-
-    Attributes
-    ----------
-    max_queue_delay_s:
-        Ceiling on a believable queueing delay.  Far above anything a
-        sane buffer produces (the Table-3 bottleneck's BDP is ~0.15 s);
-        a snapshot beyond it is an encoding error, not weather.
-    max_competing_senders:
-        Ceiling on a believable sender count.
-    max_future_skew_s:
-        How far ahead of the local clock a timestamp may claim to be.
-    utilization_step / utilization_slew_per_s:
-        Allowed ``|Δu|`` between consecutive *accepted* snapshots:
-        ``step + slew * Δt``.  The step floor absorbs honest estimator
-        jumps (a big report landing in the window); the slew term lets
-        any change through given enough elapsed time.
-    queue_delay_step_s / queue_delay_slew_per_s:
-        Same envelope for ``q``.
-    capacity_mbps:
-        The bottleneck capacity the deployment knows (a provider knows
-        its provisioned egress).  Enables the fair-share consistency
-        check; ``None`` disables it.
-    fair_share_rel_tol:
-        Relative tolerance for ``fair_share ~= capacity / n``.
-    """
-
-    max_queue_delay_s: float = 30.0
-    max_competing_senders: float = 1e6
-    max_future_skew_s: float = 1.0
-    utilization_step: float = 0.5
-    utilization_slew_per_s: float = 0.5
-    queue_delay_step_s: float = 0.2
-    queue_delay_slew_per_s: float = 0.5
-    capacity_mbps: Optional[float] = None
-    fair_share_rel_tol: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_queue_delay_s <= 0:
-            raise ValueError(
-                f"max_queue_delay_s must be positive: {self.max_queue_delay_s}"
-            )
-        if self.max_competing_senders <= 0:
-            raise ValueError(
-                f"max_competing_senders must be positive: {self.max_competing_senders}"
-            )
-        if self.max_future_skew_s < 0:
-            raise ValueError(
-                f"max_future_skew_s must be >= 0: {self.max_future_skew_s}"
-            )
-        for name in (
-            "utilization_step",
-            "utilization_slew_per_s",
-            "queue_delay_step_s",
-            "queue_delay_slew_per_s",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
-        if self.capacity_mbps is not None and self.capacity_mbps <= 0:
-            raise ValueError(f"capacity_mbps must be positive: {self.capacity_mbps}")
-        if self.fair_share_rel_tol <= 0:
-            raise ValueError(
-                f"fair_share_rel_tol must be positive: {self.fair_share_rel_tol}"
-            )
+#: Ceiling on a believable queueing delay.  Far above anything a sane
+#: buffer produces (the Table-3 bottleneck's BDP is ~0.15 s); a snapshot
+#: beyond it is an encoding error, not weather.
+MAX_QUEUE_DELAY_S = 30.0
+#: Ceiling on a believable sender count.
+MAX_COMPETING_SENDERS = 1e6
+#: How far ahead of the local clock a timestamp may claim to be.
+MAX_FUTURE_SKEW_S = 1.0
+#: Allowed ``|Δu|`` between consecutive *accepted* snapshots is
+#: ``step + slew * Δt``: the step floor absorbs honest estimator jumps (a
+#: big report landing in the window); the slew term lets any change
+#: through given enough elapsed time.
+UTILIZATION_STEP = 0.5
+UTILIZATION_SLEW_PER_S = 0.5
+#: The same envelope for ``q``.
+QUEUE_DELAY_STEP_S = 0.2
+QUEUE_DELAY_SLEW_PER_S = 0.5
+#: Relative tolerance for ``fair_share ~= capacity / n``.  An honest
+#: server's fair share is exact, so a quarter only spares rounding while a
+#: bits-for-bytes unit error (8x) still fails.
+FAIR_SHARE_REL_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -143,9 +98,9 @@ class ContextGuard:
 
     Parameters
     ----------
-    config:
-        The :class:`GuardConfig` envelope (defaults are permissive enough
-        for honest estimator dynamics).
+    capacity_mbps:
+        The bottleneck capacity the deployment knows (a provider knows
+        its provisioned egress), for the fair-share consistency check.
     now:
         Optional clock callable enabling the future-timestamp check; the
         rate-of-change check uses the snapshots' own timestamps and needs
@@ -153,12 +108,11 @@ class ContextGuard:
     """
 
     def __init__(
-        self,
-        config: Optional[GuardConfig] = None,
-        *,
-        now: Optional[Callable[[], float]] = None,
+        self, capacity_mbps: float, *, now: Optional[Callable[[], float]] = None
     ) -> None:
-        self.config = config or GuardConfig()
+        if not (capacity_mbps > 0 and math.isfinite(capacity_mbps)):
+            raise ValueError(f"capacity_mbps must be positive and finite: {capacity_mbps}")
+        self.capacity_mbps = capacity_mbps
         self._now = now
         self._last_accepted: Optional[CongestionContext] = None
         self.accepted_count = 0
@@ -191,7 +145,6 @@ class ContextGuard:
     # Checks (cheapest first; first failure wins)
     # ------------------------------------------------------------------
     def _check(self, context: CongestionContext) -> GuardVerdict:
-        cfg = self.config
         fields = [
             ("utilization", context.utilization),
             ("queue_delay_s", context.queue_delay_s),
@@ -211,11 +164,11 @@ class ContextGuard:
             return GuardVerdict(
                 False, REASON_OUT_OF_RANGE, f"utilization={context.utilization!r}"
             )
-        if not 0.0 <= context.queue_delay_s <= cfg.max_queue_delay_s:
+        if not 0.0 <= context.queue_delay_s <= MAX_QUEUE_DELAY_S:
             return GuardVerdict(
                 False, REASON_OUT_OF_RANGE, f"queue_delay_s={context.queue_delay_s!r}"
             )
-        if not 0.0 <= context.competing_senders <= cfg.max_competing_senders:
+        if not 0.0 <= context.competing_senders <= MAX_COMPETING_SENDERS:
             return GuardVerdict(
                 False,
                 REASON_OUT_OF_RANGE,
@@ -230,7 +183,7 @@ class ContextGuard:
 
         if self._now is not None:
             skew = context.timestamp - self._now()
-            if skew > cfg.max_future_skew_s:
+            if skew > MAX_FUTURE_SKEW_S:
                 return GuardVerdict(
                     False, REASON_FUTURE_TIMESTAMP, f"skew={skew:.3f}s"
                 )
@@ -238,7 +191,7 @@ class ContextGuard:
         last = self._last_accepted
         if last is not None:
             dt = max(0.0, context.timestamp - last.timestamp)
-            allowed_u = cfg.utilization_step + cfg.utilization_slew_per_s * dt
+            allowed_u = UTILIZATION_STEP + UTILIZATION_SLEW_PER_S * dt
             if abs(context.utilization - last.utilization) > allowed_u:
                 return GuardVerdict(
                     False,
@@ -246,7 +199,7 @@ class ContextGuard:
                     f"|du|={abs(context.utilization - last.utilization):.3f}"
                     f">{allowed_u:.3f}",
                 )
-            allowed_q = cfg.queue_delay_step_s + cfg.queue_delay_slew_per_s * dt
+            allowed_q = QUEUE_DELAY_STEP_S + QUEUE_DELAY_SLEW_PER_S * dt
             if abs(context.queue_delay_s - last.queue_delay_s) > allowed_q:
                 return GuardVerdict(
                     False,
@@ -255,9 +208,9 @@ class ContextGuard:
                     f">{allowed_q:.3f}",
                 )
 
-        if cfg.capacity_mbps is not None and context.fair_share_mbps is not None:
-            expected = cfg.capacity_mbps / max(1.0, context.competing_senders)
-            tolerance = cfg.fair_share_rel_tol * expected
+        if context.fair_share_mbps is not None:
+            expected = self.capacity_mbps / max(1.0, context.competing_senders)
+            tolerance = FAIR_SHARE_REL_TOL * expected
             if abs(context.fair_share_mbps - expected) > tolerance:
                 return GuardVerdict(
                     False,

@@ -33,10 +33,10 @@ from .channel import ChannelConfig, ChannelStats, CircuitBreaker, ControlChannel
 from .corruption import ByzantineReporter, CorruptionLayer, make_context_corruptor
 from .failover import FailoverChannel, FailoverStats
 from .fallback import ResilientContextClient
-from .guard import ContextGuard, GuardConfig
+from .guard import ContextGuard
 from .policy import PolicyTable
 from .replication import ReplicatedContextService, ReplicationConfig
-from .server import ContextServer, IdealContextOracle, RobustAggregationConfig
+from .server import ContextServer, IdealContextOracle
 from .trust import TrustTracker
 
 if TYPE_CHECKING:  # the experiment layer imports this module, not the reverse
@@ -66,16 +66,15 @@ class PlaneSpec:
     :class:`ContextServer` (``window_s``, ``lease_ttl_s``), IDEAL the
     :class:`IdealContextOracle`.  Every sender shares one
     :class:`ResilientContextClient` (``staleness_ttl_s``) over control
-    channels built from ``channel_config``.  The fault dials, all off by
-    default:
+    channels whose retries back off with jitter on a replicated plane
+    only.  The fault dials, all off by default:
 
     - X4: ``unavailability`` of the run spent in outage windows spread
       over ``outage_period_s`` periods, on every channel;
     - X6: each lookup corrupted with probability ``severity`` over the
       corruption ``modes``, each report poisoned with probability
-      ``byzantine_fraction``; ``guarded`` arms robust aggregation (or
-      ``robust``), a :class:`ContextGuard` and a trust tracker (``trust``,
-      else a fresh one);
+      ``byzantine_fraction``; ``guarded`` arms robust aggregation, a
+      :class:`ContextGuard` and a :class:`TrustTracker`;
     - X7: ``replication`` runs a :class:`ReplicatedContextService` with a
       channel per replica behind a :class:`FailoverChannel`; ``severity``
       is then the share of replicas cut from the rest, for ``heal_s``
@@ -88,15 +87,12 @@ class PlaneSpec:
     window_s: float = 10.0
     lease_ttl_s: Optional[float] = 300.0
     staleness_ttl_s: float = 10.0
-    channel_config: Optional[ChannelConfig] = None
     unavailability: float = 0.0
     outage_period_s: float = 5.0
     severity: float = 0.0
     modes: Tuple[str, ...] = ()
     byzantine_fraction: float = 0.0
     guarded: bool = False
-    robust: Optional[RobustAggregationConfig] = None
-    trust: Optional[TrustTracker] = None
     replication: Optional[ReplicationConfig] = None
     partition_start_s: float = 10.0
     heal_s: float = 10.0
@@ -138,7 +134,7 @@ def experiment_channel(
 ) -> ControlChannel:
     """The control channel every plane puts before a backend.
 
-    Loss and jitter draw on the run's seeded ``stream``, made only when
+    Backoff jitter draws on the run's seeded ``stream``, made only when
     ``config`` needs one.  A breaker whose cool-down dwarfs the outage
     cadence would stay open through entire recovery windows, so the
     reset is kept short relative to the injected outage period.
@@ -148,7 +144,7 @@ def experiment_channel(
         backend,
         config=config,
         rng=env.rngs.stream(stream) if config.needs_rng else None,
-        breaker=CircuitBreaker(env.now, failure_threshold=5, reset_timeout_s=1.0),
+        breaker=CircuitBreaker(env.now, reset_timeout_s=1.0),
         corruption=corruption,
     )
 
@@ -244,8 +240,9 @@ class Plane:
 
     def __init__(self, spec: PlaneSpec, env: "ExperimentEnv", duration_s: float) -> None:
         sim = env.sim
-        config = spec.channel_config or ChannelConfig()
-        robust = (spec.robust or RobustAggregationConfig()) if spec.guarded else spec.robust
+        # Jittered retries decorrelate a replicated plane's senders after a
+        # cut; one server's retries keep the plain schedule.
+        config = ChannelConfig(backoff_jitter=0.25 if spec.replication is not None else 0.0)
         self.service: Optional[ReplicatedContextService] = None
         self.failover: Optional[FailoverChannel] = None
         self.layer: Optional[CorruptionLayer] = None
@@ -259,7 +256,7 @@ class Plane:
                 config=spec.replication,
                 window_s=spec.window_s,
                 lease_ttl_s=spec.lease_ttl_s,
-                robust=robust,
+                robust=spec.guarded,
             )
             self.servers = service.servers
             channels = [
@@ -295,7 +292,7 @@ class Plane:
                     env.bottleneck_capacity_bps,
                     window_s=spec.window_s,
                     lease_ttl_s=spec.lease_ttl_s,
-                    robust=robust,
+                    robust=spec.guarded,
                 )
                 self.servers = [backend]
             self.layer = _corruption_layer(spec, env)
@@ -310,10 +307,8 @@ class Plane:
             )
         self.guard = self.trust = None
         if spec.guarded:
-            self.guard = ContextGuard(
-                GuardConfig(capacity_mbps=env.bottleneck_capacity_bps / 1e6), now=env.now
-            )
-            self.trust = spec.trust or TrustTracker()
+            self.guard = ContextGuard(env.bottleneck_capacity_bps / 1e6, now=env.now)
+            self.trust = TrustTracker()
         self.source = source
         self.client = ResilientContextClient(
             source,

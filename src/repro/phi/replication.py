@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
 from .context import CongestionContext
-from .server import ConnectionReport, ContextServer, RobustAggregationConfig
+from .server import ConnectionReport, ContextServer
 
 
 class ReadPolicy(Enum):
@@ -249,9 +249,8 @@ class ReplicatedContextService:
         *,
         config: Optional[ReplicationConfig] = None,
         window_s: float = 10.0,
-        ewma_alpha: float = 0.3,
         lease_ttl_s: Optional[float] = 300.0,
-        robust: Optional[RobustAggregationConfig] = None,
+        robust: bool = False,
     ) -> None:
         self.sim = sim
         self.config = config or ReplicationConfig()
@@ -260,7 +259,6 @@ class ReplicatedContextService:
                 sim,
                 bottleneck_capacity_bps,
                 window_s=window_s,
-                ewma_alpha=ewma_alpha,
                 lease_ttl_s=lease_ttl_s,
                 robust=robust,
             )
@@ -443,8 +441,3 @@ class ReplicatedContextService:
             return 0.0
         estimates = [server.estimated_utilization() for server in self.servers]
         return max(estimates) - min(estimates)
-
-    def total_reports_received(self) -> int:
-        """Reports received first-hand across all replicas (absorbed
-        copies excluded)."""
-        return sum(server.reports_received for server in self.servers)

@@ -67,48 +67,27 @@ class ConnectionReport:
         return max(0.0, self.mean_rtt_s - self.min_rtt_s)
 
 
-@dataclass(frozen=True)
-class RobustAggregationConfig:
-    """Byzantine-resistant estimation knobs for :class:`ContextServer`.
+#: Smoothing for the queue-delay and loss estimates: the last three
+#: reports carry two thirds of the weight.
+EWMA_ALPHA = 0.3
 
-    With a robust config the server (a) rejects reports whose fields are
-    not even well-formed telemetry and (b) aggregates the remainder so no
-    single reporter moves an estimate much: queue delay and loss use a
-    trimmed mean over the window's reports instead of a last-writer-wins
-    EWMA, and each report's contribution to utilization is capped at a
-    multiple of the window's median contribution.
+# Robust (Byzantine-resistant) aggregation.  A robust server (a) rejects
+# reports whose fields are not even well-formed telemetry and (b)
+# aggregates the rest so no single reporter moves an estimate much: queue
+# delay and loss use a trimmed mean over the window's reports instead of
+# a last-writer-wins EWMA, and each report's contribution to utilization
+# is capped at a multiple of the window's median contribution.
 
-    Attributes
-    ----------
-    trim_fraction:
-        Fraction of reports discarded from *each* tail before averaging
-        queue delay and loss.  0.2 tolerates up to 20% colluding liars.
-    influence_bound:
-        Cap on one report's goodput contribution, as a multiple of the
-        median positive contribution in the window.  Bounds the damage
-        of a single "I transferred a petabyte" report.
-    min_reports_for_trim:
-        Below this many reports in the window, trimming would discard
-        most of the evidence; the server falls back to the EWMA path.
-    """
-
-    trim_fraction: float = 0.2
-    influence_bound: float = 4.0
-    min_reports_for_trim: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ValueError(
-                f"trim_fraction must be in [0, 0.5): {self.trim_fraction}"
-            )
-        if self.influence_bound < 1.0:
-            raise ValueError(
-                f"influence_bound must be >= 1: {self.influence_bound}"
-            )
-        if self.min_reports_for_trim < 1:
-            raise ValueError(
-                f"min_reports_for_trim must be >= 1: {self.min_reports_for_trim}"
-            )
+#: Fraction of reports discarded from *each* tail before averaging queue
+#: delay and loss: tolerates up to 20% colluding liars.
+TRIM_FRACTION = 0.2
+#: Cap on one report's goodput contribution, as a multiple of the median
+#: positive contribution in the window.  Bounds the damage of a single
+#: "I transferred a petabyte" report.
+INFLUENCE_BOUND = 4.0
+#: Below this many reports in the window, trimming would discard most of
+#: the evidence; the server falls back to the EWMA path.
+MIN_REPORTS_FOR_TRIM = 4
 
 
 def _trimmed_mean(values: Sequence[float], trim_fraction: float) -> float:
@@ -171,20 +150,17 @@ class ContextServer:
         estimated as recently-reported goodput over this capacity.
     window_s:
         Sliding estimation window.  Reports older than this age out.
-    ewma_alpha:
-        Smoothing for the queue-delay and loss estimates.
     lease_ttl_s:
         How long a lookup counts toward ``n`` without a matching report.
         A sender that crashes (or whose report is lost) would otherwise
         inflate the active-connection count forever; its lease expires
         after this long instead.  ``None`` disables expiry.
     robust:
-        Optional :class:`RobustAggregationConfig`.  When set, malformed
-        reports are rejected outright and the (u, q) estimates switch
-        from EWMA / raw sums to trimmed means and influence-capped sums
-        so a minority of Byzantine reporters cannot steer them.  The
-        default (``None``) preserves the original trusting estimators
-        bit-for-bit.
+        Robust aggregation.  When set, malformed reports are rejected
+        outright and the (u, q) estimates switch from EWMA / raw sums to
+        trimmed means and influence-capped sums so a minority of
+        Byzantine reporters cannot steer them.  The default preserves
+        the original trusting estimators bit-for-bit.
     """
 
     def __init__(
@@ -193,24 +169,21 @@ class ContextServer:
         bottleneck_capacity_bps: float,
         *,
         window_s: float = 10.0,
-        ewma_alpha: float = 0.3,
         lease_ttl_s: Optional[float] = 300.0,
-        robust: Optional[RobustAggregationConfig] = None,
+        robust: bool = False,
     ) -> None:
-        if bottleneck_capacity_bps <= 0:
+        # Every check is one a NaN fails: a NaN window never ages a report out.
+        if not bottleneck_capacity_bps > 0:
             raise ValueError(
                 f"capacity must be positive: {bottleneck_capacity_bps}"
             )
-        if window_s <= 0:
+        if not window_s > 0:
             raise ValueError(f"window_s must be positive: {window_s}")
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError(f"ewma_alpha must be in (0, 1]: {ewma_alpha}")
         if lease_ttl_s is not None and not lease_ttl_s > 0:  # NaN never expires
             raise ValueError(f"lease_ttl_s must be positive: {lease_ttl_s}")
         self.sim = sim
         self.capacity_bps = bottleneck_capacity_bps
         self.window_s = window_s
-        self.ewma_alpha = ewma_alpha
         self.lease_ttl_s = lease_ttl_s
         self.robust = robust
 
@@ -258,13 +231,13 @@ class ContextServer:
     def report(self, report: ConnectionReport) -> None:
         """Connection-end report: fold the connection's experience in.
 
-        With a robust config, a malformed report is dropped whole before
+        On a robust server, a malformed report is dropped whole before
         it touches any estimator state — including its lease release, so
         a garbage-spewing reporter ages out via the lease TTL like a
         crashed sender rather than silently shrinking ``n``.
         """
         self.reports_received += 1
-        if self.robust is not None:
+        if self.robust:
             reason = report_invalid_reason(report)
             if reason is not None:
                 self.reports_rejected += 1
@@ -310,9 +283,12 @@ class ContextServer:
             self._loss_ewma = report.loss_indicator
             self._have_estimate = True
         else:
-            alpha = self.ewma_alpha
-            self._queue_delay_ewma = (1 - alpha) * self._queue_delay_ewma + alpha * queue_delay_s
-            self._loss_ewma = (1 - alpha) * self._loss_ewma + alpha * report.loss_indicator
+            self._queue_delay_ewma = (
+                (1 - EWMA_ALPHA) * self._queue_delay_ewma + EWMA_ALPHA * queue_delay_s
+            )
+            self._loss_ewma = (
+                (1 - EWMA_ALPHA) * self._loss_ewma + EWMA_ALPHA * report.loss_indicator
+            )
 
     # ------------------------------------------------------------------
     # Replication hooks (anti-entropy; see repro.phi.replication)
@@ -330,7 +306,7 @@ class ContextServer:
         still applies; a report that has already aged out of the window
         teaches nothing and is skipped.
         """
-        if self.robust is not None:
+        if self.robust:
             # A peer should never replicate garbage (it validates on
             # receipt), but a robust server stays robust regardless.
             reports = [r for r in reports if report_invalid_reason(r) is None]
@@ -422,7 +398,7 @@ class ContextServer:
             index = position - popped
             self._bits[index] = self._bits_of(self._reports[index], window_start) or 0.0
         contributions: Iterable[float] = self._bits
-        if self.robust is not None:  # the cap is a median over overlapping reports only
+        if self.robust:  # the cap is a median over overlapping reports only
             every = (self._bits_of(report, window_start) for report in self._reports)
             contributions = self._bound_influence([b for b in every if b is not None])
         return min(1.0, sum(contributions) / (self.capacity_bps * window_len))
@@ -439,24 +415,22 @@ class ContextServer:
         """Cap per-report goodput contributions under robust aggregation.
 
         A Byzantine reporter claiming an absurd transfer is clipped to
-        ``influence_bound`` times the median honest contribution, so it
-        can nudge the utilization estimate but not saturate it alone.
+        :data:`INFLUENCE_BOUND` times the median honest contribution, so
+        it can nudge the utilization estimate but not saturate it alone.
         """
-        robust = self.robust
-        if robust is None or len(contributions) < robust.min_reports_for_trim:
+        if len(contributions) < MIN_REPORTS_FOR_TRIM:
             return contributions
         positive = [c for c in contributions if c > 0]
         if not positive:
             return contributions
-        cap = robust.influence_bound * _median(positive)
+        cap = INFLUENCE_BOUND * _median(positive)
         return [min(c, cap) for c in contributions]
 
     def _windowed_trim(self, field: str, fallback: float) -> float:
-        robust = self.robust
-        if robust is None or len(self._reports) < robust.min_reports_for_trim:
+        if not self.robust or len(self._reports) < MIN_REPORTS_FOR_TRIM:
             return fallback
         values = [getattr(report, field) for report in self._reports]
-        return _trimmed_mean(values, robust.trim_fraction)
+        return _trimmed_mean(values, TRIM_FRACTION)
 
     def estimated_queue_delay(self) -> float:
         """q: EWMA of reported RTT inflation.
@@ -495,7 +469,7 @@ class ContextServer:
         n = len(self._leases)
         utilization = self.estimated_utilization()  # advances the window for both
         queue_delay_s = self._queue_delay_ewma
-        if self.robust is not None:
+        if self.robust:
             queue_delay_s = self._windowed_trim("queue_delay_s", queue_delay_s)
         return CongestionContext(
             utilization=utilization,

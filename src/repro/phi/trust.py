@@ -24,9 +24,6 @@ population between tuned and default behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ..telemetry import session as _telemetry_session
 from ..transport.base import ConnectionStats
 from .context import QUEUE_DELAY_THRESHOLDS, CongestionLevel, _bucket
@@ -54,52 +51,22 @@ def observed_level_from_stats(stats: ConnectionStats) -> CongestionLevel:
     return observed_level(stats.mean_queueing_delay, stats.loss_indicator)
 
 
-@dataclass(frozen=True)
-class TrustConfig:
-    """Scoring and hysteresis knobs.
-
-    Attributes
-    ----------
-    ewma_alpha:
-        Weight of the newest prediction-vs-outcome comparison.
-    exact_credit / adjacent_credit:
-        Score contribution of an exact level match and an off-by-one
-        match.  Off-by-one is cheap to forgive: the practical server's
-        estimates are noisy even when honest.  Two or more levels of
-        error contribute zero.
-    distrust_below:
-        Entering threshold: trust at or below this (after warm-up)
-        flips the tracker to distrusted.
-    restore_above:
-        Leaving threshold: trust must climb back above this to restore.
-        The gap between the two thresholds is the hysteresis band.
-    min_samples:
-        Warm-up: no distrust verdict before this many outcomes, so a
-        single unlucky connection cannot de-coordinate the population.
-    """
-
-    ewma_alpha: float = 0.15
-    exact_credit: float = 1.0
-    adjacent_credit: float = 0.6
-    distrust_below: float = 0.4
-    restore_above: float = 0.7
-    min_samples: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1]: {self.ewma_alpha}")
-        if not 0.0 <= self.adjacent_credit <= self.exact_credit <= 1.0:
-            raise ValueError(
-                "credits must satisfy 0 <= adjacent <= exact <= 1: "
-                f"{self.adjacent_credit}, {self.exact_credit}"
-            )
-        if not 0.0 <= self.distrust_below < self.restore_above <= 1.0:
-            raise ValueError(
-                "thresholds must satisfy 0 <= distrust_below < restore_above <= 1: "
-                f"{self.distrust_below}, {self.restore_above}"
-            )
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1: {self.min_samples}")
+#: Weight of the newest prediction-vs-outcome comparison.
+TRUST_ALPHA = 0.15
+#: Score contribution of an exact level match and an off-by-one match.
+#: Off-by-one is cheap to forgive: the practical server's estimates are
+#: noisy even when honest.  Two or more levels of error contribute zero.
+EXACT_CREDIT = 1.0
+ADJACENT_CREDIT = 0.6
+#: Entering threshold: trust at or below this (after warm-up) flips the
+#: tracker to distrusted.
+DISTRUST_BELOW = 0.4
+#: Leaving threshold: trust must climb back above this to restore.  The
+#: gap between the two thresholds is the hysteresis band.
+RESTORE_ABOVE = 0.7
+#: Warm-up: no distrust verdict before this many outcomes, so a single
+#: unlucky connection cannot de-coordinate the population.
+MIN_SAMPLES = 8
 
 
 class TrustTracker:
@@ -111,8 +78,7 @@ class TrustTracker:
     consults before acting on a context.
     """
 
-    def __init__(self, config: Optional[TrustConfig] = None) -> None:
-        self.config = config or TrustConfig()
+    def __init__(self) -> None:
         self.score = 1.0
         self.samples = 0
         self.mispredictions = 0
@@ -129,24 +95,23 @@ class TrustTracker:
         self, predicted: CongestionLevel, observed: CongestionLevel
     ) -> float:
         """Fold one prediction-vs-outcome comparison in; returns the score."""
-        cfg = self.config
         error = abs(predicted.rank - observed.rank)
         if error == 0:
-            credit = cfg.exact_credit
+            credit = EXACT_CREDIT
         elif error == 1:
-            credit = cfg.adjacent_credit
+            credit = ADJACENT_CREDIT
         else:
             credit = 0.0
             self.mispredictions += 1
-        self.score = (1.0 - cfg.ewma_alpha) * self.score + cfg.ewma_alpha * credit
+        self.score = (1.0 - TRUST_ALPHA) * self.score + TRUST_ALPHA * credit
         self.samples += 1
 
         if self._distrusted:
-            if self.score > cfg.restore_above:
+            if self.score > RESTORE_ABOVE:
                 self._distrusted = False
                 self.restorations += 1
                 self._transition("trusted")
-        elif self.samples >= cfg.min_samples and self.score <= cfg.distrust_below:
+        elif self.samples >= MIN_SAMPLES and self.score <= DISTRUST_BELOW:
             self._distrusted = True
             self.distrust_entries += 1
             self._transition("distrusted")

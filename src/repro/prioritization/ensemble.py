@@ -13,6 +13,7 @@ the cross-host generalization of TCP Session / Congestion Manager.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -25,8 +26,8 @@ class FlowClass:
     importance: float
 
     def __post_init__(self) -> None:
-        if self.importance <= 0:
-            raise ValueError(f"importance must be positive: {self.importance}")
+        if not (self.importance > 0 and math.isfinite(self.importance)):
+            raise ValueError(f"importance must be positive and finite: {self.importance}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,6 @@ class EnsembleAllocator:
         self._classes: Dict[str, FlowClass] = {c.name: c for c in classes}
         self.min_weight = min_weight
         self.max_weight = max_weight
-
-    def class_names(self) -> List[str]:
-        """Registered class names."""
-        return list(self._classes)
 
     def allocate(self, flows: Mapping[int, str]) -> List[WeightAssignment]:
         """Weights for ``{flow_id: class_name}``, normalized to sum to n.

@@ -10,6 +10,7 @@ ensuring that the ensemble of flows remains TCP-friendly".
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from ..simnet.engine import Simulator
@@ -36,8 +37,8 @@ class WeightedRenoSender(TcpSender):
         initial_ssthresh: float = 65536.0,
         mss: int = MSS_BYTES,
     ) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be positive: {weight}")
+        if not (weight > 0 and math.isfinite(weight)):  # NaN too
+            raise ValueError(f"weight must be positive and finite: {weight}")
         super().__init__(
             sim,
             host,

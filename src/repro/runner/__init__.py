@@ -27,7 +27,6 @@ from .resilience import (
     PointFailure,
     QuarantinedPoint,
     ResilienceConfig,
-    RetryPolicy,
     SweepSupervisor,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "ProgressReporter",
     "QuarantinedPoint",
     "ResilienceConfig",
-    "RetryPolicy",
     "SweepJournal",
     "SweepOutcome",
     "SweepPoint",

@@ -43,46 +43,28 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..phi.channel import check_backoff, exponential_backoff_s
+from ..phi.channel import exponential_backoff_s
 from ..simnet.engine import SimulationStalled
 from ..telemetry import session as _telemetry_session
 from .records import PointResult
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Budgeted exponential backoff for failed points.
-
-    Retry ``k`` (0-based) waits
-    ``min(backoff_base_s * backoff_multiplier**k, backoff_max_s)``
-    (:func:`repro.phi.channel.exponential_backoff_s`), and a point whose
-    cumulative backoff would exceed ``backoff_budget_s`` is quarantined
-    instead of retried — the sweep's analogue of the channel's hard
-    deadline.
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_max_s: float = 2.0
-    backoff_budget_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        check_backoff(
-            "backoff", self.backoff_base_s, self.backoff_multiplier, self.backoff_max_s
-        )
-        if self.backoff_budget_s < 0:
-            raise ValueError(
-                f"backoff budget must be >= 0: {self.backoff_budget_s}"
-            )
-
-    def backoff_s(self, retry_index: int) -> float:
-        """Backoff before retry number ``retry_index`` (0-based)."""
-        return exponential_backoff_s(
-            self.backoff_base_s, self.backoff_multiplier, self.backoff_max_s, retry_index
-        )
+#: Retry ``k`` (0-based) of a failed point waits ``min(base *
+#: multiplier**k, max)`` (:func:`repro.phi.channel.exponential_backoff_s`):
+#: long enough for a respawned worker, short next to a point's run.
+RETRY_BACKOFF_BASE_S = 0.05
+RETRY_BACKOFF_MULTIPLIER = 2.0
+RETRY_BACKOFF_MAX_S = 2.0
+#: A point whose cumulative backoff would exceed this is quarantined
+#: instead of retried — the sweep's analogue of the channel's hard
+#: deadline.
+RETRY_BACKOFF_BUDGET_S = 30.0
+#: Consecutive pool breakages *without an intervening success* tolerated
+#: before degrading to in-process serial execution.
+POOL_BREAKS_BEFORE_FALLBACK = 3
+#: The supervisor's tick: how often it wakes to stamp newly running
+#: futures, check timeouts, and resubmit backed-off points.
+POLL_INTERVAL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -91,36 +73,23 @@ class ResilienceConfig:
 
     Attributes
     ----------
-    retry:
-        Per-point retry/backoff policy.
+    max_attempts:
+        Attempts a point gets before it is quarantined (``--retries``).
     point_timeout_s:
         Wall budget per running point (None disables the timeout).
-    pool_breaks_before_fallback:
-        Consecutive pool breakages *without an intervening success*
-        tolerated before degrading to in-process serial execution.
-    poll_interval_s:
-        The supervisor's tick: how often it wakes to stamp newly running
-        futures, check timeouts, and resubmit backed-off points.
     """
 
-    retry: RetryPolicy = RetryPolicy()
+    max_attempts: int = 3
     point_timeout_s: Optional[float] = None
-    pool_breaks_before_fallback: int = 3
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.point_timeout_s is not None and self.point_timeout_s <= 0:
+        # A NaN attempt count would never run out, and a NaN timeout
+        # would never fire.
+        if not (isinstance(self.max_attempts, int) and self.max_attempts >= 1):
+            raise ValueError(f"max_attempts must be an integer >= 1: {self.max_attempts}")
+        if self.point_timeout_s is not None and not self.point_timeout_s > 0:
             raise ValueError(
                 f"point_timeout_s must be positive: {self.point_timeout_s}"
-            )
-        if self.pool_breaks_before_fallback < 1:
-            raise ValueError(
-                "pool_breaks_before_fallback must be >= 1: "
-                f"{self.pool_breaks_before_fallback}"
-            )
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be positive: {self.poll_interval_s}"
             )
 
 
@@ -275,7 +244,6 @@ class SweepSupervisor:
         on_event: Optional[OnEvent],
     ) -> None:
         """Charge one failed attempt; requeue with backoff or quarantine."""
-        retry = self.config.retry
         slot.attempts += 1
         failure = PointFailure(kind, message, slot.attempts)
         slot.failures.append(failure)
@@ -284,9 +252,12 @@ class SweepSupervisor:
         tele = _telemetry_session()
         if tele.enabled:
             tele.registry.counter("runner.point_failures", kind=kind).inc()
-        backoff = retry.backoff_s(slot.attempts - 1)
-        exhausted = slot.attempts >= retry.max_attempts
-        over_budget = slot.backoff_spent + backoff > retry.backoff_budget_s
+        backoff = exponential_backoff_s(
+            RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MULTIPLIER, RETRY_BACKOFF_MAX_S,
+            slot.attempts - 1,
+        )
+        exhausted = slot.attempts >= self.config.max_attempts
+        over_budget = slot.backoff_spent + backoff > RETRY_BACKOFF_BUDGET_S
         if exhausted or over_budget:
             report.quarantined.append(
                 QuarantinedPoint(
@@ -421,14 +392,14 @@ class SweepSupervisor:
                     # Everything pending is backing off; sleep to the
                     # earliest eligibility instead of busy-waiting.
                     wake = min(slot.eligible_at for slot in queue)
-                    time.sleep(max(0.0, min(wake - now, cfg.poll_interval_s)))
+                    time.sleep(max(0.0, min(wake - now, POLL_INTERVAL_S)))
                     continue
 
                 done: set = set()
                 if inflight:
                     done, _ = wait(
                         set(inflight),
-                        timeout=cfg.poll_interval_s,
+                        timeout=POLL_INTERVAL_S,
                         return_when=FIRST_COMPLETED,
                     )
                 now = time.monotonic()
@@ -466,7 +437,7 @@ class SweepSupervisor:
                     self.report.pool_rebuilds += 1
                     consecutive_breaks += 1
                     if (
-                        consecutive_breaks >= cfg.pool_breaks_before_fallback
+                        consecutive_breaks >= POOL_BREAKS_BEFORE_FALLBACK
                         and queue
                     ):
                         self.report.serial_fallback = True
@@ -552,6 +523,5 @@ __all__ = [
     "PointFailure",
     "QuarantinedPoint",
     "ResilienceConfig",
-    "RetryPolicy",
     "SweepSupervisor",
 ]

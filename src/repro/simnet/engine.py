@@ -88,6 +88,11 @@ class SimulationStalled(SimulationError):
         )
 
 
+#: Events between the watchdog's wall-clock reads; the event budget is
+#: checked on every event.  Keeps the per-event cost to integer compares.
+WALL_CHECK_INTERVAL = 1024
+
+
 @dataclass(frozen=True)
 class WatchdogConfig:
     """Limits for one simulation, enforced by :class:`SimWatchdog`.
@@ -98,23 +103,18 @@ class WatchdogConfig:
         Cumulative event budget for the simulation (``None`` = unlimited).
     max_wall_s:
         Wall-clock budget, measured from the first ``run()`` after the
-        watchdog is installed (``None`` = unlimited).
-    check_interval:
-        Events between wall-clock reads; the event budget is checked on
-        every event.  Keeps the per-event cost to integer compares.
+        watchdog is installed (``None`` = unlimited), read every
+        :data:`WALL_CHECK_INTERVAL` events.
     """
 
     max_events: Optional[int] = None
     max_wall_s: Optional[float] = None
-    check_interval: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_events is not None and self.max_events < 1:
             raise ValueError(f"max_events must be >= 1: {self.max_events}")
-        if self.max_wall_s is not None and self.max_wall_s <= 0:
+        if self.max_wall_s is not None and not self.max_wall_s > 0:  # NaN never trips
             raise ValueError(f"max_wall_s must be positive: {self.max_wall_s}")
-        if self.check_interval < 1:
-            raise ValueError(f"check_interval must be >= 1: {self.check_interval}")
 
 
 class SimWatchdog:
@@ -132,7 +132,7 @@ class SimWatchdog:
     def __init__(self, config: Optional[WatchdogConfig] = None) -> None:
         self.config = config or WatchdogConfig()
         self._wall_started: Optional[float] = None
-        self._wall_countdown = self.config.check_interval
+        self._wall_countdown = WALL_CHECK_INTERVAL
 
     def arm(self) -> None:
         """Start the wall clock (idempotent; first ``run()`` calls this)."""
@@ -161,7 +161,7 @@ class SimWatchdog:
         if cfg.max_wall_s is not None:
             self._wall_countdown -= 1
             if self._wall_countdown <= 0:
-                self._wall_countdown = cfg.check_interval
+                self._wall_countdown = WALL_CHECK_INTERVAL
                 elapsed = self.wall_elapsed_s
                 if elapsed > cfg.max_wall_s:
                     self._record_trip("max_wall_s", sim)

@@ -100,10 +100,6 @@ class Link:
         """Set the node that receives packets at the far end."""
         self.dst_node = dst_node
 
-    def serialization_delay(self, packet: Packet) -> float:
-        """Time to clock ``packet`` onto the wire at this link's bandwidth."""
-        return packet.size_bytes * self._seconds_per_byte
-
     def send(self, packet: Packet) -> None:
         """Offer ``packet`` to the link.
 

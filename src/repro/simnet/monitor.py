@@ -130,10 +130,6 @@ class LinkMonitor:
         """Mean utilization across all samples taken at or after ``since``."""
         return _mean([s.utilization for s in self.samples if s.time >= since])
 
-    def utilization_series(self) -> List[LinkSample]:
-        """The full retained sample history, oldest first."""
-        return list(self.samples)
-
 
 class ActiveFlowTracker:
     """Counts concurrently active flows — the paper's ``n`` dimension.

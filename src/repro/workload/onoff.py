@@ -13,6 +13,7 @@ NewReno, Remy, or Phi-wrapped variants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol
 
@@ -54,10 +55,16 @@ class OnOffConfig:
     start_jitter_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.mean_on_bytes <= 0:
-            raise ValueError(f"mean_on_bytes must be positive: {self.mean_on_bytes}")
-        if self.mean_off_s < 0:
-            raise ValueError(f"mean_off_s must be >= 0: {self.mean_off_s}")
+        # Every check is one a NaN fails: a NaN mean or jitter would be
+        # drawn from (or clamped away) silently.
+        if not (self.mean_on_bytes > 0 and math.isfinite(self.mean_on_bytes)):
+            raise ValueError(f"mean_on_bytes must be positive and finite: {self.mean_on_bytes}")
+        if not (self.mean_off_s >= 0 and math.isfinite(self.mean_off_s)):
+            raise ValueError(f"mean_off_s must be >= 0 and finite: {self.mean_off_s}")
+        if not self.min_flow_bytes >= 1:
+            raise ValueError(f"min_flow_bytes must be >= 1: {self.min_flow_bytes}")
+        if not (self.start_jitter_s >= 0 and math.isfinite(self.start_jitter_s)):
+            raise ValueError(f"start_jitter_s must be >= 0 and finite: {self.start_jitter_s}")
 
 
 class OnOffSource:

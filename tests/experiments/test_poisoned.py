@@ -12,7 +12,6 @@ from repro.experiments.faultsweep import (
 )
 from repro.experiments.poisoned import POISON, run_poisoned_phi_cubic
 from repro.experiments.scenarios import TABLE3_REMY, run_cubic_fixed
-from repro.phi.channel import ChannelConfig
 from repro.phi.policy import REFERENCE_POLICY
 from repro.telemetry.manifest import fault_sweep_manifest, validate_manifest
 from repro.transport.cubic import CubicParams
@@ -66,18 +65,6 @@ class TestGuardedRun:
         assert run.reports_poisoned > 0
         # Robust aggregation drops the structurally invalid flavours.
         assert run.reports_rejected > 0
-
-
-class TestLossyChannel:
-    def test_lossy_channel_runs_on_the_seeded_stream(self):
-        # The degraded runner accepts the same config: every fault
-        # experiment's channel draws loss from the run's own stream.
-        lossy = ChannelConfig(loss_probability=0.1)
-        first = poisoned(severity=0.0, channel_config=lossy)
-        again = poisoned(severity=0.0, channel_config=lossy)
-        assert first.metrics == again.metrics
-        assert first.decision_counts == again.decision_counts
-        assert first.result.connections > 0
 
 
 class TestUnguardedRun:

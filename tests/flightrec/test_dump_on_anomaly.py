@@ -18,7 +18,7 @@ from repro.flightrec.postmortem import analyze_dump, fault_windows
 from repro.flightrec.recorder import load_dump
 from repro.runner.cache import NullCache
 from repro.runner.core import SweepPoint, SweepRunner, SweepSpec, evaluate_point
-from repro.runner.resilience import ResilienceConfig, RetryPolicy
+from repro.runner.resilience import ResilienceConfig
 from repro.simcheck.violations import InvariantViolation, record_violation
 from repro.simnet.engine import (
     SimulationStalled,
@@ -53,10 +53,7 @@ def _make_runner(tmp_path, *, n_workers, max_events):
         checkpoint_dir=str(tmp_path),
         watchdog=WatchdogConfig(max_events=max_events),
         fault=OUTAGE,
-        resilience=ResilienceConfig(
-            retry=RetryPolicy(max_attempts=1, backoff_base_s=0.01),
-            poll_interval_s=0.02,
-        ),
+        resilience=ResilienceConfig(max_attempts=1),
     )
 
 

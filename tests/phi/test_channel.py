@@ -5,12 +5,21 @@ import pytest
 from repro import flightrec, telemetry
 from repro.flightrec import iter_layer
 from repro.phi.channel import (
+    BREAKER_FAILURE_THRESHOLD,
+    RPC_BACKOFF_BASE_S,
+    RPC_BACKOFF_MAX_S,
+    RPC_BACKOFF_MULTIPLIER,
+    RPC_DEADLINE_S,
+    RPC_LATENCY_S,
+    RPC_MAX_RETRIES,
+    RPC_TIMEOUT_S,
     BreakerState,
     ChannelConfig,
     CircuitBreaker,
     ControlChannel,
     RpcResult,
     RpcStatus,
+    exponential_backoff_s,
 )
 from repro.phi.context import CongestionContext
 from repro.phi.failover import FailoverChannel, FailoverConfig
@@ -34,17 +43,32 @@ class FakeBackend:
         self.reports.append(report)
 
 
-class SeqRng:
-    """Deterministic rng stub: random() pops from a list, uniform() is 0."""
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-
-    def random(self):
-        return self.draws.pop(0) if self.draws else 1.0
+class LowRng:
+    """Deterministic rng stub: every jitter draw is the low end."""
 
     def uniform(self, low, high):
         return low
+
+
+class TopRng:
+    """Deterministic rng stub: every jitter draw is the high end."""
+
+    def uniform(self, low, high):
+        return high
+
+
+def backoff(k):
+    """The channel's unjittered wait before retry ``k`` (0-based)."""
+    return exponential_backoff_s(
+        RPC_BACKOFF_BASE_S, RPC_BACKOFF_MULTIPLIER, RPC_BACKOFF_MAX_S, k
+    )
+
+
+#: A call to a down server: every attempt burns a timeout, with the
+#: plain backoff schedule between them.
+DOWN_CALL_S = (RPC_MAX_RETRIES + 1) * RPC_TIMEOUT_S + sum(
+    backoff(k) for k in range(RPC_MAX_RETRIES)
+)
 
 
 def make_report():
@@ -64,33 +88,16 @@ def make_report():
 class TestConfigValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
-            ChannelConfig(latency_s=-1)
+            ChannelConfig(backoff_jitter=-1)
         with pytest.raises(ValueError):
-            ChannelConfig(loss_probability=1.0)
-        with pytest.raises(ValueError):
-            ChannelConfig(timeout_s=0)
-        with pytest.raises(ValueError):
-            ChannelConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ChannelConfig(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            ChannelConfig(deadline_s=0)
-
-    def test_rng_required_for_loss(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            ControlChannel(
-                sim, FakeBackend(), config=ChannelConfig(loss_probability=0.1)
-            )
+            ChannelConfig(backoff_jitter=float("nan"))
 
     def test_backoff_schedule(self):
-        cfg = ChannelConfig(
-            backoff_base_s=0.1, backoff_multiplier=2.0, backoff_max_s=0.3
-        )
-        assert cfg.backoff_s(0) == pytest.approx(0.1)
-        assert cfg.backoff_s(1) == pytest.approx(0.2)
-        assert cfg.backoff_s(2) == pytest.approx(0.3)  # capped
-        assert cfg.backoff_s(5) == pytest.approx(0.3)
+        assert backoff(0) == pytest.approx(0.05)
+        assert backoff(1) == pytest.approx(0.1)
+        assert backoff(2) == pytest.approx(0.2)
+        assert backoff(5) == pytest.approx(1.0)  # capped
+        assert backoff(9) == pytest.approx(1.0)
 
 
 class TestHealthyChannel:
@@ -108,12 +115,10 @@ class TestHealthyChannel:
 
     def test_result_accounting(self):
         sim = Simulator()
-        channel = ControlChannel(
-            sim, FakeBackend(), config=ChannelConfig(latency_s=0.004)
-        )
+        channel = ControlChannel(sim, FakeBackend())
         result = channel.call_lookup()
         assert result.ok and result.attempts == 1
-        assert result.elapsed_s == pytest.approx(0.004)
+        assert result.elapsed_s == RPC_LATENCY_S
 
     def test_works_against_real_server(self):
         sim = Simulator()
@@ -124,64 +129,40 @@ class TestHealthyChannel:
 
 
 class TestRetries:
-    def test_transient_loss_retried_to_success(self):
-        sim = Simulator()
-        backend = FakeBackend()
-        cfg = ChannelConfig(loss_probability=0.4, max_retries=3)
-        # First two draws lose the message, third passes (0.9 >= 0.4).
-        channel = ControlChannel(sim, backend, config=cfg, rng=SeqRng([0.1, 0.2, 0.9]))
-        result = channel.call_lookup()
-        assert result.ok
-        assert result.attempts == 3
-        assert backend.lookups == 1
-        assert channel.stats.retries == 2
-        # Two timeouts plus two backoffs plus the final latency.
-        expected = 2 * cfg.timeout_s + cfg.backoff_s(0) + cfg.backoff_s(1) + cfg.latency_s
-        assert result.elapsed_s == pytest.approx(expected)
-
     def test_exhausted_retries_fail(self):
         sim = Simulator()
-        cfg = ChannelConfig(loss_probability=0.5, max_retries=2, deadline_s=10.0)
-        channel = ControlChannel(
-            sim, FakeBackend(), config=cfg, rng=SeqRng([0.0, 0.0, 0.0])
-        )
+        channel = ControlChannel(sim, FakeBackend())
+        channel.mark_down()
         result = channel.call_lookup()
         assert not result.ok
-        assert result.status is RpcStatus.TIMEOUT
-        assert result.attempts == 3  # initial + 2 retries
+        assert result.status is RpcStatus.SERVER_DOWN
+        assert result.attempts == RPC_MAX_RETRIES + 1  # initial + retries
+        assert channel.stats.retries == RPC_MAX_RETRIES
 
     def test_deadline_bounds_total_elapsed(self):
+        # Full-swing jitter of 3 quadruples each backoff: the third retry
+        # would overrun the deadline, so it is never launched.
         sim = Simulator()
-        cfg = ChannelConfig(
-            loss_probability=0.99,
-            max_retries=50,
-            timeout_s=0.25,
-            backoff_base_s=0.05,
-            deadline_s=1.0,
+        channel = ControlChannel(
+            sim, FakeBackend(), config=ChannelConfig(backoff_jitter=3.0), rng=TopRng()
         )
-        channel = ControlChannel(sim, FakeBackend(), config=cfg, rng=SeqRng([0.0] * 60))
+        channel.mark_down()
         result = channel.call_lookup()
         assert not result.ok
         assert result.status is RpcStatus.DEADLINE_EXCEEDED
+        assert result.attempts == 3
+        assert result.elapsed_s == pytest.approx(3 * RPC_TIMEOUT_S + 4 * (backoff(0) + backoff(1)))
         # Retries stop while a worst-case follow-up still fits the budget.
-        assert result.elapsed_s <= cfg.deadline_s
-        assert result.attempts < 51
-
-    def test_latency_above_timeout_is_a_timeout(self):
-        sim = Simulator()
-        cfg = ChannelConfig(latency_s=0.5, timeout_s=0.25, max_retries=0)
-        channel = ControlChannel(sim, FakeBackend(), config=cfg)
-        result = channel.call_lookup()
-        assert result.status is RpcStatus.TIMEOUT
+        assert result.elapsed_s <= RPC_DEADLINE_S
 
     def test_failed_call_returns_its_status(self):
         sim = Simulator()
-        cfg = ChannelConfig(max_retries=0)
         backend = FakeBackend()
-        channel = ControlChannel(sim, backend, config=cfg)
+        channel = ControlChannel(sim, backend)
         channel.mark_down()
         result = channel.call_lookup()
-        assert result == RpcResult(RpcStatus.SERVER_DOWN, 1, cfg.timeout_s)
+        assert (result.status, result.attempts) == (RpcStatus.SERVER_DOWN, RPC_MAX_RETRIES + 1)
+        assert result.elapsed_s == pytest.approx(DOWN_CALL_S)
         assert backend.lookups == 0
 
 
@@ -254,8 +235,7 @@ class TestOutages:
     def test_scheduled_outage_window(self):
         sim = Simulator()
         backend = FakeBackend()
-        cfg = ChannelConfig(max_retries=0)
-        channel = ControlChannel(sim, backend, config=cfg)
+        channel = ControlChannel(sim, backend)
         Outage(sim, 1.0, 2.0, targets=[channel])
         outcomes = {}
         sim.schedule_at(0.5, lambda: outcomes.update(before=channel.call_lookup().ok))
@@ -266,7 +246,7 @@ class TestOutages:
 
     def test_outage_starting_now_takes_effect_immediately(self):
         sim = Simulator()
-        channel = ControlChannel(sim, FakeBackend(), config=ChannelConfig(max_retries=0))
+        channel = ControlChannel(sim, FakeBackend())
         Outage(sim, 0.0, 1.0, targets=[channel])
         assert not channel.server_up
         sim.run(until=1.5)
@@ -274,7 +254,7 @@ class TestOutages:
 
     def test_server_outage_fault_drives_channel(self):
         sim = Simulator()
-        channel = ControlChannel(sim, FakeBackend(), config=ChannelConfig(max_retries=0))
+        channel = ControlChannel(sim, FakeBackend())
         Outage(sim, 1.0, 1.0, targets=[channel])
         sim.run(until=1.5)
         assert not channel.server_up
@@ -285,27 +265,29 @@ class TestOutages:
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures(self):
         sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now, failure_threshold=3)
-        for _ in range(3):
+        breaker = CircuitBreaker(lambda: sim.now)
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
             breaker.record_failure()
+        assert breaker.state is BreakerState.CLOSED
+        breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow()
         assert breaker.trips == 1
 
     def test_success_resets_count(self):
         sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now, failure_threshold=2)
-        breaker.record_failure()
+        breaker = CircuitBreaker(lambda: sim.now)
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
 
     def test_half_open_probe_then_close(self):
         sim = Simulator()
-        breaker = CircuitBreaker(
-            lambda: sim.now, failure_threshold=1, reset_timeout_s=5.0
-        )
-        breaker.record_failure()
+        breaker = CircuitBreaker(lambda: sim.now, reset_timeout_s=5.0)
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            breaker.record_failure()
         assert not breaker.allow()
         sim.schedule(6.0, lambda: None)
         sim.run()
@@ -316,10 +298,8 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         sim = Simulator()
-        breaker = CircuitBreaker(
-            lambda: sim.now, failure_threshold=3, reset_timeout_s=5.0
-        )
-        for _ in range(3):
+        breaker = CircuitBreaker(lambda: sim.now, reset_timeout_s=5.0)
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure()
         sim.schedule(6.0, lambda: None)
         sim.run()
@@ -331,42 +311,34 @@ class TestCircuitBreaker:
     def test_open_breaker_fails_fast_without_attempts(self):
         sim = Simulator()
         backend = FakeBackend()
-        cfg = ChannelConfig(max_retries=0)
-        channel = ControlChannel(
-            sim,
-            backend,
-            config=cfg,
-            breaker=CircuitBreaker(lambda: sim.now, failure_threshold=2),
-        )
+        channel = ControlChannel(sim, backend)
         channel.mark_down()
-        assert not channel.call_lookup().ok
-        assert not channel.call_lookup().ok
+        # One failed call is RPC_MAX_RETRIES + 1 failed attempts; the
+        # second trips the breaker partway through its retries.
+        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
+        assert channel.call_lookup().status is RpcStatus.CIRCUIT_OPEN
+        assert channel.breaker.trips == 1
         result = channel.call_lookup()  # breaker now open
         assert result.status is RpcStatus.CIRCUIT_OPEN
         assert result.attempts == 0
         assert result.elapsed_s == 0.0
-        assert channel.stats.fast_failures == 1
+        assert channel.stats.fast_failures == 2
         assert backend.lookups == 0
 
     def test_breaker_recovers_with_server(self):
         sim = Simulator()
         backend = FakeBackend()
         channel = ControlChannel(
-            sim,
-            backend,
-            config=ChannelConfig(max_retries=0),
-            breaker=CircuitBreaker(
-                lambda: sim.now, failure_threshold=1, reset_timeout_s=2.0
-            ),
+            sim, backend, breaker=CircuitBreaker(lambda: sim.now, reset_timeout_s=2.0)
         )
         Outage(sim, 0.0, 1.0, targets=[channel])
         outcomes = []
-        sim.schedule_at(0.5, lambda: outcomes.append(channel.call_lookup().status))
-        sim.schedule_at(1.5, lambda: outcomes.append(channel.call_lookup().status))
-        sim.schedule_at(3.0, lambda: outcomes.append(channel.call_lookup().status))
+        for at in (0.4, 0.5, 1.5, 3.0):
+            sim.schedule_at(at, lambda: outcomes.append(channel.call_lookup().status))
         sim.run()
         assert outcomes == [
-            RpcStatus.SERVER_DOWN,   # trips the breaker
+            RpcStatus.SERVER_DOWN,   # every attempt fails
+            RpcStatus.CIRCUIT_OPEN,  # the fifth failed attempt trips the breaker
             RpcStatus.CIRCUIT_OPEN,  # server is back but breaker still open
             RpcStatus.OK,            # half-open probe succeeds
         ]
@@ -386,24 +358,16 @@ class TestBackoffJitter:
             )
 
     def test_jitter_scales_retry_backoff(self):
-        class TopRng(SeqRng):
-            def uniform(self, low, high):
-                return high
-
         sim = Simulator()
-        cfg = ChannelConfig(
-            loss_probability=0.4, max_retries=3, backoff_jitter=0.5
-        )
-        # Two losses, then success — two jittered backoffs at full swing.
+        # Every attempt fails — every backoff jittered at full swing.
         channel = ControlChannel(
-            sim, FakeBackend(), config=cfg, rng=TopRng([0.1, 0.2, 0.9])
+            sim, FakeBackend(), config=ChannelConfig(backoff_jitter=0.5), rng=TopRng()
         )
+        channel.mark_down()
         result = channel.call_lookup()
-        assert result.ok and result.attempts == 3
-        expected = (
-            2 * cfg.timeout_s
-            + 1.5 * (cfg.backoff_s(0) + cfg.backoff_s(1))
-            + cfg.latency_s
+        assert result.attempts == RPC_MAX_RETRIES + 1
+        expected = (RPC_MAX_RETRIES + 1) * RPC_TIMEOUT_S + 1.5 * sum(
+            backoff(k) for k in range(RPC_MAX_RETRIES)
         )
         assert result.elapsed_s == pytest.approx(expected)
 
@@ -411,12 +375,9 @@ class TestBackoffJitter:
         """uniform() returning the low end reproduces the plain schedule —
         the jittered channel nests the deterministic one."""
         sim = Simulator()
-        cfg = ChannelConfig(
-            loss_probability=0.4, max_retries=3, backoff_jitter=0.5
-        )
         channel = ControlChannel(
-            sim, FakeBackend(), config=cfg, rng=SeqRng([0.1, 0.9])
+            sim, FakeBackend(), config=ChannelConfig(backoff_jitter=0.5), rng=LowRng()
         )
+        channel.mark_down()
         result = channel.call_lookup()
-        expected = cfg.timeout_s + cfg.backoff_s(0) + cfg.latency_s
-        assert result.elapsed_s == pytest.approx(expected)
+        assert result.elapsed_s == pytest.approx(DOWN_CALL_S)

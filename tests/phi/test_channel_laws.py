@@ -6,8 +6,8 @@ that must agree: the caller's count of calls made, ``ChannelStats``, the
 Its breaker moves only along CLOSED → OPEN → HALF_OPEN → {CLOSED, OPEN},
 and every edge into OPEN is a counted trip.  Hypothesis draws programs of
 lookups and reports over nested outages (``mark_down`` / ``mark_up`` and
-scheduled windows), message loss, latency jitter beyond the timeout,
-backoff jitter and a backend that refuses; the laws are checked after
+scheduled windows), backoff jitter (wide enough to reach the deadline)
+and a backend that refuses; the laws are checked after
 every operation, with metrics and the recorder on.
 """
 
@@ -66,14 +66,8 @@ OPS = ("lookup",) * 4 + ("report",) * 3 + (
     "down", "up", "outage", "refuse", "serve", "serve", "wait", "wait"
 )
 
-CONFIGS = st.builds(
-    ChannelConfig,
-    loss_probability=st.sampled_from([0.0, 0.2, 0.6]),
-    jitter_s=st.sampled_from([0.0, 0.3]),  # 0.3 can push an attempt past the timeout
-    max_retries=st.integers(0, 3),
-    backoff_jitter=st.sampled_from([0.0, 0.5]),
-    deadline_s=st.sampled_from([0.6, 2.0]),
-)
+#: Backoff jitter of 5 can stretch a down call's retries past the deadline.
+CONFIGS = st.builds(ChannelConfig, backoff_jitter=st.sampled_from([0.0, 0.5, 5.0]))
 
 
 def _check_laws(channel, calls_made, tele, rec):
@@ -93,7 +87,7 @@ def _check_laws(channel, calls_made, tele, rec):
     return edges
 
 
-def _run_program(config, threshold, reset_s, seed, n_ops):
+def _run_program(config, reset_s, seed, n_ops):
     """Run one seeded program, checking the laws after every operation;
     return the statuses and breaker edges it reached."""
     rng = random.Random(seed)
@@ -105,9 +99,7 @@ def _run_program(config, threshold, reset_s, seed, n_ops):
             backend,
             config=config,
             rng=random.Random(seed + 1),
-            breaker=CircuitBreaker(
-                lambda: sim.now, failure_threshold=threshold, reset_timeout_s=reset_s
-            ),
+            breaker=CircuitBreaker(lambda: sim.now, reset_timeout_s=reset_s),
         )
         calls_made = 0
         edges = []
@@ -141,13 +133,12 @@ def _run_program(config, threshold, reset_s, seed, n_ops):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     config=CONFIGS,
-    threshold=st.integers(1, 3),
     reset_s=st.sampled_from([0.2, 1.0]),
     seed=st.integers(0, 2**16),
     n_ops=st.integers(1, 120),
 )
-def test_accounting_and_breaker_laws(config, threshold, reset_s, seed, n_ops):
-    _run_program(config, threshold, reset_s, seed, n_ops)
+def test_accounting_and_breaker_laws(config, reset_s, seed, n_ops):
+    _run_program(config, reset_s, seed, n_ops)
 
 
 def test_programs_reach_every_status_and_edge():
@@ -156,11 +147,8 @@ def test_programs_reach_every_status_and_edge():
     breaker edge."""
     statuses, edges = set(), set()
     for seed in range(4):
-        config = ChannelConfig(
-            loss_probability=0.2, jitter_s=0.3, max_retries=seed % 4,
-            backoff_jitter=0.5, deadline_s=0.6 if seed % 2 else 2.0,
-        )
-        reached = _run_program(config, 3 if seed % 2 else 1, 0.2, seed, 120)
+        config = ChannelConfig(backoff_jitter=5.0 if seed % 2 else 0.5)
+        reached = _run_program(config, 0.2, seed, 120)
         statuses |= reached[0]
         edges |= reached[1]
     assert statuses == {status.value for status in RpcStatus}

@@ -5,8 +5,9 @@ import pytest
 from repro import flightrec, telemetry
 from repro.flightrec import iter_layer
 from repro.phi.channel import (
+    BREAKER_FAILURE_THRESHOLD,
+    RPC_MAX_RETRIES,
     BreakerState,
-    ChannelConfig,
     ChannelStats,
     CircuitBreaker,
     ControlChannel,
@@ -27,11 +28,9 @@ class _Clock:
         return self.t
 
 
-def _tripped_breaker(clock, threshold=3, reset=10.0):
-    breaker = CircuitBreaker(
-        clock, failure_threshold=threshold, reset_timeout_s=reset
-    )
-    for _ in range(threshold):
+def _tripped_breaker(clock, reset=10.0):
+    breaker = CircuitBreaker(clock, reset_timeout_s=reset)
+    for _ in range(BREAKER_FAILURE_THRESHOLD):
         breaker.record_failure()
     return breaker
 
@@ -39,12 +38,12 @@ def _tripped_breaker(clock, threshold=3, reset=10.0):
 class TestCircuitBreakerEdges:
     def test_closed_to_open_needs_consecutive_failures(self):
         clock = _Clock()
-        breaker = CircuitBreaker(clock, failure_threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = CircuitBreaker(clock)
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         breaker.record_success()  # resets the consecutive count
-        breaker.record_failure()
-        breaker.record_failure()
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
@@ -85,9 +84,9 @@ class TestCircuitBreakerEdges:
     def test_validation(self):
         clock = _Clock()
         with pytest.raises(ValueError):
-            CircuitBreaker(clock, failure_threshold=0)
-        with pytest.raises(ValueError):
             CircuitBreaker(clock, reset_timeout_s=0.0)
+        with pytest.raises(ValueError):
+            CircuitBreaker(clock, reset_timeout_s=float("nan"))
 
     def test_transition_counters(self):
         clock = _Clock()
@@ -112,7 +111,7 @@ class TestCircuitBreakerEdges:
     def test_no_counter_for_noop_transition(self):
         clock = _Clock()
         with telemetry.use() as tele:
-            breaker = CircuitBreaker(clock, failure_threshold=3)
+            breaker = CircuitBreaker(clock)
             breaker.record_success()  # CLOSED -> CLOSED: not an edge
             assert tele.registry.snapshot()["counters"] == {}
             assert breaker.state is BreakerState.CLOSED
@@ -133,7 +132,7 @@ class TestChannelStats:
 
     def test_failure_accounting_by_status(self):
         stats = ChannelStats()
-        stats.record(RpcResult(RpcStatus.TIMEOUT, attempts=4, elapsed_s=1.0))
+        stats.record(RpcResult(RpcStatus.DEADLINE_EXCEEDED, attempts=4, elapsed_s=1.0))
         stats.record(RpcResult(RpcStatus.SERVER_DOWN, attempts=2, elapsed_s=0.5))
         stats.record(RpcResult(RpcStatus.CIRCUIT_OPEN, attempts=0, elapsed_s=0.0))
         assert stats.calls == 3
@@ -142,7 +141,7 @@ class TestChannelStats:
         assert stats.fast_failures == 1  # only the breaker rejection
         assert stats.attempts == 6
         assert stats.retries == 3 + 1
-        assert stats.by_status == {"timeout": 1, "server_down": 1, "circuit_open": 1}
+        assert stats.by_status == {"deadline": 1, "server_down": 1, "circuit_open": 1}
 
 
 class _Backend:
@@ -155,25 +154,21 @@ class _Backend:
 
 
 class TestChannelTelemetry:
-    def _channel(self, **config_kwargs):
+    def _channel(self):
         sim = Simulator()
-        backend = _Backend()
-        channel = ControlChannel(
-            sim, backend, config=ChannelConfig(**config_kwargs)
-        )
-        return sim, channel
+        return sim, ControlChannel(sim, _Backend())
 
     def test_rpc_metrics_for_mixed_outcomes(self):
         with telemetry.use() as tele, flightrec.use() as rec:
-            sim, channel = self._channel(max_retries=1, timeout_s=0.1)
+            sim, channel = self._channel()
             channel.call_lookup()  # ok
             channel.mark_down()
-            channel.call_lookup()  # server_down after 2 attempts
+            channel.call_lookup()  # server_down after every attempt
             snapshot = tele.registry.snapshot()
         counters = snapshot["counters"]
         assert counters["phi.rpc_calls{op=lookup,status=ok}"] == 1.0
         assert counters["phi.rpc_calls{op=lookup,status=server_down}"] == 1.0
-        assert counters["phi.rpc_retries{op=lookup}"] == 1.0
+        assert counters["phi.rpc_retries{op=lookup}"] == RPC_MAX_RETRIES
         histogram = snapshot["histograms"]["phi.rpc_latency_s{op=lookup}"]
         assert histogram["count"] == 2
         # Every terminal outcome is on the recorder's phi ring; the
@@ -182,7 +177,7 @@ class TestChannelTelemetry:
         assert (ok["kind"], ok["subject"]) == ("rpc", "lookup")
         assert ok["detail"]["status"] == "ok"
         assert failed["detail"]["status"] == "server_down"
-        assert failed["detail"]["attempts"] == 2
+        assert failed["detail"]["attempts"] == RPC_MAX_RETRIES + 1
         assert failed["t"] == sim.now
 
     def test_channel_works_with_telemetry_disabled(self):

@@ -3,13 +3,12 @@
 import pytest
 
 from repro import telemetry
-from repro.phi.channel import (
-    ChannelConfig,
-    ControlChannel,
-    RpcStatus,
-)
+from repro.phi.channel import ControlChannel, RpcStatus
 from repro.phi.context import CongestionContext
 from repro.phi.failover import (
+    PROBATION_SUCCESSES,
+    SUSPEND_BASE_S,
+    SUSPEND_MAX_S,
     FailoverChannel,
     FailoverConfig,
 )
@@ -54,18 +53,10 @@ def make_report():
     )
 
 
-def make_stack(sim, n=3, fo_config=None, **channel_kwargs):
+def make_stack(sim, n=3):
     backends = [FakeBackend() for _ in range(n)]
-    channels = [
-        ControlChannel(sim, backend, config=ChannelConfig(), **channel_kwargs)
-        for backend in backends
-    ]
-    failover = FailoverChannel(
-        sim,
-        channels,
-        rng=ZeroRng(),
-        config=fo_config or FailoverConfig(),
-    )
+    channels = [ControlChannel(sim, backend) for backend in backends]
+    failover = FailoverChannel(sim, channels, rng=ZeroRng())
     return backends, channels, failover
 
 
@@ -171,10 +162,7 @@ class TestStickinessAndProbation:
 
     def test_probation_blocks_immediate_reselection(self):
         sim = Simulator()
-        config = FailoverConfig(
-            suspend_base_s=0.5, suspend_jitter=0.0, probation_successes=2
-        )
-        backends, channels, failover = make_stack(sim, fo_config=config)
+        backends, channels, failover = make_stack(sim)
         channels[0].mark_down()
         failover.call_lookup()          # fail over to 1, suspend 0
         channels[0].mark_up()
@@ -185,30 +173,23 @@ class TestStickinessAndProbation:
         # After the suspension lapses, 0 is probed (best health among
         # non-probation? no: probation sorts it last) — current stays 1
         # until 0 has served its probation successes.
+        assert SUSPEND_BASE_S < 1.0
         sim.schedule_at(1.0, probe)
         sim.schedule_at(1.1, probe)
         sim.run()
         assert failover.current_replica == 1
-        assert failover.health(0).probation_left == 2
+        assert failover.health(0).probation_left == PROBATION_SUCCESSES
 
     def test_suspension_window_grows_and_caps(self):
         sim = Simulator()
-        config = FailoverConfig(
-            suspend_base_s=1.0,
-            suspend_multiplier=2.0,
-            suspend_max_s=3.0,
-            suspend_jitter=0.0,
-        )
-        backends, channels, failover = make_stack(sim, n=1, fo_config=config)
+        backends, channels, failover = make_stack(sim, n=1)
         channels[0].mark_down()
-        failover._record_failure(0)
-        assert failover.health(0).suspended_until == pytest.approx(1.0)
-        failover._record_failure(0)
-        assert failover.health(0).suspended_until == pytest.approx(2.0)
-        failover._record_failure(0)
-        assert failover.health(0).suspended_until == pytest.approx(3.0)
-        failover._record_failure(0)
-        assert failover.health(0).suspended_until == pytest.approx(3.0)
+        windows = []
+        for _ in range(7):
+            failover._record_failure(0)
+            windows.append(failover.health(0).suspended_until)
+        assert windows == pytest.approx([0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 10.0])
+        assert windows[-1] == SUSPEND_MAX_S
 
     def test_jitter_scales_suspension(self):
         class HalfRng:
@@ -216,13 +197,11 @@ class TestStickinessAndProbation:
                 return (low + high) / 2
 
         sim = Simulator()
-        config = FailoverConfig(
-            suspend_base_s=1.0, suspend_jitter=0.5, probation_successes=0
-        )
+        config = FailoverConfig(suspend_jitter=0.5)
         channels = [ControlChannel(sim, FakeBackend())]
         failover = FailoverChannel(sim, channels, rng=HalfRng(), config=config)
         failover._record_failure(0)
-        assert failover.health(0).suspended_until == pytest.approx(1.25)
+        assert failover.health(0).suspended_until == pytest.approx(1.25 * SUSPEND_BASE_S)
 
 
 class TestTelemetry:

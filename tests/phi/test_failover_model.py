@@ -5,12 +5,12 @@ replica was tried ahead of ranking: every call sorts every non-benched
 replica, counts each attempt into ``by_replica`` as it goes and re-wraps
 the answer.  Seeded programs of lookups and reports over fake backends
 that answer, are marked down, refuse with ``ConnectionError`` (a
-``REFUSED`` result from their channel), lose messages or are all
-benched run against two identical stacks; after every operation the
-result tuple, ``current_replica``, every ``ReplicaHealth``
-field, every ``stats`` counter, ``by_replica`` and the jitter RNGs' states
-must be ``==``.  Half the programs run with metrics on, and the two
-stacks' registries must then hold the same counters.
+``REFUSED`` result from their channel) or are all benched run against
+two identical stacks; after every operation the result tuple,
+``current_replica``, every ``ReplicaHealth`` field, every ``stats``
+counter, ``by_replica`` and the jitter RNGs' states must be ``==``.
+Half the programs run with metrics on, and the two stacks' registries
+must then hold the same counters.
 """
 
 import functools
@@ -30,6 +30,7 @@ from repro.phi.channel import (
 )
 from repro.phi.context import CongestionContext
 from repro.phi.failover import (
+    HEALTH_ALPHA,
     FailoverChannel,
     FailoverConfig,
     FailoverStats,
@@ -70,8 +71,7 @@ class ReferenceFailover(FailoverChannel):
 
     def _record_success(self, index: int) -> None:
         health = self._health[index]
-        alpha = self.config.health_alpha
-        health.score = (1 - alpha) * health.score + alpha
+        health.score = (1 - HEALTH_ALPHA) * health.score + HEALTH_ALPHA
         health.consecutive_failures = 0
         health.successes += 1
         if health.probation_left > 0:
@@ -143,7 +143,7 @@ class FakeBackend:
 
 
 #: Calls, and the faults that make replicas fail them.  Outages nest, so
-#: ``up`` is drawn twice as often as ``down``.
+#: ``up`` is drawn twice as often as ``down``; heals go to broken replicas.
 _OPS = ("lookup",) * 10 + ("report",) * 8 + ("down", "up", "up", "refuse", "serve", "serve")
 
 
@@ -155,7 +155,7 @@ def _stack(sim, cls, seed, n, config, preference, channel_config):
             backend,
             config=channel_config,
             rng=random.Random(seed * 31 + index),
-            breaker=CircuitBreaker(lambda: sim.now, failure_threshold=3, reset_timeout_s=1.0),
+            breaker=CircuitBreaker(lambda: sim.now, reset_timeout_s=1.0),
         )
         for index, backend in enumerate(backends)
     ]
@@ -193,18 +193,10 @@ def _assert_same_state(product, reference, where):
 def _run_program(seed, n_ops=400):
     rng = random.Random(seed)
     n = rng.choice((1, 2, 3, 3, 4))
-    config = FailoverConfig(
-        suspend_base_s=rng.choice((0.0, 0.05, 0.5)),
-        suspend_jitter=rng.choice((0.0, 0.5)),
-        probation_successes=rng.choice((0, 1, 2)),
-    )
+    config = FailoverConfig(suspend_jitter=rng.choice((0.0, 0.5)))
     preference = list(range(n))
     rng.shuffle(preference)
-    channel_config = ChannelConfig(
-        loss_probability=rng.choice((0.0, 0.0, 0.2)),
-        max_retries=rng.choice((0, 1, 3)),
-        backoff_jitter=0.25,
-    )
+    channel_config = ChannelConfig(backoff_jitter=0.25)
     sim = Simulator()
     stacks = [
         _stack(sim, cls, seed, n, config, preference, channel_config)
@@ -218,6 +210,16 @@ def _run_program(seed, n_ops=400):
         op = rng.choice(_OPS)
         # Half the faults hit the replica the client is stuck to.
         replica = rng.choice((stacks[0][2].current_replica, rng.randrange(n)))
+        if op in ("up", "serve"):
+            # A heal goes to a replica with something to heal, if any:
+            # suspensions only lapse into calls that can fail over.
+            backends, channels = stacks[0][0], stacks[0][1]
+            broken = [
+                i for i in range(n)
+                if (channels[i]._down_marks if op == "up" else backends[i].refuse)
+            ]
+            if broken:
+                replica = rng.choice(broken)
         where = (seed, step, op, replica, sim.now)
         if op in ("lookup", "report"):
             results = []

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.phi.channel import ChannelConfig, ControlChannel, RpcResult, RpcStatus
+from repro.phi.channel import ControlChannel, RpcResult, RpcStatus
 from repro.phi.context import CongestionContext, CongestionLevel
-from repro.phi.fallback import ContextDecision, ResilientContextClient
-from repro.phi.guard import ContextGuard, GuardConfig
-from repro.phi.trust import TrustConfig, TrustTracker
+from repro.phi.fallback import MAX_PENDING_REPORTS, ContextDecision, ResilientContextClient
+from repro.phi.guard import ContextGuard
+from repro.phi.trust import MIN_SAMPLES, TrustTracker
 from repro.phi.policy import REFERENCE_POLICY
 from repro.phi.server import ConnectionReport, ContextServer
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
@@ -126,7 +126,7 @@ class TestDecisions:
         with pytest.raises(ValueError):
             ResilientContextClient(source, now=Clock(), staleness_ttl_s=-1)
         with pytest.raises(ValueError):
-            ResilientContextClient(source, now=Clock(), max_pending_reports=0)
+            ResilientContextClient(source, now=Clock(), staleness_ttl_s=float("nan"))
 
 
 class TestReportRecovery:
@@ -160,15 +160,16 @@ class TestReportRecovery:
     def test_bounded_queue_drops_oldest(self):
         clock = Clock()
         source = FlakySource()
-        client = ResilientContextClient(source, now=clock, max_pending_reports=2)
+        client = ResilientContextClient(source, now=clock)
         source.up = False
-        for flow_id in (1, 2, 3):
+        flow_ids = range(MAX_PENDING_REPORTS + 2)
+        for flow_id in flow_ids:
             client.report(make_report(flow_id))
-        assert client.pending_reports == 2
-        assert client.reports_dropped == 1
+        assert client.pending_reports == MAX_PENDING_REPORTS
+        assert client.reports_dropped == 2
         source.up = True
         client.resolve()
-        assert [r.flow_id for r in source.reports] == [2, 3]
+        assert [r.flow_id for r in source.reports] == list(flow_ids[2:])
 
 
 class TestResilientFactory:
@@ -201,7 +202,7 @@ class TestResilientFactory:
     def test_completed_connection_reports_through_client(self):
         sim, top, spec = self._env()
         server = ContextServer(sim, top.config.bottleneck_bandwidth_bps)
-        channel = ControlChannel(sim, server, config=ChannelConfig(max_retries=0))
+        channel = ControlChannel(sim, server)
         client = ResilientContextClient(channel, now=lambda: sim.now)
         factory = client.sender_factory(REFERENCE_POLICY)
         done = []
@@ -262,7 +263,7 @@ class TestNarrowedExceptions:
     @staticmethod
     def _client_over(backend):
         sim = Simulator()
-        channel = ControlChannel(sim, backend, config=ChannelConfig(max_retries=0))
+        channel = ControlChannel(sim, backend)
         return ResilientContextClient(channel, now=lambda: sim.now), channel
 
     def test_programming_bug_propagates_from_resolve(self):
@@ -321,7 +322,7 @@ class TestGuardIntegration:
     def test_guard_rejection_degrades_like_rpc_failure(self):
         clock = Clock()
         source = FlakySource()
-        guard = ContextGuard(GuardConfig(capacity_mbps=15.0))
+        guard = ContextGuard(15.0)
         client = ResilientContextClient(source, now=clock, guard=guard)
         # fair_share inconsistent with capacity/n: 15/4 = 3.75, claim 9.
         source.context = CongestionContext(
@@ -336,7 +337,7 @@ class TestGuardIntegration:
     def test_guard_rejection_serves_stale_cache(self):
         clock = Clock()
         source = FlakySource()
-        guard = ContextGuard()
+        guard = ContextGuard(15.0)
         client = ResilientContextClient(
             source, now=clock, guard=guard, staleness_ttl_s=10.0
         )
@@ -354,7 +355,7 @@ class TestGuardIntegration:
     def test_rejected_context_never_cached(self):
         clock = Clock()
         source = FlakySource()
-        guard = ContextGuard()
+        guard = ContextGuard(15.0)
         client = ResilientContextClient(source, now=clock, guard=guard)
         from repro.phi.corruption import raw_context
 
@@ -367,16 +368,26 @@ class TestGuardIntegration:
 
 class TestDistrust:
     def _distrusting_client(self, source, clock):
-        trust = TrustTracker(TrustConfig(min_samples=1, ewma_alpha=1.0))
+        trust = TrustTracker()
         client = ResilientContextClient(source, now=clock, trust=trust)
         return client, trust
+
+    @staticmethod
+    def _distrust(trust):
+        for _ in range(MIN_SAMPLES):
+            trust.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+        assert trust.distrusted
+
+    @staticmethod
+    def _restore(trust, level):
+        while trust.distrusted:
+            trust.record(level, level)
 
     def test_distrusted_lookup_carries_shadow_not_context(self):
         clock = Clock()
         source = FlakySource()
         client, trust = self._distrusting_client(source, clock)
-        trust.record(CongestionLevel.LOW, CongestionLevel.SEVERE)  # score -> 0
-        assert trust.distrusted
+        self._distrust(trust)
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.DISTRUSTED
         assert resolved.context is None
@@ -387,13 +398,12 @@ class TestDistrust:
         clock = Clock()
         source = FlakySource()
         client, trust = self._distrusting_client(source, clock)
-        trust.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+        self._distrust(trust)
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.DISTRUSTED
-        # The shadow prediction turns out accurate -> trust restored.
-        predicted = resolved.shadow.level()
-        trust.record(predicted, predicted)
-        assert not trust.distrusted
+        # The shadow predictions keep turning out accurate -> trust restored.
+        self._restore(trust, resolved.shadow.level())
+        assert trust.restorations == 1
         assert client.resolve().decision is ContextDecision.FRESH
 
     def test_mode_times_across_fresh_distrusted_fresh(self):
@@ -402,11 +412,10 @@ class TestDistrust:
         client, trust = self._distrusting_client(source, clock)
         assert client.resolve().decision is ContextDecision.FRESH
         clock.t = 3.0
-        trust.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+        self._distrust(trust)
         assert client.resolve().decision is ContextDecision.DISTRUSTED
         clock.t = 8.0
-        level = source.context.level()
-        trust.record(level, level)
+        self._restore(trust, source.context.level())
         assert client.resolve().decision is ContextDecision.FRESH
         clock.t = 10.0
         assert client.mode_times() == {
@@ -421,7 +430,7 @@ class TestDistrust:
 
         clock = Clock()
         source = FlakySource()
-        trust = TrustTracker(TrustConfig(min_samples=100))
+        trust = TrustTracker()
         client = ResilientContextClient(source, now=clock, trust=trust)
         resolved = client.resolve()
         stats = ConnectionStats(flow_id=1)
@@ -443,7 +452,7 @@ class TestDistrust:
         client.report(make_report(1))
         assert client.pending_reports == 1
         source.up = True
-        trust.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+        self._distrust(trust)
         assert client.resolve().decision is ContextDecision.DISTRUSTED
         assert client.pending_reports == 0
         assert [r.flow_id for r in source.reports] == [1]

@@ -13,10 +13,13 @@ from repro.phi.guard import (
     REASON_NON_FINITE,
     REASON_OUT_OF_RANGE,
     REASON_RATE_OF_CHANGE,
+    MAX_QUEUE_DELAY_S,
     ContextGuard,
-    GuardConfig,
     GuardVerdict,
 )
+
+#: The Table-3 bottleneck: ``honest()``'s fair share is 15 / 8 Mbit/s.
+CAPACITY_MBPS = 15.0
 
 
 def honest(timestamp=0.0, **overrides):
@@ -39,90 +42,76 @@ class TestVerdict:
 
 class TestConfigValidation:
     def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            GuardConfig(max_queue_delay_s=0.0)
-        with pytest.raises(ValueError):
-            GuardConfig(max_future_skew_s=-1.0)
-        with pytest.raises(ValueError):
-            GuardConfig(utilization_step=-0.1)
-        with pytest.raises(ValueError):
-            GuardConfig(capacity_mbps=0.0)
-        with pytest.raises(ValueError):
-            GuardConfig(fair_share_rel_tol=0.0)
+        for capacity in (0.0, -1.0, float("nan"), math.inf):
+            with pytest.raises(ValueError):
+                ContextGuard(capacity)
 
 
 class TestStaticChecks:
     def test_accepts_honest_context(self):
-        guard = ContextGuard()
+        guard = ContextGuard(CAPACITY_MBPS)
         verdict = guard.validate(honest())
         assert verdict.accepted
         assert guard.accepted_count == 1
         assert guard.last_accepted is not None
 
     def test_rejects_nan(self):
-        guard = ContextGuard()
+        guard = ContextGuard(CAPACITY_MBPS)
         verdict = guard.validate(raw_context(float("nan"), 0.0, 1.0))
         assert verdict.reason == REASON_NON_FINITE
 
     def test_rejects_inf_fair_share(self):
-        guard = ContextGuard()
+        guard = ContextGuard(CAPACITY_MBPS)
         verdict = guard.validate(
             raw_context(0.5, 0.0, 1.0, fair_share_mbps=math.inf)
         )
         assert verdict.reason == REASON_NON_FINITE
 
     def test_rejects_out_of_range(self):
-        guard = ContextGuard()
+        guard = ContextGuard(CAPACITY_MBPS)
         assert guard.validate(raw_context(1.5, 0.0, 1.0)).reason == REASON_OUT_OF_RANGE
         assert guard.validate(raw_context(0.5, -1.0, 1.0)).reason == REASON_OUT_OF_RANGE
         assert guard.validate(raw_context(0.5, 0.0, -2.0)).reason == REASON_OUT_OF_RANGE
 
     def test_rejects_absurd_queue_delay(self):
-        guard = ContextGuard(GuardConfig(max_queue_delay_s=1.0))
-        verdict = guard.validate(honest(queue_delay_s=40.0))
+        guard = ContextGuard(CAPACITY_MBPS)
+        verdict = guard.validate(honest(queue_delay_s=MAX_QUEUE_DELAY_S + 10.0))
         assert verdict.reason == REASON_OUT_OF_RANGE
 
     def test_rejects_future_timestamp_with_clock(self):
-        guard = ContextGuard(now=lambda: 10.0)
+        guard = ContextGuard(CAPACITY_MBPS, now=lambda: 10.0)
         verdict = guard.validate(honest(timestamp=30.0))
         assert verdict.reason == REASON_FUTURE_TIMESTAMP
 
     def test_no_clock_no_future_check(self):
-        guard = ContextGuard()
+        guard = ContextGuard(CAPACITY_MBPS)
         assert guard.validate(honest(timestamp=1e9)).accepted
 
 
 class TestRateOfChange:
     def test_teleporting_utilization_rejected(self):
-        guard = ContextGuard(
-            GuardConfig(utilization_step=0.2, utilization_slew_per_s=0.0)
-        )
+        guard = ContextGuard(CAPACITY_MBPS)
         assert guard.validate(honest(utilization=0.1)).accepted
         verdict = guard.validate(honest(utilization=0.9, timestamp=0.1))
         assert verdict.reason == REASON_RATE_OF_CHANGE
 
     def test_slew_allows_change_given_time(self):
-        guard = ContextGuard(
-            GuardConfig(utilization_step=0.2, utilization_slew_per_s=0.1)
-        )
+        guard = ContextGuard(CAPACITY_MBPS)
         assert guard.validate(honest(utilization=0.1, timestamp=0.0)).accepted
-        # 0.8 jump over 10 s: allowed envelope is 0.2 + 0.1*10 = 1.2.
+        # 0.8 jump over 10 s: allowed envelope is 0.5 + 0.5*10 = 5.5.
         assert guard.validate(honest(utilization=0.9, timestamp=10.0)).accepted
 
     def test_rejected_snapshot_not_rate_baseline(self):
-        guard = ContextGuard(
-            GuardConfig(utilization_step=0.2, utilization_slew_per_s=0.0)
-        )
+        guard = ContextGuard(CAPACITY_MBPS)
         assert guard.validate(honest(utilization=0.1)).accepted
         assert not guard.validate(honest(utilization=0.9, timestamp=0.1))
-        # Baseline is still the accepted 0.1 snapshot.
+        # Baseline is still the accepted 0.1 snapshot: 0.55 is within its
+        # 0.5 + 0.5*0.2 envelope (not within 0.9's, the other way).
         assert guard.last_accepted.utilization == 0.1
-        assert guard.validate(honest(utilization=0.25, timestamp=0.2)).accepted
+        assert guard.validate(honest(utilization=0.55, timestamp=0.2)).accepted
 
     def test_queue_delay_rate_checked(self):
-        guard = ContextGuard(
-            GuardConfig(queue_delay_step_s=0.05, queue_delay_slew_per_s=0.0)
-        )
+        guard = ContextGuard(CAPACITY_MBPS)
         assert guard.validate(honest(queue_delay_s=0.01)).accepted
         verdict = guard.validate(honest(queue_delay_s=0.5, timestamp=0.1))
         assert verdict.reason == REASON_RATE_OF_CHANGE
@@ -130,19 +119,19 @@ class TestRateOfChange:
 
 class TestConsistency:
     def test_fair_share_must_match_capacity_over_n(self):
-        guard = ContextGuard(GuardConfig(capacity_mbps=15.0))
+        guard = ContextGuard(CAPACITY_MBPS)
         # 15 / 8 = 1.875: honest() is consistent.
         assert guard.validate(honest()).accepted
         verdict = guard.validate(honest(fair_share_mbps=9.0, timestamp=1.0))
         assert verdict.reason == REASON_INCONSISTENT
 
-    def test_without_capacity_no_consistency_check(self):
-        guard = ContextGuard()
-        assert guard.validate(honest(fair_share_mbps=9.0)).accepted
+    def test_without_fair_share_no_consistency_check(self):
+        guard = ContextGuard(CAPACITY_MBPS)
+        assert guard.validate(honest(fair_share_mbps=None)).accepted
 
     def test_self_consistent_lie_passes_the_guard(self):
         """The guard's documented blind spot: trust must catch this one."""
-        guard = ContextGuard(GuardConfig(capacity_mbps=15.0))
+        guard = ContextGuard(CAPACITY_MBPS)
         lie = honest(
             utilization=0.0, queue_delay_s=0.0, competing_senders=1.0,
             fair_share_mbps=15.0,
@@ -152,7 +141,7 @@ class TestConsistency:
 
 class TestAccounting:
     def test_rejections_counted_by_reason(self):
-        guard = ContextGuard()
+        guard = ContextGuard(CAPACITY_MBPS)
         guard.validate(raw_context(float("nan"), 0.0, 1.0))
         guard.validate(raw_context(float("nan"), 0.0, 1.0))
         guard.validate(raw_context(2.0, 0.0, 1.0))
@@ -170,7 +159,7 @@ class TestAccounting:
     def test_telemetry_counters(self):
         from repro import telemetry
 
-        guard = ContextGuard()
+        guard = ContextGuard(CAPACITY_MBPS)
         with telemetry.use() as tele:
             guard.validate(raw_context(float("nan"), 0.0, 1.0))
             guard.validate(raw_context(3.0, 0.0, 1.0))

@@ -48,16 +48,10 @@ def test_nan_plane_input_is_rejected(configure):
 @pytest.mark.parametrize(
     "config, field",
     [
-        (ChannelConfig, "latency_s"),
-        (ChannelConfig, "jitter_s"),
-        (ChannelConfig, "timeout_s"),
-        (ChannelConfig, "backoff_base_s"),
-        (ChannelConfig, "deadline_s"),
+        (ChannelConfig, "backoff_jitter"),
         (ReplicationConfig, "anti_entropy_period_s"),
         (ReplicationConfig, "quorum_staleness_s"),
-        (FailoverConfig, "suspend_base_s"),
-        (FailoverConfig, "suspend_multiplier"),
-        (FailoverConfig, "suspend_max_s"),
+        (FailoverConfig, "suspend_jitter"),
     ],
 )
 def test_nan_config_field_is_rejected(config, field):

@@ -9,7 +9,7 @@ from repro.phi.replication import (
     ReplicatedContextService,
     ReplicationConfig,
 )
-from repro.phi.server import ConnectionReport, RobustAggregationConfig
+from repro.phi.server import ConnectionReport
 from repro.simnet import Simulator
 
 CAPACITY_BPS = 10e6
@@ -135,9 +135,7 @@ class TestAntiEntropyMerge:
         """A malformed report rejected at its home replica must not
         sneak into peers through anti-entropy."""
         sim = Simulator()
-        service = make_service(
-            sim, n=2, robust=RobustAggregationConfig()
-        )
+        service = make_service(sim, n=2, robust=True)
         bad = make_report(at=0.0, bytes_transferred=-5)
         service.handle(0).report(bad)
         assert service.servers[0].reports_rejected == 1

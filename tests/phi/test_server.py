@@ -1,9 +1,12 @@
 """Tests for the context server (practical) and the ideal oracle."""
 
+import math
+
 import pytest
 
 from repro.phi.context import CongestionLevel
-from repro.phi.server import ConnectionReport, ContextServer, IdealContextOracle
+from repro.phi.replication import ReplicatedContextService
+from repro.phi.server import EWMA_ALPHA, ConnectionReport, ContextServer, IdealContextOracle
 from repro.simnet import (
     ActiveFlowTracker,
     DumbbellConfig,
@@ -39,8 +42,16 @@ class TestContextServerProtocol:
             ContextServer(sim, 0)
         with pytest.raises(ValueError):
             ContextServer(sim, 1e6, window_s=0)
+
+    @pytest.mark.parametrize("service", [ContextServer, ReplicatedContextService])
+    @pytest.mark.parametrize(
+        "capacity, window_s", [(math.nan, 10.0), (15e6, math.nan)], ids=["capacity", "window"]
+    )
+    def test_nan_capacity_or_window_rejected(self, service, capacity, window_s):
+        # A NaN window never ages a report out; a NaN capacity makes every
+        # utilization estimate NaN.
         with pytest.raises(ValueError):
-            ContextServer(sim, 1e6, ewma_alpha=0)
+            service(Simulator(), capacity, window_s=window_s)
 
     def test_lookup_registers_active_connection(self):
         sim, server = self._server()
@@ -89,16 +100,18 @@ class TestContextServerProtocol:
         assert server.estimated_utilization() == 0.0
 
     def test_queue_delay_ewma(self):
-        sim, server = self._server(ewma_alpha=0.5)
+        sim, server = self._server()
         server.report(make_report(0.0, mean_rtt=0.25, min_rtt=0.15))
-        assert server.estimated_queue_delay() == pytest.approx(0.1)
+        assert server.estimated_queue_delay() == pytest.approx(0.1)  # seeds it
         server.report(make_report(0.0, mean_rtt=0.15, min_rtt=0.15))
-        assert server.estimated_queue_delay() == pytest.approx(0.05)
+        assert server.estimated_queue_delay() == pytest.approx((1 - EWMA_ALPHA) * 0.1)
 
     def test_loss_ewma(self):
-        sim, server = self._server(ewma_alpha=1.0)
+        sim, server = self._server()
         server.report(make_report(0.0, loss=0.04))
-        assert server.estimated_loss() == pytest.approx(0.04)
+        assert server.estimated_loss() == pytest.approx(0.04)  # seeds it
+        server.report(make_report(0.0, loss=0.0))
+        assert server.estimated_loss() == pytest.approx((1 - EWMA_ALPHA) * 0.04)
 
     def test_utilization_capped_at_one(self):
         sim, server = self._server(capacity=1e3)
@@ -254,27 +267,14 @@ class TestIdealOracle:
 
 
 class TestRobustAggregation:
-    def _server(self, sim=None, **kwargs):
-        from repro.phi.server import RobustAggregationConfig
-
+    def _server(self, sim=None):
         sim = sim or Simulator()
-        robust = RobustAggregationConfig(**kwargs)
-        return sim, ContextServer(sim, 15e6, robust=robust)
-
-    def test_config_validation(self):
-        from repro.phi.server import RobustAggregationConfig
-
-        with pytest.raises(ValueError):
-            RobustAggregationConfig(trim_fraction=0.5)
-        with pytest.raises(ValueError):
-            RobustAggregationConfig(influence_bound=0.5)
-        with pytest.raises(ValueError):
-            RobustAggregationConfig(min_reports_for_trim=0)
+        return sim, ContextServer(sim, 15e6, robust=True)
 
     def test_default_server_is_trusting(self):
         sim = Simulator()
         server = ContextServer(sim, 15e6)
-        assert server.robust is None
+        assert not server.robust
         import math as _math
 
         server.report(make_report(0.0, mean_rtt=_math.nan))
@@ -309,7 +309,7 @@ class TestRobustAggregation:
         assert server.active_connections == 0
 
     def test_trimmed_mean_discards_outlier_queue_delay(self):
-        sim, server = self._server(trim_fraction=0.2, min_reports_for_trim=4)
+        sim, server = self._server()
         for i in range(9):
             server.report(make_report(0.0, mean_rtt=0.16, flow_id=i))
         # One liar claims 10 s of queueing.
@@ -318,7 +318,7 @@ class TestRobustAggregation:
         assert q == pytest.approx(0.01, abs=1e-6)
 
     def test_ewma_fallback_below_min_reports(self):
-        sim, server = self._server(min_reports_for_trim=4)
+        sim, server = self._server()
         server.report(make_report(0.0, mean_rtt=0.25))
         # Only 1 report in window: the EWMA (seeded by it) answers.
         assert server.estimated_queue_delay() == pytest.approx(0.10)
@@ -336,7 +336,7 @@ class TestRobustAggregation:
         sim = Simulator()
         trusting = ContextServer(sim, 15e6)
         loaded(trusting, sim)
-        sim2, robust = self._server(influence_bound=4.0, min_reports_for_trim=4)
+        sim2, robust = self._server()
         loaded(robust, sim2)
         assert trusting.estimated_utilization() == 1.0  # saturated by the lie
         # Honest traffic alone is ~0.085; the capped liar may nudge the
@@ -344,7 +344,7 @@ class TestRobustAggregation:
         assert robust.estimated_utilization() < 0.15
 
     def test_trimmed_loss(self):
-        sim, server = self._server(trim_fraction=0.2, min_reports_for_trim=4)
+        sim, server = self._server()
         for i in range(9):
             server.report(make_report(0.0, loss=0.0, flow_id=i))
         server.report(make_report(0.0, loss=1.0, flow_id=99))

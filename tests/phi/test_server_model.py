@@ -22,9 +22,12 @@ import pytest
 from repro.phi.context import CongestionContext
 from repro.phi.replication import _report_key
 from repro.phi.server import (
+    EWMA_ALPHA,
+    INFLUENCE_BOUND,
+    MIN_REPORTS_FOR_TRIM,
+    TRIM_FRACTION,
     ConnectionReport,
     ContextServer,
-    RobustAggregationConfig,
     report_invalid_reason,
 )
 from repro.simnet import Simulator
@@ -54,11 +57,10 @@ def _median(values):
 class RescanServer:
     """The pre-cache ``ContextServer`` estimators, loops and all."""
 
-    def __init__(self, sim, capacity_bps, *, window_s, ewma_alpha, lease_ttl_s, robust):
+    def __init__(self, sim, capacity_bps, *, window_s, lease_ttl_s, robust):
         self.sim = sim
         self.capacity_bps = capacity_bps
         self.window_s = window_s
-        self.ewma_alpha = ewma_alpha
         self.lease_ttl_s = lease_ttl_s
         self.robust = robust
         self._reports = deque()
@@ -76,7 +78,7 @@ class RescanServer:
         return self.current_context()
 
     def report(self, report):
-        if self.robust is not None and report_invalid_reason(report) is not None:
+        if self.robust and report_invalid_reason(report) is not None:
             self.reports_rejected += 1
             return
         self._expire_leases()
@@ -87,7 +89,7 @@ class RescanServer:
         self._fold_estimates(report)
 
     def _fold_estimates(self, report):
-        alpha = self.ewma_alpha
+        alpha = EWMA_ALPHA
         if not self._have_estimate:
             self._queue_delay_ewma = report.queue_delay_s
             self._loss_ewma = report.loss_indicator
@@ -101,7 +103,7 @@ class RescanServer:
             )
 
     def absorb(self, report):
-        if self.robust is not None and report_invalid_reason(report) is not None:
+        if self.robust and report_invalid_reason(report) is not None:
             return
         self._expire_old_reports()
         if report.reported_at < self.sim.now - self.window_s:
@@ -144,20 +146,18 @@ class RescanServer:
         return min(1.0, bits / (self.capacity_bps * window_len))
 
     def _bound_influence(self, contributions):
-        robust = self.robust
-        if robust is None or len(contributions) < robust.min_reports_for_trim:
+        if not self.robust or len(contributions) < MIN_REPORTS_FOR_TRIM:
             return contributions
         positive = [c for c in contributions if c > 0]
         if not positive:
             return contributions
-        cap = robust.influence_bound * _median(positive)
+        cap = INFLUENCE_BOUND * _median(positive)
         return [min(c, cap) for c in contributions]
 
     def _windowed_trim(self, values, fallback):
-        robust = self.robust
-        if robust is None or len(values) < robust.min_reports_for_trim:
+        if not self.robust or len(values) < MIN_REPORTS_FOR_TRIM:
             return fallback
-        return _trimmed_mean(values, robust.trim_fraction)
+        return _trimmed_mean(values, TRIM_FRACTION)
 
     def estimated_queue_delay(self):
         self._expire_old_reports()
@@ -257,9 +257,7 @@ def _draw_batch(rng, first_id, now, *, malformed):
 
 def _pair(robust):
     sim = Simulator()
-    knobs = dict(
-        window_s=WINDOW_S, ewma_alpha=0.3, lease_ttl_s=LEASE_TTL_S, robust=robust
-    )
+    knobs = dict(window_s=WINDOW_S, lease_ttl_s=LEASE_TTL_S, robust=robust)
     return sim, ContextServer(sim, CAPACITY_BPS, **knobs), RescanServer(
         sim, CAPACITY_BPS, **knobs
     )
@@ -289,7 +287,7 @@ def _run_program(seed, robust, n_ops, check_probability, ops=_OPS):
         _advance_clock(rng, sim)
         op = rng.choice(ops)
         where = (seed, step, op, sim.now)
-        malformed = robust is not None
+        malformed = robust
         if op == "lookup":
             assert server.lookup() == reference.lookup(), where
         elif op == "utilization":
@@ -317,7 +315,7 @@ def _run_program(seed, robust, n_ops, check_probability, ops=_OPS):
     return compared
 
 
-@pytest.mark.parametrize("robust", [None, RobustAggregationConfig()], ids=["ewma", "robust"])
+@pytest.mark.parametrize("robust", [False, True], ids=["ewma", "robust"])
 @pytest.mark.parametrize("seed", range(12))
 def test_every_answer_equals_the_rescan(seed, robust):
     # Checked after every operation: each comparison also advances the
@@ -325,7 +323,7 @@ def test_every_answer_equals_the_rescan(seed, robust):
     assert _run_program(seed, robust, n_ops=500, check_probability=1.0) == 500
 
 
-@pytest.mark.parametrize("robust", [None, RobustAggregationConfig()], ids=["ewma", "robust"])
+@pytest.mark.parametrize("robust", [False, True], ids=["ewma", "robust"])
 @pytest.mark.parametrize("seed", range(100, 108))
 def test_sparse_estimates_equal_the_rescan(seed, robust):
     # Estimates taken rarely: many inserts, expiries and clock jumps pile
@@ -333,7 +331,7 @@ def test_sparse_estimates_equal_the_rescan(seed, robust):
     _run_program(seed, robust, n_ops=700, check_probability=0.05)
 
 
-@pytest.mark.parametrize("robust", [None, RobustAggregationConfig()], ids=["ewma", "robust"])
+@pytest.mark.parametrize("robust", [False, True], ids=["ewma", "robust"])
 @pytest.mark.parametrize("seed", range(200, 206))
 def test_batched_absorb_equals_one_at_a_time(seed, robust):
     # Batches land behind late local reports (an unsorted deque), before
@@ -347,7 +345,7 @@ def test_batches_move_residents_and_their_clock_dependence():
     behind resident reports, clock-dependent ones among them, in a deque
     that late local reports left out of order."""
     rng = random.Random(200)
-    sim, server, _ = _pair(None)
+    sim, server, _ = _pair(False)
     moved = clocked_moved = unsorted = 0
     for step in range(400):
         _advance_clock(rng, sim)
@@ -371,7 +369,7 @@ def test_batches_move_residents_and_their_clock_dependence():
 def test_programs_reach_a_full_expiring_straddling_window():
     """The generator does what the tests above rely on."""
     rng = random.Random(0)
-    sim, _, reference = _pair(None)
+    sim, _, reference = _pair(False)
     resident, straddling, expired = 0, 0, False
     for step in range(500):
         _advance_clock(rng, sim)

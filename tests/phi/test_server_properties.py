@@ -82,7 +82,7 @@ class TestServerInvariants:
     @settings(max_examples=60)
     def test_queue_delay_ewma_bounded_by_inputs(self, first_delay, second_delay):
         sim = Simulator()
-        server = ContextServer(sim, 15e6, ewma_alpha=0.5)
+        server = ContextServer(sim, 15e6)
         for delay in (first_delay, second_delay):
             server.report(
                 ConnectionReport(

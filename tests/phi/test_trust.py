@@ -4,8 +4,12 @@ import pytest
 
 from repro.phi.context import CongestionLevel
 from repro.phi.trust import (
+    ADJACENT_CREDIT,
+    DISTRUST_BELOW,
     LOSS_RATE_THRESHOLDS,
-    TrustConfig,
+    MIN_SAMPLES,
+    RESTORE_ABOVE,
+    TRUST_ALPHA,
     TrustTracker,
     observed_level,
     observed_level_from_stats,
@@ -41,18 +45,6 @@ class TestObservedLevel:
         assert observed_level_from_stats(stats) is CongestionLevel.SEVERE
 
 
-class TestConfigValidation:
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            TrustConfig(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            TrustConfig(adjacent_credit=1.0, exact_credit=0.5)
-        with pytest.raises(ValueError):
-            TrustConfig(distrust_below=0.8, restore_above=0.7)
-        with pytest.raises(ValueError):
-            TrustConfig(min_samples=0)
-
-
 class TestTrustTracker:
     def test_starts_fully_trusting(self):
         tracker = TrustTracker()
@@ -67,71 +59,83 @@ class TestTrustTracker:
         assert not tracker.distrusted
 
     def test_adjacent_miss_is_cheap_two_level_miss_is_not(self):
-        cfg = TrustConfig(ewma_alpha=1.0, min_samples=100)
-        tracker = TrustTracker(cfg)
+        tracker = TrustTracker()
         tracker.record(CongestionLevel.LOW, CongestionLevel.MODERATE)
-        assert tracker.score == pytest.approx(cfg.adjacent_credit)
+        assert tracker.score == pytest.approx(1 - TRUST_ALPHA * (1 - ADJACENT_CREDIT))
+        assert tracker.mispredictions == 0
+        before = tracker.score
         tracker.record(CongestionLevel.LOW, CongestionLevel.HIGH)
-        assert tracker.score == pytest.approx(0.0)
+        assert tracker.score == pytest.approx((1 - TRUST_ALPHA) * before)
         assert tracker.mispredictions == 1
 
     def test_sustained_lies_trip_distrust(self):
-        tracker = TrustTracker(TrustConfig(min_samples=8))
+        tracker = TrustTracker()
         for _ in range(30):
             tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
         assert tracker.distrusted
         assert tracker.distrust_entries == 1
 
     def test_warmup_blocks_early_verdict(self):
-        tracker = TrustTracker(TrustConfig(ewma_alpha=1.0, min_samples=8))
-        for _ in range(7):
+        tracker = TrustTracker()
+        for _ in range(MIN_SAMPLES - 1):
             tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
-        assert not tracker.distrusted  # score is 0 but warm-up holds
+        assert tracker.score <= DISTRUST_BELOW
+        assert not tracker.distrusted  # the score says distrust; warm-up holds
+        tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+        assert tracker.distrusted
 
     def test_hysteresis_restores_only_after_sustained_accuracy(self):
-        cfg = TrustConfig(
-            ewma_alpha=0.5, min_samples=1, distrust_below=0.4, restore_above=0.7
-        )
-        tracker = TrustTracker(cfg)
-        tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
-        tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+        tracker = TrustTracker()
+        for _ in range(MIN_SAMPLES):
+            tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
         assert tracker.distrusted
-        # One good outcome: 0.25 -> 0.625, still below restore_above.
-        tracker.record(CongestionLevel.LOW, CongestionLevel.LOW)
-        assert tracker.distrusted
-        tracker.record(CongestionLevel.LOW, CongestionLevel.LOW)
-        assert not tracker.distrusted
+        # Good outcomes climb the score back, but trust returns only once
+        # it clears the top of the band: six in a row from 0.85**8.
+        goods = 0
+        while tracker.distrusted:
+            assert tracker.score <= RESTORE_ABOVE
+            tracker.record(CongestionLevel.LOW, CongestionLevel.LOW)
+            goods += 1
+        assert goods == 6
+        assert tracker.score > RESTORE_ABOVE
         assert tracker.restorations == 1
 
     def test_band_prevents_flapping(self):
-        """A score oscillating inside the band never toggles the state."""
-        cfg = TrustConfig(
-            ewma_alpha=0.2, min_samples=1, distrust_below=0.3, restore_above=0.8
-        )
-        tracker = TrustTracker(cfg)
+        """A score settling inside the band never toggles the state."""
+        tracker = TrustTracker()
         for _ in range(100):
             tracker.record(CongestionLevel.LOW, CongestionLevel.MODERATE)
-        # Adjacent credit 0.6 sits inside (0.3, 0.8]: trusted throughout.
+        # Adjacent credit 0.6 sits inside (0.4, 0.7]: trusted throughout ...
         assert not tracker.distrusted
-        assert tracker.distrust_entries == 0
+        assert DISTRUST_BELOW < tracker.score <= RESTORE_ABOVE
+        for _ in range(MIN_SAMPLES):
+            tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+        assert tracker.distrusted
+        for _ in range(100):
+            tracker.record(CongestionLevel.LOW, CongestionLevel.MODERATE)
+        # ... and distrusted throughout on the way back.
+        assert tracker.distrusted
+        assert tracker.distrust_entries == 1 and tracker.restorations == 0
 
     def test_record_outcome_from_stats(self):
-        tracker = TrustTracker(TrustConfig(ewma_alpha=1.0, min_samples=1))
+        tracker = TrustTracker()
         stats = ConnectionStats(flow_id=1)
         stats.start_time, stats.end_time = 0.0, 1.0
         stats.packets_sent = 100
-        stats.retransmits = 10
+        stats.retransmits = 10  # SEVERE: two or more levels from LOW
         tracker.record_outcome(CongestionLevel.LOW, stats)
-        assert tracker.score == pytest.approx(0.0)
+        assert tracker.score == pytest.approx(1 - TRUST_ALPHA)
+        assert tracker.mispredictions == 1
 
     def test_telemetry(self):
         from repro import telemetry
 
         with telemetry.use() as tele:
-            tracker = TrustTracker(TrustConfig(ewma_alpha=1.0, min_samples=1))
-            tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
+            tracker = TrustTracker()
+            for _ in range(MIN_SAMPLES):
+                tracker.record(CongestionLevel.LOW, CongestionLevel.SEVERE)
             snapshot = tele.registry.snapshot()
-        assert snapshot["gauges"]["phi.trust_score"]["value"] == 0.0
+        assert snapshot["gauges"]["phi.trust_score"]["value"] == tracker.score
         assert (
             snapshot["counters"]["phi.trust_transitions{to_state=distrusted}"]
             == 1.0

@@ -18,7 +18,7 @@ from repro.runner import core
 from repro.runner.cache import NullCache
 from repro.runner.core import SweepPoint, SweepRunner, SweepSpec, evaluate_point
 from repro.runner.faultinject import ENV_VAR, FaultSpec, InjectedFault
-from repro.runner.resilience import ResilienceConfig, RetryPolicy
+from repro.runner.resilience import ResilienceConfig
 from repro.simnet.engine import SimulationStalled, WatchdogConfig
 
 from .conftest import MINI_GRID, MINI_PRESET
@@ -135,10 +135,7 @@ class TestCheckpointedSweep:
             n_workers=1,
             cache=NullCache(),
             checkpoint_dir=str(tmp_path),
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
-                poll_interval_s=0.02,
-            ),
+            resilience=ResilienceConfig(max_attempts=2),
             **kwargs,
         )
 

@@ -7,18 +7,37 @@ exist across a genuine process boundary.  They are marked ``fault``
 (``pytest -m "not fault"`` skips them).
 """
 
+import math
+import time
+from collections import deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
 from repro.runner.cache import NullCache
 from repro.runner.core import SweepRunner
 from repro.runner.faultinject import ENV_VAR, FaultSpec, fault_spec_from_env
-from repro.runner.resilience import ResilienceConfig, RetryPolicy, SweepSupervisor
+from repro.phi.channel import exponential_backoff_s
+from repro.runner import resilience as resilience_module
+from repro.runner.resilience import (
+    RETRY_BACKOFF_BASE_S,
+    RETRY_BACKOFF_BUDGET_S,
+    RETRY_BACKOFF_MAX_S,
+    RETRY_BACKOFF_MULTIPLIER,
+    ResilienceConfig,
+    SweepSupervisor,
+    _Slot,
+)
 from repro.simnet.engine import WatchdogConfig
 
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01, backoff_max_s=0.05)
+
+def retry_backoff(k):
+    """The supervisor's wait before retry ``k`` (0-based)."""
+    return exponential_backoff_s(
+        RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MULTIPLIER, RETRY_BACKOFF_MAX_S, k
+    )
 
 
 def make_runner(preset, *, n_workers=2, resilience=None, watchdog=None):
@@ -26,8 +45,7 @@ def make_runner(preset, *, n_workers=2, resilience=None, watchdog=None):
         preset,
         n_workers=n_workers,
         cache=NullCache(),
-        resilience=resilience
-        or ResilienceConfig(retry=FAST_RETRY, poll_interval_s=0.02),
+        resilience=resilience or ResilienceConfig(),
         watchdog=watchdog,
     )
 
@@ -43,33 +61,37 @@ def clean_baseline(mini_preset, mini_grid):
 
 class TestRetryPolicy:
     def test_backoff_shape_matches_channel_config(self):
-        policy = RetryPolicy(
-            backoff_base_s=0.05, backoff_multiplier=2.0, backoff_max_s=0.15
-        )
-        assert policy.backoff_s(0) == 0.05
-        assert policy.backoff_s(1) == 0.10
-        assert policy.backoff_s(2) == 0.15  # capped
-        assert policy.backoff_s(10) == 0.15
+        # Each failed attempt pushes the point's eligibility out by the
+        # channel's backoff formula, capped at RETRY_BACKOFF_MAX_S.
+        supervisor = SweepSupervisor(None, _double, config=ResilienceConfig(max_attempts=9))
+        slot, queue = _Slot(0, None), deque()
+        waits = []
+        for _ in range(8):
+            supervisor._record_failure(slot, "exception", "boom", queue, 0.0, None)
+            waits.append(slot.eligible_at)
+        assert waits == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+        assert waits == [retry_backoff(k) for k in range(8)]
+        assert supervisor.report.retries == 8
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_attempts": 0},
-            {"backoff_base_s": -0.1},
-            {"backoff_multiplier": 0.5},
-            {"backoff_budget_s": -1.0},
+            {"max_attempts": -1},
+            {"max_attempts": math.nan},
+            {"max_attempts": 2.5},
         ],
     )
     def test_rejects_invalid_policy(self, kwargs):
         with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
+            ResilienceConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"point_timeout_s": 0.0},
-            {"pool_breaks_before_fallback": 0},
-            {"poll_interval_s": 0.0},
+            {"point_timeout_s": -1.0},
+            {"point_timeout_s": math.nan},
         ],
     )
     def test_rejects_invalid_config(self, kwargs):
@@ -138,7 +160,7 @@ class TestSubmitIntoBrokenPool:
     def test_raising_submit_requeues_uncharged_and_rebuilds(self):
         supervisor = SweepSupervisor(
             2, _double, n_workers=2,
-            config=ResilienceConfig(retry=FAST_RETRY, poll_interval_s=0.01),
+            config=ResilienceConfig(),
         )
         pools = [_DoomedPool(break_at=3), _DoomedPool()]
         supervisor._new_pool = lambda width: pools.pop(0)
@@ -201,18 +223,19 @@ class TestCrashRecovery:
         # the oldest submissions (which always include the crasher):
         # bystanders may pick up attempts, but the guilty points must
         # end up quarantined as crashes, the sweep must terminate, and
-        # every surviving point must be untouched.
+        # every surviving point must be untouched.  One attempt each and
+        # the healthy points first: the guilty ones are blamed out before
+        # POOL_BREAKS_BEFORE_FALLBACK breaks in a row move the sweep to
+        # the serial path, where the crash fault does not fire.
         monkeypatch.setenv(
             ENV_VAR, FaultSpec(mode="crash", beta=0.7).to_env()
         )
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
-            poll_interval_s=0.02,
-            pool_breaks_before_fallback=100,  # keep the pool path active
-        )
+        mini_grid.sort(key=lambda params: params.beta)
+        resilience = ResilienceConfig(max_attempts=1)
         outcome = make_runner(mini_preset, resilience=resilience).run(
             mini_grid, n_runs=1, base_seed=0
         )
+        assert not outcome.serial_fallback
         guilty = sum(1 for p in mini_grid if p.beta == 0.7)
         assert guilty  # the grid really contains the targeted points
         assert not outcome.complete
@@ -231,11 +254,7 @@ class TestCrashRecovery:
         # Crash *every* worker evaluation.  The crash fault is gated to
         # child processes, so the in-process fallback completes the sweep.
         monkeypatch.setenv(ENV_VAR, FaultSpec(mode="crash").to_env())
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=5, backoff_base_s=0.01),
-            poll_interval_s=0.02,
-            pool_breaks_before_fallback=2,
-        )
+        resilience = ResilienceConfig(max_attempts=5)
         outcome = make_runner(mini_preset, resilience=resilience).run(
             mini_grid, n_runs=1, base_seed=0
         )
@@ -254,10 +273,7 @@ class TestExceptionsAndTimeouts:
         monkeypatch.setenv(
             ENV_VAR, FaultSpec(mode="raise", beta=0.7).to_env()
         )
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
-            poll_interval_s=0.02,
-        )
+        resilience = ResilienceConfig(max_attempts=2)
         outcome = make_runner(mini_preset, resilience=resilience).run(
             mini_grid, n_runs=1, base_seed=0
         )
@@ -292,11 +308,7 @@ class TestExceptionsAndTimeouts:
                 once_dir=str(tmp_path), hang_s=60.0,
             ).to_env(),
         )
-        resilience = ResilienceConfig(
-            retry=FAST_RETRY,
-            point_timeout_s=1.0,
-            poll_interval_s=0.02,
-        )
+        resilience = ResilienceConfig(point_timeout_s=1.0)
         outcome = make_runner(mini_preset, resilience=resilience).run(
             mini_grid, n_runs=1, base_seed=0
         )
@@ -308,20 +320,23 @@ class TestExceptionsAndTimeouts:
         self, mini_preset, mini_grid, monkeypatch
     ):
         monkeypatch.setenv(ENV_VAR, FaultSpec(mode="raise").to_env())
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(
-                max_attempts=10, backoff_base_s=5.0, backoff_budget_s=1.0
-            ),
-            poll_interval_s=0.02,
+        # The serial path really sleeps each backoff; skip the waits.
+        monkeypatch.setattr(
+            resilience_module, "time",
+            SimpleNamespace(monotonic=time.monotonic, sleep=lambda s: None),
         )
-        outcome = make_runner(mini_preset, n_workers=1, resilience=resilience).run(
-            mini_grid, n_runs=1, base_seed=0, parallel=False
-        )
+        within_budget, spent = 0, 0.0
+        while spent + retry_backoff(within_budget) <= RETRY_BACKOFF_BUDGET_S:
+            spent += retry_backoff(within_budget)
+            within_budget += 1
+        max_attempts = 2 * within_budget
+        outcome = make_runner(
+            mini_preset, n_workers=1, resilience=ResilienceConfig(max_attempts=max_attempts)
+        ).run(mini_grid, n_runs=1, base_seed=0, parallel=False)
         assert len(outcome.quarantined) == len(mini_grid)
-        # The 5s first backoff blows the 1s budget: one attempt each, no
-        # multi-second sleeps.
-        assert all(q.attempts == 1 for q in outcome.quarantined)
-        assert outcome.retries == 0
+        # The budget, not max_attempts, ends each point's retries.
+        assert all(q.attempts == within_budget + 1 for q in outcome.quarantined)
+        assert outcome.retries == within_budget * len(mini_grid)
 
 
 @pytest.mark.fault
@@ -331,10 +346,7 @@ class TestWatchdogQuarantine:
     ):
         # No fault injection: a too-small event budget makes every real
         # simulation trip the watchdog inside the worker.
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
-            poll_interval_s=0.02,
-        )
+        resilience = ResilienceConfig(max_attempts=2)
         outcome = make_runner(
             mini_preset,
             resilience=resilience,

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.simnet.engine import (
+    WALL_CHECK_INTERVAL,
     SimulationStalled,
     Simulator,
     SimWatchdog,
@@ -26,7 +27,7 @@ class TestWatchdogConfig:
             {"max_events": -5},
             {"max_wall_s": 0.0},
             {"max_wall_s": -1.0},
-            {"check_interval": 0},
+            {"max_wall_s": float("nan")},
         ],
     )
     def test_rejects_invalid_limits(self, kwargs):
@@ -105,13 +106,13 @@ class TestMaxWall:
         sim = Simulator()
 
         def spin(sim):
-            time.sleep(0.002)
             sim.schedule(0.001, spin, sim)
 
+        # One slow event blows the budget; the next wall read, within
+        # WALL_CHECK_INTERVAL events, trips it.
+        sim.schedule(0.0005, time.sleep, 0.03)
         sim.schedule(0.001, spin, sim)
-        sim.install_watchdog(
-            SimWatchdog(WatchdogConfig(max_wall_s=0.02, check_interval=1))
-        )
+        sim.install_watchdog(SimWatchdog(WatchdogConfig(max_wall_s=0.02)))
         with pytest.raises(SimulationStalled) as excinfo:
             sim.run(until=60.0)
         exc = excinfo.value
@@ -120,16 +121,14 @@ class TestMaxWall:
         assert exc.wall_seconds > 0.02
 
     def test_wall_checked_every_interval_events(self):
-        # With a large interval the countdown shields the budget until
-        # interval events have run, even though the wall is long blown.
+        # The countdown shields the budget until WALL_CHECK_INTERVAL
+        # events have run, even though the wall is long blown.
         sim = Simulator()
-        watchdog = SimWatchdog(
-            WatchdogConfig(max_wall_s=1e-9, check_interval=1000)
-        )
+        watchdog = SimWatchdog(WatchdogConfig(max_wall_s=1e-9))
         sim.install_watchdog(watchdog)
         watchdog.arm()
         time.sleep(0.001)  # wall budget now exhausted
-        for _ in range(999):
+        for _ in range(WALL_CHECK_INTERVAL - 1):
             watchdog.check(sim)  # countdown not yet elapsed
         with pytest.raises(SimulationStalled):
             watchdog.check(sim)

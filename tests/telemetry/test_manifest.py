@@ -6,7 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.experiments.scenarios import ScenarioPreset
-from repro.phi.channel import ChannelConfig, ControlChannel
+from repro.phi.channel import ControlChannel
 from repro.phi.context import CongestionContext
 from repro.runner import ENGINE_SIGNATURE, SweepRunner
 from repro.runner.cache import MemoryCache
@@ -234,9 +234,7 @@ class TestPhiLatencyRecovery:
     def test_percentiles_from_manifest(self, tmp_path):
         with telemetry.use() as tele:
             sim = Simulator()
-            channel = ControlChannel(
-                sim, _Backend(), config=ChannelConfig(latency_s=0.005)
-            )
+            channel = ControlChannel(sim, _Backend())
             for _ in range(20):
                 assert channel.call_lookup().ok
             manifest = run_manifest(
