@@ -18,6 +18,7 @@ from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..simnet.bounds import check
 from ..transport.base import DEFAULT_DUPACK_THRESHOLD
 
 PathKey = Tuple[str, str]
@@ -62,10 +63,7 @@ class ReorderingObservatory:
     """Shared per-path reordering statistics."""
 
     def __init__(self, max_samples_per_path: int = 100_000) -> None:
-        if max_samples_per_path < 1:
-            raise ValueError(
-                f"max_samples_per_path must be >= 1: {max_samples_per_path}"
-            )
+        check("max_samples_per_path", max_samples_per_path, ge=1, integer=True)
         self._depths: Dict[PathKey, Deque[int]] = defaultdict(
             lambda: deque(maxlen=max_samples_per_path)
         )

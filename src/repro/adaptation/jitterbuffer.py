@@ -20,6 +20,8 @@ from typing import Deque, Dict, Sequence, Tuple
 
 import numpy as np
 
+from ..simnet.bounds import check
+
 LocationKey = Tuple[str, str]
 """(client AS, metro)."""
 
@@ -43,10 +45,7 @@ class JitterObservatory:
     """Shared per-location jitter statistics."""
 
     def __init__(self, max_samples_per_location: int = 50_000) -> None:
-        if max_samples_per_location < 1:
-            raise ValueError(
-                f"max_samples_per_location must be >= 1: {max_samples_per_location}"
-            )
+        check("max_samples_per_location", max_samples_per_location, ge=1, integer=True)
         self._samples: Dict[LocationKey, Deque[float]] = defaultdict(
             lambda: deque(maxlen=max_samples_per_location)
         )

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import ExitStack
+from dataclasses import fields
 from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -64,6 +64,7 @@ from .experiments import (
     run_incremental_deployment,
     run_phi_cubic,
 )
+from .experiments.faultsweep import check_tolerance
 from .flightrec.postmortem import DEFAULT_STALL_THRESHOLD_S, analyze_dump, render_text
 from .ipfix import (
     EgressTrafficModel,
@@ -72,20 +73,26 @@ from .ipfix import (
     TrafficModelConfig,
     sharing_stats,
 )
+from .ipfix.traffic import check_minutes
 from .phi import REFERENCE_POLICY, SharingMode
 from .phi.corruption import CONTEXT_CORRUPTION_MODES
+from .phi.deployment import check_fraction
 from .phi.optimizer import select_optimal
-from .phi.replication import ReadPolicy
+from .phi.plane import PlaneSpec
+from .phi.replication import ReadPolicy, ReplicationConfig
 from .runner import (
     ConsoleProgress,
     DiskCache,
     ResilienceConfig,
     SweepRunner,
 )
+from .runner.core import check_runs
+from .runner.resilience import check_workers
 from .simcheck import ViolationReport
-from .simcheck.fuzz import draw_scenario, run_fuzz_case
+from .simcheck.fuzz import draw_scenarios, run_fuzz_case
 from .simcheck.oracles import ORACLES, run_oracles
-from .simnet.engine import WatchdogConfig
+from .simnet.engine import WatchdogConfig, check_duration
+from .simnet.random import check_seed
 from .telemetry.manifest import (
     fault_sweep_manifest,
     load_manifest,
@@ -230,62 +237,40 @@ def cmd_incremental(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ranged(kind: type, accept: Callable[[Any], bool], wanted: str) -> Callable[[str], Any]:
-    """An argparse type: ``kind(text)``, kept only where ``accept`` holds.
-
-    Every ``accept`` is a chain of comparisons, which a NaN fails, so a bad
-    value exits 2 with a usage line instead of a traceback from the model.
-    """
+def _checked(kind: type, model: Callable[[Any], Any], *, listed: bool = False):
+    """An argparse type: ``kind(text)`` (a comma-separated, non-repeating
+    list when ``listed``: a repeat would be two sweep points with one key),
+    each value passed to ``model``, the check of the model that owns the
+    bound, so its ``ValueError`` exits 2 with the model's own message."""
 
     def parse(text: str):
+        values = ([kind(item) for item in text.split(",") if item.strip()]
+                  if listed else [kind(text)])
         try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not {kind.__name__}: {text!r}")
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
-        return value
+            for value in values:
+                model(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if not values:
+            raise argparse.ArgumentTypeError("need at least one value")
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"values must not repeat: {text!r}")
+        return values if listed else values[0]
 
+    parse.__name__ = f"{kind.__name__} list" if listed else kind.__name__
     return parse
 
 
-_positive_int = _ranged(int, lambda v: 0 < v < math.inf, "positive and finite")
-_positive_float = _ranged(float, lambda v: 0 < v < math.inf, "positive and finite")
-# CubicParams' and the deployment split's own bounds.
-_window_init = _ranged(float, lambda v: 1 <= v < math.inf, "finite and >= 1")
-_ssthresh = _ranged(float, lambda v: 2 <= v < math.inf, "finite and >= 2")
-_beta = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
-_fraction = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
-# Negative tolerances stay: one forces an envelope violation on purpose.
-_finite_float = _ranged(float, lambda v: -math.inf < v < math.inf, "finite")
-# OutageSpec's own bounds: a severity in (0, 1] and at least one bin.
-_outage_severity = _ranged(float, lambda v: 0 < v <= 1, "in (0, 1]")
-_outage_minutes = _ranged(
-    int, lambda v: TelemetryConfig.bin_minutes <= v,
-    f"at least one {TelemetryConfig.bin_minutes}-minute bin",
-)
+def _field(cls: type, name: str, **given) -> Callable[[Any], Any]:
+    """``cls``' own check of its field ``name`` (other fields ``given``)."""
+    return lambda value: cls(**given, **{name: value})
 
 
-def _value_list(kind: type, text: str) -> list:
-    """A comma-separated list of ``kind``: non-empty, finite and without
-    repeats (a repeated value would be two sweep points with one key)."""
-    try:
-        values = [kind(item) for item in text.split(",") if item.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated {kind.__name__} list: {text!r}"
-        )
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one value")
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"values must be finite: {text!r}")
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"values must not repeat: {text!r}")
-    return values
-
-
-_float_list = partial(_value_list, float)
-_int_list = partial(_value_list, int)
+def _plane(name: str) -> Callable[[Any], Any]:
+    """The plane's own check of a fault-sweep value (a config field)."""
+    if name in {f.name for f in fields(ReplicationConfig)}:
+        return _field(ReplicationConfig, name)
+    return _field(PlaneSpec, name, policy=REFERENCE_POLICY)
 
 
 def _sweep_watchdog(args: argparse.Namespace) -> Optional[WatchdogConfig]:
@@ -586,6 +571,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     names = args.oracles or None
     try:
+        scenarios = draw_scenarios(args.seed, args.fuzz)
         outcomes = run_oracles(names, duration_s=args.duration, seed=args.seed)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -601,8 +587,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print(f"      {failure}")
 
     fuzz_cases = []
-    for index in range(args.fuzz):
-        scenario = draw_scenario(args.seed + index)
+    for scenario in scenarios:
         report = ViolationReport()
         case = {"scenario": scenario.as_dict(), "error": None}
         try:
@@ -660,14 +645,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_args(p, with_params=True):
         p.add_argument("--preset", default="table3-remy")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration", type=_positive_float, default=None,
+        p.add_argument("--seed", type=_checked(int, check_seed), default=0)
+        p.add_argument("--duration", type=_checked(float, check_duration), default=None,
                        help="simulated seconds (default: preset duration)")
         if with_params:
-            p.add_argument("--window-init", type=_window_init, default=2.0,
-                           dest="window_init")
-            p.add_argument("--ssthresh", type=_ssthresh, default=65536.0)
-            p.add_argument("--beta", type=_beta, default=0.2)
+            p.add_argument("--window-init", dest="window_init", default=2.0,
+                           type=_checked(float, _field(CubicParams, "window_init")))
+            p.add_argument("--ssthresh", default=65536.0,
+                           type=_checked(float, _field(CubicParams, "initial_ssthresh")))
+            p.add_argument("--beta", type=_checked(float, _field(CubicParams, "beta")), default=0.2)
 
     cubic = sub.add_parser("cubic", help="fixed-parameter Cubic run")
     add_run_args(cubic)
@@ -685,40 +671,43 @@ def build_parser() -> argparse.ArgumentParser:
     incremental.set_defaults(
         preset="fig4-incremental", window_init=16.0, ssthresh=64.0, beta=0.3
     )
-    incremental.add_argument("--fraction", type=_fraction, default=0.5)
+    incremental.add_argument("--fraction", type=_checked(float, check_fraction),
+                             default=0.5)
     incremental.set_defaults(func=cmd_incremental)
 
     sweep = sub.add_parser("sweep", help="Table-2 grid sweep via repro.runner")
     sweep.add_argument("--preset", default="table3-remy")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--runs", type=_positive_int, default=8,
+    sweep.add_argument("--seed", type=_checked(int, check_seed), default=0)
+    sweep.add_argument("--runs", type=_checked(int, check_runs), default=8,
                        help="runs per grid point (paper uses 8)")
-    sweep.add_argument("--duration", type=_positive_float, default=None,
+    sweep.add_argument("--duration", type=_checked(float, check_duration), default=None,
                        help="simulated seconds per run (default: preset duration)")
-    sweep.add_argument("--workers", type=_positive_int, default=None,
+    sweep.add_argument("--workers", type=_checked(int, check_workers), default=None,
                        help="worker processes (default: usable CPU count)")
     sweep.add_argument("--cache-dir", default=None,
                        help="persist per-point results under this directory")
-    sweep.add_argument("--ssthresh-range", type=_float_list, default=None,
-                       help="comma-separated initial_ssthresh values")
-    sweep.add_argument("--window-range", type=_float_list, default=None,
-                       help="comma-separated windowInit_ values")
-    sweep.add_argument("--beta-range", type=_float_list, default=None,
-                       help="comma-separated beta values")
+    for flag, name in [("--ssthresh-range", "initial_ssthresh"),
+                       ("--window-range", "window_init"), ("--beta-range", "beta")]:
+        sweep.add_argument(flag, type=_checked(float, _field(CubicParams, name), listed=True),
+                           default=None, help=f"comma-separated {name} values")
     sweep.add_argument("--checkpoint-dir", default=None,
                        help="journal completed points under this directory "
                             "(crash-safe, resumable)")
     sweep.add_argument("--resume", action="store_true",
                        help="replay an existing checkpoint journal; only "
                             "unfinished points are recomputed")
-    sweep.add_argument("--retries", type=_positive_int, default=3,
+    sweep.add_argument("--retries", type=_checked(int, _field(ResilienceConfig, "max_attempts")),
+                       default=3,
                        help="attempts per point before quarantine (default 3)")
-    sweep.add_argument("--point-timeout", type=_positive_float, default=None,
+    sweep.add_argument("--point-timeout", default=None,
+                       type=_checked(float, _field(ResilienceConfig, "point_timeout_s")),
                        help="wall seconds per running point before the "
                             "supervisor kills and retries it")
-    sweep.add_argument("--max-sim-events", type=_positive_int, default=None,
+    sweep.add_argument("--max-sim-events", default=None,
+                       type=_checked(int, _field(WatchdogConfig, "max_events")),
                        help="watchdog: abort a simulation after this many events")
-    sweep.add_argument("--max-sim-seconds", type=_positive_float, default=None,
+    sweep.add_argument("--max-sim-seconds", default=None,
+                       type=_checked(float, _field(WatchdogConfig, "max_wall_s")),
                        help="watchdog: abort a simulation after this much wall time")
     sweep.add_argument("--serial-check", action="store_true",
                        help="also run serially; verify bit-identical results")
@@ -742,18 +731,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for axis, values in scenario.grid.items():
             p.add_argument(f"--{axis.replace('_', '-')}", dest=axis,
-                           type=_int_list if isinstance(values[0], int) else _float_list,
+                           type=_checked(type(values[0]), _plane(axis), listed=True),
                            default=list(values),
                            help=f"comma-separated {axis} values (default: "
                                 f"{_fmt(values)})")
         p.add_argument("--preset", default="fig2a-low-utilization")
-        p.add_argument("--seeds", type=_int_list, default=[0, 1],
+        p.add_argument("--seeds", type=_checked(int, check_seed, listed=True), default=[0, 1],
                        help="comma-separated seeds (one run per seed per cell)")
-        p.add_argument("--duration", type=_positive_float, default=None,
+        p.add_argument("--duration", type=_checked(float, check_duration), default=None,
                        help="simulated seconds per run (default: preset duration)")
-        p.add_argument("--workers", type=_positive_int, default=1,
+        p.add_argument("--workers", type=_checked(int, check_workers), default=1,
                        help="worker processes (1 = serial)")
-        p.add_argument("--tolerance", type=_finite_float, default=0.05,
+        p.add_argument("--tolerance", type=_checked(float, check_tolerance), default=0.05,
                        help="relative envelope tolerance (default 0.05)")
         p.add_argument("--serial-check", action="store_true",
                        help="also run serially; verify bit-identical results")
@@ -777,7 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="succeed only if some row falls below the baseline "
                              "floor (pair with --unguarded)")
     poison.set_defaults(fixed=("modes", "guarded"))
-    partition.add_argument("--partition-start", type=float, default=10.0,
+    partition.add_argument("--partition-start", default=10.0,
+                           type=_checked(float, _plane("partition_start_s")),
                            dest="partition_start_s",
                            help="simulated second the partition begins")
     partition.add_argument("--read-policy", type=ReadPolicy, default=ReadPolicy.ANY,
@@ -817,8 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.set_defaults(func=cmd_telemetry_summarize)
 
     ipfix = sub.add_parser("ipfix", help="Section-2.1 sharing analysis")
-    ipfix.add_argument("--minutes", type=_positive_int, default=3)
-    ipfix.add_argument("--seed", type=int, default=21)
+    ipfix.add_argument("--minutes", type=_checked(int, check_minutes), default=3)
+    ipfix.add_argument("--seed", type=_checked(int, check_seed), default=21)
     ipfix.set_defaults(func=cmd_ipfix)
 
     check = sub.add_parser(
@@ -830,9 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ORACLES),
         help="run only this oracle (repeatable; default: all)",
     )
-    check.add_argument("--duration", type=_positive_float, default=10.0,
+    check.add_argument("--duration", type=_checked(float, check_duration), default=10.0,
                        help="simulated seconds per oracle scenario")
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_checked(int, check_seed), default=0)
     check.add_argument("--fuzz", type=int, default=0, metavar="N",
                        help="also run N random checked scenarios")
     check.add_argument("--report", default=None, metavar="PATH",
@@ -842,9 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose = sub.add_parser("diagnose", help="Figure-5 outage pipeline")
     diagnose.add_argument("--asn", default="isp-a")
     diagnose.add_argument("--metro", default="nyc")
-    diagnose.add_argument("--outage-minutes", type=_outage_minutes, default=120)
-    diagnose.add_argument("--severity", type=_outage_severity, default=0.9)
-    diagnose.add_argument("--seed", type=int, default=7)
+    diagnose.add_argument("--outage-minutes", default=120, type=_checked(
+        int, lambda m: OutageSpec(0, m // TelemetryConfig.bin_minutes, 1.0)))
+    diagnose.add_argument("--severity", default=0.9, type=_checked(
+        float, _field(OutageSpec, "severity", start_bin=0, duration_bins=1)))
+    diagnose.add_argument("--seed", type=_checked(int, check_seed), default=7)
     diagnose.set_defaults(func=cmd_diagnose)
 
     return parser

@@ -13,6 +13,7 @@ from typing import List, Mapping
 
 import numpy as np
 
+from ..simnet.bounds import check
 from .events import SliceKey
 from .timeseries import SeasonalBaseline
 
@@ -48,16 +49,9 @@ class DetectorConfig:
     min_drop_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.z_threshold >= 0:
-            raise ValueError(f"z_threshold must be negative: {self.z_threshold}")
-        if self.min_consecutive_bins < 1:
-            raise ValueError(
-                f"min_consecutive_bins must be >= 1: {self.min_consecutive_bins}"
-            )
-        if not 0 <= self.min_drop_fraction < 1:
-            raise ValueError(
-                f"min_drop_fraction must be in [0, 1): {self.min_drop_fraction}"
-            )
+        check("z_threshold", self.z_threshold, lt=0)
+        check("min_consecutive_bins", self.min_consecutive_bins, ge=1, integer=True)
+        check("min_drop_fraction", self.min_drop_fraction, ge=0, lt=1)
 
 
 class UnreachabilityDetector:

@@ -16,6 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..simnet.bounds import check
+
 SliceKey = Tuple[str, str, str]
 """(client AS, metro, service)."""
 
@@ -32,12 +34,9 @@ class TelemetryConfig:
     diurnal_amplitude: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.bin_minutes < 1:
-            raise ValueError(f"bin_minutes must be >= 1: {self.bin_minutes}")
-        if not 0 <= self.diurnal_amplitude < 1:
-            raise ValueError(
-                f"diurnal_amplitude must be in [0, 1): {self.diurnal_amplitude}"
-            )
+        check("bin_minutes", self.bin_minutes, ge=1, integer=True)
+        check("base_rate", self.base_rate, gt=0)
+        check("diurnal_amplitude", self.diurnal_amplitude, ge=0, lt=1)
 
     @property
     def bins_per_day(self) -> int:
@@ -71,10 +70,9 @@ class OutageSpec:
     service: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.severity <= 1:
-            raise ValueError(f"severity must be in (0, 1]: {self.severity}")
-        if self.duration_bins < 1:
-            raise ValueError(f"duration_bins must be >= 1: {self.duration_bins}")
+        check("start_bin", self.start_bin, ge=0, integer=True)
+        check("duration_bins", self.duration_bins, ge=1, integer=True)
+        check("severity", self.severity, gt=0, le=1)
 
     def affects(self, key: SliceKey, bin_index: int) -> bool:
         """Whether this outage suppresses ``key`` at ``bin_index``."""

@@ -17,6 +17,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..simnet.bounds import check
+
 #: Scale factor turning a median absolute deviation into a std estimate.
 MAD_TO_SIGMA = 1.4826
 
@@ -41,13 +43,8 @@ class SeasonalBaseline:
     """
 
     def __init__(self, period_bins: int, min_history_periods: int = 2) -> None:
-        if period_bins < 1:
-            raise ValueError(f"period_bins must be >= 1: {period_bins}")
-        if min_history_periods < 1:
-            raise ValueError(
-                f"min_history_periods must be >= 1: {min_history_periods}"
-            )
-        self.period_bins = period_bins
+        check("min_history_periods", min_history_periods, ge=1, integer=True)
+        self.period_bins = check("period_bins", period_bins, ge=1, integer=True)
         self.min_history_periods = min_history_periods
         self._fitted: Optional[List[BaselinePoint]] = None
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Union
 from .. import simcheck
 from ..metrics.summary import RunMetrics, summarize_connections
 from ..simcheck import CheckedSimulator, ViolationReport, checked_factory
-from ..simnet.engine import Simulator, SimWatchdog, WatchdogConfig
+from ..simnet.engine import Simulator, SimWatchdog, WatchdogConfig, check_duration
 from ..simnet.monitor import ActiveFlowTracker, LinkMonitor
 from ..simnet.packet import FlowIdAllocator
 from ..simnet.random import RngStreams
@@ -152,6 +152,9 @@ class ScenarioPreset:
     duration_s: float
     description: str
 
+    def __post_init__(self) -> None:
+        check_duration(self.duration_s)
+
 
 #: What a run's senders are: ``senders(env)`` returns one
 #: :class:`SenderFactory` for every slot, or a list with one per slot.
@@ -207,7 +210,7 @@ def run_preset(
         raise ValueError("slot_order applies to on/off workloads only")
     if sorted(order) != list(range(n_senders)):
         raise ValueError(f"slot_order must permute 0..{n_senders - 1}: {order}")
-    duration = preset.duration_s if duration_s is None else duration_s
+    duration = preset.duration_s if duration_s is None else check_duration(duration_s)
 
     env = ExperimentEnv.create(
         preset.config,

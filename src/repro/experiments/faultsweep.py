@@ -30,10 +30,10 @@ declare a :class:`FaultScenario` over it and list it in
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple
 from typing import Optional, Sequence, Tuple
 
@@ -43,6 +43,8 @@ from ..phi.policy import PolicyTable
 from ..runner.core import run_supervised, serial_recheck
 from ..runner.hashing import content_hash
 from ..runner.resilience import PointFailure, QuarantinedPoint, ResilienceConfig
+from ..simnet.bounds import check
+from ..simnet.engine import check_duration
 from ..transport.cubic import CubicParams
 from .scenarios import ScenarioPreset, run_cubic_fixed
 
@@ -183,6 +185,10 @@ class FaultSpec:
     fixed: Mapping[str, Any] = field(default_factory=dict)
     duration_s: Optional[float] = None
     collect_telemetry: bool = False
+
+    def __post_init__(self) -> None:
+        if self.duration_s is not None:
+            check_duration(self.duration_s)
 
 
 @dataclass
@@ -411,6 +417,11 @@ def run_fault_sweep(
     )
 
 
+#: The envelope's relative tolerance: any finite value.  A negative one
+#: forces a violation on purpose.
+check_tolerance = partial(check, "rel_tol")
+
+
 def check_envelope(outcome, *, rel_tol: float = 0.05) -> List[str]:
     """Violations of the scenario's declared floors (empty = it holds).
 
@@ -425,8 +436,7 @@ def check_envelope(outcome, *, rel_tol: float = 0.05) -> List[str]:
     ``ValueError``: every comparison with a NaN floor is false, so the
     envelope would hold vacuously.
     """
-    if not math.isfinite(rel_tol):
-        raise ValueError(f"rel_tol must be finite, got {rel_tol!r}")
+    check_tolerance(rel_tol)
     scenario = outcome.spec.scenario
     violations: List[str] = []
     for row in outcome.rows:

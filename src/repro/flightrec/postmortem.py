@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..simnet.bounds import check
 from .recorder import load_dump
 
 #: Default inter-activity gap that counts as a stall, in sim seconds.
@@ -325,8 +326,7 @@ def analyze(
     dump_path: str = "",
 ) -> Dict[str, Any]:
     """Reconstruct per-flow timelines and attribute every stall."""
-    if stall_threshold_s <= 0:
-        raise ValueError(f"stall threshold must be positive: {stall_threshold_s}")
+    check("stall_threshold_s", stall_threshold_s, gt=0)
     sim_time = header.get("sim_time")
     times = [float(r["t"]) for r in records] or [0.0]
     horizon = float(sim_time) if isinstance(sim_time, (int, float)) else max(times)

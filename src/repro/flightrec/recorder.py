@@ -34,6 +34,8 @@ import json
 import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..simnet.bounds import check
+
 #: A field is ``(name,)`` when the emitter requires it and ``(name,
 #: default)`` otherwise.  Every slot is ``t, kind, *fields, detail``.
 _Fields = Tuple[Tuple[Any, ...], ...]
@@ -76,8 +78,7 @@ class _Ring:
     __slots__ = ("fields", "width", "capacity", "limit", "buf", "trimmed")
 
     def __init__(self, fields: _Fields, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("ring capacities must be >= 1")
+        check("capacity", capacity, ge=1, integer=True)
         self.fields = tuple(field[0] for field in fields)
         self.width = len(fields) + 3
         self.capacity = capacity

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from ..simnet.bounds import check
+
 FourTuple = Tuple[str, int, str, int]
 
 
@@ -46,10 +48,8 @@ class EgressFlow:
     packets: int
 
     def __post_init__(self) -> None:
-        if self.packets < 1:
-            raise ValueError(f"flow must have >= 1 packet: {self.packets}")
-        if self.duration_s < 0:
-            raise ValueError(f"duration must be >= 0: {self.duration_s}")
+        check("packets", self.packets, ge=1, integer=True)
+        check("duration_s", self.duration_s, ge=0)
 
     @property
     def four_tuple(self) -> FourTuple:

@@ -19,6 +19,7 @@ from typing import Iterable, List
 
 import numpy as np
 
+from ..simnet.bounds import check
 from .records import EgressFlow, SampledHeader
 
 #: The paper's sampling rate: one in 4096 packets.
@@ -29,10 +30,8 @@ class IpfixSampler:
     """1-in-N packet sampler feeding a collector."""
 
     def __init__(self, rng: np.random.Generator, rate: int = PAPER_SAMPLING_RATE) -> None:
-        if rate < 1:
-            raise ValueError(f"sampling rate must be >= 1: {rate}")
         self.rng = rng
-        self.rate = rate
+        self.rate = check("rate", rate, ge=1, integer=True)
         self.packets_seen = 0
         self.packets_sampled = 0
 

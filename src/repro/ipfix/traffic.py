@@ -16,10 +16,12 @@ popularity weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, List
 
 import numpy as np
 
+from ..simnet.bounds import check
 from .records import EgressFlow
 
 
@@ -43,18 +45,18 @@ class TrafficModelConfig:
     n_servers: int = 4_669  # the Netflix CDN server count from the paper
 
     def __post_init__(self) -> None:
-        if self.n_subnets < 1:
-            raise ValueError(f"n_subnets must be >= 1: {self.n_subnets}")
-        if self.zipf_exponent <= 0:
-            raise ValueError(f"zipf_exponent must be > 0: {self.zipf_exponent}")
-        if self.flows_per_minute <= 0:
-            raise ValueError(
-                f"flows_per_minute must be > 0: {self.flows_per_minute}"
-            )
-        if self.pareto_shape <= 1.0:
-            raise ValueError(
-                f"pareto_shape must be > 1 for a finite mean: {self.pareto_shape}"
-            )
+        check("n_subnets", self.n_subnets, ge=1, integer=True)
+        check("zipf_exponent", self.zipf_exponent, gt=0)
+        check("flows_per_minute", self.flows_per_minute, gt=0)
+        check("mean_duration_s", self.mean_duration_s, gt=0)
+        check("pareto_shape", self.pareto_shape, gt=1)  # a finite mean
+        check("min_packets", self.min_packets, ge=1, integer=True)
+        check("mean_packets", self.mean_packets, gt=0)
+        check("n_servers", self.n_servers, ge=1, integer=True)
+
+
+#: How many minutes of traffic to generate.
+check_minutes = partial(check, "n_minutes", ge=1, integer=True)
 
 
 class EgressTrafficModel:
@@ -119,7 +121,5 @@ class EgressTrafficModel:
 
     def generate(self, n_minutes: int) -> Iterator[List[EgressFlow]]:
         """Yield per-minute flow batches for ``n_minutes`` minutes."""
-        if n_minutes < 1:
-            raise ValueError(f"n_minutes must be >= 1: {n_minutes}")
-        for minute in range(n_minutes):
+        for minute in range(check_minutes(n_minutes)):
             yield self.generate_minute(minute)

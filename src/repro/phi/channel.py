@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..telemetry import LATENCY_BUCKETS_S
 from ..telemetry import session as _telemetry_session
@@ -115,8 +116,7 @@ class ChannelConfig:
     backoff_jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.backoff_jitter >= 0:  # NaN too
-            raise ValueError(f"backoff jitter must be >= 0: {self.backoff_jitter}")
+        check("backoff_jitter", self.backoff_jitter, ge=0)
 
     @property
     def needs_rng(self) -> bool:
@@ -147,10 +147,8 @@ class CircuitBreaker:
         *,
         reset_timeout_s: float = 10.0,
     ) -> None:
-        if not reset_timeout_s > 0:  # NaN would never half-open
-            raise ValueError(f"reset_timeout_s must be positive: {reset_timeout_s}")
         self._now = now
-        self.reset_timeout_s = reset_timeout_s
+        self.reset_timeout_s = check("reset_timeout_s", reset_timeout_s, gt=0)
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0

@@ -7,11 +7,12 @@ Section 2.2.2: "the congestion context can be characterized in terms of
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+from ..simnet.bounds import check
 
 
 class CongestionLevel(Enum):
@@ -78,29 +79,13 @@ class CongestionContext:
     fair_share_mbps: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Finiteness first: NaN compares False against any bound, so the
-        # range checks below would silently wave NaN through (and level()
-        # would then bucket it to SEVERE).  Reject non-finite inputs for
-        # every field instead.
-        for name in ("utilization", "queue_delay_s", "competing_senders",
-                     "timestamp", "fair_share_mbps"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite: {value!r}")
-        if not 0.0 <= self.utilization <= 1.0:
-            raise ValueError(f"utilization must be in [0, 1]: {self.utilization}")
-        if self.queue_delay_s < 0:
-            raise ValueError(f"queue_delay_s must be >= 0: {self.queue_delay_s}")
-        if self.competing_senders < 0:
-            raise ValueError(
-                f"competing_senders must be >= 0: {self.competing_senders}"
-            )
-        if self.fair_share_mbps is not None and self.fair_share_mbps < 0:
-            raise ValueError(
-                f"fair_share_mbps must be >= 0: {self.fair_share_mbps}"
-            )
+        # A NaN would otherwise bucket to SEVERE in level().
+        check("utilization", self.utilization, ge=0, le=1)
+        check("queue_delay_s", self.queue_delay_s, ge=0)
+        check("competing_senders", self.competing_senders, ge=0)
+        check("timestamp", self.timestamp)
+        if self.fair_share_mbps is not None:
+            check("fair_share_mbps", self.fair_share_mbps, ge=0)
 
     def level(self) -> CongestionLevel:
         """Discretize (u, q, n) into a :class:`CongestionLevel`.

@@ -42,6 +42,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Deque, Iterable, Optional, Sequence, Tuple
 
+from ..simnet.bounds import check
 from .context import CongestionContext
 from .server import ConnectionReport
 
@@ -113,10 +114,8 @@ class ContextCorruptor:
     name = "corruptor"
 
     def __init__(self, rng, severity: float) -> None:
-        if not 0.0 <= severity <= 1.0:
-            raise ValueError(f"severity must be in [0, 1]: {severity}")
         self.rng = rng
-        self.severity = severity
+        self.severity = check("severity", severity, ge=0, le=1)
         self.corrupted = 0
         self.passed = 0
 
@@ -164,9 +163,7 @@ class ScaleCorruptor(ContextCorruptor):
 
     def __init__(self, rng, severity: float, *, max_decades: int = 3) -> None:
         super().__init__(rng, severity)
-        if max_decades < 1:
-            raise ValueError(f"max_decades must be >= 1: {max_decades}")
-        self.max_decades = max_decades
+        self.max_decades = check("max_decades", max_decades, ge=1, integer=True)
 
     def _mutate(self, context: CongestionContext) -> CongestionContext:
         fields = _context_fields(context)
@@ -212,9 +209,9 @@ class ReplayCorruptor(ContextCorruptor):
 
     def __init__(self, rng, severity: float, *, depth: int = 16) -> None:
         super().__init__(rng, severity)
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1: {depth}")
-        self._history: Deque[CongestionContext] = deque(maxlen=depth)
+        self._history: Deque[CongestionContext] = deque(
+            maxlen=check("depth", depth, ge=1, integer=True)
+        )
 
     def _observe(self, context: CongestionContext) -> CongestionContext:
         self._history.append(context)
@@ -395,13 +392,9 @@ class ByzantineReporter:
     name = "byzantine"
 
     def __init__(self, rng, fraction: float, *, magnitude: float = 1.0) -> None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1]: {fraction}")
-        if magnitude <= 0:
-            raise ValueError(f"magnitude must be positive: {magnitude}")
         self.rng = rng
-        self.fraction = fraction
-        self.magnitude = magnitude
+        self.fraction = check("fraction", fraction, ge=0, le=1)
+        self.magnitude = check("magnitude", magnitude, gt=0)
         self.poisoned = 0
         self.passed = 0
 

@@ -13,7 +13,10 @@ the adoption-incentive ablation (fraction swept 0 -> 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Sequence
+
+from ..simnet.bounds import check
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,10 @@ class SenderAssignment:
     index: int
     modified: bool
     factory: Callable
+
+
+#: The share of sender slots that run the modified (Phi) senders.
+check_fraction = partial(check, "modified_fraction", ge=0, le=1)
 
 
 def deployment_factories(
@@ -37,12 +44,8 @@ def deployment_factories(
     so seeded runs are reproducible; slot order carries no meaning in a
     symmetric dumbbell.
     """
-    if n_senders <= 0:
-        raise ValueError(f"n_senders must be positive: {n_senders}")
-    if not 0.0 <= modified_fraction <= 1.0:
-        raise ValueError(
-            f"modified_fraction must be in [0, 1]: {modified_fraction}"
-        )
+    check("n_senders", n_senders, ge=1, integer=True)
+    check_fraction(modified_fraction)
     n_modified = round(n_senders * modified_fraction)
     assignments = []
     for index in range(n_senders):

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
 from .channel import ControlChannel, RpcResult, RpcStatus, exponential_backoff_s
@@ -71,8 +72,7 @@ class FailoverConfig:
     suspend_jitter: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.suspend_jitter >= 0:  # NaN too
-            raise ValueError(f"suspension jitter must be >= 0: {self.suspend_jitter}")
+        check("suspend_jitter", self.suspend_jitter, ge=0)
 
 
 @dataclass
@@ -152,7 +152,7 @@ class FailoverChannel:
         self.sim = sim
         self.channels = list(channels)
         self.config = config or FailoverConfig()
-        if rng is None and self.config.suspend_jitter > 0:
+        if rng is None and self.config.suspend_jitter:
             raise ValueError("suspension jitter requires an rng")
         self.rng = rng
         n = len(self.channels)

@@ -43,6 +43,7 @@ from enum import Enum
 from typing import Callable, Deque, Dict, Optional
 
 from ..remy.whisker import WhiskerTable
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
 from ..simnet.packet import FlowSpec
@@ -133,11 +134,9 @@ class ResilientContextClient:
         guard: Optional[ContextGuard] = None,
         trust: Optional[TrustTracker] = None,
     ) -> None:
-        if not staleness_ttl_s >= 0:  # NaN: no cache would ever be STALE
-            raise ValueError(f"staleness_ttl_s must be >= 0: {staleness_ttl_s}")
         self.source = source
         self.now = now
-        self.staleness_ttl_s = staleness_ttl_s
+        self.staleness_ttl_s = check("staleness_ttl_s", staleness_ttl_s, ge=0)
         self.guard = guard
         self.trust = trust
         self._cached: Optional[CongestionContext] = None

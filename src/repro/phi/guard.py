@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from ..simnet.bounds import check
 from ..telemetry import session as _telemetry_session
 from .context import CongestionContext
 
@@ -110,9 +111,7 @@ class ContextGuard:
     def __init__(
         self, capacity_mbps: float, *, now: Optional[Callable[[], float]] = None
     ) -> None:
-        if not (capacity_mbps > 0 and math.isfinite(capacity_mbps)):
-            raise ValueError(f"capacity_mbps must be positive and finite: {capacity_mbps}")
-        self.capacity_mbps = capacity_mbps
+        self.capacity_mbps = check("capacity_mbps", capacity_mbps, gt=0)
         self._now = now
         self._last_accepted: Optional[CongestionContext] = None
         self.accepted_count = 0

@@ -28,6 +28,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..remy.whisker import WhiskerTable
+from ..simnet.bounds import check
 from ..simnet.faults import Outage
 from .channel import ChannelConfig, ChannelStats, CircuitBreaker, ControlChannel
 from .corruption import ByzantineReporter, CorruptionLayer, make_context_corruptor
@@ -98,25 +99,18 @@ class PlaneSpec:
     heal_s: float = 10.0
 
     def __post_init__(self) -> None:
-        # Every check is one a NaN fails: a NaN would switch its dial off.
         if (self.policy is None) == (self.table is None):
             raise ValueError("a plane's senders need a policy (Cubic) or a table (Remy)")
         if self.mode is SharingMode.NONE:
             raise ValueError(f"{self.mode} shares no context: run plain senders instead")
         for name in ("unavailability", "severity", "byzantine_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]: {value}")
+            check(name, getattr(self, name), ge=0, le=1)
         for name in ("staleness_ttl_s", "partition_start_s", "heal_s"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0: {value}")
+            check(name, getattr(self, name), ge=0)
         for name in ("window_s", "outage_period_s"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive: {value}")
-        if self.lease_ttl_s is not None and not self.lease_ttl_s > 0:
-            raise ValueError(f"lease_ttl_s must be positive: {self.lease_ttl_s}")
+            check(name, getattr(self, name), gt=0)
+        if self.lease_ttl_s is not None:
+            check("lease_ttl_s", self.lease_ttl_s, gt=0)
         if self.replication is not None:
             if self.mode is SharingMode.IDEAL:
                 raise ValueError("the ideal oracle is not replicated")
@@ -165,10 +159,8 @@ def schedule_unavailability(
     outage covering the whole run, and so is each period's share of an
     infinite ``period_s``.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1]: {fraction}")
-    if not period_s > 0:  # NaN too: a NaN window schedules no outage
-        raise ValueError(f"period_s must be positive: {period_s}")
+    check("fraction", fraction, ge=0, le=1)
+    check("period_s", period_s, gt=0, inf=True)
     if fraction == 0.0:
         return
     if fraction >= 1.0:
@@ -190,10 +182,8 @@ def partition_indices(n_replicas: int, severity: float) -> Tuple[List[int], List
     first* — replica 0 is every client's initial sticky choice, so any
     nonzero cut dislodges the replica actually serving traffic.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1: {n_replicas}")
-    if not 0.0 <= severity <= 1.0:
-        raise ValueError(f"severity must be in [0, 1]: {severity}")
+    check("n_replicas", n_replicas, ge=1, integer=True)
+    check("severity", severity, ge=0, le=1)
     n_cut = min(n_replicas, round(severity * n_replicas))
     return list(range(n_cut)), list(range(n_cut, n_replicas))
 

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
 from .context import CongestionContext
@@ -105,17 +106,9 @@ class ReplicationConfig:
     quorum_staleness_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1: {self.n_replicas}")
-        if not self.anti_entropy_period_s > 0:  # NaN too
-            raise ValueError(
-                f"anti_entropy_period_s must be positive: "
-                f"{self.anti_entropy_period_s}"
-            )
-        if not self.quorum_staleness_s > 0:
-            raise ValueError(
-                f"quorum_staleness_s must be positive: {self.quorum_staleness_s}"
-            )
+        check("n_replicas", self.n_replicas, ge=1, integer=True)
+        check("anti_entropy_period_s", self.anti_entropy_period_s, gt=0)
+        check("quorum_staleness_s", self.quorum_staleness_s, gt=0)
 
 
 #: A lease's globally unique identity: (issuing replica, local sequence).

@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional, Sequence, Set
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..simnet.monitor import ActiveFlowTracker, LinkMonitor
 from ..telemetry import session as _telemetry_session
@@ -172,18 +173,11 @@ class ContextServer:
         lease_ttl_s: Optional[float] = 300.0,
         robust: bool = False,
     ) -> None:
-        # Every check is one a NaN fails: a NaN window never ages a report out.
-        if not bottleneck_capacity_bps > 0:
-            raise ValueError(
-                f"capacity must be positive: {bottleneck_capacity_bps}"
-            )
-        if not window_s > 0:
-            raise ValueError(f"window_s must be positive: {window_s}")
-        if lease_ttl_s is not None and not lease_ttl_s > 0:  # NaN never expires
-            raise ValueError(f"lease_ttl_s must be positive: {lease_ttl_s}")
+        if lease_ttl_s is not None:
+            check("lease_ttl_s", lease_ttl_s, gt=0)
         self.sim = sim
-        self.capacity_bps = bottleneck_capacity_bps
-        self.window_s = window_s
+        self.capacity_bps = check("bottleneck_capacity_bps", bottleneck_capacity_bps, gt=0)
+        self.window_s = check("window_s", window_s, gt=0)
         self.lease_ttl_s = lease_ttl_s
         self.robust = robust
 

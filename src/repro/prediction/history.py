@@ -13,6 +13,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..simnet.bounds import check
+
 LocationKey = Tuple[str, str]
 """(client AS, metro)."""
 
@@ -28,21 +30,18 @@ class PerfObservation:
     loss_rate: float
 
     def __post_init__(self) -> None:
-        if self.throughput_mbps < 0:
-            raise ValueError(f"throughput must be >= 0: {self.throughput_mbps}")
-        if self.rtt_ms < 0:
-            raise ValueError(f"rtt must be >= 0: {self.rtt_ms}")
-        if not 0 <= self.loss_rate <= 1:
-            raise ValueError(f"loss_rate must be in [0, 1]: {self.loss_rate}")
+        check("throughput_mbps", self.throughput_mbps, ge=0)
+        check("rtt_ms", self.rtt_ms, ge=0)
+        check("loss_rate", self.loss_rate, ge=0, le=1)
 
 
 class ObservationStore:
     """Bounded per-location history of performance observations."""
 
     def __init__(self, max_per_location: int = 10_000) -> None:
-        if max_per_location < 1:
-            raise ValueError(f"max_per_location must be >= 1: {max_per_location}")
-        self.max_per_location = max_per_location
+        self.max_per_location = check(
+            "max_per_location", max_per_location, ge=1, integer=True
+        )
         self._by_location: Dict[LocationKey, Deque[PerfObservation]] = defaultdict(
             lambda: deque(maxlen=self.max_per_location)
         )

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..simnet.bounds import check
 from .history import LocationKey, ObservationStore
 
 
@@ -96,10 +97,8 @@ class PerformancePredictor:
     """Predicts download times and call quality from shared history."""
 
     def __init__(self, store: ObservationStore, min_samples: int = 3) -> None:
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1: {min_samples}")
         self.store = store
-        self.min_samples = min_samples
+        self.min_samples = check("min_samples", min_samples, ge=1, integer=True)
 
     def predict_download_time(
         self,

@@ -13,9 +13,10 @@ the cross-host generalization of TCP Session / Congestion Manager.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
+
+from ..simnet.bounds import check
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,7 @@ class FlowClass:
     importance: float
 
     def __post_init__(self) -> None:
-        if not (self.importance > 0 and math.isfinite(self.importance)):
-            raise ValueError(f"importance must be positive and finite: {self.importance}")
+        check("importance", self.importance, gt=0)
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,8 @@ class EnsembleAllocator:
     ) -> None:
         if not classes:
             raise ValueError("at least one flow class is required")
-        if min_weight <= 0 or max_weight < min_weight:
-            raise ValueError(
-                f"invalid weight bounds: [{min_weight}, {max_weight}]"
-            )
+        check("min_weight", min_weight, gt=0)
+        check("max_weight", max_weight, ge=min_weight)
         names = [c.name for c in classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate class names: {names}")

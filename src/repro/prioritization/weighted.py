@@ -10,9 +10,9 @@ ensuring that the ensemble of flows remains TCP-friendly".
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
 from ..simnet.packet import MSS_BYTES, FlowSpec
@@ -37,8 +37,7 @@ class WeightedRenoSender(TcpSender):
         initial_ssthresh: float = 65536.0,
         mss: int = MSS_BYTES,
     ) -> None:
-        if not (weight > 0 and math.isfinite(weight)):  # NaN too
-            raise ValueError(f"weight must be positive and finite: {weight}")
+        check("weight", weight, gt=0)
         super().__init__(
             sim,
             host,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from ..simnet.bounds import check
 from .whisker import WhiskerTable
 
 TableEvaluator = Callable[[WhiskerTable], float]
@@ -78,10 +79,8 @@ class RemyTrainer:
         improvement_threshold: float = 1e-4,
         initial_table: Optional[WhiskerTable] = None,
     ) -> None:
-        if max_evaluations < 1:
-            raise ValueError(f"max_evaluations must be >= 1: {max_evaluations}")
-        if max_splits < 0:
-            raise ValueError(f"max_splits must be >= 0: {max_splits}")
+        check("max_evaluations", max_evaluations, ge=1, integer=True)
+        check("max_splits", max_splits, ge=0, integer=True)
         self.evaluator = evaluator
         self.dimensions = tuple(dimensions)
         self.max_evaluations = max_evaluations

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..simnet.bounds import check
 from .memory import DIMENSIONS, DOMAIN, Memory
 
 #: Bounds for action components during training.
@@ -35,12 +36,8 @@ class Action:
     intersend_s: float = 0.003
 
     def __post_init__(self) -> None:
-        lo, hi = ACTION_BOUNDS["window_multiple"]
-        if not lo <= self.window_multiple <= hi:
-            raise ValueError(f"window_multiple out of [{lo}, {hi}]: {self.window_multiple}")
-        lo, hi = ACTION_BOUNDS["intersend_s"]
-        if not lo <= self.intersend_s <= hi:
-            raise ValueError(f"intersend_s out of [{lo}, {hi}]: {self.intersend_s}")
+        for name, (lo, hi) in ACTION_BOUNDS.items():
+            check(name, getattr(self, name), ge=lo, le=hi)
 
     def apply(self, cwnd: float) -> float:
         """The new congestion window after this action."""

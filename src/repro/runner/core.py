@@ -34,6 +34,7 @@ import platform
 import time
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -49,7 +50,8 @@ from typing import (
 from .. import flightrec as _flightrec
 from .. import telemetry as _telemetry
 from ..phi.optimizer import SweepResult
-from ..simnet.engine import WatchdogConfig
+from ..simnet.bounds import check
+from ..simnet.engine import WatchdogConfig, check_duration
 from ..telemetry.registry import LATENCY_BUCKETS_S, merge_snapshots
 from ..transport.cubic import CubicParams
 from .cache import MemoryCache
@@ -64,6 +66,7 @@ from .resilience import (
     QuarantinedPoint,
     ResilienceConfig,
     SweepSupervisor,
+    check_workers,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard: experiments imports us
@@ -105,11 +108,19 @@ class SweepSpec:
     flightrec_dir: Optional[str] = None
     fault: Optional[Tuple[str, float, float]] = None
 
+    def __post_init__(self) -> None:
+        if self.duration_s is not None:
+            check_duration(self.duration_s)
+
     @property
     def effective_duration_s(self) -> float:
         return (
             self.duration_s if self.duration_s is not None else self.preset.duration_s
         )
+
+
+#: Runs per grid point, each under its own seed.
+check_runs = partial(check, "n_runs", ge=1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -477,9 +488,9 @@ class SweepRunner:
             flightrec_dir=flightrec_dir or None,
             fault=fault,
         )
-        self.n_workers = n_workers if n_workers is not None else _default_workers()
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        self.n_workers = check_workers(
+            n_workers if n_workers is not None else _default_workers()
+        )
         self.cache = cache if cache is not None else MemoryCache()
         self.progress = progress
         self.resilience = resilience if resilience is not None else ResilienceConfig()
@@ -499,8 +510,7 @@ class SweepRunner:
         parameter settings.  A grid that repeats a parameter set raises
         ``ValueError``: its runs would share keys.
         """
-        if n_runs < 1:
-            raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+        check_runs(n_runs)
         # Runs of one grid point get distinct seeds, so only a repeated
         # grid point can repeat a key.
         if len(set(grid)) != len(grid):

@@ -45,6 +45,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..simnet.bounds import check
+from ..simnet.random import check_seed
+
 if TYPE_CHECKING:  # pragma: no cover - cycle guard
     from .core import SweepPoint
 
@@ -70,6 +73,14 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("crash", "raise", "hang"):
             raise ValueError(f"unknown fault mode {self.mode!r}")
+        if self.beta is not None:
+            check("beta", self.beta)
+        if self.run_index is not None:
+            check("run_index", self.run_index, ge=0, integer=True)
+        if self.seed is not None:
+            check_seed(self.seed)
+        check("hang_s", self.hang_s, gt=0)
+        check("exit_code", self.exit_code, ge=1, le=255, integer=True)
 
     def matches(self, point: "SweepPoint") -> bool:
         """Whether every provided filter equals the point's field."""

@@ -41,9 +41,11 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..phi.channel import exponential_backoff_s
+from ..simnet.bounds import check
 from ..simnet.engine import SimulationStalled
 from ..telemetry import session as _telemetry_session
 from .records import PointResult
@@ -67,6 +69,10 @@ POOL_BREAKS_BEFORE_FALLBACK = 3
 POLL_INTERVAL_S = 0.05
 
 
+#: Worker processes a sweep may use.
+check_workers = partial(check, "n_workers", ge=1, integer=True)
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Supervisor knobs.
@@ -83,14 +89,9 @@ class ResilienceConfig:
     point_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # A NaN attempt count would never run out, and a NaN timeout
-        # would never fire.
-        if not (isinstance(self.max_attempts, int) and self.max_attempts >= 1):
-            raise ValueError(f"max_attempts must be an integer >= 1: {self.max_attempts}")
-        if self.point_timeout_s is not None and not self.point_timeout_s > 0:
-            raise ValueError(
-                f"point_timeout_s must be positive: {self.point_timeout_s}"
-            )
+        check("max_attempts", self.max_attempts, ge=1, integer=True)
+        if self.point_timeout_s is not None:
+            check("point_timeout_s", self.point_timeout_s, gt=0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ class SweepSupervisor:
         self.spec = spec
         self.evaluate = evaluate
         self.config = config or ResilienceConfig()
-        self.n_workers = n_workers
+        self.n_workers = check_workers(n_workers)
         self.mp_context = mp_context if mp_context is not None else self._pool_context()
         self.report = ExecutionReport()
 

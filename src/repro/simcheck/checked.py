@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from typing import Optional
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from .violations import InvariantViolation, ViolationReport, record_violation
 
@@ -50,12 +51,10 @@ class CheckedSimulator(Simulator):
         heap_check_interval: int = DEFAULT_HEAP_CHECK_INTERVAL,
         report: Optional[ViolationReport] = None,
     ) -> None:
-        if heap_check_interval < 1:
-            raise ValueError(
-                f"heap_check_interval must be >= 1: {heap_check_interval}"
-            )
         super().__init__()
-        self.heap_check_interval = heap_check_interval
+        self.heap_check_interval = check(
+            "heap_check_interval", heap_check_interval, ge=1, integer=True
+        )
         self.report = report
         self.checks_performed = 0
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..simnet.engine import WatchdogConfig
+from ..simnet.bounds import check
+from ..simnet.engine import WatchdogConfig, check_duration
+from ..simnet.random import check_seed
 from ..simnet.topology import DumbbellConfig
 from ..transport.cubic import CubicParams, CubicSender, NewRenoSender
 from ..workload.onoff import OnOffConfig
@@ -40,6 +42,10 @@ class FuzzScenario:
     duration_s: float
     flavour: str
     params: CubicParams
+
+    def __post_init__(self) -> None:
+        check_seed(self.seed)
+        check_duration(self.duration_s)
 
     def as_dict(self) -> Dict[str, Any]:
         """Compact description for violation reports and CLI output."""
@@ -84,6 +90,12 @@ def draw_scenario(seed: int) -> FuzzScenario:
         flavour=str(rng.choice(_FLAVOURS)),
         params=params,
     )
+
+
+def draw_scenarios(seed: int, n_cases: int) -> List[FuzzScenario]:
+    """``n_cases`` scenarios, drawn from seeds ``seed``, ``seed + 1``, ..."""
+    check("n_cases", n_cases, ge=0, integer=True)
+    return [draw_scenario(seed + index) for index in range(n_cases)]
 
 
 def run_fuzz_case(

@@ -34,10 +34,12 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 from ..telemetry import session as _telemetry_session
 from . import packet as _packet
+from .bounds import check
 
 
 class SimulationError(Exception):
@@ -93,6 +95,10 @@ class SimulationStalled(SimulationError):
 WALL_CHECK_INTERVAL = 1024
 
 
+#: A run's simulated length: positive and finite (an infinite run never ends).
+check_duration = partial(check, "duration_s", gt=0)
+
+
 @dataclass(frozen=True)
 class WatchdogConfig:
     """Limits for one simulation, enforced by :class:`SimWatchdog`.
@@ -111,10 +117,10 @@ class WatchdogConfig:
     max_wall_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_events is not None and self.max_events < 1:
-            raise ValueError(f"max_events must be >= 1: {self.max_events}")
-        if self.max_wall_s is not None and not self.max_wall_s > 0:  # NaN never trips
-            raise ValueError(f"max_wall_s must be positive: {self.max_wall_s}")
+        if self.max_events is not None:
+            check("max_events", self.max_events, ge=1, integer=True)
+        if self.max_wall_s is not None:
+            check("max_wall_s", self.max_wall_s, gt=0)
 
 
 class SimWatchdog:

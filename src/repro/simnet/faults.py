@@ -42,6 +42,7 @@ from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from ..telemetry import session as _telemetry_session
+from .bounds import check
 from .engine import Simulator
 from .link import Link
 from .packet import Packet
@@ -194,10 +195,7 @@ class RandomLoss(LinkFault):
         loss_probability: float,
         rng: np.random.Generator,
     ) -> None:
-        if not 0 <= loss_probability < 1:
-            raise ValueError(
-                f"loss probability must be in [0, 1): {loss_probability}"
-            )
+        check("loss_probability", loss_probability, ge=0, lt=1)
         super().__init__(link)
         self.sim = sim
         self.loss_probability = loss_probability
@@ -289,10 +287,8 @@ class _Window:
         links: Sequence[Link],
         others: Sequence[object] = (),
     ) -> None:
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive: {duration_s}")
-        if start_s < sim.now:
-            raise ValueError(f"{type(self).__name__} start {start_s} is in the past")
+        check("start_s", start_s, ge=sim.now)
+        check("duration_s", duration_s, gt=0)
         self.sim = sim
         self.start_s = start_s
         self.duration_s = duration_s
@@ -432,8 +428,7 @@ class DelaySpike(_Window):
         duration_s: float,
         extra_delay_s: float,
     ) -> None:
-        if extra_delay_s <= 0:
-            raise ValueError(f"extra delay must be positive: {extra_delay_s}")
+        check("extra_delay_s", extra_delay_s, gt=0)
         self.extra_delay_s = extra_delay_s
         super().__init__(sim, start_s, duration_s, (link,))
 

@@ -16,6 +16,7 @@ from collections import deque
 from ..telemetry import DEFAULT_BUCKETS, UTILIZATION_BUCKETS
 from ..telemetry import mean as _mean
 from ..telemetry import session as _telemetry_session
+from .bounds import check
 from .engine import Simulator
 from .link import Link
 
@@ -46,8 +47,7 @@ class LinkMonitor:
         period_s: float = 0.1,
         history: int = 10_000,
     ) -> None:
-        if period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {period_s}")
+        check("period_s", period_s, gt=0)
         self.sim = sim
         self.link = link
         self.period_s = period_s

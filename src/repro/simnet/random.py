@@ -10,16 +10,24 @@ RNG substreams.
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import Dict
 
 import numpy as np
+
+from .bounds import check
+
+
+#: A run's seed: a non-negative integer (numpy refuses a negative one, and
+#: 2.5 would silently run as seed 2).
+check_seed = partial(check, "seed", ge=0, integer=True)
 
 
 class RngStreams:
     """A registry of independent, deterministically-derived RNG streams."""
 
     def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
+        self.seed = int(check_seed(seed))
         self._streams: Dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:

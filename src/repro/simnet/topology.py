@@ -9,10 +9,10 @@ experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from .bounds import check
 from .engine import Simulator
 from .link import Link, bdp_bytes
 from .node import Host, Router
@@ -44,22 +44,13 @@ class DumbbellConfig:
     priority_queue: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_senders <= 0:
-            raise ValueError(f"n_senders must be positive, got {self.n_senders}")
+        check("n_senders", self.n_senders, ge=1, integer=True)
         for name in (
             "bottleneck_bandwidth_bps", "rtt_s", "buffer_bdp_multiple",
             "access_bandwidth_bps",
         ):
-            value = getattr(self, name)
-            # Negated so a NaN fails too: each would otherwise fail mid-run,
-            # or run on as a one-byte buffer.
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0 <= self.access_delay_fraction < 0.5:
-            raise ValueError(
-                "access_delay_fraction must be in [0, 0.5), got "
-                f"{self.access_delay_fraction}"
-            )
+            check(name, getattr(self, name), gt=0)
+        check("access_delay_fraction", self.access_delay_fraction, ge=0, lt=0.5)
 
     @property
     def one_way_delay_s(self) -> float:
@@ -223,8 +214,7 @@ class ParkingLotTopology:
         hop_delay_s: float = 0.01,
         buffer_bdp_multiple: float = PAPER_BUFFER_BDP_MULTIPLE,
     ) -> None:
-        if n_hops < 1:
-            raise ValueError(f"n_hops must be >= 1, got {n_hops}")
+        check("n_hops", n_hops, ge=1, integer=True)
         self.sim = sim
         self.routers = [Router(f"P{i}") for i in range(n_hops + 1)]
         self.hop_links: List[Link] = []

@@ -29,7 +29,7 @@ or one empty method call, nothing else.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",

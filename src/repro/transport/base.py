@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from .. import telemetry as _telemetry
+from ..simnet.bounds import check
 from ..simnet.engine import EventHandle, Simulator
 from ..simnet.node import Host
 from ..simnet.packet import MSS_BYTES, FlowSpec, Packet, PacketKind
@@ -41,6 +42,13 @@ INITIAL_RTO_S = 1.0
 
 #: Classic duplicate-ACK threshold for fast retransmit.
 DEFAULT_DUPACK_THRESHOLD = 3
+
+
+def check_window(window_init: float, initial_ssthresh: float) -> None:
+    """The paper's two window knobs, in segments: a finite ``windowInit_``
+    of at least one segment and an ``initial_ssthresh`` of at least two."""
+    check("window_init", window_init, ge=1)
+    check("initial_ssthresh", initial_ssthresh, ge=2)
 
 
 @dataclass
@@ -201,14 +209,8 @@ class TcpSender:
         dupack_threshold: int = DEFAULT_DUPACK_THRESHOLD,
         mss: int = MSS_BYTES,
     ) -> None:
-        if flow_size_bytes <= 0:
-            raise ValueError(f"flow_size_bytes must be positive, got {flow_size_bytes}")
-        if not 1 <= window_init < math.inf:  # a NaN fails both comparisons
-            raise ValueError(f"window_init must be finite and >= 1 segment, got {window_init}")
-        if not 2 <= initial_ssthresh < math.inf:
-            raise ValueError(
-                f"initial_ssthresh must be finite and >= 2 segments, got {initial_ssthresh}"
-            )
+        check("flow_size_bytes", flow_size_bytes, gt=0)
+        check_window(window_init, initial_ssthresh)
         self.sim = sim
         self.host = host
         self.spec = spec

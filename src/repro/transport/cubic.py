@@ -15,14 +15,14 @@ window ``W_max``, the window follows ``W(t) = C (t - K)^3 + W_max`` with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional
 
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
 from ..simnet.packet import MSS_BYTES, FlowSpec
-from .base import DEFAULT_DUPACK_THRESHOLD, TcpSender
+from ..simnet.bounds import check
+from .base import DEFAULT_DUPACK_THRESHOLD, TcpSender, check_window
 
 #: Cubic's scaling constant (segments / s^3), as in ns-2 and Linux.
 CUBIC_C = 0.4
@@ -50,16 +50,8 @@ class CubicParams:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
-        # Negated so a NaN fails too: a non-finite window would otherwise
-        # only fail mid-run, when a sender turns it into segments.
-        if not 1 <= self.window_init < math.inf:
-            raise ValueError(f"window_init must be finite and >= 1, got {self.window_init}")
-        if not 2 <= self.initial_ssthresh < math.inf:
-            raise ValueError(
-                f"initial_ssthresh must be finite and >= 2, got {self.initial_ssthresh}"
-            )
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
+        check_window(self.window_init, self.initial_ssthresh)
+        check("beta", self.beta, gt=0, lt=1)
 
     @classmethod
     def default(cls) -> "CubicParams":

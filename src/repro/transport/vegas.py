@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
 from ..simnet.packet import MSS_BYTES, FlowSpec
@@ -41,8 +42,8 @@ class VegasSender(TcpSender):
         initial_ssthresh: float = 65536.0,
         mss: int = MSS_BYTES,
     ) -> None:
-        if not 0 < alpha <= beta:
-            raise ValueError(f"need 0 < alpha <= beta, got {alpha} / {beta}")
+        check("alpha", alpha, gt=0)
+        check("beta", beta, ge=alpha)
         super().__init__(
             sim,
             host,

@@ -13,12 +13,12 @@ NewReno, Remy, or Phi-wrapped variants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..simnet.monitor import ActiveFlowTracker
 from ..simnet.node import Host
@@ -55,16 +55,10 @@ class OnOffConfig:
     start_jitter_s: float = 0.5
 
     def __post_init__(self) -> None:
-        # Every check is one a NaN fails: a NaN mean or jitter would be
-        # drawn from (or clamped away) silently.
-        if not (self.mean_on_bytes > 0 and math.isfinite(self.mean_on_bytes)):
-            raise ValueError(f"mean_on_bytes must be positive and finite: {self.mean_on_bytes}")
-        if not (self.mean_off_s >= 0 and math.isfinite(self.mean_off_s)):
-            raise ValueError(f"mean_off_s must be >= 0 and finite: {self.mean_off_s}")
-        if not self.min_flow_bytes >= 1:
-            raise ValueError(f"min_flow_bytes must be >= 1: {self.min_flow_bytes}")
-        if not (self.start_jitter_s >= 0 and math.isfinite(self.start_jitter_s)):
-            raise ValueError(f"start_jitter_s must be >= 0 and finite: {self.start_jitter_s}")
+        check("mean_on_bytes", self.mean_on_bytes, gt=0)
+        check("mean_off_s", self.mean_off_s, ge=0)
+        check("min_flow_bytes", self.min_flow_bytes, ge=1, integer=True)
+        check("start_jitter_s", self.start_jitter_s, ge=0)
 
 
 class OnOffSource:

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..simnet.monitor import ActiveFlowTracker
 from ..simnet.packet import MSS_BYTES, FlowIdAllocator, FlowSpec
@@ -33,12 +34,9 @@ class PoissonConfig:
     min_flow_bytes: int = MSS_BYTES
 
     def __post_init__(self) -> None:
-        if self.arrival_rate_per_s <= 0:
-            raise ValueError(
-                f"arrival rate must be positive: {self.arrival_rate_per_s}"
-            )
-        if self.mean_flow_bytes <= 0:
-            raise ValueError(f"mean flow bytes must be positive: {self.mean_flow_bytes}")
+        check("arrival_rate_per_s", self.arrival_rate_per_s, gt=0)
+        check("mean_flow_bytes", self.mean_flow_bytes, gt=0)
+        check("min_flow_bytes", self.min_flow_bytes, ge=1, integer=True)
 
     def offered_load(self, capacity_bps: float) -> float:
         """Offered load as a fraction of ``capacity_bps``."""
@@ -83,8 +81,7 @@ class PoissonFlowGenerator:
     ) -> None:
         if not pairs:
             raise ValueError("at least one host pair is required")
-        if max_concurrent < 1:
-            raise ValueError(f"max_concurrent must be >= 1: {max_concurrent}")
+        check("max_concurrent", max_concurrent, ge=1, integer=True)
         self.sim = sim
         self.pairs = list(pairs)
         self.sender_factory = sender_factory

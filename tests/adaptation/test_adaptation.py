@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adaptation import (
-    DupAckRecommendation,
     JitterObservatory,
     ReorderingObservatory,
     buffer_tradeoff_curve,

@@ -5,25 +5,19 @@ verify the properties the benches report: conservation, Phi's benefit
 over default Cubic, the beta effect on long flows, and the Remy pipeline.
 """
 
-import pytest
-
 from repro.experiments import (
     run_cubic_fixed,
     run_phi_cubic,
     run_remy_scenario,
 )
 from repro.experiments.scenarios import ScenarioPreset
-from repro.metrics import summarize_connections
 from repro.phi import REFERENCE_POLICY, SharingMode
 from repro.remy import WhiskerTable
 from repro.remy.whisker import Action
 from repro.simnet import (
     DumbbellConfig,
     DumbbellTopology,
-    FlowIdAllocator,
     FlowSpec,
-    LinkMonitor,
-    RngStreams,
     Simulator,
 )
 from repro.transport import CubicParams, CubicSender, TcpSink

@@ -1,7 +1,5 @@
 """Integration tests on the multi-bottleneck parking-lot topology."""
 
-import pytest
-
 from repro.experiments import run_phi_cubic
 from repro.experiments.scenarios import ScenarioPreset
 from repro.phi import REFERENCE_POLICY, SharingMode

@@ -6,12 +6,11 @@ from repro.simnet import (
     DumbbellConfig,
     DumbbellTopology,
     FlowIdAllocator,
-    FlowSpec,
     RedQueue,
     RngStreams,
     Simulator,
 )
-from repro.transport import CubicSender, TcpSink
+from repro.transport import CubicSender
 from repro.workload import launch_long_running_flows
 
 

@@ -1,7 +1,5 @@
 """Property-based tests for the context server's estimators."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

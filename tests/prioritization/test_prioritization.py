@@ -17,7 +17,6 @@ from repro.simnet import (
     FlowSpec,
     Simulator,
 )
-from repro.transport.sink import TcpSink
 
 CLASSES = [FlowClass("hd-video", 4.0), FlowClass("bulk", 1.0)]
 

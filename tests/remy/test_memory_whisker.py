@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.remy.memory import DOMAIN, EWMA_ALPHA, Memory, MemoryTracker
-from repro.remy.whisker import Action, Whisker, WhiskerTable
+from repro.remy.whisker import Action, WhiskerTable
 
 
 def memory_strategy():

@@ -18,7 +18,7 @@ from repro.runner.core import SweepRunner, result_mismatches
 from repro.runner.progress import SweepProgress
 from repro.runner.records import flow_records
 from repro.simnet.topology import DumbbellConfig
-from repro.transport.cubic import CubicParams, cubic_sweep_grid
+from repro.transport.cubic import cubic_sweep_grid
 from repro.workload.onoff import OnOffConfig
 
 #: A miniature preset so each point simulates in well under a second.

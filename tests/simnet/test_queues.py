@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.packet import PacketKind, Packet, make_data_packet
+from repro.simnet.packet import make_data_packet
 from repro.simnet.queues import DropTailQueue, PriorityQueue
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -115,15 +116,44 @@ class TestCommands:
             ["diagnose", "--outage-minutes", "-60"],
             ["diagnose", "--outage-minutes", "4"],
             ["ipfix", "--minutes", "0"],
+            ["cubic", "--seed", "-1"],
+            ["ipfix", "--seed", "-1"],
+            ["diagnose", "--seed", "-1"],
+            ["sweep", "--seed", "-1"],
+            ["sweep", "--ssthresh-range", "16,1"],
+            ["fault", "poison", "--seeds", "0,-1"],
+            ["fault", "degraded", "--unavailability", "0,2"],
+            ["fault", "degraded", "--duration", "nan"],
+            ["fault", "partition", "--partition-start", "nan"],
+            ["fault", "partition", "--partition-start", "-5"],
+            ["fault", "partition", "--n-replicas", "0"],
+            ["fault", "partition", "--heal-s", "inf"],
         ],
     )
     def test_out_of_range_model_input_is_a_usage_error(self, argv, capsys):
-        # Exit 2 with a usage line, not the model's ValueError traceback.
+        # Exit 2 with a usage line and the model's own message, before any
+        # run, not the model's ValueError traceback.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {argv[1]}" in err and "Traceback" not in err
+        assert f"argument {argv[-2]}: " in err and " must be " in err
+        assert "Traceback" not in err
+
+    def test_negative_fuzz_count_exits_2_before_any_oracle(self, capsys):
+        assert main(["check", "--oracle", "unit-rescale", "--fuzz", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "n_cases must be an integer >= 0: -1" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_nan_stall_threshold_exits_2(self, tmp_path, capsys):
+        # A NaN threshold used to count every gap as a stall.
+        from repro.flightrec import FlightRecorder
+
+        dump = str(tmp_path / "d.jsonl")
+        FlightRecorder().dump(dump)
+        assert main(["postmortem", dump, "--stall-threshold", "nan"]) == 2
+        assert "stall_threshold_s must be finite and > 0: nan" in capsys.readouterr().err
 
     def test_ipfix_run(self, capsys):
         assert main(["ipfix", "--minutes", "1"]) == 0
@@ -539,17 +569,27 @@ def crash_first(monkeypatch, module, name, when, times=3):
     monkeypatch.setattr(module, name, flaky)
 
 
+def force_plane(monkeypatch, verb, **forced):
+    """Make every point of fault ``verb`` run with ``forced`` arguments,
+    values the plane itself rejects (the flags exit 2 on them)."""
+    scenario = FAULT_SCENARIOS[verb]
+    monkeypatch.setitem(FAULT_SCENARIOS, verb, dataclasses.replace(
+        scenario, run=lambda *args, **kwargs: scenario.run(*args, **{**kwargs, **forced})
+    ))
+
+
 class TestFaultSweepQuarantine:
     """A crashed point is a hole in the grid, not a row that held."""
 
-    #: (argv; how to make every point raise: extra argv, environment and
-    #: the error it reports; how to crash the middle point for one pass)
+    #: (argv; how to make every point raise: plane fields forced out of
+    #: range, environment and the error it reports; how to crash the
+    #: middle point for one pass)
     VERBS = {
         "degraded": (
             ["fault", "degraded", "--preset", "table3-remy",
              "--unavailability", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
              "--quiet"],
-            (["--unavailability", "1.5"], {}, "unavailability must be in [0, 1]"),
+            ({"unavailability": 1.5}, {}, "unavailability must be in [0, 1]"),
             ("repro.phi.plane", "schedule_unavailability",
              lambda channel, *, fraction, **kwargs: fraction == 0.5),
         ),
@@ -557,7 +597,7 @@ class TestFaultSweepQuarantine:
             ["fault", "poison", "--preset", "table3-remy", "--modes", "garbage",
              "--severity", "0,0.5,1.0", "--seeds", "0", "--duration", "4",
              "--quiet"],
-            (["--severity", "1.5"], {}, "severity must be in [0, 1]"),
+            ({"severity": 1.5}, {}, "severity must be in [0, 1]"),
             ("repro.phi.plane", "make_context_corruptor",
              lambda modes, rng, severity: severity == 0.5),
         ),
@@ -565,7 +605,7 @@ class TestFaultSweepQuarantine:
             ["fault", "partition", "--preset", "table3-remy", "--n-replicas", "3",
              "--severity", "0,0.34,1.0", "--heal-s", "2", "--partition-start",
              "2", "--seeds", "0", "--duration", "6", "--quiet"],
-            (["--severity", "1.5"], {}, "severity must be in [0, 1]"),
+            ({"severity": 1.5}, {}, "severity must be in [0, 1]"),
             ("repro.phi.plane", "partition_indices",
              lambda n_replicas, severity: severity == 0.34),
         ),
@@ -573,7 +613,7 @@ class TestFaultSweepQuarantine:
             ["sweep", "--ssthresh-range", "2,16,64", "--window-range", "4",
              "--beta-range", "0.2", "--runs", "1", "--duration", "2",
              "--workers", "1", "--quiet"],
-            ([], {"REPRO_SWEEP_FAULT": '{"mode": "raise"}'}, "injected fault"),
+            ({}, {"REPRO_SWEEP_FAULT": '{"mode": "raise"}'}, "injected fault"),
             ("repro.experiments.scenarios", "run_cubic_fixed",
              lambda params, preset, **kwargs: params.initial_ssthresh == 16),
         ),
@@ -581,10 +621,12 @@ class TestFaultSweepQuarantine:
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
     def test_sweep_whose_every_point_raises_exits_1(self, verb, capsys, monkeypatch):
-        argv, (extra, env, error), _ = self.VERBS[verb]
+        argv, (forced, env, error), _ = self.VERBS[verb]
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert main(argv + extra) == 1
+        if forced:
+            force_plane(monkeypatch, verb, **forced)
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert "QUARANTINED: point #0" in captured.err
         assert error in captured.err

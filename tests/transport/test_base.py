@@ -1,7 +1,5 @@
 """Tests for the shared TCP machinery: windows, recovery, RTO, stats."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

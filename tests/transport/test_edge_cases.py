@@ -1,9 +1,5 @@
 """Edge-case tests across the transport layer."""
 
-import math
-
-import pytest
-
 from repro.ipfix import IpfixCollector, sharing_ccdf
 from repro.prediction import ObservationStore, PerformancePredictor
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator

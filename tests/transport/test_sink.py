@@ -1,6 +1,5 @@
 """Tests for the TCP sink and byte-interval reassembly."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
