@@ -52,8 +52,7 @@ class JitterObservatory:
 
     def record_jitter(self, location: LocationKey, jitter_s: float) -> None:
         """Contribute one delay-variation sample (seconds, >= 0)."""
-        if jitter_s < 0:
-            raise ValueError(f"jitter must be >= 0: {jitter_s}")
+        check("jitter_s", jitter_s, ge=0)
         self._samples[location].append(jitter_s)
 
     def record_arrivals(
@@ -64,8 +63,7 @@ class JitterObservatory:
         Jitter samples are |interarrival - nominal period|, the standard
         instantaneous delay-variation measure.
         """
-        if period_s <= 0:
-            raise ValueError(f"period must be positive: {period_s}")
+        check("period_s", period_s, gt=0)
         for gap in interarrival_s:
             self.record_jitter(location, abs(gap - period_s))
 

@@ -94,6 +94,7 @@ from .simcheck.oracles import ORACLES, run_oracles
 from .simnet.engine import WatchdogConfig, check_duration
 from .simnet.random import check_seed
 from .telemetry.manifest import (
+    check_max_points,
     fault_sweep_manifest,
     load_manifest,
     run_manifest,
@@ -802,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize", help="render a human table from a run manifest"
     )
     summarize.add_argument("manifest", help="path to a manifest JSON file")
-    summarize.add_argument("--max-points", type=int, default=24,
+    summarize.add_argument("--max-points", type=_checked(int, check_max_points), default=24,
                            help="per-point rows to show (default 24)")
     summarize.set_defaults(func=cmd_telemetry_summarize)
 

@@ -73,10 +73,8 @@ def e_model_mos(rtt_ms: float, loss_rate: float) -> float:
     R starts at 93.2 (G.711 defaults), degraded by one-way delay and by
     loss; MOS follows the standard cubic mapping.
     """
-    if rtt_ms < 0:
-        raise ValueError(f"rtt must be >= 0: {rtt_ms}")
-    if not 0 <= loss_rate <= 1:
-        raise ValueError(f"loss_rate must be in [0, 1]: {loss_rate}")
+    check("rtt_ms", rtt_ms, ge=0)
+    check("loss_rate", loss_rate, ge=0, le=1)
     one_way_ms = rtt_ms / 2.0
     # Delay impairment: negligible below 160 ms one-way, steep afterwards.
     id_factor = 0.024 * one_way_ms + 0.11 * max(0.0, one_way_ms - 177.3)

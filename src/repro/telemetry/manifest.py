@@ -31,9 +31,11 @@ import json
 import os
 import subprocess
 import time as _time
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..runner.hashing import ENGINE_SIGNATURE, content_hash, plain
+from ..simnet.bounds import check
 from .registry import histogram_percentile
 
 MANIFEST_SCHEMA = "repro-telemetry-manifest/1"
@@ -441,8 +443,13 @@ def _percentiles(histogram: Dict[str, Any]) -> Tuple[float, float, float]:
     )
 
 
+#: ``summarize_manifest``'s bound on the per-point rows it shows.
+check_max_points = partial(check, "max_points", ge=0, integer=True)
+
+
 def summarize_manifest(manifest: Dict[str, Any], max_points: int = 24) -> str:
     """Render a human-readable table from a manifest."""
+    check_max_points(max_points)
     lines: List[str] = []
     created = _time.strftime(
         "%Y-%m-%d %H:%M:%S", _time.gmtime(manifest.get("created_unix", 0))

@@ -47,6 +47,10 @@ class TestJitterObservatory:
             observatory.record_jitter(LOCATION, -0.1)
         with pytest.raises(ValueError):
             observatory.record_arrivals(LOCATION, [0.02], period_s=0.0)
+        with pytest.raises(ValueError, match="jitter_s"):  # one NaN poisons p95
+            observatory.record_jitter(LOCATION, float("nan"))
+        with pytest.raises(ValueError, match="period_s"):
+            observatory.record_arrivals(LOCATION, [0.02], period_s=float("nan"))
         with pytest.raises(ValueError):
             observatory.recommend(LOCATION, quantile=1.5)
         with pytest.raises(ValueError):

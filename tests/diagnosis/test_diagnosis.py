@@ -142,18 +142,17 @@ class TestDetector:
         with pytest.raises(ValueError):
             DetectorConfig(min_drop_fraction=1.0)
 
-    def test_detects_injected_outage(self):
-        config, outage, train, dips = self._pipeline()
+    def test_detects_injected_outage_in_its_window_at_its_depth(self):
+        config, outage, train, dips = self._pipeline(severity=0.9)
         affected = {d.key for d in dips}
         assert ("isp-a", "nyc", "voip") in affected
         assert ("isp-a", "nyc", "storage") in affected
-
-    def test_detection_window_overlaps_outage(self):
-        config, outage, train, dips = self._pipeline()
-        for dip in dips:
-            if dip.key[:2] == ("isp-a", "nyc"):
-                assert dip.start_bin >= outage.start_bin - 2
-                assert dip.end_bin <= outage.end_bin + 2
+        target = [d for d in dips if d.key[:2] == ("isp-a", "nyc")]
+        assert target
+        for dip in target:
+            assert dip.start_bin >= outage.start_bin - 2
+            assert dip.end_bin <= outage.end_bin + 2
+            assert dip.mean_drop_fraction == pytest.approx(0.9, abs=0.15)
 
     def test_no_false_positives_without_outage(self):
         config = TelemetryConfig()
@@ -169,13 +168,6 @@ class TestDetector:
         series = {("a", "b", "c"): np.ones(10)}
         with pytest.raises(ValueError):
             detector.detect(series, train_bins=10)
-
-    def test_drop_fraction_estimated(self):
-        config, outage, train, dips = self._pipeline(severity=0.9)
-        target = [d for d in dips if d.key[:2] == ("isp-a", "nyc")]
-        assert target
-        for dip in target:
-            assert dip.mean_drop_fraction == pytest.approx(0.9, abs=0.15)
 
 
 class TestLocalization:

@@ -8,6 +8,7 @@ each experiment.
 """
 
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -64,12 +65,15 @@ SCENARIOS = [
 ]
 
 
-def sweep(name, *, scenario=None, **kwargs):
+@lru_cache(maxsize=None)  # one run per distinct sweep, shared by the tests
+def sweep(name, crashes=0, **kwargs):
+    """``name``'s sweep; for DEGRADED, its unavailability-0 point first
+    crashes ``crashes`` times."""
     declared, grid, fixed = SWEEPS[name]
     kwargs.setdefault("collect_telemetry", False)
     return run_fault_sweep(
-        scenario or declared, REFERENCE_POLICY, MINI, grid,
-        seeds=(0,), fixed=fixed, **kwargs,
+        flaky(declared, crashes, unavailability=0.0) if crashes else declared,
+        REFERENCE_POLICY, MINI, grid, seeds=(0,), fixed=fixed, **kwargs,
     )
 
 
@@ -230,6 +234,7 @@ MANIFEST_KEYS = {
 }
 
 
+@lru_cache(maxsize=None)
 def public_sweep(name):
     """The one-point sweep ``repro fault poison`` / ``repro fault
     partition`` would run."""
@@ -318,9 +323,7 @@ class TestQuarantine:
         """Point 0 crashes through all three attempts of the first pass:
         the re-check must compare point 1 with point 1, and must not
         re-run the quarantined point at all."""
-        outcome = sweep(
-            "degraded", scenario=flaky(DEGRADED, 3, unavailability=0.0), parallel=False
-        )
+        outcome = sweep("degraded", crashes=3, parallel=False)
         assert [q.index for q in outcome.quarantined] == [0]
         assert [result.params for result in outcome.points] == [{"unavailability": 0.5}]
         assert len(outcome.rows) == 1
@@ -328,15 +331,15 @@ class TestQuarantine:
 
     def test_serial_check_counts_a_real_difference(self):
         outcome = sweep("degraded", parallel=False)
-        outcome.points[1] = replace(outcome.points[1], events_processed=0)
+        outcome = replace(outcome, points=[
+            outcome.points[0], replace(outcome.points[1], events_processed=0)
+        ])
         assert outcome.serial_check()[0] == [
             f"point {outcome.points[1].key[:12]} differs"
         ]
 
     def test_retried_point_still_lands_at_its_own_index(self):
-        outcome = sweep(
-            "degraded", scenario=flaky(DEGRADED, 1, unavailability=0.0), parallel=False
-        )
+        outcome = sweep("degraded", crashes=1, parallel=False)
         assert not outcome.quarantined
         assert list(outcome.failure_history.values()) == [
             (PointFailure("exception", "injected crash", 1),)
@@ -351,9 +354,7 @@ class TestQuarantine:
         manifest: each entry's ``retries`` is its own failure count, every
         quarantined point is listed, and ``n_points`` counts both kinds."""
         crash = {"kind": "exception", "message": "injected crash"}
-        retried = fault_sweep_manifest(sweep(
-            "degraded", scenario=flaky(DEGRADED, 1, unavailability=0.0), parallel=False
-        ))
+        retried = fault_sweep_manifest(sweep("degraded", crashes=1, parallel=False))
         assert validate_manifest(retried) == []
         history = {
             entry["params"]["unavailability"]: entry["failures"]
@@ -365,9 +366,7 @@ class TestQuarantine:
         assert retried["quarantined"] == []
         assert retried["config"]["n_points"] == 2
 
-        holed = fault_sweep_manifest(sweep(
-            "degraded", scenario=flaky(DEGRADED, 3, unavailability=0.0), parallel=False
-        ))
+        holed = fault_sweep_manifest(sweep("degraded", crashes=3, parallel=False))
         assert validate_manifest(holed) == []
         assert [entry["params"] for entry in holed["points"]] == [
             {"unavailability": 0.5}

@@ -96,13 +96,10 @@ class TestOnOffRunner:
 
 
 class TestLongRunningRunner:
-    def test_high_utilization(self):
+    def test_high_utilization_and_partial_stats(self):
         result = run_cubic_fixed(CubicParams.default(), QUICK_LONG, seed=0)
         assert result.mean_utilization > 0.8
         assert result.connections == 6
-
-    def test_stats_are_partial(self):
-        result = run_cubic_fixed(CubicParams.default(), QUICK_LONG, seed=0)
         for sender_stats in result.per_sender_stats:
             for stats in sender_stats:
                 assert not stats.completed

@@ -1,17 +1,13 @@
-"""Integration tests: paper-shaped claims exercised end-to-end.
+"""Integration tests: conservation and the Remy pipeline end-to-end.
 
-These are slower than unit tests (each runs full packet simulations) but
-verify the properties the benches report: conservation, Phi's benefit
-over default Cubic, the beta effect on long flows, and the Remy pipeline.
+These are slower than unit tests (each runs full packet simulations).
+The paper-shaped claims (Phi's benefit over default Cubic, Figures 2b
+and 2c) are benches: ``benchmarks/test_paper_shapes.py``.
 """
 
-from repro.experiments import (
-    run_cubic_fixed,
-    run_phi_cubic,
-    run_remy_scenario,
-)
+from repro.experiments import run_cubic_fixed, run_remy_scenario
 from repro.experiments.scenarios import ScenarioPreset
-from repro.phi import REFERENCE_POLICY, SharingMode
+from repro.phi import SharingMode
 from repro.remy import WhiskerTable
 from repro.remy.whisker import Action
 from repro.simnet import (
@@ -73,64 +69,6 @@ class TestConservation:
             for s in sender
         )
         assert total_bits <= 15e6 * LOADED.duration_s * 1.02
-
-
-class TestPaperShapes:
-    def test_phi_beats_default_cubic_on_power(self):
-        """The headline claim: context-driven parameters beat the static
-        defaults on the P_l objective (both sharing modes)."""
-        base = run_cubic_fixed(CubicParams.default(), LOADED, seed=3)
-        practical = run_phi_cubic(
-            REFERENCE_POLICY, LOADED, SharingMode.PRACTICAL, seed=3
-        )
-        ideal = run_phi_cubic(REFERENCE_POLICY, LOADED, SharingMode.IDEAL, seed=3)
-        assert practical.metrics.power_l > base.metrics.power_l
-        assert ideal.metrics.power_l > base.metrics.power_l
-
-    def test_tuned_ssthresh_cuts_queueing_delay_under_load(self):
-        """Figure 2b's mechanism: a bounded initial ssthresh stops slow
-        start from flooding the 5xBDP buffer."""
-        default = run_cubic_fixed(CubicParams.default(), LOADED, seed=1)
-        tuned = run_cubic_fixed(
-            CubicParams(window_init=8, initial_ssthresh=32, beta=0.3),
-            LOADED,
-            seed=1,
-        )
-        assert tuned.metrics.queueing_delay_ms < default.metrics.queueing_delay_ms
-
-    def test_beta_effect_on_long_running_flows(self):
-        """Figure 2c: with persistent connections, a larger beta (sharper
-        backoff) yields significantly lower queueing delay."""
-        preset = ScenarioPreset(
-            name="fig2c-mini",
-            config=DumbbellConfig(n_senders=16),
-            workload=None,
-            duration_s=30.0,
-            description="",
-        )
-        gentle = run_cubic_fixed(CubicParams(beta=0.1), preset, seed=2)
-        sharp = run_cubic_fixed(CubicParams(beta=0.8), preset, seed=2)
-        assert sharp.metrics.queueing_delay_ms < gentle.metrics.queueing_delay_ms
-
-    def test_window_init_irrelevant_for_long_flows(self):
-        """Figure 2c: 'varying the initial window size or the slow start
-        threshold does not have much impact' on persistent flows."""
-        # 60 s, not 30: the Ha et al. TCP-friendly window (anchored at the
-        # epoch-start window) makes Cubic more aggressive early, so the
-        # initial-window transient takes longer to wash out of the mean.
-        preset = ScenarioPreset(
-            name="fig2c-mini2",
-            config=DumbbellConfig(n_senders=8),
-            workload=None,
-            duration_s=60.0,
-            description="",
-        )
-        small = run_cubic_fixed(CubicParams(window_init=2), preset, seed=4)
-        large = run_cubic_fixed(CubicParams(window_init=64), preset, seed=4)
-        ratio = small.metrics.throughput_mbps / max(
-            large.metrics.throughput_mbps, 1e-9
-        )
-        assert 0.8 < ratio < 1.25
 
 
 class TestRemyIntegration:

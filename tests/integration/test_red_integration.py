@@ -1,5 +1,7 @@
 """Integration: RED queue with live TCP traffic."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.simnet import (
@@ -14,6 +16,7 @@ from repro.transport import CubicSender
 from repro.workload import launch_long_running_flows
 
 
+@lru_cache(maxsize=None)  # one run per queue, shared by the tests below
 def run_with_queue(make_queue, n=8, duration=40.0):
     sim = Simulator()
     config = DumbbellConfig(n_senders=n)

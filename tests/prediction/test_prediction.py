@@ -94,6 +94,10 @@ class TestEModel:
             e_model_mos(-1.0, 0.0)
         with pytest.raises(ValueError):
             e_model_mos(1.0, 2.0)
+        with pytest.raises(ValueError, match="rtt_ms"):  # not a perfect call
+            e_model_mos(float("nan"), 0.0)
+        with pytest.raises(ValueError, match="loss_rate"):
+            e_model_mos(40.0, float("nan"))
 
     @given(
         st.floats(min_value=0, max_value=2000),

@@ -221,6 +221,8 @@ class TestSweepManifest:
         assert "sim.events" in rendered
         assert "computed" in rendered
         assert "p99" in rendered
+        with pytest.raises(ValueError, match="max_points must be an integer >= 0"):
+            summarize_manifest(manifest, max_points=-1)
 
 
 class _Backend:

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 
 import pytest
 
@@ -14,6 +16,15 @@ from repro.transport import CubicParams
 def verb(command):
     """The argv prefix of a command: fault scenarios run as ``fault <name>``."""
     return ["fault", command] if command in FAULT_SCENARIOS else [command]
+
+
+@pytest.fixture(scope="class")
+def mini_run(request, tmp_path_factory):
+    """Exit code, stdout and M of the class's ``MINI + --serial-check --metrics-out M``."""
+    manifest_path = str(tmp_path_factory.mktemp("run") / "manifest.json")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(request.cls.MINI + ["--serial-check", "--metrics-out", manifest_path])
+    return code, out.getvalue(), manifest_path
 
 
 class TestParser:
@@ -128,6 +139,7 @@ class TestCommands:
             ["fault", "partition", "--partition-start", "-5"],
             ["fault", "partition", "--n-replicas", "0"],
             ["fault", "partition", "--heal-s", "inf"],
+            ["telemetry", "summarize", "m.json", "--max-points", "-1"],
         ],
     )
     def test_out_of_range_model_input_is_a_usage_error(self, argv, capsys):
@@ -464,28 +476,24 @@ class TestPoisonCommand:
         assert excinfo.value.code == 2
         assert "unknown corruption mode" in capsys.readouterr().err
 
-    def test_guarded_garbage_holds_envelope(self, capsys):
+    def test_guarded_garbage_holds_envelope(self, mini_run):
         """Full-severity garbage is fully rejected: the guarded run is
         the stock baseline, so the envelope holds exactly."""
-        assert main(self.MINI) == 0
-        out = capsys.readouterr().out
-        assert "safety envelope holds" in out
+        assert mini_run[0] == 0
+        assert "safety envelope holds" in mini_run[1]
 
-    def test_serial_check_bit_identical(self, capsys):
-        assert main(self.MINI + ["--serial-check"]) == 0
-        assert "bit-identical" in capsys.readouterr().out
+    def test_serial_check_bit_identical(self, mini_run):
+        assert "bit-identical" in mini_run[1]
 
     def test_expect_harm_fails_when_harmless(self, capsys):
         # Guarded garbage == baseline: no harm to demonstrate.
         assert main(self.MINI + ["--expect-harm"]) == 1
         assert "HARM NOT DEMONSTRATED" in capsys.readouterr().err
 
-    def test_writes_manifest_with_defence_metrics(self, tmp_path, capsys):
+    def test_writes_manifest_with_defence_metrics(self, mini_run):
         from repro.telemetry.manifest import load_manifest, validate_manifest
 
-        manifest_path = str(tmp_path / "poison.json")
-        assert main(self.MINI + ["--metrics-out", manifest_path]) == 0
-        manifest = load_manifest(manifest_path)
+        manifest = load_manifest(mini_run[2])
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "poison"
         assert manifest["config"]["modes"] == ["garbage"]
@@ -528,20 +536,17 @@ class TestPartitionCommand:
         assert excinfo.value.code == 2
         assert "argument --read-policy" in capsys.readouterr().err
 
-    def test_minority_partition_holds_envelope(self, capsys):
-        assert main(self.MINI) == 0
-        assert "safety envelope holds" in capsys.readouterr().out
+    def test_minority_partition_holds_envelope(self, mini_run):
+        assert mini_run[0] == 0
+        assert "safety envelope holds" in mini_run[1]
 
-    def test_serial_check_bit_identical(self, capsys):
-        assert main(self.MINI + ["--serial-check"]) == 0
-        assert "bit-identical" in capsys.readouterr().out
+    def test_serial_check_bit_identical(self, mini_run):
+        assert "bit-identical" in mini_run[1]
 
-    def test_writes_manifest_with_replication_metrics(self, tmp_path, capsys):
+    def test_writes_manifest_with_replication_metrics(self, mini_run):
         from repro.telemetry.manifest import load_manifest, validate_manifest
 
-        manifest_path = str(tmp_path / "partition.json")
-        assert main(self.MINI + ["--metrics-out", manifest_path]) == 0
-        manifest = load_manifest(manifest_path)
+        manifest = load_manifest(mini_run[2])
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "partition"
         assert manifest["config"]["read_policy"] == "any"
