@@ -47,14 +47,35 @@ class TestJitterObservatory:
             observatory.record_jitter(LOCATION, -0.1)
         with pytest.raises(ValueError):
             observatory.record_arrivals(LOCATION, [0.02], period_s=0.0)
-        with pytest.raises(ValueError, match="jitter_s"):  # one NaN poisons p95
-            observatory.record_jitter(LOCATION, float("nan"))
-        with pytest.raises(ValueError, match="period_s"):
-            observatory.record_arrivals(LOCATION, [0.02], period_s=float("nan"))
         with pytest.raises(ValueError):
             observatory.recommend(LOCATION, quantile=1.5)
         with pytest.raises(ValueError):
             JitterObservatory(max_samples_per_location=0)
+
+    def test_nan_sample_is_refused_and_p95_stays_finite(self):
+        # One NaN used to make recommend() return the 0.1 ms floor with a
+        # NaN p95.
+        observatory = JitterObservatory()
+        for jitter in np.linspace(0.010, 0.030, 30):
+            observatory.record_jitter(LOCATION, float(jitter))
+        with pytest.raises(ValueError, match="jitter_s"):
+            observatory.record_jitter(LOCATION, float("nan"))
+        rec = observatory.recommend(LOCATION)
+        assert rec.samples == 30
+        assert 0.010 <= rec.p95_jitter_s <= 0.030
+        assert rec.buffer_s >= rec.p95_jitter_s
+
+    def test_nan_period_is_refused(self):
+        observatory = JitterObservatory()
+        with pytest.raises(ValueError, match="period_s"):
+            observatory.record_arrivals(LOCATION, [0.02], period_s=float("nan"))
+        assert observatory.sample_count(LOCATION) == 0
+
+    def test_nan_interarrival_is_refused(self):
+        observatory = JitterObservatory()
+        with pytest.raises(ValueError, match="jitter_s"):
+            observatory.record_arrivals(LOCATION, [float("nan")], period_s=0.02)
+        assert observatory.sample_count(LOCATION) == 0
 
     def test_locations_independent(self):
         observatory = JitterObservatory()

@@ -1,6 +1,8 @@
 """Tests for the diagnosis pipeline: baseline, telemetry, detection,
 localization (the Figure 5 machinery)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -118,22 +120,24 @@ class TestTelemetry:
             gen.generate(0)
 
 
-class TestDetector:
-    def _pipeline(self, severity=0.9, duration_bins=24, seed=7):
-        config = TelemetryConfig()
-        train = 2 * config.bins_per_day
-        outage = OutageSpec(
-            start_bin=train + 100,
-            duration_bins=duration_bins,
-            severity=severity,
-            asn="isp-a",
-            metro="nyc",
-        )
-        gen = TelemetryGenerator(config, np.random.default_rng(seed), [outage])
-        series = gen.generate(train + config.bins_per_day)
-        detector = UnreachabilityDetector(config.bins_per_day)
-        return config, outage, train, detector.detect(series, train)
+@lru_cache(maxsize=None)  # one detection run per outage, shared by the tests
+def detect_outage(severity=0.9, duration_bins=24, seed=7):
+    config = TelemetryConfig()
+    train = 2 * config.bins_per_day
+    outage = OutageSpec(
+        start_bin=train + 100,
+        duration_bins=duration_bins,
+        severity=severity,
+        asn="isp-a",
+        metro="nyc",
+    )
+    gen = TelemetryGenerator(config, np.random.default_rng(seed), [outage])
+    series = gen.generate(train + config.bins_per_day)
+    detector = UnreachabilityDetector(config.bins_per_day)
+    return config, outage, train, detector.detect(series, train)
 
+
+class TestDetector:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectorConfig(z_threshold=1.0)
@@ -142,17 +146,18 @@ class TestDetector:
         with pytest.raises(ValueError):
             DetectorConfig(min_drop_fraction=1.0)
 
-    def test_detects_injected_outage_in_its_window_at_its_depth(self):
-        config, outage, train, dips = self._pipeline(severity=0.9)
+    def test_detects_injected_outage(self):
+        config, outage, train, dips = detect_outage()
         affected = {d.key for d in dips}
         assert ("isp-a", "nyc", "voip") in affected
         assert ("isp-a", "nyc", "storage") in affected
-        target = [d for d in dips if d.key[:2] == ("isp-a", "nyc")]
-        assert target
-        for dip in target:
-            assert dip.start_bin >= outage.start_bin - 2
-            assert dip.end_bin <= outage.end_bin + 2
-            assert dip.mean_drop_fraction == pytest.approx(0.9, abs=0.15)
+
+    def test_detection_window_overlaps_outage(self):
+        config, outage, train, dips = detect_outage()
+        for dip in dips:
+            if dip.key[:2] == ("isp-a", "nyc"):
+                assert dip.start_bin >= outage.start_bin - 2
+                assert dip.end_bin <= outage.end_bin + 2
 
     def test_no_false_positives_without_outage(self):
         config = TelemetryConfig()
@@ -168,6 +173,13 @@ class TestDetector:
         series = {("a", "b", "c"): np.ones(10)}
         with pytest.raises(ValueError):
             detector.detect(series, train_bins=10)
+
+    def test_drop_fraction_estimated(self):
+        config, outage, train, dips = detect_outage(severity=0.9)
+        target = [d for d in dips if d.key[:2] == ("isp-a", "nyc")]
+        assert target
+        for dip in target:
+            assert dip.mean_drop_fraction == pytest.approx(0.9, abs=0.15)
 
 
 class TestLocalization:

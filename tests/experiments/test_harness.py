@@ -95,11 +95,20 @@ class TestOnOffRunner:
         assert result.metrics.throughput_mbps <= 15.0 * 1.05
 
 
+@pytest.fixture(scope="module")
+def long_run():
+    """The one QUICK_LONG run both long-running tests read."""
+    return run_cubic_fixed(CubicParams.default(), QUICK_LONG, seed=0)
+
+
 class TestLongRunningRunner:
-    def test_high_utilization_and_partial_stats(self):
-        result = run_cubic_fixed(CubicParams.default(), QUICK_LONG, seed=0)
+    def test_high_utilization(self, long_run):
+        result = long_run
         assert result.mean_utilization > 0.8
         assert result.connections == 6
+
+    def test_stats_are_partial(self, long_run):
+        result = long_run
         for sender_stats in result.per_sender_stats:
             for stats in sender_stats:
                 assert not stats.completed

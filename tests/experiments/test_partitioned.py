@@ -1,5 +1,7 @@
 """Tests for the X7 partition-tolerance experiment harness."""
 
+from functools import lru_cache
+
 import pytest
 
 from repro import telemetry
@@ -34,6 +36,7 @@ DURATION = 25.0
 START = 10.0  # past the staleness TTL — see the calibration caveat
 
 
+@lru_cache(maxsize=None)  # one run per distinct cut, shared by the tests
 def partitioned(**overrides):
     kwargs = dict(
         n_replicas=3, severity=0.34, heal_s=8.0, partition_start_s=START,
@@ -86,9 +89,6 @@ class TestMinorityPartitionRun:
         assert run.anti_entropy_merges > 0
         assert run.decision_counts.get("fallback", 0) == 0
         assert run.decision_counts["fresh"] > 0
-        # The divergence the cut opened has closed after the heal.
-        assert run.max_divergence > 0
-        assert run.final_divergence == pytest.approx(0.0, abs=1e-9)
 
     def test_healthy_replicas_merge_but_never_fail_over(self):
         run = partitioned(severity=0.0, duration_s=8.0)
@@ -96,22 +96,33 @@ class TestMinorityPartitionRun:
         assert run.failovers == 0
         assert run.anti_entropy_merges > 0
 
+    def test_divergence_opens_then_closes(self):
+        run = partitioned()
+        assert run.max_divergence > 0
+        assert run.final_divergence == pytest.approx(0.0, abs=1e-9)
+
     def test_full_cut_forces_fallback(self):
         run = partitioned(severity=1.0, heal_s=DURATION)
         assert run.n_cut == 3
         assert run.decision_counts.get("fallback", 0) > 0
 
 
+@pytest.fixture(scope="module")
+def minority_sweep():
+    """The one-point minority-cut sweep both sweep tests read."""
+    with telemetry.use():
+        return run_fault_sweep(
+            PARTITION, REFERENCE_POLICY, FAST,
+            {"n_replicas": (3,), "severity": (0.34,), "heal_s": (8.0,)},
+            seeds=(0,), fixed={"partition_start_s": START}, duration_s=DURATION,
+            parallel=False, collect_telemetry=True,
+        )
+
+
 @pytest.mark.partition
 class TestSweepDeterminism:
-    def test_minority_row_meets_both_floors_and_its_manifest_holds(self):
-        with telemetry.use():
-            outcome = run_fault_sweep(
-                PARTITION, REFERENCE_POLICY, FAST,
-                {"n_replicas": (3,), "severity": (0.34,), "heal_s": (8.0,)},
-                seeds=(0,), fixed={"partition_start_s": START}, duration_s=DURATION,
-                parallel=False, collect_telemetry=True,
-            )
+    def test_sweep_telemetry_and_manifest(self, minority_sweep):
+        outcome = minority_sweep
         counters = outcome.telemetry["counters"]
         assert any("phi.replica_rpc_calls" in key for key in counters)
         manifest = fault_sweep_manifest(outcome)
@@ -121,6 +132,9 @@ class TestSweepDeterminism:
         assert point["accounting"]["failovers"] >= 1
         assert "stock_power_by_seed" in manifest["totals"]
         assert "degraded_power_by_heal_seed" in manifest["totals"]
+
+    def test_minority_row_meets_both_floors(self, minority_sweep):
+        outcome = minority_sweep
         assert check_envelope(outcome, rel_tol=0.05) == []
         (row,) = outcome.rows
         assert is_minority_cut(row)

@@ -315,9 +315,8 @@ def _run_program(seed, robust, n_ops, check_probability, ops=_OPS):
     return compared
 
 
-# Each test's seeds still fail every planted estimator bug its wider range did.
 @pytest.mark.parametrize("robust", [False, True], ids=["ewma", "robust"])
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", range(12))
 def test_every_answer_equals_the_rescan(seed, robust):
     # Checked after every operation: each comparison also advances the
     # window on both sides, so this is the densest interleaving.
@@ -325,7 +324,7 @@ def test_every_answer_equals_the_rescan(seed, robust):
 
 
 @pytest.mark.parametrize("robust", [False, True], ids=["ewma", "robust"])
-@pytest.mark.parametrize("seed", range(104, 108))
+@pytest.mark.parametrize("seed", range(100, 108))
 def test_sparse_estimates_equal_the_rescan(seed, robust):
     # Estimates taken rarely: many inserts, expiries and clock jumps pile
     # up between two refreshes of the clock-dependent contributions.
@@ -333,7 +332,7 @@ def test_sparse_estimates_equal_the_rescan(seed, robust):
 
 
 @pytest.mark.parametrize("robust", [False, True], ids=["ewma", "robust"])
-@pytest.mark.parametrize("seed", range(204, 206))
+@pytest.mark.parametrize("seed", range(200, 206))
 def test_batched_absorb_equals_one_at_a_time(seed, robust):
     # Batches land behind late local reports (an unsorted deque), before
     # future-dated ones, and mix expired, zero-duration, longer-than-

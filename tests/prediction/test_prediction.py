@@ -94,10 +94,15 @@ class TestEModel:
             e_model_mos(-1.0, 0.0)
         with pytest.raises(ValueError):
             e_model_mos(1.0, 2.0)
-        with pytest.raises(ValueError, match="rtt_ms"):  # not a perfect call
-            e_model_mos(float("nan"), 0.0)
-        with pytest.raises(ValueError, match="loss_rate"):
-            e_model_mos(40.0, float("nan"))
+
+    @pytest.mark.parametrize(
+        "field, rtt_ms, loss_rate",
+        [("rtt_ms", math.nan, 0.0), ("loss_rate", 40.0, math.nan)],
+    )
+    def test_nan_is_refused_not_a_perfect_call(self, field, rtt_ms, loss_rate):
+        # A NaN RTT used to score 4.4, the best possible call.
+        with pytest.raises(ValueError, match=field):
+            e_model_mos(rtt_ms, loss_rate)
 
     @given(
         st.floats(min_value=0, max_value=2000),

@@ -267,21 +267,36 @@ def _outcome(check, sender):
     return collected, report.checks_performed, raised
 
 
+@pytest.fixture(scope="module")
+def checked_states():
+    """(checker outcome, reference outcome) for each of the 600 drawn
+    states: one pass of the strategy, read by both tests below."""
+    outcomes = []
+
+    @given(sender=sender_states())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def draw(sender):
+        outcomes.append((
+            _outcome(check_sender_invariants, sender),
+            _outcome(_reference_sender_invariants, sender),
+        ))
+
+    draw()
+    return outcomes
+
+
 class TestCheckerMatchesReference:
-    def test_same_violations_and_check_count(self):
+    def test_same_violations_and_check_count(self, checked_states):
+        for got, expected in checked_states:
+            assert got == expected
+
+    def test_states_reach_every_invariant(self, checked_states):
         # The strategy is only a proof if it breaks each invariant, alone
         # or together, somewhere in the examples the property runs.
         seen = set()
-
-        @given(sender=sender_states())
-        @settings(max_examples=600, deadline=None, derandomize=True)
-        def compare(sender):
-            expected = _outcome(_reference_sender_invariants, sender)
-            assert _outcome(check_sender_invariants, sender) == expected
+        for _, expected in checked_states:
             seen.update(v["invariant"] for v in expected[0])
             seen.add("violated" if expected[0] else "ok")
-
-        compare()
         assert seen == {
             "ok", "violated", "tcp.sequence_order", "tcp.cwnd_floor",
             "tcp.pipe_negative", "tcp.sack_overrun", "tcp.rto_after_finish",

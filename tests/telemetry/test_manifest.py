@@ -221,8 +221,16 @@ class TestSweepManifest:
         assert "sim.events" in rendered
         assert "computed" in rendered
         assert "p99" in rendered
+
+    @pytest.mark.parametrize("max_points", [-1, 2.5])
+    def test_summarize_refuses_a_bad_point_count(self, max_points):
+        # -1 used to show all points but one, then "... 6 more point(s)".
+        manifest = run_manifest(
+            command="x", preset_name="p", seed=0, duration_s=1.0,
+            metrics={"counters": {}, "gauges": {}, "histograms": {}},
+        )
         with pytest.raises(ValueError, match="max_points must be an integer >= 0"):
-            summarize_manifest(manifest, max_points=-1)
+            summarize_manifest(manifest, max_points=max_points)
 
 
 class _Backend:
