@@ -267,21 +267,43 @@ def _outcome(check, sender):
     return collected, report.checks_performed, raised
 
 
+def _timer(time, cancelled):
+    timer = Simulator().schedule_at(time, lambda: None)
+    if cancelled:
+        timer.cancel()
+    return timer
+
+
+#: Hand-built states where the timer clause alone decides the verdict
+#: (every other invariant holds): a finished sender with a pending or a
+#: cancelled timer, and one with data outstanding whose only timer is
+#: pending or cancelled.  Drawn states seldom isolate either clause.
+TIMER_DECIDES = (
+    fake_sender(finished=True, _rto_timer=_timer(2.0, cancelled=False)),
+    fake_sender(finished=True, _rto_timer=_timer(2.0, cancelled=True)),
+    fake_sender(snd_nxt=3000, _rto_deadline=2.0, _rto_timer=_timer(1.5, cancelled=True)),
+    fake_sender(snd_nxt=3000, _rto_deadline=2.0, _rto_timer=_timer(1.5, cancelled=False)),
+)
+
+
 @pytest.fixture(scope="module")
 def checked_states():
     """(checker outcome, reference outcome) for each of the 600 drawn
-    states: one pass of the strategy, read by both tests below."""
+    states and the hand-built ones: one pass of the strategy, read by
+    both tests below."""
     outcomes = []
 
-    @given(sender=sender_states())
-    @settings(max_examples=600, deadline=None, derandomize=True)
-    def draw(sender):
+    def compare(sender):
         outcomes.append((
             _outcome(check_sender_invariants, sender),
             _outcome(_reference_sender_invariants, sender),
         ))
 
-    draw()
+    given(sender=sender_states())(
+        settings(max_examples=600, deadline=None, derandomize=True)(compare)
+    )()
+    for sender in TIMER_DECIDES:
+        compare(sender)
     return outcomes
 
 

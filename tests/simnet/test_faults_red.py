@@ -1,5 +1,7 @@
 """Tests for fault injection (outages, random loss) and the RED queue."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,31 @@ class TestRedQueue:
         for i in range(60):
             q.enqueue(make_data_packet(1, "a", "b", i, 960))
         assert q.early_drops > 0
+
+    def test_average_and_early_probability_follow_floyd_jacobson(self):
+        # No simulation: a hand-built enqueue/dequeue sequence, an rng that
+        # never fires an early drop, and the 1993 paper's two formulas.
+        # avg <- (1 - w) avg + w q on every arrival, with q the bytes queued
+        # before it and w = 0.002; p_b = max_p (avg - min_th) / (max_th - min_th).
+        min_th, max_th, max_p, w = 5_000, 50_000, 0.1, 0.002
+        q = self._queue(
+            capacity_bytes=10_000_000,
+            rng=SimpleNamespace(random=lambda: 1.0),
+            min_thresh_bytes=min_th,
+            max_thresh_bytes=max_th,
+            max_probability=max_p,
+        )
+        avg = 0.0
+        for i in range(300):
+            avg = (1 - w) * avg + w * q.bytes_queued
+            assert q.enqueue(make_data_packet(1, "a", "b", i, 960))
+            if i % 2:
+                q.dequeue()
+        assert q.avg_queue_bytes == pytest.approx(avg, rel=1e-12)
+        assert min_th < q.avg_queue_bytes < max_th
+        expected = max_p * (q.avg_queue_bytes - min_th) / (max_th - min_th)
+        assert q._early_probability() == pytest.approx(expected, rel=1e-12)
+        assert q.early_drops == 0
 
     def test_forced_drop_above_max_threshold(self):
         q = self._queue(weight=1.0)  # average == instantaneous
