@@ -13,11 +13,13 @@ import numpy as np
 from bench_common import report, run_once, scaled
 
 from repro.diagnosis import (
+    BIN_MINUTES,
+    BINS_PER_DAY,
     OutageSpec,
-    TelemetryConfig,
     TelemetryGenerator,
     UnreachabilityDetector,
     localize,
+    slice_keys,
 )
 
 OUTAGE_ASN = "isp-a"
@@ -25,9 +27,8 @@ OUTAGE_METRO = "nyc"
 
 
 def _run_pipeline():
-    config = TelemetryConfig()
-    train_bins = scaled(2, 7) * config.bins_per_day
-    bins_2h = 120 // config.bin_minutes
+    train_bins = scaled(2, 7) * BINS_PER_DAY
+    bins_2h = 120 // BIN_MINUTES
     outage = OutageSpec(
         start_bin=train_bins + 80,
         duration_bins=bins_2h,
@@ -35,29 +36,29 @@ def _run_pipeline():
         asn=OUTAGE_ASN,
         metro=OUTAGE_METRO,
     )
-    generator = TelemetryGenerator(config, np.random.default_rng(55), [outage])
-    series = generator.generate(train_bins + config.bins_per_day)
-    detector = UnreachabilityDetector(config.bins_per_day)
+    generator = TelemetryGenerator(np.random.default_rng(55), [outage])
+    series = generator.generate(train_bins + BINS_PER_DAY)
+    detector = UnreachabilityDetector(BINS_PER_DAY)
     dips = detector.detect(series, train_bins)
-    events = localize(dips, config.slice_keys())
-    return config, outage, series, dips, events, train_bins
+    events = localize(dips, slice_keys())
+    return outage, series, dips, events, train_bins
 
 
 def test_fig5_unreachability_event(benchmark, capfd):
-    config, outage, series, dips, events, train_bins = run_once(
+    outage, series, dips, events, train_bins = run_once(
         benchmark, _run_pipeline
     )
 
     with report(capfd, "Figure 5: unreachability event detection + localization"):
         print(f"injected : asn={OUTAGE_ASN}, metro={OUTAGE_METRO}, "
               f"bins [{outage.start_bin}, {outage.end_bin}) "
-              f"({outage.duration_bins * config.bin_minutes} minutes), "
+              f"({outage.duration_bins * BIN_MINUTES} minutes), "
               f"severity {outage.severity:.0%}")
         print(f"slice dips detected: {len(dips)}")
         for event in events:
             print(f"detected : {event.describe()}, "
                   f"bins [{event.start_bin}, {event.end_bin}) "
-                  f"({event.duration_bins * config.bin_minutes} minutes), "
+                  f"({event.duration_bins * BIN_MINUTES} minutes), "
                   f"mean drop {event.mean_drop_fraction:.0%}, "
                   f"{event.affected_slices} slices")
         # The figure's curve: affected-slice volume around the event,

@@ -14,7 +14,6 @@ from repro.ipfix import (
     IpfixCollector,
     IpfixSampler,
     SampledHeader,
-    TrafficModelConfig,
     sharing_ccdf,
     sharing_stats,
 )
@@ -22,8 +21,7 @@ from repro.ipfix import (
 
 def _run_pipeline():
     rng = np.random.default_rng(21)
-    config = TrafficModelConfig()
-    model = EgressTrafficModel(config, rng)
+    model = EgressTrafficModel(rng)
 
     sampled_collector = IpfixCollector()
     full_collector = IpfixCollector()

@@ -18,12 +18,15 @@ Run:  python examples/outage_war_room.py
 import numpy as np
 
 from repro.diagnosis import (
+    BIN_MINUTES,
+    BINS_PER_DAY,
     OutageSpec,
-    TelemetryConfig,
     TelemetryGenerator,
     UnreachabilityDetector,
     localize,
+    slice_keys,
 )
+from repro.diagnosis.events import ASES, METROS, SERVICES
 from repro.prediction import (
     ObservationStore,
     PerfObservation,
@@ -32,9 +35,8 @@ from repro.prediction import (
 
 
 def run_diagnosis():
-    config = TelemetryConfig()
-    train_bins = 3 * config.bins_per_day
-    bins_2h = 120 // config.bin_minutes
+    train_bins = 3 * BINS_PER_DAY
+    bins_2h = 120 // BIN_MINUTES
     outage = OutageSpec(
         start_bin=train_bins + 150,
         duration_bins=bins_2h,
@@ -43,21 +45,21 @@ def run_diagnosis():
         metro="lon",
     )
     print("== Step 1: telemetry with a hidden outage ==")
-    print(f"{len(config.slice_keys())} telemetry slices "
-          f"({len(config.ases)} ASes x {len(config.metros)} metros x "
-          f"{len(config.services)} services), 5-minute bins")
+    print(f"{len(slice_keys())} telemetry slices "
+          f"({len(ASES)} ASes x {len(METROS)} metros x "
+          f"{len(SERVICES)} services), 5-minute bins")
     print("injected: isp-c in lon, 2 hours, 90% of requests lost\n")
 
-    generator = TelemetryGenerator(config, np.random.default_rng(99), [outage])
-    series = generator.generate(train_bins + config.bins_per_day)
+    generator = TelemetryGenerator(np.random.default_rng(99), [outage])
+    series = generator.generate(train_bins + BINS_PER_DAY)
 
     print("== Step 2: detect and localize ==")
-    detector = UnreachabilityDetector(config.bins_per_day)
+    detector = UnreachabilityDetector(BINS_PER_DAY)
     dips = detector.detect(series, train_bins)
     print(f"per-slice dips flagged: {len(dips)}")
-    events = localize(dips, config.slice_keys())
+    events = localize(dips, slice_keys())
     for event in events:
-        hours = event.duration_bins * config.bin_minutes / 60
+        hours = event.duration_bins * BIN_MINUTES / 60
         print(f"localized event: {event.describe()}  "
               f"(~{hours:.1f} h, mean drop {event.mean_drop_fraction:.0%}, "
               f"{event.affected_slices} slices affected)")

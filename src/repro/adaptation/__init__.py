@@ -14,7 +14,6 @@ from .jitterbuffer import (
     UNINFORMED_DEFAULT_BUFFER_S,
     JitterBufferRecommendation,
     JitterObservatory,
-    buffer_tradeoff_curve,
     late_loss_rate,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "JitterObservatory",
     "PathKey",
     "ReorderingObservatory",
-    "buffer_tradeoff_curve",
     "late_loss_rate",
     "reordering_depths",
 ]

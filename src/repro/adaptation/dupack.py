@@ -18,7 +18,6 @@ from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..simnet.bounds import check
 from ..transport.base import DEFAULT_DUPACK_THRESHOLD
 
 PathKey = Tuple[str, str]
@@ -59,13 +58,16 @@ class DupAckRecommendation:
     spurious_probability: float  # estimated at the recommended threshold
 
 
+#: Reordering depths kept per path (oldest dropped first).
+MAX_SAMPLES_PER_PATH = 100_000
+
+
 class ReorderingObservatory:
     """Shared per-path reordering statistics."""
 
-    def __init__(self, max_samples_per_path: int = 100_000) -> None:
-        check("max_samples_per_path", max_samples_per_path, ge=1, integer=True)
+    def __init__(self) -> None:
         self._depths: Dict[PathKey, Deque[int]] = defaultdict(
-            lambda: deque(maxlen=max_samples_per_path)
+            lambda: deque(maxlen=MAX_SAMPLES_PER_PATH)
         )
 
     def record_depths(self, path: PathKey, depths: Sequence[int]) -> None:

@@ -31,6 +31,9 @@ UNINFORMED_DEFAULT_BUFFER_S = 0.040
 #: Safety factor applied to the jitter quantile when recommending a size.
 DEFAULT_SAFETY_FACTOR = 1.2
 
+#: Jitter samples kept per location (oldest dropped first).
+MAX_SAMPLES_PER_LOCATION = 50_000
+
 
 @dataclass(frozen=True)
 class JitterBufferRecommendation:
@@ -44,10 +47,9 @@ class JitterBufferRecommendation:
 class JitterObservatory:
     """Shared per-location jitter statistics."""
 
-    def __init__(self, max_samples_per_location: int = 50_000) -> None:
-        check("max_samples_per_location", max_samples_per_location, ge=1, integer=True)
+    def __init__(self) -> None:
         self._samples: Dict[LocationKey, Deque[float]] = defaultdict(
-            lambda: deque(maxlen=max_samples_per_location)
+            lambda: deque(maxlen=MAX_SAMPLES_PER_LOCATION)
         )
 
     def record_jitter(self, location: LocationKey, jitter_s: float) -> None:
@@ -71,32 +73,24 @@ class JitterObservatory:
         """Samples held for ``location``."""
         return len(self._samples.get(location, ()))
 
-    def recommend(
-        self,
-        location: LocationKey,
-        *,
-        quantile: float = 0.95,
-        safety_factor: float = DEFAULT_SAFETY_FACTOR,
-        fallback_s: float = UNINFORMED_DEFAULT_BUFFER_S,
-    ) -> JitterBufferRecommendation:
-        """Initial buffer size for a new stream at ``location``.
+    def recommend(self, location: LocationKey) -> JitterBufferRecommendation:
+        """Initial buffer size for a new stream at ``location``: the p95
+        jitter times ``DEFAULT_SAFETY_FACTOR``.
 
         With no shared data, falls back to the uninformed default — the
         recommendation then carries ``samples=0`` so callers can tell.
         """
-        if not 0 < quantile < 1:
-            raise ValueError(f"quantile must be in (0, 1): {quantile}")
         samples = self._samples.get(location)
         if not samples:
             return JitterBufferRecommendation(
-                buffer_s=fallback_s, samples=0, p95_jitter_s=0.0
+                buffer_s=UNINFORMED_DEFAULT_BUFFER_S, samples=0, p95_jitter_s=0.0
             )
         array = np.asarray(samples)
-        p = float(np.quantile(array, quantile))
+        p95 = float(np.quantile(array, 0.95))
         return JitterBufferRecommendation(
-            buffer_s=max(1e-4, p * safety_factor),
+            buffer_s=max(1e-4, p95 * DEFAULT_SAFETY_FACTOR),
             samples=int(array.size),
-            p95_jitter_s=float(np.quantile(array, 0.95)),
+            p95_jitter_s=p95,
         )
 
 
@@ -116,14 +110,3 @@ def late_loss_rate(
         return 0.0
     deadline = delays.min() + buffer_s
     return float(np.mean(delays > deadline))
-
-
-def buffer_tradeoff_curve(
-    one_way_delays_s: Sequence[float],
-    buffer_sizes_s: Sequence[float],
-) -> list:
-    """(buffer, late-loss) pairs for plotting the latency/loss trade-off."""
-    return [
-        (float(b), late_loss_rate(one_way_delays_s, float(b)))
-        for b in buffer_sizes_s
-    ]

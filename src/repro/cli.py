@@ -49,11 +49,13 @@ import numpy as np
 
 from . import flightrec, telemetry
 from .diagnosis import (
+    BIN_MINUTES,
+    BINS_PER_DAY,
     OutageSpec,
-    TelemetryConfig,
     TelemetryGenerator,
     UnreachabilityDetector,
     localize,
+    slice_keys,
 )
 from .experiments import (
     ALL_PRESETS,
@@ -70,7 +72,6 @@ from .ipfix import (
     EgressTrafficModel,
     IpfixCollector,
     IpfixSampler,
-    TrafficModelConfig,
     sharing_stats,
 )
 from .ipfix.traffic import check_minutes
@@ -529,7 +530,7 @@ def cmd_telemetry_summarize(args: argparse.Namespace) -> int:
 
 def cmd_ipfix(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    model = EgressTrafficModel(TrafficModelConfig(), rng)
+    model = EgressTrafficModel(rng)
     sampler = IpfixSampler(rng)
     collector = IpfixCollector()
     for batch in model.generate(args.minutes):
@@ -544,26 +545,25 @@ def cmd_ipfix(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    config = TelemetryConfig()
-    train = 2 * config.bins_per_day
+    train = 2 * BINS_PER_DAY
     outage = OutageSpec(
         start_bin=train + 100,
-        duration_bins=args.outage_minutes // config.bin_minutes,
+        duration_bins=args.outage_minutes // BIN_MINUTES,
         severity=args.severity,
         asn=args.asn,
         metro=args.metro,
     )
-    generator = TelemetryGenerator(config, np.random.default_rng(args.seed), [outage])
-    series = generator.generate(train + config.bins_per_day)
-    dips = UnreachabilityDetector(config.bins_per_day).detect(series, train)
-    events = localize(dips, config.slice_keys())
+    generator = TelemetryGenerator(np.random.default_rng(args.seed), [outage])
+    series = generator.generate(train + BINS_PER_DAY)
+    dips = UnreachabilityDetector(BINS_PER_DAY).detect(series, train)
+    events = localize(dips, slice_keys())
     print(f"injected: asn={args.asn} metro={args.metro} "
           f"({args.outage_minutes} min, severity {args.severity:.0%})")
     if not events:
         print("no events detected")
         return 1
     for event in events:
-        minutes = event.duration_bins * config.bin_minutes
+        minutes = event.duration_bins * BIN_MINUTES
         print(f"detected: {event.describe()} ({minutes} min, "
               f"drop {event.mean_drop_fraction:.0%})")
     return 0
@@ -834,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--asn", default="isp-a")
     diagnose.add_argument("--metro", default="nyc")
     diagnose.add_argument("--outage-minutes", default=120, type=_checked(
-        int, lambda m: OutageSpec(0, m // TelemetryConfig.bin_minutes, 1.0)))
+        int, lambda m: OutageSpec(0, m // BIN_MINUTES, 1.0)))
     diagnose.add_argument("--severity", default=0.9, type=_checked(
         float, _field(OutageSpec, "severity", start_bin=0, duration_bins=1)))
     diagnose.add_argument("--seed", type=_checked(int, check_seed), default=7)

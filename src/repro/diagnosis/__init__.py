@@ -2,8 +2,15 @@
 request volumes sliced by (AS, metro, service), and dimensional
 localization of unreachability events (Figure 5)."""
 
-from .detector import DetectedDip, DetectorConfig, UnreachabilityDetector
-from .events import OutageSpec, SliceKey, TelemetryConfig, TelemetryGenerator
+from .detector import DetectedDip, UnreachabilityDetector
+from .events import (
+    BIN_MINUTES,
+    BINS_PER_DAY,
+    OutageSpec,
+    SliceKey,
+    TelemetryGenerator,
+    slice_keys,
+)
 from .localize import (
     DIMENSION_NAMES,
     LocalizedEvent,
@@ -11,27 +18,27 @@ from .localize import (
     localize,
     localize_group,
 )
-from .report import IncidentReport, render_all, render_incident, severity_grade
+from .report import IncidentReport, render_incident, severity_grade
 from .timeseries import MAD_TO_SIGMA, BaselinePoint, SeasonalBaseline
 
 __all__ = [
+    "BIN_MINUTES",
+    "BINS_PER_DAY",
     "DIMENSION_NAMES",
     "MAD_TO_SIGMA",
     "BaselinePoint",
     "DetectedDip",
-    "DetectorConfig",
     "IncidentReport",
     "LocalizedEvent",
     "OutageSpec",
     "SeasonalBaseline",
     "SliceKey",
-    "TelemetryConfig",
     "TelemetryGenerator",
     "UnreachabilityDetector",
     "group_dips",
     "localize",
     "localize_group",
-    "render_all",
     "render_incident",
     "severity_grade",
+    "slice_keys",
 ]

@@ -13,7 +13,6 @@ from typing import List, Mapping
 
 import numpy as np
 
-from ..simnet.bounds import check
 from .events import SliceKey
 from .timeseries import SeasonalBaseline
 
@@ -34,36 +33,21 @@ class DetectedDip:
         return self.end_bin - self.start_bin
 
 
-@dataclass
-class DetectorConfig:
-    """Detection thresholds.
-
-    ``min_drop_fraction`` suppresses statistically-significant but
-    operationally-trivial dips (a few percent below baseline): an
-    unreachability event by definition removes a substantial share of a
-    slice's requests.
-    """
-
-    z_threshold: float = -3.0
-    min_consecutive_bins: int = 3
-    min_drop_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        check("z_threshold", self.z_threshold, lt=0)
-        check("min_consecutive_bins", self.min_consecutive_bins, ge=1, integer=True)
-        check("min_drop_fraction", self.min_drop_fraction, ge=0, lt=1)
+#: Detection thresholds: a dip is a run of at least MIN_CONSECUTIVE_BINS
+#: bins scoring at or below Z_THRESHOLD.  MIN_DROP_FRACTION suppresses
+#: statistically-significant but operationally-trivial dips (a few percent
+#: below baseline): an unreachability event by definition removes a
+#: substantial share of a slice's requests.
+Z_THRESHOLD = -3.0
+MIN_CONSECUTIVE_BINS = 3
+MIN_DROP_FRACTION = 0.25
 
 
 class UnreachabilityDetector:
     """Per-slice anomaly detection over a train/score split."""
 
-    def __init__(
-        self,
-        period_bins: int,
-        config: DetectorConfig = None,
-    ) -> None:
+    def __init__(self, period_bins: int) -> None:
         self.period_bins = period_bins
-        self.config = config if config is not None else DetectorConfig()
 
     def detect(
         self,
@@ -96,17 +80,16 @@ class UnreachabilityDetector:
         scores: np.ndarray,
         offset: int,
     ) -> List[DetectedDip]:
-        config = self.config
         dips = []
         run_start = None
         for i, z in enumerate(list(scores) + [0.0]):  # sentinel flushes tail
-            if z <= config.z_threshold:
+            if z <= Z_THRESHOLD:
                 if run_start is None:
                     run_start = i
                 continue
             if run_start is not None:
                 run_len = i - run_start
-                if run_len >= config.min_consecutive_bins:
+                if run_len >= MIN_CONSECUTIVE_BINS:
                     abs_start = offset + run_start
                     abs_end = offset + i
                     window = range(abs_start, abs_end)
@@ -116,7 +99,7 @@ class UnreachabilityDetector:
                         if expected > 0:
                             drops.append(1.0 - values[b] / expected)
                     mean_drop = float(np.mean(drops)) if drops else 0.0
-                    if mean_drop >= config.min_drop_fraction:
+                    if mean_drop >= MIN_DROP_FRACTION:
                         dips.append(
                             DetectedDip(
                                 key=key,

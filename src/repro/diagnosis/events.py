@@ -22,35 +22,23 @@ SliceKey = Tuple[str, str, str]
 """(client AS, metro, service)."""
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Dimensions and rates of the synthetic telemetry."""
+#: The telemetry's dimensions: client ASes, metros and services.
+ASES = ("isp-a", "isp-b", "isp-c", "isp-d")
+METROS = ("nyc", "lon", "blr", "syd")
+SERVICES = ("voip", "storage")
 
-    ases: Sequence[str] = ("isp-a", "isp-b", "isp-c", "isp-d")
-    metros: Sequence[str] = ("nyc", "lon", "blr", "syd")
-    services: Sequence[str] = ("voip", "storage")
-    bin_minutes: int = 5
-    base_rate: float = 1200.0
-    diurnal_amplitude: float = 0.4
+#: Bin width in minutes, and the seasonal period (a day) in bins.
+BIN_MINUTES = 5
+BINS_PER_DAY = 24 * 60 // BIN_MINUTES
 
-    def __post_init__(self) -> None:
-        check("bin_minutes", self.bin_minutes, ge=1, integer=True)
-        check("base_rate", self.base_rate, gt=0)
-        check("diurnal_amplitude", self.diurnal_amplitude, ge=0, lt=1)
+#: Mean requests per bin of a slice, and the diurnal swing around it.
+BASE_RATE = 1200.0
+DIURNAL_AMPLITUDE = 0.4
 
-    @property
-    def bins_per_day(self) -> int:
-        """Seasonal period in bins."""
-        return 24 * 60 // self.bin_minutes
 
-    def slice_keys(self) -> List[SliceKey]:
-        """Every (AS, metro, service) combination."""
-        return [
-            (asn, metro, service)
-            for asn in self.ases
-            for metro in self.metros
-            for service in self.services
-        ]
+def slice_keys() -> List[SliceKey]:
+    """Every (AS, metro, service) combination."""
+    return [(asn, metro, service) for asn in ASES for metro in METROS for service in SERVICES]
 
 
 @dataclass(frozen=True)
@@ -58,8 +46,8 @@ class OutageSpec:
     """An injected unreachability event.
 
     ``None`` in a dimension means "all values" — e.g. Figure 5's event is
-    ``OutageSpec(asn="isp-a", metro="nyc", service=None, ...)``: one ISP
-    in one metro, across every service.
+    ``OutageSpec(asn="isp-a", metro="nyc", ...)``: one ISP in one metro.
+    An outage always spans every service: it is a network event.
     """
 
     start_bin: int
@@ -67,7 +55,6 @@ class OutageSpec:
     severity: float  # fraction of requests lost, 1.0 = total blackout
     asn: Optional[str] = None
     metro: Optional[str] = None
-    service: Optional[str] = None
 
     def __post_init__(self) -> None:
         check("start_bin", self.start_bin, ge=0, integer=True)
@@ -78,14 +65,10 @@ class OutageSpec:
         """Whether this outage suppresses ``key`` at ``bin_index``."""
         if not self.start_bin <= bin_index < self.start_bin + self.duration_bins:
             return False
-        asn, metro, service = key
+        asn, metro, _service = key
         if self.asn is not None and asn != self.asn:
             return False
-        if self.metro is not None and metro != self.metro:
-            return False
-        if self.service is not None and service != self.service:
-            return False
-        return True
+        return self.metro is None or metro == self.metro
 
     @property
     def end_bin(self) -> int:
@@ -98,30 +81,27 @@ class TelemetryGenerator:
 
     def __init__(
         self,
-        config: TelemetryConfig,
         rng: np.random.Generator,
         outages: Sequence[OutageSpec] = (),
     ) -> None:
-        self.config = config
         self.rng = rng
         self.outages = list(outages)
         # Stable per-slice rate multipliers so slices differ in size.
         self._multipliers: Dict[SliceKey, float] = {}
-        for key in config.slice_keys():
+        for key in slice_keys():
             self._multipliers[key] = float(self.rng.uniform(0.4, 1.6))
 
     def _expected_rate(self, key: SliceKey, bin_index: int) -> float:
-        cfg = self.config
-        phase = 2 * math.pi * (bin_index % cfg.bins_per_day) / cfg.bins_per_day
-        diurnal = 1.0 + cfg.diurnal_amplitude * math.sin(phase)
-        return cfg.base_rate * self._multipliers[key] * diurnal
+        phase = 2 * math.pi * (bin_index % BINS_PER_DAY) / BINS_PER_DAY
+        diurnal = 1.0 + DIURNAL_AMPLITUDE * math.sin(phase)
+        return BASE_RATE * self._multipliers[key] * diurnal
 
     def generate(self, n_bins: int) -> Dict[SliceKey, np.ndarray]:
         """Per-slice volume series of length ``n_bins`` (outages applied)."""
         if n_bins < 1:
             raise ValueError(f"n_bins must be >= 1: {n_bins}")
         series: Dict[SliceKey, np.ndarray] = {}
-        for key in self.config.slice_keys():
+        for key in slice_keys():
             expected = np.array(
                 [self._expected_rate(key, b) for b in range(n_bins)]
             )

@@ -50,19 +50,21 @@ class LocalizedEvent:
         return ", ".join(parts) if parts else "global"
 
 
-def _overlaps(a: DetectedDip, b: DetectedDip, slack_bins: int) -> bool:
-    return a.start_bin <= b.end_bin + slack_bins and b.start_bin <= a.end_bin + slack_bins
+#: Dips this many bins apart or closer belong to one candidate event.
+SLACK_BINS = 2
 
 
-def group_dips(
-    dips: Sequence[DetectedDip], slack_bins: int = 2
-) -> List[List[DetectedDip]]:
+def _overlaps(a: DetectedDip, b: DetectedDip) -> bool:
+    return a.start_bin <= b.end_bin + SLACK_BINS and b.start_bin <= a.end_bin + SLACK_BINS
+
+
+def group_dips(dips: Sequence[DetectedDip]) -> List[List[DetectedDip]]:
     """Cluster per-slice dips that overlap in time into candidate events."""
     groups: List[List[DetectedDip]] = []
     for dip in sorted(dips, key=lambda d: d.start_bin):
         placed = False
         for group in groups:
-            if any(_overlaps(dip, member, slack_bins) for member in group):
+            if any(_overlaps(dip, member) for member in group):
                 group.append(dip)
                 placed = True
                 break
@@ -119,7 +121,6 @@ def localize_group(
 def localize(
     dips: Sequence[DetectedDip],
     all_keys: Sequence[SliceKey],
-    slack_bins: int = 2,
 ) -> List[LocalizedEvent]:
     """Full pipeline: cluster dips, then localize each cluster."""
-    return [localize_group(group, all_keys) for group in group_dips(dips, slack_bins)]
+    return [localize_group(group, all_keys) for group in group_dips(dips)]

@@ -9,10 +9,8 @@ pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
-from .detector import DetectedDip
-from .events import TelemetryConfig
+from .events import BIN_MINUTES
 from .localize import LocalizedEvent
 
 
@@ -47,14 +45,10 @@ def severity_grade(drop_fraction: float) -> str:
     return "SEV-4 (minor anomaly)"
 
 
-def render_incident(
-    event: LocalizedEvent,
-    config: TelemetryConfig,
-    dips: Sequence[DetectedDip] = (),
-) -> IncidentReport:
+def render_incident(event: LocalizedEvent) -> IncidentReport:
     """Render one localized event as an operator incident report."""
-    minutes = event.duration_bins * config.bin_minutes
-    start_min = event.start_bin * config.bin_minutes
+    minutes = event.duration_bins * BIN_MINUTES
+    start_min = event.start_bin * BIN_MINUTES
     scope = event.describe()
     grade = severity_grade(event.mean_drop_fraction)
 
@@ -65,13 +59,6 @@ def render_incident(
         f"across {event.affected_slices} telemetry slice(s)",
         f"window   : t+{start_min} min for {_format_duration(minutes)}",
     ]
-    related = [d for d in dips if event.start_bin <= d.start_bin < event.end_bin]
-    if related:
-        worst = min(related, key=lambda d: d.min_zscore)
-        lines.append(
-            f"evidence : strongest dip on {'/'.join(worst.key)} "
-            f"(z = {worst.min_zscore:.1f})"
-        )
     if event.asn is not None and event.metro is not None:
         lines.append(
             "action   : engage peering/NOC contacts for the named ISP in "
@@ -88,12 +75,3 @@ def render_incident(
 
     title = f"[{grade.split()[0]}] unreachability: {scope}"
     return IncidentReport(title=title, body="\n".join(lines))
-
-
-def render_all(
-    events: Sequence[LocalizedEvent],
-    config: TelemetryConfig,
-    dips: Sequence[DetectedDip] = (),
-) -> List[IncidentReport]:
-    """Render every localized event."""
-    return [render_incident(event, config, dips) for event in events]

@@ -31,6 +31,10 @@ class BaselinePoint:
     sigma: float
 
 
+#: Full seasonal periods of history a baseline needs before it scores.
+MIN_HISTORY_PERIODS = 2
+
+
 class SeasonalBaseline:
     """Robust diurnal baseline for one request-volume series.
 
@@ -38,14 +42,11 @@ class SeasonalBaseline:
     ----------
     period_bins:
         Bins per seasonal period (e.g. 288 five-minute bins per day).
-    min_history_periods:
-        Minimum full periods of history before scoring is meaningful.
+        Scoring needs ``MIN_HISTORY_PERIODS`` full periods of history.
     """
 
-    def __init__(self, period_bins: int, min_history_periods: int = 2) -> None:
-        check("min_history_periods", min_history_periods, ge=1, integer=True)
+    def __init__(self, period_bins: int) -> None:
         self.period_bins = check("period_bins", period_bins, ge=1, integer=True)
-        self.min_history_periods = min_history_periods
         self._fitted: Optional[List[BaselinePoint]] = None
 
     def fit(self, history: Sequence[float]) -> "SeasonalBaseline":
@@ -57,9 +58,9 @@ class SeasonalBaseline:
         values = np.asarray(history, dtype=float)
         if values.ndim != 1:
             raise ValueError("history must be one-dimensional")
-        if values.size < self.period_bins * self.min_history_periods:
+        if values.size < self.period_bins * MIN_HISTORY_PERIODS:
             raise ValueError(
-                f"need >= {self.period_bins * self.min_history_periods} bins of "
+                f"need >= {self.period_bins * MIN_HISTORY_PERIODS} bins of "
                 f"history, got {values.size}"
             )
         # First pass: per-phase medians (the seasonal profile) and the

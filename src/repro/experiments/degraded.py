@@ -20,7 +20,7 @@ from typing import Optional
 from ..phi.plane import PlaneRunResult, PlaneSpec
 from ..phi.policy import PolicyTable
 from .dumbbell import ScenarioPreset
-from .faultsweep import Baseline, FaultScenario, merged_counts, stock_cubic
+from .faultsweep import LEASE_TTL_S, Baseline, FaultScenario, merged_counts, stock_cubic
 from .scenarios import run_plane
 
 
@@ -33,7 +33,6 @@ def run_degraded_phi_cubic(
     duration_s: Optional[float] = None,
     staleness_ttl_s: float = 10.0,
     outage_period_s: float = 5.0,
-    lease_ttl_s: Optional[float] = 60.0,
 ) -> PlaneRunResult:
     """Phi-coordinated Cubic behind a failing control plane.
 
@@ -46,7 +45,7 @@ def run_degraded_phi_cubic(
     """
     spec = PlaneSpec(
         policy=policy,
-        lease_ttl_s=lease_ttl_s,
+        lease_ttl_s=LEASE_TTL_S,
         staleness_ttl_s=staleness_ttl_s,
         unavailability=unavailability,
         outage_period_s=outage_period_s,

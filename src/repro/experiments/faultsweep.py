@@ -42,7 +42,7 @@ from ..metrics.summary import RunMetrics, summarize_runs
 from ..phi.policy import PolicyTable
 from ..runner.core import run_supervised, serial_recheck
 from ..runner.hashing import content_hash
-from ..runner.resilience import PointFailure, QuarantinedPoint, ResilienceConfig
+from ..runner.resilience import PointFailure, QuarantinedPoint
 from ..simnet.bounds import check
 from ..simnet.engine import check_duration
 from ..transport.cubic import CubicParams
@@ -146,6 +146,10 @@ class FaultScenario:
             name: aggregator([result.accounting[name] for result in results])
             for name, aggregator in self.accounting.items()
         }
+
+
+#: The context lease of the degraded and partitioned planes, in seconds.
+LEASE_TTL_S = 60.0
 
 
 def stock_cubic(spec: "FaultSpec", axes: Mapping[str, Any], seed: int) -> RunMetrics:
@@ -321,7 +325,6 @@ def run_fault_sweep(
     fixed: Optional[Mapping[str, Any]] = None,
     n_workers: int = 1,
     parallel: bool = True,
-    resilience: Optional[ResilienceConfig] = None,
     collect_telemetry: Optional[bool] = None,
 ) -> FaultSweepOutcome:
     """Sweep ``grid`` (one value list per scenario axis) across ``seeds``.
@@ -364,7 +367,6 @@ def run_fault_sweep(
         list(enumerate(points)),
         n_workers=n_workers,
         parallel=parallel,
-        resilience=resilience,
     )
     wall = time.perf_counter() - started
 

@@ -60,6 +60,7 @@ from ..phi.policy import PolicyTable
 from ..phi.replication import ReadPolicy, ReplicationConfig
 from .dumbbell import ScenarioPreset
 from .faultsweep import (
+    LEASE_TTL_S,
     Baseline,
     FaultScenario,
     FaultSpec,
@@ -83,10 +84,6 @@ def run_partitioned_phi_cubic(
     seed: int = 0,
     read_policy: ReadPolicy = ReadPolicy.ANY,
     duration_s: Optional[float] = None,
-    staleness_ttl_s: float = 10.0,
-    anti_entropy_period_s: float = 1.0,
-    quorum_staleness_s: float = 5.0,
-    lease_ttl_s: Optional[float] = 60.0,
 ) -> PlaneRunResult:
     """Phi-coordinated Cubic on a replicated, partitionable control plane.
 
@@ -104,16 +101,10 @@ def run_partitioned_phi_cubic(
     draw only on failure paths, so a no-fault run's trajectory is
     unchanged by them.
     """
-    replication = ReplicationConfig(
-        n_replicas=n_replicas,
-        anti_entropy_period_s=anti_entropy_period_s,
-        read_policy=read_policy,
-        quorum_staleness_s=quorum_staleness_s,
-    )
+    replication = ReplicationConfig(n_replicas=n_replicas, read_policy=read_policy)
     spec = PlaneSpec(
         policy=policy,
-        lease_ttl_s=lease_ttl_s,
-        staleness_ttl_s=staleness_ttl_s,
+        lease_ttl_s=LEASE_TTL_S,
         severity=severity,
         replication=replication,
         partition_start_s=partition_start_s,

@@ -63,7 +63,6 @@ def run_poisoned_phi_cubic(
     modes: Sequence[str] = DEFAULT_MODES,
     guarded: bool = True,
     duration_s: Optional[float] = None,
-    staleness_ttl_s: float = 10.0,
 ) -> PlaneRunResult:
     """Phi-coordinated Cubic behind a lying control plane.
 
@@ -77,7 +76,6 @@ def run_poisoned_phi_cubic(
     """
     spec = PlaneSpec(
         policy=policy,
-        staleness_ttl_s=staleness_ttl_s,
         severity=severity,
         modes=tuple(modes),
         byzantine_fraction=byzantine_fraction,

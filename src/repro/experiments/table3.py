@@ -119,7 +119,6 @@ def train_tables(
     budget: int = 40,
     max_splits: int = 0,
     duration_s: float = 20.0,
-    preset: ScenarioPreset = TABLE3_REMY,
 ) -> tuple:
     """Train the classic and Phi whisker tables (deterministic).
 
@@ -127,7 +126,7 @@ def train_tables(
     the extra ``util`` dimension and trains against ideal sharing.
     """
     remy_trainer = RemyTrainer(
-        make_table_evaluator(SharingMode.NONE, preset, duration_s=duration_s),
+        make_table_evaluator(SharingMode.NONE, TABLE3_REMY, duration_s=duration_s),
         WhiskerTable.CLASSIC_DIMENSIONS,
         max_evaluations=budget,
         max_splits=max_splits,
@@ -135,7 +134,7 @@ def train_tables(
     remy_result = remy_trainer.train()
 
     phi_trainer = RemyTrainer(
-        make_table_evaluator(SharingMode.IDEAL, preset, duration_s=duration_s),
+        make_table_evaluator(SharingMode.IDEAL, TABLE3_REMY, duration_s=duration_s),
         WhiskerTable.PHI_DIMENSIONS,
         max_evaluations=budget,
         max_splits=max_splits,
@@ -167,11 +166,11 @@ def run_table3(
     remy_table: WhiskerTable,
     phi_table: WhiskerTable,
     *,
-    preset: ScenarioPreset = TABLE3_REMY,
     n_runs: int = 4,
     duration_s: Optional[float] = None,
 ) -> Table3Result:
     """Evaluate all four Table-3 algorithms over ``n_runs`` seeds."""
+    preset = TABLE3_REMY
     arms = [
         ("Remy-Phi-practical", lambda seed: run_remy_scenario(
             phi_table, SharingMode.PRACTICAL, preset, seed, duration_s

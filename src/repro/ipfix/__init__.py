@@ -11,7 +11,7 @@ from .analysis import (
 from .collector import IpfixCollector, SlotSummary
 from .records import EgressFlow, SampledHeader, dst_slash24, minute_slice
 from .sampler import PAPER_SAMPLING_RATE, IpfixSampler
-from .traffic import EgressTrafficModel, TrafficModelConfig
+from .traffic import EgressTrafficModel
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -23,7 +23,6 @@ __all__ = [
     "SampledHeader",
     "SharingStats",
     "SlotSummary",
-    "TrafficModelConfig",
     "companion_counts",
     "dst_slash24",
     "minute_slice",

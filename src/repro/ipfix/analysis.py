@@ -10,7 +10,7 @@ its WAN path — and summarizes the distribution.  The paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -48,11 +48,9 @@ def companion_counts(collector: IpfixCollector) -> np.ndarray:
     return np.array([size - 1 for _flow, size in pairs], dtype=np.int64)
 
 
-def sharing_stats(
-    collector: IpfixCollector,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
-) -> SharingStats:
-    """Summarize slot co-sharing over everything the collector saw."""
+def sharing_stats(collector: IpfixCollector) -> SharingStats:
+    """Summarize slot co-sharing at each of ``DEFAULT_THRESHOLDS``."""
+    thresholds = DEFAULT_THRESHOLDS
     counts = companion_counts(collector)
     if counts.size == 0:
         return SharingStats(

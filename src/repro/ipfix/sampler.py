@@ -19,7 +19,6 @@ from typing import Iterable, List
 
 import numpy as np
 
-from ..simnet.bounds import check
 from .records import EgressFlow, SampledHeader
 
 #: The paper's sampling rate: one in 4096 packets.
@@ -29,9 +28,9 @@ PAPER_SAMPLING_RATE = 4096
 class IpfixSampler:
     """1-in-N packet sampler feeding a collector."""
 
-    def __init__(self, rng: np.random.Generator, rate: int = PAPER_SAMPLING_RATE) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self.rate = check("rate", rate, ge=1, integer=True)
+        self.rate = PAPER_SAMPLING_RATE
         self.packets_seen = 0
         self.packets_sampled = 0
 

@@ -15,7 +15,6 @@ popularity weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, List
 
@@ -25,34 +24,19 @@ from ..simnet.bounds import check
 from .records import EgressFlow
 
 
-@dataclass(frozen=True)
-class TrafficModelConfig:
-    """Knobs of the synthetic egress model.
-
-    Defaults are calibrated so the full pipeline (model -> 1-in-4096
-    sampling -> /24+minute aggregation) lands near the paper's §2.1
-    shape: ~50% of sampled flows sharing their slot with >= 5 others and
-    ~10-15% with >= 100 others.
-    """
-
-    n_subnets: int = 8_000
-    zipf_exponent: float = 1.05
-    flows_per_minute: float = 25_000.0
-    mean_duration_s: float = 8.0
-    pareto_shape: float = 1.3
-    min_packets: int = 8
-    mean_packets: float = 400.0
-    n_servers: int = 4_669  # the Netflix CDN server count from the paper
-
-    def __post_init__(self) -> None:
-        check("n_subnets", self.n_subnets, ge=1, integer=True)
-        check("zipf_exponent", self.zipf_exponent, gt=0)
-        check("flows_per_minute", self.flows_per_minute, gt=0)
-        check("mean_duration_s", self.mean_duration_s, gt=0)
-        check("pareto_shape", self.pareto_shape, gt=1)  # a finite mean
-        check("min_packets", self.min_packets, ge=1, integer=True)
-        check("mean_packets", self.mean_packets, gt=0)
-        check("n_servers", self.n_servers, ge=1, integer=True)
+#: The synthetic egress model, calibrated so the full pipeline (model ->
+#: 1-in-4096 sampling -> /24+minute aggregation) lands near the paper's
+#: §2.1 shape: ~50% of sampled flows sharing their slot with >= 5 others
+#: and ~10-15% with >= 100 others.  Subnet popularity is Zipf; packets per
+#: flow are Pareto (shape > 1: a finite mean) with a floor.
+N_SUBNETS = 8_000
+ZIPF_EXPONENT = 1.05
+FLOWS_PER_MINUTE = 25_000.0
+MEAN_DURATION_S = 8.0
+PARETO_SHAPE = 1.3
+MIN_PACKETS = 8
+MEAN_PACKETS = 400.0
+N_SERVERS = 4_669  # the Netflix CDN server count from the paper
 
 
 #: How many minutes of traffic to generate.
@@ -62,16 +46,15 @@ check_minutes = partial(check, "n_minutes", ge=1, integer=True)
 class EgressTrafficModel:
     """Generates :class:`EgressFlow` streams minute by minute."""
 
-    def __init__(self, config: TrafficModelConfig, rng: np.random.Generator) -> None:
-        self.config = config
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        ranks = np.arange(1, config.n_subnets + 1, dtype=float)
-        weights = ranks ** (-config.zipf_exponent)
+        ranks = np.arange(1, N_SUBNETS + 1, dtype=float)
+        weights = ranks ** (-ZIPF_EXPONENT)
         self._subnet_weights = weights / weights.sum()
 
     def subnet_ip(self, subnet_index: int, host: int) -> str:
         """A host address inside synthetic subnet ``subnet_index``."""
-        if not 0 <= subnet_index < self.config.n_subnets:
+        if not 0 <= subnet_index < N_SUBNETS:
             raise ValueError(f"subnet index out of range: {subnet_index}")
         high, low = divmod(subnet_index, 256)
         return f"100.{high}.{low}.{host}"
@@ -82,27 +65,25 @@ class EgressTrafficModel:
         return f"203.{high}.{low}.1"
 
     def _draw_packets(self, count: int) -> np.ndarray:
-        cfg = self.config
-        # Pareto with mean ~= mean_packets: scale = mean * (a-1)/a.
-        scale = cfg.mean_packets * (cfg.pareto_shape - 1.0) / cfg.pareto_shape
-        draws = (self.rng.pareto(cfg.pareto_shape, count) + 1.0) * scale
-        return np.maximum(cfg.min_packets, draws.astype(np.int64))
+        # Pareto with mean ~= MEAN_PACKETS: scale = mean * (a-1)/a.
+        scale = MEAN_PACKETS * (PARETO_SHAPE - 1.0) / PARETO_SHAPE
+        draws = (self.rng.pareto(PARETO_SHAPE, count) + 1.0) * scale
+        return np.maximum(MIN_PACKETS, draws.astype(np.int64))
 
     def generate_minute(self, minute: int) -> List[EgressFlow]:
         """All flows *starting* within minute ``minute``."""
-        cfg = self.config
-        n_flows = int(self.rng.poisson(cfg.flows_per_minute))
+        n_flows = int(self.rng.poisson(FLOWS_PER_MINUTE))
         if n_flows == 0:
             return []
         subnet_indices = self.rng.choice(
-            cfg.n_subnets, size=n_flows, p=self._subnet_weights
+            N_SUBNETS, size=n_flows, p=self._subnet_weights
         )
         starts = minute * 60.0 + self.rng.uniform(0.0, 60.0, size=n_flows)
-        durations = self.rng.exponential(cfg.mean_duration_s, size=n_flows)
+        durations = self.rng.exponential(MEAN_DURATION_S, size=n_flows)
         packets = self._draw_packets(n_flows)
         hosts = self.rng.integers(1, 255, size=n_flows)
         dst_ports = self.rng.integers(1024, 65_535, size=n_flows)
-        servers = self.rng.integers(0, cfg.n_servers, size=n_flows)
+        servers = self.rng.integers(0, N_SERVERS, size=n_flows)
 
         flows = []
         for i in range(n_flows):

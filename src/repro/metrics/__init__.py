@@ -4,7 +4,6 @@ from .power import MIN_DELAY_MS, log_power, power, power_with_loss
 from .summary import (
     CrossRunSummary,
     RunMetrics,
-    finite_mean,
     summarize_connections,
     summarize_runs,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "MIN_DELAY_MS",
     "CrossRunSummary",
     "RunMetrics",
-    "finite_mean",
     "log_power",
     "power",
     "power_with_loss",

@@ -8,10 +8,9 @@ objectives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..transport.base import ConnectionStats
 from .power import log_power, power, power_with_loss
@@ -55,12 +54,15 @@ class RunMetrics:
         return log_power(self.throughput_mbps, self.queueing_delay_ms)
 
 
+#: Floor on a run's queueing delay, so power stays finite on an idle queue.
+MIN_DELAY_FLOOR_MS = 0.05
+
+
 def summarize_connections(
     stats: Sequence[ConnectionStats],
     *,
     bottleneck_loss_rate: Optional[float] = None,
     mean_utilization: float = 0.0,
-    min_delay_floor_ms: float = 0.05,
 ) -> RunMetrics:
     """Aggregate per-connection stats into :class:`RunMetrics`.
 
@@ -99,7 +101,7 @@ def summarize_connections(
         delay_weight += n
     queueing_delay_ms = (delay_sum / delay_weight * 1e3) if delay_weight else 0.0
     mean_rtt_ms = (rtt_sum / delay_weight * 1e3) if delay_weight else 0.0
-    queueing_delay_ms = max(queueing_delay_ms, min_delay_floor_ms)
+    queueing_delay_ms = max(queueing_delay_ms, MIN_DELAY_FLOOR_MS)
 
     if bottleneck_loss_rate is not None:
         loss_rate = bottleneck_loss_rate
@@ -152,11 +154,3 @@ def summarize_runs(runs: Sequence[RunMetrics]) -> CrossRunSummary:
         median_log_power=median(log_powers),
         runs=len(runs),
     )
-
-
-def finite_mean(values: Iterable[float]) -> float:
-    """Mean of the finite values (ignores inf/NaN); 0.0 when none."""
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return 0.0
-    return sum(finite) / len(finite)

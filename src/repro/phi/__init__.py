@@ -81,7 +81,7 @@ from .optimizer import (
     leave_one_out,
     select_optimal,
 )
-from .policy import REFERENCE_POLICY, PolicyDecision, PolicyTable
+from .policy import REFERENCE_POLICY, PolicyTable
 from .server import (
     ConnectionReport,
     ContextServer,
@@ -136,7 +136,6 @@ __all__ = [
     "Plane",
     "PlaneRunResult",
     "PlaneSpec",
-    "PolicyDecision",
     "PolicyTable",
     "SenderAssignment",
     "SharingMode",

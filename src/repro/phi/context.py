@@ -110,14 +110,9 @@ class CongestionContext:
         return (now - self.timestamp) > max_age_s
 
     @classmethod
-    def idle(cls, timestamp: float = 0.0) -> "CongestionContext":
-        """The context of a quiet network."""
-        return cls(
-            utilization=0.0,
-            queue_delay_s=0.0,
-            competing_senders=0.0,
-            timestamp=timestamp,
-        )
+    def idle(cls) -> "CongestionContext":
+        """The context of a quiet network at time zero."""
+        return cls(utilization=0.0, queue_delay_s=0.0, competing_senders=0.0, timestamp=0.0)
 
 
 _LEVELS_ASCENDING = (

@@ -61,8 +61,8 @@ def raw_context(
     utilization: float,
     queue_delay_s: float,
     competing_senders: float,
-    timestamp: float = 0.0,
-    fair_share_mbps: Optional[float] = None,
+    timestamp: float,
+    fair_share_mbps: Optional[float],
 ) -> CongestionContext:
     """A :class:`CongestionContext` built *without* constructor validation.
 
@@ -156,19 +156,22 @@ class BitFlipCorruptor(ContextCorruptor):
         return raw_context(**fields)
 
 
+#: The largest unit error a :class:`ScaleCorruptor` makes, in decades.
+MAX_DECADES = 3
+
+#: Snapshots a :class:`ReplayCorruptor` remembers; it replays the oldest.
+REPLAY_DEPTH = 16
+
+
 class ScaleCorruptor(ContextCorruptor):
     """A power-of-ten unit error on one field (ms read as s, and so on)."""
 
     name = "scale"
 
-    def __init__(self, rng, severity: float, *, max_decades: int = 3) -> None:
-        super().__init__(rng, severity)
-        self.max_decades = check("max_decades", max_decades, ge=1, integer=True)
-
     def _mutate(self, context: CongestionContext) -> CongestionContext:
         fields = _context_fields(context)
         target = self._pick_field(context)
-        decades = int(self.rng.integers(1, self.max_decades + 1))
+        decades = int(self.rng.integers(1, MAX_DECADES + 1))
         if bool(self.rng.random() < 0.5):
             decades = -decades
         fields[target] = fields[target] * (10.0 ** decades)
@@ -207,11 +210,9 @@ class ReplayCorruptor(ContextCorruptor):
 
     name = "replay"
 
-    def __init__(self, rng, severity: float, *, depth: int = 16) -> None:
+    def __init__(self, rng, severity: float) -> None:
         super().__init__(rng, severity)
-        self._history: Deque[CongestionContext] = deque(
-            maxlen=check("depth", depth, ge=1, integer=True)
-        )
+        self._history: Deque[CongestionContext] = deque(maxlen=REPLAY_DEPTH)
 
     def _observe(self, context: CongestionContext) -> CongestionContext:
         self._history.append(context)
@@ -391,10 +392,9 @@ class ByzantineReporter:
 
     name = "byzantine"
 
-    def __init__(self, rng, fraction: float, *, magnitude: float = 1.0) -> None:
+    def __init__(self, rng, fraction: float) -> None:
         self.rng = rng
         self.fraction = check("fraction", fraction, ge=0, le=1)
-        self.magnitude = check("magnitude", magnitude, gt=0)
         self.poisoned = 0
         self.passed = 0
 
@@ -408,7 +408,7 @@ class ByzantineReporter:
             return replace(
                 report,
                 bytes_transferred=int(
-                    report.bytes_transferred * (1.0 + 999.0 * self.magnitude) + 1
+                    report.bytes_transferred * 1000.0 + 1
                 ),
                 mean_rtt_s=report.min_rtt_s,
                 loss_indicator=0.0,

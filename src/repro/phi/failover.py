@@ -130,12 +130,9 @@ class FailoverChannel:
         Sim-seeded RNG; required when ``config.suspend_jitter > 0``.
     config:
         :class:`FailoverConfig` (defaults apply when omitted).
-    preference:
-        Optional permutation of replica indices expressing nearness:
-        ties in health break toward earlier entries, and the first entry
-        is the initial sticky replica.  This is how the service-level
-        ``NEAREST`` read policy is realized — the client prefers its
-        close replica and only walks down the list on failure.
+
+    Replica 0 is the initial sticky replica, and ties in health break
+    toward the lower index.
     """
 
     def __init__(
@@ -145,7 +142,6 @@ class FailoverChannel:
         *,
         rng=None,
         config: Optional[FailoverConfig] = None,
-        preference: Optional[Sequence[int]] = None,
     ) -> None:
         if not channels:
             raise ValueError("FailoverChannel needs at least one channel")
@@ -155,16 +151,8 @@ class FailoverChannel:
         if rng is None and self.config.suspend_jitter:
             raise ValueError("suspension jitter requires an rng")
         self.rng = rng
-        n = len(self.channels)
-        if preference is None:
-            preference = tuple(range(n))
-        if sorted(preference) != list(range(n)):
-            raise ValueError(
-                f"preference must be a permutation of 0..{n - 1}: {preference}"
-            )
-        self._pref_rank = {index: rank for rank, index in enumerate(preference)}
         self._health: List[ReplicaHealth] = [ReplicaHealth() for _ in channels]
-        self._current = preference[0]
+        self._current = 0
         self.stats = FailoverStats(health=self._health)
 
     @property
@@ -187,7 +175,7 @@ class FailoverChannel:
         """Non-benched replicas other than the sticky current one, best first.
 
         Replicas on probation sort after full-standing ones; health score
-        then preference rank settle the rest.  Deterministic for a given
+        then index settle the rest.  Deterministic for a given
         state, so runs replay exactly.
         """
         now, health, current = self.sim._now, self._health, self._current
@@ -199,7 +187,7 @@ class FailoverChannel:
             key=lambda i: (
                 1 if health[i].probation_left > 0 else 0,
                 -health[i].score,
-                self._pref_rank[i],
+                i,
             )
         )
         return order

@@ -98,10 +98,7 @@ class LeaveOneOutRecord:
         return self.transfer_power_l / self.oracle_power_l
 
 
-def leave_one_out(
-    results: Sequence[SweepResult],
-    default_params: Optional[CubicParams] = None,
-) -> List[LeaveOneOutRecord]:
+def leave_one_out(results: Sequence[SweepResult]) -> List[LeaveOneOutRecord]:
     """Figure 3's stability analysis over a completed sweep.
 
     For each run index i: pick the grid point that won on run i, then
@@ -116,9 +113,7 @@ def leave_one_out(
     if n_runs < 2:
         raise ValueError("leave_one_out needs at least 2 runs per grid point")
 
-    if default_params is None:
-        default_params = CubicParams.default()
-    default_result = _find_params(results, default_params)
+    default_result = _find_params(results, CubicParams.default())
 
     records = []
     for held_out in range(n_runs):

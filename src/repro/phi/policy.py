@@ -15,7 +15,6 @@ is the shipped default for users who have not run their own sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from ..transport.cubic import CubicParams
@@ -94,16 +93,3 @@ REFERENCE_POLICY = PolicyTable(
         ),
     }
 )
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """A policy lookup outcome, kept for auditing/diagnosis."""
-
-    context: CongestionContext
-    params: CubicParams
-
-    @property
-    def level(self) -> CongestionLevel:
-        """The discretized level the decision keyed on."""
-        return self.context.level()

@@ -26,8 +26,6 @@ Read policies (:class:`ReadPolicy`) decide when a replica may answer a
 lookup:
 
 - ``ANY``: always answer from local state (fastest, weakest);
-- ``NEAREST``: like ANY — the *client* expresses nearness by ordering
-  its replica preference (see :class:`repro.phi.failover.FailoverChannel`);
 - ``QUORUM``: answer only when the serving replica can currently see a
   majority of the mesh *and* merged recently; otherwise the lookup
   raises :class:`QuorumUnavailable`, which the replica's control channel
@@ -64,7 +62,6 @@ class ReadPolicy(Enum):
     """When a replica may answer a lookup from its local state."""
 
     ANY = "any"
-    NEAREST = "nearest"
     QUORUM = "quorum"
 
 
@@ -94,21 +91,21 @@ class ReplicationConfig:
         replication oracle's claim).
     read_policy:
         See :class:`ReadPolicy`.
-    quorum_staleness_s:
-        Under ``QUORUM``, the longest a replica may go without a merge
-        and still answer (it must be able to speak for a recent
-        majority view, not just historically have been part of one).
     """
 
     n_replicas: int = 3
     anti_entropy_period_s: float = 1.0
     read_policy: ReadPolicy = ReadPolicy.ANY
-    quorum_staleness_s: float = 5.0
 
     def __post_init__(self) -> None:
         check("n_replicas", self.n_replicas, ge=1, integer=True)
         check("anti_entropy_period_s", self.anti_entropy_period_s, gt=0)
-        check("quorum_staleness_s", self.quorum_staleness_s, gt=0)
+
+
+#: Under ``QUORUM``, the longest a replica may go without a merge and
+#: still answer (it must be able to speak for a recent majority view, not
+#: just historically have been part of one); never below one period.
+QUORUM_STALENESS_S = 5.0
 
 
 #: A lease's globally unique identity: (issuing replica, local sequence).
@@ -349,9 +346,7 @@ class ReplicatedContextService:
                 f"replicas; no quorum"
             )
         staleness = self.sim.now - self.handles[index].last_merge_s
-        limit = max(
-            self.config.quorum_staleness_s, self.config.anti_entropy_period_s
-        )
+        limit = max(QUORUM_STALENESS_S, self.config.anti_entropy_period_s)
         if staleness > limit:
             self.quorum_rejections += 1
             raise QuorumUnavailable(

@@ -474,6 +474,10 @@ class ContextServer:
         )
 
 
+#: Monitor samples the ideal oracle averages over.
+IDEAL_WINDOW = 10
+
+
 class IdealContextOracle:
     """Ground-truth context source (the paper's "ideal" setting).
 
@@ -487,13 +491,10 @@ class IdealContextOracle:
         sim: Simulator,
         monitor: LinkMonitor,
         flow_tracker: Optional[ActiveFlowTracker] = None,
-        *,
-        window: int = 10,
     ) -> None:
         self.sim = sim
         self.monitor = monitor
         self.flow_tracker = flow_tracker
-        self.window = window
         self.lookups = 0
 
     def lookup(self) -> CongestionContext:
@@ -506,12 +507,12 @@ class IdealContextOracle:
 
     def current_context(self) -> CongestionContext:
         """Snapshot straight from the link instrumentation."""
-        queue_bytes = self.monitor.current_queue_bytes(self.window)
+        queue_bytes = self.monitor.current_queue_bytes(IDEAL_WINDOW)
         queue_delay = queue_bytes * 8.0 / self.monitor.link.bandwidth_bps
         n = float(self.flow_tracker.active_flows) if self.flow_tracker else 0.0
         fair_share = self.monitor.link.bandwidth_bps / max(1.0, n) / 1e6
         return CongestionContext(
-            utilization=self.monitor.current_utilization(self.window),
+            utilization=self.monitor.current_utilization(IDEAL_WINDOW),
             queue_delay_s=queue_delay,
             competing_senders=n,
             timestamp=self.sim.now,
@@ -520,4 +521,4 @@ class IdealContextOracle:
 
     def utilization_provider(self) -> Callable[[], float]:
         """A live ``u`` callable for Remy-Phi-ideal memory tracking."""
-        return lambda: self.monitor.current_utilization(self.window)
+        return lambda: self.monitor.current_utilization(IDEAL_WINDOW)

@@ -36,12 +36,12 @@ def observation_from_stats(
 
 
 class PredictionFeeder:
-    """Wraps ``on_complete`` callbacks to feed an observation store.
+    """Feeds an observation store from senders' completion callbacks.
 
     Usage with any sender factory::
 
         feeder = PredictionFeeder(store, location=("isp-a", "nyc"))
-        sender = CubicSender(..., on_complete=feeder.wrap(original_callback))
+        sender = CubicSender(..., on_complete=feeder.wrap())
     """
 
     def __init__(self, store: ObservationStore, location: LocationKey) -> None:
@@ -59,14 +59,10 @@ class PredictionFeeder:
         self.store.record(observation)
         self.recorded += 1
 
-    def wrap(
-        self, on_complete: Optional[Callable[[TcpSender], None]] = None
-    ) -> Callable[[TcpSender], None]:
-        """A completion callback that records, then chains."""
+    def wrap(self) -> Callable[[TcpSender], None]:
+        """A completion callback that records the sender's stats."""
 
         def callback(sender: TcpSender) -> None:
             self.record(sender.stats)
-            if on_complete is not None:
-                on_complete(sender)
 
         return callback

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from ..simnet.bounds import check
 
@@ -35,15 +35,16 @@ class PerfObservation:
         check("loss_rate", self.loss_rate, ge=0, le=1)
 
 
+#: Observations kept per location (oldest dropped first).
+MAX_PER_LOCATION = 10_000
+
+
 class ObservationStore:
     """Bounded per-location history of performance observations."""
 
-    def __init__(self, max_per_location: int = 10_000) -> None:
-        self.max_per_location = check(
-            "max_per_location", max_per_location, ge=1, integer=True
-        )
+    def __init__(self) -> None:
         self._by_location: Dict[LocationKey, Deque[PerfObservation]] = defaultdict(
-            lambda: deque(maxlen=self.max_per_location)
+            lambda: deque(maxlen=MAX_PER_LOCATION)
         )
         self.total_observations = 0
 
@@ -52,20 +53,9 @@ class ObservationStore:
         self._by_location[observation.location].append(observation)
         self.total_observations += 1
 
-    def recent(
-        self,
-        location: LocationKey,
-        *,
-        since: Optional[float] = None,
-        limit: Optional[int] = None,
-    ) -> List[PerfObservation]:
+    def recent(self, location: LocationKey) -> List[PerfObservation]:
         """Observations for ``location``, newest last."""
-        observations = list(self._by_location.get(location, ()))
-        if since is not None:
-            observations = [o for o in observations if o.timestamp >= since]
-        if limit is not None:
-            observations = observations[-limit:]
-        return observations
+        return list(self._by_location.get(location, ()))
 
     def sample_count(self, location: LocationKey) -> int:
         """How many observations are held for ``location``."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -91,26 +90,23 @@ def e_model_mos(rtt_ms: float, loss_rate: float) -> float:
     return max(MOS_MIN, min(MOS_MAX, mos))
 
 
+#: Observations a location needs before a prediction is more than a guess.
+MIN_SAMPLES = 3
+
+
 class PerformancePredictor:
     """Predicts download times and call quality from shared history."""
 
-    def __init__(self, store: ObservationStore, min_samples: int = 3) -> None:
+    def __init__(self, store: ObservationStore) -> None:
         self.store = store
-        self.min_samples = check("min_samples", min_samples, ge=1, integer=True)
 
-    def predict_download_time(
-        self,
-        location: LocationKey,
-        size_bytes: int,
-        *,
-        since: Optional[float] = None,
-    ) -> DownloadPrediction:
+    def predict_download_time(self, location: LocationKey, size_bytes: int) -> DownloadPrediction:
         """Expected and 90th-percentile time to move ``size_bytes``."""
         if size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive: {size_bytes}")
-        observations = self.store.recent(location, since=since)
+        observations = self.store.recent(location)
         confidence = Confidence.from_samples(len(observations))
-        if len(observations) < self.min_samples:
+        if len(observations) < MIN_SAMPLES:
             return DownloadPrediction(
                 expected_seconds=float("inf"),
                 p90_seconds=float("inf"),
@@ -138,16 +134,11 @@ class PerformancePredictor:
             confidence=confidence,
         )
 
-    def predict_call_quality(
-        self,
-        location: LocationKey,
-        *,
-        since: Optional[float] = None,
-    ) -> CallQualityPrediction:
+    def predict_call_quality(self, location: LocationKey) -> CallQualityPrediction:
         """Expected VoIP MOS at ``location`` from pooled RTT/loss history."""
-        observations = self.store.recent(location, since=since)
+        observations = self.store.recent(location)
         confidence = Confidence.from_samples(len(observations))
-        if len(observations) < self.min_samples:
+        if len(observations) < MIN_SAMPLES:
             return CallQualityPrediction(
                 mos=MOS_MIN,
                 expected_rtt_ms=float("inf"),

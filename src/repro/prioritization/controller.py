@@ -37,6 +37,10 @@ class PrioritizedFlow:
         return self.sender.stats
 
 
+#: Bytes per prioritized flow: more than any run moves, so flows persist.
+FLOW_SIZE_BYTES = 1_000_000_000
+
+
 class PriorityController:
     """Launches one entity's flows with ensemble-friendly weights."""
 
@@ -50,8 +54,6 @@ class PriorityController:
         pairs: Sequence[tuple],
         classes: Sequence[str],
         flow_ids: FlowIdAllocator,
-        *,
-        flow_size_bytes: int = 1_000_000_000,
     ) -> List[PrioritizedFlow]:
         """Start one persistent flow per (sender_host, receiver_host) pair.
 
@@ -83,7 +85,7 @@ class PriorityController:
                 self.sim,
                 sender_host,
                 spec,
-                flow_size_bytes,
+                FLOW_SIZE_BYTES,
                 weight=assignment.weight,
             )
             sender.start()

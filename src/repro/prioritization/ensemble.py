@@ -39,26 +39,24 @@ class WeightAssignment:
     weight: float
 
 
+#: Bounds on any one flow's weight, so no class starves or floods.
+MIN_WEIGHT = 0.1
+MAX_WEIGHT = 8.0
+
+#: Relative slack on the weight sum that still counts as ensemble-friendly.
+FRIENDLY_TOL = 0.05
+
+
 class EnsembleAllocator:
     """Assigns TCP-friendliness-preserving weights across an ensemble."""
 
-    def __init__(
-        self,
-        classes: Sequence[FlowClass],
-        *,
-        min_weight: float = 0.1,
-        max_weight: float = 8.0,
-    ) -> None:
+    def __init__(self, classes: Sequence[FlowClass]) -> None:
         if not classes:
             raise ValueError("at least one flow class is required")
-        check("min_weight", min_weight, gt=0)
-        check("max_weight", max_weight, ge=min_weight)
         names = [c.name for c in classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate class names: {names}")
         self._classes: Dict[str, FlowClass] = {c.name: c for c in classes}
-        self.min_weight = min_weight
-        self.max_weight = max_weight
 
     def allocate(self, flows: Mapping[int, str]) -> List[WeightAssignment]:
         """Weights for ``{flow_id: class_name}``, normalized to sum to n.
@@ -82,7 +80,7 @@ class EnsembleAllocator:
         assignments = []
         for flow_id, name in flows.items():
             weight = raw[flow_id] / total * n
-            weight = max(self.min_weight, min(self.max_weight, weight))
+            weight = max(MIN_WEIGHT, min(MAX_WEIGHT, weight))
             assignments.append(
                 WeightAssignment(flow_id=flow_id, flow_class=name, weight=weight)
             )
@@ -92,7 +90,7 @@ class EnsembleAllocator:
         rescaled = []
         for assignment in assignments:
             weight = assignment.weight * scale
-            weight = max(self.min_weight, min(self.max_weight, weight))
+            weight = max(MIN_WEIGHT, min(MAX_WEIGHT, weight))
             rescaled.append(
                 WeightAssignment(
                     flow_id=assignment.flow_id,
@@ -102,9 +100,9 @@ class EnsembleAllocator:
             )
         return rescaled
 
-    def ensemble_friendly(self, assignments: Sequence[WeightAssignment], tol: float = 0.05) -> bool:
-        """Check the invariant: weights sum to ~n (within ``tol``)."""
+    def ensemble_friendly(self, assignments: Sequence[WeightAssignment]) -> bool:
+        """Check the invariant: weights sum to ~n (within ``FRIENDLY_TOL``)."""
         if not assignments:
             return True
         total = sum(a.weight for a in assignments)
-        return abs(total - len(assignments)) <= tol * len(assignments)
+        return abs(total - len(assignments)) <= FRIENDLY_TOL * len(assignments)

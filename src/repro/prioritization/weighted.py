@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
-from ..simnet.packet import MSS_BYTES, FlowSpec
+from ..simnet.packet import FlowSpec
 from ..transport.base import TcpSender
 
 
@@ -33,21 +33,9 @@ class WeightedRenoSender(TcpSender):
         on_complete: Optional[Callable[[TcpSender], None]] = None,
         *,
         weight: float = 1.0,
-        window_init: float = 2.0,
-        initial_ssthresh: float = 65536.0,
-        mss: int = MSS_BYTES,
     ) -> None:
         check("weight", weight, gt=0)
-        super().__init__(
-            sim,
-            host,
-            spec,
-            flow_size_bytes,
-            on_complete,
-            window_init=window_init,
-            initial_ssthresh=initial_ssthresh,
-            mss=mss,
-        )
+        super().__init__(sim, host, spec, flow_size_bytes, on_complete)
         self.weight = weight
 
     def _on_ack_congestion_avoidance(self, acked_segments: float) -> None:

@@ -48,6 +48,10 @@ class TrainingResult:
     history: List[TrainingHistoryEntry] = field(default_factory=list)
 
 
+#: Relative improvement required to accept a candidate action.
+IMPROVEMENT_THRESHOLD = 1e-4
+
+
 class RemyTrainer:
     """Greedy whisker-table optimizer with an evaluation budget.
 
@@ -65,8 +69,6 @@ class RemyTrainer:
         Hard budget on evaluator calls.
     max_splits:
         Structure-growth rounds (each multiplies whisker count by 2^d).
-    improvement_threshold:
-        Relative improvement required to accept a candidate action.
     """
 
     def __init__(
@@ -76,7 +78,6 @@ class RemyTrainer:
         *,
         max_evaluations: int = 60,
         max_splits: int = 1,
-        improvement_threshold: float = 1e-4,
         initial_table: Optional[WhiskerTable] = None,
     ) -> None:
         check("max_evaluations", max_evaluations, ge=1, integer=True)
@@ -85,7 +86,6 @@ class RemyTrainer:
         self.dimensions = tuple(dimensions)
         self.max_evaluations = max_evaluations
         self.max_splits = max_splits
-        self.improvement_threshold = improvement_threshold
         self.initial_table = initial_table
         self._evaluations = 0
 
@@ -155,8 +155,8 @@ class RemyTrainer:
                         break
                     whisker.action = candidate
                     score = self._evaluate(table)
-                    if score > best_score * (1 + self.improvement_threshold) or (
-                        best_score <= 0 and score > best_score + self.improvement_threshold
+                    if score > best_score * (1 + IMPROVEMENT_THRESHOLD) or (
+                        best_score <= 0 and score > best_score + IMPROVEMENT_THRESHOLD
                     ):
                         best_score = score
                         original = candidate

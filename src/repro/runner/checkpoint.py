@@ -52,12 +52,11 @@ def sweep_key(
     grid: Sequence["CubicParams"],
     n_runs: int,
     base_seed: int,
-    engine_signature: str = ENGINE_SIGNATURE,
 ) -> str:
     """Content key identifying one exact sweep (grid order included)."""
     return content_hash(
         {
-            "engine": engine_signature,
+            "engine": ENGINE_SIGNATURE,
             "topology": spec.preset.config,
             "workload": spec.preset.workload,
             "duration_s": float(spec.effective_duration_s),

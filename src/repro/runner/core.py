@@ -93,12 +93,6 @@ class SweepSpec:
     the supervisor later quarantines the point and the worker's memory
     is gone.  All three are observability knobs, excluded from cache
     keys.
-
-    ``fault`` injects a data-plane fault into every point:
-    ``("outage", start_s, duration_s)`` takes the bottleneck link down
-    for that window.  Unlike the knobs above it *changes trajectories*,
-    so it is part of the cache key whenever set (and absent from the
-    hash when ``None``, preserving historical keys).
     """
 
     preset: "ScenarioPreset"
@@ -106,7 +100,6 @@ class SweepSpec:
     watchdog: Optional[WatchdogConfig] = None
     collect_telemetry: bool = False
     flightrec_dir: Optional[str] = None
-    fault: Optional[Tuple[str, float, float]] = None
 
     def __post_init__(self) -> None:
         if self.duration_s is not None:
@@ -138,29 +131,7 @@ class SweepPoint:
             spec.preset.workload,
             spec.effective_duration_s,
             self.seed,
-            fault=list(spec.fault) if spec.fault is not None else None,
         )
-
-
-def _fault_hook(fault: Optional[Tuple[str, float, float]]):
-    """Materialize a :class:`SweepSpec` fault spec as a scenario hook."""
-    if fault is None:
-        return None
-    kind, start_s, duration_s = fault
-    if kind != "outage":
-        raise ValueError(f"unknown sweep fault kind: {kind!r}")
-
-    def hook(env):
-        from ..simnet.faults import Outage
-
-        return [
-            Outage(
-                env.sim, float(start_s), float(duration_s),
-                links=[env.topology.bottleneck],
-            )
-        ]
-
-    return hook
 
 
 def evaluate_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
@@ -209,7 +180,6 @@ def _run_point(spec: SweepSpec, point: SweepPoint, key: str) -> PointResult:
             seed=point.seed,
             duration_s=spec.duration_s,
             watchdog=spec.watchdog,
-            fault_hook=_fault_hook(spec.fault),
         )
         if tele is not None:
             snapshot = tele.registry.snapshot()
@@ -457,11 +427,6 @@ class SweepRunner:
         ``flightrec-<point_key>.jsonl`` under this directory.  Defaults
         to ``checkpoint_dir`` (dumps land next to the sweep journal);
         pass ``""`` to disable recording for a checkpointed sweep.
-    fault:
-        Inject a data-plane fault into every point, e.g.
-        ``("outage", 5.0, 2.0)`` (bottleneck down for 2 s starting at
-        sim t=5 s).  Part of the cache key — faulted and fault-free
-        evaluations never collide.
     """
 
     def __init__(
@@ -477,7 +442,6 @@ class SweepRunner:
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         flightrec_dir: Optional[str] = None,
-        fault: Optional[Tuple[str, float, float]] = None,
     ) -> None:
         if flightrec_dir is None:
             flightrec_dir = checkpoint_dir
@@ -486,7 +450,6 @@ class SweepRunner:
             duration_s=duration_s,
             watchdog=watchdog,
             flightrec_dir=flightrec_dir or None,
-            fault=fault,
         )
         self.n_workers = check_workers(
             n_workers if n_workers is not None else _default_workers()

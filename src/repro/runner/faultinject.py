@@ -15,13 +15,12 @@ variable, so the spec travels to worker processes for free:
      "seed": 3,
      "once_dir": "/tmp/x", # optional: fire at most once per point,
                            # latched atomically across processes
-     "hang_s": 3600.0,     # sleep length for mode=hang
-     "exit_code": 13}      # os._exit code for mode=crash
+     "hang_s": 3600.0}     # sleep length for mode=hang
 
 Modes
 -----
 ``crash``
-    ``os._exit`` — the worker dies without cleanup, exactly like a
+    ``os._exit(EXIT_CODE)`` — the worker dies without cleanup, exactly like a
     segfault or OOM kill, driving ``BrokenProcessPool`` in the parent.
     Only fires inside a worker process (never in the in-process serial
     path, which would take the whole interpreter down).
@@ -53,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 
 ENV_VAR = "REPRO_SWEEP_FAULT"
 
+#: ``os._exit`` status of a ``mode="crash"`` worker.
+EXIT_CODE = 13
+
 
 class InjectedFault(RuntimeError):
     """The deterministic exception raised by ``mode="raise"``."""
@@ -68,7 +70,6 @@ class FaultSpec:
     seed: Optional[int] = None
     once_dir: Optional[str] = None
     hang_s: float = 3600.0
-    exit_code: int = 13
 
     def __post_init__(self) -> None:
         if self.mode not in ("crash", "raise", "hang"):
@@ -80,7 +81,6 @@ class FaultSpec:
         if self.seed is not None:
             check_seed(self.seed)
         check("hang_s", self.hang_s, gt=0)
-        check("exit_code", self.exit_code, ge=1, le=255, integer=True)
 
     def matches(self, point: "SweepPoint") -> bool:
         """Whether every provided filter equals the point's field."""
@@ -94,8 +94,7 @@ class FaultSpec:
 
     def to_env(self) -> str:
         """The JSON to place in ``REPRO_SWEEP_FAULT`` (tests use this)."""
-        payload = {"mode": self.mode, "hang_s": self.hang_s,
-                   "exit_code": self.exit_code}
+        payload = {"mode": self.mode, "hang_s": self.hang_s}
         for key in ("beta", "run_index", "seed", "once_dir"):
             value = getattr(self, key)
             if value is not None:
@@ -145,7 +144,7 @@ def maybe_inject_fault(point: "SweepPoint") -> None:
         # In-process (serial / fallback) evaluation must survive: a crash
         # fault models a *worker* death, so it only fires in children.
         if multiprocessing.parent_process() is not None:
-            os._exit(spec.exit_code)
+            os._exit(EXIT_CODE)
         return
     if spec.mode == "raise":
         raise InjectedFault(

@@ -70,24 +70,13 @@ def point_key(
     workload: Optional[OnOffConfig],
     duration_s: float,
     seed: int,
-    engine_signature: str = ENGINE_SIGNATURE,
-    fault: Optional[Any] = None,
 ) -> str:
-    """The cache key of one (grid point, run) evaluation.
-
-    ``fault`` is the sweep's injected-fault spec (see
-    :class:`~repro.runner.core.SweepSpec`); it alters trajectories, so
-    it is hashed when present — and omitted entirely when ``None`` so
-    fault-free sweeps keep their historical keys.
-    """
-    payload = {
-        "engine": engine_signature,
+    """The cache key of one (grid point, run) evaluation."""
+    return content_hash({
+        "engine": ENGINE_SIGNATURE,
         "params": params,
         "topology": config,
         "workload": workload,
         "duration_s": float(duration_s),
         "seed": int(seed),
-    }
-    if fault is not None:
-        payload["fault"] = fault
-    return content_hash(payload)
+    })

@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional
 
 
 @dataclass
@@ -64,22 +64,21 @@ class SweepProgress:
 ProgressReporter = Callable[[SweepProgress], None]
 
 
-class ConsoleProgress:
-    """Writes ``[done/total] rate eta`` to a stream, rate-limited."""
+#: Least wall time between two :class:`ConsoleProgress` lines.
+MIN_INTERVAL_S = 0.5
 
-    def __init__(
-        self,
-        stream: Optional[TextIO] = None,
-        min_interval_s: float = 0.5,
-    ) -> None:
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval_s = min_interval_s
+
+class ConsoleProgress:
+    """Writes ``[done/total] rate eta`` to stderr, rate-limited."""
+
+    def __init__(self) -> None:
+        self.stream = sys.stderr
         self._last_emit = 0.0
 
     def __call__(self, progress: SweepProgress) -> None:
         now = time.perf_counter()
         finished = progress.completed >= progress.total
-        if not finished and now - self._last_emit < self.min_interval_s:
+        if not finished and now - self._last_emit < MIN_INTERVAL_S:
             return
         self._last_emit = now
         eta = progress.eta_s

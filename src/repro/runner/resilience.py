@@ -188,10 +188,8 @@ class SweepSupervisor:
     config:
         A :class:`ResilienceConfig` (defaults are production-safe).
     n_workers:
-        Pool width for :meth:`execute_pool`.
-    mp_context:
-        The multiprocessing context used to build pools (default: fork
-        where available, else the platform default).
+        Pool width for :meth:`execute_pool`.  Pools use fork where
+        available, else the platform default.
     """
 
     def __init__(
@@ -201,13 +199,12 @@ class SweepSupervisor:
         *,
         config: Optional[ResilienceConfig] = None,
         n_workers: int = 1,
-        mp_context=None,
     ) -> None:
         self.spec = spec
         self.evaluate = evaluate
         self.config = config or ResilienceConfig()
         self.n_workers = check_workers(n_workers)
-        self.mp_context = mp_context if mp_context is not None else self._pool_context()
+        self.mp_context = self._pool_context()
         self.report = ExecutionReport()
 
     def execute(

@@ -26,7 +26,7 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-from .checked import DEFAULT_HEAP_CHECK_INTERVAL, CheckedSimulator
+from .checked import CheckedSimulator
 from .conservation import (
     audit_host,
     audit_link,
@@ -40,7 +40,6 @@ from .violations import InvariantViolation, ViolationReport, record_violation
 
 __all__ = [
     "CheckedSimulator",
-    "DEFAULT_HEAP_CHECK_INTERVAL",
     "InvariantViolation",
     "ViolationReport",
     "audit_host",

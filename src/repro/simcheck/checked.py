@@ -23,38 +23,23 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from typing import Optional
 
-from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from .violations import InvariantViolation, ViolationReport, record_violation
-
-#: Default events between full calendar-consistency scans.  The scan is
-#: O(pending events); at the default cadence its cost is amortized far
-#: below the per-event work of a realistic scenario.
-DEFAULT_HEAP_CHECK_INTERVAL = 4096
-
 
 class CheckedSimulator(Simulator):
     """Drop-in :class:`Simulator` with runtime invariant checking.
 
-    Parameters
-    ----------
-    heap_check_interval:
-        Events between full calendar consistency scans (the cheap
-        per-event clock checks always run).
-    report:
-        Optional :class:`ViolationReport`; when given, violations are
-        collected there instead of raised.
+    ``report``, when given, collects violations instead of raising them.
     """
 
-    def __init__(
-        self,
-        heap_check_interval: int = DEFAULT_HEAP_CHECK_INTERVAL,
-        report: Optional[ViolationReport] = None,
-    ) -> None:
+    #: Events between full calendar-consistency scans (the cheap per-event
+    #: clock checks always run).  The scan is O(pending events); at this
+    #: cadence its cost is amortized far below the per-event work of a
+    #: realistic scenario.
+    heap_check_interval = 4096
+
+    def __init__(self, report: Optional[ViolationReport] = None) -> None:
         super().__init__()
-        self.heap_check_interval = check(
-            "heap_check_interval", heap_check_interval, ge=1, integer=True
-        )
         self.report = report
         self.checks_performed = 0
 

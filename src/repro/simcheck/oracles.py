@@ -122,12 +122,9 @@ def _compare_scenarios(a: ScenarioResult, b: ScenarioResult) -> List[str]:
     return failures
 
 
-def oracle_checked_vs_unchecked(
-    preset: ScenarioPreset = TABLE3_REMY,
-    duration_s: float = 10.0,
-    seed: int = 0,
-) -> OracleOutcome:
+def oracle_checked_vs_unchecked(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
     """The invariant layer must not change a single output bit."""
+    preset = TABLE3_REMY
     plain = run_cubic_fixed(
         CubicParams.default(), preset, seed=seed, duration_s=duration_s, checked=False
     )
@@ -154,24 +151,16 @@ def oracle_checked_vs_unchecked(
     )
 
 
-def oracle_flow_permutation(
-    preset: ScenarioPreset = TABLE3_REMY,
-    duration_s: float = 10.0,
-    seed: int = 0,
-    slot_order: Optional[Sequence[int]] = None,
-) -> OracleOutcome:
+def oracle_flow_permutation(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
     """Permuting source construction order must not change results.
 
     Every slot's RNG stream is keyed by its index, so construction order
     only permutes event-queue insertion sequence numbers — which must be
     invisible as long as no two slots tie on an event timestamp.
     """
-    if preset.workload is None:
-        raise ValueError("flow permutation oracle needs an on/off preset")
-    n = preset.config.n_senders
-    if slot_order is None:
-        # A fixed full derangement: reversal moves every slot when n > 1.
-        slot_order = list(reversed(range(n)))
+    preset = TABLE3_REMY
+    # A fixed full derangement: reversal moves every slot when n > 1.
+    slot_order = list(reversed(range(preset.config.n_senders)))
     baseline = run_cubic_fixed(
         CubicParams.default(), preset, seed=seed, duration_s=duration_s
     )
@@ -191,29 +180,18 @@ def oracle_flow_permutation(
     )
 
 
-def _sweep(
-    preset: ScenarioPreset,
-    duration_s: float,
-    seed: int,
-    grid: Sequence[CubicParams],
-    workers: int,
-    parallel: bool,
-):
+def _sweep(duration_s: float, seed: int, grid: Sequence[CubicParams], workers: int):
     runner = SweepRunner(
-        preset, duration_s=duration_s, n_workers=workers, cache=NullCache()
+        TABLE3_REMY, duration_s=duration_s, n_workers=workers, cache=NullCache()
     )
-    return runner.run(grid, n_runs=2, base_seed=seed, parallel=parallel)
+    return runner.run(grid, n_runs=2, base_seed=seed, parallel=workers > 1)
 
 
-def oracle_serial_vs_parallel(
-    preset: ScenarioPreset = TABLE3_REMY,
-    duration_s: float = 5.0,
-    seed: int = 0,
-    workers: int = 2,
-) -> OracleOutcome:
+def oracle_serial_vs_parallel(duration_s: float = 5.0, seed: int = 0) -> OracleOutcome:
     """The worker pool must be bit-identical to the serial baseline."""
-    serial = _sweep(preset, duration_s, seed, _ORACLE_GRID, 1, parallel=False)
-    parallel = _sweep(preset, duration_s, seed, _ORACLE_GRID, workers, parallel=True)
+    workers = 2
+    serial = _sweep(duration_s, seed, _ORACLE_GRID, 1)
+    parallel = _sweep(duration_s, seed, _ORACLE_GRID, workers)
     failures = result_mismatches(serial.points, parallel.points)
     return OracleOutcome(
         name="serial-vs-parallel",
@@ -223,15 +201,10 @@ def oracle_serial_vs_parallel(
     )
 
 
-def oracle_grid_permutation(
-    preset: ScenarioPreset = TABLE3_REMY,
-    duration_s: float = 5.0,
-    seed: int = 0,
-) -> OracleOutcome:
+def oracle_grid_permutation(duration_s: float = 5.0, seed: int = 0) -> OracleOutcome:
     """Sweeping a permuted grid must give the same per-key results."""
-    forward = _sweep(preset, duration_s, seed, _ORACLE_GRID, 1, parallel=False)
-    reversed_grid = tuple(reversed(_ORACLE_GRID))
-    backward = _sweep(preset, duration_s, seed, reversed_grid, 1, parallel=False)
+    forward = _sweep(duration_s, seed, _ORACLE_GRID, 1)
+    backward = _sweep(duration_s, seed, tuple(reversed(_ORACLE_GRID)), 1)
     failures = result_mismatches(forward.points, backward.points)
     return OracleOutcome(
         name="grid-permutation",
@@ -277,13 +250,9 @@ def _rel_err(observed: float, expected: float) -> float:
     return abs(observed - expected) / abs(expected)
 
 
-def oracle_time_dilation(
-    preset: ScenarioPreset = TABLE3_REMY,
-    duration_s: float = 10.0,
-    seed: int = 0,
-    k: float = 2.0,
-) -> OracleOutcome:
-    """Fixed-BDP rescale: r -> r/k, d -> d*k, P_l -> P_l/k^2."""
+def oracle_time_dilation(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
+    """Fixed-BDP rescale: r -> r/k, d -> d*k, P_l -> P_l/k^2, with k = 2."""
+    preset, k = TABLE3_REMY, 2.0
     baseline = run_cubic_fixed(
         CubicParams.default(), preset, seed=seed, duration_s=duration_s
     )
@@ -398,11 +367,7 @@ CONVERGENCE_EPSILON = 1e-6
 CONVERGENCE_ROUNDS = 3
 
 
-def oracle_replication_identity(
-    preset: ScenarioPreset = FIG2A_LOW_UTILIZATION,
-    duration_s: float = 10.0,
-    seed: int = 0,
-) -> OracleOutcome:
+def oracle_replication_identity(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
     """An N=1 replicated control plane is the single-server plane, exactly.
 
     Two specs of the one plane builder
@@ -414,6 +379,7 @@ def oracle_replication_identity(
     schedules no anti-entropy ticks for a single replica, and jitters
     draw only on failure paths.
     """
+    preset = FIG2A_LOW_UTILIZATION
     single = run_plane(
         PlaneSpec(policy=REFERENCE_POLICY), preset,
         seed=seed, duration_s=duration_s,
@@ -444,23 +410,18 @@ def oracle_replication_identity(
     )
 
 
-def oracle_replica_convergence(
-    duration_s: float = 10.0,
-    seed: int = 0,
-    n_replicas: int = 3,
-    period_s: float = 1.0,
-    epsilon: float = CONVERGENCE_EPSILON,
-    rounds: int = CONVERGENCE_ROUNDS,
-) -> OracleOutcome:
+def oracle_replica_convergence(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
     """Post-heal anti-entropy drives replica divergence below epsilon.
 
-    One replica is severed from its peers while divergent traffic
+    Three replicas, anti-entropy every second; one replica is severed from its peers while divergent traffic
     reports land on the majority side; divergence must be visible while
     the partition stands, then fall below ``epsilon`` within ``rounds``
     anti-entropy periods of the heal — the bounded-convergence guarantee
     the X7 experiment leans on.  Deterministic: no RNG is involved, so
     ``seed`` only labels the outcome.
     """
+    n_replicas, period_s = 3, 1.0
+    epsilon, rounds = CONVERGENCE_EPSILON, CONVERGENCE_ROUNDS
     sim = Simulator()
     capacity_bps = 10e6
     service = ReplicatedContextService(

@@ -10,7 +10,7 @@ on a fixed period and keep windowed histories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List
 from collections import deque
 
 from ..telemetry import DEFAULT_BUCKETS, UTILIZATION_BUCKETS
@@ -19,6 +19,9 @@ from ..telemetry import session as _telemetry_session
 from .bounds import check
 from .engine import Simulator
 from .link import Link
+
+#: Samples a :class:`LinkMonitor` keeps: 1000 s at the default period.
+HISTORY = 10_000
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,12 @@ class LinkMonitor:
         sim: Simulator,
         link: Link,
         period_s: float = 0.1,
-        history: int = 10_000,
     ) -> None:
         check("period_s", period_s, gt=0)
         self.sim = sim
         self.link = link
         self.period_s = period_s
-        self.samples: Deque[LinkSample] = deque(maxlen=history)
+        self.samples: Deque[LinkSample] = deque(maxlen=HISTORY)
         self._last_bytes = link.bytes_transmitted
         self._last_drops = link.queue.stats.dropped_packets
         self._last_arrivals = (
@@ -158,23 +160,22 @@ class ActiveFlowTracker:
         self.active_flows -= 1
         self._events.append((time, flow_id, -1))
 
-    def mean_active(self, since: float = 0.0, until: Optional[float] = None) -> float:
-        """Time-weighted mean number of active flows in ``[since, until]``."""
+    def mean_active(self) -> float:
+        """Time-weighted mean number of active flows from time 0 to the
+        last start or finish."""
         if not self._events:
             return 0.0
-        end = until if until is not None else self._events[-1][0]
-        if end <= since:
+        end = self._events[-1][0]
+        if end <= 0.0:
             return 0.0
         active = 0
-        last_time = since
+        last_time = 0.0
         weighted = 0.0
         for time, _flow_id, delta in self._events:
             if time > end:
                 break
             if time > last_time:
-                weighted += active * (time - max(last_time, since)) if time > since else 0.0
-                last_time = max(time, since)
+                weighted += active * (time - last_time)
+                last_time = time
             active += delta
-        if last_time < end:
-            weighted += active * (end - last_time)
-        return weighted / (end - since)
+        return weighted / end

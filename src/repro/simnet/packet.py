@@ -127,22 +127,10 @@ def make_data_packet(
     seq: int,
     payload_bytes: int = MSS_BYTES,
     *,
-    sent_at: float = 0.0,
-    is_retransmit: bool = False,
     priority: int = 0,
 ) -> Packet:
     """Construct a DATA packet."""
-    return Packet(
-        PacketKind.DATA,
-        flow_id,
-        src,
-        dst,
-        seq,
-        payload_bytes,
-        sent_at=sent_at,
-        is_retransmit=is_retransmit,
-        priority=priority,
-    )
+    return Packet(PacketKind.DATA, flow_id, src, dst, seq, payload_bytes, priority=priority)
 
 
 def make_ack_packet(
@@ -150,13 +138,9 @@ def make_ack_packet(
     src: str,
     dst: str,
     cumulative_ack: int,
-    *,
-    echo_timestamp: Optional[float] = None,
 ) -> Packet:
     """Construct an ACK packet acknowledging all bytes below ``cumulative_ack``."""
-    packet = Packet(PacketKind.ACK, flow_id, src, dst, cumulative_ack, 0)
-    packet.echo_timestamp = echo_timestamp
-    return packet
+    return Packet(PacketKind.ACK, flow_id, src, dst, cumulative_ack, 0)
 
 
 @dataclass(frozen=True)

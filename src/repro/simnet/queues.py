@@ -99,16 +99,12 @@ class DropTailQueue:
         starts at the clock's value at construction, so queues created
         mid-simulation (a flow joining at t=30) do not accrue phantom
         empty-queue time from t=0.
-    on_drop:
-        Optional callback invoked with each dropped packet (used by loss
-        monitors and tests).
     """
 
     def __init__(
         self,
         capacity_bytes: Optional[int],
         clock: Callable[[], float],
-        on_drop: Optional[Callable[[Packet], None]] = None,
     ) -> None:
         # Negated so a NaN fails too; None is the one unbounded capacity.
         if capacity_bytes is not None and not 0 < capacity_bytes < math.inf:
@@ -117,7 +113,6 @@ class DropTailQueue:
             )
         self.capacity_bytes = capacity_bytes
         self._clock = clock
-        self._on_drop = on_drop
         # Storage: anything with a length, and the two operations on it
         # bound once (for a deque, its C methods).  A subclass with another
         # container rebinds all three and overrides ``_drain``.
@@ -202,8 +197,6 @@ class DropTailQueue:
                     "capacity_bytes": self.capacity_bytes,
                 },
             )
-        if self._on_drop is not None:
-            self._on_drop(packet)
 
     def dequeue(self, now: Optional[float] = None) -> Optional[Packet]:
         """Pop the head packet, or return None when empty (``now`` as for
@@ -286,9 +279,8 @@ class PriorityQueue(DropTailQueue):
         self,
         capacity_bytes: Optional[int],
         clock: Callable[[], float],
-        on_drop: Optional[Callable[[Packet], None]] = None,
     ) -> None:
-        super().__init__(capacity_bytes, clock, on_drop)
+        super().__init__(capacity_bytes, clock)
         self._queue: List[Tuple[int, int, Packet]] = []
         self._append = self._push
         self._popleft = self._pop

@@ -1,15 +1,15 @@
-"""RED (Random Early Detection) queue with optional ECN marking.
+"""RED (Random Early Detection) queue.
 
 An extension beyond the paper's FIFO-only evaluation: the paper argues
-FIFO's lack of incentive compatibility forces coordination; RED/ECN is
-the classic in-network alternative.  The ablation bench compares Phi
+FIFO's lack of incentive compatibility forces coordination; RED is the
+classic in-network alternative.  The ablation bench compares Phi
 coordination against RED to show they attack the same standing-queue
 problem from opposite ends.
 
 Implements the Floyd/Jacobson 1993 algorithm: EWMA of queue length,
-linear drop/mark probability between ``min_thresh`` and ``max_thresh``,
+linear drop probability between ``min_thresh`` and ``max_thresh``,
 forced drop above ``max_thresh``, with the count-based spacing of
-drops.
+drops.  No sender here reacts to ECN marks, so RED only drops.
 """
 
 from __future__ import annotations
@@ -21,9 +21,12 @@ import numpy as np
 from .packet import Packet
 from .queues import DropTailQueue
 
+#: EWMA weight of the average queue, Floyd & Jacobson's recommended w_q.
+WEIGHT = 0.002
+
 
 class RedQueue(DropTailQueue):
-    """RED queue; marks (ECN) or drops early as the average queue grows."""
+    """RED queue; drops early as the average queue grows."""
 
     def __init__(
         self,
@@ -34,11 +37,8 @@ class RedQueue(DropTailQueue):
         min_thresh_bytes: float,
         max_thresh_bytes: float,
         max_probability: float = 0.1,
-        weight: float = 0.002,
-        ecn: bool = False,
-        on_drop: Optional[Callable[[Packet], None]] = None,
     ) -> None:
-        super().__init__(capacity_bytes, clock, on_drop)
+        super().__init__(capacity_bytes, clock)
         if not 0 < min_thresh_bytes < max_thresh_bytes:
             raise ValueError(
                 f"need 0 < min_thresh < max_thresh, got "
@@ -46,23 +46,17 @@ class RedQueue(DropTailQueue):
             )
         if not 0 < max_probability <= 1:
             raise ValueError(f"max_probability must be in (0, 1]: {max_probability}")
-        if not 0 < weight <= 1:
-            raise ValueError(f"weight must be in (0, 1]: {weight}")
         self.rng = rng
         self.min_thresh = min_thresh_bytes
         self.max_thresh = max_thresh_bytes
         self.max_probability = max_probability
-        self.weight = weight
-        self.ecn = ecn
         self.avg_queue_bytes = 0.0
         self.early_drops = 0
-        self.ecn_marks = 0
         self._count_since_drop = -1
 
     def _update_average(self) -> None:
         self.avg_queue_bytes = (
-            (1 - self.weight) * self.avg_queue_bytes
-            + self.weight * self.bytes_queued
+            (1 - WEIGHT) * self.avg_queue_bytes + WEIGHT * self.bytes_queued
         )
 
     def _early_probability(self) -> float:
@@ -91,12 +85,6 @@ class RedQueue(DropTailQueue):
             effective = min(1.0, probability / denominator)
             if self.rng.random() < effective:
                 self._count_since_drop = 0
-                if self.ecn:
-                    self.ecn_marks += 1
-                    packet.priority |= 0  # packets keep flowing when marked
-                    # ECN marking is modelled as a drop-free congestion
-                    # signal: the packet is enqueued, the mark counted.
-                    return super().enqueue(packet, now)
                 self.early_drops += 1
                 self._drop_with_stats(packet, now)
                 return False

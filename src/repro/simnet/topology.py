@@ -197,6 +197,10 @@ class SenderReceiverPair:
     receiver: Host
 
 
+#: One-way propagation delay of each parking-lot hop.
+HOP_DELAY_S = 0.01
+
+
 class ParkingLotTopology:
     """A chain of routers with per-hop cross traffic entry points.
 
@@ -211,8 +215,6 @@ class ParkingLotTopology:
         sim: Simulator,
         n_hops: int,
         hop_bandwidth_bps: float = 10_000_000.0,
-        hop_delay_s: float = 0.01,
-        buffer_bdp_multiple: float = PAPER_BUFFER_BDP_MULTIPLE,
     ) -> None:
         check("n_hops", n_hops, ge=1, integer=True)
         self.sim = sim
@@ -221,9 +223,10 @@ class ParkingLotTopology:
         self.senders: List[Host] = []
         self.receivers: List[Host] = []
 
+        hop_delay_s = HOP_DELAY_S
         rtt_estimate = 2.0 * hop_delay_s * n_hops
         buffer_bytes = max(
-            1, int(buffer_bdp_multiple * bdp_bytes(hop_bandwidth_bps, rtt_estimate))
+            1, int(PAPER_BUFFER_BDP_MULTIPLE * bdp_bytes(hop_bandwidth_bps, rtt_estimate))
         )
         for i in range(n_hops):
             queue = DropTailQueue(buffer_bytes, lambda: sim.now)

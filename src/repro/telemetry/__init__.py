@@ -106,17 +106,14 @@ def session() -> TelemetrySession:
     return _active
 
 
-def enable(*, fresh: Optional[TelemetrySession] = None) -> TelemetrySession:
+def enable() -> TelemetrySession:
     """Switch the process to a live session and return it.
 
-    Idempotent in spirit: enabling while already enabled keeps the
-    existing live session (so accumulated metrics survive) unless a
-    ``fresh`` session is passed explicitly.
+    Idempotent: enabling while already enabled keeps the existing live
+    session, so accumulated metrics survive.
     """
     global _active
-    if fresh is not None:
-        _active = fresh
-    elif not _active.enabled:
+    if not _active.enabled:
         _active = TelemetrySession(MetricsRegistry(), _active.flightrec)
     return _active
 

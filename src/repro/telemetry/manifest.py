@@ -172,7 +172,6 @@ def sweep_manifest(
     outcome,
     *,
     metrics: Optional[Dict[str, Any]] = None,
-    command: str = "sweep",
     extra_config: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Build a manifest from a :class:`~repro.runner.core.SweepOutcome`.
@@ -190,7 +189,7 @@ def sweep_manifest(
         **(extra_config or {}),
     }
     manifest = _base_manifest(
-        command,
+        "sweep",
         config,
         {"base_seed": outcome.base_seed, "n_runs": outcome.n_runs},
         metrics if metrics is not None else outcome.telemetry,

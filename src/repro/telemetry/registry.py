@@ -65,10 +65,10 @@ UTILIZATION_BUCKETS: Tuple[float, ...] = tuple(
 )
 
 
-def mean(values: Sequence[float], default: float = 0.0) -> float:
-    """Arithmetic mean, or ``default`` for an empty sequence."""
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, or 0.0 for an empty sequence."""
     if not values:
-        return default
+        return 0.0
     return sum(values) / len(values)
 
 

@@ -114,15 +114,9 @@ class ConnectionStats:
 class RttEstimator:
     """RFC 6298 smoothed RTT / RTO estimation."""
 
-    def __init__(
-        self,
-        min_rto: float = MIN_RTO_S,
-        max_rto: float = MAX_RTO_S,
-    ) -> None:
+    def __init__(self) -> None:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
-        self.min_rto = min_rto
-        self.max_rto = max_rto
         self._rto = INITIAL_RTO_S
         self.min_rtt = math.inf
         self.last_rtt: Optional[float] = None
@@ -149,13 +143,13 @@ class RttEstimator:
         # slightest delay jitter.  Comparisons, not min()/max(): this runs
         # once per ACK and no NaN reaches it.
         spread = 4.0 * rttvar
-        if spread < self.min_rto:
-            spread = self.min_rto
+        if spread < MIN_RTO_S:
+            spread = MIN_RTO_S
         rto = srtt + spread
-        if rto < self.min_rto:
-            rto = self.min_rto
-        if rto > self.max_rto:
-            rto = self.max_rto
+        if rto < MIN_RTO_S:
+            rto = MIN_RTO_S
+        if rto > MAX_RTO_S:
+            rto = MAX_RTO_S
         self._rto = rto
 
     @property
@@ -165,7 +159,7 @@ class RttEstimator:
 
     def backoff(self) -> None:
         """Double the RTO after a timeout (Karn's exponential backoff)."""
-        self._rto = min(self.max_rto, self._rto * 2.0)
+        self._rto = min(MAX_RTO_S, self._rto * 2.0)
 
 
 class TcpSender:
@@ -207,7 +201,6 @@ class TcpSender:
         window_init: float = 2.0,
         initial_ssthresh: float = 65536.0,
         dupack_threshold: int = DEFAULT_DUPACK_THRESHOLD,
-        mss: int = MSS_BYTES,
     ) -> None:
         check("flow_size_bytes", flow_size_bytes, gt=0)
         check_window(window_init, initial_ssthresh)
@@ -215,7 +208,7 @@ class TcpSender:
         self.host = host
         self.spec = spec
         self.flow_size = flow_size_bytes
-        self.mss = mss
+        self.mss = MSS_BYTES
         self.on_complete = on_complete
         self.dupack_threshold = dupack_threshold
 

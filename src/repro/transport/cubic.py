@@ -20,7 +20,7 @@ from typing import Callable, Iterator, List, Optional
 
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
-from ..simnet.packet import MSS_BYTES, FlowSpec
+from ..simnet.packet import FlowSpec
 from ..simnet.bounds import check
 from .base import DEFAULT_DUPACK_THRESHOLD, TcpSender, check_window
 
@@ -111,9 +111,7 @@ class CubicSender(TcpSender):
         on_complete: Optional[Callable[[TcpSender], None]] = None,
         *,
         params: Optional[CubicParams] = None,
-        tcp_friendliness: bool = True,
         dupack_threshold: int = DEFAULT_DUPACK_THRESHOLD,
-        mss: int = MSS_BYTES,
     ) -> None:
         self.params = params if params is not None else CubicParams.default()
         super().__init__(
@@ -125,9 +123,7 @@ class CubicSender(TcpSender):
             window_init=self.params.window_init,
             initial_ssthresh=self.params.initial_ssthresh,
             dupack_threshold=dupack_threshold,
-            mss=mss,
         )
-        self.tcp_friendliness = tcp_friendliness
         self._w_max = 0.0
         self._epoch_start: Optional[float] = None
         self._k = 0.0
@@ -181,10 +177,9 @@ class CubicSender(TcpSender):
         else:
             # In the plateau region grow very slowly, as CUBIC does.
             self.cwnd += 0.01 * acked_segments / max(self.cwnd, 1.0)
-        if self.tcp_friendliness:
-            friendly = self._tcp_friendly_window(elapsed, rtt)
-            if friendly > self.cwnd:
-                self.cwnd = friendly
+        friendly = self._tcp_friendly_window(elapsed, rtt)
+        if friendly > self.cwnd:
+            self.cwnd = friendly
 
     def _on_loss_event(self) -> None:
         beta = self.params.beta

@@ -15,7 +15,7 @@ from ..remy.memory import MemoryTracker
 from ..remy.whisker import WhiskerTable
 from ..simnet.engine import EventHandle, Simulator
 from ..simnet.node import Host
-from ..simnet.packet import MSS_BYTES, FlowSpec, Packet, PacketKind
+from ..simnet.packet import FlowSpec, Packet, PacketKind
 from .base import TcpSender
 
 
@@ -41,8 +41,6 @@ class RemySender(TcpSender):
         *,
         table: WhiskerTable,
         util_provider: Optional[Callable[[], float]] = None,
-        window_init: float = 2.0,
-        mss: int = MSS_BYTES,
     ) -> None:
         super().__init__(
             sim,
@@ -50,9 +48,7 @@ class RemySender(TcpSender):
             spec,
             flow_size_bytes,
             on_complete,
-            window_init=window_init,
             initial_ssthresh=1e9,  # Remy has no slow-start threshold.
-            mss=mss,
         )
         self.table = table
         self.tracker = MemoryTracker(util_provider)

@@ -8,7 +8,7 @@ be applied.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..simnet.engine import Simulator
 from ..simnet.node import Host
@@ -112,12 +112,10 @@ class TcpSink:
         sim: Simulator,
         host: Host,
         spec: FlowSpec,
-        on_data: Optional[Callable[[Packet], None]] = None,
     ) -> None:
         self.sim = sim
         self.host = host
         self.spec = spec
-        self.on_data = on_data
         self.received = ByteIntervalSet()
         self.rcv_nxt = 0
         self.packets_received = 0
@@ -136,8 +134,6 @@ class TcpSink:
         if delivered == 0:
             self.duplicate_packets += 1
         self.rcv_nxt = rcv_nxt = received.contiguous_from(0)
-        if self.on_data is not None:
-            self.on_data(packet)
         spec = self.spec
         ack = Packet(_ACK, spec.flow_id, spec.dst, spec.src, rcv_nxt, 0)
         ack.echo_timestamp = packet.sent_at

@@ -10,52 +10,19 @@ queue signal Phi's context server aggregates across senders.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ..simnet.bounds import check
-from ..simnet.engine import Simulator
-from ..simnet.node import Host
-from ..simnet.packet import MSS_BYTES, FlowSpec
 from .base import TcpSender
 
 #: Vegas holds between alpha and beta segments queued at the bottleneck.
-DEFAULT_ALPHA = 1.0
-DEFAULT_BETA = 3.0
+ALPHA = 1.0
+BETA = 3.0
 
 
 class VegasSender(TcpSender):
     """Delay-based sender: adjusts the window by the estimated backlog."""
 
     flavour = "vegas"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        spec: FlowSpec,
-        flow_size_bytes: int,
-        on_complete: Optional[Callable[[TcpSender], None]] = None,
-        *,
-        alpha: float = DEFAULT_ALPHA,
-        beta: float = DEFAULT_BETA,
-        window_init: float = 2.0,
-        initial_ssthresh: float = 65536.0,
-        mss: int = MSS_BYTES,
-    ) -> None:
-        check("alpha", alpha, gt=0)
-        check("beta", beta, ge=alpha)
-        super().__init__(
-            sim,
-            host,
-            spec,
-            flow_size_bytes,
-            on_complete,
-            window_init=window_init,
-            initial_ssthresh=initial_ssthresh,
-            mss=mss,
-        )
-        self.alpha = alpha
-        self.beta = beta
 
     def _estimated_backlog(self) -> Optional[float]:
         """Diff = (expected - actual) * baseRTT, in segments (Vegas)."""
@@ -75,9 +42,9 @@ class VegasSender(TcpSender):
             self.cwnd += acked_segments / max(self.cwnd, 1.0)
             return
         per_ack = acked_segments / max(self.cwnd, 1.0)
-        if backlog < self.alpha:
+        if backlog < ALPHA:
             self.cwnd += per_ack
-        elif backlog > self.beta:
+        elif backlog > BETA:
             self.cwnd = max(2.0, self.cwnd - per_ack)
         # Between alpha and beta: hold steady.
 
@@ -93,7 +60,7 @@ class VegasSender(TcpSender):
     def _grow_window(self, acked_segments: float) -> None:
         # Vegas also moderates slow start: leave it once a backlog shows.
         backlog = self._estimated_backlog()
-        if self.cwnd < self.ssthresh and (backlog is None or backlog < self.beta):
+        if self.cwnd < self.ssthresh and (backlog is None or backlog < BETA):
             self.cwnd = min(self.ssthresh, self.cwnd + acked_segments / 2.0)
         else:
             self._on_ack_congestion_avoidance(acked_segments)

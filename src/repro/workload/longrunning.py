@@ -84,17 +84,16 @@ def launch_long_running_flows(
     flow_ids: FlowIdAllocator,
     rng: np.random.Generator,
     *,
-    start_spread_s: float = 1.0,
     flow_tracker: Optional[ActiveFlowTracker] = None,
 ) -> List[LongRunningFlow]:
     """Start one persistent flow per (sender_host, receiver_host) pair.
 
-    Start times are spread uniformly over ``start_spread_s`` to avoid a
+    Start times are spread uniformly over the first second to avoid a
     synchronized slow-start stampede at t=0.
     """
     flows = []
     for sender_host, receiver_host in pairs:
-        start = float(rng.uniform(0.0, max(1e-9, start_spread_s)))
+        start = float(rng.uniform(0.0, 1.0))
         flows.append(
             LongRunningFlow(
                 sim,

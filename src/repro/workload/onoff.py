@@ -61,6 +61,10 @@ class OnOffConfig:
         check("start_jitter_s", self.start_jitter_s, ge=0)
 
 
+#: Source port of a source's first connection; later ones count up.
+SRC_PORT_BASE = 10_000
+
+
 class OnOffSource:
     """Sequential exponential on/off connection generator for one host pair."""
 
@@ -75,7 +79,6 @@ class OnOffSource:
         config: Optional[OnOffConfig] = None,
         *,
         flow_tracker: Optional[ActiveFlowTracker] = None,
-        src_port_base: int = 10_000,
     ) -> None:
         self.sim = sim
         self.sender_host = sender_host
@@ -85,7 +88,6 @@ class OnOffSource:
         self.rng = rng
         self.config = config if config is not None else OnOffConfig()
         self.flow_tracker = flow_tracker
-        self.src_port_base = src_port_base
 
         self.completed: List[ConnectionStats] = []
         self.connections_launched = 0
@@ -122,7 +124,7 @@ class OnOffSource:
         spec = FlowSpec(
             flow_id=flow_id,
             src=self.sender_host.name,
-            src_port=self.src_port_base + (self.connections_launched % 50_000),
+            src_port=SRC_PORT_BASE + (self.connections_launched % 50_000),
             dst=self.receiver_host.name,
             dst_port=443,
         )
@@ -157,9 +159,6 @@ class OnOffSource:
         """Whether a connection is currently in flight."""
         return self._active_sender is not None and not self._active_sender.finished
 
-    def all_stats(self, include_active: bool = False) -> List[ConnectionStats]:
-        """Completed connections' stats; optionally include the active one."""
-        stats = list(self.completed)
-        if include_active and self._active_sender is not None:
-            stats.append(self._active_sender.stats)
-        return stats
+    def all_stats(self) -> List[ConnectionStats]:
+        """Completed connections' stats (the active one is not among them)."""
+        return list(self.completed)

@@ -31,12 +31,10 @@ class PoissonConfig:
 
     arrival_rate_per_s: float
     mean_flow_bytes: float
-    min_flow_bytes: int = MSS_BYTES
 
     def __post_init__(self) -> None:
         check("arrival_rate_per_s", self.arrival_rate_per_s, gt=0)
         check("mean_flow_bytes", self.mean_flow_bytes, gt=0)
-        check("min_flow_bytes", self.min_flow_bytes, ge=1, integer=True)
 
     def offered_load(self, capacity_bps: float) -> float:
         """Offered load as a fraction of ``capacity_bps``."""
@@ -58,6 +56,10 @@ class PoissonConfig:
         return cls(arrival_rate_per_s=rate, mean_flow_bytes=mean_flow_bytes)
 
 
+#: Flows in flight beyond which an arrival is rejected (counted, not run).
+MAX_CONCURRENT = 5_000
+
+
 class PoissonFlowGenerator:
     """Launches flows Poisson-style over a pool of host pairs.
 
@@ -77,11 +79,9 @@ class PoissonFlowGenerator:
         config: PoissonConfig,
         *,
         flow_tracker: Optional[ActiveFlowTracker] = None,
-        max_concurrent: int = 5_000,
     ) -> None:
         if not pairs:
             raise ValueError("at least one host pair is required")
-        check("max_concurrent", max_concurrent, ge=1, integer=True)
         self.sim = sim
         self.pairs = list(pairs)
         self.sender_factory = sender_factory
@@ -89,7 +89,6 @@ class PoissonFlowGenerator:
         self.rng = rng
         self.config = config
         self.flow_tracker = flow_tracker
-        self.max_concurrent = max_concurrent
 
         self.completed: List[ConnectionStats] = []
         self.launched = 0
@@ -118,13 +117,13 @@ class PoissonFlowGenerator:
 
     def _draw_size(self) -> int:
         size = self.rng.exponential(self.config.mean_flow_bytes)
-        return max(self.config.min_flow_bytes, int(size))
+        return max(MSS_BYTES, int(size))
 
     def _arrival(self) -> None:
         if self._stopped:
             return
         self.sim.schedule(self._draw_interarrival(), self._arrival)
-        if len(self._active) >= self.max_concurrent:
+        if len(self._active) >= MAX_CONCURRENT:
             self.rejected += 1
             return
         sender_host, receiver_host = self.pairs[self._next_pair]

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from repro.adaptation import (
     JitterObservatory,
     ReorderingObservatory,
-    buffer_tradeoff_curve,
     late_loss_rate,
     reordering_depths,
 )
 from repro.adaptation.dupack import MAX_THRESHOLD
-from repro.adaptation.jitterbuffer import UNINFORMED_DEFAULT_BUFFER_S
+from repro.adaptation.jitterbuffer import DEFAULT_SAFETY_FACTOR, UNINFORMED_DEFAULT_BUFFER_S
 from repro.transport.base import DEFAULT_DUPACK_THRESHOLD
 
 LOCATION = ("isp-a", "nyc")
@@ -31,9 +30,10 @@ class TestJitterObservatory:
         rng = np.random.default_rng(0)
         for jitter in rng.exponential(0.010, size=2000):
             observatory.record_jitter(LOCATION, float(jitter))
-        rec = observatory.recommend(LOCATION, quantile=0.95, safety_factor=1.0)
+        rec = observatory.recommend(LOCATION)
         # p95 of Exp(0.010) is ~30 ms.
-        assert rec.buffer_s == pytest.approx(0.030, rel=0.2)
+        assert rec.p95_jitter_s == pytest.approx(0.030, rel=0.2)
+        assert rec.buffer_s == pytest.approx(DEFAULT_SAFETY_FACTOR * rec.p95_jitter_s)
         assert rec.samples == 2000
 
     def test_record_arrivals_converts_to_jitter(self):
@@ -47,10 +47,6 @@ class TestJitterObservatory:
             observatory.record_jitter(LOCATION, -0.1)
         with pytest.raises(ValueError):
             observatory.record_arrivals(LOCATION, [0.02], period_s=0.0)
-        with pytest.raises(ValueError):
-            observatory.recommend(LOCATION, quantile=1.5)
-        with pytest.raises(ValueError):
-            JitterObservatory(max_samples_per_location=0)
 
     def test_nan_sample_is_refused_and_p95_stays_finite(self):
         # One NaN used to make recommend() return the 0.1 ms floor with a
@@ -109,14 +105,6 @@ class TestLateLoss:
         smaller = late_loss_rate(delays, buffer_s / 2)
         larger = late_loss_rate(delays, buffer_s)
         assert larger <= smaller
-
-    def test_tradeoff_curve_monotone(self):
-        rng = np.random.default_rng(1)
-        delays = 0.1 + rng.exponential(0.02, size=500)
-        curve = buffer_tradeoff_curve(delays, [0.0, 0.01, 0.05, 0.2])
-        losses = [loss for _b, loss in curve]
-        assert losses == sorted(losses, reverse=True)
-        assert losses[-1] < losses[0]
 
 
 class TestReorderingDepths:
@@ -187,8 +175,6 @@ class TestReorderingObservatory:
             observatory.spurious_probability(self.PATH, 0)
         with pytest.raises(ValueError):
             observatory.recommend(self.PATH, target_spurious=0.0)
-        with pytest.raises(ValueError):
-            ReorderingObservatory(max_samples_per_path=0)
 
     def test_paths_independent(self):
         observatory = ReorderingObservatory()

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from repro.diagnosis import (
-    DetectorConfig,
+    BIN_MINUTES,
+    BINS_PER_DAY,
     OutageSpec,
     SeasonalBaseline,
-    TelemetryConfig,
     TelemetryGenerator,
     UnreachabilityDetector,
     group_dips,
     localize,
+    slice_keys,
 )
 from repro.diagnosis.detector import DetectedDip
+from repro.diagnosis.events import ASES, METROS
 
 
 class TestSeasonalBaseline:
@@ -31,8 +33,6 @@ class TestSeasonalBaseline:
     def test_validation(self):
         with pytest.raises(ValueError):
             SeasonalBaseline(period_bins=0)
-        with pytest.raises(ValueError):
-            SeasonalBaseline(period_bins=24, min_history_periods=0)
 
     def test_flat_series_expected(self):
         baseline = SeasonalBaseline(24).fit(self._flat_history())
@@ -69,15 +69,8 @@ class TestSeasonalBaseline:
 
 
 class TestTelemetry:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TelemetryConfig(bin_minutes=0)
-        with pytest.raises(ValueError):
-            TelemetryConfig(diurnal_amplitude=1.5)
-
     def test_slice_keys_cartesian(self):
-        config = TelemetryConfig()
-        keys = config.slice_keys()
+        keys = slice_keys()
         assert len(keys) == 4 * 4 * 2
         assert ("isp-a", "nyc", "voip") in keys
 
@@ -101,29 +94,27 @@ class TestTelemetry:
         assert outage.affects(("isp-d", "nyc", "storage"), 0)
 
     def test_generated_series_have_requested_length(self):
-        gen = TelemetryGenerator(TelemetryConfig(), np.random.default_rng(0))
+        gen = TelemetryGenerator(np.random.default_rng(0))
         series = gen.generate(100)
         assert all(len(v) == 100 for v in series.values())
 
     def test_outage_suppresses_volume(self):
-        config = TelemetryConfig()
         outage = OutageSpec(50, 10, 1.0, asn="isp-a", metro="nyc")
-        gen = TelemetryGenerator(config, np.random.default_rng(0), [outage])
+        gen = TelemetryGenerator(np.random.default_rng(0), [outage])
         series = gen.generate(70)
         hit = series[("isp-a", "nyc", "voip")]
         assert np.all(hit[50:60] == 0)
         assert np.mean(hit[:50]) > 100
 
     def test_invalid_bins(self):
-        gen = TelemetryGenerator(TelemetryConfig(), np.random.default_rng(0))
+        gen = TelemetryGenerator(np.random.default_rng(0))
         with pytest.raises(ValueError):
             gen.generate(0)
 
 
 @lru_cache(maxsize=None)  # one detection run per outage, shared by the tests
 def detect_outage(severity=0.9, duration_bins=24, seed=7):
-    config = TelemetryConfig()
-    train = 2 * config.bins_per_day
+    train = 2 * BINS_PER_DAY
     outage = OutageSpec(
         start_bin=train + 100,
         duration_bins=duration_bins,
@@ -131,51 +122,41 @@ def detect_outage(severity=0.9, duration_bins=24, seed=7):
         asn="isp-a",
         metro="nyc",
     )
-    gen = TelemetryGenerator(config, np.random.default_rng(seed), [outage])
-    series = gen.generate(train + config.bins_per_day)
-    detector = UnreachabilityDetector(config.bins_per_day)
-    return config, outage, train, detector.detect(series, train)
+    gen = TelemetryGenerator(np.random.default_rng(seed), [outage])
+    series = gen.generate(train + BINS_PER_DAY)
+    detector = UnreachabilityDetector(BINS_PER_DAY)
+    return outage, train, detector.detect(series, train)
 
 
 class TestDetector:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(z_threshold=1.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(min_consecutive_bins=0)
-        with pytest.raises(ValueError):
-            DetectorConfig(min_drop_fraction=1.0)
-
     def test_detects_injected_outage(self):
-        config, outage, train, dips = detect_outage()
+        outage, train, dips = detect_outage()
         affected = {d.key for d in dips}
         assert ("isp-a", "nyc", "voip") in affected
         assert ("isp-a", "nyc", "storage") in affected
 
     def test_detection_window_overlaps_outage(self):
-        config, outage, train, dips = detect_outage()
+        outage, train, dips = detect_outage()
         for dip in dips:
             if dip.key[:2] == ("isp-a", "nyc"):
                 assert dip.start_bin >= outage.start_bin - 2
                 assert dip.end_bin <= outage.end_bin + 2
 
     def test_no_false_positives_without_outage(self):
-        config = TelemetryConfig()
-        train = 2 * config.bins_per_day
-        gen = TelemetryGenerator(config, np.random.default_rng(3))
-        series = gen.generate(train + config.bins_per_day)
-        detector = UnreachabilityDetector(config.bins_per_day)
+        train = 2 * BINS_PER_DAY
+        gen = TelemetryGenerator(np.random.default_rng(3))
+        series = gen.generate(train + BINS_PER_DAY)
+        detector = UnreachabilityDetector(BINS_PER_DAY)
         assert detector.detect(series, train) == []
 
     def test_short_series_rejected(self):
-        config = TelemetryConfig()
-        detector = UnreachabilityDetector(config.bins_per_day)
+        detector = UnreachabilityDetector(BINS_PER_DAY)
         series = {("a", "b", "c"): np.ones(10)}
         with pytest.raises(ValueError):
             detector.detect(series, train_bins=10)
 
     def test_drop_fraction_estimated(self):
-        config, outage, train, dips = detect_outage(severity=0.9)
+        outage, train, dips = detect_outage(severity=0.9)
         target = [d for d in dips if d.key[:2] == ("isp-a", "nyc")]
         assert target
         for dip in target:
@@ -199,12 +180,11 @@ class TestLocalization:
         assert len(groups) == 2
 
     def test_localizes_to_as_and_metro(self):
-        config = TelemetryConfig()
         dips = [
             self._dip(("isp-a", "nyc", "voip")),
             self._dip(("isp-a", "nyc", "storage")),
         ]
-        (event,) = localize(dips, config.slice_keys())
+        (event,) = localize(dips, slice_keys())
         assert event.asn == "isp-a"
         assert event.metro == "nyc"
         assert event.service is None
@@ -213,20 +193,14 @@ class TestLocalization:
 
     def test_service_specific_event(self):
         # The paper's motivating example: VoIP degraded, file hosting fine.
-        config = TelemetryConfig()
-        dips = [
-            self._dip((asn, metro, "voip"))
-            for asn in config.ases
-            for metro in config.metros
-        ]
-        (event,) = localize(dips, config.slice_keys())
+        dips = [self._dip((asn, metro, "voip")) for asn in ASES for metro in METROS]
+        (event,) = localize(dips, slice_keys())
         assert event.service == "voip"
         assert event.asn is None and event.metro is None
 
     def test_global_event(self):
-        config = TelemetryConfig()
-        dips = [self._dip(key) for key in config.slice_keys()]
-        (event,) = localize(dips, config.slice_keys())
+        dips = [self._dip(key) for key in slice_keys()]
+        (event,) = localize(dips, slice_keys())
         assert event.describe() == "global"
 
     def test_empty_group_rejected(self):
@@ -237,9 +211,8 @@ class TestLocalization:
 
     def test_figure5_end_to_end(self):
         # Full pipeline: 2-hour ISP+metro outage detected and localized.
-        config = TelemetryConfig()
-        train = 2 * config.bins_per_day
-        bins_2h = 120 // config.bin_minutes
+        train = 2 * BINS_PER_DAY
+        bins_2h = 120 // BIN_MINUTES
         outage = OutageSpec(
             start_bin=train + 60,
             duration_bins=bins_2h,
@@ -247,11 +220,11 @@ class TestLocalization:
             asn="isp-b",
             metro="blr",
         )
-        gen = TelemetryGenerator(config, np.random.default_rng(11), [outage])
-        series = gen.generate(train + config.bins_per_day)
-        detector = UnreachabilityDetector(config.bins_per_day)
+        gen = TelemetryGenerator(np.random.default_rng(11), [outage])
+        series = gen.generate(train + BINS_PER_DAY)
+        detector = UnreachabilityDetector(BINS_PER_DAY)
         dips = detector.detect(series, train)
-        events = localize(dips, config.slice_keys())
+        events = localize(dips, slice_keys())
         assert len(events) == 1
         event = events[0]
         assert event.asn == "isp-b" and event.metro == "blr"

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.diagnosis import (
-    IncidentReport,
-    TelemetryConfig,
-    render_all,
     render_incident,
     severity_grade,
 )
-from repro.diagnosis.detector import DetectedDip
 from repro.diagnosis.localize import LocalizedEvent
 
 
@@ -39,49 +35,25 @@ class TestSeverity:
 
 class TestRenderIncident:
     def test_network_event_report(self):
-        config = TelemetryConfig()
-        report = render_incident(event(), config)
+        report = render_incident(event())
         assert "SEV-1" in report.title
         assert "asn=isp-a, metro=nyc" in report.body
         assert "2.0 hours" in report.body
         assert "peering/NOC" in report.body
 
     def test_service_event_report(self):
-        config = TelemetryConfig()
         report = render_incident(
-            event(asn=None, metro=None, service="voip", drop=0.5), config
+            event(asn=None, metro=None, service="voip", drop=0.5)
         )
         assert "voip on-call" in report.body
 
     def test_global_event_report(self):
-        config = TelemetryConfig()
         report = render_incident(
-            event(asn=None, metro=None, service=None), config
+            event(asn=None, metro=None, service=None)
         )
         assert "global" in report.title
         assert "provider-side" in report.body
 
-    def test_evidence_line_from_dips(self):
-        config = TelemetryConfig()
-        dips = [
-            DetectedDip(
-                key=("isp-a", "nyc", "voip"),
-                start_bin=105,
-                end_bin=120,
-                min_zscore=-12.3,
-                mean_drop_fraction=0.9,
-            )
-        ]
-        report = render_incident(event(), config, dips)
-        assert "z = -12.3" in report.body
-
     def test_short_duration_in_minutes(self):
-        config = TelemetryConfig()
-        report = render_incident(event(start=10, end=14), config)
+        report = render_incident(event(start=10, end=14))
         assert "20 minutes" in report.body
-
-    def test_render_all(self):
-        config = TelemetryConfig()
-        reports = render_all([event(), event(metro="lon")], config)
-        assert len(reports) == 2
-        assert all(isinstance(r, IncidentReport) for r in reports)

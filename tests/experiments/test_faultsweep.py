@@ -49,12 +49,12 @@ SWEEPS = {
     "poison": (
         POISON,
         {"severity": (0.0, 1.0), "byzantine_fraction": (0.0,)},
-        dict(modes=("garbage",), guarded=True, staleness_ttl_s=10.0),
+        dict(modes=("garbage",), guarded=True),
     ),
     "partition": (
         PARTITION,
         {"n_replicas": (1, 3), "severity": (0.34,), "heal_s": (3.0,)},
-        dict(partition_start_s=2.0, staleness_ttl_s=10.0),
+        dict(partition_start_s=2.0),
     ),
 }
 

@@ -1,9 +1,9 @@
 """Dump-on-anomaly funnels: watchdog trips, invariant violations, sweeps.
 
 The acceptance path for the flight recorder: a sweep point that dies —
-here, a watchdog trip provoked by an injected bottleneck outage — must
-leave ``flightrec-<point_key>.jsonl`` next to the sweep journal, and the
-post-mortem over that dump must attribute the stall to the injected
+here, a watchdog trip — must leave ``flightrec-<point_key>.jsonl`` next
+to the sweep journal, and the post-mortem over a dump taken after an
+injected bottleneck outage must attribute the stall to the injected
 fault window rather than ``unknown``.
 """
 
@@ -15,11 +15,13 @@ import pytest
 
 from repro import flightrec, telemetry
 from repro.flightrec.postmortem import analyze_dump, fault_windows
+from repro.experiments import run_cubic_fixed
 from repro.flightrec.recorder import load_dump
 from repro.runner.cache import NullCache
 from repro.runner.core import SweepPoint, SweepRunner, SweepSpec, evaluate_point
 from repro.runner.resilience import ResilienceConfig
 from repro.simcheck.violations import InvariantViolation, record_violation
+from repro.simnet import Outage
 from repro.simnet.engine import (
     SimulationStalled,
     Simulator,
@@ -29,19 +31,19 @@ from repro.simnet.engine import (
 
 from tests.runner.conftest import MINI_GRID, MINI_PRESET
 
-OUTAGE = ("outage", 0.5, 0.5)  # bottleneck dark over [0.5, 1.0) sim s
+def _outage(env):
+    """The bottleneck dark over [0.5, 1.0) sim s."""
+    return [Outage(env.sim, 0.5, 0.5, links=[env.topology.bottleneck])]
 
 
-def _calibrated_budget():
-    """An event budget that trips the watchdog *after* the fault window.
+def _calibrated_budget(fault_hook=None):
+    """An event budget that trips the watchdog late in the run.
 
     Calibrated against the unwatched run so the test stays correct if
     the simulation's event count drifts: 90% of the full run's events
-    lands well past the 1.0 s window end in a 2.0 s run.
+    lands well past the 1.0 s outage end in a 2.0 s run.
     """
-    spec = SweepSpec(preset=MINI_PRESET, fault=OUTAGE)
-    point = SweepPoint(params=MINI_GRID[0], run_index=0, seed=0)
-    full = evaluate_point(spec, point)
+    full = run_cubic_fixed(MINI_GRID[0], MINI_PRESET, seed=0, fault_hook=fault_hook)
     return max(1, int(full.events_processed * 0.9))
 
 
@@ -52,7 +54,6 @@ def _make_runner(tmp_path, *, n_workers, max_events):
         cache=NullCache(),
         checkpoint_dir=str(tmp_path),
         watchdog=WatchdogConfig(max_events=max_events),
-        fault=OUTAGE,
         resilience=ResilienceConfig(max_attempts=1),
     )
 
@@ -79,7 +80,7 @@ def _assert_fault_attributed(analysis):
 
 
 class TestQuarantinedSweepPoint:
-    def test_serial_point_dumps_and_postmortem_blames_the_outage(self, tmp_path):
+    def test_serial_point_dumps_next_to_the_journal(self, tmp_path):
         runner = _make_runner(
             tmp_path, n_workers=1, max_events=_calibrated_budget()
         )
@@ -93,6 +94,16 @@ class TestQuarantinedSweepPoint:
         analysis = analyze_dump(dump)
         assert analysis["anomaly"]["reason"] == "watchdog:max_events"
         assert isinstance(analysis["anomaly"]["sim_time"], float)
+
+    def test_postmortem_blames_the_outage(self, tmp_path):
+        dump = str(tmp_path / "outage.jsonl")
+        watchdog = WatchdogConfig(max_events=_calibrated_budget(_outage))
+        with pytest.raises(SimulationStalled), flightrec.capture(dump):
+            run_cubic_fixed(
+                MINI_GRID[0], MINI_PRESET, seed=0, watchdog=watchdog, fault_hook=_outage
+            )
+        analysis = analyze_dump(dump)
+        assert analysis["anomaly"]["reason"] == "watchdog:max_events"
         _assert_fault_attributed(analysis)
 
     @pytest.mark.fault
@@ -114,7 +125,6 @@ class TestQuarantinedSweepPoint:
             n_workers=1,
             cache=NullCache(),
             checkpoint_dir=str(tmp_path),
-            fault=OUTAGE,
         )
         outcome = runner.run(
             [MINI_GRID[0]], n_runs=1, base_seed=0, parallel=False
@@ -190,10 +200,9 @@ class TestWatchdogFunnel:
 
 
 def _tripped_dump(directory):
-    """The dump a watchdog trip leaves for MINI_GRID[0] under OUTAGE."""
+    """The dump a watchdog trip leaves for MINI_GRID[0]."""
     spec = SweepSpec(
         preset=MINI_PRESET,
-        fault=OUTAGE,
         watchdog=WatchdogConfig(max_events=400),
         flightrec_dir=directory,
     )

@@ -14,7 +14,6 @@ from repro.metrics import (
     summarize_connections,
     summarize_runs,
 )
-from repro.metrics.summary import finite_mean
 from repro.transport.base import ConnectionStats
 
 
@@ -179,12 +178,3 @@ class TestSummarizeRuns:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_runs([])
-
-
-class TestFiniteMean:
-    def test_ignores_non_finite(self):
-        assert finite_mean([1.0, math.inf, 3.0, math.nan]) == pytest.approx(2.0)
-
-    def test_empty(self):
-        assert finite_mean([]) == 0.0
-        assert finite_mean([math.inf]) == 0.0

@@ -20,9 +20,9 @@ class TestCongestionContext:
             CongestionContext(utilization=0.5, queue_delay_s=0, competing_senders=-1)
 
     def test_idle_context(self):
-        ctx = CongestionContext.idle(timestamp=3.0)
+        ctx = CongestionContext.idle()
         assert ctx.level() is CongestionLevel.LOW
-        assert ctx.timestamp == 3.0
+        assert ctx.timestamp == 0.0
 
     def test_low_utilization_level(self):
         ctx = CongestionContext(utilization=0.2, queue_delay_s=0.0, competing_senders=1)

@@ -9,6 +9,8 @@ from repro.phi.channel import ControlChannel
 from repro.phi.context import CongestionContext
 from repro.phi.corruption import (
     CONTEXT_CORRUPTION_MODES,
+    MAX_DECADES,
+    REPLAY_DEPTH,
     AdversarialCorruptor,
     BitFlipCorruptor,
     ByzantineReporter,
@@ -54,7 +56,7 @@ def make_report(flow_id=1, reported_at=1.0):
 
 class TestRawContext:
     def test_bypasses_validation(self):
-        ctx = raw_context(float("nan"), -5.0, math.inf)
+        ctx = raw_context(float("nan"), -5.0, math.inf, 0.0, None)
         assert math.isnan(ctx.utilization)
         assert ctx.queue_delay_s == -5.0
         assert math.isinf(ctx.competing_senders)
@@ -129,7 +131,7 @@ class TestIndividualCorruptors:
         assert after.timestamp == before.timestamp
 
     def test_scale_is_power_of_ten(self):
-        corruptor = ScaleCorruptor(rng(), 1.0, max_decades=2)
+        corruptor = ScaleCorruptor(rng(), 1.0)
         before = honest()
         after = corruptor.corrupt(before)
         changed = [
@@ -140,9 +142,9 @@ class TestIndividualCorruptors:
         ]
         assert len(changed) == 1
         new, old = changed[0]
-        assert new / old == pytest.approx(10.0) or new / old == pytest.approx(
-            0.1
-        ) or new / old == pytest.approx(100.0) or new / old == pytest.approx(0.01)
+        decades = round(math.log10(new / old))
+        assert 1 <= abs(decades) <= MAX_DECADES
+        assert new / old == pytest.approx(10.0 ** decades)
 
     def test_frozen_serves_first_snapshot_restamped(self):
         corruptor = FrozenContextCorruptor(rng(), 1.0)
@@ -158,8 +160,8 @@ class TestIndividualCorruptors:
         assert out.timestamp == 50.0  # claims freshness
 
     def test_replay_serves_oldest_history(self):
-        corruptor = ReplayCorruptor(rng(42), 0.0, depth=4)
-        snapshots = [honest(timestamp=float(t)) for t in range(4)]
+        corruptor = ReplayCorruptor(rng(42), 0.0)
+        snapshots = [honest(timestamp=float(t)) for t in range(REPLAY_DEPTH)]
         for snap in snapshots:
             corruptor.corrupt(snap)  # severity 0: pure observation
         corruptor.severity = 1.0
@@ -272,8 +274,6 @@ class TestByzantineReporter:
     def test_validation(self):
         with pytest.raises(ValueError):
             ByzantineReporter(rng(), 1.5)
-        with pytest.raises(ValueError):
-            ByzantineReporter(rng(), 0.5, magnitude=0.0)
 
 
 class TestCorruptionLayer:

@@ -75,16 +75,6 @@ class TestConstruction:
             sim, [channel], config=FailoverConfig(suspend_jitter=0.0)
         )
 
-    def test_preference_must_be_permutation(self):
-        sim = Simulator()
-        channels = [ControlChannel(sim, FakeBackend()) for _ in range(2)]
-        with pytest.raises(ValueError):
-            FailoverChannel(sim, channels, rng=ZeroRng(), preference=[0, 0])
-        failover = FailoverChannel(
-            sim, channels, rng=ZeroRng(), preference=[1, 0]
-        )
-        assert failover.current_replica == 1
-
 
 class TestFailover:
     def test_primary_serves_when_healthy(self):

@@ -64,7 +64,7 @@ class ReferenceFailover(FailoverChannel):
                 0 if i == self._current else 1,
                 1 if self._health[i].probation_left > 0 else 0,
                 -self._health[i].score,
-                self._pref_rank[i],
+                i,
             )
         )
         return order
@@ -147,7 +147,7 @@ class FakeBackend:
 _OPS = ("lookup",) * 10 + ("report",) * 8 + ("down", "up", "up", "refuse", "serve", "serve")
 
 
-def _stack(sim, cls, seed, n, config, preference, channel_config):
+def _stack(sim, cls, seed, n, config, channel_config):
     backends = [FakeBackend() for _ in range(n)]
     channels = [
         ControlChannel(
@@ -160,7 +160,7 @@ def _stack(sim, cls, seed, n, config, preference, channel_config):
         for index, backend in enumerate(backends)
     ]
     rng = random.Random(seed)
-    failover = cls(sim, channels, rng=rng, config=config, preference=preference)
+    failover = cls(sim, channels, rng=rng, config=config)
     return backends, channels, failover, rng
 
 
@@ -194,12 +194,10 @@ def _run_program(seed, n_ops=400):
     rng = random.Random(seed)
     n = rng.choice((1, 2, 3, 3, 4))
     config = FailoverConfig(suspend_jitter=rng.choice((0.0, 0.5)))
-    preference = list(range(n))
-    rng.shuffle(preference)
     channel_config = ChannelConfig(backoff_jitter=0.25)
     sim = Simulator()
     stacks = [
-        _stack(sim, cls, seed, n, config, preference, channel_config)
+        _stack(sim, cls, seed, n, config, channel_config)
         for cls in (FailoverChannel, ReferenceFailover)
     ]
     sessions = [telemetry.TelemetrySession(telemetry.MetricsRegistry()) for _ in stacks]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.phi import CongestionContext, CongestionLevel, ContextServer
 from repro.phi.context import FAIR_SHARE_THRESHOLDS_MBPS
-from repro.phi.policy import PolicyDecision, REFERENCE_POLICY
 from repro.simnet import Simulator
 
 
@@ -83,15 +82,3 @@ class TestServerFairShare:
                 )
             )
         assert server.current_context().level() is CongestionLevel.LOW
-
-
-class TestPolicyDecision:
-    def test_decision_records_level(self):
-        ctx = CongestionContext(0.95, 0.0, 4.0)
-        decision = PolicyDecision(
-            context=ctx, params=REFERENCE_POLICY.params_for(ctx)
-        )
-        assert decision.level is CongestionLevel.SEVERE
-        assert decision.params == REFERENCE_POLICY.params_for_level(
-            CongestionLevel.SEVERE
-        )

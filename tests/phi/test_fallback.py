@@ -347,7 +347,7 @@ class TestGuardIntegration:
         from repro.phi.corruption import raw_context
 
         # Bypasses __post_init__ the way a wire deserializer would.
-        source.context = raw_context(0.5, 0.02, -3.0, timestamp=2.0)
+        source.context = raw_context(0.5, 0.02, -3.0, 2.0, None)
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.STALE
         assert resolved.context is good
@@ -359,7 +359,7 @@ class TestGuardIntegration:
         client = ResilientContextClient(source, now=clock, guard=guard)
         from repro.phi.corruption import raw_context
 
-        source.context = raw_context(float("nan"), 0.0, 1.0)
+        source.context = raw_context(float("nan"), 0.0, 1.0, 0.0, None)
         assert client.resolve().decision is ContextDecision.FALLBACK
         source.up = False
         # Nothing in the cache: degradation skips STALE entirely.

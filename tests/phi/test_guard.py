@@ -57,21 +57,21 @@ class TestStaticChecks:
 
     def test_rejects_nan(self):
         guard = ContextGuard(CAPACITY_MBPS)
-        verdict = guard.validate(raw_context(float("nan"), 0.0, 1.0))
+        verdict = guard.validate(raw_context(float("nan"), 0.0, 1.0, 0.0, None))
         assert verdict.reason == REASON_NON_FINITE
 
     def test_rejects_inf_fair_share(self):
         guard = ContextGuard(CAPACITY_MBPS)
         verdict = guard.validate(
-            raw_context(0.5, 0.0, 1.0, fair_share_mbps=math.inf)
+            raw_context(0.5, 0.0, 1.0, 0.0, math.inf)
         )
         assert verdict.reason == REASON_NON_FINITE
 
     def test_rejects_out_of_range(self):
         guard = ContextGuard(CAPACITY_MBPS)
-        assert guard.validate(raw_context(1.5, 0.0, 1.0)).reason == REASON_OUT_OF_RANGE
-        assert guard.validate(raw_context(0.5, -1.0, 1.0)).reason == REASON_OUT_OF_RANGE
-        assert guard.validate(raw_context(0.5, 0.0, -2.0)).reason == REASON_OUT_OF_RANGE
+        assert guard.validate(raw_context(1.5, 0.0, 1.0, 0.0, None)).reason == REASON_OUT_OF_RANGE
+        assert guard.validate(raw_context(0.5, -1.0, 1.0, 0.0, None)).reason == REASON_OUT_OF_RANGE
+        assert guard.validate(raw_context(0.5, 0.0, -2.0, 0.0, None)).reason == REASON_OUT_OF_RANGE
 
     def test_rejects_absurd_queue_delay(self):
         guard = ContextGuard(CAPACITY_MBPS)
@@ -142,9 +142,9 @@ class TestConsistency:
 class TestAccounting:
     def test_rejections_counted_by_reason(self):
         guard = ContextGuard(CAPACITY_MBPS)
-        guard.validate(raw_context(float("nan"), 0.0, 1.0))
-        guard.validate(raw_context(float("nan"), 0.0, 1.0))
-        guard.validate(raw_context(2.0, 0.0, 1.0))
+        guard.validate(raw_context(float("nan"), 0.0, 1.0, 0.0, None))
+        guard.validate(raw_context(float("nan"), 0.0, 1.0, 0.0, None))
+        guard.validate(raw_context(2.0, 0.0, 1.0, 0.0, None))
         assert guard.rejection_counts() == {
             REASON_NON_FINITE: 2,
             REASON_OUT_OF_RANGE: 1,
@@ -161,8 +161,8 @@ class TestAccounting:
 
         guard = ContextGuard(CAPACITY_MBPS)
         with telemetry.use() as tele:
-            guard.validate(raw_context(float("nan"), 0.0, 1.0))
-            guard.validate(raw_context(3.0, 0.0, 1.0))
+            guard.validate(raw_context(float("nan"), 0.0, 1.0, 0.0, None))
+            guard.validate(raw_context(3.0, 0.0, 1.0, 0.0, None))
             counters = tele.registry.snapshot()["counters"]
         assert counters["phi.guard_rejections{reason=non_finite}"] == 1.0
         assert counters["phi.guard_rejections{reason=out_of_range}"] == 1.0

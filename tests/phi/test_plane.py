@@ -50,7 +50,6 @@ def test_nan_plane_input_is_rejected(configure):
     [
         (ChannelConfig, "backoff_jitter"),
         (ReplicationConfig, "anti_entropy_period_s"),
-        (ReplicationConfig, "quorum_staleness_s"),
         (FailoverConfig, "suspend_jitter"),
     ],
 )

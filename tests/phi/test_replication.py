@@ -44,8 +44,6 @@ class TestConfigValidation:
             ReplicationConfig(n_replicas=0)
         with pytest.raises(ValueError):
             ReplicationConfig(anti_entropy_period_s=0)
-        with pytest.raises(ValueError):
-            ReplicationConfig(quorum_staleness_s=0)
 
     def test_mesh_edge_validation(self):
         sim = Simulator()

@@ -53,19 +53,15 @@ class TestFeeder:
         assert feeder.skipped == 1
         assert store.sample_count(LOCATION) == 1
 
-    def test_wrap_chains_callback(self):
+    def test_wrap_records_the_sender(self):
         store = ObservationStore()
         feeder = PredictionFeeder(store, LOCATION)
-        seen = []
 
         class FakeSender:
             def __init__(self):
                 self.stats = stats()
 
-        callback = feeder.wrap(seen.append)
-        sender = FakeSender()
-        callback(sender)
-        assert seen == [sender]
+        feeder.wrap()(FakeSender())
         assert feeder.recorded == 1
 
     def test_end_to_end_with_real_flows(self):

@@ -16,6 +16,7 @@ from repro.prediction import (
     PerformancePredictor,
     e_model_mos,
 )
+from repro.prediction.history import MAX_PER_LOCATION
 
 
 def obs(location=("isp-a", "nyc"), t=0.0, mbps=10.0, rtt=50.0, loss=0.0):
@@ -34,24 +35,12 @@ class TestObservationStore:
         assert len(recent) == 2
         assert recent[-1].timestamp == 2.0
 
-    def test_since_filter(self):
-        store = ObservationStore()
-        for t in (1.0, 2.0, 3.0):
-            store.record(obs(t=t))
-        assert len(store.recent(("isp-a", "nyc"), since=2.0)) == 2
-
-    def test_limit(self):
-        store = ObservationStore()
-        for t in range(10):
-            store.record(obs(t=float(t)))
-        assert len(store.recent(("isp-a", "nyc"), limit=3)) == 3
-
     def test_bounded_history(self):
-        store = ObservationStore(max_per_location=5)
-        for t in range(10):
+        store = ObservationStore()
+        for t in range(MAX_PER_LOCATION + 5):
             store.record(obs(t=float(t)))
         recent = store.recent(("isp-a", "nyc"))
-        assert len(recent) == 5
+        assert len(recent) == MAX_PER_LOCATION
         assert recent[0].timestamp == 5.0
 
     def test_locations_and_counts(self):
@@ -69,10 +58,6 @@ class TestObservationStore:
             obs(rtt=-1)
         with pytest.raises(ValueError):
             obs(loss=2.0)
-
-    def test_store_validation(self):
-        with pytest.raises(ValueError):
-            ObservationStore(max_per_location=0)
 
 
 class TestEModel:
@@ -150,7 +135,7 @@ class TestPredictor:
     def test_insufficient_history_low_confidence(self):
         store = ObservationStore()
         store.record(obs())
-        predictor = PerformancePredictor(store, min_samples=3)
+        predictor = PerformancePredictor(store)
         prediction = predictor.predict_download_time(("isp-a", "nyc"), 1000)
         assert prediction.confidence is Confidence.LOW
 
@@ -186,7 +171,3 @@ class TestPredictor:
         slow = predictor.predict_download_time(("isp-a", "nyc"), 1_000_000)
         fast = predictor.predict_download_time(("isp-b", "lon"), 1_000_000)
         assert slow.expected_seconds > fast.expected_seconds * 10
-
-    def test_min_samples_validation(self):
-        with pytest.raises(ValueError):
-            PerformancePredictor(ObservationStore(), min_samples=0)

@@ -48,8 +48,7 @@ class TestTrainerOnToyObjectives:
             dimensions=WhiskerTable.CLASSIC_DIMENSIONS,
             max_evaluations=200,
             max_splits=1,
-            improvement_threshold=1e9,  # never accept actions; just split
-        )
+        )  # a constant score accepts no action; the table only splits
         result = trainer.train()
         assert len(result.table) == 8
 

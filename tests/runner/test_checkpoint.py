@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.runner import checkpoint
 from repro.runner.cache import DiskCache, NullCache
 from repro.runner.checkpoint import CheckpointError, SweepJournal, sweep_key
 from repro.runner.core import SweepRunner, SweepSpec
@@ -153,7 +154,7 @@ class TestSweepKey:
         spec = SweepSpec(preset=mini_preset)
         assert sweep_key(spec, mini_grid, 2, 0) == sweep_key(spec, mini_grid, 2, 0)
 
-    def test_key_covers_every_identifying_input(self, mini_preset, mini_grid):
+    def test_key_covers_every_identifying_input(self, mini_preset, mini_grid, monkeypatch):
         spec = SweepSpec(preset=mini_preset)
         base = sweep_key(spec, mini_grid, 2, 0)
         assert sweep_key(spec, mini_grid[:2], 2, 0) != base  # grid
@@ -162,10 +163,8 @@ class TestSweepKey:
         assert sweep_key(spec, mini_grid, 2, 7) != base  # base_seed
         shorter = SweepSpec(preset=mini_preset, duration_s=1.0)
         assert sweep_key(shorter, mini_grid, 2, 0) != base  # duration
-        assert (
-            sweep_key(spec, mini_grid, 2, 0, engine_signature="other-engine")
-            != base
-        )  # engine version
+        monkeypatch.setattr(checkpoint, "ENGINE_SIGNATURE", "other-engine")
+        assert sweep_key(spec, mini_grid, 2, 0) != base  # engine version
 
 
 @pytest.mark.fault

@@ -23,7 +23,6 @@ from repro.simnet.engine import SimulationStalled, WatchdogConfig
 
 from .conftest import MINI_GRID, MINI_PRESET
 
-OUTAGE = ("outage", 0.5, 0.5)
 POINT = SweepPoint(params=MINI_GRID[0], run_index=0, seed=0)
 
 
@@ -42,11 +41,10 @@ def captures(monkeypatch):
 
 
 def stalling_spec(directory=None):
-    """Every point trips the event watchdog mid-run, after the outage."""
-    full = evaluate_point(SweepSpec(preset=MINI_PRESET, fault=OUTAGE), POINT)
+    """Every point trips the event watchdog late in the run."""
+    full = evaluate_point(SweepSpec(preset=MINI_PRESET), POINT)
     return SweepSpec(
         preset=MINI_PRESET,
-        fault=OUTAGE,
         watchdog=WatchdogConfig(max_events=int(full.events_processed * 0.9)),
         flightrec_dir=directory,
     )

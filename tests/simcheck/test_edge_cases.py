@@ -74,7 +74,7 @@ class TestInterruptedRuns:
         for source in sources:
             source.stop()  # aborts whatever is still in flight
             aborted += sum(
-                1 for stats in source.all_stats(include_active=True)
+                1 for stats in source.all_stats()
                 if not stats.completed
             )
         env.audit()

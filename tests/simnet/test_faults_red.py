@@ -112,14 +112,13 @@ class FakeClock:
 
 
 class TestRedQueue:
-    def _queue(self, ecn=False, **kwargs):
+    def _queue(self, **kwargs):
         defaults = dict(
             capacity_bytes=100_000,
             clock=FakeClock(),
             rng=np.random.default_rng(1),
             min_thresh_bytes=5_000,
             max_thresh_bytes=20_000,
-            ecn=ecn,
         )
         defaults.update(kwargs)
         return RedQueue(**defaults)
@@ -131,8 +130,6 @@ class TestRedQueue:
             self._queue(min_thresh_bytes=30_000)  # above max
         with pytest.raises(ValueError):
             self._queue(max_probability=0.0)
-        with pytest.raises(ValueError):
-            self._queue(weight=2.0)
 
     def test_no_early_drops_below_min_threshold(self):
         q = self._queue()
@@ -141,39 +138,20 @@ class TestRedQueue:
         assert q.early_drops == 0
 
     def test_early_drops_appear_under_sustained_load(self):
-        q = self._queue(weight=0.1)
-        accepted = 0
-        for i in range(200):
-            if q.enqueue(make_data_packet(1, "a", "b", i, 960)):
-                accepted += 1
+        q = self._queue(capacity_bytes=1_000_000)
+        for i in range(600):
+            q.enqueue(make_data_packet(1, "a", "b", i, 960))
         assert q.early_drops > 0
         # RED drops early: occupancy stays below the hard capacity.
-        assert q.bytes_queued < 100_000
+        assert q.stats.dropped_packets == q.early_drops
+        assert q.bytes_queued < 1_000_000
 
     def test_average_tracks_occupancy(self):
-        q = self._queue(weight=0.5)
+        q = self._queue()
         for i in range(20):
             q.enqueue(make_data_packet(1, "a", "b", i, 960))
         assert q.avg_queue_bytes > 0
         assert q.avg_queue_bytes <= q.bytes_queued + 1000
-
-    def test_ecn_marks_instead_of_dropping(self):
-        # Keep the average inside (min_thresh, max_thresh): ECN marks
-        # replace early drops there.  (Above max_thresh RED still drops,
-        # ECN or not, per RFC 3168.)
-        q = self._queue(ecn=True, weight=0.5, max_probability=0.8)
-        marks = 0
-        for i in range(19):
-            q.enqueue(make_data_packet(1, "a", "b", i, 960))
-        assert q.avg_queue_bytes < q.max_thresh
-        assert q.ecn_marks > 0
-        assert q.early_drops == 0
-
-    def test_ecn_still_drops_above_max_threshold(self):
-        q = self._queue(ecn=True, weight=1.0)
-        for i in range(60):
-            q.enqueue(make_data_packet(1, "a", "b", i, 960))
-        assert q.early_drops > 0
 
     def test_average_and_early_probability_follow_floyd_jacobson(self):
         # No simulation: a hand-built enqueue/dequeue sequence, an rng that
@@ -201,11 +179,13 @@ class TestRedQueue:
         assert q.early_drops == 0
 
     def test_forced_drop_above_max_threshold(self):
-        q = self._queue(weight=1.0)  # average == instantaneous
-        dropped = 0
-        for i in range(100):
-            if not q.enqueue(make_data_packet(1, "a", "b", i, 960)):
-                dropped += 1
-        assert dropped > 0
-        # With avg at max_thresh, everything beyond is an early drop.
-        assert q.bytes_queued <= 25_000
+        q = self._queue(capacity_bytes=1_000_000)
+        seq = 0
+        while q.avg_queue_bytes < q.max_thresh:
+            q.enqueue(make_data_packet(1, "a", "b", seq, 960))
+            seq += 1
+        # With the average at max_thresh, every arrival is an early drop.
+        queued, drops = q.bytes_queued, q.early_drops
+        for i in range(seq, seq + 50):
+            assert not q.enqueue(make_data_packet(1, "a", "b", i, 960))
+        assert q.bytes_queued == queued and q.early_drops == drops + 50

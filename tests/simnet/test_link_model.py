@@ -337,22 +337,21 @@ class TestQueueDisciplinesBehindTheLink:
         for link_class in (ReferenceLink, Link):
             sim = Simulator()
             queue = RedQueue(
-                20_000,
+                1_000_000,
                 lambda sim=sim: sim.now,
                 np.random.default_rng(7),
                 min_thresh_bytes=2_000,
                 max_thresh_bytes=8_000,
                 max_probability=0.5,
-                weight=0.5,
             )
             link = make(link_class, sim, queue)
-            for seq in range(60):  # 3 packets per serialization time
+            for seq in range(400):  # 3 packets per serialization time
                 sim.schedule_at(seq * 0.00033, link.send, packet(seq))
             sim.run()
             audit_link(link, sim.now)
             outcomes[link_class] = (link.dst_node.arrivals, queue.early_drops)
         arrivals, early_drops = outcomes[Link]
-        assert early_drops > 0 and len(arrivals) == 60 - early_drops
+        assert early_drops > 0 and len(arrivals) == 400 - early_drops
         assert [seq for _, seq in arrivals] == sorted(seq for _, seq in arrivals)
         assert outcomes[Link] == outcomes[ReferenceLink]
 

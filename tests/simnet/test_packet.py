@@ -26,17 +26,9 @@ class TestPackets:
         assert ack.kind is PacketKind.ACK
         assert ack.seq == 1460
 
-    def test_ack_echo_timestamp(self):
-        ack = make_ack_packet(1, "b", "a", 100, echo_timestamp=3.25)
-        assert ack.echo_timestamp == 3.25
-
     def test_packet_ids_unique(self):
         ids = {make_data_packet(1, "a", "b", i, 10).packet_id for i in range(100)}
         assert len(ids) == 100
-
-    def test_retransmit_flag(self):
-        p = make_data_packet(1, "a", "b", 0, 100, is_retransmit=True)
-        assert p.is_retransmit
 
     def test_default_mss(self):
         assert MSS_BYTES == 1460

@@ -143,7 +143,6 @@ class EagerQueue:
         self.capacity_bytes = capacity_bytes
         self.by_priority = by_priority
         self.held = []
-        self.dropped = []
         self.integrated_to = created_at
         self.stats = dict.fromkeys(QUEUE_STATS_FIELDS, 0)
         self.stats["occupancy_byte_seconds"] = 0.0
@@ -171,7 +170,6 @@ class EagerQueue:
         ):
             stats["dropped_packets"] += 1
             stats["dropped_bytes"] += packet.size_bytes
-            self.dropped.append(packet)
             return packet.enqueued_at
         self.held.append(packet)
         stats["enqueued_packets"] += 1
@@ -207,12 +205,12 @@ class EagerQueue:
         return drained
 
 
-def _never_red(capacity_bytes, clock, on_drop):
+def _never_red(capacity_bytes, clock):
     # Thresholds far above the capacity: the average never reaches them,
     # so no early decision is taken and no random number is drawn.
     return RedQueue(
         capacity_bytes, clock, np.random.default_rng(0),
-        min_thresh_bytes=1e9, max_thresh_bytes=2e9, on_drop=on_drop,
+        min_thresh_bytes=1e9, max_thresh_bytes=2e9,
     )
 
 
@@ -253,8 +251,7 @@ def _references_after(ops):
 
 def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
     clock = FakeClock(t=7.25)  # created mid-simulation
-    dropped = []
-    q = factory(ORACLE_CAPACITY, clock, dropped.append)
+    q = factory(ORACLE_CAPACITY, clock)
     ref = EagerQueue(ORACLE_CAPACITY, clock.t, by_priority)
     # The caller's reading, when it supplies one; the queue must then
     # not take its own.
@@ -289,7 +286,6 @@ def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
             assert getattr(q.stats, field) == ref.stats[field], f"{where}: {field}"
         assert len(q) == q.packets_queued == len(ref.held), where
         assert q.bytes_queued == ref.bytes_held(), where
-        assert dropped == ref.dropped, where
         q.assert_conservation()
     return ref
 

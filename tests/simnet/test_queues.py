@@ -58,13 +58,6 @@ class TestDropTailBasics:
         assert not q.enqueue(data(payload=1000))
         assert q.stats.dropped_packets == 1
 
-    def test_drop_callback_invoked(self):
-        dropped = []
-        q = DropTailQueue(1000, FakeClock(), on_drop=dropped.append)
-        q.enqueue(data(payload=900))
-        q.enqueue(data(seq=99, payload=900))
-        assert len(dropped) == 1 and dropped[0].seq == 99
-
     def test_small_packet_can_fit_after_big_drop(self):
         # Drop tail drops only the arriving packet; later smaller ones fit.
         q = DropTailQueue(2000, FakeClock())

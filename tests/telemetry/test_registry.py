@@ -23,7 +23,6 @@ class TestHelpers:
 
     def test_mean_empty_uses_default(self):
         assert mean([]) == 0.0
-        assert mean([], default=-1.0) == -1.0
 
     def test_flat_key_without_labels(self):
         assert flat_key("sim.events", ()) == "sim.events"

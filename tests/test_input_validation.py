@@ -47,16 +47,13 @@ INTEGER_CASES = CASES + (2.5,)
 
 #: Config dataclasses -> the valid arguments they cannot default.
 CONFIGS = {
-    "repro.diagnosis.detector.DetectorConfig": {},
     "repro.diagnosis.events.OutageSpec": dict(start_bin=0, duration_bins=1, severity=0.5),
-    "repro.diagnosis.events.TelemetryConfig": {},
     "repro.experiments.dumbbell.ScenarioPreset": dict(
         name="p", config=DumbbellConfig(), workload=None, duration_s=1.0, description=""
     ),
     "repro.experiments.faultsweep.FaultSpec": dict(
         scenario=DEGRADED, preset=TABLE3_REMY, policy=REFERENCE_POLICY
     ),
-    "repro.ipfix.traffic.TrafficModelConfig": {},
     "repro.phi.channel.ChannelConfig": {},
     "repro.phi.context.CongestionContext": dict(
         utilization=0.5, queue_delay_s=0.0, competing_senders=1.0

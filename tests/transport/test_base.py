@@ -10,7 +10,13 @@ from repro.simnet import (
     FlowSpec,
     Simulator,
 )
-from repro.transport.base import ConnectionStats, RttEstimator, TcpSender
+from repro.transport.base import (
+    MAX_RTO_S,
+    MIN_RTO_S,
+    ConnectionStats,
+    RttEstimator,
+    TcpSender,
+)
 from repro.transport.sink import TcpSink
 
 
@@ -221,14 +227,14 @@ class TestRttEstimator:
         for _ in range(10):
             est.observe(0.1)
         assert est.rto >= 0.1
-        assert est.rto >= est.min_rto
+        assert est.rto >= MIN_RTO_S
 
     def test_backoff_doubles(self):
         est = RttEstimator()
         est.observe(0.5)
         before = est.rto
         est.backoff()
-        assert est.rto == pytest.approx(min(est.max_rto, before * 2))
+        assert est.rto == pytest.approx(min(MAX_RTO_S, before * 2))
 
     def test_min_rtt_tracks_minimum(self):
         est = RttEstimator()
@@ -248,7 +254,7 @@ class TestRttEstimator:
         est = RttEstimator()
         for rtt in samples:
             est.observe(rtt)
-            assert est.min_rto <= est.rto <= est.max_rto
+            assert MIN_RTO_S <= est.rto <= MAX_RTO_S
 
     @given(st.lists(st.floats(min_value=0.001, max_value=5.0), min_size=1, max_size=100))
     @settings(max_examples=50)

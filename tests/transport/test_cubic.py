@@ -135,10 +135,6 @@ class TestCubicBehaviour:
         assert done
         assert top.bottleneck_queue.stats.dropped_packets > 0
 
-    def test_tcp_friendliness_flag(self):
-        sender, _, _ = run_cubic(10_000, tcp_friendliness=False)
-        assert sender.tcp_friendliness is False
-
     def test_timeout_event_resets_window(self):
         sender, _, _ = run_cubic(10_000)
         sender.cwnd = 40.0

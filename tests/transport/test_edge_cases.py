@@ -1,7 +1,6 @@
 """Edge-case tests across the transport layer."""
 
 from repro.ipfix import IpfixCollector, sharing_ccdf
-from repro.prediction import ObservationStore, PerformancePredictor
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
 from repro.transport import CubicParams, CubicSender, TcpSender, TcpSink
 
@@ -62,25 +61,3 @@ class TestCubicFriendlyRegion:
 class TestIpfixEdges:
     def test_ccdf_empty_collector(self):
         assert sharing_ccdf(IpfixCollector()) == []
-
-
-class TestPredictionSinceFilter:
-    def test_since_excludes_stale_history(self):
-        from repro.prediction import PerfObservation
-
-        store = ObservationStore()
-        # Old era: slow; new era: fast.
-        for t in range(10):
-            store.record(
-                PerfObservation(("isp", "m"), float(t), 1.0, 100.0, 0.0)
-            )
-        for t in range(10, 20):
-            store.record(
-                PerfObservation(("isp", "m"), float(t), 20.0, 100.0, 0.0)
-            )
-        predictor = PerformancePredictor(store)
-        all_history = predictor.predict_download_time(("isp", "m"), 1_000_000)
-        recent_only = predictor.predict_download_time(
-            ("isp", "m"), 1_000_000, since=10.0
-        )
-        assert recent_only.expected_seconds < all_history.expected_seconds

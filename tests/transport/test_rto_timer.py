@@ -136,7 +136,9 @@ def make_sender(flow_bytes=100_000):
 
 
 def ack(seq, echo):
-    return make_ack_packet(1, "peer", "stub", seq, echo_timestamp=echo)
+    packet = make_ack_packet(1, "peer", "stub", seq)
+    packet.echo_timestamp = echo
+    return packet
 
 
 class TestDeadlineTimer:
@@ -294,12 +296,12 @@ class TestRfc6298:
         assert est.rto == MAX_RTO_S
 
     def test_min_clamp_is_a_floor_on_every_rto(self):
-        est = RttEstimator(min_rto=1.0, max_rto=2.0)
+        est = RttEstimator()
         est.observe(0.001)
-        assert est.rto == pytest.approx(1.001)  # srtt + max(4 * rttvar, G)
-        assert est.rto >= est.min_rto
-        est.observe(3.0)
-        assert est.rto == 2.0
+        assert est.rto == pytest.approx(0.001 + MIN_RTO_S)  # srtt + max(4 * rttvar, G)
+        assert est.rto >= MIN_RTO_S
+        est.observe(100.0)
+        assert est.rto == MAX_RTO_S
 
     def test_backoff_doubles_up_to_the_cap_and_a_sample_resets_it(self):
         est = RttEstimator()

@@ -32,9 +32,8 @@ def bare_sender(sender_cls=TcpSender, **kwargs):
 
 
 def ack_at(sim, sender, spec, t, echo):
-    ack = make_ack_packet(
-        spec.flow_id, spec.dst, spec.src, 0, echo_timestamp=echo
-    )
+    ack = make_ack_packet(spec.flow_id, spec.dst, spec.src, 0)
+    ack.echo_timestamp = echo
     sim.schedule_at(t, sender.handle_packet, ack)
 
 

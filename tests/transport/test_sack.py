@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
-from repro.simnet.packet import make_ack_packet
+from repro.simnet.packet import MSS_BYTES as M, make_ack_packet
 from repro.transport import CubicSender, TcpSender, TcpSink
 from repro.transport.sink import ByteIntervalSet
 
@@ -38,12 +38,12 @@ class TestByteIntervalSetSackOps:
         assert s.intervals() == [(100, 200)]
 
 
-def make_sender(flow_size=100_000, mss=1000):
+def make_sender(flow_size=100_000):
     sim = Simulator()
     top = DumbbellTopology(sim, DumbbellConfig(n_senders=1))
     spec = FlowSpec(1, top.senders[0].name, 1, top.receivers[0].name, 443)
     TcpSink(sim, top.receivers[0], spec)
-    sender = TcpSender(sim, top.senders[0], spec, flow_size, mss=mss)
+    sender = TcpSender(sim, top.senders[0], spec, flow_size)
     return sim, top, spec, sender
 
 
@@ -57,25 +57,25 @@ class TestScoreboard:
     def test_sack_blocks_recorded(self):
         sim, top, spec, sender = make_sender()
         sender.start()
-        sender.snd_nxt = 10_000
-        sender.handle_packet(self.ack(spec, 0, [(2000, 4000)]))
-        assert sender._sacked.covers(2000)
-        assert not sender._sacked.covers(4000)
+        sender.snd_nxt = 10 * M
+        sender.handle_packet(self.ack(spec, 0, [(2 * M, 4 * M)]))
+        assert sender._sacked.covers(2 * M)
+        assert not sender._sacked.covers(4 * M)
 
     def test_pipe_excludes_sacked(self):
         sim, top, spec, sender = make_sender()
         sender.start()
-        sender.snd_nxt = 10_000
+        sender.snd_nxt = 10 * M
         assert sender.pipe_segments == pytest.approx(10.0)
-        sender.handle_packet(self.ack(spec, 0, [(2000, 5000)]))
+        sender.handle_packet(self.ack(spec, 0, [(2 * M, 5 * M)]))
         assert sender.pipe_segments == pytest.approx(7.0)
 
     def test_cumulative_ack_prunes_scoreboard(self):
         sim, top, spec, sender = make_sender()
         sender.start()
-        sender.snd_nxt = 10_000
-        sender.handle_packet(self.ack(spec, 0, [(2000, 5000)]))
-        sender.handle_packet(self.ack(spec, 6000))
+        sender.snd_nxt = 10 * M
+        sender.handle_packet(self.ack(spec, 0, [(2 * M, 5 * M)]))
+        sender.handle_packet(self.ack(spec, 6 * M))
         assert sender._sacked.total_bytes == 0
 
     def test_stale_blocks_beyond_snd_nxt_ignored(self):
@@ -85,36 +85,36 @@ class TestScoreboard:
         scoreboard would then cover more than is outstanding."""
         sim, top, spec, sender = make_sender()
         sender.start()
-        sender.snd_nxt = 1000  # post-RTO horizon: one segment outstanding
-        sender.handle_packet(self.ack(spec, 0, [(1000, 4000)]))
+        sender.snd_nxt = M  # post-RTO horizon: one segment outstanding
+        sender.handle_packet(self.ack(spec, 0, [(M, 4 * M)]))
         assert sender._sacked.total_bytes == 0
         # A block straddling the horizon keeps only its in-horizon part.
-        sender.snd_nxt = 2000
-        sender.handle_packet(self.ack(spec, 0, [(1000, 4000)]))
-        assert sender._sacked.total_bytes == 1000
-        assert sender._sacked.covers(1000) and not sender._sacked.covers(2000)
+        sender.snd_nxt = 2 * M
+        sender.handle_packet(self.ack(spec, 0, [(M, 4 * M)]))
+        assert sender._sacked.total_bytes == M
+        assert sender._sacked.covers(M) and not sender._sacked.covers(2 * M)
         outstanding = sender.snd_nxt - sender.snd_una
         assert sender._sacked.total_bytes <= outstanding
 
     def test_next_hole_skips_sacked(self):
         sim, top, spec, sender = make_sender()
         sender.start()
-        sender.snd_nxt = 10_000
-        sender.recovery_point = 10_000
-        sender.handle_packet(self.ack(spec, 0, [(1000, 3000)]))
-        sender.handle_packet(self.ack(spec, 0, [(1000, 3000)]))
+        sender.snd_nxt = 10 * M
+        sender.recovery_point = 10 * M
+        sender.handle_packet(self.ack(spec, 0, [(M, 3 * M)]))
+        sender.handle_packet(self.ack(spec, 0, [(M, 3 * M)]))
         # First hole is segment 0; after that, the sacked range is skipped.
-        assert sender._next_hole() in (0, 3000)
+        assert sender._next_hole() in (0, 3 * M)
 
     def test_three_dupacks_trigger_recovery_and_repair(self):
         sim, top, spec, sender = make_sender()
         sender.start()
         sim.run(until=0.01)  # initial window sent
-        sender.snd_nxt = 10_000
+        sender.snd_nxt = 10 * M
         sender.cwnd = 10.0
         before = sender.stats.retransmits
         for __ in range(3):
-            sender.handle_packet(self.ack(spec, 0, [(1000, 4000)]))
+            sender.handle_packet(self.ack(spec, 0, [(M, 4 * M)]))
         assert sender.in_recovery
         assert sender.stats.fast_retransmits == 1
         assert sender.stats.retransmits > before
@@ -125,20 +125,20 @@ class TestScoreboard:
         sim, top, spec, sender = make_sender()
         sender.start()
         sim.run(until=0.01)
-        sender.snd_nxt = 10_000
+        sender.snd_nxt = 10 * M
         sender.cwnd = 10.0
         for __ in range(3):
-            sender.handle_packet(self.ack(spec, 0, [(1000, 4000)]))
+            sender.handle_packet(self.ack(spec, 0, [(M, 4 * M)]))
         assert sender.in_recovery
-        sender.handle_packet(self.ack(spec, 10_000))
+        sender.handle_packet(self.ack(spec, 10 * M))
         assert not sender.in_recovery
         assert sender._recovery_retransmitted == set()
 
     def test_rto_clears_scoreboard(self):
         sim, top, spec, sender = make_sender()
         sender.start()
-        sender.snd_nxt = 10_000
-        sender.handle_packet(self.ack(spec, 0, [(2000, 4000)]))
+        sender.snd_nxt = 10 * M
+        sender.handle_packet(self.ack(spec, 0, [(2 * M, 4 * M)]))
         sender._on_rto()
         assert sender._sacked.total_bytes == 0
         assert not sender.in_recovery

@@ -191,7 +191,8 @@ class TestTcpSink:
         sim, top, spec, sink = self._make()
         acks = []
         top.receivers[0].send = lambda p: acks.append(p)
-        packet = make_data_packet(1, "client", spec.dst, 0, 100, sent_at=1.25)
+        packet = make_data_packet(1, "client", spec.dst, 0, 100)
+        packet.sent_at = 1.25
         sink.handle_packet(packet)
         assert acks[0].echo_timestamp == 1.25
 
@@ -199,9 +200,9 @@ class TestTcpSink:
         sim, top, spec, sink = self._make()
         acks = []
         top.receivers[0].send = lambda p: acks.append(p)
-        sink.handle_packet(
-            make_data_packet(1, "client", spec.dst, 0, 100, is_retransmit=True)
-        )
+        packet = make_data_packet(1, "client", spec.dst, 0, 100)
+        packet.is_retransmit = True
+        sink.handle_packet(packet)
         assert acks[0].is_retransmit
 
     def test_duplicate_data_counted(self):

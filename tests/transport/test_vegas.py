@@ -19,15 +19,6 @@ def run_vegas(flow_bytes=1_000_000, config=None, until=120.0, **kwargs):
 
 
 class TestVegas:
-    def test_parameter_validation(self):
-        sim = Simulator()
-        top = DumbbellTopology(sim, DumbbellConfig(n_senders=1))
-        spec = FlowSpec(1, top.senders[0].name, 1, top.receivers[0].name, 443)
-        with pytest.raises(ValueError):
-            VegasSender(sim, top.senders[0], spec, 1000, alpha=0.0)
-        with pytest.raises(ValueError):
-            VegasSender(sim, top.senders[0], spec, 1000, alpha=5.0, beta=3.0)
-
     def test_flow_completes(self):
         sender, _, done = run_vegas()
         assert done and sender.stats.completed

@@ -11,7 +11,7 @@ from repro.simnet import (
     Simulator,
 )
 from repro.transport import CubicSender
-from repro.workload import PoissonConfig, PoissonFlowGenerator
+from repro.workload import PoissonConfig, PoissonFlowGenerator, poisson
 
 
 def cubic_factory(sim, host, spec, size, done):
@@ -88,9 +88,10 @@ class TestGenerator:
         generator.stop()
         assert generator.concurrent_flows == 0
 
-    def test_max_concurrent_rejects(self):
+    def test_max_concurrent_rejects(self, monkeypatch):
+        monkeypatch.setattr(poisson, "MAX_CONCURRENT", 3)
         config = PoissonConfig(arrival_rate_per_s=50.0, mean_flow_bytes=1_000_000)
-        sim, top, generator = build_generator(config, max_concurrent=3)
+        sim, top, generator = build_generator(config)
         generator.start()
         sim.run(until=5.0)
         assert generator.concurrent_flows <= 3
