@@ -26,7 +26,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..metrics.summary import RunMetrics
 from ..transport.base import ConnectionStats
 from ..transport.cubic import CubicParams
-from .hashing import content_hash
 
 
 def rtt_digest(samples: Sequence[float]) -> str:
@@ -102,15 +101,6 @@ class FlowRecord(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FlowRecord":
-        if "rtt_samples" in data:
-            # Stored before records held a digest: pin the sample list
-            # the same way, so it compares equal to a fresh run.
-            if "rtt_count" in data or "rtt_digest" in data:
-                raise ValueError("flow record has both RTT layouts")
-            samples = list(map(float, data["rtt_samples"]))
-            count, digest = len(samples), rtt_digest(samples)
-        else:
-            count, digest = int(data["rtt_count"]), str(data["rtt_digest"])
         return cls(
             int(data["flow_id"]),
             float(data["start_time"]),
@@ -121,8 +111,8 @@ class FlowRecord(NamedTuple):
             int(data["retransmits"]),
             int(data["timeouts"]),
             int(data["fast_retransmits"]),
-            count,
-            digest,
+            int(data["rtt_count"]),
+            str(data["rtt_digest"]),
             math.inf if data["min_rtt"] is None else float(data["min_rtt"]),
             bool(data["completed"]),
         )
@@ -262,27 +252,21 @@ def encode_record(result: PointResult) -> str:
 def decode_record(text: str) -> Optional[PointResult]:
     """The result stored in ``text``, or None for any kind of damage.
 
-    A record in :func:`encode_record`'s layout is checked by hashing the
-    stored body as it stands; only a body that matches is parsed.  Any
-    other layout — records written by ``json.dumps`` with its default
-    separators, before this codec existed — is parsed first and checked
-    against the canonical JSON of the parsed payload.
+    The stored body is checked by hashing it as it stands; only a body
+    that matches is parsed.  Text in any other layout is damage,
+    including the records of older versions: the ``json.dumps`` envelope
+    from before this codec, and flows that carried ``rtt_samples`` lists.
     """
+    if not (
+        text.startswith(_HEAD)
+        and text.startswith(_SEP, _DIGEST_END)
+        and text.endswith("}")
+    ):
+        return None
+    body = text[_BODY_START:-1]
+    if _sha256(body) != text[len(_HEAD):_DIGEST_END]:
+        return None
     try:
-        if (
-            text.startswith(_HEAD)
-            and text.startswith(_SEP, _DIGEST_END)
-            and text.endswith("}")
-        ):
-            body = text[_BODY_START:-1]
-            if _sha256(body) != text[len(_HEAD):_DIGEST_END]:
-                return None
-            payload = json.loads(body)
-        else:
-            envelope = json.loads(text)
-            payload = envelope["result"]
-            if envelope["checksum"] != content_hash(payload):
-                return None
-        return PointResult.from_dict(payload)
+        return PointResult.from_dict(json.loads(body))
     except (ValueError, KeyError, TypeError):
         return None

@@ -169,10 +169,10 @@ class TestStoredRecord:
             + canonical_json(payload) + "}"
         )
 
-    def test_round_trip_both_layouts(self):
+    def test_round_trip_and_the_old_layout_is_damage(self):
         point = make_point()
         assert decode_record(encode_record(point)) == point
-        assert decode_record(parent_layout(point)) == point
+        assert decode_record(parent_layout(point)) is None
 
     def test_stored_body_tamper_is_damage(self):
         text = encode_record(make_point())
@@ -187,15 +187,14 @@ class TestStoredRecord:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
         data=st.data(),
-        parent=st.booleans(),
         char=st.one_of(
             st.sampled_from('0123456789.eE+-" ,:{}[]\n\tnulltruefalse'),
             st.characters(max_codepoint=255),
         ),
     )
-    def test_one_substituted_character_is_damage_or_harmless(self, data, parent, char):
+    def test_one_substituted_character_is_damage_or_harmless(self, data, char):
         point = make_point()
-        text = parent_layout(point) if parent else encode_record(point)
+        text = encode_record(point)
         at = data.draw(st.integers(0, len(text) - 1))
         assume(text[at] != char)
         decoded = decode_record(text[:at] + char + text[at + 1:])
@@ -271,14 +270,15 @@ class TestDiskCache:
             handle.write("{not json")
         assert cache.get(point.key) is None
 
-    def test_parent_layout_entry_is_served(self, tmp_path):
+    def test_parent_layout_entry_is_evicted(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         point = make_point()
-        with open(os.path.join(str(tmp_path), f"{point.key}.json"), "w") as handle:
+        entry = os.path.join(str(tmp_path), f"{point.key}.json")
+        with open(entry, "w") as handle:
             handle.write(parent_layout(point))
-        assert cache.get(point.key) == point
-        assert cache.stats.hits == 1
-        assert cache.stats.corrupt_evictions == 0
+        assert cache.get(point.key) is None
+        assert cache.stats.corrupt_evictions == 1
+        assert not os.path.exists(entry)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = DiskCache(str(tmp_path))

@@ -127,17 +127,9 @@ def parent_layout_line(result):
 
 
 class TestParentLayout:
-    def test_parent_layout_records_load(self, tmp_path, make_result):
-        records = [make_result(key=f"{i:064d}", seed=i) for i in range(3)]
-        path = tmp_path / "journal.jsonl"
-        path.write_text("".join(map(parent_layout_line, records)), encoding="utf-8")
-        journal = journal_at(tmp_path)
-        assert journal.load() == {record.key: record for record in records}
-        assert journal.corrupt_dropped == 0
-
-    def test_resume_across_layouts_loads_every_record(self, tmp_path, make_result):
+    def test_parent_layout_lines_are_damage_and_heal(self, tmp_path, make_result):
         # A sweep journaled in the old layout, then resumed and appended
-        # to in the new one.
+        # to in the new one: the old lines are dropped, the file healed.
         records = [make_result(key=f"{i:064d}", seed=i) for i in range(4)]
         path = tmp_path / "journal.jsonl"
         path.write_text("".join(map(parent_layout_line, records[:2])), encoding="utf-8")
@@ -145,8 +137,11 @@ class TestParentLayout:
             for record in records[2:]:
                 journal.append(record)
         reader = journal_at(tmp_path)
-        assert reader.load() == {record.key: record for record in records}
-        assert reader.corrupt_dropped == 0
+        assert reader.load() == {record.key: record for record in records[2:]}
+        assert reader.corrupt_dropped == 2
+        assert path.read_text(encoding="utf-8") == "".join(
+            encode_record(record) + "\n" for record in records[2:]
+        )
 
 
 class TestSweepKey:

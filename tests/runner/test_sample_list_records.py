@@ -1,138 +1,54 @@
-"""Records stored with every RTT sample are still served, and equal fresh ones.
+"""A record stored in an older layout is damage: recomputed, never served.
 
-A ``FlowRecord`` holds its RTT samples as a count and a digest.  Caches
-and journals written before that hold each flow's ``rtt_samples`` list
-instead; ``FlowRecord.from_dict`` pins such a list the same way, so the
-record is served and compares ``identical_to`` a fresh run of its point.
-A flow carrying both layouts, or neither, is damage.
+Records hold each flow's RTT samples as a count and a digest, inside the
+one codec's envelope.  Caches and journals written before either carry
+``rtt_samples`` lists, or the ``json.dumps`` envelope.  The disk cache
+evicts such a record, the journal drops the line and heals, and the
+point is recomputed ``identical_to`` a cold run.
 """
 
 import json
-import os
 
 from repro.experiments.scenarios import run_cubic_fixed
 from repro.runner.cache import DiskCache
 from repro.runner.checkpoint import SweepJournal
-from repro.runner.core import SweepPoint, SweepSpec, evaluate_point
+from repro.runner.core import SweepPoint, SweepRunner, SweepSpec, evaluate_point
 from repro.runner.hashing import canonical_json, content_hash
-from repro.runner.records import decode_record, encode_record
+from repro.runner.records import encode_record
 
 from .conftest import MINI_GRID, MINI_PRESET, flow_dict_with_samples
 
-SPEC = SweepSpec(preset=MINI_PRESET)
 
-
-def computed(index):
-    """A fresh point and its payload with every flow's sample list."""
-    point = SweepPoint(params=MINI_GRID[index], run_index=0, seed=index)
-    fresh = evaluate_point(SPEC, point)
-    run = run_cubic_fixed(point.params, MINI_PRESET, seed=point.seed)
-    payload = fresh.to_dict()
-    payload["flows"] = [
+def test_legacy_record_is_recomputed_identical_to_a_cold_run(tmp_path):
+    params = MINI_GRID[0]
+    cold = evaluate_point(SweepSpec(preset=MINI_PRESET), SweepPoint(params, 0, 0))
+    # The cache holds the point with every flow's sample list, under a
+    # valid checksum; the journal holds it in the json.dumps envelope.
+    with_samples = cold.to_dict()
+    with_samples["flows"] = [
         flow_dict_with_samples(stats)
-        for sender in run.per_sender_stats
+        for sender in run_cubic_fixed(params, MINI_PRESET, seed=0).per_sender_stats
         for stats in sender
     ]
-    assert sum(len(flow["rtt_samples"]) for flow in payload["flows"]) > 0
-    return fresh, payload
-
-
-def stored(payload):
-    """``payload`` in the one codec's envelope, checksum and all."""
-    return (
-        '{"checksum":"' + content_hash(payload) + '","result":'
-        + canonical_json(payload) + "}"
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / f"{cold.key}.json").write_text(
+        '{"checksum":"' + content_hash(with_samples) + '","result":'
+        + canonical_json(with_samples) + "}"
     )
+    runner = SweepRunner(
+        MINI_PRESET, n_workers=1, cache=DiskCache(str(tmp_path / "cache")),
+        checkpoint_dir=str(tmp_path / "journal"), resume=True,
+    )
+    journal = SweepJournal.for_sweep(str(tmp_path / "journal"), runner.spec, [params], 1, 0)
+    with open(journal.path, "w") as handle:
+        handle.write(json.dumps({"checksum": content_hash(cold.to_dict()),
+                                 "result": cold.to_dict()}) + "\n")
 
+    outcome = runner.run([params], n_runs=1, base_seed=0)
 
-def json_dumps_layout(payload):
-    """``payload`` as records were stored before the one codec."""
-    return json.dumps({"checksum": content_hash(payload), "result": payload})
-
-
-class TestSampleListLayout:
-    def test_decodes_identical_to_a_fresh_run(self):
-        fresh, payload = computed(0)
-        for text in (stored(payload), json_dumps_layout(payload)):
-            decoded = decode_record(text)
-            assert decoded is not None
-            assert decoded.identical_to(fresh)
-            assert decoded == fresh
-
-    def test_disk_cache_serves_it(self, tmp_path):
-        fresh, payload = computed(0)
-        cache = DiskCache(str(tmp_path))
-        with open(os.path.join(str(tmp_path), f"{fresh.key}.json"), "w") as handle:
-            handle.write(stored(payload))
-        served = cache.get(fresh.key)
-        assert served is not None and served.identical_to(fresh)
-        assert cache.stats.hits == 1
-        assert cache.stats.corrupt_evictions == 0
-
-    def test_journal_mixing_both_layouts_loads_every_line(self, tmp_path):
-        points = [computed(index) for index in range(3)]
-        path = tmp_path / "journal.jsonl"
-        path.write_text(
-            stored(points[0][1]) + "\n"
-            + encode_record(points[1][0]) + "\n"
-            + json_dumps_layout(points[2][1]) + "\n"
-        )
-        journal = SweepJournal(str(path))
-        restored = journal.load()
-        assert journal.corrupt_dropped == 0
-        assert len(restored) == 3
-        for fresh, _ in points:
-            assert restored[fresh.key].identical_to(fresh)
-        # Served again after the load, whatever it rewrote.
-        again = SweepJournal(str(path)).load()
-        assert [again[fresh.key] for fresh, _ in points] == [p for p, _ in points]
-
-    def test_new_layout_is_a_count_and_a_digest(self):
-        fresh, payload = computed(0)
-        for new, old in zip(fresh.to_dict()["flows"], payload["flows"]):
-            assert "rtt_samples" not in new
-            assert new["rtt_count"] == len(old["rtt_samples"])
-            assert len(new["rtt_digest"]) == 64
-
-
-class TestLayoutDamage:
-    def _damaged(self, edit):
-        fresh, payload = computed(0)
-        flows = fresh.to_dict()["flows"]
-        edit(flows[0], payload["flows"][0])
-        # A valid checksum: only the flow's layout is wrong.
-        return fresh, stored({**fresh.to_dict(), "flows": flows})
-
-    def _neither(self, new, old):
-        del new["rtt_count"], new["rtt_digest"]
-
-    def _both(self, new, old):
-        new["rtt_samples"] = old["rtt_samples"]
-
-    def _count_only(self, new, old):
-        del new["rtt_digest"]
-
-    def test_neither_both_or_half_is_damage(self):
-        for edit in (self._neither, self._both, self._count_only):
-            _, text = self._damaged(edit)
-            assert decode_record(text) is None, edit.__name__
-
-    def test_cache_evicts_it(self, tmp_path):
-        fresh, text = self._damaged(self._both)
-        cache = DiskCache(str(tmp_path))
-        entry = os.path.join(str(tmp_path), f"{fresh.key}.json")
-        with open(entry, "w") as handle:
-            handle.write(text)
-        assert cache.get(fresh.key) is None
-        assert cache.stats.corrupt_evictions == 1
-        assert not os.path.exists(entry)
-
-    def test_journal_drops_it_and_keeps_the_rest(self, tmp_path):
-        fresh, text = self._damaged(self._neither)
-        other, _ = computed(1)
-        path = tmp_path / "journal.jsonl"
-        path.write_text(text + "\n" + encode_record(other) + "\n")
-        journal = SweepJournal(str(path))
-        restored = journal.load()
-        assert journal.corrupt_dropped == 1
-        assert list(restored) == [other.key]
+    (result,) = outcome.points
+    assert result.identical_to(cold)
+    assert (outcome.cache_hits, outcome.checkpoint_reused) == (0, 0)
+    assert runner.cache.stats.corrupt_evictions == 1
+    with open(journal.path) as handle:
+        assert handle.read() == encode_record(result) + "\n"
