@@ -1,4 +1,4 @@
-"""Ablation: Phi end-host coordination vs in-network RED/ECN.
+"""Ablation: Phi end-host coordination vs in-network RED.
 
 The paper pins the need for coordination on FIFO queueing ("the
 prevalence of FIFO queueing makes the network not incentive

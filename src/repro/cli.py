@@ -772,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                            dest="partition_start_s",
                            help="simulated second the partition begins")
     partition.add_argument("--read-policy", type=ReadPolicy, default=ReadPolicy.ANY,
-                           metavar="{any,nearest,quorum}",
+                           metavar="{any,quorum}",
                            help="replica read policy (default: any)")
     partition.set_defaults(fixed=("read_policy", "partition_start_s"))
 

@@ -413,9 +413,10 @@ def oracle_replication_identity(duration_s: float = 10.0, seed: int = 0) -> Orac
 def oracle_replica_convergence(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
     """Post-heal anti-entropy drives replica divergence below epsilon.
 
-    Three replicas, anti-entropy every second; one replica is severed from its peers while divergent traffic
-    reports land on the majority side; divergence must be visible while
-    the partition stands, then fall below ``epsilon`` within ``rounds``
+    Three replicas, anti-entropy every second; one replica is severed
+    from its peers while divergent traffic reports land on the majority
+    side; divergence must be visible while the partition stands, then
+    fall below ``CONVERGENCE_EPSILON`` within ``CONVERGENCE_ROUNDS``
     anti-entropy periods of the heal — the bounded-convergence guarantee
     the X7 experiment leans on.  Deterministic: no RNG is involved, so
     ``seed`` only labels the outcome.
