@@ -9,9 +9,10 @@ Each must be passed by a call in ``src/``, ``benchmarks/``, ``perf/`` or
 ``ALLOWED`` with its category and reason.
 
 Calls are matched by name, as the AST shows them: a keyword or positional
-argument, ``super().__init__(...)``, ``cls(...)``, ``replace(x, name=)``,
-and a ``**kwargs`` spread resolved one hop back to the keywords the
-enclosing function receives.  Reads source only: no simulation runs.
+argument (also through ``partial(f, ...)``), ``super().__init__(...)``,
+``cls(...)``, ``replace(x, name=)`` for a dataclass field, and a
+``**kwargs`` spread resolved one hop back to the keywords the enclosing
+function receives.  Reads source only: no simulation runs.
 """
 
 import ast
