@@ -84,13 +84,12 @@ class TestTrafficModel:
         assert all(f.packets >= 8 for f in first_minute())
 
     def test_deterministic_given_seed(self):
-        a = [f.four_tuple for f in self._model(seed=3).generate_minute(0)]
-        b = [f.four_tuple for f in self._model(seed=3).generate_minute(0)]
-        assert a == b
+        again = self._model(seed=0).generate_minute(0)
+        assert [f.four_tuple for f in again] == [f.four_tuple for f in first_minute()]
 
     def test_generate_stream(self):
-        batches = list(self._model().generate(3))
-        assert len(batches) == 3
+        batches = list(self._model().generate(2))
+        assert len(batches) == 2
         with pytest.raises(ValueError):
             list(self._model().generate(0))
 
