@@ -18,7 +18,6 @@ from .localize import (
     localize,
     localize_group,
 )
-from .report import IncidentReport, render_incident, severity_grade
 from .timeseries import MAD_TO_SIGMA, BaselinePoint, SeasonalBaseline
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "MAD_TO_SIGMA",
     "BaselinePoint",
     "DetectedDip",
-    "IncidentReport",
     "LocalizedEvent",
     "OutageSpec",
     "SeasonalBaseline",
@@ -38,7 +36,5 @@ __all__ = [
     "group_dips",
     "localize",
     "localize_group",
-    "render_incident",
-    "severity_grade",
     "slice_keys",
 ]

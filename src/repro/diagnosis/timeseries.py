@@ -90,11 +90,6 @@ class SeasonalBaseline:
         self._fitted = points
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._fitted is not None
-
     def expected(self, bin_index: int) -> BaselinePoint:
         """The learned profile at ``bin_index``'s phase."""
         if self._fitted is None:

@@ -126,17 +126,6 @@ class ScenarioResult:
     connections: int
     events_processed: int = 0
 
-    def sender_metrics(self, indices: Sequence[int]) -> RunMetrics:
-        """Metrics restricted to a subset of sender slots (Figure 4)."""
-        stats: List[ConnectionStats] = []
-        for index in indices:
-            stats.extend(self.per_sender_stats[index])
-        return summarize_connections(
-            stats,
-            bottleneck_loss_rate=self.bottleneck_drop_rate,
-            mean_utilization=self.mean_utilization,
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioPreset:

@@ -8,7 +8,7 @@ from .analysis import (
     sharing_ccdf,
     sharing_stats,
 )
-from .collector import IpfixCollector, SlotSummary
+from .collector import IpfixCollector
 from .records import EgressFlow, SampledHeader, dst_slash24, minute_slice
 from .sampler import PAPER_SAMPLING_RATE, IpfixSampler
 from .traffic import EgressTrafficModel
@@ -22,7 +22,6 @@ __all__ = [
     "IpfixSampler",
     "SampledHeader",
     "SharingStats",
-    "SlotSummary",
     "companion_counts",
     "dst_slash24",
     "minute_slice",

@@ -8,7 +8,6 @@ granularity (/24 subnet and 1-minute time slice)" and counts the unique
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
 from .records import FourTuple, SampledHeader
@@ -17,51 +16,23 @@ SlotKey = Tuple[str, int]
 """(destination /24, minute index)."""
 
 
-@dataclass(frozen=True)
-class SlotSummary:
-    """One (/24, minute) aggregation slot."""
-
-    subnet: str
-    minute: int
-    unique_flows: int
-    sampled_packets: int
-
-
 class IpfixCollector:
     """Receives sampled headers and maintains per-slot flow sets."""
 
     def __init__(self) -> None:
         self._slots: Dict[SlotKey, Set[FourTuple]] = defaultdict(set)
-        self._packets: Dict[SlotKey, int] = defaultdict(int)
         self.headers_received = 0
 
     def ingest(self, header: SampledHeader) -> None:
         """Fold one sampled header into the aggregation."""
         key = (header.dst_subnet, header.minute)
         self._slots[key].add(header.four_tuple)
-        self._packets[key] += 1
         self.headers_received += 1
 
     def ingest_many(self, headers: Iterable[SampledHeader]) -> None:
         """Fold a batch of sampled headers in."""
         for header in headers:
             self.ingest(header)
-
-    def slot_flow_counts(self) -> Dict[SlotKey, int]:
-        """Unique 4-tuples per (/24, minute) slot."""
-        return {key: len(flows) for key, flows in self._slots.items()}
-
-    def slot_summaries(self) -> List[SlotSummary]:
-        """All slots, as summary records."""
-        return [
-            SlotSummary(
-                subnet=subnet,
-                minute=minute,
-                unique_flows=len(flows),
-                sampled_packets=self._packets[(subnet, minute)],
-            )
-            for (subnet, minute), flows in self._slots.items()
-        ]
 
     def flows_with_slot_sizes(self) -> List[Tuple[FourTuple, int]]:
         """Every observed (flow, slot-size) pair.

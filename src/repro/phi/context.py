@@ -105,10 +105,6 @@ class CongestionContext:
             rank = max(rank, len(_FAIR_SHARE_ASCENDING) - exceeded)
         return _LEVELS_ASCENDING[rank]
 
-    def is_stale(self, now: float, max_age_s: float) -> bool:
-        """Whether this snapshot is older than ``max_age_s``."""
-        return (now - self.timestamp) > max_age_s
-
     @classmethod
     def idle(cls) -> "CongestionContext":
         """The context of a quiet network at time zero."""

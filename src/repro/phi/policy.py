@@ -41,12 +41,6 @@ class PolicyTable:
         """The parameter triple for an explicit level."""
         return self._entries[level]
 
-    def with_entry(self, level: CongestionLevel, params: CubicParams) -> "PolicyTable":
-        """A copy with one level's entry replaced."""
-        entries = dict(self._entries)
-        entries[level] = params
-        return PolicyTable(entries)
-
     def as_dict(self) -> Dict[str, dict]:
         """Plain-dict form (keys are level names)."""
         return {

@@ -285,10 +285,6 @@ class Simulator:
         self._watchdog = watchdog
         return watchdog
 
-    def remove_watchdog(self) -> None:
-        """Stop enforcing watchdog limits."""
-        self._watchdog = None
-
     def schedule(
         self,
         delay: float,

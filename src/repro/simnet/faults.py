@@ -292,7 +292,6 @@ class _Window:
         self.sim = sim
         self.start_s = start_s
         self.duration_s = duration_s
-        self.active = False
         self._legs = tuple(_Leg(self, link) for link in links)
         # A link is named as the recorder names it; anything else by its
         # type, so replicas cut together read as one component.
@@ -310,7 +309,6 @@ class _Window:
         return self.start_s + self.duration_s
 
     def _begin(self) -> None:
-        self.active = True
         for leg in self._legs:
             leg._install()
         self._cut()
@@ -318,7 +316,6 @@ class _Window:
         self.sim.schedule(self.duration_s, self._end)
 
     def _end(self) -> None:
-        self.active = False
         for leg in self._legs:
             leg._uninstall()
         self._heal()

@@ -86,7 +86,6 @@ class Link:
         # is still propagating.  Plain int increments, negligible cost.
         self.bytes_offered = 0
         self.packets_offered = 0
-        self.bytes_delivered = 0
         self.packets_delivered = 0
         self.created_at = sim.now
         # Hot-path bindings: serialization happens once per packet per
@@ -146,7 +145,7 @@ class Link:
     def _dequeue_next(self) -> None:
         """The wire cleared with packets waiting: serialize the head."""
         now = self.sim._now
-        packet = self.queue.dequeue(now)
+        packet = self.queue.dequeue()
         if packet is None:  # flushed since this event was armed
             self._dequeue_armed = False
             return
@@ -170,9 +169,7 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         if self.dst_node is None:
             raise RuntimeError(f"link {self.name} has no destination node attached")
-        packet.hops += 1
         self.packets_delivered += 1
-        self.bytes_delivered += packet.size_bytes
         # No flight-recorder emit here: delivery is implied by the
         # transmit record plus the link's fixed delay.
         self.dst_node.receive(packet, self)

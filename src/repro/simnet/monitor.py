@@ -10,7 +10,7 @@ on a fixed period and keep windowed histories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, List
+from typing import Deque
 from collections import deque
 
 from ..telemetry import DEFAULT_BUCKETS, UTILIZATION_BUCKETS
@@ -136,46 +136,19 @@ class LinkMonitor:
 class ActiveFlowTracker:
     """Counts concurrently active flows — the paper's ``n`` dimension.
 
-    Transport agents call :meth:`flow_started` / :meth:`flow_finished`;
+    Workloads call :meth:`flow_started` / :meth:`flow_finished`;
     the Phi context server reads :attr:`active_flows`.
     """
 
     def __init__(self) -> None:
         self.active_flows = 0
-        self.total_flows = 0
-        self.peak_active = 0
-        self._events: List[tuple] = []
 
-    def flow_started(self, flow_id: int, time: float) -> None:
-        """Record that ``flow_id`` became active at ``time``."""
+    def flow_started(self) -> None:
+        """Record that a flow became active."""
         self.active_flows += 1
-        self.total_flows += 1
-        self.peak_active = max(self.peak_active, self.active_flows)
-        self._events.append((time, flow_id, +1))
 
-    def flow_finished(self, flow_id: int, time: float) -> None:
-        """Record that ``flow_id`` completed at ``time``."""
+    def flow_finished(self) -> None:
+        """Record that an active flow completed or was aborted."""
         if self.active_flows <= 0:
             raise RuntimeError("flow_finished without matching flow_started")
         self.active_flows -= 1
-        self._events.append((time, flow_id, -1))
-
-    def mean_active(self) -> float:
-        """Time-weighted mean number of active flows from time 0 to the
-        last start or finish."""
-        if not self._events:
-            return 0.0
-        end = self._events[-1][0]
-        if end <= 0.0:
-            return 0.0
-        active = 0
-        last_time = 0.0
-        weighted = 0.0
-        for time, _flow_id, delta in self._events:
-            if time > end:
-                break
-            if time > last_time:
-                weighted += active * (time - last_time)
-                last_time = time
-            active += delta
-        return weighted / end

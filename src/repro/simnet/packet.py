@@ -54,9 +54,6 @@ class Packet:
         Wire size, including headers; used for serialization and queueing.
     sent_at:
         Time the packet left the sender (stamped by the transport agent).
-    enqueued_at:
-        Time the packet entered the bottleneck queue (stamped by queues for
-        queueing-delay accounting).
     """
 
     __slots__ = (
@@ -69,11 +66,9 @@ class Packet:
         "size_bytes",
         "payload_bytes",
         "sent_at",
-        "enqueued_at",
         "echo_timestamp",
         "is_retransmit",
         "priority",
-        "hops",
         "sack_blocks",
     )
 
@@ -101,14 +96,12 @@ class Packet:
             payload_bytes + HEADER_BYTES if kind is PacketKind.DATA else ACK_BYTES
         )
         self.sent_at = sent_at
-        self.enqueued_at = 0.0
         # None means "no timestamp echoed", which is distinct from a
         # legitimate echo of 0.0 (a packet sent at sim time zero) — see
         # TcpSender._process_ack, which must RTT-sample the latter.
         self.echo_timestamp: Optional[float] = None
         self.is_retransmit = is_retransmit
         self.priority = priority
-        self.hops = 0
         # SACK blocks on ACKs: received byte ranges above the cumulative
         # ACK, as (start, end) tuples (RFC 2018, up to 4 blocks).
         self.sack_blocks: Tuple[Tuple[int, int], ...] = ()

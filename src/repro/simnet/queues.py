@@ -5,11 +5,10 @@ FIFO queueing makes the network not incentive compatible"), so
 :class:`DropTailQueue` is the workhorse.  A priority variant is provided
 for the Section 3.3 prioritization experiments.
 
-All queues account occupancy both in packets and in bytes and keep a
-time-weighted occupancy integral so monitors can report average queue
-depth without sampling artifacts.  Every packet that enters a queue
-leaves through exactly one of three doors — dequeue, drop, or flush —
-so the conservation law
+All queues account occupancy both in packets and in bytes (a time
+series of it is :class:`~repro.simnet.monitor.LinkMonitor`'s to keep).
+Every packet that enters a queue leaves through exactly one of three
+doors — dequeue, drop, or flush — so the conservation law
 
     ``enqueued == dequeued + flushed + still-queued``
 
@@ -40,14 +39,10 @@ class QueueStats:
         "dropped_bytes",
         "flushed_packets",
         "flushed_bytes",
-        "occupancy_byte_seconds",
-        "occupancy_packet_seconds",
-        "last_change_time",
         "peak_packets",
-        "peak_bytes",
     )
 
-    def __init__(self, created_at: float = 0.0) -> None:
+    def __init__(self) -> None:
         self.enqueued_packets = 0
         self.enqueued_bytes = 0
         self.dequeued_packets = 0
@@ -56,14 +51,7 @@ class QueueStats:
         self.dropped_bytes = 0
         self.flushed_packets = 0
         self.flushed_bytes = 0
-        self.occupancy_byte_seconds = 0.0
-        self.occupancy_packet_seconds = 0.0
-        # A queue created mid-simulation must not integrate phantom
-        # empty-queue occupancy back to t=0, so the integral starts at the
-        # owning queue's creation time.
-        self.last_change_time = created_at
         self.peak_packets = 0
-        self.peak_bytes = 0
 
     def drop_rate(self) -> float:
         """Fraction of arriving packets that were dropped."""
@@ -71,18 +59,6 @@ class QueueStats:
         if arrived == 0:
             return 0.0
         return self.dropped_packets / arrived
-
-    def mean_occupancy_bytes(self, elapsed: float) -> float:
-        """Time-averaged queue occupancy in bytes over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.occupancy_byte_seconds / elapsed
-
-    def mean_occupancy_packets(self, elapsed: float) -> float:
-        """Time-averaged queue occupancy in packets over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.occupancy_packet_seconds / elapsed
 
 
 class DropTailQueue:
@@ -94,11 +70,9 @@ class DropTailQueue:
         Maximum queued bytes.  An arriving packet that would exceed this is
         dropped (classic drop tail).  ``None`` means unbounded.
     clock:
-        Zero-argument callable returning the current simulation time; used
-        to stamp packets and integrate occupancy.  The occupancy integral
-        starts at the clock's value at construction, so queues created
-        mid-simulation (a flow joining at t=30) do not accrue phantom
-        empty-queue time from t=0.
+        Zero-argument callable returning the current simulation time; read
+        to stamp a drop's flight-recorder record when :meth:`enqueue` is
+        not handed ``now``.
     """
 
     def __init__(
@@ -120,8 +94,7 @@ class DropTailQueue:
         self._append: Callable[[Packet], None] = self._queue.append
         self._popleft: Callable[[], Packet] = self._queue.popleft
         self._bytes = 0
-        self.created_at = clock()
-        self.stats = QueueStats(created_at=self.created_at)
+        self.stats = QueueStats()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -136,52 +109,28 @@ class DropTailQueue:
         """Current occupancy in packets."""
         return len(self._queue)
 
-    def _integrate_occupancy(self, now: Optional[float] = None) -> float:
-        """Bring both occupancy integrals up to ``now`` (the clock's reading
-        when not given) and return it.  :meth:`enqueue` and :meth:`dequeue`
-        carry the same lines inline; the order of the float operations is
-        part of every pinned trajectory."""
-        if now is None:
-            now = self._clock()
-        stats = self.stats
-        elapsed = now - stats.last_change_time
-        if elapsed > 0:
-            stats.occupancy_byte_seconds += self._bytes * elapsed
-            stats.occupancy_packet_seconds += len(self._queue) * elapsed
-        stats.last_change_time = now
-        return now
-
     def enqueue(self, packet: Packet, now: Optional[float] = None) -> bool:
         """Append ``packet``; returns False (and drops it) when full.
 
         ``now`` is the caller's reading of the queue's clock, for a caller
         that has one in hand (a link does); the queue reads it otherwise.
+        Only a drop's flight-recorder record is stamped with it.
         """
-        if now is None:
-            now = self._clock()
-        stats = self.stats
-        elapsed = now - stats.last_change_time
-        if elapsed > 0:
-            stats.occupancy_byte_seconds += self._bytes * elapsed
-            stats.occupancy_packet_seconds += len(self._queue) * elapsed
-        stats.last_change_time = now
         size = packet.size_bytes
         queued_bytes = self._bytes + size
         if self.capacity_bytes is not None and queued_bytes > self.capacity_bytes:
             self._drop(packet, now)
             return False
-        packet.enqueued_at = now
         self._append(packet)
         self._bytes = queued_bytes
+        stats = self.stats
         stats.enqueued_packets += 1
         stats.enqueued_bytes += size
         if len(self._queue) > stats.peak_packets:
             stats.peak_packets = len(self._queue)
-        if queued_bytes > stats.peak_bytes:
-            stats.peak_bytes = queued_bytes
         return True
 
-    def _drop(self, packet: Packet, now: float) -> None:
+    def _drop(self, packet: Packet, now: Optional[float]) -> None:
         self.stats.dropped_packets += 1
         self.stats.dropped_bytes += packet.size_bytes
         # Flight recorder: the single drop funnel for every queue
@@ -190,7 +139,7 @@ class DropTailQueue:
         rec = _telemetry._active.flightrec
         if rec.enabled:
             rec.simnet(
-                "drop", now, "queue",
+                "drop", self._clock() if now is None else now, "queue",
                 packet.flow_id, packet.packet_id,
                 detail={
                     "queued_bytes": self._bytes,
@@ -198,24 +147,13 @@ class DropTailQueue:
                 },
             )
 
-    def dequeue(self, now: Optional[float] = None) -> Optional[Packet]:
-        """Pop the head packet, or return None when empty (``now`` as for
-        :meth:`enqueue`)."""
-        queued = len(self._queue)
-        if not queued:
-            # Nothing to integrate: an empty queue adds exactly 0.0 to
-            # both occupancy integrals however long it stays empty.
+    def dequeue(self) -> Optional[Packet]:
+        """Pop the head packet, or return None when empty."""
+        if not self._queue:
             return None
-        if now is None:
-            now = self._clock()
-        stats = self.stats
-        elapsed = now - stats.last_change_time
-        if elapsed > 0:
-            stats.occupancy_byte_seconds += self._bytes * elapsed
-            stats.occupancy_packet_seconds += queued * elapsed
-        stats.last_change_time = now
         packet = self._popleft()
         self._bytes -= packet.size_bytes
+        stats = self.stats
         stats.dequeued_packets += 1
         stats.dequeued_bytes += packet.size_bytes
         return packet
@@ -226,7 +164,6 @@ class DropTailQueue:
         Drained packets are credited to the ``flushed_*`` counters so the
         conservation law survives teardown.
         """
-        self._integrate_occupancy()
         drained = self._drain()
         for packet in drained:
             self.stats.flushed_packets += 1

@@ -75,7 +75,7 @@ class RedQueue(DropTailQueue):
         if probability >= 1.0:
             self._count_since_drop = 0
             self.early_drops += 1
-            self._drop_with_stats(packet, now)
+            self._drop(packet, now)
             return False
         if probability > 0.0:
             self._count_since_drop += 1
@@ -86,12 +86,8 @@ class RedQueue(DropTailQueue):
             if self.rng.random() < effective:
                 self._count_since_drop = 0
                 self.early_drops += 1
-                self._drop_with_stats(packet, now)
+                self._drop(packet, now)
                 return False
         else:
             self._count_since_drop = -1
         return super().enqueue(packet, now)
-
-    def _drop_with_stats(self, packet: Packet, now: Optional[float]) -> None:
-        # Route through the base class's drop accounting.
-        self._drop(packet, self._integrate_occupancy(now))

@@ -15,7 +15,7 @@ window ``W_max``, the window follows ``W(t) = C (t - K)^3 + W_max`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional
 
 from ..simnet.engine import Simulator
@@ -57,10 +57,6 @@ class CubicParams:
     def default(cls) -> "CubicParams":
         """Table 1: the stock ns-2 TCP Cubic settings."""
         return cls()
-
-    def with_updates(self, **kwargs: float) -> "CubicParams":
-        """A copy with some fields replaced."""
-        return replace(self, **kwargs)
 
     def as_dict(self) -> dict:
         """Plain-dict form for reports and serialization."""
@@ -128,7 +124,6 @@ class CubicSender(TcpSender):
         self._epoch_start: Optional[float] = None
         self._k = 0.0
         self._origin_window = 0.0
-        self._ack_count = 0
         self._tcp_window = 0.0
 
     # ------------------------------------------------------------------
@@ -136,7 +131,6 @@ class CubicSender(TcpSender):
     # ------------------------------------------------------------------
     def _begin_epoch(self) -> None:
         self._epoch_start = self.sim.now
-        self._ack_count = 0
         if self.cwnd < self._w_max:
             self._k = ((self._w_max - self.cwnd) / CUBIC_C) ** (1.0 / 3.0)
             self._origin_window = self._w_max

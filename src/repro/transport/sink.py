@@ -98,11 +98,6 @@ class ByteIntervalSet:
         """The covered ranges, sorted and disjoint."""
         return list(self._intervals)
 
-    @property
-    def fragment_count(self) -> int:
-        """Number of disjoint ranges currently held."""
-        return len(self._intervals)
-
 
 class TcpSink:
     """Receiver endpoint for one flow: reassembles and ACKs."""
@@ -118,21 +113,14 @@ class TcpSink:
         self.spec = spec
         self.received = ByteIntervalSet()
         self.rcv_nxt = 0
-        self.packets_received = 0
-        self.duplicate_packets = 0
-        self.bytes_received = 0
         host.register_agent(spec.flow_id, self)
 
     def handle_packet(self, packet: Packet) -> None:
         """Process an arriving DATA packet and emit a cumulative ACK."""
         if packet.kind is not _DATA:
             return
-        self.packets_received += 1
         received = self.received
-        delivered = received.add(packet.seq, packet.seq + packet.payload_bytes)
-        self.bytes_received += delivered
-        if delivered == 0:
-            self.duplicate_packets += 1
+        received.add(packet.seq, packet.seq + packet.payload_bytes)
         self.rcv_nxt = rcv_nxt = received.contiguous_from(0)
         spec = self.spec
         ack = Packet(_ACK, spec.flow_id, spec.dst, spec.src, rcv_nxt, 0)

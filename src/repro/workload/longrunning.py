@@ -58,21 +58,21 @@ class LongRunningFlow:
 
     def _start(self) -> None:
         if self.flow_tracker is not None:
-            self.flow_tracker.flow_started(self.spec.flow_id, self.sim.now)
+            self.flow_tracker.flow_started()
         self.sender.start()
 
     def _on_complete(self, sender: TcpSender) -> None:
         # Persistent flows are not expected to drain within an experiment;
         # if one does, it simply stops (stats are kept either way).
         if self.flow_tracker is not None:
-            self.flow_tracker.flow_finished(self.spec.flow_id, self.sim.now)
+            self.flow_tracker.flow_finished()
 
     def finish(self) -> ConnectionStats:
         """Abort (if still running) and return the accumulated stats."""
         if not self.sender.finished:
             self.sender.abort()
             if self.flow_tracker is not None:
-                self.flow_tracker.flow_finished(self.spec.flow_id, self.sim.now)
+                self.flow_tracker.flow_finished()
         self.sink.close()
         return self.sender.stats
 

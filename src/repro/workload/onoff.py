@@ -134,7 +134,7 @@ class OnOffSource:
             self.sim, self.sender_host, spec, flow_size, self._on_connection_done
         )
         if self.flow_tracker is not None:
-            self.flow_tracker.flow_started(flow_id, self.sim.now)
+            self.flow_tracker.flow_started()
         self._active_sender.start()
 
     def _on_connection_done(self, sender: TcpSender) -> None:
@@ -146,9 +146,7 @@ class OnOffSource:
 
     def _teardown_active(self, completed: bool) -> None:
         if self._active_sender is not None and self.flow_tracker is not None:
-            self.flow_tracker.flow_finished(
-                self._active_sender.spec.flow_id, self.sim.now
-            )
+            self.flow_tracker.flow_finished()
         if self._active_sink is not None:
             self._active_sink.close()
         self._active_sender = None

@@ -104,12 +104,12 @@ class PoissonFlowGenerator:
     def stop(self) -> None:
         """Stop arrivals and abort in-flight flows."""
         self._stopped = True
-        for flow_id, (sender, sink) in list(self._active.items()):
+        for sender, sink in list(self._active.values()):
             if not sender.finished:
                 sender.abort()
             sink.close()
             if self.flow_tracker is not None:
-                self.flow_tracker.flow_finished(flow_id, self.sim.now)
+                self.flow_tracker.flow_finished()
         self._active.clear()
 
     def _draw_interarrival(self) -> float:
@@ -144,7 +144,7 @@ class PoissonFlowGenerator:
         )
         self._active[flow_id] = (sender, sink)
         if self.flow_tracker is not None:
-            self.flow_tracker.flow_started(flow_id, self.sim.now)
+            self.flow_tracker.flow_started()
         sender.start()
 
     def _flow_done(self, sender: TcpSender) -> None:
@@ -153,9 +153,4 @@ class PoissonFlowGenerator:
         if entry is not None:
             entry[1].close()
         if self.flow_tracker is not None:
-            self.flow_tracker.flow_finished(sender.spec.flow_id, self.sim.now)
-
-    @property
-    def concurrent_flows(self) -> int:
-        """Flows currently in flight."""
-        return len(self._active)
+            self.flow_tracker.flow_finished()

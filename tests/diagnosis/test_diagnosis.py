@@ -37,7 +37,6 @@ class TestSeasonalBaseline:
     def test_flat_series_expected(self):
         baseline = SeasonalBaseline(24).fit(self._flat_history())
         assert baseline.expected(5).expected == 100.0
-        assert baseline.is_fitted
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):

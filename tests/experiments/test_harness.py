@@ -14,6 +14,7 @@ from repro.experiments import (
 )
 from repro.experiments.dumbbell import ExperimentEnv
 from repro.experiments.scenarios import ScenarioPreset
+from repro.metrics import summarize_connections
 from repro.phi import REFERENCE_POLICY, SharingMode
 from repro.simnet import DumbbellConfig
 from repro.transport import CubicParams, CubicSender
@@ -86,7 +87,11 @@ class TestOnOffRunner:
 
     def test_sender_metrics_subset(self):
         result = run_cubic_fixed(CubicParams.default(), QUICK, seed=0)
-        subset = result.sender_metrics([0, 1])
+        subset = summarize_connections(
+            [stats for slot in (0, 1) for stats in result.per_sender_stats[slot]],
+            bottleneck_loss_rate=result.bottleneck_drop_rate,
+            mean_utilization=result.mean_utilization,
+        )
         full = result.metrics
         assert subset.connections <= full.connections
 

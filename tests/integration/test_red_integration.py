@@ -8,6 +8,7 @@ from repro.simnet import (
     DumbbellConfig,
     DumbbellTopology,
     FlowIdAllocator,
+    LinkMonitor,
     RedQueue,
     RngStreams,
     Simulator,
@@ -23,6 +24,9 @@ def run_with_queue(make_queue, n=8, duration=40.0):
     top = DumbbellTopology(sim, config)
     if make_queue is not None:
         top.bottleneck.queue = make_queue(config, sim)
+    # Queue depth every 100 ms, the same reading the experiments take.
+    monitor = LinkMonitor(sim, top.bottleneck)
+    monitor.start()
 
     def factory(sim_, host, spec, size, done):
         return CubicSender(sim_, host, spec, size, done)
@@ -34,7 +38,8 @@ def run_with_queue(make_queue, n=8, duration=40.0):
     sim.run(until=duration)
     stats = [f.finish() for f in flows]
     queue = top.bottleneck.queue
-    mean_occupancy = queue.stats.mean_occupancy_bytes(duration)
+    samples = monitor.samples
+    mean_occupancy = sum(sample.queue_bytes for sample in samples) / len(samples)
     goodput = sum(s.bytes_goodput for s in stats) * 8 / duration
     return queue, mean_occupancy, goodput, config
 

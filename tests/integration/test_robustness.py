@@ -46,7 +46,7 @@ class TestRandomLossRobustness:
             f"flow failed to complete at p={loss_probability}, seed={seed}"
         )
         assert sink.received.contiguous_from(0) == 600_000
-        assert sink.bytes_received == 600_000
+        assert sink.received.total_bytes == 600_000
         assert fault.packets_dropped > 0
 
     def test_heavy_loss_still_progresses(self):
@@ -68,7 +68,7 @@ class TestRandomLossRobustness:
         sender, sink, fault, done = run_lossy_flow(0.05, seed=7)
         assert done
         # Retransmissions may duplicate-deliver; goodput must not count them.
-        assert sink.bytes_received == 600_000
+        assert sink.received.total_bytes == 600_000
         assert sender.stats.bytes_sent >= 600_000
 
 

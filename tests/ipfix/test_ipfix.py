@@ -151,8 +151,8 @@ class TestCollector:
         collector.ingest(self._header(1))
         collector.ingest(self._header(1))  # same flow
         collector.ingest(self._header(2))  # different flow, same slot
-        counts = collector.slot_flow_counts()
-        assert counts[("100.0.0.0/24", 0)] == 2
+        assert collector.slot_count == 1
+        assert [size for _flow, size in collector.flows_with_slot_sizes()] == [2, 2]
 
     def test_slots_split_by_minute(self):
         collector = IpfixCollector()
@@ -172,13 +172,6 @@ class TestCollector:
         pairs = collector.flows_with_slot_sizes()
         assert len(pairs) == 3
         assert all(size == 3 for _flow, size in pairs)
-
-    def test_summaries(self):
-        collector = IpfixCollector()
-        collector.ingest_many([self._header(1), self._header(1), self._header(2)])
-        (summary,) = collector.slot_summaries()
-        assert summary.unique_flows == 2
-        assert summary.sampled_packets == 3
 
 
 class TestSharingAnalysis:

@@ -53,11 +53,6 @@ class TestCongestionContext:
         )
         assert ctx.level() is CongestionLevel.HIGH
 
-    def test_staleness(self):
-        ctx = CongestionContext(0.1, 0.0, 0, timestamp=10.0)
-        assert not ctx.is_stale(now=12.0, max_age_s=5.0)
-        assert ctx.is_stale(now=20.0, max_age_s=5.0)
-
     def test_level_ordering(self):
         assert CongestionLevel.LOW.rank < CongestionLevel.MODERATE.rank
         assert CongestionLevel.MODERATE.rank < CongestionLevel.HIGH.rank

@@ -50,7 +50,9 @@ class TestPolicyTable:
 
     def test_with_entry(self):
         new_params = CubicParams(window_init=7)
-        table = REFERENCE_POLICY.with_entry(CongestionLevel.LOW, new_params)
+        entries = {level: REFERENCE_POLICY.params_for_level(level) for level in CongestionLevel}
+        entries[CongestionLevel.LOW] = new_params
+        table = PolicyTable(entries)
         assert table.params_for_level(CongestionLevel.LOW) == new_params
         assert table != REFERENCE_POLICY
 

@@ -251,8 +251,8 @@ class TestIdealOracle:
 
     def test_counts_active_flows(self):
         sim, top, monitor, tracker, oracle = self._oracle()
-        tracker.flow_started(1, 0.0)
-        tracker.flow_started(2, 0.0)
+        tracker.flow_started()
+        tracker.flow_started()
         assert oracle.current_context().competing_senders == 2.0
 
     def test_utilization_provider_is_live(self):

@@ -108,7 +108,7 @@ class TestDropInBehaviour:
         assert sim.checks_performed == sim.events_processed + len(scans)
         assert scans[:2] == [3, 6]  # one scan per heap_check_interval events
         assert (sim.events_processed < 10) == (ending != "drain")
-        sim.remove_watchdog()
+        sim._watchdog = None
         sim.run()  # a second run() keeps counting from the first
         assert sim.checks_performed == sim.events_processed + len(scans)
         # The raising event executed (and is counted), it just did not return.

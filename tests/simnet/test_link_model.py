@@ -1,9 +1,9 @@
 """Model test: the fused link against the two-event link it replaced.
 
 :class:`ReferenceLink` is the previous ``Link``, kept line for line less
-its argument checks and flight-recorder emits: the end of serialization
-is an *event* (``_transmit_done``) that counts the packet, schedules its
-delivery and pulls the next one off the queue.  The current ``Link``
+its argument checks, flight-recorder emits and since-deleted counters:
+the end of serialization is an *event* (``_transmit_done``) that counts
+the packet, schedules its delivery and pulls the next one off the queue.  The current ``Link``
 keeps that instant as a time (``_busy_until``) and schedules the delivery
 when serialization starts.  Whole scenarios run under both, with every
 delivery and drop logged; the logs must be equal in value and order, and
@@ -55,7 +55,6 @@ class ReferenceLink:
         self.packets_transmitted = 0
         self.bytes_offered = 0
         self.packets_offered = 0
-        self.bytes_delivered = 0
         self.packets_delivered = 0
         self._busy_seconds = 0.0
         self._tx_started_at = 0.0
@@ -92,9 +91,7 @@ class ReferenceLink:
             self._busy = False
 
     def _deliver(self, packet):
-        packet.hops += 1
         self.packets_delivered += 1
-        self.bytes_delivered += packet.size_bytes
         self.dst_node.receive(packet, self)
 
     def utilization(self, since=0.0, until=None):
@@ -202,8 +199,7 @@ def test_scenario_is_equal_under_both_links(name, monkeypatch):
         skipped[link_name] = ref_stats.enqueued_packets - stats.enqueued_packets
         assert 0 <= skipped[link_name] <= link.ties, link_name
         assert stats.dropped_packets == ref_stats.dropped_packets
-        assert stats.peak_bytes == ref_stats.peak_bytes
-        assert stats.occupancy_byte_seconds == ref_stats.occupancy_byte_seconds
+        assert stats.peak_packets == ref_stats.peak_packets
         assert link.packets_delivered == reference.links[link_name].packets_delivered
 
     got_metrics, want_metrics = asdict(got.metrics), asdict(want.metrics)

@@ -257,5 +257,6 @@ class TestRouter:
         ingress.attach(router)
         ingress.send(make_data_packet(1, "x", "s", 0, 100))
         sim.run()
-        _, p = sink.arrivals[0]
-        assert p.hops == 2
+        assert len(sink.arrivals) == 1
+        assert ingress.packets_delivered == out.packets_delivered == 1
+        assert router.packets_received == router.packets_forwarded == 1

@@ -103,7 +103,6 @@ class TestPartitionSeversEverything:
         sim.schedule_at(
             2.0,
             lambda: state.update(
-                active=partition.active,
                 severed=set(mesh.severed),
                 downs=target.downs,
                 ups=target.ups,
@@ -112,9 +111,8 @@ class TestPartitionSeversEverything:
         send_at(sim, link, 2.0, 1)     # inside: blackholed
         send_at(sim, link, 4.0, 2)     # after heal: delivered
         sim.run()
-        assert state["active"] and state["severed"] == {(0, 2), (1, 2)}
+        assert state["severed"] == {(0, 2), (1, 2)}
         assert state["downs"] == 1 and state["ups"] == 0
-        assert not partition.active
         assert partition.packets_blackholed == 1
         assert len(dst.packets) == 1
         assert mesh.severed == set()

@@ -1,5 +1,5 @@
-"""Accounting regressions: flush conservation, mid-simulation queue
-creation, and the heap-based priority queue."""
+"""Accounting regressions: flush conservation, every counter against an
+eager reference, and the heap-based priority queue."""
 
 import numpy as np
 import pytest
@@ -90,38 +90,6 @@ class TestFlushAccounting:
             q.assert_conservation()
 
 
-class TestMidSimulationCreation:
-    def test_no_phantom_occupancy_from_time_zero(self):
-        # The original bug: last_change_time was hard-coded to 0.0, so a
-        # queue created at t=30 integrated 30 phantom empty-queue seconds
-        # on its first enqueue (and phantom *occupied* time had packets
-        # been present), skewing time-averaged occupancy.
-        clock = FakeClock(t=30.0)
-        q = DropTailQueue(None, clock)
-        assert q.created_at == 30.0
-        assert q.stats.last_change_time == 30.0
-        q.enqueue(data())
-        clock.t = 32.0
-        q.dequeue()
-        # One packet held for exactly 2 seconds, not 32.
-        assert q.stats.occupancy_packet_seconds == pytest.approx(2.0)
-
-    def test_mean_occupancy_over_queue_lifetime(self):
-        clock = FakeClock(t=30.0)
-        q = DropTailQueue(None, clock)
-        p = data(payload=960)  # 1000 bytes on the wire
-        q.enqueue(p)
-        clock.t = 32.0
-        q.dequeue()
-        lifetime = clock.t - q.created_at
-        assert q.stats.mean_occupancy_bytes(lifetime) == pytest.approx(1000.0)
-
-    def test_priority_queue_inherits_creation_time(self):
-        clock = FakeClock(t=12.5)
-        q = PriorityQueue(None, clock)
-        assert q.stats.last_change_time == 12.5
-
-
 QUEUE_STATS_FIELDS = QueueStats.__slots__
 
 #: Bytes the oracle's queues hold: three full segments and change, so a
@@ -132,57 +100,36 @@ ORACLE_CAPACITY = 5000
 class EagerQueue:
     """What a queue must report, recomputed the slow way.
 
-    Holds the packets in a plain list, integrates occupancy on *every*
-    call (the empty ones too, the way ``dequeue`` once did), sums sizes
-    instead of keeping a running total and picks the next packet by a
-    stable sort.  ``last_change_time`` alone follows the queue's rule
-    rather than the eager one: polling an empty queue does not move it.
+    Holds the packets in a plain list, sums sizes instead of keeping a
+    running total and picks the next packet by a stable sort.
     """
 
-    def __init__(self, capacity_bytes, created_at, by_priority):
+    def __init__(self, capacity_bytes, by_priority):
         self.capacity_bytes = capacity_bytes
         self.by_priority = by_priority
         self.held = []
-        self.integrated_to = created_at
         self.stats = dict.fromkeys(QUEUE_STATS_FIELDS, 0)
-        self.stats["occupancy_byte_seconds"] = 0.0
-        self.stats["occupancy_packet_seconds"] = 0.0
-        self.stats["last_change_time"] = created_at
 
     def bytes_held(self):
         return sum(packet.size_bytes for packet in self.held)
 
-    def _integrate(self, now):
-        elapsed = now - self.integrated_to
-        if elapsed > 0:
-            self.stats["occupancy_byte_seconds"] += self.bytes_held() * elapsed
-            self.stats["occupancy_packet_seconds"] += len(self.held) * elapsed
-        self.integrated_to = now
-
-    def enqueue(self, packet, now):
-        """The ``enqueued_at`` stamp the packet must carry afterwards."""
-        self._integrate(now)
+    def enqueue(self, packet):
         stats = self.stats
-        stats["last_change_time"] = now
         if (
             self.capacity_bytes is not None
             and self.bytes_held() + packet.size_bytes > self.capacity_bytes
         ):
             stats["dropped_packets"] += 1
             stats["dropped_bytes"] += packet.size_bytes
-            return packet.enqueued_at
+            return
         self.held.append(packet)
         stats["enqueued_packets"] += 1
         stats["enqueued_bytes"] += packet.size_bytes
         stats["peak_packets"] = max(stats["peak_packets"], len(self.held))
-        stats["peak_bytes"] = max(stats["peak_bytes"], self.bytes_held())
-        return now
 
-    def dequeue(self, now):
-        self._integrate(now)
+    def dequeue(self):
         if not self.held:
             return None
-        self.stats["last_change_time"] = now
         if self.by_priority:
             packet = min(self.held, key=lambda p: p.priority)  # first of the lowest
         else:
@@ -192,9 +139,7 @@ class EagerQueue:
         self.stats["dequeued_bytes"] += packet.size_bytes
         return packet
 
-    def flush(self, now):
-        self._integrate(now)
-        self.stats["last_change_time"] = now
+    def flush(self):
         if self.by_priority:
             drained = sorted(self.held, key=lambda p: p.priority)  # stable
         else:
@@ -222,7 +167,7 @@ DISCIPLINES = [
 ]
 
 #: Who reads the clock: the queue itself, or its caller (a link hands
-#: ``enqueue`` / ``dequeue`` the reading it already took).
+#: ``enqueue`` the reading it already took).
 CLOCK_MODES = ["own", "supplied"]
 
 QUEUE_OPS = st.lists(
@@ -252,9 +197,9 @@ def _references_after(ops):
 def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
     clock = FakeClock(t=7.25)  # created mid-simulation
     q = factory(ORACLE_CAPACITY, clock)
-    ref = EagerQueue(ORACLE_CAPACITY, clock.t, by_priority)
+    ref = EagerQueue(ORACLE_CAPACITY, by_priority)
     # The caller's reading, when it supplies one; the queue must then
-    # not take its own.
+    # not take its own, and only ``enqueue`` is handed one.
     supplied = clock_mode == "supplied"
     for seq, (op, gap, payload, priority) in enumerate(ops):
         clock.t += gap
@@ -267,22 +212,19 @@ def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
             else:
                 packet = make_ack_packet(1, "b", "a", seq)
                 packet.priority = priority
-            want_stamp = ref.enqueue(packet, clock.t)
+            ref.enqueue(packet)
             accepted = q.enqueue(packet, *now)
             assert accepted == (packet in ref.held), where
-            assert packet.enqueued_at == want_stamp, where
         elif op == "d":
-            assert q.dequeue(*now) is ref.dequeue(clock.t), where
+            assert q.dequeue() is ref.dequeue(), where
         else:
-            got, want = q.flush(), ref.flush(clock.t)
+            got, want = q.flush(), ref.flush()
             assert len(got) == len(want) and all(
                 a is b for a, b in zip(got, want)
             ), where
-            reads_before = clock.reads  # flush always reads its own clock
         if supplied:
             assert clock.reads == reads_before, where
         for field in QUEUE_STATS_FIELDS:
-            # ``==`` on the floats too: same operations, same order.
             assert getattr(q.stats, field) == ref.stats[field], f"{where}: {field}"
         assert len(q) == q.packets_queued == len(ref.held), where
         assert q.bytes_queued == ref.bytes_held(), where
@@ -292,16 +234,16 @@ def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
 
 class TestEmptyDequeue:
     """Every discipline against :class:`EagerQueue`, every field, every
-    op; among them: polling an empty queue changes no integral."""
+    op; among them: polling an empty queue changes no counter."""
 
     @given(QUEUE_OPS)
     @settings(max_examples=80)
-    def test_integrals_equal_an_eager_reference_bit_for_bit(self, ops):
+    def test_stats_equal_an_eager_reference(self, ops):
         _references_after(ops)
 
     def test_reference_exercises_every_door(self):
         # The op mix above is only a judge if it reaches drops, flushes,
-        # equal timestamps and both packet sizes; one fixed sequence that
+        # empty dequeues and both packet sizes; one fixed sequence that
         # provably does, checked for that rather than trusted.
         ops = (
             [("e", 0.0, 1460, 1)] * 4  # fourth DATA overflows
@@ -314,8 +256,7 @@ class TestEmptyDequeue:
             assert stats["flushed_packets"] == 2
             assert stats["dequeued_packets"] == 2
             assert stats["enqueued_bytes"] == 3 * 1500 + 40 + 140
-            assert stats["peak_bytes"] == 3 * 1500 + 40
-            assert stats["occupancy_packet_seconds"] == 4 * 0.5 + 2 * 0.25
+            assert stats["peak_packets"] == 4
 
 
 class TestHeapPriorityQueue:

@@ -86,7 +86,7 @@ class TestMaxEvents:
         with pytest.raises(SimulationStalled):
             sim.run()
         assert sim.pending_events == 5
-        sim.remove_watchdog()
+        sim._watchdog = None
         sim.run()
         assert fired == list(range(10))
         assert sim.events_processed == 10
@@ -140,8 +140,6 @@ class TestInstallRemove:
         assert sim.watchdog is None
         watchdog = sim.install_watchdog(SimWatchdog())
         assert sim.watchdog is watchdog
-        sim.remove_watchdog()
-        assert sim.watchdog is None
 
     def test_arm_is_idempotent(self):
         watchdog = SimWatchdog(WatchdogConfig(max_wall_s=60.0))

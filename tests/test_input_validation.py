@@ -97,7 +97,6 @@ RECORDS = {
     "repro.experiments.scenarios.IncrementalResult",
     "repro.experiments.table3.Table3Row",
     "repro.ipfix.analysis.SharingStats",
-    "repro.ipfix.collector.SlotSummary",
     "repro.ipfix.records.EgressFlow",
     "repro.ipfix.records.SampledHeader",
     "repro.metrics.summary.CrossRunSummary",

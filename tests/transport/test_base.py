@@ -162,7 +162,7 @@ class TestLossRecovery:
         sender = TcpSender(sim, top.senders[0], spec, 500_000)
         sender.start()
         sim.run(until=300.0)
-        assert sink.bytes_received == 500_000
+        assert sink.received.total_bytes == 500_000
         assert sink.received.contiguous_from(0) == 500_000
 
     def test_loss_event_halves_window(self):

@@ -1,5 +1,7 @@
 """Tests for TCP Cubic: parameters, window law, sweep grid."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
@@ -52,9 +54,11 @@ class TestCubicParams:
         assert a == b and hash(a) == hash(b)
 
     def test_with_updates(self):
-        params = CubicParams.default().with_updates(beta=0.5)
+        params = replace(CubicParams.default(), beta=0.5)
         assert params.beta == 0.5
         assert params.window_init == 2.0
+        with pytest.raises(ValueError, match="beta"):
+            replace(params, beta=1.5)  # a copy is checked like a new one
 
     def test_as_dict(self):
         d = CubicParams.default().as_dict()

@@ -84,9 +84,9 @@ class TestGenerator:
         sim, top, generator = build_generator(config)
         generator.start()
         sim.run(until=10.0)
-        assert generator.concurrent_flows > 5
+        assert len(generator._active) > 5
         generator.stop()
-        assert generator.concurrent_flows == 0
+        assert len(generator._active) == 0
 
     def test_max_concurrent_rejects(self, monkeypatch):
         monkeypatch.setattr(poisson, "MAX_CONCURRENT", 3)
@@ -94,7 +94,7 @@ class TestGenerator:
         sim, top, generator = build_generator(config)
         generator.start()
         sim.run(until=5.0)
-        assert generator.concurrent_flows <= 3
+        assert len(generator._active) <= 3
         assert generator.rejected > 0
         generator.stop()
 
