@@ -20,6 +20,10 @@ window contributions in ``ContextServer``: a 13 sim-s short-flow run is
 the only pinned one in which reports age out of, and straddle the left
 edge of, the server's 10 s window.
 
+``GOLDEN_DEGRADED`` was captured ahead of the one-attempt control
+channel: a single-server plane down half of every 5 s period, so its
+breaker opens, cools down and probes a down server again in each seed.
+
 CI runs this file under two ``PYTHONHASHSEED`` values: nothing on the
 data plane may depend on set or dict iteration order of hashed strings.
 """
@@ -30,10 +34,12 @@ from dataclasses import asdict
 import pytest
 
 from repro.experiments import (
+    FIG2A_LOW_UTILIZATION,
     FIG2C_LONG_RUNNING,
     TABLE3_REMY,
     ScenarioPreset,
     run_cubic_fixed,
+    run_degraded_phi_cubic,
     run_partitioned_phi_cubic,
 )
 from repro.phi import REFERENCE_POLICY
@@ -71,6 +77,11 @@ GOLDEN_PARTITIONED = "5835403ad1a8a2b0ebc4e879115c5e8ad24d6319ffdfebee4bf5c21fe3
 
 GOLDEN_WINDOW_FULL = "549854321dd84ba7e2a35049ad7ef278224ecd771e665d8278a5b90522a6f039"
 
+GOLDEN_DEGRADED = {
+    0: "2b2f32fdac49fb831f143251bb90177f1bd029455fc7d5f434b78316dd221757",
+    1: "7f1968c2e66130146ac3bef0c29c274dc3dc14b52542abe9dac7dfdd50845a4d",
+}
+
 _PRESETS = {"table3": (TABLE3_REMY, 10.0), "fig2c": (FIG2C_LONG_RUNNING, 4.0)}
 
 
@@ -95,6 +106,20 @@ def test_partitioned_phi_trajectory_is_pinned():
     )
     assert run.failovers > 0
     assert trajectory_digest(run.result) == GOLDEN_PARTITIONED
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DEGRADED))
+def test_degraded_phi_trajectory_is_pinned(seed):
+    run = run_degraded_phi_cubic(
+        REFERENCE_POLICY,
+        FIG2A_LOW_UTILIZATION,
+        unavailability=0.5,
+        seed=seed,
+        duration_s=12.0,
+    )
+    assert run.decision_counts["fallback"] > 0
+    assert run.channel_stats.fast_failures > 0  # the breaker opened
+    assert trajectory_digest(run.result) == GOLDEN_DEGRADED[seed]
 
 
 def test_window_full_phi_trajectory_is_pinned():
