@@ -3,8 +3,8 @@
 The paper's practical deployment (Section 3) makes the context server a
 single point of coordination — this bench asks what Phi costs when that
 server is partitioned away for part of the run.  Senders reach it
-through the failure-aware :class:`ControlChannel` (timeouts, retries,
-circuit breaker) and degrade via :class:`ResilientContextClient`
+through the failure-aware :class:`ControlChannel` (one attempt per
+call, circuit breaker) and degrade via :class:`ResilientContextClient`
 (staleness TTL, then stock-Cubic fallback).  Sweeping the fraction of
 the run the server is unreachable traces the curve between the two
 anchors:

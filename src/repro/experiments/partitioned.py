@@ -96,10 +96,9 @@ def run_partitioned_phi_cubic(
     clients on the stale-then-fallback path exactly as a total
     control-plane outage would.
 
-    The plane arms the reproducibility-preserving jitters (channel retry
-    backoff and failover suspension) from per-run seeded streams; both
-    draw only on failure paths, so a no-fault run's trajectory is
-    unchanged by them.
+    The plane arms the failover's reproducibility-preserving suspension
+    jitter from a per-run seeded stream; it draws only on failure paths,
+    so a no-fault run's trajectory is unchanged by it.
     """
     replication = ReplicationConfig(n_replicas=n_replicas, read_policy=read_policy)
     spec = PlaneSpec(

@@ -64,12 +64,10 @@ class Aggregator:
 
     name: str
     _accumulator: int = 0
-    contributions: int = 0
 
     def receive_share(self, share: int) -> None:
         """Fold one provider's share in."""
         self._accumulator = (self._accumulator + share) % FIELD_PRIME
-        self.contributions += 1
 
     @property
     def partial_sum(self) -> int:

@@ -2,27 +2,21 @@
 
 The paper's deployable design (Section 2.2.2) routes every connection
 start through a lookup RPC and every connection end through a report RPC.
-The reproduction originally modelled those as infallible function calls;
-this module makes the channel a first-class, failure-aware component:
+This module makes each a fallible call:
 
-- a fixed per-attempt **latency** (:data:`RPC_LATENCY_S`);
 - **server outage windows**, driven by an
   :class:`repro.simnet.faults.Outage` via ``mark_down``/``mark_up``;
-- per-call **timeout** plus bounded **exponential-backoff retry**,
-  budgeted by a hard **deadline** so retries can never stall a
-  connection start indefinitely;
-- a **circuit breaker** that stops hammering a dead server after
-  consecutive failures and probes it again after a cool-down.
+- one **attempt** per call: RPC time is not simulated, so a call runs
+  at the current simulation instant, where a retry would meet the same
+  down-mark and fail the same way;
+- a **circuit breaker** that stops calling a dead server after
+  consecutive failed calls and probes it again after a cool-down.
 
-RPC timing is *simulated*: each call happens atomically at the current
-simulation instant, but the channel adds up the latencies, timeouts and
-backoffs the attempts would have taken and accounts them (attempts, elapsed time, outcome) in
-the returned :class:`RpcResult`.
-
-The result's status is the one way a call reports failure, to the
-failover channel and the resilient client above alike.  A backend that
-raises ``OSError`` (e.g. a replica refusing a QUORUM read) ends the call
-as ``REFUSED``; any other exception is a bug and propagates.
+The returned :class:`RpcResult`'s status is the one way a call reports
+failure, to the failover channel and the resilient client above alike.
+A backend that raises ``OSError`` (e.g. a replica refusing a QUORUM
+read) ends the call as ``REFUSED``; any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -33,27 +27,23 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from ..simnet.bounds import check
 from ..simnet.engine import Simulator
-from ..telemetry import LATENCY_BUCKETS_S
 from ..telemetry import session as _telemetry_session
 from .server import ConnectionReport
 
 
 class RpcStatus(Enum):
-    """Terminal outcome of one control-channel call (after retries)."""
+    """Outcome of one control-channel call."""
 
     OK = "ok"
-    SERVER_DOWN = "server_down"    # server unavailable for every attempt
-    DEADLINE_EXCEEDED = "deadline" # retry budget exhausted before success
-    CIRCUIT_OPEN = "circuit_open"  # failed fast; breaker is open
+    SERVER_DOWN = "server_down"    # the server was down when called
+    CIRCUIT_OPEN = "circuit_open"  # refused without an attempt: breaker open
     REFUSED = "backend_error"      # reached, but the backend raised OSError
 
 
 class RpcResult(NamedTuple):
-    """What one call cost and how it ended (a tuple: one frame to build)."""
+    """How one call ended, and its answer (a tuple: one frame to build)."""
 
     status: RpcStatus
-    attempts: int
-    elapsed_s: float
     value: Any = None
 
     @property
@@ -68,9 +58,9 @@ def exponential_backoff_s(
 
     ``min(max_s, base_s * multiplier**k)``, scaled by ``1 + U[0, jitter)``
     drawn from ``rng`` when ``jitter > 0``.  The one backoff formula:
-    channel retries, replica suspensions (:mod:`repro.phi.failover`) and
-    the sweep supervisor's point retries
-    (:mod:`repro.runner.resilience`) all wait this long.
+    replica suspensions (:mod:`repro.phi.failover`) and the sweep
+    supervisor's point retries (:mod:`repro.runner.resilience`) both
+    wait this long.
     """
     wait = min(max_s, base_s * multiplier ** k)
     if jitter > 0:
@@ -78,24 +68,9 @@ def exponential_backoff_s(
     return wait
 
 
-#: Round trip of one RPC attempt: a server inside the sender's own domain.
-RPC_LATENCY_S = 0.005
-#: How long a client waits for an attempt before declaring it dead.
-RPC_TIMEOUT_S = 0.25
-#: Extra attempts after the first.
-RPC_MAX_RETRIES = 3
-#: Exponential backoff between attempts: attempt ``k`` (0-based) waits
-#: ``min(base * multiplier**k, max)`` before retrying.
-RPC_BACKOFF_BASE_S = 0.05
-RPC_BACKOFF_MULTIPLIER = 2.0
-RPC_BACKOFF_MAX_S = 1.0
-#: Hard per-call budget.  A retry is only launched if, even in the worst
-#: case (full backoff plus a full timeout), the call would still finish
-#: inside it, so a connection start is never delayed past it.
-RPC_DEADLINE_S = 2.0
-#: Consecutive failures that trip a closed breaker: one more than a
-#: call's attempts, so one failed call alone never does.
-BREAKER_FAILURE_THRESHOLD = 5
+#: Consecutive failed calls that trip a closed breaker: one failed call
+#: alone never does.
+BREAKER_FAILURE_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
@@ -104,24 +79,15 @@ class ChannelConfig:
 
     Attributes
     ----------
-    backoff_jitter:
-        Uniform multiplicative jitter on each retry backoff: the wait is
-        scaled by ``1 + U[0, backoff_jitter)`` (needs an rng).  Without
-        it, every sender that hit the same outage retries on the same
-        deterministic schedule and stampedes the server the instant it
-        recovers; with it the retry wave decorrelates while staying a
-        pure function of the run's seed.
+    breaker_reset_s:
+        The circuit breaker's cool-down: how long it stays OPEN before it
+        half-opens and lets one probe call through.
     """
 
-    backoff_jitter: float = 0.0
+    breaker_reset_s: float = 10.0
 
     def __post_init__(self) -> None:
-        check("backoff_jitter", self.backoff_jitter, ge=0)
-
-    @property
-    def needs_rng(self) -> bool:
-        """Whether a channel with this config draws random numbers."""
-        return self.backoff_jitter > 0
+        check("breaker_reset_s", self.breaker_reset_s, gt=0)
 
 
 class BreakerState(Enum):
@@ -135,24 +101,18 @@ class BreakerState(Enum):
 class CircuitBreaker:
     """Trips after :data:`BREAKER_FAILURE_THRESHOLD` consecutive failures.
 
-    While OPEN, calls fail immediately (no attempts, no time spent).
-    After ``reset_timeout_s`` the breaker half-opens: one probe call is
+    While OPEN, calls fail immediately, without an attempt.  After
+    ``reset_timeout_s`` the breaker half-opens: one probe call is
     allowed through; success re-closes it, failure re-opens it for
     another cool-down.
     """
 
-    def __init__(
-        self,
-        now: Callable[[], float],
-        *,
-        reset_timeout_s: float = 10.0,
-    ) -> None:
+    def __init__(self, now: Callable[[], float], reset_timeout_s: float) -> None:
         self._now = now
         self.reset_timeout_s = check("reset_timeout_s", reset_timeout_s, gt=0)
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self.trips = 0
 
     @property
     def state(self) -> BreakerState:
@@ -197,8 +157,6 @@ class CircuitBreaker:
             self._state is BreakerState.HALF_OPEN
             or self._consecutive_failures >= BREAKER_FAILURE_THRESHOLD
         ):
-            if self._state is not BreakerState.OPEN:
-                self.trips += 1
             self._set_state(BreakerState.OPEN)
             self._opened_at = self._now()
             self._consecutive_failures = 0
@@ -211,18 +169,11 @@ class ChannelStats:
     calls: int = 0
     successes: int = 0
     failures: int = 0
-    attempts: int = 0
-    retries: int = 0
-    fast_failures: int = 0  # rejected by the open breaker
-    rpc_time_s: float = 0.0
+    fast_failures: int = 0  # refused by the open breaker
     by_status: dict = field(default_factory=dict)
 
-    def record(self, result: RpcResult) -> None:
-        status = result.status
+    def record(self, status: RpcStatus) -> None:
         self.calls += 1
-        self.attempts += result.attempts
-        self.retries += max(0, result.attempts - 1)
-        self.rpc_time_s += result.elapsed_s
         if status is RpcStatus.OK:
             self.successes += 1
         else:
@@ -249,17 +200,12 @@ class ControlChannel:
         backend,
         *,
         config: Optional[ChannelConfig] = None,
-        rng=None,
-        breaker: Optional[CircuitBreaker] = None,
         corruption=None,
     ) -> None:
         self.sim = sim
         self.backend = backend
-        self.config = config or ChannelConfig()
-        if rng is None and self.config.needs_rng:
-            raise ValueError("backoff jitter requires an rng")
-        self.rng = rng
-        self.breaker = breaker or CircuitBreaker(lambda: sim.now)
+        config = config or ChannelConfig()
+        self.breaker = CircuitBreaker(lambda: sim.now, config.breaker_reset_s)
         #: Optional :class:`~repro.phi.corruption.CorruptionLayer`: the
         #: channel's *semantic* fault axis, alongside the outage one.
         #: Applied to payloads of calls that succeed at the RPC level — a
@@ -304,70 +250,33 @@ class ControlChannel:
             report = self.corruption.corrupt_report(report)
         return self._call(self.backend.report, "report", report)
 
-    # ------------------------------------------------------------------
-    # Attempt/retry machinery
-    # ------------------------------------------------------------------
-    def _call(self, fn: Callable[..., Any], op: str = "call", *args: Any) -> RpcResult:
-        """``fn(*args)`` behind retries, outages and the breaker; the one
-        terminal outcome is accounted (stats and telemetry) on the way out."""
-        jitter = self.config.backoff_jitter
+    def _call(self, fn: Callable[..., Any], op: str, *args: Any) -> RpcResult:
+        """``fn(*args)`` behind the outage marks and the breaker, in one
+        attempt; the outcome is accounted (stats and telemetry) on the way out."""
         breaker = self.breaker
-        elapsed = 0.0
-        attempts = 0
         value = None
-        while True:
-            # A CLOSED breaker always allows: it is asked only when it is not.
-            if breaker._state is not BreakerState.CLOSED and not breaker.allow():
-                status = RpcStatus.CIRCUIT_OPEN
-                break
-            attempts += 1
-            if not self._down_marks:
-                elapsed += RPC_LATENCY_S
-                if breaker._consecutive_failures or breaker._state is not BreakerState.CLOSED:
-                    breaker.record_success()  # a no-op on a clean CLOSED breaker
-                try:
-                    value = fn(*args)
-                    status = RpcStatus.OK
-                except OSError:
-                    # A live server whose backend would not serve (e.g.
-                    # QuorumUnavailable): final, since a retry in the same
-                    # instant meets the same refusal.  Any other exception
-                    # is a bug and propagates.
-                    status = RpcStatus.REFUSED
-                break
-            # Request goes unanswered: the attempt burns a timeout.
-            elapsed += RPC_TIMEOUT_S
+        # A CLOSED breaker always allows: it is asked only when it is not.
+        if breaker._state is not BreakerState.CLOSED and not breaker.allow():
+            status = RpcStatus.CIRCUIT_OPEN
+        elif self._down_marks:
             status = RpcStatus.SERVER_DOWN
             breaker.record_failure()
-            # Retry, if both the attempt count and the deadline allow a
-            # worst-case (backoff + full timeout) follow-up attempt.
-            if attempts > RPC_MAX_RETRIES:
-                break
-            # Jitter scales the wait *before* the deadline check so a
-            # jittered retry can never overrun the per-call budget.
-            backoff = exponential_backoff_s(
-                RPC_BACKOFF_BASE_S, RPC_BACKOFF_MULTIPLIER, RPC_BACKOFF_MAX_S,
-                attempts - 1, jitter, self.rng,
-            )
-            if elapsed + backoff + RPC_TIMEOUT_S > RPC_DEADLINE_S:
-                status = RpcStatus.DEADLINE_EXCEEDED
-                break
-            elapsed += backoff
-        result = RpcResult(status, attempts, elapsed, value)
-        self.stats.record(result)
+        else:
+            if breaker._consecutive_failures or breaker._state is not BreakerState.CLOSED:
+                breaker.record_success()  # a no-op on a clean CLOSED breaker
+            try:
+                value = fn(*args)
+                status = RpcStatus.OK
+            except OSError:
+                # A live server whose backend would not serve (e.g.
+                # QuorumUnavailable).  Any other exception is a bug and
+                # propagates.
+                status = RpcStatus.REFUSED
+        self.stats.record(status)
         tele = _telemetry_session()
         if tele.enabled:
-            registry = tele.registry
-            registry.counter("phi.rpc_calls", op=op, status=status.value).inc()
-            if attempts > 1:
-                registry.counter("phi.rpc_retries", op=op).inc(attempts - 1)
-            registry.histogram("phi.rpc_latency_s", LATENCY_BUCKETS_S, op=op).observe(
-                elapsed
-            )
+            tele.registry.counter("phi.rpc_calls", op=op, status=status.value).inc()
         rec = tele.flightrec
         if rec.enabled:
-            rec.phi(
-                "rpc", self.sim.now, op,
-                detail={"status": status.value, "attempts": attempts, "elapsed_s": elapsed},
-            )
-        return result
+            rec.phi("rpc", self.sim.now, op, detail={"status": status.value})
+        return RpcResult(status, value)

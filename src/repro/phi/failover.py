@@ -1,18 +1,18 @@
 """Client-side failover across a replicated control plane.
 
 A sender reaches each replica through its own
-:class:`~repro.phi.channel.ControlChannel` (latency, outages, retries,
-breaker — all per replica).  The :class:`FailoverChannel` sits
+:class:`~repro.phi.channel.ControlChannel` (outages and breaker, per
+replica).  The :class:`FailoverChannel` sits
 on top and decides *which* replica to ask:
 
 - **health scoring**: every observed RPC outcome folds into a per-replica
   EWMA score, so replica choice is driven by what the client actually
   experienced, not by any global view;
-- **failover**: when an attempt's result is not OK (timeout, server
-  down, breaker open, or ``REFUSED`` by a backend such as a replica
-  without quorum), the call moves on to the next-best replica within
-  the same simulated instant — RPC time is accounted, never simulated,
-  exactly like the underlying channel;
+- **failover**: when a replica's result is not OK (server down,
+  breaker open, or ``REFUSED`` by a backend such as a replica without
+  quorum), the call moves on to the next-best replica within the same
+  simulated instant — RPC time is not simulated, exactly as in the
+  underlying channel;
 - **suspension with jittered backoff**: a failed replica is benched for
   an exponentially growing window scaled by ``1 + U[0, jitter)`` drawn
   from the sim RNG, so a thousand clients whose replica died together do
@@ -44,9 +44,8 @@ from .server import ConnectionReport
 #: healthy, 0 = hopeless): two failures in a row halve it.
 HEALTH_ALPHA = 0.3
 #: A replica's ``k``-th consecutive failure benches it for
-#: ``min(base * multiplier**(k-1), max)`` seconds (before jitter): the
-#: first bench is two channel timeouts, and a long-dead replica is still
-#: probed every 10 s.
+#: ``min(base * multiplier**(k-1), max)`` seconds (before jitter), so a
+#: long-dead replica is still probed every 10 s.
 SUSPEND_BASE_S = 0.5
 SUSPEND_MULTIPLIER = 2.0
 SUSPEND_MAX_S = 10.0
@@ -95,16 +94,14 @@ class FailoverStats:
     successes: int = 0
     failures: int = 0        # calls where every candidate replica failed
     fast_failures: int = 0   # calls failed instantly: all replicas benched
-    attempts: int = 0        # per-replica attempts (not channel retries)
     failovers: int = 0       # calls answered by a non-primary replica
-    suspensions: int = 0
     #: The channel's per-replica standing, which ``by_replica`` reads.
     health: List[ReplicaHealth] = field(default_factory=list, repr=False)
 
     @property
     def by_replica(self) -> Dict[int, Dict[str, int]]:
         """Attempts, successes and failures of each replica tried so far:
-        every attempt records exactly one success or failure in its health."""
+        every replica call records exactly one success or failure in its health."""
         return {
             i: {
                 "attempts": h.successes + h.failures,
@@ -205,7 +202,6 @@ class FailoverChannel:
             health.consecutive_failures - 1, self.config.suspend_jitter, self.rng,
         )
         health.probation_left = PROBATION_SUCCESSES
-        self.stats.suspensions += 1
 
     # ------------------------------------------------------------------
     # Call machinery
@@ -232,10 +228,8 @@ class FailoverChannel:
                 rec = tele.flightrec
                 if rec.enabled:
                     rec.phi("all_suspended", self.sim.now, op)
-                return RpcResult(RpcStatus.CIRCUIT_OPEN, 0, 0.0)
+                return RpcResult(RpcStatus.CIRCUIT_OPEN)
         primary = order[0]
-        attempts = 0
-        elapsed = 0.0
         tried = 0
         while tried < len(order):
             index = order[tried]
@@ -245,9 +239,6 @@ class FailoverChannel:
                 result = channel.call_lookup()
             else:
                 result = channel.call_report(report)
-            attempts += result.attempts
-            elapsed += result.elapsed_s
-            stats.attempts += 1
             if tele.enabled:
                 tele.registry.counter(
                     "phi.replica_rpc_calls", replica=str(index), status=result.status.value
@@ -272,15 +263,12 @@ class FailoverChannel:
                         )
                 if index != current and health.probation_left == 0:
                     self._current = index
-                if tried == 1:  # the first replica's answer is the call's
-                    return result
-                return RpcResult(RpcStatus.OK, attempts, elapsed, result.value)
+                return result
             self._record_failure(index)
-            last = result
             if index == current:  # only ever first, and only if not benched
                 order += self._try_order()
         stats.failures += 1
-        return RpcResult(last.status, attempts, elapsed)
+        return result
 
     # ------------------------------------------------------------------
     # ControlChannel-compatible surface

@@ -60,7 +60,7 @@ from .server import ConnectionReport
 from .trust import TrustTracker
 
 #: Bound on the recovery queue of unsent end-of-connection reports;
-#: beyond it the oldest queued report is dropped (and counted), so a long
+#: beyond it the oldest queued report is dropped, so a long
 #: partition costs bounded memory and loses first the reports the
 #: server's window would soonest age out anyway.
 MAX_PENDING_REPORTS = 1024
@@ -144,14 +144,9 @@ class ResilientContextClient:
         self._pending: Deque[ConnectionReport] = deque()
         #: Decisions made, by value: a str key hashes in C, a member does not.
         self._decided: Dict[str, int] = {d.value: 0 for d in ContextDecision}
-        self.reports_sent = 0
-        self.reports_queued = 0
-        self.reports_dropped = 0
-        self.reports_flushed = 0
         #: The current decision mode's value (``None`` before the first).
         self._mode: Optional[str] = None
         self._mode_since = now()
-        self.mode_time_s: Dict[str, float] = {d.value: 0.0 for d in ContextDecision}
 
     @property
     def decisions(self) -> Dict[ContextDecision, int]:
@@ -159,14 +154,18 @@ class ResilientContextClient:
         return {d: self._decided[d.value] for d in ContextDecision}
 
     def _decide(self, decision: ContextDecision, now: float) -> None:
-        """Count a decision and charge sim time to the mode it ends."""
+        """Count a decision and charge sim time to the mode it ends.
+
+        A mode starts at the decision that selects it and ends at the next
+        decision; its sim seconds go to the ``phi.mode_time_s{mode}``
+        counter, and the client is in no mode before its first lookup.
+        """
         mode = decision._value_  # ``.value`` is a property: a Python frame
         self._decided[mode] += 1
         previous = self._mode
         tele = _telemetry_session()
         if previous is not None:
             elapsed = now - self._mode_since
-            self.mode_time_s[previous] += elapsed
             if elapsed > 0 and tele.enabled:
                 tele.registry.counter("phi.mode_time_s", mode=previous).inc(elapsed)
         self._mode = mode
@@ -177,17 +176,6 @@ class ResilientContextClient:
             rec = tele.flightrec
             if rec.enabled:
                 rec.phi("mode", now, "context", detail={"from": previous, "to": mode})
-
-    def mode_times(self) -> Dict[str, float]:
-        """Sim seconds spent in each decision mode, including the current one.
-
-        A mode starts at the decision that selects it and ends at the next
-        decision; the client is in no mode before its first lookup.
-        """
-        times = dict(self.mode_time_s)
-        if self._mode is not None:
-            times[self._mode] += self.now() - self._mode_since
-        return times
 
     # ------------------------------------------------------------------
     # Lookup with degradation
@@ -260,25 +248,19 @@ class ResilientContextClient:
                 # Still partitioned: preserve order behind the queued backlog.
                 self._enqueue(report)
                 return
-        if self.source.call_report(report).status is RpcStatus.OK:
-            self.reports_sent += 1
-        else:
+        if self.source.call_report(report).status is not RpcStatus.OK:
             self._enqueue(report)
 
     def _enqueue(self, report: ConnectionReport) -> None:
         if len(self._pending) >= MAX_PENDING_REPORTS:
             self._pending.popleft()
-            self.reports_dropped += 1
         self._pending.append(report)
-        self.reports_queued += 1
 
     def _flush_pending(self) -> None:
         while self._pending:
             if self.source.call_report(self._pending[0]).status is not RpcStatus.OK:
                 return
             self._pending.popleft()
-            self.reports_sent += 1
-            self.reports_flushed += 1
 
     @property
     def pending_reports(self) -> int:

@@ -114,7 +114,6 @@ class ContextGuard:
         self.capacity_mbps = check("capacity_mbps", capacity_mbps, gt=0)
         self._now = now
         self._last_accepted: Optional[CongestionContext] = None
-        self.accepted_count = 0
         self.rejections: Dict[str, int] = {}
 
     @property
@@ -130,7 +129,6 @@ class ContextGuard:
         """Check one snapshot; accepted snapshots become the rate baseline."""
         verdict = self._check(context)
         if verdict.accepted:
-            self.accepted_count += 1
             self._last_accepted = context
         else:
             reason = verdict.reason or "unknown"

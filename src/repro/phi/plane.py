@@ -12,8 +12,8 @@ defaults).  Every Phi run puts that protocol on its senders through one
            -> ControlChannel (one per replica)
            -> ContextServer | IdealContextOracle | ReplicatedContextService
 
-The channel's latency is simulated bookkeeping and its jitters draw only
-on failure paths, so a plane that never fails runs bit-identically to
+A call takes no simulated time and the failover jitter draws only on
+failure paths, so a plane that never fails runs bit-identically to
 senders that read the server directly: practical Phi *is* this stack at
 no fault, and ideal Phi is the same stack over the ground-truth oracle.
 Each fault experiment turns one dial of the spec: scheduled outages
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 from ..remy.whisker import WhiskerTable
 from ..simnet.bounds import check
 from ..simnet.faults import Outage
-from .channel import ChannelConfig, ChannelStats, CircuitBreaker, ControlChannel
+from .channel import ChannelConfig, ChannelStats, ControlChannel
 from .corruption import ByzantineReporter, CorruptionLayer, make_context_corruptor
 from .failover import FailoverChannel, FailoverStats
 from .fallback import ResilientContextClient
@@ -67,8 +67,8 @@ class PlaneSpec:
     :class:`ContextServer` (``window_s``, ``lease_ttl_s``), IDEAL the
     :class:`IdealContextOracle`.  Every sender shares one
     :class:`ResilientContextClient` (``staleness_ttl_s``) over control
-    channels whose retries back off with jitter on a replicated plane
-    only.  The fault dials, all off by default:
+    channels that make one attempt per call, behind breakers with a
+    short cool-down.  The fault dials, all off by default:
 
     - X4: ``unavailability`` of the run spent in outage windows spread
       over ``outage_period_s`` periods, on every channel;
@@ -116,31 +116,6 @@ class PlaneSpec:
                 raise ValueError("the ideal oracle is not replicated")
             if self.modes or self.byzantine_fraction:
                 raise ValueError("a replicated plane's severity is its cut, not lies")
-
-
-def experiment_channel(
-    env: "ExperimentEnv",
-    backend,
-    config: ChannelConfig,
-    *,
-    stream: str = "control-channel",
-    corruption: Optional[CorruptionLayer] = None,
-) -> ControlChannel:
-    """The control channel every plane puts before a backend.
-
-    Backoff jitter draws on the run's seeded ``stream``, made only when
-    ``config`` needs one.  A breaker whose cool-down dwarfs the outage
-    cadence would stay open through entire recovery windows, so the
-    reset is kept short relative to the injected outage period.
-    """
-    return ControlChannel(
-        env.sim,
-        backend,
-        config=config,
-        rng=env.rngs.stream(stream) if config.needs_rng else None,
-        breaker=CircuitBreaker(env.now, reset_timeout_s=1.0),
-        corruption=corruption,
-    )
 
 
 def schedule_unavailability(
@@ -230,9 +205,10 @@ class Plane:
 
     def __init__(self, spec: PlaneSpec, env: "ExperimentEnv", duration_s: float) -> None:
         sim = env.sim
-        # Jittered retries decorrelate a replicated plane's senders after a
-        # cut; one server's retries keep the plain schedule.
-        config = ChannelConfig(backoff_jitter=0.25 if spec.replication is not None else 0.0)
+        # A breaker whose cool-down dwarfs the outage cadence would stay
+        # open through entire recovery windows, so the reset is kept short
+        # relative to the injected outage period.
+        config = ChannelConfig(breaker_reset_s=1.0)
         self.service: Optional[ReplicatedContextService] = None
         self.failover: Optional[FailoverChannel] = None
         self.layer: Optional[CorruptionLayer] = None
@@ -250,9 +226,7 @@ class Plane:
             )
             self.servers = service.servers
             channels = [
-                experiment_channel(
-                    env, service.handle(index), config, stream=f"control-channel-{index}"
-                )
+                ControlChannel(sim, service.handle(index), config=config)
                 for index in range(service.n_replicas)
             ]
             source: Any = FailoverChannel(
@@ -286,7 +260,7 @@ class Plane:
                 )
                 self.servers = [backend]
             self.layer = _corruption_layer(spec, env)
-            source = experiment_channel(env, backend, config, corruption=self.layer)
+            source = ControlChannel(sim, backend, config=config, corruption=self.layer)
             channels = [source]
         for channel in channels:
             schedule_unavailability(

@@ -200,10 +200,6 @@ class ContextServer:
         self._loss_ewma = 0.0
         self._have_estimate = False
 
-        self.lookups = 0
-        self.reports_received = 0
-        self.reports_absorbed = 0
-        self.leases_expired = 0
         self.reports_rejected = 0
         self.report_rejections: dict = {}
 
@@ -218,7 +214,6 @@ class ContextServer:
         by taking out a lease that a later report releases — or that
         expires after ``lease_ttl_s`` if the sender never reports back.
         """
-        self.lookups += 1
         self._leases.append(self.sim._now)
         return self.current_context()
 
@@ -230,7 +225,6 @@ class ContextServer:
         a garbage-spewing reporter ages out via the lease TTL like a
         crashed sender rather than silently shrinking ``n``.
         """
-        self.reports_received += 1
         if self.robust:
             reason = report_invalid_reason(report)
             if reason is not None:
@@ -324,7 +318,6 @@ class ContextServer:
         for report, cached, moved in reversed(tail):
             if cached is None:
                 self._admit(report, window_start)
-                self.reports_absorbed += 1
                 continue
             if moved:
                 clocked.add(len(resident) + self._popped)
@@ -375,7 +368,6 @@ class ContextServer:
         horizon = self.sim._now - self.lease_ttl_s
         while self._leases and self._leases[0] <= horizon:
             self._leases.popleft()
-            self.leases_expired += 1
 
     def estimated_utilization(self) -> float:
         """u: recently reported goodput over the known capacity.
@@ -495,11 +487,9 @@ class IdealContextOracle:
         self.sim = sim
         self.monitor = monitor
         self.flow_tracker = flow_tracker
-        self.lookups = 0
 
     def lookup(self) -> CongestionContext:
         """Connection-start query (same protocol surface as the server)."""
-        self.lookups += 1
         return self.current_context()
 
     def report(self, report: ConnectionReport) -> None:

@@ -81,9 +81,7 @@ class TrustTracker:
     def __init__(self) -> None:
         self.score = 1.0
         self.samples = 0
-        self.mispredictions = 0
         self.distrust_entries = 0
-        self.restorations = 0
         self._distrusted = False
 
     @property
@@ -102,14 +100,12 @@ class TrustTracker:
             credit = ADJACENT_CREDIT
         else:
             credit = 0.0
-            self.mispredictions += 1
         self.score = (1.0 - TRUST_ALPHA) * self.score + TRUST_ALPHA * credit
         self.samples += 1
 
         if self._distrusted:
             if self.score > RESTORE_ABOVE:
                 self._distrusted = False
-                self.restorations += 1
                 self._transition("trusted")
         elif self.samples >= MIN_SAMPLES and self.score <= DISTRUST_BELOW:
             self._distrusted = True

@@ -122,13 +122,6 @@ class Whisker:
             children.append(Whisker(bounds=bounds, action=self.action))
         return children
 
-    def volume(self) -> float:
-        """Geometric volume of the box (for diagnostics)."""
-        result = 1.0
-        for lo, hi in self.bounds.values():
-            result *= max(0.0, hi - lo)
-        return result
-
 
 class WhiskerTable:
     """A complete rule table covering the memory domain.

@@ -18,7 +18,7 @@ with it.  This module puts a supervisor between the runner and the pool:
   timeout, and everything else is requeued for free.
 - **Budgeted retries** — failed points retry with exponential backoff
   (:func:`repro.phi.channel.exponential_backoff_s`, the formula the
-  control channel retries by, capped by a total backoff budget).
+  failover channel suspends replicas by, capped by a total backoff budget).
 - **Quarantine** — a point that exhausts its attempts or budget lands in
   a reported "poisoned" list with its full failure history; the sweep
   completes with the surviving points instead of aborting.

@@ -21,7 +21,7 @@ operations stay in C):
   / :meth:`Simulator.schedule_at`, which return the
   :class:`EventHandle`.  The handle holds the callback; cancelling blanks
   it there, and the loop discards the record when it surfaces.  For
-  timers (RTO, RPC timeouts, fault windows, sources).
+  timers (RTO, fault windows, sources).
 
 :attr:`Simulator.pending_events` is the heap size minus a live count of
 cancelled records rather than an O(n) scan.

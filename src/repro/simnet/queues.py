@@ -12,7 +12,8 @@ doors — dequeue, drop, or flush — so the conservation law
 
     ``enqueued == dequeued + flushed + still-queued``
 
-holds at all times (see :meth:`DropTailQueue.assert_conservation`).
+holds at all times (:func:`repro.simcheck.conservation.audit_queue`
+checks it, in packets and in bytes).
 """
 
 from __future__ import annotations
@@ -170,28 +171,6 @@ class DropTailQueue:
             self.stats.flushed_bytes += packet.size_bytes
         self._bytes = 0
         return drained
-
-    def assert_conservation(self) -> None:
-        """Raise AssertionError unless every packet is accounted for.
-
-        Checks ``enqueued == dequeued + flushed + queued`` in both packets
-        and bytes.  Cheap enough to call from tests and teardown paths.
-        """
-        stats = self.stats
-        accounted_packets = (
-            stats.dequeued_packets + stats.flushed_packets + len(self._queue)
-        )
-        assert stats.enqueued_packets == accounted_packets, (
-            f"packet conservation violated: enqueued={stats.enqueued_packets} "
-            f"!= dequeued={stats.dequeued_packets} + "
-            f"flushed={stats.flushed_packets} + queued={len(self._queue)}"
-        )
-        accounted_bytes = stats.dequeued_bytes + stats.flushed_bytes + self._bytes
-        assert stats.enqueued_bytes == accounted_bytes, (
-            f"byte conservation violated: enqueued={stats.enqueued_bytes} "
-            f"!= dequeued={stats.dequeued_bytes} + "
-            f"flushed={stats.flushed_bytes} + queued={self._bytes}"
-        )
 
     def _drain(self) -> List[Packet]:
         drained = list(self._queue)

@@ -4,10 +4,10 @@ Three metric kinds, modelled on the router-side counters the paper's
 operator observes the network with (§2.1):
 
 - :class:`Counter` — monotone accumulation (events executed, packets
-  dropped, RPC retries);
+  dropped, RPC outcomes);
 - :class:`Gauge` — a last-written value (heap depth, simulation clock);
-- :class:`Histogram` — fixed-bucket distributions (RPC latency, link
-  utilization, per-point wall time) with recoverable percentiles.
+- :class:`Histogram` — fixed-bucket distributions (link utilization,
+  per-point wall time) with recoverable percentiles.
 
 Metrics are *labeled*: ``registry.counter("link.drops", link="bottleneck")``
 names a distinct child per label set.  Everything is single-writer
@@ -52,7 +52,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
     for base in (1.0, 2.5, 5.0)
 )
 
-#: RPC / wall-time latency buckets in seconds (100 us .. 100 s).
+#: Wall-time latency buckets in seconds (100 us .. 100 s).
 LATENCY_BUCKETS_S: Tuple[float, ...] = tuple(
     round(base * 10.0 ** exponent, 7)
     for exponent in range(-4, 3)

@@ -33,17 +33,17 @@ class ByteIntervalSet:
         self._intervals: List[Tuple[int, int]] = []
         self.total_bytes = 0  #: running total of covered bytes
 
-    def add(self, start: int, end: int) -> int:
+    def add(self, start: int, end: int) -> None:
         """Insert ``[start, end)``, merging with any ranges it overlaps or
-        abuts; returns the number of bytes newly covered."""
+        abuts, and count the bytes it newly covers into ``total_bytes``."""
         if end <= start:
-            return 0
+            return
         intervals = self._intervals
         if intervals and intervals[-1][1] == start:
             # The in-order case: the range extends the top one.
             intervals[-1] = (intervals[-1][0], end)
             self.total_bytes += end - start
-            return end - start
+            return
         # intervals[first:last] are the ranges the new one touches.
         last = len(intervals)
         while last and intervals[last - 1][0] > end:
@@ -58,9 +58,7 @@ class ByteIntervalSet:
             start = min(start, intervals[first][0])
             end = max(end, intervals[last - 1][1])
         intervals[first:last] = [(start, end)]
-        gained = end - start - covered
-        self.total_bytes += gained
-        return gained
+        self.total_bytes += end - start - covered
 
     def contiguous_from(self, origin: int = 0) -> int:
         """Highest byte such that ``[origin, result)`` is fully covered.
@@ -93,10 +91,6 @@ class ByteIntervalSet:
             else:
                 intervals[0] = (origin, hi)
                 self.total_bytes -= origin - lo
-
-    def intervals(self) -> List[Tuple[int, int]]:
-        """The covered ranges, sorted and disjoint."""
-        return list(self._intervals)
 
 
 class TcpSink:

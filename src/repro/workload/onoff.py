@@ -105,7 +105,7 @@ class OnOffSource:
         self._stopped = True
         if self._active_sender is not None and not self._active_sender.finished:
             self._active_sender.abort()
-            self._teardown_active(completed=False)
+            self._teardown_active()
 
     def _draw_flow_size(self) -> int:
         size = self.rng.exponential(self.config.mean_on_bytes)
@@ -139,12 +139,12 @@ class OnOffSource:
 
     def _on_connection_done(self, sender: TcpSender) -> None:
         self.completed.append(sender.stats)
-        self._teardown_active(completed=True)
+        self._teardown_active()
         if self._stopped:
             return
         self.sim.schedule(self._draw_off_time(), self._launch_connection)
 
-    def _teardown_active(self, completed: bool) -> None:
+    def _teardown_active(self) -> None:
         if self._active_sender is not None and self.flow_tracker is not None:
             self.flow_tracker.flow_finished()
         if self._active_sink is not None:

@@ -101,4 +101,6 @@ class TestSecureAggregation:
         protocol = SecureCongestionAggregation(["a", "b"], np.random.default_rng(0))
         protocol.submit("p1", 0.2)
         protocol.submit("p2", 0.4)
-        assert all(a.contributions == 2 for a in protocol.aggregators)
+        assert protocol.round_size == 2
+        # Every aggregator folded in one share of each submission.
+        assert protocol.reveal_mean() * protocol.round_size == pytest.approx(0.6)

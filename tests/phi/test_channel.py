@@ -1,4 +1,4 @@
-"""Tests for the failure-aware control channel (RPCs, retries, breaker)."""
+"""Tests for the failure-aware control channel (RPCs, outages, breaker)."""
 
 import pytest
 
@@ -6,13 +6,6 @@ from repro import flightrec, telemetry
 from repro.flightrec import iter_layer
 from repro.phi.channel import (
     BREAKER_FAILURE_THRESHOLD,
-    RPC_BACKOFF_BASE_S,
-    RPC_BACKOFF_MAX_S,
-    RPC_BACKOFF_MULTIPLIER,
-    RPC_DEADLINE_S,
-    RPC_LATENCY_S,
-    RPC_MAX_RETRIES,
-    RPC_TIMEOUT_S,
     BreakerState,
     ChannelConfig,
     CircuitBreaker,
@@ -43,34 +36,6 @@ class FakeBackend:
         self.reports.append(report)
 
 
-class LowRng:
-    """Deterministic rng stub: every jitter draw is the low end."""
-
-    def uniform(self, low, high):
-        return low
-
-
-class TopRng:
-    """Deterministic rng stub: every jitter draw is the high end."""
-
-    def uniform(self, low, high):
-        return high
-
-
-def backoff(k):
-    """The channel's unjittered wait before retry ``k`` (0-based)."""
-    return exponential_backoff_s(
-        RPC_BACKOFF_BASE_S, RPC_BACKOFF_MULTIPLIER, RPC_BACKOFF_MAX_S, k
-    )
-
-
-#: A call to a down server: every attempt burns a timeout, with the
-#: plain backoff schedule between them.
-DOWN_CALL_S = (RPC_MAX_RETRIES + 1) * RPC_TIMEOUT_S + sum(
-    backoff(k) for k in range(RPC_MAX_RETRIES)
-)
-
-
 def make_report():
     from repro.phi.server import ConnectionReport
 
@@ -87,12 +52,14 @@ def make_report():
 
 class TestConfigValidation:
     def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(backoff_jitter=-1)
-        with pytest.raises(ValueError):
-            ChannelConfig(backoff_jitter=float("nan"))
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ChannelConfig(breaker_reset_s=bad)
 
     def test_backoff_schedule(self):
+        def backoff(k):
+            return exponential_backoff_s(0.05, 2.0, 1.0, k)
+
         assert backoff(0) == pytest.approx(0.05)
         assert backoff(1) == pytest.approx(0.1)
         assert backoff(2) == pytest.approx(0.2)
@@ -117,8 +84,8 @@ class TestHealthyChannel:
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend())
         result = channel.call_lookup()
-        assert result.ok and result.attempts == 1
-        assert result.elapsed_s == RPC_LATENCY_S
+        assert result.ok and result.value == CongestionContext.idle()
+        assert channel.stats.by_status == {"ok": 1}
 
     def test_works_against_real_server(self):
         sim = Simulator()
@@ -129,31 +96,18 @@ class TestHealthyChannel:
 
 
 class TestRetries:
+    """A call makes one attempt: RPC time is not simulated, so a retry in
+    the same instant would meet the same down-mark."""
+
     def test_exhausted_retries_fail(self):
+        # The retry budget is zero: a failed call is one failed attempt,
+        # and the breaker counts it once.
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend())
         channel.mark_down()
-        result = channel.call_lookup()
-        assert not result.ok
-        assert result.status is RpcStatus.SERVER_DOWN
-        assert result.attempts == RPC_MAX_RETRIES + 1  # initial + retries
-        assert channel.stats.retries == RPC_MAX_RETRIES
-
-    def test_deadline_bounds_total_elapsed(self):
-        # Full-swing jitter of 3 quadruples each backoff: the third retry
-        # would overrun the deadline, so it is never launched.
-        sim = Simulator()
-        channel = ControlChannel(
-            sim, FakeBackend(), config=ChannelConfig(backoff_jitter=3.0), rng=TopRng()
-        )
-        channel.mark_down()
-        result = channel.call_lookup()
-        assert not result.ok
-        assert result.status is RpcStatus.DEADLINE_EXCEEDED
-        assert result.attempts == 3
-        assert result.elapsed_s == pytest.approx(3 * RPC_TIMEOUT_S + 4 * (backoff(0) + backoff(1)))
-        # Retries stop while a worst-case follow-up still fits the budget.
-        assert result.elapsed_s <= RPC_DEADLINE_S
+        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
+        assert channel.breaker._consecutive_failures == 1
+        assert channel.stats.by_status == {"server_down": 1}
 
     def test_failed_call_returns_its_status(self):
         sim = Simulator()
@@ -161,8 +115,9 @@ class TestRetries:
         channel = ControlChannel(sim, backend)
         channel.mark_down()
         result = channel.call_lookup()
-        assert (result.status, result.attempts) == (RpcStatus.SERVER_DOWN, RPC_MAX_RETRIES + 1)
-        assert result.elapsed_s == pytest.approx(DOWN_CALL_S)
+        assert result == RpcResult(RpcStatus.SERVER_DOWN)
+        assert channel.breaker.state is BreakerState.CLOSED  # one failure
+        assert (channel.stats.calls, channel.stats.failures) == (1, 1)
         assert backend.lookups == 0
 
 
@@ -188,13 +143,13 @@ class TestBackendRefusal:
             sim, channels = self._quorum_channels()
             result = channels[0].call_lookup()
             counters = tele.registry.snapshot()["counters"]
-        assert result == RpcResult(RpcStatus.REFUSED, 1, 0.005)
+        assert result == RpcResult(RpcStatus.REFUSED)
         stats = channels[0].stats
-        assert (stats.calls, stats.failures, stats.attempts) == (1, 1, 1)
+        assert (stats.calls, stats.failures) == (1, 1)
         assert stats.by_status == {"backend_error": 1}
         assert counters["phi.rpc_calls{op=lookup,status=backend_error}"] == 1
         (record,) = [r for r in iter_layer(rec.records(), "phi") if r["kind"] == "rpc"]
-        assert record["detail"] == {"status": "backend_error", "attempts": 1, "elapsed_s": 0.005}
+        assert record["detail"] == {"status": "backend_error"}
 
     def test_failover_counts_the_refused_attempt(self):
         with flightrec.use() as rec:
@@ -203,7 +158,8 @@ class TestBackendRefusal:
                 sim, channels, config=FailoverConfig(suspend_jitter=0.0)
             )
             result = failover.call_lookup()
-        assert (result.status, result.attempts, result.elapsed_s) == (RpcStatus.OK, 2, 0.01)
+        assert result.status is RpcStatus.OK
+        assert failover.stats.by_replica[0]["failures"] == 1
         assert channels[0].stats.by_status == {"backend_error": 1}
         assert channels[1].stats.by_status == {"ok": 1}
         assert [r["detail"]["status"] for r in iter_layer(rec.records(), "phi")
@@ -265,18 +221,17 @@ class TestOutages:
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures(self):
         sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now)
+        breaker = CircuitBreaker(lambda: sim.now, 10.0)
         for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow()
-        assert breaker.trips == 1
 
     def test_success_resets_count(self):
         sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now)
+        breaker = CircuitBreaker(lambda: sim.now, 10.0)
         for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         breaker.record_success()
@@ -306,78 +261,40 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record_failure()  # probe fails: straight back to OPEN
         assert breaker.state is BreakerState.OPEN
-        assert breaker.trips == 2
+        sim.schedule(4.0, lambda: None)
+        sim.run()
+        assert breaker.state is BreakerState.OPEN  # a fresh cool-down
 
     def test_open_breaker_fails_fast_without_attempts(self):
         sim = Simulator()
         backend = FakeBackend()
         channel = ControlChannel(sim, backend)
         channel.mark_down()
-        # One failed call is RPC_MAX_RETRIES + 1 failed attempts; the
-        # second trips the breaker partway through its retries.
+        # Every failed call is one failed attempt; the second trips the
+        # breaker and still reports the down server it reached.
         assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
-        assert channel.call_lookup().status is RpcStatus.CIRCUIT_OPEN
-        assert channel.breaker.trips == 1
+        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
+        assert channel.breaker.state is BreakerState.OPEN
         result = channel.call_lookup()  # breaker now open
-        assert result.status is RpcStatus.CIRCUIT_OPEN
-        assert result.attempts == 0
-        assert result.elapsed_s == 0.0
-        assert channel.stats.fast_failures == 2
+        assert result == RpcResult(RpcStatus.CIRCUIT_OPEN)
+        assert channel.stats.fast_failures == 1
+        assert channel.stats.by_status == {"server_down": 2, "circuit_open": 1}
         assert backend.lookups == 0
 
     def test_breaker_recovers_with_server(self):
         sim = Simulator()
         backend = FakeBackend()
-        channel = ControlChannel(
-            sim, backend, breaker=CircuitBreaker(lambda: sim.now, reset_timeout_s=2.0)
-        )
+        channel = ControlChannel(sim, backend, config=ChannelConfig(breaker_reset_s=2.0))
         Outage(sim, 0.0, 1.0, targets=[channel])
         outcomes = []
-        for at in (0.4, 0.5, 1.5, 3.0):
+        for at in (0.4, 0.5, 0.6, 1.5, 3.0):
             sim.schedule_at(at, lambda: outcomes.append(channel.call_lookup().status))
         sim.run()
         assert outcomes == [
-            RpcStatus.SERVER_DOWN,   # every attempt fails
-            RpcStatus.CIRCUIT_OPEN,  # the fifth failed attempt trips the breaker
+            RpcStatus.SERVER_DOWN,   # one failed call
+            RpcStatus.SERVER_DOWN,   # the second failed call trips the breaker
+            RpcStatus.CIRCUIT_OPEN,  # refused without an attempt
             RpcStatus.CIRCUIT_OPEN,  # server is back but breaker still open
             RpcStatus.OK,            # half-open probe succeeds
         ]
         assert backend.lookups == 1
-
-
-class TestBackoffJitter:
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(backoff_jitter=-0.1)
-
-    def test_jitter_requires_rng(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            ControlChannel(
-                sim, FakeBackend(), config=ChannelConfig(backoff_jitter=0.25)
-            )
-
-    def test_jitter_scales_retry_backoff(self):
-        sim = Simulator()
-        # Every attempt fails — every backoff jittered at full swing.
-        channel = ControlChannel(
-            sim, FakeBackend(), config=ChannelConfig(backoff_jitter=0.5), rng=TopRng()
-        )
-        channel.mark_down()
-        result = channel.call_lookup()
-        assert result.attempts == RPC_MAX_RETRIES + 1
-        expected = (RPC_MAX_RETRIES + 1) * RPC_TIMEOUT_S + 1.5 * sum(
-            backoff(k) for k in range(RPC_MAX_RETRIES)
-        )
-        assert result.elapsed_s == pytest.approx(expected)
-
-    def test_zero_draw_matches_unjittered(self):
-        """uniform() returning the low end reproduces the plain schedule —
-        the jittered channel nests the deterministic one."""
-        sim = Simulator()
-        channel = ControlChannel(
-            sim, FakeBackend(), config=ChannelConfig(backoff_jitter=0.5), rng=LowRng()
-        )
-        channel.mark_down()
-        result = channel.call_lookup()
-        assert result.elapsed_s == pytest.approx(DOWN_CALL_S)

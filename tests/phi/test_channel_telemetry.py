@@ -6,12 +6,10 @@ from repro import flightrec, telemetry
 from repro.flightrec import iter_layer
 from repro.phi.channel import (
     BREAKER_FAILURE_THRESHOLD,
-    RPC_MAX_RETRIES,
     BreakerState,
     ChannelStats,
     CircuitBreaker,
     ControlChannel,
-    RpcResult,
     RpcStatus,
 )
 from repro.phi.context import CongestionContext
@@ -29,7 +27,7 @@ class _Clock:
 
 
 def _tripped_breaker(clock, reset=10.0):
-    breaker = CircuitBreaker(clock, reset_timeout_s=reset)
+    breaker = CircuitBreaker(clock, reset)
     for _ in range(BREAKER_FAILURE_THRESHOLD):
         breaker.record_failure()
     return breaker
@@ -38,7 +36,7 @@ def _tripped_breaker(clock, reset=10.0):
 class TestCircuitBreakerEdges:
     def test_closed_to_open_needs_consecutive_failures(self):
         clock = _Clock()
-        breaker = CircuitBreaker(clock)
+        breaker = CircuitBreaker(clock, 10.0)
         for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         breaker.record_success()  # resets the consecutive count
@@ -47,7 +45,6 @@ class TestCircuitBreakerEdges:
         assert breaker.state is BreakerState.CLOSED
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
-        assert breaker.trips == 1
         assert not breaker.allow()
 
     def test_open_decays_to_half_open_after_cooldown(self):
@@ -72,9 +69,11 @@ class TestCircuitBreakerEdges:
         breaker = _tripped_breaker(clock)
         clock.t = 10.0
         assert breaker.state is BreakerState.HALF_OPEN
-        breaker.record_failure()  # one failure suffices in HALF_OPEN
+        with telemetry.use() as tele:
+            breaker.record_failure()  # one failure suffices in HALF_OPEN
+            counters = tele.registry.snapshot()["counters"]
         assert breaker.state is BreakerState.OPEN
-        assert breaker.trips == 2
+        assert counters == {"phi.breaker_transitions{from_state=half_open,to_state=open}": 1.0}
         # Cool-down restarts from the re-open instant.
         clock.t = 19.0
         assert breaker.state is BreakerState.OPEN
@@ -111,7 +110,7 @@ class TestCircuitBreakerEdges:
     def test_no_counter_for_noop_transition(self):
         clock = _Clock()
         with telemetry.use() as tele:
-            breaker = CircuitBreaker(clock)
+            breaker = CircuitBreaker(clock, 10.0)
             breaker.record_success()  # CLOSED -> CLOSED: not an edge
             assert tele.registry.snapshot()["counters"] == {}
             assert breaker.state is BreakerState.CLOSED
@@ -120,28 +119,23 @@ class TestCircuitBreakerEdges:
 class TestChannelStats:
     def test_success_accounting(self):
         stats = ChannelStats()
-        stats.record(RpcResult(RpcStatus.OK, attempts=1, elapsed_s=0.005))
-        stats.record(RpcResult(RpcStatus.OK, attempts=3, elapsed_s=0.105))
+        stats.record(RpcStatus.OK)
+        stats.record(RpcStatus.OK)
         assert stats.calls == 2
         assert stats.successes == 2
         assert stats.failures == 0
-        assert stats.attempts == 4
-        assert stats.retries == 2
-        assert stats.rpc_time_s == pytest.approx(0.110)
         assert stats.by_status == {"ok": 2}
 
     def test_failure_accounting_by_status(self):
         stats = ChannelStats()
-        stats.record(RpcResult(RpcStatus.DEADLINE_EXCEEDED, attempts=4, elapsed_s=1.0))
-        stats.record(RpcResult(RpcStatus.SERVER_DOWN, attempts=2, elapsed_s=0.5))
-        stats.record(RpcResult(RpcStatus.CIRCUIT_OPEN, attempts=0, elapsed_s=0.0))
+        stats.record(RpcStatus.REFUSED)
+        stats.record(RpcStatus.SERVER_DOWN)
+        stats.record(RpcStatus.CIRCUIT_OPEN)
         assert stats.calls == 3
         assert stats.successes == 0
         assert stats.failures == 3
         assert stats.fast_failures == 1  # only the breaker rejection
-        assert stats.attempts == 6
-        assert stats.retries == 3 + 1
-        assert stats.by_status == {"deadline": 1, "server_down": 1, "circuit_open": 1}
+        assert stats.by_status == {"backend_error": 1, "server_down": 1, "circuit_open": 1}
 
 
 class _Backend:
@@ -163,22 +157,28 @@ class TestChannelTelemetry:
             sim, channel = self._channel()
             channel.call_lookup()  # ok
             channel.mark_down()
-            channel.call_lookup()  # server_down after every attempt
+            channel.call_lookup()  # server_down: the breaker still closed
+            channel.call_lookup()  # server_down: trips the breaker
+            channel.call_lookup()  # circuit_open: refused without an attempt
             snapshot = tele.registry.snapshot()
         counters = snapshot["counters"]
-        assert counters["phi.rpc_calls{op=lookup,status=ok}"] == 1.0
-        assert counters["phi.rpc_calls{op=lookup,status=server_down}"] == 1.0
-        assert counters["phi.rpc_retries{op=lookup}"] == RPC_MAX_RETRIES
-        histogram = snapshot["histograms"]["phi.rpc_latency_s{op=lookup}"]
-        assert histogram["count"] == 2
-        # Every terminal outcome is on the recorder's phi ring; the
-        # failed one carries its status, attempts and sim time.
-        ok, failed = iter_layer(rec.records(), "phi")
-        assert (ok["kind"], ok["subject"]) == ("rpc", "lookup")
-        assert ok["detail"]["status"] == "ok"
-        assert failed["detail"]["status"] == "server_down"
-        assert failed["detail"]["attempts"] == RPC_MAX_RETRIES + 1
-        assert failed["t"] == sim.now
+        assert counters == {
+            "phi.rpc_calls{op=lookup,status=ok}": 1.0,
+            "phi.rpc_calls{op=lookup,status=server_down}": 2.0,
+            "phi.rpc_calls{op=lookup,status=circuit_open}": 1.0,
+            "phi.breaker_transitions{from_state=closed,to_state=open}": 1.0,
+        }
+        assert snapshot["histograms"] == {}
+        # Every outcome is on the recorder's phi ring with its status and
+        # sim time, the breaker's edge between them.
+        records = list(iter_layer(rec.records(), "phi"))
+        assert [(r["kind"], r["subject"]) for r in records] == [
+            ("rpc", "lookup"), ("rpc", "lookup"), ("breaker", "breaker"),
+            ("rpc", "lookup"), ("rpc", "lookup"),
+        ]
+        statuses = [r["detail"]["status"] for r in records if r["kind"] == "rpc"]
+        assert statuses == ["ok", "server_down", "server_down", "circuit_open"]
+        assert all(r["t"] == sim.now for r in records)
 
     def test_channel_works_with_telemetry_disabled(self):
         assert not telemetry.session().enabled

@@ -94,8 +94,11 @@ class TestFailover:
         assert result.ok
         assert backends[1].lookups == 1
         assert failover.stats.failovers == 1
-        # Attempts include the primary's burned retries.
-        assert result.attempts > 1
+        # One call reached both replicas: the down primary, then replica 1.
+        assert failover.stats.by_replica == {
+            0: {"attempts": 1, "successes": 0, "failures": 1},
+            1: {"attempts": 1, "successes": 1, "failures": 0},
+        }
         assert failover.health(0).suspended_until > sim.now
 
     def test_backend_refusal_is_a_replica_failure(self):
@@ -126,7 +129,7 @@ class TestFailover:
         failover.call_lookup()  # suspends both
         result = failover.call_lookup()
         assert result.status is RpcStatus.CIRCUIT_OPEN
-        assert result.attempts == 0
+        assert [channel.stats.calls for channel in channels] == [1, 1]  # no replica asked
         assert failover.stats.fast_failures == 1
 
     def test_report_failover_delivers_to_survivor(self):

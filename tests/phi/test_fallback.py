@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.phi.channel import ControlChannel, RpcResult, RpcStatus
 from repro.phi.context import CongestionContext, CongestionLevel
 from repro.phi.fallback import MAX_PENDING_REPORTS, ContextDecision, ResilientContextClient
@@ -15,7 +16,7 @@ from repro.transport.sink import TcpSink
 
 
 #: What a call to an unreachable server returns.
-DOWN = RpcResult(RpcStatus.SERVER_DOWN, 1, 0.25)
+DOWN = RpcResult(RpcStatus.SERVER_DOWN)
 
 
 class FlakySource:
@@ -33,13 +34,13 @@ class FlakySource:
         if not self.up:
             return DOWN
         self.lookups += 1
-        return RpcResult(RpcStatus.OK, 1, 0.005, self.context)
+        return RpcResult(RpcStatus.OK, self.context)
 
     def call_report(self, report):
         if not self.up:
             return DOWN
         self.reports.append(report)
-        return RpcResult(RpcStatus.OK, 1, 0.005)
+        return RpcResult(RpcStatus.OK)
 
 
 def make_report(flow_id=1):
@@ -138,13 +139,11 @@ class TestReportRecovery:
         client.report(make_report(1))
         client.report(make_report(2))
         assert client.pending_reports == 2
-        assert client.reports_queued == 2
+        assert source.reports == []
         source.up = True
         client.report(make_report(3))
         assert client.pending_reports == 0
         assert [r.flow_id for r in source.reports] == [1, 2, 3]
-        assert client.reports_flushed == 2
-        assert client.reports_sent == 3
 
     def test_successful_lookup_flushes_backlog(self):
         clock = Clock()
@@ -166,7 +165,6 @@ class TestReportRecovery:
         for flow_id in flow_ids:
             client.report(make_report(flow_id))
         assert client.pending_reports == MAX_PENDING_REPORTS
-        assert client.reports_dropped == 2
         source.up = True
         client.resolve()
         assert [r.flow_id for r in source.reports] == list(flow_ids[2:])
@@ -205,39 +203,52 @@ class TestResilientFactory:
         channel = ControlChannel(sim, server)
         client = ResilientContextClient(channel, now=lambda: sim.now)
         factory = client.sender_factory(REFERENCE_POLICY)
+        # Read at completion, which runs after the report: its bytes are in
+        # the server's window, and it released the lookup's lease.
         done = []
-        sender = factory(sim, top.senders[0], spec, 30_000, done.append)
+        sender = factory(
+            sim, top.senders[0], spec, 30_000,
+            lambda s: done.append(server.estimated_utilization()),
+        )
         sender.start()
         sim.run(until=30.0)
-        assert done
-        assert server.reports_received == 1
+        assert len(done) == 1 and done[0] > 0
         assert server.active_connections == 0
+
+
+def mode_times(counters):
+    """``phi.mode_time_s{mode}`` as ``{mode: seconds}``."""
+    prefix = "phi.mode_time_s{mode="
+    return {k[len(prefix):-1]: v for k, v in counters.items() if k.startswith(prefix)}
 
 
 class TestModeTimeAccounting:
     def test_mode_times_charge_elapsed_to_prior_mode(self):
         source, clock = FlakySource(), Clock()
-        client = ResilientContextClient(source, now=clock, staleness_ttl_s=10.0)
-        client.resolve()                      # FRESH at t=0
-        clock.t = 4.0
-        source.up = False
-        client.resolve()                      # STALE at t=4: 4 s of FRESH
-        clock.t = 9.0
-        assert client.mode_times() == {
-            "fresh": 4.0, "stale": 5.0, "fallback": 0.0, "distrusted": 0.0,
-        }
-        # The closed-out ledger excludes the still-open STALE interval.
-        assert client.mode_time_s["stale"] == 0.0
+        with telemetry.use() as tele:
+            client = ResilientContextClient(source, now=clock, staleness_ttl_s=10.0)
+            client.resolve()                  # FRESH at t=0
+            clock.t = 4.0
+            source.up = False
+            client.resolve()                  # STALE at t=4: 4 s of FRESH
+            clock.t = 9.0
+            # The open STALE interval is charged only when a decision ends it.
+            assert mode_times(tele.registry.snapshot()["counters"]) == {"fresh": 4.0}
+            client.resolve()                  # STALE at t=9: 5 s of STALE
+            counters = tele.registry.snapshot()["counters"]
+        assert mode_times(counters) == {"fresh": 4.0, "stale": 5.0}
 
     def test_no_mode_before_first_lookup(self):
-        client = ResilientContextClient(FlakySource(), now=Clock())
-        assert client.mode_times() == {
-            "fresh": 0.0, "stale": 0.0, "fallback": 0.0, "distrusted": 0.0,
-        }
+        clock = Clock()
+        with telemetry.use() as tele:
+            client = ResilientContextClient(FlakySource(), now=clock)
+            clock.t = 5.0
+            client.resolve()  # the 5 s before it belong to no mode
+            counters = tele.registry.snapshot()["counters"]
+        assert mode_times(counters) == {}
+        assert counters["phi.context_decisions{decision=fresh}"] == 1.0
 
     def test_telemetry_counters(self):
-        from repro import telemetry
-
         source, clock = FlakySource(), Clock()
         with telemetry.use() as tele:
             client = ResilientContextClient(
@@ -293,15 +304,15 @@ class TestNarrowedExceptions:
         for status in failed:
             class Failing:
                 def call_lookup(self):
-                    return RpcResult(status, 1, 0.0)
+                    return RpcResult(status)
 
                 def call_report(self, report):
-                    return RpcResult(status, 1, 0.0)
+                    return RpcResult(status)
 
             client = ResilientContextClient(Failing(), now=Clock())
             assert client.resolve().decision is ContextDecision.FALLBACK, status
             client.report(make_report(1))
-            assert (client.pending_reports, client.reports_sent) == (1, 0), status
+            assert client.pending_reports == 1, status
 
     def test_backend_refusal_degrades(self):
         class RefusingBackend:
@@ -402,27 +413,30 @@ class TestDistrust:
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.DISTRUSTED
         # The shadow predictions keep turning out accurate -> trust restored.
-        self._restore(trust, resolved.shadow.level())
-        assert trust.restorations == 1
+        with telemetry.use() as tele:
+            self._restore(trust, resolved.shadow.level())
+            counters = tele.registry.snapshot()["counters"]
+        assert counters["phi.trust_transitions{to_state=trusted}"] == 1.0
         assert client.resolve().decision is ContextDecision.FRESH
 
     def test_mode_times_across_fresh_distrusted_fresh(self):
         clock = Clock()
         source = FlakySource()
-        client, trust = self._distrusting_client(source, clock)
-        assert client.resolve().decision is ContextDecision.FRESH
-        clock.t = 3.0
-        self._distrust(trust)
-        assert client.resolve().decision is ContextDecision.DISTRUSTED
-        clock.t = 8.0
-        self._restore(trust, source.context.level())
-        assert client.resolve().decision is ContextDecision.FRESH
-        clock.t = 10.0
-        assert client.mode_times() == {
-            "fresh": 5.0, "stale": 0.0, "fallback": 0.0, "distrusted": 5.0,
-        }
+        with telemetry.use() as tele:
+            client, trust = self._distrusting_client(source, clock)
+            assert client.resolve().decision is ContextDecision.FRESH
+            clock.t = 3.0
+            self._distrust(trust)
+            assert client.resolve().decision is ContextDecision.DISTRUSTED
+            clock.t = 8.0
+            self._restore(trust, source.context.level())
+            assert client.resolve().decision is ContextDecision.FRESH
+            clock.t = 10.0
+            assert client.resolve().decision is ContextDecision.FRESH
+            counters = tele.registry.snapshot()["counters"]
+        assert mode_times(counters) == {"fresh": 5.0, "distrusted": 5.0}
         assert client.decision_counts() == {
-            "fresh": 2, "stale": 0, "fallback": 0, "distrusted": 1,
+            "fresh": 3, "stale": 0, "fallback": 0, "distrusted": 1,
         }
 
     def test_observe_outcome_scores_fresh_and_shadow(self):

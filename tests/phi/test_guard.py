@@ -50,9 +50,10 @@ class TestConfigValidation:
 class TestStaticChecks:
     def test_accepts_honest_context(self):
         guard = ContextGuard(CAPACITY_MBPS)
-        verdict = guard.validate(honest())
+        context = honest()
+        verdict = guard.validate(context)
         assert verdict.accepted
-        assert guard.accepted_count == 1
+        assert guard.last_accepted is context
         assert guard.last_accepted is not None
 
     def test_rejects_nan(self):
@@ -150,7 +151,7 @@ class TestAccounting:
             REASON_OUT_OF_RANGE: 1,
         }
         assert guard.rejected_count == 3
-        assert guard.accepted_count == 0
+        assert guard.last_accepted is None
 
     def test_reasons_are_registered(self):
         assert REASON_RATE_OF_CHANGE in GUARD_REASONS

@@ -48,7 +48,7 @@ def test_nan_plane_input_is_rejected(configure):
 @pytest.mark.parametrize(
     "config, field",
     [
-        (ChannelConfig, "backoff_jitter"),
+        (ChannelConfig, "breaker_reset_s"),
         (ReplicationConfig, "anti_entropy_period_s"),
         (FailoverConfig, "suspend_jitter"),
     ],

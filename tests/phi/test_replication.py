@@ -140,7 +140,7 @@ class TestAntiEntropyMerge:
         assert bad not in service.handle(0).seen
         sim.run(until=1.5)
         assert service.reports_replicated == 0
-        assert all(s.reports_absorbed == 0 for s in service.servers)
+        assert all(bad not in handle.seen for handle in service.handles)
 
 
 class TestLeaseReconciliation:

@@ -58,14 +58,12 @@ class TestContextServerProtocol:
         server.lookup()
         server.lookup()
         assert server.active_connections == 2
-        assert server.lookups == 2
 
     def test_report_deregisters(self):
         sim, server = self._server()
         server.lookup()
         server.report(make_report(0.0))
         assert server.active_connections == 0
-        assert server.reports_received == 1
 
     def test_idle_server_reports_idle_context(self):
         sim, server = self._server()
@@ -130,7 +128,8 @@ class TestContextServerProtocol:
         stats.min_rtt = 0.15
         stats.packets_sent = 10
         server.report(ConnectionReport.from_stats(stats, sim.now))
-        assert server.reports_received == 1
+        # The first report seeds the queue-delay estimate: mean minus min RTT.
+        assert server.current_context().queue_delay_s == pytest.approx(0.01)
 
 
 class TestLeases:
@@ -153,7 +152,6 @@ class TestLeases:
         sim.schedule(10.0, lambda: None)
         sim.run()
         assert server.active_connections == 0
-        assert server.leases_expired == 1
 
     def test_leak_is_bounded_under_sustained_orphans(self):
         sim, server = self._server(lease_ttl_s=5.0)
@@ -163,7 +161,6 @@ class TestLeases:
             sim.schedule_at(float(t), server.lookup)
         sim.run()
         assert server.active_connections <= 6
-        assert server.leases_expired >= 54
 
     def test_report_after_expiry_does_not_go_negative(self):
         sim, server = self._server(lease_ttl_s=5.0)

@@ -62,11 +62,9 @@ class TestTrustTracker:
         tracker = TrustTracker()
         tracker.record(CongestionLevel.LOW, CongestionLevel.MODERATE)
         assert tracker.score == pytest.approx(1 - TRUST_ALPHA * (1 - ADJACENT_CREDIT))
-        assert tracker.mispredictions == 0
         before = tracker.score
         tracker.record(CongestionLevel.LOW, CongestionLevel.HIGH)
-        assert tracker.score == pytest.approx((1 - TRUST_ALPHA) * before)
-        assert tracker.mispredictions == 1
+        assert tracker.score == pytest.approx((1 - TRUST_ALPHA) * before)  # no credit
 
     def test_sustained_lies_trip_distrust(self):
         tracker = TrustTracker()
@@ -98,7 +96,6 @@ class TestTrustTracker:
             goods += 1
         assert goods == 6
         assert tracker.score > RESTORE_ABOVE
-        assert tracker.restorations == 1
 
     def test_band_prevents_flapping(self):
         """A score settling inside the band never toggles the state."""
@@ -115,7 +112,7 @@ class TestTrustTracker:
             tracker.record(CongestionLevel.LOW, CongestionLevel.MODERATE)
         # ... and distrusted throughout on the way back.
         assert tracker.distrusted
-        assert tracker.distrust_entries == 1 and tracker.restorations == 0
+        assert tracker.distrust_entries == 1  # never restored and re-entered
 
     def test_record_outcome_from_stats(self):
         tracker = TrustTracker()
@@ -124,8 +121,7 @@ class TestTrustTracker:
         stats.packets_sent = 100
         stats.retransmits = 10  # SEVERE: two or more levels from LOW
         tracker.record_outcome(CongestionLevel.LOW, stats)
-        assert tracker.score == pytest.approx(1 - TRUST_ALPHA)
-        assert tracker.mispredictions == 1
+        assert tracker.score == pytest.approx(1 - TRUST_ALPHA)  # no credit
 
     def test_telemetry(self):
         from repro import telemetry

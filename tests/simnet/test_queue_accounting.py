@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simcheck.conservation import audit_queue
 from repro.simnet.packet import make_ack_packet, make_data_packet
 from repro.simnet.queues import DropTailQueue, PriorityQueue, QueueStats
 from repro.simnet.red import RedQueue
@@ -46,7 +47,7 @@ class TestFlushAccounting:
             q.enqueue(data(seq=i))
         q.dequeue()
         q.flush()
-        q.assert_conservation()
+        audit_queue(q, "q")
         stats = q.stats
         assert stats.enqueued_packets == stats.dequeued_packets + stats.flushed_packets
 
@@ -54,14 +55,14 @@ class TestFlushAccounting:
         q = DropTailQueue(None, FakeClock())
         assert q.flush() == []
         assert q.stats.flushed_packets == 0
-        q.assert_conservation()
+        audit_queue(q, "q")
 
     def test_assert_conservation_detects_violation(self):
         q = DropTailQueue(None, FakeClock())
         q.enqueue(data())
         q.stats.enqueued_packets += 1  # simulate lost accounting
         with pytest.raises(AssertionError, match="conservation"):
-            q.assert_conservation()
+            audit_queue(q, "q")
 
     @given(
         st.lists(
@@ -87,7 +88,7 @@ class TestFlushAccounting:
                 q.dequeue()
             else:
                 q.flush()
-            q.assert_conservation()
+            audit_queue(q, "q")
 
 
 QUEUE_STATS_FIELDS = QueueStats.__slots__
@@ -228,7 +229,7 @@ def _run_against_eager_reference(label, factory, by_priority, clock_mode, ops):
             assert getattr(q.stats, field) == ref.stats[field], f"{where}: {field}"
         assert len(q) == q.packets_queued == len(ref.held), where
         assert q.bytes_queued == ref.bytes_held(), where
-        q.assert_conservation()
+        audit_queue(q, "q")
     return ref
 
 
@@ -284,7 +285,7 @@ class TestHeapPriorityQueue:
         q.enqueue(data(seq=3, priority=1))
         assert [p.seq for p in q.flush()] == [1, 3, 0, 2]
         assert len(q) == 0 and q.bytes_queued == 0
-        q.assert_conservation()
+        audit_queue(q, "q")
 
     def test_conservation_with_drops_and_flush(self):
         q = PriorityQueue(2000, FakeClock())
@@ -292,7 +293,7 @@ class TestHeapPriorityQueue:
             q.enqueue(data(seq=i, priority=i % 2, payload=900))
         q.dequeue()
         q.flush()
-        q.assert_conservation()
+        audit_queue(q, "q")
         assert q.stats.dropped_packets > 0  # capacity forced drops
 
     @given(

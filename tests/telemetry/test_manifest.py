@@ -6,11 +6,8 @@ import pytest
 
 from repro import telemetry
 from repro.experiments.scenarios import ScenarioPreset
-from repro.phi.channel import ControlChannel
-from repro.phi.context import CongestionContext
 from repro.runner import ENGINE_SIGNATURE, SweepRunner
 from repro.runner.cache import MemoryCache
-from repro.simnet import Simulator
 from repro.simnet.topology import DumbbellConfig
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
@@ -22,7 +19,7 @@ from repro.telemetry.manifest import (
     validate_manifest,
     write_manifest,
 )
-from repro.telemetry.registry import histogram_percentile
+from repro.telemetry.registry import LATENCY_BUCKETS_S, histogram_percentile
 from repro.transport.cubic import cubic_sweep_grid
 from repro.workload.onoff import OnOffConfig
 
@@ -70,6 +67,9 @@ class TestRunManifest:
     def test_valid_and_round_trips(self, tmp_path):
         with telemetry.use() as tele:
             tele.registry.counter("sim.events").inc(100)
+            wall = tele.registry.histogram("runner.point_wall_s", LATENCY_BUCKETS_S)
+            for _ in range(20):
+                wall.observe(0.005)
             manifest = run_manifest(
                 command="cubic",
                 preset_name="tiny-telemetry",
@@ -85,6 +85,12 @@ class TestRunManifest:
         write_manifest(manifest, str(path))
         loaded = load_manifest(str(path))
         assert loaded == json.loads(json.dumps(manifest))
+        # Percentiles are recoverable from the loaded histogram: every
+        # observation was 5 ms, and bucket edges bound the estimate.
+        histogram = loaded["metrics"]["histograms"]["runner.point_wall_s"]
+        assert histogram["count"] == 20
+        assert 0.002 <= histogram_percentile(histogram, 50) <= 0.005
+        assert histogram_percentile(histogram, 99) <= histogram["max"] == 0.005
 
     def test_config_hash_tracks_config(self):
         a = run_manifest(
@@ -232,38 +238,3 @@ class TestSweepManifest:
         with pytest.raises(ValueError, match="max_points must be an integer >= 0"):
             summarize_manifest(manifest, max_points=max_points)
 
-
-class _Backend:
-    def lookup(self):
-        return CongestionContext.idle()
-
-
-class TestPhiLatencyRecovery:
-    """Acceptance: RPC latency percentiles recoverable from a manifest."""
-
-    def test_percentiles_from_manifest(self, tmp_path):
-        with telemetry.use() as tele:
-            sim = Simulator()
-            channel = ControlChannel(sim, _Backend())
-            for _ in range(20):
-                assert channel.call_lookup().ok
-            manifest = run_manifest(
-                command="channel-bench",
-                preset_name="none",
-                seed=0,
-                duration_s=0.0,
-                metrics=tele.registry.snapshot(),
-            )
-        path = tmp_path / "m.json"
-        write_manifest(manifest, str(path))
-        loaded = load_manifest(str(path))
-        histogram = loaded["metrics"]["histograms"]["phi.rpc_latency_s{op=lookup}"]
-        assert histogram["count"] == 20
-        p50 = histogram_percentile(histogram, 50)
-        p99 = histogram_percentile(histogram, 99)
-        # Every call took exactly 5 ms; bucket edges bound the estimate.
-        assert 0.002 <= p50 <= 0.005
-        assert p99 <= histogram["max"] == 0.005
-        assert loaded["metrics"]["counters"][
-            "phi.rpc_calls{op=lookup,status=ok}"
-        ] == 20.0

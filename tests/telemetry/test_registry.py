@@ -195,7 +195,7 @@ def _worker_snapshot(calls, drops, latencies):
     registry.counter("phi.rpc_calls", op="lookup", status="ok").inc(calls)
     registry.counter("link.drops", link="bottleneck").inc(drops)
     registry.gauge("sim.pending_events").set(calls)
-    histogram = registry.histogram("phi.rpc_latency_s", LATENCY_BUCKETS_S, op="lookup")
+    histogram = registry.histogram("runner.point_wall_s", LATENCY_BUCKETS_S)
     for latency in latencies:
         histogram.observe(latency)
     return registry.snapshot()
@@ -217,7 +217,7 @@ class TestMergeSnapshots:
         a = _worker_snapshot(1, 0, [0.001, 0.010])
         b = _worker_snapshot(1, 0, [0.010, 0.500])
         histogram = merge_snapshots([a, b])["histograms"][
-            "phi.rpc_latency_s{op=lookup}"
+            "runner.point_wall_s"
         ]
         assert histogram["count"] == 4
         assert histogram["min"] == 0.001 and histogram["max"] == 0.5

@@ -1,9 +1,10 @@
-"""Every attribute the data plane stores is read by the program.
+"""Every attribute the data and control planes store is read by the program.
 
-The simulator's per-packet and per-flow state is written on the hot path:
-a field written on every hop but read only by tests costs every run and
-shows nothing.  The scan collects every attribute that code under
-``src/repro/simnet`` and ``src/repro/transport`` stores (``x.name = ``,
+The simulator's per-packet and per-flow state is written on the hot path,
+and the Phi plane's on every RPC: a field written on every hop or call but
+read only by tests costs every run and shows nothing.  The scan collects
+every attribute that code under ``src/repro/simnet``,
+``src/repro/transport`` and ``src/repro/phi`` stores (``x.name = ``,
 ``x.name += ``, ``x.name: T = ``) and every name in a ``__slots__``.  Each
 must be loaded somewhere in ``src/``, ``benchmarks/``, ``examples/``,
 ``scripts/`` or ``perf/`` (tests are not readers), or sit on ``ALLOWED``
@@ -22,7 +23,7 @@ from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WRITER_DIRS = ("src/repro/simnet", "src/repro/transport")
+WRITER_DIRS = ("src/repro/simnet", "src/repro/transport", "src/repro/phi")
 READER_DIRS = ("src", "benchmarks", "examples", "scripts", "perf")
 
 #: Stored attributes no reader the scan can see loads, each with its reason.

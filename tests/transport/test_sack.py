@@ -22,20 +22,20 @@ class TestByteIntervalSetSackOps:
         s.add(0, 100)
         s.add(200, 300)
         s.prune_below(250)
-        assert s.intervals() == [(250, 300)]
+        assert s._intervals == [(250, 300)]
         assert s.total_bytes == 50
 
     def test_prune_below_everything(self):
         s = ByteIntervalSet()
         s.add(0, 100)
         s.prune_below(500)
-        assert s.intervals() == []
+        assert s._intervals == []
 
     def test_prune_noop(self):
         s = ByteIntervalSet()
         s.add(100, 200)
         s.prune_below(50)
-        assert s.intervals() == [(100, 200)]
+        assert s._intervals == [(100, 200)]
 
 
 def make_sender(flow_size=100_000):

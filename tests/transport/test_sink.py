@@ -28,7 +28,7 @@ class TestByteIntervalSet:
         s.add(0, 150)
         s.add(100, 250)
         assert s.total_bytes == 250
-        assert len(s.intervals()) == 1
+        assert len(s._intervals) == 1
 
     def test_duplicate_adds_idempotent(self):
         s = ByteIntervalSet()
@@ -48,7 +48,7 @@ class TestByteIntervalSet:
         s.add(0, 100)
         s.add(100, 200)
         assert s.contiguous_from(0) == 300
-        assert len(s.intervals()) == 1
+        assert len(s._intervals) == 1
 
     @given(
         st.lists(
@@ -65,10 +65,11 @@ class TestByteIntervalSet:
         s = ByteIntervalSet()
         reference = set()
         for i, (start, length) in enumerate(chunks):
-            if i % 3 == 2 and s.intervals():
-                start = s.intervals()[-1][1]  # in order: extends the top range
-            gained = s.add(start, start + length)
-            assert gained == len(set(range(start, start + length)) - reference)
+            if i % 3 == 2 and s._intervals:
+                start = s._intervals[-1][1]  # in order: extends the top range
+            before = s.total_bytes
+            s.add(start, start + length)
+            assert s.total_bytes - before == len(set(range(start, start + length)) - reference)
             reference.update(range(start, start + length))
         assert s.total_bytes == len(reference)
         runs = []
@@ -77,7 +78,7 @@ class TestByteIntervalSet:
                 runs[-1][1] = byte + 1
             else:
                 runs.append([byte, byte + 1])
-        assert s.intervals() == [tuple(run) for run in runs]
+        assert s._intervals == [tuple(run) for run in runs]
         for origin in range(0, max(reference) + 3):
             expected_contig = origin
             while expected_contig in reference:
@@ -116,20 +117,22 @@ class TestByteIntervalSet:
     )
     @settings(max_examples=120)
     def test_running_total_and_in_place_edits_match_a_reference_set(self, ops):
-        # add() reports the newly covered bytes and prune_below() trims
-        # in place; total_bytes is a running counter, never a re-sum.
+        # add() counts the newly covered bytes and prune_below() trims in
+        # place; total_bytes is a running counter, never a re-sum.
         s = ByteIntervalSet()
         reference = set()
         for is_add, start, length in ops:
             if is_add:
                 fresh = set(range(start, start + length)) - reference
-                assert s.add(start, start + length) == len(fresh)
+                before = s.total_bytes
+                s.add(start, start + length)
+                assert s.total_bytes - before == len(fresh)
                 reference |= fresh
             else:
                 s.prune_below(start)
                 reference = {byte for byte in reference if byte >= start}
             assert s.total_bytes == len(reference)
-            intervals = s.intervals()
+            intervals = s._intervals
             assert sum(hi - lo for lo, hi in intervals) == len(reference)
             assert all(lo < hi for lo, hi in intervals)
             for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
@@ -160,7 +163,7 @@ class TestTcpSink:
         top.receivers[0].send = lambda p: acks.append(p)
         for i in range(50):
             sink.handle_packet(make_data_packet(1, "client", spec.dst, i * 100, 100))
-        assert sink.received.intervals() == [(0, 5000)]
+        assert sink.received._intervals == [(0, 5000)]
         assert sink.received.total_bytes == sink.rcv_nxt == 5000
         assert all(a.sack_blocks == () for a in acks)
 
