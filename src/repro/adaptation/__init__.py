@@ -7,7 +7,6 @@ from .dupack import (
     DupAckRecommendation,
     PathKey,
     ReorderingObservatory,
-    reordering_depths,
 )
 from .jitterbuffer import (
     DEFAULT_SAFETY_FACTOR,
@@ -28,5 +27,4 @@ __all__ = [
     "PathKey",
     "ReorderingObservatory",
     "late_loss_rate",
-    "reordering_depths",
 ]

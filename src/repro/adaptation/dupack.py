@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -28,25 +28,6 @@ MIN_THRESHOLD = 3
 
 #: Cap so a pathological path cannot disable fast retransmit entirely.
 MAX_THRESHOLD = 12
-
-
-def reordering_depths(arrival_order: Sequence[int]) -> List[int]:
-    """Per-packet reordering depth of an arrival sequence.
-
-    ``arrival_order`` lists packet sequence numbers in arrival order.  A
-    packet's depth is the number of earlier-sequenced packets that were
-    still missing when it arrived — each of those would generate one
-    duplicate ACK at the receiver.  In-order arrivals contribute depth 0.
-    """
-    depths = []
-    seen: set = set()
-    for seq in arrival_order:
-        if seq in seen:
-            raise ValueError(f"duplicate sequence number in arrival order: {seq}")
-        seen.add(seq)
-        missing_before = sum(1 for s in range(seq) if s not in seen)
-        depths.append(missing_before)
-    return depths
 
 
 @dataclass(frozen=True)
@@ -76,14 +57,6 @@ class ReorderingObservatory:
             if depth < 0:
                 raise ValueError(f"depth must be >= 0: {depth}")
             self._depths[path].append(int(depth))
-
-    def record_arrivals(self, path: PathKey, arrival_order: Sequence[int]) -> None:
-        """Contribute a raw arrival sequence (converted to depths)."""
-        self.record_depths(path, reordering_depths(arrival_order))
-
-    def sample_count(self, path: PathKey) -> int:
-        """Samples held for ``path``."""
-        return len(self._depths.get(path, ()))
 
     def spurious_probability(self, path: PathKey, threshold: int) -> float:
         """P[a packet's reordering depth >= threshold] on ``path``.

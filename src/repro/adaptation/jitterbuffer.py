@@ -57,22 +57,6 @@ class JitterObservatory:
         check("jitter_s", jitter_s, ge=0)
         self._samples[location].append(jitter_s)
 
-    def record_arrivals(
-        self, location: LocationKey, interarrival_s: Sequence[float], period_s: float
-    ) -> None:
-        """Contribute a stream's arrival record.
-
-        Jitter samples are |interarrival - nominal period|, the standard
-        instantaneous delay-variation measure.
-        """
-        check("period_s", period_s, gt=0)
-        for gap in interarrival_s:
-            self.record_jitter(location, abs(gap - period_s))
-
-    def sample_count(self, location: LocationKey) -> int:
-        """Samples held for ``location``."""
-        return len(self._samples.get(location, ()))
-
     def recommend(self, location: LocationKey) -> JitterBufferRecommendation:
         """Initial buffer size for a new stream at ``location``: the p95
         jitter times ``DEFAULT_SAFETY_FACTOR``.

@@ -4,8 +4,8 @@ The robustness analogue of the Figure 4 staleness ablation: instead of
 asking "how much does coordination help?", these runners ask "how much
 of the help survives when the coordination channel itself is cut
 off?".  Senders run on the one Phi plane (:mod:`repro.phi.plane`) — a
-:class:`~repro.phi.channel.ControlChannel` (latency, outages, timeouts,
-retries, circuit breaker) wrapped by a
+:class:`~repro.phi.channel.ControlChannel` (outage windows, one attempt
+per call, circuit breaker) wrapped by a
 :class:`~repro.phi.fallback.ResilientContextClient` (staleness TTL,
 default-parameter fallback, report recovery queue) — with scheduled
 outage windows, so a sweep over server unavailability traces the

@@ -157,7 +157,7 @@ class FlightRecorder:
 
     enabled = True
 
-    __slots__ = ("rings", "autodump_path", "autodumps", "last_dump_reason")
+    __slots__ = ("rings", "autodump_path", "autodumps")
 
     def __init__(
         self, *, autodump_path: Optional[str] = None, **capacities: int
@@ -174,7 +174,6 @@ class FlightRecorder:
         #: funnel through it.
         self.autodump_path = autodump_path
         self.autodumps = 0
-        self.last_dump_reason: Optional[str] = None
 
     def __len__(self) -> int:
         return sum(len(ring) for ring in self.rings.values())
@@ -244,7 +243,6 @@ class FlightRecorder:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
-        self.last_dump_reason = reason
         return len(records)
 
     def maybe_autodump(
@@ -266,7 +264,6 @@ class FlightRecorder:
         for ring in self.rings.values():
             ring.clear()
         self.autodumps = 0
-        self.last_dump_reason = None
 
 
 class NullFlightRecorder(FlightRecorder):

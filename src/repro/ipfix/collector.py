@@ -21,13 +21,11 @@ class IpfixCollector:
 
     def __init__(self) -> None:
         self._slots: Dict[SlotKey, Set[FourTuple]] = defaultdict(set)
-        self.headers_received = 0
 
     def ingest(self, header: SampledHeader) -> None:
         """Fold one sampled header into the aggregation."""
         key = (header.dst_subnet, header.minute)
         self._slots[key].add(header.four_tuple)
-        self.headers_received += 1
 
     def ingest_many(self, headers: Iterable[SampledHeader]) -> None:
         """Fold a batch of sampled headers in."""
@@ -47,8 +45,3 @@ class IpfixCollector:
             for flow in flows:
                 result.append((flow, size))
         return result
-
-    @property
-    def slot_count(self) -> int:
-        """Number of non-empty aggregation slots."""
-        return len(self._slots)

@@ -24,7 +24,6 @@ from .context import (
 from .channel import (
     BreakerState,
     ChannelConfig,
-    ChannelStats,
     CircuitBreaker,
     ControlChannel,
     RpcResult,
@@ -96,7 +95,6 @@ __all__ = [
     "CONTEXT_CORRUPTION_MODES",
     "CUBIC_SWEEP_GRID",
     "ChannelConfig",
-    "ChannelStats",
     "CircuitBreaker",
     "CompositeCorruptor",
     "ContextCorruptor",

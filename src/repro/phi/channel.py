@@ -21,7 +21,7 @@ propagates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -162,28 +162,6 @@ class CircuitBreaker:
             self._consecutive_failures = 0
 
 
-@dataclass
-class ChannelStats:
-    """Cumulative accounting across every call on one channel."""
-
-    calls: int = 0
-    successes: int = 0
-    failures: int = 0
-    fast_failures: int = 0  # refused by the open breaker
-    by_status: dict = field(default_factory=dict)
-
-    def record(self, status: RpcStatus) -> None:
-        self.calls += 1
-        if status is RpcStatus.OK:
-            self.successes += 1
-        else:
-            self.failures += 1
-            if status is RpcStatus.CIRCUIT_OPEN:
-                self.fast_failures += 1
-        key = status._value_  # ``.value`` is a property: a Python frame
-        self.by_status[key] = self.by_status.get(key, 0) + 1
-
-
 class ControlChannel:
     """Failure-aware RPC front for any ``ContextSource`` backend.
 
@@ -213,17 +191,13 @@ class ControlChannel:
         #: sender — so transport health and payload truth fail
         #: independently, as they do in practice.
         self.corruption = corruption
-        self.stats = ChannelStats()
+        #: Calls the open breaker refused without an attempt.
+        self.fast_failures = 0
         self._down_marks = 0
 
     # ------------------------------------------------------------------
     # Availability (driven by Outage faults)
     # ------------------------------------------------------------------
-    @property
-    def server_up(self) -> bool:
-        """Whether the backend is reachable at this instant."""
-        return self._down_marks == 0
-
     def mark_down(self) -> None:
         """One more reason the server is unreachable (outage begin)."""
         self._down_marks += 1
@@ -252,12 +226,13 @@ class ControlChannel:
 
     def _call(self, fn: Callable[..., Any], op: str, *args: Any) -> RpcResult:
         """``fn(*args)`` behind the outage marks and the breaker, in one
-        attempt; the outcome is accounted (stats and telemetry) on the way out."""
+        attempt; the outcome is accounted (telemetry, recorder) on the way out."""
         breaker = self.breaker
         value = None
         # A CLOSED breaker always allows: it is asked only when it is not.
         if breaker._state is not BreakerState.CLOSED and not breaker.allow():
             status = RpcStatus.CIRCUIT_OPEN
+            self.fast_failures += 1
         elif self._down_marks:
             status = RpcStatus.SERVER_DOWN
             breaker.record_failure()
@@ -272,7 +247,6 @@ class ControlChannel:
                 # QuorumUnavailable).  Any other exception is a bug and
                 # propagates.
                 status = RpcStatus.REFUSED
-        self.stats.record(status)
         tele = _telemetry_session()
         if tele.enabled:
             tele.registry.counter("phi.rpc_calls", op=op, status=status.value).inc()

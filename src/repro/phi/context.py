@@ -105,11 +105,6 @@ class CongestionContext:
             rank = max(rank, len(_FAIR_SHARE_ASCENDING) - exceeded)
         return _LEVELS_ASCENDING[rank]
 
-    @classmethod
-    def idle(cls) -> "CongestionContext":
-        """The context of a quiet network at time zero."""
-        return cls(utilization=0.0, queue_delay_s=0.0, competing_senders=0.0, timestamp=0.0)
-
 
 _LEVELS_ASCENDING = (
     CongestionLevel.LOW,

@@ -90,9 +90,6 @@ class ReplicaHealth:
 class FailoverStats:
     """Cumulative accounting across every call on one failover channel."""
 
-    calls: int = 0
-    successes: int = 0
-    failures: int = 0        # calls where every candidate replica failed
     fast_failures: int = 0   # calls failed instantly: all replicas benched
     failovers: int = 0       # calls answered by a non-primary replica
     #: The channel's per-replica standing, which ``by_replica`` reads.
@@ -156,11 +153,6 @@ class FailoverChannel:
     def n_replicas(self) -> int:
         return len(self.channels)
 
-    @property
-    def current_replica(self) -> int:
-        """The sticky replica new calls try first (when not benched)."""
-        return self._current
-
     def health(self, index: int) -> ReplicaHealth:
         """This client's observed standing of replica ``index``."""
         return self._health[index]
@@ -208,7 +200,6 @@ class FailoverChannel:
     # ------------------------------------------------------------------
     def _call(self, op: str, report: Optional[ConnectionReport] = None) -> RpcResult:
         stats = self.stats
-        stats.calls += 1
         tele = _telemetry_session()
         current = self._current
         if self._health[current].suspended_until <= self.sim._now:
@@ -220,7 +211,6 @@ class FailoverChannel:
             if not order:
                 # Every replica is benched: fail fast, like an open breaker.
                 stats.fast_failures += 1
-                stats.failures += 1
                 if tele.enabled:
                     tele.registry.counter(
                         "phi.replica_rpc_calls", replica="none", status="all_suspended"
@@ -250,7 +240,6 @@ class FailoverChannel:
                 health.successes += 1
                 if health.probation_left > 0:
                     health.probation_left -= 1
-                stats.successes += 1
                 if index != primary:
                     stats.failovers += 1
                     if tele.enabled:
@@ -267,7 +256,6 @@ class FailoverChannel:
             self._record_failure(index)
             if index == current:  # only ever first, and only if not benched
                 order += self._try_order()
-        stats.failures += 1
         return result
 
     # ------------------------------------------------------------------

@@ -116,15 +116,6 @@ class ContextGuard:
         self._last_accepted: Optional[CongestionContext] = None
         self.rejections: Dict[str, int] = {}
 
-    @property
-    def last_accepted(self) -> Optional[CongestionContext]:
-        """The previous snapshot the guard let through (rate baseline)."""
-        return self._last_accepted
-
-    @property
-    def rejected_count(self) -> int:
-        return sum(self.rejections.values())
-
     def validate(self, context: CongestionContext) -> GuardVerdict:
         """Check one snapshot; accepted snapshots become the rate baseline."""
         verdict = self._check(context)

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..remy.whisker import WhiskerTable
 from ..simnet.bounds import check
 from ..simnet.faults import Outage
-from .channel import ChannelConfig, ChannelStats, ControlChannel
+from .channel import ChannelConfig, ControlChannel
 from .corruption import ByzantineReporter, CorruptionLayer, make_context_corruptor
-from .failover import FailoverChannel, FailoverStats
+from .failover import FailoverChannel
 from .fallback import ResilientContextClient
 from .guard import ContextGuard
 from .policy import PolicyTable
@@ -174,9 +174,8 @@ class PlaneRunResult:
     result: "ScenarioResult"
     decision_counts: Dict[str, int]
     pending_reports: int
-    #: The stats of the channel the client calls: the one
-    #: :class:`ControlChannel`, or the :class:`FailoverChannel`.
-    channel_stats: Union[ChannelStats, FailoverStats]
+    #: Calls the client's channel refused without an attempt: the one
+    #: :class:`ControlChannel`'s open breaker, or every replica benched.
     fast_failures: int
     guard_rejections: Dict[str, int]
     reports_rejected: int
@@ -294,8 +293,7 @@ class Plane:
             result=result,
             decision_counts=client.decision_counts(),
             pending_reports=client.pending_reports,
-            channel_stats=self.source.stats,
-            fast_failures=self.source.stats.fast_failures,
+            fast_failures=(failover.stats if failover else self.source).fast_failures,
             guard_rejections=self.guard.rejection_counts() if self.guard else {},
             reports_rejected=sum(server.reports_rejected for server in self.servers),
             contexts_corrupted=layer.contexts_corrupted if layer else 0,

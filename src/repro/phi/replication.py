@@ -198,15 +198,6 @@ class ReplicaHandle:
     # ------------------------------------------------------------------
     # Lease bookkeeping
     # ------------------------------------------------------------------
-    def outstanding_leases(self) -> Dict[LeaseId, float]:
-        """Leases issued, not released, and not TTL-expired — this
-        replica's view of ``n``'s composition."""
-        self._expire_lease_log()
-        return {
-            lid: ts for lid, ts in self.lease_log.items()
-            if lid not in self.released
-        }
-
     def _expire_lease_log(self) -> None:
         """Drop TTL-expired entries, mirroring the server's expiry.  The
         RPC paths test its guard inline: most calls have nothing to drop."""

@@ -197,7 +197,6 @@ class ContextServer:
         #: each is a lease on one slot of ``n``.
         self._leases: Deque[float] = deque()
         self._queue_delay_ewma = 0.0
-        self._loss_ewma = 0.0
         self._have_estimate = False
 
         self.reports_rejected = 0
@@ -249,7 +248,7 @@ class ContextServer:
 
     def _admit(self, report: ConnectionReport, window_start: float) -> None:
         """Append ``report`` to the window with its cached contribution and
-        fold it into the queue-delay and loss EWMAs."""
+        fold it into the queue-delay EWMA."""
         now = self.sim._now
         reported_at, duration_s = report.reported_at, report.duration_s
         conn_start = reported_at - duration_s
@@ -268,14 +267,10 @@ class ContextServer:
         queue_delay_s = 0.0 if min_rtt_s <= 0 else max(0.0, report.mean_rtt_s - min_rtt_s)
         if not self._have_estimate:
             self._queue_delay_ewma = queue_delay_s
-            self._loss_ewma = report.loss_indicator
             self._have_estimate = True
         else:
             self._queue_delay_ewma = (
                 (1 - EWMA_ALPHA) * self._queue_delay_ewma + EWMA_ALPHA * queue_delay_s
-            )
-            self._loss_ewma = (
-                (1 - EWMA_ALPHA) * self._loss_ewma + EWMA_ALPHA * report.loss_indicator
             )
 
     # ------------------------------------------------------------------
@@ -412,37 +407,14 @@ class ContextServer:
         cap = INFLUENCE_BOUND * _median(positive)
         return [min(c, cap) for c in contributions]
 
-    def _windowed_trim(self, field: str, fallback: float) -> float:
-        if not self.robust or len(self._reports) < MIN_REPORTS_FOR_TRIM:
+    def _trimmed_queue_delay(self, fallback: float) -> float:
+        """The window's trimmed-mean queue delay: outlier reporters are cut
+        from both tails, not smoothed in.  ``fallback`` below
+        :data:`MIN_REPORTS_FOR_TRIM` reports."""
+        if len(self._reports) < MIN_REPORTS_FOR_TRIM:
             return fallback
-        values = [getattr(report, field) for report in self._reports]
+        values = [report.queue_delay_s for report in self._reports]
         return _trimmed_mean(values, TRIM_FRACTION)
-
-    def estimated_queue_delay(self) -> float:
-        """q: EWMA of reported RTT inflation.
-
-        Under robust aggregation (and enough reports in the window) this
-        becomes a trimmed mean over the window's reports: a minority of
-        outlier reporters — however extreme — are discarded from both
-        tails instead of being smoothed *into* the estimate.
-        """
-        self._expire_old_reports()
-        return self._windowed_trim("queue_delay_s", self._queue_delay_ewma)
-
-    def estimated_loss(self) -> float:
-        """EWMA of reported loss indicators (informs conservative policies).
-
-        Trimmed mean over the window under robust aggregation, like
-        :meth:`estimated_queue_delay`.
-        """
-        self._expire_old_reports()
-        return self._windowed_trim("loss_indicator", self._loss_ewma)
-
-    @property
-    def active_connections(self) -> int:
-        """n: unexpired lookups that have not yet reported back."""
-        self._expire_leases()
-        return len(self._leases)
 
     def current_context(self) -> CongestionContext:
         """Assemble the (u, q, n) snapshot from the practical estimates.
@@ -456,7 +428,7 @@ class ContextServer:
         utilization = self.estimated_utilization()  # advances the window for both
         queue_delay_s = self._queue_delay_ewma
         if self.robust:
-            queue_delay_s = self._windowed_trim("queue_delay_s", queue_delay_s)
+            queue_delay_s = self._trimmed_queue_delay(queue_delay_s)
         return CongestionContext(
             utilization=utilization,
             queue_delay_s=queue_delay_s,

@@ -47,17 +47,12 @@ class PredictionFeeder:
     def __init__(self, store: ObservationStore, location: LocationKey) -> None:
         self.store = store
         self.location = location
-        self.recorded = 0
-        self.skipped = 0
 
     def record(self, stats: ConnectionStats) -> None:
         """Feed one connection's stats into the store."""
         observation = observation_from_stats(stats, self.location)
-        if observation is None:
-            self.skipped += 1
-            return
-        self.store.record(observation)
-        self.recorded += 1
+        if observation is not None:
+            self.store.record(observation)
 
     def wrap(self) -> Callable[[TcpSender], None]:
         """A completion callback that records the sender's stats."""

@@ -46,21 +46,11 @@ class ObservationStore:
         self._by_location: Dict[LocationKey, Deque[PerfObservation]] = defaultdict(
             lambda: deque(maxlen=MAX_PER_LOCATION)
         )
-        self.total_observations = 0
 
     def record(self, observation: PerfObservation) -> None:
         """Store one observation."""
         self._by_location[observation.location].append(observation)
-        self.total_observations += 1
 
     def recent(self, location: LocationKey) -> List[PerfObservation]:
         """Observations for ``location``, newest last."""
         return list(self._by_location.get(location, ()))
-
-    def sample_count(self, location: LocationKey) -> int:
-        """How many observations are held for ``location``."""
-        return len(self._by_location.get(location, ()))
-
-    def locations(self) -> List[LocationKey]:
-        """All locations with at least one observation."""
-        return list(self._by_location)

@@ -43,9 +43,6 @@ class WeightAssignment:
 MIN_WEIGHT = 0.1
 MAX_WEIGHT = 8.0
 
-#: Relative slack on the weight sum that still counts as ensemble-friendly.
-FRIENDLY_TOL = 0.05
-
 
 class EnsembleAllocator:
     """Assigns TCP-friendliness-preserving weights across an ensemble."""
@@ -99,10 +96,3 @@ class EnsembleAllocator:
                 )
             )
         return rescaled
-
-    def ensemble_friendly(self, assignments: Sequence[WeightAssignment]) -> bool:
-        """Check the invariant: weights sum to ~n (within ``FRIENDLY_TOL``)."""
-        if not assignments:
-            return True
-        total = sum(a.weight for a in assignments)
-        return abs(total - len(assignments)) <= FRIENDLY_TOL * len(assignments)

@@ -195,11 +195,6 @@ class WhiskerTable:
         whisker.use_count += 1
         return whisker.action
 
-    def reset_use_counts(self) -> None:
-        """Zero all use counters (between training evaluations)."""
-        for whisker in self.whiskers:
-            whisker.use_count = 0
-
     def most_used(self) -> Whisker:
         """The whisker with the highest use count."""
         return max(self.whiskers, key=lambda w: w.use_count)

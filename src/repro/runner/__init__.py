@@ -9,7 +9,7 @@ retries or quarantines failing points, and a checkpoint journal
 See DESIGN.md ("Sweep runner", "Failure modes") for the architecture.
 """
 
-from .cache import CacheStats, DiskCache, MemoryCache, NullCache
+from .cache import DiskCache, NullCache
 from .checkpoint import CheckpointError, SweepJournal, sweep_key
 from .core import (
     SweepOutcome,
@@ -32,13 +32,11 @@ from .resilience import (
 
 __all__ = [
     "ENGINE_SIGNATURE",
-    "CacheStats",
     "CheckpointError",
     "ConsoleProgress",
     "DiskCache",
     "ExecutionReport",
     "FlowRecord",
-    "MemoryCache",
     "NullCache",
     "PointFailure",
     "PointResult",

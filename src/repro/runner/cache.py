@@ -11,44 +11,9 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, Optional
+from typing import Optional
 
 from .records import PointResult, decode_record, encode_record
-
-
-class CacheStats:
-    """Hit/miss counters shared by all cache backends."""
-
-    __slots__ = ("hits", "misses", "writes", "corrupt_evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.corrupt_evictions = 0
-
-
-class MemoryCache:
-    """In-process dictionary cache (the default)."""
-
-    def __init__(self) -> None:
-        self._store: Dict[str, PointResult] = {}
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key: str) -> Optional[PointResult]:
-        result = self._store.get(key)
-        if result is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return result
-
-    def put(self, result: PointResult) -> None:
-        self._store[result.key] = result
-        self.stats.writes += 1
 
 
 class DiskCache:
@@ -68,7 +33,6 @@ class DiskCache:
     def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.stats = CacheStats()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
@@ -82,7 +46,6 @@ class DiskCache:
         )
 
     def _evict_corrupt(self, path: str) -> None:
-        self.stats.corrupt_evictions += 1
         try:
             os.unlink(path)
         except OSError:  # pragma: no cover - deletion is best-effort
@@ -94,7 +57,6 @@ class DiskCache:
             with open(path, "r", encoding="utf-8") as handle:
                 result = decode_record(handle.read())
         except FileNotFoundError:
-            self.stats.misses += 1
             return None
         except (OSError, ValueError):
             result = None
@@ -103,9 +65,7 @@ class DiskCache:
             # record filed under another point's name: delete-and-miss so
             # one bad file can't poison every sweep.
             self._evict_corrupt(path)
-            self.stats.misses += 1
             return None
-        self.stats.hits += 1
         return result
 
     def put(self, result: PointResult) -> None:
@@ -125,20 +85,15 @@ class DiskCache:
             except FileNotFoundError:
                 pass
             raise
-        self.stats.writes += 1
 
 
 class NullCache:
-    """A cache that remembers nothing (for benchmarking cold paths)."""
-
-    def __init__(self) -> None:
-        self.stats = CacheStats()
+    """A cache that remembers nothing (the runner's default)."""
 
     def __len__(self) -> int:
         return 0
 
     def get(self, key: str) -> Optional[PointResult]:
-        self.stats.misses += 1
         return None
 
     def put(self, result: PointResult) -> None:

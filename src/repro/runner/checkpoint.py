@@ -74,8 +74,6 @@ class SweepJournal:
         self.path = path
         self.fsync = fsync
         self._handle = None
-        self.appended = 0
-        self.corrupt_dropped = 0
 
     @classmethod
     def for_sweep(
@@ -121,7 +119,6 @@ class SweepJournal:
                         ordered.append(record)
         except FileNotFoundError:
             return {}
-        self.corrupt_dropped = corrupt
         if corrupt and heal:
             self._rewrite(ordered)
         return restored
@@ -169,7 +166,6 @@ class SweepJournal:
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
-        self.appended += 1
 
     def close(self) -> None:
         if self._handle is not None:

@@ -54,7 +54,7 @@ from ..simnet.bounds import check
 from ..simnet.engine import WatchdogConfig, check_duration
 from ..telemetry.registry import LATENCY_BUCKETS_S, merge_snapshots
 from ..transport.cubic import CubicParams
-from .cache import MemoryCache
+from .cache import NullCache
 from .checkpoint import SweepJournal
 from .faultinject import ENV_VAR as _FAULT_ENV_VAR
 from .hashing import point_key
@@ -402,9 +402,9 @@ class SweepRunner:
         Worker processes; defaults to the usable CPU count.  ``1``
         evaluates inline without a pool.
     cache:
-        A cache backend (``MemoryCache`` by default; pass a
-        :class:`~repro.runner.cache.DiskCache` to persist across runs, or
-        ``NullCache`` to disable).
+        A cache backend: :class:`~repro.runner.cache.DiskCache` to reuse
+        points across runs; ``NullCache`` (the default) remembers nothing,
+        as a runner that runs once has nothing to reuse.
     progress:
         Optional callable receiving :class:`SweepProgress` snapshots.
     resilience:
@@ -454,7 +454,7 @@ class SweepRunner:
         self.n_workers = check_workers(
             n_workers if n_workers is not None else _default_workers()
         )
-        self.cache = cache if cache is not None else MemoryCache()
+        self.cache = cache if cache is not None else NullCache()
         self.progress = progress
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.checkpoint_dir = checkpoint_dir
@@ -548,20 +548,12 @@ class SweepRunner:
         self._report(progress_state)
 
         def keep(index: int, result: PointResult) -> None:
-            # Cache entries never carry telemetry snapshots: DiskCache
-            # drops them on serialization (to_dict excludes the field),
-            # so strip them for MemoryCache too — cached points behave
-            # identically whichever backend served them.
-            if result.telemetry is None:
-                self.cache.put(result)
-            else:
-                self.cache.put(replace(result, telemetry=None))
+            self.cache.put(result)
             if journal is not None:
                 journal.append(result)
             results[index] = result
             provenance[result.key] = "computed"
             progress_state.completed += 1
-            progress_state.recomputed += 1
 
         def sync_supervision(report: ExecutionReport) -> None:
             progress_state.retries = report.retries

@@ -21,9 +21,9 @@ class SweepProgress:
     restored from a checkpoint, freshly computed, or quarantined — so it
     reaches ``total`` even on a sweep with poisoned points.  The
     remaining counters break that total down: ``cached`` (cache hits),
-    ``checkpointed`` (journal restores on ``--resume``), ``recomputed``
-    (actually evaluated this run), ``retries`` (extra attempts the
-    supervisor made), and ``quarantined`` (points given up on).
+    ``checkpointed`` (journal restores on ``--resume``), ``retries``
+    (extra attempts the supervisor made), and ``quarantined`` (points
+    given up on).
     """
 
     total: int
@@ -31,7 +31,6 @@ class SweepProgress:
     cached: int
     started_at: float
     checkpointed: int = 0
-    recomputed: int = 0
     retries: int = 0
     quarantined: int = 0
 

@@ -201,7 +201,6 @@ class RandomLoss(LinkFault):
         self.loss_probability = loss_probability
         self.rng = rng
         self.packets_dropped = 0
-        self.packets_passed = 0
         self._install()
 
     def apply(self, packet: Packet, forward: Callable[[Packet], None]) -> None:
@@ -211,20 +210,11 @@ class RandomLoss(LinkFault):
                 "fault_absorb", self.sim.now, self, self.link.name, packet=packet
             )
             return
-        self.packets_passed += 1
         forward(packet)
 
     def remove(self) -> None:
         """Restore the link's normal delivery (other faults unaffected)."""
         self._uninstall()
-
-    @property
-    def observed_loss_rate(self) -> float:
-        """Empirical drop fraction so far."""
-        total = self.packets_dropped + self.packets_passed
-        if total == 0:
-            return 0.0
-        return self.packets_dropped / total
 
 
 class Outageable(Protocol):
@@ -377,11 +367,6 @@ class Outage(_Window):
         self.edges = tuple(tuple(edge) for edge in edges)
         severed = (mesh,) if self.edges else ()
         super().__init__(sim, start_s, duration_s, links, self.targets + severed)
-
-    @property
-    def packets_blackholed(self) -> int:
-        """Data-plane packets lost into the cut links so far."""
-        return sum(leg.packets for leg in self._legs)
 
     def packets_blackholed_on(self, link: Link) -> int:
         """Data-plane packets lost into ``link`` so far (0 if not cut)."""

@@ -39,11 +39,6 @@ class RngStreams:
             self._streams[name] = generator
         return generator
 
-    def spawn(self, name: str) -> "RngStreams":
-        """A child registry whose streams are independent of this one's."""
-        derived = zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
-        return RngStreams(self.seed * 1_000_003 + derived)
-
 
 def exponential(rng: np.random.Generator, mean: float) -> float:
     """One exponential draw with the given mean (mean <= 0 returns 0)."""

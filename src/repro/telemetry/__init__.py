@@ -10,10 +10,11 @@ the engine, Phi control plane, and sweep runner fetch it via
 :func:`session` and check ``.enabled``.
 
 Telemetry is **off by default**.  Disabled, the session holds a
-:class:`~repro.telemetry.registry.NullRegistry` and the shared
+:class:`~repro.telemetry.registry.NullRegistry`, which no metric call
+reaches (each sits under ``if tele.enabled``), and the shared
 :data:`~repro.flightrec.recorder.NULL_RECORDER`, whose operations are
-empty method calls on shared singletons — the hot path pays essentially
-nothing.  Enable metrics process-wide with :func:`enable` or scoped with
+empty method calls — the hot path pays essentially nothing.  Enable
+metrics process-wide with :func:`enable` or scoped with
 :func:`use` (the CLI does this when given ``--metrics-out``); recording
 is scoped with :func:`repro.flightrec.use` (``--trace-out``)::
 

@@ -21,9 +21,8 @@ is how the sweep runner combines per-worker telemetry at its
 deterministic by-index merge point.
 
 When telemetry is disabled the active registry is a
-:class:`NullRegistry` whose metric objects are shared no-op singletons:
-an instrumentation site pays one attribute check (``registry.enabled``)
-or one empty method call, nothing else.
+:class:`NullRegistry`, and an instrumentation site pays one attribute
+check (``tele.enabled``): every metric call sits under it.
 """
 
 from __future__ import annotations
@@ -187,32 +186,6 @@ class Histogram:
         return self.max  # pragma: no cover - defensive; loop always returns
 
 
-class _NoopCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NoopGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NoopHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NOOP_COUNTER = _NoopCounter()
-_NOOP_GAUGE = _NoopGauge()
-_NOOP_HISTOGRAM = _NoopHistogram()
-
-
 class MetricsRegistry:
     """Creates-or-returns labeled metrics and snapshots them.
 
@@ -304,23 +277,10 @@ class MetricsRegistry:
 
 
 class NullRegistry(MetricsRegistry):
-    """The disabled registry: every metric is a shared no-op singleton."""
+    """The disabled registry: a disabled run never asks it for a metric,
+    as every metric call sits under ``if tele.enabled``."""
 
     enabled = False
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return _NOOP_COUNTER
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return _NOOP_GAUGE
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        **labels: Any,
-    ) -> Histogram:
-        return _NOOP_HISTOGRAM
 
 
 def _merge_histogram(into: Dict[str, Any], other: Dict[str, Any], key: str) -> None:

@@ -36,12 +36,6 @@ class PoissonConfig:
         check("arrival_rate_per_s", self.arrival_rate_per_s, gt=0)
         check("mean_flow_bytes", self.mean_flow_bytes, gt=0)
 
-    def offered_load(self, capacity_bps: float) -> float:
-        """Offered load as a fraction of ``capacity_bps``."""
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive: {capacity_bps}")
-        return self.arrival_rate_per_s * self.mean_flow_bytes * 8.0 / capacity_bps
-
     @classmethod
     def for_load(
         cls,
@@ -56,7 +50,7 @@ class PoissonConfig:
         return cls(arrival_rate_per_s=rate, mean_flow_bytes=mean_flow_bytes)
 
 
-#: Flows in flight beyond which an arrival is rejected (counted, not run).
+#: Flows in flight beyond which an arrival is dropped, not run.
 MAX_CONCURRENT = 5_000
 
 
@@ -91,8 +85,6 @@ class PoissonFlowGenerator:
         self.flow_tracker = flow_tracker
 
         self.completed: List[ConnectionStats] = []
-        self.launched = 0
-        self.rejected = 0
         self._active: dict = {}
         self._next_pair = 0
         self._stopped = False
@@ -124,13 +116,11 @@ class PoissonFlowGenerator:
             return
         self.sim.schedule(self._draw_interarrival(), self._arrival)
         if len(self._active) >= MAX_CONCURRENT:
-            self.rejected += 1
             return
         sender_host, receiver_host = self.pairs[self._next_pair]
         self._next_pair = (self._next_pair + 1) % len(self.pairs)
 
         flow_id = self.flow_ids.next_id()
-        self.launched += 1
         spec = FlowSpec(
             flow_id=flow_id,
             src=sender_host.name,

@@ -9,7 +9,6 @@ from repro.adaptation import (
     JitterObservatory,
     ReorderingObservatory,
     late_loss_rate,
-    reordering_depths,
 )
 from repro.adaptation.dupack import MAX_THRESHOLD
 from repro.adaptation.jitterbuffer import DEFAULT_SAFETY_FACTOR, UNINFORMED_DEFAULT_BUFFER_S
@@ -36,17 +35,10 @@ class TestJitterObservatory:
         assert rec.buffer_s == pytest.approx(DEFAULT_SAFETY_FACTOR * rec.p95_jitter_s)
         assert rec.samples == 2000
 
-    def test_record_arrivals_converts_to_jitter(self):
-        observatory = JitterObservatory()
-        observatory.record_arrivals(LOCATION, [0.020, 0.025, 0.020], period_s=0.020)
-        assert observatory.sample_count(LOCATION) == 3
-
     def test_validation(self):
         observatory = JitterObservatory()
         with pytest.raises(ValueError):
             observatory.record_jitter(LOCATION, -0.1)
-        with pytest.raises(ValueError):
-            observatory.record_arrivals(LOCATION, [0.02], period_s=0.0)
 
     def test_nan_sample_is_refused_and_p95_stays_finite(self):
         # One NaN used to make recommend() return the 0.1 ms floor with a
@@ -60,18 +52,6 @@ class TestJitterObservatory:
         assert rec.samples == 30
         assert 0.010 <= rec.p95_jitter_s <= 0.030
         assert rec.buffer_s >= rec.p95_jitter_s
-
-    def test_nan_period_is_refused(self):
-        observatory = JitterObservatory()
-        with pytest.raises(ValueError, match="period_s"):
-            observatory.record_arrivals(LOCATION, [0.02], period_s=float("nan"))
-        assert observatory.sample_count(LOCATION) == 0
-
-    def test_nan_interarrival_is_refused(self):
-        observatory = JitterObservatory()
-        with pytest.raises(ValueError, match="jitter_s"):
-            observatory.record_arrivals(LOCATION, [float("nan")], period_s=0.02)
-        assert observatory.sample_count(LOCATION) == 0
 
     def test_locations_independent(self):
         observatory = JitterObservatory()
@@ -107,23 +87,6 @@ class TestLateLoss:
         assert larger <= smaller
 
 
-class TestReorderingDepths:
-    def test_in_order_all_zero(self):
-        assert reordering_depths([0, 1, 2, 3]) == [0, 0, 0, 0]
-
-    def test_single_swap(self):
-        # Packet 1 arrives after 2: when 2 arrives, 1 is missing (depth 1).
-        assert reordering_depths([0, 2, 1, 3]) == [0, 1, 0, 0]
-
-    def test_deep_reorder(self):
-        # Packet 4 arrives first among 0..4: four earlier ones missing.
-        assert reordering_depths([4, 0, 1, 2, 3]) == [4, 0, 0, 0, 0]
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            reordering_depths([0, 0])
-
-
 class TestReorderingObservatory:
     PATH = ("dc-east", "isp-a")
 
@@ -155,11 +118,6 @@ class TestReorderingObservatory:
         observatory.record_depths(self.PATH, [20] * 100)
         rec = observatory.recommend(self.PATH)
         assert rec.threshold == MAX_THRESHOLD
-
-    def test_record_arrivals(self):
-        observatory = ReorderingObservatory()
-        observatory.record_arrivals(self.PATH, [0, 2, 1])
-        assert observatory.sample_count(self.PATH) == 3
 
     def test_spurious_probability(self):
         observatory = ReorderingObservatory()

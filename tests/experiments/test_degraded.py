@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import flightrec
+from repro import flightrec, telemetry
 from repro.experiments import (
     TABLE3_REMY,
     run_cubic_fixed,
@@ -13,8 +13,7 @@ from repro.experiments import (
 from repro.experiments.degraded import DEGRADED
 from repro.experiments.scenarios import ScenarioPreset
 from repro.flightrec.postmortem import fault_windows
-from repro.phi import REFERENCE_POLICY, ControlChannel
-from repro.phi.server import ContextServer
+from repro.phi import REFERENCE_POLICY
 from repro.simnet import DumbbellConfig, Simulator
 from repro.transport import CubicParams
 from repro.workload import OnOffConfig
@@ -28,10 +27,28 @@ PRESET = ScenarioPreset(
 )
 
 
+class _Marks:
+    """An outage target that counts its open down-marks."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.down = 0
+
+    def mark_down(self):
+        self.down += 1
+
+    def mark_up(self):
+        self.down -= 1
+
+    @property
+    def server_up(self):
+        return self.down == 0
+
+
 class TestScheduleUnavailability:
     def _channel(self):
         sim = Simulator()
-        return sim, ControlChannel(sim, ContextServer(sim, 15e6))
+        return sim, _Marks(sim)
 
     def test_zero_fraction_schedules_nothing(self):
         sim, channel = self._channel()
@@ -92,9 +109,14 @@ class TestScheduleUnavailability:
 
 class TestDegradedRuns:
     def test_fully_partitioned_equals_uncoordinated_baseline(self):
-        degraded = run_degraded_phi_cubic(
-            REFERENCE_POLICY, PRESET, unavailability=1.0, seed=3
-        )
+        with telemetry.use() as tele:
+            degraded = run_degraded_phi_cubic(
+                REFERENCE_POLICY, PRESET, unavailability=1.0, seed=3
+            )
+        rpc_calls = [
+            key for key in tele.registry.snapshot()["counters"]
+            if key.startswith("phi.rpc_calls")
+        ]
         baseline = run_cubic_fixed(CubicParams.default(), PRESET, seed=3)
         # Every connection fell back to stock Cubic, so the run is
         # bit-identical to the uncoordinated baseline.
@@ -105,7 +127,7 @@ class TestDegradedRuns:
             baseline.metrics.throughput_mbps
         )
         assert degraded.metrics.power_l == pytest.approx(baseline.metrics.power_l)
-        assert degraded.channel_stats.successes == 0
+        assert rpc_calls and not any("status=ok" in key for key in rpc_calls)
 
     def test_partial_unavailability_mixes_decisions(self):
         degraded = run_degraded_phi_cubic(
@@ -119,7 +141,6 @@ class TestDegradedRuns:
         counts = degraded.decision_counts
         assert counts["fresh"] > 0
         assert counts["stale"] + counts["fallback"] > 0
-        assert degraded.channel_stats.failures > 0
 
     def test_lossy_channel_reports_recover(self):
         degraded = run_degraded_phi_cubic(
@@ -129,7 +150,8 @@ class TestDegradedRuns:
             seed=3,
             outage_period_s=2.0,
         )
-        assert degraded.channel_stats.failures > 0
+        counts = degraded.decision_counts
+        assert counts["stale"] + counts["fallback"] > 0  # lookups failed
         # Reports queued during outages were flushed once the server
         # returned; nothing is stranded at end of run unless the run
         # ended inside an outage window.

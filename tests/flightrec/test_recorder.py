@@ -293,7 +293,6 @@ class TestDump:
         rec.simnet("drop", 0.0, "queue")
         assert rec.maybe_autodump("watchdog:max_events", sim_time=4.0) == str(path)
         assert rec.autodumps == 1
-        assert rec.last_dump_reason == "watchdog:max_events"
         header, _ = load_dump(str(path))
         assert header["reason"] == "watchdog:max_events"
         assert header["sim_time"] == 4.0

@@ -151,20 +151,19 @@ class TestCollector:
         collector.ingest(self._header(1))
         collector.ingest(self._header(1))  # same flow
         collector.ingest(self._header(2))  # different flow, same slot
-        assert collector.slot_count == 1
         assert [size for _flow, size in collector.flows_with_slot_sizes()] == [2, 2]
 
     def test_slots_split_by_minute(self):
         collector = IpfixCollector()
         collector.ingest(self._header(1, t=10.0))
         collector.ingest(self._header(1, t=70.0))
-        assert collector.slot_count == 2
+        assert [size for _flow, size in collector.flows_with_slot_sizes()] == [1, 1]
 
     def test_slots_split_by_subnet(self):
         collector = IpfixCollector()
         collector.ingest(self._header(1, "100.0.0.1"))
         collector.ingest(self._header(1, "100.0.1.1"))
-        assert collector.slot_count == 2
+        assert [size for _flow, size in collector.flows_with_slot_sizes()] == [1, 1]
 
     def test_flows_with_slot_sizes(self):
         collector = IpfixCollector()

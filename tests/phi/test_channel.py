@@ -14,11 +14,12 @@ from repro.phi.channel import (
     RpcStatus,
     exponential_backoff_s,
 )
-from repro.phi.context import CongestionContext
 from repro.phi.failover import FailoverChannel, FailoverConfig
 from repro.phi.replication import ReadPolicy, ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ContextServer
 from repro.simnet import Outage, Simulator
+
+from .conftest import IDLE
 
 
 class FakeBackend:
@@ -30,7 +31,7 @@ class FakeBackend:
 
     def lookup(self):
         self.lookups += 1
-        return CongestionContext.idle()
+        return IDLE
 
     def report(self, report):
         self.reports.append(report)
@@ -77,22 +78,21 @@ class TestHealthyChannel:
         assert ctx.utilization == 0.0
         assert channel.call_report(make_report()).ok
         assert len(backend.reports) == 1
-        assert channel.stats.successes == 2
-        assert channel.stats.failures == 0
 
     def test_result_accounting(self):
-        sim = Simulator()
-        channel = ControlChannel(sim, FakeBackend())
-        result = channel.call_lookup()
-        assert result.ok and result.value == CongestionContext.idle()
-        assert channel.stats.by_status == {"ok": 1}
+        with flightrec.use() as rec:
+            channel = ControlChannel(Simulator(), FakeBackend())
+            result = channel.call_lookup()
+        assert result.ok and result.value == IDLE
+        (record,) = iter_layer(rec.records(), "phi")
+        assert (record["kind"], record["detail"]) == ("rpc", {"status": "ok"})
 
     def test_works_against_real_server(self):
         sim = Simulator()
         server = ContextServer(sim, 15e6)
         channel = ControlChannel(sim, server)
         assert channel.call_lookup().ok
-        assert server.active_connections == 1
+        assert server.current_context().competing_senders == 1
 
 
 class TestRetries:
@@ -107,7 +107,6 @@ class TestRetries:
         channel.mark_down()
         assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
         assert channel.breaker._consecutive_failures == 1
-        assert channel.stats.by_status == {"server_down": 1}
 
     def test_failed_call_returns_its_status(self):
         sim = Simulator()
@@ -117,7 +116,6 @@ class TestRetries:
         result = channel.call_lookup()
         assert result == RpcResult(RpcStatus.SERVER_DOWN)
         assert channel.breaker.state is BreakerState.CLOSED  # one failure
-        assert (channel.stats.calls, channel.stats.failures) == (1, 1)
         assert backend.lookups == 0
 
 
@@ -144,9 +142,6 @@ class TestBackendRefusal:
             result = channels[0].call_lookup()
             counters = tele.registry.snapshot()["counters"]
         assert result == RpcResult(RpcStatus.REFUSED)
-        stats = channels[0].stats
-        assert (stats.calls, stats.failures) == (1, 1)
-        assert stats.by_status == {"backend_error": 1}
         assert counters["phi.rpc_calls{op=lookup,status=backend_error}"] == 1
         (record,) = [r for r in iter_layer(rec.records(), "phi") if r["kind"] == "rpc"]
         assert record["detail"] == {"status": "backend_error"}
@@ -160,8 +155,6 @@ class TestBackendRefusal:
             result = failover.call_lookup()
         assert result.status is RpcStatus.OK
         assert failover.stats.by_replica[0]["failures"] == 1
-        assert channels[0].stats.by_status == {"backend_error": 1}
-        assert channels[1].stats.by_status == {"ok": 1}
         assert [r["detail"]["status"] for r in iter_layer(rec.records(), "phi")
                 if r["kind"] == "rpc"] == ["backend_error", "ok"]
 
@@ -177,16 +170,17 @@ class TestBackendRefusal:
 
 class TestOutages:
     def test_marks_nest(self):
+        # One failed call at a time: the breaker (2 in a row) stays closed.
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend())
         channel.mark_down()
         channel.mark_down()
         channel.mark_up()
-        assert not channel.server_up
+        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
         channel.mark_up()
-        assert channel.server_up
+        assert channel.call_lookup().ok
         channel.mark_up()  # extra up is a no-op
-        assert channel.server_up
+        assert channel.call_lookup().ok
 
     def test_scheduled_outage_window(self):
         sim = Simulator()
@@ -204,18 +198,18 @@ class TestOutages:
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend())
         Outage(sim, 0.0, 1.0, targets=[channel])
-        assert not channel.server_up
+        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
         sim.run(until=1.5)
-        assert channel.server_up
+        assert channel.call_lookup().ok
 
     def test_server_outage_fault_drives_channel(self):
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend())
         Outage(sim, 1.0, 1.0, targets=[channel])
         sim.run(until=1.5)
-        assert not channel.server_up
+        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
         sim.run(until=2.5)
-        assert channel.server_up
+        assert channel.call_lookup().ok
 
 
 class TestCircuitBreaker:
@@ -277,8 +271,7 @@ class TestCircuitBreaker:
         assert channel.breaker.state is BreakerState.OPEN
         result = channel.call_lookup()  # breaker now open
         assert result == RpcResult(RpcStatus.CIRCUIT_OPEN)
-        assert channel.stats.fast_failures == 1
-        assert channel.stats.by_status == {"server_down": 2, "circuit_open": 1}
+        assert channel.fast_failures == 1
         assert backend.lookups == 0
 
     def test_breaker_recovers_with_server(self):

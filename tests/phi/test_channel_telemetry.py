@@ -1,4 +1,4 @@
-"""Direct tests for breaker state edges, ChannelStats, and RPC telemetry."""
+"""Direct tests for breaker state edges, channel accounting, and RPC telemetry."""
 
 import pytest
 
@@ -7,13 +7,13 @@ from repro.flightrec import iter_layer
 from repro.phi.channel import (
     BREAKER_FAILURE_THRESHOLD,
     BreakerState,
-    ChannelStats,
     CircuitBreaker,
     ControlChannel,
     RpcStatus,
 )
-from repro.phi.context import CongestionContext
 from repro.simnet import Simulator
+
+from .conftest import IDLE
 
 
 class _Clock:
@@ -116,35 +116,47 @@ class TestCircuitBreakerEdges:
             assert breaker.state is BreakerState.CLOSED
 
 
-class TestChannelStats:
-    def test_success_accounting(self):
-        stats = ChannelStats()
-        stats.record(RpcStatus.OK)
-        stats.record(RpcStatus.OK)
-        assert stats.calls == 2
-        assert stats.successes == 2
-        assert stats.failures == 0
-        assert stats.by_status == {"ok": 2}
-
-    def test_failure_accounting_by_status(self):
-        stats = ChannelStats()
-        stats.record(RpcStatus.REFUSED)
-        stats.record(RpcStatus.SERVER_DOWN)
-        stats.record(RpcStatus.CIRCUIT_OPEN)
-        assert stats.calls == 3
-        assert stats.successes == 0
-        assert stats.failures == 3
-        assert stats.fast_failures == 1  # only the breaker rejection
-        assert stats.by_status == {"backend_error": 1, "server_down": 1, "circuit_open": 1}
-
-
 class _Backend:
     def __init__(self) -> None:
         self.lookups = 0
 
     def lookup(self):
         self.lookups += 1
-        return CongestionContext.idle()
+        return IDLE
+
+
+class _RefusingBackend:
+    def lookup(self):
+        raise OSError("no quorum")
+
+
+class TestChannelStats:
+    """The channel's own count is ``fast_failures``; every outcome is a
+    ``phi.rpc_calls`` counter by status."""
+
+    def test_success_accounting(self):
+        with telemetry.use() as tele:
+            channel = ControlChannel(Simulator(), _Backend())
+            assert channel.call_lookup().ok and channel.call_lookup().ok
+            counters = tele.registry.snapshot()["counters"]
+        assert counters == {"phi.rpc_calls{op=lookup,status=ok}": 2.0}
+        assert channel.fast_failures == 0
+
+    def test_failure_accounting_by_status(self):
+        with telemetry.use() as tele:
+            refusing = ControlChannel(Simulator(), _RefusingBackend())
+            assert refusing.call_lookup().status is RpcStatus.REFUSED
+            channel = ControlChannel(Simulator(), _Backend())
+            channel.mark_down()
+            statuses = [channel.call_lookup().status for _ in range(BREAKER_FAILURE_THRESHOLD + 1)]
+            counters = tele.registry.snapshot()["counters"]
+        assert statuses[-1] is RpcStatus.CIRCUIT_OPEN
+        assert {k: v for k, v in counters.items() if k.startswith("phi.rpc_calls")} == {
+            "phi.rpc_calls{op=lookup,status=backend_error}": 1.0,
+            "phi.rpc_calls{op=lookup,status=server_down}": float(BREAKER_FAILURE_THRESHOLD),
+            "phi.rpc_calls{op=lookup,status=circuit_open}": 1.0,
+        }
+        assert (refusing.fast_failures, channel.fast_failures) == (0, 1)  # only the breaker's
 
 
 class TestChannelTelemetry:
@@ -184,4 +196,4 @@ class TestChannelTelemetry:
         assert not telemetry.session().enabled
         _, channel = self._channel()
         assert channel.call_lookup().ok
-        assert channel.stats.calls == 1
+        assert channel.fast_failures == 0

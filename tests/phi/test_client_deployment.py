@@ -43,11 +43,11 @@ class TestPhiCubicFactory:
         done = []
         sender = factory(sim, top.senders[0], spec, 50_000, done.append)
         assert isinstance(sender, CubicSender)
-        assert server.active_connections == 1  # the lookup's lease
+        assert server.current_context().competing_senders == 1  # the lookup's lease
         sender.start()
         sim.run(until=30.0)
         assert done
-        assert server.active_connections == 0  # released by the report
+        assert server.current_context().competing_senders == 0  # released by the report
 
     def test_params_follow_policy(self):
         sim, top, spec, sink = setup_env()
@@ -72,7 +72,7 @@ class TestPhiRemyFactory:
         sender = factory(sim, top.senders[0], spec, 10_000, lambda s: None)
         assert sender.tracker._util_provider is not None
         assert sender.tracker._util_provider() == 0.0  # idle at start
-        assert server.active_connections == 1  # one lookup's lease
+        assert server.current_context().competing_senders == 1  # one lookup's lease
 
     def test_ideal_plane_reads_the_oracle_live_util(self):
         env = ExperimentEnv.create(DumbbellConfig(n_senders=1))

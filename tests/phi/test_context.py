@@ -20,7 +20,7 @@ class TestCongestionContext:
             CongestionContext(utilization=0.5, queue_delay_s=0, competing_senders=-1)
 
     def test_idle_context(self):
-        ctx = CongestionContext.idle()
+        ctx = CongestionContext(utilization=0.0, queue_delay_s=0.0, competing_senders=0)
         assert ctx.level() is CongestionLevel.LOW
         assert ctx.timestamp == 0.0
 

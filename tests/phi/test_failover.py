@@ -4,7 +4,6 @@ import pytest
 
 from repro import telemetry
 from repro.phi.channel import ControlChannel, RpcStatus
-from repro.phi.context import CongestionContext
 from repro.phi.failover import (
     PROBATION_SUCCESSES,
     SUSPEND_BASE_S,
@@ -14,6 +13,8 @@ from repro.phi.failover import (
 )
 from repro.phi.server import ConnectionReport
 from repro.simnet import Simulator
+
+from .conftest import IDLE
 
 
 class FakeBackend:
@@ -28,7 +29,7 @@ class FakeBackend:
         if self.refuse is not None:
             raise self.refuse
         self.lookups += 1
-        return CongestionContext.idle()
+        return IDLE
 
     def report(self, report):
         if self.refuse is not None:
@@ -109,7 +110,7 @@ class TestFailover:
         assert result.ok
         assert backends[1].lookups == 1
         assert failover.stats.failovers == 1
-        assert channels[0].stats.by_status == {"backend_error": 1}
+        assert failover.stats.by_replica[0]["failures"] == 1
         assert failover.health(0).suspended_until > sim.now
 
     def test_all_down_returns_last_status(self):
@@ -129,7 +130,8 @@ class TestFailover:
         failover.call_lookup()  # suspends both
         result = failover.call_lookup()
         assert result.status is RpcStatus.CIRCUIT_OPEN
-        assert [channel.stats.calls for channel in channels] == [1, 1]  # no replica asked
+        by_replica = failover.stats.by_replica
+        assert [by_replica[i]["attempts"] for i in range(2)] == [1, 1]  # no replica asked
         assert failover.stats.fast_failures == 1
 
     def test_report_failover_delivers_to_survivor(self):
@@ -146,7 +148,7 @@ class TestStickinessAndProbation:
         backends, channels, failover = make_stack(sim)
         channels[0].mark_down()
         failover.call_lookup()
-        assert failover.current_replica == 1
+        assert backends[1].lookups == 1
         channels[0].mark_up()
         # Replica 0 healed but suspended: calls stay on 1.
         failover.call_lookup()
@@ -170,7 +172,9 @@ class TestStickinessAndProbation:
         sim.schedule_at(1.0, probe)
         sim.schedule_at(1.1, probe)
         sim.run()
-        assert failover.current_replica == 1
+        served = backends[1].lookups
+        failover.call_lookup()  # the sticky replica answers
+        assert backends[1].lookups == served + 1
         assert failover.health(0).probation_left == PROBATION_SUCCESSES
 
     def test_suspension_window_grows_and_caps(self):
@@ -220,9 +224,7 @@ class TestTelemetry:
         _, channels, failover = make_stack(sim, n=2)
         failover.call_lookup()
         channels[0].mark_down()
-        failover.call_lookup()
-        assert failover.stats.calls == 2
-        assert failover.stats.successes == 2
+        assert failover.call_lookup().ok
         assert failover.stats.by_replica[0]["successes"] == 1
         assert failover.stats.by_replica[0]["failures"] == 1
         assert failover.stats.by_replica[1]["successes"] == 1

@@ -6,7 +6,7 @@ replica and counts each replica call into ``by_replica`` as it goes.
 Seeded programs of lookups and reports over fake backends that answer,
 are marked down, refuse with ``ConnectionError`` (a ``REFUSED`` result
 from their channel) or are all benched run against two identical
-stacks; after every operation the result, ``current_replica``, every
+stacks; after every operation the result, the sticky replica, every
 ``ReplicaHealth`` field, every ``stats`` counter, ``by_replica`` and the
 suspension jitter RNG's state must be ``==``.  Half the programs run
 with metrics on, and the two stacks' registries must then hold the same
@@ -22,7 +22,6 @@ import pytest
 
 from repro import telemetry
 from repro.phi.channel import ChannelConfig, ControlChannel, RpcResult, RpcStatus
-from repro.phi.context import CongestionContext
 from repro.phi.failover import (
     HEALTH_ALPHA,
     FailoverChannel,
@@ -31,6 +30,8 @@ from repro.phi.failover import (
 )
 from repro.phi.server import ConnectionReport
 from repro.simnet import Simulator
+
+from .conftest import IDLE
 
 #: The scalar counters of :class:`FailoverStats` (``by_replica`` aside).
 STAT_FIELDS = [f.name for f in fields(FailoverStats) if f.name not in ("by_replica", "health")]
@@ -72,12 +73,10 @@ class ReferenceFailover(FailoverChannel):
             health.probation_left -= 1
 
     def _call(self, op: str, report: Optional[ConnectionReport] = None) -> RpcResult:
-        self.stats.calls += 1
         tele = telemetry.session()
         order = self._try_order()
         if not order:
             self.stats.fast_failures += 1
-            self.stats.failures += 1
             if tele.enabled:
                 tele.registry.counter(
                     "phi.replica_rpc_calls", replica="none", status="all_suspended"
@@ -100,7 +99,6 @@ class ReferenceFailover(FailoverChannel):
             if result.ok:
                 replica_stats["successes"] += 1
                 self._record_success(index)
-                self.stats.successes += 1
                 if index != primary:
                     self.stats.failovers += 1
                     if tele.enabled:
@@ -111,7 +109,6 @@ class ReferenceFailover(FailoverChannel):
             replica_stats["failures"] += 1
             self._record_failure(index)
             last = result
-        self.stats.failures += 1
         return RpcResult(last.status)
 
 
@@ -124,7 +121,7 @@ class FakeBackend:
     def lookup(self):
         if self.refuse is not None:
             raise self.refuse
-        return CongestionContext.idle()
+        return IDLE
 
     def report(self, report):
         if self.refuse is not None:
@@ -158,7 +155,7 @@ def _report(flow_id, at):
 
 def _assert_same_state(product, reference, where):
     p, r = product[2], reference[2]
-    assert p.current_replica == r.current_replica, where
+    assert p._current == r._current, where
     for index in range(p.n_replicas):
         assert astuple(p.health(index)) == astuple(r.health(index)), (where, index)
     for name in STAT_FIELDS:
@@ -185,7 +182,7 @@ def _run_program(seed, n_ops=400):
         sim.run(until=sim.now + rng.choice((0.0, 0.001, 0.02, 0.3, 1.5)))
         op = rng.choice(_OPS)
         # Half the faults hit the replica the client is stuck to.
-        replica = rng.choice((stacks[0][2].current_replica, rng.randrange(n)))
+        replica = rng.choice((stacks[0][2]._current, rng.randrange(n)))
         if op in ("up", "serve"):
             # A heal goes to a replica with something to heal, if any:
             # suspensions only lapse into calls that can fail over.

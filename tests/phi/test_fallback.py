@@ -14,6 +14,8 @@ from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
 from repro.transport.cubic import CubicParams
 from repro.transport.sink import TcpSink
 
+from .conftest import IDLE
+
 
 #: What a call to an unreachable server returns.
 DOWN = RpcResult(RpcStatus.SERVER_DOWN)
@@ -213,7 +215,7 @@ class TestResilientFactory:
         sender.start()
         sim.run(until=30.0)
         assert len(done) == 1 and done[0] > 0
-        assert server.active_connections == 0
+        assert server.current_context().competing_senders == 0
 
 
 def mode_times(counters):
@@ -289,7 +291,7 @@ class TestNarrowedExceptions:
     def test_programming_bug_propagates_from_report(self):
         class BuggyBackend:
             def lookup(self):
-                return CongestionContext.idle()
+                return IDLE
 
             def report(self, report):
                 raise TypeError("bad callback wiring")
@@ -322,11 +324,16 @@ class TestNarrowedExceptions:
             def report(self, report):
                 raise ConnectionError("no quorum")
 
-        client, channel = self._client_over(RefusingBackend())
-        assert client.resolve().decision is ContextDecision.FALLBACK
-        client.report(make_report(1))
+        with telemetry.use() as tele:
+            client, channel = self._client_over(RefusingBackend())
+            assert client.resolve().decision is ContextDecision.FALLBACK
+            client.report(make_report(1))
+            counters = tele.registry.snapshot()["counters"]
         assert client.pending_reports == 1
-        assert channel.stats.by_status == {"backend_error": 2}
+        assert {k: v for k, v in counters.items() if k.startswith("phi.rpc_calls")} == {
+            "phi.rpc_calls{op=lookup,status=backend_error}": 1.0,
+            "phi.rpc_calls{op=report,status=backend_error}": 1.0,
+        }
 
 
 class TestGuardIntegration:
@@ -342,7 +349,7 @@ class TestGuardIntegration:
         )
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.FALLBACK
-        assert guard.rejected_count == 1
+        assert sum(guard.rejection_counts().values()) == 1
         assert source.lookups == 1  # the call itself succeeded
 
     def test_guard_rejection_serves_stale_cache(self):

@@ -53,8 +53,6 @@ class TestStaticChecks:
         context = honest()
         verdict = guard.validate(context)
         assert verdict.accepted
-        assert guard.last_accepted is context
-        assert guard.last_accepted is not None
 
     def test_rejects_nan(self):
         guard = ContextGuard(CAPACITY_MBPS)
@@ -108,7 +106,6 @@ class TestRateOfChange:
         assert not guard.validate(honest(utilization=0.9, timestamp=0.1))
         # Baseline is still the accepted 0.1 snapshot: 0.55 is within its
         # 0.5 + 0.5*0.2 envelope (not within 0.9's, the other way).
-        assert guard.last_accepted.utilization == 0.1
         assert guard.validate(honest(utilization=0.55, timestamp=0.2)).accepted
 
     def test_queue_delay_rate_checked(self):
@@ -150,8 +147,6 @@ class TestAccounting:
             REASON_NON_FINITE: 2,
             REASON_OUT_OF_RANGE: 1,
         }
-        assert guard.rejected_count == 3
-        assert guard.last_accepted is None
 
     def test_reasons_are_registered(self):
         assert REASON_RATE_OF_CHANGE in GUARD_REASONS

@@ -12,6 +12,8 @@ from repro.phi.replication import (
 from repro.phi.server import ConnectionReport
 from repro.simnet import Simulator
 
+from .conftest import outstanding_leases
+
 CAPACITY_BPS = 10e6
 
 
@@ -152,28 +154,28 @@ class TestLeaseReconciliation:
         sim.run(until=1.5)
         # After a merge every replica knows both outstanding leases.
         for server in service.servers:
-            assert server.active_connections == 2
+            assert server.current_context().competing_senders == 2
 
     def test_release_propagates(self):
         sim = Simulator()
         service = make_service(sim, n=3)
         service.handle(0).lookup()
         sim.run(until=1.5)
-        assert all(s.active_connections == 1 for s in service.servers)
+        assert all(s.current_context().competing_senders == 1 for s in service.servers)
         service.handle(1).report(make_report(at=sim.now))
         sim.run(until=2.5)
-        assert all(s.active_connections == 0 for s in service.servers)
+        assert all(s.current_context().competing_senders == 0 for s in service.servers)
 
     def test_lease_ttl_expiry_survives_merge(self):
         sim = Simulator()
         service = make_service(sim, n=2, lease_ttl_s=2.0)
         service.handle(0).lookup()
         sim.run(until=1.5)
-        assert all(s.active_connections == 1 for s in service.servers)
+        assert all(s.current_context().competing_senders == 1 for s in service.servers)
         sim.run(until=4.5)
-        assert all(s.active_connections == 0 for s in service.servers)
+        assert all(s.current_context().competing_senders == 0 for s in service.servers)
         # The handle logs expired too: nothing left to resurrect.
-        assert service.handle(0).outstanding_leases() == {}
+        assert outstanding_leases(service.handle(0)) == {}
 
     def test_outstanding_leases_excludes_expired_on_an_idle_handle(self):
         """No merge and no later call on the handle: the lease expired
@@ -182,8 +184,8 @@ class TestLeaseReconciliation:
         service = make_service(sim, n=1, lease_ttl_s=2.0)
         service.handle(0).lookup()
         sim.run(until=3.0)
-        assert service.servers[0].active_connections == 0
-        assert service.handle(0).outstanding_leases() == {}
+        assert service.servers[0].current_context().competing_senders == 0
+        assert outstanding_leases(service.handle(0)) == {}
 
 
 class TestQuorumPolicy:

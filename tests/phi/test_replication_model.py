@@ -5,12 +5,12 @@ oldest outstanding lease came off a heap: every RPC scans the whole log
 for TTL expiry and ``report()`` takes ``min`` over a dict comprehension of
 everything outstanding.  Random lookup / report / sever / heal / tick
 programs run against a 3-replica service; after every operation each
-handle's ``outstanding_leases()`` and ``released`` must equal the model's,
+handle's outstanding leases and ``released`` must equal the model's,
 and the invariants of the control plane must hold:
 
-- ``len(handle.outstanding_leases()) == handle.server.active_connections``
+- the outstanding leases number the server's ``n``
   for every handle, whether or not it was called since the clock moved;
-- ``active_connections`` is never negative;
+- ``n`` is never negative;
 - no lease is both outstanding and released;
 - ``replica_divergence() == 0.0`` right after a merge spanning all replicas.
 """
@@ -22,6 +22,8 @@ import pytest
 from repro.phi.replication import ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ConnectionReport
 from repro.simnet import Simulator
+
+from .conftest import outstanding_leases
 
 CAPACITY_BPS = 10e6
 N_REPLICAS = 3
@@ -90,11 +92,11 @@ def _report(flow_id, at, rng):
 
 def _assert_fresh(handle, model, where):
     """Invariants of a handle whose log was just expired at this clock."""
-    outstanding = handle.outstanding_leases()
+    outstanding = outstanding_leases(handle)
     assert outstanding == model.outstanding(), where
     assert handle.released == model.released, where
     assert handle.lease_log == model.lease_log, where
-    assert len(outstanding) == handle.server.active_connections, where
+    assert len(outstanding) == handle.server.current_context().competing_senders, where
     assert not set(outstanding) & set(handle.released), where
 
 
@@ -153,7 +155,7 @@ def test_lease_bookkeeping_equals_the_rescan(seed, ttl):
             # for the current clock, as its server does.
             models[index].expire(sim.now)
             _assert_fresh(handle, models[index], where)
-            assert handle.server.active_connections >= 0, where
+            assert handle.server.current_context().competing_senders >= 0, where
 
     assert merges["full"] > 20 and merges["partial"] > 5, merges
     if ttl < 1.0:

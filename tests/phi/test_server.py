@@ -57,13 +57,13 @@ class TestContextServerProtocol:
         sim, server = self._server()
         server.lookup()
         server.lookup()
-        assert server.active_connections == 2
+        assert server.current_context().competing_senders == 2
 
     def test_report_deregisters(self):
         sim, server = self._server()
         server.lookup()
         server.report(make_report(0.0))
-        assert server.active_connections == 0
+        assert server.current_context().competing_senders == 0
 
     def test_idle_server_reports_idle_context(self):
         sim, server = self._server()
@@ -100,16 +100,9 @@ class TestContextServerProtocol:
     def test_queue_delay_ewma(self):
         sim, server = self._server()
         server.report(make_report(0.0, mean_rtt=0.25, min_rtt=0.15))
-        assert server.estimated_queue_delay() == pytest.approx(0.1)  # seeds it
+        assert server.current_context().queue_delay_s == pytest.approx(0.1)  # seeds it
         server.report(make_report(0.0, mean_rtt=0.15, min_rtt=0.15))
-        assert server.estimated_queue_delay() == pytest.approx((1 - EWMA_ALPHA) * 0.1)
-
-    def test_loss_ewma(self):
-        sim, server = self._server()
-        server.report(make_report(0.0, loss=0.04))
-        assert server.estimated_loss() == pytest.approx(0.04)  # seeds it
-        server.report(make_report(0.0, loss=0.0))
-        assert server.estimated_loss() == pytest.approx((1 - EWMA_ALPHA) * 0.04)
+        assert server.current_context().queue_delay_s == pytest.approx((1 - EWMA_ALPHA) * 0.1)
 
     def test_utilization_capped_at_one(self):
         sim, server = self._server(capacity=1e3)
@@ -148,10 +141,10 @@ class TestLeases:
     def test_orphaned_lookup_expires(self):
         sim, server = self._server(lease_ttl_s=5.0)
         server.lookup()  # never reports back
-        assert server.active_connections == 1
+        assert server.current_context().competing_senders == 1
         sim.schedule(10.0, lambda: None)
         sim.run()
-        assert server.active_connections == 0
+        assert server.current_context().competing_senders == 0
 
     def test_leak_is_bounded_under_sustained_orphans(self):
         sim, server = self._server(lease_ttl_s=5.0)
@@ -160,7 +153,7 @@ class TestLeases:
         for t in range(60):
             sim.schedule_at(float(t), server.lookup)
         sim.run()
-        assert server.active_connections <= 6
+        assert server.current_context().competing_senders <= 6
 
     def test_report_after_expiry_does_not_go_negative(self):
         sim, server = self._server(lease_ttl_s=5.0)
@@ -168,9 +161,9 @@ class TestLeases:
         sim.schedule(10.0, lambda: None)
         sim.run()
         server.report(make_report(10.0))
-        assert server.active_connections == 0
+        assert server.current_context().competing_senders == 0
         server.lookup()
-        assert server.active_connections == 1
+        assert server.current_context().competing_senders == 1
 
     def test_live_connections_keep_their_lease(self):
         sim, server = self._server(lease_ttl_s=5.0)
@@ -179,14 +172,14 @@ class TestLeases:
         sim.schedule_at(7.0, lambda: None)
         sim.run()
         # At t=7 the t=0 lease has expired; the t=4 one is still live.
-        assert server.active_connections == 1
+        assert server.current_context().competing_senders == 1
 
     def test_expiry_disabled_with_none(self):
         sim, server = self._server(lease_ttl_s=None)
         server.lookup()
         sim.schedule(10_000.0, lambda: None)
         sim.run()
-        assert server.active_connections == 1
+        assert server.current_context().competing_senders == 1
 
     def test_default_ttl_is_finite(self):
         sim, server = self._server()
@@ -301,9 +294,9 @@ class TestRobustAggregation:
         sim, server = self._server()
         server.lookup()
         server.report(make_report(0.0, mean_rtt=_math.nan))
-        assert server.active_connections == 1
+        assert server.current_context().competing_senders == 1
         server.report(make_report(0.0))
-        assert server.active_connections == 0
+        assert server.current_context().competing_senders == 0
 
     def test_trimmed_mean_discards_outlier_queue_delay(self):
         sim, server = self._server()
@@ -311,14 +304,14 @@ class TestRobustAggregation:
             server.report(make_report(0.0, mean_rtt=0.16, flow_id=i))
         # One liar claims 10 s of queueing.
         server.report(make_report(0.0, mean_rtt=10.15, flow_id=99))
-        q = server.estimated_queue_delay()
+        q = server.current_context().queue_delay_s
         assert q == pytest.approx(0.01, abs=1e-6)
 
     def test_ewma_fallback_below_min_reports(self):
         sim, server = self._server()
         server.report(make_report(0.0, mean_rtt=0.25))
         # Only 1 report in window: the EWMA (seeded by it) answers.
-        assert server.estimated_queue_delay() == pytest.approx(0.10)
+        assert server.current_context().queue_delay_s == pytest.approx(0.10)
 
     def test_influence_cap_bounds_utilization_lie(self):
         def loaded(server, sim):
@@ -339,13 +332,6 @@ class TestRobustAggregation:
         # Honest traffic alone is ~0.085; the capped liar may nudge the
         # estimate (one extra 4x-median contribution) but not seize it.
         assert robust.estimated_utilization() < 0.15
-
-    def test_trimmed_loss(self):
-        sim, server = self._server()
-        for i in range(9):
-            server.report(make_report(0.0, loss=0.0, flow_id=i))
-        server.report(make_report(0.0, loss=1.0, flow_id=99))
-        assert server.estimated_loss() == pytest.approx(0.0)
 
     def test_telemetry_rejection_counter(self):
         import math as _math

@@ -4,7 +4,7 @@
 cached per report — every estimate walks the whole window — copied here
 verbatim as the reference.  Seeded random programs of report / absorb /
 lookup / clock advance run against both; after every operation every
-field of the context served (and the loss estimate) must be ``==``, not
+field of the context served must be ``==``, not
 approximately equal: the cached server's claim is bit-identity.
 
 ``ContextServer.absorb`` takes anti-entropy's whole batch, in the merge's
@@ -66,7 +66,6 @@ class RescanServer:
         self._reports = deque()
         self._leases = deque()
         self._queue_delay_ewma = 0.0
-        self._loss_ewma = 0.0
         self._have_estimate = False
         self.reports_rejected = 0
 
@@ -90,14 +89,10 @@ class RescanServer:
         alpha = EWMA_ALPHA
         if not self._have_estimate:
             self._queue_delay_ewma = report.queue_delay_s
-            self._loss_ewma = report.loss_indicator
             self._have_estimate = True
         else:
             self._queue_delay_ewma = (
                 (1 - alpha) * self._queue_delay_ewma + alpha * report.queue_delay_s
-            )
-            self._loss_ewma = (
-                (1 - alpha) * self._loss_ewma + alpha * report.loss_indicator
             )
 
     def absorb(self, report):
@@ -159,12 +154,6 @@ class RescanServer:
         self._expire_old_reports()
         return self._windowed_trim(
             [r.queue_delay_s for r in self._reports], self._queue_delay_ewma
-        )
-
-    def estimated_loss(self):
-        self._expire_old_reports()
-        return self._windowed_trim(
-            [r.loss_indicator for r in self._reports], self._loss_ewma
         )
 
     @property
@@ -269,7 +258,6 @@ def _assert_same_answers(server, reference, where):
         "fair_share_mbps",
     ):
         assert getattr(served, name) == getattr(expected, name), (where, name)
-    assert server.estimated_loss() == reference.estimated_loss(), where
     assert server.reports_rejected == reference.reports_rejected, where
     # The state lease expiry and absorption write: the outstanding leases
     # and the window's reports, in order.

@@ -71,7 +71,7 @@ class TestServerInvariants:
                         loss_indicator=0.0,
                     )
                 )
-            assert server.active_connections >= 0
+            assert server.current_context().competing_senders >= 0
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -93,6 +93,6 @@ class TestServerInvariants:
                     loss_indicator=0.0,
                 )
             )
-        estimate = server.estimated_queue_delay()
+        estimate = server.current_context().queue_delay_s
         low, high = sorted((first_delay, second_delay))
         assert low - 1e-9 <= estimate <= high + 1e-9

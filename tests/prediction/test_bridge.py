@@ -48,10 +48,8 @@ class TestFeeder:
         store = ObservationStore()
         feeder = PredictionFeeder(store, LOCATION)
         feeder.record(stats())
-        feeder.record(stats(goodput=0))
-        assert feeder.recorded == 1
-        assert feeder.skipped == 1
-        assert store.sample_count(LOCATION) == 1
+        feeder.record(stats(goodput=0))  # carried nothing: skipped
+        assert len(store.recent(LOCATION)) == 1
 
     def test_wrap_records_the_sender(self):
         store = ObservationStore()
@@ -62,7 +60,7 @@ class TestFeeder:
                 self.stats = stats()
 
         feeder.wrap()(FakeSender())
-        assert feeder.recorded == 1
+        assert len(store.recent(LOCATION)) == 1
 
     def test_end_to_end_with_real_flows(self):
         """Simulated connections feed predictions usable by new clients."""
@@ -80,7 +78,7 @@ class TestFeeder:
             )
             sim.schedule(i * 3.0, sender.start)
         sim.run(until=60.0)
-        assert feeder.recorded == 5
+        assert len(store.recent(LOCATION)) == 5
         predictor = PerformancePredictor(store)
         prediction = predictor.predict_download_time(LOCATION, 1_000_000)
         assert prediction.expected_seconds < 30.0

@@ -47,9 +47,9 @@ class TestObservationStore:
         store = ObservationStore()
         store.record(obs())
         store.record(obs(location=("isp-b", "lon")))
-        assert set(store.locations()) == {("isp-a", "nyc"), ("isp-b", "lon")}
-        assert store.sample_count(("isp-b", "lon")) == 1
-        assert store.sample_count(("isp-z", "zzz")) == 0
+        assert len(store.recent(("isp-a", "nyc"))) == 1
+        assert len(store.recent(("isp-b", "lon"))) == 1
+        assert store.recent(("isp-z", "zzz")) == []
 
     def test_observation_validation(self):
         with pytest.raises(ValueError):

@@ -122,8 +122,6 @@ class TestWhiskerTable:
         table.act(Memory.initial())
         table.act(Memory.initial())
         assert table.whiskers[0].use_count == 2
-        table.reset_use_counts()
-        assert table.whiskers[0].use_count == 0
 
     def test_split_produces_2_pow_d_children(self):
         table = WhiskerTable(("ack_ewma", "send_ewma", "rtt_ratio"))

@@ -72,11 +72,8 @@ class TestCorruptEntries:
         # Damage is a miss, the poisoned file is deleted, and the very
         # next get is a plain (cheap) miss rather than a re-parse.
         assert cache.get(result.key) is None
-        assert cache.stats.corrupt_evictions == 1
         assert not os.path.exists(entry_path(cache, result.key))
         assert cache.get(result.key) is None
-        assert cache.stats.corrupt_evictions == 1
-        assert cache.stats.misses == 2
 
     def test_truncated_file(self, tmp_path, make_result):
         cache, result = put_one(tmp_path, make_result)
@@ -120,5 +117,4 @@ class TestCorruptEntries:
     def test_valid_entry_untouched_by_eviction_paths(self, tmp_path, make_result):
         cache, result = put_one(tmp_path, make_result)
         assert cache.get(result.key) == result
-        assert cache.stats.corrupt_evictions == 0
         assert os.path.exists(entry_path(cache, result.key))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.summary import RunMetrics
-from repro.runner.cache import DiskCache, MemoryCache, NullCache
+from repro.runner.cache import DiskCache, NullCache
 from repro.runner.core import SweepPoint, SweepSpec, evaluate_point
 from repro.runner.hashing import canonical_json, content_hash
 from repro.runner.records import (
@@ -234,19 +234,6 @@ class TestParentWrittenRecord:
         assert encode_record(decoded) == PARENT_RECORD
 
 
-class TestMemoryCache:
-    def test_roundtrip_and_stats(self):
-        cache = MemoryCache()
-        point = make_point()
-        assert cache.get(point.key) is None
-        cache.put(point)
-        assert cache.get(point.key) == point
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.writes == 1
-        assert len(cache) == 1
-
-
 class TestDiskCache:
     def test_roundtrip_persists_across_instances(self, tmp_path):
         directory = str(tmp_path / "cache")
@@ -260,7 +247,6 @@ class TestDiskCache:
     def test_missing_key_is_miss(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         assert cache.get("deadbeef") is None
-        assert cache.stats.misses == 1
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         cache = DiskCache(str(tmp_path))
@@ -277,7 +263,6 @@ class TestDiskCache:
         with open(entry, "w") as handle:
             handle.write(parent_layout(point))
         assert cache.get(point.key) is None
-        assert cache.stats.corrupt_evictions == 1
         assert not os.path.exists(entry)
 
     def test_no_temp_files_left_behind(self, tmp_path):

@@ -49,6 +49,8 @@ def test_legacy_record_is_recomputed_identical_to_a_cold_run(tmp_path):
     (result,) = outcome.points
     assert result.identical_to(cold)
     assert (outcome.cache_hits, outcome.checkpoint_reused) == (0, 0)
-    assert runner.cache.stats.corrupt_evictions == 1
+    # The damaged cache entry was evicted and the recomputed point put in its place.
+    with open(tmp_path / "cache" / f"{result.key}.json") as handle:
+        assert handle.read() == encode_record(result)
     with open(journal.path) as handle:
         assert handle.read() == encode_record(result) + "\n"

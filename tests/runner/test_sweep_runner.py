@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.scenarios import TABLE3_REMY, ScenarioPreset, run_cubic_fixed
 from repro.experiments.sweep import run_table2_sweep
 from repro.phi.optimizer import leave_one_out, select_optimal
-from repro.runner.cache import DiskCache, MemoryCache, NullCache
+from repro.runner.cache import DiskCache, NullCache
 from repro.runner import machine_fingerprint
 from repro.runner.core import SweepRunner, result_mismatches
 from repro.runner.progress import SweepProgress
@@ -90,8 +90,8 @@ class TestDeterminism:
 
 
 class TestCachingBehaviour:
-    def test_second_run_is_all_cache_hits(self):
-        cache = MemoryCache()
+    def test_second_run_is_all_cache_hits(self, tmp_path):
+        cache = DiskCache(str(tmp_path / "cache"))
         runner = SweepRunner(MINI_PRESET, n_workers=1, cache=cache)
         first = runner.run(MINI_GRID, n_runs=1)
         assert first.cache_hits == 0
@@ -100,17 +100,17 @@ class TestCachingBehaviour:
         for a, b in zip(first.points, second.points):
             assert a.identical_to(b)
 
-    def test_widening_grid_only_pays_for_new_points(self):
-        cache = MemoryCache()
+    def test_widening_grid_only_pays_for_new_points(self, tmp_path):
+        cache = DiskCache(str(tmp_path / "cache"))
         runner = SweepRunner(MINI_PRESET, n_workers=1, cache=cache)
         runner.run(MINI_GRID[:2], n_runs=1)
         outcome = runner.run(MINI_GRID, n_runs=1)
         assert outcome.cache_hits == 2
 
-    def test_events_per_second_counts_only_points_this_run_computed(self):
+    def test_events_per_second_counts_only_points_this_run_computed(self, tmp_path):
         # A cached point's events cost no wall time here; dividing them
         # by this run's wall reported 12 M events/s on a warm cache.
-        runner = SweepRunner(MINI_PRESET, n_workers=1, cache=MemoryCache())
+        runner = SweepRunner(MINI_PRESET, n_workers=1, cache=DiskCache(str(tmp_path)))
         runner.run(MINI_GRID[:2], n_runs=1)
         half_warm = runner.run(MINI_GRID, n_runs=1)
         computed = sum(
@@ -125,8 +125,8 @@ class TestCachingBehaviour:
         assert warm.events_per_second == 0.0
         assert warm.total_events == half_warm.total_events > 0
 
-    def test_different_seed_misses_cache(self):
-        cache = MemoryCache()
+    def test_different_seed_misses_cache(self, tmp_path):
+        cache = DiskCache(str(tmp_path / "cache"))
         runner = SweepRunner(MINI_PRESET, n_workers=1, cache=cache)
         runner.run(MINI_GRID[:1], n_runs=1, base_seed=0)
         outcome = runner.run(MINI_GRID[:1], n_runs=1, base_seed=99)
@@ -203,8 +203,8 @@ class TestValidationAndProgress:
         assert completed == sorted(completed)
         assert snapshots[-1][0] == len(MINI_GRID)
 
-    def test_progress_counts_cache_hits(self):
-        cache = MemoryCache()
+    def test_progress_counts_cache_hits(self, tmp_path):
+        cache = DiskCache(str(tmp_path / "cache"))
         SweepRunner(MINI_PRESET, n_workers=1, cache=cache).run(MINI_GRID, n_runs=1)
         snapshots = []
         SweepRunner(

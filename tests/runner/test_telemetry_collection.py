@@ -3,7 +3,7 @@
 import json
 
 from repro import telemetry
-from repro.runner.cache import MemoryCache, NullCache
+from repro.runner.cache import DiskCache, NullCache
 from repro.runner.core import SweepPoint, SweepRunner, SweepSpec, evaluate_point
 
 from .conftest import MINI_GRID, MINI_PRESET
@@ -97,8 +97,8 @@ class TestRunnerMerge:
             parallel.telemetry, sort_keys=True
         )
 
-    def test_cached_points_report_cached_provenance(self):
-        cache = MemoryCache()
+    def test_cached_points_report_cached_provenance(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
         _run(n_workers=1, cache=cache)
         outcome, parent = _run(n_workers=1, cache=cache)
         assert outcome.provenance == {r.key: "cached" for r in outcome.points}

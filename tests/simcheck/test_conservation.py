@@ -198,7 +198,7 @@ class TestLinkLaws:
             sim = Simulator()
             link, outage, loss = blackholed_link(sim, make)
             absorbed = fault_absorbed_packets(link, [outage, loss])
-            assert absorbed == outage.packets_blackholed + loss.packets_dropped, kind
+            assert absorbed == outage.packets_blackholed_on(link) + loss.packets_dropped, kind
             assert absorbed == 30, kind  # whatever loss passes, the outage eats
             # Absorbed packets show up as the wire residual; crediting the
             # faults makes the law exact on this drained link.

@@ -95,7 +95,8 @@ class TestFaultsUnderConservation:
             source.stop()
         env.audit(faults=flap)
         assert report.ok, [str(v) for v in report.violations]
-        assert sum(o.packets_blackholed for o in flap) > 0  # the flap actually bit
+        bottleneck = env.topology.bottleneck
+        assert sum(o.packets_blackholed_on(bottleneck) for o in flap) > 0  # the flap bit
 
     def test_delay_spike_leaves_wire_residual_only(self):
         report = ViolationReport()

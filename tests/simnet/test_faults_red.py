@@ -47,7 +47,7 @@ class TestOutage:
         sim.run()
         delivered = [p.seq for _t, p in dst.packets]
         assert delivered == [0, 3]
-        assert outage.packets_blackholed == 2
+        assert outage.packets_blackholed_on(link) == 2
 
     def test_validation(self):
         sim = Simulator()
@@ -83,8 +83,8 @@ class TestRandomLoss:
         for i in range(2000):
             link.send(make_data_packet(1, "a", "b", i, 100))
         sim.run()
-        assert fault.observed_loss_rate == pytest.approx(0.3, abs=0.05)
-        assert len(dst.packets) == fault.packets_passed
+        assert fault.packets_dropped / 2000 == pytest.approx(0.3, abs=0.05)
+        assert len(dst.packets) == 2000 - fault.packets_dropped
 
     def test_remove_restores_delivery(self):
         sim = Simulator()

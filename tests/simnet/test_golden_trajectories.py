@@ -118,7 +118,7 @@ def test_degraded_phi_trajectory_is_pinned(seed):
         duration_s=12.0,
     )
     assert run.decision_counts["fallback"] > 0
-    assert run.channel_stats.fast_failures > 0  # the breaker opened
+    assert run.fast_failures > 0  # the breaker opened
     assert trajectory_digest(run.result) == GOLDEN_DEGRADED[seed]
 
 

@@ -113,7 +113,7 @@ class TestPartitionSeversEverything:
         sim.run()
         assert state["severed"] == {(0, 2), (1, 2)}
         assert state["downs"] == 1 and state["ups"] == 0
-        assert partition.packets_blackholed == 1
+        assert partition.packets_blackholed_on(link) == 1
         assert len(dst.packets) == 1
         assert mesh.severed == set()
         assert target.downs == 1 and target.ups == 1
@@ -131,19 +131,19 @@ class TestPartitionSeversEverything:
         send_at(sim, link, 1.6, 1)     # flap up again, partition active
         send_at(sim, link, 3.5, 2)     # both over: delivered
         sim.run()
-        assert partition.packets_blackholed >= 1
+        assert partition.packets_blackholed_on(link) >= 1
         assert any(packet.seq == 2 for _, packet in dst.packets)
 
     def test_nests_with_server_outage_downmarks(self):
         """Two overlapping outages on the same channel: the channel stays
         down until BOTH have ended."""
         sim = Simulator()
-        channel = ControlChannel(sim, ContextServer(sim, 10e6))
-        Outage(sim, 1.0, 3.0, targets=[channel])
-        Outage(sim, 2.0, 3.0, targets=[channel])
+        target = FakeTarget()
+        Outage(sim, 1.0, 3.0, targets=[target])
+        Outage(sim, 2.0, 3.0, targets=[target])
         probes = {}
         for t in (0.5, 1.5, 3.5, 4.5, 5.5):
-            sim.schedule_at(t, lambda t=t: probes.update({t: channel.server_up}))
+            sim.schedule_at(t, lambda t=t: probes.update({t: target.downs == target.ups}))
         sim.run()
         assert probes == {0.5: True, 1.5: False, 3.5: False, 4.5: False, 5.5: True}
 
@@ -151,13 +151,13 @@ class TestPartitionSeversEverything:
 class TestLeaseExpiryOutageRace:
     """Satellite: a lease TTL expiring *inside* an outage window must
     not corrupt the lease table — clean re-acquire after heal, and
-    ``active_connections`` never goes negative."""
+    the server's ``n`` never goes negative."""
 
     def _drive(self, sim, server, channel, observed):
         def lookup_at(t):
             def attempt():
                 channel.call_lookup()  # RpcResult; failures are fine
-                observed.append((t, server.active_connections))
+                observed.append((t, server.current_context().competing_senders))
             sim.schedule_at(t, attempt)
 
         return lookup_at
@@ -190,7 +190,7 @@ class TestLeaseExpiryOutageRace:
         )
         lookup_at(5.0)                 # clean re-acquire post-heal
         probe = []
-        sim.schedule_at(5.5, lambda: probe.append(server.active_connections))
+        sim.schedule_at(5.5, lambda: probe.append(server.current_context().competing_senders))
         sim.run()
         counts = [count for _, count in observed]
         assert observed[0] == (0.5, 1)
@@ -220,7 +220,7 @@ class TestLeaseExpiryOutageRace:
             sim.schedule_at(
                 t,
                 lambda: counts.append(
-                    [s.active_connections for s in service.servers]
+                    [s.current_context().competing_senders for s in service.servers]
                 ),
             )
         sim.run(until=6.0)

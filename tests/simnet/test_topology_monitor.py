@@ -246,13 +246,6 @@ class TestRngStreams:
         b = RngStreams(2).stream("x").random(4)
         assert list(a) != list(b)
 
-    def test_spawn_independent(self):
-        parent = RngStreams(3)
-        child = parent.spawn("child")
-        a = parent.stream("s").random(3)
-        b = child.stream("s").random(3)
-        assert list(a) != list(b)
-
     def test_exponential_helper(self):
         rng = RngStreams(0).stream("e")
         draws = [exponential(rng, 2.0) for _ in range(1000)]

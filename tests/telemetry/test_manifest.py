@@ -7,7 +7,7 @@ import pytest
 from repro import telemetry
 from repro.experiments.scenarios import ScenarioPreset
 from repro.runner import ENGINE_SIGNATURE, SweepRunner
-from repro.runner.cache import MemoryCache
+from repro.runner.cache import DiskCache
 from repro.simnet.topology import DumbbellConfig
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
@@ -43,7 +43,7 @@ def _sweep_with_telemetry(cache=None, **runner_kwargs):
         runner = SweepRunner(
             TINY_PRESET,
             n_workers=1,
-            cache=cache if cache is not None else MemoryCache(),
+            cache=cache,
             **runner_kwargs,
         )
         outcome = runner.run(TINY_GRID, n_runs=1, base_seed=0)
@@ -207,8 +207,8 @@ class TestSweepManifest:
         write_manifest(manifest, str(path))
         assert validate_manifest(load_manifest(str(path))) == []
 
-    def test_cache_hits_show_as_cached_provenance(self):
-        cache = MemoryCache()
+    def test_cache_hits_show_as_cached_provenance(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
         _sweep_with_telemetry(cache=cache)
         outcome, metrics = _sweep_with_telemetry(cache=cache)
         manifest = sweep_manifest(outcome, metrics=metrics)

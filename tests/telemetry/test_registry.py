@@ -3,6 +3,7 @@
 import pytest
 
 from repro import telemetry
+from repro.experiments import run_cubic_fixed
 from repro.telemetry.registry import (
     LATENCY_BUCKETS_S,
     Counter,
@@ -15,6 +16,8 @@ from repro.telemetry.registry import (
     mean,
     merge_snapshots,
 )
+from repro.transport import CubicParams
+from tests.runner.conftest import MINI_PRESET
 
 
 class TestHelpers:
@@ -172,21 +175,14 @@ class TestMetricsRegistry:
 
 class TestNullRegistry:
     def test_disabled_and_noop(self):
-        registry = NullRegistry()
-        assert not registry.enabled
-        counter = registry.counter("a")
-        counter.inc(5)
-        assert counter.value == 0.0
-        gauge = registry.gauge("g")
-        gauge.set(3.0)
-        assert gauge.value == 0.0
-        histogram = registry.histogram("h")
-        histogram.observe(1.0)
-        assert histogram.count == 0
-
-    def test_metrics_are_shared_singletons(self):
-        registry = NullRegistry()
-        assert registry.counter("a") is registry.counter("b", any_label=1)
+        # Disabled, and nothing reaches it: every metric call in the
+        # program sits under ``if tele.enabled`` (tests/test_stored_state.py).
+        assert not NullRegistry().enabled
+        assert not telemetry.session().enabled
+        run_cubic_fixed(CubicParams.default(), MINI_PRESET, seed=0, duration_s=1.0)
+        assert telemetry.session().registry.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
 
 
 def _worker_snapshot(calls, drops, latencies):

@@ -102,7 +102,6 @@ RECORDS = {
     "repro.metrics.summary.CrossRunSummary",
     "repro.metrics.summary.RunMetrics",
     "repro.phi.aggregation.Aggregator",
-    "repro.phi.channel.ChannelStats",
     "repro.phi.deployment.SenderAssignment",
     "repro.phi.failover.FailoverStats",
     "repro.phi.failover.ReplicaHealth",
