@@ -80,7 +80,7 @@ from .phi.corruption import CONTEXT_CORRUPTION_MODES
 from .phi.deployment import check_fraction
 from .phi.optimizer import select_optimal
 from .phi.plane import PlaneSpec
-from .phi.replication import ReadPolicy, ReplicationConfig
+from .phi.replication import ReplicationConfig
 from .runner import (
     ConsoleProgress,
     DiskCache,
@@ -771,10 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
                            type=_checked(float, _plane("partition_start_s")),
                            dest="partition_start_s",
                            help="simulated second the partition begins")
-    partition.add_argument("--read-policy", type=ReadPolicy, default=ReadPolicy.ANY,
-                           metavar="{any,quorum}",
-                           help="replica read policy (default: any)")
-    partition.set_defaults(fixed=("read_policy", "partition_start_s"))
+    partition.set_defaults(fixed=("partition_start_s",))
 
     postmortem = sub.add_parser(
         "postmortem",

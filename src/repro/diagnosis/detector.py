@@ -27,11 +27,6 @@ class DetectedDip:
     min_zscore: float
     mean_drop_fraction: float
 
-    @property
-    def duration_bins(self) -> int:
-        """Dip length in bins."""
-        return self.end_bin - self.start_bin
-
 
 #: Detection thresholds: a dip is a run of at least MIN_CONSECUTIVE_BINS
 #: bins scoring at or below Z_THRESHOLD.  MIN_DROP_FRACTION suppresses

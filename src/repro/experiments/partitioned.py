@@ -10,10 +10,9 @@ replicated server:
            → per-replica ControlChannel → ReplicaHandle → ContextServer
 
 Every call's outcome travels up as an :class:`~repro.phi.channel.RpcResult`:
-a replica that cannot serve (down, cut off, or refusing a QUORUM read)
-is a non-OK status the failover channel moves past and, once every
-replica has failed, the client degrades on.  Nothing is raised between
-the layers.
+a replica that cannot serve (down or cut off) is a non-OK status the
+failover channel moves past and, once every replica has failed, the
+client degrades on.  Nothing is raised between the layers.
 
 An :class:`~repro.simnet.faults.Outage` severs, for a window,
 both the sender↔replica channels of a *cut* replica subset and the
@@ -57,7 +56,7 @@ from typing import Any, Mapping, Optional
 from ..metrics.summary import RunMetrics
 from ..phi.plane import PlaneRunResult, PlaneSpec
 from ..phi.policy import PolicyTable
-from ..phi.replication import ReadPolicy, ReplicationConfig
+from ..phi.replication import ReplicationConfig
 from .dumbbell import ScenarioPreset
 from .faultsweep import (
     LEASE_TTL_S,
@@ -82,7 +81,6 @@ def run_partitioned_phi_cubic(
     heal_s: float = 10.0,
     partition_start_s: float = 10.0,
     seed: int = 0,
-    read_policy: ReadPolicy = ReadPolicy.ANY,
     duration_s: Optional[float] = None,
 ) -> PlaneRunResult:
     """Phi-coordinated Cubic on a replicated, partitionable control plane.
@@ -100,7 +98,7 @@ def run_partitioned_phi_cubic(
     jitter from a per-run seeded stream; it draws only on failure paths,
     so a no-fault run's trajectory is unchanged by it.
     """
-    replication = ReplicationConfig(n_replicas=n_replicas, read_policy=read_policy)
+    replication = ReplicationConfig(n_replicas=n_replicas)
     spec = PlaneSpec(
         policy=policy,
         lease_ttl_s=LEASE_TTL_S,
@@ -129,7 +127,7 @@ def _single_server_outage(
         heal_s=axes["heal_s"],
         seed=seed,
         duration_s=spec.duration_s,
-        **{**spec.fixed, "read_policy": ReadPolicy.ANY},
+        **spec.fixed,
     ).metrics
 
 
@@ -151,7 +149,6 @@ PARTITION = FaultScenario(
         "fast_failures": sum,
         "anti_entropy_merges": sum,
         "reports_replicated": sum,
-        "quorum_rejections": sum,
         "final_divergence": peak,
         "max_divergence": peak,
         "pending_reports": sum,

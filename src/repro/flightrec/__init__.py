@@ -44,21 +44,8 @@ __all__ = [
     "capture",
     "iter_layer",
     "load_dump",
-    "session",
     "use",
 ]
-
-
-def session() -> FlightRecorder:
-    """The active recorder (the shared disabled one by default).
-
-    This is the accessor every instrumentation site calls::
-
-        rec = _flightrec_session()
-        if rec.enabled:
-            rec.simnet("drop", now, link.name, packet.flow_id, packet.packet_id)
-    """
-    return _telemetry.session().flightrec
 
 
 @contextmanager

@@ -175,9 +175,6 @@ class FlightRecorder:
         self.autodump_path = autodump_path
         self.autodumps = 0
 
-    def __len__(self) -> int:
-        return sum(len(ring) for ring in self.rings.values())
-
     def records(self) -> List[Dict[str, Any]]:
         """All retained records as dicts, time-sorted across layers.
 
@@ -259,11 +256,6 @@ class FlightRecorder:
         self.dump(self.autodump_path, reason=reason, sim_time=sim_time)
         self.autodumps += 1
         return self.autodump_path
-
-    def clear(self) -> None:
-        for ring in self.rings.values():
-            ring.clear()
-        self.autodumps = 0
 
 
 class NullFlightRecorder(FlightRecorder):

@@ -56,16 +56,6 @@ class EgressFlow:
         """The flow's 4-tuple identity."""
         return (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
 
-    @property
-    def dst_subnet(self) -> str:
-        """Destination /24 — the paper's spatial aggregation unit."""
-        return dst_slash24(self.dst_ip)
-
-    @property
-    def end_s(self) -> float:
-        """Flow end time."""
-        return self.start_s + self.duration_s
-
 
 @dataclass(frozen=True)
 class SampledHeader:

@@ -50,8 +50,6 @@ from .fallback import (
 )
 from .plane import Plane, PlaneRunResult, PlaneSpec, SharingMode
 from .replication import (
-    QuorumUnavailable,
-    ReadPolicy,
     ReplicaHandle,
     ReplicatedContextService,
     ReplicationConfig,
@@ -107,8 +105,6 @@ __all__ = [
     "FailoverStats",
     "GUARD_REASONS",
     "GuardVerdict",
-    "QuorumUnavailable",
-    "ReadPolicy",
     "ReplicaHandle",
     "ReplicaHealth",
     "ReplicatedContextService",

@@ -14,9 +14,7 @@ This module makes each a fallible call:
 
 The returned :class:`RpcResult`'s status is the one way a call reports
 failure, to the failover channel and the resilient client above alike.
-A backend that raises ``OSError`` (e.g. a replica refusing a QUORUM
-read) ends the call as ``REFUSED``; any other exception is a bug and
-propagates.
+A backend that raises is a bug, and the exception propagates.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ class RpcStatus(Enum):
     OK = "ok"
     SERVER_DOWN = "server_down"    # the server was down when called
     CIRCUIT_OPEN = "circuit_open"  # refused without an attempt: breaker open
-    REFUSED = "backend_error"      # reached, but the backend raised OSError
 
 
 class RpcResult(NamedTuple):
@@ -45,10 +42,6 @@ class RpcResult(NamedTuple):
 
     status: RpcStatus
     value: Any = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status is RpcStatus.OK
 
 
 def exponential_backoff_s(
@@ -239,14 +232,8 @@ class ControlChannel:
         else:
             if breaker._consecutive_failures or breaker._state is not BreakerState.CLOSED:
                 breaker.record_success()  # a no-op on a clean CLOSED breaker
-            try:
-                value = fn(*args)
-                status = RpcStatus.OK
-            except OSError:
-                # A live server whose backend would not serve (e.g.
-                # QuorumUnavailable).  Any other exception is a bug and
-                # propagates.
-                status = RpcStatus.REFUSED
+            value = fn(*args)
+            status = RpcStatus.OK
         tele = _telemetry_session()
         if tele.enabled:
             tele.registry.counter("phi.rpc_calls", op=op, status=status.value).inc()

@@ -8,9 +8,8 @@ on top and decides *which* replica to ask:
 - **health scoring**: every observed RPC outcome folds into a per-replica
   EWMA score, so replica choice is driven by what the client actually
   experienced, not by any global view;
-- **failover**: when a replica's result is not OK (server down,
-  breaker open, or ``REFUSED`` by a backend such as a replica without
-  quorum), the call moves on to the next-best replica within the same
+- **failover**: when a replica's result is not OK (server down or
+  breaker open), the call moves on to the next-best replica within the same
   simulated instant — RPC time is not simulated, exactly as in the
   underlying channel;
 - **suspension with jittered backoff**: a failed replica is benched for
@@ -148,14 +147,6 @@ class FailoverChannel:
         self._health: List[ReplicaHealth] = [ReplicaHealth() for _ in channels]
         self._current = 0
         self.stats = FailoverStats(health=self._health)
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.channels)
-
-    def health(self, index: int) -> ReplicaHealth:
-        """This client's observed standing of replica ``index``."""
-        return self._health[index]
 
     # ------------------------------------------------------------------
     # Selection

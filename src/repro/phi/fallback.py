@@ -89,14 +89,6 @@ class ResolvedContext:
     age_s: float = 0.0
     shadow: Optional[CongestionContext] = None
 
-    @property
-    def coordinated(self) -> bool:
-        """Whether the caller may act on shared state at all."""
-        return self.decision not in (
-            ContextDecision.FALLBACK,
-            ContextDecision.DISTRUSTED,
-        )
-
 
 class ResilientContextClient:
     """Failure-masking wrapper around a control channel.
@@ -147,11 +139,6 @@ class ResilientContextClient:
         #: The current decision mode's value (``None`` before the first).
         self._mode: Optional[str] = None
         self._mode_since = now()
-
-    @property
-    def decisions(self) -> Dict[ContextDecision, int]:
-        """How many connections started under each decision."""
-        return {d: self._decided[d.value] for d in ContextDecision}
 
     def _decide(self, decision: ContextDecision, now: float) -> None:
         """Count a decision and charge sim time to the mode it ends.

@@ -188,7 +188,6 @@ class PlaneRunResult:
     replica_calls: Dict[int, Dict[str, int]]
     anti_entropy_merges: int
     reports_replicated: int
-    quorum_rejections: int
     final_divergence: float
     max_divergence: float
 
@@ -305,7 +304,6 @@ class Plane:
             replica_calls=failover.stats.by_replica if failover else {},
             anti_entropy_merges=service.anti_entropy_merges if service else 0,
             reports_replicated=service.reports_replicated if service else 0,
-            quorum_rejections=service.quorum_rejections if service else 0,
             final_divergence=service.replica_divergence() if service else 0.0,
             max_divergence=max((d for _, d in history), default=0.0),
         )

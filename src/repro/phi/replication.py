@@ -22,16 +22,8 @@ happen independently inside each connected component, so a partitioned
 minority diverges and then converges after heal — the convergence the
 X7 oracle asserts.
 
-Read policies (:class:`ReadPolicy`) decide when a replica may answer a
-lookup:
-
-- ``ANY``: always answer from local state (fastest, weakest);
-- ``QUORUM``: answer only when the serving replica can currently see a
-  majority of the mesh *and* merged recently; otherwise the lookup
-  raises :class:`QuorumUnavailable`, which the replica's control channel
-  ends as a ``REFUSED`` result: the failover channel tries the next
-  replica, and the resilient client degrades as on any failed call
-  (STALE cache, then stock fallback).
+Every replica answers a lookup from its local state, whatever part of
+the mesh it can see.
 
 Known approximation, by design: between merges two replicas can each
 FIFO-release the *same* oldest lease for different reports, so ``n`` can
@@ -48,7 +40,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simnet.bounds import check
@@ -56,23 +47,6 @@ from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
 from .context import CongestionContext
 from .server import ConnectionReport, ContextServer
-
-
-class ReadPolicy(Enum):
-    """When a replica may answer a lookup from its local state."""
-
-    ANY = "any"
-    QUORUM = "quorum"
-
-
-class QuorumUnavailable(ConnectionError):
-    """A QUORUM-policy lookup hit a replica that cannot see a majority
-    (or whose merge state is too stale to answer for the majority).
-
-    An ``OSError`` (through :class:`ConnectionError`), so the control
-    channel ends the call as ``REFUSED``: "this replica cannot serve you
-    now", not a bug.
-    """
 
 
 @dataclass(frozen=True)
@@ -89,23 +63,14 @@ class ReplicationConfig:
         == 1`` no merges are scheduled at all, keeping the event
         trajectory bit-identical to a single plain server (the
         replication oracle's claim).
-    read_policy:
-        See :class:`ReadPolicy`.
     """
 
     n_replicas: int = 3
     anti_entropy_period_s: float = 1.0
-    read_policy: ReadPolicy = ReadPolicy.ANY
 
     def __post_init__(self) -> None:
         check("n_replicas", self.n_replicas, ge=1, integer=True)
         check("anti_entropy_period_s", self.anti_entropy_period_s, gt=0)
-
-
-#: Under ``QUORUM``, the longest a replica may go without a merge and
-#: still answer (it must be able to speak for a recent majority view, not
-#: just historically have been part of one); never below one period.
-QUORUM_STALENESS_S = 5.0
 
 
 #: A lease's globally unique identity: (issuing replica, local sequence).
@@ -155,15 +120,12 @@ class ReplicaHandle:
         self._oldest_issue_s = math.inf
         #: Reports folded into this replica's server (window-pruned).
         self.seen: Set[ConnectionReport] = set()
-        self.last_merge_s = service.sim.now
 
     # ------------------------------------------------------------------
     # ContextSource protocol
     # ------------------------------------------------------------------
     def lookup(self) -> CongestionContext:
         """Serve a connection-start lookup from this replica's state."""
-        if self.service.config.read_policy is ReadPolicy.QUORUM:
-            self.service._check_read_policy(self.index)
         context = self.server.lookup()
         now = self.sim._now
         ttl = self.server.lease_ttl_s
@@ -252,7 +214,6 @@ class ReplicatedContextService:
         self._severed: Set[frozenset] = set()
         self.anti_entropy_merges = 0
         self.reports_replicated = 0
-        self.quorum_rejections = 0
         #: (sim time, divergence) sampled at every anti-entropy tick —
         #: the convergence oracle's evidence trail.
         self.divergence_history: List[Tuple[float, float]] = []
@@ -313,38 +274,6 @@ class ReplicatedContextService:
             components.append(sorted(component))
         return components
 
-    def component_of(self, index: int) -> List[int]:
-        """The connected component containing replica ``index``."""
-        for component in self.components():
-            if index in component:
-                return component
-        raise ValueError(f"replica index out of range: {index}")
-
-    # ------------------------------------------------------------------
-    # Read policy
-    # ------------------------------------------------------------------
-    def _check_read_policy(self, index: int) -> None:
-        if (
-            self.config.read_policy is not ReadPolicy.QUORUM
-            or self.n_replicas == 1
-        ):
-            return
-        component = self.component_of(index)
-        if 2 * len(component) <= self.n_replicas:
-            self.quorum_rejections += 1
-            raise QuorumUnavailable(
-                f"replica {index} sees {len(component)}/{self.n_replicas} "
-                f"replicas; no quorum"
-            )
-        staleness = self.sim.now - self.handles[index].last_merge_s
-        limit = max(QUORUM_STALENESS_S, self.config.anti_entropy_period_s)
-        if staleness > limit:
-            self.quorum_rejections += 1
-            raise QuorumUnavailable(
-                f"replica {index} last merged {staleness:.3f}s ago "
-                f"(limit {limit:.3f}s)"
-            )
-
     # ------------------------------------------------------------------
     # Anti-entropy
     # ------------------------------------------------------------------
@@ -398,7 +327,6 @@ class ReplicatedContextService:
             handle._unreleased = list(outstanding)  # sorted, so already a heap
             handle._oldest_issue_s = oldest_issue_s
             handle.server.reset_leases([ts for ts, _ in outstanding])
-            handle.last_merge_s = now
 
         self.anti_entropy_merges += 1
         tele = _telemetry_session()

@@ -37,14 +37,6 @@ class DiskCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
 
-    def __len__(self) -> int:
-        # Entries are ``<key>.json``.  Dot-files are the temps of killed
-        # writers, which older versions named ``.tmp-*.json``.
-        return sum(
-            1 for name in os.listdir(self.directory)
-            if name.endswith(".json") and not name.startswith(".")
-        )
-
     def _evict_corrupt(self, path: str) -> None:
         try:
             os.unlink(path)
@@ -89,9 +81,6 @@ class DiskCache:
 
 class NullCache:
     """A cache that remembers nothing (the runner's default)."""
-
-    def __len__(self) -> int:
-        return 0
 
     def get(self, key: str) -> Optional[PointResult]:
         return None

@@ -35,12 +35,6 @@ class SweepProgress:
     quarantined: int = 0
 
     @property
-    def fraction(self) -> float:
-        if self.total <= 0:
-            return 1.0
-        return self.completed / self.total
-
-    @property
     def elapsed_s(self) -> float:
         return max(0.0, time.perf_counter() - self.started_at)
 

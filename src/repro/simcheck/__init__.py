@@ -10,21 +10,14 @@ CLI and the hypothesis property suite.
 Checking is **off by default** and follows the telemetry enablement
 contract exactly: when disabled, scenario code pays a single module
 lookup and bool test per run — no wrapper objects, no per-event or
-per-packet work.  Enable it process-wide with :func:`enable` (or the
-``REPRO_SIMCHECK=1`` environment variable, which is how CI runs the
-tier-1 suite in checked mode), or scoped with :func:`use`::
-
-    from repro import simcheck
-
-    with simcheck.use():
-        run_cubic_experiment(...)   # runs on a CheckedSimulator
+per-packet work.  Enable it process-wide with the ``REPRO_SIMCHECK=1``
+environment variable, which is how CI runs the tier-1 suite in checked
+mode: every scenario then runs on a :class:`CheckedSimulator`.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator
 
 from .checked import CheckedSimulator
 from .conservation import (
@@ -49,13 +42,10 @@ __all__ = [
     "audit_topology",
     "check_sender_invariants",
     "checked_factory",
-    "disable",
-    "enable",
     "enabled",
     "fault_absorbed_packets",
     "install_sender_checks",
     "record_violation",
-    "use",
 ]
 
 #: Truthy values accepted for the REPRO_SIMCHECK environment variable.
@@ -67,27 +57,3 @@ _enabled: bool = os.environ.get("REPRO_SIMCHECK", "").strip().lower() in _TRUTHY
 def enabled() -> bool:
     """Whether scenario runners should build checked simulations."""
     return _enabled
-
-
-def enable() -> None:
-    """Turn checked mode on process-wide (idempotent)."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn checked mode off process-wide (idempotent)."""
-    global _enabled
-    _enabled = False
-
-
-@contextmanager
-def use(active: bool = True) -> Iterator[None]:
-    """Scoped checked mode: set, run, restore the previous state."""
-    global _enabled
-    previous = _enabled
-    _enabled = active
-    try:
-        yield
-    finally:
-        _enabled = previous

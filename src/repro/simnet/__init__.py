@@ -30,14 +30,13 @@ from .packet import (
     make_data_packet,
 )
 from .queues import DropTailQueue, PriorityQueue, QueueStats
-from .random import RngStreams, exponential
+from .random import RngStreams
 from .topology import (
     DEFAULT_ACCESS_BANDWIDTH_BPS,
     PAPER_BUFFER_BDP_MULTIPLE,
     DumbbellConfig,
     DumbbellTopology,
     ParkingLotTopology,
-    SenderReceiverPair,
 )
 
 __all__ = [
@@ -70,11 +69,9 @@ __all__ = [
     "QueueStats",
     "RngStreams",
     "Router",
-    "SenderReceiverPair",
     "SimulationError",
     "Simulator",
     "bdp_bytes",
-    "exponential",
     "make_ack_packet",
     "make_data_packet",
 ]

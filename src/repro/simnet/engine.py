@@ -13,10 +13,10 @@ the ``(time, seq)`` prefix the heap orders on (sequence numbers are
 unique, so tuple comparison never reaches the third slot and heap
 operations stay in C):
 
-- ``(time, seq, callback, args)`` — posted with :meth:`Simulator.post_at`.
-  Nothing refers to the record, so it cannot be cancelled and costs no
-  allocation beyond the tuple.  For per-packet events, which are never
-  cancelled; :class:`~repro.simnet.link.Link` is the only caller.
+- ``(time, seq, callback, args)`` — pushed inline by
+  :class:`~repro.simnet.link.Link`, the only writer.  Nothing refers to
+  the record, so it cannot be cancelled and costs no allocation beyond
+  the tuple.  For per-packet events, which are never cancelled.
 - ``(time, seq, None, handle)`` — scheduled with :meth:`Simulator.schedule`
   / :meth:`Simulator.schedule_at`, which return the
   :class:`EventHandle`.  The handle holds the callback; cancelling blanks
@@ -200,8 +200,7 @@ class EventHandle:
 
     The calendar record ``(time, seq, None, handle)`` points here for its
     callback.  ``_sim`` is the "still pending" mark — the engine clears it
-    when the event fires or the calendar is cleared; :meth:`cancel` clears
-    the callback with it.
+    when the event fires; :meth:`cancel` clears the callback with it.
     """
 
     __slots__ = ("time", "_callback", "_args", "_sim")
@@ -223,10 +222,9 @@ class EventHandle:
     def cancel(self) -> None:
         """Prevent the event from firing.
 
-        Cancelling an event that already fired, was already cancelled, or
-        was dropped by :meth:`Simulator.clear` is a no-op.  The engine
-        lazily discards the record when it surfaces at the top of the
-        calendar.
+        Cancelling an event that already fired or was already cancelled
+        is a no-op.  The engine lazily discards the record when it
+        surfaces at the top of the calendar.
         """
         sim = self._sim
         if sim is not None:
@@ -275,11 +273,6 @@ class Simulator:
         """Number of queued live (non-cancelled) events."""
         return len(self._heap) - self._cancelled_pending
 
-    @property
-    def watchdog(self) -> Optional[SimWatchdog]:
-        """The installed :class:`SimWatchdog`, or None when unguarded."""
-        return self._watchdog
-
     def install_watchdog(self, watchdog: SimWatchdog) -> SimWatchdog:
         """Guard subsequent ``run()`` calls with ``watchdog``."""
         self._watchdog = watchdog
@@ -315,13 +308,6 @@ class Simulator:
         heapq.heappush(self._heap, (time, next(self._seq), None, handle))
         return handle
 
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule_at` for an event nothing will cancel: no handle
-        is made or returned.  Ordered with scheduled events by insertion."""
-        if not time >= self._now:
-            raise self._not_schedulable(time)
-        heapq.heappush(self._heap, (time, next(self._seq), callback, args))
-
     def _not_schedulable(self, time: float) -> SimulationError:
         # ``not >=`` at the call sites rather than ``<`` so NaN lands here too.
         if math.isnan(time):
@@ -340,13 +326,6 @@ class Simulator:
             heapq.heappop(heap)  # a cancelled timer; discard it
             self._cancelled_pending -= 1
         return None
-
-    def step(self) -> bool:
-        """Run the single next event (``run(max_events=1)``). Returns False
-        if nothing was pending."""
-        events_before = self._events_processed
-        self.run(max_events=1)
-        return self._events_processed > events_before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the calendar drains, ``until`` passes, or
@@ -447,12 +426,3 @@ class Simulator:
     def _audit_heap(self) -> None:
         """Every ``heap_check_interval`` executed events and once when the
         loop exits normally: audit the calendar (nothing to do here)."""
-
-    def clear(self) -> None:
-        """Drop all pending events and invalidate their handles (the
-        clock is left untouched)."""
-        for record in self._heap:
-            if record[2] is None:
-                record[3]._sim = None
-        self._heap.clear()
-        self._cancelled_pending = 0

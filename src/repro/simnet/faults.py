@@ -1,7 +1,9 @@
 """Composable fault injection for links and control-plane targets.
 
-Used by robustness tests, the diagnosis pipeline's end-to-end scenarios,
-and the degraded- and partitioned-control-plane experiments.  Link
+The degraded- and partitioned-control-plane experiments use
+:class:`Outage` on control-plane targets and replica-mesh edges; no
+experiment, bench or CLI path builds a link fault, which only tests
+do until ROADMAP items 10(B) and 13(ii) give them a caller.  Link
 faults are *stacked*: every fault on a link installs a wrapper on a
 shared per-link delivery chain, so overlapping faults compose and can be
 removed in any order — each removal restores exactly the chain without
@@ -21,10 +23,8 @@ Available faults:
 - :class:`Outage` — takes a set of paths down for one window and heals
   them together: links are black-holed, ``mark_down()``/``mark_up()``
   targets (e.g. :class:`repro.phi.channel.ControlChannel` instances)
-  are held down, and replica-mesh edges are severed.  One link dark for
-  a while is the network-level cause behind Figure 5's unreachability
-  event; a cut replica subset is the X7 partition sweep; a flap is
-  consecutive outages.
+  are held down, and replica-mesh edges are severed.  A cut replica
+  subset is the X7 partition sweep; a flap is consecutive outages.
 - :class:`DelaySpike` — adds extra one-way delay for a window (a
   reroute through a longer path, or bufferbloat upstream).
 - :class:`RandomLoss` — drops packets independently with probability

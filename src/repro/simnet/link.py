@@ -10,9 +10,9 @@ A hop costs one event: the end of serialization is a time
 (``_busy_until``), not an event, so an idle link posts only the
 delivery.  One ``_dequeue_next`` event, at ``_busy_until``, exists exactly
 while the queue is non-empty.  Neither is ever cancelled, so the link
-pushes both as the handle-free ``(time, seq, callback, args)`` records of
-:meth:`~repro.simnet.engine.Simulator.post_at`, without its time check:
-a link's times are now plus a non-negative delay.
+pushes both as handle-free ``(time, seq, callback, args)`` calendar
+records (see :mod:`repro.simnet.engine`), with no time check: a link's
+times are now plus a non-negative delay.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class Link:
         self._dequeue_armed = False
         self._bytes_committed = 0
         self._packets_committed = 0
-        self._busy_seconds = 0.0
         # Conservation ledger (see repro.simcheck.conservation): every
         # packet offered to the link is eventually transmitted, queued,
         # dropped/flushed by the queue, or in serialization; every
@@ -87,7 +86,6 @@ class Link:
         self.bytes_offered = 0
         self.packets_offered = 0
         self.packets_delivered = 0
-        self.created_at = sim.now
         # Hot-path bindings: serialization happens once per packet per
         # link, so precompute the per-byte wire time, and bind the
         # calendar and its sequence counter the records are pushed with.
@@ -134,7 +132,6 @@ class Link:
         self._tx_bytes = size
         self._bytes_committed += size
         self._packets_committed += 1
-        self._busy_seconds += done - now
         rec = _telemetry._active.flightrec
         if rec.enabled and packet.kind is _DATA:
             # Stamped with the time serialization ends; dumps sort on write.
@@ -154,7 +151,6 @@ class Link:
         self._tx_bytes = size
         self._bytes_committed += size
         self._packets_committed += 1
-        self._busy_seconds += done - now
         rec = _telemetry._active.flightrec
         if rec.enabled and packet.kind is _DATA:
             rec.simnet("dequeue", now, self.name, packet.flow_id, packet.packet_id)
@@ -173,22 +169,6 @@ class Link:
         # No flight-recorder emit here: delivery is implied by the
         # transmit record plus the link's fixed delay.
         self.dst_node.receive(packet, self)
-
-    def utilization(self) -> float:
-        """Fraction of ``[created_at, now]`` the transmitter was busy.
-
-        A serialization in progress counts up to ``now``.  The link keeps
-        one accumulator, so this is the lifetime figure only; the reader
-        for a window is :class:`~repro.simnet.monitor.LinkMonitor`.
-        """
-        now = self.sim._now
-        elapsed = now - self.created_at
-        if elapsed <= 0:
-            return 0.0
-        busy = self._busy_seconds
-        if self._busy_until > now:
-            busy -= self._busy_until - now
-        return min(1.0, busy / elapsed)
 
     @property
     def is_busy(self) -> bool:

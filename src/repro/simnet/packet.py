@@ -31,8 +31,6 @@ class PacketKind(Enum):
     ACK = "ack"
 
 
-FlowKey = Tuple[str, int, str, int]
-"""The classic 4-tuple <src ip, src port, dst ip, dst port>."""
 
 
 #: Packet ids, restarted at 1 by every :class:`~repro.simnet.engine.Simulator`
@@ -106,12 +104,6 @@ class Packet:
         # ACK, as (start, end) tuples (RFC 2018, up to 4 blocks).
         self.sack_blocks: Tuple[Tuple[int, int], ...] = ()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Packet({self.kind.value} flow={self.flow_id} seq={self.seq} "
-            f"{self.size_bytes}B {self.src}->{self.dst})"
-        )
-
 
 def make_data_packet(
     flow_id: int,
@@ -145,21 +137,6 @@ class FlowSpec:
     src_port: int
     dst: str
     dst_port: int
-
-    @property
-    def key(self) -> FlowKey:
-        """The <src ip, src port, dst ip, dst port> 4-tuple."""
-        return (self.src, self.src_port, self.dst, self.dst_port)
-
-    def reversed(self) -> "FlowSpec":
-        """The flow spec of the reverse (ACK) direction."""
-        return FlowSpec(
-            flow_id=self.flow_id,
-            src=self.dst,
-            src_port=self.dst_port,
-            dst=self.src,
-            dst_port=self.src_port,
-        )
 
 
 class FlowIdAllocator:

@@ -39,9 +39,3 @@ class RngStreams:
             self._streams[name] = generator
         return generator
 
-
-def exponential(rng: np.random.Generator, mean: float) -> float:
-    """One exponential draw with the given mean (mean <= 0 returns 0)."""
-    if mean <= 0:
-        return 0.0
-    return float(rng.exponential(mean))

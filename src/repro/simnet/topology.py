@@ -184,17 +184,6 @@ class DumbbellTopology:
         """All links by name."""
         return dict(self._links)
 
-    def pair(self, index: int) -> "SenderReceiverPair":
-        """The (sender, receiver) host pair for slot ``index``."""
-        return SenderReceiverPair(self.senders[index], self.receivers[index])
-
-
-@dataclass(frozen=True)
-class SenderReceiverPair:
-    """A matched sender/receiver host pair on the dumbbell."""
-
-    sender: Host
-    receiver: Host
 
 
 #: One-way propagation delay of each parking-lot hop.

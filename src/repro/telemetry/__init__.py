@@ -14,8 +14,8 @@ Telemetry is **off by default**.  Disabled, the session holds a
 reaches (each sits under ``if tele.enabled``), and the shared
 :data:`~repro.flightrec.recorder.NULL_RECORDER`, whose operations are
 empty method calls — the hot path pays essentially nothing.  Enable
-metrics process-wide with :func:`enable` or scoped with
-:func:`use` (the CLI does this when given ``--metrics-out``); recording
+metrics scoped with :func:`use` (the CLI does this when given
+``--metrics-out``); recording
 is scoped with :func:`repro.flightrec.use` (``--trace-out``)::
 
     from repro import telemetry
@@ -61,8 +61,6 @@ __all__ = [
     "NullRegistry",
     "TelemetrySession",
     "UTILIZATION_BUCKETS",
-    "disable",
-    "enable",
     "flat_key",
     "histogram_percentile",
     "mean",
@@ -92,10 +90,6 @@ class TelemetrySession:
         self.flightrec = NULL_RECORDER if flightrec is None else flightrec
         self.enabled: bool = registry.enabled
 
-    def clear(self) -> None:
-        self.registry.clear()
-        self.flightrec.clear()
-
 
 #: The shared disabled session — module-level so `session()` never allocates.
 _DISABLED = TelemetrySession(NullRegistry())
@@ -105,24 +99,6 @@ _active: TelemetrySession = _DISABLED
 def session() -> TelemetrySession:
     """The currently active session (disabled no-op by default)."""
     return _active
-
-
-def enable() -> TelemetrySession:
-    """Switch the process to a live session and return it.
-
-    Idempotent: enabling while already enabled keeps the existing live
-    session, so accumulated metrics survive.
-    """
-    global _active
-    if not _active.enabled:
-        _active = TelemetrySession(MetricsRegistry(), _active.flightrec)
-    return _active
-
-
-def disable() -> None:
-    """Return the process to the shared no-op session."""
-    global _active
-    _active = _DISABLED
 
 
 @contextmanager

@@ -150,12 +150,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.sum / self.count
-
     def percentile(self, p: float) -> float:
         """Estimate the ``p``-th percentile (0..100) from the buckets.
 
@@ -232,12 +226,6 @@ class MetricsRegistry:
                 f"{metric.bounds}, refusing {tuple(buckets)}"
             )
         return metric
-
-    def clear(self) -> None:
-        """Drop every registered metric."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     def snapshot(self) -> Dict[str, Any]:
         """A deterministic, JSON-able dump of every metric.

@@ -105,9 +105,6 @@ class RemySender(TcpSender):
         # Window evolution is entirely whisker-driven (set in _process_ack).
         pass
 
-    def _on_ack_congestion_avoidance(self, acked_segments: float) -> None:
-        pass
-
     def _on_loss_event(self) -> None:
         # No hand-crafted decrease; keep ssthresh out of the way.
         self.ssthresh = 1e9

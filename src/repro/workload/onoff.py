@@ -152,11 +152,6 @@ class OnOffSource:
         self._active_sender = None
         self._active_sink = None
 
-    @property
-    def active(self) -> bool:
-        """Whether a connection is currently in flight."""
-        return self._active_sender is not None and not self._active_sender.finished
-
     def all_stats(self) -> List[ConnectionStats]:
         """Completed connections' stats (the active one is not among them)."""
         return list(self.completed)

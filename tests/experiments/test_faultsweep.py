@@ -24,7 +24,6 @@ from repro.experiments.partitioned import PARTITION
 from repro.experiments.poisoned import POISON
 from repro.experiments.scenarios import ScenarioPreset
 from repro.phi.policy import REFERENCE_POLICY
-from repro.phi.replication import ReadPolicy
 from repro.runner.resilience import PointFailure
 from repro.simnet import DumbbellConfig
 from repro.telemetry.manifest import fault_sweep_manifest, validate_manifest
@@ -222,11 +221,11 @@ MANIFEST_KEYS = {
         tables={"baseline_power_by_seed", "baseline_throughput_by_seed"},
     ),
     "partition": dict(
-        config=COMMON_CONFIG | {"read_policy", "partition_start_s"},
+        config=COMMON_CONFIG | {"partition_start_s"},
         params={"n_replicas", "severity", "heal_s"},
         accounting={
             "n_cut", "decision_counts", "failovers", "fast_failures",
-            "anti_entropy_merges", "reports_replicated", "quorum_rejections",
+            "anti_entropy_merges", "reports_replicated",
             "final_divergence", "max_divergence", "pending_reports",
         },
         tables={"stock_power_by_seed", "degraded_power_by_heal_seed"},
@@ -248,7 +247,7 @@ def public_sweep(name):
     return run_fault_sweep(
         PARTITION, REFERENCE_POLICY, MINI,
         {"n_replicas": (3,), "severity": (0.34,), "heal_s": (3.0,)},
-        fixed=dict(read_policy=ReadPolicy.ANY, partition_start_s=2.0), **common,
+        fixed=dict(partition_start_s=2.0), **common,
     )
 
 

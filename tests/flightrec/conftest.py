@@ -6,6 +6,6 @@ from repro import telemetry
 
 
 @pytest.fixture(autouse=True)
-def _reset_telemetry():
-    yield
-    telemetry.disable()
+def _reset_telemetry(monkeypatch):
+    # Restored after the test: whatever session it activated goes.
+    monkeypatch.setattr(telemetry, "_active", telemetry.session())

@@ -43,7 +43,7 @@ class TestEveryLayer:
         # Eviction accounting, on the recorder and in the header block.
         assert getattr(rec, f"{layer}_emitted") == 5
         assert getattr(rec, f"{layer}_evicted") == 2
-        assert len(rec) == 3
+        assert len(rec.records()) == 3
         assert rec.header()["layers"][layer] == {
             "emitted": 5, "evicted": 2, "capacity": 3,
         }
@@ -71,11 +71,6 @@ class TestEveryLayer:
             rec.dump(str(path), reason="unit")
         assert load_dump(str(path))[1] == records  # the old dump survives
 
-        rec.clear()
-        assert len(rec) == 0 and rec.records() == []
-        assert getattr(rec, f"{layer}_emitted") == 0
-        assert getattr(rec, f"{layer}_evicted") == 0
-
     def test_defaults_and_required_fields(self, layer):
         _, fields = SCHEMA[layer]
         required = {name: SAMPLE[name] for name, *default in fields if not default}
@@ -90,7 +85,7 @@ class TestEveryLayer:
 
     def test_null_emitter_records_nothing(self, layer):
         getattr(NULL_RECORDER, layer)("k", 0.0, "x", detail={"a": 1})
-        assert len(NULL_RECORDER) == 0
+        assert NULL_RECORDER.records() == []
         assert getattr(NULL_RECORDER, f"{layer}_emitted") == 0
 
 
@@ -130,7 +125,8 @@ class _ReferenceRing:
 @pytest.mark.parametrize("cleared_after", [None, 0, 1, "capacity+1"])
 def test_ring_matches_a_bounded_deque(layer, capacity, cleared_after, tmp_path):
     """Every observable of one layer's ring, after every emission count
-    around its edges, equals the reference deque's — also across clear()."""
+    around its edges, equals the reference deque's — also on a fresh
+    recorder after a first stream."""
     _, fields = SCHEMA[layer]
     names = [field[0] for field in fields]
     samples = {
@@ -147,11 +143,12 @@ def test_ring_matches_a_bounded_deque(layer, capacity, cleared_after, tmp_path):
         emit = getattr(rec, layer)
         emissions = list(range(count))
         if cleared_after is not None:
-            # The same count again after a clear() mid-stream.
+            # The same count again on a fresh recorder mid-stream.
             emissions = list(range(cleared_after)) + [None] + emissions
         for i in emissions:
             if i is None:
-                rec.clear()
+                rec = FlightRecorder(**{f"{layer}_capacity": capacity})
+                emit = getattr(rec, layer)
                 reference.clear()
                 continue
             values = {name: samples[name](i) for name in names}
@@ -163,7 +160,7 @@ def test_ring_matches_a_bounded_deque(layer, capacity, cleared_after, tmp_path):
         evicted = reference.emitted - len(expected)
         assert getattr(rec, f"{layer}_emitted") == reference.emitted
         assert getattr(rec, f"{layer}_evicted") == evicted
-        assert len(rec) == len(expected)
+        assert len(rec.records()) == len(expected)
         assert rec.records() == expected
         assert rec.header()["layers"][layer] == {
             "emitted": reference.emitted, "evicted": evicted, "capacity": capacity,
@@ -189,7 +186,7 @@ class TestRings:
         assert rec.transport_emitted == 5 and rec.transport_evicted == 2
         assert rec.phi_emitted == 5 and rec.phi_evicted == 4
         assert rec.fault_emitted == 5 and rec.fault_evicted == 3
-        assert len(rec) == 2 + 3 + 1 + 2
+        assert len(rec.records()) == 2 + 3 + 1 + 2
 
     def test_capacity_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -217,16 +214,6 @@ class TestRings:
         plain, detailed = rec.records()
         assert "detail" not in plain
         assert detailed["detail"] == {"queued_bytes": 9}
-
-    def test_clear_resets_rings_and_counters(self):
-        rec = FlightRecorder()
-        rec.simnet("enqueue", 0.0, "link")
-        rec.fault("fault_begin", 0.0, "link")
-        rec.clear()
-        assert len(rec) == 0
-        assert rec.simnet_emitted == 0
-        assert rec.fault_emitted == 0
-
 
 class TestDump:
     def test_dump_load_round_trip(self, tmp_path):
@@ -319,7 +306,7 @@ class TestNullRecorder:
         NULL_RECORDER.transport("cwnd", 0.0, 1)
         NULL_RECORDER.phi("rpc", 0.0, "lookup")
         NULL_RECORDER.fault("fault_begin", 0.0, "link")
-        assert len(NULL_RECORDER) == 0
+        assert NULL_RECORDER.records() == []
 
     def test_dump_and_autodump_are_noops(self, tmp_path):
         path = tmp_path / "never.jsonl"
@@ -330,22 +317,22 @@ class TestNullRecorder:
 
 class TestScoping:
     def test_disabled_by_default(self):
-        assert flightrec.session() is NULL_RECORDER
-        assert flightrec.session().enabled is False
+        assert telemetry.session().flightrec is NULL_RECORDER
+        assert telemetry.session().flightrec.enabled is False
 
     def test_use_activates_and_restores(self):
         with flightrec.use() as rec:
-            assert flightrec.session() is rec
+            assert telemetry.session().flightrec is rec
             assert rec.enabled
-        assert flightrec.session() is NULL_RECORDER
+        assert telemetry.session().flightrec is NULL_RECORDER
 
     def test_use_keeps_a_passed_empty_recorder(self):
-        # A fresh recorder is empty, so falsy (``__len__`` is 0): it must
-        # still be the one activated, not silently replaced by a default.
+        # A fresh recorder is empty: it must still be the one activated,
+        # not silently replaced by a default.
         mine = FlightRecorder(simnet_capacity=64)
         with flightrec.use(mine) as rec:
-            assert rec is mine and flightrec.session() is mine
-            flightrec.session().simnet("enqueue", 0.0, "link")
+            assert rec is mine and telemetry.session().flightrec is mine
+            telemetry.session().flightrec.simnet("enqueue", 0.0, "link")
         assert mine.simnet_emitted == 1
         assert mine.header()["layers"]["simnet"]["capacity"] == 64
 
@@ -353,10 +340,10 @@ class TestScoping:
         with flightrec.use() as rec:
             with telemetry.use() as tele:
                 assert tele.flightrec is rec
-                assert flightrec.session() is rec
+                assert telemetry.session().flightrec is rec
         with telemetry.use():
             with flightrec.use() as rec:
-                assert flightrec.session() is rec
+                assert telemetry.session().flightrec is rec
                 assert telemetry.session().registry.enabled
 
     def test_capture_dumps_on_exception(self, tmp_path):

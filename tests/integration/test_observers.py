@@ -53,7 +53,7 @@ def test_observed_run_equals_plain_run(plain, observers):
         plain.per_sender_stats
     )
     assert not telemetry.session().enabled
-    assert not flightrec.session().enabled
+    assert not telemetry.session().flightrec.enabled
 
     if tele is not None:
         counters = tele.registry.snapshot()["counters"]

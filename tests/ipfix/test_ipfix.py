@@ -39,8 +39,7 @@ class TestRecords:
     def test_flow_properties(self):
         flow = EgressFlow("1.2.3.4", 443, "100.0.0.9", 5000, 10.0, 5.0, 100)
         assert flow.four_tuple == ("1.2.3.4", 443, "100.0.0.9", 5000)
-        assert flow.dst_subnet == "100.0.0.0/24"
-        assert flow.end_s == 15.0
+        assert dst_slash24(flow.dst_ip) == "100.0.0.0/24"
 
     def test_flow_validation(self):
         with pytest.raises(ValueError):
@@ -75,7 +74,8 @@ class TestTrafficModel:
     def test_zipf_skew(self):
         counts = {}
         for flow in first_minute():
-            counts[flow.dst_subnet] = counts.get(flow.dst_subnet, 0) + 1
+            subnet = dst_slash24(flow.dst_ip)
+            counts[subnet] = counts.get(subnet, 0) + 1
         ordered = sorted(counts.values(), reverse=True)
         # The most popular subnet should dwarf the median one.
         assert ordered[0] > 5 * ordered[len(ordered) // 2]

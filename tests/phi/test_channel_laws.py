@@ -7,8 +7,8 @@ channel's own ``fast_failures`` is their ``circuit_open`` count.
 Its breaker moves only along CLOSED → OPEN → HALF_OPEN → {CLOSED, OPEN},
 and the recorder and ``phi.breaker_transitions`` count the same edges.
 Hypothesis draws programs of lookups and reports over nested outages
-(``mark_down`` / ``mark_up`` and scheduled windows), breaker cool-downs
-and a backend that refuses; the laws are checked after every operation,
+(``mark_down`` / ``mark_up`` and scheduled windows) and breaker
+cool-downs; the laws are checked after every operation,
 with metrics and the recorder on.
 """
 
@@ -35,20 +35,14 @@ BREAKER_EDGES = {
 }
 
 
-class RefusableBackend:
-    """Answers, or refuses like a replica without quorum."""
-
-    def __init__(self):
-        self.refusing = False
+class Backend:
+    """Answers every call; the channel's marks and breaker fail them."""
 
     def lookup(self):
-        if self.refusing:
-            raise ConnectionError("no quorum")
         return IDLE
 
     def report(self, report):
-        if self.refusing:
-            raise ConnectionError("no quorum")
+        pass
 
 
 def _report(flow_id, at):
@@ -66,7 +60,7 @@ def _report(flow_id, at):
 #: Calls, and the faults that fail them.  Outages nest, so ``up`` is
 #: drawn as often as ``down``.
 OPS = ("lookup",) * 4 + ("report",) * 3 + (
-    "down", "up", "outage", "refuse", "serve", "serve", "wait", "wait"
+    "down", "up", "outage", "wait", "wait"
 )
 
 def _check_laws(channel, calls_made, tele, rec):
@@ -97,7 +91,7 @@ def _run_program(reset_s, seed, n_ops):
     return the statuses and breaker edges it reached."""
     rng = random.Random(seed)
     sim = Simulator()
-    backend = RefusableBackend()
+    backend = Backend()
     with telemetry.use() as tele, flightrec.use() as rec:
         channel = ControlChannel(sim, backend, config=ChannelConfig(breaker_reset_s=reset_s))
         calls_made = 0
@@ -119,10 +113,6 @@ def _run_program(reset_s, seed, n_ops):
                     sim, sim.now + rng.choice((0.0, 0.2)), rng.choice((0.1, 1.0)),
                     targets=[channel],
                 )
-            elif op == "refuse":
-                backend.refusing = True
-            elif op == "serve":
-                backend.refusing = False
             else:
                 sim.run(until=sim.now + rng.choice((0.05, 0.3, 1.5)))
             by_status, edges = _check_laws(channel, calls_made, tele, rec)
@@ -141,8 +131,7 @@ def test_accounting_and_breaker_laws(reset_s, seed, n_ops):
 
 def test_programs_reach_every_status_and_edge():
     """The generator does what the property relies on: a handful of fixed
-    programs reach every terminal status, the refusal included, and every
-    breaker edge."""
+    programs reach every terminal status and every breaker edge."""
     statuses, edges = set(), set()
     for seed in range(4):
         reached = _run_program(0.2, seed, 120)

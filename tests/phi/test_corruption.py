@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.phi.channel import ControlChannel
+from repro.phi.channel import ControlChannel, RpcStatus
 from repro.phi.context import CongestionContext
 from repro.phi.corruption import (
     CONTEXT_CORRUPTION_MODES,
@@ -315,6 +315,6 @@ class TestCorruptionLayer:
         )
         source = ControlChannel(Simulator(), backend, corruption=layer)
         assert source.call_lookup().value.utilization == 0.0
-        assert source.call_report(make_report()).ok
+        assert source.call_report(make_report()).status is RpcStatus.OK
         assert backend.reports[0] != make_report()
         assert (layer.contexts_corrupted, layer.reports_poisoned) == (1, 1)

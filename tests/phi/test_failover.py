@@ -18,22 +18,17 @@ from .conftest import IDLE
 
 
 class FakeBackend:
-    """Records protocol calls; can be told to refuse."""
+    """Records protocol calls."""
 
     def __init__(self):
         self.lookups = 0
         self.reports = []
-        self.refuse = None  # exception instance to raise, or None
 
     def lookup(self):
-        if self.refuse is not None:
-            raise self.refuse
         self.lookups += 1
         return IDLE
 
     def report(self, report):
-        if self.refuse is not None:
-            raise self.refuse
         self.reports.append(report)
 
 
@@ -82,7 +77,7 @@ class TestFailover:
         sim = Simulator()
         backends, _, failover = make_stack(sim)
         result = failover.call_lookup()
-        assert result.ok
+        assert result.status is RpcStatus.OK
         assert backends[0].lookups == 1
         assert backends[1].lookups == 0
         assert failover.stats.failovers == 0
@@ -92,7 +87,7 @@ class TestFailover:
         backends, channels, failover = make_stack(sim)
         channels[0].mark_down()
         result = failover.call_lookup()
-        assert result.ok
+        assert result.status is RpcStatus.OK
         assert backends[1].lookups == 1
         assert failover.stats.failovers == 1
         # One call reached both replicas: the down primary, then replica 1.
@@ -100,18 +95,7 @@ class TestFailover:
             0: {"attempts": 1, "successes": 0, "failures": 1},
             1: {"attempts": 1, "successes": 1, "failures": 0},
         }
-        assert failover.health(0).suspended_until > sim.now
-
-    def test_backend_refusal_is_a_replica_failure(self):
-        sim = Simulator()
-        backends, channels, failover = make_stack(sim)
-        backends[0].refuse = ConnectionError("no quorum")
-        result = failover.call_lookup()
-        assert result.ok
-        assert backends[1].lookups == 1
-        assert failover.stats.failovers == 1
-        assert failover.stats.by_replica[0]["failures"] == 1
-        assert failover.health(0).suspended_until > sim.now
+        assert failover._health[0].suspended_until > sim.now
 
     def test_all_down_returns_last_status(self):
         sim = Simulator()
@@ -119,7 +103,7 @@ class TestFailover:
         for channel in channels:
             channel.mark_down()
         result = failover.call_lookup()
-        assert not result.ok
+        assert result.status is not RpcStatus.OK
         assert result.status is RpcStatus.SERVER_DOWN
 
     def test_all_suspended_fast_fails(self):
@@ -138,7 +122,7 @@ class TestFailover:
         sim = Simulator()
         backends, channels, failover = make_stack(sim)
         channels[0].mark_down()
-        assert failover.call_report(make_report()).ok
+        assert failover.call_report(make_report()).status is RpcStatus.OK
         assert len(backends[1].reports) == 1
 
 
@@ -175,7 +159,7 @@ class TestStickinessAndProbation:
         served = backends[1].lookups
         failover.call_lookup()  # the sticky replica answers
         assert backends[1].lookups == served + 1
-        assert failover.health(0).probation_left == PROBATION_SUCCESSES
+        assert failover._health[0].probation_left == PROBATION_SUCCESSES
 
     def test_suspension_window_grows_and_caps(self):
         sim = Simulator()
@@ -184,7 +168,7 @@ class TestStickinessAndProbation:
         windows = []
         for _ in range(7):
             failover._record_failure(0)
-            windows.append(failover.health(0).suspended_until)
+            windows.append(failover._health[0].suspended_until)
         assert windows == pytest.approx([0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 10.0])
         assert windows[-1] == SUSPEND_MAX_S
 
@@ -198,7 +182,7 @@ class TestStickinessAndProbation:
         channels = [ControlChannel(sim, FakeBackend())]
         failover = FailoverChannel(sim, channels, rng=HalfRng(), config=config)
         failover._record_failure(0)
-        assert failover.health(0).suspended_until == pytest.approx(1.25 * SUSPEND_BASE_S)
+        assert failover._health[0].suspended_until == pytest.approx(1.25 * SUSPEND_BASE_S)
 
 
 class TestTelemetry:
@@ -224,7 +208,7 @@ class TestTelemetry:
         _, channels, failover = make_stack(sim, n=2)
         failover.call_lookup()
         channels[0].mark_down()
-        assert failover.call_lookup().ok
+        assert failover.call_lookup().status is RpcStatus.OK
         assert failover.stats.by_replica[0]["successes"] == 1
         assert failover.stats.by_replica[0]["failures"] == 1
         assert failover.stats.by_replica[1]["successes"] == 1

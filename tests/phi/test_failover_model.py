@@ -4,9 +4,7 @@
 replica was tried ahead of ranking: every call sorts every non-benched
 replica and counts each replica call into ``by_replica`` as it goes.
 Seeded programs of lookups and reports over fake backends that answer,
-are marked down, refuse with ``ConnectionError`` (a ``REFUSED`` result
-from their channel) or are all benched run against two identical
-stacks; after every operation the result, the sticky replica, every
+are marked down or are all benched run against two identical stacks; after every operation the result, the sticky replica, every
 ``ReplicaHealth`` field, every ``stats`` counter, ``by_replica`` and the
 suspension jitter RNG's state must be ``==``.  Half the programs run
 with metrics on, and the two stacks' registries must then hold the same
@@ -53,7 +51,7 @@ class ReferenceFailover(FailoverChannel):
         return self.sim.now < self._health[index].suspended_until
 
     def _try_order(self) -> List[int]:
-        order = [i for i in range(self.n_replicas) if not self._suspended(i)]
+        order = [i for i in range(len(self.channels)) if not self._suspended(i)]
         order.sort(
             key=lambda i: (
                 0 if i == self._current else 1,
@@ -96,7 +94,7 @@ class ReferenceFailover(FailoverChannel):
                 tele.registry.counter(
                     "phi.replica_rpc_calls", replica=str(index), status=result.status.value
                 ).inc()
-            if result.ok:
+            if result.status is RpcStatus.OK:
                 replica_stats["successes"] += 1
                 self._record_success(index)
                 if index != primary:
@@ -113,24 +111,18 @@ class ReferenceFailover(FailoverChannel):
 
 
 class FakeBackend:
-    """Answers, or refuses with the exception it was handed."""
-
-    def __init__(self):
-        self.refuse = None
+    """Answers every call; its channel's down-marks fail them."""
 
     def lookup(self):
-        if self.refuse is not None:
-            raise self.refuse
         return IDLE
 
     def report(self, report):
-        if self.refuse is not None:
-            raise self.refuse
+        pass
 
 
 #: Calls, and the faults that make replicas fail them.  Outages nest, so
 #: ``up`` is drawn twice as often as ``down``; heals go to broken replicas.
-_OPS = ("lookup",) * 10 + ("report",) * 8 + ("down", "up", "up", "refuse", "serve", "serve")
+_OPS = ("lookup",) * 10 + ("report",) * 8 + ("down", "up", "up")
 
 
 def _stack(sim, cls, seed, n, config, channel_config):
@@ -156,8 +148,8 @@ def _report(flow_id, at):
 def _assert_same_state(product, reference, where):
     p, r = product[2], reference[2]
     assert p._current == r._current, where
-    for index in range(p.n_replicas):
-        assert astuple(p.health(index)) == astuple(r.health(index)), (where, index)
+    for index in range(len(p.channels)):
+        assert astuple(p._health[index]) == astuple(r._health[index]), (where, index)
     for name in STAT_FIELDS:
         assert getattr(p.stats, name) == getattr(r.stats, name), (where, name)
     assert p.stats.by_replica == r.reference_by_replica, where
@@ -183,14 +175,11 @@ def _run_program(seed, n_ops=400):
         op = rng.choice(_OPS)
         # Half the faults hit the replica the client is stuck to.
         replica = rng.choice((stacks[0][2]._current, rng.randrange(n)))
-        if op in ("up", "serve"):
+        if op == "up":
             # A heal goes to a replica with something to heal, if any:
             # suspensions only lapse into calls that can fail over.
-            backends, channels = stacks[0][0], stacks[0][1]
-            broken = [
-                i for i in range(n)
-                if (channels[i]._down_marks if op == "up" else backends[i].refuse)
-            ]
+            channels = stacks[0][1]
+            broken = [i for i in range(n) if channels[i]._down_marks]
             if broken:
                 replica = rng.choice(broken)
         where = (seed, step, op, replica, sim.now)
@@ -211,15 +200,11 @@ def _run_program(seed, n_ops=400):
             outcomes["failover"] += stats.failovers > before[0]
             outcomes["all_suspended"] += stats.fast_failures > before[1]
         else:
-            for backends, channels, _, _ in stacks:
+            for _, channels, _, _ in stacks:
                 if op == "down":
                     channels[replica].mark_down()
-                elif op == "up":
-                    channels[replica].mark_up()
                 else:
-                    backends[replica].refuse = (
-                        ConnectionError("refused") if op == "refuse" else None
-                    )
+                    channels[replica].mark_up()
         _assert_same_state(stacks[0], stacks[1], where)
     if metrics_on:
         assert sessions[0].registry.snapshot() == sessions[1].registry.snapshot()

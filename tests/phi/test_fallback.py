@@ -73,8 +73,7 @@ class TestDecisions:
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.FRESH
         assert resolved.context is source.context
-        assert resolved.coordinated
-        assert client.decisions[ContextDecision.FRESH] == 1
+        assert client._decided[ContextDecision.FRESH.value] == 1
 
     def test_stale_within_ttl(self):
         clock = Clock()
@@ -87,7 +86,6 @@ class TestDecisions:
         assert resolved.decision is ContextDecision.STALE
         assert resolved.context is source.context
         assert resolved.age_s == pytest.approx(3.0)
-        assert resolved.coordinated
 
     def test_fallback_past_ttl(self):
         clock = Clock()
@@ -99,7 +97,6 @@ class TestDecisions:
         resolved = client.resolve()
         assert resolved.decision is ContextDecision.FALLBACK
         assert resolved.context is None
-        assert not resolved.coordinated
 
     def test_fallback_with_cold_cache(self):
         clock = Clock()
@@ -188,7 +185,7 @@ class TestResilientFactory:
         factory = client.sender_factory(REFERENCE_POLICY)
         sender = factory(sim, top.senders[0], spec, 50_000, lambda s: None)
         assert sender.params == CubicParams.default()
-        assert client.decisions[ContextDecision.FALLBACK] == 1
+        assert client._decided[ContextDecision.FALLBACK.value] == 1
 
     def test_fresh_uses_policy_params(self):
         sim, top, spec = self._env()
@@ -302,7 +299,6 @@ class TestNarrowedExceptions:
 
     def test_failed_result_degrades(self):
         failed = [status for status in RpcStatus if status is not RpcStatus.OK]
-        assert RpcStatus.REFUSED in failed
         for status in failed:
             class Failing:
                 def call_lookup(self):
@@ -315,25 +311,6 @@ class TestNarrowedExceptions:
             assert client.resolve().decision is ContextDecision.FALLBACK, status
             client.report(make_report(1))
             assert client.pending_reports == 1, status
-
-    def test_backend_refusal_degrades(self):
-        class RefusingBackend:
-            def lookup(self):
-                raise ConnectionError("no quorum")
-
-            def report(self, report):
-                raise ConnectionError("no quorum")
-
-        with telemetry.use() as tele:
-            client, channel = self._client_over(RefusingBackend())
-            assert client.resolve().decision is ContextDecision.FALLBACK
-            client.report(make_report(1))
-            counters = tele.registry.snapshot()["counters"]
-        assert client.pending_reports == 1
-        assert {k: v for k, v in counters.items() if k.startswith("phi.rpc_calls")} == {
-            "phi.rpc_calls{op=lookup,status=backend_error}": 1.0,
-            "phi.rpc_calls{op=report,status=backend_error}": 1.0,
-        }
 
 
 class TestGuardIntegration:
@@ -410,7 +387,6 @@ class TestDistrust:
         assert resolved.decision is ContextDecision.DISTRUSTED
         assert resolved.context is None
         assert resolved.shadow is source.context
-        assert not resolved.coordinated
 
     def test_shadow_scoring_restores_trust(self):
         clock = Clock()

@@ -1,14 +1,9 @@
-"""Tests for the replicated context service (anti-entropy, quorum)."""
+"""Tests for the replicated context service (anti-entropy, local reads)."""
 
 import pytest
 
 from repro import telemetry
-from repro.phi.replication import (
-    QuorumUnavailable,
-    ReadPolicy,
-    ReplicatedContextService,
-    ReplicationConfig,
-)
+from repro.phi.replication import ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ConnectionReport
 from repro.simnet import Simulator
 
@@ -29,13 +24,11 @@ def make_report(flow_id=1, at=0.0, bytes_transferred=250_000, loss=0.0):
     )
 
 
-def make_service(sim, n=3, period=1.0, policy=ReadPolicy.ANY, **kwargs):
+def make_service(sim, n=3, period=1.0, **kwargs):
     return ReplicatedContextService(
         sim,
         CAPACITY_BPS,
-        config=ReplicationConfig(
-            n_replicas=n, anti_entropy_period_s=period, read_policy=policy
-        ),
+        config=ReplicationConfig(n_replicas=n, anti_entropy_period_s=period),
         **kwargs,
     )
 
@@ -129,7 +122,6 @@ class TestAntiEntropyMerge:
         service.sever(1, 2)
         service.sever(1, 3)
         assert service.components() == [[0, 1], [2, 3]]
-        assert service.component_of(3) == [2, 3]
 
     def test_robust_validation_respected_on_absorb(self):
         """A malformed report rejected at its home replica must not
@@ -188,36 +180,10 @@ class TestLeaseReconciliation:
         assert outstanding_leases(service.handle(0)) == {}
 
 
-class TestQuorumPolicy:
-    def test_minority_replica_refuses(self):
+class TestLocalReads:
+    def test_a_cut_off_replica_answers(self):
         sim = Simulator()
-        service = make_service(sim, n=3, policy=ReadPolicy.QUORUM)
-        sim.run(until=1.5)  # everyone has merged recently
-        service.sever(0, 2)
-        service.sever(1, 2)
-        with pytest.raises(QuorumUnavailable):
-            service.handle(2).lookup()
-        # Majority side still answers.
-        assert service.handle(0).lookup() is not None
-        assert service.quorum_rejections == 1
-
-    def test_stale_majority_replica_refuses(self):
-        """Seeing a majority is not enough: the replica must have merged
-        recently enough to speak for it."""
-        sim = Simulator()
-        service = make_service(sim, n=3, policy=ReadPolicy.QUORUM)
-        sim.run(until=1.5)
-        # Freeze merges by severing everything, then outwait staleness.
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            service.sever(i, j)
-        sim.run(until=20.0)
-        for index in range(3):
-            with pytest.raises(QuorumUnavailable):
-                service.handle(index).lookup()
-
-    def test_any_policy_always_answers(self):
-        sim = Simulator()
-        service = make_service(sim, n=3, policy=ReadPolicy.ANY)
+        service = make_service(sim, n=3)
         service.sever(0, 1)
         service.sever(0, 2)
         assert service.handle(0).lookup() is not None

@@ -1,5 +1,8 @@
 """Shared fixtures for the sweep-runner test suite."""
 
+import glob
+import os
+
 import pytest
 
 from repro.experiments.scenarios import ScenarioPreset
@@ -24,6 +27,16 @@ MINI_GRID = list(
         beta_range=[0.2, 0.7],
     )
 )
+
+
+def cache_entries(directory):
+    """How many entries a :class:`DiskCache` directory holds on disk.
+
+    Entries are ``<key>.json``; the dot-file temps of killed writers
+    (older versions named them ``.tmp-*.json``) are not entries, and
+    ``glob`` skips dot-files.
+    """
+    return len(glob.glob(os.path.join(directory, "*.json")))
 
 
 def flow_dict_with_samples(stats):

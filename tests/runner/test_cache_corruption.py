@@ -7,6 +7,8 @@ import shutil
 from repro.runner.cache import DiskCache
 from repro.runner.hashing import content_hash
 
+from .conftest import cache_entries
+
 
 def entry_path(cache, key):
     return os.path.join(cache.directory, f"{key}.json")
@@ -42,7 +44,7 @@ class TestEnvelopeFormat:
         # leaves the temp behind; it is not an entry.
         with open(os.path.join(cache.directory, ".tmp-abc.json"), "w") as handle:
             handle.write('{"checksum":')
-        assert len(cache) == 2
+        assert cache_entries(cache.directory) == 2
 
     def test_temp_files_are_not_named_like_entries(self, tmp_path, make_result, monkeypatch):
         renamed = []

@@ -24,7 +24,7 @@ from repro.runner.records import (
 from repro.transport.base import ConnectionStats
 from repro.transport.cubic import CubicParams
 
-from .conftest import MINI_GRID, MINI_PRESET
+from .conftest import MINI_GRID, MINI_PRESET, cache_entries
 
 
 def make_flow(flow_id=7):
@@ -242,7 +242,7 @@ class TestDiskCache:
         cache.put(point)
         fresh = DiskCache(directory)
         assert fresh.get(point.key) == point
-        assert len(fresh) == 1
+        assert cache_entries(directory) == 1
 
     def test_missing_key_is_miss(self, tmp_path):
         cache = DiskCache(str(tmp_path))
@@ -278,4 +278,3 @@ class TestNullCache:
         point = make_point()
         cache.put(point)
         assert cache.get(point.key) is None
-        assert len(cache) == 0

@@ -37,6 +37,8 @@ from repro.runner.core import SweepPoint, SweepSpec, evaluate_point
 from repro.runner.records import encode_record
 from repro.transport.cubic import CubicParams, cubic_sweep_grid
 
+from .conftest import cache_entries
+
 #: perf's ``sweep_cold`` grid: ssthresh 2/16/128 x windowInit 2/64 x beta 0.2/0.8.
 GRID = list(cubic_sweep_grid([2.0, 16.0, 128.0], [2.0, 64.0], [0.2, 0.8]))
 
@@ -94,7 +96,7 @@ def counts(tmp_path_factory):
 
     assert served == points
     assert [restored[p.key] for p in points] == points
-    assert len(cache) == n  # nothing evicted
+    assert cache_entries(cache.directory) == n  # nothing evicted
     return counted
 
 

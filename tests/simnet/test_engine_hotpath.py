@@ -4,11 +4,11 @@ Covers the ``run(until=..., max_events=...)`` clock bug (the loop used
 to fast-forward ``now`` to ``until`` even when it stopped early on
 ``max_events``, stranding still-pending events in the past), tie-break
 ordering, O(1) pending-event accounting, and what a handle means after
-its event fired or the calendar was cleared.
+its event fired.
 
 The calendar holds two record shapes — ``schedule_at`` makes a timer with
-a handle, ``post_at`` a bare record — so the ordering and run-limit
-classes run three times: all timers, all posted, and the two by turns,
+a handle, ``post_at`` (the link's inline push) a bare record — so the
+ordering and run-limit classes run three times: all timers, all posted, and the two by turns,
 where only insertion order may decide a tie.
 """
 
@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.engine import SimulationError, Simulator
+from repro.simnet.engine import Simulator
+
+from .calendar import post_at, step
 
 
 class TestMaxEventsClockRegression:
@@ -78,7 +80,7 @@ class TestMaxEventsClockRegression:
 
 class _Posted:
     def place(self, sim, time, callback, *args):
-        sim.post_at(time, callback, *args)
+        post_at(sim, time, callback, *args)
 
 
 class _ByTurns:
@@ -86,8 +88,10 @@ class _ByTurns:
 
     def place(self, sim, time, callback, *args):
         self.turn += 1
-        post = sim.post_at if self.turn % 2 else sim.schedule_at
-        post(time, callback, *args)
+        if self.turn % 2:
+            post_at(sim, time, callback, *args)
+        else:
+            sim.schedule_at(time, callback, *args)
 
 
 class TestMaxEventsClockRegressionPosted(_Posted, TestMaxEventsClockRegression):
@@ -159,7 +163,7 @@ class TestTupleHeapOrdering(_TieOrderCases):
         expected = []
         for index, (time_slot, kind) in enumerate(entries):
             if kind == "posted":
-                sim.post_at(float(time_slot), fired.append, index)
+                post_at(sim, float(time_slot), fired.append, index)
             else:
                 handle = sim.schedule_at(float(time_slot), fired.append, index)
             if kind == "cancelled timer":
@@ -182,40 +186,15 @@ class TestTupleHeapOrderingByTurns(_ByTurns, _TieOrderCases):
 
 
 class TestPostAt:
-    def test_rejects_what_schedule_at_rejects_with_its_errors(self):
-        sim = Simulator()
-        sim.schedule_at(2.0, lambda: None)
-        sim.run()
-        for bad in (float("nan"), 1.0, -1.0):
-            with pytest.raises(SimulationError) as scheduled:
-                sim.schedule_at(bad, lambda: None)
-            with pytest.raises(SimulationError) as posted:
-                sim.post_at(bad, lambda: None)
-            assert str(posted.value) == str(scheduled.value)
-        assert sim.pending_events == 0
-        sim.post_at(2.0, lambda: None)  # now itself is schedulable
-        assert sim.pending_events == 1
-
     def test_returns_nothing_and_is_counted_like_a_timer(self):
         sim = Simulator()
         fired = []
-        assert sim.post_at(1.0, fired.append, "posted") is None
+        post_at(sim, 1.0, fired.append, "posted")
         sim.schedule_at(1.0, fired.append, "timer")
         assert sim.pending_events == 2 and sim.peek_time() == 1.0
-        assert sim.step() and sim.step() and not sim.step()
+        assert step(sim) and step(sim) and not step(sim)
         assert fired == ["posted", "timer"]
         assert sim.events_processed == 2
-
-    def test_clear_drops_both_shapes(self):
-        sim = Simulator()
-        fired = []
-        sim.post_at(1.0, fired.append, "posted")
-        timer = sim.schedule_at(1.0, fired.append, "timer")
-        sim.clear()
-        timer.cancel()  # stale: must not count
-        assert sim.pending_events == 0 and sim.peek_time() is None
-        sim.run()
-        assert fired == []
 
 
 class TestPendingAccounting:
@@ -251,21 +230,13 @@ class TestPendingAccounting:
         sim.run(max_events=2)
         assert sim.pending_events == 3
 
-    def test_clear_resets_pending(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.clear()
-        assert sim.pending_events == 0
-        assert sim.peek_time() is None
-
     def test_step_skips_cancelled_head(self):
         sim = Simulator()
         fired = []
         first = sim.schedule(1.0, fired.append, "a")
         sim.schedule(2.0, fired.append, "b")
         first.cancel()
-        assert sim.step() is True
+        assert step(sim) is True
         assert fired == ["b"]
         assert sim.now == 2.0
 
@@ -307,26 +278,11 @@ class TestHandleSemantics:
         assert not handles[0].cancelled
         assert sim.pending_events == 1
 
-    def test_cancel_after_clear_is_a_noop(self):
-        sim = Simulator()
-        stale = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
-        stale[0].cancel()
-        sim.clear()
-        assert sim.pending_events == 0
-        for handle in stale:
-            handle.cancel()
-        assert sim.pending_events == 0  # never negative
-        assert [h.cancelled for h in stale] == [True, False, False]
-        fresh = sim.schedule(1.0, lambda: None)
-        assert sim.pending_events == 1
-        fresh.cancel()
-        assert sim.pending_events == 0
-
     def test_step_fired_handle_ignores_cancel(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        assert sim.step()
+        assert step(sim)
         handle.cancel()
         assert not handle.cancelled
         assert sim.pending_events == 1
@@ -352,9 +308,9 @@ class TestRunSemanticsPreserved:
         # clock, and the calendar's answers are the same before and after.
         sim = Simulator()
         fired = []
-        sim.post_at(1.0, fired.append, "due")
+        post_at(sim, 1.0, fired.append, "due")
         sim.schedule_at(5.0, fired.append, "cancelled").cancel()
-        sim.post_at(6.0, fired.append, "later")
+        post_at(sim, 6.0, fired.append, "later")
         before = (sim.pending_events, sim.peek_time())
         assert before == (2, 1.0)
         sim.run(until=2.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link, bdp_bytes
+from repro.simnet.monitor import LinkMonitor
 from repro.simnet.node import Host, Router
 from repro.simnet.packet import make_data_packet
 from repro.simnet.queues import DropTailQueue
@@ -74,39 +75,47 @@ class TestLinkTiming:
         assert len(dst.arrivals) == 2
         assert link.queue.stats.dropped_packets == 3
 
+    # Utilization is read through a LinkMonitor: the link keeps no
+    # accumulator of its own.
     def test_utilization_full_load(self):
         sim = Simulator()
-        link = make_link(sim, bw=8_000_000.0, delay=0.0)
+        # 1000 B take 2**-10 s, so a 2**-8 s sample holds 4 exactly.
+        link = make_link(sim, bw=8_192_000.0, delay=0.0)
         dst = Collector("dst", sim)
         link.attach(dst)
+        monitor = LinkMonitor(sim, link, period_s=2**-8)
+        monitor.start()
         for i in range(10):
             link.send(make_data_packet(1, "a", "dst", i, 960))
-        sim.run()
-        assert sim.now == pytest.approx(0.010)
-        assert link.utilization() == pytest.approx(1.0, abs=1e-6)
+        sim.run(until=0.009)
+        assert len(dst.arrivals) == 9
+        assert [s.utilization for s in monitor.samples] == [1.0, 1.0]
 
     def test_utilization_is_measured_from_creation(self):
-        # A link that joins at t = 5 s and is busy 10 of its first 20 ms is
-        # half utilized; measured from t = 0 it read 0.002.
+        # A link and monitor that join at t = 5 s, busy 10 of their first
+        # 25 ms, are 40% utilized; measured from t = 0 it would read 0.002.
         sim = Simulator()
         sim.run(until=5.0)
         link = make_link(sim, bw=1_200_000.0, delay=0.0)  # 1500 B take 10 ms
         link.attach(Collector("dst", sim))
+        monitor = LinkMonitor(sim, link, period_s=0.0125)
+        monitor.start()
         link.send(make_data_packet(1, "a", "dst", 0, 1460))
         sim.run(until=5.005)
         assert link.is_busy
-        assert link.utilization() == pytest.approx(1.0)
-        sim.run(until=5.020)
-        assert link.utilization() == pytest.approx(0.5)
+        sim.run(until=5.03)
+        assert [s.utilization for s in monitor.samples] == pytest.approx([0.8, 0.0])
+        assert monitor.mean_utilization() == pytest.approx(0.4)
 
     def test_utilization_idle(self):
         sim = Simulator()
         link = make_link(sim)
         dst = Collector("dst", sim)
         link.attach(dst)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert link.utilization() == 0.0
+        monitor = LinkMonitor(sim, link, period_s=0.1)
+        monitor.start()
+        sim.run(until=1.0)
+        assert monitor.mean_utilization() == 0.0
 
     def test_invalid_parameters_rejected(self):
         sim = Simulator()

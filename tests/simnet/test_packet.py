@@ -35,16 +35,6 @@ class TestPackets:
 
 
 class TestFlowSpec:
-    def test_key_is_4tuple(self):
-        spec = FlowSpec(1, "10.0.0.1", 555, "10.0.0.2", 443)
-        assert spec.key == ("10.0.0.1", 555, "10.0.0.2", 443)
-
-    def test_reversed_swaps_endpoints(self):
-        spec = FlowSpec(1, "a", 1, "b", 2)
-        rev = spec.reversed()
-        assert rev.key == ("b", 2, "a", 1)
-        assert rev.flow_id == spec.flow_id
-
     def test_specs_hashable_and_frozen(self):
         spec = FlowSpec(1, "a", 1, "b", 2)
         assert hash(spec)

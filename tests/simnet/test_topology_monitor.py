@@ -10,7 +10,6 @@ from repro.simnet import (
     ParkingLotTopology,
     RngStreams,
     Simulator,
-    exponential,
     make_data_packet,
 )
 
@@ -88,13 +87,6 @@ class TestDumbbellTopology:
         sim.run()
         # One-way propagation is rtt/2; serialization adds a bit on top.
         assert arrival[0] == pytest.approx(0.075, rel=0.05)
-
-    def test_pair_accessor(self):
-        sim = Simulator()
-        top = DumbbellTopology(sim, DumbbellConfig(n_senders=3))
-        pair = top.pair(2)
-        assert pair.sender is top.senders[2]
-        assert pair.receiver is top.receivers[2]
 
     def test_links_map_contains_bottleneck(self):
         sim = Simulator()
@@ -246,9 +238,3 @@ class TestRngStreams:
         b = RngStreams(2).stream("x").random(4)
         assert list(a) != list(b)
 
-    def test_exponential_helper(self):
-        rng = RngStreams(0).stream("e")
-        draws = [exponential(rng, 2.0) for _ in range(1000)]
-        assert all(d >= 0 for d in draws)
-        assert sum(draws) / len(draws) == pytest.approx(2.0, rel=0.2)
-        assert exponential(rng, 0.0) == 0.0

@@ -137,9 +137,9 @@ class TestMaxWall:
 class TestInstallRemove:
     def test_install_returns_and_exposes_watchdog(self):
         sim = Simulator()
-        assert sim.watchdog is None
+        assert sim._watchdog is None
         watchdog = sim.install_watchdog(SimWatchdog())
-        assert sim.watchdog is watchdog
+        assert sim._watchdog is watchdog
 
     def test_arm_is_idempotent(self):
         watchdog = SimWatchdog(WatchdogConfig(max_wall_s=60.0))

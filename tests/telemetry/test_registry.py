@@ -82,13 +82,6 @@ class TestHistogram:
         assert histogram.min == 0.5
         assert histogram.max == 9.0
 
-    def test_mean(self):
-        histogram = Histogram([10.0])
-        histogram.observe(2.0)
-        histogram.observe(4.0)
-        assert histogram.mean == 3.0
-        assert Histogram([10.0]).mean == 0.0
-
     def test_percentile_interpolates(self):
         histogram = Histogram([1.0, 2.0, 3.0, 4.0])
         for value in (0.5, 1.5, 2.5, 3.5):
@@ -163,15 +156,6 @@ class TestMetricsRegistry:
         registry.histogram("lat", [1.0])
         histogram = registry.snapshot()["histograms"]["lat"]
         assert histogram["min"] is None and histogram["max"] is None
-
-    def test_clear_drops_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.clear()
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
 
 class TestNullRegistry:
     def test_disabled_and_noop(self):
@@ -274,16 +258,6 @@ class TestHistogramPercentileFromSnapshot:
 
 class TestSessionPlumbing:
     def test_disabled_by_default(self):
-        assert not telemetry.session().enabled
-
-    def test_enable_disable_round_trip(self):
-        live = telemetry.enable()
-        assert telemetry.session() is live
-        assert telemetry.session().enabled
-        # Enabling again keeps the same session (metrics survive).
-        live.registry.counter("x").inc()
-        assert telemetry.enable() is live
-        telemetry.disable()
         assert not telemetry.session().enabled
 
     def test_use_scopes_and_restores(self):

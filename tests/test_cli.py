@@ -9,7 +9,6 @@ import pytest
 
 from repro.cli import PRESETS, build_parser, main
 from repro.experiments import FAULT_SCENARIOS
-from repro.phi.replication import ReadPolicy
 from repro.transport import CubicParams
 
 
@@ -520,7 +519,6 @@ class TestPartitionCommand:
         assert args.heal_s == [10.0]
         assert args.partition_start_s == 10.0
         assert args.seeds == [0, 1]
-        assert args.read_policy is ReadPolicy.ANY
 
     @pytest.mark.parametrize("verb", ["poison", "partition"])
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
@@ -529,12 +527,6 @@ class TestPartitionCommand:
             main(["fault", verb, "--duration", "1", "--workers", value])
         assert excinfo.value.code == 2
         assert "argument --workers" in capsys.readouterr().err
-
-    def test_unknown_read_policy_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fault", "partition", "--read-policy", "psychic"])
-        assert excinfo.value.code == 2
-        assert "argument --read-policy" in capsys.readouterr().err
 
     def test_minority_partition_holds_envelope(self, mini_run):
         assert mini_run[0] == 0
@@ -549,7 +541,7 @@ class TestPartitionCommand:
         manifest = load_manifest(mini_run[2])
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "partition"
-        assert manifest["config"]["read_policy"] == "any"
+        assert manifest["config"]["partition_start_s"] == 10.0
         counters = manifest["metrics"]["counters"]
         assert any("phi.replica_rpc_calls" in key for key in counters)
         point = manifest["points"][0]

@@ -58,8 +58,7 @@ ALLOWED = (
      _each(["run_degraded_phi_cubic"], "seed", "duration_s", "staleness_ttl_s",
            "outage_period_s")
      | _each(["run_poisoned_phi_cubic"], "seed", "duration_s", "byzantine_fraction",
-             "modes", "guarded")
-     | {("run_partitioned_phi_cubic", "read_policy")}),
+             "modes", "guarded")),
     ("c", "the CLI's sweep verbs call their builder as manifest(outcome, metrics=)",
      _each(["sweep_manifest", "fault_sweep_manifest"], "metrics")),
     ("d", "hashed by point_key: removing one moves every cache key and config_hash",

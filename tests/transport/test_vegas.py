@@ -23,6 +23,19 @@ class TestVegas:
         sender, _, done = run_vegas()
         assert done and sender.stats.completed
 
+    def test_timeout_restarts_from_one_segment(self):
+        # No sink: nothing is ever acknowledged, so the retransmission
+        # timer fires and Vegas halves ssthresh and restarts from one.
+        sim = Simulator()
+        top = DumbbellTopology(sim, DumbbellConfig(n_senders=1))
+        spec = FlowSpec(1, top.senders[0].name, 1, top.receivers[0].name, 443)
+        sender = VegasSender(sim, top.senders[0], spec, 100_000, lambda s: None)
+        sender.start()
+        sim.run(until=5.0)
+        assert sender.stats.timeouts >= 1
+        assert sender.cwnd == 1.0
+        assert sender.ssthresh >= 2.0
+
     def test_keeps_queue_nearly_empty(self):
         """Vegas's whole point: a solo Vegas flow holds only alpha..beta
         packets at the bottleneck, so mean queueing delay stays tiny."""

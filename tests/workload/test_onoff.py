@@ -11,6 +11,7 @@ from repro.simnet import (
     Simulator,
 )
 from repro.transport import CubicSender
+from repro.workload import longrunning
 from repro.workload import (
     OnOffConfig,
     OnOffSource,
@@ -116,7 +117,7 @@ class TestOnOffSource:
         )
         source.start()
         sim.run(until=3.0)
-        assert source.active
+        assert not source._active_sender.finished
         assert len(source.all_stats()) == 0
         source.stop()
 
@@ -164,3 +165,26 @@ class TestLongRunning:
         for flow in flows:
             flow.finish()
         assert tracker.active_flows == 0
+
+    def test_a_drained_persistent_flow_leaves_the_tracker_once(self, monkeypatch):
+        # A persistent flow is not expected to drain; one that does
+        # leaves the active count at completion, and finish() does not
+        # take it off again.
+        monkeypatch.setattr(longrunning, "PERSISTENT_FLOW_BYTES", 30_000)
+        sim = Simulator()
+        top = DumbbellTopology(sim, DumbbellConfig(n_senders=2))
+        tracker = ActiveFlowTracker()
+        pairs = [(top.senders[i], top.receivers[i]) for i in range(2)]
+        flows = launch_long_running_flows(
+            sim,
+            pairs,
+            cubic_factory,
+            FlowIdAllocator(),
+            RngStreams(3).stream("lr"),
+            flow_tracker=tracker,
+        )
+        sim.run(until=10.0)
+        assert tracker.active_flows == 0
+        stats = [flow.finish() for flow in flows]
+        assert tracker.active_flows == 0
+        assert all(s.completed and s.bytes_goodput == 30_000 for s in stats)
