@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import flightrec
+from repro import flightrec, telemetry
 from repro.flightrec import iter_layer
 from repro.phi.channel import (
     BREAKER_FAILURE_THRESHOLD,
@@ -130,6 +130,28 @@ class TestBackendRefusal:
             channel = ControlChannel(Simulator(), BuggyBackend())
             with pytest.raises(type(error)):
                 channel.call_lookup()
+
+    def test_a_raising_report_propagates(self):
+        class BuggyBackend(FakeBackend):
+            def report(self, report):
+                raise ConnectionError("no server")
+
+        channel = ControlChannel(Simulator(), BuggyBackend())
+        with pytest.raises(ConnectionError):
+            channel.call_report(make_report())
+
+    def test_a_raising_call_records_no_outcome(self):
+        class BuggyBackend(FakeBackend):
+            def lookup(self):
+                raise ConnectionError("no server")
+
+        with telemetry.use() as tele, flightrec.use() as rec:
+            channel = ControlChannel(Simulator(), BuggyBackend())
+            with pytest.raises(ConnectionError):
+                channel.call_lookup()
+            counters = tele.registry.snapshot()["counters"]
+        assert not [name for name in counters if name.startswith("phi.rpc_calls")]
+        assert [r for r in iter_layer(rec.records(), "phi") if r["kind"] == "rpc"] == []
 
 
 class TestOutages:

@@ -97,6 +97,22 @@ class TestFailover:
         }
         assert failover._health[0].suspended_until > sim.now
 
+    def test_a_raising_backend_is_not_failed_over(self):
+        """A backend that raises is a bug, not a down replica: the
+        exception propagates and no replica is charged or tried next."""
+        sim = Simulator()
+        backends, channels, failover = make_stack(sim)
+
+        def broken_lookup():
+            raise ConnectionError("no server")
+
+        backends[0].lookup = broken_lookup
+        with pytest.raises(ConnectionError):
+            failover.call_lookup()
+        assert backends[1].lookups == 0 and backends[2].lookups == 0
+        assert failover.stats.by_replica == {}
+        assert failover.stats.failovers == 0
+
     def test_all_down_returns_last_status(self):
         sim = Simulator()
         _, channels, failover = make_stack(sim, n=2)

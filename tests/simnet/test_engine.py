@@ -181,6 +181,21 @@ class TestStepIsRunOfOne:
         return (advanced, fired, sim.now, sim.events_processed, sim.pending_events,
                 getattr(sim, "checks_performed", None))
 
+    def test_one_event_at_a_time_skips_cancelled_heads(self, engine):
+        stepped = self._drive(engine(), step)
+        assert stepped[:2] == ([True, True, True, False, False], [2.0, "posted", 3.0])
+
+    def test_one_event_at_a_time_ends_where_one_run_ends(self, engine):
+        def run_all(sim):
+            before = sim.events_processed
+            sim.run()
+            return sim.events_processed > before
+
+        stepped = self._drive(engine(), step)
+        whole = self._drive(engine(), run_all)
+        assert whole[0] == [True, False, False, False, False]
+        assert stepped[1:] == whole[1:]
+
     def test_step_honours_the_watchdog(self, engine):
         sim = engine()
         sim.schedule(1.0, lambda: None)
