@@ -4,8 +4,10 @@ The paper's practical deployment (Section 3) makes the context server a
 single point of coordination — this bench asks what Phi costs when that
 server is partitioned away for part of the run.  Senders reach it
 through the failure-aware :class:`ControlChannel` (one attempt per
-call, circuit breaker) and degrade via :class:`ResilientContextClient`
-(staleness TTL, then stock-Cubic fallback).  Sweeping the fraction of
+call) behind the one-replica :class:`FailoverChannel` (a failed call
+benches the server for 0.5 s plus jitter) and degrade via
+:class:`ResilientContextClient` (staleness TTL, then stock-Cubic
+fallback).  Sweeping the fraction of
 the run the server is unreachable traces the curve between the two
 anchors:
 
@@ -18,10 +20,10 @@ plane is a pure upside even when unreliable.
 
 That upside holds on power only.  Partial outages cost *throughput*.
 Measured at seeds 0,1 and 25 s: on this preset (2 s outage period and
-TTL, as below) the 25% and 50% rows run at 0.905x and 0.898x stock
-throughput (75%: 0.997x); on ``fig2a-low-utilization`` with the run's
+TTL, as below) the 25%, 50% and 75% rows run at 0.900x, 0.940x and
+0.903x stock throughput; on ``fig2a-low-utilization`` with the run's
 default 5 s period and 10 s TTL (what ``repro fault degraded`` runs) the
-partial rows run at 0.876-0.987x.  Power stays at or above 1.0x stock on
+partial rows run at 0.909-0.957x.  Power stays at or above 1.0x stock on
 every row of both.  The throughput dips are below the 0.95 two-axis
 floor that X6 and X7 hold, so ``DEGRADED`` declares its stock baseline
 but no floor, and this bench asserts the power claim alone.

@@ -5,7 +5,9 @@ asking "how much does coordination help?", these runners ask "how much
 of the help survives when the coordination channel itself is cut
 off?".  Senders run on the one Phi plane (:mod:`repro.phi.plane`) — a
 :class:`~repro.phi.channel.ControlChannel` (outage windows, one attempt
-per call, circuit breaker) wrapped by a
+per call) behind the one-replica
+:class:`~repro.phi.failover.FailoverChannel` (a failed call benches the
+server for a short jittered window), wrapped by a
 :class:`~repro.phi.fallback.ResilientContextClient` (staleness TTL,
 default-parameter fallback, report recovery queue) — with scheduled
 outage windows, so a sweep over server unavailability traces the

@@ -37,7 +37,8 @@ window): structurally X4's single-server outage, through an
 identical code path, so the comparison isolates exactly the value of
 replication.  The replication oracle
 (:mod:`repro.simcheck.oracles`) separately pins that the N=1 stack is
-bit-identical to the plain single-server stack.
+bit-identical to the plain single-server stack, under X4's outages as
+well as without them: both run the one failover channel.
 
 A calibration caveat on the degraded floor: it is only a meaningful
 bar when ``partition_start_s`` is past the context warm-up (at least

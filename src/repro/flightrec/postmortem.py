@@ -13,8 +13,9 @@ several categories is attributed to the highest):
 1. ``injected-fault`` — the stall overlaps a fault window
    (``fault_begin``/``fault_end`` edges, or the ``start_s``/``end_s``
    carried on any fault event's detail).
-2. ``breaker-failover`` — a circuit breaker opened, a failover ran, or
-   every replica was suspended while the flow was silent.
+2. ``failover`` — a failover ran, or every replica (the one server of
+   a single-server plane included) was suspended, while the flow was
+   silent.
 3. ``queue-buildup`` — the flow's packets were drop-tailed at a queue
    whose occupancy was at capacity.
 4. ``rto-backoff`` — the flow's own retransmission timer fired; the
@@ -46,7 +47,7 @@ DEGRADED_MODES = frozenset({"stale", "fallback", "distrusted"})
 #: Attribution causes, highest precedence first.
 CAUSES = (
     "injected-fault",
-    "breaker-failover",
+    "failover",
     "queue-buildup",
     "rto-backoff",
     "context-degradation",
@@ -107,28 +108,6 @@ def fault_windows(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
                     },
                 )
     return sorted(windows.values(), key=lambda w: (w["start"], w["end"]))
-
-
-def _breaker_open_spans(
-    phi_records: List[Dict[str, Any]], horizon: float
-) -> List[Tuple[float, float]]:
-    """Sim-time spans during which a circuit breaker sat open."""
-    spans: List[Tuple[float, float]] = []
-    opened: Optional[float] = None
-    for record in phi_records:
-        if record.get("kind") != "breaker":
-            continue
-        detail = record.get("detail") or {}
-        t = float(record["t"])
-        if detail.get("to") == "open":
-            if opened is None:
-                opened = t
-        elif opened is not None:
-            spans.append((opened, t))
-            opened = None
-    if opened is not None:
-        spans.append((opened, horizon))
-    return spans
 
 
 def _mode_spans(
@@ -207,7 +186,6 @@ def _attribute_stall(
     gap_end: float,
     threshold: float,
     windows: List[Dict[str, Any]],
-    breaker_spans: List[Tuple[float, float]],
     mode_spans: List[Tuple[float, float, str]],
     phi_instants: List[Dict[str, Any]],
     flow_drops: List[Dict[str, Any]],
@@ -217,7 +195,7 @@ def _attribute_stall(
     """The cause of one stall plus every evidence span found for it.
 
     The evidence window opens one threshold *before* the gap starts:
-    the event that silences a flow (a drop, a breaker trip) is recorded
+    the event that silences a flow (a drop, a failover) is recorded
     at or just before the last activity, not inside the silence.
     """
     ev_start = gap_start - threshold
@@ -236,28 +214,17 @@ def _attribute_stall(
                     f"[{window['start']:.3f}, {window['end']:.3f}]s",
                 )
             )
-    for span_start, span_end in breaker_spans:
-        if _overlap(ev_start, gap_end, span_start, span_end):
-            by_cause["breaker-failover"] = True
-            evidence.append(
-                _span(
-                    "breaker-failover",
-                    span_start,
-                    span_end,
-                    f"circuit breaker open [{span_start:.3f}, {span_end:.3f}]s",
-                )
-            )
     for record in phi_instants:
         t = float(record["t"])
         if ev_start <= t <= gap_end:
-            by_cause["breaker-failover"] = True
+            by_cause["failover"] = True
             kind = record.get("kind")
             what = (
                 "all replicas suspended"
                 if kind == "all_suspended"
                 else f"failover {record.get('detail') or {}}"
             )
-            evidence.append(_span("breaker-failover", t, t, f"{what} at {t:.3f}s"))
+            evidence.append(_span("failover", t, t, f"{what} at {t:.3f}s"))
     for record in flow_drops:
         t = float(record["t"])
         if ev_start <= t <= gap_end:
@@ -333,7 +300,6 @@ def analyze(
 
     phi_records = [r for r in records if r.get("layer") == "phi"]
     windows = fault_windows(records)
-    breaker_spans = _breaker_open_spans(phi_records, horizon)
     mode_spans = _mode_spans(phi_records, horizon)
     phi_instants = [
         r for r in phi_records if r.get("kind") in ("failover", "all_suspended")
@@ -393,7 +359,6 @@ def analyze(
                 current,
                 stall_threshold_s,
                 windows,
-                breaker_spans,
                 mode_spans,
                 phi_instants,
                 flow_drops,

@@ -3,8 +3,8 @@
 The recorder is the causal complement to the metrics registry: where a
 counter says *how many* RTOs fired, the recorder says *which flow*, *at
 what sim time*, and *what else was happening* — the enqueue that never
-dequeued, the fault window that swallowed the retransmit, the breaker
-that opened two RPCs earlier.  It is the repo's only event ring, its
+dequeued, the fault window that swallowed the retransmit, the failover
+two RPCs earlier.  It is the repo's only event ring, its
 dump the only on-disk event format and :func:`load_dump` the only
 loader.  There is one ring per layer; :data:`SCHEMA` is the single
 definition of the layers, their budgets and their fields, and every
@@ -51,7 +51,7 @@ SCHEMA: Dict[str, Tuple[int, _Fields]] = {
     "simnet": (32768, _PACKET_FIELDS),
     # flow start/end, cwnd/ssthresh changes, RTO fires, recovery edges.
     "transport": (16384, (("flow_id",), ("cwnd", -1.0), ("ssthresh", -1.0))),
-    # RPC outcomes, failovers, breaker transitions, context-mode edges;
+    # RPC outcomes, failovers, all-suspended refusals, context-mode edges;
     # a handful of events per connection.
     "phi": (8192, (("subject", ""),)),
     # Injection window edges, absorbs, delays, and run anomalies.  Rare

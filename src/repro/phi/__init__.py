@@ -22,9 +22,7 @@ from .context import (
     CongestionLevel,
 )
 from .channel import (
-    BreakerState,
     ChannelConfig,
-    CircuitBreaker,
     ControlChannel,
     RpcResult,
     RpcStatus,
@@ -88,12 +86,10 @@ from .server import (
 
 __all__ = [
     "Aggregator",
-    "BreakerState",
     "ByzantineReporter",
     "CONTEXT_CORRUPTION_MODES",
     "CUBIC_SWEEP_GRID",
     "ChannelConfig",
-    "CircuitBreaker",
     "CompositeCorruptor",
     "ContextCorruptor",
     "ContextDecision",

@@ -1,22 +1,27 @@
 """Client-side failover across a replicated control plane.
 
 A sender reaches each replica through its own
-:class:`~repro.phi.channel.ControlChannel` (outages and breaker, per
-replica).  The :class:`FailoverChannel` sits
-on top and decides *which* replica to ask:
+:class:`~repro.phi.channel.ControlChannel` (outages, per replica).  The
+:class:`FailoverChannel` sits on top and decides *which* replica to ask;
+every plane has one, and a single-server plane is its one-replica case,
+so one health machine judges every replica at every replica count:
 
 - **health scoring**: every observed RPC outcome folds into a per-replica
   EWMA score, so replica choice is driven by what the client actually
   experienced, not by any global view;
-- **failover**: when a replica's result is not OK (server down or
-  breaker open), the call moves on to the next-best replica within the same
-  simulated instant — RPC time is not simulated, exactly as in the
-  underlying channel;
-- **suspension with jittered backoff**: a failed replica is benched for
-  an exponentially growing window scaled by ``1 + U[0, jitter)`` drawn
-  from the sim RNG, so a thousand clients whose replica died together do
-  not stampede it the instant it heals — and the run stays a pure
-  function of its seed;
+- **failover**: when a replica's result is not OK (server down), the
+  call moves on to the next-best replica within the same simulated
+  instant — RPC time is not simulated, exactly as in the underlying
+  channel;
+- **jittered suspension**: a failed replica is benched for
+  :data:`SUSPEND_S` scaled by ``1 + U[0, jitter)`` drawn from the sim
+  RNG, so clients whose replica died together do not all probe it at
+  the same instant — and the run stays a pure function of its seed.
+  The window does not grow with repeated failures: a plane's senders
+  share one client and a call takes no simulated time, so a longer
+  bench protects no server and only delays noticing that it healed;
+  when every replica is benched the call fails fast
+  (:attr:`RpcStatus.ALL_SUSPENDED`);
 - **sticky-with-probation reselection**: the client sticks to its
   current replica while it works; a replica coming off suspension must
   answer :data:`PROBATION_SUCCESSES` calls before it can become the sticky
@@ -36,18 +41,14 @@ from typing import Dict, List, Optional, Sequence
 from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
-from .channel import ControlChannel, RpcResult, RpcStatus, exponential_backoff_s
+from .channel import ControlChannel, RpcResult, RpcStatus
 from .server import ConnectionReport
 
 #: EWMA weight of the latest outcome in a replica's health score (1 =
 #: healthy, 0 = hopeless): two failures in a row halve it.
 HEALTH_ALPHA = 0.3
-#: A replica's ``k``-th consecutive failure benches it for
-#: ``min(base * multiplier**(k-1), max)`` seconds (before jitter), so a
-#: long-dead replica is still probed every 10 s.
-SUSPEND_BASE_S = 0.5
-SUSPEND_MULTIPLIER = 2.0
-SUSPEND_MAX_S = 10.0
+#: Every failed call benches its replica for this long (before jitter).
+SUSPEND_S = 0.5
 #: Successful calls a replica coming off suspension must serve before it
 #: can be reselected as the sticky current replica: one lucky probe is
 #: not enough.
@@ -78,7 +79,6 @@ class ReplicaHealth:
     """One replica's standing, as this client has observed it."""
 
     score: float = 1.0
-    consecutive_failures: int = 0
     suspended_until: float = float("-inf")
     probation_left: int = 0
     successes: int = 0
@@ -178,12 +178,11 @@ class FailoverChannel:
     def _record_failure(self, index: int) -> None:
         health = self._health[index]
         health.score = (1 - HEALTH_ALPHA) * health.score
-        health.consecutive_failures += 1
         health.failures += 1
-        health.suspended_until = self.sim._now + exponential_backoff_s(
-            SUSPEND_BASE_S, SUSPEND_MULTIPLIER, SUSPEND_MAX_S,
-            health.consecutive_failures - 1, self.config.suspend_jitter, self.rng,
-        )
+        wait = SUSPEND_S
+        if self.config.suspend_jitter > 0:
+            wait *= 1.0 + float(self.rng.uniform(0.0, self.config.suspend_jitter))
+        health.suspended_until = self.sim._now + wait
         health.probation_left = PROBATION_SUCCESSES
 
     # ------------------------------------------------------------------
@@ -200,7 +199,7 @@ class FailoverChannel:
         else:
             order = self._try_order()
             if not order:
-                # Every replica is benched: fail fast, like an open breaker.
+                # Every replica is benched: fail fast, without an attempt.
                 stats.fast_failures += 1
                 if tele.enabled:
                     tele.registry.counter(
@@ -209,7 +208,7 @@ class FailoverChannel:
                 rec = tele.flightrec
                 if rec.enabled:
                     rec.phi("all_suspended", self.sim.now, op)
-                return RpcResult(RpcStatus.CIRCUIT_OPEN)
+                return RpcResult(RpcStatus.ALL_SUSPENDED)
         primary = order[0]
         tried = 0
         while tried < len(order):
@@ -227,7 +226,6 @@ class FailoverChannel:
             if result.status is RpcStatus.OK:
                 health = self._health[index]
                 health.score = (1 - HEALTH_ALPHA) * health.score + HEALTH_ALPHA
-                health.consecutive_failures = 0
                 health.successes += 1
                 if health.probation_left > 0:
                     health.probation_left -= 1

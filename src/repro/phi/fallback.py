@@ -4,9 +4,9 @@ TCPTuner-style evidence says acting on garbage tuning parameters is
 worse than the defaults, so a sender that cannot reach (or cannot
 trust) the context server must fail *safe*: fall back to exactly the
 uncoordinated behaviour the status quo ships.  The
-:class:`ResilientContextClient` wraps a
-:class:`~repro.phi.channel.ControlChannel` or a
-:class:`~repro.phi.failover.FailoverChannel`, reads each call's
+:class:`ResilientContextClient` wraps the plane's
+:class:`~repro.phi.failover.FailoverChannel` (or any source with its
+``call_lookup``/``call_report`` surface), reads each call's
 :class:`~repro.phi.channel.RpcResult` status, and implements that
 discipline:
 

@@ -8,14 +8,17 @@ parameters (TCPTuner: acting on bad parameters is worse than the
 defaults).  Every Phi run puts that protocol on its senders through one
 :class:`Plane`::
 
-    sender -> ResilientContextClient -> [FailoverChannel]
-           -> ControlChannel (one per replica)
+    sender -> ResilientContextClient -> FailoverChannel
+           -> ControlChannel (one per replica; one for a single server)
            -> ContextServer | IdealContextOracle | ReplicatedContextService
 
 A call takes no simulated time and the failover jitter draws only on
 failure paths, so a plane that never fails runs bit-identically to
 senders that read the server directly: practical Phi *is* this stack at
 no fault, and ideal Phi is the same stack over the ground-truth oracle.
+A single server is the failover channel's one-replica case, so one
+replica-health machine runs at every replica count, and an N=1
+replicated plane is the single-server plane exactly, faults included.
 Each fault experiment turns one dial of the spec: scheduled outages
 (X4), corrupted payloads against the guard and trust defences (X6), a
 replicated server and a partition across it (X7).
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..remy.whisker import WhiskerTable
 from ..simnet.bounds import check
 from ..simnet.faults import Outage
-from .channel import ChannelConfig, ControlChannel
+from .channel import ControlChannel
 from .corruption import ByzantineReporter, CorruptionLayer, make_context_corruptor
 from .failover import FailoverChannel
 from .fallback import ResilientContextClient
@@ -66,9 +69,11 @@ class PlaneSpec:
     live ``u`` under IDEAL).  ``mode`` picks the backend: PRACTICAL is a
     :class:`ContextServer` (``window_s``, ``lease_ttl_s``), IDEAL the
     :class:`IdealContextOracle`.  Every sender shares one
-    :class:`ResilientContextClient` (``staleness_ttl_s``) over control
-    channels that make one attempt per call, behind breakers with a
-    short cool-down.  The fault dials, all off by default:
+    :class:`ResilientContextClient` (``staleness_ttl_s``) over a
+    :class:`FailoverChannel`, which benches a replica (or the one
+    server) for a short jittered window after a failed call, over
+    control channels that make one attempt per call.  The fault dials,
+    all off by default:
 
     - X4: ``unavailability`` of the run spent in outage windows spread
       over ``outage_period_s`` periods, on every channel;
@@ -168,14 +173,14 @@ class PlaneRunResult:
     """One run on a Phi plane plus every plane layer's own accounting.
 
     Fields of a layer the plane did not build read as that layer idle:
-    no rejections, full trust, no failovers, no divergence.
+    no rejections, full trust, no divergence.
     """
 
     result: "ScenarioResult"
     decision_counts: Dict[str, int]
     pending_reports: int
-    #: Calls the client's channel refused without an attempt: the one
-    #: :class:`ControlChannel`'s open breaker, or every replica benched.
+    #: Calls the failover channel refused without an attempt: every
+    #: replica (or the one server) benched.
     fast_failures: int
     guard_rejections: Dict[str, int]
     reports_rejected: int
@@ -203,12 +208,7 @@ class Plane:
 
     def __init__(self, spec: PlaneSpec, env: "ExperimentEnv", duration_s: float) -> None:
         sim = env.sim
-        # A breaker whose cool-down dwarfs the outage cadence would stay
-        # open through entire recovery windows, so the reset is kept short
-        # relative to the injected outage period.
-        config = ChannelConfig(breaker_reset_s=1.0)
         self.service: Optional[ReplicatedContextService] = None
-        self.failover: Optional[FailoverChannel] = None
         self.layer: Optional[CorruptionLayer] = None
         self.servers: List[ContextServer] = []
         self.n_cut = 0
@@ -224,13 +224,9 @@ class Plane:
             )
             self.servers = service.servers
             channels = [
-                ControlChannel(sim, service.handle(index), config=config)
+                ControlChannel(sim, service.handle(index))
                 for index in range(service.n_replicas)
             ]
-            source: Any = FailoverChannel(
-                sim, channels, rng=env.rngs.stream("failover-suspend")
-            )
-            self.failover = source
             cut, kept = partition_indices(service.n_replicas, spec.severity)
             self.n_cut = len(cut)
             if cut and spec.heal_s > 0:
@@ -258,8 +254,10 @@ class Plane:
                 )
                 self.servers = [backend]
             self.layer = _corruption_layer(spec, env)
-            source = ControlChannel(sim, backend, config=config, corruption=self.layer)
-            channels = [source]
+            channels = [ControlChannel(sim, backend, corruption=self.layer)]
+        self.failover = FailoverChannel(
+            sim, channels, rng=env.rngs.stream("failover-suspend")
+        )
         for channel in channels:
             schedule_unavailability(
                 channel,
@@ -271,9 +269,8 @@ class Plane:
         if spec.guarded:
             self.guard = ContextGuard(env.bottleneck_capacity_bps / 1e6, now=env.now)
             self.trust = TrustTracker()
-        self.source = source
         self.client = ResilientContextClient(
-            source,
+            self.failover,
             now=env.now,
             staleness_ttl_s=spec.staleness_ttl_s,
             guard=self.guard,
@@ -292,7 +289,7 @@ class Plane:
             result=result,
             decision_counts=client.decision_counts(),
             pending_reports=client.pending_reports,
-            fast_failures=(failover.stats if failover else self.source).fast_failures,
+            fast_failures=failover.stats.fast_failures,
             guard_rejections=self.guard.rejection_counts() if self.guard else {},
             reports_rejected=sum(server.reports_rejected for server in self.servers),
             contexts_corrupted=layer.contexts_corrupted if layer else 0,
@@ -300,8 +297,8 @@ class Plane:
             trust_score=trust.score if trust else 1.0,
             distrust_entries=trust.distrust_entries if trust else 0,
             n_cut=self.n_cut,
-            failovers=failover.stats.failovers if failover else 0,
-            replica_calls=failover.stats.by_replica if failover else {},
+            failovers=failover.stats.failovers,
+            replica_calls=failover.stats.by_replica,
             anti_entropy_merges=service.anti_entropy_merges if service else 0,
             reports_replicated=service.reports_replicated if service else 0,
             final_divergence=service.replica_divergence() if service else 0.0,

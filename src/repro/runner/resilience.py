@@ -17,8 +17,7 @@ with it.  This module puts a supervisor between the runner and the pool:
   workers killed (a hung worker cannot be cancelled), are charged a
   timeout, and everything else is requeued for free.
 - **Budgeted retries** — failed points retry with exponential backoff
-  (:func:`repro.phi.channel.exponential_backoff_s`, the formula the
-  failover channel suspends replicas by, capped by a total backoff budget).
+  (:func:`exponential_backoff_s`, capped by a total backoff budget).
 - **Quarantine** — a point that exhausts its attempts or budget lands in
   a reported "poisoned" list with its full failure history; the sweep
   completes with the surviving points instead of aborting.
@@ -44,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..phi.channel import exponential_backoff_s
 from ..simnet.bounds import check
 from ..simnet.engine import SimulationStalled
 from ..telemetry import session as _telemetry_session
@@ -52,8 +50,8 @@ from .records import PointResult
 
 
 #: Retry ``k`` (0-based) of a failed point waits ``min(base *
-#: multiplier**k, max)`` (:func:`repro.phi.channel.exponential_backoff_s`):
-#: long enough for a respawned worker, short next to a point's run.
+#: multiplier**k, max)`` (:func:`exponential_backoff_s`): long enough
+#: for a respawned worker, short next to a point's run.
 RETRY_BACKOFF_BASE_S = 0.05
 RETRY_BACKOFF_MULTIPLIER = 2.0
 RETRY_BACKOFF_MAX_S = 2.0
@@ -61,6 +59,14 @@ RETRY_BACKOFF_MAX_S = 2.0
 #: instead of retried — the sweep's analogue of the channel's hard
 #: deadline.
 RETRY_BACKOFF_BUDGET_S = 30.0
+
+
+def exponential_backoff_s(base_s: float, multiplier: float, max_s: float, k: int) -> float:
+    """The wait after the ``k``-th consecutive failure (0-based):
+    ``min(max_s, base_s * multiplier**k)``."""
+    return min(max_s, base_s * multiplier ** k)
+
+
 #: Consecutive pool breakages *without an intervening success* tolerated
 #: before degrading to in-process serial execution.
 POOL_BREAKS_BEFORE_FALLBACK = 3

@@ -25,7 +25,7 @@ the metamorphic transforms — and reports what it compared:
   operating points are invariant;
 - **replication identity**: the replicated control plane collapsed to a
   single replica must be bit-identical (events included) to the plain
-  single-server stack;
+  single-server stack, with and without the server's outages;
 - **replica convergence**: a healed partition's divergence must fall
   below epsilon within a bounded number of anti-entropy rounds and stay
   there.
@@ -367,25 +367,27 @@ CONVERGENCE_EPSILON = 1e-6
 CONVERGENCE_ROUNDS = 3
 
 
-def oracle_replication_identity(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
-    """An N=1 replicated control plane is the single-server plane, exactly.
+#: The faulted replication-identity pairs: X4 outages over this share of
+#: every 2 s period, with a 2 s staleness TTL so the client leans on the
+#: channel each period, on these seeds for this long.
+IDENTITY_UNAVAILABILITY = (0.25, 0.5, 0.75)
+IDENTITY_FAULT_SEEDS = (0, 1)
+IDENTITY_FAULT_DURATION_S = 12.0
 
-    Two specs of the one plane builder
-    (:class:`~repro.phi.plane.PlaneSpec`): one :class:`ContextServer`
-    behind one control channel, and ``ReplicationConfig(n_replicas=1)``
-    — a replica handle and a failover channel over its one channel, the
-    anti-entropy machinery present with nothing to do.  They must agree
-    bit-for-bit, *including the event count*: the replication layer
-    schedules no anti-entropy ticks for a single replica, and jitters
-    draw only on failure paths.
-    """
+
+def identity_pair_failures(seed: int, duration_s: float, **dials: Any) -> List[str]:
+    """Where the single-server plane and the N=1 replicated plane, with
+    the same fault ``dials``, differ (empty = bit-identical, events and
+    decisions included)."""
     preset = FIG2A_LOW_UTILIZATION
     single = run_plane(
-        PlaneSpec(policy=REFERENCE_POLICY), preset,
+        PlaneSpec(policy=REFERENCE_POLICY, **dials), preset,
         seed=seed, duration_s=duration_s,
     )
     replicated = run_plane(
-        PlaneSpec(policy=REFERENCE_POLICY, replication=ReplicationConfig(n_replicas=1)),
+        PlaneSpec(
+            policy=REFERENCE_POLICY, replication=ReplicationConfig(n_replicas=1), **dials
+        ),
         preset, seed=seed, duration_s=duration_s,
     )
     failures = _compare_scenarios(single.result, replicated.result)
@@ -399,13 +401,46 @@ def oracle_replication_identity(duration_s: float = 10.0, seed: int = 0) -> Orac
             f"decision counts differ: {single.decision_counts} vs "
             f"{replicated.decision_counts}"
         )
+    return failures
+
+
+def oracle_replication_identity(duration_s: float = 10.0, seed: int = 0) -> OracleOutcome:
+    """An N=1 replicated control plane is the single-server plane, exactly.
+
+    Two specs of the one plane builder
+    (:class:`~repro.phi.plane.PlaneSpec`): one :class:`ContextServer`
+    behind one control channel, and ``ReplicationConfig(n_replicas=1)``
+    — a replica handle behind its one channel, the anti-entropy
+    machinery present with nothing to do.  Both put the one failover
+    channel over their channel.  They must agree bit-for-bit, *including
+    the event count*: the replication layer schedules no anti-entropy
+    ticks for a single replica, and jitters draw only on failure paths.
+    The clean pair runs at ``seed`` for ``duration_s``; the faulted pairs
+    (every :data:`IDENTITY_UNAVAILABILITY` on every
+    :data:`IDENTITY_FAULT_SEEDS`, :data:`IDENTITY_FAULT_DURATION_S`
+    each) hold the same identity while the server goes down and the
+    failover channel benches it.
+    """
+    failures = identity_pair_failures(seed, duration_s)
+    for unavailability in IDENTITY_UNAVAILABILITY:
+        for fault_seed in IDENTITY_FAULT_SEEDS:
+            failures.extend(
+                f"unavailability={unavailability:g} seed={fault_seed}: {failure}"
+                for failure in identity_pair_failures(
+                    fault_seed,
+                    IDENTITY_FAULT_DURATION_S,
+                    unavailability=unavailability,
+                    outage_period_s=2.0,
+                    staleness_ttl_s=2.0,
+                )
+            )
     return OracleOutcome(
         name="replication-identity",
         passed=not failures,
         failures=failures,
         details={
-            "events": single.result.events_processed,
-            "decisions": dict(single.decision_counts),
+            "clean_pairs": 1,
+            "faulted_pairs": len(IDENTITY_UNAVAILABILITY) * len(IDENTITY_FAULT_SEEDS),
         },
     )
 

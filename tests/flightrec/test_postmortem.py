@@ -212,23 +212,20 @@ class TestAttribution:
         kinds = {span["kind"] for span in stall["evidence"]}
         assert kinds == {"injected-fault", "rto-backoff"}
 
-    def test_breaker_failover(self):
+    def test_failover(self):
         records = self._stall_records() + [
-            _phi("breaker", 1.1, "breaker", {"from": "closed", "to": "open"}),
-            _phi("breaker", 2.0, "breaker", {"from": "open", "to": "half_open"}),
             _phi("failover", 1.3, "lookup", {"primary": 0, "served_by": 1}),
         ]
         (stall,) = analyze({}, records)["flows"][0]["stalls"]
-        assert stall["cause"] == "breaker-failover"
-        assert any("circuit breaker open" in s["description"]
-                   for s in stall["evidence"])
+        assert stall["cause"] == "failover"
+        assert [s["kind"] for s in stall["evidence"]] == ["failover"]
 
-    def test_breaker_open_at_dump_end_still_spans(self):
-        records = self._stall_records() + [
-            _phi("breaker", 1.1, "breaker", {"from": "closed", "to": "open"}),
-        ]
+    def test_all_suspended(self):
+        # The single-server plane's bench: its one replica suspended.
+        records = self._stall_records() + [_phi("all_suspended", 1.1, "lookup")]
         (stall,) = analyze({"sim_time": 3.0}, records)["flows"][0]["stalls"]
-        assert stall["cause"] == "breaker-failover"
+        assert stall["cause"] == "failover"
+        assert "all replicas suspended" in stall["evidence"][0]["description"]
 
     def test_queue_buildup(self):
         records = self._stall_records() + [

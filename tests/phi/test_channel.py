@@ -1,19 +1,10 @@
-"""Tests for the failure-aware control channel (RPCs, outages, breaker)."""
+"""Tests for the failure-aware control channel (RPCs, outages, accounting)."""
 
 import pytest
 
 from repro import flightrec, telemetry
 from repro.flightrec import iter_layer
-from repro.phi.channel import (
-    BREAKER_FAILURE_THRESHOLD,
-    BreakerState,
-    ChannelConfig,
-    CircuitBreaker,
-    ControlChannel,
-    RpcResult,
-    RpcStatus,
-    exponential_backoff_s,
-)
+from repro.phi.channel import ControlChannel, RpcResult, RpcStatus
 from repro.phi.server import ContextServer
 from repro.simnet import Outage, Simulator
 
@@ -49,23 +40,6 @@ def make_report():
     )
 
 
-class TestConfigValidation:
-    def test_rejects_bad_knobs(self):
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                ChannelConfig(breaker_reset_s=bad)
-
-    def test_backoff_schedule(self):
-        def backoff(k):
-            return exponential_backoff_s(0.05, 2.0, 1.0, k)
-
-        assert backoff(0) == pytest.approx(0.05)
-        assert backoff(1) == pytest.approx(0.1)
-        assert backoff(2) == pytest.approx(0.2)
-        assert backoff(5) == pytest.approx(1.0)  # capped
-        assert backoff(9) == pytest.approx(1.0)
-
-
 class TestHealthyChannel:
     def test_passthrough_lookup_and_report(self):
         sim = Simulator()
@@ -99,12 +73,13 @@ class TestRetries:
 
     def test_exhausted_retries_fail(self):
         # The retry budget is zero: a failed call is one failed attempt,
-        # and the breaker counts it once.
-        sim = Simulator()
-        channel = ControlChannel(sim, FakeBackend())
-        channel.mark_down()
-        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
-        assert channel.breaker._consecutive_failures == 1
+        # accounted once.
+        with telemetry.use() as tele:
+            channel = ControlChannel(Simulator(), FakeBackend())
+            channel.mark_down()
+            assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
+            counters = tele.registry.snapshot()["counters"]
+        assert counters == {"phi.rpc_calls{op=lookup,status=server_down}": 1.0}
 
     def test_failed_call_returns_its_status(self):
         sim = Simulator()
@@ -113,7 +88,6 @@ class TestRetries:
         channel.mark_down()
         result = channel.call_lookup()
         assert result == RpcResult(RpcStatus.SERVER_DOWN)
-        assert channel.breaker.state is BreakerState.CLOSED  # one failure
         assert backend.lookups == 0
 
 
@@ -156,7 +130,6 @@ class TestBackendRefusal:
 
 class TestOutages:
     def test_marks_nest(self):
-        # One failed call at a time: the breaker (2 in a row) stays closed.
         sim = Simulator()
         channel = ControlChannel(sim, FakeBackend())
         channel.mark_down()
@@ -198,84 +171,3 @@ class TestOutages:
         assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
         sim.run(until=2.5)
         assert channel.call_lookup().status is RpcStatus.OK
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now, 10.0)
-        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
-            breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow()
-
-    def test_success_resets_count(self):
-        sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now, 10.0)
-        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
-            breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_half_open_probe_then_close(self):
-        sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now, reset_timeout_s=5.0)
-        for _ in range(BREAKER_FAILURE_THRESHOLD):
-            breaker.record_failure()
-        assert not breaker.allow()
-        sim.schedule(6.0, lambda: None)
-        sim.run()
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_half_open_failure_reopens(self):
-        sim = Simulator()
-        breaker = CircuitBreaker(lambda: sim.now, reset_timeout_s=5.0)
-        for _ in range(BREAKER_FAILURE_THRESHOLD):
-            breaker.record_failure()
-        sim.schedule(6.0, lambda: None)
-        sim.run()
-        assert breaker.state is BreakerState.HALF_OPEN
-        breaker.record_failure()  # probe fails: straight back to OPEN
-        assert breaker.state is BreakerState.OPEN
-        sim.schedule(4.0, lambda: None)
-        sim.run()
-        assert breaker.state is BreakerState.OPEN  # a fresh cool-down
-
-    def test_open_breaker_fails_fast_without_attempts(self):
-        sim = Simulator()
-        backend = FakeBackend()
-        channel = ControlChannel(sim, backend)
-        channel.mark_down()
-        # Every failed call is one failed attempt; the second trips the
-        # breaker and still reports the down server it reached.
-        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
-        assert channel.call_lookup().status is RpcStatus.SERVER_DOWN
-        assert channel.breaker.state is BreakerState.OPEN
-        result = channel.call_lookup()  # breaker now open
-        assert result == RpcResult(RpcStatus.CIRCUIT_OPEN)
-        assert channel.fast_failures == 1
-        assert backend.lookups == 0
-
-    def test_breaker_recovers_with_server(self):
-        sim = Simulator()
-        backend = FakeBackend()
-        channel = ControlChannel(sim, backend, config=ChannelConfig(breaker_reset_s=2.0))
-        Outage(sim, 0.0, 1.0, targets=[channel])
-        outcomes = []
-        for at in (0.4, 0.5, 0.6, 1.5, 3.0):
-            sim.schedule_at(at, lambda: outcomes.append(channel.call_lookup().status))
-        sim.run()
-        assert outcomes == [
-            RpcStatus.SERVER_DOWN,   # one failed call
-            RpcStatus.SERVER_DOWN,   # the second failed call trips the breaker
-            RpcStatus.CIRCUIT_OPEN,  # refused without an attempt
-            RpcStatus.CIRCUIT_OPEN,  # server is back but breaker still open
-            RpcStatus.OK,            # half-open probe succeeds
-        ]
-        assert backend.lookups == 1

@@ -1,15 +1,17 @@
-"""Control-plane accounting and breaker laws, over seeded call programs.
+"""Control-plane accounting laws, over seeded call programs.
 
 A :class:`ControlChannel` reports each call once, through three readers
-that must agree: the caller's count of calls made, the ``phi.rpc_calls``
-counters and the flight recorder's ``rpc`` records, status by status; the
-channel's own ``fast_failures`` is their ``circuit_open`` count.
-Its breaker moves only along CLOSED → OPEN → HALF_OPEN → {CLOSED, OPEN},
-and the recorder and ``phi.breaker_transitions`` count the same edges.
+that must agree: the channel calls made, the ``phi.rpc_calls`` counters
+and the flight recorder's ``rpc`` records, status by status.  Every
+plane puts a :class:`FailoverChannel` over its channels, one replica for
+a single server, so the programs call through a one-replica failover
+channel: a call it refuses while the server is benched makes no channel
+call, and is counted once each by its ``fast_failures``, an
+``all_suspended`` record and ``phi.replica_rpc_calls{replica=none}``.
 Hypothesis draws programs of lookups and reports over nested outages
-(``mark_down`` / ``mark_up`` and scheduled windows) and breaker
-cool-downs; the laws are checked after every operation,
-with metrics and the recorder on.
+(``mark_down`` / ``mark_up`` and scheduled windows) and waits that let
+the bench lapse; the laws are checked after every operation, with
+metrics and the recorder on.
 """
 
 import random
@@ -20,23 +22,16 @@ from hypothesis import strategies as st
 
 from repro import flightrec, telemetry
 from repro.flightrec import iter_layer
-from repro.phi.channel import ChannelConfig, ControlChannel, RpcStatus
+from repro.phi.channel import ControlChannel, RpcStatus
+from repro.phi.failover import FailoverChannel, FailoverConfig
 from repro.phi.server import ConnectionReport
 from repro.simnet import Outage, Simulator
 
 from .conftest import IDLE
 
-#: Every edge the breaker may record.
-BREAKER_EDGES = {
-    ("closed", "open"),
-    ("open", "half_open"),
-    ("half_open", "closed"),
-    ("half_open", "open"),
-}
-
 
 class Backend:
-    """Answers every call; the channel's marks and breaker fail them."""
+    """Answers every call; the channel's marks fail them."""
 
     def lookup(self):
         return IDLE
@@ -63,46 +58,48 @@ OPS = ("lookup",) * 4 + ("report",) * 3 + (
     "down", "up", "outage", "wait", "wait"
 )
 
-def _check_laws(channel, calls_made, tele, rec):
+def _check_laws(failover, calls_made, tele, rec):
     counters = tele.registry.snapshot()["counters"]
     metered = Counter()
+    by_replica = Counter()
     for key, value in counters.items():
+        status = key.rsplit("status=", 1)[-1].rstrip("}")
         if key.startswith("phi.rpc_calls{"):
-            metered[key.rsplit("status=", 1)[1].rstrip("}")] += int(value)
+            metered[status] += int(value)
+        elif key.startswith("phi.replica_rpc_calls{"):
+            by_replica[status] += int(value)
     records = list(iter_layer(rec.records(), "phi"))
     by_status = Counter(r["detail"]["status"] for r in records if r["kind"] == "rpc")
-    assert calls_made == sum(by_status.values())
+    refused = sum(1 for r in records if r["kind"] == "all_suspended")
+    assert calls_made == sum(by_status.values()) + refused
     assert metered == by_status
-    assert channel.fast_failures == by_status[RpcStatus.CIRCUIT_OPEN.value]
-    edges = [(r["detail"]["from"], r["detail"]["to"]) for r in records if r["kind"] == "breaker"]
-    assert set(edges) <= BREAKER_EDGES, edges
-    metered_edges = {
-        k: v for k, v in counters.items() if k.startswith("phi.breaker_transitions{")
-    }
-    assert metered_edges == {
-        f"phi.breaker_transitions{{from_state={a},to_state={b}}}": float(edges.count((a, b)))
-        for a, b in set(edges)
-    }
-    return by_status, edges
+    assert failover.stats.fast_failures == refused
+    assert by_replica == by_status + Counter(
+        {RpcStatus.ALL_SUSPENDED.value: refused} if refused else {}
+    )
+    return set(by_status) | ({RpcStatus.ALL_SUSPENDED.value} if refused else set())
 
 
-def _run_program(reset_s, seed, n_ops):
+def _run_program(jitter, seed, n_ops):
     """Run one seeded program, checking the laws after every operation;
-    return the statuses and breaker edges it reached."""
+    return the statuses it reached."""
     rng = random.Random(seed)
     sim = Simulator()
     backend = Backend()
     with telemetry.use() as tele, flightrec.use() as rec:
-        channel = ControlChannel(sim, backend, config=ChannelConfig(breaker_reset_s=reset_s))
+        channel = ControlChannel(sim, backend)
+        failover = FailoverChannel(
+            sim, [channel], rng=random.Random(seed),
+            config=FailoverConfig(suspend_jitter=jitter),
+        )
         calls_made = 0
-        edges = []
         for step in range(n_ops):
             op = rng.choice(OPS)
             if op == "lookup":
-                channel.call_lookup()
+                failover.call_lookup()
                 calls_made += 1
             elif op == "report":
-                channel.call_report(_report(step, sim.now))
+                failover.call_report(_report(step, sim.now))
                 calls_made += 1
             elif op == "down":
                 channel.mark_down()
@@ -115,27 +112,24 @@ def _run_program(reset_s, seed, n_ops):
                 )
             else:
                 sim.run(until=sim.now + rng.choice((0.05, 0.3, 1.5)))
-            by_status, edges = _check_laws(channel, calls_made, tele, rec)
-    return set(by_status), set(edges)
+            statuses = _check_laws(failover, calls_made, tele, rec)
+    return statuses
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    reset_s=st.sampled_from([0.2, 1.0]),
+    jitter=st.sampled_from([0.0, 0.5]),
     seed=st.integers(0, 2**16),
     n_ops=st.integers(1, 120),
 )
-def test_accounting_and_breaker_laws(reset_s, seed, n_ops):
-    _run_program(reset_s, seed, n_ops)
+def test_accounting_laws(jitter, seed, n_ops):
+    _run_program(jitter, seed, n_ops)
 
 
-def test_programs_reach_every_status_and_edge():
+def test_programs_reach_every_status():
     """The generator does what the property relies on: a handful of fixed
-    programs reach every terminal status and every breaker edge."""
-    statuses, edges = set(), set()
+    programs reach every terminal status."""
+    statuses = set()
     for seed in range(4):
-        reached = _run_program(0.2, seed, 120)
-        statuses |= reached[0]
-        edges |= reached[1]
+        statuses |= _run_program(0.5, seed, 120)
     assert statuses == {status.value for status in RpcStatus}
-    assert edges == BREAKER_EDGES

@@ -6,13 +6,12 @@ from repro import telemetry
 from repro.phi.channel import ControlChannel, RpcStatus
 from repro.phi.failover import (
     PROBATION_SUCCESSES,
-    SUSPEND_BASE_S,
-    SUSPEND_MAX_S,
+    SUSPEND_S,
     FailoverChannel,
     FailoverConfig,
 )
 from repro.phi.server import ConnectionReport
-from repro.simnet import Simulator
+from repro.simnet import Outage, Simulator
 
 from .conftest import IDLE
 
@@ -129,7 +128,7 @@ class TestFailover:
             channel.mark_down()
         failover.call_lookup()  # suspends both
         result = failover.call_lookup()
-        assert result.status is RpcStatus.CIRCUIT_OPEN
+        assert result.status is RpcStatus.ALL_SUSPENDED
         by_replica = failover.stats.by_replica
         assert [by_replica[i]["attempts"] for i in range(2)] == [1, 1]  # no replica asked
         assert failover.stats.fast_failures == 1
@@ -168,7 +167,7 @@ class TestStickinessAndProbation:
         # After the suspension lapses, 0 is probed (best health among
         # non-probation? no: probation sorts it last) — current stays 1
         # until 0 has served its probation successes.
-        assert SUSPEND_BASE_S < 1.0
+        assert SUSPEND_S < 1.0
         sim.schedule_at(1.0, probe)
         sim.schedule_at(1.1, probe)
         sim.run()
@@ -177,16 +176,18 @@ class TestStickinessAndProbation:
         assert backends[1].lookups == served + 1
         assert failover._health[0].probation_left == PROBATION_SUCCESSES
 
-    def test_suspension_window_grows_and_caps(self):
+    def test_suspension_window_stays_constant(self):
+        """A replica that keeps failing is benched for the same window
+        each time: nothing grows with consecutive failures."""
         sim = Simulator()
-        backends, channels, failover = make_stack(sim, n=1)
+        _, channels, failover = make_stack(sim, n=1)
         channels[0].mark_down()
         windows = []
-        for _ in range(7):
-            failover._record_failure(0)
-            windows.append(failover._health[0].suspended_until)
-        assert windows == pytest.approx([0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 10.0])
-        assert windows[-1] == SUSPEND_MAX_S
+        for at in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            sim.run(until=at)
+            assert failover.call_lookup().status is RpcStatus.SERVER_DOWN
+            windows.append(failover._health[0].suspended_until - sim.now)
+        assert windows == [SUSPEND_S] * 7
 
     def test_jitter_scales_suspension(self):
         class HalfRng:
@@ -198,7 +199,34 @@ class TestStickinessAndProbation:
         channels = [ControlChannel(sim, FakeBackend())]
         failover = FailoverChannel(sim, channels, rng=HalfRng(), config=config)
         failover._record_failure(0)
-        assert failover._health[0].suspended_until == pytest.approx(1.25 * SUSPEND_BASE_S)
+        assert failover._health[0].suspended_until == pytest.approx(1.25 * SUSPEND_S)
+
+
+class TestOneReplica:
+    """A single-server plane is the one-replica failover channel: a
+    failed call benches the server, calls in the window are refused
+    without an attempt, and the first call after it reaches the server."""
+
+    def test_bench_refuses_then_lapses(self):
+        sim = Simulator()
+        backends, channels, failover = make_stack(sim, n=1)
+        Outage(sim, 0.0, 1.0, targets=[channels[0]])
+        outcomes = []
+        for at in (0.4, 0.5, 0.8, 0.95, 1.5):
+            sim.schedule_at(at, lambda: outcomes.append(failover.call_lookup().status))
+        sim.run()
+        assert outcomes == [
+            RpcStatus.SERVER_DOWN,    # benched until 0.9
+            RpcStatus.ALL_SUSPENDED,  # refused without an attempt
+            RpcStatus.ALL_SUSPENDED,
+            RpcStatus.SERVER_DOWN,    # the bench lapsed; still down: to 1.45
+            RpcStatus.OK,             # the server healed at 1.0
+        ]
+        assert backends[0].lookups == 1
+        assert failover.stats.fast_failures == 2
+        assert failover.stats.by_replica == {
+            0: {"attempts": 3, "successes": 1, "failures": 2},
+        }
 
 
 class TestTelemetry:

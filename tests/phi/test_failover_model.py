@@ -3,6 +3,9 @@
 ``ReferenceFailover`` keeps the call loop as it stood before the sticky
 replica was tried ahead of ranking: every call sorts every non-benched
 replica and counts each replica call into ``by_replica`` as it goes.
+It benches a failed replica by its own copy of the suspension rule: a
+constant ``SUSPEND_S`` scaled by ``1 + U[0, jitter)``, however many
+failures came before.
 Seeded programs of lookups and reports over fake backends that answer,
 are marked down or are all benched run against two identical stacks; after every operation the result, the sticky replica, every
 ``ReplicaHealth`` field, every ``stats`` counter, ``by_replica`` and the
@@ -19,9 +22,11 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro import telemetry
-from repro.phi.channel import ChannelConfig, ControlChannel, RpcResult, RpcStatus
+from repro.phi.channel import ControlChannel, RpcResult, RpcStatus
 from repro.phi.failover import (
     HEALTH_ALPHA,
+    PROBATION_SUCCESSES,
+    SUSPEND_S,
     FailoverChannel,
     FailoverConfig,
     FailoverStats,
@@ -65,10 +70,18 @@ class ReferenceFailover(FailoverChannel):
     def _record_success(self, index: int) -> None:
         health = self._health[index]
         health.score = (1 - HEALTH_ALPHA) * health.score + HEALTH_ALPHA
-        health.consecutive_failures = 0
         health.successes += 1
         if health.probation_left > 0:
             health.probation_left -= 1
+
+    def _record_failure(self, index: int) -> None:
+        health = self._health[index]
+        health.score = (1 - HEALTH_ALPHA) * health.score
+        health.failures += 1
+        jitter = self.config.suspend_jitter
+        scale = 1.0 + float(self.rng.uniform(0.0, jitter)) if jitter > 0 else 1.0
+        health.suspended_until = self.sim.now + SUSPEND_S * scale
+        health.probation_left = PROBATION_SUCCESSES
 
     def _call(self, op: str, report: Optional[ConnectionReport] = None) -> RpcResult:
         tele = telemetry.session()
@@ -79,7 +92,7 @@ class ReferenceFailover(FailoverChannel):
                 tele.registry.counter(
                     "phi.replica_rpc_calls", replica="none", status="all_suspended"
                 ).inc()
-            return RpcResult(RpcStatus.CIRCUIT_OPEN)
+            return RpcResult(RpcStatus.ALL_SUSPENDED)
         primary = order[0]
         last: Optional[RpcResult] = None
         for index in order:
@@ -125,9 +138,9 @@ class FakeBackend:
 _OPS = ("lookup",) * 10 + ("report",) * 8 + ("down", "up", "up")
 
 
-def _stack(sim, cls, seed, n, config, channel_config):
+def _stack(sim, cls, seed, n, config):
     backends = [FakeBackend() for _ in range(n)]
-    channels = [ControlChannel(sim, backend, config=channel_config) for backend in backends]
+    channels = [ControlChannel(sim, backend) for backend in backends]
     rng = random.Random(seed)
     failover = cls(sim, channels, rng=rng, config=config)
     return backends, channels, failover, rng
@@ -161,10 +174,9 @@ def _run_program(seed, n_ops=400):
     rng = random.Random(seed)
     n = rng.choice((1, 2, 3, 3, 4))
     config = FailoverConfig(suspend_jitter=rng.choice((0.0, 0.5)))
-    channel_config = ChannelConfig(breaker_reset_s=1.0)
     sim = Simulator()
     stacks = [
-        _stack(sim, cls, seed, n, config, channel_config)
+        _stack(sim, cls, seed, n, config)
         for cls in (FailoverChannel, ReferenceFailover)
     ]
     sessions = [telemetry.TelemetrySession(telemetry.MetricsRegistry()) for _ in stacks]

@@ -12,7 +12,6 @@ from repro.experiments import (
 )
 from repro.phi import (
     REFERENCE_POLICY,
-    ChannelConfig,
     ContextServer,
     FailoverConfig,
     ReplicationConfig,
@@ -48,7 +47,6 @@ def test_nan_plane_input_is_rejected(configure):
 @pytest.mark.parametrize(
     "config, field",
     [
-        (ChannelConfig, "breaker_reset_s"),
         (ReplicationConfig, "anti_entropy_period_s"),
         (FailoverConfig, "suspend_jitter"),
     ],

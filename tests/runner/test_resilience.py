@@ -19,7 +19,6 @@ import pytest
 from repro.runner.cache import NullCache
 from repro.runner.core import SweepRunner
 from repro.runner.faultinject import ENV_VAR, FaultSpec, fault_spec_from_env
-from repro.phi.channel import exponential_backoff_s
 from repro.runner import resilience as resilience_module
 from repro.runner.resilience import (
     RETRY_BACKOFF_BASE_S,
@@ -29,6 +28,7 @@ from repro.runner.resilience import (
     ResilienceConfig,
     SweepSupervisor,
     _Slot,
+    exponential_backoff_s,
 )
 from repro.simnet.engine import WatchdogConfig
 
@@ -60,9 +60,19 @@ def clean_baseline(mini_preset, mini_grid):
 
 
 class TestRetryPolicy:
+    def test_backoff_schedule(self):
+        def backoff(k):
+            return exponential_backoff_s(0.05, 2.0, 1.0, k)
+
+        assert backoff(0) == pytest.approx(0.05)
+        assert backoff(1) == pytest.approx(0.1)
+        assert backoff(2) == pytest.approx(0.2)
+        assert backoff(5) == pytest.approx(1.0)  # capped
+        assert backoff(9) == pytest.approx(1.0)
+
     def test_backoff_shape_matches_channel_config(self):
         # Each failed attempt pushes the point's eligibility out by the
-        # channel's backoff formula, capped at RETRY_BACKOFF_MAX_S.
+        # runner's backoff formula, capped at RETRY_BACKOFF_MAX_S.
         supervisor = SweepSupervisor(None, _double, config=ResilienceConfig(max_attempts=9))
         slot, queue = _Slot(0, None), deque()
         waits = []

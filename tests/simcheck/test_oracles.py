@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.scenarios import TABLE3_REMY
+from repro.simcheck import oracles
 from repro.simcheck.oracles import (
     ORACLES,
     dilated_preset,
@@ -58,9 +59,15 @@ class TestOracles:
         assert outcome.passed, outcome.failures
         assert outcome.details["k"] == 2.0
 
-    def test_replication_identity_bit_identical(self):
+    def test_replication_identity_bit_identical(self, monkeypatch):
+        # The clean pair and one of the six faulted pairs: the server
+        # down half of every 2 s period, seed 1.  Without one health
+        # machine at every replica count, this pair's event counts differ.
+        monkeypatch.setattr(oracles, "IDENTITY_UNAVAILABILITY", (0.5,))
+        monkeypatch.setattr(oracles, "IDENTITY_FAULT_SEEDS", (1,))
         outcome = oracle_replication_identity(duration_s=4.0, seed=3)
         assert outcome.passed, outcome.failures
+        assert outcome.details == {"clean_pairs": 1, "faulted_pairs": 1}
 
     def test_replica_convergence_bounded(self):
         outcome = oracle_replica_convergence(duration_s=8.0, seed=3)
@@ -85,7 +92,10 @@ class TestOracles:
         with pytest.raises(ValueError):
             run_oracles(["no-such-oracle"])
 
-    def test_run_oracles_dispatches_replication_oracles(self):
+    def test_run_oracles_dispatches_replication_oracles(self, monkeypatch):
+        # Another single faulted pair: CI's partition-smoke runs all six.
+        monkeypatch.setattr(oracles, "IDENTITY_UNAVAILABILITY", (0.75,))
+        monkeypatch.setattr(oracles, "IDENTITY_FAULT_SEEDS", (0,))
         outcomes = run_oracles(
             ["replication-identity", "replica-convergence"],
             duration_s=4.0, seed=0,

@@ -3,7 +3,7 @@ together, and the lease-expiry-vs-outage race on the control plane."""
 
 import pytest
 
-from repro.phi.channel import ChannelConfig, ControlChannel
+from repro.phi.channel import ControlChannel
 from repro.phi.replication import ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ConnectionReport, ContextServer
 from repro.simnet import Outage, Simulator, make_data_packet
@@ -165,7 +165,7 @@ class TestLeaseExpiryOutageRace:
     def test_ttl_expiry_inside_outage_window(self):
         sim = Simulator()
         server = ContextServer(sim, 10e6, lease_ttl_s=2.0)
-        channel = ControlChannel(sim, server, config=ChannelConfig())
+        channel = ControlChannel(sim, server)
         observed = []
         lookup_at = self._drive(sim, server, channel, observed)
 

@@ -54,7 +54,6 @@ CONFIGS = {
     "repro.experiments.faultsweep.FaultSpec": dict(
         scenario=DEGRADED, preset=TABLE3_REMY, policy=REFERENCE_POLICY
     ),
-    "repro.phi.channel.ChannelConfig": {},
     "repro.phi.context.CongestionContext": dict(
         utilization=0.5, queue_delay_s=0.0, competing_senders=1.0
     ),
