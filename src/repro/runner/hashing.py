@@ -32,7 +32,10 @@ from ..workload.onoff import OnOffConfig
 #: moves on lossy runs); and ``snd_nxt`` is clamped up to ``snd_una`` on
 #: every new ACK, so a sender rewound by an RTO no longer re-sends ACKed
 #: bytes as new data.
-ENGINE_SIGNATURE = "phi-simnet-v5-fused-link"
+#: v6: every Phi plane runs the failover channel, a single server as its
+#: one replica, with a constant suspension window; the control channel's
+#: circuit breaker is gone.  Single-server planes under outages move.
+ENGINE_SIGNATURE = "phi-simnet-v6-one-replica-health"
 
 
 def canonical_json(payload: Any) -> str:

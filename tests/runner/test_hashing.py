@@ -76,12 +76,12 @@ class TestPinnedKeys:
 
     def test_default_point_key(self):
         assert default_key() == (
-            "fc9d59010679b70cfaad912a1136f3761a0d983a78d640aecb06e7e4a5a1adeb"
+            "4da9ebf87871274a5db7ed8cffef2128728a02749afa55279f1cb0f3afcaa1da"
         )
 
     def test_sweep_key(self):
         assert sweep_key(SweepSpec(preset=MINI_PRESET), MINI_GRID, 2, 0) == (
-            "9d95767800796758d57581bc3ac526fb3393c0e90e47826c353493636c15a2a7"
+            "e0073e3088d654e486fa80a147013813f5a24728b948ae0b3c464c24564302ac"
         )
 
 

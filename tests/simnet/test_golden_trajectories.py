@@ -20,9 +20,13 @@ window contributions in ``ContextServer``: a 13 sim-s short-flow run is
 the only pinned one in which reports age out of, and straddle the left
 edge of, the server's 10 s window.
 
-``GOLDEN_DEGRADED`` was captured ahead of the one-attempt control
-channel: a single-server plane down half of every 5 s period, so its
-breaker opens, cools down and probes a down server again in each seed.
+``GOLDEN_DEGRADED`` is a single-server plane down half of every 5 s
+period, so its one-replica failover channel benches the server, refuses
+calls and calls a down server again in each seed.  It was captured ahead
+of the one-attempt control channel, and re-captured with the
+``phi-simnet-v6-one-replica-health`` bump (the circuit breaker gone, a
+single server judged by the failover channel's constant suspension);
+every other constant here passed unedited.
 
 CI runs this file under two ``PYTHONHASHSEED`` values: nothing on the
 data plane may depend on set or dict iteration order of hashed strings.
@@ -78,8 +82,8 @@ GOLDEN_PARTITIONED = "5835403ad1a8a2b0ebc4e879115c5e8ad24d6319ffdfebee4bf5c21fe3
 GOLDEN_WINDOW_FULL = "549854321dd84ba7e2a35049ad7ef278224ecd771e665d8278a5b90522a6f039"
 
 GOLDEN_DEGRADED = {
-    0: "2b2f32fdac49fb831f143251bb90177f1bd029455fc7d5f434b78316dd221757",
-    1: "7f1968c2e66130146ac3bef0c29c274dc3dc14b52542abe9dac7dfdd50845a4d",
+    0: "b244a827e17ca981ae9c65347ba22e2487520e264600c0c3cc53d43f015e39b4",
+    1: "6c35cccaee28e547d93c347149926a5480dd623a154b17a17d6ee289745c06ac",
 }
 
 _PRESETS = {"table3": (TABLE3_REMY, 10.0), "fig2c": (FIG2C_LONG_RUNNING, 4.0)}
@@ -118,7 +122,7 @@ def test_degraded_phi_trajectory_is_pinned(seed):
         duration_s=12.0,
     )
     assert run.decision_counts["fallback"] > 0
-    assert run.fast_failures > 0  # the breaker opened
+    assert run.fast_failures > 0  # the benched server refused calls
     assert trajectory_digest(run.result) == GOLDEN_DEGRADED[seed]
 
 
