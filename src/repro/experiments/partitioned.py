@@ -7,7 +7,7 @@ Senders run the one Phi plane (:mod:`repro.phi.plane`) with a
 replicated server:
 
     sender → ResilientContextClient → FailoverChannel
-           → per-replica ControlChannel → ReplicaHandle → ContextServer
+           → per-replica ControlChannel → ContextServer (the replica)
 
 Every call's outcome travels up as an :class:`~repro.phi.channel.RpcResult`:
 a replica that cannot serve (down or cut off) is a non-OK status the

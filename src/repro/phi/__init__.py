@@ -48,7 +48,6 @@ from .fallback import (
 )
 from .plane import Plane, PlaneRunResult, PlaneSpec, SharingMode
 from .replication import (
-    ReplicaHandle,
     ReplicatedContextService,
     ReplicationConfig,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "FailoverStats",
     "GUARD_REASONS",
     "GuardVerdict",
-    "ReplicaHandle",
     "ReplicaHealth",
     "ReplicatedContextService",
     "ReplicationConfig",

@@ -10,7 +10,8 @@ defaults).  Every Phi run puts that protocol on its senders through one
 
     sender -> ResilientContextClient -> FailoverChannel
            -> ControlChannel (one per replica; one for a single server)
-           -> ContextServer | IdealContextOracle | ReplicatedContextService
+           -> ContextServer (a lone one, or each replica of a
+              ReplicatedContextService) | IdealContextOracle
 
 A call takes no simulated time and the failover jitter draws only on
 failure paths, so a plane that never fails runs bit-identically to
@@ -91,7 +92,7 @@ class PlaneSpec:
     table: Optional[WhiskerTable] = None
     mode: SharingMode = SharingMode.PRACTICAL
     window_s: float = 10.0
-    lease_ttl_s: Optional[float] = 300.0
+    lease_ttl_s: float = 300.0
     staleness_ttl_s: float = 10.0
     unavailability: float = 0.0
     outage_period_s: float = 5.0
@@ -112,10 +113,8 @@ class PlaneSpec:
             check(name, getattr(self, name), ge=0, le=1)
         for name in ("staleness_ttl_s", "partition_start_s", "heal_s"):
             check(name, getattr(self, name), ge=0)
-        for name in ("window_s", "outage_period_s"):
+        for name in ("window_s", "outage_period_s", "lease_ttl_s"):
             check(name, getattr(self, name), gt=0)
-        if self.lease_ttl_s is not None:
-            check("lease_ttl_s", self.lease_ttl_s, gt=0)
         if self.replication is not None:
             if self.mode is SharingMode.IDEAL:
                 raise ValueError("the ideal oracle is not replicated")

@@ -11,10 +11,10 @@ deterministic, sim-time-scheduled **anti-entropy merge**:
   (in a canonical order) into the replicas that missed them, via
   :meth:`ContextServer.absorb` — no lease side effects, window expiry
   preserved;
-- lease tables are reconciled from per-replica issue/release logs: a
-  lease is outstanding when *someone* issued it, *nobody* released it,
-  and it has not TTL-expired; every replica's server is rewritten to the
-  merged outstanding set.
+- lease tables are reconciled from each server's outstanding leases and
+  release log, both keyed by a globally unique lease id: a lease is
+  outstanding when *someone* holds it, *nobody* released it, and it has
+  not TTL-expired; every replica's server gets the merged tables.
 
 Replica↔replica connectivity is an explicit mesh (:meth:`sever` /
 :meth:`heal`, driven by :class:`repro.simnet.faults.Outage`); merges
@@ -35,9 +35,6 @@ replica at a time) collisions are rare, and ``n`` is an estimate anyway
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -45,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..simnet.bounds import check
 from ..simnet.engine import Simulator
 from ..telemetry import session as _telemetry_session
-from .context import CongestionContext
 from .server import ConnectionReport, ContextServer
 
 
@@ -73,9 +69,6 @@ class ReplicationConfig:
         check("anti_entropy_period_s", self.anti_entropy_period_s, gt=0)
 
 
-#: A lease's globally unique identity: (issuing replica, local sequence).
-LeaseId = Tuple[int, int]
-
 #: Canonical replay order for anti-entropy: time first, then every field
 #: so the order is total even for same-instant reports (EWMA folds are
 #: order-sensitive; determinism requires a total order).
@@ -90,96 +83,13 @@ _report_key = operator.attrgetter(
 )
 
 
-class ReplicaHandle:
-    """One replica's ``ContextSource`` surface plus its replication logs.
-
-    Senders (through a per-replica
-    :class:`~repro.phi.channel.ControlChannel`) talk to a handle exactly
-    as they would to a plain server.  The handle shadows the server's
-    lease lifecycle with globally identified leases — issue log and
-    release log — so anti-entropy can reconcile lease *knowledge*, not
-    just counts, and tracks which reports this replica has folded in.
-    """
-
-    def __init__(
-        self, service: "ReplicatedContextService", index: int, server: ContextServer
-    ) -> None:
-        self.service = service
-        self.sim: Simulator = service.sim
-        self.index = index
-        self.server = server
-        self._lease_seq = itertools.count()
-        #: Every lease this replica knows was issued (own and learned).
-        self.lease_log: Dict[LeaseId, float] = {}
-        #: Leases this replica knows were released by a report.
-        self.released: Dict[LeaseId, float] = {}
-        #: ``(issued_at, lease_id)`` heap of the leases still to release,
-        #: rebuilt at each merge; may hold TTL-expired ones (skipped).
-        self._unreleased: List[Tuple[float, LeaseId]] = []
-        #: No entry of ``lease_log`` was issued before this.
-        self._oldest_issue_s = math.inf
-        #: Reports folded into this replica's server (window-pruned).
-        self.seen: Set[ConnectionReport] = set()
-
-    # ------------------------------------------------------------------
-    # ContextSource protocol
-    # ------------------------------------------------------------------
-    def lookup(self) -> CongestionContext:
-        """Serve a connection-start lookup from this replica's state."""
-        context = self.server.lookup()
-        now = self.sim._now
-        ttl = self.server.lease_ttl_s
-        if ttl is not None and self._oldest_issue_s <= now - ttl:
-            self._expire_lease_log()
-        lease = (self.index, next(self._lease_seq))
-        self.lease_log[lease] = now
-        heapq.heappush(self._unreleased, (now, lease))
-        self._oldest_issue_s = min(self._oldest_issue_s, now)
-        return context
-
-    def report(self, report: ConnectionReport) -> None:
-        """Accept a connection-end report into this replica's state."""
-        rejected_before = self.server.reports_rejected
-        self.server.report(report)
-        if self.server.reports_rejected > rejected_before:
-            # Dropped whole by robust validation: no lease was released
-            # and nothing entered the window, so nothing to replicate.
-            return
-        ttl = self.server.lease_ttl_s
-        if ttl is not None and self._oldest_issue_s <= self.sim._now - ttl:
-            self._expire_lease_log()
-        while self._unreleased and self._unreleased[0][1] not in self.lease_log:
-            heapq.heappop(self._unreleased)  # TTL-expired since it was pushed
-        if self._unreleased:
-            # Mirror the server's FIFO release: oldest outstanding lease,
-            # with the lease id as a deterministic tie-break.
-            issued_at, oldest = heapq.heappop(self._unreleased)
-            self.released[oldest] = issued_at
-        self.seen.add(report)
-
-    # ------------------------------------------------------------------
-    # Lease bookkeeping
-    # ------------------------------------------------------------------
-    def _expire_lease_log(self) -> None:
-        """Drop TTL-expired entries, mirroring the server's expiry.  The
-        RPC paths test its guard inline: most calls have nothing to drop."""
-        ttl = self.server.lease_ttl_s
-        if ttl is None or self._oldest_issue_s > self.sim._now - ttl:
-            return
-        horizon = self.sim._now - ttl
-        expired = [lid for lid, ts in self.lease_log.items() if ts <= horizon]
-        for lid in expired:
-            del self.lease_log[lid]
-            self.released.pop(lid, None)
-        self._oldest_issue_s = min(self.lease_log.values(), default=math.inf)
-
-
 class ReplicatedContextService:
     """N context-server replicas plus the anti-entropy that binds them.
 
     Construction mirrors :class:`ContextServer` (same estimator knobs,
     applied to every replica) with a :class:`ReplicationConfig` for the
-    distributed-systems shape.  Senders should each be wired to one
+    distributed-systems shape.  A replica is its server, which owns its
+    report window and lease tables.  Senders should each be wired to one
     replica's :meth:`handle` through a
     :class:`~repro.phi.channel.ControlChannel`, with a
     :class:`~repro.phi.failover.FailoverChannel` on top for failover.
@@ -192,7 +102,7 @@ class ReplicatedContextService:
         *,
         config: Optional[ReplicationConfig] = None,
         window_s: float = 10.0,
-        lease_ttl_s: Optional[float] = 300.0,
+        lease_ttl_s: float = 300.0,
         robust: bool = False,
     ) -> None:
         self.sim = sim
@@ -204,13 +114,12 @@ class ReplicatedContextService:
                 window_s=window_s,
                 lease_ttl_s=lease_ttl_s,
                 robust=robust,
+                replica_index=index,
             )
-            for _ in range(self.config.n_replicas)
+            for index in range(self.config.n_replicas)
         ]
-        self.handles: List[ReplicaHandle] = [
-            ReplicaHandle(self, index, server)
-            for index, server in enumerate(self.servers)
-        ]
+        #: Each replica's ``ContextSource`` surface is its server: the same list.
+        self.handles = self.servers
         self._severed: Set[frozenset] = set()
         self.anti_entropy_merges = 0
         self.reports_replicated = 0
@@ -227,9 +136,9 @@ class ReplicatedContextService:
     def n_replicas(self) -> int:
         return len(self.servers)
 
-    def handle(self, index: int) -> ReplicaHandle:
-        """The ``ContextSource``-compatible surface of replica ``index``."""
-        return self.handles[index]
+    def handle(self, index: int) -> ContextServer:
+        """The ``ContextSource`` surface of replica ``index``: its server."""
+        return self.servers[index]
 
     # ------------------------------------------------------------------
     # Mesh connectivity (driven by Outage faults)
@@ -290,43 +199,34 @@ class ReplicatedContextService:
 
     def _merge(self, component: Sequence[int]) -> None:
         """Reconcile reports and leases across one connected component."""
-        now = self.sim.now
-        handles = [self.handles[i] for i in component]
+        servers = [self.servers[i] for i in component]
 
-        # Reports: union of every member's in-window set, replayed into
-        # the members that missed them in one canonical order.
-        # Aged reports leave ``seen`` in place: rebuilding it would rehash
-        # every resident report (a Python-level ``__hash__`` each).
-        union: Set[ConnectionReport] = set()
-        for handle in handles:
-            horizon = now - handle.server.window_s
-            aged = [r for r in handle.seen if r.reported_at < horizon]
-            handle.seen.difference_update(aged)
-            union |= handle.seen
-        for handle in handles:
-            missing = sorted(union - handle.seen, key=_report_key)
-            handle.server.absorb(missing)
+        # Reports: union of every member's window, replayed into the
+        # members that missed them in one canonical order.  Keyed by
+        # identity: a replicated report is the same object everywhere,
+        # and a dataclass ``__hash__`` per report would be a Python call.
+        windows = [server.window() for server in servers]
+        union: Dict[int, ConnectionReport] = {}
+        for window in windows:
+            union.update(window)
+        for server, window in zip(servers, windows):
+            missing = sorted(
+                map(union.__getitem__, union.keys() - window.keys()), key=_report_key
+            )
+            server.absorb(missing)
             self.reports_replicated += len(missing)
-            handle.seen = set(union)
 
-        # Leases: outstanding = union(issued) − union(released) − expired.
-        for handle in handles:
-            handle._expire_lease_log()
-        union_log: Dict[LeaseId, float] = {}
-        union_released: Dict[LeaseId, float] = {}
-        for handle in handles:
-            union_log.update(handle.lease_log)
-            union_released.update(handle.released)
-        outstanding = sorted(
-            (ts, lid) for lid, ts in union_log.items() if lid not in union_released
-        )
-        oldest_issue_s = min(union_log.values(), default=math.inf)
-        for handle in handles:
-            handle.lease_log = dict(union_log)
-            handle.released = dict(union_released)
-            handle._unreleased = list(outstanding)  # sorted, so already a heap
-            handle._oldest_issue_s = oldest_issue_s
-            handle.server.reset_leases([ts for ts, _ in outstanding])
+        # Leases: outstanding = union(outstanding) − union(released),
+        # after TTL expiry; a lease is the same (issued_at, id) everywhere.
+        for server in servers:
+            server._expire_leases()
+        released = set().union(*(server._released for server in servers))
+        outstanding = sorted(set().union(*(server._leases for server in servers)) - released)
+        released = sorted(released)
+        for server in servers:
+            # Sorted lists, so already heaps.
+            server._leases = list(outstanding)
+            server._released = list(released)
 
         self.anti_entropy_merges += 1
         tele = _telemetry_session()

@@ -21,10 +21,11 @@ Two operating modes are provided:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..simnet.bounds import check
 from ..simnet.engine import Simulator
@@ -66,6 +67,12 @@ class ConnectionReport:
         if self.min_rtt_s <= 0:
             return 0.0
         return max(0.0, self.mean_rtt_s - self.min_rtt_s)
+
+
+#: A lease's globally unique identity: (issuing replica, local sequence).
+LeaseId = Tuple[int, int]
+#: One lease as the server orders it: oldest first, the id breaking ties.
+Lease = Tuple[float, LeaseId]
 
 
 #: Smoothing for the queue-delay and loss estimates: the last three
@@ -155,13 +162,16 @@ class ContextServer:
         How long a lookup counts toward ``n`` without a matching report.
         A sender that crashes (or whose report is lost) would otherwise
         inflate the active-connection count forever; its lease expires
-        after this long instead.  ``None`` disables expiry.
+        after this long instead.  It also bounds the release log.
     robust:
         Robust aggregation.  When set, malformed reports are rejected
         outright and the (u, q) estimates switch from EWMA / raw sums to
         trimmed means and influence-capped sums so a minority of
         Byzantine reporters cannot steer them.  The default preserves
         the original trusting estimators bit-for-bit.
+    replica_index:
+        This server's place in a replicated service (a lone server is
+        0): the first half of every lease id it issues.
     """
 
     def __init__(
@@ -170,15 +180,14 @@ class ContextServer:
         bottleneck_capacity_bps: float,
         *,
         window_s: float = 10.0,
-        lease_ttl_s: Optional[float] = 300.0,
+        lease_ttl_s: float = 300.0,
         robust: bool = False,
+        replica_index: int = 0,
     ) -> None:
-        if lease_ttl_s is not None:
-            check("lease_ttl_s", lease_ttl_s, gt=0)
         self.sim = sim
         self.capacity_bps = check("bottleneck_capacity_bps", bottleneck_capacity_bps, gt=0)
         self.window_s = check("window_s", window_s, gt=0)
-        self.lease_ttl_s = lease_ttl_s
+        self.lease_ttl_s = check("lease_ttl_s", lease_ttl_s, gt=0)
         self.robust = robust
 
         self._reports: Deque[ConnectionReport] = deque()
@@ -193,9 +202,13 @@ class ContextServer:
         #: far, which neither ``append`` nor ``popleft`` moves.
         self._clocked: Set[int] = set()
         self._popped = 0
-        #: Lookup timestamps whose connections have not reported back yet;
-        #: each is a lease on one slot of ``n``.
-        self._leases: Deque[float] = deque()
+        #: Heap of the leases whose connections have not reported back
+        #: yet, each on one slot of ``n`` ...
+        self._leases: List[Lease] = []
+        #: ... and of those a report released, which anti-entropy tells
+        #: the peers about.  TTL expiry drops from both.
+        self._released: List[Lease] = []
+        self._lease_ids = zip(itertools.repeat(replica_index), itertools.count())
         self._queue_delay_ewma = 0.0
         self._have_estimate = False
 
@@ -213,7 +226,7 @@ class ContextServer:
         by taking out a lease that a later report releases — or that
         expires after ``lease_ttl_s`` if the sender never reports back.
         """
-        self._leases.append(self.sim._now)
+        heapq.heappush(self._leases, (self.sim._now, next(self._lease_ids)))
         return self.current_context()
 
     def report(self, report: ConnectionReport) -> None:
@@ -242,7 +255,7 @@ class ContextServer:
             # Release the oldest outstanding lease (reports carry no
             # lookup id in the paper's minimal protocol, so FIFO pairing
             # is the best-effort match).
-            self._leases.popleft()
+            heapq.heappush(self._released, heapq.heappop(self._leases))
         self._admit(report, max(0.0, self.sim._now - self.window_s))
         self._expire_old_reports()
 
@@ -319,15 +332,12 @@ class ContextServer:
             resident.append(report)
             bits.append(cached)
 
-    def reset_leases(self, timestamps: Sequence[float]) -> None:
-        """Replace the outstanding-lease table wholesale.
-
-        Used by anti-entropy reconciliation: after replicas exchange
-        lease issue/release knowledge, each server's table is rewritten
-        to the merged view (sorted, so FIFO release and TTL expiry keep
-        popping oldest-first).
-        """
-        self._leases = deque(sorted(timestamps))
+    def window(self) -> Dict[int, ConnectionReport]:
+        """The reports inside the window, keyed by identity: what
+        anti-entropy tells the peers about.  A report delivered after its
+        window passed, still resident behind younger ones, is left out."""
+        horizon = self.sim._now - self.window_s
+        return {id(r): r for r in self._reports if not r.reported_at < horizon}
 
     # ------------------------------------------------------------------
     # Estimation
@@ -358,11 +368,12 @@ class ContextServer:
             self._popped += 1
 
     def _expire_leases(self) -> None:
-        if self.lease_ttl_s is None:
-            return
         horizon = self.sim._now - self.lease_ttl_s
-        while self._leases and self._leases[0] <= horizon:
-            self._leases.popleft()
+        leases, released = self._leases, self._released
+        while leases and leases[0][0] <= horizon:
+            heapq.heappop(leases)
+        while released and released[0][0] <= horizon:
+            heapq.heappop(released)
 
     def estimated_utilization(self) -> float:
         """u: recently reported goodput over the known capacity.

@@ -61,10 +61,9 @@ RETRY_BACKOFF_MAX_S = 2.0
 RETRY_BACKOFF_BUDGET_S = 30.0
 
 
-def exponential_backoff_s(base_s: float, multiplier: float, max_s: float, k: int) -> float:
-    """The wait after the ``k``-th consecutive failure (0-based):
-    ``min(max_s, base_s * multiplier**k)``."""
-    return min(max_s, base_s * multiplier ** k)
+def exponential_backoff_s(k: int) -> float:
+    """The wait after the ``k``-th consecutive failure (0-based)."""
+    return min(RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_BASE_S * RETRY_BACKOFF_MULTIPLIER ** k)
 
 
 #: Consecutive pool breakages *without an intervening success* tolerated
@@ -256,10 +255,7 @@ class SweepSupervisor:
         tele = _telemetry_session()
         if tele.enabled:
             tele.registry.counter("runner.point_failures", kind=kind).inc()
-        backoff = exponential_backoff_s(
-            RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MULTIPLIER, RETRY_BACKOFF_MAX_S,
-            slot.attempts - 1,
-        )
+        backoff = exponential_backoff_s(slot.attempts - 1)
         exhausted = slot.attempts >= self.config.max_attempts
         over_budget = slot.backoff_spent + backoff > RETRY_BACKOFF_BUDGET_S
         if exhausted or over_budget:

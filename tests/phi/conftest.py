@@ -6,8 +6,14 @@ from repro.phi.context import CongestionContext
 IDLE = CongestionContext(utilization=0.0, queue_delay_s=0.0, competing_senders=0.0)
 
 
-def outstanding_leases(handle):
-    """A replica handle's leases issued, not released and not TTL-expired:
-    its view of ``n``'s composition."""
-    handle._expire_lease_log()
-    return {lid: ts for lid, ts in handle.lease_log.items() if lid not in handle.released}
+def outstanding_leases(server):
+    """A server's leases issued, not released and not TTL-expired: its
+    view of ``n``'s composition."""
+    server._expire_leases()
+    return {lid: ts for ts, lid in server._leases}
+
+
+def released_leases(server):
+    """A server's release log, as of its clock."""
+    server._expire_leases()
+    return {lid: ts for ts, lid in server._released}

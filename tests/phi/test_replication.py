@@ -1,5 +1,8 @@
 """Tests for the replicated context service (anti-entropy, local reads)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import telemetry
@@ -94,9 +97,9 @@ class TestAntiEntropyMerge:
             sim.run(until=1.5)
             utils = [s.estimated_utilization() for s in service.servers]
             assert utils[0] == utils[1]
-            seen = [frozenset(h.seen) for h in service.handles]
-            assert seen[0] == seen[1]
-            return utils[0], seen[0]
+            windows = [frozenset(s.window().values()) for s in service.servers]
+            assert windows[0] == windows[1]
+            return utils[0], windows[0]
 
         assert converged_state([0, 0, 0, 0]) == converged_state([1, 0, 1, 0])
 
@@ -131,10 +134,36 @@ class TestAntiEntropyMerge:
         bad = make_report(at=0.0, bytes_transferred=-5)
         service.handle(0).report(bad)
         assert service.servers[0].reports_rejected == 1
-        assert bad not in service.handle(0).seen
+        assert bad not in service.handle(0).window().values()
         sim.run(until=1.5)
         assert service.reports_replicated == 0
-        assert all(bad not in handle.seen for handle in service.handles)
+        assert all(bad not in server.window().values() for server in service.handles)
+
+
+class TestWindowOwnsTheReports:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_report_outlives_the_window(self, n):
+        """A replica keeps a report only while its server's window does:
+        100 reports/s for 30 s leave no report older than ``window_s``
+        alive, at one replica and at three right after a full merge."""
+        sim = Simulator()
+        service = make_service(sim, n=n, period=1.0, window_s=10.0)
+        refs = []
+        for k in range(3000):
+            sim.run(until=0.01 * (k + 1))
+            report = make_report(flow_id=k, at=sim.now)
+            refs.append((report.reported_at, weakref.ref(report)))
+            service.handle(k % n).report(report)
+        del report
+        if n > 1:
+            sim.run(until=30.5)  # the tick at 30 s merges every replica
+            assert service.components() == [[0, 1, 2]]
+            assert service.divergence_history[-1][0] == 30.0
+        gc.collect()
+        horizon = 30.0 - 10.0
+        alive = [at for at, ref in refs if ref() is not None]
+        assert alive and min(alive) >= horizon
+        assert len(alive) == 1001
 
 
 class TestLeaseReconciliation:
@@ -166,12 +195,12 @@ class TestLeaseReconciliation:
         assert all(s.current_context().competing_senders == 1 for s in service.servers)
         sim.run(until=4.5)
         assert all(s.current_context().competing_senders == 0 for s in service.servers)
-        # The handle logs expired too: nothing left to resurrect.
+        # The replica's lease tables expired too: nothing left to resurrect.
         assert outstanding_leases(service.handle(0)) == {}
 
     def test_outstanding_leases_excludes_expired_on_an_idle_handle(self):
-        """No merge and no later call on the handle: the lease expired
-        only by the clock, and the handle must say so, as its server does."""
+        """No merge and no later call on the replica: the lease expired
+        only by the clock, and its server must say so."""
         sim = Simulator()
         service = make_service(sim, n=1, lease_ttl_s=2.0)
         service.handle(0).lookup()

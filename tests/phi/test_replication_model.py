@@ -1,15 +1,15 @@
-"""Lease-log model test and control-plane invariants for ``ReplicaHandle``.
+"""Lease-log model test and control-plane invariants for a replica's leases.
 
 ``LeaseLogModel`` is a replica's lease bookkeeping as it stood before the
 oldest outstanding lease came off a heap: every RPC scans the whole log
 for TTL expiry and ``report()`` takes ``min`` over a dict comprehension of
 everything outstanding.  Random lookup / report / sever / heal / tick
 programs run against a 3-replica service; after every operation each
-handle's outstanding leases and ``released`` must equal the model's,
-and the invariants of the control plane must hold:
+replica server's outstanding leases, release log and their union must
+equal the model's, and the invariants of the control plane must hold:
 
 - the outstanding leases number the server's ``n``
-  for every handle, whether or not it was called since the clock moved;
+  for every replica, whether or not it was called since the clock moved;
 - ``n`` is never negative;
 - no lease is both outstanding and released;
 - ``replica_divergence() == 0.0`` right after a merge spanning all replicas.
@@ -23,7 +23,7 @@ from repro.phi.replication import ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ConnectionReport
 from repro.simnet import Simulator
 
-from .conftest import outstanding_leases
+from .conftest import outstanding_leases, released_leases
 
 CAPACITY_BPS = 10e6
 N_REPLICAS = 3
@@ -90,14 +90,15 @@ def _report(flow_id, at, rng):
     )
 
 
-def _assert_fresh(handle, model, where):
-    """Invariants of a handle whose log was just expired at this clock."""
-    outstanding = outstanding_leases(handle)
+def _assert_fresh(server, model, where):
+    """Invariants of a replica's server, read at this clock."""
+    outstanding = outstanding_leases(server)
+    released = released_leases(server)
     assert outstanding == model.outstanding(), where
-    assert handle.released == model.released, where
-    assert handle.lease_log == model.lease_log, where
-    assert len(outstanding) == handle.server.current_context().competing_senders, where
-    assert not set(outstanding) & set(handle.released), where
+    assert released == model.released, where
+    assert {**outstanding, **released} == model.lease_log, where
+    assert len(outstanding) == server.current_context().competing_senders, where
+    assert not set(outstanding) & set(released), where
 
 
 @pytest.mark.parametrize("ttl", [0.3, 60.0])
@@ -150,12 +151,12 @@ def test_lease_bookkeeping_equals_the_rescan(seed, ttl):
             _assert_fresh(service.handle(replica), models[replica], where)
         else:
             getattr(service, op)(*rng.choice(edges))
-        for index, handle in enumerate(service.handles):
-            # Called or not since the clock moved, every handle answers
-            # for the current clock, as its server does.
+        for index, server in enumerate(service.handles):
+            # Called or not since the clock moved, every replica answers
+            # for the current clock.
             models[index].expire(sim.now)
-            _assert_fresh(handle, models[index], where)
-            assert handle.server.current_context().competing_senders >= 0, where
+            _assert_fresh(server, models[index], where)
+            assert server.current_context().competing_senders >= 0, where
 
     assert merges["full"] > 20 and merges["partial"] > 5, merges
     if ttl < 1.0:

@@ -2,19 +2,20 @@
 per RPC attempt and per flow.
 
 The paper's protocol is one lookup when a connection starts and one
-report when it ends, so on a plane of many short flows those two RPCs are
-the path the idea rests on.  A wall-time bound cannot be held on a shared
-runner; the number of Python function calls a run makes into
-``repro/phi`` is a function of the code and the seed.  An RPC is meant to
-cost about one frame per layer it crosses (client, failover, channel,
-replica, server) plus the estimator's own few; anti-entropy is one pass
-per replica per merge.  A single-server plane crosses the same layers,
-its failover channel over one replica.  The ceilings are what that
-design measures plus ~15-20% (3.12 inlines comprehensions, which only
-lowers the count); every one is far below what the plane cost before
-(57.7 and 60.6 calls per RPC, 115 and 117 per flow) and under 25 per RPC.  A change that pushes a run
-over its ceiling has put a call back on every RPC: find it with
-``python -m cProfile -s ncalls``.
+report when it ends, so on a plane of many short flows those two RPCs
+are the path the idea rests on.  A wall-time bound cannot be held on a
+shared runner; the number of Python function calls a run makes into
+``repro/phi`` is a function of the code and the seed.  An RPC is meant
+to cost about one frame per layer it crosses (client, failover, channel,
+server: a replica is its server) plus the estimator's own few;
+anti-entropy is one pass per replica per merge.  A single-server plane
+crosses the same layers, its failover channel over one replica.  The
+ceilings are what that design measures plus ~15-20% (3.12 inlines
+comprehensions, which only lowers the count); every one is far below
+what the plane cost before (57.7 and 60.6 calls per RPC, 115 and 117 per
+flow) and under 25 per RPC.  A change that pushes a run over its ceiling
+has put a call back on every RPC: find it with ``python -m cProfile -s
+ncalls``.
 
 Only ``call`` events are counted, over the whole run with set-up and
 every merge; an RPC attempt is one replica asked once (``by_replica``),
@@ -104,12 +105,13 @@ def phi_calls(runner, knobs):
 @pytest.mark.parametrize(
     "case, per_rpc_ceiling, per_flow_ceiling",
     [
-        # Measured when the ceilings were set: 15.1 and 30.3 on the short
-        # flows, 18.4 and 35.6 on the golden point, 17.2 and 25.7 on the
-        # degraded short flows (every call crosses the one-replica
+        # Measured when the ceilings were set: 14.1 and 28.2 on the short
+        # flows, 17.3 and 33.3 on the golden point (a replica is its
+        # server: no frame between channel and server), 17.2 and 25.7 on
+        # the degraded short flows (every call crosses the one-replica
         # failover channel; a refused call costs calls but no attempt).
-        pytest.param(SHORTFLOWS, 18.0, 36.0, id="phi_shortflows"),
-        pytest.param(GOLDEN, 21.5, 42.0, id="golden-partitioned"),
+        pytest.param(SHORTFLOWS, 16.5, 33.0, id="phi_shortflows"),
+        pytest.param(GOLDEN, 20.0, 39.0, id="golden-partitioned"),
         pytest.param(SHORTFLOWS_DEGRADED, 20.0, 30.0, id="phi_shortflows-degraded"),
     ],
 )

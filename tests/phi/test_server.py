@@ -174,17 +174,6 @@ class TestLeases:
         # At t=7 the t=0 lease has expired; the t=4 one is still live.
         assert server.current_context().competing_senders == 1
 
-    def test_expiry_disabled_with_none(self):
-        sim, server = self._server(lease_ttl_s=None)
-        server.lookup()
-        sim.schedule(10_000.0, lambda: None)
-        sim.run()
-        assert server.current_context().competing_senders == 1
-
-    def test_default_ttl_is_finite(self):
-        sim, server = self._server()
-        assert server.lease_ttl_s is not None
-
 
 class TestConnectionReport:
     def test_queue_delay(self):

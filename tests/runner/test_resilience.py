@@ -21,23 +21,13 @@ from repro.runner.core import SweepRunner
 from repro.runner.faultinject import ENV_VAR, FaultSpec, fault_spec_from_env
 from repro.runner import resilience as resilience_module
 from repro.runner.resilience import (
-    RETRY_BACKOFF_BASE_S,
     RETRY_BACKOFF_BUDGET_S,
-    RETRY_BACKOFF_MAX_S,
-    RETRY_BACKOFF_MULTIPLIER,
     ResilienceConfig,
     SweepSupervisor,
     _Slot,
     exponential_backoff_s,
 )
 from repro.simnet.engine import WatchdogConfig
-
-
-def retry_backoff(k):
-    """The supervisor's wait before retry ``k`` (0-based)."""
-    return exponential_backoff_s(
-        RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MULTIPLIER, RETRY_BACKOFF_MAX_S, k
-    )
 
 
 def make_runner(preset, *, n_workers=2, resilience=None, watchdog=None):
@@ -61,14 +51,8 @@ def clean_baseline(mini_preset, mini_grid):
 
 class TestRetryPolicy:
     def test_backoff_schedule(self):
-        def backoff(k):
-            return exponential_backoff_s(0.05, 2.0, 1.0, k)
-
-        assert backoff(0) == pytest.approx(0.05)
-        assert backoff(1) == pytest.approx(0.1)
-        assert backoff(2) == pytest.approx(0.2)
-        assert backoff(5) == pytest.approx(1.0)  # capped
-        assert backoff(9) == pytest.approx(1.0)
+        waits = [exponential_backoff_s(k) for k in (0, 1, 2, 5, 6, 9)]
+        assert waits == pytest.approx([0.05, 0.1, 0.2, 1.6, 2.0, 2.0])  # capped at 2 s
 
     def test_backoff_shape_matches_channel_config(self):
         # Each failed attempt pushes the point's eligibility out by the
@@ -80,7 +64,7 @@ class TestRetryPolicy:
             supervisor._record_failure(slot, "exception", "boom", queue, 0.0, None)
             waits.append(slot.eligible_at)
         assert waits == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
-        assert waits == [retry_backoff(k) for k in range(8)]
+        assert waits == [exponential_backoff_s(k) for k in range(8)]
         assert supervisor.report.retries == 8
 
     @pytest.mark.parametrize(
@@ -336,8 +320,8 @@ class TestExceptionsAndTimeouts:
             SimpleNamespace(monotonic=time.monotonic, sleep=lambda s: None),
         )
         within_budget, spent = 0, 0.0
-        while spent + retry_backoff(within_budget) <= RETRY_BACKOFF_BUDGET_S:
-            spent += retry_backoff(within_budget)
+        while spent + exponential_backoff_s(within_budget) <= RETRY_BACKOFF_BUDGET_S:
+            spent += exponential_backoff_s(within_budget)
             within_budget += 1
         max_attempts = 2 * within_budget
         outcome = make_runner(
