@@ -93,16 +93,12 @@ class ExperimentEnv:
             return factory
         return checked_factory(factory, self.check_report)
 
-    def audit(self, faults: Iterable[object] = ()) -> None:
+    def audit(self) -> None:
         """Run the conservation audit over the whole topology now.
 
-        Called automatically at the end of checked scenario runs; pass
-        the run's fault objects so fault-absorbed packets are credited
-        in the wire law.
+        Called automatically at the end of checked scenario runs.
         """
-        simcheck.audit_topology(
-            self.topology, self.sim.now, faults, self.check_report
-        )
+        simcheck.audit_topology(self.topology, self.sim.now, self.check_report)
 
     def now(self) -> float:
         """The run's simulation clock, for the components that take one."""
@@ -176,9 +172,8 @@ def run_preset(
     ``duration_s=None`` keeps the preset's own duration.
 
     ``fault_hook(env)`` runs after the environment is built and before
-    ``senders``; it may schedule data-plane faults on the fresh topology
-    and must return the fault objects it created so checked runs credit
-    absorbed packets in the conservation audit.  ``watchdog`` bounds the
+    ``senders``; it may schedule faults on the fresh environment or just
+    read it.  What it returns is not read.  ``watchdog`` bounds the
     run's event/wall budgets (see
     :class:`~repro.simnet.engine.SimWatchdog`); ``checked`` and
     ``check_report`` feed the simcheck invariant layer (see
@@ -209,7 +204,8 @@ def run_preset(
         checked=checked,
         check_report=check_report,
     )
-    faults: List[object] = list(fault_hook(env)) if fault_hook is not None else []
+    if fault_hook is not None:
+        fault_hook(env)
     built = senders(env)
     factories = [built] * n_senders if callable(built) else list(built)
     if len(factories) != n_senders:
@@ -250,7 +246,7 @@ def run_preset(
             slot.stop()
             per_sender.append(slot.all_stats())
     if env.checked:
-        env.audit(faults)
+        env.audit()
 
     all_stats = [s for sender in per_sender for s in sender]
     drop_rate = env.topology.bottleneck_queue.stats.drop_rate()

@@ -117,7 +117,6 @@ class Table3Result:
 def train_tables(
     *,
     budget: int = 40,
-    max_splits: int = 0,
     duration_s: float = 20.0,
 ) -> tuple:
     """Train the classic and Phi whisker tables (deterministic).
@@ -129,7 +128,6 @@ def train_tables(
         make_table_evaluator(SharingMode.NONE, TABLE3_REMY, duration_s=duration_s),
         WhiskerTable.CLASSIC_DIMENSIONS,
         max_evaluations=budget,
-        max_splits=max_splits,
     )
     remy_result = remy_trainer.train()
 
@@ -137,7 +135,6 @@ def train_tables(
         make_table_evaluator(SharingMode.IDEAL, TABLE3_REMY, duration_s=duration_s),
         WhiskerTable.PHI_DIMENSIONS,
         max_evaluations=budget,
-        max_splits=max_splits,
         # Start from the classic winner's geometry-free equivalent: a fresh
         # phi-dimensional table whose root action is the classic root's.
         initial_table=_seed_phi_table(remy_result.table),

@@ -90,8 +90,7 @@ def fault_windows(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
                 },
             )
             continue
-        # Windowless fault (e.g. RandomLoss) or detail-less edge: pair
-        # begin/end edges observationally.
+        # A detail-less edge: pair begin/end edges observationally.
         if kind == "fault_begin":
             open_begins[(fault, component)] = float(record["t"])
         elif kind == "fault_end":

@@ -54,7 +54,7 @@ SCHEMA: Dict[str, Tuple[int, _Fields]] = {
     # RPC outcomes, failovers, all-suspended refusals, context-mode edges;
     # a handful of events per connection.
     "phi": (8192, (("subject", ""),)),
-    # Injection window edges, absorbs, delays, and run anomalies.  Rare
+    # Outage window edges and run anomalies.  Rare
     # but attribution-critical (the post-mortem matches stalls against
     # fault windows), so they get a ring of their own: a busy data plane
     # would evict a fault edge from the first ring long before a dump.

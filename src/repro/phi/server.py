@@ -235,7 +235,10 @@ class ContextServer:
         On a robust server, a malformed report is dropped whole before
         it touches any estimator state — including its lease release, so
         a garbage-spewing reporter ages out via the lease TTL like a
-        crashed sender rather than silently shrinking ``n``.
+        crashed sender rather than silently shrinking ``n``.  A report
+        whose ``reported_at`` the window has already passed (a backlog
+        flushed after a long outage) releases its lease and teaches
+        nothing else, as in :meth:`absorb`.
         """
         if self.robust:
             reason = report_invalid_reason(report)
@@ -256,7 +259,10 @@ class ContextServer:
             # lookup id in the paper's minimal protocol, so FIFO pairing
             # is the best-effort match).
             heapq.heappush(self._released, heapq.heappop(self._leases))
-        self._admit(report, max(0.0, self.sim._now - self.window_s))
+        horizon = self.sim._now - self.window_s
+        if report.reported_at < horizon:
+            return
+        self._admit(report, max(0.0, horizon))
         self._expire_old_reports()
 
     def _admit(self, report: ConnectionReport, window_start: float) -> None:
@@ -334,8 +340,8 @@ class ContextServer:
 
     def window(self) -> Dict[int, ConnectionReport]:
         """The reports inside the window, keyed by identity: what
-        anti-entropy tells the peers about.  A report delivered after its
-        window passed, still resident behind younger ones, is left out."""
+        anti-entropy tells the peers about.  A report that has aged out
+        but is still resident behind a younger one is left out."""
         horizon = self.sim._now - self.window_s
         return {id(r): r for r in self._reports if not r.reported_at < horizon}
 

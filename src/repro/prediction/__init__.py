@@ -1,7 +1,6 @@
 """Performance prediction (Section 3.5): quantile predictions of download
 time and VoIP quality from location-pooled observations."""
 
-from .bridge import PredictionFeeder, observation_from_stats
 from .history import LocationKey, ObservationStore, PerfObservation
 from .predictor import (
     ACCEPTABLE_MOS,
@@ -25,7 +24,5 @@ __all__ = [
     "ObservationStore",
     "PerfObservation",
     "PerformancePredictor",
-    "PredictionFeeder",
     "e_model_mos",
-    "observation_from_stats",
 ]

@@ -1,15 +1,11 @@
 """The Remy trainer: offline whisker-table optimization.
 
 Remy "is trained offline using trace-driven simulation": starting from a
-single whisker covering the whole memory domain, the trainer alternates
-
-1. **action improvement** — greedily trying neighbour actions on each
-   whisker (most-used first) and keeping changes that improve the median
-   log-power objective over the training scenarios, and
-2. **structure growth** — splitting the most-used whisker so the policy
-   can specialize by memory region.
-
-This is a faithful miniature of the original Remy optimizer; the paper
+fixed whisker table (one whisker covering the whole memory domain, or a
+seed table), the trainer greedily tries neighbour actions on each whisker
+(most-used first) and keeps changes that improve the median log-power
+objective over the training scenarios.  The table's structure is fixed;
+the original Remy optimizer's whisker splitting is left out.  The paper
 retrains it twice, once with the classic 3-feature memory and once with
 the Phi ``util`` dimension added.
 
@@ -67,8 +63,6 @@ class RemyTrainer:
         :attr:`WhiskerTable.PHI_DIMENSIONS`).
     max_evaluations:
         Hard budget on evaluator calls.
-    max_splits:
-        Structure-growth rounds (each multiplies whisker count by 2^d).
     """
 
     def __init__(
@@ -77,15 +71,12 @@ class RemyTrainer:
         dimensions: Sequence[str] = WhiskerTable.CLASSIC_DIMENSIONS,
         *,
         max_evaluations: int = 60,
-        max_splits: int = 1,
         initial_table: Optional[WhiskerTable] = None,
     ) -> None:
         check("max_evaluations", max_evaluations, ge=1, integer=True)
-        check("max_splits", max_splits, ge=0, integer=True)
         self.evaluator = evaluator
         self.dimensions = tuple(dimensions)
         self.max_evaluations = max_evaluations
-        self.max_splits = max_splits
         self.initial_table = initial_table
         self._evaluations = 0
 
@@ -99,7 +90,7 @@ class RemyTrainer:
         return self.max_evaluations - self._evaluations
 
     def train(self) -> TrainingResult:
-        """Run the optimize/split loop until the budget is exhausted."""
+        """Improve actions until no neighbour helps or the budget is spent."""
         self._evaluations = 0
         table = (
             self.initial_table.copy()
@@ -112,21 +103,7 @@ class RemyTrainer:
             TrainingHistoryEntry(self._evaluations, best_score, len(table), "initial")
         )
 
-        for split_round in range(self.max_splits + 1):
-            best_score = self._improve_actions(table, best_score, history)
-            if split_round < self.max_splits and self.budget_left > 0:
-                victim = table.most_used()
-                table.split_whisker(victim)
-                history.append(
-                    TrainingHistoryEntry(
-                        self._evaluations,
-                        best_score,
-                        len(table),
-                        f"split whisker (now {len(table)})",
-                    )
-                )
-            if self.budget_left <= 0:
-                break
+        best_score = self._improve_actions(table, best_score, history)
 
         return TrainingResult(
             table=table,

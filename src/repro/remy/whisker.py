@@ -8,7 +8,6 @@ policy can condition directly on shared bottleneck utilization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,7 +89,7 @@ class Whisker:
         """Whether ``memory`` falls inside this whisker's box.
 
         Boxes are half-open except at the domain's upper edge, where they
-        are closed, so the whole domain stays covered after splits.
+        are closed, so a partitioned table covers the whole domain.
         """
         for dim, (lo, hi) in self.bounds.items():
             value = memory.value(dim)
@@ -104,23 +103,6 @@ class Whisker:
             elif value >= hi:
                 return False
         return True
-
-    def split(self) -> List["Whisker"]:
-        """Split the box at its midpoint along every dimension (2^d children).
-
-        Children inherit the parent's action and start with zero use count.
-        """
-        dims = list(self.bounds)
-        children: List[Whisker] = []
-        n = len(dims)
-        for mask in range(2 ** n):
-            bounds: Box = {}
-            for bit, dim in enumerate(dims):
-                lo, hi = self.bounds[dim]
-                mid = (lo + hi) / 2.0
-                bounds[dim] = (lo, mid) if not (mask >> bit) & 1 else (mid, hi)
-            children.append(Whisker(bounds=bounds, action=self.action))
-        return children
 
 
 class WhiskerTable:
@@ -163,7 +145,7 @@ class WhiskerTable:
         dimension (all other dimensions span their full domain).
 
         Used to seed Remy-Phi training with distinct whiskers per shared-
-        utilization band without paying for a full 2^d split.
+        utilization band.
         """
         if split_dimension not in dimensions:
             raise ValueError(
@@ -195,15 +177,6 @@ class WhiskerTable:
         whisker.use_count += 1
         return whisker.action
 
-    def most_used(self) -> Whisker:
-        """The whisker with the highest use count."""
-        return max(self.whiskers, key=lambda w: w.use_count)
-
-    def split_whisker(self, whisker: Whisker) -> None:
-        """Replace ``whisker`` with its 2^d children."""
-        index = self.whiskers.index(whisker)
-        self.whiskers[index:index + 1] = whisker.split()
-
     def copy(self) -> "WhiskerTable":
         """Deep copy (actions are immutable; boxes are copied)."""
         return WhiskerTable(
@@ -216,37 +189,3 @@ class WhiskerTable:
 
     def __len__(self) -> int:
         return len(self.whiskers)
-
-    # ------------------------------------------------------------------
-    # Serialization (trained tables ship with benches)
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        """Serialize the table to a JSON string."""
-        payload = {
-            "dimensions": list(self.dimensions),
-            "whiskers": [
-                {
-                    "bounds": {dim: list(b) for dim, b in w.bounds.items()},
-                    "action": {
-                        "window_increment": w.action.window_increment,
-                        "window_multiple": w.action.window_multiple,
-                        "intersend_s": w.action.intersend_s,
-                    },
-                }
-                for w in self.whiskers
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WhiskerTable":
-        """Deserialize a table produced by :meth:`to_json`."""
-        payload = json.loads(text)
-        whiskers = [
-            Whisker(
-                bounds={dim: tuple(b) for dim, b in item["bounds"].items()},
-                action=Action(**item["action"]),
-            )
-            for item in payload["whiskers"]
-        ]
-        return cls(tuple(payload["dimensions"]), whiskers)

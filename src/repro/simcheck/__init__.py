@@ -26,7 +26,6 @@ from .conservation import (
     audit_queue,
     audit_router,
     audit_topology,
-    fault_absorbed_packets,
 )
 from .tcpcheck import check_sender_invariants, checked_factory, install_sender_checks
 from .violations import InvariantViolation, ViolationReport, record_violation
@@ -43,7 +42,6 @@ __all__ = [
     "check_sender_invariants",
     "checked_factory",
     "enabled",
-    "fault_absorbed_packets",
     "install_sender_checks",
     "record_violation",
 ]

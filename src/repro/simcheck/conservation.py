@@ -2,20 +2,17 @@
 
 Every packet offered to a link must be accounted for at all times:
 
-- **queue law** (exact): ``enqueued == dequeued + flushed + queued``,
-  in both packets and bytes (drops are counted before enqueue);
+- **queue law** (exact): ``enqueued == dequeued + queued``, in both
+  packets and bytes (drops are counted before enqueue);
 - **link transmitter law** (exact): ``offered == transmitted + queued +
-  dropped + flushed + serializing`` where ``serializing`` is 1 packet
-  when the transmitter is busy and 0 otherwise;
+  dropped + serializing`` where ``serializing`` is 1 packet when the
+  transmitter is busy and 0 otherwise;
 - **dequeue-armed law** (exact): a link's dequeue event is pending iff
   its queue is non-empty — a queued packet nobody will pull is a silent
-  stall that no ledger shows (after a ``flush()`` the event may outlive
-  the packets it was armed for; it fires as a no-op);
-- **wire law** (inequality): ``transmitted - delivered - absorbed >= 0``
-  — the residual is packets still propagating (in flight on the wire)
-  or parked by a :class:`~repro.simnet.faults.DelaySpike`; ``absorbed``
-  counts packets consumed by link faults (outages, flaps, random loss).
-  The law is exact (residual == 0) only on a drained wire, which a run
+  stall that no ledger shows;
+- **wire law** (inequality): ``transmitted - delivered >= 0`` — the
+  residual is packets still propagating (in flight on the wire).  The
+  law is exact (residual == 0) only on a drained wire, which a run
   stopped at ``until=duration`` does not guarantee;
 - **router law** (exact): ``received == forwarded + unroutable``;
 - **host law** (inequality): ``discarded <= received`` (handled packets
@@ -27,9 +24,8 @@ per-packet work), so they run after every checked scenario.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from ..simnet.faults import Outage, RandomLoss
 from ..simnet.link import Link
 from ..simnet.node import Host, Router
 from ..simnet.queues import DropTailQueue
@@ -46,39 +42,27 @@ def audit_queue(
     stats = queue.stats
     queued_packets = len(queue)
     queued_bytes = queue.bytes_queued
-    packet_residual = (
-        stats.enqueued_packets
-        - stats.dequeued_packets
-        - stats.flushed_packets
-        - queued_packets
-    )
+    packet_residual = stats.enqueued_packets - stats.dequeued_packets - queued_packets
     if packet_residual != 0:
         record_violation(
             InvariantViolation(
                 "conservation.queue_packets",
                 name,
                 f"enqueued {stats.enqueued_packets} != dequeued "
-                f"{stats.dequeued_packets} + flushed {stats.flushed_packets} "
-                f"+ queued {queued_packets}",
+                f"{stats.dequeued_packets} + queued {queued_packets}",
                 sim_time=sim_time,
                 details={"residual_packets": packet_residual},
             ),
             report,
         )
-    byte_residual = (
-        stats.enqueued_bytes
-        - stats.dequeued_bytes
-        - stats.flushed_bytes
-        - queued_bytes
-    )
+    byte_residual = stats.enqueued_bytes - stats.dequeued_bytes - queued_bytes
     if byte_residual != 0:
         record_violation(
             InvariantViolation(
                 "conservation.queue_bytes",
                 name,
                 f"enqueued {stats.enqueued_bytes}B != dequeued "
-                f"{stats.dequeued_bytes}B + flushed {stats.flushed_bytes}B "
-                f"+ queued {queued_bytes}B",
+                f"{stats.dequeued_bytes}B + queued {queued_bytes}B",
                 sim_time=sim_time,
                 details={"residual_bytes": byte_residual},
             ),
@@ -88,27 +72,9 @@ def audit_queue(
         report.counted(2)
 
 
-def fault_absorbed_packets(link: Link, faults: Iterable[object] = ()) -> int:
-    """Packets consumed by link faults attributable to ``link``.
-
-    Counts black holes (outages, flaps) and random loss; packets parked
-    by a delay spike are *not* absorbed — they are in flight and will
-    resurface, which is why the wire law stays an inequality on links
-    that ever carried a spike.
-    """
-    absorbed = 0
-    for fault in faults:
-        if isinstance(fault, Outage):
-            absorbed += fault.packets_blackholed_on(link)
-        elif isinstance(fault, RandomLoss) and fault.link is link:
-            absorbed += fault.packets_dropped
-    return absorbed
-
-
 def audit_link(
     link: Link,
     sim_time: float = 0.0,
-    faults: Iterable[object] = (),
     report: Optional[ViolationReport] = None,
 ) -> None:
     """Check the link transmitter and dequeue-armed (exact) and wire
@@ -124,7 +90,6 @@ def audit_link(
         - link.packets_transmitted
         - queued_packets
         - stats.dropped_packets
-        - stats.flushed_packets
         - serializing
     )
     if packet_residual != 0:
@@ -134,8 +99,7 @@ def audit_link(
                 link.name,
                 f"offered {link.packets_offered} != transmitted "
                 f"{link.packets_transmitted} + queued {queued_packets} "
-                f"+ dropped {stats.dropped_packets} + flushed "
-                f"{stats.flushed_packets} + serializing {serializing}",
+                f"+ dropped {stats.dropped_packets} + serializing {serializing}",
                 sim_time=sim_time,
                 details={"residual_packets": packet_residual},
             ),
@@ -149,7 +113,6 @@ def audit_link(
         - link.bytes_transmitted
         - queued_bytes
         - stats.dropped_bytes
-        - stats.flushed_bytes
     )
     byte_law_broken = byte_residual < 0 or (byte_residual == 0) == link.is_busy
     if byte_law_broken:
@@ -166,7 +129,7 @@ def audit_link(
         )
 
     armed = link._dequeue_armed
-    if armed != (queued_packets > 0) and not (armed and stats.flushed_packets):
+    if armed != (queued_packets > 0):
         record_violation(
             InvariantViolation(
                 "conservation.link_dequeue_armed",
@@ -178,15 +141,14 @@ def audit_link(
             report,
         )
 
-    absorbed = fault_absorbed_packets(link, faults)
-    wire_residual = link.packets_transmitted - link.packets_delivered - absorbed
+    wire_residual = link.packets_transmitted - link.packets_delivered
     if wire_residual < 0:
         record_violation(
             InvariantViolation(
                 "conservation.link_wire",
                 link.name,
-                f"delivered {link.packets_delivered} + fault-absorbed "
-                f"{absorbed} exceeds transmitted {link.packets_transmitted}",
+                f"delivered {link.packets_delivered} exceeds transmitted "
+                f"{link.packets_transmitted}",
                 sim_time=sim_time,
                 details={"wire_residual": wire_residual},
             ),
@@ -252,7 +214,6 @@ def audit_host(
 def audit_topology(
     topology,
     sim_time: float = 0.0,
-    faults: Iterable[object] = (),
     report: Optional[ViolationReport] = None,
 ) -> None:
     """Audit every link, router, and host of a dumbbell-like topology.
@@ -264,7 +225,7 @@ def audit_topology(
     links = topology.links
     link_iter = links.values() if hasattr(links, "values") else links
     for link in link_iter:
-        audit_link(link, sim_time, faults, report)
+        audit_link(link, sim_time, report)
     routers = list(getattr(topology, "routers", []))
     for attr in ("left_router", "right_router"):
         router = getattr(topology, attr, None)

@@ -4,7 +4,8 @@ Public surface:
 
 - :class:`Simulator` — the event loop.
 - :class:`Packet`, :data:`MSS_BYTES` — wire units.
-- :class:`DropTailQueue`, :class:`PriorityQueue` — queueing disciplines.
+- :class:`DropTailQueue`, :class:`RedQueue` — queueing disciplines.
+- :class:`Outage` — control-plane fault windows.
 - :class:`Link` — serialization + propagation.
 - :class:`Host`, :class:`Router` — nodes.
 - :class:`DumbbellTopology`, :class:`DumbbellConfig` — the Figure-1 network.
@@ -13,7 +14,7 @@ Public surface:
 """
 
 from .engine import EventHandle, SimulationError, Simulator
-from .faults import DelaySpike, LinkFault, Outage, RandomLoss
+from .faults import Outage
 from .link import Link, bdp_bytes
 from .red import RedQueue
 from .monitor import ActiveFlowTracker, LinkMonitor, LinkSample
@@ -29,7 +30,7 @@ from .packet import (
     make_ack_packet,
     make_data_packet,
 )
-from .queues import DropTailQueue, PriorityQueue, QueueStats
+from .queues import DropTailQueue, QueueStats
 from .random import RngStreams
 from .topology import (
     DEFAULT_ACCESS_BANDWIDTH_BPS,
@@ -46,7 +47,6 @@ __all__ = [
     "MSS_BYTES",
     "PAPER_BUFFER_BDP_MULTIPLE",
     "ActiveFlowTracker",
-    "DelaySpike",
     "DropTailQueue",
     "DumbbellConfig",
     "DumbbellTopology",
@@ -55,17 +55,14 @@ __all__ = [
     "FlowSpec",
     "Host",
     "Link",
-    "LinkFault",
     "LinkMonitor",
     "LinkSample",
-    "RandomLoss",
     "RedQueue",
     "Node",
     "Outage",
     "Packet",
     "PacketKind",
     "ParkingLotTopology",
-    "PriorityQueue",
     "QueueStats",
     "RngStreams",
     "Router",

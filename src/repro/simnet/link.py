@@ -80,9 +80,9 @@ class Link:
         self._packets_committed = 0
         # Conservation ledger (see repro.simcheck.conservation): every
         # packet offered to the link is eventually transmitted, queued,
-        # dropped/flushed by the queue, or in serialization; every
-        # transmitted packet is delivered unless a fault absorbs it or it
-        # is still propagating.  Plain int increments, negligible cost.
+        # dropped by the queue, or in serialization; every transmitted
+        # packet is delivered or still propagating.  Plain int
+        # increments, negligible cost.
         self.bytes_offered = 0
         self.packets_offered = 0
         self.packets_delivered = 0
@@ -143,9 +143,6 @@ class Link:
         """The wire cleared with packets waiting: serialize the head."""
         now = self.sim._now
         packet = self.queue.dequeue()
-        if packet is None:  # flushed since this event was armed
-            self._dequeue_armed = False
-            return
         size = packet.size_bytes
         self._busy_until = done = now + size * self._seconds_per_byte
         self._tx_bytes = size

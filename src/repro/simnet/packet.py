@@ -66,7 +66,6 @@ class Packet:
         "sent_at",
         "echo_timestamp",
         "is_retransmit",
-        "priority",
         "sack_blocks",
     )
 
@@ -81,7 +80,6 @@ class Packet:
         *,
         sent_at: float = 0.0,
         is_retransmit: bool = False,
-        priority: int = 0,
     ) -> None:
         self.packet_id = next(_packet_ids)
         self.kind = kind
@@ -99,7 +97,6 @@ class Packet:
         # TcpSender._process_ack, which must RTT-sample the latter.
         self.echo_timestamp: Optional[float] = None
         self.is_retransmit = is_retransmit
-        self.priority = priority
         # SACK blocks on ACKs: received byte ranges above the cumulative
         # ACK, as (start, end) tuples (RFC 2018, up to 4 blocks).
         self.sack_blocks: Tuple[Tuple[int, int], ...] = ()
@@ -111,11 +108,9 @@ def make_data_packet(
     dst: str,
     seq: int,
     payload_bytes: int = MSS_BYTES,
-    *,
-    priority: int = 0,
 ) -> Packet:
     """Construct a DATA packet."""
-    return Packet(PacketKind.DATA, flow_id, src, dst, seq, payload_bytes, priority=priority)
+    return Packet(PacketKind.DATA, flow_id, src, dst, seq, payload_bytes)
 
 
 def make_ack_packet(

@@ -2,15 +2,15 @@
 
 The paper's experiments all use FIFO drop-tail queues ("the prevalence of
 FIFO queueing makes the network not incentive compatible"), so
-:class:`DropTailQueue` is the workhorse.  A priority variant is provided
-for the Section 3.3 prioritization experiments.
+:class:`DropTailQueue` is the workhorse; :class:`~repro.simnet.red.RedQueue`
+is its one variant.
 
 All queues account occupancy both in packets and in bytes (a time
 series of it is :class:`~repro.simnet.monitor.LinkMonitor`'s to keep).
-Every packet that enters a queue leaves through exactly one of three
-doors — dequeue, drop, or flush — so the conservation law
+Every packet that enters a queue leaves it by dequeue, so the
+conservation law
 
-    ``enqueued == dequeued + flushed + still-queued``
+    ``enqueued == dequeued + still-queued``
 
 holds at all times (:func:`repro.simcheck.conservation.audit_queue`
 checks it, in packets and in bytes).
@@ -18,11 +18,9 @@ checks it, in packets and in bytes).
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
-from itertools import count
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Optional
 
 from .. import telemetry as _telemetry
 from .packet import Packet
@@ -38,8 +36,6 @@ class QueueStats:
         "dequeued_bytes",
         "dropped_packets",
         "dropped_bytes",
-        "flushed_packets",
-        "flushed_bytes",
         "peak_packets",
     )
 
@@ -50,8 +46,6 @@ class QueueStats:
         self.dequeued_bytes = 0
         self.dropped_packets = 0
         self.dropped_bytes = 0
-        self.flushed_packets = 0
-        self.flushed_bytes = 0
         self.peak_packets = 0
 
     def drop_rate(self) -> float:
@@ -88,9 +82,7 @@ class DropTailQueue:
             )
         self.capacity_bytes = capacity_bytes
         self._clock = clock
-        # Storage: anything with a length, and the two operations on it
-        # bound once (for a deque, its C methods).  A subclass with another
-        # container rebinds all three and overrides ``_drain``.
+        # The deque's two operations, bound once (its C methods).
         self._queue: Deque[Packet] = deque()
         self._append: Callable[[Packet], None] = self._queue.append
         self._popleft: Callable[[], Packet] = self._queue.popleft
@@ -158,58 +150,3 @@ class DropTailQueue:
         stats.dequeued_packets += 1
         stats.dequeued_bytes += packet.size_bytes
         return packet
-
-    def flush(self) -> List[Packet]:
-        """Remove and return all queued packets (used at teardown).
-
-        Drained packets are credited to the ``flushed_*`` counters so the
-        conservation law survives teardown.
-        """
-        drained = self._drain()
-        for packet in drained:
-            self.stats.flushed_packets += 1
-            self.stats.flushed_bytes += packet.size_bytes
-        self._bytes = 0
-        return drained
-
-    def _drain(self) -> List[Packet]:
-        drained = list(self._queue)
-        self._queue.clear()
-        return drained
-
-
-class PriorityQueue(DropTailQueue):
-    """A strict-priority variant used for the Section 3.3 experiments.
-
-    Packets with a *lower* ``priority`` value are dequeued first; within a
-    priority class order is FIFO.  Capacity accounting and drop-tail
-    behaviour are inherited unchanged.
-
-    Storage is a binary heap keyed on ``(priority, arrival_seq)``, so
-    both enqueue and dequeue are O(log n) — replacing the previous O(n)
-    rotate-and-scan over the whole deque — while the arrival sequence
-    number keeps same-priority packets in strict FIFO order.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: Optional[int],
-        clock: Callable[[], float],
-    ) -> None:
-        super().__init__(capacity_bytes, clock)
-        self._queue: List[Tuple[int, int, Packet]] = []
-        self._append = self._push
-        self._popleft = self._pop
-        self._arrival = count()
-
-    def _push(self, packet: Packet) -> None:
-        heapq.heappush(self._queue, (packet.priority, next(self._arrival), packet))
-
-    def _pop(self) -> Packet:
-        return heapq.heappop(self._queue)[2]
-
-    def _drain(self) -> List[Packet]:
-        # Drain in dequeue (priority, then FIFO) order.
-        drained = [entry[2] for entry in sorted(self._queue)]
-        self._queue.clear()
-        return drained

@@ -16,7 +16,7 @@ from .bounds import check
 from .engine import Simulator
 from .link import Link, bdp_bytes
 from .node import Host, Router
-from .queues import DropTailQueue, PriorityQueue
+from .queues import DropTailQueue
 
 #: Default access-link speed: fast enough never to be the bottleneck.
 DEFAULT_ACCESS_BANDWIDTH_BPS = 1_000_000_000.0
@@ -41,7 +41,6 @@ class DumbbellConfig:
     buffer_bdp_multiple: float = PAPER_BUFFER_BDP_MULTIPLE
     access_bandwidth_bps: float = DEFAULT_ACCESS_BANDWIDTH_BPS
     access_delay_fraction: float = 0.1
-    priority_queue: bool = False
 
     def __post_init__(self) -> None:
         check("n_senders", self.n_senders, ge=1, integer=True)
@@ -97,8 +96,7 @@ class DumbbellTopology:
         self.senders: List[Host] = []
         self.receivers: List[Host] = []
 
-        queue_cls = PriorityQueue if cfg.priority_queue else DropTailQueue
-        self.bottleneck_queue = queue_cls(cfg.buffer_bytes, lambda: sim.now)
+        self.bottleneck_queue = DropTailQueue(cfg.buffer_bytes, lambda: sim.now)
         self.bottleneck = Link(
             sim,
             "bottleneck",

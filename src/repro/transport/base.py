@@ -79,13 +79,6 @@ class ConnectionStats:
         return max(0.0, self.end_time - self.start_time)
 
     @property
-    def throughput_bps(self) -> float:
-        """Goodput in bits/second over the connection lifetime."""
-        if self.duration <= 0:
-            return 0.0
-        return self.bytes_goodput * 8.0 / self.duration
-
-    @property
     def mean_rtt(self) -> float:
         """Mean of all RTT samples (0 when none were taken)."""
         if not self.rtt_samples:

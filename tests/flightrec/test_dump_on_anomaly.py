@@ -30,10 +30,12 @@ from repro.simnet.engine import (
 )
 
 from tests.runner.conftest import MINI_GRID, MINI_PRESET
+from tests.simnet.linkdrop import LinkDrop
+
 
 def _outage(env):
     """The bottleneck dark over [0.5, 1.0) sim s."""
-    return [Outage(env.sim, 0.5, 0.5, links=[env.topology.bottleneck])]
+    Outage(env.sim, 0.5, 0.5, targets=[LinkDrop(env.topology.bottleneck)])
 
 
 def _calibrated_budget(fault_hook=None):
@@ -65,7 +67,7 @@ def _dump_path(runner, tmp_path):
 
 def _assert_fault_attributed(analysis):
     (window,) = analysis["fault_windows"]
-    assert (window["fault"], window["component"]) == ("Outage", "bottleneck")
+    assert (window["fault"], window["component"]) == ("Outage", "LinkDrop")
     assert (window["start"], window["end"]) == (0.5, 1.0)
     attributed = [
         stall

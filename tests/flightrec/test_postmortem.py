@@ -14,8 +14,7 @@ from repro.flightrec.postmortem import (
 from repro.flightrec.recorder import FlightRecorder
 from repro.phi.channel import ControlChannel
 from repro.phi.server import ContextServer
-from repro.simnet import Outage, Simulator, make_data_packet
-from repro.simnet.link import Link
+from repro.simnet import Outage, Simulator
 
 
 def _transport(kind, t, flow_id, detail=None):
@@ -93,37 +92,22 @@ class Mesh:
         pass
 
 
-class Sink:
-    def receive(self, packet, link):
-        pass
-
-
 #: Each way to take something down for a while, with the windows its
 #: dump must show: one per cut component, labelled by the public fault
-#: class, a link by its name and anything else by its type.
+#: class and the component's type.
 MECHANISMS = {
-    "link": (
-        lambda sim, link, channel: Outage(sim, 0.25, 0.5, links=[link]),
-        [("Outage", "bottleneck", 0.25, 0.75)],
-    ),
-    "link_and_target": (
-        lambda sim, link, channel: Outage(
-            sim, 0.25, 0.5, links=[link], targets=[channel]
-        ),
-        [("Outage", "ControlChannel", 0.25, 0.75), ("Outage", "bottleneck", 0.25, 0.75)],
-    ),
     "target": (
-        lambda sim, link, channel: Outage(sim, 0.25, 0.5, targets=[channel]),
+        lambda sim, channel: Outage(sim, 0.25, 0.5, targets=[channel]),
         [("Outage", "ControlChannel", 0.25, 0.75)],
     ),
     "mesh": (
-        lambda sim, link, channel: Outage(
+        lambda sim, channel: Outage(
             sim, 0.25, 0.5, targets=[channel], mesh=Mesh(), edges=[(0, 1)]
         ),
         [("Outage", "ControlChannel", 0.25, 0.75), ("Outage", "Mesh", 0.25, 0.75)],
     ),
     "scheduled_unavailability": (
-        lambda sim, link, channel: schedule_unavailability(
+        lambda sim, channel: schedule_unavailability(
             channel, fraction=0.5, duration_s=1.0, period_s=1.0
         ),
         [("Outage", "ControlChannel", 0.0, 0.5)],
@@ -136,16 +120,9 @@ class TestSimulatedFaultWindows:
     def test_one_window_per_cut_component(self, mechanism):
         build, expected = MECHANISMS[mechanism]
         sim = Simulator()
-        link = Link(sim, "bottleneck", 8e6, 0.001)
-        link.attach(Sink())
         channel = ControlChannel(sim, ContextServer(sim, 10e6))
         with flightrec.use() as rec:
-            build(sim, link, channel)
-            for i in range(20):
-                sim.schedule_at(
-                    0.05 * i,
-                    lambda i=i: link.send(make_data_packet(1, "a", "b", i, 100)),
-                )
+            build(sim, channel)
             sim.run()
         windows = fault_windows(rec.records())
         assert sorted(

@@ -1,5 +1,8 @@
 """Robustness under injected faults: random loss and link outages.
 
+Both are :class:`tests.simnet.linkdrop.LinkDrop` on one link; an outage
+is a control-plane :class:`Outage` window that holds the drop down.
+
 The reliability invariant: whatever the network does (short of a
 permanent partition), a TCP flow eventually delivers exactly its bytes,
 in order, with no duplicates counted as goodput.
@@ -13,10 +16,11 @@ from repro.simnet import (
     DumbbellTopology,
     FlowSpec,
     Outage,
-    RandomLoss,
     Simulator,
 )
 from repro.transport import CubicSender, NewRenoSender, TcpSink, VegasSender
+
+from tests.simnet.linkdrop import LinkDrop
 
 
 def run_lossy_flow(loss_probability, seed, sender_cls=CubicSender,
@@ -29,9 +33,7 @@ def run_lossy_flow(loss_probability, seed, sender_cls=CubicSender,
     sink = TcpSink(sim, top.receivers[0], spec)
     done = []
     sender = sender_cls(sim, top.senders[0], spec, flow_bytes, done.append)
-    fault = RandomLoss(
-        sim, top.bottleneck, loss_probability, np.random.default_rng(seed)
-    )
+    fault = LinkDrop(top.bottleneck, loss_probability, np.random.default_rng(seed))
     sender.start()
     sim.run(until=until)
     return sender, sink, fault, done
@@ -47,7 +49,7 @@ class TestRandomLossRobustness:
         )
         assert sink.received.contiguous_from(0) == 600_000
         assert sink.received.total_bytes == 600_000
-        assert fault.packets_dropped > 0
+        assert fault.dropped > 0
 
     def test_heavy_loss_still_progresses(self):
         sender, sink, fault, done = run_lossy_flow(
@@ -80,13 +82,15 @@ class TestOutageRobustness:
         sink = TcpSink(sim, top.receivers[0], spec)
         done = []
         sender = CubicSender(sim, top.senders[0], spec, 2_000_000, done.append)
-        Outage(sim, 0.5, 1.0, links=[top.bottleneck])
-        Outage(sim, 3.0, 2.0, links=[top.bottleneck])
+        bottleneck = LinkDrop(top.bottleneck)
+        Outage(sim, 0.5, 1.0, targets=[bottleneck])
+        Outage(sim, 3.0, 2.0, targets=[bottleneck])
         sender.start()
         sim.run(until=300.0)
         assert done
         assert sink.received.contiguous_from(0) == 2_000_000
         assert sender.stats.timeouts >= 2
+        assert bottleneck.dropped > 0
 
     def test_outage_on_ack_path(self):
         """Losing ACKs (reverse path) must not break delivery either."""
@@ -96,11 +100,13 @@ class TestOutageRobustness:
         sink = TcpSink(sim, top.receivers[0], spec)
         done = []
         sender = CubicSender(sim, top.senders[0], spec, 1_000_000, done.append)
-        Outage(sim, 0.4, 1.2, links=[top.reverse])
+        acks = LinkDrop(top.reverse)
+        Outage(sim, 0.4, 1.2, targets=[acks])
         sender.start()
         sim.run(until=300.0)
         assert done
         assert sink.received.contiguous_from(0) == 1_000_000
+        assert acks.dropped > 0
 
     def test_rto_backoff_during_outage(self):
         """During a long outage the RTO backs off exponentially instead of
@@ -110,7 +116,7 @@ class TestOutageRobustness:
         spec = FlowSpec(1, top.senders[0].name, 1, top.receivers[0].name, 443)
         TcpSink(sim, top.receivers[0], spec)
         sender = CubicSender(sim, top.senders[0], spec, 1_000_000)
-        Outage(sim, 0.3, 20.0, links=[top.bottleneck])
+        Outage(sim, 0.3, 20.0, targets=[LinkDrop(top.bottleneck)])
         sender.start()
         sim.run(until=15.0)
         # ~15 s into a dead link: without backoff there would be ~70

@@ -125,6 +125,41 @@ class TestContextServerProtocol:
         assert server.current_context().queue_delay_s == pytest.approx(0.01)
 
 
+class TestLateReports:
+    def test_backlog_report_releases_its_lease_and_teaches_nothing(self):
+        # A backlog flushed after a long outage: four reports stamped 5 s,
+        # with 0.5 s of queueing, delivered at 20 s beside four fresh
+        # reports with 1 ms.  The window (10 s) passed the backlog before
+        # it arrived, so the server must read as if it never got it.
+        fresh = [make_report(20.0, mean_rtt=0.151, min_rtt=0.15, flow_id=i)
+                 for i in range(4)]
+        backlog = [make_report(5.0, mean_rtt=0.65, min_rtt=0.15, flow_id=10 + i)
+                   for i in range(4)]
+        sim = Simulator()
+        late = ContextServer(sim, 15e6, robust=True)
+        clean = ContextServer(sim, 15e6, robust=True)
+
+        def deliver():
+            for server in (late, clean):
+                for _ in fresh:
+                    server.lookup()
+            for _ in backlog:
+                late.lookup()
+            for old, new in zip(backlog, fresh):
+                late.report(old)
+                late.report(new)
+                clean.report(new)
+
+        sim.schedule_at(20.0, deliver)
+        sim.run()
+        assert late.current_context() == clean.current_context()
+        assert late.current_context().competing_senders == 0
+        assert late.current_context().queue_delay_s == pytest.approx(0.001)
+        sim.schedule_at(29.0, lambda: None)
+        sim.run()
+        assert late.current_context() == clean.current_context()
+
+
 class TestLeases:
     """Regression tests for the lookup-without-report leak: a sender that
     crashes (or whose report is lost) must not inflate ``n`` forever."""

@@ -2,7 +2,8 @@
 
 ``RescanServer`` is the estimator as it stood before contributions were
 cached per report — every estimate walks the whole window — copied here
-verbatim as the reference.  Seeded random programs of report / absorb /
+as the reference, with one later rule: a report the window has already
+passed releases its lease and is otherwise skipped, as an absorbed one is.  Seeded random programs of report / absorb /
 lookup / clock advance run against both; after every operation every
 field of the context served must be ``==``, not
 approximately equal: the cached server's claim is bit-identity.
@@ -81,6 +82,8 @@ class RescanServer:
         self._expire_leases()
         if self._leases:
             self._leases.popleft()
+        if report.reported_at < self.sim.now - self.window_s:
+            return  # late: it releases its lease and nothing else
         self._reports.append(report)
         self._expire_old_reports()
         self._fold_estimates(report)

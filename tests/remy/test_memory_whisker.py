@@ -123,30 +123,10 @@ class TestWhiskerTable:
         table.act(Memory.initial())
         assert table.whiskers[0].use_count == 2
 
-    def test_split_produces_2_pow_d_children(self):
-        table = WhiskerTable(("ack_ewma", "send_ewma", "rtt_ratio"))
-        table.split_whisker(table.whiskers[0])
-        assert len(table) == 8
-
-    def test_phi_table_split(self):
-        table = WhiskerTable(WhiskerTable.PHI_DIMENSIONS)
-        table.split_whisker(table.whiskers[0])
-        assert len(table) == 16
-
-    @given(memory_strategy())
-    @settings(max_examples=100)
-    def test_split_table_still_covers_domain(self, memory):
-        table = WhiskerTable()
-        table.split_whisker(table.whiskers[0])
-        table.split_whisker(table.whiskers[0])
-        whisker = table.find(memory)  # must not raise
-        assert whisker in table.whiskers
-
     @given(memory_strategy())
     @settings(max_examples=100)
     def test_exactly_one_whisker_matches(self, memory):
-        table = WhiskerTable(WhiskerTable.PHI_DIMENSIONS)
-        table.split_whisker(table.whiskers[0])
+        table = WhiskerTable.partitioned(WhiskerTable.PHI_DIMENSIONS, "util", 4)
         clamped = memory.clamped()
         matches = [w for w in table.whiskers if w.contains(clamped)]
         assert len(matches) == 1
@@ -172,16 +152,7 @@ class TestWhiskerTable:
         clone.whiskers[0].action = Action(window_increment=9.0)
         assert table.whiskers[0].action.window_increment != 9.0
 
-    def test_json_round_trip(self):
-        table = WhiskerTable.partitioned(WhiskerTable.PHI_DIMENSIONS, "util", 2)
-        table.whiskers[1].action = Action(window_increment=4.0, intersend_s=0.02)
-        restored = WhiskerTable.from_json(table.to_json())
-        assert restored.dimensions == table.dimensions
-        assert len(restored) == len(table)
-        assert restored.whiskers[1].action == table.whiskers[1].action
-
     def test_domain_top_edge_covered(self):
-        table = WhiskerTable()
-        table.split_whisker(table.whiskers[0])
+        table = WhiskerTable.partitioned(WhiskerTable.CLASSIC_DIMENSIONS, "rtt_ratio", 2)
         top = Memory(ack_ewma=1.0, send_ewma=1.0, rtt_ratio=16.0)
-        assert table.find(top)
+        assert table.find(top) is table.whiskers[1]

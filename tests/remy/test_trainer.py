@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.remy.memory import Memory
 from repro.remy.trainer import RemyTrainer
 from repro.remy.whisker import Action, WhiskerTable
 
@@ -13,7 +12,7 @@ class TestTrainerOnToyObjectives:
         def evaluator(table):
             return sum(w.action.window_increment for w in table.whiskers)
 
-        trainer = RemyTrainer(evaluator, max_evaluations=40, max_splits=0)
+        trainer = RemyTrainer(evaluator, max_evaluations=40)
         result = trainer.train()
         assert result.table.whiskers[0].action.window_increment > 1.0
         assert result.score > 1.0
@@ -22,7 +21,7 @@ class TestTrainerOnToyObjectives:
         def evaluator(table):
             return -sum(w.action.intersend_s for w in table.whiskers)
 
-        trainer = RemyTrainer(evaluator, max_evaluations=40, max_splits=0)
+        trainer = RemyTrainer(evaluator, max_evaluations=40)
         result = trainer.train()
         assert result.table.whiskers[0].action.intersend_s < 0.003
 
@@ -33,29 +32,10 @@ class TestTrainerOnToyObjectives:
             calls.append(1)
             return float(len(calls))  # always "improving"
 
-        trainer = RemyTrainer(evaluator, max_evaluations=17, max_splits=2)
+        trainer = RemyTrainer(evaluator, max_evaluations=17)
         result = trainer.train()
         assert result.evaluations <= 17
         assert len(calls) <= 17
-
-    def test_split_grows_table(self):
-        def evaluator(table):
-            table.act(Memory.initial())
-            return 0.0
-
-        trainer = RemyTrainer(
-            evaluator,
-            dimensions=WhiskerTable.CLASSIC_DIMENSIONS,
-            max_evaluations=200,
-            max_splits=1,
-        )  # a constant score accepts no action; the table only splits
-        result = trainer.train()
-        assert len(result.table) == 8
-
-    def test_no_split_when_disabled(self):
-        trainer = RemyTrainer(lambda t: 0.0, max_evaluations=30, max_splits=0)
-        result = trainer.train()
-        assert len(result.table) == 1
 
     def test_initial_table_used(self):
         seed_table = WhiskerTable.partitioned(
@@ -65,7 +45,6 @@ class TestTrainerOnToyObjectives:
             lambda t: 0.0,
             dimensions=WhiskerTable.PHI_DIMENSIONS,
             max_evaluations=5,
-            max_splits=0,
             initial_table=seed_table,
         )
         result = trainer.train()
@@ -74,7 +53,7 @@ class TestTrainerOnToyObjectives:
         assert seed_table.whiskers[0].action == Action.default()
 
     def test_history_records_initial(self):
-        trainer = RemyTrainer(lambda t: 1.0, max_evaluations=5, max_splits=0)
+        trainer = RemyTrainer(lambda t: 1.0, max_evaluations=5)
         result = trainer.train()
         assert result.history[0].note == "initial"
         assert result.history[0].score == 1.0
@@ -82,15 +61,13 @@ class TestTrainerOnToyObjectives:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             RemyTrainer(lambda t: 0.0, max_evaluations=0)
-        with pytest.raises(ValueError):
-            RemyTrainer(lambda t: 0.0, max_splits=-1)
 
     def test_negative_objective_improvement(self):
         # Scores below zero must still allow hill climbing.
         def evaluator(table):
             return -abs(table.whiskers[0].action.window_increment - 5.0) - 1.0
 
-        trainer = RemyTrainer(evaluator, max_evaluations=60, max_splits=0)
+        trainer = RemyTrainer(evaluator, max_evaluations=60)
         result = trainer.train()
         assert result.table.whiskers[0].action.window_increment == pytest.approx(
             5.0, abs=1.01

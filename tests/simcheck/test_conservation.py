@@ -1,6 +1,5 @@
 """Tests for the packet/byte conservation audits."""
 
-import numpy as np
 import pytest
 
 from repro.simcheck import (
@@ -11,37 +10,17 @@ from repro.simcheck import (
     audit_queue,
     audit_router,
     audit_topology,
-    fault_absorbed_packets,
 )
 from repro.simnet import (
     DumbbellConfig,
     DumbbellTopology,
     Outage,
-    RandomLoss,
     Simulator,
     make_data_packet,
 )
 from repro.simnet.link import Link
 
-
-class Target:
-    def mark_down(self):
-        pass
-
-    def mark_up(self):
-        pass
-
-
-#: An outage of the link alone, and one that also takes a control-plane
-#: target down; the wire law must credit what either absorbs.
-BLACKHOLES = {
-    "link": lambda sim, link, start_s, duration_s: Outage(
-        sim, start_s, duration_s, links=[link]
-    ),
-    "link_and_target": lambda sim, link, start_s, duration_s: Outage(
-        sim, start_s, duration_s, links=[link], targets=[Target()]
-    ),
-}
+from tests.simnet.linkdrop import LinkDrop
 
 
 class Collector:
@@ -63,22 +42,6 @@ def loaded_link(sim, n_packets=20, bw=8e6, delay=0.001):
         )
     sim.run()
     return link
-
-
-def blackholed_link(sim, make):
-    """A drained link that sent 30 packets into ``make``'s window, with
-    a 50% random loss stacked under it; returns (link, outage, loss)."""
-    link = Link(sim, "L", 8e6, 0.001)
-    link.attach(Collector(sim))
-    outage = make(sim, link, 0.5, 10.0)
-    loss = RandomLoss(sim, link, 0.5, np.random.default_rng(0))
-    for i in range(30):
-        sim.schedule_at(
-            1.0 + 0.01 * i,
-            lambda i=i: link.send(make_data_packet(1, "a", "b", i, 1000)),
-        )
-    sim.run()
-    return link, outage, loss
 
 
 class TestQueueLaw:
@@ -144,17 +107,6 @@ class TestLinkLaws:
             audit_link(link, sim.now)
         assert excinfo.value.invariant == "conservation.link_dequeue_armed"
 
-    def test_dequeue_event_may_outlive_a_flushed_queue(self):
-        sim = Simulator()
-        link = Link(sim, "L", bandwidth_bps=1e4, delay_s=0.001)
-        link.attach(Collector(sim))
-        for i in range(3):
-            link.send(make_data_packet(1, "a", "b", i, 1000))
-        link.queue.flush()
-        audit_link(link, sim.now)  # armed for packets that are gone
-        sim.run()
-        audit_link(link, sim.now)  # fired as a no-op
-
     def test_lost_offered_packet_detected(self):
         sim = Simulator()
         link = loaded_link(sim)
@@ -180,38 +132,23 @@ class TestLinkLaws:
         assert any(
             v.invariant == "conservation.link_wire" for v in report.violations
         )
-        # A black hole's credit must not hide an over-delivery either,
-        # whichever kind of fault cut the link.
-        for kind, make in BLACKHOLES.items():
-            sim = Simulator()
-            link, outage, loss = blackholed_link(sim, make)
-            audit_link(link, sim.now, faults=[outage, loss])
-            link.packets_delivered += 1
-            report = ViolationReport()
-            audit_link(link, sim.now, faults=[outage, loss], report=report)
-            assert any(
-                v.invariant == "conservation.link_wire" for v in report.violations
-            ), kind
 
-    def test_blackholed_packets_credited_to_faults(self):
-        for kind, make in BLACKHOLES.items():
-            sim = Simulator()
-            link, outage, loss = blackholed_link(sim, make)
-            absorbed = fault_absorbed_packets(link, [outage, loss])
-            assert absorbed == outage.packets_blackholed_on(link) + loss.packets_dropped, kind
-            assert absorbed == 30, kind  # whatever loss passes, the outage eats
-            # Absorbed packets show up as the wire residual; crediting the
-            # faults makes the law exact on this drained link.
-            assert link.packets_transmitted - link.packets_delivered == absorbed, kind
-            audit_link(link, sim.now, faults=[outage, loss])
-
-    def test_foreign_faults_not_credited(self):
+    def test_dropped_deliveries_leave_only_a_wire_residual(self):
         sim = Simulator()
-        link = loaded_link(sim)
-        other = Link(sim, "other", 8e6, 0.001)
-        other.attach(Collector(sim))
-        foreign = Outage(sim, sim.now + 1.0, 1.0, links=[other])
-        assert fault_absorbed_packets(link, [foreign]) == 0
+        link = Link(sim, "L", 8e6, 0.001)
+        link.attach(Collector(sim))
+        drop = LinkDrop(link)
+        Outage(sim, 0.5, 10.0, targets=[drop])
+        for i in range(30):
+            sim.schedule_at(
+                1.0 + 0.01 * i,
+                lambda i=i: link.send(make_data_packet(1, "a", "b", i, 1000)),
+            )
+        sim.run()
+        assert drop.dropped == 30
+        # On a drained wire the residual is exactly what was dropped.
+        assert link.packets_transmitted - link.packets_delivered == 30
+        audit_link(link, sim.now)
 
 
 class TestNodeLaws:

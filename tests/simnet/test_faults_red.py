@@ -1,4 +1,4 @@
-"""Tests for fault injection (outages, random loss) and the RED queue."""
+"""Tests for TCP through a link outage, and for the RED queue."""
 
 from types import SimpleNamespace
 
@@ -10,55 +10,16 @@ from repro.simnet import (
     DumbbellTopology,
     FlowSpec,
     Outage,
-    RandomLoss,
     RedQueue,
     Simulator,
     make_data_packet,
 )
-from repro.simnet.link import Link
 from repro.transport import CubicSender, TcpSink
 
-
-class Collector:
-    def __init__(self, sim):
-        self.sim = sim
-        self.packets = []
-
-    def receive(self, packet, link):
-        self.packets.append((self.sim.now, packet))
-
-
-def simple_link(sim, bw=8e6, delay=0.001):
-    link = Link(sim, "L", bw, delay)
-    dst = Collector(sim)
-    link.attach(dst)
-    return link, dst
+from tests.simnet.linkdrop import LinkDrop
 
 
 class TestOutage:
-    def test_packets_blackholed_during_window(self):
-        sim = Simulator()
-        link, dst = simple_link(sim)
-        outage = Outage(sim, 1.0, 2.0, links=[link])
-        for t, seq in [(0.5, 0), (1.5, 1), (2.5, 2), (3.5, 3)]:
-            sim.schedule_at(
-                t, lambda s=seq: link.send(make_data_packet(1, "a", "b", s, 100))
-            )
-        sim.run()
-        delivered = [p.seq for _t, p in dst.packets]
-        assert delivered == [0, 3]
-        assert outage.packets_blackholed_on(link) == 2
-
-    def test_validation(self):
-        sim = Simulator()
-        link, _ = simple_link(sim)
-        with pytest.raises(ValueError):
-            Outage(sim, 0.0, 0.0, links=[link])
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            Outage(sim, 0.5, 1.0, links=[link])
-
     def test_tcp_survives_outage(self):
         """A connection stalls through a short outage and then completes
         via RTO-driven recovery."""
@@ -68,39 +29,11 @@ class TestOutage:
         TcpSink(sim, top.receivers[0], spec)
         done = []
         sender = CubicSender(sim, top.senders[0], spec, 2_000_000, done.append)
-        Outage(sim, 0.5, 1.5, links=[top.bottleneck])
+        Outage(sim, 0.5, 1.5, targets=[LinkDrop(top.bottleneck)])
         sender.start()
         sim.run(until=120.0)
         assert done, "flow must finish after the outage clears"
         assert sender.stats.timeouts >= 1
-
-
-class TestRandomLoss:
-    def test_statistical_drop_rate(self):
-        sim = Simulator()
-        link, dst = simple_link(sim, bw=1e9)
-        fault = RandomLoss(sim, link, 0.3, np.random.default_rng(0))
-        for i in range(2000):
-            link.send(make_data_packet(1, "a", "b", i, 100))
-        sim.run()
-        assert fault.packets_dropped / 2000 == pytest.approx(0.3, abs=0.05)
-        assert len(dst.packets) == 2000 - fault.packets_dropped
-
-    def test_remove_restores_delivery(self):
-        sim = Simulator()
-        link, dst = simple_link(sim)
-        fault = RandomLoss(sim, link, 0.99, np.random.default_rng(0))
-        fault.remove()
-        for i in range(20):
-            link.send(make_data_packet(1, "a", "b", i, 100))
-        sim.run()
-        assert len(dst.packets) == 20
-
-    def test_validation(self):
-        sim = Simulator()
-        link, _ = simple_link(sim)
-        with pytest.raises(ValueError):
-            RandomLoss(sim, link, 1.0, np.random.default_rng(0))
 
 
 class FakeClock:

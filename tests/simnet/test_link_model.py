@@ -35,7 +35,7 @@ from repro.simcheck import audit_link
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
 from repro.simnet.packet import make_data_packet
-from repro.simnet.queues import DropTailQueue, PriorityQueue
+from repro.simnet.queues import DropTailQueue
 from repro.simnet.red import RedQueue
 from repro.transport import CubicParams
 
@@ -214,10 +214,8 @@ def make(link_class, sim, queue=None):
     return link
 
 
-def packet(seq, priority=0):
-    p = make_data_packet(1, "a", "b", seq, 960)  # 1000 B on the wire
-    p.priority = priority
-    return p
+def packet(seq):
+    return make_data_packet(1, "a", "b", seq, 960)  # 1000 B on the wire
 
 
 #: Wire time of one :func:`packet` on a :func:`make` link, as the links compute it.
@@ -263,56 +261,8 @@ class TestDequeueEvent:
         assert sim.events_processed == 5  # 3 deliveries + 2 dequeues
         assert not link._dequeue_armed
 
-    def test_flush_while_armed_then_fresh_send(self):
-        arrivals = {}
-        for link_class in (ReferenceLink, Link):
-            sim = Simulator()
-            link = make(link_class, sim)
-            link.send(packet(0))
-            link.send(packet(1))
-            assert [p.seq for p in link.queue.flush()] == [1]
-            # Packet 0 is still serializing: the fresh send queues behind
-            # it, and the event armed for the flushed packet pulls it.
-            sim.schedule_at(0.5 * TX, link.send, packet(2))
-            sim.run()
-            audit_link(link, sim.now)
-            assert sim.pending_events == 0
-            sim.schedule_at(1.0, link.send, packet(3))
-            sim.run()
-            audit_link(link, sim.now)
-            arrivals[link_class] = link.dst_node.arrivals
-        assert arrivals[Link] == arrivals[ReferenceLink]
-        assert arrivals[Link] == [(TX + 0.01, 0), (TX + TX + 0.01, 2), (1.0 + TX + 0.01, 3)]
-
-    def test_flushed_queue_makes_the_pending_event_a_no_op(self):
-        sim = Simulator()
-        link = make(Link, sim)
-        link.send(packet(0))
-        link.send(packet(1))
-        link.queue.flush()
-        sim.run()
-        assert link.dst_node.arrivals == [(TX + 0.01, 0)]
-        assert not link._dequeue_armed
-        assert sim.events_processed == 2  # the delivery and the no-op
-        audit_link(link, sim.now)
-        link.send(packet(2))
-        assert sim.pending_events == 1  # idle again: straight to the wire
-
 
 class TestQueueDisciplinesBehindTheLink:
-    def test_priority_queue_dequeues_in_priority_then_fifo_order(self):
-        orders = {}
-        for link_class in (ReferenceLink, Link):
-            sim = Simulator()
-            link = make(link_class, sim, PriorityQueue(None, lambda sim=sim: sim.now))
-            for seq, priority in enumerate([1, 1, 0, 1, 0]):
-                link.send(packet(seq, priority))
-            sim.run()
-            orders[link_class] = link.dst_node.arrivals
-        # Packet 0 met an idle wire; the rest left by (priority, arrival).
-        assert [seq for _, seq in orders[Link]] == [0, 2, 4, 1, 3]
-        assert orders[Link] == orders[ReferenceLink]
-
     def test_red_queue_drops_and_order_are_the_reference_s(self):
         outcomes = {}
         for link_class in (ReferenceLink, Link):

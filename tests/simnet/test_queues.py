@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.packet import make_data_packet
-from repro.simnet.queues import DropTailQueue, PriorityQueue
+from repro.simnet.queues import DropTailQueue
 
 
 class FakeClock:
@@ -16,8 +16,8 @@ class FakeClock:
         return self.t
 
 
-def data(seq=0, payload=1000, priority=0):
-    return make_data_packet(1, "a", "b", seq, payload, priority=priority)
+def data(seq=0, payload=1000):
+    return make_data_packet(1, "a", "b", seq, payload)
 
 
 class TestDropTailBasics:
@@ -48,9 +48,8 @@ class TestDropTailBasics:
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
     def test_capacity_must_be_finite(self, capacity):
         # None is the one way to ask for an unbounded queue.
-        for queue_class in (DropTailQueue, PriorityQueue):
-            with pytest.raises(ValueError):
-                queue_class(capacity, FakeClock())
+        with pytest.raises(ValueError):
+            DropTailQueue(capacity, FakeClock())
 
     def test_drop_when_full(self):
         q = DropTailQueue(1500, FakeClock())
@@ -64,14 +63,6 @@ class TestDropTailBasics:
         q.enqueue(data(payload=1400))  # 1440
         assert not q.enqueue(data(payload=1400))
         assert q.enqueue(data(payload=400))  # 440 fits in remaining 560
-
-    def test_flush_empties_queue(self):
-        q = DropTailQueue(None, FakeClock())
-        for i in range(3):
-            q.enqueue(data(seq=i))
-        drained = q.flush()
-        assert len(drained) == 3
-        assert len(q) == 0 and q.bytes_queued == 0
 
 
 class TestOccupancyIntegral:
@@ -92,31 +83,6 @@ class TestOccupancyIntegral:
 
     def test_drop_rate_empty(self):
         assert DropTailQueue(None, FakeClock()).stats.drop_rate() == 0.0
-
-
-class TestPriorityQueue:
-    def test_lower_priority_value_first(self):
-        q = PriorityQueue(None, FakeClock())
-        q.enqueue(data(seq=0, priority=5))
-        q.enqueue(data(seq=1, priority=1))
-        q.enqueue(data(seq=2, priority=3))
-        assert q.dequeue().seq == 1
-        assert q.dequeue().seq == 2
-        assert q.dequeue().seq == 0
-
-    def test_fifo_within_priority_class(self):
-        q = PriorityQueue(None, FakeClock())
-        for i in range(4):
-            q.enqueue(data(seq=i, priority=2))
-        assert [q.dequeue().seq for _ in range(4)] == [0, 1, 2, 3]
-
-    def test_byte_accounting_preserved(self):
-        q = PriorityQueue(None, FakeClock())
-        q.enqueue(data(seq=0, priority=2, payload=100))
-        q.enqueue(data(seq=1, priority=1, payload=200))
-        total = q.bytes_queued
-        p = q.dequeue()
-        assert q.bytes_queued == total - p.size_bytes
 
 
 class TestQueueProperties:

@@ -35,7 +35,7 @@ from repro.phi.server import ContextServer
 from repro.prioritization import WeightedRenoSender
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Link, Simulator
 from repro.simnet import bounds
-from repro.simnet.faults import DelaySpike, Outage
+from repro.simnet.faults import Outage
 from repro.simnet.monitor import LinkMonitor
 from repro.simnet.random import RngStreams
 from repro.transport import CubicParams
@@ -183,11 +183,6 @@ def _outage(start_s=0.0, duration_s=1.0):
     return Outage(Simulator(), start_s, duration_s, targets=[_Target()])
 
 
-def _spike(start_s=0.0, duration_s=1.0, extra_delay_s=0.1):
-    sim = Simulator()
-    return DelaySpike(sim, _link(sim), start_s, duration_s, extra_delay_s)
-
-
 def _unavailability(fraction=0.0, period_s=5.0):
     channel = SimpleNamespace(sim=Simulator())
     schedule_unavailability(channel, fraction=fraction, duration_s=10.0, period_s=period_s)
@@ -211,7 +206,6 @@ CONSTRUCTORS = {
     ),
     "guard": (lambda capacity_mbps=10.0: ContextGuard(capacity_mbps), dict(capacity_mbps=False)),
     "Outage": (_outage, dict(start_s=False, duration_s=False)),
-    "DelaySpike": (_spike, dict(start_s=False, duration_s=False, extra_delay_s=False)),
     "LinkMonitor": (
         lambda period_s=0.1: LinkMonitor(Simulator(), _link(Simulator()), period_s),
         dict(period_s=False),
