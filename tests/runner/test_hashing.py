@@ -76,12 +76,12 @@ class TestPinnedKeys:
 
     def test_default_point_key(self):
         assert default_key() == (
-            "4da9ebf87871274a5db7ed8cffef2128728a02749afa55279f1cb0f3afcaa1da"
+            "d1e3d09b318b849caf22877c1ef7ed0150c15f945f2cf1898b66401553b0c817"
         )
 
     def test_sweep_key(self):
         assert sweep_key(SweepSpec(preset=MINI_PRESET), MINI_GRID, 2, 0) == (
-            "e0073e3088d654e486fa80a147013813f5a24728b948ae0b3c464c24564302ac"
+            "032afcbf01538642ceaa333f12a332048f1add687984d2c55c355c40cf9967b4"
         )
 
 
