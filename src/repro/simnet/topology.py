@@ -204,6 +204,7 @@ class ParkingLotTopology:
         hop_bandwidth_bps: float = 10_000_000.0,
     ) -> None:
         check("n_hops", n_hops, ge=1, integer=True)
+        check("hop_bandwidth_bps", hop_bandwidth_bps, gt=0)
         self.sim = sim
         self.routers = [Router(f"P{i}") for i in range(n_hops + 1)]
         self.hop_links: List[Link] = []

@@ -14,7 +14,10 @@ from repro.flightrec.postmortem import (
 from repro.flightrec.recorder import FlightRecorder
 from repro.phi.channel import ControlChannel
 from repro.phi.server import ContextServer
-from repro.simnet import Outage, Simulator
+from repro.simnet import Outage, Simulator, make_data_packet
+from repro.simnet.link import Link
+
+from tests.simnet.linkdrop import LinkDrop
 
 
 def _transport(kind, t, flow_id, detail=None):
@@ -92,22 +95,38 @@ class Mesh:
         pass
 
 
+class Sink:
+    def receive(self, packet, link):
+        pass
+
+
 #: Each way to take something down for a while, with the windows its
 #: dump must show: one per cut component, labelled by the public fault
-#: class and the component's type.
+#: class and the component's type (a link is cut through the test-local
+#: ``LinkDrop``).
 MECHANISMS = {
+    "link": (
+        lambda sim, link, channel: Outage(sim, 0.25, 0.5, targets=[LinkDrop(link)]),
+        [("Outage", "LinkDrop", 0.25, 0.75)],
+    ),
+    "link_and_target": (
+        lambda sim, link, channel: Outage(
+            sim, 0.25, 0.5, targets=[LinkDrop(link), channel]
+        ),
+        [("Outage", "ControlChannel", 0.25, 0.75), ("Outage", "LinkDrop", 0.25, 0.75)],
+    ),
     "target": (
-        lambda sim, channel: Outage(sim, 0.25, 0.5, targets=[channel]),
+        lambda sim, link, channel: Outage(sim, 0.25, 0.5, targets=[channel]),
         [("Outage", "ControlChannel", 0.25, 0.75)],
     ),
     "mesh": (
-        lambda sim, channel: Outage(
+        lambda sim, link, channel: Outage(
             sim, 0.25, 0.5, targets=[channel], mesh=Mesh(), edges=[(0, 1)]
         ),
         [("Outage", "ControlChannel", 0.25, 0.75), ("Outage", "Mesh", 0.25, 0.75)],
     ),
     "scheduled_unavailability": (
-        lambda sim, channel: schedule_unavailability(
+        lambda sim, link, channel: schedule_unavailability(
             channel, fraction=0.5, duration_s=1.0, period_s=1.0
         ),
         [("Outage", "ControlChannel", 0.0, 0.5)],
@@ -120,9 +139,16 @@ class TestSimulatedFaultWindows:
     def test_one_window_per_cut_component(self, mechanism):
         build, expected = MECHANISMS[mechanism]
         sim = Simulator()
+        link = Link(sim, "bottleneck", 8e6, 0.001)
+        link.attach(Sink())
         channel = ControlChannel(sim, ContextServer(sim, 10e6))
         with flightrec.use() as rec:
-            build(sim, channel)
+            build(sim, link, channel)
+            for i in range(20):
+                sim.schedule_at(
+                    0.05 * i,
+                    lambda i=i: link.send(make_data_packet(1, "a", "b", i, 100)),
+                )
             sim.run()
         windows = fault_windows(rec.records())
         assert sorted(

@@ -1,4 +1,5 @@
-"""Tests for TCP through a link outage, and for the RED queue."""
+"""Tests for link outages and random loss (through the test-local
+:class:`~tests.simnet.linkdrop.LinkDrop`), and for the RED queue."""
 
 from types import SimpleNamespace
 
@@ -14,12 +15,54 @@ from repro.simnet import (
     Simulator,
     make_data_packet,
 )
+from repro.simnet.link import Link
 from repro.transport import CubicSender, TcpSink
 
 from tests.simnet.linkdrop import LinkDrop
 
 
+class Collector:
+    def __init__(self, sim):
+        self.sim = sim
+        self.packets = []
+
+    def receive(self, packet, link):
+        self.packets.append((self.sim.now, packet))
+
+
+def simple_link(sim, bw=8e6, delay=0.001):
+    link = Link(sim, "L", bw, delay)
+    dst = Collector(sim)
+    link.attach(dst)
+    return link, dst
+
+
 class TestOutage:
+    def test_packets_blackholed_during_window(self):
+        sim = Simulator()
+        link, dst = simple_link(sim)
+        drop = LinkDrop(link)
+        Outage(sim, 1.0, 2.0, targets=[drop])
+        for t, seq in [(0.5, 0), (1.5, 1), (2.5, 2), (3.5, 3)]:
+            sim.schedule_at(
+                t, lambda s=seq: link.send(make_data_packet(1, "a", "b", s, 100))
+            )
+        sim.run()
+        delivered = [p.seq for _t, p in dst.packets]
+        assert delivered == [0, 3]
+        assert drop.dropped == 2
+
+    def test_validation(self):
+        sim = Simulator()
+        drop = LinkDrop(simple_link(sim)[0])
+        with pytest.raises(ValueError):
+            Outage(sim, 0.0, 0.0, targets=[drop])
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError):
+            Outage(sim, 0.5, 1.0, targets=[drop])  # starts in the past
+        assert drop.down == 0
+
     def test_tcp_survives_outage(self):
         """A connection stalls through a short outage and then completes
         via RTO-driven recovery."""
@@ -34,6 +77,19 @@ class TestOutage:
         sim.run(until=120.0)
         assert done, "flow must finish after the outage clears"
         assert sender.stats.timeouts >= 1
+
+
+class TestRandomLoss:
+    def test_statistical_drop_rate(self):
+        # The robustness tests read their loss rate off this injector.
+        sim = Simulator()
+        link, dst = simple_link(sim, bw=1e9)
+        drop = LinkDrop(link, 0.3, np.random.default_rng(0))
+        for i in range(2000):
+            link.send(make_data_packet(1, "a", "b", i, 100))
+        sim.run()
+        assert drop.dropped / 2000 == pytest.approx(0.3, abs=0.05)
+        assert len(dst.packets) == 2000 - drop.dropped
 
 
 class FakeClock:

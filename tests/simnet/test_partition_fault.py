@@ -1,12 +1,25 @@
-"""Tests for the Outage fault cutting targets and mesh edges together,
-and the lease-expiry-vs-outage race on the control plane."""
+"""Tests for the Outage fault cutting targets, mesh edges and links
+together (a link through the test-local ``LinkDrop``), and the
+lease-expiry-vs-outage race on the control plane."""
 
 import pytest
 
 from repro.phi.channel import ControlChannel
 from repro.phi.replication import ReplicatedContextService, ReplicationConfig
 from repro.phi.server import ConnectionReport, ContextServer
-from repro.simnet import Outage, Simulator
+from repro.simnet import Outage, Simulator, make_data_packet
+from repro.simnet.link import Link
+
+from tests.simnet.linkdrop import LinkDrop
+
+
+class Collector:
+    def __init__(self, sim):
+        self.sim = sim
+        self.packets = []
+
+    def receive(self, packet, link):
+        self.packets.append((self.sim.now, packet))
 
 
 class FakeTarget:
@@ -30,6 +43,17 @@ class FakeMesh:
 
     def heal(self, i, j):
         self.severed.discard((i, j))
+
+
+def simple_link(sim, bw=8e6, delay=0.001):
+    link = Link(sim, "L", bw, delay)
+    dst = Collector(sim)
+    link.attach(dst)
+    return link, dst
+
+
+def send_at(sim, link, t, seq):
+    sim.schedule_at(t, lambda: link.send(make_data_packet(1, "a", "b", seq, 100)))
 
 
 class TestMultiTargetOutage:
@@ -69,12 +93,15 @@ class TestPartitionValidation:
 
 
 class TestPartitionSeversEverything:
-    def test_targets_and_mesh_cut_then_healed(self):
+    def test_targets_mesh_and_links_cut_then_healed(self):
         sim = Simulator()
+        link, dst = simple_link(sim)
+        drop = LinkDrop(link)
         target = FakeTarget()
         mesh = FakeMesh()
         partition = Outage(
-            sim, 1.0, 2.0, targets=[target], mesh=mesh, edges=[(0, 2), (1, 2)],
+            sim, 1.0, 2.0,
+            targets=[target, drop], mesh=mesh, edges=[(0, 2), (1, 2)],
         )
         state = {}
         sim.schedule_at(
@@ -85,12 +112,32 @@ class TestPartitionSeversEverything:
                 ups=target.ups,
             ),
         )
+        send_at(sim, link, 2.0, 1)     # inside: blackholed
+        send_at(sim, link, 4.0, 2)     # after heal: delivered
         sim.run()
         assert state["severed"] == {(0, 2), (1, 2)}
         assert state["downs"] == 1 and state["ups"] == 0
+        assert drop.dropped == 1
+        assert [p.seq for _t, p in dst.packets] == [2]
         assert mesh.severed == set()
         assert target.downs == 1 and target.ups == 1
         assert partition.end_s == 3.0
+
+    def test_composes_with_link_flap(self):
+        """A flap stacked on a partitioned link: once the flap is up again
+        the partition still cuts the link; once both have ended the link
+        delivers."""
+        sim = Simulator()
+        link, dst = simple_link(sim)
+        drop = LinkDrop(link)
+        # Flap: down [0.5, 1.5), up after. Partition: [1.0, 3.0).
+        Outage(sim, 0.5, 1.0, targets=[drop])
+        Outage(sim, 1.0, 2.0, targets=[drop, FakeTarget()])
+        send_at(sim, link, 1.6, 1)     # flap up again, partition active
+        send_at(sim, link, 3.5, 2)     # both over: delivered
+        sim.run()
+        assert drop.dropped == 1 and drop.down == 0
+        assert [p.seq for _t, p in dst.packets] == [2]
 
     def test_nests_with_server_outage_downmarks(self):
         """Two overlapping outages on the same channel: the channel stays

@@ -25,19 +25,29 @@ from types import SimpleNamespace
 import pytest
 
 import repro
+from repro.adaptation.jitterbuffer import JitterObservatory
+from repro.diagnosis.timeseries import SeasonalBaseline
 from repro.experiments import DEGRADED, TABLE3_REMY, run_preset
 from repro.flightrec.postmortem import analyze
+from repro.flightrec.recorder import FlightRecorder
 from repro.phi import REFERENCE_POLICY
+from repro.phi.corruption import ByzantineReporter, ContextCorruptor
+from repro.phi.deployment import deployment_factories
+from repro.phi.fallback import ResilientContextClient
 from repro.phi.guard import ContextGuard
-from repro.phi.plane import schedule_unavailability
+from repro.phi.plane import partition_indices, schedule_unavailability
 from repro.phi.replication import ReplicatedContextService
 from repro.phi.server import ContextServer
+from repro.prediction.predictor import e_model_mos
 from repro.prioritization import WeightedRenoSender
+from repro.remy.trainer import RemyTrainer
+from repro.simcheck.fuzz import draw_scenarios
 from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Link, Simulator
 from repro.simnet import bounds
 from repro.simnet.faults import Outage
 from repro.simnet.monitor import LinkMonitor
 from repro.simnet.random import RngStreams
+from repro.simnet.topology import ParkingLotTopology
 from repro.transport import CubicParams
 from repro.transport.base import TcpSender
 from repro.workload import OnOffConfig
@@ -220,6 +230,52 @@ CONSTRUCTORS = {
         dict(stall_threshold_s=False),
     ),
     "schedule_unavailability": (_unavailability, dict(fraction=False, period_s=False)),
+    "ContextCorruptor": (
+        lambda severity=0.5: ContextCorruptor(None, severity), dict(severity=False),
+    ),
+    "ByzantineReporter": (
+        lambda fraction=0.5: ByzantineReporter(None, fraction), dict(fraction=False),
+    ),
+    "ResilientContextClient": (
+        lambda staleness_ttl_s=10.0: ResilientContextClient(
+            None, now=lambda: 0.0, staleness_ttl_s=staleness_ttl_s),
+        dict(staleness_ttl_s=False),
+    ),
+    "deployment_factories": (
+        lambda n_senders=4, modified_fraction=0.5: deployment_factories(
+            n_senders, modified_fraction, None, None),
+        dict(n_senders=True, modified_fraction=False),
+    ),
+    "partition_indices": (
+        lambda n_replicas=3, severity=0.5: partition_indices(n_replicas, severity),
+        dict(n_replicas=True, severity=False),
+    ),
+    "FlightRecorder": (
+        lambda capacity=64: FlightRecorder(phi_capacity=capacity), dict(capacity=True),
+    ),
+    "SeasonalBaseline": (
+        lambda period_bins=288: SeasonalBaseline(period_bins), dict(period_bins=True),
+    ),
+    "ParkingLotTopology": (
+        lambda n_hops=2, hop_bandwidth_bps=1e7: ParkingLotTopology(
+            Simulator(), n_hops, hop_bandwidth_bps),
+        dict(n_hops=True, hop_bandwidth_bps=False),
+    ),
+    "record_jitter": (
+        lambda jitter_s=0.01: JitterObservatory().record_jitter(("isp", "metro"), jitter_s),
+        dict(jitter_s=False),
+    ),
+    "e_model_mos": (
+        lambda rtt_ms=50.0, loss_rate=0.0: e_model_mos(rtt_ms, loss_rate),
+        dict(rtt_ms=False, loss_rate=False),
+    ),
+    "RemyTrainer": (
+        lambda max_evaluations=60: RemyTrainer(None, max_evaluations=max_evaluations),
+        dict(max_evaluations=True),
+    ),
+    "draw_scenarios": (
+        lambda n_cases=0: draw_scenarios(0, n_cases), dict(n_cases=True),
+    ),
 }
 
 
