@@ -190,6 +190,7 @@ class ContextServer:
         self.lease_ttl_s = check("lease_ttl_s", lease_ttl_s, gt=0)
         self.robust = robust
 
+        #: The window, in ``reported_at`` order: expiry pops from the left.
         self._reports: Deque[ConnectionReport] = deque()
         #: Each resident report's goodput bits, parallel to ``_reports``
         #: (0.0 where none): utilization is the builtin ``sum`` over it.
@@ -199,7 +200,7 @@ class ContextServer:
         self._settled: List[float] = []
         #: ... and the few whose bits do (straddling the left edge, or
         #: future-dated), as positions: deque index + reports popped so
-        #: far, which neither ``append`` nor ``popleft`` moves.
+        #: far, which only the insertion merge moves (and re-keys).
         self._clocked: Set[int] = set()
         self._popped = 0
         #: Heap of the leases whose connections have not reported back
@@ -213,7 +214,6 @@ class ContextServer:
         self._have_estimate = False
 
         self.reports_rejected = 0
-        self.report_rejections: dict = {}
 
     # ------------------------------------------------------------------
     # Protocol: lookup at connection start, report at connection end.
@@ -235,18 +235,16 @@ class ContextServer:
         On a robust server, a malformed report is dropped whole before
         it touches any estimator state — including its lease release, so
         a garbage-spewing reporter ages out via the lease TTL like a
-        crashed sender rather than silently shrinking ``n``.  A report
-        whose ``reported_at`` the window has already passed (a backlog
-        flushed after a long outage) releases its lease and teaches
-        nothing else, as in :meth:`absorb`.
+        crashed sender rather than silently shrinking ``n``.  Otherwise
+        it releases a lease and goes into the window by the one
+        insertion path, as an absorbed report does: one whose
+        ``reported_at`` the window has already passed (a backlog flushed
+        after a long outage) teaches nothing else.
         """
         if self.robust:
             reason = report_invalid_reason(report)
             if reason is not None:
                 self.reports_rejected += 1
-                self.report_rejections[reason] = (
-                    self.report_rejections.get(reason, 0) + 1
-                )
                 tele = _telemetry_session()
                 if tele.enabled:
                     tele.registry.counter(
@@ -259,38 +257,7 @@ class ContextServer:
             # lookup id in the paper's minimal protocol, so FIFO pairing
             # is the best-effort match).
             heapq.heappush(self._released, heapq.heappop(self._leases))
-        horizon = self.sim._now - self.window_s
-        if report.reported_at < horizon:
-            return
-        self._admit(report, max(0.0, horizon))
-        self._expire_old_reports()
-
-    def _admit(self, report: ConnectionReport, window_start: float) -> None:
-        """Append ``report`` to the window with its cached contribution and
-        fold it into the queue-delay EWMA."""
-        now = self.sim._now
-        reported_at, duration_s = report.reported_at, report.duration_s
-        conn_start = reported_at - duration_s
-        # _bits_of and ConnectionReport.queue_delay_s, inline.
-        overlap = min(reported_at, now) - max(conn_start, window_start)
-        bits = 0.0
-        if not (overlap <= 0 or duration_s <= 0):  # NaN counts, as in _bits_of
-            bits = report.bytes_transferred * 8.0 * min(1.0, overlap / duration_s) or 0.0
-        self._bits.append(bits)
-        if reported_at <= now and conn_start >= window_start:
-            heapq.heappush(self._settled, conn_start)
-        else:
-            self._clocked.add(len(self._reports) + self._popped)
-        self._reports.append(report)
-        min_rtt_s = report.min_rtt_s
-        queue_delay_s = 0.0 if min_rtt_s <= 0 else max(0.0, report.mean_rtt_s - min_rtt_s)
-        if not self._have_estimate:
-            self._queue_delay_ewma = queue_delay_s
-            self._have_estimate = True
-        else:
-            self._queue_delay_ewma = (
-                (1 - EWMA_ALPHA) * self._queue_delay_ewma + EWMA_ALPHA * queue_delay_s
-            )
+        self._insert((report,))
 
     # ------------------------------------------------------------------
     # Replication hooks (anti-entropy; see repro.phi.replication)
@@ -301,22 +268,39 @@ class ContextServer:
         Anti-entropy replay: the replica that served the original lookup
         already handled the lease lifecycle, so — unlike :meth:`report` —
         no lease is released here.  ``reports`` come in ``reported_at``
-        order; one backward merge puts each where inserting them one by
-        one, walking back from the deque's end, would (it may predate
-        locally received reports), so the sliding-window expiry logic
-        stays valid.  EWMAs fold in batch order.  Robust-mode validation
-        still applies; a report that has already aged out of the window
-        teaches nothing and is skipped.
+        order and go into the window by the one insertion path.
+        Robust-mode validation still applies.
         """
         if self.robust:
             # A peer should never replicate garbage (it validates on
             # receipt), but a robust server stays robust regardless.
             reports = [r for r in reports if report_invalid_reason(r) is None]
+        self._insert(reports)
+
+    def window(self) -> Dict[int, ConnectionReport]:
+        """The reports inside the window, keyed by identity: what
+        anti-entropy tells the peers about.  The left edge moves up to
+        the clock first, so every resident is inside."""
         self._expire_old_reports()
-        horizon = self.sim._now - self.window_s
+        return dict(zip(map(id, self._reports), self._reports))
+
+    def _insert(self, reports: Sequence[ConnectionReport]) -> None:
+        """The one insertion path: merge ``reports``, in ``reported_at``
+        order, into the window, which stays in that order.
+
+        From the batch's newest report down, the residents later than it
+        come off the deque's right end, with their bits and ``_clocked``
+        positions, and go back behind it.  New reports get their bits
+        and fold into the EWMA in batch order; one the window has
+        already passed is skipped, with the older rest of the batch.
+        """
+        self._expire_old_reports()
+        now = self.sim._now
+        horizon = now - self.window_s
+        window_start = max(0.0, horizon)
         resident, bits, clocked = self._reports, self._bits, self._clocked
         # Newest first: the batch, and the residents later than a batch
-        # report, which come off the right end to go back behind it.
+        # report, each as (report, bits or None if new, clock-dependent).
         tail: List[tuple] = []
         for report in reversed(reports):
             reported_at = report.reported_at
@@ -324,26 +308,32 @@ class ContextServer:
                 break  # the rest of the batch is older still
             while resident and resident[-1].reported_at > reported_at:
                 position = len(resident) - 1 + self._popped
-                moved = position in clocked
+                tail.append((resident.pop(), bits.pop(), position in clocked))
                 clocked.discard(position)
-                tail.append((resident.pop(), bits.pop(), moved))
             tail.append((report, None, False))
-        window_start = max(0.0, horizon)
-        for report, cached, moved in reversed(tail):
+        for report, cached, is_clocked in reversed(tail):
             if cached is None:
-                self._admit(report, window_start)
-                continue
-            if moved:
+                reported_at, duration_s = report.reported_at, report.duration_s
+                conn_start = reported_at - duration_s
+                # _bits_of and ConnectionReport.queue_delay_s, inline.
+                overlap = min(reported_at, now) - max(conn_start, window_start)
+                cached = 0.0
+                if not (overlap <= 0 or duration_s <= 0):  # NaN counts, as in _bits_of
+                    cached = report.bytes_transferred * 8.0 * min(1.0, overlap / duration_s) or 0.0
+                is_clocked = not (reported_at <= now and conn_start >= window_start)
+                if not is_clocked:
+                    heapq.heappush(self._settled, conn_start)
+                min_rtt_s = report.min_rtt_s
+                queue_delay_s = 0.0 if min_rtt_s <= 0 else max(0.0, report.mean_rtt_s - min_rtt_s)
+                if self._have_estimate:
+                    queue_delay_s = (
+                        (1 - EWMA_ALPHA) * self._queue_delay_ewma + EWMA_ALPHA * queue_delay_s
+                    )
+                self._queue_delay_ewma, self._have_estimate = queue_delay_s, True
+            if is_clocked:
                 clocked.add(len(resident) + self._popped)
             resident.append(report)
             bits.append(cached)
-
-    def window(self) -> Dict[int, ConnectionReport]:
-        """The reports inside the window, keyed by identity: what
-        anti-entropy tells the peers about.  A report that has aged out
-        but is still resident behind a younger one is left out."""
-        horizon = self.sim._now - self.window_s
-        return {id(r): r for r in self._reports if not r.reported_at < horizon}
 
     # ------------------------------------------------------------------
     # Estimation
@@ -358,8 +348,8 @@ class ContextServer:
             passed += 1
         if passed:
             # The edge passed that many settled connection starts; their
-            # reports, near the deque's old end, now straddle it.  Found before
-            # the expiry below, so none is popped unfound (bar a negative duration).
+            # reports now straddle it or have aged out.  Found before the
+            # expiry below, so none is popped unfound (bar a negative duration).
             clocked = self._clocked
             for p, report in enumerate(self._reports, self._popped):
                 if report.reported_at - report.duration_s < window_start and p not in clocked:

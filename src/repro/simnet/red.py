@@ -14,6 +14,7 @@ drops.  No sender here reacts to ECN marks, so RED only drops.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,9 +40,9 @@ class RedQueue(DropTailQueue):
         max_probability: float = 0.1,
     ) -> None:
         super().__init__(capacity_bytes, clock)
-        if not 0 < min_thresh_bytes < max_thresh_bytes:
+        if not 0 < min_thresh_bytes < max_thresh_bytes < math.inf:
             raise ValueError(
-                f"need 0 < min_thresh < max_thresh, got "
+                f"need 0 < min_thresh < max_thresh < inf, got "
                 f"{min_thresh_bytes} / {max_thresh_bytes}"
             )
         if not 0 < max_probability <= 1:

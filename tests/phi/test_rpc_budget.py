@@ -105,13 +105,13 @@ def phi_calls(runner, knobs):
 @pytest.mark.parametrize(
     "case, per_rpc_ceiling, per_flow_ceiling",
     [
-        # Measured when the ceilings were set: 14.1 and 28.2 on the short
-        # flows, 17.3 and 33.3 on the golden point (a replica is its
+        # Measured when the ceilings were set: 13.1 and 26.3 on the short
+        # flows, 16.5 and 31.9 on the golden point (a replica is its
         # server: no frame between channel and server), 17.2 and 25.7 on
         # the degraded short flows (every call crosses the one-replica
         # failover channel; a refused call costs calls but no attempt).
-        pytest.param(SHORTFLOWS, 16.5, 33.0, id="phi_shortflows"),
-        pytest.param(GOLDEN, 20.0, 39.0, id="golden-partitioned"),
+        pytest.param(SHORTFLOWS, 15.3, 30.5, id="phi_shortflows"),
+        pytest.param(GOLDEN, 19.2, 37.0, id="golden-partitioned"),
         pytest.param(SHORTFLOWS_DEGRADED, 20.0, 30.0, id="phi_shortflows-degraded"),
     ],
 )

@@ -297,18 +297,25 @@ class TestRobustAggregation:
     def test_malformed_reports_rejected_by_reason(self):
         import math as _math
 
+        from repro import telemetry
+
         sim, server = self._server()
-        server.report(make_report(0.0, mean_rtt=_math.nan))
-        server.report(make_report(0.0, bytes_transferred=-1))
-        server.report(make_report(0.0, duration=-1.0))
-        server.report(make_report(0.0, loss=2.0))
-        server.report(make_report(0.0))  # honest
+        with telemetry.use() as tele:
+            server.report(make_report(0.0, mean_rtt=_math.nan))
+            server.report(make_report(0.0, bytes_transferred=-1))
+            server.report(make_report(0.0, duration=-1.0))
+            server.report(make_report(0.0, loss=2.0))
+            server.report(make_report(0.0))  # honest
+            counters = tele.registry.snapshot()["counters"]
         assert server.reports_rejected == 4
-        assert server.report_rejections == {
-            "non_finite": 1,
-            "negative_bytes": 1,
-            "negative_duration": 1,
-            "loss_out_of_range": 1,
+        assert {
+            name: value for name, value in counters.items()
+            if name.startswith("phi.report_rejections")
+        } == {
+            "phi.report_rejections{reason=non_finite}": 1.0,
+            "phi.report_rejections{reason=negative_bytes}": 1.0,
+            "phi.report_rejections{reason=negative_duration}": 1.0,
+            "phi.report_rejections{reason=loss_out_of_range}": 1.0,
         }
         assert len(server._reports) == 1
 

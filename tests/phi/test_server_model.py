@@ -2,11 +2,13 @@
 
 ``RescanServer`` is the estimator as it stood before contributions were
 cached per report — every estimate walks the whole window — copied here
-as the reference, with one later rule: a report the window has already
-passed releases its lease and is otherwise skipped, as an absorbed one is.  Seeded random programs of report / absorb /
-lookup / clock advance run against both; after every operation every
-field of the context served must be ``==``, not
-approximately equal: the cached server's claim is bit-identity.
+as the reference, with one later rule: a report is a lease release plus
+an absorb, so the window has one insertion rule and stays in
+``reported_at`` order, and a report it has already passed is skipped.
+Seeded random programs of report / absorb / lookup / clock advance run
+against both; after every operation every field of the context served
+must be ``==``, not approximately equal: the cached server's claim is
+bit-identity.  Every resident must be inside the window, in order.
 
 ``ContextServer.absorb`` takes anti-entropy's whole batch, in the merge's
 canonical order, and places it with one backward merge; the reference
@@ -82,11 +84,7 @@ class RescanServer:
         self._expire_leases()
         if self._leases:
             self._leases.popleft()
-        if report.reported_at < self.sim.now - self.window_s:
-            return  # late: it releases its lease and nothing else
-        self._reports.append(report)
-        self._expire_old_reports()
-        self._fold_estimates(report)
+        self.absorb(report)
 
     def _fold_estimates(self, report):
         alpha = EWMA_ALPHA
@@ -264,6 +262,10 @@ def _assert_same_answers(server, reference, where):
     # and the window's reports, in order.
     assert [ts for ts, _ in sorted(server._leases)] == list(reference._leases), where
     assert list(server._reports) == list(reference._reports), where
+    # One window rule: every resident is inside, in ``reported_at`` order.
+    stamps = [report.reported_at for report in server._reports]
+    assert all(at >= server.sim.now - WINDOW_S for at in stamps), where
+    assert stamps == sorted(stamps), where
 
 
 def _run_program(seed, robust, n_ops, check_probability, ops=_OPS):
@@ -321,36 +323,71 @@ def test_sparse_estimates_equal_the_rescan(seed, robust):
 @pytest.mark.parametrize("robust", [False, True], ids=["ewma", "robust"])
 @pytest.mark.parametrize("seed", range(200, 206))
 def test_batched_absorb_equals_one_at_a_time(seed, robust):
-    # Batches land behind late local reports (an unsorted deque), before
-    # future-dated ones, and mix expired, zero-duration, longer-than-
-    # window and (robust) invalid reports with same-instant ties.
+    # Batches land behind newer residents, before future-dated ones, and
+    # mix expired, zero-duration, longer-than-window and (robust) invalid
+    # reports with same-instant ties.
     assert _run_program(seed, robust, n_ops=300, check_probability=1.0, ops=_BATCH_OPS) == 300
 
 
 def test_batches_move_residents_and_their_clock_dependence():
     """The generator does what the test above relies on: batches land
-    behind resident reports, clock-dependent ones among them, in a deque
-    that late local reports left out of order."""
+    behind resident reports, clock-dependent ones among them, and late
+    local reports as well as batches keep the window in order."""
     rng = random.Random(200)
     sim, server, _ = _pair(False)
-    moved = clocked_moved = unsorted = 0
+    moved = clocked_moved = 0
     for step in range(400):
         _advance_clock(rng, sim)
         if rng.random() < 0.7:
             server.report(_draw_report(rng, step, sim.now, malformed=False))
-            continue
-        batch = _draw_batch(rng, 1000 * step, sim.now, malformed=False)
-        admitted = [r for r in batch if r.reported_at >= sim.now - WINDOW_S]
-        server._expire_old_reports()
-        resident = list(server._reports)
-        unsorted += any(a.reported_at > b.reported_at for a, b in zip(resident, resident[1:]))
-        index = len(resident)
-        while admitted and index and resident[index - 1].reported_at > admitted[0].reported_at:
-            index -= 1
-            moved += 1
-            clocked_moved += index + server._popped in server._clocked
-        server.absorb(batch)
-    assert moved > 1000 and clocked_moved > 200 and unsorted > 50, (moved, clocked_moved, unsorted)
+        else:
+            batch = _draw_batch(rng, 1000 * step, sim.now, malformed=False)
+            admitted = [r for r in batch if r.reported_at >= sim.now - WINDOW_S]
+            server._expire_old_reports()
+            resident = list(server._reports)
+            index = len(resident)
+            while admitted and index and resident[index - 1].reported_at > admitted[0].reported_at:
+                index -= 1
+                moved += 1
+                clocked_moved += index + server._popped in server._clocked
+            server.absorb(batch)
+        stamps = [report.reported_at for report in server._reports]
+        assert stamps == sorted(stamps), step
+    assert moved > 1000 and clocked_moved > 200, (moved, clocked_moved)
+
+
+def test_a_late_backlog_ages_out_of_the_window():
+    """A robust server gets four 1 ms reports at 20 s, then a backlog of
+    four stamped 12 s with 0.5 s of queueing: inside the window when it
+    lands, passed by 23 s.  Then it leaves nothing behind: 4 residents,
+    and the trimmed q of a server that never got the backlog."""
+
+    def stamped(flow_id, reported_at, queue_delay_s):
+        return ConnectionReport(
+            flow_id=flow_id,
+            reported_at=reported_at,
+            bytes_transferred=3000,
+            duration_s=0.05,
+            mean_rtt_s=0.020 + queue_delay_s,
+            min_rtt_s=0.020,
+            loss_indicator=0.0,
+        )
+
+    sim = Simulator()
+    server, clean = (
+        ContextServer(sim, CAPACITY_BPS, window_s=WINDOW_S, robust=True) for _ in range(2)
+    )
+    sim.run(until=20.0)
+    for flow_id in range(4):
+        report = stamped(flow_id, 20.0, 0.001)
+        server.report(report)
+        clean.report(report)
+    for flow_id in range(4, 8):
+        server.report(stamped(flow_id, 12.0, 0.5))
+    sim.run(until=23.0)
+    q = server.current_context().queue_delay_s
+    assert len(server._reports) == 4 and server.window() == clean.window()
+    assert q == clean.current_context().queue_delay_s == pytest.approx(0.001)
 
 
 def test_programs_reach_a_full_expiring_straddling_window():

@@ -119,6 +119,13 @@ class TestRedQueue:
             self._queue(min_thresh_bytes=30_000)  # above max
         with pytest.raises(ValueError):
             self._queue(max_probability=0.0)
+        for bad in (
+            dict(max_thresh_bytes=float("inf")),  # the average never gets there
+            dict(max_thresh_bytes=float("nan")),
+            dict(min_thresh_bytes=float("nan")),
+        ):
+            with pytest.raises(ValueError):
+                self._queue(**bad)
 
     def test_no_early_drops_below_min_threshold(self):
         q = self._queue()

@@ -3,7 +3,8 @@
 Three scans, over source only (no simulation runs):
 
 - **Stored state.** Every attribute code under ``src/repro`` stores
-  (``x.name = ``, ``x.name += ``, ``x.name: T = ``) and every name in a
+  (``x.name = ``, ``x.name += ``, ``x.name: T = ``, or through a
+  subscript, ``x.name[k] = ``) and every name in a
   ``__slots__`` must be loaded somewhere in ``src/``, ``benchmarks/``,
   ``examples/``, ``scripts/`` or ``perf/`` (tests are not readers), or
   sit on ``ALLOWED`` with its reason.  A field written on every hop or
@@ -26,8 +27,8 @@ context, or ``getattr`` / ``hasattr`` with the name as a constant; the
 definition scan also counts a bare name (a call, a decorator, a dict or
 ``set_defaults`` value).  A load that only feeds an update of the same
 name does not count: one inside the statement that stores it (``x.peak =
-max(x.peak, v)``), or in the test of an ``if`` whose body only assigns
-(``if v > x.peak: x.peak = v``).
+max(x.peak, v)``, ``x.tally[k] = x.tally.get(k, 0) + 1``), or in the test
+of an ``if`` whose body only assigns (``if v > x.peak: x.peak = v``).
 
 Matching by name has a blind spot: a field is taken as read when any
 field of that name anywhere is.  ``ChannelStats.successes`` and
@@ -76,12 +77,21 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _stored_attributes(node):
+    """The attribute nodes ``node`` stores: ``x.name = `` and ``x.name[k] = ``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+            yield sub
+        elif (
+            isinstance(sub, ast.Subscript)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Attribute)
+        ):
+            yield sub.value
+
+
 def _stored_names(node):
-    return {
-        sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
-    }
+    return {sub.attr for sub in _stored_attributes(node)}
 
 
 @lru_cache(maxsize=None)
@@ -89,10 +99,10 @@ def _stores():
     """``{attribute: "path:line"}`` for every attribute the writers store."""
     found = {}
     for path, tree in _trees(WRITER_DIRS):
+        for node in _stored_attributes(tree):
+            found.setdefault(node.attr, f"{path}:{node.lineno}")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                found.setdefault(node.attr, f"{path}:{node.lineno}")
-            elif isinstance(node, ast.Assign) and any(
+            if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__slots__"
                 for target in node.targets
             ):
@@ -250,10 +260,13 @@ def test_update_of_a_name_is_not_its_read():
         "    s.countdown = 10\n"
         "    check(s)\n"
         "getattr(s, 'chain', None)\n"
+        "s.tally[k] = s.tally.get(k, 0) + 1\n"
+        "s.seen[k] = s.count\n"
     )
     tree = ast.parse(source)
-    assert _loads([("snippet", tree)]) >= {"countdown", "chain"}
-    assert not _loads([("snippet", tree)]) & {"hops", "peak", "high"}
+    assert _loads([("snippet", tree)]) >= {"countdown", "chain", "count"}
+    assert not _loads([("snippet", tree)]) & {"hops", "peak", "high", "tally", "seen"}
+    assert _stored_names(tree) >= {"tally", "seen"}
 
 
 def test_a_definition_counts_as_read_by_any_load_outside_tests():
