@@ -15,7 +15,10 @@ fires — when the window bookkeeping must be consistent:
 - RTO timer discipline: a finished sender has no armed RTO, and a sender
   with data outstanding always has one.  "Armed" is the sender's
   deadline field backed by a pending timer event due no later than it
-  (the timer is lazy: see :meth:`~repro.transport.base.TcpSender._arm_rto`).
+  (the timer is lazy: see :meth:`~repro.transport.base.TcpSender._arm_rto`);
+- a send never moves a running timer's deadline later (RFC 6298 §5.1):
+  across an ACK that acknowledges no new data, where only sends can touch
+  the timer, a deadline that was set is not pushed back.
 
 Installation is per-instance monkeypatching (``install_sender_checks``
 wraps ``handle_packet``/``_on_rto``/``_send_available`` as instance
@@ -155,7 +158,25 @@ def install_sender_checks(
     original_send_available = sender._send_available
 
     def checked_handle(packet) -> None:
+        snd_una, deadline = sender.snd_una, sender._rto_deadline
         original_handle(packet)
+        if (
+            deadline is not None
+            and sender.snd_una == snd_una
+            and sender._rto_deadline is not None
+            and sender._rto_deadline > deadline
+        ):
+            record_violation(
+                InvariantViolation(
+                    "tcp.rto_pushed_by_send",
+                    f"flow-{sender.spec.flow_id}",
+                    f"a send moved the running RTO deadline from {deadline} "
+                    f"to {sender._rto_deadline}",
+                    sim_time=sender.sim.now,
+                    details={"deadline": deadline, "moved_to": sender._rto_deadline},
+                ),
+                report,
+            )
         check_sender_invariants(sender, report)
 
     def checked_on_rto() -> None:

@@ -19,6 +19,8 @@ from repro.simnet import DumbbellConfig, DumbbellTopology, FlowSpec, Simulator
 from repro.transport.base import TcpSender
 from repro.transport.sink import TcpSink
 
+from ..transport.test_rto_timer import StubHost, ack
+
 
 def make_sender(flow_bytes=50_000, **kwargs):
     sim = Simulator()
@@ -326,7 +328,37 @@ class TestCheckerMatchesReference:
         }
 
 
+class ArmOnEverySend(TcpSender):
+    """The sender before it followed RFC 6298 §5.1: every send restarts
+    the retransmission timer, running or not."""
+
+    def _send_segment(self, seq: int, is_retransmit: bool) -> None:
+        super()._send_segment(seq, is_retransmit)
+        self._arm_rto()
+
+
 class TestInstallation:
+    @pytest.mark.parametrize(
+        ("sender_cls", "flagged"),
+        [(ArmOnEverySend, ["tcp.rto_pushed_by_send"])],
+        ids=["arm-on-every-send"],
+    )
+    def test_a_send_never_moves_a_running_deadline_later(self, sender_cls, flagged):
+        sim = Simulator()
+        sender = sender_cls(sim, StubHost(), FlowSpec(1, "stub", 10_000, "peer", 443), 100_000)
+        report = ViolationReport()
+        install_sender_checks(sender, report)
+        sender.start()
+        sim.run(until=0.1)
+        sender.handle_packet(ack(sender.mss, 0.0))  # new data: §5.3 restarts it
+        deadline = sender._rto_deadline
+        sim.run(until=0.2)
+        for _ in range(sender.dupack_threshold):  # the fast retransmit is a send
+            sender.handle_packet(ack(sender.mss, None))
+        assert sender.in_recovery
+        assert [v.invariant for v in report.violations] == flagged
+        assert (sender._rto_deadline == deadline) is not flagged
+
     def test_checked_flow_completes_clean(self):
         sim, sender, done = make_sender(200_000)
         report = ViolationReport()
