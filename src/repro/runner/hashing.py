@@ -35,7 +35,10 @@ from ..workload.onoff import OnOffConfig
 #: v6: every Phi plane runs the failover channel, a single server as its
 #: one replica, with a constant suspension window; the control channel's
 #: circuit breaker is gone.  Single-server planes under outages move.
-ENGINE_SIGNATURE = "phi-simnet-v6-one-replica-health"
+#: v7: a send starts the retransmission timer only when it is stopped
+#: (RFC 6298 §5.1), so a sender that keeps sending still times out on a
+#: lost retransmission; lossy runs move.
+ENGINE_SIGNATURE = "phi-simnet-v7-rto-on-stopped-timer"
 
 
 def canonical_json(payload: Any) -> str:

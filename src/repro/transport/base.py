@@ -348,7 +348,8 @@ class TcpSender:
         if is_retransmit:
             stats.retransmits += 1
         self.host.send(packet)
-        self._arm_rto()
+        if self._rto_deadline is None:  # RFC 6298 §5.1: only a stopped timer starts
+            self._arm_rto()
 
     # ------------------------------------------------------------------
     # RTO handling

@@ -204,9 +204,9 @@ class TestStoredRecord:
 #: A 1-s point (``MINI_PRESET``, ``MINI_GRID[0]``, seed 0) as
 #: ``encode_record`` wrote it when ``FlowRecord`` was a frozen dataclass,
 #: its key (and so its checksum) re-pinned at each ``ENGINE_SIGNATURE``
-#: bump since (v6).
+#: bump since (v7).
 PARENT_RECORD = (
-    '{"checksum":"3863d36378cc89405c572d462e791efde5d448ade04ad7845ea6b30b170714df",'
+    '{"checksum":"a0aa7e4ea314ca9cacf37e0c5fb5cf9b42e2251a4eff3e1b5aacc347d27a77ed",'
     '"result":{"bottleneck_drop_rate":0.0,"duration_s":1.0,"events_processed":356,'
     '"flows":[{"bytes_goodput":29107,"bytes_sent":29107,"completed":true,'
     '"end_time":0.7683025337471178,"fast_retransmits":0,"flow_id":1,'
@@ -218,7 +218,7 @@ PARENT_RECORD = (
     '"packets_sent":9,"retransmits":0,"rtt_count":9,'
     '"rtt_digest":"f13105c1cb1ac134d0b2fa574b96acfa1722d6ad8f647db3459d223bd10d3d46",'
     '"start_time":0.11430290800344944,"timeouts":0}],'
-    '"key":"dc2a3030ac3b3ba1c738eb3ae08b18c0e150e5d66cf2407502e26402e31cb497",'
+    '"key":"79680fe7a76dc64a95073cc3385ff698adccf95e6286109de1341cca95a12c3b",'
     '"mean_utilization":0.0439296,"metrics":{"connections":2,"loss_rate":0.0,'
     '"mean_rtt_ms":151.25729167816093,"mean_utilization":0.0439296,'
     '"queueing_delay_ms":0.45268717241373607,"throughput_mbps":0.279454698834981,'

@@ -76,12 +76,12 @@ class TestPinnedKeys:
 
     def test_default_point_key(self):
         assert default_key() == (
-            "d1e3d09b318b849caf22877c1ef7ed0150c15f945f2cf1898b66401553b0c817"
+            "624de527b247c7c17fb0972c7ce99618e3042e58902577de7bc4f4150c0fecf6"
         )
 
     def test_sweep_key(self):
         assert sweep_key(SweepSpec(preset=MINI_PRESET), MINI_GRID, 2, 0) == (
-            "032afcbf01538642ceaa333f12a332048f1add687984d2c55c355c40cf9967b4"
+            "1bcb50c59348f8b78ba6e7178004b02a9d97f446d82a6ac76af1ed1d2c801015"
         )
 
 

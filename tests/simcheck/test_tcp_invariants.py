@@ -340,8 +340,8 @@ class ArmOnEverySend(TcpSender):
 class TestInstallation:
     @pytest.mark.parametrize(
         ("sender_cls", "flagged"),
-        [(ArmOnEverySend, ["tcp.rto_pushed_by_send"])],
-        ids=["arm-on-every-send"],
+        [(TcpSender, []), (ArmOnEverySend, ["tcp.rto_pushed_by_send"])],
+        ids=["shipped", "arm-on-every-send"],
     )
     def test_a_send_never_moves_a_running_deadline_later(self, sender_cls, flagged):
         sim = Simulator()

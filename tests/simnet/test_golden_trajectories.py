@@ -14,6 +14,9 @@ The two fig-2c constants were re-captured with the
 ``phi-simnet-v5-fused-link`` bump (ties at the instant the wire clears
 bypass the queue, which moves ``loss_rate``; ``snd_nxt`` is clamped up to
 ``snd_una``); table-3, partitioned-Phi and window-full passed unedited.
+They moved again with ``phi-simnet-v7-rto-on-stopped-timer`` (a send
+starts the RTO only when it is stopped, RFC 6298 §5.1), and nothing
+else here did.
 
 ``GOLDEN_WINDOW_FULL`` was captured the same way ahead of the cached
 window contributions in ``ContextServer``: a 13 sim-s short-flow run is
@@ -73,8 +76,8 @@ def trajectory_digest(result) -> str:
 GOLDEN_CUBIC = {
     ("table3", 1): "6845e4efdfa21e232ccb6f2be9f66f5b11d9bf9448fdfb9bb9ae1e00e34ea64b",
     ("table3", 2): "e4cb9732934cf052e4dad74f424b9ca3c1d1001af8827572856ecd4c3556c62d",
-    ("fig2c", 1): "c7a9833502823f191534c7ad72e61fdc11e6990f51671fefab55b2b3bd8bf343",
-    ("fig2c", 2): "7f1af4a6a0525cc03a5f8d1625d6eb9226a5f08fb49199f36332fd3039028bf9",
+    ("fig2c", 1): "f34b01fe3b8612dc234b004772c74543a9d751e7604670d4cbbf2d8ffb4ff597",
+    ("fig2c", 2): "2049b523a2f1a34502d89bd108b98cabe427dbc2d466658e01e85a07ed574e41",
 }
 
 GOLDEN_PARTITIONED = "5835403ad1a8a2b0ebc4e879115c5e8ad24d6319ffdfebee4bf5c21fe3d8fa89"

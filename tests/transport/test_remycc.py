@@ -131,3 +131,8 @@ class TestRemySenderBasics:
         assert total_bps <= 8e6 * 1.05
         # No sender starves.
         assert min(delivered) > 0.05 * max(delivered)
+        # Nor stalls: a sender that keeps sending must still time out on a
+        # lost retransmission (RFC 6298 §5.1) and move its ACK point on.
+        sim.run(until=30.0)
+        assert all(s.snd_una > d for s, d in zip(senders, delivered)), (
+            [s.snd_una for s in senders], delivered)

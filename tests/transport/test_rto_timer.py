@@ -45,18 +45,29 @@ class RecordingCubic(CubicSender):
 
 
 class EagerCubic(RecordingCubic):
-    """Reference timer: cancel and reschedule on every (re-)arm."""
+    """Reference timer: cancel and reschedule on every (re-)arm.
+
+    ``_rto_deadline`` is kept only as the running flag the sender's send
+    path reads (RFC 6298 §5.1: a send starts the timer only when it is
+    stopped); the scheduled event alone decides when the RTO is taken.
+    """
 
     _eager_handle = None
 
     def _arm_rto(self) -> None:
         self._cancel_rto()
-        self._eager_handle = self.sim.schedule(self.rtt.rto, self._on_rto)
+        self._rto_deadline = self.sim.now + self.rtt.rto
+        self._eager_handle = self.sim.schedule(self.rtt.rto, self._eager_fired)
 
     def _cancel_rto(self) -> None:
         if self._eager_handle is not None:
             self._eager_handle.cancel()
             self._eager_handle = None
+        self._rto_deadline = None
+
+    def _eager_fired(self) -> None:
+        self._eager_handle = self._rto_deadline = None
+        self._on_rto()
 
 
 def _lossy_run(sender_cls, seed):
@@ -144,7 +155,7 @@ def ack(seq, echo):
 class TestDeadlineTimer:
     def test_start_arms_one_timer_at_the_initial_rto(self):
         sim, sender, host, _ = make_sender()
-        assert len(host.sent) == 2  # window_init segments, two _arm_rto calls
+        assert len(host.sent) == 2  # window_init segments; the first send arms it
         assert sim.pending_events == 1
         assert sender._rto_deadline == INITIAL_RTO_S
         assert sender._rto_timer.time == INITIAL_RTO_S
