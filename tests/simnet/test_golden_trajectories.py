@@ -16,7 +16,9 @@ bypass the queue, which moves ``loss_rate``; ``snd_nxt`` is clamped up to
 ``snd_una``); table-3, partitioned-Phi and window-full passed unedited.
 They moved again with ``phi-simnet-v7-rto-on-stopped-timer`` (a send
 starts the RTO only when it is stopped, RFC 6298 §5.1), and nothing
-else here did.
+else here did.  ``GOLDEN_LOSSY`` was captured with that bump: a lossy
+Fig 2b run, the RED ablation's bottleneck and four competing Remy
+senders, the runs whose loss path no earlier constant pinned.
 
 ``GOLDEN_WINDOW_FULL`` was captured the same way ahead of the cached
 window contributions in ``ContextServer``: a 13 sim-s short-flow run is
@@ -37,22 +39,28 @@ data plane may depend on set or dict iteration order of hashed strings.
 
 import hashlib
 from dataclasses import asdict
+from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
     FIG2A_LOW_UTILIZATION,
+    FIG2B_HIGH_UTILIZATION,
     FIG2C_LONG_RUNNING,
     TABLE3_REMY,
     ScenarioPreset,
     run_cubic_fixed,
     run_degraded_phi_cubic,
     run_partitioned_phi_cubic,
+    run_preset,
 )
 from repro.phi import REFERENCE_POLICY
+from repro.remy import WhiskerTable
+from repro.remy.whisker import Action
 from repro.runner import canonical_json
-from repro.simnet import DumbbellConfig
-from repro.transport import CubicParams
+from repro.simnet import DumbbellConfig, RedQueue
+from repro.transport import CubicParams, CubicSender, RemySender
 from repro.workload import OnOffConfig
 
 from tests.runner.conftest import flow_dict_with_samples
@@ -98,6 +106,68 @@ def test_cubic_fixed_trajectory_is_pinned(name, seed):
     result = run_cubic_fixed(PARAMS, preset, seed=seed, duration_s=duration_s)
     assert result.connections > 0
     assert trajectory_digest(result) == GOLDEN_CUBIC[(name, seed)]
+
+
+GOLDEN_LOSSY = {
+    "fig2b": "ea6e6a534ddbf9503534e1bfe52f49ae2303dece47b346c6473f1236c55b04b0",
+    "red": "ed573f7c3a8a489686bece4b5607d46fcb31490b2bb66ef9eed944f3e0341deb",
+    "remy": "fd219c6eca1ec5bdf19806f8f6196bc3aece2bbd3c28472bd85fb2af62d2ee64",
+}
+
+
+def _red_bottleneck(env):
+    """The RED ablation's queue, swapped in before any traffic."""
+    buffer_bytes = env.topology.config.buffer_bytes
+    red = RedQueue(
+        buffer_bytes,
+        lambda: env.sim.now,
+        np.random.default_rng(1),
+        min_thresh_bytes=0.1 * buffer_bytes,
+        max_thresh_bytes=0.4 * buffer_bytes,
+        max_probability=0.1,
+    )
+    env.topology.bottleneck.queue = env.topology.bottleneck_queue = red
+
+
+def _remy_table():
+    """``test_competing_remy_senders_share_link``'s one-whisker table."""
+    table = WhiskerTable()
+    table.whiskers[0].action = Action(
+        window_increment=2.0, window_multiple=1.0, intersend_s=0.004
+    )
+    return table
+
+
+def _long_running(name, **config):
+    return ScenarioPreset(
+        name=name, config=DumbbellConfig(**config), workload=None,
+        duration_s=10.0, description="a golden's long-running dumbbell",
+    )
+
+
+def _lossy_run(name):
+    if name == "fig2b":
+        return run_cubic_fixed(
+            CubicParams.default(), FIG2B_HIGH_UTILIZATION, seed=1, duration_s=10.0
+        )
+    if name == "red":
+        return run_preset(
+            lambda env: partial(CubicSender, params=CubicParams.default()),
+            _long_running("golden-red", n_senders=16),
+            seed=1, duration_s=6.0, fault_hook=_red_bottleneck,
+        )
+    return run_preset(
+        lambda env: partial(RemySender, table=_remy_table()),
+        _long_running("golden-remy", n_senders=4, bottleneck_bandwidth_bps=8e6),
+        seed=1, duration_s=10.0,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOSSY))
+def test_lossy_trajectory_is_pinned(name):
+    result = _lossy_run(name)
+    assert sum(stats.timeouts for flows in result.per_sender_stats for stats in flows) > 0
+    assert trajectory_digest(result) == GOLDEN_LOSSY[name]
 
 
 def test_partitioned_phi_trajectory_is_pinned():
