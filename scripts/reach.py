@@ -1,17 +1,21 @@
-"""List every ``def`` in ``src/repro`` that no entry point ever calls.
+"""List every line of a def in ``src/repro`` that no entry point runs,
+and the tier-1 test that first runs it.
 
 Name scans count a definition as used when any load of its name exists
-anywhere; this one counts calls.  Each *job* runs in a forked child under
-a ``sys.setprofile`` hook that notes the first call of every code object
-defined in ``src/repro``, pool workers the job forks included.  The jobs
-are the programs the repository ships and CI runs:
+anywhere, and call scans count a def as live when it is called once;
+this one counts lines.  Each *job* runs in a forked child under one
+``sys.settrace`` hook that notes the first run of every line of the
+code defined in ``src/repro``, pool workers the job forks included.  A
+code object none of whose lines is left to see is no longer traced, so
+hot code that has run whole costs only its call event.  The jobs are the
+programs the repository ships and CI runs:
 
 - the six examples, as ``__main__``;
 - ``pytest benchmarks/``, with ``--benchmark-disable`` (pytest-benchmark
-  otherwise lifts any profile hook while a benched function runs; the
+  otherwise lifts any trace hook while a benched function runs; the
   function still runs once);
 - the CLI commands of every CI job, in CI's order, with ``--workers 2``
-  for pooled sweeps (so forked workers are profiled) and without the
+  for pooled sweeps (so forked workers are traced) and without the
   steps that depend on a wall clock (the fault-smoke SIGKILL), and each
   CLI verb CI does not run, once at a small size (with the poison
   modes and Byzantine reporters CI does not draw);
@@ -21,55 +25,57 @@ are the programs the repository ships and CI runs:
 - ``scripts/validate_manifest.py`` on the manifests and trace the CLI
   jobs wrote.
 
-A ``def`` (``ast.FunctionDef``, nested ones included) that none of them
-called is *uncalled*.  Interface declarations are never called and are
-not counted: the members of a ``Protocol`` class, and a method whose
-body only raises ``NotImplementedError``.  The uncalled defs are kept as
-sorted ``path::qualname`` lines in ``scripts/uncalled.txt``, each
-followed by its outcome: ``failure path: <tier-1 test id>`` or ``reserved: ROADMAP
-<item>, expires PR <n>``.  A def that has neither is deleted instead.
-Each run rewrites the file, keeping the outcome of every line that
-stays, and exits 1 when the set of uncalled defs differs from the one
-committed, in either direction, or when a failure path's test, run
-alone under the hook, does not call its def.  ``tests/test_reach_list.py``
-checks the rest of the outcomes without running anything.
+A def's lines are the lines of the instructions in its code (the
+prologue up to the first ``RESUME`` aside, which raises no line event),
+with the lambdas, comprehensions and classes nested in it; a nested def
+has its own.  Interface declarations are not counted: the members of a
+``Protocol`` class, and a method whose body only raises
+``NotImplementedError``.  Module and class bodies run at import and are
+not counted either.
 
-Run from the repository root: ``python scripts/reach.py`` (about 16 min
-on two cores; two jobs run at a time).
+A last job runs tier-1 (``pytest tests``) under the same hook, tracing
+only the lines no entry point ran, and records the id of the first test
+that runs each.  ``scripts/unrun.txt`` holds one sorted entry per def
+with such a line, ``path::qualname`` and the ids of those tests; line
+numbers go to stdout only, so an edit that only moves lines leaves the
+file as it is.  Each run rewrites the file and exits 1 when what it
+wrote differs from the committed file, when a line is run by neither an
+entry point nor tier-1, or when a job did not run as CI runs it.  A line
+tier-1 does not run either is deleted if no input can reach it, and is
+given a tier-1 test otherwise.
+
+Run from the repository root: ``python scripts/reach.py`` (about 45 min
+on two cores; two jobs run at a time, then tier-1).
 """
 
 from __future__ import annotations
 
 import ast
+import dis
 import os
-import re
 import shutil
 import sys
 import tempfile
 import threading
 import time
 import traceback
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-LIST_PATH = ROOT / "scripts" / "uncalled.txt"
+LIST_PATH = ROOT / "scripts" / "unrun.txt"
 PARALLEL_JOBS = 2
 
 HEADER = """\
-# Every def in src/repro that no entry point of scripts/reach.py calls,
-# as path::qualname, each with one outcome:
-#   failure path: <tier-1 test that reaches it>
-#   reserved: ROADMAP <open item>, expires PR <n>
-# scripts/reach.py rewrites this file and exits 1 when the set changes;
-# tests/test_reach_list.py checks every outcome.
+# Every def in src/repro with a line no entry point of scripts/reach.py
+# runs, as path::qualname, then the tier-1 tests that first run those
+# lines.  scripts/reach.py writes this file, prints the line numbers,
+# and exits 1 when the file changes or a line is run by neither.
 """
 
-ENTRY_RE = re.compile(r"^(?P<def>\S+::\S+)(?:\s+(?P<outcome>.*))?$")
-FAILURE_PATH = re.compile(r"failure path: (?P<test>tests/\S+\.py(?:::\w+)+)")
-RESERVED = re.compile(
-    r"reserved: ROADMAP (?P<item>\d+)(?:\([A-Za-z]+\))?, expires PR (?P<pr>\d+)"
-)
+#: The hook's label for each line it writes: the tier-1 test that runs.
+LABEL = [""]
 
 _SWEEP = ("sweep", "--runs", "1", "--duration", "5", "--ssthresh-range", "2,16",
           "--window-range", "2,64", "--beta-range", "0.2,0.5", "--workers", "2")
@@ -161,12 +167,12 @@ def _example(name):
     return step
 
 
-def _pytest(*argv):
+def _pytest(*argv, plugins=(), status=None):
     def step():
         import pytest
 
         args = [*argv, "-q", "-p", "no:cacheprovider", "--benchmark-disable"]
-        return int(pytest.main(args)), None
+        return int(pytest.main(args, plugins=list(plugins))), status
 
     step.label = "pytest " + " ".join(argv)
     return step
@@ -281,29 +287,64 @@ JOBS = (
 )
 
 
+
+
+class _TestIds:
+    """A pytest plugin that points ``LABEL`` at the test about to run."""
+
+    def pytest_runtest_logstart(self, nodeid, location):
+        LABEL[0] = nodeid
+
+
+def tier1_job():
+    """Tier-1 as one job, each line it runs labelled with its test."""
+    return ("tier-1", {}, [_pytest(str(ROOT / "tests"), "--rootdir", str(ROOT),
+                                   plugins=[_TestIds()], status=0)])
+
+
 # ----------------------------------------------------------------------
 # The hook and the child
 # ----------------------------------------------------------------------
-def _install_hook(out) -> None:
-    """Write ``path<TAB>first line`` of each package code object on its
-    first call in this process; forked children share ``out``."""
+def _install_hook(out, wanted=None):
+    """Write ``path<TAB>line<TAB>label`` the first time each line of the
+    package's code runs in this process (forked children share ``out``);
+    with ``wanted`` (``{path: lines}``), only those lines.  A code object
+    with no line left to see is no longer traced.  Returns the hook."""
     prefix = str(PACKAGE) + os.sep
-    seen = {}  # id -> code; holding the code keeps its id from being reused
+    left = {}  # id(code) -> its lines not yet seen
+    codes = []  # holding each code keeps its id from being reused
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            lines = left[id(frame.f_code)]
+            line = frame.f_lineno
+            if line in lines:
+                lines.discard(line)
+                out.write(f"{frame.f_code.co_filename}\t{line}\t{LABEL[0]}\n")
+                out.flush()
+            if not lines:
+                return None
+        return trace_lines
 
     def hook(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            if id(code) not in seen:
-                seen[id(code)] = code
-                if code.co_filename.startswith(prefix):
-                    out.write(f"{code.co_filename}\t{code.co_firstlineno}\n")
-                    out.flush()
+        code = frame.f_code
+        lines = left.get(id(code))
+        if lines is None:
+            codes.append(code)
+            lines = set()
+            if code.co_filename.startswith(prefix) and code.co_name != "<module>":
+                lines = code_lines(code)
+                if wanted is not None:
+                    lines &= wanted.get(code.co_filename, set())
+            left[id(code)] = lines
+        return trace_lines if lines else None
 
-    threading.setprofile(hook)
-    sys.setprofile(hook)
+    threading.settrace(hook)
+    sys.settrace(hook)
+    return hook
 
 
-def _child(env, steps, calls_path, log_path, work_dir) -> int:
+def _child(env, steps, lines_path, log_path, work_dir, wanted) -> int:
     os.environ.update(env)
     log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     os.dup2(log, 1)
@@ -311,8 +352,8 @@ def _child(env, steps, calls_path, log_path, work_dir) -> int:
     os.chdir(work_dir)
     sys.path.insert(0, str(ROOT / "src"))
     failed = 0
-    with open(calls_path, "a", encoding="utf-8") as out:
-        _install_hook(out)
+    with open(lines_path, "a", encoding="utf-8") as out:
+        _install_hook(out, wanted)
         for step in steps:
             try:
                 code, expected = step()
@@ -323,13 +364,19 @@ def _child(env, steps, calls_path, log_path, work_dir) -> int:
             if expected is not None and code != expected:
                 print(f"reach: {step.label}: exit {code}, expected {expected}", flush=True)
                 failed = 1
-        sys.setprofile(None)
+        sys.settrace(None)
     return failed
 
 
-def run_jobs(jobs, scratch: Path) -> tuple:
-    """Run ``jobs``, two at a time; ``({job: called (path, first line)
-    pairs}, failed job names)``."""
+def run_jobs(jobs, scratch: Path, wanted=None) -> tuple:
+    """Run ``jobs``, two at a time, tracing only the ``wanted``
+    ``{(path, line)}`` if given; ``({job: {(path, line): label of its
+    first run}}, failed job names)``."""
+    if wanted is not None:
+        by_file = {}
+        for path, line in wanted:
+            by_file.setdefault(str(ROOT / path), set()).add(line)
+        wanted = by_file
     pending = list(jobs)
     running = {}
     failed = []
@@ -343,8 +390,8 @@ def run_jobs(jobs, scratch: Path) -> tuple:
             if pid == 0:
                 status = 1
                 try:
-                    status = _child(env, steps, scratch / f"{job}.calls",
-                                    scratch / f"{job}.log", work_dir)
+                    status = _child(env, steps, scratch / f"{job}.lines",
+                                    scratch / f"{job}.log", work_dir, wanted)
                 finally:
                     os._exit(status)
             running[pid] = (job, time.monotonic())
@@ -356,64 +403,37 @@ def run_jobs(jobs, scratch: Path) -> tuple:
         if not ok:
             failed.append(job)
             print((scratch / f"{job}.log").read_text(errors="replace")[-4000:])
-    called = {job: set() for job, _, _ in jobs}
-    for job in called:
-        calls = scratch / f"{job}.calls"
-        for line in calls.read_text().splitlines() if calls.exists() else ():
-            filename, firstline = line.split("\t")
-            called[job].add((Path(filename).relative_to(ROOT).as_posix(), int(firstline)))
-    return called, failed
-
-
-def unreached_failure_paths(outcomes, defs, scratch: Path) -> list:
-    """Run each test a ``failure path`` outcome names, alone under the
-    hook; the listed defs its test did not call."""
-    by_test = {}
-    for key, outcome in sorted(outcomes.items()):
-        match = FAILURE_PATH.fullmatch(outcome)
-        if match and key in defs:
-            by_test.setdefault(match["test"], []).append(key)
-    jobs = [
-        (f"failure-path-{index}", {}, [_pytest(str(ROOT / test))])
-        for index, test in enumerate(by_test)
-    ]
-    called, _ = run_jobs(jobs, scratch)
-    return [
-        f"{key} (by {test})"
-        for (job, _, _), (test, keys) in zip(jobs, by_test.items())
-        for key in keys
-        if defs[key][:2] not in called[job]
-    ]
+    ran = {job: {} for job, _, _ in jobs}
+    for job, first in ran.items():
+        rows = scratch / f"{job}.lines"
+        for row in rows.read_text().splitlines() if rows.exists() else ():
+            filename, line, label = row.split("\t")
+            first.setdefault((Path(filename).relative_to(ROOT).as_posix(), int(line)), label)
+    return ran, failed
 
 
 # ----------------------------------------------------------------------
-# Definitions and the list
+# Definitions, their lines and the list
 # ----------------------------------------------------------------------
-def definitions() -> dict:
-    """``{path::qualname: (path, first line, last line, enclosing def)}``
-    for every def in the package; the first line is the first
-    decorator's, as ``co_firstlineno`` counts it."""
-    found = {}
+def definitions() -> set:
+    """Every def in the package, as ``path::qualname``."""
+    found = set()
 
-    def visit(node, path, prefix, parent):
+    def visit(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _abstract(child):
-                    continue
-                qualname = prefix + child.name
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                key = f"{path}::{qualname}"
-                found[key] = (path, first, child.end_lineno, parent)
-                visit(child, path, qualname + ".<locals>.", key)
+                if not _abstract(child):
+                    found.add(f"{path}::{prefix}{child.name}")
+                    visit(child, path, prefix + child.name + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
                 if not any(ast.unparse(base).endswith("Protocol") for base in child.bases):
-                    visit(child, path, prefix + child.name + ".", parent)
+                    visit(child, path, prefix + child.name + ".")
             else:
-                visit(child, path, prefix, parent)
+                visit(child, path, prefix)
 
     for file in sorted(PACKAGE.rglob("*.py")):
         path = file.relative_to(ROOT).as_posix()
-        visit(ast.parse(file.read_text(encoding="utf-8")), path, "", None)
+        visit(ast.parse(file.read_text(encoding="utf-8")), path, "")
     return found
 
 
@@ -428,54 +448,85 @@ def _abstract(node) -> bool:
     )
 
 
+def code_lines(code) -> set:
+    """The lines ``code`` itself raises line events on: its instructions'
+    lines past the prologue, which ends at the first ``RESUME``."""
+    instructions = iter(dis.get_instructions(code))
+    for instruction in instructions:
+        if instruction.opname == "RESUME":
+            break
+    return {ins.positions.lineno for ins in instructions} - {None}
+
+
+def def_lines(defs) -> dict:
+    """``{(path, line): path::qualname}`` for every line of every def in
+    ``defs``, the code nested in a def that is not a def counted as its."""
+    found = {}
+
+    def walk(code, path, owner):
+        key = f"{path}::{code.co_qualname}"
+        if key in defs:
+            owner = key
+        if owner is not None:
+            found.update(dict.fromkeys(((path, line) for line in code_lines(code)), owner))
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                walk(const, path, owner)
+
+    for file in sorted(PACKAGE.rglob("*.py")):
+        path = file.relative_to(ROOT).as_posix()
+        walk(compile(file.read_text(encoding="utf-8"), str(file), "exec"), path, None)
+    return found
+
+
+def render(entries) -> str:
+    """The list's text: ``{path::qualname: test ids}``, sorted."""
+    return HEADER + "".join(
+        f"{key}  {' '.join(sorted(tests))}".rstrip() + "\n"
+        for key, tests in sorted(entries.items())
+    )
+
+
 def read_list(path: Path = LIST_PATH) -> dict:
-    """``{path::qualname: outcome}`` of the committed list."""
+    """``{path::qualname: [test ids]}`` of the committed list."""
     entries = {}
     if path.exists():
         for line in path.read_text(encoding="utf-8").splitlines():
             if line.strip() and not line.startswith("#"):
-                match = ENTRY_RE.match(line)
-                entries[match["def"]] = (match["outcome"] or "").strip()
+                key, *tests = line.split()
+                entries[key] = tests
     return entries
 
 
-def write_list(uncalled, outcomes, path: Path = LIST_PATH) -> None:
-    width = max((len(key) for key in uncalled), default=0)
-    lines = [f"{key:<{width}}  {outcomes.get(key, '')}".rstrip() for key in sorted(uncalled)]
-    path.write_text(HEADER + "".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def span_lines(keys, defs) -> int:
-    """Lines the defs ``keys`` take, a def inside another one counted once."""
-    return sum(
-        defs[key][2] - defs[key][1] + 1 for key in keys if defs[key][3] not in keys
-    )
-
-
 def main() -> int:
-    defs = definitions()
     started = time.monotonic()
+    lines = def_lines(definitions())
     scratch = Path(tempfile.mkdtemp(prefix="reach-"))
     try:
-        called_by_job, failed = run_jobs(JOBS, scratch)
-        called = set().union(*called_by_job.values())
-        uncalled = {key for key, (path, first, _, _) in defs.items() if (path, first) not in called}
-        committed = read_list()
-        unreached = unreached_failure_paths(committed, defs, scratch)
+        ran, failed = run_jobs(JOBS, scratch)
+        unrun = set(lines).difference(*ran.values())
+        tested, tier1_failed = run_jobs([tier1_job()], scratch, wanted=unrun)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    write_list(uncalled, committed)
-    print(f"{len(uncalled)} of {len(defs)} defs uncalled "
-          f"({span_lines(uncalled, defs)} lines) in {time.monotonic() - started:.0f} s")
-    for key in sorted(uncalled - set(committed)):
-        print(f"newly uncalled: {key}")
-    for key in sorted(set(committed) - uncalled):
-        print(f"no longer uncalled (or gone): {key}")
-    for entry in unreached:
-        print(f"failure path its test does not reach: {entry}")
-    if failed:
-        print(f"jobs that did not run as CI runs them: {', '.join(failed)}")
-    return 1 if failed or unreached or uncalled != set(committed) else 0
+    first_test = tested["tier-1"]
+    entries = {}
+    for path, line in sorted(unrun):
+        key = lines[(path, line)]
+        test = first_test.get((path, line))
+        entries.setdefault(key, set()).update([test] if test else [])
+        print(f"{path}:{line}  {key.split('::')[1]}  {test or 'RUN BY NEITHER'}")
+    never = len(unrun) - len(first_test)
+    committed = LIST_PATH.read_text(encoding="utf-8") if LIST_PATH.exists() else ""
+    written = render(entries)
+    LIST_PATH.write_text(written, encoding="utf-8")
+    print(f"{len(unrun)} of {len(lines)} lines, in {len(entries)} defs, run by no entry "
+          f"point; tier-1 runs {len(first_test)} of them and {never} are run by neither "
+          f"({time.monotonic() - started:.0f} s)")
+    if written != committed:
+        print(f"{LIST_PATH.relative_to(ROOT)} changed (git diff shows how)")
+    if failed or tier1_failed:
+        print(f"jobs that did not run as CI runs them: {', '.join(failed + tier1_failed)}")
+    return 1 if failed or tier1_failed or never or written != committed else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""``scripts/reach.py`` finds the defs it should, hooks the calls it
-should, and keeps the list it writes.
+"""``scripts/reach.py`` counts the lines it should, traces the lines it
+should, and names the test that first runs each.
 
 Each part runs here on a small package written to a temporary directory
 (the script reads ``ROOT`` and ``PACKAGE`` as module globals), so no
@@ -9,9 +9,10 @@ example, perf workload and CLI verb is one of them.
 
 import argparse
 import importlib.util
+import io
 import os
 import sys
-import textwrap
+import threading
 
 import pytest
 
@@ -32,6 +33,12 @@ def helper():
     return 1
 
 
+def branchy(flag):
+    if flag:
+        return "taken"
+    return "untaken"
+
+
 def outer():
     def inner():
         return 0
@@ -41,7 +48,7 @@ def outer():
 
 @functools.lru_cache(maxsize=None)
 def decorated():
-    return 2
+    return [x for x in (2,)]
 
 
 class Box:
@@ -63,6 +70,12 @@ class Shape(Protocol):
 '''
 
 PATH = "src/repro/mod.py"
+
+
+def line_of(text):
+    """The line of ``MODULE`` that holds ``text``."""
+    (number,) = [n for n, line in enumerate(MODULE.splitlines(), 1) if text in line]
+    return number
 
 
 @pytest.fixture
@@ -90,40 +103,35 @@ def _step(body, label="step"):
     return body
 
 
-def _calls(root, *names):
-    """A step that loads the package module and calls ``names`` on it."""
+def _calls(root, *calls):
+    """A step that loads the package module and makes ``calls``, each a
+    name or a ``(name, argument)`` pair."""
 
     def step():
         module = _load(root / PATH, "reach_fake_mod")
-        for name in names:
-            getattr(module, name)()
+        for call in calls:
+            name, *args = (call,) if isinstance(call, str) else call
+            getattr(module, name)(*args)
         return 0, 0
 
-    return _step(step, "calls " + ",".join(names))
+    return _step(step, "calls")
+
+
+def _lines(*keys):
+    """The package's lines owned by the defs named ``keys``."""
+    owned = reach.def_lines(reach.definitions())
+    return {at for at, key in owned.items() if key.split("::")[1] in keys}
 
 
 # ----------------------------------------------------------------------
-# definitions
+# definitions and their lines
 # ----------------------------------------------------------------------
 def test_definitions_are_named_as_path_and_qualname(package):
-    assert set(reach.definitions()) == {
+    assert reach.definitions() == {
         f"{PATH}::{name}"
-        for name in ("lead", "helper", "outer", "outer.<locals>.inner", "decorated",
-                     "Box.method", "Box.Inner.deep")
+        for name in ("lead", "helper", "branchy", "outer", "outer.<locals>.inner",
+                     "decorated", "Box.method", "Box.Inner.deep")
     }
-
-
-def test_a_nested_def_records_its_enclosing_def(package):
-    defs = reach.definitions()
-    assert defs[f"{PATH}::outer.<locals>.inner"][3] == f"{PATH}::outer"
-    assert defs[f"{PATH}::Box.Inner.deep"][3] is None  # a class is not a def
-
-
-def test_a_decorated_def_starts_at_its_first_decorator(package):
-    defs = reach.definitions()
-    module = _load(package / PATH, "reach_fake_mod_lines")
-    assert defs[f"{PATH}::decorated"][1] == module.decorated.__wrapped__.__code__.co_firstlineno
-    assert defs[f"{PATH}::lead"][1] == module.lead.__code__.co_firstlineno
 
 
 @pytest.mark.parametrize(
@@ -142,70 +150,81 @@ def test_only_a_lone_raise_not_implemented_is_a_declaration(body, abstract):
     assert reach._abstract(node) is abstract
 
 
-def test_span_lines_counts_a_nested_def_once(package):
-    defs = reach.definitions()
-    outer, inner = f"{PATH}::outer", f"{PATH}::outer.<locals>.inner"
-    assert reach.span_lines({inner}, defs) == 2
-    assert reach.span_lines({outer, inner}, defs) == reach.span_lines({outer}, defs) == 5
-    assert reach.span_lines({outer, f"{PATH}::helper"}, defs) == 7
+def test_a_def_owns_its_body_lines_and_not_its_def_line(package):
+    owned = reach.def_lines(reach.definitions())
+    assert owned[(PATH, line_of('"taken"'))] == f"{PATH}::branchy"
+    assert owned[(PATH, line_of("return 0"))] == f"{PATH}::outer.<locals>.inner"
+    # The comprehension is its def's; the prologue and decorators are not
+    # lines, and neither are module or class bodies.
+    assert owned[(PATH, line_of("for x in"))] == f"{PATH}::decorated"
+    assert (PATH, line_of("def branchy")) not in owned
+    assert (PATH, line_of("@functools")) not in owned
+    assert (PATH, line_of("class Box")) not in owned
+    assert set(owned.values()) == reach.definitions()
 
 
-# ----------------------------------------------------------------------
-# the list
-# ----------------------------------------------------------------------
-def test_read_list_skips_comments_and_blank_lines(tmp_path):
-    path = tmp_path / "uncalled.txt"
-    path.write_text(textwrap.dedent("""\
-        # a comment
-        src/repro/a.py::f  reserved: ROADMAP 5, expires PR 50
-
-        src/repro/b.py::C.g
-        """), encoding="utf-8")
+def test_read_list_reads_what_render_writes(tmp_path):
+    path = tmp_path / "unrun.txt"
+    entries = {"src/repro/z.py::C.g": {"tests/t.py::test_b", "tests/t.py::test_a"},
+               "src/repro/a.py::f": set()}
+    path.write_text(reach.render(entries), encoding="utf-8")
     assert reach.read_list(path) == {
-        "src/repro/a.py::f": "reserved: ROADMAP 5, expires PR 50",
-        "src/repro/b.py::C.g": "",
+        "src/repro/a.py::f": [],
+        "src/repro/z.py::C.g": ["tests/t.py::test_a", "tests/t.py::test_b"],
     }
     assert reach.read_list(tmp_path / "missing.txt") == {}
-
-
-def test_write_list_keeps_the_outcome_of_every_line_that_stays(tmp_path):
-    path = tmp_path / "uncalled.txt"
-    outcomes = {
-        "src/repro/z.py::kept": "failure path: tests/test_z.py::test_kept",
-        "src/repro/gone.py::dropped": "reserved: ROADMAP 13, expires PR 50",
-    }
-    reach.write_list({"src/repro/z.py::kept", "src/repro/a.py::new"}, outcomes, path)
-    text = path.read_text(encoding="utf-8")
-    assert text.startswith(reach.HEADER)
-    assert reach.read_list(path) == {
-        "src/repro/a.py::new": "",
-        "src/repro/z.py::kept": "failure path: tests/test_z.py::test_kept",
-    }
-    body = text[len(reach.HEADER):].splitlines()
-    assert body == sorted(body) and not any(line.endswith(" ") for line in body)
 
 
 # ----------------------------------------------------------------------
 # the hook and the jobs
 # ----------------------------------------------------------------------
-def test_the_hook_notes_calls_in_the_package_only(package):
-    defs = reach.definitions()
-
-    def step():
-        _calls(package, "lead", "decorated")()
-        _load(package / "elsewhere.py", "reach_fake_elsewhere").outside()
-        return 0, 0
-
-    called, failed = reach.run_jobs([("job", {}, [_step(step)])], package / "scratch")
+def test_an_untaken_branch_is_listed(package):
+    ran, failed = reach.run_jobs(
+        [("job", {}, [_calls(package, ("branchy", True), "lead")])], package / "scratch")
     assert failed == []
-    reached = {key for key, (path, first, _, _) in defs.items() if (path, first) in called["job"]}
-    assert reached == {f"{PATH}::{name}" for name in ("lead", "helper", "decorated")}
-    assert all(path.startswith("src/repro/") for path, _ in called["job"])
+    unrun = set(reach.def_lines(reach.definitions())) - set(ran["job"])
+    assert {(PATH, line_of('"untaken"'))} == unrun & _lines("branchy")
+    assert not unrun & _lines("lead", "helper")
+    assert all(path.startswith("src/repro/") for path, _ in ran["job"])
 
 
-def test_a_forked_child_reports_its_calls_too(package):
-    defs = reach.definitions()
+def test_a_def_whose_lines_have_all_run_is_no_longer_traced(package):
+    module = _load(package / PATH, "reach_fake_mod_done")
+    helper, branchy = _frame_of(module.helper), _frame_of(module.branchy, True)
+    out = io.StringIO()
+    previous, previous_threads = sys.gettrace(), threading.gettrace()
+    try:
+        hook = reach._install_hook(out)
+        before = hook(helper, "call", None)
+        module.helper()
+        module.branchy(True)
+        after = hook(helper, "call", None), hook(branchy, "call", None)
+    finally:
+        sys.settrace(previous)
+        threading.settrace(previous_threads)
+    assert before is not None
+    assert after[0] is None  # helper has run whole: no line events from now on
+    assert after[1] is not None  # branchy's other arm is still to see
+    assert f"{package / PATH}\t{line_of('return 1')}\t" in out.getvalue().splitlines()
 
+
+def _frame_of(function, *args):
+    """A frame of ``function``, taken as it runs (untraced) with ``args``."""
+    taken = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is function.__code__:
+            taken.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return taken[0]
+
+
+def test_a_forked_child_reports_its_lines_too(package):
     def step():
         module = _load(package / PATH, "reach_fake_mod")
         pid = os.fork()
@@ -215,8 +234,33 @@ def test_a_forked_child_reports_its_calls_too(package):
         os.waitpid(pid, 0)
         return 0, 0
 
-    called, _ = reach.run_jobs([("job", {}, [_step(step)])], package / "scratch")
-    assert defs[f"{PATH}::outer"][:2] in called["job"]
+    ran, _ = reach.run_jobs([("job", {}, [_step(step)])], package / "scratch")
+    assert _lines("outer") <= set(ran["job"])
+
+
+def test_the_tier1_pass_records_the_first_test_to_run_each_wanted_line(package):
+    tests = package / "tests"
+    tests.mkdir()
+    (tests / "test_fake.py").write_text(
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('fake', {str(package / PATH)!r})\n"
+        "mod = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(mod)\n"
+        "def test_first():\n    mod.branchy(False)\n"
+        "def test_second():\n    mod.branchy(True)\n    mod.lead()\n",
+        encoding="utf-8",
+    )
+    wanted = _lines("branchy", "helper")
+    ran, failed = reach.run_jobs([reach.tier1_job()], package / "scratch", wanted=wanted)
+    assert failed == []
+    first = "tests/test_fake.py::test_first"
+    second = "tests/test_fake.py::test_second"
+    assert ran["tier-1"] == {
+        (PATH, line_of("if flag")): first,
+        (PATH, line_of('"untaken"')): first,
+        (PATH, line_of('"taken"')): second,
+        (PATH, line_of("return 1")): second,
+    }  # lead's line ran too, but only the wanted lines are traced
 
 
 @pytest.mark.parametrize(
@@ -246,24 +290,6 @@ def test_each_job_runs_in_its_own_directory_and_environment(package):
     assert (package / "scratch" / "a" / "seen.txt").read_text(encoding="utf-8") == "set"
     assert (package / "scratch" / "b" / "seen.txt").read_text(encoding="utf-8") == "unset"
     assert "REACH_TEST_VALUE" not in os.environ
-
-
-def test_a_failure_path_its_test_does_not_call_is_reported(package, monkeypatch):
-    # Stand-in for running each named test: the test named calls_lead
-    # calls lead (and through it helper); the other calls nothing.
-    monkeypatch.setattr(
-        reach, "_pytest",
-        lambda test: _calls(package, "lead") if "calls_lead" in test else _calls(package),
-    )
-    outcomes = {
-        f"{PATH}::lead": "failure path: tests/test_calls_lead.py::test_it",
-        f"{PATH}::helper": "failure path: tests/test_calls_lead.py::test_it",
-        f"{PATH}::outer": "failure path: tests/test_other.py::test_it",
-        f"{PATH}::decorated": "reserved: ROADMAP 5, expires PR 50",
-        "src/repro/gone.py::deleted": "failure path: tests/test_other.py::test_it",
-    }
-    unreached = reach.unreached_failure_paths(outcomes, reach.definitions(), package / "scratch")
-    assert unreached == [f"{PATH}::outer (by tests/test_other.py::test_it)"]
 
 
 # ----------------------------------------------------------------------

@@ -12,11 +12,8 @@ Three scans, over source only (no simulation runs):
   names (``__qualname__``, ``__doc__``) are the interpreter's to read.
 - **Definitions.** Every function, method, property and class defined in
   ``src/repro`` must be loaded by name in those readers, sit on
-  ``DEFINITIONS_ALLOWED`` with its category and reason, or be a name in a
-  def ``scripts/uncalled.txt`` reserves for an open ROADMAP item (the one
-  register of reservations, with their expiry; see
-  ``tests/test_reach_list.py``).  Dunder methods are the interpreter's to
-  call.
+  ``DEFINITIONS_ALLOWED`` with its category and reason.  Dunder methods
+  are the interpreter's to call.
 - **Disabled telemetry.** Every ``registry.counter/gauge/histogram(...)``
   call in ``src/`` sits under an ``if`` that tests ``.enabled``: a
   disabled run never reaches the registry, so the disabled registry
@@ -34,14 +31,12 @@ Matching by name has a blind spot: a field is taken as read when any
 field of that name anywhere is.  ``ChannelStats.successes`` and
 ``failures`` went unflagged while ``ReplicaHealth.successes`` and
 ``failures`` were read, until a grep found them.  ``scripts/reach.py``
-has no such blind spot: it lists the defs no entry point calls.
+has no such blind spot: it lists the lines no entry point runs.
 """
 
 import ast
 from functools import lru_cache
 from pathlib import Path
-
-from .test_reach_list import reserved_names
 
 ROOT = Path(__file__).resolve().parents[1]
 WRITER_DIRS = ("src/repro",)
@@ -58,8 +53,7 @@ ALLOWED = {
 
 #: Definitions no reader the scan can see loads: ``{name: (category,
 #: reason)}``.  (a) a seam only a test turns  (d) a call the AST cannot
-#: see.  A name an open
-#: ROADMAP item uses is reserved on ``scripts/uncalled.txt`` instead.
+#: see.
 DEFINITIONS_ALLOWED = {
     "to_env": ("a", "FaultSpec.to_env: tests crash, hang or fail sweep workers "
                     "through REPRO_SWEEP_FAULT"),
@@ -224,10 +218,9 @@ def test_allowed_entries_are_few_stated_and_still_unread():
 
 
 def test_every_definition_is_loaded_outside_tests():
-    allowed = set(DEFINITIONS_ALLOWED) | reserved_names()
     unloaded = {
         name: where for name, where in _unloaded_definitions().items()
-        if name not in allowed
+        if name not in DEFINITIONS_ALLOWED
     }
     assert not unloaded, (
         "defined but never loaded outside tests (delete it, or give it a caller): "
