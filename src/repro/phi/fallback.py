@@ -205,10 +205,9 @@ class ResilientContextClient:
         from and its final stats.  FRESH/STALE contexts are scored
         directly; DISTRUSTED lookups score their ``shadow`` so recovery
         is possible without acting on untrusted state.  FALLBACK carries
-        no prediction and is a no-op.
+        no prediction and is a no-op.  Only a client with a trust tracker
+        has anything to score.
         """
-        if self.trust is None:
-            return
         predicted = resolved.context if resolved.context is not None else resolved.shadow
         if predicted is None:
             return

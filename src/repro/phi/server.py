@@ -103,8 +103,6 @@ def _trimmed_mean(values: Sequence[float], trim_fraction: float) -> float:
     ordered = sorted(values)
     k = int(len(ordered) * trim_fraction)
     kept = ordered[k : len(ordered) - k] if k else ordered
-    if not kept:
-        kept = ordered
     return sum(kept) / len(kept)
 
 

@@ -84,8 +84,6 @@ def e_model_mos(rtt_ms: float, loss_rate: float) -> float:
     r = 93.2 - id_factor - ie_factor
     if r < 0:
         return MOS_MIN
-    if r > 100:
-        r = 100.0
     mos = 1.0 + 0.035 * r + r * (r - 60.0) * (100.0 - r) * 7e-6
     return max(MOS_MIN, min(MOS_MAX, mos))
 

@@ -93,14 +93,7 @@ class Whisker:
         """
         for dim, (lo, hi) in self.bounds.items():
             value = memory.value(dim)
-            domain_hi = DOMAIN[dim][1]
-            at_top = hi >= domain_hi
-            if value < lo:
-                return False
-            if at_top:
-                if value > hi:
-                    return False
-            elif value >= hi:
+            if value < lo or (value >= hi and hi < DOMAIN[dim][1]):
                 return False
         return True
 

@@ -177,7 +177,7 @@ class Histogram:
                 fraction = (rank - previous) / bucket_count
                 estimate = lower + (upper - lower) * min(1.0, max(0.0, fraction))
                 return min(self.max, max(self.min, estimate))
-        return self.max  # pragma: no cover - defensive; loop always returns
+        return self.max  # a snapshot whose count exceeds its buckets
 
 
 class MetricsRegistry:

@@ -139,8 +139,6 @@ class RttEstimator:
         if spread < MIN_RTO_S:
             spread = MIN_RTO_S
         rto = srtt + spread
-        if rto < MIN_RTO_S:
-            rto = MIN_RTO_S
         if rto > MAX_RTO_S:
             rto = MAX_RTO_S
         self._rto = rto
@@ -252,8 +250,6 @@ class TcpSender:
         self._send_available()
 
     def _finish(self) -> None:
-        if self._finished:
-            return
         self._finished = True
         self.stats.end_time = self.sim.now
         self.stats.completed = True

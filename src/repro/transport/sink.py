@@ -14,8 +14,7 @@ from ..simnet.engine import Simulator
 from ..simnet.node import Host
 from ..simnet.packet import FlowSpec, Packet, PacketKind
 
-#: Module constants so the per-packet kind checks are identity compares.
-_DATA = PacketKind.DATA
+#: A module constant: the per-packet ACK build reads no class attribute.
 _ACK = PacketKind.ACK
 
 
@@ -110,9 +109,8 @@ class TcpSink:
         host.register_agent(spec.flow_id, self)
 
     def handle_packet(self, packet: Packet) -> None:
-        """Process an arriving DATA packet and emit a cumulative ACK."""
-        if packet.kind is not _DATA:
-            return
+        """Process an arriving DATA packet and emit a cumulative ACK (only
+        DATA packets reach a sink: its flow's ACKs go to the sender)."""
         received = self.received
         received.add(packet.seq, packet.seq + packet.payload_bytes)
         self.rcv_nxt = rcv_nxt = received.contiguous_from(0)

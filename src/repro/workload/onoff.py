@@ -140,8 +140,6 @@ class OnOffSource:
     def _on_connection_done(self, sender: TcpSender) -> None:
         self.completed.append(sender.stats)
         self._teardown_active()
-        if self._stopped:
-            return
         self.sim.schedule(self._draw_off_time(), self._launch_connection)
 
     def _teardown_active(self) -> None:

@@ -124,6 +124,7 @@ class TestReorderingObservatory:
         observatory.record_depths(self.PATH, [0, 0, 3, 3])
         assert observatory.spurious_probability(self.PATH, 3) == pytest.approx(0.5)
         assert observatory.spurious_probability(self.PATH, 4) == 0.0
+        assert observatory.spurious_probability(("dc-west", "isp-b"), 3) == 0.0  # unseen
 
     def test_validation(self):
         observatory = ReorderingObservatory()

@@ -33,6 +33,8 @@ class TestSeasonalBaseline:
     def test_validation(self):
         with pytest.raises(ValueError):
             SeasonalBaseline(period_bins=0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SeasonalBaseline(24).fit([self._flat_history()] * 2)
 
     def test_flat_series_expected(self):
         baseline = SeasonalBaseline(24).fit(self._flat_history())

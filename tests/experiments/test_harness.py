@@ -206,6 +206,10 @@ class TestSenders:
         with pytest.raises(ValueError, match="3 sender factories for 4 slots"):
             run_preset(lambda env: [CubicSender] * 3, QUICK, seed=0, duration_s=1.0)
 
+    def test_slot_order_must_permute_the_slots(self):
+        with pytest.raises(ValueError, match="slot_order must permute 0..3"):
+            run_preset(lambda env: CubicSender, QUICK, slot_order=[0, 1, 1, 3], duration_s=1.0)
+
     def test_slot_order_refused_on_long_running(self):
         with pytest.raises(ValueError, match="on/off workloads only"):
             run_preset(

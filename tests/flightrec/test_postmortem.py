@@ -196,6 +196,22 @@ class TestStallDetection:
         analysis = analyze({}, records)
         assert analysis["summary"]["flows"] == 0
 
+    def test_a_flow_id_on_another_layer_is_not_a_flow(self):
+        record = dict(_fault("fault_begin", 0.0, "link"), flow_id=3)
+        assert analyze({}, [record])["summary"]["flows"] == 0
+
+    def test_a_flow_that_ends_before_it_starts_has_no_stall(self):
+        # Records out of order (a hand-built or damaged dump): no
+        # activity falls inside the flow's span, and nothing breaks.
+        records = [_transport("flow_start", 2.0, 1), _transport("flow_end", 1.0, 1)]
+        (flow,) = analyze({}, records, stall_threshold_s=0.25)["flows"]
+        assert flow["stalls"] == []
+
+    def test_an_aborted_flow_renders_as_aborted(self):
+        records = _flow(1, 0.0, 0.1) + [_transport("flow_abort", 2.0, 1)]
+        analysis = analyze({}, records, stall_threshold_s=0.25)
+        assert "aborted" in render_text(analysis)
+
 
 class TestAttribution:
     def _stall_records(self):

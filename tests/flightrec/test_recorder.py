@@ -70,6 +70,8 @@ class TestEveryLayer:
         with pytest.raises(ValueError):
             rec.dump(str(path), reason="unit")
         assert load_dump(str(path))[1] == records  # the old dump survives
+        path.write_text("\n" + path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        assert load_dump(str(path))[1] == records  # blank lines are skipped
 
     def test_defaults_and_required_fields(self, layer):
         _, fields = SCHEMA[layer]

@@ -62,6 +62,13 @@ class TestTrafficModel:
     def _model(self, seed=0):
         return EgressTrafficModel(np.random.default_rng(seed))
 
+    def test_a_minute_that_draws_no_flows_is_empty(self):
+        class NoArrivals:
+            def poisson(self, lam):
+                return 0
+
+        assert EgressTrafficModel(NoArrivals()).generate_minute(0) == []
+
     def test_generates_approximately_poisson_count(self):
         # Poisson around 25,000 flows a minute: sd ~158.
         assert 24_000 < len(first_minute()) < 26_000
@@ -107,6 +114,9 @@ class TestSampler:
         headers = sampler.sample_flow(flow)
         assert len(headers) == pytest.approx(10_000, rel=0.05)
         assert sampler.effective_rate == pytest.approx(4096, rel=0.05)
+
+    def test_nothing_sampled_reads_an_infinite_rate(self):
+        assert IpfixSampler(np.random.default_rng(0)).effective_rate == float("inf")
 
     def test_small_flows_usually_unsampled(self):
         rng = np.random.default_rng(0)

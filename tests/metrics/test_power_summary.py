@@ -129,6 +129,12 @@ class TestSummarizeConnections:
         )
         assert metrics.throughput_mbps == pytest.approx(0.5)
 
+    def test_a_connection_without_rtt_samples_weighs_nothing_in_delay(self):
+        sampled = conn(rtts=(0.15, 0.25), min_rtt=0.15)
+        metrics = summarize_connections([sampled, conn(rtts=())])
+        assert metrics.queueing_delay_ms == summarize_connections([sampled]).queueing_delay_ms
+        assert metrics.connections == 2
+
     def test_queueing_delay_is_rtt_inflation(self):
         metrics = summarize_connections(
             [conn(rtts=(0.15, 0.25), min_rtt=0.15)]

@@ -318,3 +318,8 @@ class TestCorruptionLayer:
         assert source.call_report(make_report()).status is RpcStatus.OK
         assert backend.reports[0] != make_report()
         assert (layer.contexts_corrupted, layer.reports_poisoned) == (1, 1)
+
+
+def test_a_corruptor_needs_a_mode():
+    with pytest.raises(ValueError, match="need at least one corruption mode"):
+        make_context_corruptor([], np.random.default_rng(0), 0.5)

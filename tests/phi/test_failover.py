@@ -247,6 +247,17 @@ class TestTelemetry:
         )
         assert counters.get("phi.failovers") == 1
 
+    def test_a_failover_is_a_flight_record(self):
+        from repro import flightrec
+
+        with flightrec.use() as recorder:
+            sim = Simulator()
+            _, channels, failover = make_stack(sim)
+            channels[0].mark_down()
+            failover.call_lookup()
+        (record,) = [r for r in recorder.records() if r["kind"] == "failover"]
+        assert record["detail"] == {"primary": 0, "served_by": 1}
+
     def test_stats_accounting(self):
         sim = Simulator()
         _, channels, failover = make_stack(sim, n=2)

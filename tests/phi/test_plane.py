@@ -14,8 +14,10 @@ from repro.phi import (
     REFERENCE_POLICY,
     ContextServer,
     FailoverConfig,
+    PlaneSpec,
     ReplicationConfig,
 )
+from repro.phi.plane import SharingMode
 from repro.simnet import Simulator
 
 NAN = math.nan
@@ -54,3 +56,19 @@ def test_nan_plane_input_is_rejected(configure):
 def test_nan_config_field_is_rejected(config, field):
     with pytest.raises(ValueError):
         config(**{field: NAN})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({}, "need a policy \\(Cubic\\) or a table"),
+        ({"policy": REFERENCE_POLICY, "mode": SharingMode.IDEAL,
+          "replication": ReplicationConfig()}, "ideal oracle is not replicated"),
+        ({"policy": REFERENCE_POLICY, "modes": ("scale",),
+          "replication": ReplicationConfig()}, "severity is its cut, not lies"),
+    ],
+    ids=["no-senders", "replicated-ideal", "replicated-lies"],
+)
+def test_a_plane_that_cannot_be_built_is_refused(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PlaneSpec(**fields)

@@ -152,3 +152,20 @@ class TestBuildPolicy:
         assert policy.params_for_level(CongestionLevel.SEVERE).window_init == 2
         # MODERATE/HIGH inherit LOW's winner.
         assert policy.params_for_level(CongestionLevel.HIGH).window_init == 32
+
+
+def test_an_empty_sweep_point_and_zero_baselines_read_neutral():
+    from repro.phi.optimizer import LeaveOneOutRecord
+
+    empty = SweepResult(CubicParams.default())
+    assert (empty.mean_power_l, empty.mean_throughput_mbps,
+            empty.mean_queueing_delay_ms, empty.mean_loss_rate) == (0.0, 0.0, 0.0, 0.0)
+    record = LeaveOneOutRecord(0, CubicParams.default(), 0.5, 0.0, 0.0)
+    assert record.gain_over_default == float("inf")
+    assert record.fraction_of_oracle == 1.0
+    assert LeaveOneOutRecord(0, CubicParams.default(), 0.0, 0.0, 0.0).gain_over_default == 1.0
+
+
+def test_a_policy_table_is_not_equal_to_another_type():
+    assert REFERENCE_POLICY != REFERENCE_POLICY.as_dict()
+    assert REFERENCE_POLICY == PolicyTable.from_json(REFERENCE_POLICY.to_json())

@@ -305,9 +305,10 @@ class TestRobustAggregation:
             server.report(make_report(0.0, bytes_transferred=-1))
             server.report(make_report(0.0, duration=-1.0))
             server.report(make_report(0.0, loss=2.0))
+            server.report(make_report(0.0, min_rtt=-0.1))
             server.report(make_report(0.0))  # honest
             counters = tele.registry.snapshot()["counters"]
-        assert server.reports_rejected == 4
+        assert server.reports_rejected == 5
         assert {
             name: value for name, value in counters.items()
             if name.startswith("phi.report_rejections")
@@ -316,8 +317,15 @@ class TestRobustAggregation:
             "phi.report_rejections{reason=negative_bytes}": 1.0,
             "phi.report_rejections{reason=negative_duration}": 1.0,
             "phi.report_rejections{reason=loss_out_of_range}": 1.0,
+            "phi.report_rejections{reason=negative_rtt}": 1.0,
         }
         assert len(server._reports) == 1
+
+    def test_reports_that_moved_no_bytes_are_not_capped(self):
+        sim, server = self._server()
+        for flow_id in range(4):  # enough to aggregate robustly
+            server.report(make_report(0.0, bytes_transferred=0, flow_id=flow_id))
+        assert server.current_context().utilization == 0.0
 
     def test_rejected_report_does_not_release_lease(self):
         import math as _math

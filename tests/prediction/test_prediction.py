@@ -139,6 +139,15 @@ class TestPredictor:
         prediction = predictor.predict_download_time(("isp-a", "nyc"), 1000)
         assert prediction.confidence is Confidence.LOW
 
+    def test_only_stalled_history_predicts_no_finite_time(self):
+        predictor = self._loaded_predictor(n=5, mbps=0.0)
+        prediction = predictor.predict_download_time(("isp-a", "nyc"), 1000)
+        assert math.isinf(prediction.expected_seconds)
+        assert prediction.confidence is Confidence.LOW
+        assert predictor.predict_call_quality(("isp-a", "nyc")).confidence is Confidence.LOW
+        thin = PerformancePredictor(self._loaded_predictor(n=2).store)
+        assert thin.predict_call_quality(("isp-a", "nyc")).confidence is Confidence.LOW
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             self._loaded_predictor().predict_download_time(("isp-a", "nyc"), 0)

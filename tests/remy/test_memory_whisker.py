@@ -113,6 +113,12 @@ class TestWhiskerTable:
         assert len(table) == 1
         assert table.find(Memory.initial()) is table.whiskers[0]
 
+    def test_a_table_with_a_gap_refuses_the_memory_it_misses(self):
+        table = WhiskerTable()
+        table.whiskers = []
+        with pytest.raises(LookupError, match="no whisker covers memory"):
+            table.find(Memory.initial())
+
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValueError):
             WhiskerTable(("ack_ewma", "bogus"))

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from repro.runner.cache import DiskCache
 from repro.runner.hashing import content_hash
 
@@ -120,3 +122,24 @@ class TestCorruptEntries:
         cache, result = put_one(tmp_path, make_result)
         assert cache.get(result.key) == result
         assert os.path.exists(entry_path(cache, result.key))
+
+
+class TestFilesystemFailures:
+    def test_an_entry_that_is_a_directory_is_a_miss_left_in_place(self, tmp_path):
+        # open() and unlink() both fail on it; neither error escapes.
+        cache = DiskCache(str(tmp_path))
+        os.mkdir(tmp_path / ("a" * 64 + ".json"))
+        assert cache.get("a" * 64) is None
+        assert (tmp_path / ("a" * 64 + ".json")).is_dir()
+
+    def test_a_failed_rename_removes_its_temp_file_and_raises(
+        self, tmp_path, make_result, monkeypatch
+    ):
+        def replace_fails(src, dst):
+            os.unlink(src)  # even a temp file already gone is no second error
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace_fails)
+        with pytest.raises(OSError, match="disk full"):
+            DiskCache(str(tmp_path)).put(make_result())
+        assert os.listdir(tmp_path) == []

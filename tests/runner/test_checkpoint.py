@@ -1,6 +1,7 @@
 """Checkpoint journal: round trips, torn-tail healing, resume semantics."""
 
 import json
+import os
 
 import pytest
 
@@ -253,3 +254,25 @@ class TestRunnerResume:
         (journal_path,) = list((tmp_path / "ckpt").glob("*.jsonl"))
         journal = SweepJournal(str(journal_path))
         assert len(journal.load()) == len(mini_grid)
+
+
+class TestJournalFilesystem:
+    def test_blank_lines_are_skipped(self, tmp_path, make_result):
+        good = encode_record(make_result(key="b" * 64)) + "\n"
+        (tmp_path / "journal.jsonl").write_text("\n" + good + "\n", encoding="utf-8")
+        assert list(journal_at(tmp_path).load()) == ["b" * 64]
+
+    def test_a_failed_heal_removes_its_temp_file_and_raises(
+        self, tmp_path, make_result, monkeypatch
+    ):
+        good = encode_record(make_result(key="b" * 64)) + "\n"
+        (tmp_path / "journal.jsonl").write_text("{torn\n" + good, encoding="utf-8")
+
+        def replace_fails(src, dst):
+            os.unlink(src)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace_fails)
+        with pytest.raises(OSError, match="disk full"):
+            journal_at(tmp_path).load()
+        assert sorted(os.listdir(tmp_path)) == ["journal.jsonl"]

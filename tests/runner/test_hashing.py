@@ -66,6 +66,13 @@ class TestPointKey:
         assert default_key() != key
 
 
+def test_an_enum_hashes_as_its_value():
+    from repro.phi.plane import SharingMode
+
+    mode = next(iter(SharingMode))
+    assert hashing.plain({"mode": mode}) == {"mode": mode.value}
+
+
 class TestPinnedKeys:
     """Literal key values, computed once and never recomputed here.
 

@@ -97,6 +97,64 @@ def _double(spec, point):
     return spec * point
 
 
+class TestFailureAccounting:
+    def test_failures_and_quarantines_are_counted_under_telemetry(self):
+        from repro import telemetry
+
+        supervisor = SweepSupervisor(2, _double, config=ResilienceConfig(max_attempts=1))
+        with telemetry.use() as tele:
+            supervisor._record_failure(_Slot(0, None), "exception", "boom", deque(), 0.0, None)
+            counters = tele.registry.snapshot()["counters"]
+        assert counters["runner.point_failures{kind=exception}"] == 1
+        assert counters["runner.quarantined"] == 1
+        assert [q.index for q in supervisor.report.quarantined] == [0]
+
+
+class _HungPool:
+    """A pool whose first submit runs forever and whose other submits
+    never start; its one worker is already gone when it is killed."""
+
+    def __init__(self):
+        self.submitted = []
+        self._processes = {0: SimpleNamespace(kill=self._already_dead)}
+
+    @staticmethod
+    def _already_dead():
+        raise ProcessLookupError("no such process")
+
+    def submit(self, fn, *args):
+        future = Future()
+        if not self.submitted:
+            future.set_running_or_notify_cancel()
+        self.submitted.append(future)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestHungPool:
+    def test_the_overdue_point_is_charged_and_the_rest_requeued_free(self, monkeypatch):
+        clock = iter(range(10**6))  # each read is 0.6 s after the last
+        monkeypatch.setattr(
+            resilience_module, "time",
+            SimpleNamespace(monotonic=lambda: 0.6 * next(clock), sleep=lambda s: None),
+        )
+        supervisor = SweepSupervisor(
+            2, _double, n_workers=2, config=ResilienceConfig(point_timeout_s=1.0)
+        )
+        pools = [_HungPool(), _DoomedPool()]
+        supervisor._new_pool = lambda width: pools.pop(0)
+        results = {}
+        report = supervisor.execute_pool(list(enumerate(range(3))), results.__setitem__)
+        assert results == {0: 0, 1: 2, 2: 4}
+        assert {
+            index: [failure.kind for failure in failures]
+            for index, failures in report.failure_history.items()
+        } == {0: ["timeout"]}
+        assert report.pool_rebuilds == 1 and not report.quarantined
+
+
 class TestExecuteChoosesPoolOrSerial:
     """The supervisor, not its callers, decides when a pool can help."""
 
@@ -180,6 +238,15 @@ class TestFaultSpec:
         spec = FaultSpec(mode="raise", beta=0.7, run_index=0, once_dir="/tmp/x")
         monkeypatch.setenv(ENV_VAR, spec.to_env())
         assert fault_spec_from_env() == spec
+
+    def test_matches_only_points_equal_on_every_filter(self, mini_grid):
+        from repro.runner.core import SweepPoint
+
+        point = SweepPoint(mini_grid[0], run_index=1, seed=7)
+        beta = point.params.beta
+        assert FaultSpec("raise", beta=beta, run_index=1, seed=7).matches(point)
+        assert not FaultSpec("raise", beta=beta, run_index=0).matches(point)
+        assert not FaultSpec("raise", beta=beta, seed=8).matches(point)
 
     def test_unset_env_is_no_spec(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)

@@ -124,6 +124,7 @@ class TestCachingBehaviour:
         warm = runner.run(MINI_GRID, n_runs=1)
         assert warm.events_per_second == 0.0
         assert warm.total_events == half_warm.total_events > 0
+        assert replace(half_warm, wall_seconds=0.0).events_per_second == 0.0
 
     def test_different_seed_misses_cache(self, tmp_path):
         cache = DiskCache(str(tmp_path / "cache"))
@@ -188,6 +189,30 @@ class TestValidationAndProgress:
         assert set(fingerprint) == {"cpu_count", "usable_cpus", "python", "platform"}
         assert fingerprint["usable_cpus"] == SweepRunner(MINI_PRESET).n_workers
         assert fingerprint["cpu_count"] >= 1 and fingerprint["python"]
+
+    def test_default_workers_without_cpu_affinity(self, monkeypatch):
+        import os
+
+        from repro.runner.core import _default_workers
+
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _default_workers() == max(1, os.cpu_count() or 1)
+
+    def test_console_progress_names_resumed_retried_and_quarantined_points(self):
+        import io
+        import time
+
+        from repro.runner.progress import ConsoleProgress
+
+        console = ConsoleProgress()
+        console.stream = io.StringIO()
+        console(SweepProgress(total=4, completed=4, cached=1, started_at=time.perf_counter(),
+                              checkpointed=1, retries=2, quarantined=1))
+        line = console.stream.getvalue()
+        assert "cached=1 resumed=1 retries=2 quarantined=1 eta=0s" in line
+        # A clock read before the sweep began reports no rate, and no eta.
+        ahead = SweepProgress(total=4, completed=0, cached=0, started_at=time.perf_counter() + 60)
+        assert ahead.points_per_second == 0.0 and ahead.eta_s is None
 
     def test_progress_reports_monotonic_to_completion(self):
         snapshots = []

@@ -219,6 +219,24 @@ class TestHeapIntegrity:
 
 
 class TestReportingModes:
+    @pytest.mark.parametrize(
+        "corrupt, invariant",
+        [
+            (lambda sim: _inject_raw_event(sim, sim._heap[0][0] + 1.0, sim._heap[0][1]),
+             "engine.heap_duplicate"),
+            (lambda sim: setattr(sim, "_cancelled_pending", sim._cancelled_pending + 1),
+             "engine.heap_entry_orphan"),
+        ],
+        ids=["duplicate", "orphan"],
+    )
+    def test_a_report_holds_the_first_violation_of_a_scan(self, corrupt, invariant):
+        report = ViolationReport()
+        sim = CheckedSimulator(report=report)
+        sim.schedule(1.0, lambda: None)
+        corrupt(sim)
+        sim.verify_heap()
+        assert [v.invariant for v in report.violations] == [invariant]
+
     def test_report_collects_instead_of_raising(self):
         report = ViolationReport()
         sim = CheckedSimulator(report=report)

@@ -68,6 +68,8 @@ class TestScheduling:
     def test_nan_time_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError, match="cannot schedule at NaN time"):
+            Simulator().schedule(float("nan"), lambda: None)
 
     def test_nan_until_rejected(self):
         # ``time > nan`` is never true, so run(until=nan) would execute

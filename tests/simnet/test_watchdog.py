@@ -77,6 +77,17 @@ class TestMaxEvents:
         assert exc.events_processed == 5
         assert len(fired) == 5
 
+    def test_a_trip_is_counted_under_telemetry(self):
+        from repro import telemetry
+
+        sim = Simulator()
+        schedule_burst(sim, 10)
+        sim.install_watchdog(SimWatchdog(WatchdogConfig(max_events=5)))
+        with telemetry.use() as tele, pytest.raises(SimulationStalled):
+            sim.run()
+        counters = tele.registry.snapshot()["counters"]
+        assert counters["sim.watchdog_trips{reason=max_events}"] == 1
+
     def test_stall_never_discards_pending_events(self):
         # The check runs before the pop, so the interrupted event is
         # still on the calendar and a resumed run executes everything.

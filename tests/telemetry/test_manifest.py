@@ -62,6 +62,15 @@ class TestGitDescribe:
     def test_outside_repo_returns_none(self, tmp_path):
         assert git_describe(cwd=str(tmp_path)) is None
 
+    def test_no_git_returns_none(self, monkeypatch):
+        import subprocess
+
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(subprocess, "run", missing)
+        assert git_describe() is None
+
 
 class TestRunManifest:
     def test_valid_and_round_trips(self, tmp_path):
@@ -136,6 +145,23 @@ class TestValidateManifest:
             "bounds": [1.0, 2.0], "bucket_counts": [1, 2],
         }
         assert any("bounds+1" in error for error in validate_manifest(manifest))
+
+    def test_wrong_type(self):
+        manifest = self._valid()
+        manifest["config"] = []
+        assert validate_manifest(manifest) == ["'config' has wrong type list"]
+
+    def test_malformed_histograms_and_points(self):
+        manifest = self._valid()
+        manifest["metrics"]["histograms"] = {"a": 3, "b": {"bounds": [1.0]}}
+        manifest["points"] = [7, {"key": "k", "seed": 0, "status": "computed"}]
+        assert validate_manifest(manifest) == [
+            "histogram 'a' is not an object",
+            "histogram 'b' lacks bounds/bucket_counts",
+            "points[0] is not an object",
+            "points[1] missing 'retries'",
+            "points[1] missing 'failures'",
+        ]
 
     def test_bad_point_status(self):
         manifest = self._valid()
@@ -227,6 +253,29 @@ class TestSweepManifest:
         assert "sim.events" in rendered
         assert "computed" in rendered
         assert "p99" in rendered
+
+    def test_quarantined_points_are_listed_and_summarized(self):
+        import dataclasses
+
+        from repro.runner.resilience import PointFailure, QuarantinedPoint
+
+        outcome, metrics = _sweep_with_telemetry()
+        lost = outcome.points[-1]
+        point = dataclasses.replace(outcome.points[0], run_index=1, seed=1)
+        failure = PointFailure("crash", "worker died", 3)
+        outcome = dataclasses.replace(
+            outcome,
+            points=outcome.points[:-1],
+            quarantined=[QuarantinedPoint(1, point, 3, (failure,))],
+        )
+        manifest = sweep_manifest(outcome, metrics=metrics)
+        assert validate_manifest(manifest) == []
+        (entry,) = manifest["quarantined"]
+        assert (entry["seed"], entry["attempts"]) == (1, 3)
+        assert lost.key not in {p["key"] for p in manifest["points"]}
+        rendered = summarize_manifest(manifest, max_points=0)
+        assert f"... {len(TINY_GRID) - 1} more point(s)" in rendered
+        assert "quarantined:\n  #1 seed=1 attempts=3 last=crash: worker died" in rendered
 
     @pytest.mark.parametrize("max_points", [-1, 2.5])
     def test_summarize_refuses_a_bad_point_count(self, max_points):

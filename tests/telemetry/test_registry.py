@@ -273,3 +273,17 @@ class TestSessionPlumbing:
             with telemetry.use():
                 raise RuntimeError("boom")
         assert telemetry.session() is before
+
+
+class TestSnapshotPercentiles:
+    def test_an_empty_histogram_reads_zero(self):
+        snapshot = {"bounds": [1.0, 2.0], "bucket_counts": [0, 0, 0], "count": 0,
+                    "sum": 0.0, "min": None, "max": None}
+        assert histogram_percentile(snapshot, 50) == 0.0
+
+    def test_a_count_past_its_buckets_reads_the_max(self):
+        # A hand-edited or damaged manifest: ``telemetry summarize`` reads
+        # it as it stands, and the top percentiles are the largest value.
+        snapshot = {"bounds": [1.0, 2.0], "bucket_counts": [1, 1, 0], "count": 4,
+                    "sum": 3.0, "min": 0.5, "max": 1.5}
+        assert histogram_percentile(snapshot, 99) == 1.5

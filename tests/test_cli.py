@@ -175,6 +175,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "detected: asn=isp-a, metro=nyc" in out
 
+    def test_diagnose_exits_1_when_a_shallow_outage_goes_unseen(self, capsys):
+        assert main(["diagnose", "--severity", "0.05"]) == 1
+        assert "no events detected" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     MINI = [
@@ -258,6 +262,27 @@ class TestSweepCommand:
         assert excinfo.value.code == 2
         assert "values must not repeat" in capsys.readouterr().err
 
+    def test_an_empty_list_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--ssthresh-range", ","])
+        assert exc.value.code == 2
+        assert "need at least one value" in capsys.readouterr().err
+
+    def test_resume_without_a_checkpoint_dir_exits_2(self, capsys):
+        assert main(["sweep", "--resume", "--duration", "1"]) == 2
+        assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
+
+    def test_a_serial_mismatch_is_a_determinism_violation(self, capsys, monkeypatch):
+        from repro.runner import SweepOutcome
+
+        monkeypatch.setattr(
+            SweepOutcome, "serial_check", lambda self: (["point #0: flows differ"], 0.0)
+        )
+        assert main(self.MINI + ["--serial-check"]) == 1
+        err = capsys.readouterr().err
+        assert "DETERMINISM VIOLATION: 1 point(s) differ" in err
+        assert "  point #0: flows differ" in err
+
     def test_mini_sweep_runs(self, capsys):
         assert main(self.MINI) == 0
         out = capsys.readouterr().out
@@ -331,6 +356,12 @@ class TestTelemetryOutputs:
         analysis = json.loads(capsys.readouterr().out)
         assert analysis["anomaly"]["reason"] == "trace-out:cubic"
         assert analysis["flows"]
+
+        flow = analysis["flows"][-1]["flow_id"]
+        assert main(["postmortem", trace_path, "--json", "--flow", str(flow)]) == 0
+        assert [e["flow_id"] for e in json.loads(capsys.readouterr().out)["flows"]] == [flow]
+        assert main(["postmortem", trace_path, "--flow", "999999"]) == 2
+        assert "flow 999999 not in dump (flows: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -671,6 +702,29 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "PASS  checked-vs-unchecked" in out
         assert "PASS  flow-permutation" in out
+
+    def test_failing_oracles_and_fuzz_cases_are_printed_and_counted(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+        from repro.simcheck import InvariantViolation
+        from repro.simcheck.oracles import OracleOutcome
+
+        monkeypatch.setattr(cli, "run_oracles", lambda names, **kw: [
+            OracleOutcome(name="planted", passed=False, failures=["metrics differ"]),
+        ])
+
+        def fuzz_case(scenario, check_report):
+            if scenario.seed % 2:
+                raise RuntimeError("engine stalled")
+            check_report.add(InvariantViolation("tcp.cwnd_floor", "flow-1", "cwnd=0.5"))
+
+        monkeypatch.setattr(cli, "run_fuzz_case", fuzz_case)
+        assert main(["check", "--fuzz", "2", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  planted" in out and "      metrics differ" in out
+        assert "      tcp.cwnd_floor: cwnd=0.5" in out
+        assert "error=RuntimeError: engine stalled" in out
 
     def test_fuzz_and_report_artifact(self, tmp_path, capsys):
         import json as _json

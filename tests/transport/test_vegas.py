@@ -77,6 +77,18 @@ class TestVegas:
         assert backlog is not None
         assert backlog > 0
 
+    def test_without_a_usable_rtt_it_grows_as_reno(self):
+        sim = Simulator()
+        top = DumbbellTopology(sim, DumbbellConfig(n_senders=1))
+        spec = FlowSpec(1, top.senders[0].name, 1, top.receivers[0].name, 443)
+        sender = VegasSender(sim, top.senders[0], spec, 50_000)
+        sender.cwnd = 4.0
+        sender._on_ack_congestion_avoidance(1.0)  # no RTT sample yet
+        assert sender.cwnd == 4.25
+        sender.rtt.observe(0.1)
+        sender.rtt.min_rtt = 0.0  # a zero-delay path: no rate to compare
+        assert sender._estimated_backlog() is None
+
     def test_decrease_when_backlog_high(self):
         sender, _, _ = run_vegas(50_000)
         # Deep standing queue: srtt far above min.

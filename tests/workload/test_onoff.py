@@ -86,6 +86,25 @@ class TestOnOffSource:
         sim.run(until=10.0)
         assert source.connections_launched == count
 
+    def test_a_source_stopped_before_its_first_launch_launches_nothing(self):
+        sim = Simulator()
+        top = DumbbellTopology(sim, DumbbellConfig(n_senders=1))
+        source = make_source(sim, top)
+        source.start()
+        source.stop()
+        sim.run(until=5.0)
+        assert source.connections_launched == 0
+
+    def test_no_off_time_runs_connections_back_to_back(self):
+        sim = Simulator()
+        top = DumbbellTopology(sim, DumbbellConfig(n_senders=1))
+        source = make_source(sim, top, config=OnOffConfig(mean_on_bytes=20_000, mean_off_s=0.0))
+        source.start()
+        sim.run(until=5.0)
+        done = source.completed
+        assert len(done) >= 2
+        assert all(b.start_time == a.end_time for a, b in zip(done, done[1:]))
+
     def test_flow_tracker_balanced(self):
         sim = Simulator()
         top = DumbbellTopology(sim, DumbbellConfig(n_senders=1))
