@@ -520,7 +520,7 @@ def main() -> int:
     written = render(entries)
     LIST_PATH.write_text(written, encoding="utf-8")
     print(f"{len(unrun)} of {len(lines)} lines, in {len(entries)} defs, run by no entry "
-          f"point; tier-1 runs {len(first_test)} of them and {never} are run by neither "
+          f"point; tier-1 runs {len(first_test)} of them; run by neither: {never} "
           f"({time.monotonic() - started:.0f} s)")
     if written != committed:
         print(f"{LIST_PATH.relative_to(ROOT)} changed (git diff shows how)")

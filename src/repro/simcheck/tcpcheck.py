@@ -160,23 +160,13 @@ def install_sender_checks(
     def checked_handle(packet) -> None:
         snd_una, deadline = sender.snd_una, sender._rto_deadline
         original_handle(packet)
-        if (
-            deadline is not None
-            and sender.snd_una == snd_una
-            and sender._rto_deadline is not None
-            and sender._rto_deadline > deadline
-        ):
-            record_violation(
-                InvariantViolation(
-                    "tcp.rto_pushed_by_send",
-                    f"flow-{sender.spec.flow_id}",
-                    f"a send moved the running RTO deadline from {deadline} "
-                    f"to {sender._rto_deadline}",
-                    sim_time=sender.sim.now,
-                    details={"deadline": deadline, "moved_to": sender._rto_deadline},
-                ),
-                report,
-            )
+        moved = sender._rto_deadline
+        if None not in (deadline, moved) and moved > deadline and sender.snd_una == snd_una:
+            record_violation(InvariantViolation(
+                "tcp.rto_pushed_by_send", f"flow-{sender.spec.flow_id}",
+                f"a send moved the running RTO deadline from {deadline} to {moved}",
+                sim_time=sender.sim.now, details={"deadline": deadline, "moved_to": moved},
+            ), report)
         check_sender_invariants(sender, report)
 
     def checked_on_rto() -> None:

@@ -323,9 +323,11 @@ class TestRobustAggregation:
 
     def test_reports_that_moved_no_bytes_are_not_capped(self):
         sim, server = self._server()
+        sim.run(until=1.0)
         for flow_id in range(4):  # enough to aggregate robustly
-            server.report(make_report(0.0, bytes_transferred=0, flow_id=flow_id))
+            server.report(make_report(1.0, bytes_transferred=0, flow_id=flow_id))
         assert server.current_context().utilization == 0.0
+        assert server._bound_influence([0.0] * 4) == [0.0] * 4
 
     def test_rejected_report_does_not_release_lease(self):
         import math as _math
