@@ -44,8 +44,9 @@ entry point nor tier-1, or when a job did not run as CI runs it.  A line
 tier-1 does not run either is deleted if no input can reach it, and is
 given a tier-1 test otherwise.
 
-Run from the repository root: ``python scripts/reach.py`` (about 45 min
-on two cores; two jobs run at a time, then tier-1).
+Run from the repository root, in a git checkout: ``python
+scripts/reach.py`` (20-26 min on two cores; two jobs run at a time, then
+tier-1).
 """
 
 from __future__ import annotations

@@ -357,7 +357,7 @@ class TestInstallation:
             sender.handle_packet(ack(sender.mss, None))
         assert sender.in_recovery
         assert [v.invariant for v in report.violations] == flagged
-        assert (sender._rto_deadline == deadline) is not flagged
+        assert (sender._rto_deadline == deadline) == (not flagged)
 
     def test_checked_flow_completes_clean(self):
         sim, sender, done = make_sender(200_000)

@@ -9,6 +9,7 @@ catch a def or test renamed or deleted since the list was written.
 
 import ast
 import importlib.util
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,12 +30,17 @@ def test_every_entry_names_a_def_that_exists():
     assert not missing, f"listed but not defined in src/repro: {sorted(missing)}"
 
 
+@lru_cache(maxsize=None)
+def _module_body(path):
+    file = ROOT / path
+    return ast.parse(file.read_text(encoding="utf-8")).body if file.is_file() else None
+
+
 def _test_exists(test_id):
     path, *names = test_id.split("[")[0].split("::")
-    file = ROOT / path
-    if not file.is_file():
+    scope = _module_body(path)
+    if scope is None:
         return False
-    scope = ast.parse(file.read_text(encoding="utf-8")).body
     for name in names:
         node = next(
             (
