@@ -7,9 +7,11 @@ Every packet offered to a link must be accounted for at all times:
 - **link transmitter law** (exact): ``offered == transmitted + queued +
   dropped + serializing`` where ``serializing`` is 1 packet when the
   transmitter is busy and 0 otherwise;
-- **dequeue-armed law** (exact): a link's dequeue event is pending iff
-  its queue is non-empty — a queued packet nobody will pull is a silent
-  stall that no ledger shows;
+- **start-stamp law** (exact): once settled, a link holds one start
+  stamp per queued packet, the head's after ``now`` and each at least
+  the previous start plus that packet's serialization — a stamp behind
+  the clock is a queued packet nobody pulled, a silent stall that no
+  count shows;
 - **wire law** (inequality): ``transmitted - delivered >= 0`` — the
   residual is packets still propagating (in flight on the wire).  The
   law is exact (residual == 0) only on a drained wire, which a run
@@ -18,8 +20,10 @@ Every packet offered to a link must be accounted for at all times:
 - **host law** (inequality): ``discarded <= received`` (handled packets
   are dispatched to agents, which keep their own transport accounting).
 
-Audits are cheap (counter arithmetic over existing ledgers — no
-per-packet work), so they run after every checked scenario.
+Every audit settles the link first (:meth:`~repro.simnet.link.Link.settle`),
+as any ledger read does.  Audits are cheap (counter arithmetic over
+existing ledgers, and one pass over the stamps of packets still queued),
+so they run after every checked scenario.
 """
 
 from __future__ import annotations
@@ -77,8 +81,9 @@ def audit_link(
     sim_time: float = 0.0,
     report: Optional[ViolationReport] = None,
 ) -> None:
-    """Check the link transmitter and dequeue-armed (exact) and wire
+    """Check the link transmitter and start-stamp (exact) and wire
     (inequality) laws."""
+    link.settle()
     audit_queue(link.queue, f"{link.name}.queue", sim_time, report)
 
     queued_packets = len(link.queue)
@@ -128,13 +133,24 @@ def audit_link(
             report,
         )
 
-    armed = link._dequeue_armed
-    if armed != (queued_packets > 0):
+    stamps = list(link._starts)
+    problem = None
+    if len(stamps) != queued_packets:
+        problem = f"{len(stamps)} start stamps for {queued_packets} queued packets"
+    elif stamps and not stamps[0] > link.sim.now:
+        problem = f"the head's start {stamps[0]!r} is not after now"
+    else:
+        spb = link._seconds_per_byte
+        for start, following, packet in zip(stamps, stamps[1:], link.queue._queue):
+            if following < start + packet.size_bytes * spb:
+                problem = f"start {following!r} is before the packet ahead of it ends"
+                break
+    if problem is not None:
         record_violation(
             InvariantViolation(
-                "conservation.link_dequeue_armed",
+                "conservation.link_start_stamps",
                 link.name,
-                f"dequeue event pending={armed} with {queued_packets} packets queued",
+                problem,
                 sim_time=sim_time,
                 details={"queued_packets": queued_packets},
             ),

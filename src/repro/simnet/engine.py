@@ -14,9 +14,10 @@ unique, so tuple comparison never reaches the third slot and heap
 operations stay in C):
 
 - ``(time, seq, callback, args)`` — pushed inline by
-  :class:`~repro.simnet.link.Link`, the only writer.  Nothing refers to
-  the record, so it cannot be cancelled and costs no allocation beyond
-  the tuple.  For per-packet events, which are never cancelled.
+  :class:`~repro.simnet.link.Link`, the only writer: a packet's delivery
+  at the next node, or at the host past a cut-through hop, the one
+  event a link posts per packet.  Nothing refers to the record, so it
+  cannot be cancelled and costs no allocation beyond the tuple.
 - ``(time, seq, None, handle)`` — scheduled with :meth:`Simulator.schedule`
   / :meth:`Simulator.schedule_at`, which return the
   :class:`EventHandle`.  The handle holds the callback; cancelling blanks

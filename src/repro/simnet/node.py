@@ -9,7 +9,7 @@ unique address).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol
 
 from .link import Link
 from .packet import Packet
@@ -93,14 +93,44 @@ class Host(Node):
 
 
 class Router(Node):
-    """A store-and-forward router with an exact-destination routing table."""
+    """A store-and-forward router with an exact-destination routing table.
+
+    A packet that a cut-through link (see :meth:`Link.cut_through`)
+    computes past the router never calls :meth:`receive`: that link
+    counts it here once its arrival stamp has passed, and both counts
+    settle the link on read.
+    """
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self._table: Dict[str, Link] = {}
         self._default: Optional[Link] = None
-        self.packets_forwarded = 0
+        self._forwarded = 0
         self.packets_unroutable = 0
+        #: The cut-through links delivering here.
+        self._feeds: List[Link] = []
+
+    @property
+    def packets_received(self) -> int:
+        """Packets that have reached the router."""
+        for link in self._feeds:
+            link.settle()
+        return self._received
+
+    @packets_received.setter
+    def packets_received(self, value: int) -> None:
+        self._received = value
+
+    @property
+    def packets_forwarded(self) -> int:
+        """Packets sent on toward their destination."""
+        for link in self._feeds:
+            link.settle()
+        return self._forwarded
+
+    @packets_forwarded.setter
+    def packets_forwarded(self, value: int) -> None:
+        self._forwarded = value
 
     def add_route(self, dst: str, link: Link) -> None:
         """Forward packets destined to ``dst`` via ``link``."""
@@ -111,10 +141,10 @@ class Router(Node):
         self._default = link
 
     def receive(self, packet: Packet, link: Link) -> None:
-        self.packets_received += 1
+        self._received += 1
         out = self._table.get(packet.dst, self._default)
         if out is None:
             self.packets_unroutable += 1
             return
-        self.packets_forwarded += 1
+        self._forwarded += 1
         out.send(packet)

@@ -96,23 +96,21 @@ class DumbbellTopology:
         self.senders: List[Host] = []
         self.receivers: List[Host] = []
 
-        self.bottleneck_queue = DropTailQueue(cfg.buffer_bytes, lambda: sim.now)
         self.bottleneck = Link(
             sim,
             "bottleneck",
             cfg.bottleneck_bandwidth_bps,
             cfg.bottleneck_delay_s,
-            self.bottleneck_queue,
+            DropTailQueue(cfg.buffer_bytes, lambda: sim.now),
         )
         self.bottleneck.attach(self.right_router)
 
-        self.reverse_queue = DropTailQueue(cfg.buffer_bytes, lambda: sim.now)
         self.reverse = Link(
             sim,
             "bottleneck-reverse",
             cfg.bottleneck_bandwidth_bps,
             cfg.bottleneck_delay_s,
-            self.reverse_queue,
+            DropTailQueue(cfg.buffer_bytes, lambda: sim.now),
         )
         self.reverse.attach(self.left_router)
 
@@ -123,6 +121,21 @@ class DumbbellTopology:
 
         for index in range(cfg.n_senders):
             self._add_sender_pair(index)
+        # A receiver's access link is fed only by the bottleneck through R2,
+        # a sender's only by the reverse link through R1, so each of those
+        # hops is computed when its feeding link commits the packet.
+        self.bottleneck.cut_through(
+            {host.name: self._links[f"access-{host.name}-down"] for host in self.receivers}
+        )
+        self.reverse.cut_through(
+            {host.name: self._links[f"access-{host.name}-down"] for host in self.senders}
+        )
+
+    @property
+    def bottleneck_queue(self) -> DropTailQueue:
+        """The bottleneck's queue (whatever was swapped in), settled to now."""
+        self.bottleneck.settle()
+        return self.bottleneck.queue
 
     def _add_sender_pair(self, index: int) -> None:
         cfg = self.config

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -12,7 +13,7 @@ from repro.experiments import (
     run_incremental_deployment,
 )
 from repro.experiments.scenarios import ScenarioPreset
-from repro.simnet import DumbbellConfig
+from repro.simnet import DumbbellConfig, RedQueue
 from repro.transport import CubicParams
 from repro.workload import OnOffConfig
 
@@ -77,6 +78,30 @@ class TestMonitorPeriod:
         )
         (env,) = envs
         assert env.monitor.period_s == 0.5
+
+
+class TestQueueSwappedByTheHook:
+    def test_the_loss_rate_is_the_swapped_queue_s(self):
+        def red_bottleneck(env):
+            buffer_bytes = env.topology.config.buffer_bytes
+            env.topology.bottleneck.queue = RedQueue(
+                buffer_bytes,
+                lambda: env.sim.now,
+                np.random.default_rng(1),
+                min_thresh_bytes=0.1 * buffer_bytes,
+                max_thresh_bytes=0.4 * buffer_bytes,
+            )
+
+        result = run_cubic_fixed(
+            CubicParams.default(),
+            replace(FIG2C_LONG_RUNNING, config=DumbbellConfig(n_senders=16)),
+            seed=1,
+            duration_s=4.0,
+            fault_hook=red_bottleneck,
+        )
+        # The RED queue, not the drop-tail one it replaced, is what dropped.
+        assert result.bottleneck_drop_rate > 0
+        assert result.metrics.loss_rate == result.bottleneck_drop_rate
 
 
 class TestIncrementalFractions:

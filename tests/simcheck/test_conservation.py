@@ -90,22 +90,37 @@ class TestLinkLaws:
         link.attach(Collector(sim))
         for i in range(5):
             link.send(make_data_packet(1, "a", "b", i, 1000))
-        sim.run(until=0.1)
-        assert len(link.queue) > 0
-        link._dequeue_armed = False  # the stall: no ledger is off by a packet
+        # 0.832 s a packet: at 1.0 s packet 1 is on the wire, and nothing
+        # has read the ledger since its start passed.
+        sim.run(until=1.0)
+        assert link._starts[0] == pytest.approx(0.832)
+        audit_link(link, sim.now)  # settles first: the law holds
+        assert len(link.queue) == 3
+        # The stall: a stamp behind the clock, behind the head.
+        link._starts[1] = 0.5
         report = ViolationReport()
         audit_link(link, sim.now, report=report)
         assert [v.invariant for v in report.violations] == [
-            "conservation.link_dequeue_armed"
+            "conservation.link_start_stamps"
         ]
 
-    def test_dequeue_event_armed_on_empty_queue_detected(self):
+    def test_start_stamp_out_of_order_or_without_a_packet_detected(self):
         sim = Simulator()
-        link = loaded_link(sim)
-        link._dequeue_armed = True
+        link = Link(sim, "L", bandwidth_bps=1e4, delay_s=0.001)
+        link.attach(Collector(sim))
+        for i in range(5):
+            link.send(make_data_packet(1, "a", "b", i, 1000))
+        sim.run(until=1.0)
+        audit_link(link, sim.now)
+        link._starts[2] -= 0.1  # overlaps the serialization ahead of it
         with pytest.raises(InvariantViolation) as excinfo:
             audit_link(link, sim.now)
-        assert excinfo.value.invariant == "conservation.link_dequeue_armed"
+        assert excinfo.value.invariant == "conservation.link_start_stamps"
+        link._starts[2] += 0.1
+        link._starts.append(link._busy_until)  # a stamp with no packet
+        with pytest.raises(InvariantViolation) as excinfo:
+            audit_link(link, sim.now)
+        assert excinfo.value.invariant == "conservation.link_start_stamps"
 
     def test_lost_offered_packet_detected(self):
         sim = Simulator()

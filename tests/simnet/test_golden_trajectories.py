@@ -126,7 +126,7 @@ def _red_bottleneck(env):
         max_thresh_bytes=0.4 * buffer_bytes,
         max_probability=0.1,
     )
-    env.topology.bottleneck.queue = env.topology.bottleneck_queue = red
+    env.topology.bottleneck.queue = red
 
 
 def _remy_table():

@@ -5,11 +5,15 @@ reads 25% apart from one minute to the next — but the number of Python
 function calls a run makes is a function of the code and the seed, and it
 is what the per-packet path is priced in: a frame costs about as much as
 the few attribute updates a layer does for one packet.  The path is meant
-to cost one frame per layer a packet crosses (``Host.send``, ``Link.send``,
-``post_at``, ``Link._deliver``, ``Router.receive``, …, one queue operation
-when it queues); the ceilings below are what that design measures plus
-~15% for interpreter differences (3.12 inlines comprehensions, which only
-lowers the count).  A change that pushes a run over its ceiling has put a
+to cost one frame per layer a packet crosses (``Host.send``,
+``Link.send``, ``Link._deliver``, ``Router.receive``, …); past the
+bottleneck and the reverse link, the hop behind the router costs no
+event, only the settle that enters it in the router's and the egress
+link's ledgers (``_settle_arrivals``, ``_arrive``), and a packet that
+waits adds ``queue.enqueue`` and, when a later offer settles it,
+``_settle_queue`` and ``queue.dequeue``.  The ceilings below are what
+that design measures plus ~15% for interpreter differences (3.12 inlines
+comprehensions, which only lowers the count).  A change that pushes a run over its ceiling has put a
 call back on every packet: find it with ``python -m cProfile -s ncalls``.
 
 Only ``call`` events are counted (C functions report ``c_call``), over the
@@ -63,14 +67,15 @@ def frames_per_segment(preset, duration_s, observed=False):
 @pytest.mark.parametrize(
     "preset, duration_s, observed, ceiling",
     [
-        # Measured when the ceilings were set: 45.7, 60.3 plain and 56.6,
-        # 76.2 observed (56.5, 74.0 and 74.6, 98.8 before the observers'
-        # pass paths and the link's own calendar records; 112.1 and 144.9
-        # plain before the path was flattened).
-        pytest.param(TABLE3_REMY, 6.0, False, 52.0, id="table3"),
-        pytest.param(FIG2C_LONG_RUNNING, 4.0, False, 69.0, id="fig2c"),
-        pytest.param(TABLE3_REMY, 6.0, True, 65.0, id="table3-observed"),
-        pytest.param(FIG2C_LONG_RUNNING, 4.0, True, 87.0, id="fig2c-observed"),
+        # Measured when the ceilings were set: 40.5, 54.7 plain and 51.5,
+        # 71.9 observed (44.5, 58.1 and 55.5, 73.9 with a dequeue event and
+        # the egress hops as events; 56.5, 74.0 and 74.6, 98.8 before the
+        # observers' pass paths and the link's own calendar records; 112.1
+        # and 144.9 plain before the path was flattened).
+        pytest.param(TABLE3_REMY, 6.0, False, 47.0, id="table3"),
+        pytest.param(FIG2C_LONG_RUNNING, 4.0, False, 63.0, id="fig2c"),
+        pytest.param(TABLE3_REMY, 6.0, True, 59.0, id="table3-observed"),
+        pytest.param(FIG2C_LONG_RUNNING, 4.0, True, 83.0, id="fig2c-observed"),
     ],
 )
 def test_frames_per_goodput_segment(preset, duration_s, observed, ceiling):
