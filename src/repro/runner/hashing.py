@@ -38,7 +38,11 @@ from ..workload.onoff import OnOffConfig
 #: v7: a send starts the retransmission timer only when it is stopped
 #: (RFC 6298 §5.1), so a sender that keeps sending still times out on a
 #: lost retransmission; lossy runs move.
-ENGINE_SIGNATURE = "phi-simnet-v7-rto-on-stopped-timer"
+#: v8: a link fixes each packet's start and delivery at offer and posts
+#: only the delivery (no dequeue event), and the dumbbell's bottleneck
+#: and reverse link compute the access hop behind their router; every
+#: trajectory holds, ``events_processed`` falls.
+ENGINE_SIGNATURE = "phi-simnet-v8-link-of-arrivals"
 
 
 def canonical_json(payload: Any) -> str:

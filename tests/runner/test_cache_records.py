@@ -204,10 +204,11 @@ class TestStoredRecord:
 #: A 1-s point (``MINI_PRESET``, ``MINI_GRID[0]``, seed 0) as
 #: ``encode_record`` wrote it when ``FlowRecord`` was a frozen dataclass,
 #: its key (and so its checksum) re-pinned at each ``ENGINE_SIGNATURE``
-#: bump since (v7).
+#: bump since (v8), and its ``events_processed`` at v8 (356 -> 213: a
+#: link posts one event per hop).
 PARENT_RECORD = (
-    '{"checksum":"a0aa7e4ea314ca9cacf37e0c5fb5cf9b42e2251a4eff3e1b5aacc347d27a77ed",'
-    '"result":{"bottleneck_drop_rate":0.0,"duration_s":1.0,"events_processed":356,'
+    '{"checksum":"31b8e13cf9c9e62204600149cb2f9fa12f0f72323c64584e96baf62d2f59600f",'
+    '"result":{"bottleneck_drop_rate":0.0,"duration_s":1.0,"events_processed":213,'
     '"flows":[{"bytes_goodput":29107,"bytes_sent":29107,"completed":true,'
     '"end_time":0.7683025337471178,"fast_retransmits":0,"flow_id":1,'
     '"min_rtt":0.15079562933333346,"packets_sent":20,"retransmits":0,"rtt_count":20,'
@@ -218,7 +219,7 @@ PARENT_RECORD = (
     '"packets_sent":9,"retransmits":0,"rtt_count":9,'
     '"rtt_digest":"f13105c1cb1ac134d0b2fa574b96acfa1722d6ad8f647db3459d223bd10d3d46",'
     '"start_time":0.11430290800344944,"timeouts":0}],'
-    '"key":"79680fe7a76dc64a95073cc3385ff698adccf95e6286109de1341cca95a12c3b",'
+    '"key":"660fae1560cd5325bfc011f7fcbc5fd0a2ffa0e8e9e0a6ac2ef3f98dc24e5113",'
     '"mean_utilization":0.0439296,"metrics":{"connections":2,"loss_rate":0.0,'
     '"mean_rtt_ms":151.25729167816093,"mean_utilization":0.0439296,'
     '"queueing_delay_ms":0.45268717241373607,"throughput_mbps":0.279454698834981,'

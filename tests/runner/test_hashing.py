@@ -83,12 +83,12 @@ class TestPinnedKeys:
 
     def test_default_point_key(self):
         assert default_key() == (
-            "624de527b247c7c17fb0972c7ce99618e3042e58902577de7bc4f4150c0fecf6"
+            "3b06fe28e708a1971d9fc0267997efb0f58da6b50740d82e77433be41e47ccda"
         )
 
     def test_sweep_key(self):
         assert sweep_key(SweepSpec(preset=MINI_PRESET), MINI_GRID, 2, 0) == (
-            "1bcb50c59348f8b78ba6e7178004b02a9d97f446d82a6ac76af1ed1d2c801015"
+            "cd1e1b45bf1b4f8831bb07902f2171ea7b807c0506e9ad3895dfacdd592de0fa"
         )
 
 

@@ -18,7 +18,8 @@ They moved again with ``phi-simnet-v7-rto-on-stopped-timer`` (a send
 starts the RTO only when it is stopped, RFC 6298 §5.1), and nothing
 else here did.  ``GOLDEN_LOSSY`` was captured with that bump: a lossy
 Fig 2b run, the RED ablation's bottleneck and four competing Remy
-senders, the runs whose loss path no earlier constant pinned.
+senders, the runs whose loss path no earlier constant pinned.  None
+moved with ``phi-simnet-v8-link-of-arrivals`` (one event per hop).
 
 ``GOLDEN_WINDOW_FULL`` was captured the same way ahead of the cached
 window contributions in ``ContextServer``: a 13 sim-s short-flow run is
