@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import repro.simnet.topology as topology_module
+from repro import flightrec
 from repro.experiments import (
     FIG2C_LONG_RUNNING,
     TABLE3_REMY,
@@ -376,13 +377,13 @@ class TestTieAtAWaitingHead:
         assert reference.queue.avg_queue_bytes == (1 - WEIGHT) * seen_empty + WEIGHT * waiting
 
 
-def pipeline(link_class, queue, sim, bandwidth=BANDWIDTH, delay=DELAY):
+def pipeline(link_class, queue, sim, bandwidth=BANDWIDTH, delay=DELAY, egress_bandwidth=None):
     """U -> R -> E -> host: ``U`` holds ``queue``; on the new link ``U``
-    cuts through to ``E``, which has ``U``'s bandwidth, so back-to-back
-    packets reach ``E`` at the instant its wire clears."""
+    cuts through to ``E``, which has ``U``'s bandwidth unless given, so
+    back-to-back packets reach ``E`` at the instant its wire clears."""
     router, host = Router("R"), Collector(sim)
     upstream = link_class(sim, "U", bandwidth, delay, queue)
-    egress = link_class(sim, "E", bandwidth, delay)
+    egress = link_class(sim, "E", egress_bandwidth or bandwidth, delay)
     upstream.attach(router)
     egress.attach(host)
     router.add_route("h", egress)
@@ -455,6 +456,53 @@ class TestCutThroughHop:
         # two per hop on the reference; and the 40 reads.
         assert sim.events_processed == 2 * len(self.OFFERS) + 40
         assert ref_sim.events_processed == 5 * len(self.OFFERS) + 40
+
+    def test_an_egress_slower_than_its_feeder_queues_as_the_reference_s(self):
+        outcomes = {}
+        for link_class in (ReferenceLink, Link):
+            sim = Simulator()
+            upstream, router, egress = pipeline(
+                link_class, None, sim, egress_bandwidth=BANDWIDTH / 2
+            )
+            for seq in range(6):
+                upstream.send(to_host(seq))
+            readings = []
+            for tick in range(20):
+                sim.schedule_at(
+                    DELAY + WIRE / 3 + tick * WIRE,
+                    lambda: readings.append((egress.packets_offered, len(egress.queue))),
+                )
+            with flightrec.use() as recorder:
+                sim.run()
+            audit_link(egress, sim.now)
+            stats = egress.queue.stats
+            outcomes[link_class] = (
+                egress.dst_node.arrivals, readings, stats.enqueued_packets, stats.peak_packets
+            )
+        assert outcomes[Link] == outcomes[ReferenceLink]
+        arrivals, _, enqueued, peak = outcomes[Link]
+        assert enqueued == 5 and peak == 3
+        # The egress's records, stamped with the computed times.
+        kinds = [
+            (record["kind"], record["t"]) for record in recorder.records()
+            if record["layer"] == "simnet" and record["component"] == "E"
+        ]
+        assert sorted(t for kind, t in kinds if kind == "transmit") == [
+            t - DELAY for t, _ in arrivals
+        ]
+        assert sum(kind == "enqueue" for kind, _ in kinds) == 5
+        assert sum(kind == "dequeue" for kind, _ in kinds) == 5
+
+    def test_an_egress_queue_swapped_for_one_that_drops_raises(self):
+        sim = Simulator()
+        upstream, router, egress = pipeline(Link, None, sim, egress_bandwidth=BANDWIDTH / 2)
+        egress.queue = DropTailQueue(1024, lambda: sim.now)
+        for seq in range(4):
+            upstream.send(to_host(seq))
+        sim.run()
+        # The replay, on the first read, finds the drop the post assumed away.
+        with pytest.raises(SimulationError, match="cut-through link E dropped"):
+            egress.settle()
 
     def test_a_cut_through_egress_refuses_any_other_feeder(self):
         sim = Simulator()
