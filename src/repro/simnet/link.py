@@ -196,13 +196,17 @@ class Link:
                 # The egress hop, computed now: the same two float additions
                 # its own ``send`` would make at ``arrival``.
                 arrival = done + self.delay_s
-                start = egress._cut_until
-                if start < arrival:
-                    start = arrival
-                egress._cut_until = done = start + size * egress._seconds_per_byte
+                egress_start = egress._cut_until
+                if egress_start < arrival:
+                    egress_start = arrival
+                egress._cut_until = egress_done = (
+                    egress_start + size * egress._seconds_per_byte
+                )
                 arrivals = self._arrivals
-                arrivals.append((arrival, start, packet, egress))
-                record = (done + egress.delay_s, next(self._seq), egress._deliver, (packet,))
+                arrivals.append((arrival, egress_start, packet, egress))
+                record = (
+                    egress_done + egress.delay_s, next(self._seq), egress._deliver, (packet,)
+                )
                 heappush(self._calendar, record)
                 if arrivals[0][0] <= now:
                     self._settle_arrivals(now)
