@@ -126,13 +126,13 @@ class Link:
         """Declare that this link alone feeds each of ``egresses``.
 
         The router this link delivers to routes destination ``dst`` onto
-        ``egresses[dst]``, and nothing else sends on that egress.  Its
-        departures are then a function of this link's commits: a packet
-        for ``dst`` reaches the router at ``arrival = done + delay`` and
-        leaves at ``max(arrival, egress busy) + size / bandwidth``, so
-        this link computes that when it commits the packet and posts one
-        event, the delivery at the host.  The egress queue must be the
-        unbounded drop-tail default, which never drops.
+        ``egresses[dst]``, and nothing else sends on that egress, so the
+        egress's departures are a function of this link's commits: a
+        packet for ``dst`` reaches the router at ``arrival = done +
+        delay`` and leaves at ``max(arrival, egress busy) + size /
+        bandwidth``.  This link computes that when it commits the packet
+        and posts one event, the delivery at the host.  The egress queue
+        must be the unbounded drop-tail default, which never drops.
         """
         for egress in egresses.values():
             queue = egress.queue

@@ -119,6 +119,7 @@ class Router(Node):
 
     @packets_received.setter
     def packets_received(self, value: int) -> None:
+        # ``Node.__init__`` zeroes the count through here.
         self._received = value
 
     @property

@@ -369,12 +369,11 @@ class TestTieAtAWaitingHead:
         assert [seq for _, seq in fused.dst_node.arrivals] == [0, 1, 2]
         assert reference.dst_node.arrivals == fused.dst_node.arrivals
         assert fused.queue.early_drops == reference.queue.early_drops == 0
-        # RED averaged 0 waiting bytes at packet 0, 0 at packet 1 (the
-        # reference's ``_busy`` is set by then too), then what waits at WIRE.
-        seen_empty = (1 - WEIGHT) * ((1 - WEIGHT) * 0.0 + WEIGHT * 0) + WEIGHT * 0
-        assert fused.queue.avg_queue_bytes == (1 - WEIGHT) * seen_empty + WEIGHT * 0
-        waiting = 1024 if send_first else 0
-        assert reference.queue.avg_queue_bytes == (1 - WEIGHT) * seen_empty + WEIGHT * waiting
+        # Nothing waited when packet 1 arrived.  At packet 2 the new link
+        # averages what still waits, nothing; the reference, when the offer
+        # ran first, the head it had not yet pulled.
+        assert fused.queue.avg_queue_bytes == 0.0
+        assert reference.queue.avg_queue_bytes == (WEIGHT * 1024 if send_first else 0.0)
 
 
 def pipeline(link_class, queue, sim, bandwidth=BANDWIDTH, delay=DELAY, egress_bandwidth=None):
