@@ -20,10 +20,11 @@ Every packet offered to a link must be accounted for at all times:
 - **host law** (inequality): ``discarded <= received`` (handled packets
   are dispatched to agents, which keep their own transport accounting).
 
-Every audit settles the link first (:meth:`~repro.simnet.link.Link.settle`),
-as any ledger read does.  Audits are cheap (counter arithmetic over
-existing ledgers, and one pass over the stamps of packets still queued),
-so they run after every checked scenario.
+An audit reads the link through ``queue`` and its ledger properties,
+each of which settles it first (:meth:`~repro.simnet.link.Link.settle`).
+Audits are cheap (counter arithmetic over existing ledgers, and one pass
+over the stamps of packets still queued), so they run after every
+checked scenario.
 """
 
 from __future__ import annotations
@@ -83,12 +84,12 @@ def audit_link(
 ) -> None:
     """Check the link transmitter and start-stamp (exact) and wire
     (inequality) laws."""
-    link.settle()
-    audit_queue(link.queue, f"{link.name}.queue", sim_time, report)
+    queue = link.queue
+    audit_queue(queue, f"{link.name}.queue", sim_time, report)
 
-    queued_packets = len(link.queue)
-    queued_bytes = link.queue.bytes_queued
-    stats = link.queue.stats
+    queued_packets = len(queue)
+    queued_bytes = queue.bytes_queued
+    stats = queue.stats
     serializing = 1 if link.is_busy else 0
     packet_residual = (
         link.packets_offered
@@ -141,7 +142,7 @@ def audit_link(
         problem = f"the head's start {stamps[0]!r} is not after now"
     else:
         spb = link._seconds_per_byte
-        for start, following, packet in zip(stamps, stamps[1:], link.queue._queue):
+        for start, following, packet in zip(stamps, stamps[1:], queue._queue):
             if following < start + packet.size_bytes * spb:
                 problem = f"start {following!r} is before the packet ahead of it ends"
                 break

@@ -14,13 +14,13 @@ and the delivery time at once and posts only the delivery: a hop costs
 one event whether or not the packet waits.  ``_starts`` holds the waiting
 packets' start stamps beside the queue, and a packet leaves the queue
 lazily, when a later ``send`` or a ledger read (:meth:`Link.settle`) finds
-its start ``<= now``.
+its start ``<= now``.  Every ledger read settles, ``queue`` included.
 
-A link that alone feeds some egress links through its router (declared
-with :meth:`Link.cut_through`) goes one hop further: it computes the
-egress departure too and posts the one event at the host.  Its
-deliveries, the router's counts and the egress ledger settle on read from
-the computed arrival stamps.
+A link that alone feeds the egress links its router routes onto
+(declared with :meth:`Link.cut_through`) goes one hop further: it
+computes the egress departure too and posts the one event at the host.
+Its deliveries, the router's counts and the egress ledger settle on read
+from the computed arrival stamps.
 
 Nothing a link posts is ever cancelled, so it pushes handle-free
 ``(time, seq, callback, args)`` calendar records (see
@@ -82,7 +82,7 @@ class Link:
         self.name = name
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
-        self.queue = queue if queue is not None else DropTailQueue(None, lambda: sim.now)
+        self._queue = queue if queue is not None else DropTailQueue(None, lambda: sim.now)
         self.dst_node: Optional["Node"] = None
         # The wire clears of every packet committed to it at
         # ``_busy_until``; ``_starts`` holds the start stamps of the packets
@@ -122,26 +122,29 @@ class Link:
         """Set the node that receives packets at the far end."""
         self.dst_node = dst_node
 
-    def cut_through(self, egresses: Dict[str, "Link"]) -> None:
-        """Declare that this link alone feeds each of ``egresses``.
+    def cut_through(self) -> None:
+        """Declare that this link alone feeds every link its router routes
+        a destination onto.
 
-        The router this link delivers to routes destination ``dst`` onto
-        ``egresses[dst]``, and nothing else sends on that egress, so the
-        egress's departures are a function of this link's commits: a
-        packet for ``dst`` reaches the router at ``arrival = done +
-        delay`` and leaves at ``max(arrival, egress busy) + size /
-        bandwidth``.  This link computes that when it commits the packet
-        and posts one event, the delivery at the host.  The egress queue
-        must be the unbounded drop-tail default, which never drops.
+        Nothing else sends on such an egress, so its departures are a
+        function of this link's commits: a packet for ``dst`` reaches the
+        router at ``arrival = done + delay`` and leaves at ``max(arrival,
+        egress busy) + size / bandwidth``.  This link computes that when
+        it commits the packet and posts one event, the delivery at the
+        host.  An egress queue must never drop, now or after a swap.
         """
+        egresses = dict(self.dst_node._table)
         for egress in egresses.values():
-            queue = egress.queue
-            if type(queue) is not DropTailQueue or queue.capacity_bytes is not None:
-                raise ValueError(f"cut-through egress {egress.name} has a queue that can drop")
+            egress._refuse_if_it_can_drop(egress._queue)
             egress._feeder = self
             egress._cut_until = egress._busy_until
-        self._cut = dict(egresses)
+        self._cut = egresses
         self.dst_node._feeds.append(self)
+
+    def _refuse_if_it_can_drop(self, queue: DropTailQueue) -> None:
+        """A cut-through egress takes only the unbounded drop-tail queue."""
+        if type(queue) is not DropTailQueue or queue.capacity_bytes is not None:
+            raise ValueError(f"cut-through egress {self.name} has a queue that can drop")
 
     def send(self, packet: Packet) -> None:
         """Offer ``packet`` to the link.
@@ -174,7 +177,7 @@ class Link:
         rec = _telemetry._active.flightrec
         start = self._busy_until
         if start > now:
-            if not self.queue.enqueue(packet, now):
+            if not self._queue.enqueue(packet, now):
                 return
             starts.append(start)
             self._busy_until = done = start + size * self._seconds_per_byte
@@ -216,7 +219,7 @@ class Link:
 
     def _settle_queue(self, now: float) -> None:
         """Dequeue every waiting packet whose serialization has started."""
-        starts, dequeue = self._starts, self.queue.dequeue
+        starts, dequeue = self._starts, self._queue.dequeue
         rec = _telemetry._active.flightrec
         while starts and starts[0] <= now:
             start = starts.popleft()
@@ -259,7 +262,7 @@ class Link:
         rec = _telemetry._active.flightrec
         self._busy_until = done = start + size * self._seconds_per_byte
         if start > now:
-            if not self.queue.enqueue(packet, now):
+            if not self._queue.enqueue(packet, now):
                 raise SimulationError(f"cut-through link {self.name} dropped a packet")
             starts.append(start)
             if rec.enabled and packet.kind is _DATA:
@@ -297,14 +300,22 @@ class Link:
             self._settle_queue(now)
 
     @property
+    def queue(self) -> DropTailQueue:
+        """The attached queue, settled to the clock."""
+        self.settle()
+        return self._queue
+
+    @queue.setter
+    def queue(self, queue: DropTailQueue) -> None:
+        if self._feeder is not None:
+            self._refuse_if_it_can_drop(queue)
+        self._queue = queue
+
+    @property
     def packets_offered(self) -> int:
         """Packets offered to the link."""
         self.settle()
         return self._packets_offered
-
-    @packets_offered.setter
-    def packets_offered(self, value: int) -> None:
-        self._packets_offered = value
 
     @property
     def bytes_offered(self) -> int:
@@ -312,19 +323,11 @@ class Link:
         self.settle()
         return self._bytes_offered
 
-    @bytes_offered.setter
-    def bytes_offered(self, value: int) -> None:
-        self._bytes_offered = value
-
     @property
     def packets_delivered(self) -> int:
         """Packets handed to the far-end node."""
         self.settle()
         return self._packets_delivered
-
-    @packets_delivered.setter
-    def packets_delivered(self, value: int) -> None:
-        self._packets_delivered = value
 
     @property
     def is_busy(self) -> bool:

@@ -54,11 +54,10 @@ class LinkMonitor:
         self.link = link
         self.period_s = period_s
         self.samples: Deque[LinkSample] = deque(maxlen=HISTORY)
+        stats = link.queue.stats
         self._last_bytes = link.bytes_transmitted
-        self._last_drops = link.queue.stats.dropped_packets
-        self._last_arrivals = (
-            link.queue.stats.enqueued_packets + link.queue.stats.dropped_packets
-        )
+        self._last_drops = stats.dropped_packets
+        self._last_arrivals = stats.enqueued_packets + stats.dropped_packets
         self._started = False
         self._epoch = 0.0
         self._ticks = 0
@@ -77,7 +76,8 @@ class LinkMonitor:
         self.sim.schedule_at(self._epoch + self.period_s, self._sample)
 
     def _sample(self) -> None:
-        stats = self.link.queue.stats
+        queue = self.link.queue
+        stats = queue.stats
         bytes_now = self.link.bytes_transmitted
         interval_bits = (bytes_now - self._last_bytes) * 8.0
         capacity_bits = self.link.bandwidth_bps * self.period_s
@@ -93,8 +93,8 @@ class LinkMonitor:
             LinkSample(
                 time=self.sim.now,
                 utilization=utilization,
-                queue_bytes=self.link.queue.bytes_queued,
-                queue_packets=self.link.queue.packets_queued,
+                queue_bytes=queue.bytes_queued,
+                queue_packets=queue.packets_queued,
                 drop_rate=drop_rate,
             )
         )
@@ -111,7 +111,7 @@ class LinkMonitor:
             ).observe(utilization)
             registry.histogram(
                 "link.queue_depth_pkts", DEFAULT_BUCKETS, link=link_name
-            ).observe(self.link.queue.packets_queued)
+            ).observe(queue.packets_queued)
             if interval_drops:
                 registry.counter("link.drops", link=link_name).inc(interval_drops)
 

@@ -27,7 +27,6 @@ class Node:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.packets_received = 0
 
     def receive(self, packet: Packet, link: Link) -> None:
         """Handle a packet delivered by ``link``."""
@@ -43,6 +42,7 @@ class Host(Node):
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
+        self.packets_received = 0
         self._agents: Dict[int, PacketHandler] = {}
         self._uplink: Optional[Link] = None
         self._routes: Dict[str, Link] = {}
@@ -105,6 +105,7 @@ class Router(Node):
         super().__init__(name)
         self._table: Dict[str, Link] = {}
         self._default: Optional[Link] = None
+        self._received = 0
         self._forwarded = 0
         self.packets_unroutable = 0
         #: The cut-through links delivering here.
@@ -117,21 +118,12 @@ class Router(Node):
             link.settle()
         return self._received
 
-    @packets_received.setter
-    def packets_received(self, value: int) -> None:
-        # ``Node.__init__`` zeroes the count through here.
-        self._received = value
-
     @property
     def packets_forwarded(self) -> int:
         """Packets sent on toward their destination."""
         for link in self._feeds:
             link.settle()
         return self._forwarded
-
-    @packets_forwarded.setter
-    def packets_forwarded(self, value: int) -> None:
-        self._forwarded = value
 
     def add_route(self, dst: str, link: Link) -> None:
         """Forward packets destined to ``dst`` via ``link``."""

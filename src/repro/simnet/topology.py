@@ -119,22 +119,19 @@ class DumbbellTopology:
             self.reverse.name: self.reverse,
         }
 
+        self.left_router.set_default_route(self.bottleneck)
+        self.right_router.set_default_route(self.reverse)
         for index in range(cfg.n_senders):
             self._add_sender_pair(index)
         # A receiver's access link is fed only by the bottleneck through R2,
         # a sender's only by the reverse link through R1, so each of those
         # hops is computed when its feeding link commits the packet.
-        self.bottleneck.cut_through(
-            {host.name: self._links[f"access-{host.name}-down"] for host in self.receivers}
-        )
-        self.reverse.cut_through(
-            {host.name: self._links[f"access-{host.name}-down"] for host in self.senders}
-        )
+        self.bottleneck.cut_through()
+        self.reverse.cut_through()
 
     @property
     def bottleneck_queue(self) -> DropTailQueue:
-        """The bottleneck's queue (whatever was swapped in), settled to now."""
-        self.bottleneck.settle()
+        """The bottleneck's queue (whatever was swapped in)."""
         return self.bottleneck.queue
 
     def _add_sender_pair(self, index: int) -> None:
@@ -177,11 +174,6 @@ class DumbbellTopology:
             cfg.access_delay_s,
         )
         back_down.attach(sender)
-        self.left_router.add_route(sender.name, back_down)
-
-        self.left_router.set_default_route(self.bottleneck)
-        self.right_router.set_default_route(self.reverse)
-        self.right_router.add_route(receiver.name, down)
         self.left_router.add_route(sender.name, back_down)
 
         for link in (up, down, back_up, back_down):

@@ -133,7 +133,7 @@ class TestLinkLaws:
     def test_lost_offered_packet_detected(self):
         sim = Simulator()
         link = loaded_link(sim)
-        link.packets_offered += 1
+        link._packets_offered += 1
         with pytest.raises(InvariantViolation) as excinfo:
             audit_link(link, sim.now)
         assert excinfo.value.invariant == "conservation.link_packets"
@@ -141,7 +141,7 @@ class TestLinkLaws:
     def test_byte_ledger_mismatch_detected(self):
         sim = Simulator()
         link = loaded_link(sim)
-        link.bytes_offered += 10  # idle link must have a zero byte residual
+        link._bytes_offered += 10  # idle link must have a zero byte residual
         report = ViolationReport()
         audit_link(link, sim.now, report=report)
         assert [v.invariant for v in report.violations] == ["conservation.link_bytes"]
@@ -149,7 +149,7 @@ class TestLinkLaws:
     def test_overdelivery_detected(self):
         sim = Simulator()
         link = loaded_link(sim)
-        link.packets_delivered += 1
+        link._packets_delivered += 1
         report = ViolationReport()
         audit_link(link, sim.now, report=report)
         assert any(
@@ -179,7 +179,7 @@ class TestNodeLaws:
         sim = Simulator()
         top = DumbbellTopology(sim, DumbbellConfig(n_senders=2))
         audit_router(top.left_router, sim.now)
-        top.left_router.packets_received += 3
+        top.left_router._received += 3
         with pytest.raises(InvariantViolation) as excinfo:
             audit_router(top.left_router, sim.now)
         assert excinfo.value.invariant == "conservation.router"
@@ -207,7 +207,7 @@ class TestTopologyAudit:
     def test_single_corruption_is_localized(self):
         sim = Simulator()
         top = DumbbellTopology(sim, DumbbellConfig(n_senders=4))
-        top.right_router.packets_forwarded += 1
+        top.right_router._forwarded += 1
         report = ViolationReport()
         audit_topology(top, sim.now, report=report)
         assert [v.invariant for v in report.violations] == ["conservation.router"]

@@ -104,7 +104,7 @@ class ReferenceLink:
     # oracle runs under REPRO_SIMCHECK=1 too): every hop is its own events,
     # the ledger is eager, and the queued packets start back to back once
     # the one on the wire clears.
-    def cut_through(self, egresses):
+    def cut_through(self):
         pass
 
     def settle(self):
@@ -386,7 +386,7 @@ def pipeline(link_class, queue, sim, bandwidth=BANDWIDTH, delay=DELAY, egress_ba
     upstream.attach(router)
     egress.attach(host)
     router.add_route("h", egress)
-    upstream.cut_through({"h": egress})
+    upstream.cut_through()
     return upstream, router, egress
 
 
@@ -495,7 +495,22 @@ class TestCutThroughHop:
     def test_an_egress_queue_swapped_for_one_that_drops_raises(self):
         sim = Simulator()
         upstream, router, egress = pipeline(Link, None, sim, egress_bandwidth=BANDWIDTH / 2)
-        egress.queue = DropTailQueue(1024, lambda: sim.now)
+        with pytest.raises(ValueError, match="cut-through egress E has a queue that can drop"):
+            egress.queue = DropTailQueue(1024, lambda: sim.now)
+        with pytest.raises(ValueError, match="can drop"):
+            egress.queue = red_queue(sim, None)
+        # An unbounded drop-tail queue is taken, and carries the traffic.
+        egress.queue = fresh = DropTailQueue(None, lambda: sim.now)
+        for seq in range(4):
+            upstream.send(to_host(seq))
+        sim.run()
+        assert [seq for _, seq in egress.dst_node.arrivals] == [0, 1, 2, 3]
+        assert egress.queue is fresh and fresh.stats.enqueued_packets == 3
+
+    def test_a_queue_made_droppable_behind_the_link_s_back_raises_at_the_replay(self):
+        sim = Simulator()
+        upstream, router, egress = pipeline(Link, None, sim, egress_bandwidth=BANDWIDTH / 2)
+        egress._queue.capacity_bytes = 1024
         for seq in range(4):
             upstream.send(to_host(seq))
         sim.run()
@@ -518,8 +533,9 @@ class TestCutThroughHop:
         upstream = Link(sim, "U", BANDWIDTH, DELAY)
         upstream.attach(router)
         egress = Link(sim, "E", BANDWIDTH, DELAY, DropTailQueue(4096, lambda: sim.now))
+        router.add_route("h", egress)
         with pytest.raises(ValueError, match="can drop"):
-            upstream.cut_through({"h": egress})
+            upstream.cut_through()
 
 
 class TestDequeueEvent:
@@ -536,6 +552,21 @@ class TestDequeueEvent:
         assert sim.events_processed == 3
         audit_link(link, sim.now)
         assert len(link.queue) == 0 and link.queue.stats.dequeued_packets == 2
+
+    @pytest.mark.parametrize(
+        "read",
+        [lambda link: len(link.queue), lambda link: link.queue.stats.dequeued_packets],
+        ids=["queued", "dequeued"],
+    )
+    def test_a_queue_read_first_is_settled(self, read):
+        sim = Simulator()
+        link = make(Link, sim)
+        for seq in range(3):
+            link.send(packet(seq))
+        # Packet 1 started at TX and nothing has read the link since.
+        sim.run(until=1.5 * TX)
+        assert link._starts[0] == TX
+        assert read(link) == 1
 
 
 class TestQueueDisciplinesBehindTheLink:
