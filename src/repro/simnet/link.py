@@ -307,6 +307,10 @@ class Link:
 
     @queue.setter
     def queue(self, queue: DropTailQueue) -> None:
+        # The waiting packets' starts are fixed and their deliveries posted.
+        self.settle()
+        if self._starts:
+            raise ValueError(f"link {self.name} has packets waiting in its queue")
         if self._feeder is not None:
             self._refuse_if_it_can_drop(queue)
         self._queue = queue

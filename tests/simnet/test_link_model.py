@@ -553,6 +553,20 @@ class TestDequeueEvent:
         audit_link(link, sim.now)
         assert len(link.queue) == 0 and link.queue.stats.dequeued_packets == 2
 
+    def test_a_queue_is_swapped_only_with_nothing_waiting(self):
+        sim = Simulator()
+        link = make(Link, sim)
+        for seq in range(3):
+            link.send(packet(seq))
+        with pytest.raises(ValueError, match="link L has packets waiting"):
+            link.queue = DropTailQueue(None, lambda: sim.now)
+        # Once the last waiting packet has started, the swap is taken.
+        sim.run(until=2 * TX)
+        link.queue = fresh = DropTailQueue(None, lambda: sim.now)
+        sim.run()
+        assert [seq for _, seq in link.dst_node.arrivals] == [0, 1, 2]
+        assert link.queue is fresh and link.packets_delivered == 3
+
     @pytest.mark.parametrize(
         "read",
         [lambda link: len(link.queue), lambda link: link.queue.stats.dequeued_packets],
