@@ -307,10 +307,11 @@ class Link:
 
     @queue.setter
     def queue(self, queue: DropTailQueue) -> None:
-        # The waiting packets' starts are fixed and their deliveries posted.
+        # The waiting packets' deliveries are posted, and the link's drops
+        # are the queue's: a swap after the first offer breaks the ledger.
         self.settle()
-        if self._starts:
-            raise ValueError(f"link {self.name} has packets waiting in its queue")
+        if self._packets_offered:
+            raise ValueError(f"link {self.name} has carried traffic; swap its queue before")
         if self._feeder is not None:
             self._refuse_if_it_can_drop(queue)
         self._queue = queue

@@ -553,19 +553,19 @@ class TestDequeueEvent:
         audit_link(link, sim.now)
         assert len(link.queue) == 0 and link.queue.stats.dequeued_packets == 2
 
-    def test_a_queue_is_swapped_only_with_nothing_waiting(self):
+    def test_a_queue_is_swapped_only_before_any_traffic(self):
         sim = Simulator()
-        link = make(Link, sim)
-        for seq in range(3):
+        link = make(Link, sim, DropTailQueue(2000, lambda: sim.now))
+        for seq in range(4):
             link.send(packet(seq))
-        with pytest.raises(ValueError, match="link L has packets waiting"):
+        with pytest.raises(ValueError, match="link L has carried traffic"):
             link.queue = DropTailQueue(None, lambda: sim.now)
-        # Once the last waiting packet has started, the swap is taken.
-        sim.run(until=2 * TX)
-        link.queue = fresh = DropTailQueue(None, lambda: sim.now)
+        # Drained, it still refuses: the drops are the old queue's.
         sim.run()
-        assert [seq for _, seq in link.dst_node.arrivals] == [0, 1, 2]
-        assert link.queue is fresh and link.packets_delivered == 3
+        with pytest.raises(ValueError, match="link L has carried traffic"):
+            link.queue = DropTailQueue(None, lambda: sim.now)
+        assert link.queue.stats.dropped_packets == 1
+        audit_link(link, sim.now)
 
     @pytest.mark.parametrize(
         "read",
