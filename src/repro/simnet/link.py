@@ -311,7 +311,7 @@ class Link:
         # are the queue's: a swap after the first offer breaks the ledger.
         self.settle()
         if self._packets_offered:
-            raise ValueError(f"link {self.name} has carried traffic; swap its queue before")
+            raise ValueError(f"link {self.name} has carried traffic; swap queues before it")
         if self._feeder is not None:
             self._refuse_if_it_can_drop(queue)
         self._queue = queue
